@@ -8,18 +8,19 @@ package main
 // dbnode.fetches deltas.
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"bypassyield/internal/catalog"
+	"bypassyield/internal/core"
 	"bypassyield/internal/engine"
 	"bypassyield/internal/wire"
 )
@@ -45,14 +46,7 @@ func TestCrashHelperProcess(t *testing.T) {
 	o.snapInterval = time.Hour // only boundary snapshots: Open and Close
 	o.recoveryLog = os.Getenv("BYPROXYD_RECOVERY_LOG")
 	o.persistFaults = os.Getenv("BYPROXYD_FAULTS")
-	if s := os.Getenv("BYPROXYD_SHARDS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "helper: bad BYPROXYD_SHARDS:", err)
-			os.Exit(3)
-		}
-		o.decisionShards = n
-	}
+	o.ledgerCap = 4096
 	d, err := start(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)
@@ -141,9 +135,8 @@ type proxyProc struct {
 }
 
 // launchProxy re-execs the test binary as a proxy daemon and waits for
-// its bound address. faults arms -persist-faults; extraEnv appends
-// helper environment (e.g. BYPROXYD_SHARDS=8).
-func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults string, extraEnv ...string) *proxyProc {
+// its bound address. faults arms -persist-faults.
+func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults string) *proxyProc {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	cmd := exec.Command(os.Args[0], "-test.run=^TestCrashHelperProcess$", "-test.count=1")
@@ -155,7 +148,6 @@ func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults str
 		"BYPROXYD_RECOVERY_LOG="+recoveryLog,
 		"BYPROXYD_FAULTS="+faults,
 	)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -230,16 +222,7 @@ func delivered(st *wire.StatsResultMsg) int64 {
 // object is a cache hit with zero WAN refetches.
 func assertRecovered(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.StatsResultMsg) {
 	t.Helper()
-	assertRecoveredObject(t, proc, cn, acked, "edr/photoobj",
-		"select ra, dec from photoobj where ra < 120")
-}
-
-// assertRecoveredObject is assertRecovered with a caller-chosen cached
-// object and covering query — cross-layout restarts split capacity
-// across partitions, so only objects that fit a partition's slice
-// survive the rehash and the biggest table is the wrong witness.
-func assertRecoveredObject(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.StatsResultMsg, object, query string) {
-	t.Helper()
+	const object, query = "edr/photoobj", "select ra, dec from photoobj where ra < 120"
 	c, err := wire.Dial(proc.addr)
 	if err != nil {
 		t.Fatal(err)
@@ -330,75 +313,125 @@ func TestKillRecoveryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardLayoutChangeAcrossRestart restarts the daemon with a
-// different -decision-shards than the state on disk was written under:
-// a single-partition run's snapshot must warm-start an 8-partition
-// plane through the rehash path — accounting and the persisted cache
-// intact, zero WAN refetches — and vice versa back down to one.
-func TestShardLayoutChangeAcrossRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns proxy subprocesses")
-	}
-	cn := startCrashNodes(t)
-	stateDir := filepath.Join(t.TempDir(), "state")
-	recoveryLog := crashRecoveryLog(t)
-
-	// Generation 1: single partition, graceful shutdown (the rehash
-	// path is exact for a quiescent-boundary snapshot).
-	proc := launchProxy(t, cn, stateDir, recoveryLog, "", "BYPROXYD_SHARDS=1")
-	acked, _ := crashWorkload(t, proc.addr, 24, false)
-	if acked == nil || acked.Acct.YieldBytes == 0 {
-		t.Fatalf("workload produced no accounting: %+v", acked)
-	}
-	if acked.DecisionShards != 1 {
-		t.Fatalf("generation 1 runs %d shards, want 1", acked.DecisionShards)
-	}
+// stopProxy shuts a helper daemon down gracefully.
+func stopProxy(t *testing.T, proc *proxyProc) {
+	t.Helper()
 	if err := proc.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := proc.cmd.Wait(); err != nil {
 		t.Fatalf("graceful shutdown: %v", err)
 	}
+}
 
-	// Generation 2: same state directory, 8 partitions. Capacity is
-	// split across partitions, so the big photoobj table no longer fits
-	// any single slice and restarts cold — specobj is the witness that
-	// cache contents crossed the layout change.
-	proc2 := launchProxy(t, cn, stateDir, recoveryLog, "", "BYPROXYD_SHARDS=8")
-	assertRecoveredObject(t, proc2, cn, acked, "edr/specobj",
-		"select z, zConf from specobj where z < 0.4")
-	c, err := wire.Dial(proc2.addr)
-	if err != nil {
-		t.Fatal(err)
+// copyFixture copies testdata/<name>'s state files into a fresh state
+// directory.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, pat := range []string{"snap-*", "wal-*"} {
+		files, err := filepath.Glob(filepath.Join("testdata", name, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	st, err := c.Stats()
-	c.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DecisionShards != 8 || len(st.ShardAccts) != 8 {
-		t.Fatalf("generation 2 reports %d shards (%d sections), want 8",
-			st.DecisionShards, len(st.ShardAccts))
-	}
-	if err := proc2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	if err := proc2.cmd.Wait(); err != nil {
-		t.Fatalf("graceful shutdown after rehash up: %v", err)
-	}
+	return dir
+}
 
-	// Generation 3: back down to one partition — the sharded snapshot's
-	// sections aggregate and rehash into the single plane. (photoobj
-	// was shed in generation 2, so specobj remains the witness.)
-	proc3 := launchProxy(t, cn, stateDir, recoveryLog, "", "BYPROXYD_SHARDS=1")
-	assertRecoveredObject(t, proc3, cn, acked, "edr/specobj",
-		"select z, zConf from specobj where z < 0.4")
-	if err := proc3.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+// TestParentStateAcrossUpgrade starts the daemon on state directories
+// the build before this one wrote, under the crash helper's options and
+// this file's workload (testdata/): that build hashed the cache into N
+// independent slices and wrote one snapshot section per slice.
+//
+//   - parent-1-section: N = 1, twelve queries, SIGTERM, twelve more,
+//     SIGKILL; acct.json is the last acknowledged accounting. The
+//     daemon restarts warm with exactly that accounting and serves
+//     the persisted cache without refetching.
+//   - parent-2-sections: N = 2, twenty-four queries, SIGTERM. The
+//     slices are not one cache, so both snapshots are refused, each
+//     by name in the recovery log, and the daemon starts cold; Σ
+//     ledger yields = D_A from zero, and the next restart is warm from
+//     what the cold start wrote.
+func TestParentStateAcrossUpgrade(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns proxy subprocesses")
 	}
-	if err := proc3.cmd.Wait(); err != nil {
-		t.Fatalf("graceful shutdown after rehash down: %v", err)
-	}
+	cn := startCrashNodes(t)
+
+	t.Run("one-section", func(t *testing.T) {
+		var want core.Accounting
+		b, err := os.ReadFile(filepath.Join("testdata", "parent-1-section", "acct.json"))
+		if err == nil {
+			err = json.Unmarshal(b, &want)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recoveryLog := crashRecoveryLog(t)
+		proc := launchProxy(t, cn, copyFixture(t, "parent-1-section"), recoveryLog, "")
+		c, err := wire.Dial(proc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := c.Stats()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Acct != want {
+			t.Fatalf("recovered %+v, the parent acknowledged %+v", st.Acct, want)
+		}
+		assertRecovered(t, proc, cn, st)
+		if b, _ := os.ReadFile(recoveryLog); !strings.Contains(string(b), "warm start") || !strings.Contains(string(b), "diverged=0") {
+			t.Fatalf("recovery log missing an undiverged warm start:\n%s", b)
+		}
+		stopProxy(t, proc)
+	})
+
+	t.Run("two-sections", func(t *testing.T) {
+		recoveryLog := crashRecoveryLog(t)
+		stateDir := copyFixture(t, "parent-2-sections")
+		proc := launchProxy(t, cn, stateDir, recoveryLog, "")
+		b, _ := os.ReadFile(recoveryLog)
+		if !strings.Contains(string(b), "cold start (fallbacks=2)") ||
+			strings.Count(string(b), "carries 2 decision-plane sections") != 2 {
+			t.Fatalf("recovery log does not name the two refusals:\n%s", b)
+		}
+		acked, _ := crashWorkload(t, proc.addr, 12, false)
+		if acked.Acct.Queries != 12 || acked.Acct.YieldBytes != delivered(acked) {
+			t.Fatalf("cold start did not count from zero: %+v", acked.Acct)
+		}
+		c, err := wire.Dial(proc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := c.Decisions(wire.DecisionsMsg{Limit: wire.MaxDecisionLimit})
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ledgerYield int64
+		for _, r := range dec.Records {
+			ledgerYield += r.Yield
+		}
+		if ledgerYield != delivered(acked) {
+			t.Fatalf("Σ ledger yields = %d, D_A = %d", ledgerYield, delivered(acked))
+		}
+		stopProxy(t, proc)
+
+		proc2 := launchProxy(t, cn, stateDir, recoveryLog, "")
+		assertRecovered(t, proc2, cn, acked) // warm, from what the cold start wrote
+		stopProxy(t, proc2)
+	})
 }
 
 func TestFaultInjectedTornWALRecovery(t *testing.T) {

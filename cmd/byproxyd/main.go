@@ -66,9 +66,8 @@ type options struct {
 	flightSample    int           // publish every Nth healthy query (0 disables)
 	exemplarOut     string        // JSONL exemplar log path ("" disables)
 
-	maxInflight    int // concurrently pipelined client queries
-	poolSize       int // per-site connection-pool bound
-	decisionShards int // decision-plane partitions (0 = GOMAXPROCS)
+	maxInflight int // concurrently pipelined client queries
+	poolSize    int // per-site connection-pool bound
 
 	stateDir      string        // crash-safe state directory ("" disables persistence)
 	snapInterval  time.Duration // periodic snapshot cadence
@@ -109,7 +108,6 @@ func main() {
 	flag.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file")
 	flag.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
 	flag.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, 0 = adapt to load)")
-	flag.IntVar(&o.decisionShards, "decision-shards", 0, "decision-plane partitions, rounded up to a power of two (0 = GOMAXPROCS; 1 serializes all decisions)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist cache/policy/accounting state here and warm-restart from it (empty disables)")
 	flag.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
 	flag.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
@@ -201,9 +199,8 @@ func start(o options) (*daemon, error) {
 		return nil, err
 	}
 	capacity := int64(o.cachePct * float64(s.TotalBytes()))
-	// Probe the policy name once so a typo fails at startup, not at
-	// per-shard construction.
-	if _, err := core.NewPolicyByName(o.policy, capacity, o.seed); err != nil {
+	pol, err := core.NewPolicyByName(o.policy, capacity, o.seed)
+	if err != nil {
 		return nil, err
 	}
 	db, err := engine.Open(s, engine.Config{SampleEvery: o.sample, Seed: o.seed})
@@ -232,15 +229,8 @@ func start(o options) (*daemon, error) {
 		return nil, fmt.Errorf("-ledger-out requires -ledger > 0")
 	}
 	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db, Granularity: g, Obs: reg,
+		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg,
 		Ledger: led, Shadows: o.shadow,
-		// One policy instance per decision partition, seeded per shard
-		// so randomized policies draw independent streams.
-		NewPolicy: func(shard int, shardCap int64) (core.Policy, error) {
-			return core.NewPolicyByName(o.policy, shardCap, o.seed+int64(shard))
-		},
-		Capacity: capacity,
-		Shards:   o.decisionShards,
 	})
 	if err != nil {
 		ledSink.Close()
@@ -372,8 +362,8 @@ func start(o options) (*daemon, error) {
 		return nil, err
 	}
 	d.bound = bound
-	d.desc = fmt.Sprintf("release %s, policy %s, cache %.0f%% (%d MB), granularity %s, %d decision shards, %d nodes",
-		s.Name, o.policy, o.cachePct*100, capacity>>20, g, med.ShardCount(), len(nodeAddrs))
+	d.desc = fmt.Sprintf("release %s, policy %s, cache %.0f%% (%d MB), granularity %s, %d nodes",
+		s.Name, o.policy, o.cachePct*100, capacity>>20, g, len(nodeAddrs))
 	return d, nil
 }
 

@@ -54,8 +54,8 @@ type ShadowSet struct {
 	tel      *Telemetry
 
 	// Last-published values: the savings gauges and competitive totals
-	// are fed as deltas so several shadow sets (one per decision
-	// partition) can share one telemetry and the gauges read the sum.
+	// are fed as deltas, so the gauges read the sum over the shadow
+	// sets sharing one telemetry.
 	pubVsBypass int64
 	pubVsLRUK   int64
 	pubWAN      int64

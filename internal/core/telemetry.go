@@ -58,19 +58,8 @@ import (
 //	                          decision plane's queueing delay, which
 //	                          tail attribution separates from WAN time
 //
-// Sharded decision plane (the mediator partitions its decision state
-// by object; see federation):
-//
-//	core.decide_wait_us       histogram: one query's TOTAL time blocked
-//	                          on decision-partition locks (µs) — the
-//	                          sharded successor of core.lock_wait_us,
-//	                          which it equals at one partition
-//	core.shard_queries        counter family, label "s<k>": queries
-//	                          that touched partition k
-//	core.shard_lock_wait_us   histogram family, label "s<k>": per-
-//	                          partition lock acquisition wait (µs) —
-//	                          a hot partition shows up as one skewed
-//	                          member of the family
+//	core.decide_wait_us       histogram: the same wait under the name
+//	                          newer dashboards read
 //
 // Pipeline concurrency (the proxy's decide-then-execute split —
 // decisions stay sequential under the mediation lock, WAN legs and
@@ -117,11 +106,9 @@ type Telemetry struct {
 	cacheRate  *obs.Rate
 	queryRate  *obs.Rate
 
-	decide        *obs.Histogram
-	lockWait      *obs.Histogram
-	decideWait    *obs.Histogram
-	shardQueries  *obs.CounterFamily
-	shardLockWait *obs.HistogramFamily
+	decide     *obs.Histogram
+	lockWait   *obs.Histogram
+	decideWait *obs.Histogram
 
 	queryConcurrency *obs.Gauge
 	legsInflight     *obs.Gauge
@@ -135,8 +122,8 @@ type Telemetry struct {
 	wanRate         *obs.Rate
 	optRate         *obs.Rate
 
-	// Global accumulators behind the competitive-ratio gauge: sharded
-	// shadow sets each contribute deltas, the gauge reads the sum.
+	// Accumulators behind the competitive-ratio gauge: shadow sets
+	// contribute deltas, the gauge reads the sum.
 	compWAN   atomic.Int64
 	compBound atomic.Int64
 }
@@ -182,11 +169,9 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		cacheRate:       r.Rate("core.cache_bytes_rate"),
 		queryRate:       r.Rate("core.query_rate"),
 
-		decide:        r.Histogram("core.decide_seconds", DecideBuckets()),
-		lockWait:      r.Histogram("core.lock_wait_us", obs.DefaultLatencyBuckets()),
-		decideWait:    r.Histogram("core.decide_wait_us", obs.DefaultLatencyBuckets()),
-		shardQueries:  r.CounterFamily("core.shard_queries"),
-		shardLockWait: r.HistogramFamily("core.shard_lock_wait_us", obs.DefaultLatencyBuckets()),
+		decide:     r.Histogram("core.decide_seconds", DecideBuckets()),
+		lockWait:   r.Histogram("core.lock_wait_us", obs.DefaultLatencyBuckets()),
+		decideWait: r.Histogram("core.decide_wait_us", obs.DefaultLatencyBuckets()),
 
 		queryConcurrency: r.Gauge("core.query_concurrency"),
 		legsInflight:     r.Gauge("core.legs_inflight"),
@@ -293,19 +278,9 @@ func (t *Telemetry) ObserveDecide(d time.Duration) {
 	t.decide.Observe(int64(d))
 }
 
-// ObserveLockWait records how long one query waited for the mediation
-// decision lock in the core.lock_wait_us histogram (microseconds).
-func (t *Telemetry) ObserveLockWait(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.lockWait.Observe(d.Microseconds())
-}
-
-// ObserveDecideWait records one query's total decision-partition lock
-// wait in the core.decide_wait_us histogram (microseconds). It also
-// feeds core.lock_wait_us so dashboards built before the sharded plane
-// keep reading the same queueing delay.
+// ObserveDecideWait records how long one query waited for the
+// decision lock, in microseconds, in core.decide_wait_us and in
+// core.lock_wait_us, the name older dashboards read.
 func (t *Telemetry) ObserveDecideWait(d time.Duration) {
 	if t == nil {
 		return
@@ -313,16 +288,6 @@ func (t *Telemetry) ObserveDecideWait(d time.Duration) {
 	us := d.Microseconds()
 	t.decideWait.Observe(us)
 	t.lockWait.Observe(us)
-}
-
-// RecordShardQuery counts one query touching the named decision
-// partition and records its wait for that partition's lock.
-func (t *Telemetry) RecordShardQuery(shard string, wait time.Duration) {
-	if t == nil {
-		return
-	}
-	t.shardQueries.Add(shard, 1)
-	t.shardLockWait.Observe(shard, wait.Microseconds())
 }
 
 // QueryInflight moves the core.query_concurrency gauge by delta; the
@@ -364,10 +329,9 @@ func (t *Telemetry) RecordOptBound(delta int64) {
 }
 
 // PublishSavings moves the bytes-saved-vs-baseline gauges by deltas.
-// Each shadow set (one per decision partition under the sharded
-// mediator) publishes the change in its own counterfactual-minus-
-// realized WAN, so the gauges always read the sum across partitions —
-// which at one partition is exactly the single set's current value.
+// A shadow set publishes the change in its own counterfactual-minus-
+// realized WAN, so the gauges read the sum over the sets sharing this
+// telemetry — with one set, that set's current value.
 func (t *Telemetry) PublishSavings(dBypass, dLRUK int64) {
 	if t == nil {
 		return

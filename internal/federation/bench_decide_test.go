@@ -13,9 +13,9 @@ import (
 
 // The decide-phase contention benchmark: parallel clients drive the
 // mediator's decision phase directly (execution is lock-free and would
-// only mask contention) over either disjoint per-client object sets —
-// where a sharded decision plane should scale — or one shared hot set,
-// where serialization is inherent.
+// only mask contention) over either disjoint per-client object sets or
+// one shared hot set. Both serialize on the one decision lock; the
+// pair shows what the policy's own per-object state costs under it.
 
 const (
 	benchTables   = 64 // object universe
@@ -47,28 +47,22 @@ func benchDecideSchema(n int) *catalog.Schema {
 	return s
 }
 
-// benchMediator assembles a mediator over the bench schema with the
-// given decision-shard count (0 = config default).
-func benchMediator(b *testing.B, shards int) *Mediator {
+// benchMediator assembles a mediator over the bench schema.
+func benchMediator(b *testing.B) *Mediator {
 	b.Helper()
 	s := benchDecideSchema(benchTables)
 	eng, err := engine.Open(s, engine.Config{Seed: 1})
 	if err != nil {
 		b.Fatalf("engine.Open: %v", err)
 	}
-	m, err := New(Config{
-		Schema: s,
-		Engine: eng,
-		NewPolicy: func(shard int, capacity int64) (core.Policy, error) {
-			return core.NewPolicyByName("online-by", capacity, 1+int64(shard))
-		},
-		// Everything fits: decisions settle into the cheap hit path, so
-		// the benchmark measures decision-plane serialization rather
-		// than policy eviction work.
-		Capacity:    s.TotalBytes() * 2,
-		Granularity: Tables,
-		Shards:      shards,
-	})
+	// Everything fits: decisions settle into the cheap hit path, so
+	// the benchmark measures decision-plane serialization rather
+	// than policy eviction work.
+	pol, err := core.NewPolicyByName("online-by", s.TotalBytes()*2, 1)
+	if err != nil {
+		b.Fatalf("NewPolicyByName: %v", err)
+	}
+	m, err := New(Config{Schema: s, Engine: eng, Policy: pol, Granularity: Tables})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -88,8 +82,8 @@ func benchAccesses(m *Mediator, base int) ([]core.Access, []core.Object) {
 	return accs, objs
 }
 
-func benchmarkDecide(b *testing.B, shards int, disjoint bool) {
-	m := benchMediator(b, shards)
+func benchmarkDecide(b *testing.B, disjoint bool) {
+	m := benchMediator(b)
 	var clientSeq atomic.Int64
 	var failed atomic.Int64
 	var lockWaitUS atomic.Int64
@@ -121,10 +115,7 @@ func benchmarkDecide(b *testing.B, shards int, disjoint bool) {
 	if failed.Load() != 0 {
 		b.Fatalf("%d decide calls failed", failed.Load())
 	}
-	// Time blocked on partition locks per decide: the serialization the
-	// sharded plane removes. On disjoint object sets this collapses to
-	// ~0 with enough partitions even when wall-clock throughput is
-	// bounded by the host's core count.
+	// Time blocked on the decision lock per decide.
 	b.ReportMetric(float64(lockWaitUS.Load())/float64(b.N), "lockwait-us/op")
 	// The reconciliation invariant must survive the benchmark workload.
 	acct := m.Accounting()
@@ -134,17 +125,9 @@ func benchmarkDecide(b *testing.B, shards int, disjoint bool) {
 }
 
 // BenchmarkMediatorDecide measures decision-phase throughput under
-// parallel load. disjoint = every client touches its own objects (the
-// shardable case); overlap = all clients hammer one hot object set.
+// parallel load. disjoint = every client touches its own objects;
+// overlap = all clients hammer one hot object set.
 func BenchmarkMediatorDecide(b *testing.B) {
-	for _, n := range []int{1, 0, 32} { // 1 = single-partition baseline, 0 = default shard count
-		name := fmt.Sprintf("shards=%d", n)
-		if n == 0 {
-			name = "shards=auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.Run("disjoint", func(b *testing.B) { benchmarkDecide(b, n, true) })
-			b.Run("overlap", func(b *testing.B) { benchmarkDecide(b, n, false) })
-		})
-	}
+	b.Run("disjoint", func(b *testing.B) { benchmarkDecide(b, true) })
+	b.Run("overlap", func(b *testing.B) { benchmarkDecide(b, false) })
 }

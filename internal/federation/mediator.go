@@ -2,7 +2,7 @@ package federation
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"bypassyield/internal/catalog"
@@ -21,19 +21,17 @@ type Config struct {
 	// Engine executes queries (a full copy of the release, possibly
 	// sampled; yields are logical either way).
 	Engine *engine.DB
-	// Policy is a single bypass-yield cache instance. It pins the
-	// decision plane to one partition (a policy instance is
-	// single-goroutine); use NewPolicy to shard. Nil with no NewPolicy
+	// Policy is the bypass-yield cache instance. Nil with no NewPolicy
 	// means no caching (every access bypasses).
 	Policy core.Policy
-	// NewPolicy, when set, builds one policy instance per decision
-	// partition: shard is the partition index, capacity the partition's
-	// exact slice of Capacity. All instances must be the same algorithm
-	// (the plane has one policy name). Mutually exclusive with Policy.
+	// NewPolicy builds the policy: it is called once, as
+	// NewPolicy(0, Capacity). Mutually exclusive with Policy.
+	//
+	// Deprecated: the frozen bench/ module constructs its mediators
+	// through this signature; build the policy and set Policy instead.
 	NewPolicy func(shard int, capacity int64) (core.Policy, error)
-	// Capacity is the total cache capacity in bytes, split exactly
-	// across partitions when NewPolicy is set (ignored with Policy,
-	// which carries its own capacity).
+	// Capacity is the cache capacity in bytes handed to NewPolicy
+	// (ignored with Policy, which carries its own capacity).
 	Capacity int64
 	// Granularity selects table or column objects.
 	Granularity Granularity
@@ -52,10 +50,11 @@ type Config struct {
 	// replayed through always-bypass and LRU-K shadow baselines plus
 	// the ski-rental bound, feeding the core.bytes_saved_vs_* gauges.
 	Shadows bool
-	// Shards is the decision-plane partition count, rounded up to a
-	// power of two. 0 means GOMAXPROCS rounded up; 1 is the fully
-	// serialized single-partition plane. Counts above 1 require
-	// NewPolicy (each partition owns its own policy instance).
+	// Shards must be 0 or 1: the decision plane is one cache of one
+	// capacity; New rejects anything larger.
+	//
+	// Deprecated: the frozen bench/ module sets this field; it selects
+	// nothing.
 	Shards int
 }
 
@@ -78,34 +77,35 @@ type SiteHealth interface {
 // The mediator is safe for concurrent use. Query execution (bind,
 // engine evaluation, yield decomposition) runs lock-free — the engine
 // is an immutable column store with atomic counters — while the
-// decision phase runs over per-object partitions (see shard.go): each
-// partition serializes its own clock, policy, accounting, and shadow
-// baselines under its own lock, so decisions on unrelated objects
-// proceed in parallel while Σ decision yields = D_A holds exactly per
-// partition and (by summation) globally. A global atomic sequence
-// orders queries across partitions for the ledger and the journal.
-// Callers execute the decided WAN legs after QueryStmtTraced returns,
-// outside any mediator lock — the decide-then-execute handoff.
+// decision phase runs under one lock, mu: the plane clock, the policy,
+// the accounting and the shadow baselines are one sequential state, as
+// in the paper, so Σ decision yields = D_A holds exactly at every
+// unlock. Callers execute the decided WAN legs after QueryStmtTraced
+// returns, outside the lock — the decide-then-execute handoff.
 type Mediator struct {
 	cfg     Config
 	objects map[core.ObjectID]core.Object
 
-	// policyName and capacity describe the whole plane: every
-	// partition runs the same algorithm, capacities sum to capacity.
 	policyName string
 	capacity   int64
 
-	// g is the global query sequence: incremented once per query, it
-	// is the plane-wide clock (Seq, ledger T, journal T) and the total
-	// query count.
-	g atomic.Int64
-
-	// shards are the decision partitions. health and journal are
-	// written under the all-partitions barrier and read under any
-	// single partition lock.
-	shards  []*decisionShard
-	health  SiteHealth
-	journal Journal
+	// mu is the decision lock; everything in this group is guarded by
+	// it and held for the decide phase only.
+	mu sync.Mutex
+	// t is the plane clock: the count of queries decided so far. It is
+	// the policy's notion of time, QueryReport.Seq, the ledger's T and
+	// both clocks of a journal record.
+	t int64
+	// replayBase is the plane clock at the restored snapshot boundary;
+	// WAL replay skips records at or below it (their effects are inside
+	// the snapshot).
+	replayBase    int64
+	acct          core.Accounting
+	policy        core.Policy
+	shadows       *core.ShadowSet
+	lastEvictions int64
+	health        SiteHealth
+	journal       Journal
 
 	// Telemetry (no-ops when cfg.Obs is nil).
 	tel          *core.Telemetry
@@ -115,13 +115,6 @@ type Mediator struct {
 
 	// Decision audit trail (nil-safe no-op when not configured).
 	ledger *ledger.Ledger
-
-	// Replay mode, set by RestoreState: when the restored snapshot was
-	// taken under a different partition layout, recorded partition
-	// clocks are meaningless and replay skips by global sequence
-	// against replayGBase instead (see state.go).
-	replayRehash bool
-	replayGBase  int64
 }
 
 // AccessDecision records the cache's handling of one object access
@@ -161,15 +154,6 @@ type SiteError struct {
 	LostBytes int64
 }
 
-// ShardWait is the time one query spent blocked on one decision
-// partition's lock.
-type ShardWait struct {
-	// Shard is the partition index.
-	Shard int
-	// WaitUS is the blocked time in microseconds.
-	WaitUS int64
-}
-
 // QueryReport is the outcome of one mediated query.
 type QueryReport struct {
 	// SQL is the original statement.
@@ -189,15 +173,11 @@ type QueryReport struct {
 	SiteErrors []SiteError
 	// Phase timings in microseconds, consumed by the proxy's flight
 	// recorder for critical-path attribution: ExecUS is the lock-free
-	// bind/execute phase, LockWaitUS the total time blocked waiting
-	// for decision-partition locks, DecideUS the decision work itself
-	// (excluding lock waits).
+	// bind/execute phase, LockWaitUS the time blocked waiting for the
+	// decision lock, DecideUS the decision work under it.
 	ExecUS     int64
 	LockWaitUS int64
 	DecideUS   int64
-	// ShardWaits breaks LockWaitUS down per visited partition, in
-	// visit (ascending partition) order.
-	ShardWaits []ShardWait
 }
 
 // New builds a mediator. The engine must serve the same schema.
@@ -212,18 +192,8 @@ func New(cfg Config) (*Mediator, error) {
 	if cfg.Policy != nil && cfg.NewPolicy != nil {
 		return nil, fmt.Errorf("federation: Policy and NewPolicy are mutually exclusive")
 	}
-	nshards := 1
-	switch {
-	case cfg.Policy != nil:
-		// A single policy instance is single-goroutine: it cannot span
-		// partitions.
-		if cfg.Shards > 1 {
-			return nil, fmt.Errorf("federation: %d decision shards require NewPolicy (one policy instance per partition)", cfg.Shards)
-		}
-	default:
-		if cfg.NewPolicy != nil || cfg.Shards > 0 {
-			nshards = NumShards(cfg.Shards)
-		}
+	if cfg.Shards > 1 {
+		return nil, fmt.Errorf("federation: Shards = %d, but the decision plane is one cache of one capacity (0 or 1)", cfg.Shards)
 	}
 	if cfg.Net == nil {
 		cfg.Net = netcost.Uniform()
@@ -231,27 +201,31 @@ func New(cfg Config) (*Mediator, error) {
 	m := &Mediator{
 		cfg:          cfg,
 		objects:      Objects(cfg.Schema, cfg.Granularity, cfg.Net),
+		policyName:   "none",
+		policy:       cfg.Policy,
 		tel:          core.NewTelemetry(cfg.Obs),
 		queryLatency: cfg.Obs.Histogram("federation.query_latency_us", obs.DefaultLatencyBuckets()),
 		objsTouched:  cfg.Obs.Counter("federation.objects_touched"),
 		queriesMet:   cfg.Obs.Counter("federation.queries"),
 		ledger:       cfg.Ledger,
 	}
-	shards, err := newShards(cfg, nshards, m.tel)
-	if err != nil {
-		return nil, err
-	}
-	m.shards = shards
-	m.policyName = "none"
-	if p := shards[0].policy; p != nil {
-		m.policyName = p.Name()
-		for _, sh := range shards {
-			if sh.policy.Name() != m.policyName {
-				return nil, fmt.Errorf("federation: decision shard %d runs policy %q, shard 0 runs %q (one algorithm per plane)",
-					sh.idx, sh.policy.Name(), m.policyName)
-			}
-			m.capacity += sh.policy.Capacity()
+	if cfg.NewPolicy != nil {
+		pol, err := cfg.NewPolicy(0, cfg.Capacity)
+		if err != nil {
+			return nil, fmt.Errorf("federation: building policy: %w", err)
 		}
+		m.policy = pol
+	}
+	if m.policy != nil {
+		m.policyName = m.policy.Name()
+		m.capacity = m.policy.Capacity()
+		if ts, ok := m.policy.(core.TelemetrySetter); ok && cfg.Obs != nil {
+			ts.SetTelemetry(m.tel)
+		}
+	}
+	if cfg.Shadows {
+		m.shadows = core.NewShadowSet(m.capacity)
+		m.shadows.SetTelemetry(m.tel)
 	}
 	return m, nil
 }
@@ -263,9 +237,9 @@ func (m *Mediator) Obs() *obs.Registry { return m.cfg.Obs }
 // SetHealth attaches a site-health source (the proxy's breakers).
 // Nil detaches; every site is then considered available.
 func (m *Mediator) SetHealth(h SiteHealth) {
-	m.lockAll()
+	m.mu.Lock()
 	m.health = h
-	m.unlockAll()
+	m.mu.Unlock()
 }
 
 // Objects returns the cacheable-object universe.
@@ -277,53 +251,23 @@ func (m *Mediator) Schema() *catalog.Schema { return m.cfg.Schema }
 // Granularity returns the configured object granularity.
 func (m *Mediator) Granularity() Granularity { return m.cfg.Granularity }
 
-// Policy returns the cache policy when the plane has exactly one
-// partition (nil when caching is disabled or the plane is sharded —
-// per-partition instances are not safe to touch outside their locks;
-// use PolicyStats).
-func (m *Mediator) Policy() core.Policy {
-	if len(m.shards) == 1 {
-		return m.shards[0].policy
-	}
-	return nil
-}
+// Policy returns the cache policy (nil when caching is disabled). It
+// mutates under the decision lock; use PolicyStats to read it while
+// queries run.
+func (m *Mediator) Policy() core.Policy { return m.policy }
 
-// ShardCount returns the number of decision partitions.
-func (m *Mediator) ShardCount() int { return len(m.shards) }
+// ShardCount returns 1.
+//
+// Deprecated: the frozen bench/ module reports this number; the
+// decision plane has no partitions.
+func (m *Mediator) ShardCount() int { return 1 }
 
-// Accounting returns the accumulated flow accounting summed across
-// partitions, captured under the all-partitions barrier (consistent:
-// never mid-access).
+// Accounting returns the accumulated flow accounting, captured under
+// the decision lock (consistent: never mid-access).
 func (m *Mediator) Accounting() core.Accounting {
-	m.lockAll()
-	defer m.unlockAll()
-	return m.accountingLocked()
-}
-
-// accountingLocked sums partition accountings; callers hold all
-// partition locks. Queries is the global sequence, not the partition
-// sum (a query touching k partitions advances k partition clocks).
-func (m *Mediator) accountingLocked() core.Accounting {
-	var out core.Accounting
-	for _, sh := range m.shards {
-		out.Add(sh.acct)
-	}
-	out.Queries = m.g.Load()
-	return out
-}
-
-// ShardAccountings returns each partition's own flow accounting,
-// captured under the all-partitions barrier. Per partition the
-// reconciliation invariant holds on its own: Σ that partition's
-// decision yields = its DeliveredBytes().
-func (m *Mediator) ShardAccountings() []core.Accounting {
-	m.lockAll()
-	defer m.unlockAll()
-	out := make([]core.Accounting, len(m.shards))
-	for i, sh := range m.shards {
-		out[i] = sh.acct
-	}
-	return out
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.acct
 }
 
 // Telemetry returns the mediator's core telemetry (nil when
@@ -334,87 +278,61 @@ func (m *Mediator) Telemetry() *core.Telemetry { return m.tel }
 // Ledger returns the decision ledger (nil when not configured).
 func (m *Mediator) Ledger() *ledger.Ledger { return m.ledger }
 
-// Shadows returns the counterfactual shadow set when the plane has
-// exactly one partition (nil when disabled or sharded; use
-// ShadowStats for the aggregate view). The set mutates under its
-// partition's lock.
-func (m *Mediator) Shadows() *core.ShadowSet {
-	if len(m.shards) == 1 {
-		return m.shards[0].shadows
-	}
-	return nil
-}
-
 // PolicyStats is a consistent snapshot of the cache policy's
-// externally visible state, aggregated across decision partitions
-// under the all-partitions barrier.
+// externally visible state.
 type PolicyStats struct {
 	Name     string
 	Used     int64
 	Capacity int64
 	// Contents lists cached object ids when the policy implements
-	// core.ContentLister (nil otherwise), concatenated across
-	// partitions.
+	// core.ContentLister (nil otherwise).
 	Contents []core.ObjectID
 }
 
-// PolicyStats snapshots the policy plane under the all-partitions
-// barrier so readers never observe a cache mid-decision; ok is false
-// when caching is disabled.
+// PolicyStats snapshots the policy under the decision lock so readers
+// never observe a cache mid-decision; ok is false when caching is
+// disabled.
 func (m *Mediator) PolicyStats() (ps PolicyStats, ok bool) {
-	if m.shards[0].policy == nil {
+	if m.policy == nil {
 		return PolicyStats{}, false
 	}
-	m.lockAll()
-	defer m.unlockAll()
-	ps = PolicyStats{Name: m.policyName, Capacity: m.capacity}
-	for _, sh := range m.shards {
-		ps.Used += sh.policy.Used()
-		if cl, isLister := sh.policy.(core.ContentLister); isLister {
-			ps.Contents = append(ps.Contents, cl.Contents()...)
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ps = PolicyStats{Name: m.policyName, Used: m.policy.Used(), Capacity: m.capacity}
+	if cl, isLister := m.policy.(core.ContentLister); isLister {
+		ps.Contents = cl.Contents()
 	}
 	return ps, true
 }
 
 // ShadowStats is a consistent snapshot of the counterfactual
-// baselines, aggregated across decision partitions under the
-// all-partitions barrier.
+// baselines.
 type ShadowStats struct {
 	Baselines             []core.ShadowResult
 	OptBoundBytes         int64
 	CompetitiveRatioMilli int64
 }
 
-// ShadowStats snapshots the shadow baselines under the all-partitions
-// barrier; zero-valued when shadows are disabled. Baselines and the
-// ski-rental bound sum across partitions; the competitive ratio is
-// total realized WAN over the total bound.
+// ShadowStats snapshots the shadow baselines under the decision lock;
+// zero-valued when shadows are disabled. The competitive ratio is
+// realized WAN over the ski-rental bound.
 func (m *Mediator) ShadowStats() ShadowStats {
-	m.lockAll()
-	defer m.unlockAll()
-	var out ShadowStats
-	var realizedWAN int64
-	for _, sh := range m.shards {
-		realizedWAN += sh.shadows.Realized().WANBytes()
-		out.OptBoundBytes += sh.shadows.OptBound()
-		for bi, r := range sh.shadows.Baselines() {
-			if bi == len(out.Baselines) {
-				out.Baselines = append(out.Baselines, core.ShadowResult{Name: r.Name})
-			}
-			out.Baselines[bi].Acct.Add(r.Acct)
-			out.Baselines[bi].SavedBytes += r.SavedBytes
-		}
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := ShadowStats{Baselines: m.shadows.Baselines(), OptBoundBytes: m.shadows.OptBound()}
 	if out.OptBoundBytes > 0 {
-		out.CompetitiveRatioMilli = realizedWAN * 1000 / out.OptBoundBytes
+		out.CompetitiveRatioMilli = m.shadows.Realized().WANBytes() * 1000 / out.OptBoundBytes
 	}
 	return out
 }
 
-// Clock returns the number of queries mediated so far (the global
-// query sequence).
-func (m *Mediator) Clock() int64 { return m.g.Load() }
+// Clock returns the number of queries mediated so far (the plane
+// clock).
+func (m *Mediator) Clock() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.t
+}
 
 // Query parses, executes, and accounts one statement.
 func (m *Mediator) Query(sql string) (*QueryReport, error) {
@@ -446,7 +364,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 		return nil, err
 	}
 	accs := Decompose(b, m.cfg.Schema.Name, res.Bytes, m.cfg.Granularity)
-	// Resolve objects before taking any lock; the universe is immutable.
+	// Resolve objects before taking the lock; the universe is immutable.
 	objs := make([]core.Object, len(accs))
 	for i, acc := range accs {
 		obj, ok := m.objects[acc.Object]
@@ -467,126 +385,98 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	return rep, nil
 }
 
-// decide runs the decision phase over pre-resolved accesses. The
-// query claims its global sequence number, then visits each touched
-// decision partition in ascending index order holding at most one
-// partition lock at a time; within a partition, decisions stay
-// sequential in partition-clock order so Σ decision yields = D_A is
-// exact per partition, and summation keeps it exact globally. The
+// decide runs the decision phase over pre-resolved accesses: under the
+// decision lock the query takes the next tick of the plane clock and
+// its accesses are decided, charged, audited and journaled in access
+// order, so Σ decision yields = D_A is exact at every unlock. The
 // contention benchmark drives this entry point directly.
 func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []core.Access, objs []core.Object) (*QueryReport, error) {
-	g := m.g.Add(1)
 	m.queriesMet.Add(1)
 	m.tel.RecordQuery()
-	rep := &QueryReport{SQL: sql, Seq: g, Result: res}
-	if len(accs) == 0 {
-		return rep, nil
+	rep := &QueryReport{SQL: sql, Result: res}
+	if len(accs) > 0 {
+		rep.Decisions = make([]AccessDecision, len(accs))
 	}
+	waitStart := time.Now()
+	m.mu.Lock()
 	decideStart := time.Now()
-	rep.Decisions = make([]AccessDecision, len(accs))
-	shardIdx := make([]int, len(accs))
-	for i := range accs {
-		shardIdx[i] = ShardOf(objs[i].ID, len(m.shards))
+	err := m.decideLocked(rep, accs, objs, traceID)
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	var totalWait time.Duration
-	// Ascending-order partition sweep: repeatedly visit the smallest
-	// untouched partition index present in the access set. Queries
-	// touch a handful of objects, so the quadratic scan is cheaper
-	// than sorting.
-	prev := -1
-	for {
-		next := len(m.shards)
-		for _, si := range shardIdx {
-			if si > prev && si < next {
-				next = si
-			}
-		}
-		if next == len(m.shards) {
-			break
-		}
-		if err := m.decideShard(m.shards[next], g, rep, accs, objs, shardIdx, traceID, &totalWait); err != nil {
-			return nil, err
-		}
-		prev = next
-	}
+	wait := decideStart.Sub(waitStart)
 	if rep.Degraded {
 		m.tel.RecordDegradedQuery()
 	}
-	m.tel.ObserveDecideWait(totalWait)
-	rep.LockWaitUS = totalWait.Microseconds()
-	rep.DecideUS = time.Since(decideStart).Microseconds() - rep.LockWaitUS
-	if rep.DecideUS < 0 {
-		rep.DecideUS = 0
-	}
+	m.tel.ObserveDecideWait(wait)
+	rep.LockWaitUS = wait.Microseconds()
+	rep.DecideUS = time.Since(decideStart).Microseconds()
 	return rep, nil
 }
 
-// decideShard processes the query's accesses owned by one partition
-// under that partition's lock.
-func (m *Mediator) decideShard(sh *decisionShard, g int64, rep *QueryReport, accs []core.Access, objs []core.Object, shardIdx []int, traceID string, totalWait *time.Duration) error {
-	waitStart := time.Now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	wait := time.Since(waitStart)
-	*totalWait += wait
-	m.tel.RecordShardQuery(sh.label, wait)
-	rep.ShardWaits = append(rep.ShardWaits, ShardWait{Shard: sh.idx, WaitUS: wait.Microseconds()})
-	sh.t++
-	sh.acct.Queries++
-	for i := range accs {
-		if shardIdx[i] != sh.idx {
-			continue
-		}
-		obj := objs[i]
+// decideLocked is decide's critical section; callers hold mu.
+func (m *Mediator) decideLocked(rep *QueryReport, accs []core.Access, objs []core.Object, traceID string) error {
+	m.t++
+	m.acct.Queries++
+	rep.Seq = m.t
+	for i, obj := range objs {
+		yield := accs[i].Yield
 		// Degraded mode: an unavailable site makes bypass and load
 		// impossible, so the policy is not consulted (outage traffic
 		// must not distort its learned rate profiles). The access is
 		// forced to serve-from-cache or dropped as a failed leg.
 		if m.health != nil {
 			if ok, reason := m.health.SiteAvailable(obj.Site); !ok {
-				if err := m.degradedAccess(sh, g, rep, i, obj, accs[i].Yield, reason, traceID); err != nil {
+				if err := m.degradedAccess(rep, i, obj, yield, reason, traceID); err != nil {
 					return err
 				}
 				continue
 			}
 		}
 		d := core.Bypass
-		if sh.policy != nil {
-			decideStart := time.Now()
-			d = sh.policy.Access(sh.t, obj, accs[i].Yield)
-			m.tel.ObserveDecide(time.Since(decideStart))
+		if m.policy != nil {
+			accessStart := time.Now()
+			d = m.policy.Access(m.t, obj, yield)
+			m.tel.ObserveDecide(time.Since(accessStart))
 		}
-		if err := core.Account(&sh.acct, obj, accs[i].Yield, d); err != nil {
+		if err := core.Account(&m.acct, obj, yield, d); err != nil {
 			return err
 		}
-		m.tel.RecordAccess(m.policyName, obj, accs[i].Yield, d)
-		sh.shadows.Access(sh.t, obj, accs[i].Yield, d)
+		m.tel.RecordAccess(m.policyName, obj, yield, d)
+		m.shadows.Access(m.t, obj, yield, d)
 		if m.ledger != nil {
-			m.ledger.Record(core.DecisionRecordFor(g, sh.policy, traceID, obj, accs[i].Yield, d))
+			m.ledger.Record(core.DecisionRecordFor(m.t, m.policy, traceID, obj, yield, d))
 		}
 		if m.journal != nil {
-			m.journal.JournalAccess(JournalRecord{Kind: JournalAccess, T: g, ShardT: sh.t, Object: obj.ID, Yield: accs[i].Yield, Decision: d})
+			m.journal.JournalAccess(JournalRecord{Kind: JournalAccess, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield, Decision: d})
 		}
 		m.objsTouched.Add(1)
 		rep.Decisions[i] = AccessDecision{
-			Object:   accs[i].Object,
+			Object:   obj.ID,
 			Site:     obj.Site,
-			Yield:    accs[i].Yield,
+			Yield:    yield,
 			Decision: d,
 		}
 	}
-	if sh.policy != nil {
-		if ev := sh.policy.Evictions(); ev > sh.lastEvictions {
-			m.tel.RecordEvictions(m.policyName, ev-sh.lastEvictions)
-			sh.lastEvictions = ev
-		}
-	}
+	m.recordEvictions()
 	return nil
 }
 
+// recordEvictions publishes the policy's evictions since the last
+// call; callers hold mu.
+func (m *Mediator) recordEvictions() {
+	if m.policy == nil {
+		return
+	}
+	if ev := m.policy.Evictions(); ev > m.lastEvictions {
+		m.tel.RecordEvictions(m.policyName, ev-m.lastEvictions)
+		m.lastEvictions = ev
+	}
+}
+
 // degradedAccess handles one access whose owning site is unavailable,
-// under the owning partition's lock. Two outcomes, both fully
-// accounted:
+// under the decision lock. Two outcomes, both fully accounted:
 //
 //   - Object cached → forced hit: the cached (possibly stale) copy is
 //     served and charged as a hit, so D_A reconciliation stays exact.
@@ -596,23 +486,23 @@ func (m *Mediator) decideShard(sh *decisionShard, g int64, rep *QueryReport, acc
 //     nothing is charged. The query's result shrinks by the leg's
 //     yield, the ledger records action "failed" with zero yield and
 //     WAN cost, and the report carries a per-site error annotation.
-func (m *Mediator) degradedAccess(sh *decisionShard, g int64, rep *QueryReport, idx int, obj core.Object, yield int64, reason, traceID string) error {
+func (m *Mediator) degradedAccess(rep *QueryReport, idx int, obj core.Object, yield int64, reason, traceID string) error {
 	m.objsTouched.Add(1)
-	if sh.policy != nil && sh.policy.Contains(obj.ID) {
+	if m.policy != nil && m.policy.Contains(obj.ID) {
 		full := core.ReasonForcedCache + ": " + reason
-		if err := core.Account(&sh.acct, obj, yield, core.Hit); err != nil {
+		if err := core.Account(&m.acct, obj, yield, core.Hit); err != nil {
 			return err
 		}
 		m.tel.RecordForced(m.policyName, obj.Site, obj, yield)
-		sh.shadows.Access(sh.t, obj, yield, core.Hit)
+		m.shadows.Access(m.t, obj, yield, core.Hit)
 		if m.ledger != nil {
-			rec := core.DecisionRecordFor(g, sh.policy, traceID, obj, yield, core.Hit)
+			rec := core.DecisionRecordFor(m.t, m.policy, traceID, obj, yield, core.Hit)
 			rec.Reason = full
 			rec.Stale = true
 			m.ledger.Record(rec)
 		}
 		if m.journal != nil {
-			m.journal.JournalAccess(JournalRecord{Kind: JournalForced, T: g, ShardT: sh.t, Object: obj.ID, Yield: yield, Decision: core.Hit})
+			m.journal.JournalAccess(JournalRecord{Kind: JournalForced, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield, Decision: core.Hit})
 		}
 		rep.Decisions[idx] = AccessDecision{
 			Object:   obj.ID,
@@ -629,7 +519,7 @@ func (m *Mediator) degradedAccess(sh *decisionShard, g int64, rep *QueryReport, 
 	m.tel.RecordFailedLeg(obj.Site)
 	if m.ledger != nil {
 		rec := ledger.DecisionRecord{
-			T:         g,
+			T:         m.t,
 			Trace:     traceID,
 			Object:    string(obj.ID),
 			Action:    core.ReasonFailedLeg,
@@ -637,13 +527,13 @@ func (m *Mediator) degradedAccess(sh *decisionShard, g int64, rep *QueryReport, 
 			FetchCost: obj.FetchCost,
 			Reason:    full,
 		}
-		if sh.policy != nil {
-			rec.Policy = sh.policy.Name()
+		if m.policy != nil {
+			rec.Policy = m.policy.Name()
 		}
 		m.ledger.Record(rec)
 	}
 	if m.journal != nil {
-		m.journal.JournalAccess(JournalRecord{Kind: JournalFailed, T: g, ShardT: sh.t, Object: obj.ID, Yield: yield})
+		m.journal.JournalAccess(JournalRecord{Kind: JournalFailed, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield})
 	}
 	// The client never receives this leg's bytes: shrink the result so
 	// delivered bytes still equal the accounting's D_A increment.

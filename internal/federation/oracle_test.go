@@ -1,0 +1,184 @@
+package federation_test
+
+import (
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+
+	"bypassyield/internal/catalog"
+	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
+	"bypassyield/internal/federation"
+	"bypassyield/internal/obs/ledger"
+	"bypassyield/internal/sqlparse"
+	"bypassyield/internal/workload"
+)
+
+// edrStatements draws the first n statements of the EDR workload.
+func edrStatements(t *testing.T, n int) []string {
+	t.Helper()
+	st, err := workload.NewStream(workload.EDRProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := make([]string, n)
+	for i := range sqls {
+		sqls[i] = st.Next().SQL
+	}
+	return sqls
+}
+
+func openEDR(t *testing.T) (*catalog.Schema, *engine.DB) {
+	t.Helper()
+	s := catalog.EDR()
+	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, db
+}
+
+// TestDecisionsDoNotDependOnGOMAXPROCS runs the same statements from
+// one caller on one core and on four, configured the way the benchmark
+// configures its mediators (NewPolicy and Capacity, Shards left 0). The
+// cache is one cache of 40% of the release whatever the host: the flows
+// and the cached set are identical, and photoobj (25.6% of the release)
+// is cached — it fits no slice of a cache split in two or more.
+func TestDecisionsDoNotDependOnGOMAXPROCS(t *testing.T) {
+	sqls := edrStatements(t, 3000)
+	type outcome struct {
+		Acct   core.Accounting
+		Cached []core.ObjectID
+	}
+	run := func(procs int) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, db := openEDR(t)
+		capacity := s.TotalBytes() * 4 / 10
+		built := 0
+		m, err := federation.New(federation.Config{
+			Schema: s, Engine: db, Granularity: federation.Tables,
+			NewPolicy: func(shard int, c int64) (core.Policy, error) {
+				built++
+				if shard != 0 || c != capacity {
+					t.Errorf("NewPolicy(%d, %d), want (0, %d)", shard, c, capacity)
+				}
+				return core.NewPolicyByName("rate-profile", c, 1)
+			},
+			Capacity: capacity,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built != 1 {
+			t.Fatalf("NewPolicy called %d times, want once", built)
+		}
+		for _, sql := range sqls {
+			if _, err := m.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		ps, _ := m.PolicyStats()
+		sort.Slice(ps.Contents, func(i, j int) bool { return ps.Contents[i] < ps.Contents[j] })
+		return outcome{m.Accounting(), ps.Contents}
+	}
+	one, four := run(1), run(4)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("GOMAXPROCS changed the outcome:\n 1: %+v\n 4: %+v", one, four)
+	}
+	photoobj := federation.TableObjectID("edr", "photoobj")
+	i := sort.Search(len(one.Cached), func(i int) bool { return one.Cached[i] >= photoobj })
+	if i == len(one.Cached) || one.Cached[i] != photoobj {
+		t.Fatalf("photoobj is not cached: %v", one.Cached)
+	}
+}
+
+// TestMediatorDecidesLikeSimulator is the differential test between the
+// live decision path and the reference one: the statements go through
+// Mediator.QueryStmt, and the accesses it decomposed them into go, as
+// core.Requests numbered by the plane clock, through core.Simulator
+// over a fresh policy of the same name, capacity and seed. Every access
+// must be decided alike and the accounting must be identical. The
+// mediator is configured the way the benchmark configures its own
+// (NewPolicy and Capacity, Shards left 0), which a host with more than
+// one core used to turn into several caches no simulator run matches.
+// (core.Accounting.Evictions is the simulator's to fill; the mediator
+// publishes evictions as telemetry, so that field is compared against
+// the mediator's policy instead.)
+func TestMediatorDecidesLikeSimulator(t *testing.T) {
+	sqls := edrStatements(t, 2000)
+	stmts := make([]*sqlparse.SelectStmt, len(sqls))
+	for i, sql := range sqls {
+		var err error
+		if stmts[i], err = sqlparse.Parse(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type decided struct {
+		T      int64
+		Object string
+		Yield  int64
+		Action string
+	}
+	for _, gran := range []federation.Granularity{federation.Tables, federation.Columns} {
+		for _, name := range []string{"rate-profile", "online-by", "space-eff-by"} {
+			t.Run(gran.String()+"/"+name, func(t *testing.T) {
+				s, db := openEDR(t)
+				capacity := s.TotalBytes() * 4 / 10
+				const seed = 7
+				m, err := federation.New(federation.Config{
+					Schema: s, Engine: db, Granularity: gran, Capacity: capacity,
+					NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName(name, c, seed) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reqs []core.Request
+				var live []decided
+				for i, sql := range sqls {
+					rep, err := m.QueryStmt(sql, stmts[i])
+					if err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+					req := core.Request{Seq: rep.Seq}
+					for _, d := range rep.Decisions {
+						req.Accesses = append(req.Accesses, core.Access{Object: d.Object, Yield: d.Yield})
+						live = append(live, decided{rep.Seq, string(d.Object), d.Yield, d.Decision.String()})
+					}
+					reqs = append(reqs, req)
+				}
+
+				fresh, err := core.NewPolicyByName(name, capacity, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				led := ledger.New(len(live))
+				sim := core.Simulator{Policy: fresh, Objects: m.Objects(), Ledger: led}
+				res, err := sim.Run(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs := led.Snapshot()
+				if len(recs) != len(live) {
+					t.Fatalf("simulator decided %d accesses, mediator %d", len(recs), len(live))
+				}
+				for i, r := range recs {
+					if ref := (decided{r.T, r.Object, r.Yield, r.Action}); ref != live[i] {
+						t.Fatalf("access %d: simulator %+v, mediator %+v", i, ref, live[i])
+					}
+				}
+				if ev := m.Policy().Evictions(); res.Acct.Evictions != ev {
+					t.Fatalf("simulator evicted %d, mediator's policy %d", res.Acct.Evictions, ev)
+				}
+				want := res.Acct
+				want.Evictions = 0
+				if got := m.Accounting(); got != want {
+					t.Fatalf("mediator accounting %+v, simulator %+v", got, want)
+				}
+				if want.Hits == 0 || want.Loads == 0 || want.Bypasses == 0 {
+					t.Fatalf("trace does not exercise every decision: %+v", want)
+				}
+			})
+		}
+	}
+}

@@ -2,33 +2,20 @@ package federation
 
 // Crash-safe persistence support: the mediator's decision state as a
 // serializable value (State), a journal of per-access mutations
-// emitted under the partition locks (Journal), and the replay entry
+// emitted under the decision lock (Journal), and the replay entry
 // point that reapplies journal records over a restored State. The
 // persist manager (internal/persist) owns the files; this file owns
 // the consistency boundary.
 //
-// The boundary is the all-partitions barrier (every partition lock,
-// acquired in ascending order). Every mutation of a partition's
-// sequential state — its clock, accounting, policy, journal emission —
-// happens under that partition's lock, so a State captured under the
-// barrier sits exactly between accesses on every partition: Σ decision
-// yields = D_A holds per partition and globally in the captured
-// accounting, and the journal rotated inside the same barrier
-// (SnapshotState's barrier callback) partitions all records strictly
-// into before-snapshot and after-snapshot. Recovery restores the State
-// and replays the after-snapshot records; the invariant holds again at
+// The boundary is the decision lock. Every mutation of the sequential
+// state — clock, accounting, policy, journal emission — happens under
+// it, so a State captured under it sits exactly between accesses:
+// Σ decision yields = D_A holds in the captured accounting, and the
+// journal rotated inside the same critical section (SnapshotState's
+// barrier callback) partitions all records strictly into
+// before-snapshot and after-snapshot. Recovery restores the State and
+// replays the after-snapshot records; the invariant holds again at
 // every replayed step.
-//
-// Two restore paths exist. When the snapshot's partition layout
-// matches the running one, each section restores into its partition
-// exactly and replay skips records by partition clock (rec.ShardT
-// against the partition's replayBase). When the layouts differ (the
-// daemon restarted with a different -decision-shards), the sections'
-// accounting aggregates into partition 0, cache contents migrate by
-// rehashing every cached object to its new owning partition
-// (core.CacheSeeder), and replay skips by global sequence instead —
-// exact for a snapshot taken at a quiescent barrier (clean shutdown),
-// best-effort for records of queries that straddled the boundary.
 
 import (
 	"fmt"
@@ -57,11 +44,13 @@ const (
 type JournalRecord struct {
 	// Kind classifies the record.
 	Kind JournalKind
-	// T is the global query sequence at the access.
+	// T is the query's sequence number.
 	T int64
-	// ShardT is the owning decision partition's clock at the access
-	// (equal to T on a single-partition plane's records from builds
-	// before sharding).
+	// ShardT is the plane clock at the access; replay skips and
+	// advances by it. This build writes ShardT = T. Builds that
+	// partitioned the plane claimed T outside the lock, so in their
+	// records only ShardT is in decision order. The name is the
+	// on-disk field's.
 	ShardT int64
 	// Object is the accessed object's id.
 	Object core.ObjectID
@@ -73,33 +62,32 @@ type JournalRecord struct {
 }
 
 // Journal receives one record per accounted access, called under the
-// owning partition's lock — implementations must be fast, must not
-// block on the network, must never call back into the mediator, and
-// must tolerate concurrent calls from different partitions.
+// decision lock — implementations must be fast, must not block on the
+// network, and must never call back into the mediator.
 type Journal interface {
 	JournalAccess(rec JournalRecord)
 }
 
-// ShardState is one decision partition's section of a State.
-type ShardState struct {
-	// Clock is the partition's query-touch clock at the boundary.
+// Section is one decision-plane section of a State, as the snapshot
+// file frames it.
+type Section struct {
+	// Clock is the plane clock at the boundary.
 	Clock int64
-	// Acct is the partition's flow accounting at the boundary.
+	// Acct is the flow accounting at the boundary.
 	Acct core.Accounting
-	// PolicyBlob is the partition policy's serialized decision state
-	// (see core.StateSnapshotter); nil when the policy cannot
-	// snapshot.
+	// PolicyBlob is the policy's serialized decision state (see
+	// core.StateSnapshotter); nil when the policy cannot snapshot.
 	PolicyBlob []byte
 }
 
 // State is the mediator's full decision-plane state at one
-// consistency boundary. Schema, Granularity, PolicyName, and Capacity
-// guard a restore against a reconfigured daemon: any mismatch rejects
-// the snapshot (cold start) rather than adopting state the running
-// configuration cannot honor. The partition count is NOT a guard —
-// RestoreState rehashes a snapshot taken under a different layout.
+// consistency boundary. Schema, Granularity, PolicyName, Capacity and
+// the section count guard a restore against a reconfigured daemon:
+// any mismatch rejects the snapshot (cold start) rather than adopting
+// state the running configuration cannot honor.
 type State struct {
-	// Clock is the global query sequence at the boundary.
+	// Clock is the plane clock at the boundary; it names the snapshot
+	// and WAL files.
 	Clock int64
 	// Schema is the federated release name.
 	Schema string
@@ -108,62 +96,45 @@ type State struct {
 	// PolicyName names the cache policy ("none" when caching is
 	// disabled).
 	PolicyName string
-	// Capacity is the plane's total capacity in bytes (0 for "none").
+	// Capacity is the cache capacity in bytes (0 for "none").
 	Capacity int64
-	// Acct is the aggregate flow accounting at the boundary
-	// (Queries equals Clock).
+	// Acct is the flow accounting at the boundary.
 	Acct core.Accounting
-	// Shards holds one section per decision partition. Nil for
-	// snapshots from builds before sharding, whose single section
-	// lives in Clock/Acct/PolicyBlob.
-	Shards []ShardState
-	// PolicyBlob is the pre-sharding single-partition policy blob;
-	// superseded by Shards on current snapshots.
-	PolicyBlob []byte
-}
-
-// sections returns the snapshot's per-partition sections, lifting a
-// pre-sharding snapshot into its single implicit section.
-func (st State) sections() []ShardState {
-	if st.Shards != nil {
-		return st.Shards
-	}
-	return []ShardState{{Clock: st.Clock, Acct: st.Acct, PolicyBlob: st.PolicyBlob}}
+	// Sections is what a snapshot frames after its header. This build
+	// writes exactly one and restores exactly one; builds that
+	// partitioned the decision plane wrote one per partition.
+	Sections []Section
 }
 
 // SetJournal attaches (or, with nil, detaches) the mutation journal.
 func (m *Mediator) SetJournal(j Journal) {
-	m.lockAll()
+	m.mu.Lock()
 	m.journal = j
-	m.unlockAll()
+	m.mu.Unlock()
 }
 
-// SnapshotState captures the mediator's State under the
-// all-partitions barrier. The optional barrier callback runs while
-// every partition lock is still held: the persist manager rotates its
-// WAL inside it, so no journal record can land between the state
-// capture and the rotation — the captured State and the fresh WAL
-// form an exact prefix/suffix partition of the access stream. The
-// callback must not call back into the mediator; its error aborts the
-// snapshot.
+// SnapshotState captures the mediator's State under the decision
+// lock. The optional barrier callback runs while the lock is still
+// held: the persist manager rotates its WAL inside it, so no journal
+// record can land between the state capture and the rotation — the
+// captured State and the fresh WAL form an exact prefix/suffix
+// partition of the access stream. The callback must not call back
+// into the mediator; its error aborts the snapshot.
 func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
-	m.lockAll()
-	defer m.unlockAll()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sec := Section{Clock: m.t, Acct: m.acct}
+	if ss, ok := m.policy.(core.StateSnapshotter); ok {
+		sec.PolicyBlob = ss.SnapshotState()
+	}
 	st := State{
-		Clock:       m.g.Load(),
+		Clock:       m.t,
 		Schema:      m.cfg.Schema.Name,
 		Granularity: m.cfg.Granularity,
 		PolicyName:  m.policyName,
 		Capacity:    m.capacity,
-		Acct:        m.accountingLocked(),
-		Shards:      make([]ShardState, len(m.shards)),
-	}
-	for i, sh := range m.shards {
-		sec := ShardState{Clock: sh.t, Acct: sh.acct}
-		if ss, ok := sh.policy.(core.StateSnapshotter); ok {
-			sec.PolicyBlob = ss.SnapshotState()
-		}
-		st.Shards[i] = sec
+		Acct:        m.acct,
+		Sections:    []Section{sec},
 	}
 	if barrier != nil {
 		if err := barrier(st); err != nil {
@@ -174,20 +145,17 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 }
 
 // RestoreState adopts a previously captured State: configuration
-// guards first (schema, granularity, policy name and total capacity —
-// any mismatch is an error and the mediator is left untouched), then
-// the per-partition sections. A matching partition layout restores
-// each section exactly (policy blob, clock, accounting); a mismatched
-// layout aggregates accounting into partition 0 and migrates cache
-// contents by rehashing each cached object to its new owning
-// partition. Telemetry counters are seeded so a registry snapshot
+// guards first (schema, granularity, policy name, capacity, and
+// exactly one section — any mismatch is an error and the mediator is
+// left untouched), then the section's policy blob, clock and
+// accounting. Telemetry counters are seeded so a registry snapshot
 // still reconciles with the restored accounting (core.yield_bytes =
 // Acct.YieldBytes = D_A). Call before serving traffic; the decision
 // ledger ring and shadow baselines are not part of State and restart
 // empty (they are windowed audit views, not accounting).
 func (m *Mediator) RestoreState(st State) error {
-	m.lockAll()
-	defer m.unlockAll()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if st.Schema != m.cfg.Schema.Name {
 		return fmt.Errorf("federation: snapshot for schema %q, mediator serves %q", st.Schema, m.cfg.Schema.Name)
 	}
@@ -200,196 +168,72 @@ func (m *Mediator) RestoreState(st State) error {
 	if st.Capacity != m.capacity {
 		return fmt.Errorf("federation: snapshot at capacity %d, mediator configured for %d", st.Capacity, m.capacity)
 	}
-	sections := st.sections()
-	var err error
-	if len(sections) == len(m.shards) {
-		err = m.restoreExact(sections)
-	} else {
-		err = m.restoreRehash(st, sections)
+	if len(st.Sections) != 1 {
+		return fmt.Errorf("federation: snapshot carries %d decision-plane sections (a cache split into independent slices), mediator runs one cache", len(st.Sections))
 	}
-	if err != nil {
-		return err
-	}
-	m.g.Store(st.Clock)
-	m.queriesMet.Add(st.Clock)
-	m.tel.SeedRestored(m.policyName, st.Acct)
-	var evictions int64
-	for _, sh := range m.shards {
-		if sh.policy == nil {
-			continue
-		}
-		ev := sh.policy.Evictions()
-		evictions += ev
-		sh.lastEvictions = ev
-	}
-	if evictions > 0 {
-		m.tel.RecordEvictions(m.policyName, evictions)
-	}
-	return nil
-}
-
-// restoreExact restores one section per partition: the snapshot was
-// taken under the running layout (partition capacities are a pure
-// function of total capacity and count, so per-partition policy
-// capacity guards pass). Replay then skips by partition clock.
-func (m *Mediator) restoreExact(sections []ShardState) error {
-	for i, sh := range m.shards {
-		sec := sections[i]
-		if len(sec.PolicyBlob) > 0 && sh.policy != nil {
-			ss, ok := sh.policy.(core.StateSnapshotter)
-			if !ok {
-				return fmt.Errorf("federation: policy %q cannot restore persisted state", m.policyName)
-			}
-			if err := ss.RestoreState(sec.PolicyBlob); err != nil {
-				return fmt.Errorf("federation: restoring decision shard %d: %w", i, err)
-			}
-		}
-		sh.t = sec.Clock
-		sh.replayBase = sec.Clock
-		sh.acct = sec.Acct
-	}
-	m.replayRehash = false
-	return nil
-}
-
-// restoreRehash adopts a snapshot taken under a different partition
-// layout: aggregate accounting lands in partition 0 (per-partition
-// attribution under the old layout is not recoverable, the global
-// invariant is), and each section's cache contents are decoded into a
-// staging policy at the section's original capacity, then rehashed
-// object-by-object into the new owning partitions via
-// core.CacheSeeder. Replay switches to global-sequence skipping.
-func (m *Mediator) restoreRehash(st State, sections []ShardState) error {
-	srcCaps := shardCapacities(st.Capacity, len(sections))
-	var agg core.Accounting
-	var clocks int64
-	for _, sec := range sections {
-		agg.Add(sec.Acct)
-		clocks += sec.Clock
-	}
-	sh0 := m.shards[0]
-	sh0.acct = agg
-	sh0.t = clocks
-	for _, sh := range m.shards[1:] {
-		sh.acct = core.Accounting{}
-		sh.t = 0
-	}
-	for i, sec := range sections {
-		if len(sec.PolicyBlob) == 0 || m.shards[0].policy == nil {
-			continue
-		}
-		staging, err := m.stagingPolicy(srcCaps[i])
-		if err != nil {
-			return fmt.Errorf("federation: building staging policy for rehash: %w", err)
-		}
-		if staging == nil {
-			// The policy is not reconstructible here; accounting is
-			// restored, the cache restarts cold.
-			continue
-		}
-		ss, ok := staging.(core.StateSnapshotter)
+	sec := st.Sections[0]
+	if len(sec.PolicyBlob) > 0 && m.policy != nil {
+		ss, ok := m.policy.(core.StateSnapshotter)
 		if !ok {
-			continue
+			return fmt.Errorf("federation: policy %q cannot restore persisted state", m.policyName)
 		}
 		if err := ss.RestoreState(sec.PolicyBlob); err != nil {
-			return fmt.Errorf("federation: decoding section %d for rehash: %w", i, err)
-		}
-		cl, ok := staging.(core.ContentLister)
-		if !ok {
-			continue
-		}
-		for _, id := range cl.Contents() {
-			obj, known := m.objects[id]
-			if !known {
-				continue
-			}
-			if cs, seeds := m.shardOf(id).policy.(core.CacheSeeder); seeds {
-				cs.SeedObject(obj)
-			}
+			return fmt.Errorf("federation: restoring policy state: %w", err)
 		}
 	}
-	m.replayRehash = true
-	m.replayGBase = st.Clock
+	m.t = sec.Clock
+	m.replayBase = sec.Clock
+	m.acct = sec.Acct
+	m.queriesMet.Add(sec.Clock)
+	m.tel.SeedRestored(m.policyName, sec.Acct)
+	m.recordEvictions()
 	return nil
-}
-
-// stagingPolicy builds a throwaway policy instance at the given
-// capacity for decoding a foreign-layout section. Nil (with nil
-// error) when no constructor is available.
-func (m *Mediator) stagingPolicy(capacity int64) (core.Policy, error) {
-	if m.cfg.NewPolicy != nil {
-		return m.cfg.NewPolicy(0, capacity)
-	}
-	if pol, err := core.NewPolicyByName(m.policyName, capacity, 0); err == nil {
-		return pol, nil
-	}
-	return nil, nil
 }
 
 // ReplayJournal reapplies one journal record over the restored state.
-// The owning partition's policy re-decides the access to evolve its
-// internal state, but the accounting charges the RECORDED decision —
-// that is what the client was actually served before the crash. For
-// deterministic policies restored from an exact same-layout snapshot
-// the two always agree; diverged reports a disagreement (a randomized
-// policy's uncaptured random stream, or a cross-layout rehash) so the
-// persist manager can surface it as a metric instead of silently
-// rewriting history. applied is false for records whose effects are
-// already inside the restored snapshot (the prefix/suffix partition is
-// per-file; the first file after a mid-stream snapshot can carry
-// pre-boundary records). Unknown objects (a schema change between
-// runs) are errors; the caller should abandon replay and fall back
-// rather than apply a gapped suffix.
+// The policy re-decides the access to evolve its internal state, but
+// the accounting charges the RECORDED decision — that is what the
+// client was actually served before the crash. For deterministic
+// policies the two always agree; diverged reports a disagreement (a
+// randomized policy's uncaptured random stream) so the persist manager
+// can surface it as a metric instead of silently rewriting history.
+// applied is false for records whose effects are already inside the
+// restored snapshot (the prefix/suffix partition is per-file; the
+// first file after a mid-stream snapshot can carry pre-boundary
+// records). Unknown objects (a schema change between runs) are errors;
+// the caller should abandon replay and fall back rather than apply a
+// gapped suffix.
 func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err error) {
 	obj, ok := m.objects[rec.Object]
 	if !ok {
 		return false, false, fmt.Errorf("federation: journal references unknown object %s", rec.Object)
 	}
-	sh := m.shardOf(rec.Object)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if m.replayRehash {
-		if rec.T <= m.replayGBase {
-			return false, false, nil
-		}
-	} else if rec.ShardT <= sh.replayBase {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if rec.ShardT <= m.replayBase {
 		return false, false, nil
 	}
-	// Advance the global sequence and the query count: each distinct T
-	// was one mediated query. Replay is sequential; no CAS needed.
-	if g := m.g.Load(); rec.T > g {
-		m.queriesMet.Add(rec.T - g)
-		m.g.Store(rec.T)
-	}
-	// Advance the partition clock. Under a matching layout the
-	// recorded partition clock is authoritative; across a rehash it is
-	// meaningless, so each distinct global sequence seen by this
-	// partition counts as one touch.
-	if m.replayRehash {
-		if rec.T != sh.replayLastG {
-			sh.t++
-			sh.acct.Queries++
-			sh.replayLastG = rec.T
-		}
-	} else if rec.ShardT > sh.t {
-		sh.acct.Queries += rec.ShardT - sh.t
-		sh.t = rec.ShardT
+	// Each distinct clock value was one mediated query.
+	if rec.ShardT > m.t {
+		m.queriesMet.Add(rec.ShardT - m.t)
+		m.acct.Queries += rec.ShardT - m.t
+		m.t = rec.ShardT
 	}
 	switch rec.Kind {
 	case JournalAccess:
 		d := core.Bypass
-		if sh.policy != nil {
-			d = sh.policy.Access(sh.t, obj, rec.Yield)
+		if m.policy != nil {
+			d = m.policy.Access(m.t, obj, rec.Yield)
 		}
 		diverged = d != rec.Decision
-		if err := core.Account(&sh.acct, obj, rec.Yield, rec.Decision); err != nil {
+		if err := core.Account(&m.acct, obj, rec.Yield, rec.Decision); err != nil {
 			return true, diverged, err
 		}
 		m.tel.RecordAccess(m.policyName, obj, rec.Yield, rec.Decision)
 	case JournalForced:
 		// The site was down and the cached copy was force-served; the
 		// policy was not consulted then and is not consulted now.
-		if err := core.Account(&sh.acct, obj, rec.Yield, core.Hit); err != nil {
+		if err := core.Account(&m.acct, obj, rec.Yield, core.Hit); err != nil {
 			return true, false, err
 		}
 		m.tel.RecordForced(m.policyName, obj.Site, obj, rec.Yield)
@@ -398,11 +242,6 @@ func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err
 	default:
 		return false, false, fmt.Errorf("federation: unknown journal kind %d", rec.Kind)
 	}
-	if sh.policy != nil {
-		if ev := sh.policy.Evictions(); ev > sh.lastEvictions {
-			m.tel.RecordEvictions(m.policyName, ev-sh.lastEvictions)
-			sh.lastEvictions = ev
-		}
-	}
+	m.recordEvictions()
 	return true, diverged, nil
 }

@@ -1,9 +1,6 @@
 package flightrec
 
-import (
-	"sort"
-	"strconv"
-)
+import "sort"
 
 // attribute computes the exemplar's critical-path breakdown: which
 // phase the query's wall time is blocked on. The query pipeline is
@@ -24,15 +21,7 @@ func attribute(e *Exemplar) {
 		}
 	}
 	add(CauseExecute, e.ExecUS)
-	if len(e.ShardWaits) > 0 {
-		// Sharded decision plane: attribute the blocked time to the
-		// specific partitions, so a hot shard shows up by name.
-		for _, w := range e.ShardWaits {
-			add(CauseDecideWait+":s"+strconv.Itoa(w.Shard), w.WaitUS)
-		}
-	} else {
-		add(CauseDecideWait, e.DecideWaitUS)
-	}
+	add(CauseDecideWait, e.DecideWaitUS)
 	add(CauseDecide, e.DecideUS)
 	add(CauseEncode, e.EncodeUS)
 

@@ -107,13 +107,6 @@ type CausePoint struct {
 	US    int64  `json:"us"`
 }
 
-// ShardWaitRec is the time one query spent blocked on one decision
-// partition's lock.
-type ShardWaitRec struct {
-	Shard  int   `json:"shard"`
-	WaitUS int64 `json:"wait_us"`
-}
-
 // Exemplar is one recorded query: identity, phase timings, the span
 // tree (legs), the decision record, and the computed attribution.
 type Exemplar struct {
@@ -133,17 +126,13 @@ type Exemplar struct {
 	Err string `json:"err,omitempty"`
 
 	// Phase timings (microseconds). ExecUS is server-side statement
-	// execution; DecideWaitUS is total time blocked on decision-
-	// partition locks; DecideUS is the decision work itself; EncodeUS
-	// is result serialization back to the client.
+	// execution; DecideWaitUS is the time blocked on the decision
+	// lock; DecideUS is the decision work itself; EncodeUS is result
+	// serialization back to the client.
 	ExecUS       int64 `json:"exec_us"`
 	DecideWaitUS int64 `json:"decide_wait_us"`
 	DecideUS     int64 `json:"decide_us"`
 	EncodeUS     int64 `json:"encode_us"`
-	// ShardWaits breaks DecideWaitUS down per decision partition the
-	// query touched (absent on single-partition planes' records and
-	// zero-access queries).
-	ShardWaits []ShardWaitRec `json:"shard_waits,omitempty"`
 
 	Legs      []LegRec      `json:"legs,omitempty"`
 	Decisions []DecisionRec `json:"decisions,omitempty"`
@@ -342,10 +331,6 @@ func (r *Recorder) publish(c *Capture, err error, dur time.Duration, outcome str
 		e.Decisions = make([]DecisionRec, len(c.decisions))
 		copy(e.Decisions, c.decisions)
 	}
-	if len(c.shardWaits) > 0 {
-		e.ShardWaits = make([]ShardWaitRec, len(c.shardWaits))
-		copy(e.ShardWaits, c.shardWaits)
-	}
 	e.Runtime = readRuntime()
 	attribute(e)
 	if r.annotate != nil {
@@ -421,7 +406,6 @@ type Capture struct {
 	decideWaitUS int64
 	decideUS     int64
 	encodeUS     int64
-	shardWaits   []ShardWaitRec
 	decisions    []DecisionRec
 	mu           sync.Mutex
 	legs         []LegRec
@@ -432,7 +416,6 @@ func (c *Capture) reset() {
 	c.trace = 0
 	c.degraded = false
 	c.execUS, c.decideWaitUS, c.decideUS, c.encodeUS = 0, 0, 0, 0
-	c.shardWaits = c.shardWaits[:0]
 	c.decisions = c.decisions[:0]
 	c.legs = c.legs[:0]
 }
@@ -471,16 +454,6 @@ func (c *Capture) SetMediation(execUS, decideWaitUS, decideUS int64) {
 	c.execUS = execUS
 	c.decideWaitUS = decideWaitUS
 	c.decideUS = decideUS
-}
-
-// ShardWait appends one decision partition's lock wait. The backing
-// array is pooled with the capture, so steady-state appends do not
-// allocate.
-func (c *Capture) ShardWait(shard int, waitUS int64) {
-	if c == nil {
-		return
-	}
-	c.shardWaits = append(c.shardWaits, ShardWaitRec{Shard: shard, WaitUS: waitUS})
 }
 
 // SetEncodeUS records the result-encoding duration.

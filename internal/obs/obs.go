@@ -233,7 +233,7 @@ func (f *CounterFamily) Get(label string) *Counter {
 func (f *CounterFamily) Add(label string, n int64) { f.Get(label).Add(n) }
 
 // GaugeFamily is a set of gauges sharing one name, keyed by a label
-// value (per-site breaker states, per-shard occupancy, ...).
+// value (per-site breaker states, per-site pool sizes, ...).
 type GaugeFamily struct {
 	mu    sync.RWMutex
 	items map[string]*Gauge

@@ -36,12 +36,13 @@ const (
 	snapMagic = "BYSNAP1\n"
 	walMagic  = "BYWAL1\n\x00"
 
-	// snapVersion 2 added per-decision-partition sections (clock,
-	// accounting, policy blob per shard); version-1 snapshots decode
-	// into the single-section form and restore through the mediator's
-	// rehash path. recVersion 2 added the owning partition's clock
-	// (ShardT); version-1 records decode with ShardT = T, which is
-	// exact for the single-partition plane that wrote them.
+	// snapVersion 2 frames a counted list of sections (clock,
+	// accounting, policy blob) after the header; this build writes and
+	// restores exactly one, and builds that sharded the decision plane
+	// wrote one per shard. Version-1 snapshots decode into one
+	// section. recVersion 2 added the plane clock (ShardT)
+	// beside the query sequence T; version-1 records decode with
+	// ShardT = T.
 	snapVersion = 2
 	recVersion  = 2
 
@@ -160,8 +161,8 @@ func (d *dec) done() error {
 	return nil
 }
 
-// maxSnapshotShards bounds the per-partition section count; anything
-// larger is corruption, not data.
+// maxSnapshotShards bounds the section count of a snapshot from
+// outside; anything larger is corruption, not data.
 const maxSnapshotShards = 1 << 16
 
 // encodeAcct serializes one accounting block.
@@ -195,8 +196,8 @@ func (d *dec) acct() core.Accounting {
 }
 
 // encodeSnapshot serializes a mediator State (plus the wall-clock
-// creation time) into a snapshot payload: the global header followed
-// by one section per decision partition.
+// creation time) into a snapshot payload: the header followed by the
+// State's sections.
 func encodeSnapshot(st federation.State, createdUnix int64) []byte {
 	var e enc
 	e.u8(snapVersion)
@@ -207,12 +208,8 @@ func encodeSnapshot(st federation.State, createdUnix int64) []byte {
 	e.str(st.PolicyName)
 	e.i64(st.Capacity)
 	e.acct(st.Acct)
-	sections := st.Shards
-	if sections == nil {
-		sections = []federation.ShardState{{Clock: st.Clock, Acct: st.Acct, PolicyBlob: st.PolicyBlob}}
-	}
-	e.u64(uint64(len(sections)))
-	for _, sec := range sections {
+	e.u64(uint64(len(st.Sections)))
+	for _, sec := range st.Sections {
 		e.i64(sec.Clock)
 		e.acct(sec.Acct)
 		e.bytes(sec.PolicyBlob)
@@ -221,10 +218,10 @@ func encodeSnapshot(st federation.State, createdUnix int64) []byte {
 }
 
 // decodeSnapshot parses a snapshot payload, either version: a
-// version-1 payload decodes into the single-section legacy form
-// (Shards nil, PolicyBlob set) that RestoreState lifts into one
-// implicit section. It validates structure only; semantic guards
-// (schema, policy, capacity) belong to Mediator.RestoreState.
+// version-1 payload, which has no section list, decodes into one
+// section holding the header's clock and accounting and the trailing
+// policy blob. It validates structure only; semantic guards (schema,
+// policy, capacity, section count) belong to Mediator.RestoreState.
 func decodeSnapshot(payload []byte) (federation.State, int64, error) {
 	d := dec{b: payload}
 	v := d.u8()
@@ -239,25 +236,22 @@ func decodeSnapshot(payload []byte) (federation.State, int64, error) {
 	st.PolicyName = d.str()
 	st.Capacity = d.i64()
 	st.Acct = d.acct()
-	if v == 1 {
-		if blob := d.bytes(); len(blob) > 0 {
-			st.PolicyBlob = append([]byte(nil), blob...)
-		}
-	} else {
-		n := d.u64()
+	n := uint64(1)
+	if v != 1 {
+		n = d.u64()
 		if d.err == nil && n > maxSnapshotShards {
-			return federation.State{}, 0, fmt.Errorf("persist: snapshot carries %d shard sections", n)
+			return federation.State{}, 0, fmt.Errorf("persist: snapshot carries %d sections", n)
 		}
-		if d.err == nil {
-			st.Shards = make([]federation.ShardState, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				sec := federation.ShardState{Clock: d.i64(), Acct: d.acct()}
-				if blob := d.bytes(); len(blob) > 0 {
-					sec.PolicyBlob = append([]byte(nil), blob...)
-				}
-				st.Shards = append(st.Shards, sec)
-			}
+	}
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		sec := federation.Section{Clock: st.Clock, Acct: st.Acct}
+		if v != 1 {
+			sec.Clock, sec.Acct = d.i64(), d.acct()
 		}
+		if blob := d.bytes(); len(blob) > 0 {
+			sec.PolicyBlob = append([]byte(nil), blob...)
+		}
+		st.Sections = append(st.Sections, sec)
 	}
 	if err := d.done(); err != nil {
 		return federation.State{}, 0, err
@@ -311,8 +305,7 @@ func encodeRecord(rec federation.JournalRecord) []byte {
 }
 
 // decodeRecord parses one journal record payload, either version. A
-// version-1 record (written by the single-partition plane) decodes
-// with ShardT = T, which was its partition clock.
+// version-1 record decodes with ShardT = T, which was its plane clock.
 func decodeRecord(payload []byte) (federation.JournalRecord, error) {
 	d := dec{b: payload}
 	v := d.u8()

@@ -1,165 +1,34 @@
 package persist
 
-// Snapshot format compatibility across the sharded decision plane.
-// Two directions must keep working forever:
+// Snapshot format compatibility. State directories outlive builds, so
+// three things must keep holding:
 //
-//   - backward: a version-1 snapshot (single-section, written by
-//     builds before sharding) restores into a sharded mediator through
-//     the rehash path, with accounting and cache contents intact;
-//   - forward: version-2 sharded snapshots round-trip exactly at every
-//     partition count, and survive a -decision-shards change between
-//     runs (the cross-layout rehash).
+//   - a version-1 snapshot (no section list) restores;
+//   - a version-2 snapshot with one section restores and its WAL
+//     replays exactly, also when written by a build that claimed the
+//     query sequence T outside the decision lock, so that T is neither
+//     the header's clock nor in decision order and only ShardT is;
+//   - a version-2 snapshot with several sections — a cache that was
+//     split into independent slices — is refused by name, and the
+//     proxy starts cold and stays consistent.
 //
 // These run in `make crash` alongside the kill-recovery suite.
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"bypassyield/internal/catalog"
-	"bypassyield/internal/core"
-	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
-	"bypassyield/internal/obs"
 )
 
-// newShardedMediator builds a mediator with n decision partitions, one
-// rate-profile policy instance per partition (capacity split exactly).
-func newShardedMediator(t *testing.T, shards int, capacity int64) (*federation.Mediator, *obs.Registry) {
-	t.Helper()
-	s := catalog.EDR()
-	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 20000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db,
-		NewPolicy: func(_ int, cap int64) (core.Policy, error) {
-			return core.NewPolicyByName("rate-profile", cap, 1)
-		},
-		Capacity: capacity, Shards: shards,
-		Granularity: federation.Tables, Obs: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return med, reg
-}
-
-// TestShardedSnapshotRoundTrip closes and reopens a sharded plane at
-// several partition counts: the graceful-shutdown snapshot must
-// restore every partition's section exactly — clock, accounting, and
-// cache contents per shard, nothing to replay.
-func TestShardedSnapshotRoundTrip(t *testing.T) {
-	capacity := catalog.EDR().TotalBytes() / 2
-	for _, shards := range []int{1, 2, 8} {
-		t.Run(shardName(shards), func(t *testing.T) {
-			dir := t.TempDir()
-			med1, reg1 := newShardedMediator(t, shards, capacity)
-			m1, err := Open(testConfig(dir, reg1), med1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			driveQueries(t, med1, 40)
-			want := med1.Accounting()
-			wantShards := med1.ShardAccountings()
-			wantStats, _ := med1.PolicyStats()
-			if err := m1.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			med2, reg2 := newShardedMediator(t, shards, capacity)
-			m2, err := Open(testConfig(dir, reg2), med2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m2.Close()
-			rep := m2.Recovery()
-			if !rep.Warm || rep.Fallbacks != 0 {
-				t.Fatalf("expected clean warm start, got %s", rep)
-			}
-			if rep.Replayed != 0 {
-				t.Fatalf("graceful round trip replayed %d records", rep.Replayed)
-			}
-			if got := med2.Accounting(); got != want {
-				t.Fatalf("restored accounting %+v, want %+v", got, want)
-			}
-			gotShards := med2.ShardAccountings()
-			if len(gotShards) != shards {
-				t.Fatalf("%d restored shard sections, want %d", len(gotShards), shards)
-			}
-			for i := range gotShards {
-				if gotShards[i] != wantShards[i] {
-					t.Fatalf("shard %d restored %+v, want %+v", i, gotShards[i], wantShards[i])
-				}
-			}
-			gotStats, _ := med2.PolicyStats()
-			if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
-				t.Fatalf("restored cache %+v, want %+v", gotStats, wantStats)
-			}
-			checkInvariant(t, med2, reg2)
-		})
-	}
-}
-
-// TestShardLayoutChangeRestores restarts with a different
-// -decision-shards than the snapshot was taken under: the rehash path
-// must preserve the global accounting, clock, and cache contents even
-// though per-partition attribution is not recoverable.
-func TestShardLayoutChangeRestores(t *testing.T) {
-	capacity := catalog.EDR().TotalBytes() / 2
-	cases := []struct{ from, to int }{{8, 2}, {2, 8}, {4, 1}}
-	for _, tc := range cases {
-		t.Run(shardName(tc.from)+"-to-"+shardName(tc.to), func(t *testing.T) {
-			dir := t.TempDir()
-			med1, reg1 := newShardedMediator(t, tc.from, capacity)
-			m1, err := Open(testConfig(dir, reg1), med1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			driveQueries(t, med1, 40)
-			want := med1.Accounting()
-			wantClock := med1.Clock()
-			wantStats, _ := med1.PolicyStats()
-			if err := m1.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			med2, reg2 := newShardedMediator(t, tc.to, capacity)
-			m2, err := Open(testConfig(dir, reg2), med2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m2.Close()
-			rep := m2.Recovery()
-			if !rep.Warm || rep.Fallbacks != 0 {
-				t.Fatalf("expected warm start across layout change, got %s", rep)
-			}
-			if got := med2.Accounting(); got != want {
-				t.Fatalf("rehashed accounting %+v, want %+v", got, want)
-			}
-			if med2.Clock() != wantClock {
-				t.Fatalf("rehashed clock = %d, want %d", med2.Clock(), wantClock)
-			}
-			gotStats, _ := med2.PolicyStats()
-			if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
-				t.Fatalf("rehashed cache %+v, want %+v", gotStats, wantStats)
-			}
-			checkInvariant(t, med2, reg2)
-			// The rehashed plane keeps accounting correctly afterwards.
-			driveQueries(t, med2, 8)
-			checkInvariant(t, med2, reg2)
-		})
-	}
-}
-
-// encodeV1Snapshot serializes a State exactly as pre-sharding builds
+// encodeV1Snapshot serializes a State exactly as version-1 builds
 // did: one implicit section, the policy blob trailing the header.
 func encodeV1Snapshot(st federation.State, createdUnix int64) []byte {
 	var e enc
@@ -171,11 +40,7 @@ func encodeV1Snapshot(st federation.State, createdUnix int64) []byte {
 	e.str(st.PolicyName)
 	e.i64(st.Capacity)
 	e.acct(st.Acct)
-	var blob []byte
-	if len(st.Shards) == 1 {
-		blob = st.Shards[0].PolicyBlob
-	}
-	e.bytes(blob)
+	e.bytes(st.Sections[0].PolicyBlob)
 	payload := e.b
 	out := make([]byte, 0, len(snapMagic)+8+len(payload))
 	out = append(out, snapMagic...)
@@ -184,68 +49,207 @@ func encodeV1Snapshot(st federation.State, createdUnix int64) []byte {
 	return append(out, payload...)
 }
 
-// TestV1SnapshotRestoresIntoShardedPlane writes a hand-framed
-// version-1 snapshot — what a pre-sharding byproxyd left on disk — and
-// opens a 4-partition plane over it. Recovery must take the rehash
-// path: global accounting and cache contents restored, the plane
-// consistent and accounting correctly for new traffic.
-func TestV1SnapshotRestoresIntoShardedPlane(t *testing.T) {
-	capacity := catalog.EDR().TotalBytes() / 2
+// checkRestored asserts med holds exactly the accounting, clock and
+// cache med1 had, and keeps accounting correctly for new traffic.
+func checkRestored(t *testing.T, m *Manager, med1 *federation.Mediator) {
+	t.Helper()
+	med, reg := m.med, m.cfg.Obs
+	if got, want := med.Accounting(), med1.Accounting(); got != want {
+		t.Fatalf("restored accounting %+v, want %+v", got, want)
+	}
+	if med.Clock() != med1.Clock() {
+		t.Fatalf("restored clock = %d, want %d", med.Clock(), med1.Clock())
+	}
+	gotStats, _ := med.PolicyStats()
+	wantStats, _ := med1.PolicyStats()
+	if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
+		t.Fatalf("restored cache %+v, want %+v", gotStats, wantStats)
+	}
+	checkInvariant(t, med, reg)
+	driveQueries(t, med, 8)
+	checkInvariant(t, med, reg)
+}
 
-	// Source of truth: a real single-partition run (the layout every
-	// v1 snapshot was taken under).
+// TestV1SnapshotRestores writes a hand-framed version-1 snapshot and
+// opens a mediator over it: accounting, clock and cache contents are
+// restored.
+func TestV1SnapshotRestores(t *testing.T) {
+	capacity := catalog.EDR().TotalBytes() / 2
 	med1, _ := newTestMediator(t, "rate-profile", capacity)
 	driveQueries(t, med1, 40)
 	st, err := med1.SnapshotState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Shards) != 1 {
-		t.Fatalf("single-partition snapshot carries %d sections", len(st.Shards))
-	}
-	want := med1.Accounting()
-	wantStats, _ := med1.PolicyStats()
 
 	dir := t.TempDir()
 	frame := encodeV1Snapshot(st, time.Now().Unix())
 	if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Sanity: the hand-built frame decodes as the legacy single-section
-	// form before the mediator ever sees it.
+	// Sanity: the hand-built frame is a version-1 frame, and decodes
+	// into one section before the mediator ever sees it.
+	if v := frame[len(snapMagic)+8]; v != 1 {
+		t.Fatalf("hand-built frame has version %d", v)
+	}
 	dec, _, err := decodeSnapshotFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Shards != nil || len(dec.PolicyBlob) == 0 {
-		t.Fatalf("v1 decode: Shards=%v blob=%d bytes, want legacy form", dec.Shards, len(dec.PolicyBlob))
+	if len(dec.Sections) != 1 || len(dec.Sections[0].PolicyBlob) == 0 || dec.Sections[0].Acct != st.Acct {
+		t.Fatalf("v1 decode: %+v, want one section with the header's accounting and the blob", dec.Sections)
 	}
 
-	med2, reg2 := newShardedMediator(t, 4, capacity)
+	med2, reg2 := newTestMediator(t, "rate-profile", capacity)
+	m2, err := Open(testConfig(dir, reg2), med2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if rep := m2.Recovery(); !rep.Warm || rep.Fallbacks != 0 {
+		t.Fatalf("v1 snapshot should warm-start, got %s", rep)
+	}
+	checkRestored(t, m2, med1)
+}
+
+// recordKeeper is a Journal that keeps what it is given.
+type recordKeeper struct{ recs []federation.JournalRecord }
+
+func (k *recordKeeper) JournalAccess(rec federation.JournalRecord) { k.recs = append(k.recs, rec) }
+
+// TestOneSectionV2Restores restores the state directory of a crashed
+// one-section build that claimed T outside the lock: two queries had
+// their T when the snapshot was cut, so the header's clock is two
+// ahead of the section's, and they then decided in the other order, so
+// the WAL's T runs 42, 41, 43, ... beside ShardT 41, 42, 43, ... Every
+// record must be replayed, none diverge, and the accounting be exact.
+func TestOneSectionV2Restores(t *testing.T) {
+	capacity := catalog.EDR().TotalBytes() / 2
+	med1, _ := newTestMediator(t, "rate-profile", capacity)
+	driveQueries(t, med1, 40)
+	st, err := med1.SnapshotState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Sections) != 1 {
+		t.Fatalf("snapshot carries %d sections, want 1", len(st.Sections))
+	}
+	var wal recordKeeper
+	med1.SetJournal(&wal)
+	driveQueries(t, med1, 8)
+
+	st.Clock += 2
+	st.Acct.Queries += 2
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), encodeSnapshotFrame(st, time.Now().Unix()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWALWriter(filepath.Join(dir, walName(st.Clock)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range wal.recs {
+		switch rec.ShardT {
+		case 41:
+			rec.T = 42
+		case 42:
+			rec.T = 41
+		}
+		if _, _, err := w.append(rec, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	med2, reg2 := newTestMediator(t, "rate-profile", capacity)
 	m2, err := Open(testConfig(dir, reg2), med2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m2.Close()
 	rep := m2.Recovery()
-	if !rep.Warm || rep.Fallbacks != 0 {
-		t.Fatalf("v1 snapshot should warm-start a sharded plane, got %s", rep)
+	if !rep.Warm || rep.Fallbacks != 0 || rep.Replayed != len(wal.recs) || rep.Diverged != 0 {
+		t.Fatalf("want warm start replaying all %d records, got %s", len(wal.recs), rep)
 	}
-	if got := med2.Accounting(); got != want {
-		t.Fatalf("restored accounting %+v, want %+v", got, want)
-	}
-	if med2.Clock() != st.Clock {
-		t.Fatalf("restored clock = %d, want %d", med2.Clock(), st.Clock)
-	}
-	gotStats, _ := med2.PolicyStats()
-	if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
-		t.Fatalf("restored cache %+v, want %+v", gotStats, wantStats)
-	}
-	checkInvariant(t, med2, reg2)
-	driveQueries(t, med2, 8)
-	checkInvariant(t, med2, reg2)
+	checkRestored(t, m2, med1)
 }
 
-func shardName(n int) string {
-	return "shards-" + strconv.Itoa(n)
+// TestMultiSectionSnapshotColdStarts opens a state directory whose
+// snapshots carry two sections, what a build that split the cache in
+// two left behind. Each is skipped with the reason logged and counted,
+// the proxy starts cold, Σ ledger yields = D_A holds from zero, and the
+// next restart is warm from what the cold start wrote, not cold again
+// from the refused files.
+func TestMultiSectionSnapshotColdStarts(t *testing.T) {
+	capacity := catalog.EDR().TotalBytes() / 2
+	med1, _ := newTestMediator(t, "rate-profile", capacity)
+	dir := t.TempDir()
+	for _, n := range []int{30, 10} { // two generations, as gc keeps
+		driveQueries(t, med1, n)
+		st, err := med1.SnapshotState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Sections = append(st.Sections, federation.Section{})
+		if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), encodeSnapshotFrame(st, time.Now().Unix()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := newWALWriter(filepath.Join(dir, walName(st.Clock)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	med2, reg2 := newTestMediator(t, "rate-profile", capacity)
+	cfg := testConfig(dir, reg2)
+	var logged []string
+	cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	m2, err := Open(cfg, med2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := m2.Recovery()
+	if rep.Warm || rep.Fallbacks != 2 || rep.Acct.Queries != 0 {
+		t.Fatalf("want cold start with 2 fallbacks, got %s", rep)
+	}
+	if reg2.Snapshot().CounterValue("persist.snapshot_fallbacks", "") != 2 {
+		t.Fatal("persist.snapshot_fallbacks not counted")
+	}
+	named := 0
+	for _, line := range logged {
+		if strings.Contains(line, "skipping snapshot") && strings.Contains(line, "carries 2 decision-plane sections") {
+			named++
+		}
+	}
+	if named != 2 {
+		t.Fatalf("refusal not named twice in the log: %q", logged)
+	}
+	driveQueries(t, med2, 12)
+	checkInvariant(t, med2, reg2)
+	var ledgerYield int64
+	for _, r := range med2.Ledger().Snapshot() {
+		ledgerYield += r.Yield
+	}
+	if acct := med2.Accounting(); acct.Queries != 12 || ledgerYield != acct.DeliveredBytes() {
+		t.Fatalf("after cold start: Σ ledger yields = %d, accounting %+v", ledgerYield, acct)
+	}
+	if err := m2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	med3, reg3 := newTestMediator(t, "rate-profile", capacity)
+	m3, err := Open(testConfig(dir, reg3), med3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Close()
+	if rep := m3.Recovery(); !rep.Warm || rep.Fallbacks != 0 {
+		t.Fatalf("restart after the cold start: want warm with no fallbacks, got %s", rep)
+	}
+	checkRestored(t, m3, med2)
 }

@@ -108,9 +108,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	st := federation.State{
 		Clock: 4, Schema: "edr", Granularity: federation.Tables,
 		PolicyName: "rate-profile", Capacity: 1 << 20,
-		Acct:       core.Accounting{Queries: 4, Accesses: 4, Loads: 4, FetchBytes: 10000, CacheBytes: 0, YieldBytes: 5000},
-		PolicyBlob: blob,
+		Acct: core.Accounting{Queries: 4, Accesses: 4, Loads: 4, FetchBytes: 10000, CacheBytes: 0, YieldBytes: 5000},
 	}
+	st.Sections = []federation.Section{{Clock: st.Clock, Acct: st.Acct, PolicyBlob: blob}}
 	frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
 	f.Add(frame)
 	// The same frame with a flipped payload byte (checksum must catch).
@@ -138,7 +138,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if !ok {
 				t.Fatalf("policy %s lost its StateSnapshotter", name)
 			}
-			_ = ss.RestoreState(st.PolicyBlob)
+			for _, sec := range st.Sections {
+				_ = ss.RestoreState(sec.PolicyBlob)
+			}
 			o := core.Object{ID: "probe", Size: 100, FetchCost: 300, Site: "s"}
 			if d := p.Access(1, o, 50); d < core.Hit || d > core.Load {
 				t.Fatalf("policy %s returned invalid decision %d after restore attempt", name, d)

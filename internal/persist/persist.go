@@ -102,6 +102,8 @@ type RecoveryReport struct {
 	// Fallbacks counts snapshots skipped as invalid before one
 	// restored (0 = the newest was good).
 	Fallbacks int
+	// Skipped names each skipped snapshot and why, newest first.
+	Skipped []string
 	// WALFiles counts WAL files replayed (possibly partially).
 	WALFiles int
 	// Replayed counts journal records reapplied.
@@ -125,8 +127,12 @@ type RecoveryReport struct {
 
 // String renders the report as one log line.
 func (r RecoveryReport) String() string {
+	skipped := ""
+	if len(r.Skipped) > 0 {
+		skipped = "; skipped " + strings.Join(r.Skipped, "; ")
+	}
 	if !r.Warm {
-		return fmt.Sprintf("cold start (fallbacks=%d) in %dms", r.Fallbacks, r.DurationMS)
+		return fmt.Sprintf("cold start (fallbacks=%d) in %dms%s", r.Fallbacks, r.DurationMS, skipped)
 	}
 	s := fmt.Sprintf("warm start from %s (clock=%d fallbacks=%d): replayed %d records from %d wal(s), diverged=%d",
 		filepath.Base(r.SnapshotPath), r.SnapshotClock, r.Fallbacks, r.Replayed, r.WALFiles, r.Diverged)
@@ -138,7 +144,7 @@ func (r RecoveryReport) String() string {
 	}
 	s += fmt.Sprintf("; D_A=%d yield=%d queries=%d in %dms",
 		r.Acct.DeliveredBytes(), r.Acct.YieldBytes, r.Acct.Queries, r.DurationMS)
-	return s
+	return s + skipped
 }
 
 // Manager owns the state directory for one mediator: it journals
@@ -147,12 +153,10 @@ type Manager struct {
 	cfg Config
 	med *federation.Mediator
 
-	// mu guards the WAL writer and serializes appends arriving from
-	// different decision partitions. Lock order: a mediator partition
-	// lock (or the all-partitions barrier) is always taken first
-	// (appends arrive under a partition lock; rotation happens inside
-	// SnapshotState's barrier) — nothing under mu ever calls back into
-	// the mediator.
+	// mu guards the WAL writer. Lock order: the mediator's decision
+	// lock is always taken first (appends arrive under it; rotation
+	// happens inside SnapshotState's barrier) — nothing under mu ever
+	// calls back into the mediator.
 	mu           sync.Mutex
 	wal          *walWriter
 	closed       bool
@@ -270,8 +274,8 @@ func (m *Manager) registerMetrics(r *obs.Registry) {
 }
 
 // JournalAccess implements federation.Journal: append one record to
-// the active WAL. Called under the owning decision partition's lock —
-// with SyncEveryRecord the record is durable before the query result
+// the active WAL. Called under the mediator's decision lock — with
+// SyncEveryRecord the record is durable before the query result
 // frame leaves the proxy. Append failures degrade to snapshot-only
 // durability (counted, logged once) rather than failing queries.
 func (m *Manager) JournalAccess(rec federation.JournalRecord) {
@@ -337,8 +341,8 @@ func (m *Manager) snapshot() error {
 }
 
 // rotateWAL closes the active WAL and opens wal-<clock>. Runs inside
-// the mediator's all-partitions barrier, so the rotation point is
-// exactly the snapshot's consistency boundary on every partition.
+// the mediator's decision lock, so the rotation point is exactly the
+// snapshot's consistency boundary.
 func (m *Manager) rotateWAL(clock int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -416,6 +420,7 @@ func (m *Manager) recover() {
 		if err != nil {
 			m.cfg.Logf("persist: skipping snapshot %s: %v", filepath.Base(path), err)
 			rep.Fallbacks++
+			rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: %v", filepath.Base(path), err))
 			m.mFallbacks.Add(1)
 			continue
 		}
@@ -445,10 +450,9 @@ func (m *Manager) replayChain(snapClock int64, rep *RecoveryReport) {
 		}
 		rep.WALFiles++
 		n, torn, detail, err := walkWAL(data, func(rec federation.JournalRecord) error {
-			// The mediator owns the skip rule (per-partition clocks
-			// against the restored snapshot boundary, or the global
-			// sequence across a partition-layout change): applied is
-			// false for records already inside the snapshot.
+			// The mediator owns the skip rule (the record's clock
+			// against the restored snapshot boundary): applied is false
+			// for records already inside the snapshot.
 			applied, diverged, err := m.med.ReplayJournal(rec)
 			if err != nil {
 				return err
@@ -480,20 +484,25 @@ func (m *Manager) replayChain(snapClock int64, rep *RecoveryReport) {
 
 // gc keeps the newest keepSnapshots snapshot generations (and the
 // WALs covering them) and removes everything older, plus stray temp
-// files from interrupted snapshot writes.
+// files from interrupted snapshot writes. Files whose clock is ahead
+// of the snapshot just written go too: the clock only counts up, so
+// they belong to a history recovery refused or could not read, and
+// would otherwise outrank every generation written since.
 func (m *Manager) gc(currentClock int64) {
 	snaps := m.listClocks(snapSuffix)
-	if len(snaps) > keepSnapshots {
-		oldest := snaps[len(snaps)-keepSnapshots]
-		for _, clock := range snaps {
-			if clock < oldest {
-				os.Remove(filepath.Join(m.cfg.Dir, snapName(clock)))
-			}
+	live := snaps[:sort.Search(len(snaps), func(i int) bool { return snaps[i] > currentClock })]
+	var oldest int64
+	if len(live) > keepSnapshots {
+		oldest = live[len(live)-keepSnapshots]
+	}
+	for _, clock := range snaps {
+		if clock < oldest || clock > currentClock {
+			os.Remove(filepath.Join(m.cfg.Dir, snapName(clock)))
 		}
-		for _, clock := range m.listClocks(walSuffix) {
-			if clock < oldest {
-				os.Remove(filepath.Join(m.cfg.Dir, walName(clock)))
-			}
+	}
+	for _, clock := range m.listClocks(walSuffix) {
+		if clock < oldest || clock > currentClock {
+			os.Remove(filepath.Join(m.cfg.Dir, walName(clock)))
 		}
 	}
 	ents, err := os.ReadDir(m.cfg.Dir)

@@ -13,10 +13,11 @@ import (
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/ledger"
 )
 
 // newTestMediator builds a mediator over the EDR release with the
-// named policy and its own registry.
+// named policy, its own registry and a decision ledger.
 func newTestMediator(t *testing.T, policy string, capacity int64) (*federation.Mediator, *obs.Registry) {
 	t.Helper()
 	s := catalog.EDR()
@@ -34,6 +35,7 @@ func newTestMediator(t *testing.T, policy string, capacity int64) (*federation.M
 	reg := obs.NewRegistry()
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: pol, Granularity: federation.Tables, Obs: reg,
+		Ledger: ledger.New(1024),
 	})
 	if err != nil {
 		t.Fatal(err)

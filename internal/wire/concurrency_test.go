@@ -17,10 +17,8 @@ import (
 )
 
 // concurrentFederation is testLedgerFederation exposing the proxy and
-// nodes so concurrency tests can read their registries directly. The
-// optional mutators adjust the mediator config before construction
-// (e.g. to swap the single Policy for a sharded NewPolicy factory).
-func concurrentFederation(t *testing.T, policy core.Policy, opts ...func(*federation.Config)) (addr string, proxy *Proxy, nodes map[string]*DBNode, shutdown func()) {
+// nodes so concurrency tests can read their registries directly.
+func concurrentFederation(t *testing.T, policy core.Policy) (addr string, proxy *Proxy, nodes map[string]*DBNode, shutdown func()) {
 	t.Helper()
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 50000})
@@ -46,16 +44,12 @@ func concurrentFederation(t *testing.T, policy core.Policy, opts ...func(*federa
 		addrs[site] = naddr
 	}
 
-	cfg := federation.Config{
+	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: policy, Granularity: federation.Columns,
 		Obs:     obs.NewRegistry(),
 		Ledger:  ledger.New(4096),
 		Shadows: true,
-	}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	med, err := federation.New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,27 +69,14 @@ func concurrentFederation(t *testing.T, policy core.Policy, opts ...func(*federa
 
 // TestConcurrentQueriesReconcileExactly is the pipeline's accounting
 // acceptance test (run it with -race): 8 concurrent clients hammer all
-// three EDR sites through a sharded decision plane, and afterwards
-// every sequential-era invariant must still hold exactly — one ledger
-// record per access, Σ ledger yields = D_A, Σ WAN charges = D_S + D_L,
-// Σ client-observed result bytes = D_A, the shadow-savings gauge
-// equals the baseline identity, and the inflight gauges have drained
-// to zero. With the decision plane partitioned the identity must also
-// hold shard by shard: each partition's ledger slice reconciles
-// against that partition's own accounting, and the partitions sum to
-// the global accounting.
+// three EDR sites, and afterwards every sequential-era invariant must
+// still hold exactly — one ledger record per access, Σ ledger yields =
+// D_A, Σ WAN charges = D_S + D_L, Σ client-observed result bytes =
+// D_A, the shadow-savings gauge equals the baseline identity, and the
+// inflight gauges have drained to zero.
 func TestConcurrentQueriesReconcileExactly(t *testing.T) {
-	const shards = 8
-	capBytes := catalog.EDR().TotalBytes()
-	addr, proxy, _, shutdown := concurrentFederation(t, nil,
-		func(cfg *federation.Config) {
-			cfg.Policy = nil
-			cfg.NewPolicy = func(shard int, capacity int64) (core.Policy, error) {
-				return core.NewRateProfile(core.RateProfileConfig{Capacity: capacity}), nil
-			}
-			cfg.Capacity = capBytes
-			cfg.Shards = shards
-		})
+	addr, proxy, _, shutdown := concurrentFederation(t,
+		core.NewRateProfile(core.RateProfileConfig{Capacity: catalog.EDR().TotalBytes()}))
 	defer shutdown()
 
 	queries := []string{
@@ -180,38 +161,6 @@ func TestConcurrentQueriesReconcileExactly(t *testing.T) {
 	if actions["hit"] != acct.Hits || actions["bypass"] != acct.Bypasses || actions["load"] != acct.Loads {
 		t.Fatalf("ledger action counts %v, want hits=%d bypasses=%d loads=%d",
 			actions, acct.Hits, acct.Bypasses, acct.Loads)
-	}
-
-	// Per-partition reconciliation: every decision shard's own ledger
-	// slice (grouped by the same hash the mediator routes with) must
-	// reconcile against that shard's accounting, and the shard
-	// accountings must sum to the global accounting.
-	if st.DecisionShards != shards || len(st.ShardAccts) != shards {
-		t.Fatalf("stats report %d shards / %d shard accts, want %d",
-			st.DecisionShards, len(st.ShardAccts), shards)
-	}
-	shardYield := make([]int64, shards)
-	shardWAN := make([]int64, shards)
-	for _, r := range dec.Records {
-		k := federation.ShardOf(core.ObjectID(r.Object), shards)
-		shardYield[k] += r.Yield
-		shardWAN[k] += r.WANCost
-	}
-	var sumAcct core.Accounting
-	for k, sa := range st.ShardAccts {
-		if shardYield[k] != sa.DeliveredBytes() {
-			t.Fatalf("shard %d: Σ ledger yields = %d, want shard D_A = %d",
-				k, shardYield[k], sa.DeliveredBytes())
-		}
-		if shardWAN[k] != sa.WANBytes() {
-			t.Fatalf("shard %d: Σ ledger WAN = %d, want shard D_S+D_L = %d",
-				k, shardWAN[k], sa.WANBytes())
-		}
-		sumAcct.Add(sa)
-	}
-	sumAcct.Queries = acct.Queries // queries span shards; only flows are disjoint
-	if sumAcct != acct {
-		t.Fatalf("Σ shard accountings = %+v, want global %+v", sumAcct, acct)
 	}
 
 	// Shadow identity survives interleaving: always-bypass WAN is the

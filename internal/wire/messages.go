@@ -211,10 +211,4 @@ type StatsResultMsg struct {
 	// CachedObjects lists currently cached object ids (bounded; only
 	// populated when the policy exposes its contents).
 	CachedObjects []string `json:"cached_objects,omitempty"`
-	// DecisionShards is the decision-plane partition count; ShardAccts
-	// is each partition's own flow accounting (Σ a partition's
-	// decision yields = its delivered bytes, independently). Absent
-	// from pre-sharding daemons' responses.
-	DecisionShards int               `json:"decision_shards,omitempty"`
-	ShardAccts     []core.Accounting `json:"shard_accts,omitempty"`
 }

@@ -670,9 +670,6 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
 		obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
-	for _, w := range rep.ShardWaits {
-		fc.ShardWait(w.Shard, w.WaitUS)
-	}
 	fc.SetDegraded(rep.Degraded)
 	res := &ResultMsg{
 		Columns: rep.Result.Columns,
@@ -1102,14 +1099,13 @@ func (p *Proxy) decisions(q DecisionsMsg) DecisionsResultMsg {
 // decision-lock snapshots, so a stats scrape never observes the cache
 // mid-decision.
 func (p *Proxy) stats() StatsResultMsg {
+	acct := p.med.Accounting()
 	msg := StatsResultMsg{
-		Granularity:    p.gran.String(),
-		Acct:           p.med.Accounting(),
-		TransportTx:    p.nodeTx.Value(),
-		TransportRx:    p.nodeRx.Value(),
-		Queries:        p.med.Clock(),
-		DecisionShards: p.med.ShardCount(),
-		ShardAccts:     p.med.ShardAccountings(),
+		Granularity: p.gran.String(),
+		Acct:        acct,
+		TransportTx: p.nodeTx.Value(),
+		TransportRx: p.nodeRx.Value(),
+		Queries:     acct.Queries,
 	}
 	if ps, ok := p.med.PolicyStats(); ok {
 		msg.Policy = ps.Name

@@ -26,15 +26,10 @@ function val(unit,    i) {
 }
 /^BenchmarkMediatorDecide\// {
 	split($1, parts, "/")
-	cfg = parts[2]
-	mode = parts[3]
+	mode = parts[2]
 	sub(/-[0-9]+$/, "", mode)
-	dns[cfg "/" mode] = val("ns/op")
-	dlw[cfg "/" mode] = val("lockwait-us/op")
-	if (!(cfg in seen)) {
-		order[++ncfg] = cfg
-		seen[cfg] = 1
-	}
+	dns[mode] = val("ns/op")
+	dlw[mode] = val("lockwait-us/op")
 }
 END {
 	printf "{\n"
@@ -43,11 +38,8 @@ END {
 	printf "  \"speedup\": %.2f,\n", conc_qps / serial_qps
 	printf "  \"write_frame\": {\"ns_per_op\": %s, \"allocs_per_op\": %s},\n", fns, fallocs
 	printf "  \"decide_contention\": {\n"
-	printf "    \"note\": \"lockwait_us_per_op is time blocked on decision-partition locks per query — the serialization the sharded plane removes; ns/op additionally reflects host core count (a single-core host cannot show wall-clock parallel speedup)\",\n"
-	for (i = 1; i <= ncfg; i++) {
-		cfg = order[i]
-		printf "    \"%s\": {\"disjoint\": {\"ns_per_op\": %s, \"lockwait_us_per_op\": %s}, \"overlap\": {\"ns_per_op\": %s, \"lockwait_us_per_op\": %s}}%s\n", \
-			cfg, dns[cfg "/disjoint"], dlw[cfg "/disjoint"], dns[cfg "/overlap"], dlw[cfg "/overlap"], (i < ncfg ? "," : "")
-	}
+	printf "    \"note\": \"lockwait_us_per_op is time blocked on the decision lock per query; ns/op additionally reflects host core count\",\n"
+	printf "    \"disjoint\": {\"ns_per_op\": %s, \"lockwait_us_per_op\": %s},\n", dns["disjoint"], dlw["disjoint"]
+	printf "    \"overlap\": {\"ns_per_op\": %s, \"lockwait_us_per_op\": %s}\n", dns["overlap"], dlw["overlap"]
 	printf "  }\n}\n"
 }
