@@ -52,11 +52,12 @@ crash:
 	cat crash_recovery.log
 
 # A bounded fuzz of the decoders that face untrusted or crash-torn
-# bytes: the wire frame reader, the persistence WAL walker, and the
-# snapshot frame + policy-blob decoders must never panic or
-# over-allocate.
+# bytes: the wire frame reader, the binary query/result decoders, the
+# persistence WAL walker, and the snapshot frame + policy-blob decoders
+# must never panic or over-allocate.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/persist/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/persist/
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -17,24 +18,68 @@ import (
 	"bypassyield/internal/obs"
 )
 
-// TestWriteFrameAllocs pins the frame encoder's allocation budget: the
-// pooled encode buffer must hold steady-state frame writes to at most
-// one allocation (the occasional buffer growth inside encoding/json).
+// TestWriteFrameAllocs pins the frame encoder's allocation budget
+// where it is produced: a query (as a value and as a pointer) and a
+// 64×24 result with its 24 decisions append into the pooled buffer
+// and allocate nothing. Boxing a payload into WriteFrame's `any` is
+// the caller's allocation, so the payloads are boxed once out here.
 func TestWriteFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is deliberately leaky under the race detector")
 	}
-	payload := &QueryMsg{SQL: "select ra, dec from photoobj where ra between 0 and 350"}
-	if _, err := WriteFrame(io.Discard, MsgQuery, payload); err != nil {
-		t.Fatal(err) // warm the pool outside the measured runs
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := WriteFrame(io.Discard, MsgQuery, payload); err != nil {
-			t.Fatal(err)
+	query := QueryMsg{SQL: "select ra, dec from photoobj where ra between 0 and 350", TraceID: "00000000000000ab"}
+	for name, c := range map[string]struct {
+		typ     MsgType
+		payload any
+	}{
+		"query value":   {MsgQuery, query},
+		"query pointer": {MsgQuery, &query},
+		"bulk result":   {MsgResult, bulkResult(64, 24, true)},
+	} {
+		if _, err := WriteFrame(io.Discard, c.typ, c.payload); err != nil {
+			t.Fatal(err) // warm the pool outside the measured runs
 		}
-	})
-	if allocs > 1 {
-		t.Errorf("WriteFrame allocates %.1f per frame, want ≤ 1", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := WriteFrame(io.Discard, c.typ, c.payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: WriteFrame allocates %.1f per frame, want 0", name, allocs)
+		}
+	}
+}
+
+// TestDecodeResultAllocs pins the result decoder's budget for a 64×24
+// result without decisions, however many tuples and columns it has:
+//
+//	1  the ResultMsg that dst points to (it escapes through Decode's any)
+//	2  Tuples, the 64 row headers
+//	3  the one backing array all 64 rows are cut from
+//	4  the one string all 24 column names are cut from
+//	5  Columns, the 24 string headers
+//
+// With decisions, and with each error list, one more for its slice.
+func TestDecodeResultAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		msg  *ResultMsg
+		max  float64
+	}{
+		{"bulk", bulkResult(64, 24, false), 5},
+		{"bulk with decisions", bulkResult(64, 24, true), 6},
+		{"aggregate", bulkResult(1, 1, false), 5},
+	} {
+		body := encode(t, MsgResult, c.msg)
+		allocs := testing.AllocsPerRun(1000, func() {
+			var back ResultMsg
+			if err := Decode(body, &back); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: Decode allocates %.1f per result, want ≤ %.0f", c.name, allocs, c.max)
+		}
 	}
 }
 
@@ -45,6 +90,39 @@ func BenchmarkWriteFrame(b *testing.B) {
 		if _, err := WriteFrame(io.Discard, MsgQuery, payload); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkResultCodec is one result frame there and back — WriteFrame,
+// ReadFrame, Decode — at the two shapes of the federation benchmark's
+// codec loop (wire.encode_*_us + wire.decode_*_us): a 1×3 aggregate
+// and a 64×24 bulk result, each with a decision per column.
+func BenchmarkResultCodec(b *testing.B) {
+	for _, c := range []struct {
+		name         string
+		tuples, cols int
+	}{{"small", 1, 3}, {"bulk", 64, 24}} {
+		b.Run(c.name, func(b *testing.B) {
+			msg := bulkResult(c.tuples, c.cols, true)
+			var frame bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frame.Reset()
+				n, err := WriteFrame(&frame, MsgResult, msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, body, _, err := ReadFrame(&frame)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var back ResultMsg
+				if err := Decode(body, &back); err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(n))
+			}
+		})
 	}
 }
 

@@ -18,6 +18,7 @@ const DefaultDialTimeout = 5 * time.Second
 // database node for diagnostics).
 type Client struct {
 	conn net.Conn
+	buf  []byte // reply frames are read here; Decode copies out of it
 }
 
 // Dial connects to a proxy at addr, bounded by DefaultDialTimeout.
@@ -71,29 +72,11 @@ func (c *Client) QueryTraced(sql string, ctx obs.TraceContext) (*ResultMsg, erro
 		TraceID:    obs.FormatID(ctx.TraceID),
 		ParentSpan: obs.FormatID(ctx.SpanID),
 	}
-	if _, err := WriteFrame(c.conn, MsgQuery, q); err != nil {
+	var res ResultMsg
+	if err := c.roundTrip(MsgQuery, q, MsgResult, &res); err != nil {
 		return nil, err
 	}
-	t, body, _, err := ReadFrame(c.conn)
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case MsgResult:
-		var res ResultMsg
-		if err := Decode(body, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
-	case MsgError:
-		var e ErrorMsg
-		if err := Decode(body, &e); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("wire: server: %s", e.Message)
-	default:
-		return nil, fmt.Errorf("wire: unexpected response type %s", t)
-	}
+	return &res, nil
 }
 
 // roundTrip sends one request frame and decodes the expected
@@ -102,7 +85,12 @@ func (c *Client) roundTrip(req MsgType, payload any, want MsgType, dst any) erro
 	if _, err := WriteFrame(c.conn, req, payload); err != nil {
 		return err
 	}
-	t, body, _, err := ReadFrame(c.conn)
+	return c.reply(want, dst)
+}
+
+// reply reads one response frame: roundTrip's second half.
+func (c *Client) reply(want MsgType, dst any) error {
+	t, body, _, err := readFrameInto(c.conn, &c.buf)
 	if err != nil {
 		return err
 	}

@@ -1,0 +1,549 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"bypassyield/internal/catalog"
+	"bypassyield/internal/engine"
+)
+
+// Float64 patterns a text codec loses or refuses: both NaN kinds with
+// payload bits, the infinities, negative zero, the subnormal extremes.
+var hardFloats = []float64{
+	math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff),
+	math.MaxFloat64, 1.000123,
+}
+
+// bulkResult is the 64×24 result of the benchmark's codec loop
+// (bench/trace.go syntheticResult), with or without its decisions.
+func bulkResult(tuples, cols int, decisions bool) *ResultMsg {
+	msg := &ResultMsg{Rows: int64(tuples) * 1000, Bytes: int64(tuples*cols) * 8000}
+	for c := 0; c < cols; c++ {
+		msg.Columns = append(msg.Columns, "photoobj.col"+string(rune('a'+c)))
+		if decisions {
+			msg.Decisions = append(msg.Decisions, DecisionMsg{
+				Object: "edr/photoobj.col" + string(rune('a'+c)), Site: "photo.sdss.org",
+				Yield: int64(tuples) * 8000, Decision: "bypass"})
+		}
+	}
+	for t := 0; t < tuples; t++ {
+		row := make([]float64, cols)
+		for c := range row {
+			row[c] = float64(t*cols+c) * 1.000123
+		}
+		msg.Tuples = append(msg.Tuples, row)
+	}
+	return msg
+}
+
+// randomResult draws a message that uses every part of the layout
+// with some probability: empty and ragged tuples, hard floats, every
+// decision, flag and error-list combination.
+func randomResult(r *rand.Rand) *ResultMsg {
+	str := func() string {
+		b := make([]byte, r.Intn(20))
+		r.Read(b) // not UTF-8: the wire carries bytes
+		return string(b)
+	}
+	float := func() float64 {
+		if r.Intn(3) == 0 {
+			return hardFloats[r.Intn(len(hardFloats))]
+		}
+		return math.Float64frombits(r.Uint64())
+	}
+	siteErrors := func() []SiteErrorMsg {
+		var out []SiteErrorMsg
+		for i := r.Intn(3); i > 0; i-- {
+			out = append(out, SiteErrorMsg{Site: str(), Error: str(), LostBytes: r.Int63() - r.Int63()})
+		}
+		return out
+	}
+	m := &ResultMsg{Rows: r.Int63() - r.Int63(), Bytes: r.Int63() - r.Int63(), Partial: r.Intn(2) == 0}
+	for i := r.Intn(5); i > 0; i-- {
+		m.Columns = append(m.Columns, str())
+	}
+	width, ragged := r.Intn(5), r.Intn(4) == 0
+	for i := r.Intn(6); i > 0; i-- {
+		w := width
+		if ragged {
+			w = r.Intn(5)
+		}
+		row := make([]float64, w)
+		for j := range row {
+			row[j] = float()
+		}
+		m.Tuples = append(m.Tuples, row)
+	}
+	for i := r.Intn(4); i > 0; i-- {
+		m.Decisions = append(m.Decisions, DecisionMsg{
+			Object: str(), Site: str(), Yield: r.Int63() - r.Int63(),
+			Decision: decisionNames[r.Intn(len(decisionNames))],
+			Forced:   r.Intn(2) == 0, Failed: r.Intn(2) == 0, Reason: str(),
+		})
+	}
+	m.SiteErrors, m.TransportErrors = siteErrors(), siteErrors()
+	return m
+}
+
+// sameResult is deep equality with floats compared by their bits (NaN
+// equals the same NaN, 0 differs from −0) and an empty list equal to
+// an absent one, which the wire does not tell apart.
+func sameResult(a, b *ResultMsg) bool {
+	if len(a.Tuples) != len(b.Tuples) {
+		return false
+	}
+	for i := range a.Tuples {
+		if len(a.Tuples[i]) != len(b.Tuples[i]) {
+			return false
+		}
+		for j, v := range a.Tuples[i] {
+			if math.Float64bits(v) != math.Float64bits(b.Tuples[i][j]) {
+				return false
+			}
+		}
+	}
+	x, y := *a, *b
+	x.Tuples, y.Tuples = nil, nil
+	for _, m := range []*ResultMsg{&x, &y} {
+		if len(m.Columns) == 0 {
+			m.Columns = nil
+		}
+		if len(m.Decisions) == 0 {
+			m.Decisions = nil
+		}
+		if len(m.SiteErrors) == 0 {
+			m.SiteErrors = nil
+		}
+		if len(m.TransportErrors) == 0 {
+			m.TransportErrors = nil
+		}
+	}
+	return reflect.DeepEqual(x, y)
+}
+
+// encode frames payload and returns the body ReadFrame hands back.
+func encode(t *testing.T, typ MsgType, payload any) []byte {
+	t.Helper()
+	frame := encodeFrame(t, typ, payload)
+	got, body, n, err := ReadFrame(bytes.NewReader(frame))
+	if err != nil || got != typ || n != len(frame) {
+		t.Fatalf("ReadFrame = (%v, %d bytes, %v), wrote %v, %d bytes", got, n, err, typ, len(frame))
+	}
+	return body
+}
+
+// TestResultRoundTrip is the codec's property: Decode(WriteFrame(m))
+// is m, bit for bit, whether m travels as a value or a pointer.
+func TestResultRoundTrip(t *testing.T) {
+	allFlags := &ResultMsg{Columns: []string{"t.a"}, Partial: true,
+		SiteErrors:      []SiteErrorMsg{{Site: "spec.sdss.org", Error: "breaker open", LostBytes: 1 << 40}},
+		TransportErrors: []SiteErrorMsg{{Site: "photo.sdss.org", Error: "i/o timeout"}, {}}}
+	for i, name := range decisionNames {
+		for f := 0; f < 4; f++ {
+			allFlags.Decisions = append(allFlags.Decisions, DecisionMsg{
+				Object: "edr/photoobj.ra", Site: "photo.sdss.org", Yield: int64(i*4+f) - 3,
+				Decision: name, Forced: f&1 != 0, Failed: f&2 != 0,
+				Reason: strings.Repeat("breaker open site=photo.sdss.org ", f)})
+		}
+	}
+	hard := &ResultMsg{Columns: []string{"x"}, Rows: math.MinInt64, Bytes: math.MaxInt64}
+	for i := 0; i < len(hardFloats); i += 4 {
+		hard.Tuples = append(hard.Tuples, hardFloats[i:i+4])
+	}
+	cases := []*ResultMsg{
+		{}, // empty
+		{Columns: []string{"count(*)"}, Rows: 1, Bytes: 8, Tuples: [][]float64{{42}}}, // 1×1 aggregate
+		bulkResult(64, 24, true),
+		{Columns: []string{"a", "b"}, Tuples: [][]float64{{1, 2}, {}, {3}, nil, {4, 5, 6}}}, // ragged
+		{Tuples: [][]float64{{}, {}, {}}},                                   // rectangular, width 0
+		{Columns: []string{"a"}, Tuples: [][]float64{{1, 2, 3}, {4, 5, 6}}}, // wider than its header
+		hard,
+		allFlags,
+	}
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 500; i++ {
+		cases = append(cases, randomResult(r))
+	}
+	for i, m := range cases {
+		for _, payload := range []any{m, *m} {
+			var back ResultMsg
+			if err := Decode(encode(t, MsgResult, payload), &back); err != nil {
+				t.Fatalf("case %d: %+v: %v", i, m, err)
+			}
+			if !sameResult(m, &back) {
+				t.Fatalf("case %d (%T):\n sent %+v\n got  %+v", i, payload, m, &back)
+			}
+		}
+	}
+}
+
+func TestQueryRoundTrip(t *testing.T) {
+	for _, q := range []QueryMsg{
+		{},
+		{SQL: "select ra, dec from photoobj where ra between 0 and 350"},
+		{SQL: "select 1", TraceID: "00000000000000ab", ParentSpan: "ffffffffffffffff"},
+		{SQL: strings.Repeat("x", 70000), TraceID: "not-hex"},
+	} {
+		for _, payload := range []any{q, &q} {
+			var back QueryMsg
+			if err := Decode(encode(t, MsgQuery, payload), &back); err != nil {
+				t.Fatal(err)
+			}
+			if back != q {
+				t.Fatalf("sent %+v (%T), got %+v", q, payload, back)
+			}
+		}
+	}
+}
+
+// TestDecodeTruncation cuts a valid body at every offset, and extends
+// it: each must be an error, never a panic or a partial message.
+func TestDecodeTruncation(t *testing.T) {
+	res := encode(t, MsgResult, bulkResult(3, 2, true))
+	ragged := encode(t, MsgResult, &ResultMsg{Columns: []string{"a"}, Tuples: [][]float64{{1}, {2, 3}},
+		Partial: true, SiteErrors: []SiteErrorMsg{{Site: "s", Error: "e", LostBytes: 9}}})
+	query := encode(t, MsgQuery, QueryMsg{SQL: "select 1", TraceID: "00000000000000ab"})
+	for _, c := range []struct {
+		body []byte
+		dst  func() any
+	}{
+		{res, func() any { return &ResultMsg{Rows: -1} }},
+		{ragged, func() any { return &ResultMsg{Rows: -1} }},
+		{query, func() any { return &QueryMsg{SQL: "untouched"} }},
+	} {
+		for cut := 0; cut < len(c.body); cut++ {
+			dst, want := c.dst(), c.dst()
+			if err := Decode(c.body[:cut], dst); err == nil {
+				t.Fatalf("%T cut at %d of %d decoded", dst, cut, len(c.body))
+			}
+			if !reflect.DeepEqual(dst, want) {
+				t.Fatalf("%T cut at %d: a failed decode wrote %+v", dst, cut, dst)
+			}
+		}
+		if err := Decode(append(c.body[:len(c.body):len(c.body)], 0), c.dst()); err == nil {
+			t.Fatalf("%T with a trailing byte decoded", c.dst())
+		}
+	}
+}
+
+// TestDecodeBoundsCounts: a count is an error, not a make, when the
+// bytes behind it could not hold that many elements.
+func TestDecodeBoundsCounts(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<32)
+	head := []byte{formatBinary, 0, 0, 0} // flags, Rows, Bytes
+	bodies := map[string][]byte{
+		"tuples":        append(append([]byte{}, head...), append(huge, 1, 0, 0)...),
+		"width":         append(append([]byte{}, head...), append([]byte{1}, huge...)...),
+		"zero width":    append(append([]byte{}, head...), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"ragged tuples": append([]byte{formatBinary, resultRagged, 0, 0}, huge...),
+		"ragged width":  append([]byte{formatBinary, resultRagged, 0, 0, 1}, huge...),
+		"columns":       append(append(append([]byte{}, head...), 0), huge...),
+		"decisions":     append(append(append([]byte{}, head...), 0, 0), huge...),
+		"site errors":   append(append(append([]byte{}, head...), 0, 0, 0), huge...),
+		"string":        append(append(append([]byte{}, head...), 0, 1), huge...),
+		"bad verdict":   append(append([]byte{}, head...), 0, 0, 1, 0, 0, 0, 9, 0, 0, 0, 0),
+		"bad flags":     {formatBinary, 0x80, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for name, body := range bodies {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		err := Decode(body, &ResultMsg{})
+		runtime.ReadMemStats(&ms1)
+		if err == nil || errors.Is(err, ErrProtocolVersion) {
+			t.Errorf("%s: err = %v, want a malformed-payload error", name, err)
+		}
+		if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew > 64<<10 {
+			t.Errorf("%s: refusing a %d-byte body allocated %d bytes", name, len(body), grew)
+		}
+	}
+	if err := Decode(append([]byte{formatBinary}, huge...), &QueryMsg{}); err == nil {
+		t.Error("query: a 2³² string length in a 6-byte body decoded")
+	}
+}
+
+// jsonFrame hand-frames a protocol-1 payload, as a peer built before
+// the binary layout would send it.
+func jsonFrame(t *testing.T, typ MsgType, payload any) []byte {
+	t.Helper()
+	body, err := json.Marshal(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rawFrame(byte(typ), body)
+}
+
+// refusedByVersion sends a protocol-1 query to a daemon and checks it
+// is told why, in a frame it can read, and that the daemon goes on
+// serving: the same connection, then a new one.
+func refusedByVersion(t *testing.T, addr, goodSQL string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn)
+	defer c.Close()
+	if _, err := conn.Write(jsonFrame(t, MsgQuery, map[string]string{"sql": "select 1"})); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, _, err := ReadFrame(conn)
+	if err != nil || typ != MsgError {
+		t.Fatalf("reply = (%v, %v), want a MsgError", typ, err)
+	}
+	var e struct{ Message string } // as an old client parses it
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("the refusal is not JSON: %v", err)
+	}
+	for _, want := range []string{"protocol version", "protocol 1", "protocol 2"} {
+		if !strings.Contains(e.Message, want) {
+			t.Errorf("refusal %q does not name %q", e.Message, want)
+		}
+	}
+	if _, err := c.Query(goodSQL); err != nil {
+		t.Fatalf("connection after the refusal: %v", err)
+	}
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := c2.Query(goodSQL); err != nil {
+		t.Fatalf("next connection: %v", err)
+	}
+}
+
+func TestProxyRefusesProtocol1Query(t *testing.T) {
+	p, _, done := newSimProxy(t, nil)
+	defer done()
+	refusedByVersion(t, p.ln.Addr().String(), "select ra from photoobj where ra < 10")
+}
+
+// listenNode starts a quiet node for one site of a schema and returns
+// it with its address; the test's cleanup closes it.
+func listenNode(t *testing.T, site string, s *catalog.Schema, cfg engine.Config) (*DBNode, string) {
+	t.Helper()
+	db, err := engine.Open(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewDBNode(site, db)
+	n.SetLogf(func(string, ...any) {})
+	addr, err := n.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n, addr
+}
+
+func TestDBNodeRefusesProtocol1Query(t *testing.T) {
+	_, addr := listenNode(t, catalog.SiteSpec, catalog.EDR(), engine.Config{Seed: 1, SampleEvery: 100000})
+	refusedByVersion(t, addr, "select z from specobj where z < 1")
+}
+
+func TestClientRefusesProtocol1Result(t *testing.T) {
+	server, client := net.Pipe()
+	c := NewClient(client)
+	defer c.Close()
+	old := jsonFrame(t, MsgResult, map[string]any{"columns": []string{"a"}, "rows": 1, "bytes": 8})
+	go func() {
+		defer server.Close()
+		if _, _, _, err := ReadFrame(server); err == nil {
+			server.Write(old)
+		}
+	}()
+	_, err := c.Query("select 1")
+	if !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("err = %v, want ErrProtocolVersion", err)
+	}
+}
+
+// nanSchema is one table whose flux column synthesizes as NaN and
+// whose err column as +Inf: results JSON could not carry.
+func nanSchema() *catalog.Schema {
+	return &catalog.Schema{Name: "nan", Tables: []catalog.Table{{
+		Name: "t", Rows: 4, Site: "nan.site",
+		Columns: []catalog.Column{
+			{Name: "id", Type: catalog.Int64, Max: 4, Key: true},
+			{Name: "flux", Type: catalog.Float64, Min: math.NaN(), Max: math.NaN()},
+			{Name: "err", Type: catalog.Float64, Min: 1, Max: math.Inf(1)},
+		},
+	}}}
+}
+
+// TestNaNResultReachesClient is the regression test for the silent
+// send: a NaN tuple used to fail json.Marshal inside DBNode.send,
+// which dropped the error, sent nothing and left the closed-loop
+// client waiting forever. It must now arrive, bit for bit.
+func TestNaNResultReachesClient(t *testing.T) {
+	n, addr := listenNode(t, "nan.site", nanSchema(), engine.Config{Seed: 1})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second)) // the old failure was a hang
+
+	stmt := "select flux, err from t"
+	want, err := n.execute(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Tuples) != 4 || !math.IsNaN(got.Tuples[0][0]) || !math.IsInf(got.Tuples[0][1], 1) {
+		t.Fatalf("tuples = %v, want 4 rows of (NaN, +Inf)", got.Tuples)
+	}
+	if !sameResult(want, got) {
+		t.Fatalf("executed %+v\nreceived %+v", want, got)
+	}
+}
+
+// TestSendAnswersEncodeFailure: a reply that cannot be encoded (here a
+// decision the layout has no byte for) becomes a MsgError on the same
+// connection, for the proxy and the node alike.
+func TestSendAnswersEncodeFailure(t *testing.T) {
+	p, _, done := newSimProxy(t, nil)
+	defer done()
+	n := NewDBNode("s", tinyDB(t))
+	bad := &ResultMsg{Decisions: []DecisionMsg{{Object: "edr/photoobj", Decision: "evict"}}}
+	for name, send := range map[string]func(net.Conn, MsgType, any){"proxy": p.send, "node": n.send} {
+		server, client := net.Pipe()
+		go func() {
+			send(server, MsgResult, bad)
+			send(server, MsgPong, PongMsg{Site: "still here"})
+		}()
+		c := NewClient(client)
+		var res ResultMsg
+		err := c.reply(MsgResult, &res)
+		if err == nil || !strings.Contains(err.Error(), `decision "evict"`) {
+			t.Fatalf("%s: err = %v, want the encode failure as a server error", name, err)
+		}
+		var pong PongMsg
+		if err := c.reply(MsgPong, &pong); err != nil || pong.Site != "still here" {
+			t.Fatalf("%s: connection after the failure: %+v, %v", name, pong, err)
+		}
+		c.Close()
+		server.Close()
+	}
+	if got := n.errs.Value(); got != 1 {
+		t.Errorf("dbnode.errors = %d, want 1", got)
+	}
+}
+
+// TestSendClosesOnWriteFailure: when the frame cannot be written the
+// connection is closed, so the serve loop ends instead of reading on.
+func TestSendClosesOnWriteFailure(t *testing.T) {
+	p, _, done := newSimProxy(t, nil)
+	defer done()
+	n := NewDBNode("s", tinyDB(t))
+	for name, send := range map[string]func(net.Conn, MsgType, any){"proxy": p.send, "node": n.send} {
+		server, client := net.Pipe()
+		client.Close() // every write to server now fails
+		send(server, MsgPong, PongMsg{})
+		if _, err := server.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+			t.Errorf("%s: read after a failed send = %v, want a closed connection", name, err)
+		}
+	}
+}
+
+// tinyDB opens the smallest engine a DBNode can be built around.
+func tinyDB(t *testing.T) *engine.DB {
+	t.Helper()
+	db, err := engine.Open(nanSchema(), engine.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestReadFrameIntoReusesBuffer: a connection's second frame lands in
+// the first one's storage, and a giant frame's buffer is not kept.
+func TestReadFrameIntoReusesBuffer(t *testing.T) {
+	var stream bytes.Buffer
+	for _, sql := range []string{"select ra, dec from photoobj", "select z from specobj"} {
+		if _, err := WriteFrame(&stream, MsgQuery, QueryMsg{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	_, first, _, err := readFrameInto(&stream, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, second, _, err := readFrameInto(&stream, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &second[0] {
+		t.Error("the second frame was read into fresh storage")
+	}
+	var q QueryMsg
+	if err := Decode(second, &q); err != nil || q.SQL != "select z from specobj" {
+		t.Fatalf("second frame = %+v, %v", q, err)
+	}
+
+	stream.Reset()
+	if _, err := WriteFrame(&stream, MsgQuery, QueryMsg{SQL: strings.Repeat("x", frameBufMaxCap+1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, body, _, err := readFrameInto(&stream, &buf); err != nil || len(body) <= frameBufMaxCap || buf != nil {
+		t.Fatalf("giant frame: %d bytes, %v, kept a buffer of cap %d", len(body), err, cap(buf))
+	}
+}
+
+// TestReadReplyDrains: replies the proxy does not act on are consumed
+// without a body; an error reply keeps it; the stream stays in frame.
+func TestReadReplyDrains(t *testing.T) {
+	var stream bytes.Buffer
+	n1, _ := WriteFrame(&stream, MsgResult, bulkResult(64, 24, false))
+	n2, _ := WriteFrame(&stream, MsgError, ErrorMsg{Message: "table photoobj is owned by photo.sdss.org"})
+	n3, _ := WriteFrame(&stream, MsgFetchAck, FetchAckMsg{Object: "edr/photoobj", Size: 7})
+	for i, want := range []struct {
+		t    MsgType
+		n    int
+		body bool
+	}{{MsgResult, n1, false}, {MsgError, n2, true}, {MsgFetchAck, n3, false}} {
+		typ, body, n, err := readReply(&stream)
+		if err != nil || typ != want.t || n != want.n || (body != nil) != want.body {
+			t.Fatalf("reply %d = (%v, %d-byte body, %d, %v), want (%v, body %v, %d)",
+				i, typ, len(body), n, err, want.t, want.body, want.n)
+		}
+		if err := nodeError("photo.sdss.org", typ, body); (err != nil) != want.body {
+			t.Fatalf("reply %d: nodeError = %v", i, err)
+		}
+	}
+	if stream.Len() != 0 {
+		t.Fatalf("%d bytes left unread", stream.Len())
+	}
+	trunc := bytes.NewReader(encodeFrame(t, MsgResult, bulkResult(4, 4, false))[:40])
+	if _, _, _, err := readReply(trunc); err == nil {
+		t.Fatal("a truncated reply drained without error")
+	}
+}
+
+// encodeFrame is WriteFrame into memory: the whole frame.
+func encodeFrame(t testing.TB, typ MsgType, payload any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := WriteFrame(&buf, typ, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

@@ -149,10 +149,11 @@ func (n *DBNode) acceptLoop() {
 }
 
 func (n *DBNode) serveConn(conn net.Conn) {
+	var buf []byte // this connection's frames; Decode copies out of it
 	for {
-		t, body, rn, err := ReadFrame(conn)
+		t, body, rn, err := readFrameInto(conn, &buf)
 		if err != nil {
-			return // peer closed or protocol failure; drop the conn
+			return // peer closed, protocol failure or a failed send; drop the conn
 		}
 		n.rxBytes.Add(int64(rn))
 		switch t {
@@ -231,10 +232,19 @@ func (n *DBNode) continueSpan(ctx obs.TraceContext, name string, attrs ...obs.At
 	return n.tracer.Child(ctx, name, attrs...)
 }
 
-// send writes one frame, counting transport bytes.
+// send writes one frame, counting transport bytes. The peer is a
+// closed loop waiting for exactly one reply, so no failure may be
+// silent: a payload that does not encode is answered with a MsgError,
+// and a failed write closes the connection, which ends serveConn at
+// its next read.
 func (n *DBNode) send(conn net.Conn, t MsgType, payload any) {
 	wn, err := WriteFrame(conn, t, payload)
+	if errors.Is(err, errEncode) {
+		n.errs.Add(1)
+		wn, err = WriteFrame(conn, MsgError, ErrorMsg{Message: err.Error()})
+	}
 	if err != nil {
+		conn.Close()
 		return
 	}
 	n.txBytes.Add(int64(wn))

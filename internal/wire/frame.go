@@ -4,17 +4,58 @@
 // (byproxyd) that collocates the mediator with a bypass-yield cache.
 //
 // Framing is length-prefixed: a 4-byte big-endian payload length, a
-// 1-byte message type, then a JSON payload. Result tuples are bounded
+// 1-byte message type, then the payload. Result tuples are bounded
 // (engine.Config.MaxResultRows), so frames stay small; the paper's
 // gigabyte-scale flows are accounted logically (see the Proxy type).
+//
+// The two payloads on the query path, MsgQuery and MsgResult, are
+// binary (protocol 2). Every other message — errors, fetches, pings
+// and the scrape messages — is a JSON object, as all payloads were in
+// protocol 1. Integers are encoding/binary varints (uvarint for
+// counts and lengths, zig-zag varint for Rows, Bytes, Yield and
+// LostBytes), str is a uvarint length followed by that many bytes,
+// and a float64 is its IEEE-754 bits, little-endian, so NaN payloads,
+// ±Inf, −0 and subnormals survive bit for bit.
+//
+//	MsgQuery
+//	  byte     format = 2
+//	  str      SQL
+//	  str      TraceID     (empty when untraced)
+//	  str      ParentSpan  (empty when untraced)
+//
+//	MsgResult
+//	  byte     format = 2
+//	  byte     flags: 1 = Partial, 2 = ragged tuples
+//	  varint   Rows
+//	  varint   Bytes
+//	  uvarint  number of tuples n, then
+//	             rectangular, n > 0: uvarint width w ≥ 1, float64 × n·w
+//	             ragged: n × (uvarint width, float64 × width)
+//	  uvarint  number of columns, then a str each
+//	  uvarint  number of decisions, then each:
+//	             str Object, str Site, varint Yield,
+//	             byte decision (0 hit, 1 bypass, 2 load, 3 failed),
+//	             byte flags (1 = Forced, 2 = Failed), str Reason
+//	  uvarint  number of site errors, then each:
+//	             str Site, str Error, varint LostBytes
+//	  uvarint  number of transport errors, same layout
+//
+// A body must be consumed exactly; a count is checked against the
+// bytes that remain before anything is allocated for it. The format
+// byte is never '{', so a protocol-1 peer's JSON query or result is
+// recognised and refused with ErrProtocolVersion — answered as a JSON
+// MsgError, which that peer can read. There is no negotiation:
+// clients (byquery, bysynth, byreplay, byinspect) are rebuilt with the
+// daemons.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 )
 
@@ -107,55 +148,90 @@ func (t MsgType) String() string {
 // prefixes).
 const MaxFrame = 16 << 20
 
-// frameBuf is a reusable encode buffer: the buffer accumulates header
-// and payload so a frame hits the socket in one Write, and the encoder
-// is bound to the buffer once so steady-state encoding reuses its
-// scratch space instead of reallocating per frame.
+// frameHeader is the length prefix plus the type byte.
+const frameHeader = 5
+
+// formatBinary opens every MsgQuery and MsgResult payload: the
+// protocol version whose layout the package comment gives.
+const formatBinary = 2
+
+// ErrProtocolVersion reports a query or result payload that is not in
+// this build's binary layout — in practice a peer built before
+// protocol 2, whose payloads were JSON. The daemons answer it with a
+// MsgError (JSON, so that peer can read it) and keep serving.
+var ErrProtocolVersion = errors.New("wire: protocol version mismatch")
+
+// errEncode marks a WriteFrame failure that put nothing on the wire:
+// the payload could not be encoded, or encoded beyond MaxFrame.
+var errEncode = errors.New("wire: encode")
+
+// errMalformed is every way a binary payload can be cut short, overrun
+// or claim more elements than its bytes could hold.
+var errMalformed = errors.New("malformed binary payload")
+
+// binaryMsg is a payload with a binary layout: QueryMsg and ResultMsg,
+// as values or pointers. Anything else is encoded as JSON.
+type binaryMsg interface {
+	appendBinary(b []byte) ([]byte, error)
+}
+
+// frameBuf is a reusable encode buffer: it accumulates header and
+// payload so a frame hits the socket in one Write. Binary payloads
+// append to b directly; the JSON encoder is bound to the buffer once,
+// so scrape and error frames reuse its scratch space too.
 type frameBuf struct {
-	buf bytes.Buffer
+	b   []byte
 	enc *json.Encoder
 }
 
-// frameBufMaxCap bounds buffers returned to the pool; an occasional
+func (fb *frameBuf) Write(p []byte) (int, error) {
+	fb.b = append(fb.b, p...)
+	return len(p), nil
+}
+
+// frameBufMaxCap bounds buffers that are kept for reuse (encode
+// buffers in the pool, per-connection read buffers); an occasional
 // giant frame must not pin megabytes of scratch forever.
 const frameBufMaxCap = 1 << 20
 
 var framePool = sync.Pool{
 	New: func() any {
 		fb := &frameBuf{}
-		fb.enc = json.NewEncoder(&fb.buf)
+		fb.enc = json.NewEncoder(fb)
 		return fb
 	},
 }
 
 // WriteFrame writes one frame and returns the bytes put on the wire.
-// Encode buffers are pooled (≤ 1 allocation per frame steady-state —
-// see BenchmarkWriteFrame) and each frame reaches w in a single Write.
+// Encode buffers are pooled — a QueryMsg or ResultMsg costs no
+// allocation steady-state, see TestWriteFrameAllocs — and each frame
+// reaches w in a single Write. An error that wraps errEncode means
+// nothing was written.
 func WriteFrame(w io.Writer, t MsgType, payload any) (int, error) {
 	fb := framePool.Get().(*frameBuf)
 	defer func() {
-		if fb.buf.Cap() <= frameBufMaxCap {
+		if cap(fb.b) <= frameBufMaxCap {
 			framePool.Put(fb)
 		}
 	}()
-	fb.buf.Reset()
-	var hdr [5]byte // length+type placeholder, patched below
-	fb.buf.Write(hdr[:])
-	if err := fb.enc.Encode(payload); err != nil {
-		return 0, fmt.Errorf("wire: marshal: %w", err)
+	fb.b = append(fb.b[:0], 0, 0, 0, 0, byte(t)) // length patched below
+	var err error
+	if m, ok := payload.(binaryMsg); ok {
+		fb.b, err = m.appendBinary(fb.b)
+	} else if err = fb.enc.Encode(payload); err == nil {
+		fb.b = fb.b[:len(fb.b)-1] // Encode appends a newline
 	}
-	frame := fb.buf.Bytes()
-	body := len(frame) - len(hdr) - 1 // Encode appends a trailing newline
-	frame = frame[:len(hdr)+body]
-	if body > MaxFrame {
-		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", body)
+	if err == nil && len(fb.b)-frameHeader > MaxFrame {
+		err = fmt.Errorf("frame of %d bytes exceeds limit", len(fb.b)-frameHeader)
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(body))
-	frame[4] = byte(t)
-	if _, err := w.Write(frame); err != nil {
+	if err != nil {
+		return 0, fmt.Errorf("%w: %w", errEncode, err)
+	}
+	binary.BigEndian.PutUint32(fb.b[:4], uint32(len(fb.b)-frameHeader))
+	if _, err := w.Write(fb.b); err != nil {
 		return 0, err
 	}
-	return len(frame), nil
+	return len(fb.b), nil
 }
 
 // readChunk bounds each body allocation: a corrupt length prefix
@@ -163,55 +239,221 @@ func WriteFrame(w io.Writer, t MsgType, payload any) (int, error) {
 // front. Bodies grow chunk by chunk as bytes actually appear.
 const readChunk = 64 << 10
 
-// ReadFrame reads one frame and returns its type, body, and total
-// bytes consumed. Frames with an unassigned type byte or a length
-// prefix beyond MaxFrame are rejected before the body is read — a
-// corrupt or adversarial header cannot make the reader allocate or
-// block for a payload that will never parse.
-func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, err
+// readHeader reads and checks a frame header into hdr. Frames with an
+// unassigned type byte or a length prefix beyond MaxFrame are rejected
+// before the body is read — a corrupt or adversarial header cannot
+// make the reader allocate or block for a payload that will never
+// parse.
+func readHeader(r io.Reader, hdr []byte) (MsgType, int, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > MaxFrame {
-		return 0, nil, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
+		return 0, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
 	}
 	t := MsgType(hdr[4])
 	if t == 0 || t > maxMsgType {
-		return 0, nil, 0, fmt.Errorf("wire: unknown message type %d", hdr[4])
+		return 0, 0, fmt.Errorf("wire: unknown message type %d", hdr[4])
 	}
-	// Small frames (the common case) allocate once; larger claims grow
-	// incrementally so a truncated body wastes at most one chunk.
-	size := int(n)
-	alloc := size
-	if alloc > readChunk {
-		alloc = readChunk
-	}
-	body := make([]byte, 0, alloc)
-	for len(body) < size {
-		next := len(body) + readChunk
-		if next > size {
-			next = size
-		}
-		if cap(body) < next {
-			grown := make([]byte, len(body), next)
-			copy(grown, body)
-			body = grown
-		}
-		m, err := io.ReadFull(r, body[len(body):next])
-		body = body[:len(body)+m]
-		if err != nil {
-			return 0, nil, 0, err
-		}
-	}
-	return t, body, len(hdr) + size, nil
+	return t, int(n), nil
 }
 
-// Decode unmarshals a frame body.
+// ReadFrame reads one frame and returns its type, body, and total
+// bytes consumed. The body is the caller's to keep.
+func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
+	var buf []byte
+	return readFrameInto(r, &buf)
+}
+
+// readFrameInto is ReadFrame for a connection's read loop: the frame
+// is read into *buf, which is grown as needed and left in place for
+// the next call, so the body is valid only until then. Decode copies
+// everything it keeps.
+func readFrameInto(r io.Reader, buf *[]byte) (MsgType, []byte, int, error) {
+	b := *buf
+	if cap(b) < frameHeader {
+		b = make([]byte, frameHeader, 256)
+	}
+	b = b[:frameHeader]
+	t, n, err := readHeader(r, b)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if b, err = readBody(r, b, frameHeader+n); err != nil {
+		return 0, nil, 0, err
+	}
+	if cap(b) <= frameBufMaxCap {
+		*buf = b
+	} else {
+		*buf = nil
+	}
+	return t, b[frameHeader:], len(b), nil
+}
+
+// readBody extends b, a frame's header, to the whole frame of size
+// bytes. A frame that fits b's capacity (the common case on a reused
+// buffer) is one read; beyond it b grows a chunk at a time, so a
+// truncated body wastes at most one chunk.
+func readBody(r io.Reader, b []byte, size int) ([]byte, error) {
+	for len(b) < size {
+		next := min(size, max(cap(b), len(b)+readChunk))
+		if cap(b) < next {
+			grown := make([]byte, len(b), next)
+			copy(grown, b)
+			b = grown
+		}
+		m, err := io.ReadFull(r, b[len(b):next])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
+}
+
+// readReply reads one frame for a caller that acts on a reply only
+// when it is an error: a MsgError body is returned, the body of any
+// other type is discarded as it arrives and never materialised.
+func readReply(r io.Reader) (MsgType, []byte, int, error) {
+	var hdr [frameHeader]byte
+	t, n, err := readHeader(r, hdr[:])
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	if t != MsgError {
+		_, err = io.CopyN(io.Discard, r, int64(n))
+		return t, nil, frameHeader + n, err
+	}
+	b, err := readBody(r, hdr[:], frameHeader+n)
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	return t, b[frameHeader:], len(b), nil
+}
+
+// Decode unmarshals a frame body into dst: the binary layout for a
+// *QueryMsg or *ResultMsg, JSON for every other message. Nothing in
+// dst aliases body afterwards.
 func Decode(body []byte, dst any) error {
-	if err := json.Unmarshal(body, dst); err != nil {
+	var err error
+	switch m := dst.(type) {
+	case *QueryMsg:
+		err = m.decodeBinary(body)
+	case *ResultMsg:
+		err = m.decodeBinary(body)
+	default:
+		err = json.Unmarshal(body, dst)
+	}
+	if err != nil {
 		return fmt.Errorf("wire: decode: %w", err)
 	}
 	return nil
+}
+
+// checkFormat accepts a binary payload's first byte and names what it
+// refuses: a '{' is a protocol-1 peer's JSON object.
+func checkFormat(body []byte) error {
+	switch {
+	case len(body) == 0:
+		return errMalformed
+	case body[0] == formatBinary:
+		return nil
+	case body[0] == '{':
+		return fmt.Errorf("%w: peer sent a protocol 1 (JSON) payload, this build speaks protocol %d (binary) only; rebuild the peer",
+			ErrProtocolVersion, formatBinary)
+	default:
+		return fmt.Errorf("%w: payload format %d, this build speaks protocol %d only",
+			ErrProtocolVersion, body[0], formatBinary)
+	}
+}
+
+// appendStr appends a length-prefixed string.
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+// cursor reads the fields of a binary payload. The first failure
+// sticks and empties the cursor: every later read returns zero, so a
+// decoder runs straight through and checks done once. Nothing is
+// allocated on a count's say-so: count bounds it by the bytes left.
+type cursor struct {
+	b   []byte
+	s   string // string(b) where strings are read: each is cut from it, one allocation for all
+	off int
+	err error
+}
+
+func (c *cursor) fail() {
+	c.err = errMalformed
+	c.off = len(c.b)
+}
+
+func (c *cursor) remaining() int { return len(c.b) - c.off }
+
+// done reports a payload that failed to parse or was not consumed
+// exactly.
+func (c *cursor) done() error {
+	if c.err != nil || c.off != len(c.b) {
+		return errMalformed
+	}
+	return nil
+}
+
+func (c *cursor) byte() byte {
+	if c.off >= len(c.b) {
+		c.fail()
+		return 0
+	}
+	v := c.b[c.off]
+	c.off++
+	return v
+}
+
+func (c *cursor) uvarint() uint64 {
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail()
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+func (c *cursor) varint() int64 {
+	v, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		c.fail()
+		return 0
+	}
+	c.off += n
+	return v
+}
+
+// count reads the number of elements that follow, each at least
+// `each` bytes on the wire, and fails on one the remaining bytes
+// could not hold — so a caller may allocate count elements.
+func (c *cursor) count(each int) int {
+	v := c.uvarint()
+	if v > uint64(c.remaining()/each) {
+		c.fail()
+		return 0
+	}
+	return int(v)
+}
+
+func (c *cursor) str() string {
+	n := c.count(1)
+	v := c.s[c.off : c.off+n]
+	c.off += n
+	return v
+}
+
+// floats fills dst, whose length the caller took from count(8·…).
+func (c *cursor) floats(dst []float64) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off+8*i:]))
+	}
+	c.off += 8 * len(dst)
 }

@@ -3,27 +3,32 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// rawFrame hand-frames a body, whatever it holds.
+func rawFrame(typ byte, body []byte) []byte {
+	var hdr [frameHeader]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
+	hdr[4] = typ
+	return append(hdr[:], body...)
+}
+
 func TestReadFrameRejectsUnknownType(t *testing.T) {
-	frame := func(typ byte, body []byte) []byte {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-		hdr[4] = typ
-		return append(hdr[:], body...)
-	}
 	for _, typ := range []byte{0, byte(maxMsgType) + 1, 200, 255} {
-		_, _, _, err := ReadFrame(bytes.NewReader(frame(typ, []byte("{}"))))
+		_, _, _, err := ReadFrame(bytes.NewReader(rawFrame(typ, []byte("{}"))))
 		if err == nil || !strings.Contains(err.Error(), "unknown message type") {
 			t.Fatalf("type %d: err = %v, want unknown-type rejection", typ, err)
 		}
 	}
 	// Every assigned type still reads.
 	for typ := MsgQuery; typ <= maxMsgType; typ++ {
-		got, body, n, err := ReadFrame(bytes.NewReader(frame(byte(typ), []byte("{}"))))
+		got, body, n, err := ReadFrame(bytes.NewReader(rawFrame(byte(typ), []byte("{}"))))
 		if err != nil || got != typ || string(body) != "{}" || n != 7 {
 			t.Fatalf("type %d: got (%v, %q, %d, %v)", typ, got, body, n, err)
 		}
@@ -72,19 +77,13 @@ func TestReadFrameLargeBodyRoundTrip(t *testing.T) {
 // never panic, never allocate beyond the claimed (bounded) size, and
 // on success must report a type/length consistent with the input.
 func FuzzReadFrame(f *testing.F) {
-	seed := func(typ byte, body []byte) []byte {
-		var hdr [5]byte
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-		hdr[4] = typ
-		return append(hdr[:], body...)
-	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
-	f.Add(seed(byte(MsgQuery), []byte(`{"sql":"select 1"}`)))
-	f.Add(seed(byte(MsgPong), []byte(`{}`)))
-	f.Add(seed(0, []byte(`{}`)))
-	f.Add(seed(255, []byte(`{}`)))
-	f.Add(seed(byte(MsgResult), bytes.Repeat([]byte{'a'}, 2*readChunk)))
+	f.Add(rawFrame(byte(MsgQuery), []byte(`{"sql":"select 1"}`)))
+	f.Add(rawFrame(byte(MsgPong), []byte(`{}`)))
+	f.Add(rawFrame(0, []byte(`{}`)))
+	f.Add(rawFrame(255, []byte(`{}`)))
+	f.Add(rawFrame(byte(MsgResult), bytes.Repeat([]byte{'a'}, 2*readChunk)))
 	var huge [5]byte
 	binary.BigEndian.PutUint32(huge[:4], MaxFrame+1)
 	f.Add(huge[:])
@@ -107,4 +106,113 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("length prefix %d, body %d", want, len(body))
 		}
 	})
+}
+
+// footprint is the memory a decoded result holds: what its slices can
+// address plus its string bytes.
+func footprint(m *ResultMsg) int {
+	n := cap(m.Tuples)*24 + cap(m.Columns)*16 + cap(m.Decisions)*80 +
+		(cap(m.SiteErrors)+cap(m.TransportErrors))*40
+	for _, row := range m.Tuples {
+		n += cap(row) * 8
+	}
+	for _, s := range m.Columns {
+		n += len(s)
+	}
+	for _, d := range m.Decisions {
+		n += len(d.Object) + len(d.Site) + len(d.Reason)
+	}
+	for _, e := range append(m.SiteErrors[:len(m.SiteErrors):len(m.SiteErrors)], m.TransportErrors...) {
+		n += len(e.Site) + len(e.Error)
+	}
+	return n
+}
+
+// FuzzDecodeResult feeds arbitrary bodies — what ReadFrame accepts
+// under a MsgQuery or MsgResult type byte — to the two binary
+// decoders. They must never panic; what they accept must hold memory
+// within a constant factor of the body (a count is never taken on
+// trust), and must encode back to a body that decodes to the same
+// message.
+func FuzzDecodeResult(f *testing.F) {
+	body := func(t MsgType, payload any) []byte { return encodeFrame(f, t, payload)[frameHeader:] }
+	f.Add([]byte{})
+	f.Add([]byte{formatBinary})
+	f.Add(body(MsgQuery, QueryMsg{SQL: "select ra from photoobj", TraceID: "00000000000000ab"}))
+	f.Add(body(MsgResult, &ResultMsg{}))
+	f.Add(body(MsgResult, bulkResult(3, 2, true)))
+	f.Add(body(MsgResult, &ResultMsg{Columns: []string{"a"}, Tuples: [][]float64{{1}, {}, {2, 3}}, Partial: true,
+		Decisions:       []DecisionMsg{{Object: "o", Site: "s", Yield: -1, Decision: "failed", Failed: true, Reason: "r"}},
+		SiteErrors:      []SiteErrorMsg{{Site: "s", Error: "e", LostBytes: 9}},
+		TransportErrors: []SiteErrorMsg{{Site: "s", Error: "e"}}}))
+	// A count of 2³² in a 12-byte body.
+	f.Add(append([]byte{formatBinary, 0, 0, 0}, binary.AppendUvarint(nil, 1<<32)...))
+	// Protocol 1: the JSON bodies an old peer sends.
+	f.Add([]byte(`{"sql":"select 1"}`))
+	f.Add([]byte(`{"columns":["photoobj.ra"],"rows":1000,"bytes":8000,"tuples":[[1.5]],"decisions":[{"object":"edr/photoobj.ra","site":"photo.sdss.org","yield":8000,"decision":"bypass"}]}`))
+
+	f.Fuzz(checkDecode)
+}
+
+// checkDecode is FuzzDecodeResult's property for one body.
+func checkDecode(t *testing.T, data []byte) {
+	body := func(typ MsgType, payload any) []byte { return encodeFrame(t, typ, payload)[frameHeader:] }
+	var q QueryMsg
+	if err := Decode(data, &q); err == nil {
+		if held := len(q.SQL) + len(q.TraceID) + len(q.ParentSpan); held > len(data) {
+			t.Fatalf("query holds %d bytes of a %d-byte body", held, len(data))
+		}
+		var again QueryMsg
+		if err := Decode(body(MsgQuery, q), &again); err != nil || again != q {
+			t.Fatalf("query %+v re-encoded to %+v, %v", q, again, err)
+		}
+	} else if len(data) > 0 && data[0] == '{' && !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("a JSON query body was refused with %v, not ErrProtocolVersion", err)
+	}
+
+	var res ResultMsg
+	if err := Decode(data, &res); err != nil {
+		if !reflect.DeepEqual(res, ResultMsg{}) {
+			t.Fatalf("a refused body left %+v behind", res)
+		}
+		return
+	}
+	// Row headers are the widest thing a byte can buy: 24 bytes for
+	// a ragged tuple of width 0, one byte on the wire.
+	if held := footprint(&res); held > 24*len(data) {
+		t.Fatalf("result holds %d bytes of a %d-byte body", held, len(data))
+	}
+	var again ResultMsg
+	if err := Decode(body(MsgResult, res), &again); err != nil || !sameResult(&res, &again) {
+		t.Fatalf("result %+v re-encoded to %+v, %v", res, again, err)
+	}
+}
+
+// TestDecodeMutatedBodies runs the fuzz property over a fixed sample
+// of damaged valid bodies — bytes overwritten, cut and spliced — so
+// tier-1 exercises the decoders' refusals without the fuzz engine.
+func TestDecodeMutatedBodies(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	for i := 0; i < 2000; i++ {
+		body := encode(t, MsgResult, randomResult(r))
+		if i%4 == 0 {
+			body = encode(t, MsgQuery, QueryMsg{SQL: "select ra from photoobj", TraceID: "00000000000000ab"})
+		}
+		for j := 0; j < 10; j++ {
+			b := append([]byte(nil), body...)
+			for k := r.Intn(3) + 1; k > 0; k-- {
+				switch at := r.Intn(len(b)); r.Intn(4) {
+				case 0:
+					b[at] = byte(r.Intn(256))
+				case 1:
+					b[at] ^= 1 << r.Intn(8)
+				case 2:
+					b = b[:at+1]
+				default:
+					b = append(b[:at:at], body[r.Intn(len(body)):]...)
+				}
+			}
+			checkDecode(t, b)
+		}
+	}
 }

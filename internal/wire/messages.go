@@ -1,6 +1,11 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
 	"bypassyield/internal/core"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -9,12 +14,11 @@ import (
 
 // QueryMsg carries a SQL statement. TraceID/ParentSpan propagate the
 // distributed trace context (16-hex-digit obs ids); both empty means
-// untraced, which keeps the frame byte-identical to the pre-tracing
-// protocol — old clients and nodes interoperate unchanged.
+// untraced. Binary on the wire (see the package comment).
 type QueryMsg struct {
-	SQL        string `json:"sql"`
-	TraceID    string `json:"trace_id,omitempty"`
-	ParentSpan string `json:"parent_span,omitempty"`
+	SQL        string
+	TraceID    string
+	ParentSpan string
 }
 
 // TraceContext decodes the frame's trace fields (zero when untraced
@@ -23,59 +27,250 @@ func (q QueryMsg) TraceContext() obs.TraceContext {
 	return obs.TraceContext{TraceID: obs.ParseID(q.TraceID), SpanID: obs.ParseID(q.ParentSpan)}
 }
 
+func (q QueryMsg) appendBinary(b []byte) ([]byte, error) {
+	b = append(b, formatBinary)
+	b = appendStr(b, q.SQL)
+	b = appendStr(b, q.TraceID)
+	return appendStr(b, q.ParentSpan), nil
+}
+
+func (q *QueryMsg) decodeBinary(body []byte) error {
+	if err := checkFormat(body); err != nil {
+		return err
+	}
+	c := cursor{b: body, s: string(body), off: 1}
+	v := QueryMsg{SQL: c.str(), TraceID: c.str(), ParentSpan: c.str()}
+	if err := c.done(); err != nil {
+		return err
+	}
+	*q = v
+	return nil
+}
+
 // ResultMsg returns an execution result plus, from the proxy, the
-// cache decisions the query triggered.
+// cache decisions the query triggered. Binary on the wire (see the
+// package comment), its DecisionMsg and SiteErrorMsg lists included.
 type ResultMsg struct {
 	// Columns names the output columns.
-	Columns []string `json:"columns"`
+	Columns []string
 	// Rows is the logical result cardinality.
-	Rows int64 `json:"rows"`
+	Rows int64
 	// Bytes is the logical result size (yield).
-	Bytes int64 `json:"bytes"`
+	Bytes int64
 	// Tuples holds a bounded sample of result rows.
-	Tuples [][]float64 `json:"tuples,omitempty"`
+	Tuples [][]float64
 	// Decisions lists per-object cache handling (proxy responses
 	// only).
-	Decisions []DecisionMsg `json:"decisions,omitempty"`
+	Decisions []DecisionMsg
 	// Partial marks a degraded result: one or more sites were
 	// unavailable, so their legs were served from cache (possibly
 	// stale) or dropped. SiteErrors carries the per-site detail.
-	Partial    bool           `json:"partial,omitempty"`
-	SiteErrors []SiteErrorMsg `json:"site_errors,omitempty"`
+	Partial    bool
+	SiteErrors []SiteErrorMsg
 	// TransportErrors lists WAN legs (fetches, sub-queries) that
 	// failed at the transport layer after mediation decided and
 	// accounted them. The logical result is unaffected — accounting is
 	// over logical sizes — but clients can see which sites misbehaved.
-	TransportErrors []SiteErrorMsg `json:"transport_errors,omitempty"`
+	TransportErrors []SiteErrorMsg
 }
 
 // SiteErrorMsg annotates one unavailable site's contribution to a
 // partial result.
 type SiteErrorMsg struct {
 	// Site is the unavailable federation member.
-	Site string `json:"site"`
+	Site string
 	// Error explains why (breaker state, backoff remaining).
-	Error string `json:"error"`
+	Error string
 	// LostBytes is the yield dropped from the result because the
 	// site's uncached objects could not be served.
-	LostBytes int64 `json:"lost_bytes,omitempty"`
+	LostBytes int64
 }
 
 // DecisionMsg is one per-object cache decision.
 type DecisionMsg struct {
-	Object   string `json:"object"`
-	Site     string `json:"site"`
-	Yield    int64  `json:"yield"`
-	Decision string `json:"decision"`
+	Object   string
+	Site     string
+	Yield    int64
+	Decision string
 	// Forced marks a decision the policy did not choose freely: the
 	// site was unavailable, so the mediator forced serve-from-cache.
-	Forced bool `json:"forced,omitempty"`
+	Forced bool
 	// Failed marks a leg that could not be served at all (site down,
 	// object not cached). Yield is what the leg would have delivered;
 	// nothing was charged for it.
-	Failed bool `json:"failed,omitempty"`
+	Failed bool
 	// Reason explains a forced or failed decision.
-	Reason string `json:"reason,omitempty"`
+	Reason string
+}
+
+// ResultMsg flag bits.
+const (
+	resultPartial = 1 << iota
+	// resultRagged: the tuples do not share one width of at least 1,
+	// so each carries its own.
+	resultRagged
+)
+
+// DecisionMsg flag bits.
+const (
+	decisionForced = 1 << iota
+	decisionFailed
+)
+
+// decisionNames is DecisionMsg.Decision on the wire, by index:
+// core.Decision's three names and the proxy's verdict on a leg that
+// could not be served.
+var decisionNames = [...]string{"hit", "bypass", "load", "failed"}
+
+func (m ResultMsg) appendBinary(b []byte) ([]byte, error) {
+	var flags byte
+	if m.Partial {
+		flags |= resultPartial
+	}
+	width := 0
+	if len(m.Tuples) > 0 {
+		width = len(m.Tuples[0])
+		// A zero width would not bound the tuple count by the bytes
+		// that follow, so such tuples go the ragged way too.
+		if width == 0 || slices.ContainsFunc(m.Tuples, func(row []float64) bool { return len(row) != width }) {
+			flags |= resultRagged
+		}
+	}
+	b = append(b, formatBinary, flags)
+	b = binary.AppendVarint(b, m.Rows)
+	b = binary.AppendVarint(b, m.Bytes)
+	b = binary.AppendUvarint(b, uint64(len(m.Tuples)))
+	if flags&resultRagged == 0 && len(m.Tuples) > 0 {
+		b = binary.AppendUvarint(b, uint64(width))
+		b = slices.Grow(b, 8*width*len(m.Tuples))
+	}
+	for _, row := range m.Tuples {
+		if flags&resultRagged != 0 {
+			b = binary.AppendUvarint(b, uint64(len(row)))
+		}
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Columns)))
+	for _, name := range m.Columns {
+		b = appendStr(b, name)
+	}
+	b = binary.AppendUvarint(b, uint64(len(m.Decisions)))
+	for i := range m.Decisions {
+		d := &m.Decisions[i]
+		verdict := slices.Index(decisionNames[:], d.Decision)
+		if verdict < 0 {
+			return b, fmt.Errorf("decision %q of object %s has no wire encoding", d.Decision, d.Object)
+		}
+		var dflags byte
+		if d.Forced {
+			dflags |= decisionForced
+		}
+		if d.Failed {
+			dflags |= decisionFailed
+		}
+		b = appendStr(b, d.Object)
+		b = appendStr(b, d.Site)
+		b = binary.AppendVarint(b, d.Yield)
+		b = append(b, byte(verdict), dflags)
+		b = appendStr(b, d.Reason)
+	}
+	b = appendSiteErrors(b, m.SiteErrors)
+	return appendSiteErrors(b, m.TransportErrors), nil
+}
+
+func appendSiteErrors(b []byte, errs []SiteErrorMsg) []byte {
+	b = binary.AppendUvarint(b, uint64(len(errs)))
+	for i := range errs {
+		b = appendStr(b, errs[i].Site)
+		b = appendStr(b, errs[i].Error)
+		b = binary.AppendVarint(b, errs[i].LostBytes)
+	}
+	return b
+}
+
+// decodeBinary allocates, for a result of any size, the tuple rows and
+// their one backing array (one array per tuple when ragged), one
+// string that every decoded string is cut from, and one slice each for
+// the columns, decisions and two error lists that are present.
+func (m *ResultMsg) decodeBinary(body []byte) error {
+	if err := checkFormat(body); err != nil {
+		return err
+	}
+	c := cursor{b: body, off: 1}
+	flags := c.byte()
+	if flags&^(resultPartial|resultRagged) != 0 {
+		c.fail()
+	}
+	v := ResultMsg{Partial: flags&resultPartial != 0, Rows: c.varint(), Bytes: c.varint()}
+	if flags&resultRagged != 0 {
+		if n := c.count(1); n > 0 {
+			v.Tuples = make([][]float64, n)
+			for i := range v.Tuples {
+				v.Tuples[i] = make([]float64, c.count(8))
+				c.floats(v.Tuples[i])
+			}
+		}
+	} else if n := c.count(8); n > 0 {
+		width := c.count(8 * n)
+		if width == 0 {
+			c.fail() // or n rows would cost no bytes
+		} else {
+			v.Tuples = make([][]float64, n)
+			backing := make([]float64, n*width)
+			c.floats(backing)
+			for i := range v.Tuples {
+				v.Tuples[i] = backing[i*width : (i+1)*width : (i+1)*width]
+			}
+		}
+	}
+	if c.err != nil {
+		return c.err
+	}
+
+	// Everything after the tuples is small and mostly strings.
+	c = cursor{b: body[c.off:], s: string(body[c.off:])}
+	if n := c.count(1); n > 0 {
+		v.Columns = make([]string, n)
+		for i := range v.Columns {
+			v.Columns[i] = c.str()
+		}
+	}
+	if n := c.count(6); n > 0 {
+		v.Decisions = make([]DecisionMsg, n)
+		for i := range v.Decisions {
+			d := &v.Decisions[i]
+			d.Object, d.Site, d.Yield = c.str(), c.str(), c.varint()
+			verdict, dflags := c.byte(), c.byte()
+			if int(verdict) >= len(decisionNames) || dflags&^(decisionForced|decisionFailed) != 0 {
+				c.fail()
+				break
+			}
+			d.Decision = decisionNames[verdict]
+			d.Forced, d.Failed = dflags&decisionForced != 0, dflags&decisionFailed != 0
+			d.Reason = c.str()
+		}
+	}
+	v.SiteErrors = c.siteErrors()
+	v.TransportErrors = c.siteErrors()
+	if err := c.done(); err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
+func (c *cursor) siteErrors() []SiteErrorMsg {
+	n := c.count(3)
+	if n == 0 {
+		return nil
+	}
+	errs := make([]SiteErrorMsg, n)
+	for i := range errs {
+		errs[i] = SiteErrorMsg{Site: c.str(), Error: c.str(), LostBytes: c.varint()}
+	}
+	return errs
 }
 
 // ErrorMsg returns a failure message.

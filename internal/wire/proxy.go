@@ -518,7 +518,7 @@ func (p *Proxy) probeOnce(site string) bool {
 	if _, err := WriteFrame(conn, MsgPing, PingMsg{}); err != nil {
 		return false
 	}
-	t, _, _, err := ReadFrame(conn)
+	t, _, _, err := readReply(conn)
 	return err == nil && t == MsgPong
 }
 
@@ -546,10 +546,19 @@ func (p *Proxy) acceptLoop() {
 	}
 }
 
-// send writes one frame to a client, counting it.
+// send writes one frame to a client, counting it. The client is a
+// closed loop waiting for exactly one reply, so no failure may be
+// silent: a payload that does not encode is answered with a MsgError,
+// and a failed write closes the connection, which ends serveConn at
+// its next read.
 func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
 	n, err := WriteFrame(conn, t, payload)
+	if errors.Is(err, errEncode) {
+		t = MsgError
+		n, err = WriteFrame(conn, t, ErrorMsg{Message: err.Error()})
+	}
 	if err != nil {
+		conn.Close()
 		return
 	}
 	label := t.String()
@@ -558,8 +567,9 @@ func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
 }
 
 func (p *Proxy) serveConn(conn net.Conn) {
+	var buf []byte // this connection's frames; Decode copies out of it
 	for {
-		t, body, rn, err := ReadFrame(conn)
+		t, body, rn, err := readFrameInto(conn, &buf)
 		if err != nil {
 			return
 		}
@@ -840,9 +850,10 @@ func isTimeout(err error) bool {
 
 // nodeRPC performs one request/response exchange with a site's node,
 // gated by the site's circuit breaker and retried under a bounded
-// budget with exponential backoff. Returns (0, nil, nil) when the
-// site has no node (simulation mode), and a *SiteUnavailableError —
-// without touching the network — when the breaker is not closed.
+// budget with exponential backoff. The reply's body is returned only
+// for a MsgError (see readReply). Returns (0, nil, nil) when the site
+// has no node (simulation mode), and a *SiteUnavailableError — without
+// touching the network — when the breaker is not closed.
 //
 // Retry rules: a pooled (possibly stale) connection failing with a
 // non-timeout error is retried immediately over a fresh dial without
@@ -919,7 +930,7 @@ func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *
 		return 0, nil, reused, err
 	}
 	p.nodeTx.Add(int64(n))
-	rt, body, rn, err := ReadFrame(conn)
+	rt, body, rn, err := readReply(conn)
 	if err != nil {
 		p.failConn(sp, conn, site, err)
 		return 0, nil, reused, err
@@ -948,8 +959,10 @@ type legTiming struct {
 }
 
 // shipSubquery sends a sub-query to the owning node and drains the
-// response, under a proxy.subquery span whose context rides in the
-// frame so the node's dbnode.execute span nests beneath it.
+// response (the proxy answers from its own engine, so the reply's
+// bytes are discarded unread), under a proxy.subquery span whose
+// context rides in the frame so the node's dbnode.execute span nests
+// beneath it.
 func (p *Proxy) shipSubquery(sql, site string, ctx obs.TraceContext, lt *legTiming) (err error) {
 	span := p.tracer.Child(ctx, "proxy.subquery", obs.A("site", site))
 	defer func() { endSpan(span, err) }()
@@ -964,17 +977,23 @@ func (p *Proxy) shipSubquery(sql, site string, ctx obs.TraceContext, lt *legTimi
 		TraceID:    obs.FormatID(sctx.TraceID),
 		ParentSpan: obs.FormatID(sctx.SpanID),
 	}, lt)
-	if err != nil || body == nil {
+	if err != nil {
 		return err
 	}
-	if t == MsgError {
-		var e ErrorMsg
-		if err := Decode(body, &e); err != nil {
-			return err
-		}
-		return fmt.Errorf("node %s: %s", site, e.Message)
+	return nodeError(site, t, body)
+}
+
+// nodeError is the failure a node reported in its reply; any other
+// reply — or none, for a site without a node — is success.
+func nodeError(site string, t MsgType, body []byte) error {
+	if t != MsgError {
+		return nil
 	}
-	return nil
+	var e ErrorMsg
+	if err := Decode(body, &e); err != nil {
+		return err
+	}
+	return fmt.Errorf("node %s: %s", site, e.Message)
 }
 
 // fetchObject performs an object-fetch RPC for a load decision, under
@@ -1007,17 +1026,10 @@ func (p *Proxy) fetchObjectRPC(object, site string, sctx obs.TraceContext, lt *l
 		TraceID:    obs.FormatID(sctx.TraceID),
 		ParentSpan: obs.FormatID(sctx.SpanID),
 	}, lt)
-	if err != nil || body == nil {
+	if err != nil {
 		return err
 	}
-	if t == MsgError {
-		var e ErrorMsg
-		if err := Decode(body, &e); err != nil {
-			return err
-		}
-		return fmt.Errorf("node %s: %s", site, e.Message)
-	}
-	return nil
+	return nodeError(site, t, body)
 }
 
 // endSpan ends a leg span, tagging the error when the leg failed.

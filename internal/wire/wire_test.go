@@ -138,10 +138,24 @@ func TestEndToEndQuery(t *testing.T) {
 	if len(res.Decisions) != 2 {
 		t.Fatalf("decisions = %d, want 2 (ra, dec)", len(res.Decisions))
 	}
+	var yield int64
 	for _, d := range res.Decisions {
 		if d.Decision != "bypass" {
 			t.Fatalf("first-touch decision = %s, want bypass", d.Decision)
 		}
+		yield += d.Yield
+	}
+	// What the client decoded is what the mediator accounted: Σ
+	// ResultMsg.Bytes = Σ decision yields = D_A.
+	st, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes != st.Acct.YieldBytes || yield != st.Acct.YieldBytes {
+		t.Fatalf("result bytes %d, decision yields %d, D_A %d", res.Bytes, yield, st.Acct.YieldBytes)
+	}
+	if len(res.Tuples) == 0 || len(res.Tuples[0]) != len(res.Columns) {
+		t.Fatalf("%d tuples for columns %v", len(res.Tuples), res.Columns)
 	}
 }
 
