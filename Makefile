@@ -51,15 +51,18 @@ crash:
 		./internal/persist/
 	cat crash_recovery.log
 
-# A bounded fuzz of the decoders that face untrusted or crash-torn
-# bytes: the wire frame reader, the binary query/result decoders, the
-# persistence WAL walker, and the snapshot frame + policy-blob decoders
-# must never panic or over-allocate.
+# A bounded fuzz of what faces untrusted or crash-torn bytes: the wire
+# frame reader, the binary query/result decoders, the persistence WAL
+# walker, and the snapshot frame + policy-blob decoders must never panic
+# or over-allocate; a client's statement, parsed, bound and executed,
+# must never panic, fail only with a parse, bind or execution error, and
+# return what the reference evaluator returns.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/persist/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/persist/
+	$(GO) test -run='^$$' -fuzz=FuzzExecute -fuzztime=30s ./internal/engine/
 
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free) and one end-to-end experiment.

@@ -98,14 +98,23 @@ type Table struct {
 	Site string
 }
 
-// Column returns the named column, or nil if absent. Lookup is
-// case-insensitive.
-func (t *Table) Column(name string) *Column {
+// ColumnIndex returns the named column's position in Columns, or -1 if
+// absent. Lookup is case-insensitive.
+func (t *Table) ColumnIndex(name string) int {
 	name = strings.ToLower(name)
 	for i := range t.Columns {
 		if t.Columns[i].Name == name {
-			return &t.Columns[i]
+			return i
 		}
+	}
+	return -1
+}
+
+// Column returns the named column, or nil if absent. Lookup is
+// case-insensitive.
+func (t *Table) Column(name string) *Column {
+	if i := t.ColumnIndex(name); i >= 0 {
+		return &t.Columns[i]
 	}
 	return nil
 }
@@ -130,14 +139,23 @@ type Schema struct {
 	Tables []Table
 }
 
-// Table returns the named table, or nil if absent. Lookup is
-// case-insensitive.
-func (s *Schema) Table(name string) *Table {
+// TableIndex returns the named table's position in Tables, or -1 if
+// absent. Lookup is case-insensitive.
+func (s *Schema) TableIndex(name string) int {
 	name = strings.ToLower(name)
 	for i := range s.Tables {
 		if s.Tables[i].Name == name {
-			return &s.Tables[i]
+			return i
 		}
+	}
+	return -1
+}
+
+// Table returns the named table, or nil if absent. Lookup is
+// case-insensitive.
+func (s *Schema) Table(name string) *Table {
+	if i := s.TableIndex(name); i >= 0 {
+		return &s.Tables[i]
 	}
 	return nil
 }

@@ -25,6 +25,10 @@ type BoundCol struct {
 	Table *catalog.Table
 	// Col is the resolved catalog column.
 	Col *catalog.Column
+	// pos is Col's position in Table.Columns, which is also its
+	// position in the engine's column storage: the executor never looks
+	// a column up by name.
+	pos int
 }
 
 // BoundCond is a WHERE conjunct with both sides resolved.
@@ -47,6 +51,8 @@ type Bound struct {
 	Schema *catalog.Schema
 	// Tables are the resolved FROM tables, in statement order.
 	Tables []*catalog.Table
+	// tablePos is each FROM table's position in Schema.Tables.
+	tablePos []int
 	// Projs are the resolved plain-column projections (empty for
 	// star; aggregates resolve their argument unless count(*)).
 	Projs []BoundCol
@@ -82,13 +88,18 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 		return nil, &BindError{Msg: "no tables", Ref: stmt.String()}
 	}
 	for _, tr := range stmt.From {
-		t := s.Table(tr.Name)
-		if t == nil {
+		ti := s.TableIndex(tr.Name)
+		if ti < 0 {
 			return nil, &BindError{Msg: "unknown table", Ref: tr.Name}
 		}
-		b.Tables = append(b.Tables, t)
+		b.Tables = append(b.Tables, &s.Tables[ti])
+		b.tablePos = append(b.tablePos, ti)
 	}
 
+	boundCol := func(tableIdx, pos int) BoundCol {
+		t := b.Tables[tableIdx]
+		return BoundCol{TableIdx: tableIdx, Table: t, Col: &t.Columns[pos], pos: pos}
+	}
 	resolve := func(ref sqlparse.ColRef) (BoundCol, error) {
 		if ref.Table != "" {
 			tr := stmt.TableByQualifier(ref.Table)
@@ -97,36 +108,41 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 			}
 			for i := range stmt.From {
 				if &stmt.From[i] == tr {
-					col := b.Tables[i].Column(ref.Column)
-					if col == nil {
+					pos := b.Tables[i].ColumnIndex(ref.Column)
+					if pos < 0 {
 						return BoundCol{}, &BindError{Msg: "unknown column", Ref: ref.String()}
 					}
-					return BoundCol{TableIdx: i, Table: b.Tables[i], Col: col}, nil
+					return boundCol(i, pos), nil
 				}
 			}
 			return BoundCol{}, &BindError{Msg: "unknown qualifier", Ref: ref.String()}
 		}
 		// Unqualified: must resolve in exactly one FROM table.
-		found := -1
+		found, pos := -1, -1
 		for i, t := range b.Tables {
-			if t.Column(ref.Column) != nil {
+			if p := t.ColumnIndex(ref.Column); p >= 0 {
 				if found >= 0 {
 					return BoundCol{}, &BindError{Msg: "ambiguous column", Ref: ref.String()}
 				}
-				found = i
+				found, pos = i, p
 			}
 		}
 		if found < 0 {
 			return BoundCol{}, &BindError{Msg: "unknown column", Ref: ref.String()}
 		}
-		return BoundCol{TableIdx: found, Table: b.Tables[found], Col: b.Tables[found].Column(ref.Column)}, nil
+		return boundCol(found, pos), nil
 	}
 
 	for _, item := range stmt.Items {
 		b.ProjAggs = append(b.ProjAggs, item.Agg)
 		if item.Star {
-			if item.Agg == sqlparse.AggNone {
+			switch item.Agg {
+			case sqlparse.AggNone:
 				b.Star = true
+			case sqlparse.AggCount:
+			default:
+				// sum, avg, min and max need a column to read.
+				return nil, &BindError{Msg: "aggregate over * other than count", Ref: item.String()}
 			}
 			b.Projs = append(b.Projs, BoundCol{TableIdx: -1})
 			continue
@@ -247,7 +263,7 @@ func (b *Bound) ReferencedColumns() []BoundCol {
 	if b.Star {
 		for i, t := range b.Tables {
 			for j := range t.Columns {
-				add(BoundCol{TableIdx: i, Table: t, Col: &t.Columns[j]})
+				add(BoundCol{TableIdx: i, Table: t, Col: &t.Columns[j], pos: j})
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func (c *Config) fill() {
 type DB struct {
 	schema *catalog.Schema
 	cfg    Config
-	tables map[string]*tableData
+	tables []tableData // parallel to schema.Tables
 
 	// obs handles; nil (no-op) until SetObs is called.
 	queries     *obs.Counter
@@ -48,11 +48,14 @@ type DB struct {
 	yieldBytes  *obs.Counter
 }
 
-// tableData is the columnar storage of one table's sample.
+// tableData is the columnar storage of one table's sample. Nothing in
+// it changes after Open.
 type tableData struct {
-	meta *catalog.Table
-	n    int
-	cols [][]float64 // parallel to meta.Columns
+	meta  *catalog.Table
+	n     int
+	cols  [][]float64 // parallel to meta.Columns
+	names []string    // "table.column" output names, parallel to cols
+	all   []int32     // 0..n-1: the selection vector of an unfiltered scan
 }
 
 // Open synthesizes a database for the schema. Generation is
@@ -63,18 +66,28 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	cfg.fill()
-	db := &DB{schema: s, cfg: cfg, tables: make(map[string]*tableData, len(s.Tables))}
+	db := &DB{schema: s, cfg: cfg, tables: make([]tableData, len(s.Tables))}
 	for i := range s.Tables {
 		t := &s.Tables[i]
 		n := int(t.Rows / cfg.SampleEvery)
 		if n < 1 {
 			n = 1
 		}
-		td := &tableData{meta: t, n: n, cols: make([][]float64, len(t.Columns))}
+		td := tableData{
+			meta:  t,
+			n:     n,
+			cols:  make([][]float64, len(t.Columns)),
+			names: make([]string, len(t.Columns)),
+			all:   make([]int32, n),
+		}
 		for j := range t.Columns {
 			td.cols[j] = synthesize(&t.Columns[j], t.Name, n, cfg)
+			td.names[j] = t.Name + "." + t.Columns[j].Name
 		}
-		db.tables[t.Name] = td
+		for r := range td.all {
+			td.all[r] = int32(r)
+		}
+		db.tables[i] = td
 	}
 	return db, nil
 }
@@ -145,24 +158,9 @@ func (db *DB) SampleEvery() int64 { return db.cfg.SampleEvery }
 // SampleRows returns the number of materialized rows of a table, or 0
 // if the table is unknown.
 func (db *DB) SampleRows(table string) int {
-	td := db.tables[strings.ToLower(table)]
-	if td == nil {
+	i := db.schema.TableIndex(table)
+	if i < 0 {
 		return 0
 	}
-	return td.n
-}
-
-// columnValues returns the sample values of a column (shared slice;
-// callers must not mutate). It returns nil for unknown names.
-func (db *DB) columnValues(table, col string) []float64 {
-	td := db.tables[strings.ToLower(table)]
-	if td == nil {
-		return nil
-	}
-	for j := range td.meta.Columns {
-		if td.meta.Columns[j].Name == strings.ToLower(col) {
-			return td.cols[j]
-		}
-	}
-	return nil
+	return db.tables[i].n
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"bypassyield/internal/sqlparse"
@@ -20,7 +21,8 @@ type Result struct {
 	Rows int64
 	// Bytes is the logical result size — the query's yield.
 	Bytes int64
-	// Tuples holds materialized sample rows (bounded).
+	// Tuples holds materialized sample rows (bounded). They are cut
+	// from one array.
 	Tuples [][]float64
 	// SampleMatches is the unscaled number of matching sample rows
 	// (for tests of the scaling arithmetic).
@@ -32,23 +34,43 @@ type ExecError struct{ Msg string }
 
 func (e *ExecError) Error() string { return "engine: " + e.Msg }
 
-// Execute runs a statement and returns its result. The execution
-// subset matches the workload: one- and two-table statements,
-// conjunctive predicates, equi-joins, aggregates, and TOP.
+// Execute binds a statement against the database's schema and runs it.
 func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 	b, err := Bind(db.schema, stmt)
 	if err != nil {
 		return nil, err
 	}
-	var res *Result
+	return db.ExecuteBound(b)
+}
+
+// ExecuteBound runs a statement bound against the database's own
+// schema (any other Bound is refused: its column positions mean
+// nothing here). The execution subset matches the workload: one- and
+// two-table statements, conjunctive predicates, equi-joins, aggregates,
+// GROUP BY, ORDER BY and TOP.
+//
+// Bind resolved every name to a position; here each position becomes a
+// column slice once, before the first row is read, and every loop
+// below — scan, join, sort, group, aggregate, materialize — indexes
+// slices and nothing else. Matching rows are a flat []int32 with one
+// entry per FROM table per match.
+func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
+	if b.Schema != db.schema {
+		return nil, &ExecError{Msg: "statement was bound against another schema"}
+	}
+	var rows []int32
 	switch len(b.Tables) {
 	case 1:
-		res, err = db.execSingle(b)
+		rows = db.scan(b, 0)
 	case 2:
-		res, err = db.execJoin(b)
+		var err error
+		if rows, err = db.join(b); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
 	}
+	res, err := db.finish(b, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -57,201 +79,316 @@ func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 	return res, nil
 }
 
-// evalLocal returns the sample row indexes of one table satisfying
-// its literal and same-table predicates.
-func (db *DB) evalLocal(b *Bound, tableIdx int) ([]int32, error) {
-	td := db.tables[b.Tables[tableIdx].Name]
-	db.rowsScanned.Add(int64(td.n))
-	out := make([]int32, 0, td.n)
-scan:
-	for i := 0; i < td.n; i++ {
-		for _, c := range b.Conds {
-			if c.Left.TableIdx != tableIdx {
-				continue
-			}
-			if c.Right != nil {
-				if c.Right.TableIdx != tableIdx {
-					continue // cross-table: handled by the join
-				}
-				l := db.columnValues(b.Tables[tableIdx].Name, c.Left.Col.Name)[i]
-				r := db.columnValues(b.Tables[tableIdx].Name, c.Right.Col.Name)[i]
-				if !compare(l, c.Cond.Op, r) {
-					continue scan
-				}
-				continue
-			}
-			v := db.columnValues(b.Tables[tableIdx].Name, c.Left.Col.Name)[i]
-			if !evalLiteral(v, c.Cond) {
-				continue scan
-			}
-		}
-		out = append(out, int32(i))
-	}
-	return out, nil
+// vals returns the sample values of a bound column (shared; read-only).
+func (db *DB) vals(b *Bound, bc *BoundCol) []float64 {
+	return db.tables[b.tablePos[bc.TableIdx]].cols[bc.pos]
 }
 
-// evalLiteral evaluates a literal comparison or BETWEEN.
-func evalLiteral(v float64, c sqlparse.Condition) bool {
-	if c.Between {
-		return v >= c.Lo && v <= c.Hi
-	}
-	return compare(v, c.Op, c.Value)
-}
+// cmpOp is a comparison operator as the row loops switch on it
+// (sqlparse.CompareOp is a string).
+type cmpOp uint8
 
-func compare(l float64, op sqlparse.CompareOp, r float64) bool {
+const (
+	opNever cmpOp = iota // an operator the grammar does not have
+	opEq
+	opNotEq
+	opLt
+	opLe
+	opGt
+	opGe
+	opBetween // lo <= left <= hi; literal predicates only
+)
+
+func cmpOf(op sqlparse.CompareOp) cmpOp {
 	switch op {
 	case sqlparse.OpEq:
-		return l == r
+		return opEq
 	case sqlparse.OpNotEq:
-		return l != r
+		return opNotEq
 	case sqlparse.OpLt:
-		return l < r
+		return opLt
 	case sqlparse.OpLe:
-		return l <= r
+		return opLe
 	case sqlparse.OpGt:
-		return l > r
+		return opGt
 	case sqlparse.OpGe:
+		return opGe
+	default:
+		return opNever
+	}
+}
+
+func compare(l float64, op cmpOp, r float64) bool {
+	switch op {
+	case opEq:
+		return l == r
+	case opNotEq:
+		return l != r
+	case opLt:
+		return l < r
+	case opLe:
+		return l <= r
+	case opGt:
+		return l > r
+	case opGe:
 		return l >= r
 	default:
 		return false
 	}
 }
 
-// execSingle evaluates a single-table statement.
-func (db *DB) execSingle(b *Bound) (*Result, error) {
-	matches, err := db.evalLocal(b, 0)
-	if err != nil {
-		return nil, err
-	}
-	rowOf := func(m int32) []int32 { return []int32{m} }
-	pairs := make([][]int32, len(matches))
-	for i, m := range matches {
-		pairs[i] = rowOf(m)
-	}
-	return db.finish(b, pairs)
+// pred is one WHERE conjunct over column slices: left[i] op right[j],
+// or, when right is nil, left[i] against the literal lo (lo and hi for
+// opBetween).
+type pred struct {
+	left, right []float64
+	op          cmpOp
+	lo, hi      float64
 }
 
-// execJoin evaluates a two-table statement with at least one
-// cross-table equi-join condition (cross products are rejected — at
-// sample scale alone they can explode).
-func (db *DB) execJoin(b *Bound) (*Result, error) {
-	var equi []BoundCond  // cross-table equality
-	var extra []BoundCond // other cross-table comparisons
-	for _, c := range b.Conds {
+func (db *DB) pred(b *Bound, c *BoundCond) pred {
+	p := pred{left: db.vals(b, &c.Left), op: cmpOf(c.Cond.Op)}
+	switch {
+	case c.Right != nil:
+		p.right = db.vals(b, c.Right)
+	case c.Cond.Between:
+		p.op, p.lo, p.hi = opBetween, c.Cond.Lo, c.Cond.Hi
+	default:
+		p.lo = c.Cond.Value
+	}
+	return p
+}
+
+// filter writes the rows of src that satisfy p to the front of dst and
+// returns how many there are. dst may be src: a selection vector is
+// compacted in place.
+func (p *pred) filter(dst, src []int32) int {
+	left, k := p.left, 0
+	switch {
+	case p.op == opBetween:
+		for _, i := range src {
+			if v := left[i]; v >= p.lo && v <= p.hi {
+				dst[k] = i
+				k++
+			}
+		}
+	case p.right == nil:
+		for _, i := range src {
+			if compare(left[i], p.op, p.lo) {
+				dst[k] = i
+				k++
+			}
+		}
+	default:
+		right := p.right
+		for _, i := range src {
+			if compare(left[i], p.op, right[i]) {
+				dst[k] = i
+				k++
+			}
+		}
+	}
+	return k
+}
+
+// scan returns the sample rows of FROM table ti, ascending, that
+// satisfy the statement's predicates on that table alone (literal and
+// same-table comparisons; cross-table ones belong to the join). One
+// predicate at a time: the first fills the selection vector from the
+// table's identity vector, the rest compact it.
+func (db *DB) scan(b *Bound, ti int) []int32 {
+	td := &db.tables[b.tablePos[ti]]
+	db.rowsScanned.Add(int64(td.n))
+	sel := make([]int32, td.n)
+	src := td.all
+	for i := range b.Conds {
+		c := &b.Conds[i]
+		if c.Left.TableIdx != ti || (c.Right != nil && c.Right.TableIdx != ti) {
+			continue
+		}
+		p := db.pred(b, c)
+		sel = sel[:p.filter(sel, src)]
+		src = sel
+	}
+	if len(sel) == td.n {
+		copy(sel, td.all) // no predicate, or none that dropped a row; callers reorder what they get
+	}
+	return sel
+}
+
+// hashKey hashes a join key of one or two values (Fibonacci hashing:
+// the caller keeps the high bits).
+func hashKey(a, b float64) uint64 {
+	// -0 equals +0 and must land where it does; a NaN equals nothing,
+	// so where it lands does not matter.
+	if a == 0 {
+		a = 0
+	}
+	if b == 0 {
+		b = 0
+	}
+	const phi = 0x9E3779B97F4A7C15
+	return (math.Float64bits(a)*phi ^ math.Float64bits(b)) * phi
+}
+
+// join evaluates a two-table statement with one or two cross-table
+// equalities (cross products are rejected — at sample scale alone they
+// can explode) and returns the matching (table 0 row, table 1 row)
+// pairs, flat. The smaller side is hashed, the other probes it in row
+// order, and a probe row's matches come out in build-row order.
+func (db *DB) join(b *Bound) ([]int32, error) {
+	var (
+		keys  [2][2][]float64 // [condition][FROM table]
+		nkeys int
+		extra []pred // other cross-table comparisons: left reads table 0, right table 1
+	)
+	for i := range b.Conds {
+		c := &b.Conds[i]
 		if c.Right == nil || c.Left.TableIdx == c.Right.TableIdx {
 			continue
 		}
-		if c.Cond.Op == sqlparse.OpEq {
-			equi = append(equi, c)
-		} else {
-			extra = append(extra, c)
+		p := db.pred(b, c)
+		if c.Left.TableIdx == 1 { // l op r is r op' l
+			p.left, p.right = p.right, p.left
+			switch p.op {
+			case opLt:
+				p.op = opGt
+			case opLe:
+				p.op = opGe
+			case opGt:
+				p.op = opLt
+			case opGe:
+				p.op = opLe
+			}
 		}
+		if p.op != opEq {
+			extra = append(extra, p)
+			continue
+		}
+		if nkeys == len(keys) {
+			return nil, &ExecError{Msg: "at most two equi-join conditions supported"}
+		}
+		keys[nkeys] = [2][]float64{p.left, p.right}
+		nkeys++
 	}
-	if len(equi) == 0 {
+	if nkeys == 0 {
 		return nil, &ExecError{Msg: "cross products are not supported; add a join condition"}
 	}
-	left, err := db.evalLocal(b, 0)
-	if err != nil {
-		return nil, err
-	}
-	right, err := db.evalLocal(b, 1)
-	if err != nil {
-		return nil, err
+	if nkeys == 1 {
+		keys[1] = keys[0] // one loop for both shapes: a single key is compared twice
 	}
 
-	// Build on the smaller side.
-	buildIdx, probeIdx := 0, 1
-	buildRows, probeRows := left, right
-	if len(right) < len(left) {
-		buildIdx, probeIdx = 1, 0
-		buildRows, probeRows = right, left
+	build, probe := db.scan(b, 0), db.scan(b, 1)
+	bt := 0 // the FROM table that is hashed
+	if len(probe) < len(build) {
+		build, probe, bt = probe, build, 1
 	}
-	keyCols := func(tableIdx int) [][]float64 {
-		cols := make([][]float64, len(equi))
-		for i, c := range equi {
-			bc := c.Left
-			if bc.TableIdx != tableIdx {
-				bc = *c.Right
+	if len(build) == 0 {
+		return nil, nil
+	}
+	bk0, bk1 := keys[0][bt], keys[1][bt]
+	pk0, pk1 := keys[0][1-bt], keys[1][1-bt]
+
+	// A chained hash table in two slices: heads[h] and next[i] hold
+	// 1 + an index into build, 0 ending a chain. Inserting back to front
+	// leaves every chain in build order.
+	shift := 64 - bits.Len(uint(2*len(build)-1))
+	heads := make([]int32, 1<<(64-shift))
+	next := make([]int32, len(build))
+	for i := len(build) - 1; i >= 0; i-- {
+		h := hashKey(bk0[build[i]], bk1[build[i]]) >> shift
+		next[i] = heads[h]
+		heads[h] = int32(i + 1)
+	}
+
+	pairs := make([]int32, 0, 2*len(probe))
+	for _, pr := range probe {
+		k0, k1 := pk0[pr], pk1[pr]
+	chain:
+		for e := heads[hashKey(k0, k1)>>shift]; e != 0; e = next[e-1] {
+			br := build[e-1]
+			if bk0[br] != k0 || bk1[br] != k1 {
+				continue
 			}
-			cols[i] = db.columnValues(b.Tables[tableIdx].Name, bc.Col.Name)
-		}
-		return cols
-	}
-	buildCols := keyCols(buildIdx)
-	probeCols := keyCols(probeIdx)
-
-	type key [2]float64 // up to two join columns; more is rejected
-	if len(equi) > 2 {
-		return nil, &ExecError{Msg: "at most two equi-join conditions supported"}
-	}
-	mk := func(cols [][]float64, row int32) key {
-		var k key
-		for i, c := range cols {
-			k[i] = c[row]
-		}
-		return k
-	}
-	ht := make(map[key][]int32, len(buildRows))
-	for _, r := range buildRows {
-		k := mk(buildCols, r)
-		ht[k] = append(ht[k], r)
-	}
-
-	extraVals := func(c BoundCond, lrow, rrow int32) (float64, float64) {
-		rows := [2]int32{lrow, rrow}
-		l := db.columnValues(b.Tables[c.Left.TableIdx].Name, c.Left.Col.Name)[rows[c.Left.TableIdx]]
-		r := db.columnValues(b.Tables[c.Right.TableIdx].Name, c.Right.Col.Name)[rows[c.Right.TableIdx]]
-		return l, r
-	}
-
-	var pairs [][]int32
-	for _, pr := range probeRows {
-	match:
-		for _, br := range ht[mk(probeCols, pr)] {
-			row := make([]int32, 2)
-			row[buildIdx] = br
-			row[probeIdx] = pr
-			for _, c := range extra {
-				l, r := extraVals(c, row[0], row[1])
-				if !compare(l, c.Cond.Op, r) {
-					continue match
+			var pair [2]int32
+			pair[bt], pair[1-bt] = br, pr
+			for i := range extra {
+				x := &extra[i]
+				if !compare(x.left[pair[0]], x.op, x.right[pair[1]]) {
+					continue chain
 				}
 			}
-			pairs = append(pairs, row)
+			pairs = append(pairs, pair[0], pair[1])
 		}
 	}
-	return db.finish(b, pairs)
+	return pairs, nil
+}
+
+// rowSort stably orders matches (stride entries of rows each) by a key
+// per match: ascending, descending, or ascending with NaNs first (the
+// order of sort.Float64s).
+type rowSort struct {
+	keys     []float64
+	rows     []int32
+	stride   int
+	desc     bool
+	nanFirst bool
+}
+
+// sortRows orders rows by the column vals of FROM table ti and returns
+// the sorted keys.
+func sortRows(s rowSort, vals []float64, ti int) []float64 {
+	s.keys = make([]float64, len(s.rows)/s.stride)
+	for i := range s.keys {
+		s.keys[i] = vals[s.rows[i*s.stride+ti]]
+	}
+	sort.Stable(&s)
+	return s.keys
+}
+
+func (s *rowSort) Len() int { return len(s.keys) }
+
+func (s *rowSort) Less(i, j int) bool {
+	a, b := s.keys[i], s.keys[j]
+	if s.desc {
+		return a > b
+	}
+	return a < b || (s.nanFirst && math.IsNaN(a) && !math.IsNaN(b))
+}
+
+func (s *rowSort) Swap(i, j int) {
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	i, j = i*s.stride, j*s.stride
+	for k := 0; k < s.stride; k++ {
+		s.rows[i+k], s.rows[j+k] = s.rows[j+k], s.rows[i+k]
+	}
 }
 
 // finish scales cardinality, applies ORDER BY and TOP, computes
 // aggregates, and materializes the bounded tuple sample.
-func (db *DB) finish(b *Bound, rows [][]int32) (*Result, error) {
-	res := &Result{SampleMatches: int64(len(rows))}
-	res.Columns = outputColumns(b)
+func (db *DB) finish(b *Bound, rows []int32) (*Result, error) {
+	stride := len(b.Tables)
+	matches := len(rows) / stride
+	res := &Result{SampleMatches: int64(matches), Columns: db.outputColumns(b)}
 
 	if b.GroupBy != nil {
-		return db.finishGrouped(b, rows, res)
+		db.finishGrouped(b, rows, res)
+		return res, nil
 	}
 	if b.OrderBy != nil {
-		vals := db.columnValues(b.Tables[b.OrderBy.TableIdx].Name, b.OrderBy.Col.Name)
-		ti := b.OrderBy.TableIdx
-		desc := b.OrderDesc
-		sort.SliceStable(rows, func(i, j int) bool {
-			vi, vj := vals[rows[i][ti]], vals[rows[j][ti]]
-			if desc {
-				return vi > vj
-			}
-			return vi < vj
-		})
+		sortRows(rowSort{rows: rows, stride: stride, desc: b.OrderDesc}, db.vals(b, b.OrderBy), b.OrderBy.TableIdx)
 	}
 
-	logical := int64(len(rows)) * db.cfg.SampleEvery
+	logical := int64(matches) * db.cfg.SampleEvery
 	if b.Stmt.HasAggregate() {
 		res.Rows = 1
 		res.Bytes = b.ProjectedWidth()
-		tuple, err := db.aggregate(b, rows)
-		if err != nil {
-			return nil, err
+		tuple := make([]float64, len(b.Projs))
+		for i := range b.Projs {
+			if b.ProjAggs[i] == sqlparse.AggNone {
+				return nil, &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
+			}
+			tuple[i] = db.aggregate(b, i, rows)
 		}
 		res.Tuples = [][]float64{tuple}
 		return res, nil
@@ -262,40 +399,62 @@ func (db *DB) finish(b *Bound, rows [][]int32) (*Result, error) {
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
 
-	limit := len(rows)
-	if int64(limit) > logical {
-		limit = int(logical)
-	}
-	if limit > db.cfg.MaxResultRows {
-		limit = db.cfg.MaxResultRows
-	}
-	for i := 0; i < limit; i++ {
-		res.Tuples = append(res.Tuples, db.materialize(b, rows[i]))
+	proj := db.projection(b)
+	res.Tuples = newTuples(db.limit(matches, logical), len(proj))
+	for j, c := range proj {
+		for r, t := range res.Tuples {
+			t[j] = c.vals[rows[r*stride+c.table]]
+		}
 	}
 	return res, nil
 }
 
+// limit bounds the number of materialized tuples: no more than there
+// are, than the logical cardinality, than Config.MaxResultRows.
+func (db *DB) limit(have int, logical int64) int {
+	if int64(have) > logical {
+		have = int(logical)
+	}
+	if have > db.cfg.MaxResultRows {
+		have = db.cfg.MaxResultRows
+	}
+	return have
+}
+
+// newTuples returns n tuples of the given width cut from one array
+// (nil for none, as an empty result has always had).
+func newTuples(n, width int) [][]float64 {
+	if n == 0 {
+		return nil
+	}
+	flat := make([]float64, n*width)
+	tuples := make([][]float64, n)
+	for r := range tuples {
+		tuples[r] = flat[r*width : (r+1)*width : (r+1)*width]
+	}
+	return tuples
+}
+
 // finishGrouped evaluates a GROUP BY statement: one output row per
-// distinct group value among the matches, with aggregates computed
-// per group. Group counts of effectively-unique columns (keys,
+// distinct group value among the matches, ascending, with aggregates
+// computed per group. Group counts of effectively-unique columns (keys,
 // floats) scale by the sampling factor; low-cardinality integer
 // columns do not (their distinct values are all present in any
 // sample).
-func (db *DB) finishGrouped(b *Bound, rows [][]int32, res *Result) (*Result, error) {
-	gvals := db.columnValues(b.Tables[b.GroupBy.TableIdx].Name, b.GroupBy.Col.Name)
-	ti := b.GroupBy.TableIdx
-	groups := make(map[float64][][]int32)
-	for _, row := range rows {
-		v := gvals[row[ti]]
-		groups[v] = append(groups[v], row)
+func (db *DB) finishGrouped(b *Bound, rows []int32, res *Result) {
+	stride := len(b.Tables)
+	// Sorted by group value, each group is a run of equal keys with its
+	// rows still in match order. NaN equals nothing: every NaN row is a
+	// run of its own.
+	keys := sortRows(rowSort{rows: rows, stride: stride, nanFirst: true}, db.vals(b, b.GroupBy), b.GroupBy.TableIdx)
+	var starts []int // first match of each group
+	for i, v := range keys {
+		if i == 0 || v != keys[i-1] {
+			starts = append(starts, i)
+		}
 	}
-	keys := make([]float64, 0, len(groups))
-	for v := range groups {
-		keys = append(keys, v)
-	}
-	sort.Float64s(keys)
 
-	logical := int64(len(groups))
+	logical := int64(len(starts))
 	if distinct(*b.GroupBy) >= float64(b.GroupBy.Table.Rows) {
 		logical *= db.cfg.SampleEvery
 	}
@@ -305,132 +464,125 @@ func (db *DB) finishGrouped(b *Bound, rows [][]int32, res *Result) (*Result, err
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
 
-	limit := len(keys)
-	if int64(limit) > logical {
-		limit = int(logical)
-	}
-	if limit > db.cfg.MaxResultRows {
-		limit = db.cfg.MaxResultRows
-	}
-	for _, v := range keys[:limit] {
-		grp := groups[v]
-		tuple := make([]float64, 0, len(b.Projs))
-		for i, p := range b.Projs {
-			if b.ProjAggs[i] == sqlparse.AggNone {
-				tuple = append(tuple, v)
-				continue
-			}
-			agg, err := db.aggregate(&Bound{
-				Stmt:     b.Stmt,
-				Tables:   b.Tables,
-				Projs:    []BoundCol{p},
-				ProjAggs: []sqlparse.AggFunc{b.ProjAggs[i]},
-			}, grp)
-			if err != nil {
-				return nil, err
-			}
-			tuple = append(tuple, agg[0])
+	res.Tuples = newTuples(db.limit(len(starts), logical), len(b.Projs))
+	for g, tuple := range res.Tuples {
+		end := len(keys)
+		if g+1 < len(starts) {
+			end = starts[g+1]
 		}
-		res.Tuples = append(res.Tuples, tuple)
+		// The key as the run's last row spells it (-0 or +0), and for a
+		// NaN key a group with no rows in it: what a Go map keyed by the
+		// value holds, which is how groups were first built and what
+		// results are held to.
+		v := keys[end-1]
+		grp := rows[starts[g]*stride : end*stride]
+		if math.IsNaN(v) {
+			grp = nil
+		}
+		for i := range b.Projs {
+			if b.ProjAggs[i] == sqlparse.AggNone {
+				tuple[i] = v
+			} else {
+				tuple[i] = db.aggregate(b, i, grp)
+			}
+		}
 	}
-	return res, nil
 }
 
-// materialize projects one joined sample row.
-func (db *DB) materialize(b *Bound, row []int32) []float64 {
+// outCol is one projected column: its values and the FROM table whose
+// row number indexes them.
+type outCol struct {
+	vals  []float64
+	table int
+}
+
+// projection resolves the projections of a statement without
+// aggregates: its columns, or every column of every FROM table for star.
+func (db *DB) projection(b *Bound) []outCol {
 	if b.Star {
-		var out []float64
-		for ti, t := range b.Tables {
-			for j := range t.Columns {
-				out = append(out, db.columnValues(t.Name, t.Columns[j].Name)[row[ti]])
+		out := make([]outCol, 0, db.starWidth(b))
+		for ti, pos := range b.tablePos {
+			for _, vals := range db.tables[pos].cols {
+				out = append(out, outCol{vals, ti})
 			}
 		}
 		return out
 	}
-	out := make([]float64, 0, len(b.Projs))
-	for i, p := range b.Projs {
-		if b.ProjAggs[i] != sqlparse.AggNone || p.Col == nil {
-			continue
-		}
-		out = append(out, db.columnValues(p.Table.Name, p.Col.Name)[row[p.TableIdx]])
+	out := make([]outCol, len(b.Projs))
+	for i := range b.Projs {
+		out[i] = outCol{db.vals(b, &b.Projs[i]), b.Projs[i].TableIdx}
 	}
 	return out
 }
 
-// aggregate computes the aggregate tuple over the matching sample
-// rows. count and sum scale to logical size; avg/min/max are
-// sample statistics (unbiased under uniform sampling).
-func (db *DB) aggregate(b *Bound, rows [][]int32) ([]float64, error) {
-	out := make([]float64, 0, len(b.Projs))
-	for i, p := range b.Projs {
-		agg := b.ProjAggs[i]
-		if agg == sqlparse.AggNone {
-			return nil, &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
+// aggregate computes projection i's aggregate over the matches in
+// rows. count and sum scale to logical size; avg/min/max are sample
+// statistics (unbiased under uniform sampling) and 0 over no rows.
+func (db *DB) aggregate(b *Bound, i int, rows []int32) float64 {
+	stride := len(b.Tables)
+	n := len(rows) / stride
+	agg := b.ProjAggs[i]
+	if agg == sqlparse.AggCount {
+		return float64(int64(n) * db.cfg.SampleEvery)
+	}
+	p := &b.Projs[i]
+	vals := db.vals(b, p)
+	var sum float64
+	min, max := math.Inf(1), math.Inf(-1)
+	for r := p.TableIdx; r < len(rows); r += stride {
+		v := vals[rows[r]]
+		sum += v
+		if v < min {
+			min = v
 		}
-		if agg == sqlparse.AggCount {
-			out = append(out, float64(int64(len(rows))*db.cfg.SampleEvery))
-			continue
-		}
-		vals := db.columnValues(p.Table.Name, p.Col.Name)
-		var sum float64
-		min, max := math.Inf(1), math.Inf(-1)
-		for _, row := range rows {
-			v := vals[row[p.TableIdx]]
-			sum += v
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		switch agg {
-		case sqlparse.AggSum:
-			out = append(out, sum*float64(db.cfg.SampleEvery))
-		case sqlparse.AggAvg:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, sum/float64(len(rows)))
-			}
-		case sqlparse.AggMin:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, min)
-			}
-		case sqlparse.AggMax:
-			if len(rows) == 0 {
-				out = append(out, 0)
-			} else {
-				out = append(out, max)
-			}
+		if v > max {
+			max = v
 		}
 	}
-	return out, nil
+	switch {
+	case agg == sqlparse.AggSum:
+		return sum * float64(db.cfg.SampleEvery)
+	case n == 0:
+		return 0
+	case agg == sqlparse.AggAvg:
+		return sum / float64(n)
+	case agg == sqlparse.AggMin:
+		return min
+	case agg == sqlparse.AggMax:
+		return max
+	default:
+		return 0
+	}
+}
+
+// starWidth counts the columns of a star projection.
+func (db *DB) starWidth(b *Bound) int {
+	n := 0
+	for _, pos := range b.tablePos {
+		n += len(db.tables[pos].cols)
+	}
+	return n
 }
 
 // outputColumns names the result columns.
-func outputColumns(b *Bound) []string {
+func (db *DB) outputColumns(b *Bound) []string {
 	if b.Star {
-		var out []string
-		for _, t := range b.Tables {
-			for j := range t.Columns {
-				out = append(out, t.Name+"."+t.Columns[j].Name)
-			}
+		out := make([]string, 0, db.starWidth(b))
+		for _, pos := range b.tablePos {
+			out = append(out, db.tables[pos].names...)
 		}
 		return out
 	}
-	out := make([]string, 0, len(b.Stmt.Items))
-	for i, item := range b.Stmt.Items {
-		switch {
+	out := make([]string, len(b.Stmt.Items))
+	for i := range out {
+		switch item := &b.Stmt.Items[i]; {
 		case item.Alias != "":
-			out = append(out, item.Alias)
+			out[i] = item.Alias
 		case item.Agg != sqlparse.AggNone:
-			out = append(out, item.String())
+			out[i] = item.String()
 		default:
-			p := b.Projs[i]
-			out = append(out, p.Table.Name+"."+p.Col.Name)
+			p := &b.Projs[i]
+			out[i] = db.tables[b.tablePos[p.TableIdx]].names[p.pos]
 		}
 	}
 	return out

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -282,6 +283,34 @@ func TestMediatorCachingReducesWAN(t *testing.T) {
 	w, n := withCache.Accounting().WANBytes(), noCache.Accounting().WANBytes()
 	if w >= n {
 		t.Fatalf("cache WAN %d not below no-cache %d", w, n)
+	}
+}
+
+// TestQueryReportCarriesTheBoundStatement: the mediator binds a
+// statement once, executes that Bound, and hands it on in the report.
+func TestQueryReportCarriesTheBoundStatement(t *testing.T) {
+	m := newTestMediator(t, nil, Tables)
+	sql := "select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1"
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.QueryStmt(sql, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bound == nil || rep.Bound.Stmt != stmt || rep.Bound.Schema != m.Schema() {
+		t.Fatalf("Bound = %+v, want the statement handed in, bound against the mediator's schema", rep.Bound)
+	}
+	again, err := m.cfg.Engine.ExecuteBound(rep.Bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rep.Result) {
+		t.Fatalf("executing the report's Bound gives %+v, the report says %+v", again, rep.Result)
+	}
+	if _, err := m.Query("select sum(*) from photoobj"); err == nil {
+		t.Fatal("sum(*) must be refused at bind")
 	}
 }
 

@@ -160,6 +160,10 @@ type QueryReport struct {
 	SQL string
 	// Seq is the query's position in the mediator's stream.
 	Seq int64
+	// Bound is the statement as the mediator bound and executed it —
+	// once; callers that need the resolved statement (the proxy, to
+	// build sub-queries) read it here instead of binding again.
+	Bound *engine.Bound
 	// Result is the execution result (logical cardinality and yield).
 	// In degraded mode Result.Bytes excludes the yield of failed legs
 	// — it is what the client actually receives, so it still equals
@@ -359,7 +363,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.cfg.Engine.Execute(stmt)
+	res, err := m.cfg.Engine.ExecuteBound(b)
 	if err != nil {
 		return nil, err
 	}
@@ -380,6 +384,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	if err != nil {
 		return nil, err
 	}
+	rep.Bound = b
 	rep.ExecUS = execUS
 	m.queryLatency.Observe(time.Since(start).Microseconds())
 	return rep, nil

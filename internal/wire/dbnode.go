@@ -256,8 +256,8 @@ func (n *DBNode) sendErr(conn net.Conn, err error) {
 	n.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 }
 
-// execute runs a sub-query after checking that every referenced table
-// belongs to this node's site.
+// execute binds a sub-query, checks that every referenced table belongs
+// to this node's site, and runs what it bound.
 func (n *DBNode) execute(sql string) (*ResultMsg, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -272,7 +272,7 @@ func (n *DBNode) execute(sql string) (*ResultMsg, error) {
 			return nil, fmt.Errorf("dbnode %s: table %s is owned by %s", n.Site, t.Name, t.Site)
 		}
 	}
-	res, err := n.db.Execute(stmt)
+	res, err := n.db.ExecuteBound(b)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"bypassyield/internal/core"
-	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -740,19 +739,25 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 		}
 	}
 	if len(bypassedTables) > 0 {
-		bound, err := engine.Bind(p.med.Schema(), stmt)
-		if err == nil {
-			for i, sub := range federation.Subqueries(bound) {
-				t := bound.Tables[i]
-				if !bypassedTables[t.Name] {
-					continue
-				}
-				legs = append(legs, leg{site: t.Site, sql: sub.String()})
-			}
-		}
+		legs = append(legs, subqueryLegs(rep, bypassedTables)...)
 	}
 	p.runLegs(legs, ctx, res, fc)
 	return res, nil
+}
+
+// subqueryLegs builds one sub-query leg per FROM table with a bypassed
+// object, from the statement as the mediator bound and executed it
+// (rep.Bound): the proxy does not bind.
+func subqueryLegs(rep *federation.QueryReport, bypassedTables map[string]bool) []leg {
+	var legs []leg
+	for i, sub := range federation.Subqueries(rep.Bound) {
+		t := rep.Bound.Tables[i]
+		if !bypassedTables[t.Name] {
+			continue
+		}
+		legs = append(legs, leg{site: t.Site, sql: sub.String()})
+	}
+	return legs
 }
 
 // runLegs executes a query's WAN legs concurrently, one goroutine per

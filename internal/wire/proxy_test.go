@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
+	"bypassyield/internal/sqlparse"
 )
 
 // newSimProxy builds a proxy with no database nodes (pure simulation
@@ -42,6 +44,35 @@ func newSimProxy(t *testing.T, nodeAddrs map[string]string) (*Proxy, *Client, fu
 		t.Fatal(err)
 	}
 	return p, c, func() { c.Close(); p.Close() }
+}
+
+// TestSubqueryLegsUseTheReportsBound: the proxy builds sub-queries
+// from QueryReport.Bound — the statement as the mediator bound and
+// executed it — and from nothing else: handed a report whose SQL says
+// one thing and whose Bound another, the legs follow the Bound.
+func TestSubqueryLegsUseTheReportsBound(t *testing.T) {
+	s := catalog.EDR()
+	stmt, err := sqlparse.Parse("select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := engine.Bind(s, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &federation.QueryReport{SQL: "select run from field", Bound: b}
+	legs := subqueryLegs(rep, map[string]bool{"photoobj": true, "specobj": true, "field": true})
+	subs := federation.Subqueries(b)
+	want := []leg{
+		{site: catalog.SitePhoto, sql: subs[0].String()},
+		{site: catalog.SiteSpec, sql: subs[1].String()},
+	}
+	if !reflect.DeepEqual(legs, want) {
+		t.Fatalf("legs = %+v, want %+v", legs, want)
+	}
+	if legs := subqueryLegs(rep, map[string]bool{"specobj": true}); len(legs) != 1 || legs[0] != want[1] {
+		t.Fatalf("legs for specobj alone = %+v", legs)
+	}
 }
 
 func TestProxySimulationMode(t *testing.T) {

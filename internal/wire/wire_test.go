@@ -251,6 +251,41 @@ func TestEndToEndErrors(t *testing.T) {
 	}
 }
 
+// TestAggregateOverStarIsRefused: sum, avg, min and max over * parse,
+// and used to bind with no column and crash the executor — a nil
+// dereference in a connection goroutine, which neither daemon recovers
+// from, so one client statement stopped the proxy. Bind refuses them
+// now: the proxy and a node each answer with a MsgError and keep
+// serving on the same connection.
+func TestAggregateOverStarIsRefused(t *testing.T) {
+	client, shutdown := testFederation(t, nil, federation.Tables)
+	defer shutdown()
+	_, naddr := listenNode(t, catalog.SitePhoto, catalog.EDR(), engine.Config{Seed: 1, SampleEvery: 100000})
+	node, err := Dial(naddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	for name, c := range map[string]*Client{"proxy": client, "node": node} {
+		for _, sql := range []string{
+			"select sum(*) from photoobj",
+			"select avg(*) from photoobj where ra < 10",
+			"select count(*), min(*) from photoobj",
+			"select type, max(*) from photoobj group by type",
+		} {
+			_, err := c.Query(sql)
+			if err == nil || !strings.Contains(err.Error(), "wire: server: engine: aggregate over * other than count") {
+				t.Fatalf("%s: %s: err = %v, want the bind error as a MsgError", name, sql, err)
+			}
+		}
+		res, err := c.Query("select count(*), sum(ra) from photoobj")
+		if err != nil || len(res.Tuples) != 1 {
+			t.Fatalf("%s: the connection after the refusals: %+v, %v", name, res, err)
+		}
+	}
+}
+
 func TestDBNodeRejectsForeignTables(t *testing.T) {
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 100000})
