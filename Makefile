@@ -65,11 +65,15 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExecute -fuzztime=30s ./internal/engine/
 
 # A fast allocation/throughput smoke over the hot paths: the obs
-# registry (must stay allocation-free) and one end-to-end experiment.
-# The obs run is distilled into BENCH_obs.json (ns/op and allocs/op
-# per benchmark) so CI can archive hot-path numbers across commits.
+# registry (must stay allocation-free), the mediator's whole query path
+# (bind, execute, decompose, decide, flush: three passes over the 3 000
+# EDR statements of the federation benchmark's traced pass) and one
+# end-to-end experiment. The first two are distilled into
+# BENCH_obs.json (ns/op and allocs/op per benchmark) so CI can archive
+# hot-path numbers across commits.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
+	$(GO) test -run='^$$' -bench=BenchmarkMediatorQueryEDR -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	awk 'BEGIN { print "{"; n = 0 } \
 	  /^Benchmark/ { \
 	    if (n++) printf ",\n"; \

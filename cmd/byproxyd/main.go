@@ -82,7 +82,7 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":7100", "listen address for clients")
 	flag.StringVar(&o.policy, "policy", "rate-profile", "cache policy: "+strings.Join(core.PolicyNames(), ", "))
 	flag.Float64Var(&o.cachePct, "cache-pct", 0.4, "cache size as a fraction of the database")
-	flag.StringVar(&o.gran, "granularity", "columns", "object granularity: tables or columns")
+	flag.StringVar(&o.gran, "granularity", "columns", "object granularity: tables, columns or views")
 	flag.StringVar(&o.nodes, "nodes", "", "comma-separated site=addr pairs of database nodes (empty = simulate locally)")
 	flag.Int64Var(&o.sample, "sample", 1000, "materialize 1 of every N logical rows")
 	flag.Int64Var(&o.seed, "seed", 1, "data synthesis seed (must match the nodes')")

@@ -20,7 +20,7 @@ import (
 func main() {
 	var (
 		release = flag.String("release", "edr", "data release: edr or dr1")
-		gran    = flag.String("granularity", "columns", "object granularity for access decomposition: tables or columns")
+		gran    = flag.String("granularity", "columns", "object granularity for access decomposition: tables, columns or views")
 		scale   = flag.Int("scale", 1, "divide trace length and traffic target by this factor")
 		seed    = flag.Int64("seed", 0, "override the profile's seed (0 keeps the default)")
 		out     = flag.String("out", "", "output file (default stdout)")

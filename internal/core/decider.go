@@ -1,0 +1,206 @@
+package core
+
+import (
+	"time"
+
+	"bypassyield/internal/obs/ledger"
+)
+
+// Decider is the decision loop of a bypass-yield cache: one policy,
+// one flow accounting, and the observers of both (telemetry, the
+// shadow baselines, the decision ledger). The reference Simulator and
+// the live mediator both run their queries through it, so the two
+// cannot drift.
+//
+// The work splits by what must be per access and what need not be.
+// Per access — Access, or Forced and Failed when a site is down — the
+// policy decides, the Figure-1 flows are charged, the shadows replay
+// the access and one ledger record is filled from the policy's
+// explanation (it is overwritten by the next decision): state, and
+// nothing shared. Per query — End — the query's accounting is added to
+// Acct and published to the registry in one go, the shadows' gauges
+// move once, and the query's records reach the ledger out of one
+// allocation. Between Begin and End the registry and ledger are one
+// query behind the policy; a caller that serves scrapes concurrently
+// holds its lock across the pair, as the mediator does.
+//
+// A Decider is sequential state, like the policy it drives.
+type Decider struct {
+	// Acct is the flow accounting of every query ended so far.
+	Acct Accounting
+
+	policy    Policy // nil: every access bypasses
+	name      string // the policy's, "" without one
+	explainer SelfExplainer
+	tel       *Telemetry
+	counters  PolicyCounters
+	shadows   *ShadowSet
+	ledger    *ledger.Ledger
+	evictions int64 // the policy's evictions already published
+
+	// The query in progress.
+	t     int64
+	trace string
+	q     Accounting
+	recs  []ledger.DecisionRecord
+}
+
+// clockBase anchors the readings Access times the policy with:
+// time.Since(clockBase) reads the monotonic clock alone, where time.Now
+// reads the wall clock too — at two readings per access, a cost the
+// size of the policy's own.
+var clockBase = time.Now()
+
+// NewDecider assembles a decision loop. Every argument may be nil: no
+// policy bypasses every access (published as policy "none"), and an
+// absent observer costs nothing. The telemetry is attached to the
+// policy (when it publishes churn of its own) and to the shadows.
+func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger) *Decider {
+	d := &Decider{policy: p, tel: tel, shadows: shadows, ledger: led}
+	label := "none"
+	if p != nil {
+		d.name = p.Name()
+		label = d.name
+		d.explainer, _ = p.(SelfExplainer)
+		d.evictions = p.Evictions()
+		if ts, ok := p.(TelemetrySetter); ok && tel != nil {
+			ts.SetTelemetry(tel)
+		}
+	}
+	d.counters = tel.PolicyCounters(label)
+	if tel != nil {
+		shadows.SetTelemetry(tel)
+	}
+	return d
+}
+
+// Begin opens the query at time t (the policy's clock) with the
+// distributed trace id its ledger records carry; accesses sizes the
+// record batch.
+func (d *Decider) Begin(t int64, trace string, accesses int) {
+	d.t, d.trace = t, trace
+	d.q = Accounting{Queries: 1}
+	if d.ledger != nil {
+		d.recs = make([]ledger.DecisionRecord, 0, accesses)
+	}
+}
+
+// Access presents one access of the open query to the policy and
+// charges the decision. core.decide_seconds gets one observation per
+// call: the policy's own time, not the bookkeeping's.
+func (d *Decider) Access(obj Object, yield int64) (Decision, error) {
+	dec := Bypass
+	switch {
+	case d.policy == nil:
+	case d.tel == nil:
+		dec = d.policy.Access(d.t, obj, yield)
+	default:
+		start := time.Since(clockBase)
+		dec = d.policy.Access(d.t, obj, yield)
+		d.tel.ObserveDecide(time.Since(clockBase) - start)
+	}
+	_, err := d.charge(obj, yield, dec)
+	return dec, err
+}
+
+// Forced charges a serve-from-cache the policy did not choose: the
+// object's site is unavailable and the cached (possibly stale) copy is
+// served as a hit. The policy is not consulted — outage traffic must
+// not distort what it has learned — and the ledger record carries the
+// reason and Stale.
+func (d *Decider) Forced(obj Object, yield int64, reason string) error {
+	rec, err := d.charge(obj, yield, Hit)
+	if err != nil {
+		return err
+	}
+	d.tel.RecordForced(obj.Site, yield)
+	if rec != nil {
+		rec.Reason = reason
+		rec.Stale = true
+	}
+	return nil
+}
+
+// Failed notes an access dropped entirely: site unavailable, object
+// not cached. Nothing is delivered and nothing charged; the ledger
+// records action "failed" with zero yield and WAN cost, so Σ ledger
+// yields stays D_A.
+func (d *Decider) Failed(obj Object, reason string) {
+	d.tel.RecordFailedLeg(obj.Site)
+	if d.ledger != nil {
+		d.recs = append(d.recs, ledger.DecisionRecord{
+			T:         d.t,
+			Policy:    d.name,
+			Trace:     d.trace,
+			Object:    string(obj.ID),
+			Action:    ReasonFailedLeg,
+			Size:      obj.Size,
+			FetchCost: obj.FetchCost,
+			Reason:    reason,
+		})
+	}
+}
+
+// charge applies a decision to the open query: flows, shadows, and the
+// ledger record (returned for the caller to annotate; nil without a
+// ledger).
+func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.DecisionRecord, error) {
+	if err := Account(&d.q, obj, yield, dec); err != nil {
+		return nil, &BadDecisionError{Policy: d.name, Decision: dec}
+	}
+	d.shadows.Access(d.t, obj, yield, dec)
+	if d.ledger == nil {
+		return nil, nil
+	}
+	d.recs = append(d.recs, ledger.DecisionRecord{})
+	rec := &d.recs[len(d.recs)-1]
+	fillRecord(rec, d.t, d.name, d.explainer, d.trace, obj, yield, dec)
+	return rec, nil
+}
+
+// End closes the open query with the one bookkeeping flush: its flows
+// join Acct and the registry together, the shadows publish, the
+// records are appended to the ledger, and evictions the policy made
+// are counted.
+func (d *Decider) End() {
+	d.Acct.Add(d.q)
+	d.tel.Publish(d.counters, d.q)
+	d.shadows.Publish()
+	d.ledger.Append(d.recs)
+	d.recs = nil
+	d.publishEvictions()
+}
+
+// Replay charges one access decided before a restart, outside any
+// query: the recorded decision's flows reach Acct and the registry.
+// The shadows and the ledger restart empty and see nothing of it; the
+// caller has already let the policy re-decide the access.
+func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
+	var q Accounting
+	if err := Account(&q, obj, yield, recorded); err != nil {
+		return err
+	}
+	d.Acct.Add(q)
+	d.tel.Publish(d.counters, q)
+	d.publishEvictions()
+	return nil
+}
+
+// Restore adopts the accounting of a restored snapshot and seeds the
+// registry's lifetime counters with it (see Telemetry.SeedRestored),
+// the restored policy's evictions included.
+func (d *Decider) Restore(a Accounting) {
+	d.Acct = a
+	d.tel.SeedRestored(d.counters, a)
+	d.publishEvictions()
+}
+
+func (d *Decider) publishEvictions() {
+	if d.policy == nil {
+		return
+	}
+	if ev := d.policy.Evictions(); ev > d.evictions {
+		d.tel.RecordEvictions(d.name, ev-d.evictions)
+		d.evictions = ev
+	}
+}

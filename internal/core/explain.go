@@ -99,24 +99,33 @@ func WANCost(obj Object, yield int64, d Decision) int64 {
 
 // DecisionRecordFor builds the ledger record for one decided access,
 // folding in the policy's self-explanation when it offers one. The
-// record's Seq is assigned by Ledger.Record; T is the query clock.
+// record's Seq is assigned by the ledger; T is the query clock.
 // Safe on a nil policy (the record just carries no policy name).
 func DecisionRecordFor(t int64, p Policy, trace string, obj Object, yield int64, d Decision) ledger.DecisionRecord {
-	rec := ledger.DecisionRecord{
-		T:         t,
-		Trace:     trace,
-		Object:    string(obj.ID),
-		Action:    d.String(),
-		Yield:     yield,
-		WANCost:   WANCost(obj, yield, d),
-		Size:      obj.Size,
-		FetchCost: obj.FetchCost,
-	}
+	var rec ledger.DecisionRecord
 	if p == nil {
+		fillRecord(&rec, t, "", nil, trace, obj, yield, d)
 		return rec
 	}
-	rec.Policy = p.Name()
-	if se, ok := p.(SelfExplainer); ok {
+	se, _ := p.(SelfExplainer)
+	fillRecord(&rec, t, p.Name(), se, trace, obj, yield, d)
+	return rec
+}
+
+// fillRecord writes one decided access into a zero record, in place:
+// the Decider fills the slots of a query's batch with it, having
+// resolved the policy's name and explainer once.
+func fillRecord(rec *ledger.DecisionRecord, t int64, policy string, se SelfExplainer, trace string, obj Object, yield int64, d Decision) {
+	rec.T = t
+	rec.Policy = policy
+	rec.Trace = trace
+	rec.Object = string(obj.ID)
+	rec.Action = d.String()
+	rec.Yield = yield
+	rec.WANCost = WANCost(obj, yield, d)
+	rec.Size = obj.Size
+	rec.FetchCost = obj.FetchCost
+	if se != nil {
 		ex := se.LastExplain()
 		rec.RP = ex.RP
 		rec.LAR = ex.LAR
@@ -126,5 +135,4 @@ func DecisionRecordFor(t int64, p Policy, trace string, obj Object, yield int64,
 		rec.EpisodePhase = ex.EpisodePhase
 		rec.Reason = ex.Reason
 	}
-	return rec
 }

@@ -10,8 +10,11 @@ package core
 // miss loads.
 type LRUK struct {
 	inlineCache
-	k    int
-	hist map[ObjectID][]int64 // most recent first, at most k entries
+	k int
+	// hist is each object's reference history, most recent first, at
+	// most k entries. Every slice has capacity k, so a reference shifts
+	// the history in place.
+	hist map[ObjectID][]int64
 }
 
 // NewLRUK returns an LRU-K policy. k < 2 degrades to classic LRU
@@ -33,12 +36,11 @@ func (l *LRUK) Reset() {
 	l.hist = make(map[ObjectID][]int64)
 }
 
-// priority orders eviction: objects with a full K-history rank by
-// their K-th most recent reference; objects with fewer references
-// rank below all of them (infinite backward K-distance), ordered by
-// recency among themselves.
-func (l *LRUK) priority(id ObjectID) float64 {
-	h := l.hist[id]
+// priority orders eviction by reference history h: objects with a full
+// K-history rank by their K-th most recent reference; objects with
+// fewer references rank below all of them (infinite backward
+// K-distance), ordered by recency among themselves.
+func (l *LRUK) priority(h []int64) float64 {
 	if len(h) >= l.k {
 		return float64(h[l.k-1])
 	}
@@ -51,18 +53,21 @@ func (l *LRUK) priority(id ObjectID) float64 {
 // Access implements Policy.
 func (l *LRUK) Access(t int64, obj Object, yield int64) Decision {
 	h := l.hist[obj.ID]
-	h = append([]int64{t}, h...)
-	if len(h) > l.k {
-		h = h[:l.k]
+	if len(h) < l.k {
+		if h == nil {
+			h = make([]int64, 0, l.k)
+		}
+		h = h[:len(h)+1]
+		l.hist[obj.ID] = h
 	}
-	l.hist[obj.ID] = h
+	copy(h[1:], h)
+	h[0] = t
 
-	key := string(obj.ID)
-	if l.heap.Contains(key) {
-		l.heap.Update(key, l.priority(obj.ID))
+	prio := l.priority(h)
+	if l.heap.Update(string(obj.ID), prio) {
 		return Hit
 	}
-	if !l.admit(obj, l.priority(obj.ID)) {
+	if !l.admit(obj, prio) {
 		return Bypass
 	}
 	return Load

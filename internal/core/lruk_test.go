@@ -71,3 +71,51 @@ func TestLRUKOversized(t *testing.T) {
 		t.Fatalf("oversized = %v, want bypass", d)
 	}
 }
+
+// TestLRUKHistoryInPlace: a reference shifts the object's K-history
+// where it lies — the history reads most recent first, never longer
+// than K — and allocates nothing once the object has been seen,
+// whether the history was built here or restored from a snapshot.
+func TestLRUKHistoryInPlace(t *testing.T) {
+	const k = 3
+	l := NewLRUK(1000, k)
+	objs := []Object{testObj("a", 100), testObj("b", 100), testObj("c", 100)}
+	want := map[ObjectID][]int64{}
+	for ts := int64(1); ts <= 20; ts++ {
+		o := objs[ts%3]
+		if ts%5 == 0 {
+			o = objs[0]
+		}
+		l.Access(ts, o, 1)
+		h := append([]int64{ts}, want[o.ID]...)
+		if len(h) > k {
+			h = h[:k]
+		}
+		want[o.ID] = h
+	}
+	for id, h := range want {
+		if got := l.hist[id]; len(got) != len(h) || got[0] != h[0] || got[len(got)-1] != h[len(h)-1] {
+			t.Fatalf("history of %s = %v, want %v", id, got, h)
+		}
+	}
+
+	restored := NewLRUK(1000, k)
+	if err := restored.RestoreState(l.SnapshotState()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*LRUK{l, restored} {
+		ts := int64(100)
+		if allocs := testing.AllocsPerRun(50, func() {
+			ts++
+			p.Access(ts, objs[ts%3], 1)
+		}); allocs != 0 {
+			t.Fatalf("a reference to a seen object allocates %.1f times", allocs)
+		}
+	}
+	// The two saw the same references: same histories, same cache.
+	for id, h := range l.hist {
+		if got := restored.hist[id]; len(got) != len(h) || got[0] != h[0] || got[k-1] != h[k-1] {
+			t.Fatalf("after restore, history of %s = %v, uninterrupted %v", id, got, h)
+		}
+	}
+}

@@ -749,7 +749,7 @@ func (l *LRUK) RestoreState(data []byte) error {
 		if d.err == nil && m > l.k {
 			return fmt.Errorf("core: lru-k snapshot history for %s has %d entries, K=%d", id, m, l.k)
 		}
-		h := make([]int64, 0, m)
+		h := make([]int64, 0, l.k) // Access shifts within capacity k
 		for j := 0; j < m && d.err == nil; j++ {
 			h = append(h, d.i64())
 		}

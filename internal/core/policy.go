@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"bypassyield/internal/obs/ledger"
 )
@@ -56,7 +55,8 @@ type Result struct {
 	CurveStride int64
 }
 
-// Simulator drives a policy over a trace with full flow accounting.
+// Simulator drives a policy over a trace with full flow accounting,
+// through the Decider the live mediator decides with.
 type Simulator struct {
 	// Policy is the algorithm under test.
 	Policy Policy
@@ -84,47 +84,31 @@ type Simulator struct {
 // repeatedly or call Policy.Reset between independent runs.
 func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
-	a := &res.Acct
 	evBefore := s.Policy.Evictions()
-	if ts, ok := s.Policy.(TelemetrySetter); ok && s.Telemetry != nil {
-		ts.SetTelemetry(s.Telemetry)
-	}
-	if s.Shadows != nil && s.Telemetry != nil {
-		s.Shadows.SetTelemetry(s.Telemetry)
-	}
+	d := NewDecider(s.Policy, s.Telemetry, s.Shadows, s.Ledger)
 	for i, req := range reqs {
-		a.Queries++
+		d.Begin(req.Seq, "", len(req.Accesses))
 		for _, acc := range req.Accesses {
 			obj, ok := s.Objects[acc.Object]
 			if !ok {
+				d.End()
 				return nil, &UnknownObjectError{ID: acc.Object, Seq: req.Seq}
 			}
-			var d Decision
-			if s.Telemetry != nil {
-				start := time.Now()
-				d = s.Policy.Access(req.Seq, obj, acc.Yield)
-				s.Telemetry.ObserveDecide(time.Since(start))
-			} else {
-				d = s.Policy.Access(req.Seq, obj, acc.Yield)
-			}
-			if err := Account(a, obj, acc.Yield, d); err != nil {
-				return nil, &BadDecisionError{Policy: s.Policy.Name(), Decision: d}
-			}
-			s.Telemetry.RecordAccess(res.Policy, obj, acc.Yield, d)
-			s.Shadows.Access(req.Seq, obj, acc.Yield, d)
-			if s.Ledger != nil {
-				s.Ledger.Record(DecisionRecordFor(req.Seq, s.Policy, "", obj, acc.Yield, d))
+			if _, err := d.Access(obj, acc.Yield); err != nil {
+				d.End()
+				return nil, err
 			}
 		}
+		d.End()
 		if s.CurveStride > 0 && int64(i+1)%s.CurveStride == 0 {
-			res.Curve = append(res.Curve, a.WANBytes())
+			res.Curve = append(res.Curve, d.Acct.WANBytes())
 		}
 	}
-	if s.CurveStride > 0 && (len(res.Curve) == 0 || res.Curve[len(res.Curve)-1] != a.WANBytes()) {
-		res.Curve = append(res.Curve, a.WANBytes())
+	res.Acct = d.Acct
+	if s.CurveStride > 0 && (len(res.Curve) == 0 || res.Curve[len(res.Curve)-1] != res.Acct.WANBytes()) {
+		res.Curve = append(res.Curve, res.Acct.WANBytes())
 	}
-	a.Evictions = s.Policy.Evictions() - evBefore
-	s.Telemetry.RecordEvictions(res.Policy, a.Evictions)
+	res.Acct.Evictions = s.Policy.Evictions() - evBefore
 	return res, nil
 }
 

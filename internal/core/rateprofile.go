@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // RateProfileConfig parameterizes the Rate-Profile policy.
 type RateProfileConfig struct {
 	// Capacity is the cache size in bytes.
@@ -33,6 +31,10 @@ type RateProfile struct {
 	profiles  *profileTable
 	evictions int64
 	last      Explain
+
+	// Buffers selectVictims reuses from miss to miss.
+	cands   []victimCand
+	victims []ObjectID
 }
 
 type rpEntry struct {
@@ -152,36 +154,68 @@ func (r *RateProfile) Access(t int64, obj Object, yield int64) Decision {
 	return Load
 }
 
-// selectVictims returns the lowest-RP cached objects whose combined
-// size frees at least `needed` bytes, together with the maximum RP in
-// the victim set and the total bytes freed.
+// victimCand is a cached object as a candidate for eviction.
+type victimCand struct {
+	id   ObjectID
+	rp   float64
+	size int64
+}
+
+// before orders candidates for eviction: lowest RP first, ties by id
+// so the choice does not depend on map order.
+func (c *victimCand) before(d *victimCand) bool {
+	if c.rp != d.rp {
+		return c.rp < d.rp
+	}
+	return c.id < d.id
+}
+
+// selectVictims returns the lowest-RP cached objects, in eviction
+// order, whose combined size frees at least `needed` bytes, together
+// with the maximum RP in the victim set and the total bytes freed. A
+// miss evicts a few of the many cached objects, so the candidates are
+// heaped (linear) and only the victims popped, not all sorted. The
+// returned slice is valid until the next call.
 func (r *RateProfile) selectVictims(t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
-	type cand struct {
-		id   ObjectID
-		rp   float64
-		size int64
-	}
-	cands := make([]cand, 0, len(r.entries))
+	h := r.cands[:0]
 	for id, e := range r.entries {
-		cands = append(cands, cand{id, e.rp(t), e.obj.Size})
+		h = append(h, victimCand{id, e.rp(t), e.obj.Size})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].rp != cands[j].rp {
-			return cands[i].rp < cands[j].rp
-		}
-		return cands[i].id < cands[j].id // deterministic tie-break
-	})
-	for _, c := range cands {
-		if freed >= needed {
-			break
-		}
+	r.cands = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	victims = r.victims[:0]
+	for freed < needed && len(h) > 0 {
+		c := h[0]
 		victims = append(victims, c.id)
 		freed += c.size
 		if c.rp > maxRP {
 			maxRP = c.rp
 		}
+		h[0] = h[len(h)-1]
+		h = h[:len(h)-1]
+		siftDown(h, 0)
 	}
+	r.victims = victims
 	return victims, maxRP, freed
+}
+
+// siftDown restores the min-heap order of h below position i.
+func siftDown(h []victimCand, i int) {
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 func (r *RateProfile) load(t int64, obj Object, yield int64) {

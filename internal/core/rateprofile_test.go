@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -214,5 +217,73 @@ func TestRateProfileBeatsNoCacheOnSkewedWorkload(t *testing.T) {
 	seqCost := run(NewNoCache())
 	if rpCost >= seqCost/5 {
 		t.Fatalf("rate-profile WAN %d not ≪ sequence cost %d", rpCost, seqCost)
+	}
+}
+
+// referenceVictims is selectVictims as it was: every cached entry
+// sorted by (RP, id), then the prefix that frees enough.
+func referenceVictims(r *RateProfile, t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
+	type cand struct {
+		id   ObjectID
+		rp   float64
+		size int64
+	}
+	cands := make([]cand, 0, len(r.entries))
+	for id, e := range r.entries {
+		cands = append(cands, cand{id, e.rp(t), e.obj.Size})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].rp != cands[j].rp {
+			return cands[i].rp < cands[j].rp
+		}
+		return cands[i].id < cands[j].id
+	})
+	for _, c := range cands {
+		if freed >= needed {
+			break
+		}
+		victims = append(victims, c.id)
+		freed += c.size
+		if c.rp > maxRP {
+			maxRP = c.rp
+		}
+	}
+	return victims, maxRP, freed
+}
+
+// TestSelectVictimsMatchesSort holds the partial selection to the full
+// sort on randomised caches: the same victims in the same order, the
+// same maximum RP and bytes freed — with RPs drawn from a handful of
+// values so that ties (broken by id) are the rule, with needs from one
+// byte to more than everything cached, and with an empty cache.
+func TestSelectVictimsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 400; round++ {
+		r := NewRateProfile(RateProfileConfig{Capacity: 1 << 40})
+		n := rng.Intn(60)
+		var cached int64
+		for i := 0; i < n; i++ {
+			size := int64(1+rng.Intn(8)) * 100
+			id := ObjectID(fmt.Sprintf("o%03d", rng.Intn(1000)))
+			if r.Contains(id) {
+				continue
+			}
+			// Equal sizes, load times and yields recur, so equal RPs do.
+			r.entries[id] = &rpEntry{
+				obj:      Object{ID: id, Size: size, FetchCost: size},
+				loadTime: int64(rng.Intn(4)),
+				sumYield: int64(rng.Intn(4)) * size,
+			}
+			cached += size
+		}
+		now := int64(5 + rng.Intn(100))
+		for _, needed := range []int64{1, 100, cached / 3, cached, cached + 1, 2*cached + 500} {
+			want, wantRP, wantFreed := referenceVictims(r, now, needed)
+			got, gotRP, gotFreed := r.selectVictims(now, needed)
+			if !reflect.DeepEqual(append([]ObjectID(nil), got...), want) || gotRP != wantRP || gotFreed != wantFreed {
+				t.Fatalf("round %d, %d cached, needed %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
+					round, len(r.entries), needed, got, gotRP, gotFreed, want, wantRP, wantFreed)
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 func TestShadowNilIsNoOp(t *testing.T) {
 	var s *ShadowSet
 	s.Access(1, testObj("o1", 100), 10, Bypass) // must not panic
+	s.Publish()
 	s.SetTelemetry(nil)
 	s.Reset()
 	if s.OptBound() != 0 || s.CompetitiveRatio() != 0 || s.SavedVs("lruk") != 0 {
@@ -96,6 +97,11 @@ func TestShadowTelemetryGauges(t *testing.T) {
 	o := testObj("o1", 1000)
 	s.Access(1, o, 400, Bypass)
 	s.Access(2, o, 600, Load)
+	if got := reg.Snapshot().GaugeValue("core.bytes_saved_vs_bypass"); got != 0 {
+		t.Fatalf("gauge moved before Publish: %d", got)
+	}
+	s.Publish()
+	s.Publish() // nothing new: nothing moves
 	snap := reg.Snapshot()
 	wantSaved := s.SavedVs("always-bypass")
 	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
@@ -279,5 +285,31 @@ func TestDecisionRecordForNilPolicy(t *testing.T) {
 	}
 	if WANCost(o, 500, Hit) != 0 || WANCost(o, 500, Load) != 2000 {
 		t.Fatal("WANCost flow rules broken")
+	}
+}
+
+// BenchmarkShadowAccess is the cost the counterfactual baselines add to
+// one access (both shadow policies and the ski-rental bound) plus, once
+// every seventeen accesses — an EDR statement's worth — the publish.
+// The LRU-K shadow holds every object, so this is the steady state of
+// a cache that mostly hits; a shadow load or eviction costs two
+// allocations (the heap item and its boxed object).
+func BenchmarkShadowAccess(b *testing.B) {
+	objs := make([]Object, 200)
+	for i := range objs {
+		objs[i] = testObj(string(rune('a'+i%26))+string(rune('a'+i/26)), int64(100+i))
+	}
+	s := NewShadowSet(1 << 20)
+	s.SetTelemetry(NewTelemetry(obs.NewRegistry()))
+	for i, o := range objs {
+		s.Access(0, o, 50, Decision(i%3))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Access(int64(i/17), objs[i%len(objs)], 50, Decision(i%3))
+		if i%17 == 16 {
+			s.Publish()
+		}
 	}
 }

@@ -187,50 +187,32 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 	}
 }
 
-// RecordAccess charges one decided access, mirroring Account's flow
-// rules. Unknown decisions are ignored (the caller surfaces the
-// error through Account).
-func (t *Telemetry) RecordAccess(policy string, obj Object, yield int64, d Decision) {
+// PolicyCounters are one policy's core.decisions counters, one per
+// verdict, resolved once so that publishing a query's decisions builds
+// no label and looks nothing up. The zero value (a nil Telemetry's)
+// counts nothing.
+type PolicyCounters struct {
+	hit, bypass, load *obs.Counter
+}
+
+// PolicyCounters resolves the verdict counters of the named policy.
+func (t *Telemetry) PolicyCounters(policy string) PolicyCounters {
 	if t == nil {
-		return
+		return PolicyCounters{}
 	}
-	t.decisions.Add(policy+"/"+d.String(), 1)
-	t.accesses.Add(1)
-	t.yieldBytes.Add(yield)
-	switch d {
-	case Hit:
-		t.cacheBytes.Add(yield)
-		t.cacheRate.Add(yield)
-	case Bypass:
-		cost := obj.BypassCost(yield)
-		t.bypassBytes.Add(cost)
-		t.bypassRate.Add(cost)
-		t.wanRate.Add(cost)
-	case Load:
-		t.fetchBytes.Add(obj.FetchCost)
-		t.fetchRate.Add(obj.FetchCost)
-		t.cacheBytes.Add(yield)
-		t.cacheRate.Add(yield)
-		t.wanRate.Add(obj.FetchCost)
+	return PolicyCounters{
+		hit:    t.decisions.Get(policy + "/" + Hit.String()),
+		bypass: t.decisions.Get(policy + "/" + Bypass.String()),
+		load:   t.decisions.Get(policy + "/" + Load.String()),
 	}
 }
 
-// SeedRestored re-publishes the cumulative counters that mirror a
-// restored Accounting, so a registry snapshot keeps reconciling with
-// the mediator's flow ledger (core.yield_bytes = Acct.YieldBytes =
-// D_A, the invariant byinspect -federation checks) across a warm
-// restart. Only the lifetime counters RecordAccess drives are seeded:
-// sliding-window rates, latency histograms, and the degraded-mode
-// site families describe live traffic and restart empty (Accounting
-// cannot apportion historical hits between free and forced serves
-// anyway — both charge the Hit flow rules).
-func (t *Telemetry) SeedRestored(policy string, a Accounting) {
-	if t == nil {
-		return
-	}
-	t.decisions.Add(policy+"/"+Hit.String(), a.Hits)
-	t.decisions.Add(policy+"/"+Bypass.String(), a.Bypasses)
-	t.decisions.Add(policy+"/"+Load.String(), a.Loads)
+// addFlows adds an accounting's decision counts and byte flows to the
+// lifetime counters that mirror it.
+func (t *Telemetry) addFlows(pc PolicyCounters, a Accounting) {
+	pc.hit.Add(a.Hits)
+	pc.bypass.Add(a.Bypasses)
+	pc.load.Add(a.Loads)
 	t.accesses.Add(a.Accesses)
 	t.yieldBytes.Add(a.YieldBytes)
 	t.cacheBytes.Add(a.CacheBytes)
@@ -238,17 +220,56 @@ func (t *Telemetry) SeedRestored(policy string, a Accounting) {
 	t.fetchBytes.Add(a.FetchBytes)
 }
 
-// RecordForced charges one forced serve-from-cache: the owning site
+// Publish charges the accesses of one query, given as the accounting
+// they produced (Account's flow rules, so the registry reconciles with
+// the accounting the delta is added to). Each sliding-window rate a
+// decision of the query feeds is fed once, with the query's sum.
+func (t *Telemetry) Publish(pc PolicyCounters, q Accounting) {
+	if t == nil || q.Accesses == 0 {
+		return
+	}
+	t.addFlows(pc, q)
+	if q.Hits+q.Loads > 0 {
+		t.cacheRate.Add(q.CacheBytes)
+	}
+	if q.Bypasses > 0 {
+		t.bypassRate.Add(q.BypassBytes)
+	}
+	if q.Loads > 0 {
+		t.fetchRate.Add(q.FetchBytes)
+	}
+	if q.Bypasses+q.Loads > 0 {
+		t.wanRate.Add(q.WANBytes())
+	}
+}
+
+// SeedRestored re-publishes the cumulative counters that mirror a
+// restored Accounting, so a registry snapshot keeps reconciling with
+// the mediator's flow ledger (core.yield_bytes = Acct.YieldBytes =
+// D_A, the invariant byinspect -federation checks) across a warm
+// restart. Only the lifetime counters Publish drives are seeded:
+// sliding-window rates, latency histograms, and the degraded-mode
+// site families describe live traffic and restart empty (Accounting
+// cannot apportion historical hits between free and forced serves
+// anyway — both charge the Hit flow rules).
+func (t *Telemetry) SeedRestored(pc PolicyCounters, a Accounting) {
+	if t == nil {
+		return
+	}
+	t.addFlows(pc, a)
+}
+
+// RecordForced counts one forced serve-from-cache: the owning site
 // was unavailable, so the cached (possibly stale) copy was served.
 // The byte flows follow the Hit rules — the bytes really came from
-// the cache — on top of the degraded-mode counters.
-func (t *Telemetry) RecordForced(policy, site string, obj Object, yield int64) {
+// the cache — and reach the registry with the rest of the query's
+// (Publish); these are the degraded-mode counters on top.
+func (t *Telemetry) RecordForced(site string, yield int64) {
 	if t == nil {
 		return
 	}
 	t.forcedDecisions.Add(site, 1)
 	t.staleBytes.Add(yield)
-	t.RecordAccess(policy, obj, yield, Hit)
 }
 
 // RecordFailedLeg counts one dropped access: site down, object not
@@ -310,7 +331,7 @@ func (t *Telemetry) LegInflight(delta int64) {
 }
 
 // RecordShadow charges WAN traffic a shadow baseline would have
-// incurred for one access.
+// incurred since it last published.
 func (t *Telemetry) RecordShadow(baseline string, wan int64) {
 	if t == nil || wan == 0 {
 		return

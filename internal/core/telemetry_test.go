@@ -6,9 +6,10 @@ import (
 	"bypassyield/internal/obs"
 )
 
-// TestTelemetryMirrorsAccounting drives the same accesses through
-// Account and Telemetry.RecordAccess and checks the registry agrees
-// with the Figure-1 flows, including D_A = D_S + D_C.
+// TestTelemetryMirrorsAccounting charges accesses through Account,
+// publishes them query by query through Telemetry.Publish and checks
+// the registry agrees with the Figure-1 flows, including
+// D_A = D_S + D_C.
 func TestTelemetryMirrorsAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
@@ -21,11 +22,16 @@ func TestTelemetryMirrorsAccounting(t *testing.T) {
 	}{
 		{100, Bypass}, {200, Load}, {300, Hit}, {50, Bypass}, {400, Hit},
 	}
-	for _, s := range seq {
-		if err := Account(&acct, obj, s.yield, s.d); err != nil {
-			t.Fatal(err)
+	pc := tel.PolicyCounters("test-policy")
+	for _, query := range [][]int{{0, 1, 2}, {3, 4}} {
+		q := Accounting{Queries: 1}
+		for _, i := range query {
+			if err := Account(&q, obj, seq[i].yield, seq[i].d); err != nil {
+				t.Fatal(err)
+			}
 		}
-		tel.RecordAccess("test-policy", obj, s.yield, s.d)
+		acct.Add(q)
+		tel.Publish(pc, q)
 	}
 	snap := reg.Snapshot()
 	if got := snap.CounterValue("core.bypass_bytes", ""); got != acct.BypassBytes {
@@ -73,7 +79,9 @@ func TestTelemetryMirrorsAccounting(t *testing.T) {
 
 func TestTelemetryNilSafe(t *testing.T) {
 	var tel *Telemetry
-	tel.RecordAccess("p", Object{}, 1, Hit)
+	tel.Publish(tel.PolicyCounters("p"), Accounting{Accesses: 1, Hits: 1, YieldBytes: 1, CacheBytes: 1})
+	tel.SeedRestored(tel.PolicyCounters("p"), Accounting{Accesses: 1})
+	tel.RecordForced("s", 1)
 	tel.RecordQuery()
 	tel.RecordEvictions("p", 3)
 	tel.EpisodeOpened()

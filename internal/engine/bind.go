@@ -25,10 +25,10 @@ type BoundCol struct {
 	Table *catalog.Table
 	// Col is the resolved catalog column.
 	Col *catalog.Column
-	// pos is Col's position in Table.Columns, which is also its
-	// position in the engine's column storage: the executor never looks
-	// a column up by name.
-	pos int
+	// Pos is Col's position in Table.Columns, which is also its
+	// position in the engine's column storage: neither the executor nor
+	// the yield decomposition looks a column up by name.
+	Pos int
 }
 
 // BoundCond is a WHERE conjunct with both sides resolved.
@@ -51,8 +51,8 @@ type Bound struct {
 	Schema *catalog.Schema
 	// Tables are the resolved FROM tables, in statement order.
 	Tables []*catalog.Table
-	// tablePos is each FROM table's position in Schema.Tables.
-	tablePos []int
+	// TablePos is each FROM table's position in Schema.Tables.
+	TablePos []int
 	// Projs are the resolved plain-column projections (empty for
 	// star; aggregates resolve their argument unless count(*)).
 	Projs []BoundCol
@@ -68,6 +68,9 @@ type Bound struct {
 	// selects descending order.
 	OrderBy   *BoundCol
 	OrderDesc bool
+	// refs is the statement's distinct referenced columns, computed once
+	// by Bind (see ReferencedColumns).
+	refs []BoundCol
 }
 
 // BindError reports a name-resolution failure.
@@ -93,12 +96,12 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 			return nil, &BindError{Msg: "unknown table", Ref: tr.Name}
 		}
 		b.Tables = append(b.Tables, &s.Tables[ti])
-		b.tablePos = append(b.tablePos, ti)
+		b.TablePos = append(b.TablePos, ti)
 	}
 
 	boundCol := func(tableIdx, pos int) BoundCol {
 		t := b.Tables[tableIdx]
-		return BoundCol{TableIdx: tableIdx, Table: t, Col: &t.Columns[pos], pos: pos}
+		return BoundCol{TableIdx: tableIdx, Table: t, Col: &t.Columns[pos], Pos: pos}
 	}
 	resolve := func(ref sqlparse.ColRef) (BoundCol, error) {
 		if ref.Table != "" {
@@ -216,6 +219,7 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 		b.OrderBy = &o
 		b.OrderDesc = stmt.OrderBy.Desc
 	}
+	b.collectRefs()
 	return b, nil
 }
 
@@ -244,26 +248,60 @@ func (b *Bound) ProjectedWidth() int64 {
 }
 
 // ReferencedColumns returns every distinct (table, column) pair the
-// statement touches — projections, predicates, and join keys. Star
-// projections expand to all columns of all FROM tables. The federation
-// layer uses this set for yield decomposition at column granularity.
-func (b *Bound) ReferencedColumns() []BoundCol {
-	seen := make(map[string]bool)
-	var out []BoundCol
+// statement touches — projections, predicates, and join keys — in
+// first-reference order. Star projections expand to all columns of all
+// FROM tables. A table joined to itself under two aliases contributes
+// each of its columns once, under the alias that names it first. The
+// federation layer decomposes yields and builds sub-queries over this
+// set; the slice is shared, callers must not modify it.
+func (b *Bound) ReferencedColumns() []BoundCol { return b.refs }
+
+// collectRefs fills b.refs, de-duplicating by position: a column is
+// its table's position in the schema and its own position in the
+// table, so no name is built or compared.
+func (b *Bound) collectRefs() {
+	// One bit per column of each distinct FROM table; a repeated table
+	// shares the bits of its first occurrence.
+	var baseBuf [8]int
+	var seenBuf [8]uint64
+	base := baseBuf[:0]
+	bits := 0
+	for i, t := range b.Tables {
+		at := bits
+		for j := 0; j < i; j++ {
+			if b.TablePos[j] == b.TablePos[i] {
+				at = base[j]
+				break
+			}
+		}
+		if at == bits {
+			bits += len(t.Columns)
+		}
+		base = append(base, at)
+	}
+	seen := seenBuf[:]
+	if words := (bits + 63) / 64; words > len(seen) {
+		seen = make([]uint64, words)
+	}
+	n := len(b.Projs) + 2*len(b.Conds) + 2
+	if b.Star {
+		n += bits
+	}
+	b.refs = make([]BoundCol, 0, n)
 	add := func(bc BoundCol) {
 		if bc.Col == nil {
 			return
 		}
-		k := bc.Table.Name + "." + bc.Col.Name
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, bc)
+		bit := base[bc.TableIdx] + bc.Pos
+		if seen[bit/64]&(1<<(bit%64)) == 0 {
+			seen[bit/64] |= 1 << (bit % 64)
+			b.refs = append(b.refs, bc)
 		}
 	}
 	if b.Star {
 		for i, t := range b.Tables {
 			for j := range t.Columns {
-				add(BoundCol{TableIdx: i, Table: t, Col: &t.Columns[j], pos: j})
+				add(BoundCol{TableIdx: i, Table: t, Col: &t.Columns[j], Pos: j})
 			}
 		}
 	}
@@ -282,5 +320,4 @@ func (b *Bound) ReferencedColumns() []BoundCol {
 	if b.OrderBy != nil {
 		add(*b.OrderBy)
 	}
-	return out
 }

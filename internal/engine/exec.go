@@ -81,7 +81,7 @@ func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
 
 // vals returns the sample values of a bound column (shared; read-only).
 func (db *DB) vals(b *Bound, bc *BoundCol) []float64 {
-	return db.tables[b.tablePos[bc.TableIdx]].cols[bc.pos]
+	return db.tables[b.TablePos[bc.TableIdx]].cols[bc.Pos]
 }
 
 // cmpOp is a comparison operator as the row loops switch on it
@@ -197,7 +197,7 @@ func (p *pred) filter(dst, src []int32) int {
 // predicate at a time: the first fills the selection vector from the
 // table's identity vector, the rest compact it.
 func (db *DB) scan(b *Bound, ti int) []int32 {
-	td := &db.tables[b.tablePos[ti]]
+	td := &db.tables[b.TablePos[ti]]
 	db.rowsScanned.Add(int64(td.n))
 	sel := make([]int32, td.n)
 	src := td.all
@@ -501,7 +501,7 @@ type outCol struct {
 func (db *DB) projection(b *Bound) []outCol {
 	if b.Star {
 		out := make([]outCol, 0, db.starWidth(b))
-		for ti, pos := range b.tablePos {
+		for ti, pos := range b.TablePos {
 			for _, vals := range db.tables[pos].cols {
 				out = append(out, outCol{vals, ti})
 			}
@@ -558,7 +558,7 @@ func (db *DB) aggregate(b *Bound, i int, rows []int32) float64 {
 // starWidth counts the columns of a star projection.
 func (db *DB) starWidth(b *Bound) int {
 	n := 0
-	for _, pos := range b.tablePos {
+	for _, pos := range b.TablePos {
 		n += len(db.tables[pos].cols)
 	}
 	return n
@@ -568,7 +568,7 @@ func (db *DB) starWidth(b *Bound) int {
 func (db *DB) outputColumns(b *Bound) []string {
 	if b.Star {
 		out := make([]string, 0, db.starWidth(b))
-		for _, pos := range b.tablePos {
+		for _, pos := range b.TablePos {
 			out = append(out, db.tables[pos].names...)
 		}
 		return out
@@ -582,7 +582,7 @@ func (db *DB) outputColumns(b *Bound) []string {
 			out[i] = item.String()
 		default:
 			p := &b.Projs[i]
-			out[i] = db.tables[b.tablePos[p.TableIdx]].names[p.pos]
+			out[i] = db.tables[b.TablePos[p.TableIdx]].names[p.Pos]
 		}
 	}
 	return out

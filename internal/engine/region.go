@@ -79,3 +79,25 @@ func RegionContains(outer, inner map[string]Interval) bool {
 	}
 	return true
 }
+
+// ColumnInterval is Region for one column, named by its position in
+// the table: the intersection of the literal predicates on it, and
+// whether there is any.
+func (b *Bound) ColumnInterval(tableIdx, pos int) (iv Interval, constrained bool) {
+	for _, c := range b.Conds {
+		if c.Right != nil || c.Left.TableIdx != tableIdx || c.Left.Pos != pos {
+			continue
+		}
+		next := ConditionInterval(c.Cond, c.Left.Col)
+		if constrained {
+			if iv.Lo > next.Lo {
+				next.Lo = iv.Lo
+			}
+			if iv.Hi < next.Hi {
+				next.Hi = iv.Hi
+			}
+		}
+		iv, constrained = next, true
+	}
+	return iv, constrained
+}

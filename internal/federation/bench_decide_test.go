@@ -71,15 +71,13 @@ func benchMediator(b *testing.B) *Mediator {
 
 // benchAccesses pre-resolves one client's accesses: objsPerQ tables
 // starting at table base, yield split evenly.
-func benchAccesses(m *Mediator, base int) ([]core.Access, []core.Object) {
-	accs := make([]core.Access, benchObjsPerQ)
-	objs := make([]core.Object, benchObjsPerQ)
+func benchAccesses(m *Mediator, base int) []access {
+	accs := make([]access, benchObjsPerQ)
 	for i := range accs {
-		id := TableObjectID("bench", fmt.Sprintf("t%02d", (base+i)%benchTables))
-		accs[i] = core.Access{Object: id, Yield: benchYield / benchObjsPerQ}
-		objs[i] = m.Objects()[id]
+		ti := (base + i) % benchTables
+		accs[i] = access{obj: &m.index.tables[ti].obj, table: ti, yield: benchYield / benchObjsPerQ}
 	}
-	return accs, objs
+	return accs
 }
 
 func benchmarkDecide(b *testing.B, disjoint bool) {
@@ -98,11 +96,11 @@ func benchmarkDecide(b *testing.B, disjoint bool) {
 			// universe so clients never share an object.
 			base = int(clientSeq.Add(1)-1) * benchObjsPerQ % benchTables
 		}
-		accs, objs := benchAccesses(m, base)
+		accs := benchAccesses(m, base)
 		var wait int64
 		for pb.Next() {
 			res := &engine.Result{Bytes: benchYield}
-			rep, err := m.decide("bench", "", res, accs, objs)
+			rep, err := m.decide("bench", "", res, accs)
 			if err != nil {
 				failed.Add(1)
 				return

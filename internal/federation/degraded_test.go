@@ -233,3 +233,56 @@ func TestHealthDetachedServesNormally(t *testing.T) {
 		t.Fatalf("detached health still degraded: %+v", rep)
 	}
 }
+
+// countingHealth counts how often each site is asked about.
+type countingHealth struct {
+	fakeHealth
+	asked map[string]int
+}
+
+func (h *countingHealth) SiteAvailable(site string) (bool, string) {
+	h.asked[site]++
+	return h.fakeHealth.SiteAvailable(site)
+}
+
+// TestSiteHealthAskedOncePerSitePerQuery: a query over five column
+// objects at two sites asks each site for its health once, and every
+// access of the down site is degraded on that one answer.
+func TestSiteHealthAskedOncePerSitePerQuery(t *testing.T) {
+	s := catalog.EDR()
+	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(Config{Schema: s, Engine: db, Policy: &loadAll{}, Granularity: Columns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &countingHealth{
+		fakeHealth: fakeHealth{down: map[string]string{catalog.SiteSpec: "breaker open site=" + catalog.SiteSpec}},
+		asked:      map[string]int{},
+	}
+	m.SetHealth(h)
+	rep, err := m.Query("select p.ra, p.dec, s.z from photoobj p, specobj s where p.objid = s.objid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Decisions) != 5 {
+		t.Fatalf("%d decisions, want 5 column accesses", len(rep.Decisions))
+	}
+	if len(h.asked) != 2 || h.asked[catalog.SitePhoto] != 1 || h.asked[catalog.SiteSpec] != 1 {
+		t.Fatalf("sites asked %v, want photo and spec once each", h.asked)
+	}
+	failed := 0
+	for _, d := range rep.Decisions {
+		if d.Site == catalog.SiteSpec != d.Failed {
+			t.Fatalf("decision %+v: only the down site's accesses fail", d)
+		}
+		if d.Failed {
+			failed++
+		}
+	}
+	if failed != 2 || len(rep.SiteErrors) != 1 {
+		t.Fatalf("%d failed legs, site errors %+v; want specobj.objid and specobj.z lost to one site", failed, rep.SiteErrors)
+	}
+}

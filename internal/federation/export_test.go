@@ -1,0 +1,6 @@
+package federation
+
+// ReferenceDecompose is the name-based decomposition Decompose
+// replaced (reference_test.go), for the external test package, which
+// may import the workload streams this package may not.
+var ReferenceDecompose = referenceDecompose

@@ -1,0 +1,260 @@
+package federation_test
+
+import (
+	"reflect"
+	"testing"
+
+	"bypassyield/internal/catalog"
+	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
+	"bypassyield/internal/federation"
+	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/ledger"
+	"bypassyield/internal/sqlparse"
+	"bypassyield/internal/workload"
+)
+
+// recordSink keeps every record the ledger hands its sink, in order.
+type recordSink struct{ recs []ledger.DecisionRecord }
+
+func (s *recordSink) Record(r ledger.DecisionRecord) { s.recs = append(s.recs, r) }
+
+// TestFlushPerQueryLeavesWhatPerAccessDid: the mediator flushes its
+// bookkeeping once per query; after every query the observers must
+// read what per-access bookkeeping would have left. Checked after each
+// of 2 000 EDR statements, registry, ledger and shadows on:
+//
+//   - the registry's flow counters equal Mediator.Accounting();
+//   - the ledger's new records are core.DecisionRecordFor applied
+//     access by access by a reference policy run in lockstep — every
+//     field — with contiguous Seq, through the sink and in the ring;
+//   - the savings and competitive-ratio gauges and the shadow counters
+//     equal those of a reference ShadowSet that publishes after every
+//     access.
+func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
+	n := 2000
+	if raceEnabled || testing.Short() {
+		n = 400
+	}
+	sqls := edrStatements(t, n)
+	const trace = "00000000000000ab"
+	for _, c := range []struct {
+		policy string
+		gran   federation.Granularity
+	}{
+		{"rate-profile", federation.Columns},
+		{"online-by", federation.Tables},
+	} {
+		t.Run(c.policy+"/"+c.gran.String(), func(t *testing.T) {
+			s, db := openEDR(t)
+			capacity := s.TotalBytes() * 4 / 10
+			const seed = 7
+			pol, err := core.NewPolicyByName(c.policy, capacity, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			led := ledger.New(4096)
+			sink := &recordSink{}
+			led.SetSink(sink)
+			m, err := federation.New(federation.Config{
+				Schema: s, Engine: db, Granularity: c.gran, Policy: pol,
+				Obs: reg, Ledger: led, Shadows: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			objects := m.Objects()
+
+			refPolicy, err := core.NewPolicyByName(c.policy, capacity, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refReg := obs.NewRegistry()
+			refShadows := core.NewShadowSet(capacity)
+			refShadows.SetTelemetry(core.NewTelemetry(refReg))
+
+			var seen [3]bool
+			for qi, sql := range sqls {
+				stmt, err := sqlparse.Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := len(sink.recs)
+				rep, err := m.QueryStmtTraced(sql, stmt, trace)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+
+				// The decomposition the mediator decided over is the
+				// reference's.
+				want := federation.ReferenceDecompose(rep.Bound, s.Name, rep.Result.Bytes, c.gran)
+				if len(want) != len(rep.Decisions) {
+					t.Fatalf("query %d: %d decisions, reference decomposes to %d accesses", qi, len(rep.Decisions), len(want))
+				}
+
+				// Ledger: one record per access, as the per-access loop
+				// builds them.
+				got := sink.recs[before:]
+				if len(got) != len(rep.Decisions) {
+					t.Fatalf("query %d: %d new ledger records for %d decisions", qi, len(got), len(rep.Decisions))
+				}
+				for i, d := range rep.Decisions {
+					if d.Object != want[i].Object || d.Yield != want[i].Yield {
+						t.Fatalf("query %d access %d: decided %s/%d, reference access %+v", qi, i, d.Object, d.Yield, want[i])
+					}
+					obj := objects[d.Object]
+					refD := refPolicy.Access(rep.Seq, obj, d.Yield)
+					if refD != d.Decision {
+						t.Fatalf("query %d access %d: mediator decided %s, reference policy %s", qi, i, d.Decision, refD)
+					}
+					seen[refD] = true
+					rec := core.DecisionRecordFor(rep.Seq, refPolicy, trace, obj, d.Yield, refD)
+					rec.Seq = uint64(before + i + 1)
+					if got[i] != rec {
+						t.Fatalf("query %d access %d: ledger record\n %+v\nper-access reference\n %+v", qi, i, got[i], rec)
+					}
+					refShadows.Access(rep.Seq, obj, d.Yield, refD)
+					refShadows.Publish()
+				}
+				if led.Count() != uint64(len(sink.recs)) {
+					t.Fatalf("query %d: ledger counts %d records, sink saw %d", qi, led.Count(), len(sink.recs))
+				}
+
+				// Registry against the accounting, both read after the
+				// query returned.
+				acct := m.Accounting()
+				snap := reg.Snapshot()
+				for name, wantV := range map[string]int64{
+					"core.yield_bytes":  acct.YieldBytes,
+					"core.cache_bytes":  acct.CacheBytes,
+					"core.bypass_bytes": acct.BypassBytes,
+					"core.fetch_bytes":  acct.FetchBytes,
+					"core.accesses":     acct.Accesses,
+				} {
+					if v := snap.CounterValue(name, ""); v != wantV {
+						t.Fatalf("query %d: %s = %d, accounting says %d", qi, name, v, wantV)
+					}
+				}
+				for verdict, wantV := range map[string]int64{"hit": acct.Hits, "bypass": acct.Bypasses, "load": acct.Loads} {
+					if v := snap.CounterValue("core.decisions", c.policy+"/"+verdict); v != wantV {
+						t.Fatalf("query %d: core.decisions{%s} = %d, accounting says %d", qi, verdict, v, wantV)
+					}
+				}
+				if v := snap.CounterValue("federation.objects_touched", ""); v != acct.Accesses {
+					t.Fatalf("query %d: federation.objects_touched = %d, accesses %d", qi, v, acct.Accesses)
+				}
+				if acct.Queries != int64(qi+1) || acct.DeliveredBytes() != acct.YieldBytes {
+					t.Fatalf("query %d: accounting %+v", qi, acct)
+				}
+
+				// Shadows against the per-access-publishing reference.
+				refSnap := refReg.Snapshot()
+				for _, g := range []string{"core.bytes_saved_vs_bypass", "core.bytes_saved_vs_lruk", "core.competitive_ratio_milli"} {
+					if v, w := snap.GaugeValue(g), refSnap.GaugeValue(g); v != w {
+						t.Fatalf("query %d: %s = %d, publishing per access leaves %d", qi, g, v, w)
+					}
+				}
+				for _, label := range []string{"always-bypass", "lruk"} {
+					if v, w := snap.CounterValue("core.shadow_wan_bytes", label), refSnap.CounterValue("core.shadow_wan_bytes", label); v != w {
+						t.Fatalf("query %d: core.shadow_wan_bytes{%s} = %d, per access %d", qi, label, v, w)
+					}
+				}
+				if v, w := snap.CounterValue("core.optbound_bytes", ""), refSnap.CounterValue("core.optbound_bytes", ""); v != w {
+					t.Fatalf("query %d: core.optbound_bytes = %d, per access %d", qi, v, w)
+				}
+			}
+			if !seen[core.Hit] || !seen[core.Bypass] || !seen[core.Load] {
+				t.Fatalf("the statements do not exercise every decision: %v", seen)
+			}
+			// The ring holds the newest records, the same ones.
+			ring := led.Snapshot()
+			if len(ring) != min(led.Cap(), len(sink.recs)) || !reflect.DeepEqual(ring, sink.recs[len(sink.recs)-len(ring):]) {
+				t.Fatalf("ring holds %d records (cap %d, %d recorded) that differ from the sink's newest", len(ring), led.Cap(), len(sink.recs))
+			}
+			if h, ok := reg.Snapshot().HistogramSnap("core.decide_seconds", ""); !ok || h.Count != m.Accounting().Accesses {
+				t.Fatalf("core.decide_seconds has %d observations for %d policy accesses", h.Count, m.Accounting().Accesses)
+			}
+		})
+	}
+}
+
+// benchFederation is the mediator of the federation benchmark's
+// edr-cached workload (bench/fed.go): EDR at one row in a thousand,
+// rate-profile at 40% of the release, column objects, registry, ledger
+// and shadows on.
+func benchFederation(tb testing.TB) (*federation.Mediator, []string, []*sqlparse.SelectStmt) {
+	tb.Helper()
+	s := catalog.EDR()
+	db, err := engine.Open(s, engine.Config{SampleEvery: 1000, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := federation.New(federation.Config{
+		Schema: s, Engine: db, Granularity: federation.Columns,
+		NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName("rate-profile", c, 1) },
+		Capacity:  int64(0.4 * float64(s.TotalBytes())),
+		Obs:       obs.NewRegistry(),
+		Ledger:    ledger.New(4096),
+		Shadows:   true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := workload.NewStream(workload.EDRProfile())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sqls := make([]string, 3000)
+	stmts := make([]*sqlparse.SelectStmt, len(sqls))
+	for i := range sqls {
+		sqls[i] = st.Next().SQL
+		if stmts[i], err = sqlparse.Parse(sqls[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, sqls, stmts
+}
+
+var benchReport *federation.QueryReport
+
+// BenchmarkMediatorQueryEDR is Mediator.QueryStmt — bind, execute,
+// decompose, decide, flush — over the statements of the benchmark's
+// traced pass, pre-parsed; one op is one statement.
+func BenchmarkMediatorQueryEDR(b *testing.B) {
+	m, sqls, stmts := benchFederation(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := m.QueryStmt(sqls[i%len(sqls)], stmts[i%len(stmts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchReport = rep
+	}
+}
+
+// TestQueryStmtAllocs gates the mean allocation count of QueryStmt over
+// the same statements, after one pass has warmed the cache. What is
+// left: the bound statement and the result (engine, ~17), the access
+// list, the report and its decisions, and one batch of ledger records
+// per query — nothing per access.
+func TestQueryStmtAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m, sqls, stmts := benchFederation(t)
+	pass := func() {
+		for i, stmt := range stmts {
+			if _, err := m.QueryStmt(sqls[i], stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	mean := testing.AllocsPerRun(1, pass) / float64(len(stmts))
+	t.Logf("%.1f allocs per statement", mean)
+	if mean > 40 {
+		t.Fatalf("QueryStmt allocates %.1f times per statement on average, want <= 40", mean)
+	}
+}

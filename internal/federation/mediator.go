@@ -44,11 +44,13 @@ type Config struct {
 	// proxy serves it over MsgMetrics.
 	Obs *obs.Registry
 	// Ledger, when non-nil, receives one explained DecisionRecord per
-	// object access (served over MsgDecisions by the proxy).
+	// object access, a query's worth at a time (served over
+	// MsgDecisions by the proxy).
 	Ledger *ledger.Ledger
 	// Shadows enables online counterfactual accounting: every access is
 	// replayed through always-bypass and LRU-K shadow baselines plus
-	// the ski-rental bound, feeding the core.bytes_saved_vs_* gauges.
+	// the ski-rental bound, feeding the core.bytes_saved_vs_* gauges
+	// once per query.
 	Shadows bool
 	// Shards must be 0 or 1: the decision plane is one cache of one
 	// capacity; New rejects anything larger.
@@ -83,7 +85,11 @@ type SiteHealth interface {
 // unlock. Callers execute the decided WAN legs after QueryStmtTraced
 // returns, outside the lock — the decide-then-execute handoff.
 type Mediator struct {
-	cfg     Config
+	cfg Config
+	// index is the object universe by position, which decomposition
+	// walks; objects is the same universe by id, for callers and for
+	// journal replay. Both are immutable.
+	index   *objectIndex
 	objects map[core.ObjectID]core.Object
 
 	policyName string
@@ -99,13 +105,15 @@ type Mediator struct {
 	// replayBase is the plane clock at the restored snapshot boundary;
 	// WAL replay skips records at or below it (their effects are inside
 	// the snapshot).
-	replayBase    int64
-	acct          core.Accounting
-	policy        core.Policy
-	shadows       *core.ShadowSet
-	lastEvictions int64
-	health        SiteHealth
-	journal       Journal
+	replayBase int64
+	// dec is the decision loop — the policy, the accounting and their
+	// observers (shadows, ledger, core telemetry) — shared with
+	// core.Simulator.
+	dec     *core.Decider
+	policy  core.Policy
+	shadows *core.ShadowSet
+	health  SiteHealth
+	journal Journal
 
 	// Telemetry (no-ops when cfg.Obs is nil).
 	tel          *core.Telemetry
@@ -122,6 +130,10 @@ type Mediator struct {
 type AccessDecision struct {
 	// Object is the referenced object.
 	Object core.ObjectID
+	// Table is the position in the schema's Tables of the table the
+	// object belongs to (its own, a column's, or a view's base table):
+	// the proxy ships a bypass to the FROM tables at that position.
+	Table int
 	// Site is the owning federation site.
 	Site string
 	// Yield is the access's share of the query yield. On a failed leg
@@ -202,9 +214,11 @@ func New(cfg Config) (*Mediator, error) {
 	if cfg.Net == nil {
 		cfg.Net = netcost.Uniform()
 	}
+	index := newObjectIndex(cfg.Schema, cfg.Schema.Name, cfg.Granularity, cfg.Net)
 	m := &Mediator{
 		cfg:          cfg,
-		objects:      Objects(cfg.Schema, cfg.Granularity, cfg.Net),
+		index:        index,
+		objects:      index.objects(),
 		policyName:   "none",
 		policy:       cfg.Policy,
 		tel:          core.NewTelemetry(cfg.Obs),
@@ -223,14 +237,11 @@ func New(cfg Config) (*Mediator, error) {
 	if m.policy != nil {
 		m.policyName = m.policy.Name()
 		m.capacity = m.policy.Capacity()
-		if ts, ok := m.policy.(core.TelemetrySetter); ok && cfg.Obs != nil {
-			ts.SetTelemetry(m.tel)
-		}
 	}
 	if cfg.Shadows {
 		m.shadows = core.NewShadowSet(m.capacity)
-		m.shadows.SetTelemetry(m.tel)
 	}
+	m.dec = core.NewDecider(m.policy, m.tel, m.shadows, m.ledger)
 	return m, nil
 }
 
@@ -271,7 +282,7 @@ func (m *Mediator) ShardCount() int { return 1 }
 func (m *Mediator) Accounting() core.Accounting {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.acct
+	return m.dec.Acct
 }
 
 // Telemetry returns the mediator's core telemetry (nil when
@@ -367,20 +378,10 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	if err != nil {
 		return nil, err
 	}
-	accs := Decompose(b, m.cfg.Schema.Name, res.Bytes, m.cfg.Granularity)
-	// Resolve objects before taking the lock; the universe is immutable.
-	objs := make([]core.Object, len(accs))
-	for i, acc := range accs {
-		obj, ok := m.objects[acc.Object]
-		if !ok {
-			return nil, fmt.Errorf("federation: decomposition produced unknown object %s", acc.Object)
-		}
-		objs[i] = obj
-	}
-
+	accs := m.index.decompose(b, res.Bytes)
 	execUS := time.Since(start).Microseconds()
 
-	rep, err := m.decide(sql, traceID, res, accs, objs)
+	rep, err := m.decide(sql, traceID, res, accs)
 	if err != nil {
 		return nil, err
 	}
@@ -390,12 +391,12 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 	return rep, nil
 }
 
-// decide runs the decision phase over pre-resolved accesses: under the
+// decide runs the decision phase over decomposed accesses: under the
 // decision lock the query takes the next tick of the plane clock and
 // its accesses are decided, charged, audited and journaled in access
 // order, so Σ decision yields = D_A is exact at every unlock. The
 // contention benchmark drives this entry point directly.
-func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []core.Access, objs []core.Object) (*QueryReport, error) {
+func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
 	m.queriesMet.Add(1)
 	m.tel.RecordQuery()
 	rep := &QueryReport{SQL: sql, Result: res}
@@ -405,7 +406,7 @@ func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []core.A
 	waitStart := time.Now()
 	m.mu.Lock()
 	decideStart := time.Now()
-	err := m.decideLocked(rep, accs, objs, traceID)
+	err := m.decideLocked(rep, accs, traceID)
 	m.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -420,64 +421,68 @@ func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []core.A
 	return rep, nil
 }
 
-// decideLocked is decide's critical section; callers hold mu.
-func (m *Mediator) decideLocked(rep *QueryReport, accs []core.Access, objs []core.Object, traceID string) error {
+// decideLocked is decide's critical section; callers hold mu. Per
+// access it runs the decision loop's step (policy, accounting, shadow
+// state, one ledger slot — core.Decider), journals the decision and
+// fills the report; everything an observer reads — registry counters
+// and rates, shadow gauges, the ledger — is flushed once, by End,
+// before the lock is released, so a scrape never finds the registry
+// behind Accounting().
+func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string) (err error) {
 	m.t++
-	m.acct.Queries++
 	rep.Seq = m.t
-	for i, obj := range objs {
-		yield := accs[i].Yield
+	m.dec.Begin(m.t, traceID, len(accs))
+	// A site is asked for its health once per query: the answer reads a
+	// breaker under its lock and formats the reason.
+	type siteAnswer struct {
+		site   string
+		ok     bool
+		reason string
+	}
+	var sitesBuf [4]siteAnswer
+	sites := sitesBuf[:0]
+	i := 0 // accesses decided: all of them, unless one fails
+	for ; i < len(accs); i++ {
+		a := accs[i]
+		obj := a.obj
 		// Degraded mode: an unavailable site makes bypass and load
 		// impossible, so the policy is not consulted (outage traffic
 		// must not distort its learned rate profiles). The access is
 		// forced to serve-from-cache or dropped as a failed leg.
 		if m.health != nil {
-			if ok, reason := m.health.SiteAvailable(obj.Site); !ok {
-				if err := m.degradedAccess(rep, i, obj, yield, reason, traceID); err != nil {
-					return err
+			k := 0
+			for k < len(sites) && sites[k].site != obj.Site {
+				k++
+			}
+			if k == len(sites) {
+				ok, reason := m.health.SiteAvailable(obj.Site)
+				sites = append(sites, siteAnswer{obj.Site, ok, reason})
+			}
+			if !sites[k].ok {
+				if err = m.degradedAccess(rep, i, a, sites[k].reason); err != nil {
+					break
 				}
 				continue
 			}
 		}
-		d := core.Bypass
-		if m.policy != nil {
-			accessStart := time.Now()
-			d = m.policy.Access(m.t, obj, yield)
-			m.tel.ObserveDecide(time.Since(accessStart))
-		}
-		if err := core.Account(&m.acct, obj, yield, d); err != nil {
-			return err
-		}
-		m.tel.RecordAccess(m.policyName, obj, yield, d)
-		m.shadows.Access(m.t, obj, yield, d)
-		if m.ledger != nil {
-			m.ledger.Record(core.DecisionRecordFor(m.t, m.policy, traceID, obj, yield, d))
+		var d core.Decision
+		if d, err = m.dec.Access(*obj, a.yield); err != nil {
+			break
 		}
 		if m.journal != nil {
-			m.journal.JournalAccess(JournalRecord{Kind: JournalAccess, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield, Decision: d})
+			m.journal.JournalAccess(JournalRecord{Kind: JournalAccess, T: m.t, ShardT: m.t, Object: obj.ID, Yield: a.yield, Decision: d})
 		}
-		m.objsTouched.Add(1)
 		rep.Decisions[i] = AccessDecision{
 			Object:   obj.ID,
+			Table:    a.table,
 			Site:     obj.Site,
-			Yield:    yield,
+			Yield:    a.yield,
 			Decision: d,
 		}
 	}
-	m.recordEvictions()
-	return nil
-}
-
-// recordEvictions publishes the policy's evictions since the last
-// call; callers hold mu.
-func (m *Mediator) recordEvictions() {
-	if m.policy == nil {
-		return
-	}
-	if ev := m.policy.Evictions(); ev > m.lastEvictions {
-		m.tel.RecordEvictions(m.policyName, ev-m.lastEvictions)
-		m.lastEvictions = ev
-	}
+	m.dec.End()
+	m.objsTouched.Add(int64(i))
+	return err
 }
 
 // degradedAccess handles one access whose owning site is unavailable,
@@ -491,26 +496,19 @@ func (m *Mediator) recordEvictions() {
 //     nothing is charged. The query's result shrinks by the leg's
 //     yield, the ledger records action "failed" with zero yield and
 //     WAN cost, and the report carries a per-site error annotation.
-func (m *Mediator) degradedAccess(rep *QueryReport, idx int, obj core.Object, yield int64, reason, traceID string) error {
-	m.objsTouched.Add(1)
+func (m *Mediator) degradedAccess(rep *QueryReport, idx int, a access, reason string) error {
+	obj, yield := a.obj, a.yield
 	if m.policy != nil && m.policy.Contains(obj.ID) {
 		full := core.ReasonForcedCache + ": " + reason
-		if err := core.Account(&m.acct, obj, yield, core.Hit); err != nil {
+		if err := m.dec.Forced(*obj, yield, full); err != nil {
 			return err
-		}
-		m.tel.RecordForced(m.policyName, obj.Site, obj, yield)
-		m.shadows.Access(m.t, obj, yield, core.Hit)
-		if m.ledger != nil {
-			rec := core.DecisionRecordFor(m.t, m.policy, traceID, obj, yield, core.Hit)
-			rec.Reason = full
-			rec.Stale = true
-			m.ledger.Record(rec)
 		}
 		if m.journal != nil {
 			m.journal.JournalAccess(JournalRecord{Kind: JournalForced, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield, Decision: core.Hit})
 		}
 		rep.Decisions[idx] = AccessDecision{
 			Object:   obj.ID,
+			Table:    a.table,
 			Site:     obj.Site,
 			Yield:    yield,
 			Decision: core.Hit,
@@ -521,22 +519,7 @@ func (m *Mediator) degradedAccess(rep *QueryReport, idx int, obj core.Object, yi
 		return nil
 	}
 	full := core.ReasonFailedLeg + ": " + reason
-	m.tel.RecordFailedLeg(obj.Site)
-	if m.ledger != nil {
-		rec := ledger.DecisionRecord{
-			T:         m.t,
-			Trace:     traceID,
-			Object:    string(obj.ID),
-			Action:    core.ReasonFailedLeg,
-			Size:      obj.Size,
-			FetchCost: obj.FetchCost,
-			Reason:    full,
-		}
-		if m.policy != nil {
-			rec.Policy = m.policy.Name()
-		}
-		m.ledger.Record(rec)
-	}
+	m.dec.Failed(*obj, full)
 	if m.journal != nil {
 		m.journal.JournalAccess(JournalRecord{Kind: JournalFailed, T: m.t, ShardT: m.t, Object: obj.ID, Yield: yield})
 	}
@@ -548,6 +531,7 @@ func (m *Mediator) degradedAccess(rep *QueryReport, idx int, obj core.Object, yi
 	}
 	rep.Decisions[idx] = AccessDecision{
 		Object: obj.ID,
+		Table:  a.table,
 		Site:   obj.Site,
 		Yield:  yield,
 		Failed: true,

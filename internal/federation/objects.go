@@ -1,14 +1,18 @@
 // Package federation implements the mediation layer of the paper's
-// prototype: it names cacheable database objects (tables or columns),
-// decomposes each query's yield across the objects it references, and
+// prototype: it names cacheable database objects (tables, columns or
+// materialized views), decomposes each query's yield across the
+// objects it references, and
 // drives a bypass-yield cache policy with full Figure-1 flow
 // accounting.
 package federation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
@@ -79,97 +83,207 @@ func ViewObjectID(release, view string) core.ObjectID {
 // Views granularity the universe holds every standard view plus every
 // table (the fallback for queries no view can answer).
 func Objects(s *catalog.Schema, g Granularity, nm *netcost.Model) map[core.ObjectID]core.Object {
-	out := make(map[core.ObjectID]core.Object)
-	for i := range s.Tables {
-		t := &s.Tables[i]
+	return newObjectIndex(s, s.Name, g, nm).objects()
+}
+
+// objectIndex is the object universe of one (schema, release,
+// granularity) laid out by position: for every table of the schema and
+// every column of the table, the finished object, its weight in a
+// yield split and the place of its id in name order. It is built once
+// and never modified, so decomposition reads it without a lock and
+// without building, lower-casing, hashing or comparing a name.
+type objectIndex struct {
+	schema  *catalog.Schema
+	release string
+	gran    Granularity
+	tables  []tableEntry // by position in schema.Tables
+}
+
+type tableEntry struct {
+	// obj is the table object (Tables and Views granularity) and rank
+	// the place of the table's name among the schema's, sorted.
+	obj  core.Object
+	rank int32
+	// cols are the column objects by column position (Columns).
+	cols []colEntry
+	// views are the standard views over the table, in catalog order
+	// (Views).
+	views []viewEntry
+}
+
+type colEntry struct {
+	obj   core.Object
+	width int64
+	// rank is the place of (table name, column name) among all of the
+	// schema's columns, sorted.
+	rank int32
+}
+
+type viewEntry struct {
+	obj core.Object
+	// cols marks the columns the view carries, by column position; nil
+	// means every column of the table.
+	cols []bool
+	// preds is the view's defining region, one interval per constrained
+	// column.
+	preds []viewPred
+}
+
+type viewPred struct {
+	// col is the constrained column's position, or -1 when the view
+	// names a column its table lacks (no query region can then lie
+	// inside the view's).
+	col int
+	iv  engine.Interval
+}
+
+func newObjectIndex(s *catalog.Schema, release string, g Granularity, nm *netcost.Model) *objectIndex {
+	ix := &objectIndex{schema: s, release: release, gran: g, tables: make([]tableEntry, len(s.Tables))}
+	object := func(id core.ObjectID, size int64, site string) core.Object {
+		return core.Object{ID: id, Size: size, FetchCost: nm.FetchCost(size, site), Site: site}
+	}
+	type colPos struct{ table, col int }
+	var byName []colPos
+	for ti := range s.Tables {
+		t := &s.Tables[ti]
+		e := &ix.tables[ti]
+		for tj := range s.Tables {
+			if s.Tables[tj].Name < t.Name {
+				e.rank++
+			}
+		}
 		switch g {
 		case Tables, Views:
-			id := TableObjectID(s.Name, t.Name)
-			out[id] = core.Object{
-				ID:        id,
-				Size:      t.Bytes(),
-				FetchCost: nm.FetchCost(t.Bytes(), t.Site),
-				Site:      t.Site,
-			}
+			e.obj = object(TableObjectID(release, t.Name), t.Bytes(), t.Site)
 		case Columns:
-			for j := range t.Columns {
-				c := &t.Columns[j]
-				id := ColumnObjectID(s.Name, t.Name, c.Name)
-				size := c.Width() * t.Rows
-				out[id] = core.Object{
-					ID:        id,
-					Size:      size,
-					FetchCost: nm.FetchCost(size, t.Site),
-					Site:      t.Site,
+			e.cols = make([]colEntry, len(t.Columns))
+			for ci := range t.Columns {
+				c := &t.Columns[ci]
+				e.cols[ci] = colEntry{
+					obj:   object(ColumnObjectID(release, t.Name, c.Name), c.Width()*t.Rows, t.Site),
+					width: c.Width(),
 				}
+				byName = append(byName, colPos{ti, ci})
 			}
 		}
 	}
+	slices.SortFunc(byName, func(a, b colPos) int {
+		if c := cmp.Compare(s.Tables[a.table].Name, s.Tables[b.table].Name); c != 0 {
+			return c
+		}
+		return cmp.Compare(s.Tables[a.table].Columns[a.col].Name, s.Tables[b.table].Columns[b.col].Name)
+	})
+	for rank, p := range byName {
+		ix.tables[p.table].cols[p.col].rank = int32(rank)
+	}
 	if g == Views {
 		for _, v := range catalog.StandardViews(s) {
-			t := s.Table(v.Table)
-			if t == nil {
+			ti := s.TableIndex(v.Table)
+			if ti < 0 {
 				continue
 			}
-			size := v.Bytes(t)
-			id := ViewObjectID(s.Name, v.Name)
-			out[id] = core.Object{
-				ID:        id,
-				Size:      size,
-				FetchCost: nm.FetchCost(size, t.Site),
-				Site:      t.Site,
+			t := &s.Tables[ti]
+			ve := viewEntry{obj: object(ViewObjectID(release, v.Name), v.Bytes(t), t.Site)}
+			if len(v.Columns) > 0 {
+				ve.cols = make([]bool, len(t.Columns))
+				for ci := range t.Columns {
+					ve.cols[ci] = v.HasColumn(t, t.Columns[ci].Name)
+				}
 			}
+			for _, p := range v.Preds {
+				vp := viewPred{col: -1, iv: engine.Interval{Lo: p.Lo, Hi: p.Hi}}
+				for ci := range t.Columns {
+					if t.Columns[ci].Name == p.Column {
+						vp.col = ci
+					}
+				}
+				ve.preds = append(ve.preds, vp)
+			}
+			ix.tables[ti].views = append(ix.tables[ti].views, ve)
+		}
+	}
+	return ix
+}
+
+// objects lists the index as the id-keyed universe.
+func (ix *objectIndex) objects() map[core.ObjectID]core.Object {
+	out := make(map[core.ObjectID]core.Object)
+	for ti := range ix.tables {
+		e := &ix.tables[ti]
+		if ix.gran != Columns {
+			out[e.obj.ID] = e.obj
+		}
+		for ci := range e.cols {
+			out[e.cols[ci].obj.ID] = e.cols[ci].obj
+		}
+		for vi := range e.views {
+			out[e.views[vi].obj.ID] = e.views[vi].obj
 		}
 	}
 	return out
 }
 
-// viewRegion converts a view's defining predicate to engine intervals.
-func viewRegion(v *catalog.View) map[string]engine.Interval {
-	region := make(map[string]engine.Interval, len(v.Preds))
-	for _, p := range v.Preds {
-		region[p.Column] = engine.Interval{Lo: p.Lo, Hi: p.Hi}
-	}
-	return region
-}
-
 // viewFor returns the smallest standard view able to answer the
-// query's demands on table i — every referenced column present and
-// the query region contained in the view's region — or nil when only
-// the base table can.
-func viewFor(s *catalog.Schema, b *engine.Bound, tableIdx int) *catalog.View {
-	t := b.Tables[tableIdx]
-	region := b.Region(tableIdx)
-	var best *catalog.View
-	var bestBytes int64
-	views := catalog.StandardViews(s)
-	for i := range views {
-		v := &views[i]
-		if v.Table != t.Name {
-			continue
-		}
-		ok := true
-		for _, r := range b.ReferencedColumns() {
-			if r.TableIdx != tableIdx || r.Col == nil {
-				continue
-			}
-			if !v.HasColumn(t, r.Col.Name) {
-				ok = false
-				break
+// query's demands on FROM table tableIdx — every referenced column
+// present and the query region contained in the view's region — or nil
+// when only the base table can.
+func (ix *objectIndex) viewFor(b *engine.Bound, tableIdx int) *viewEntry {
+	views := ix.tables[b.TablePos[tableIdx]].views
+	var best *viewEntry
+candidates:
+	for vi := range views {
+		v := &views[vi]
+		if v.cols != nil {
+			for _, r := range b.ReferencedColumns() {
+				if r.TableIdx == tableIdx && !v.cols[r.Pos] {
+					continue candidates
+				}
 			}
 		}
-		if !ok || !engine.RegionContains(viewRegion(v), region) {
-			continue
+		for _, p := range v.preds {
+			if p.col < 0 {
+				continue candidates
+			}
+			in, constrained := b.ColumnInterval(tableIdx, p.col)
+			if !constrained || !p.iv.Contains(in) {
+				continue candidates
+			}
 		}
-		if bytes := v.Bytes(t); best == nil || bytes < bestBytes {
+		if best == nil || v.obj.Size < best.obj.Size {
 			best = v
-			bestBytes = bytes
 		}
 	}
 	return best
 }
 
-// Decompose splits a query's yield across the objects it references,
+// share is one object's part of a query's yield while Decompose works
+// it out.
+type share struct {
+	obj    *core.Object
+	weight int64
+	rem    int64 // yield·weight mod Σ weights
+	yield  int64
+	table  int32 // position of the object's table in the schema
+	rank   int32 // place of the object's id in name order
+	pos    int32 // place in the access list
+}
+
+// shareOf finds the share of the table at schema position tp.
+func shareOf(sh []share, tp int) *share {
+	for k := range sh {
+		if int(sh[k].table) == tp {
+			return &sh[k]
+		}
+	}
+	return nil
+}
+
+// shareBuf holds the shares of a statement touching the usual dozen or
+// two objects on the caller's stack; a wider statement grows it on the
+// heap.
+type shareBuf [32]share
+
+// shares splits a query's yield across the objects it references,
 // following Section 6 of the paper:
 //
 //   - Tables: "yield for each table ... is divided in proportion to
@@ -179,88 +293,165 @@ func viewFor(s *catalog.Schema, b *engine.Bound, tableIdx int) *catalog.View {
 //   - Columns: "query yield is proportional to each attribute based
 //     on a ratio of storage size of the attribute to the total
 //     storage sizes of all columns referenced in the query".
+//   - Views: as Tables, each table served by the smallest view that
+//     can answer the statement's demands on it.
 //
 // Shares are integer bytes distributed by largest remainder so they
-// sum exactly to the yield (byte conservation is tested).
-func Decompose(b *engine.Bound, release string, yield int64, g Granularity) []core.Access {
+// sum exactly to the yield (byte conservation is tested). Accesses are
+// ordered by object id (share.pos); the returned slice is not.
+func (ix *objectIndex) shares(b *engine.Bound, yield int64, sh []share) []share {
 	refs := b.ReferencedColumns()
 	if len(refs) == 0 || yield < 0 {
 		return nil
 	}
-	type share struct {
-		id     core.ObjectID
-		weight int64
-	}
-	var shares []share
-	switch g {
-	case Tables, Views:
-		counts := make(map[string]int64)         // table name → attribute count
-		objIDs := make(map[string]core.ObjectID) // table name → serving object
-		for _, r := range refs {
-			counts[r.Table.Name]++
+	if ix.gran == Columns {
+		for i := range refs {
+			tp := b.TablePos[refs[i].TableIdx]
+			c := &ix.tables[tp].cols[refs[i].Pos]
+			sh = append(sh, share{obj: &c.obj, weight: c.width, table: int32(tp), rank: c.rank})
 		}
-		for i, t := range b.Tables {
-			if _, ok := counts[t.Name]; !ok {
-				continue
+	} else {
+		// One share per distinct FROM table, weighing its referenced
+		// columns.
+		for _, tp := range b.TablePos {
+			if shareOf(sh, tp) == nil {
+				e := &ix.tables[tp]
+				sh = append(sh, share{obj: &e.obj, table: int32(tp), rank: e.rank})
 			}
-			objIDs[t.Name] = TableObjectID(release, t.Name)
-			if g == Views {
-				if v := viewFor(b.Schema, b, i); v != nil {
-					objIDs[t.Name] = ViewObjectID(release, v.Name)
+		}
+		for i := range refs {
+			shareOf(sh, b.TablePos[refs[i].TableIdx]).weight++
+		}
+		if ix.gran == Views {
+			// A table joined to itself is served by what answers its
+			// last alias.
+			for i, tp := range b.TablePos {
+				s := shareOf(sh, tp)
+				if s.weight == 0 {
+					continue
+				}
+				s.obj = &ix.tables[tp].obj
+				if v := ix.viewFor(b, i); v != nil {
+					s.obj = &v.obj
 				}
 			}
 		}
-		names := make([]string, 0, len(counts))
-		for name := range counts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			id, ok := objIDs[name]
-			if !ok {
-				id = TableObjectID(release, name)
-			}
-			shares = append(shares, share{id, counts[name]})
-		}
-	case Columns:
-		sorted := make([]engine.BoundCol, len(refs))
-		copy(sorted, refs)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].Table.Name != sorted[j].Table.Name {
-				return sorted[i].Table.Name < sorted[j].Table.Name
-			}
-			return sorted[i].Col.Name < sorted[j].Col.Name
-		})
-		for _, r := range sorted {
-			shares = append(shares, share{ColumnObjectID(release, r.Table.Name, r.Col.Name), r.Col.Width()})
-		}
+		sh = slices.DeleteFunc(sh, func(s share) bool { return s.weight == 0 })
 	}
+	slices.SortFunc(sh, func(a, b share) int { return cmp.Compare(a.rank, b.rank) })
 
-	var total int64
-	for _, s := range shares {
-		total += s.weight
+	var total, assigned int64
+	for i := range sh {
+		total += sh[i].weight
 	}
 	if total == 0 {
 		return nil
 	}
-	accesses := make([]core.Access, len(shares))
-	var assigned int64
-	type rem struct {
-		idx int
-		rem int64
+	for i := range sh {
+		v := yield * sh[i].weight
+		sh[i].yield, sh[i].rem, sh[i].pos = v/total, v%total, int32(i)
+		assigned += sh[i].yield
 	}
-	rems := make([]rem, len(shares))
-	for i, s := range shares {
-		v := yield * s.weight
-		accesses[i] = core.Access{Object: s.id, Yield: v / total}
-		assigned += v / total
-		rems[i] = rem{i, v % total}
+	// Largest-remainder distribution of the leftover bytes, one each in
+	// turn; equal remainders go in access order.
+	if left := yield - assigned; left > 0 {
+		slices.SortFunc(sh, func(a, b share) int {
+			if c := cmp.Compare(b.rem, a.rem); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		n := int64(len(sh))
+		for i := range sh {
+			sh[i].yield += left / n
+			if int64(i) < left%n {
+				sh[i].yield++
+			}
+		}
 	}
-	// Largest-remainder distribution of the leftover bytes; ties
-	// break by slice order (already deterministic).
-	sort.SliceStable(rems, func(i, j int) bool { return rems[i].rem > rems[j].rem })
-	for i := int64(0); i < yield-assigned; i++ {
-		accesses[rems[int(i)%len(rems)].idx].Yield++
+	return sh
+}
+
+// access is one decomposed access as the mediator decides it: the
+// object (the index's own, immutable), the position of its table in
+// the schema, and its share of the yield.
+type access struct {
+	obj   *core.Object
+	table int
+	yield int64
+}
+
+// decompose is Decompose for the mediator: the same accesses in the
+// same order, each with its resolved object.
+func (ix *objectIndex) decompose(b *engine.Bound, yield int64) []access {
+	var buf shareBuf
+	sh := ix.shares(b, yield, buf[:0])
+	if len(sh) == 0 {
+		return nil
 	}
-	return accesses
+	out := make([]access, len(sh))
+	for i := range sh {
+		out[sh[i].pos] = access{obj: sh[i].obj, table: int(sh[i].table), yield: sh[i].yield}
+	}
+	return out
+}
+
+// Decompose splits a query's yield across the objects it references
+// (see shares) and returns one access per object, ordered by object
+// id. b must be bound against the schema of the named release.
+func Decompose(b *engine.Bound, release string, yield int64, g Granularity) []core.Access {
+	var buf shareBuf
+	sh := indexFor(b.Schema, release, g).shares(b, yield, buf[:0])
+	if len(sh) == 0 {
+		return nil
+	}
+	out := make([]core.Access, len(sh))
+	for i := range sh {
+		out[sh[i].pos] = core.Access{Object: sh[i].obj.ID, Yield: sh[i].yield}
+	}
+	return out
+}
+
+// indexes keeps the index Decompose last built for each (schema,
+// release, granularity) it was called with, so a caller without a
+// mediator pays for the build once. Readers scan an immutable list;
+// maxIndexes bounds it (a process decomposes for a handful of schemas;
+// a test suite opening hundreds must not pin them all).
+var indexes struct {
+	mu   sync.Mutex
+	list atomic.Pointer[[]*objectIndex]
+}
+
+const maxIndexes = 16
+
+func indexFor(s *catalog.Schema, release string, g Granularity) *objectIndex {
+	find := func() *objectIndex {
+		if l := indexes.list.Load(); l != nil {
+			for _, ix := range *l {
+				if ix.schema == s && ix.gran == g && ix.release == release {
+					return ix
+				}
+			}
+		}
+		return nil
+	}
+	if ix := find(); ix != nil {
+		return ix
+	}
+	indexes.mu.Lock()
+	defer indexes.mu.Unlock()
+	if ix := find(); ix != nil {
+		return ix
+	}
+	ix := newObjectIndex(s, release, g, nil)
+	var next []*objectIndex
+	if l := indexes.list.Load(); l != nil {
+		next = append(next, *l...)
+		if len(next) >= maxIndexes {
+			next = next[1:]
+		}
+	}
+	next = append(next, ix)
+	indexes.list.Store(&next)
+	return ix
 }

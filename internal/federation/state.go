@@ -123,7 +123,7 @@ func (m *Mediator) SetJournal(j Journal) {
 func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sec := Section{Clock: m.t, Acct: m.acct}
+	sec := Section{Clock: m.t, Acct: m.dec.Acct}
 	if ss, ok := m.policy.(core.StateSnapshotter); ok {
 		sec.PolicyBlob = ss.SnapshotState()
 	}
@@ -133,7 +133,7 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 		Granularity: m.cfg.Granularity,
 		PolicyName:  m.policyName,
 		Capacity:    m.capacity,
-		Acct:        m.acct,
+		Acct:        m.dec.Acct,
 		Sections:    []Section{sec},
 	}
 	if barrier != nil {
@@ -183,10 +183,8 @@ func (m *Mediator) RestoreState(st State) error {
 	}
 	m.t = sec.Clock
 	m.replayBase = sec.Clock
-	m.acct = sec.Acct
+	m.dec.Restore(sec.Acct)
 	m.queriesMet.Add(sec.Clock)
-	m.tel.SeedRestored(m.policyName, sec.Acct)
-	m.recordEvictions()
 	return nil
 }
 
@@ -216,7 +214,7 @@ func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err
 	// Each distinct clock value was one mediated query.
 	if rec.ShardT > m.t {
 		m.queriesMet.Add(rec.ShardT - m.t)
-		m.acct.Queries += rec.ShardT - m.t
+		m.dec.Acct.Queries += rec.ShardT - m.t
 		m.t = rec.ShardT
 	}
 	switch rec.Kind {
@@ -226,22 +224,20 @@ func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err
 			d = m.policy.Access(m.t, obj, rec.Yield)
 		}
 		diverged = d != rec.Decision
-		if err := core.Account(&m.acct, obj, rec.Yield, rec.Decision); err != nil {
+		if err := m.dec.Replay(obj, rec.Yield, rec.Decision); err != nil {
 			return true, diverged, err
 		}
-		m.tel.RecordAccess(m.policyName, obj, rec.Yield, rec.Decision)
 	case JournalForced:
 		// The site was down and the cached copy was force-served; the
 		// policy was not consulted then and is not consulted now.
-		if err := core.Account(&m.acct, obj, rec.Yield, core.Hit); err != nil {
+		if err := m.dec.Replay(obj, rec.Yield, core.Hit); err != nil {
 			return true, false, err
 		}
-		m.tel.RecordForced(m.policyName, obj.Site, obj, rec.Yield)
+		m.tel.RecordForced(obj.Site, rec.Yield)
 	case JournalFailed:
 		m.tel.RecordFailedLeg(obj.Site)
 	default:
 		return false, false, fmt.Errorf("federation: unknown journal kind %d", rec.Kind)
 	}
-	m.recordEvictions()
 	return true, diverged, nil
 }

@@ -10,10 +10,13 @@
 //
 // Design constraints mirror package obs:
 //
-//   - Record is lock-free and costs at most one allocation: a slot is
-//     claimed with one atomic add and an immutable copy of the record
-//     is published with one atomic pointer store. A nil *Ledger is a
-//     valid no-op, so call sites thread it unconditionally.
+//   - Recording is lock-free: slots are claimed with one atomic add and
+//     an immutable record is published with one atomic pointer store
+//     per slot. Record costs one allocation per record (the published
+//     copy); Append publishes a query's records out of the slice the
+//     caller filled, so a query of any width costs the ledger no
+//     allocation beyond that one slice. A nil *Ledger is a valid no-op,
+//     so call sites thread it unconditionally.
 //   - Snapshot never blocks writers: a claimed-but-unpublished slot,
 //     or one overwritten by a ring wrap mid-read, is detected by its
 //     sequence number and skipped — bounded imprecision, bought for a
@@ -38,7 +41,8 @@ import (
 // reason codes) or ids that already existed at the call site, so
 // building a record does not allocate.
 type DecisionRecord struct {
-	// Seq is the ledger sequence number (1-based, assigned by Record).
+	// Seq is the ledger sequence number (1-based, assigned by Record
+	// and Append).
 	Seq uint64 `json:"seq"`
 	// T is the query clock (the mediator's statement counter).
 	T int64 `json:"t"`
@@ -169,6 +173,27 @@ func (l *Ledger) Record(rec DecisionRecord) {
 	l.slots[(seq-1)%uint64(len(l.slots))].rec.Store(p)
 	if l.sink != nil {
 		l.sink.Record(rec)
+	}
+}
+
+// Append records a batch — the accesses of one query — as Record would
+// one by one: consecutive sequence numbers in slice order, the same
+// ring slots, the sink called per record in order. The slots point
+// into recs, so the ledger owns the slice from here on: the caller
+// must not touch it again. No-op on a nil ledger or an empty batch.
+func (l *Ledger) Append(recs []DecisionRecord) {
+	if l == nil || len(recs) == 0 {
+		return
+	}
+	n := uint64(len(recs))
+	first := l.seq.Add(n) - n + 1
+	for i := range recs {
+		seq := first + uint64(i)
+		recs[i].Seq = seq
+		l.slots[(seq-1)%uint64(len(l.slots))].rec.Store(&recs[i])
+		if l.sink != nil {
+			l.sink.Record(recs[i])
+		}
 	}
 }
 

@@ -229,3 +229,61 @@ func TestLedgerConcurrent(t *testing.T) {
 		t.Fatalf("Snapshot len = %d, want ≤ 64", got)
 	}
 }
+
+// sliceSink keeps what a ledger hands its sink, in order.
+type sliceSink struct{ recs []DecisionRecord }
+
+func (s *sliceSink) Record(r DecisionRecord) { s.recs = append(s.recs, r) }
+
+// TestAppendIsRecordInBatches: appending batches — empty, short, and
+// longer than the ring — leaves the ring, the count and the sink
+// exactly as recording the same records one by one does, and costs no
+// allocation.
+func TestAppendIsRecordInBatches(t *testing.T) {
+	one, batched := New(8), New(8)
+	oneSink, batchedSink := &sliceSink{}, &sliceSink{}
+	one.SetSink(oneSink)
+	batched.SetSink(batchedSink)
+	(*Ledger)(nil).Append([]DecisionRecord{rec("o", "hit", 1, 0)}) // must not panic
+	next := int64(0)
+	for _, n := range []int{0, 1, 3, 0, 5, 20, 2} {
+		batch := make([]DecisionRecord, n)
+		for i := range batch {
+			next++
+			batch[i] = rec("o", "bypass", next, next)
+			one.Record(batch[i])
+		}
+		batched.Append(batch)
+		if one.Count() != batched.Count() {
+			t.Fatalf("after a batch of %d: Count %d, recorded one by one %d", n, batched.Count(), one.Count())
+		}
+		got, want := batched.Snapshot(), one.Snapshot()
+		if len(got) != len(want) {
+			t.Fatalf("after a batch of %d: ring holds %d records, one by one %d", n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("after a batch of %d: ring[%d] = %+v, one by one %+v", n, i, got[i], want[i])
+			}
+		}
+	}
+	if len(batchedSink.recs) != len(oneSink.recs) {
+		t.Fatalf("sink saw %d records, one by one %d", len(batchedSink.recs), len(oneSink.recs))
+	}
+	for i, r := range batchedSink.recs {
+		if r != oneSink.recs[i] || r.Seq != uint64(i+1) {
+			t.Fatalf("sink record %d = %+v, one by one %+v", i, r, oneSink.recs[i])
+		}
+	}
+	quiet := New(64)
+	batches := make([][]DecisionRecord, 102) // a batch is the ledger's once appended
+	for i := range batches {
+		batches[i] = make([]DecisionRecord, 17)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		quiet.Append(batches[0])
+		batches = batches[1:]
+	}); allocs != 0 {
+		t.Fatalf("Append allocates %.1f times per batch, want 0", allocs)
+	}
+}

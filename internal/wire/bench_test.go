@@ -16,6 +16,7 @@ import (
 	"bypassyield/internal/faultnet"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
+	"bypassyield/internal/sqlparse"
 )
 
 // TestWriteFrameAllocs pins the frame encoder's allocation budget
@@ -47,6 +48,59 @@ func TestWriteFrameAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: WriteFrame allocates %.1f per frame, want 0", name, allocs)
 		}
+	}
+}
+
+// TestUntracedHitBuildsOnlyTheResult pins what the proxy adds to a hit
+// on top of parsing and mediating it, by difference: with no tracer
+// attached, handleQuery allocates the ResultMsg and its decisions and
+// nothing else — no span attributes, no formatted numbers. With a ring
+// tracer the same query pays for its spans, which shows the bound
+// measures what it claims to.
+func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	p, _, done := newSimProxy(t, nil)
+	defer done()
+	const sql = "select ra, dec from photoobj where ra between 0 and 350"
+	for i := 0; ; i++ {
+		res, err := p.handleQuery(sql, obs.TraceContext{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Decisions[0].Decision == "hit" {
+			break
+		}
+		if i == 200 { // the yields must first add up to the load's cost
+			t.Fatalf("photoobj is not cached after %d queries: %+v", i, res.Decisions)
+		}
+	}
+	mediate := testing.AllocsPerRun(200, func() {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.med.QueryStmtTraced(sql, stmt, ""); err != nil {
+			t.Fatal(err)
+		}
+	})
+	handle := func() float64 {
+		return testing.AllocsPerRun(200, func() {
+			if _, err := p.handleQuery(sql, obs.TraceContext{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	untraced := handle() - mediate
+	p.SetTracer(obs.NewTracer(obs.NewRing(64)))
+	traced := handle() - mediate
+	t.Logf("mediation %.0f allocs; the proxy adds %.0f untraced, %.0f traced", mediate, untraced, traced)
+	if untraced > 2 {
+		t.Errorf("an untraced hit allocates %.0f times beyond mediation, want <= 2 (the result and its decisions)", untraced)
+	}
+	if traced < untraced+4 {
+		t.Errorf("a traced hit allocates %.0f times beyond mediation, an untraced one %.0f: the spans cost nothing?", traced, untraced)
 	}
 }
 

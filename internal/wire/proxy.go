@@ -7,7 +7,6 @@ import (
 	"net"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -603,8 +602,10 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			}
 			// End before sending so span logs are complete once the
 			// client observes the result.
-			span.End(obs.A("decisions", strconv.Itoa(len(res.Decisions))),
-				obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
+			if p.tracer.Enabled() {
+				span.End(obs.A("decisions", strconv.Itoa(len(res.Decisions))),
+					obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
+			}
 			encStart := fc.Now()
 			p.send(conn, MsgResult, res)
 			fc.SetEncodeUS(fc.Now() - encStart)
@@ -657,6 +658,10 @@ type leg struct {
 // verdicts, then every WAN leg fans out concurrently across sites.
 // The result frame is sent only after all legs settle, so a client's
 // response still reflects its query's complete protocol exchange.
+//
+// Span attributes — and the number formatting they need — are built
+// only when a tracer is attached; an untraced hit builds the result
+// message and nothing else.
 func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capture) (*ResultMsg, error) {
 	p.querySem <- struct{}{}
 	defer func() { <-p.querySem }()
@@ -676,8 +681,11 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 		mspan.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
-		obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
+	traced := p.tracer.Enabled()
+	if traced {
+		mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
+			obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
+	}
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
 	fc.SetDegraded(rep.Degraded)
 	res := &ResultMsg{
@@ -699,13 +707,16 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	// failed legs never reach the network — their sites are known
 	// unavailable.
 	var legs []leg
-	bypassedTables := map[string]bool{} // table name → has bypassed object
-	for _, d := range rep.Decisions {
+	var bypassed []bool // by table position in the schema; nil until a bypass
+	if len(rep.Decisions) > 0 {
+		res.Decisions = make([]DecisionMsg, len(rep.Decisions))
+	}
+	for i, d := range rep.Decisions {
 		verdict := d.Decision.String()
 		if d.Failed {
 			verdict = "failed"
 		}
-		res.Decisions = append(res.Decisions, DecisionMsg{
+		res.Decisions[i] = DecisionMsg{
 			Object:   string(d.Object),
 			Site:     d.Site,
 			Yield:    d.Yield,
@@ -713,49 +724,55 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 			Forced:   d.Forced,
 			Failed:   d.Failed,
 			Reason:   d.Reason,
-		})
+		}
 		fc.Decision(string(d.Object), d.Site, verdict, d.Reason, d.Yield)
-		// One proxy.decide span per object access: summing the yield
-		// attrs over a trace reproduces the query's D_A contribution
-		// (uniform net costs).
-		attrs := []obs.Attr{
-			obs.A("object", string(d.Object)),
-			obs.A("site", d.Site),
-			obs.A("yield", strconv.FormatInt(d.Yield, 10)),
-			obs.A("decision", verdict),
+		if traced {
+			// One proxy.decide span per object access: summing the yield
+			// attrs over a trace reproduces the query's D_A contribution
+			// (uniform net costs).
+			attrs := []obs.Attr{
+				obs.A("object", string(d.Object)),
+				obs.A("site", d.Site),
+				obs.A("yield", strconv.FormatInt(d.Yield, 10)),
+				obs.A("decision", verdict),
+			}
+			if d.Forced || d.Failed {
+				attrs = append(attrs, obs.A("degraded", d.Reason))
+			}
+			p.tracer.Child(ctx, "proxy.decide", attrs...).End()
 		}
-		if d.Forced || d.Failed {
-			attrs = append(attrs, obs.A("degraded", d.Reason))
-		}
-		p.tracer.Child(ctx, "proxy.decide", attrs...).End()
 		if d.Forced || d.Failed {
 			continue
 		}
 		switch d.Decision {
 		case core.Bypass:
-			bypassedTables[tableOfObject(string(d.Object))] = true
+			if bypassed == nil {
+				bypassed = make([]bool, len(rep.Bound.Schema.Tables))
+			}
+			bypassed[d.Table] = true
 		case core.Load:
 			legs = append(legs, leg{site: d.Site, object: string(d.Object)})
 		}
 	}
-	if len(bypassedTables) > 0 {
-		legs = append(legs, subqueryLegs(rep, bypassedTables)...)
+	if bypassed != nil {
+		legs = append(legs, subqueryLegs(rep, bypassed)...)
 	}
 	p.runLegs(legs, ctx, res, fc)
 	return res, nil
 }
 
 // subqueryLegs builds one sub-query leg per FROM table with a bypassed
-// object, from the statement as the mediator bound and executed it
-// (rep.Bound): the proxy does not bind.
-func subqueryLegs(rep *federation.QueryReport, bypassedTables map[string]bool) []leg {
+// object — the table's own, one of its columns, or a view over it;
+// bypassed is indexed by table position in the schema — from the
+// statement as the mediator bound and executed it (rep.Bound): the
+// proxy does not bind.
+func subqueryLegs(rep *federation.QueryReport, bypassed []bool) []leg {
 	var legs []leg
 	for i, sub := range federation.Subqueries(rep.Bound) {
-		t := rep.Bound.Tables[i]
-		if !bypassedTables[t.Name] {
+		if !bypassed[rep.Bound.TablePos[i]] {
 			continue
 		}
-		legs = append(legs, leg{site: t.Site, sql: sub.String()})
+		legs = append(legs, leg{site: rep.Bound.Tables[i].Site, sql: sub.String()})
 	}
 	return legs
 }
@@ -820,19 +837,6 @@ func (p *Proxy) runLegs(legs []leg, ctx obs.TraceContext, res *ResultMsg, fc *fl
 		go run(l)
 	}
 	wg.Wait()
-}
-
-// tableOfObject extracts the table name from an object id
-// ("release/table[.column]").
-func tableOfObject(object string) string {
-	rest := object
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[i+1:]
-	}
-	if i := strings.IndexByte(rest, '.'); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
 }
 
 // failConn records an RPC failure: the checked-out connection is

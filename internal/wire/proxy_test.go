@@ -61,7 +61,14 @@ func TestSubqueryLegsUseTheReportsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := &federation.QueryReport{SQL: "select run from field", Bound: b}
-	legs := subqueryLegs(rep, map[string]bool{"photoobj": true, "specobj": true, "field": true})
+	bypassed := func(tables ...string) []bool {
+		at := make([]bool, len(s.Tables))
+		for _, name := range tables {
+			at[s.TableIndex(name)] = true
+		}
+		return at
+	}
+	legs := subqueryLegs(rep, bypassed("photoobj", "specobj", "field"))
 	subs := federation.Subqueries(b)
 	want := []leg{
 		{site: catalog.SitePhoto, sql: subs[0].String()},
@@ -70,7 +77,7 @@ func TestSubqueryLegsUseTheReportsBound(t *testing.T) {
 	if !reflect.DeepEqual(legs, want) {
 		t.Fatalf("legs = %+v, want %+v", legs, want)
 	}
-	if legs := subqueryLegs(rep, map[string]bool{"specobj": true}); len(legs) != 1 || legs[0] != want[1] {
+	if legs := subqueryLegs(rep, bypassed("specobj")); len(legs) != 1 || legs[0] != want[1] {
 		t.Fatalf("legs for specobj alone = %+v", legs)
 	}
 }

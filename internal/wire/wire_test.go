@@ -54,20 +54,6 @@ func TestFrameShortRead(t *testing.T) {
 	}
 }
 
-func TestTableOfObject(t *testing.T) {
-	cases := map[string]string{
-		"edr/photoobj":    "photoobj",
-		"edr/photoobj.ra": "photoobj",
-		"photoobj.ra":     "photoobj",
-		"photoobj":        "photoobj",
-	}
-	for in, want := range cases {
-		if got := tableOfObject(in); got != want {
-			t.Fatalf("tableOfObject(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // testFederation starts nodes for every site of EDR plus a proxy with
 // the given policy, returning a connected client and a shutdown func.
 func testFederation(t *testing.T, policy core.Policy, gran federation.Granularity) (*Client, func()) {
