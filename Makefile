@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-fed bench-proxy bench-synth chaos crash fuzz-smoke
+.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke
 
 all: vet test
 
@@ -67,18 +67,20 @@ fuzz-smoke:
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free), the mediator's whole query path
 # (bind, execute, decompose, decide, flush: three passes over the 3 000
-# EDR statements of the federation benchmark's traced pass) and one
-# end-to-end experiment. The first two are distilled into
-# BENCH_obs.json (ns/op and allocs/op per benchmark) so CI can archive
-# hot-path numbers across commits.
+# EDR statements of the federation benchmark's traced pass), the frame
+# encoder and result codec, and one end-to-end experiment. All but the
+# last are distilled into BENCH_obs.json (ns/op and allocs/op per
+# benchmark) so CI can archive hot-path numbers across commits.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkMediatorQueryEDR -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
 	awk 'BEGIN { print "{"; n = 0 } \
 	  /^Benchmark/ { \
 	    if (n++) printf ",\n"; \
 	    name = $$1; sub(/-[0-9]+$$/, "", name); \
-	    printf "  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}", name, $$3, $$7 \
+	    for (i = 5; i <= NF; i++) if ($$i == "allocs/op") allocs = $$(i-1); \
+	    printf "  \"%s\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}", name, $$3, allocs \
 	  } \
 	  END { print "\n}" }' bench_obs.txt > BENCH_obs.json
 	rm -f bench_obs.txt
@@ -90,31 +92,3 @@ bench-smoke:
 # is what fails when an internal/ API change stops it compiling.
 bench-fed:
 	cd bench && $(GO) vet . && $(GO) test .
-
-# The concurrent-pipeline benchmark: 8 clients over a 4-site federation
-# with ~2ms of simulated WAN latency per conn operation, serial
-# (pre-pipeline, -max-inflight 1) vs concurrent (default bounds) with
-# client-side p50/p99 latency, plus the pooled frame encoder's
-# allocation budget and decide-phase contention (disjoint and
-# overlapping object sets, with per-query lock wait). Distilled into
-# BENCH_proxy.json so CI archives throughput, latency, and
-# decision-plane serialization per commit.
-bench-proxy:
-	$(GO) test -run='^$$' -bench=BenchmarkProxyThroughput -benchtime=200x ./internal/wire/ | tee bench_proxy.txt
-	$(GO) test -run='^$$' -bench=BenchmarkWriteFrame -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_proxy.txt
-	$(GO) test -run='^$$' -bench=BenchmarkMediatorDecide -benchmem -benchtime=1s -cpu=8 ./internal/federation/ | tee -a bench_proxy.txt
-	awk -f scripts/bench_proxy.awk bench_proxy.txt > BENCH_proxy.json
-	rm -f bench_proxy.txt
-	cat BENCH_proxy.json
-
-# The open-loop load harness against a real two-node federation: bydbd
-# for the photo and spec sites, byproxyd mediating, bysynth
-# binary-searching the saturation knee (max RPS with p99 under the
-# 500ms objective) over the wire protocol. The report — the knee, the
-# probe trail, and the best probe's full latency/SLO/flow accounting —
-# lands in BENCH_synth.json for CI to archive. The run is a perf gate
-# twice over: attainment below SLO_FAIL (default 0.90) exits nonzero,
-# and benchgate fails the build when the knee or achieved RPS drops
-# (or p99 drifts) beyond tolerance vs the committed BENCH_synth.json.
-bench-synth:
-	sh scripts/bench_synth.sh

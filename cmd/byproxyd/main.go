@@ -107,7 +107,7 @@ func main() {
 	flag.IntVar(&o.flightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy query as a 'normal' exemplar (0 disables)")
 	flag.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file")
 	flag.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
-	flag.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, 0 = adapt to load)")
+	flag.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, at least 1)")
 	flag.StringVar(&o.stateDir, "state-dir", "", "persist cache/policy/accounting state here and warm-restart from it (empty disables)")
 	flag.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
 	flag.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
@@ -185,6 +185,9 @@ func (d *daemon) Close() error {
 // start builds and listens the proxy; split from run so tests can
 // exercise everything but the signal wait.
 func start(o options) (*daemon, error) {
+	if o.poolSize < 1 {
+		return nil, fmt.Errorf("-pool-size %d: the bound is fixed and must be at least 1 (adaptive sizing, which 0 used to select, is gone)", o.poolSize)
+	}
 	var s *catalog.Schema
 	switch o.release {
 	case "edr":
@@ -260,10 +263,7 @@ func start(o options) (*daemon, error) {
 	bcfg.Seed = o.seed
 	proxy.SetBreakerConfig(bcfg)
 	proxy.SetConcurrency(o.maxInflight, 0)
-	// -pool-size 0 hands sizing to the proxy's adaptive loop, which
-	// re-derives each site's bound from wire.pool_waits and observed
-	// RPC latency; any explicit value pins the bound.
-	proxy.SetPoolConfig(wire.PoolConfig{MaxActive: o.poolSize, Adaptive: o.poolSize == 0})
+	proxy.SetPoolConfig(wire.PoolConfig{MaxActive: o.poolSize})
 	proxy.SetFlightConfig(flightrec.Config{
 		Capacity: o.flightCap, Threshold: o.flightThreshold, SampleEvery: o.flightSample,
 	})

@@ -16,7 +16,7 @@ func testOptions() options {
 	return options{
 		release: "edr", addr: "127.0.0.1:0", policy: "rate-profile",
 		cachePct: 0.4, gran: "columns", sample: 100000, seed: 1,
-		rpcTimeout: wire.DefaultRPCTimeout,
+		rpcTimeout: wire.DefaultRPCTimeout, poolSize: wire.DefaultPoolSize,
 	}
 }
 
@@ -157,6 +157,20 @@ func TestStartLedgerOutRequiresLedger(t *testing.T) {
 	o.ledgerOut = filepath.Join(t.TempDir(), "decisions.jsonl")
 	if _, err := start(o); err == nil {
 		t.Fatal("-ledger-out without -ledger should fail startup")
+	}
+}
+
+// TestStartRefusesPoolSizeBelowOne: 0 used to select adaptive sizing;
+// it must now fail start-up by name instead of silently meaning
+// something else.
+func TestStartRefusesPoolSizeBelowOne(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		o := testOptions()
+		o.poolSize = n
+		_, err := start(o)
+		if err == nil || !strings.Contains(err.Error(), "-pool-size") || !strings.Contains(err.Error(), "adaptive sizing") {
+			t.Fatalf("-pool-size %d: err = %v, want a refusal naming the flag and adaptive sizing", n, err)
+		}
 	}
 }
 

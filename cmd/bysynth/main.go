@@ -8,11 +8,6 @@
 // skew, size shaping), -slots (the compact flag grammar,
 // single-tenant), or -scenario (a canned name; see -list).
 //
-// -scenario saturation is a search mode rather than a fixed schedule:
-// constant-rate probes double from -sat-low until one misses the SLO,
-// then bisect the bracket, reporting the knee — the max RPS the proxy
-// sustains with p99 under -slo — plus the full probe trail.
-//
 // The harness is open-loop: the arrival schedule is fixed before the
 // run starts and never waits on completions. When the proxy falls
 // behind, arrivals past the in-flight cap are shed and counted — so
@@ -43,7 +38,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -68,11 +62,6 @@ type options struct {
 	timeScale   float64
 	rpsScale    float64
 	wait        time.Duration
-
-	satLow    float64
-	satMax    float64
-	satProbe  time.Duration
-	satBisect int
 
 	out      string
 	asJSON   bool
@@ -103,17 +92,12 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress progress logging")
 	flag.BoolVar(&o.noScrape, "no-scrape", false, "skip the proxy metrics scrape (targets that only speak MsgQuery)")
 	flag.Float64Var(&o.sloFail, "slo-fail", 0, "exit nonzero when SLO attainment falls below this fraction (0 disables; e.g. 0.90)")
-	flag.Float64Var(&o.satLow, "sat-low", synth.DefaultSatLowRPS, "saturation search: first probe rate (rps)")
-	flag.Float64Var(&o.satMax, "sat-max", synth.DefaultSatMaxRPS, "saturation search: expansion cap (rps)")
-	flag.DurationVar(&o.satProbe, "sat-probe", synth.DefaultSatProbe, "saturation search: per-probe schedule length")
-	flag.IntVar(&o.satBisect, "sat-bisect", synth.DefaultSatBisections, "saturation search: bisection probes after the knee is bracketed")
 	flag.Parse()
 
 	if *list {
 		for _, name := range synth.CannedNames() {
 			fmt.Println(name)
 		}
-		fmt.Println("saturation")
 		return
 	}
 
@@ -147,7 +131,7 @@ func loadScenario(o options) (*synth.Scenario, error) {
 	default:
 		var err error
 		if sc, err = synth.Canned(o.scenario); err != nil {
-			return nil, fmt.Errorf("%w (have %s)", err, strings.Join(synth.CannedNames(), ", "))
+			return nil, err
 		}
 	}
 	if o.release != "" {
@@ -166,21 +150,25 @@ func loadScenario(o options) (*synth.Scenario, error) {
 	return sc, nil
 }
 
-// waitReady retries a metrics ping until the proxy answers or the
-// budget runs out, absorbing daemon-startup races in scripts and CI.
-func waitReady(ctx context.Context, addr string, budget, dialTimeout time.Duration) error {
-	deadline := time.Now().Add(budget)
+// waitReady retries the first contact until the proxy answers or the
+// -wait budget runs out, absorbing daemon-startup races in scripts and
+// CI. Contact is a metrics ping; a -no-scrape target may speak only
+// MsgQuery, so there a successful dial is ready.
+func waitReady(ctx context.Context, o options) error {
+	deadline := time.Now().Add(o.wait)
 	for {
-		c, err := wire.DialTimeout(addr, dialTimeout)
+		c, err := wire.DialTimeout(o.addr, o.dialTimeout)
 		if err == nil {
-			_, err = c.Metrics()
+			if !o.noScrape {
+				_, err = c.Metrics()
+			}
 			c.Close()
 			if err == nil {
 				return nil
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("proxy at %s not ready after %v: %w", addr, budget, err)
+			return fmt.Errorf("proxy at %s not ready after %v: %w", o.addr, o.wait, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -195,7 +183,16 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 	if o.quiet {
 		logf = nil
 	}
-	runCfg := synth.RunConfig{
+	sc, err := loadScenario(o)
+	if err != nil {
+		return err
+	}
+	if o.wait > 0 {
+		if err := waitReady(ctx, o); err != nil {
+			return err
+		}
+	}
+	rep, err := synth.Run(ctx, sc, synth.RunConfig{
 		Addr:         o.addr,
 		MaxInflight:  o.maxInflight,
 		SLO:          o.slo,
@@ -203,50 +200,7 @@ func run(ctx context.Context, o options, stdout io.Writer) error {
 		DrainTimeout: o.drain,
 		SkipScrape:   o.noScrape,
 		Logf:         logf,
-	}
-
-	var rep *synth.Report
-	var err error
-	if o.specPath == "" && o.slots == "" && o.scenario == "saturation" {
-		// The saturation "scenario" is a search mode: constant-rate
-		// probes binary-searching the knee — the max RPS the proxy
-		// sustains with p99 under the SLO. Release/seed/arrival
-		// overrides shape the probe workload as usual.
-		base := &synth.Scenario{Name: "saturation", Seed: 5}
-		if o.release != "" {
-			base.Release = o.release
-		}
-		if o.seed != 0 {
-			base.Seed = o.seed
-		}
-		if o.arrival != "" {
-			base.Arrival = o.arrival
-		}
-		if o.wait > 0 {
-			if err := waitReady(ctx, o.addr, o.wait, o.dialTimeout); err != nil {
-				return err
-			}
-		}
-		rep, err = synth.Saturate(ctx, synth.SaturationConfig{
-			Run:           runCfg,
-			Base:          base,
-			LowRPS:        o.satLow,
-			MaxRPS:        o.satMax,
-			ProbeDuration: o.satProbe,
-			Bisections:    o.satBisect,
-		})
-	} else {
-		var sc *synth.Scenario
-		if sc, err = loadScenario(o); err != nil {
-			return err
-		}
-		if o.wait > 0 {
-			if err := waitReady(ctx, o.addr, o.wait, o.dialTimeout); err != nil {
-				return err
-			}
-		}
-		rep, err = synth.Run(ctx, sc, runCfg)
-	}
+	})
 	if err != nil {
 		return err
 	}

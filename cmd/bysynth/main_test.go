@@ -55,8 +55,10 @@ func TestLoadScenarioPrecedence(t *testing.T) {
 		t.Fatalf("spec file did not win: %+v", sc)
 	}
 
-	if _, err := loadScenario(options{scenario: "no-such"}); err == nil || !strings.Contains(err.Error(), "steady") {
-		t.Fatalf("unknown canned name should list the choices, got %v", err)
+	for _, name := range []string{"no-such", "saturation"} {
+		if _, err := loadScenario(options{scenario: name}); err == nil || !strings.Contains(err.Error(), "steady") {
+			t.Fatalf("unknown canned name %q should list the choices, got %v", name, err)
+		}
 	}
 	// Overrides are validated: a bad arrival mode fails loudly.
 	if _, err := loadScenario(options{scenario: "steady", arrival: "bursty", timeScale: 1, rpsScale: 1}); err == nil {
@@ -157,6 +159,48 @@ func TestRunAgainstProxy(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "achieved") {
 		t.Fatalf("table output missing:\n%s", sb.String())
+	}
+}
+
+// TestWaitNoScrape: a -no-scrape target speaks only MsgQuery, so -wait
+// must take a successful dial as ready, not wait on a metrics reply the
+// target will never send.
+func TestWaitNoScrape(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					typ, _, _, err := wire.ReadFrame(conn)
+					if err != nil || typ != wire.MsgQuery {
+						return
+					}
+					if _, err := wire.WriteFrame(conn, wire.MsgResult, wire.ResultMsg{Columns: []string{"x"}, Rows: 1, Bytes: 100}); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	var sb strings.Builder
+	err = run(context.Background(), options{
+		addr: ln.Addr().String(), slots: "constant:20x1s", arrival: "uniform", timeScale: 1, rpsScale: 1,
+		wait: time.Second, noScrape: true, quiet: true,
+	}, &sb)
+	if err != nil {
+		t.Fatalf("-wait -no-scrape against a MsgQuery-only target: %v", err)
+	}
+	if !strings.Contains(sb.String(), "20 completed") {
+		t.Fatalf("run did not complete its 20 ops:\n%s", sb.String())
 	}
 }
 

@@ -26,10 +26,20 @@ const DefaultDrainTimeout = 30 * time.Second
 const DefaultSLO = 500 * time.Millisecond
 
 // LatencyBuckets is the harness's HDR-style log-bucketed layout:
-// ×1.5 steps from 50µs, spanning ~50µs to ~14s in 32 buckets — fine
-// enough that p999 lands within ±50% of the true value anywhere in
-// the range.
-func LatencyBuckets() []int64 { return obs.ExpBuckets(50, 1.5, 32) }
+// ×1.05 steps from 10µs to ~14.7s. A quantile reads as its bucket's
+// upper bound, so every percentile is at most 5% above the true value
+// anywhere in the range. Whole microseconds repeat below 20µs; each
+// bound is kept once.
+func LatencyBuckets() []int64 {
+	steps := obs.ExpBuckets(10, 1.05, 292)
+	bounds := steps[:1]
+	for _, b := range steps[1:] {
+		if b != bounds[len(bounds)-1] {
+			bounds = append(bounds, b)
+		}
+	}
+	return bounds
+}
 
 // RunConfig parameterizes a load run against one proxy address.
 type RunConfig struct {
@@ -154,11 +164,6 @@ type Report struct {
 	Classes []ClassSummary `json:"classes,omitempty"`
 	Proxy   *ProxyDelta    `json:"proxy,omitempty"`
 	Tail    *TailReport    `json:"tail,omitempty"`
-
-	// Saturation carries the knee-search trail when the report came
-	// from Saturate; the report's own numbers are then the best
-	// passing probe's.
-	Saturation *SaturationReport `json:"saturation,omitempty"`
 }
 
 // Run executes the scenario open-loop against cfg.Addr: the arrival
@@ -572,22 +577,6 @@ func (r *Report) WriteText(w io.Writer) error {
 		for _, c := range r.Tail.Causes {
 			fmt.Fprintf(w, "    %-26s %6d dominant  %10.3fms attributed\n",
 				c.Cause, c.Dominant, float64(c.TotalUS)/1e3)
-		}
-	}
-	if s := r.Saturation; s != nil {
-		bound := ""
-		if s.Bounded {
-			bound = " (search cap — true knee is higher)"
-		}
-		fmt.Fprintf(w, "  saturation  knee %.0f rps under the %.0fms objective%s, %d probes:\n",
-			s.KneeRPS, float64(s.ThresholdUS)/1e3, bound, len(s.Probes))
-		for _, p := range s.Probes {
-			verdict := "fail"
-			if p.Pass {
-				verdict = "pass"
-			}
-			fmt.Fprintf(w, "    %8.0f rps → %8.1f achieved  p99 %8.2fms  attained %6.2f%%  shed %d  %s\n",
-				p.TargetRPS, p.AchievedRPS, ms(p.P99US), p.Attainment*100, p.Shed, verdict)
 		}
 	}
 	return nil

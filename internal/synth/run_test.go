@@ -125,6 +125,23 @@ func TestRunSteady(t *testing.T) {
 	if rep.Latency.MaxUS <= 0 {
 		t.Fatalf("max latency = %d", rep.Latency.MaxUS)
 	}
+	// The layout those percentiles are read from resolves 5%: one
+	// observation at each of 1..10000 × unit µs, from a cache hit's
+	// scale to a drain timeout's, has its quantiles at known values.
+	for _, unit := range []int64{1, 37, 1400} {
+		h := reg.Histogram(fmt.Sprintf("known.%d", unit), LatencyBuckets())
+		for i := int64(1); i <= 10_000; i++ {
+			h.Observe(i * unit)
+		}
+		for _, q := range []struct {
+			q    float64
+			want int64
+		}{{0.50, 5_000 * unit}, {0.99, 9_900 * unit}, {0.999, 9_990 * unit}} {
+			if got := h.Quantile(q.q); got < q.want || float64(got) > 1.05*float64(q.want) {
+				t.Errorf("unit %dµs: q%v = %dµs, want %dµs to 5%% above", unit, q.q, got, q.want)
+			}
+		}
+	}
 	if rep.SLO.Attainment != 1 || rep.SLO.Met != 200 {
 		t.Fatalf("slo = %+v (local stub should be well inside %v)", rep.SLO, DefaultSLO)
 	}

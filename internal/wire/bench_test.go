@@ -2,19 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"fmt"
 	"io"
-	"net"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"bypassyield/internal/catalog"
-	"bypassyield/internal/engine"
-	"bypassyield/internal/faultnet"
-	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/sqlparse"
 )
@@ -178,172 +168,4 @@ func BenchmarkResultCodec(b *testing.B) {
 			}
 		})
 	}
-}
-
-// benchSchema is a four-site release (one table per site) so the
-// throughput benchmark exercises more WAN parallelism than EDR's three
-// sites offer.
-func benchSchema() *catalog.Schema {
-	s := &catalog.Schema{Name: "bench"}
-	for i := 0; i < 4; i++ {
-		s.Tables = append(s.Tables, catalog.Table{
-			Name: fmt.Sprintf("t%d", i),
-			Columns: []catalog.Column{
-				{Name: "id", Type: catalog.Int64, Max: 1_000_000, Key: true},
-				{Name: "a", Type: catalog.Float64, Max: 360},
-				{Name: "b", Type: catalog.Float64, Min: -90, Max: 90},
-			},
-			Rows: 1_000_000,
-			Site: fmt.Sprintf("site%d.bench", i),
-		})
-	}
-	if err := s.Validate(); err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// benchFederation stands up the 4-site federation with ~2ms of
-// injected latency per conn operation (the simulated WAN) and the
-// given pipeline bounds.
-func benchFederation(b *testing.B, maxInflight, maxLegs int) (addr string, shutdown func()) {
-	b.Helper()
-	s := benchSchema()
-	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 10_000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	quiet := func(string, ...any) {}
-
-	var nodes []*DBNode
-	addrs := map[string]string{}
-	for i := range s.Tables {
-		site := s.Tables[i].Site
-		n := NewDBNode(site, db)
-		n.SetLogf(quiet)
-		naddr, err := n.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = append(nodes, n)
-		addrs[site] = naddr
-	}
-
-	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db, Granularity: federation.Tables,
-		Obs: obs.NewRegistry(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	proxy := NewProxy(med, federation.Tables, addrs)
-	proxy.SetLogf(quiet)
-	proxy.SetConcurrency(maxInflight, maxLegs)
-
-	inj := faultnet.NewInjector(3)
-	inj.Set(faultnet.Faults{Latency: 2 * time.Millisecond})
-	proxy.SetDialer(func(_, a string) (net.Conn, error) {
-		c, err := net.DialTimeout("tcp", a, time.Second)
-		if err != nil {
-			return nil, err
-		}
-		return inj.Conn(c), nil
-	})
-
-	addr, err = proxy.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return addr, func() {
-		proxy.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-		inj.Stop()
-	}
-}
-
-// runProxyBench drives b.N queries through the proxy from `clients`
-// concurrent connections and reports queries/sec plus the client-side
-// p50/p99 query latency. With no cache policy every access bypasses,
-// so each query ships one sub-query leg over the simulated WAN — the
-// leg, not local compute, dominates.
-func runProxyBench(b *testing.B, addr string, clients int) {
-	queries := []string{
-		"select a, b from t0 where a between 0 and 300",
-		"select a, b from t1 where a between 0 and 300",
-		"select a, b from t2 where a between 0 and 300",
-		"select a, b from t3 where a between 0 and 300",
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var latencies []int64 // microseconds, merged per client at exit
-	b.ResetTimer()
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := Dial(addr)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer cl.Close()
-			var lats []int64
-			defer func() {
-				mu.Lock()
-				latencies = append(latencies, lats...)
-				mu.Unlock()
-			}()
-			for {
-				i := next.Add(1)
-				if i > int64(b.N) {
-					return
-				}
-				qStart := time.Now()
-				if _, err := cl.Query(queries[int(i)%len(queries)]); err != nil {
-					b.Error(err)
-					return
-				}
-				lats = append(lats, time.Since(qStart).Microseconds())
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/sec")
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		quantile := func(q float64) float64 {
-			idx := int(q * float64(len(latencies)-1))
-			return float64(latencies[idx])
-		}
-		b.ReportMetric(quantile(0.50), "p50-us")
-		b.ReportMetric(quantile(0.99), "p99-us")
-	}
-}
-
-// BenchmarkProxyThroughput measures the concurrent pipeline against
-// the serial baseline: 8 clients over 4 sites with ~2ms simulated WAN
-// latency per conn operation.
-//
-//	make bench-proxy    # distills both runs into BENCH_proxy.json
-//
-// serial pins the pipeline to one query at a time (the pre-pipeline
-// proxy); concurrent8 uses the default bounds, so 8 client queries
-// overlap end-to-end and their legs share the per-site pools.
-func BenchmarkProxyThroughput(b *testing.B) {
-	b.Run("serial", func(b *testing.B) {
-		addr, shutdown := benchFederation(b, 1, 1)
-		defer shutdown()
-		runProxyBench(b, addr, 8)
-	})
-	b.Run("concurrent8", func(b *testing.B) {
-		addr, shutdown := benchFederation(b, 0, 0) // defaults: 64 inflight, unbounded legs
-		defer shutdown()
-		runProxyBench(b, addr, 8)
-	})
 }

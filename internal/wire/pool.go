@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -14,23 +13,6 @@ import (
 // node connections (and on idle connections kept for reuse).
 const DefaultPoolSize = 8
 
-// Adaptive-sizing bounds and tuning (see AdaptPoolSize).
-const (
-	// MinAdaptivePoolSize floors the adaptive bound so a quiet site
-	// keeps enough connections to absorb a burst's first legs.
-	MinAdaptivePoolSize = 2
-	// MaxAdaptivePoolSize caps the adaptive bound: beyond this,
-	// per-site fan-in stops helping and only multiplies node load.
-	MaxAdaptivePoolSize = 64
-	// adaptHeadroom pads the Little's-law demand estimate so Poisson
-	// arrival bursts don't immediately block.
-	adaptHeadroom = 1.5
-	// DefaultAdaptInterval is how often the proxy re-derives adaptive
-	// pool sizes from the interval's wire.pool_waits and
-	// wire.rpc_latency_us deltas.
-	DefaultAdaptInterval = 2 * time.Second
-)
-
 // PoolConfig tunes one site's connection pool.
 type PoolConfig struct {
 	// MaxActive bounds connections checked out at once; a Get beyond
@@ -40,11 +22,6 @@ type PoolConfig struct {
 	// MaxIdle bounds connections parked for reuse; returns beyond the
 	// bound close the connection. ≤ 0 means MaxActive.
 	MaxIdle int
-	// Adaptive lets the proxy resize each site's bound at runtime from
-	// observed demand — wire.pool_waits (Gets that blocked) and the
-	// site's RPC latency — instead of holding MaxActive fixed.
-	// MaxActive then only seeds the starting size.
-	Adaptive bool
 }
 
 func (c PoolConfig) sanitize() PoolConfig {
@@ -219,62 +196,4 @@ func (p *pool) Stats() (active, idle int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.active, len(p.idle)
-}
-
-// MaxActive reports the current checked-out bound.
-func (p *pool) MaxActive() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg.MaxActive
-}
-
-// Resize replaces the checked-out bound (and the idle bound with it).
-// Growing wakes blocked Gets; shrinking closes surplus parked
-// connections immediately, while already-checked-out connections
-// above the new bound drain naturally as they are returned.
-func (p *pool) Resize(maxActive int) {
-	if maxActive < 1 {
-		maxActive = 1
-	}
-	p.mu.Lock()
-	p.cfg.MaxActive = maxActive
-	p.cfg.MaxIdle = maxActive
-	for len(p.idle) > maxActive {
-		n := len(p.idle)
-		p.idle[n-1].Close()
-		p.idle = p.idle[:n-1]
-		p.m.drops.Add(p.site, 1)
-	}
-	p.m.idle.Set(p.site, int64(len(p.idle)))
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// AdaptPoolSize derives a site's next checked-out bound from one
-// observation interval: waits is the wire.pool_waits delta (Gets that
-// blocked on the bound), legsPerSec the site's RPC arrival rate, and
-// rpcLatencySec its mean RPC latency over the interval. Little's law
-// (concurrency = rate × latency) plus headroom sets the demand
-// baseline; observed blocking grows the pool even when the estimate
-// lags it — latency measured under a too-small pool hides the
-// queueing the extra connections would absorb — and a quiet interval
-// decays the bound halfway back toward demand, so a burst's oversized
-// pool drains over a few intervals instead of collapsing at once.
-// The result is clamped to [MinAdaptivePoolSize, MaxAdaptivePoolSize].
-func AdaptPoolSize(cur int, waits int64, legsPerSec, rpcLatencySec float64) int {
-	if cur < 1 {
-		cur = 1
-	}
-	need := int(math.Ceil(legsPerSec * rpcLatencySec * adaptHeadroom))
-	next := cur
-	switch {
-	case waits > 0:
-		// Blocked Gets are direct evidence the bound is too small: grow
-		// to demand, but by at least half the current size so repeated
-		// undersized intervals escape quickly.
-		next = max(need, cur+max(cur/2, 1))
-	case need < cur:
-		next = cur - max((cur-need)/2, 1)
-	}
-	return min(max(next, MinAdaptivePoolSize), MaxAdaptivePoolSize)
 }

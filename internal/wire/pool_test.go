@@ -168,81 +168,3 @@ func TestPoolCloseFailsGets(t *testing.T) {
 	}
 	p.Discard(c1)
 }
-
-func TestAdaptPoolSize(t *testing.T) {
-	cases := []struct {
-		name    string
-		cur     int
-		waits   int64
-		rate    float64 // legs/sec
-		latency float64 // seconds
-		want    int
-	}{
-		// Little's law: 100 legs/s × 200ms × 1.5 headroom = 30 > the
-		// +50% floor (12), so demand wins.
-		{"waits grow to demand", 8, 5, 100, 0.2, 30},
-		// Demand estimate (3) lags the +50% floor when latency was
-		// measured under a starved pool; the floor wins.
-		{"waits grow at least half", 8, 1, 10, 0.2, 12},
-		{"quiet at demand holds", 8, 0, 40, 0.2, 8}, // need=12 ≥ cur is no shrink
-		// Quiet and oversized: decay halfway toward demand (need=3,
-		// cur=16 → 16−6=10), not a collapse.
-		{"quiet oversized decays halfway", 16, 0, 10, 0.2, 10},
-		{"idle site decays", 16, 0, 0, 0, 8},
-		{"floor", 2, 0, 0, 0, MinAdaptivePoolSize},
-		{"ceiling", 60, 100, 10_000, 0.1, MaxAdaptivePoolSize},
-		{"zero cur treated as one", 0, 0, 0, 0, MinAdaptivePoolSize},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := AdaptPoolSize(tc.cur, tc.waits, tc.rate, tc.latency); got != tc.want {
-				t.Fatalf("AdaptPoolSize(%d, %d, %v, %v) = %d, want %d",
-					tc.cur, tc.waits, tc.rate, tc.latency, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestPoolResizeGrowUnblocksAndShrinkTrimsIdle(t *testing.T) {
-	dial, _ := pipeDialer()
-	p := newPool("photo", "x", PoolConfig{MaxActive: 1}, dial, testPoolMetrics())
-	defer p.Close()
-
-	c1, _, err := p.Get(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan net.Conn, 1)
-	go func() {
-		c, _, err := p.Get(false) // blocked at MaxActive=1
-		if err != nil {
-			t.Error(err)
-		}
-		got <- c
-	}()
-	time.Sleep(20 * time.Millisecond)
-	p.Resize(2) // growing must wake the blocked Get without a Put
-	var c2 net.Conn
-	select {
-	case c2 = <-got:
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Get never woke after Resize grew the bound")
-	}
-	if p.MaxActive() != 2 {
-		t.Fatalf("MaxActive = %d, want 2", p.MaxActive())
-	}
-
-	// Park both, then shrink to 1: the surplus idle conn must close.
-	p.Put(c1)
-	p.Put(c2)
-	if _, idle := p.Stats(); idle != 2 {
-		t.Fatalf("%d idle before shrink, want 2", idle)
-	}
-	p.Resize(1)
-	if _, idle := p.Stats(); idle != 1 {
-		t.Fatalf("%d idle after shrink, want 1", idle)
-	}
-	if _, err := c2.Write([]byte("x")); err == nil {
-		t.Fatal("surplus idle connection should be closed by shrink")
-	}
-}

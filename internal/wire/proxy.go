@@ -76,8 +76,6 @@ const DefaultMaxInflight = 64
 //	wire.pool_waits                    per-site pool Gets that had to block
 //	wire.pool_wait_us                  per-site histogram of time blocked
 //	                                   waiting for a pool slot
-//	wire.pool_size                     per-site checked-out bound (moves
-//	                                   under adaptive sizing)
 //	wire.fetch_coalesced               object fetches served by another
 //	                                   in-flight fetch (single-flight dedup)
 //
@@ -99,10 +97,8 @@ type Proxy struct {
 	pcfg       PoolConfig
 	rpcTimeout time.Duration
 
-	// querySem bounds concurrently pipelined queries; legSem (nil =
-	// unbounded) bounds concurrently executing WAN legs across queries.
+	// querySem bounds concurrently pipelined queries.
 	querySem    chan struct{}
-	legSem      chan struct{}
 	fetchFlight flightGroup
 
 	// dialer opens node connections; tests and -chaos replace it to
@@ -112,8 +108,6 @@ type Proxy struct {
 	bcfg        BreakerConfig
 	breakers    map[string]*breaker // read-only after construction
 	proberStop  chan struct{}
-	adaptStop   chan struct{}
-	adaptEvery  time.Duration
 
 	ln     net.Listener
 	logf   func(format string, args ...any)
@@ -144,7 +138,6 @@ type Proxy struct {
 	poolIdle     *obs.GaugeFamily
 	poolWaits    *obs.CounterFamily
 	poolWaitDur  *obs.HistogramFamily
-	poolSize     *obs.GaugeFamily
 	coalesced    *obs.CounterFamily
 
 	flight *flightrec.Recorder
@@ -198,9 +191,7 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	p.poolIdle = reg.GaugeFamily("wire.pool_idle")
 	p.poolWaits = reg.CounterFamily("wire.pool_waits")
 	p.poolWaitDur = reg.HistogramFamily("wire.pool_wait_us", obs.DefaultLatencyBuckets())
-	p.poolSize = reg.GaugeFamily("wire.pool_size")
 	p.coalesced = reg.CounterFamily("wire.fetch_coalesced")
-	p.adaptEvery = DefaultAdaptInterval
 	obs.EnableRuntimeStats(reg)
 	p.buildFlight(flightrec.DefaultConfig())
 	p.buildBreakers()
@@ -249,7 +240,6 @@ func (p *Proxy) buildPools() {
 	dial := func(site, addr string) (net.Conn, error) { return p.dialer(site, addr) }
 	for site, addr := range p.nodeAddrs {
 		p.pools[site] = newPool(site, addr, p.pcfg, dial, m)
-		p.poolSize.Set(site, int64(p.pools[site].MaxActive()))
 	}
 }
 
@@ -308,32 +298,27 @@ func (p *Proxy) SetBreakerConfig(cfg BreakerConfig) {
 }
 
 // SetPoolConfig replaces the per-site connection-pool bounds,
-// rebuilding the pools. With cfg.Adaptive the proxy re-derives each
-// site's bound every DefaultAdaptInterval from the interval's
-// wire.pool_waits and wire.rpc_latency_us deltas (see AdaptPoolSize);
-// MaxActive then only seeds the starting size. Call before Listen.
+// rebuilding the pools. Call before Listen.
 func (p *Proxy) SetPoolConfig(cfg PoolConfig) {
 	p.pcfg = cfg.sanitize()
-	p.pcfg.Adaptive = cfg.Adaptive
 	p.buildPools()
 }
 
 // SetConcurrency tunes the pipeline: maxInflight bounds concurrently
 // pipelined client queries (≤ 0 restores DefaultMaxInflight;
-// 1 serializes queries end-to-end — the pre-pipeline behaviour);
-// maxLegs bounds WAN legs executing at once across all queries (≤ 0
-// means unbounded; per-site pressure is already capped by the pools).
-// Call before Listen.
-func (p *Proxy) SetConcurrency(maxInflight, maxLegs int) {
+// 1 serializes queries end-to-end — the pre-pipeline behaviour). Call
+// before Listen.
+//
+// The second parameter is ignored. Deprecated: it bounded WAN legs
+// across all queries; per-site pressure is capped by the pools, and the
+// parameter stays only until the frozen bench/ module stops passing it.
+// (The function itself is not deprecated, so the marker does not open
+// the paragraph.)
+func (p *Proxy) SetConcurrency(maxInflight, _ int) {
 	if maxInflight <= 0 {
 		maxInflight = DefaultMaxInflight
 	}
 	p.querySem = make(chan struct{}, maxInflight)
-	if maxLegs > 0 {
-		p.legSem = make(chan struct{}, maxLegs)
-	} else {
-		p.legSem = nil
-	}
 }
 
 // BreakerState reports a site's breaker position (closed for sites
@@ -380,11 +365,6 @@ func (p *Proxy) Listen(addr string) (string, error) {
 		p.wg.Add(1)
 		go p.probeLoop()
 	}
-	if p.pcfg.Adaptive && len(p.pools) > 0 {
-		p.adaptStop = make(chan struct{})
-		p.wg.Add(1)
-		go p.adaptLoop()
-	}
 	return ln.Addr().String(), nil
 }
 
@@ -397,9 +377,6 @@ func (p *Proxy) Close() error {
 	p.mu.Unlock()
 	if p.proberStop != nil && !alreadyClosed {
 		close(p.proberStop)
-	}
-	if p.adaptStop != nil && !alreadyClosed {
-		close(p.adaptStop)
 	}
 	var err error
 	if p.ln != nil {
@@ -446,62 +423,6 @@ func (p *Proxy) probe(site string, br *breaker) {
 	}
 	p.probes.Add(site+"/fail", 1)
 	br.RecordFailure()
-}
-
-// adaptLoop re-derives each site's pool bound every adaptEvery from
-// the interval's observed demand: the wire.pool_waits delta (Gets that
-// blocked) and the RPC rate and mean latency from the
-// wire.rpc_latency_us histogram delta. See AdaptPoolSize for the
-// sizing rule. The loop reads registry snapshots rather than pool
-// internals so the signal is exactly what an operator watching the
-// metrics would see.
-func (p *Proxy) adaptLoop() {
-	defer p.wg.Done()
-	tick := time.NewTicker(p.adaptEvery)
-	defer tick.Stop()
-	prev := p.reg.Snapshot()
-	prevT := time.Now()
-	for {
-		select {
-		case <-p.adaptStop:
-			return
-		case <-tick.C:
-			snap := p.reg.Snapshot()
-			now := time.Now()
-			dt := now.Sub(prevT).Seconds()
-			if dt > 0 {
-				p.adaptOnce(prev, snap, dt)
-			}
-			prev, prevT = snap, now
-		}
-	}
-}
-
-// adaptOnce applies one adaptive-sizing pass over every site pool
-// given consecutive registry snapshots dt seconds apart.
-func (p *Proxy) adaptOnce(prev, snap obs.Snapshot, dt float64) {
-	for site, sp := range p.pools {
-		waits := snap.CounterValue("wire.pool_waits", site) -
-			prev.CounterValue("wire.pool_waits", site)
-		var legsPerSec, meanSec float64
-		if h, ok := snap.HistogramSnap("wire.rpc_latency_us", site); ok {
-			if ph, ok := prev.HistogramSnap("wire.rpc_latency_us", site); ok {
-				h = h.Sub(ph)
-			}
-			if h.Count > 0 {
-				legsPerSec = float64(h.Count) / dt
-				meanSec = float64(h.Sum) / float64(h.Count) / 1e6
-			}
-		}
-		cur := sp.MaxActive()
-		next := AdaptPoolSize(cur, waits, legsPerSec, meanSec)
-		if next != cur {
-			sp.Resize(next)
-			p.poolSize.Set(site, int64(next))
-			p.logf("proxy: pool %s: adaptive resize %d -> %d (waits=%d rate=%.1f/s latency=%.1fms)",
-				site, cur, next, waits, legsPerSec, meanSec*1e3)
-		}
-	}
 }
 
 func (p *Proxy) probeOnce(site string) bool {
@@ -778,10 +699,10 @@ func subqueryLegs(rep *federation.QueryReport, bypassed []bool) []leg {
 }
 
 // runLegs executes a query's WAN legs concurrently, one goroutine per
-// leg (globally throttled by legSem when configured, and per site by
-// the connection pools). Leg failures do not fail the query — the
-// mediator already accounted the decisions over logical sizes — but
-// they are logged and annotated on the result as transport errors.
+// leg (throttled per site by the connection pools). Leg failures do
+// not fail the query — the mediator already accounted the decisions
+// over logical sizes — but they are logged and annotated on the result
+// as transport errors.
 func (p *Proxy) runLegs(legs []leg, ctx obs.TraceContext, res *ResultMsg, fc *flightrec.Capture) {
 	if len(legs) == 0 {
 		return
@@ -793,10 +714,6 @@ func (p *Proxy) runLegs(legs []leg, ctx obs.TraceContext, res *ResultMsg, fc *fl
 	)
 	run := func(l leg) {
 		defer wg.Done()
-		if p.legSem != nil {
-			p.legSem <- struct{}{}
-			defer func() { <-p.legSem }()
-		}
 		tel.LegInflight(1)
 		defer tel.LegInflight(-1)
 		var (

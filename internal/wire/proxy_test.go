@@ -211,41 +211,6 @@ func TestStatsCachedObjects(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSizingFromMetrics drives one adaptive pass straight
-// through the metric plane: synthetic pool_waits and rpc_latency_us
-// observations land in the registry exactly as real traffic would,
-// and adaptOnce must resize the site's pool and publish the new bound
-// on wire.pool_size.
-func TestAdaptiveSizingFromMetrics(t *testing.T) {
-	p, _, done := newSimProxy(t, map[string]string{catalog.SitePhoto: "127.0.0.1:1"})
-	defer done()
-	p.SetPoolConfig(PoolConfig{MaxActive: 4, Adaptive: true})
-	sp := p.pools[catalog.SitePhoto]
-
-	prev := p.reg.Snapshot()
-	// One simulated 2s interval: 50 RPCs/s at a 200ms mean with
-	// blocked Gets → Little's law wants 50×0.2×1.5 = 15 connections.
-	p.poolWaits.Add(catalog.SitePhoto, 7)
-	for i := 0; i < 100; i++ {
-		p.rpcLatency.Observe(catalog.SitePhoto, 200_000)
-	}
-	p.adaptOnce(prev, p.reg.Snapshot(), 2.0)
-	if got := sp.MaxActive(); got != 15 {
-		t.Fatalf("pool bound after loaded interval = %d, want 15", got)
-	}
-	if got := p.reg.Snapshot().GaugeLabeled("wire.pool_size", catalog.SitePhoto); got != 15 {
-		t.Fatalf("wire.pool_size = %d, want 15", got)
-	}
-
-	// A quiet interval (no waits, no traffic) must decay the bound
-	// halfway toward demand, not collapse it.
-	prev = p.reg.Snapshot()
-	p.adaptOnce(prev, p.reg.Snapshot(), 2.0)
-	if got := sp.MaxActive(); got != 8 {
-		t.Fatalf("pool bound after quiet interval = %d, want 8", got)
-	}
-}
-
 // TestProxyConcurrentClients hammers the proxy from many client
 // goroutines while others poll stats and metrics. Run under -race
 // this exercises the mediation lock, the obs registry's atomics, and
