@@ -19,10 +19,11 @@ import (
 // explanation (it is overwritten by the next decision): state, and
 // nothing shared. Per query — End — the query's accounting is added to
 // Acct and published to the registry in one go, the shadows' gauges
-// move once, and the query's records reach the ledger out of one
-// allocation. Between Begin and End the registry and ledger are one
-// query behind the policy; a caller that serves scrapes concurrently
-// holds its lock across the pair, as the mediator does.
+// move once, and the query's records are copied into the ledger out of
+// the one batch the Decider refills for every query. Between Begin and
+// End the registry and ledger are one query behind the policy; a caller
+// that serves scrapes concurrently holds its lock across the pair, as
+// the mediator does.
 //
 // A Decider is sequential state, like the policy it drives.
 type Decider struct {
@@ -38,7 +39,8 @@ type Decider struct {
 	ledger    *ledger.Ledger
 	evictions int64 // the policy's evictions already published
 
-	// The query in progress.
+	// The query in progress. recs is its ledger batch: the Decider's for
+	// its lifetime, emptied by Begin and copied out by End.
 	t     int64
 	trace string
 	q     Accounting
@@ -76,11 +78,12 @@ func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger
 
 // Begin opens the query at time t (the policy's clock) with the
 // distributed trace id its ledger records carry; accesses sizes the
-// record batch.
+// record batch, which grows to the widest query seen and no further.
 func (d *Decider) Begin(t int64, trace string, accesses int) {
 	d.t, d.trace = t, trace
 	d.q = Accounting{Queries: 1}
-	if d.ledger != nil {
+	d.recs = d.recs[:0]
+	if d.ledger != nil && cap(d.recs) < accesses {
 		d.recs = make([]ledger.DecisionRecord, 0, accesses)
 	}
 }
@@ -160,14 +163,13 @@ func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.Decisio
 
 // End closes the open query with the one bookkeeping flush: its flows
 // join Acct and the registry together, the shadows publish, the
-// records are appended to the ledger, and evictions the policy made
+// records are copied into the ledger, and evictions the policy made
 // are counted.
 func (d *Decider) End() {
 	d.Acct.Add(d.q)
 	d.tel.Publish(d.counters, d.q)
 	d.shadows.Publish()
 	d.ledger.Append(d.recs)
-	d.recs = nil
 	d.publishEvictions()
 }
 

@@ -37,9 +37,9 @@ type BoundCond struct {
 	Cond sqlparse.Condition
 	// Left is the resolved left column.
 	Left BoundCol
-	// Right is the resolved right column for column-to-column
-	// comparisons; nil for literal comparisons and BETWEEN.
-	Right *BoundCol
+	// Right is the resolved right column of a column-to-column
+	// comparison; its Col is nil for literal comparisons and BETWEEN.
+	Right BoundCol
 }
 
 // Bound is a statement resolved against a schema: every table and
@@ -71,6 +71,10 @@ type Bound struct {
 	// refs is the statement's distinct referenced columns, computed once
 	// by Bind (see ReferencedColumns).
 	refs []BoundCol
+	// Tables and TablePos of a statement the executor accepts (two FROM
+	// tables at most) are cut from these, not allocated.
+	tablesBuf   [2]*catalog.Table
+	tablePosBuf [2]int
 }
 
 // BindError reports a name-resolution failure.
@@ -86,9 +90,19 @@ func (e *BindError) Error() string {
 // Bind resolves a statement against a schema. Every FROM table must
 // exist; every column reference must resolve to exactly one table.
 func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
-	b := &Bound{Stmt: stmt, Schema: s}
 	if len(stmt.From) == 0 {
 		return nil, &BindError{Msg: "no tables", Ref: stmt.String()}
+	}
+	// Every slice is sized from the statement, once.
+	b := &Bound{
+		Stmt:     stmt,
+		Schema:   s,
+		Projs:    make([]BoundCol, 0, len(stmt.Items)),
+		ProjAggs: make([]sqlparse.AggFunc, 0, len(stmt.Items)),
+	}
+	b.Tables, b.TablePos = b.tablesBuf[:0], b.tablePosBuf[:0]
+	if len(stmt.Where) > 0 {
+		b.Conds = make([]BoundCond, 0, len(stmt.Where))
 	}
 	for _, tr := range stmt.From {
 		ti := s.TableIndex(tr.Name)
@@ -168,7 +182,7 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 			if err != nil {
 				return nil, err
 			}
-			bcond.Right = &right
+			bcond.Right = right
 		}
 		b.Conds = append(b.Conds, bcond)
 	}
@@ -310,9 +324,7 @@ func (b *Bound) collectRefs() {
 	}
 	for _, c := range b.Conds {
 		add(c.Left)
-		if c.Right != nil {
-			add(*c.Right)
-		}
+		add(c.Right)
 	}
 	if b.GroupBy != nil {
 		add(*b.GroupBy)

@@ -44,7 +44,9 @@ func sameResults(got, want *engine.Result) error {
 
 // againstReference binds stmt, runs it through ExecuteBound and through
 // the reference evaluator, and reports how they differ: both must fail
-// with the same error or return the same result.
+// with the same error or return the same result. The result is released
+// once compared, so the next statement's tuples are cut from this one's
+// memory — NaN in every cell when the caller switched the poison on.
 func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 	b, err := engine.Bind(db.Schema(), stmt)
 	if err != nil {
@@ -59,6 +61,7 @@ func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 		}
 		return nil
 	}
+	defer got.Release()
 	return sameResults(got, want)
 }
 
@@ -76,6 +79,7 @@ func scaled(n int) int {
 // federation benchmark sends (bench/workloads.go: the EDR stream and
 // the point-bypass mix, on the benchmark's database) and a DR1 stream.
 func TestExecuteBoundEqualsReferenceOnStreams(t *testing.T) {
+	engine.PoisonReleased(t)
 	dr1 := workload.DR1Profile()
 	dr1DB, err := engine.Open(dr1.Schema, engine.Config{SampleEvery: 4000, Seed: 7})
 	if err != nil {
@@ -138,6 +142,7 @@ func nanSchema() *catalog.Schema {
 }
 
 func TestExecuteBoundEqualsReferenceByHand(t *testing.T) {
+	engine.PoisonReleased(t)
 	pair := []string{
 		// Scans: no predicate, no match, every operator, column to column.
 		"select x from t",

@@ -582,3 +582,27 @@ func TestExecutePaperQueryOnEDR(t *testing.T) {
 		t.Fatalf("yield %d should be far below specobj size %d", res.Bytes, specBytes)
 	}
 }
+
+// TestScratchKeepsBoundedVectors: what an execution's scratch takes
+// back to the pool is bounded per vector, so one scan at -sample 1 does
+// not pin its megabytes, and holds no reference to column data.
+func TestScratchKeepsBoundedVectors(t *testing.T) {
+	db := mustOpen(t, smallSchema(), Config{})
+	sc := new(scratch)
+	take(&sc.sel[0], maxPooledElems+1)
+	take(&sc.sel[1], maxPooledElems)
+	take(&sc.pairs, maxPooledElems+1)
+	take(&sc.sort.keys, maxPooledElems+1)
+	take(&sc.proj, 4)[0] = outCol{vals: db.tables[0].cols[0]}
+	sc.release()
+	if sc.sel[0] != nil || sc.pairs != nil || sc.sort.keys != nil {
+		t.Fatalf("vectors above %d elements survive release: sel %d, pairs %d, keys %d",
+			maxPooledElems, cap(sc.sel[0]), cap(sc.pairs), cap(sc.sort.keys))
+	}
+	if cap(sc.sel[1]) != maxPooledElems || cap(sc.proj) != 4 {
+		t.Fatalf("vectors within the bound are dropped: sel %d, proj %d", cap(sc.sel[1]), cap(sc.proj))
+	}
+	if sc.proj[:1][0].vals != nil {
+		t.Fatal("a released scratch still references column data")
+	}
+}

@@ -34,7 +34,7 @@ func EstimateBound(b *Bound) (rows, bytes int64, err error) {
 	}
 	var joins []BoundCond
 	for _, c := range b.Conds {
-		if c.Right != nil {
+		if c.Right.Col != nil {
 			if c.Left.TableIdx != c.Right.TableIdx {
 				joins = append(joins, c)
 			} else {
@@ -55,7 +55,7 @@ func EstimateBound(b *Bound) (rows, bytes int64, err error) {
 	}
 	for _, j := range joins {
 		dl := distinct(j.Left)
-		dr := distinct(*j.Right)
+		dr := distinct(j.Right)
 		d := dl
 		if dr > d {
 			d = dr

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"bypassyield/internal/sqlparse"
 )
@@ -22,11 +23,16 @@ type Result struct {
 	// Bytes is the logical result size — the query's yield.
 	Bytes int64
 	// Tuples holds materialized sample rows (bounded). They are cut
-	// from one array.
+	// from one array, which Release gives back.
 	Tuples [][]float64
 	// SampleMatches is the unscaled number of matching sample rows
 	// (for tests of the scaling arithmetic).
 	SampleMatches int64
+
+	// flat is the array Tuples is cut from; buf is the pool's holder
+	// for it, nil while the memory has never been pooled.
+	flat []float64
+	buf  *tupleBuf
 }
 
 // ExecError reports an execution failure.
@@ -54,29 +60,91 @@ func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 // below — scan, join, sort, group, aggregate, materialize — indexes
 // slices and nothing else. Matching rows are a flat []int32 with one
 // entry per FROM table per match.
+//
+// Every vector that lives only as long as the call — selection vectors,
+// the join table and its matches, sort keys, the projection list — is
+// cut from a pooled scratch and goes back before the call returns. The
+// tuples outlive it: they are cut from pooled memory when there is
+// some, from exactly sized fresh memory when there is not, and
+// Result.Release is how a caller puts them back.
 func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
 	if b.Schema != db.schema {
 		return nil, &ExecError{Msg: "statement was bound against another schema"}
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
 	var rows []int32
 	switch len(b.Tables) {
 	case 1:
-		rows = db.scan(b, 0)
+		rows = db.scan(sc, b, 0)
 	case 2:
 		var err error
-		if rows, err = db.join(b); err != nil {
+		if rows, err = db.join(sc, b); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
 	}
-	res, err := db.finish(b, rows)
+	res, err := db.finish(sc, b, rows)
 	if err != nil {
 		return nil, err
 	}
 	db.queries.Add(1)
 	db.yieldBytes.Add(res.Bytes)
 	return res, nil
+}
+
+// scratch is the working memory of one ExecuteBound call. The slices
+// keep their capacity from one call to the next; their contents mean
+// nothing between calls.
+type scratch struct {
+	sel    [2][]int32 // selection vector per FROM table
+	heads  []int32    // join table, see join
+	next   []int32
+	pairs  []int32 // join matches
+	starts []int   // first match of each group
+	proj   []outCol
+	sort   rowSort // sort.Stable takes a pointer: this one is already on the heap
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledElems bounds the slices the pools keep, as frameBufMaxCap
+// bounds the wire's: a scan at -sample 1 selects among millions of rows,
+// and its vectors must not stay pinned for the 1 000-row scans after it.
+const maxPooledElems = 1 << 16
+
+// take returns a slice of n elements over *buf, replacing *buf with a
+// fresh one when it is too short. The elements are whatever the last
+// use left there.
+func take[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// drop forgets a slice too large to keep.
+func drop[T any](buf *[]T) {
+	if cap(*buf) > maxPooledElems {
+		*buf = nil
+	}
+}
+
+// release returns the scratch to the pool, without anything oversized
+// and without the references to column data it held: a pooled scratch
+// must not keep a closed database alive.
+func (sc *scratch) release() {
+	drop(&sc.sel[0])
+	drop(&sc.sel[1])
+	drop(&sc.heads)
+	drop(&sc.next)
+	drop(&sc.pairs)
+	drop(&sc.starts)
+	drop(&sc.sort.keys)
+	sc.sort.rows = nil // sel or pairs again: dropped above or not, not kept twice
+	clear(sc.proj[:cap(sc.proj)])
+	scratchPool.Put(sc)
 }
 
 // vals returns the sample values of a bound column (shared; read-only).
@@ -149,8 +217,8 @@ type pred struct {
 func (db *DB) pred(b *Bound, c *BoundCond) pred {
 	p := pred{left: db.vals(b, &c.Left), op: cmpOf(c.Cond.Op)}
 	switch {
-	case c.Right != nil:
-		p.right = db.vals(b, c.Right)
+	case c.Right.Col != nil:
+		p.right = db.vals(b, &c.Right)
 	case c.Cond.Between:
 		p.op, p.lo, p.hi = opBetween, c.Cond.Lo, c.Cond.Hi
 	default:
@@ -196,14 +264,14 @@ func (p *pred) filter(dst, src []int32) int {
 // same-table comparisons; cross-table ones belong to the join). One
 // predicate at a time: the first fills the selection vector from the
 // table's identity vector, the rest compact it.
-func (db *DB) scan(b *Bound, ti int) []int32 {
+func (db *DB) scan(sc *scratch, b *Bound, ti int) []int32 {
 	td := &db.tables[b.TablePos[ti]]
 	db.rowsScanned.Add(int64(td.n))
-	sel := make([]int32, td.n)
+	sel := take(&sc.sel[ti], td.n)
 	src := td.all
 	for i := range b.Conds {
 		c := &b.Conds[i]
-		if c.Left.TableIdx != ti || (c.Right != nil && c.Right.TableIdx != ti) {
+		if c.Left.TableIdx != ti || (c.Right.Col != nil && c.Right.TableIdx != ti) {
 			continue
 		}
 		p := db.pred(b, c)
@@ -236,7 +304,7 @@ func hashKey(a, b float64) uint64 {
 // can explode) and returns the matching (table 0 row, table 1 row)
 // pairs, flat. The smaller side is hashed, the other probes it in row
 // order, and a probe row's matches come out in build-row order.
-func (db *DB) join(b *Bound) ([]int32, error) {
+func (db *DB) join(sc *scratch, b *Bound) ([]int32, error) {
 	var (
 		keys  [2][2][]float64 // [condition][FROM table]
 		nkeys int
@@ -244,7 +312,7 @@ func (db *DB) join(b *Bound) ([]int32, error) {
 	)
 	for i := range b.Conds {
 		c := &b.Conds[i]
-		if c.Right == nil || c.Left.TableIdx == c.Right.TableIdx {
+		if c.Right.Col == nil || c.Left.TableIdx == c.Right.TableIdx {
 			continue
 		}
 		p := db.pred(b, c)
@@ -278,7 +346,7 @@ func (db *DB) join(b *Bound) ([]int32, error) {
 		keys[1] = keys[0] // one loop for both shapes: a single key is compared twice
 	}
 
-	build, probe := db.scan(b, 0), db.scan(b, 1)
+	build, probe := db.scan(sc, b, 0), db.scan(sc, b, 1)
 	bt := 0 // the FROM table that is hashed
 	if len(probe) < len(build) {
 		build, probe, bt = probe, build, 1
@@ -293,15 +361,16 @@ func (db *DB) join(b *Bound) ([]int32, error) {
 	// 1 + an index into build, 0 ending a chain. Inserting back to front
 	// leaves every chain in build order.
 	shift := 64 - bits.Len(uint(2*len(build)-1))
-	heads := make([]int32, 1<<(64-shift))
-	next := make([]int32, len(build))
+	heads := take(&sc.heads, 1<<(64-shift))
+	clear(heads)
+	next := take(&sc.next, len(build)) // every entry is written below
 	for i := len(build) - 1; i >= 0; i-- {
 		h := hashKey(bk0[build[i]], bk1[build[i]]) >> shift
 		next[i] = heads[h]
 		heads[h] = int32(i + 1)
 	}
 
-	pairs := make([]int32, 0, 2*len(probe))
+	pairs := take(&sc.pairs, 2*len(probe))[:0]
 	for _, pr := range probe {
 		k0, k1 := pk0[pr], pk1[pr]
 	chain:
@@ -321,6 +390,7 @@ func (db *DB) join(b *Bound) ([]int32, error) {
 			pairs = append(pairs, pair[0], pair[1])
 		}
 	}
+	sc.pairs = pairs // a probe row may match many times: keep what append grew
 	return pairs, nil
 }
 
@@ -335,14 +405,15 @@ type rowSort struct {
 	nanFirst bool
 }
 
-// sortRows orders rows by the column vals of FROM table ti and returns
-// the sorted keys.
-func sortRows(s rowSort, vals []float64, ti int) []float64 {
-	s.keys = make([]float64, len(s.rows)/s.stride)
+// sortRows orders rows as s says by the column vals of FROM table ti and
+// returns the sorted keys, which are the scratch's.
+func (sc *scratch) sortRows(s rowSort, vals []float64, ti int) []float64 {
+	s.keys = take(&sc.sort.keys, len(s.rows)/s.stride)
 	for i := range s.keys {
 		s.keys[i] = vals[s.rows[i*s.stride+ti]]
 	}
-	sort.Stable(&s)
+	sc.sort = s
+	sort.Stable(&sc.sort)
 	return s.keys
 }
 
@@ -366,31 +437,32 @@ func (s *rowSort) Swap(i, j int) {
 
 // finish scales cardinality, applies ORDER BY and TOP, computes
 // aggregates, and materializes the bounded tuple sample.
-func (db *DB) finish(b *Bound, rows []int32) (*Result, error) {
+func (db *DB) finish(sc *scratch, b *Bound, rows []int32) (*Result, error) {
 	stride := len(b.Tables)
 	matches := len(rows) / stride
 	res := &Result{SampleMatches: int64(matches), Columns: db.outputColumns(b)}
 
 	if b.GroupBy != nil {
-		db.finishGrouped(b, rows, res)
+		db.finishGrouped(sc, b, rows, res)
 		return res, nil
 	}
 	if b.OrderBy != nil {
-		sortRows(rowSort{rows: rows, stride: stride, desc: b.OrderDesc}, db.vals(b, b.OrderBy), b.OrderBy.TableIdx)
+		sc.sortRows(rowSort{rows: rows, stride: stride, desc: b.OrderDesc}, db.vals(b, b.OrderBy), b.OrderBy.TableIdx)
 	}
 
 	logical := int64(matches) * db.cfg.SampleEvery
 	if b.Stmt.HasAggregate() {
-		res.Rows = 1
-		res.Bytes = b.ProjectedWidth()
-		tuple := make([]float64, len(b.Projs))
-		for i := range b.Projs {
-			if b.ProjAggs[i] == sqlparse.AggNone {
+		for _, agg := range b.ProjAggs {
+			if agg == sqlparse.AggNone {
 				return nil, &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
 			}
-			tuple[i] = db.aggregate(b, i, rows)
 		}
-		res.Tuples = [][]float64{tuple}
+		res.Rows = 1
+		res.Bytes = b.ProjectedWidth()
+		res.newTuples(1, len(b.Projs))
+		for i := range b.Projs {
+			res.Tuples[0][i] = db.aggregate(b, i, rows)
+		}
 		return res, nil
 	}
 	if b.Stmt.Top > 0 && logical > b.Stmt.Top {
@@ -399,8 +471,8 @@ func (db *DB) finish(b *Bound, rows []int32) (*Result, error) {
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
 
-	proj := db.projection(b)
-	res.Tuples = newTuples(db.limit(matches, logical), len(proj))
+	proj := db.projection(sc, b)
+	res.newTuples(db.limit(matches, logical), len(proj))
 	for j, c := range proj {
 		for r, t := range res.Tuples {
 			t[j] = c.vals[rows[r*stride+c.table]]
@@ -421,18 +493,75 @@ func (db *DB) limit(have int, logical int64) int {
 	return have
 }
 
-// newTuples returns n tuples of the given width cut from one array
-// (nil for none, as an empty result has always had).
-func newTuples(n, width int) [][]float64 {
+// tupleBuf is tuple memory between the Release that gave it back and
+// the ExecuteBound that takes it: one array and the row headers cut
+// from it.
+type tupleBuf struct {
+	flat []float64
+	rows [][]float64
+}
+
+// tuplePool holds *tupleBuf. It has no New: it is empty until a caller
+// releases a result, and stays empty for a caller that never does.
+var tuplePool sync.Pool
+
+// poisonReleased makes Release overwrite the tuples with poison before
+// it pools their memory, so that a read after Release — or a cell a
+// later execution forgets to write — fails a test instead of finding
+// plausible numbers. Tests switch it on (export_test.go).
+var poisonReleased bool
+
+// poison is a NaN no arithmetic produces, so it differs bit for bit
+// from the NaNs a column may hold.
+var poison = math.Float64frombits(0x7ff8dead_deaddead)
+
+// newTuples gives res n tuples of the given width cut from one array
+// (nil for none, as an empty result has always had). The memory is the
+// pool's when the pool has enough, and otherwise exactly what the
+// tuples need — what a caller that never releases has always been
+// handed, and pays for.
+func (res *Result) newTuples(n, width int) {
 	if n == 0 {
-		return nil
+		return
 	}
-	flat := make([]float64, n*width)
-	tuples := make([][]float64, n)
-	for r := range tuples {
-		tuples[r] = flat[r*width : (r+1)*width : (r+1)*width]
+	tb, _ := tuplePool.Get().(*tupleBuf)
+	if tb != nil && cap(tb.flat) >= n*width && cap(tb.rows) >= n {
+		res.flat, res.Tuples = tb.flat[:n*width], tb.rows[:n]
+	} else {
+		res.flat, res.Tuples = make([]float64, n*width), make([][]float64, n)
 	}
-	return tuples
+	res.buf = tb
+	for r := range res.Tuples {
+		res.Tuples[r] = res.flat[r*width : (r+1)*width : (r+1)*width]
+	}
+}
+
+// Release gives the memory of Tuples back, for a later ExecuteBound to
+// cut its tuples from. It is optional — a result never released is
+// ordinary garbage, and costs what it always has — and it is final: the
+// caller has finished with Tuples and with every slice taken from it,
+// wherever it copied them (a wire.ResultMsg, say). Tuples is nil
+// afterwards; the other fields stay readable. Memory above a fixed size
+// is not kept.
+func (res *Result) Release() {
+	if res == nil || res.flat == nil {
+		return
+	}
+	tb, flat, rows := res.buf, res.flat, res.Tuples
+	res.buf, res.flat, res.Tuples = nil, nil, nil
+	if cap(flat) > maxPooledElems { // and with it the rows: there is one per cell at most
+		return
+	}
+	if poisonReleased {
+		for i := range flat {
+			flat[i] = poison
+		}
+	}
+	if tb == nil {
+		tb = new(tupleBuf)
+	}
+	tb.flat, tb.rows = flat, rows
+	tuplePool.Put(tb)
 }
 
 // finishGrouped evaluates a GROUP BY statement: one output row per
@@ -441,18 +570,19 @@ func newTuples(n, width int) [][]float64 {
 // floats) scale by the sampling factor; low-cardinality integer
 // columns do not (their distinct values are all present in any
 // sample).
-func (db *DB) finishGrouped(b *Bound, rows []int32, res *Result) {
+func (db *DB) finishGrouped(sc *scratch, b *Bound, rows []int32, res *Result) {
 	stride := len(b.Tables)
 	// Sorted by group value, each group is a run of equal keys with its
 	// rows still in match order. NaN equals nothing: every NaN row is a
 	// run of its own.
-	keys := sortRows(rowSort{rows: rows, stride: stride, nanFirst: true}, db.vals(b, b.GroupBy), b.GroupBy.TableIdx)
-	var starts []int // first match of each group
+	keys := sc.sortRows(rowSort{rows: rows, stride: stride, nanFirst: true}, db.vals(b, b.GroupBy), b.GroupBy.TableIdx)
+	starts := sc.starts[:0] // first match of each group
 	for i, v := range keys {
 		if i == 0 || v != keys[i-1] {
 			starts = append(starts, i)
 		}
 	}
+	sc.starts = starts
 
 	logical := int64(len(starts))
 	if distinct(*b.GroupBy) >= float64(b.GroupBy.Table.Rows) {
@@ -464,7 +594,7 @@ func (db *DB) finishGrouped(b *Bound, rows []int32, res *Result) {
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
 
-	res.Tuples = newTuples(db.limit(len(starts), logical), len(b.Projs))
+	res.newTuples(db.limit(len(starts), logical), len(b.Projs))
 	for g, tuple := range res.Tuples {
 		end := len(keys)
 		if g+1 < len(starts) {
@@ -498,9 +628,9 @@ type outCol struct {
 
 // projection resolves the projections of a statement without
 // aggregates: its columns, or every column of every FROM table for star.
-func (db *DB) projection(b *Bound) []outCol {
+func (db *DB) projection(sc *scratch, b *Bound) []outCol {
 	if b.Star {
-		out := make([]outCol, 0, db.starWidth(b))
+		out := take(&sc.proj, db.starWidth(b))[:0]
 		for ti, pos := range b.TablePos {
 			for _, vals := range db.tables[pos].cols {
 				out = append(out, outCol{vals, ti})
@@ -508,7 +638,7 @@ func (db *DB) projection(b *Bound) []outCol {
 		}
 		return out
 	}
-	out := make([]outCol, len(b.Projs))
+	out := take(&sc.proj, len(b.Projs))
 	for i := range b.Projs {
 		out[i] = outCol{db.vals(b, &b.Projs[i]), b.Projs[i].TableIdx}
 	}

@@ -1,0 +1,27 @@
+package engine
+
+import "testing"
+
+// PoisonReleased makes Result.Release overwrite tuples with NaN before
+// it pools their memory, until the test ends: whatever reads a released
+// tuple, or is handed pooled memory and does not write all of it, then
+// differs from the reference evaluator (exported to the engine_test
+// package only; tests that use it do not run in parallel).
+func PoisonReleased(tb testing.TB) {
+	poisonReleased = true
+	tb.Cleanup(func() { poisonReleased = false })
+}
+
+// MaxPooledElems is the size above which released memory is dropped.
+const MaxPooledElems = maxPooledElems
+
+// TupleCaps returns the sizes of the memory res.Tuples is cut from: the
+// cells of its one array and its row headers.
+func TupleCaps(res *Result) (flat, rows int) { return cap(res.flat), cap(res.Tuples) }
+
+// DrainTuplePool empties the pool released tuples wait in, leaving what
+// a process that has never released a result has.
+func DrainTuplePool() {
+	for tuplePool.Get() != nil {
+	}
+}

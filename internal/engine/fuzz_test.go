@@ -68,6 +68,7 @@ func FuzzExecute(f *testing.F) {
 	for _, s := range executeSeeds {
 		f.Add(s)
 	}
+	engine.PoisonReleased(f)
 	db := edrDB(f, 50000) // photoobj has 20 rows: the reference evaluator keeps up with the fuzzer
 	f.Fuzz(func(t *testing.T, sql string) {
 		checkExecute(t, db, sql)
@@ -148,6 +149,7 @@ func mutate(r *rand.Rand, stmt *sqlparse.SelectStmt, s *catalog.Schema) {
 // execs/s. Seeds are mutated as syntax trees and rendered back to text,
 // so that what is tested is the engine and not, again, the parser.
 func TestExecuteMutatedStatements(t *testing.T) {
+	engine.PoisonReleased(t)
 	db := edrDB(t, 5000) // 203 photoobj rows: joins match and groups have members
 	r := rand.New(rand.NewSource(17))
 	executed := 0

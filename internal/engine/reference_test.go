@@ -62,7 +62,7 @@ scan:
 			if c.Left.TableIdx != tableIdx {
 				continue
 			}
-			if c.Right != nil {
+			if c.Right.Col != nil {
 				if c.Right.TableIdx != tableIdx {
 					continue // cross-table: handled by the join
 				}
@@ -131,7 +131,7 @@ func (db *DB) refExecJoin(b *Bound) (*Result, error) {
 	var equi []BoundCond  // cross-table equality
 	var extra []BoundCond // other cross-table comparisons
 	for _, c := range b.Conds {
-		if c.Right == nil || c.Left.TableIdx == c.Right.TableIdx {
+		if c.Right.Col == nil || c.Left.TableIdx == c.Right.TableIdx {
 			continue
 		}
 		if c.Cond.Op == sqlparse.OpEq {
@@ -164,7 +164,7 @@ func (db *DB) refExecJoin(b *Bound) (*Result, error) {
 		for i, c := range equi {
 			bc := c.Left
 			if bc.TableIdx != tableIdx {
-				bc = *c.Right
+				bc = c.Right
 			}
 			cols[i] = db.columnValues(b.Tables[tableIdx].Name, bc.Col.Name)
 		}

@@ -46,7 +46,7 @@ func ConditionInterval(cond sqlparse.Condition, col *catalog.Column) Interval {
 func (b *Bound) Region(tableIdx int) map[string]Interval {
 	region := make(map[string]Interval)
 	for _, c := range b.Conds {
-		if c.Right != nil || c.Left.TableIdx != tableIdx {
+		if c.Right.Col != nil || c.Left.TableIdx != tableIdx {
 			continue
 		}
 		iv := ConditionInterval(c.Cond, c.Left.Col)
@@ -85,7 +85,7 @@ func RegionContains(outer, inner map[string]Interval) bool {
 // whether there is any.
 func (b *Bound) ColumnInterval(tableIdx, pos int) (iv Interval, constrained bool) {
 	for _, c := range b.Conds {
-		if c.Right != nil || c.Left.TableIdx != tableIdx || c.Left.Pos != pos {
+		if c.Right.Col != nil || c.Left.TableIdx != tableIdx || c.Left.Pos != pos {
 			continue
 		}
 		next := ConditionInterval(c.Cond, c.Left.Col)

@@ -580,7 +580,7 @@ func Subqueries(b *engine.Bound) []*sqlparse.SelectStmt {
 			sub.Items = []sqlparse.SelectItem{{Star: true}}
 		}
 		for _, c := range b.Conds {
-			if c.Right != nil || c.Left.TableIdx != i {
+			if c.Right.Col != nil || c.Left.TableIdx != i {
 				continue
 			}
 			cond := c.Cond

@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -105,6 +106,17 @@ func TestDecisionsDoNotDependOnGOMAXPROCS(t *testing.T) {
 // (core.Accounting.Evictions is the simulator's to fill; the mediator
 // publishes evictions as telemetry, so that field is compared against
 // the mediator's policy instead.)
+// poisonAndRelease overwrites a result's tuples with NaN and gives their
+// memory back for the next execution to use.
+func poisonAndRelease(res *engine.Result) {
+	for _, tuple := range res.Tuples {
+		for i := range tuple {
+			tuple[i] = math.NaN()
+		}
+	}
+	res.Release()
+}
+
 func TestMediatorDecidesLikeSimulator(t *testing.T) {
 	sqls := edrStatements(t, 2000)
 	stmts := make([]*sqlparse.SelectStmt, len(sqls))
@@ -146,6 +158,10 @@ func TestMediatorDecidesLikeSimulator(t *testing.T) {
 						live = append(live, decided{rep.Seq, string(d.Object), d.Yield, d.Decision.String()})
 					}
 					reqs = append(reqs, req)
+					// As the proxy does once the reply is written — with the
+					// tuples poisoned first, so a decision that read a result's
+					// memory, this one's or a recycled one, would show.
+					poisonAndRelease(rep.Result)
 				}
 
 				fresh, err := core.NewPolicyByName(name, capacity, seed)

@@ -41,8 +41,8 @@ func referenceColumns(b *engine.Bound) []engine.BoundCol {
 	}
 	for _, c := range b.Conds {
 		add(c.Left)
-		if c.Right != nil {
-			add(*c.Right)
+		if c.Right.Col != nil {
+			add(c.Right)
 		}
 	}
 	if b.GroupBy != nil {

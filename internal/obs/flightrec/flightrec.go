@@ -19,7 +19,10 @@
 //     allocation-free in steady state: captures are pooled and their
 //     slices are reused. bench_test.go asserts zero allocations.
 //   - Publication is the slow path and may allocate freely (copying
-//     the capture, reading MemStats, formatting ids).
+//     the capture, formatting ids) — but it runs for one healthy query in
+//     SampleEvery, so it must not stop the world: the runtime snapshot is
+//     read from runtime/metrics and debug.ReadGCStats, never from
+//     runtime.ReadMemStats.
 //   - A nil *Recorder and nil *Capture are valid no-ops, so call
 //     sites thread them unconditionally.
 package flightrec
@@ -28,6 +31,8 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,6 +195,7 @@ type Recorder struct {
 	pool     sync.Pool
 	sink     Sink            // set before recording starts
 	annotate func(*Exemplar) // set before recording starts
+	runtime  runtimeReader
 
 	// Registry handles (nil-safe when no registry was attached).
 	exemplars   *obs.CounterFamily // obs.exemplars{outcome}
@@ -331,7 +337,7 @@ func (r *Recorder) publish(c *Capture, err error, dur time.Duration, outcome str
 		e.Decisions = make([]DecisionRec, len(c.decisions))
 		copy(e.Decisions, c.decisions)
 	}
-	e.Runtime = readRuntime()
+	e.Runtime = r.runtime.read()
 	attribute(e)
 	if r.annotate != nil {
 		r.annotate(e)
@@ -379,17 +385,35 @@ func (r *Recorder) Snapshot() []Exemplar {
 	return out
 }
 
-func readRuntime() RuntimeSnap {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s := RuntimeSnap{
-		Goroutines:     runtime.NumGoroutine(),
-		HeapAllocBytes: int64(ms.HeapAlloc),
-		GCCycles:       int64(ms.NumGC),
-		LastGCUnixNano: int64(ms.LastGC),
+// heapObjectsMetric is runtime.MemStats.HeapAlloc by its runtime/metrics
+// name.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+
+// runtimeReader reads the runtime state an exemplar carries without
+// stopping the world, which runtime.ReadMemStats does: live heap bytes
+// from runtime/metrics, and the collector's cycle count, last end and
+// last pause from debug.ReadGCStats (which takes the heap lock for a
+// copy of the pause history, into buffers kept here). Publishers may be
+// concurrent; mu serializes them.
+type runtimeReader struct {
+	mu   sync.Mutex
+	heap [1]metrics.Sample
+	gc   debug.GCStats
+}
+
+func (r *runtimeReader) read() RuntimeSnap {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.heap[0].Name = heapObjectsMetric
+	metrics.Read(r.heap[:])
+	debug.ReadGCStats(&r.gc)
+	s := RuntimeSnap{Goroutines: runtime.NumGoroutine(), GCCycles: r.gc.NumGC}
+	if r.heap[0].Value.Kind() == metrics.KindUint64 {
+		s.HeapAllocBytes = int64(r.heap[0].Value.Uint64())
 	}
-	if ms.NumGC > 0 {
-		s.LastGCPauseUS = int64(ms.PauseNs[(ms.NumGC+255)%256] / 1000)
+	if r.gc.NumGC > 0 {
+		s.LastGCUnixNano = r.gc.LastGC.UnixNano()
+		s.LastGCPauseUS = r.gc.Pause[0].Microseconds() // most recent first
 	}
 	return s
 }

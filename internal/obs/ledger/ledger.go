@@ -1,26 +1,21 @@
 // Package ledger is the decision ledger of the bypass-yield cache:
-// a bounded, lock-free ring of structured DecisionRecords — one per
-// policy decision — with an optional JSONL sink for durable audit
-// logs. Where the obs registry answers "how much" (aggregate byte
+// a bounded ring of structured DecisionRecords — one per policy
+// decision — with an optional JSONL sink for durable audit logs. Where the obs registry answers "how much" (aggregate byte
 // counters, rates, histograms), the ledger answers "why": every
 // record carries the inputs that drove the serve/load/bypass choice
 // (RP, LAR, BYU, episode state, fetch cost, size) plus the realized
 // yield and WAN charge, correlated to the distributed trace the
 // access rode in on.
 //
-// Design constraints mirror package obs:
-//
-//   - Recording is lock-free: slots are claimed with one atomic add and
-//     an immutable record is published with one atomic pointer store
-//     per slot. Record costs one allocation per record (the published
-//     copy); Append publishes a query's records out of the slice the
-//     caller filled, so a query of any width costs the ledger no
-//     allocation beyond that one slice. A nil *Ledger is a valid no-op,
-//     so call sites thread it unconditionally.
-//   - Snapshot never blocks writers: a claimed-but-unpublished slot,
-//     or one overwritten by a ring wrap mid-read, is detected by its
-//     sequence number and skipped — bounded imprecision, bought for a
-//     lock-free hot path.
+// The ring holds records by value under one mutex. Append copies a
+// query's records in and allocates nothing — the slice it is handed
+// stays the caller's, to refill for the next query — and Snapshot
+// copies the retained records out under the same mutex, so a snapshot
+// is exactly the last Cap records of some moment between two appends.
+// The mutex is not contended: the one writer in the daemons,
+// core.Decider.End, already runs under the mediator's decision lock,
+// and a scrape holds the ring for one copy. A nil *Ledger is a valid
+// no-op, so call sites thread it unconditionally.
 //
 // The package deliberately depends on nothing above the standard
 // library so every layer (core, wire, cmd) can import it freely.
@@ -31,7 +26,6 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // DecisionRecord explains one policy decision. Numeric fields are the
@@ -103,21 +97,14 @@ type Sink interface {
 	Record(DecisionRecord)
 }
 
-// Ledger is the bounded decision ring. Construct with New; the zero
-// value and nil are valid no-op ledgers.
+// Ledger is the bounded decision ring. Construct with New; nil is a
+// valid no-op ledger.
 type Ledger struct {
-	slots []slot
-	seq   atomic.Uint64
-	sink  Sink // set before recording starts; nil = ring only
-}
+	sink Sink // set before recording starts; nil = ring only
 
-type slot struct {
-	// rec points at an immutable record: writers publish a fresh copy
-	// with one atomic store, readers load without synchronizing. This
-	// costs one allocation per record but keeps the hot path lock-free
-	// and race-free under the Go memory model (a seqlock over a plain
-	// struct copy would not be).
-	rec atomic.Pointer[DecisionRecord]
+	mu   sync.Mutex
+	ring []DecisionRecord // record seq lives at ring[(seq-1)%len(ring)]
+	seq  uint64           // records ever written
 }
 
 // New returns a ledger retaining the most recent n records (n is
@@ -126,7 +113,7 @@ func New(n int) *Ledger {
 	if n < 1 {
 		n = 1
 	}
-	return &Ledger{slots: make([]slot, n)}
+	return &Ledger{ring: make([]DecisionRecord, n)}
 }
 
 // SetSink attaches a sink that receives every record in addition to
@@ -144,7 +131,7 @@ func (l *Ledger) Cap() int {
 	if l == nil {
 		return 0
 	}
-	return len(l.slots)
+	return len(l.ring)
 }
 
 // Count returns the total number of records ever written (0 on a nil
@@ -153,74 +140,61 @@ func (l *Ledger) Count() uint64 {
 	if l == nil {
 		return 0
 	}
-	return l.seq.Load()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seq
 }
 
-// Record appends one record, overwriting the oldest when the ring is
-// full. The record's Seq field is assigned here. No-op on a nil
-// ledger; one allocation per record (the published copy).
+// Record appends one record: Append for a batch of one.
 func (l *Ledger) Record(rec DecisionRecord) {
-	if l == nil {
-		return
-	}
-	seq := l.seq.Add(1)
-	rec.Seq = seq
-	// Copy into a fresh heap record here, after the nil check, so the
-	// disabled path stays allocation-free (taking &rec directly would
-	// heap-allocate the parameter on every call).
-	p := new(DecisionRecord)
-	*p = rec
-	l.slots[(seq-1)%uint64(len(l.slots))].rec.Store(p)
-	if l.sink != nil {
-		l.sink.Record(rec)
-	}
+	one := [1]DecisionRecord{rec}
+	l.Append(one[:])
 }
 
-// Append records a batch — the accesses of one query — as Record would
-// one by one: consecutive sequence numbers in slice order, the same
-// ring slots, the sink called per record in order. The slots point
-// into recs, so the ledger owns the slice from here on: the caller
-// must not touch it again. No-op on a nil ledger or an empty batch.
+// Append records a batch — the accesses of one query — overwriting the
+// oldest records when the ring is full: consecutive sequence numbers in
+// slice order, assigned here (and written to recs' Seq fields), then
+// the sink called per record in order. The records are copied: recs
+// stays the caller's. No-op on a nil ledger or an empty batch; no
+// allocation.
 func (l *Ledger) Append(recs []DecisionRecord) {
 	if l == nil || len(recs) == 0 {
 		return
 	}
-	n := uint64(len(recs))
-	first := l.seq.Add(n) - n + 1
+	n := uint64(len(l.ring))
+	l.mu.Lock()
 	for i := range recs {
-		seq := first + uint64(i)
-		recs[i].Seq = seq
-		l.slots[(seq-1)%uint64(len(l.slots))].rec.Store(&recs[i])
-		if l.sink != nil {
+		l.seq++
+		recs[i].Seq = l.seq
+		l.ring[(l.seq-1)%n] = recs[i]
+	}
+	l.mu.Unlock()
+	if l.sink != nil {
+		for i := range recs {
 			l.sink.Record(recs[i])
 		}
 	}
 }
 
-// Snapshot returns the retained records oldest-first. A slot whose
-// writer has claimed a sequence number but not yet published is
-// skipped, so under heavy concurrent recording the result may briefly
-// miss a record. Nil on a nil or empty ledger.
+// Snapshot returns a copy of the retained records, oldest first. Nil on
+// a nil or empty ledger.
 func (l *Ledger) Snapshot() []DecisionRecord {
 	if l == nil {
 		return nil
 	}
-	seq := l.seq.Load()
-	if seq == 0 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seq == 0 {
 		return nil
 	}
-	n := uint64(len(l.slots))
+	n := uint64(len(l.ring))
 	lo := uint64(1)
-	if seq > n {
-		lo = seq - n + 1
+	if l.seq > n {
+		lo = l.seq - n + 1
 	}
-	out := make([]DecisionRecord, 0, seq-lo+1)
-	for s := lo; s <= seq; s++ {
-		rec := l.slots[(s-1)%n].rec.Load()
-		if rec == nil || rec.Seq != s {
-			continue // unpublished, or already overwritten by a wrap
-		}
-		out = append(out, *rec)
+	out := make([]DecisionRecord, 0, l.seq-lo+1)
+	for s := lo; s <= l.seq; s++ {
+		out = append(out, l.ring[(s-1)%n])
 	}
 	return out
 }

@@ -238,7 +238,7 @@ func (s *sliceSink) Record(r DecisionRecord) { s.recs = append(s.recs, r) }
 // TestAppendIsRecordInBatches: appending batches — empty, short, and
 // longer than the ring — leaves the ring, the count and the sink
 // exactly as recording the same records one by one does, and costs no
-// allocation.
+// allocation, however often the same batch slice is appended.
 func TestAppendIsRecordInBatches(t *testing.T) {
 	one, batched := New(8), New(8)
 	oneSink, batchedSink := &sliceSink{}, &sliceSink{}
@@ -276,14 +276,113 @@ func TestAppendIsRecordInBatches(t *testing.T) {
 		}
 	}
 	quiet := New(64)
-	batches := make([][]DecisionRecord, 102) // a batch is the ledger's once appended
-	for i := range batches {
-		batches[i] = make([]DecisionRecord, 17)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		quiet.Append(batches[0])
-		batches = batches[1:]
-	}); allocs != 0 {
+	batch := make([]DecisionRecord, 17) // the caller's, before and after: appended again and again
+	if allocs := testing.AllocsPerRun(100, func() { quiet.Append(batch) }); allocs != 0 {
 		t.Fatalf("Append allocates %.1f times per batch, want 0", allocs)
+	}
+}
+
+// TestAppendCopiesIn: the ring holds records by value. A caller that
+// refills its batch for the next query — as core.Decider does — changes
+// nothing the ledger retains, and a snapshot is a copy the ledger's
+// later appends do not reach.
+func TestAppendCopiesIn(t *testing.T) {
+	l := New(8)
+	batch := []DecisionRecord{rec("a", "hit", 1, 0), rec("b", "load", 2, 1000)}
+	l.Append(batch)
+	if batch[0].Seq != 1 || batch[1].Seq != 2 {
+		t.Fatalf("Append left Seq %d, %d on the batch, want 1, 2", batch[0].Seq, batch[1].Seq)
+	}
+	first := l.Snapshot()
+	batch = append(batch[:0], rec("c", "bypass", 3, 3))
+	if got := l.Snapshot(); len(got) != 2 || got[0].Object != "a" || got[1].Object != "b" {
+		t.Fatalf("refilling the caller's batch changed the ring: %+v", got)
+	}
+	l.Append(batch)
+	if len(first) != 2 || first[0].Object != "a" || first[1].Object != "b" {
+		t.Fatalf("an append changed an earlier snapshot: %+v", first)
+	}
+	if got := l.Snapshot(); len(got) != 3 || got[2].Object != "c" || got[2].Seq != 3 {
+		t.Fatalf("ring after the second append: %+v", got)
+	}
+}
+
+// TestAppendWrapsTheRing: batches that cross the end of the ring, and
+// one longer than the ring, leave exactly the last Cap records, oldest
+// first, whole.
+func TestAppendWrapsTheRing(t *testing.T) {
+	l := New(5)
+	next := int64(0)
+	for _, n := range []int{3, 4, 1, 5, 13, 2} {
+		batch := make([]DecisionRecord, n)
+		for i := range batch {
+			next++
+			batch[i] = DecisionRecord{T: next, Yield: next * 10, Object: "o", Action: "hit"}
+		}
+		l.Append(batch)
+		got := l.Snapshot()
+		want := int(min(next, 5))
+		if len(got) != want || l.Count() != uint64(next) {
+			t.Fatalf("after %d records: %d retained of %d counted, want %d", next, len(got), l.Count(), want)
+		}
+		for i, r := range got {
+			seq := uint64(next) - uint64(want) + uint64(i) + 1
+			if r.Seq != seq || r.T != int64(seq) || r.Yield != int64(seq)*10 {
+				t.Fatalf("after %d records: ring[%d] = %+v, want record %d", next, i, r, seq)
+			}
+		}
+	}
+}
+
+// TestAppendWithConcurrentSnapshots is the daemons' shape under the
+// race detector: one appender (the decision lock admits one) refilling
+// one batch, scrapes snapshotting meanwhile. Every snapshot is a run of
+// consecutive, whole records ending at a batch boundary.
+func TestAppendWithConcurrentSnapshots(t *testing.T) {
+	const ringCap, width, batches = 64, 7, 2000
+	l := New(ringCap)
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := l.Snapshot()
+				for i, r := range snap {
+					if r.T != int64(r.Seq) || r.Yield != r.T*10 {
+						t.Errorf("torn record: %+v", r)
+						return
+					}
+					if i > 0 && r.Seq != snap[i-1].Seq+1 {
+						t.Errorf("snapshot skips from seq %d to %d", snap[i-1].Seq, r.Seq)
+						return
+					}
+				}
+				if n := len(snap); n > 0 && snap[n-1].Seq%width != 0 {
+					t.Errorf("snapshot ends inside a batch, at seq %d", snap[n-1].Seq)
+					return
+				}
+			}
+		}()
+	}
+	batch := make([]DecisionRecord, width)
+	for b := 0; b < batches; b++ {
+		for i := range batch {
+			seq := int64(b*width + i + 1)
+			batch[i] = DecisionRecord{T: seq, Yield: seq * 10, Object: "o", Action: "hit"}
+		}
+		l.Append(batch)
+	}
+	close(done)
+	readers.Wait()
+	if got := l.Snapshot(); len(got) != ringCap || got[ringCap-1].Seq != batches*width {
+		t.Fatalf("final snapshot: %d records ending at seq %d, want %d ending at %d",
+			len(got), got[len(got)-1].Seq, ringCap, batches*width)
 	}
 }

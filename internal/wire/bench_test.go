@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 
 	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/sqlparse"
 )
 
@@ -43,10 +45,10 @@ func TestWriteFrameAllocs(t *testing.T) {
 
 // TestUntracedHitBuildsOnlyTheResult pins what the proxy adds to a hit
 // on top of parsing and mediating it, by difference: with no tracer
-// attached, handleQuery allocates the ResultMsg and its decisions and
-// nothing else — no span attributes, no formatted numbers. With a ring
-// tracer the same query pays for its spans, which shows the bound
-// measures what it claims to.
+// attached, handleQuery refills the connection's ResultMsg and
+// allocates nothing — no message, no decision list, no span attributes,
+// no formatted numbers. With a ring tracer the same query pays for its
+// spans, which shows the bound measures what it claims to.
 func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -54,9 +56,9 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	p, _, done := newSimProxy(t, nil)
 	defer done()
 	const sql = "select ra, dec from photoobj where ra between 0 and 350"
+	var res ResultMsg // the connection's, as serveConn keeps one
 	for i := 0; ; i++ {
-		res, err := p.handleQuery(sql, obs.TraceContext{}, nil)
-		if err != nil {
+		if _, err := p.handleQuery(sql, obs.TraceContext{}, nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Decisions[0].Decision == "hit" {
@@ -77,7 +79,7 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	})
 	handle := func() float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := p.handleQuery(sql, obs.TraceContext{}, nil); err != nil {
+			if _, err := p.handleQuery(sql, obs.TraceContext{}, nil, &res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -86,11 +88,84 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	p.SetTracer(obs.NewTracer(obs.NewRing(64)))
 	traced := handle() - mediate
 	t.Logf("mediation %.0f allocs; the proxy adds %.0f untraced, %.0f traced", mediate, untraced, traced)
-	if untraced > 2 {
-		t.Errorf("an untraced hit allocates %.0f times beyond mediation, want <= 2 (the result and its decisions)", untraced)
+	if untraced > 0 {
+		t.Errorf("an untraced hit allocates %.0f times beyond mediation, want none (the connection's result is refilled)", untraced)
 	}
 	if traced < untraced+4 {
 		t.Errorf("a traced hit allocates %.0f times beyond mediation, an untraced one %.0f: the spans cost nothing?", traced, untraced)
+	}
+}
+
+// frameReplay is a connection whose peer sends the same frame n times
+// and hangs up, and reads nothing back: serveConn's loop alone, with no
+// client and no socket in the allocation count.
+type frameReplay struct {
+	net.Conn // nil: serveConn reads, writes and, on a failed write, closes
+	frame    []byte
+	n        int
+	r        bytes.Reader
+	sent     int // frames written back
+}
+
+func (c *frameReplay) Read(p []byte) (int, error) {
+	if c.r.Len() == 0 {
+		if c.n == 0 {
+			return 0, io.EOF
+		}
+		c.n--
+		c.r.Reset(c.frame)
+	}
+	return c.r.Read(p)
+}
+
+func (c *frameReplay) Write(p []byte) (int, error) { c.sent++; return len(p), nil }
+func (c *frameReplay) Close() error                { return nil }
+
+// TestUntracedSubqueryBuildsOnlyTheResult is the same pin for the node:
+// serving an untraced sub-query allocates what decoding the query and
+// executing it allocate, and nothing else — no reply message, no span
+// attributes, no formatted numbers, and (the result being released once
+// written) no tuples. A traced sub-query with a tracer attached pays for
+// its span.
+func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	n := NewDBNode("photo.sdss.org", openEDR(t, 1000))
+	n.SetLogf(func(string, ...any) {})
+	n.SetFlightConfig(flightrec.Config{}) // no sampled exemplars: publishing one allocates
+	const sql = "select ra, dec from photoobj where ra between 0 and 350"
+	const rounds = 200
+	serve := func(q QueryMsg) float64 {
+		conn := &frameReplay{frame: encodeFrame(t, MsgQuery, q)}
+		perRun := testing.AllocsPerRun(5, func() {
+			conn.n, conn.sent = rounds, 0
+			n.serveConn(conn)
+			if conn.sent != rounds {
+				t.Fatalf("%d replies to %d sub-queries", conn.sent, rounds)
+			}
+		})
+		return perRun / rounds
+	}
+	execute := testing.AllocsPerRun(rounds, func() {
+		res, err := n.execute(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releaseResult(res)
+	})
+	untraced := serve(QueryMsg{SQL: sql}) - execute
+	n.SetTracer(obs.NewTracer(obs.NewRing(64)))
+	traced := serve(QueryMsg{SQL: sql, TraceID: "00000000000000ab", ParentSpan: "00000000000000cd"}) - execute
+	t.Logf("execute %.0f allocs; serving adds %.3f untraced, %.3f traced", execute, untraced, traced)
+	// The decoded QueryMsg (it escapes through Decode's any) and the one
+	// string its fields are cut from; the connection's read buffer, once
+	// per connection, is the hundredths.
+	if untraced > 2.1 {
+		t.Errorf("an untraced sub-query allocates %.3f times beyond executing it, want 2 (the decoded query)", untraced)
+	}
+	if traced < untraced+4 {
+		t.Errorf("a traced sub-query allocates %.1f times beyond executing it, an untraced one %.1f: the span costs nothing?", traced, untraced)
 	}
 }
 

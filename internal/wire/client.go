@@ -15,10 +15,17 @@ import (
 const DefaultDialTimeout = 5 * time.Second
 
 // Client is a synchronous connection to a proxy (or directly to a
-// database node for diagnostics).
+// database node for diagnostics), for one caller at a time.
 type Client struct {
 	conn net.Conn
-	buf  []byte // reply frames are read here; Decode copies out of it
+	buf  []byte // reply frames are read here; decoding copies out of it
+
+	// The query in flight and its reply: Query returns &res, whose
+	// tuples, columns, decisions and error lists are cut from store, so a
+	// reply costs no allocation beyond its strings.
+	query QueryMsg
+	res   ResultMsg
+	store resultStore
 }
 
 // Dial connects to a proxy at addr, bounded by DefaultDialTimeout.
@@ -57,7 +64,10 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 // Close closes the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Query sends SQL and returns the result.
+// Query sends SQL and returns the result. The result is the Client's:
+// it is valid until the next call on this Client, which decodes the
+// next reply into the same memory. A caller that keeps a result across
+// calls copies what it keeps.
 func (c *Client) Query(sql string) (*ResultMsg, error) {
 	return c.QueryTraced(sql, obs.TraceContext{})
 }
@@ -65,18 +75,18 @@ func (c *Client) Query(sql string) (*ResultMsg, error) {
 // QueryTraced is Query with a client-side trace context: the proxy
 // continues the caller's trace instead of minting a fresh root, so a
 // driver program's own spans and the federation's spans merge into
-// one tree. A zero ctx is equivalent to Query.
+// one tree. A zero ctx is equivalent to Query, and the result is valid
+// as long as Query's is.
 func (c *Client) QueryTraced(sql string, ctx obs.TraceContext) (*ResultMsg, error) {
-	q := QueryMsg{
+	c.query = QueryMsg{
 		SQL:        sql,
 		TraceID:    obs.FormatID(ctx.TraceID),
 		ParentSpan: obs.FormatID(ctx.SpanID),
 	}
-	var res ResultMsg
-	if err := c.roundTrip(MsgQuery, q, MsgResult, &res); err != nil {
+	if err := c.roundTrip(MsgQuery, &c.query, MsgResult, &c.res); err != nil {
 		return nil, err
 	}
-	return &res, nil
+	return &c.res, nil
 }
 
 // roundTrip sends one request frame and decodes the expected
@@ -96,7 +106,13 @@ func (c *Client) reply(want MsgType, dst any) error {
 	}
 	switch t {
 	case want:
-		return Decode(body, dst)
+		err := decodeInto(body, dst, &c.store)
+		if len(body) > frameBufMaxCap {
+			// As for buf: an occasional giant reply must not pin its
+			// megabytes for as long as the connection lives.
+			c.store = resultStore{}
+		}
+		return err
 	case MsgError:
 		var e ErrorMsg
 		if err := Decode(body, &e); err != nil {

@@ -399,10 +399,11 @@ func TestNaNResultReachesClient(t *testing.T) {
 	c.conn.SetDeadline(time.Now().Add(10 * time.Second)) // the old failure was a hang
 
 	stmt := "select flux, err from t"
-	want, err := n.execute(stmt)
+	res, err := n.execute(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := &ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}
 	got, err := c.Query(stmt)
 	if err != nil {
 		t.Fatal(err)

@@ -149,7 +149,10 @@ func (n *DBNode) acceptLoop() {
 }
 
 func (n *DBNode) serveConn(conn net.Conn) {
-	var buf []byte // this connection's frames; Decode copies out of it
+	var (
+		buf []byte    // this connection's frames; Decode copies out of it
+		msg ResultMsg // this connection's replies
+	)
 	for {
 		t, body, rn, err := readFrameInto(conn, &buf)
 		if err != nil {
@@ -177,13 +180,21 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			}
 			n.queries.Add(1)
 			// End before replying: once the proxy sees the result, the
-			// node's span log line is already flushed.
-			span.End(obs.A("bytes", strconv.FormatInt(res.Bytes, 10)),
-				obs.A("rows", strconv.FormatInt(res.Rows, 10)))
+			// node's span log line is already flushed. An untraced
+			// sub-query builds no attributes and formats no numbers.
+			if span.Context().Valid() { // a recording span: continueSpan returns the zero Span otherwise
+				span.End(obs.A("bytes", strconv.FormatInt(res.Bytes, 10)),
+					obs.A("rows", strconv.FormatInt(res.Rows, 10)))
+			}
+			msg = ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}
 			encStart := fc.Now()
-			n.send(conn, MsgResult, res)
+			n.send(conn, MsgResult, &msg)
 			fc.SetEncodeUS(fc.Now() - encStart)
 			n.flight.Finish(fc, nil)
+			// Written, and the capture closed: the next execution may
+			// have the tuples' memory.
+			releaseResult(res)
+			offerCPU()
 		case MsgFetch:
 			var f FetchMsg
 			if err := Decode(body, &f); err != nil {
@@ -257,8 +268,9 @@ func (n *DBNode) sendErr(conn net.Conn, err error) {
 }
 
 // execute binds a sub-query, checks that every referenced table belongs
-// to this node's site, and runs what it bound.
-func (n *DBNode) execute(sql string) (*ResultMsg, error) {
+// to this node's site, and runs what it bound. The result is the
+// caller's to release.
+func (n *DBNode) execute(sql string) (*engine.Result, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -272,11 +284,7 @@ func (n *DBNode) execute(sql string) (*ResultMsg, error) {
 			return nil, fmt.Errorf("dbnode %s: table %s is owned by %s", n.Site, t.Name, t.Site)
 		}
 	}
-	res, err := n.db.ExecuteBound(b)
-	if err != nil {
-		return nil, err
-	}
-	return &ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}, nil
+	return n.db.ExecuteBound(b)
 }
 
 // objectSize resolves an object id ("release/table[.column]") owned

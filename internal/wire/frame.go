@@ -334,14 +334,22 @@ func readReply(r io.Reader) (MsgType, []byte, int, error) {
 
 // Decode unmarshals a frame body into dst: the binary layout for a
 // *QueryMsg or *ResultMsg, JSON for every other message. Nothing in
-// dst aliases body afterwards.
+// dst aliases body afterwards, and everything in it is freshly
+// allocated: dst is the caller's to keep.
 func Decode(body []byte, dst any) error {
+	var st resultStore // nothing to reuse
+	return decodeInto(body, dst, &st)
+}
+
+// decodeInto is Decode with a *ResultMsg's slices cut from st, which
+// the caller keeps: dst is then valid until st is decoded into again.
+func decodeInto(body []byte, dst any, st *resultStore) error {
 	var err error
 	switch m := dst.(type) {
 	case *QueryMsg:
 		err = m.decodeBinary(body)
 	case *ResultMsg:
-		err = m.decodeBinary(body)
+		err = m.decodeBinary(body, st)
 	default:
 		err = json.Unmarshal(body, dst)
 	}

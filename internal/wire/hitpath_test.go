@@ -1,0 +1,299 @@
+package wire
+
+import (
+	"fmt"
+	"math"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"bypassyield/internal/catalog"
+	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
+	"bypassyield/internal/federation"
+	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/ledger"
+	"bypassyield/internal/workload"
+)
+
+// poison is what poisonThenRelease leaves in a released tuple: a NaN no
+// arithmetic and no synthesized column produces.
+var poison = math.Float64frombits(0x7ff8dead_deaddead)
+
+// poisonThenRelease overwrites a result's tuples before giving their
+// memory back, so that whatever still reads them once the daemons have
+// released them — a frame not yet written, a flight-recorder capture, a
+// reply another connection is building out of the same memory — sends
+// or records poison instead of plausible numbers.
+func poisonThenRelease(res *engine.Result) {
+	for _, tuple := range res.Tuples {
+		for i := range tuple {
+			tuple[i] = poison
+		}
+	}
+	res.Release()
+}
+
+// TestMain runs every test of the package — the round trips through
+// proxies and nodes above all — with released tuples poisoned. It is set
+// once, before any daemon starts.
+func TestMain(m *testing.M) {
+	releaseResult = poisonThenRelease
+	os.Exit(m.Run())
+}
+
+func openEDR(tb testing.TB, sampleEvery int64) *engine.DB {
+	tb.Helper()
+	db, err := engine.Open(catalog.EDR(), engine.Config{SampleEvery: sampleEvery, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// hitPathStatements is the length of the federation benchmark's traced
+// pass, which the byte gate and BenchmarkProxyHitEDR replay.
+const hitPathStatements = 3000
+
+// hitPathFederation is the federation benchmark's edr-cached
+// configuration (bench/fed.go) on loopback: EDR at one row in 1 000, a
+// node per site, a rate-profile cache of 40% at column granularity,
+// ledger 4096, shadows and both flight recorders on, no tracer — and one
+// Client. At that capacity some 96% of the bytes are hits. It returns
+// the client, the first hitPathStatements of the EDR stream, and what to
+// call when done.
+func hitPathFederation(tb testing.TB) (*Client, []string, func()) {
+	tb.Helper()
+	db := openEDR(tb, 1000)
+	s := db.Schema()
+	quiet := func(string, ...any) {}
+	var nodes []*DBNode
+	addrs := map[string]string{}
+	for _, site := range catalog.Sites(s) {
+		n := NewDBNode(site, db)
+		n.SetLogf(quiet)
+		addr, err := n.Listen("127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nodes = append(nodes, n)
+		addrs[site] = addr
+	}
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	policy, err := core.NewPolicyByName("rate-profile", int64(0.4*float64(s.TotalBytes())), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	med, err := federation.New(federation.Config{
+		Schema: s, Engine: db, Policy: policy, Granularity: federation.Columns,
+		Obs: reg, Ledger: ledger.New(4096), Shadows: true,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	proxy := NewProxy(med, federation.Columns, addrs)
+	proxy.SetLogf(quiet)
+	paddr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	client, err := Dial(paddr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := workload.NewStream(workload.EDRProfile())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sqls := make([]string, hitPathStatements)
+	for i := range sqls {
+		sqls[i] = st.Next().SQL
+	}
+	return client, sqls, func() {
+		client.Close()
+		proxy.Close()
+		for _, n := range nodes {
+			n.Close()
+		}
+	}
+}
+
+// TestHitPathBytes is the byte gate beside the count gates: what one
+// statement costs the whole path — client, proxy, mediator, and a node
+// for the few that bypass — in bytes allocated, which is what sets how
+// often the collector runs. A 64 x 24 result is 12 KB however few
+// allocations carry it, and before a reply's memory was reused it was
+// allocated three times per hit (the executor's tuples and selection
+// vector, the client's decode): 37.6 KB per statement here. Now the
+// executor's tuples go back when the frame is written and the client
+// decodes into its own storage. One pass warms the cache and the pools.
+func TestHitPathBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is deliberately leaky under the race detector")
+	}
+	client, sqls, done := hitPathFederation(t)
+	defer done()
+	pass := func() {
+		for _, sql := range sqls {
+			if _, err := client.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	n := float64(len(sqls))
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / n
+	allocs := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.0f bytes and %.1f allocations per statement, %d collections in the pass",
+		bytes, allocs, after.NumGC-before.NumGC)
+	if bytes > hitPathByteBound {
+		t.Errorf("a statement costs %.0f bytes end to end, want <= %d", bytes, hitPathByteBound)
+	}
+}
+
+// hitPathByteBound is about 25% above what TestHitPathBytes reads.
+const hitPathByteBound = 9200
+
+// BenchmarkProxyHitEDR is TestHitPathBytes's harness as a benchmark:
+// one op is one statement, sent by one Client and answered by the
+// proxy, after a pass that warms the cache. Its B/op is the bytes a hit
+// costs the whole path. Released tuples are not poisoned here: the
+// daemons' own release is what is timed.
+func BenchmarkProxyHitEDR(b *testing.B) {
+	defer func(old func(*engine.Result)) { releaseResult = old }(releaseResult)
+	releaseResult = (*engine.Result).Release
+	client, sqls, done := hitPathFederation(b)
+	defer done()
+	for _, sql := range sqls {
+		if _, err := client.Query(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Query(sqls[i%len(sqls)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestResultIsValidUntilTheNextCall pins the contract Query states. The
+// *ResultMsg is the Client's: the next Query decodes the next reply into
+// the same message and the same memory, so the first result then reads
+// as the second; a copy taken before the second call is what keeps. And
+// what the client is handed is what a fresh Decode of the same reply
+// gives, query after query, however the shapes alternate.
+func TestResultIsValidUntilTheNextCall(t *testing.T) {
+	cap := catalog.EDR().TotalBytes() / 2
+	client, shutdown := testFederation(t,
+		core.NewRateProfile(core.RateProfileConfig{Capacity: cap}), federation.Columns)
+	defer shutdown()
+	// A second connection, whose replies are decoded the allocating way.
+	other, err := Dial(client.conn.RemoteAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	fresh := func(sql string) *ResultMsg {
+		t.Helper()
+		if _, err := WriteFrame(other.conn, MsgQuery, QueryMsg{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+		typ, body, _, err := ReadFrame(other.conn)
+		if err != nil || typ != MsgResult {
+			t.Fatalf("ReadFrame = %v, %v", typ, err)
+		}
+		var m ResultMsg
+		if err := Decode(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	// The decisions differ between the two connections' queries (the
+	// first touch bypasses, later ones may load or hit); everything else
+	// must be equal.
+	sameAnswer := func(got, want *ResultMsg) error {
+		if !reflect.DeepEqual(got.Columns, want.Columns) || got.Rows != want.Rows || got.Bytes != want.Bytes {
+			return fmt.Errorf("columns, rows, bytes = %v, %d, %d, want %v, %d, %d",
+				got.Columns, got.Rows, got.Bytes, want.Columns, want.Rows, want.Bytes)
+		}
+		if len(got.Decisions) != len(want.Decisions) {
+			return fmt.Errorf("%d decisions, want %d", len(got.Decisions), len(want.Decisions))
+		}
+		if len(got.Tuples) != len(want.Tuples) || (got.Tuples == nil) != (want.Tuples == nil) {
+			return fmt.Errorf("%d tuples (nil: %t), want %d (nil: %t)",
+				len(got.Tuples), got.Tuples == nil, len(want.Tuples), want.Tuples == nil)
+		}
+		for r := range want.Tuples {
+			if !reflect.DeepEqual(got.Tuples[r], want.Tuples[r]) {
+				return fmt.Errorf("tuple %d = %v, want %v", r, got.Tuples[r], want.Tuples[r])
+			}
+		}
+		return nil
+	}
+
+	const wide = "select * from photoobj where ra between 100 and 140"
+	const narrow = "select z from specobj where z < 3"
+	first, err := client.Query(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAnswer(first, fresh(wide)); err != nil {
+		t.Fatalf("%s: %v", wide, err)
+	}
+	kept := ResultMsg{Columns: append([]string(nil), first.Columns...), Rows: first.Rows, Bytes: first.Bytes}
+	for _, tuple := range first.Tuples {
+		kept.Tuples = append(kept.Tuples, append([]float64(nil), tuple...))
+	}
+	kept.Decisions = append(kept.Decisions, first.Decisions...)
+
+	second, err := client.Query(narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second != first {
+		t.Fatal("the second result is another message: the Client allocated one per reply")
+	}
+	if err := sameAnswer(second, fresh(narrow)); err != nil {
+		t.Fatalf("%s: %v", narrow, err)
+	}
+	if len(first.Columns) != 1 || len(kept.Columns) == 1 {
+		t.Fatalf("the first result survived the second call: it has %d columns, its copy %d", len(first.Columns), len(kept.Columns))
+	}
+	if err := sameAnswer(&kept, fresh(wide)); err != nil {
+		t.Fatalf("a copy taken before the second call: %v", err)
+	}
+
+	// Wide, narrow, empty, aggregate, an error in between: every reply is
+	// what a fresh decode gives, none carries a previous one's leftovers.
+	for i, sql := range []string{wide, narrow, "select ra from photoobj where ra < -1", wide,
+		"select count(*), avg(z) from specobj", "select ghost from photoobj", narrow, wide} {
+		got, err := client.Query(sql)
+		if sql == "select ghost from photoobj" {
+			if err == nil {
+				t.Fatalf("query %d: %s succeeded", i, sql)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("query %d: %s: %v", i, sql, err)
+		}
+		if err := sameAnswer(got, fresh(sql)); err != nil {
+			t.Fatalf("query %d: %s: %v", i, sql, err)
+		}
+		for r, tuple := range got.Tuples {
+			for c, v := range tuple {
+				if math.Float64bits(v) == math.Float64bits(poison) {
+					t.Fatalf("query %d: %s: tuple %d value %d is memory the proxy had released", i, sql, r, c)
+				}
+			}
+		}
+	}
+}

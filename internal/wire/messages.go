@@ -190,11 +190,40 @@ func appendSiteErrors(b []byte, errs []SiteErrorMsg) []byte {
 	return b
 }
 
-// decodeBinary allocates, for a result of any size, the tuple rows and
-// their one backing array (one array per tuple when ragged), one
-// string that every decoded string is cut from, and one slice each for
-// the columns, decisions and two error lists that are present.
-func (m *ResultMsg) decodeBinary(body []byte) error {
+// resultStore is the memory a decoded ResultMsg's slices are cut from.
+// Decode starts from an empty one, so everything it returns is fresh; a
+// Client keeps one across replies, and after the first few a reply of
+// any shape costs it no allocation beyond the strings.
+type resultStore struct {
+	flat          []float64
+	rows          [][]float64
+	columns       []string
+	decisions     []DecisionMsg
+	siteErrs      []SiteErrorMsg
+	transportErrs []SiteErrorMsg
+}
+
+// take returns n elements of *buf, replaced by an exactly sized fresh
+// slice when it is too short, and nil for none (an absent list decodes
+// to nil whatever the store holds). The elements are whatever the last
+// reply left there: the decoder writes every one.
+func take[T any](buf *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// decodeBinary fills m from body with slices cut from st. Out of an
+// empty store it allocates, for a result of any size, the tuple rows and
+// their one backing array (one array per tuple when ragged), one string
+// that every decoded string is cut from, and one slice each for the
+// columns, decisions and two error lists that are present. m is
+// unchanged when body does not decode.
+func (m *ResultMsg) decodeBinary(body []byte, st *resultStore) error {
 	if err := checkFormat(body); err != nil {
 		return err
 	}
@@ -205,20 +234,18 @@ func (m *ResultMsg) decodeBinary(body []byte) error {
 	}
 	v := ResultMsg{Partial: flags&resultPartial != 0, Rows: c.varint(), Bytes: c.varint()}
 	if flags&resultRagged != 0 {
-		if n := c.count(1); n > 0 {
-			v.Tuples = make([][]float64, n)
-			for i := range v.Tuples {
-				v.Tuples[i] = make([]float64, c.count(8))
-				c.floats(v.Tuples[i])
-			}
+		v.Tuples = take(&st.rows, c.count(1))
+		for i := range v.Tuples {
+			v.Tuples[i] = make([]float64, c.count(8))
+			c.floats(v.Tuples[i])
 		}
 	} else if n := c.count(8); n > 0 {
 		width := c.count(8 * n)
 		if width == 0 {
 			c.fail() // or n rows would cost no bytes
 		} else {
-			v.Tuples = make([][]float64, n)
-			backing := make([]float64, n*width)
+			v.Tuples = take(&st.rows, n)
+			backing := take(&st.flat, n*width)
 			c.floats(backing)
 			for i := range v.Tuples {
 				v.Tuples[i] = backing[i*width : (i+1)*width : (i+1)*width]
@@ -231,29 +258,25 @@ func (m *ResultMsg) decodeBinary(body []byte) error {
 
 	// Everything after the tuples is small and mostly strings.
 	c = cursor{b: body[c.off:], s: string(body[c.off:])}
-	if n := c.count(1); n > 0 {
-		v.Columns = make([]string, n)
-		for i := range v.Columns {
-			v.Columns[i] = c.str()
-		}
+	v.Columns = take(&st.columns, c.count(1))
+	for i := range v.Columns {
+		v.Columns[i] = c.str()
 	}
-	if n := c.count(6); n > 0 {
-		v.Decisions = make([]DecisionMsg, n)
-		for i := range v.Decisions {
-			d := &v.Decisions[i]
-			d.Object, d.Site, d.Yield = c.str(), c.str(), c.varint()
-			verdict, dflags := c.byte(), c.byte()
-			if int(verdict) >= len(decisionNames) || dflags&^(decisionForced|decisionFailed) != 0 {
-				c.fail()
-				break
-			}
-			d.Decision = decisionNames[verdict]
-			d.Forced, d.Failed = dflags&decisionForced != 0, dflags&decisionFailed != 0
-			d.Reason = c.str()
+	v.Decisions = take(&st.decisions, c.count(6))
+	for i := range v.Decisions {
+		d := &v.Decisions[i]
+		d.Object, d.Site, d.Yield = c.str(), c.str(), c.varint()
+		verdict, dflags := c.byte(), c.byte()
+		if int(verdict) >= len(decisionNames) || dflags&^(decisionForced|decisionFailed) != 0 {
+			c.fail()
+			break
 		}
+		d.Decision = decisionNames[verdict]
+		d.Forced, d.Failed = dflags&decisionForced != 0, dflags&decisionFailed != 0
+		d.Reason = c.str()
 	}
-	v.SiteErrors = c.siteErrors()
-	v.TransportErrors = c.siteErrors()
+	v.SiteErrors = c.siteErrors(&st.siteErrs)
+	v.TransportErrors = c.siteErrors(&st.transportErrs)
 	if err := c.done(); err != nil {
 		return err
 	}
@@ -261,12 +284,8 @@ func (m *ResultMsg) decodeBinary(body []byte) error {
 	return nil
 }
 
-func (c *cursor) siteErrors() []SiteErrorMsg {
-	n := c.count(3)
-	if n == 0 {
-		return nil
-	}
-	errs := make([]SiteErrorMsg, n)
+func (c *cursor) siteErrors(buf *[]SiteErrorMsg) []SiteErrorMsg {
+	errs := take(buf, c.count(3))
 	for i := range errs {
 		errs[i] = SiteErrorMsg{Site: c.str(), Error: c.str(), LostBytes: c.varint()}
 	}

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
 	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -486,7 +488,10 @@ func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
 }
 
 func (p *Proxy) serveConn(conn net.Conn) {
-	var buf []byte // this connection's frames; Decode copies out of it
+	var (
+		buf []byte    // this connection's frames; Decode copies out of it
+		res ResultMsg // this connection's replies: handleQuery refills it, lists and all
+	)
 	for {
 		t, body, rn, err := readFrameInto(conn, &buf)
 		if err != nil {
@@ -514,7 +519,7 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			}
 			fc := p.flight.Begin()
 			fc.SetQuery(q.SQL, ctx.TraceID)
-			res, err := p.handleQuery(q.SQL, ctx, fc)
+			rep, err := p.handleQuery(q.SQL, ctx, fc, &res)
 			if err != nil {
 				span.End(obs.A("error", err.Error()))
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
@@ -528,9 +533,13 @@ func (p *Proxy) serveConn(conn net.Conn) {
 					obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
 			}
 			encStart := fc.Now()
-			p.send(conn, MsgResult, res)
+			p.send(conn, MsgResult, &res)
 			fc.SetEncodeUS(fc.Now() - encStart)
 			p.flight.Finish(fc, nil)
+			// The reply is written and the capture closed: nothing reads
+			// the tuples again, and the next execution may have their memory.
+			releaseResult(rep.Result)
+			offerCPU()
 		case MsgStats:
 			p.send(conn, MsgStatsResult, p.stats())
 		case MsgDecisions:
@@ -560,6 +569,12 @@ func (p *Proxy) serveConn(conn net.Conn) {
 	}
 }
 
+// releaseResult gives an execution result's tuples back once the frame
+// that carried them is written (engine.Result.Release). The wire tests
+// replace it to overwrite the tuples first, so that anything still
+// reading them afterwards is caught.
+var releaseResult = (*engine.Result).Release
+
 // leg is one unit of deferred WAN work decided during mediation: an
 // object fetch (load) or a bypass sub-query.
 type leg struct {
@@ -580,10 +595,13 @@ type leg struct {
 // The result frame is sent only after all legs settle, so a client's
 // response still reflects its query's complete protocol exchange.
 //
-// Span attributes — and the number formatting they need — are built
-// only when a tracer is attached; an untraced hit builds the result
-// message and nothing else.
-func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capture) (*ResultMsg, error) {
+// The reply is written into res, the caller's, whose lists are emptied
+// and refilled in place; its tuples are the report's Result's, so the
+// caller releases that Result once res is sent. Span attributes — and
+// the number formatting they need — are built only when a tracer is
+// attached; an untraced hit on a connection that has served one before
+// allocates nothing beyond mediation.
+func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capture, res *ResultMsg) (*federation.QueryReport, error) {
 	p.querySem <- struct{}{}
 	defer func() { <-p.querySem }()
 	tel := p.med.Telemetry()
@@ -609,12 +627,15 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	}
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
 	fc.SetDegraded(rep.Degraded)
-	res := &ResultMsg{
-		Columns: rep.Result.Columns,
-		Rows:    rep.Result.Rows,
-		Bytes:   rep.Result.Bytes,
-		Tuples:  rep.Result.Tuples,
-		Partial: rep.Degraded,
+	*res = ResultMsg{
+		Columns:         rep.Result.Columns,
+		Rows:            rep.Result.Rows,
+		Bytes:           rep.Result.Bytes,
+		Tuples:          rep.Result.Tuples,
+		Partial:         rep.Degraded,
+		Decisions:       res.Decisions[:0],
+		SiteErrors:      res.SiteErrors[:0],
+		TransportErrors: res.TransportErrors[:0],
 	}
 	for _, se := range rep.SiteErrors {
 		res.SiteErrors = append(res.SiteErrors, SiteErrorMsg{
@@ -629,15 +650,13 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	// unavailable.
 	var legs []leg
 	var bypassed []bool // by table position in the schema; nil until a bypass
-	if len(rep.Decisions) > 0 {
-		res.Decisions = make([]DecisionMsg, len(rep.Decisions))
-	}
-	for i, d := range rep.Decisions {
+	res.Decisions = slices.Grow(res.Decisions, len(rep.Decisions))
+	for _, d := range rep.Decisions {
 		verdict := d.Decision.String()
 		if d.Failed {
 			verdict = "failed"
 		}
-		res.Decisions[i] = DecisionMsg{
+		res.Decisions = append(res.Decisions, DecisionMsg{
 			Object:   string(d.Object),
 			Site:     d.Site,
 			Yield:    d.Yield,
@@ -645,7 +664,7 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 			Forced:   d.Forced,
 			Failed:   d.Failed,
 			Reason:   d.Reason,
-		}
+		})
 		fc.Decision(string(d.Object), d.Site, verdict, d.Reason, d.Yield)
 		if traced {
 			// One proxy.decide span per object access: summing the yield
@@ -679,7 +698,7 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 		legs = append(legs, subqueryLegs(rep, bypassed)...)
 	}
 	p.runLegs(legs, ctx, res, fc)
-	return res, nil
+	return rep, nil
 }
 
 // subqueryLegs builds one sub-query leg per FROM table with a bypassed
@@ -1003,8 +1022,8 @@ func serveExemplars(source string, rec *flightrec.Recorder, q ExemplarsMsg) Exem
 	}
 }
 
-// decisions serves a ledger scrape: snapshot the ring (lock-free with
-// respect to recording), apply the filter, and attach the shadow
+// decisions serves a ledger scrape: snapshot the ring (a copy taken
+// under the ledger's own mutex), apply the filter, and attach the shadow
 // counterfactuals. An unconfigured ledger yields an empty result, not
 // an error, so byinspect degrades gracefully.
 func (p *Proxy) decisions(q DecisionsMsg) DecisionsResultMsg {

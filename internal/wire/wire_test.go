@@ -131,17 +131,19 @@ func TestEndToEndQuery(t *testing.T) {
 		}
 		yield += d.Yield
 	}
+	if len(res.Tuples) == 0 || len(res.Tuples[0]) != len(res.Columns) {
+		t.Fatalf("%d tuples for columns %v", len(res.Tuples), res.Columns)
+	}
 	// What the client decoded is what the mediator accounted: Σ
-	// ResultMsg.Bytes = Σ decision yields = D_A.
+	// ResultMsg.Bytes = Σ decision yields = D_A. (The result is the
+	// client's until its next call: what is compared is copied first.)
+	bytes := res.Bytes
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bytes != st.Acct.YieldBytes || yield != st.Acct.YieldBytes {
-		t.Fatalf("result bytes %d, decision yields %d, D_A %d", res.Bytes, yield, st.Acct.YieldBytes)
-	}
-	if len(res.Tuples) == 0 || len(res.Tuples[0]) != len(res.Columns) {
-		t.Fatalf("%d tuples for columns %v", len(res.Tuples), res.Columns)
+	if bytes != st.Acct.YieldBytes || yield != st.Acct.YieldBytes {
+		t.Fatalf("result bytes %d, decision yields %d, D_A %d", bytes, yield, st.Acct.YieldBytes)
 	}
 }
 
