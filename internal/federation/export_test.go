@@ -4,3 +4,6 @@ package federation
 // replaced (reference_test.go), for the external test package, which
 // may import the workload streams this package may not.
 var ReferenceDecompose = referenceDecompose
+
+// LockSpin is how long a query waits for the decision lock awake.
+const LockSpin = lockSpin

@@ -2,7 +2,12 @@ package federation_test
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/metrics"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
@@ -216,21 +221,60 @@ func benchFederation(tb testing.TB) (*federation.Mediator, []string, []*sqlparse
 	return m, sqls, stmts
 }
 
-var benchReport *federation.QueryReport
+// runCallers splits n statements of benchFederation's, taken in order
+// from one shared cursor, among callers goroutines that each call
+// QueryStmt in a closed loop, and returns what the process's goroutines
+// waited for locks meanwhile (/sync/mutex/wait/total:seconds).
+func runCallers(tb testing.TB, m *federation.Mediator, sqls []string, stmts []*sqlparse.SelectStmt, callers, n int) time.Duration {
+	tb.Helper()
+	wait := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
+	metrics.Read(wait)
+	before := wait[0].Value.Float64()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				if _, err := m.QueryStmt(sqls[i%len(sqls)], stmts[i%len(stmts)]); err != nil {
+					tb.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	metrics.Read(wait)
+	return time.Duration((wait[0].Value.Float64() - before) * float64(time.Second))
+}
 
 // BenchmarkMediatorQueryEDR is Mediator.QueryStmt — bind, execute,
 // decompose, decide, flush — over the statements of the benchmark's
-// traced pass, pre-parsed; one op is one statement.
+// traced pass, pre-parsed; one op is one statement. Four callers on one
+// P and on two say whether the decision plane gains from a second CPU
+// (lock-wait-us/op is runCallers' figure per statement); GOMAXPROCS is
+// part of the name because -cpu would give both runs one key in
+// BENCH_obs.json.
 func BenchmarkMediatorQueryEDR(b *testing.B) {
-	m, sqls, stmts := benchFederation(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := m.QueryStmt(sqls[i%len(sqls)], stmts[i%len(stmts)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchReport = rep
+	for _, bc := range []struct {
+		name           string
+		callers, procs int
+	}{
+		{"callers=1", 1, 0},
+		{"callers=4/procs=1", 4, 1},
+		{"callers=4/procs=2", 4, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if bc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			}
+			m, sqls, stmts := benchFederation(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			wait := runCallers(b, m, sqls, stmts, bc.callers, b.N)
+			b.ReportMetric(float64(wait.Microseconds())/float64(b.N), "lock-wait-us/op")
+		})
 	}
 }
 

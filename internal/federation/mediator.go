@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -82,8 +83,10 @@ type SiteHealth interface {
 // decision phase runs under one lock, mu: the plane clock, the policy,
 // the accounting and the shadow baselines are one sequential state, as
 // in the paper, so Σ decision yields = D_A holds exactly at every
-// unlock. Callers execute the decided WAN legs after QueryStmtTraced
-// returns, outside the lock — the decide-then-execute handoff.
+// unlock. A query waits for mu awake (lockDecision): it is held for
+// microseconds, and a sleeper's wake-up takes tens to hundreds. Callers
+// execute the decided WAN legs after QueryStmtTraced returns, outside
+// the lock — the decide-then-execute handoff.
 type Mediator struct {
 	cfg Config
 	// index is the object universe by position, which decomposition
@@ -394,8 +397,7 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 // decide runs the decision phase over decomposed accesses: under the
 // decision lock the query takes the next tick of the plane clock and
 // its accesses are decided, charged, audited and journaled in access
-// order, so Σ decision yields = D_A is exact at every unlock. The
-// contention benchmark drives this entry point directly.
+// order, so Σ decision yields = D_A is exact at every unlock.
 func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
 	m.queriesMet.Add(1)
 	m.tel.RecordQuery()
@@ -404,7 +406,7 @@ func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []access
 		rep.Decisions = make([]AccessDecision, len(accs))
 	}
 	waitStart := time.Now()
-	m.mu.Lock()
+	m.lockDecision(waitStart)
 	decideStart := time.Now()
 	err := m.decideLocked(rep, accs, traceID)
 	m.mu.Unlock()
@@ -419,6 +421,28 @@ func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []access
 	rep.LockWaitUS = wait.Microseconds()
 	rep.DecideUS = time.Since(decideStart).Microseconds()
 	return rep, nil
+}
+
+// lockSpin is how long lockDecision tries before it parks: some twenty
+// holds by another query (7–12 µs each), so only a hold of another kind
+// (a snapshot's quiesce, a policy listing its contents) is slept through.
+const lockSpin = 200 * time.Microsecond
+
+// lockDecision takes mu for a query's decide phase; every other taker,
+// whose hold may be long, uses Lock. A sync.Mutex waiter parks within a
+// microsecond, its thread sleeps, and the wake-up costs more than the
+// hold did — up to the scheduler tick on a 2-CPU host, whose second CPU
+// it left mostly idle (DESIGN.md, "Waiting for the decision lock"). So a
+// query yields its P to other runnable goroutines (the holder, perhaps)
+// and tries again, and parks once lockSpin has passed since start.
+func (m *Mediator) lockDecision(start time.Time) {
+	for !m.mu.TryLock() {
+		if time.Since(start) > lockSpin {
+			m.mu.Lock()
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // decideLocked is decide's critical section; callers hold mu. Per

@@ -194,7 +194,6 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			// Written, and the capture closed: the next execution may
 			// have the tuples' memory.
 			releaseResult(res)
-			offerCPU()
 		case MsgFetch:
 			var f FetchMsg
 			if err := Decode(body, &f); err != nil {

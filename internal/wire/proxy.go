@@ -21,8 +21,8 @@ import (
 )
 
 // DefaultRPCTimeout bounds each node RPC exchange (write + read). A
-// hung node must not hold the proxy's mediation lock forever; see
-// SetRPCTimeout.
+// hung node must not hold a query, its inflight slot and its pooled
+// connection forever; see SetRPCTimeout.
 const DefaultRPCTimeout = 10 * time.Second
 
 // MaxStatsCachedObjects bounds the cached-object ids listed in a
@@ -539,7 +539,6 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			// The reply is written and the capture closed: nothing reads
 			// the tuples again, and the next execution may have their memory.
 			releaseResult(rep.Result)
-			offerCPU()
 		case MsgStats:
 			p.send(conn, MsgStatsResult, p.stats())
 		case MsgDecisions:
