@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -74,6 +76,79 @@ func BenchmarkExecuteEDR(b *testing.B) {
 				if release {
 					res.Release()
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkFilterSelectivity is one predicate pass over photoobj's
+// 1 015 sampled rows (count(*): the scan and nothing after it) keeping
+// about 1%, 50% and 99% of them, through each arm of the filter:
+// between, a literal comparison, and two columns (a magnitude, uniform
+// on 12–28, against another or against an error, uniform on 0–2: half,
+// all or none). Each op is the next of a few dozen statements over
+// different columns and windows, because a predictor learns one
+// statement's thousand outcomes by heart when it is run again and again.
+// The filter advances its count by the comparison's result, so the
+// selectivities cost the same; a loop that branches on the comparison
+// reads several times slower at 50% than at either end.
+func BenchmarkFilterSelectivity(b *testing.B) {
+	db := edrDB(b, 1000)
+	var floats, mags, errs []catalog.Column
+	for _, c := range db.Schema().Table("photoobj").Columns {
+		if c.Type != catalog.Float32 && c.Type != catalog.Float64 {
+			continue
+		}
+		floats = append(floats, c)
+		switch {
+		case c.Min == 12 && c.Max == 28:
+			mags = append(mags, c)
+		case c.Min == 0 && c.Max == 2:
+			errs = append(errs, c)
+		}
+	}
+	where := map[string][]string{}
+	add := func(name, format string, args ...any) {
+		where[name] = append(where[name], fmt.Sprintf(format, args...))
+	}
+	for _, pct := range []int{1, 50, 99} {
+		frac := float64(pct) / 100
+		for k, c := range floats {
+			span := c.Max - c.Min
+			lo := c.Min + (1-frac)*span*float64(k)/float64(len(floats))
+			add(fmt.Sprintf("between/%dpct", pct), "%s between %g and %g", c.Name, lo, lo+frac*span)
+			add(fmt.Sprintf("literal/%dpct", pct), "%s < %g", c.Name, c.Min+frac*span)
+		}
+	}
+	for k, m := range mags {
+		e := errs[k%len(errs)]
+		add("columns/0pct", "%s < %s", m.Name, e.Name)
+		add("columns/50pct", "%s < %s", m.Name, mags[(k+7)%len(mags)].Name)
+		add("columns/100pct", "%s < %s", e.Name, m.Name)
+	}
+	names := make([]string, 0, len(where))
+	for name := range where {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		bound := make([]*engine.Bound, len(where[name]))
+		for i, w := range where[name] {
+			stmt, err := sqlparse.Parse("select count(*) from photoobj where " + w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bound[i], err = engine.Bind(db.Schema(), stmt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := db.ExecuteBound(bound[i%len(bound)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink = res
 			}
 		})
 	}

@@ -223,37 +223,83 @@ func (db *DB) pred(b *Bound, c *BoundCond) pred {
 		p.op, p.lo, p.hi = opBetween, c.Cond.Lo, c.Cond.Hi
 	default:
 		p.lo = c.Cond.Value
+		switch p.op { // a closed range too, and exactly: a NaN on either side is in none
+		case opEq:
+			p.op, p.hi = opBetween, p.lo
+		case opLe:
+			p.op, p.lo, p.hi = opBetween, math.Inf(-1), p.lo
+		case opGe:
+			p.op, p.hi = opBetween, math.Inf(1)
+		}
 	}
 	return p
 }
 
+// mirror rewrites left op right as right op' left.
+func (p *pred) mirror() {
+	p.left, p.right = p.right, p.left
+	p.op = [...]cmpOp{opEq: opEq, opNotEq: opNotEq, opLt: opGt, opLe: opGe, opGt: opLt, opGe: opLe}[p.op]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // filter writes the rows of src that satisfy p to the front of dst and
 // returns how many there are. dst may be src: a selection vector is
-// compacted in place.
+// compacted in place. Every row is written and the count advanced by the
+// comparison's result (b2i is a move of its flag; the count never passes
+// the row being read): a branch on it mispredicts at the EDR mix's
+// selectivities, 7 ns a row against 2. A literal arrives as between, <,
+// > or != (pred); two columns as ==, !=, < or <= (mirror).
 func (p *pred) filter(dst, src []int32) int {
-	left, k := p.left, 0
+	if p.right != nil && (p.op == opGt || p.op == opGe) {
+		p.mirror()
+	}
+	left, right, lo, hi, k := p.left, p.right, p.lo, p.hi, 0
 	switch {
 	case p.op == opBetween:
 		for _, i := range src {
-			if v := left[i]; v >= p.lo && v <= p.hi {
-				dst[k] = i
-				k++
-			}
+			dst[k] = i
+			k += b2i(left[i] >= lo) & b2i(left[i] <= hi)
 		}
-	case p.right == nil:
+	case right == nil && p.op == opLt:
 		for _, i := range src {
-			if compare(left[i], p.op, p.lo) {
-				dst[k] = i
-				k++
-			}
+			dst[k] = i
+			k += b2i(left[i] < lo)
 		}
-	default:
-		right := p.right
+	case right == nil && p.op == opGt:
 		for _, i := range src {
-			if compare(left[i], p.op, right[i]) {
-				dst[k] = i
-				k++
-			}
+			dst[k] = i
+			k += b2i(left[i] > lo)
+		}
+	case right == nil && p.op == opNotEq:
+		for _, i := range src {
+			dst[k] = i
+			k += b2i(left[i] != lo)
+		}
+	case p.op == opEq:
+		for _, i := range src {
+			dst[k] = i
+			k += b2i(left[i] == right[i])
+		}
+	case p.op == opNotEq:
+		for _, i := range src {
+			dst[k] = i
+			k += b2i(left[i] != right[i])
+		}
+	case p.op == opLt:
+		for _, i := range src {
+			dst[k] = i
+			k += b2i(left[i] < right[i])
+		}
+	case p.op == opLe:
+		for _, i := range src {
+			dst[k] = i
+			k += b2i(left[i] <= right[i])
 		}
 	}
 	return k
@@ -316,18 +362,8 @@ func (db *DB) join(sc *scratch, b *Bound) ([]int32, error) {
 			continue
 		}
 		p := db.pred(b, c)
-		if c.Left.TableIdx == 1 { // l op r is r op' l
-			p.left, p.right = p.right, p.left
-			switch p.op {
-			case opLt:
-				p.op = opGt
-			case opLe:
-				p.op = opGe
-			case opGt:
-				p.op = opLt
-			case opGe:
-				p.op = opLe
-			}
+		if c.Left.TableIdx == 1 {
+			p.mirror()
 		}
 		if p.op != opEq {
 			extra = append(extra, p)
