@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,7 +34,7 @@ func TestQueriesWaitForTheLockAwake(t *testing.T) {
 	m, sqls, stmts := benchFederation(t)
 	runCallers(t, m, sqls, stmts, 4, len(stmts)) // warm the cache
 	const bound = 20 * time.Microsecond
-	best := time.Duration(1<<63 - 1)
+	best := time.Duration(math.MaxInt64)
 	for try := 0; try < 8 && best >= bound; try++ {
 		n := 3 * len(stmts)
 		per := runCallers(t, m, sqls, stmts, 4, n) / time.Duration(n)
