@@ -18,7 +18,7 @@ const DefaultDialTimeout = 5 * time.Second
 // database node for diagnostics), for one caller at a time.
 type Client struct {
 	conn net.Conn
-	buf  []byte // reply frames are read here; decoding copies out of it
+	fr   frameReader // reply frames are read here; decoding copies out of it
 
 	// The query in flight and its reply: Query returns &res, whose
 	// tuples, columns, decisions and error lists are cut from store, so a
@@ -40,14 +40,14 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return NewClient(conn), nil
 }
 
 // NewClient wraps an established connection (a custom dialer, a
 // fault-injected conn in tests) in a Client. The Client owns the conn
 // and closes it.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn}
+	return &Client{conn: conn, fr: newFrameReader()}
 }
 
 // DialContext connects to a proxy at addr under ctx's deadline and
@@ -58,7 +58,7 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn}, nil
+	return NewClient(conn), nil
 }
 
 // Close closes the connection.
@@ -100,7 +100,7 @@ func (c *Client) roundTrip(req MsgType, payload any, want MsgType, dst any) erro
 
 // reply reads one response frame: roundTrip's second half.
 func (c *Client) reply(want MsgType, dst any) error {
-	t, body, _, err := readFrameInto(c.conn, &c.buf)
+	t, body, _, err := c.fr.next(c.conn)
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func (c *Client) reply(want MsgType, dst any) error {
 	case want:
 		err := decodeInto(body, dst, &c.store)
 		if len(body) > frameBufMaxCap {
-			// As for buf: an occasional giant reply must not pin its
+			// As for fr: an occasional giant reply must not pin its
 			// megabytes for as long as the connection lives.
 			c.store = resultStore{}
 		}

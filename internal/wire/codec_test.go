@@ -474,38 +474,48 @@ func tinyDB(t *testing.T) *engine.DB {
 	return db
 }
 
-// TestReadFrameIntoReusesBuffer: a connection's second frame lands in
-// the first one's storage, and a giant frame's buffer is not kept.
-func TestReadFrameIntoReusesBuffer(t *testing.T) {
+// TestFrameReaderReusesBuffer: a connection's second frame lands in the
+// first one's storage, both out of one Read; a giant frame's buffer is
+// not kept, and what follows it reads as before.
+func TestFrameReaderReusesBuffer(t *testing.T) {
 	var stream bytes.Buffer
 	for _, sql := range []string{"select ra, dec from photoobj", "select z from specobj"} {
 		if _, err := WriteFrame(&stream, MsgQuery, QueryMsg{SQL: sql}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var buf []byte
-	_, first, _, err := readFrameInto(&stream, &buf)
+	fr := newFrameReader()
+	storage := &fr.buf[0]
+	_, first, _, err := fr.next(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, second, _, err := readFrameInto(&stream, &buf)
+	if stream.Len() != 0 {
+		t.Errorf("the first Read left %d bytes of a %d-byte stream behind", stream.Len(), fr.end)
+	}
+	_, second, _, err := fr.next(&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &first[0] != &second[0] {
-		t.Error("the second frame was read into fresh storage")
+	if &first[0] != &fr.buf[frameHeader] || &fr.buf[0] != storage {
+		t.Error("the frames were read into fresh storage")
 	}
 	var q QueryMsg
 	if err := Decode(second, &q); err != nil || q.SQL != "select z from specobj" {
 		t.Fatalf("second frame = %+v, %v", q, err)
 	}
 
-	stream.Reset()
-	if _, err := WriteFrame(&stream, MsgQuery, QueryMsg{SQL: strings.Repeat("x", frameBufMaxCap+1)}); err != nil {
-		t.Fatal(err)
+	giant := strings.Repeat("x", frameBufMaxCap+1)
+	for _, sql := range []string{giant, "select z from specobj"} {
+		if _, err := WriteFrame(&stream, MsgQuery, QueryMsg{SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, body, _, err := readFrameInto(&stream, &buf); err != nil || len(body) <= frameBufMaxCap || buf != nil {
-		t.Fatalf("giant frame: %d bytes, %v, kept a buffer of cap %d", len(body), err, cap(buf))
+	if _, body, _, err := fr.next(&stream); err != nil || len(body) <= frameBufMaxCap || len(fr.buf) != readAhead {
+		t.Fatalf("giant frame: %d bytes, %v, kept a buffer of %d", len(body), err, len(fr.buf))
+	}
+	if _, body, _, err := fr.next(&stream); err != nil || Decode(body, &q) != nil || q.SQL != "select z from specobj" {
+		t.Fatalf("the frame after the giant one = %+v, %v", q, err)
 	}
 }
 

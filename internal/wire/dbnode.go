@@ -150,11 +150,11 @@ func (n *DBNode) acceptLoop() {
 
 func (n *DBNode) serveConn(conn net.Conn) {
 	var (
-		buf []byte    // this connection's frames; Decode copies out of it
-		msg ResultMsg // this connection's replies
+		fr  = newFrameReader() // this connection's frames; Decode copies out of it
+		msg ResultMsg          // this connection's replies
 	)
 	for {
-		t, body, rn, err := readFrameInto(conn, &buf)
+		t, body, rn, err := fr.next(conn)
 		if err != nil {
 			return // peer closed, protocol failure or a failed send; drop the conn
 		}

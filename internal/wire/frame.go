@@ -234,20 +234,22 @@ func WriteFrame(w io.Writer, t MsgType, payload any) (int, error) {
 	return len(fb.b), nil
 }
 
-// readChunk bounds each body allocation: a corrupt length prefix
-// claiming megabytes that never arrive must not allocate megabytes up
-// front. Bodies grow chunk by chunk as bytes actually appear.
+// readChunk bounds each growth of a read buffer: a corrupt length
+// prefix claiming megabytes that never arrive must not allocate
+// megabytes up front. A buffer grows chunk by chunk as bytes actually
+// appear.
 const readChunk = 64 << 10
 
-// readHeader reads and checks a frame header into hdr. Frames with an
-// unassigned type byte or a length prefix beyond MaxFrame are rejected
-// before the body is read — a corrupt or adversarial header cannot
-// make the reader allocate or block for a payload that will never
-// parse.
-func readHeader(r io.Reader, hdr []byte) (MsgType, int, error) {
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, 0, err
-	}
+// readAhead is the buffer a connection's reader starts with: a query,
+// a ping or an ack arrives whole in the connection's first Read.
+const readAhead = 4 << 10
+
+// parseHeader checks a frame header and returns the frame's type and
+// body length. Frames with an unassigned type byte or a length prefix
+// beyond MaxFrame are rejected before anything is read or allocated
+// for a body — a corrupt or adversarial header cannot make the reader
+// allocate or block for a payload that will never parse.
+func parseHeader(hdr []byte) (MsgType, int, error) {
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > MaxFrame {
 		return 0, 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
@@ -260,56 +262,85 @@ func readHeader(r io.Reader, hdr []byte) (MsgType, int, error) {
 }
 
 // ReadFrame reads one frame and returns its type, body, and total
-// bytes consumed. The body is the caller's to keep.
+// bytes consumed. The body is the caller's to keep, and no byte past
+// the frame is taken from r: a reader with no buffer has nowhere to
+// read ahead into.
 func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
-	var buf []byte
-	return readFrameInto(r, &buf)
+	var fr frameReader
+	return fr.next(r)
 }
 
-// readFrameInto is ReadFrame for a connection's read loop: the frame
-// is read into *buf, which is grown as needed and left in place for
-// the next call, so the body is valid only until then. Decode copies
+// frameReader takes the frames off one connection. WriteFrame puts a
+// frame on the socket in one Write, and next takes it off in one Read:
+// it reads into whatever buf has free, header and body together, and
+// reads again only while the frame is not whole. Bytes that arrived
+// past the frame stay in buf for the next call.
+type frameReader struct {
+	buf      []byte // all of it is there to read into; it grows to the largest frame seen
+	off, end int    // buf[off:end] has arrived and not been returned
+}
+
+// newFrameReader is a connection's reader. The zero value reads too,
+// growing its buffer to exactly what a frame needs (ReadFrame).
+func newFrameReader() frameReader {
+	return frameReader{buf: make([]byte, readAhead)}
+}
+
+// next returns the next frame's type, body and size on the wire. The
+// body is cut from buf and valid until the next call; Decode copies
 // everything it keeps.
-func readFrameInto(r io.Reader, buf *[]byte) (MsgType, []byte, int, error) {
-	b := *buf
-	if cap(b) < frameHeader {
-		b = make([]byte, frameHeader, 256)
+func (fr *frameReader) next(r io.Reader) (MsgType, []byte, int, error) {
+	if fr.off == fr.end {
+		fr.off, fr.end = 0, 0
 	}
-	b = b[:frameHeader]
-	t, n, err := readHeader(r, b)
+	if err := fr.fill(r, frameHeader); err != nil {
+		return 0, nil, 0, err
+	}
+	t, n, err := parseHeader(fr.buf[fr.off:])
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	if b, err = readBody(r, b, frameHeader+n); err != nil {
+	size := frameHeader + n
+	if err := fr.fill(r, size); err != nil {
 		return 0, nil, 0, err
 	}
-	if cap(b) <= frameBufMaxCap {
-		*buf = b
-	} else {
-		*buf = nil
+	body := fr.buf[fr.off+frameHeader : fr.off+size]
+	fr.off += size
+	if len(fr.buf) > frameBufMaxCap {
+		// Grown for this frame alone, to exactly its size: nothing is
+		// left in it, and the body is now its only holder.
+		*fr = newFrameReader()
 	}
-	return t, b[frameHeader:], len(b), nil
+	return t, body, size, nil
 }
 
-// readBody extends b, a frame's header, to the whole frame of size
-// bytes. A frame that fits b's capacity (the common case on a reused
-// buffer) is one read; beyond it b grows a chunk at a time, so a
-// truncated body wastes at most one chunk.
-func readBody(r io.Reader, b []byte, size int) ([]byte, error) {
-	for len(b) < size {
-		next := min(size, max(cap(b), len(b)+readChunk))
-		if cap(b) < next {
-			grown := make([]byte, len(b), next)
-			copy(grown, b)
-			b = grown
+// fill reads until buf[off:] holds size bytes. A frame that fits buf
+// (the common case on a connection) costs no copy and no allocation;
+// one that would run off the end is first moved to the front, and one
+// larger than buf grows it — to the frame's size, and by at most
+// readChunk beyond what has arrived, so a truncated body wastes at
+// most one chunk.
+func (fr *frameReader) fill(r io.Reader, size int) error {
+	if fr.off > 0 && fr.off+size > len(fr.buf) {
+		fr.end = copy(fr.buf, fr.buf[fr.off:fr.end])
+		fr.off = 0
+	}
+	for fr.end-fr.off < size {
+		if fr.end == len(fr.buf) {
+			grown := make([]byte, min(size, fr.end+readChunk))
+			copy(grown, fr.buf)
+			fr.buf = grown
 		}
-		m, err := io.ReadFull(r, b[len(b):next])
-		b = b[:len(b)+m]
-		if err != nil {
-			return nil, err
+		m, err := r.Read(fr.buf[fr.end:])
+		fr.end += m
+		if err != nil && fr.end-fr.off < size {
+			if err == io.EOF && fr.end > fr.off {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
 		}
 	}
-	return b, nil
+	return nil
 }
 
 // readReply reads one frame for a caller that acts on a reply only
@@ -317,7 +348,10 @@ func readBody(r io.Reader, b []byte, size int) ([]byte, error) {
 // other type is discarded as it arrives and never materialised.
 func readReply(r io.Reader) (MsgType, []byte, int, error) {
 	var hdr [frameHeader]byte
-	t, n, err := readHeader(r, hdr[:])
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, 0, err
+	}
+	t, n, err := parseHeader(hdr[:])
 	if err != nil {
 		return 0, nil, 0, err
 	}
@@ -325,11 +359,15 @@ func readReply(r io.Reader) (MsgType, []byte, int, error) {
 		_, err = io.CopyN(io.Discard, r, int64(n))
 		return t, nil, frameHeader + n, err
 	}
-	b, err := readBody(r, hdr[:], frameHeader+n)
+	// ReadAll grows as bytes arrive, like a frameReader: not on n's say-so.
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(body) < n {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	return t, b[frameHeader:], len(b), nil
+	return t, body, frameHeader + n, nil
 }
 
 // Decode unmarshals a frame body into dst: the binary layout for a

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // rawFrame hand-frames a body, whatever it holds.
@@ -47,14 +48,23 @@ func TestReadFrameRejectsOversizeLength(t *testing.T) {
 
 func TestReadFrameTruncatedBodyNoOverAllocation(t *testing.T) {
 	// A header claiming 8 MB followed by silence must fail without
-	// ever holding more than one chunk of garbage.
+	// ever holding more than one chunk of garbage: the reader's buffer
+	// is what arrived plus at most a chunk, for a connection's reader
+	// and for ReadFrame's alike.
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], 8<<20)
 	hdr[4] = byte(MsgQuery)
 	payload := append(hdr[:], bytes.Repeat([]byte{'x'}, 3*readChunk/2)...)
-	_, _, _, err := ReadFrame(bytes.NewReader(payload))
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("err = %v, want %v", err, io.ErrUnexpectedEOF)
+	conn := newFrameReader()
+	for name, fr := range map[string]*frameReader{"connection": &conn, "ReadFrame": {}} {
+		_, _, _, err := fr.next(bytes.NewReader(payload))
+		if err != io.ErrUnexpectedEOF {
+			t.Fatalf("%s: err = %v, want %v", name, err, io.ErrUnexpectedEOF)
+		}
+		if len(fr.buf) > len(payload)+readChunk || cap(fr.buf) != len(fr.buf) {
+			t.Fatalf("%s: %d bytes arrived and the buffer is %d (cap %d), want at most a chunk (%d) more",
+				name, len(payload), len(fr.buf), cap(fr.buf), readChunk)
+		}
 	}
 }
 
@@ -73,14 +83,87 @@ func TestReadFrameLargeBodyRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must
-// never panic, never allocate beyond the claimed (bounded) size, and
-// on success must report a type/length consistent with the input.
+// readFrame is one frame as a reader returned it, or the error that
+// ended the stream.
+type readFrame struct {
+	typ  MsgType
+	body string
+	n    int
+	err  string
+}
+
+// readFrames takes frames off a stream until one fails, checking each
+// against the bytes it was read from: an assigned type, a body of the
+// prefixed length within MaxFrame, a size of header plus body.
+func readFrames(t *testing.T, data []byte, next func() (MsgType, []byte, int, error)) []readFrame {
+	var seq []readFrame
+	for at := 0; ; {
+		typ, body, n, err := next()
+		if err != nil {
+			return append(seq, readFrame{err: err.Error()})
+		}
+		if typ == 0 || typ > maxMsgType {
+			t.Fatalf("accepted unknown type %d", typ)
+		}
+		if len(body) > MaxFrame || n != frameHeader+len(body) || at+n > len(data) {
+			t.Fatalf("consumed %d bytes of %d at %d with a body of %d", n, len(data), at, len(body))
+		}
+		if want := data[at : at+n]; int(binary.BigEndian.Uint32(want[:4])) != len(body) || !bytes.Equal(want[frameHeader:], body) {
+			t.Fatalf("frame at %d: length prefix %d, body %d bytes, equal to the input: %t",
+				at, binary.BigEndian.Uint32(want[:4]), len(body), bytes.Equal(want[frameHeader:], body))
+		}
+		seq = append(seq, readFrame{typ, string(body), n, ""})
+		at += n
+	}
+}
+
+// checkReadFrame is FuzzReadFrame's property for one stream: however
+// the bytes are delivered — whole, a byte at a time, half of what is
+// asked for — a connection's reader returns the frames ReadFrame
+// returns, one exact read after another, and ends on the same error;
+// ReadFrame takes nothing past a frame; no buffer outgrows what
+// arrived by more than a chunk.
+func checkReadFrame(t *testing.T, data []byte) {
+	whole := bytes.NewReader(data)
+	want := readFrames(t, data, func() (MsgType, []byte, int, error) {
+		before := whole.Len()
+		typ, body, n, err := ReadFrame(whole)
+		if err == nil && before-whole.Len() != n {
+			t.Fatalf("ReadFrame took %d bytes for a frame of %d", before-whole.Len(), n)
+		}
+		return typ, body, n, err
+	})
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(data),
+		"one byte": iotest.OneByteReader(bytes.NewReader(data)),
+		"half":     iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		fr := newFrameReader()
+		got := readFrames(t, data, func() (MsgType, []byte, int, error) {
+			defer func() {
+				if len(fr.buf) > max(readAhead, len(data)+readChunk) {
+					t.Fatalf("%s: a buffer of %d for a stream of %d", name, len(fr.buf), len(data))
+				}
+			}()
+			return fr.next(r)
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %d frames ending in %q, ReadFrame %d ending in %q",
+				name, len(got)-1, got[len(got)-1].err, len(want)-1, want[len(want)-1].err)
+		}
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame readers, alone and
+// with a well-formed frame after them (which must then be read, if the
+// bytes before it were whole frames): see checkReadFrame. They must
+// never panic.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add(rawFrame(byte(MsgQuery), []byte(`{"sql":"select 1"}`)))
 	f.Add(rawFrame(byte(MsgPong), []byte(`{}`)))
+	f.Add(append(rawFrame(byte(MsgPing), nil), rawFrame(byte(MsgPing), []byte(`{}`))...))
 	f.Add(rawFrame(0, []byte(`{}`)))
 	f.Add(rawFrame(255, []byte(`{}`)))
 	f.Add(rawFrame(byte(MsgResult), bytes.Repeat([]byte{'a'}, 2*readChunk)))
@@ -89,23 +172,30 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(huge[:])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, body, n, err := ReadFrame(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if typ == 0 || typ > maxMsgType {
-			t.Fatalf("accepted unknown type %d", typ)
-		}
-		if len(body) > MaxFrame {
-			t.Fatalf("body of %d bytes exceeds MaxFrame", len(body))
-		}
-		if n != 5+len(body) || n > len(data) {
-			t.Fatalf("consumed %d bytes of %d with body %d", n, len(data), len(body))
-		}
-		if want := binary.BigEndian.Uint32(data[:4]); int(want) != len(body) {
-			t.Fatalf("length prefix %d, body %d", want, len(body))
-		}
+		checkReadFrame(t, data)
+		checkReadFrame(t, append(data[:len(data):len(data)], rawFrame(byte(MsgPong), []byte(`{}`))...))
 	})
+}
+
+// TestReadFrameDeliveries runs the fuzz property over its seeds and a
+// sample of frame streams cut at every kind of boundary, so tier-1
+// exercises partial reads and leftovers without the fuzz engine.
+func TestReadFrameDeliveries(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	for i := 0; i < 200; i++ {
+		var stream []byte
+		for k := r.Intn(4) + 1; k > 0; k-- {
+			size := r.Intn(3 * readAhead)
+			if r.Intn(8) == 0 {
+				size = readChunk + r.Intn(readChunk)
+			}
+			body := make([]byte, size)
+			r.Read(body)
+			stream = append(stream, rawFrame(byte(r.Intn(int(maxMsgType))+1), body)...)
+		}
+		checkReadFrame(t, stream)
+		checkReadFrame(t, stream[:r.Intn(len(stream))])
+	}
 }
 
 // footprint is the memory a decoded result holds: what its slices can

@@ -2,10 +2,14 @@ package wire
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"os"
 	"reflect"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -61,9 +65,9 @@ const hitPathStatements = 3000
 // node per site, a rate-profile cache of 40% at column granularity,
 // ledger 4096, shadows and both flight recorders on, no tracer — and one
 // Client. At that capacity some 96% of the bytes are hits. It returns
-// the client, the first hitPathStatements of the EDR stream, and what to
-// call when done.
-func hitPathFederation(tb testing.TB) (*Client, []string, func()) {
+// the client, the proxy it dialed, the first hitPathStatements of the EDR
+// stream, and what to call when done.
+func hitPathFederation(tb testing.TB) (*Client, *Proxy, []string, func()) {
 	tb.Helper()
 	db := openEDR(tb, 1000)
 	s := db.Schema()
@@ -111,7 +115,7 @@ func hitPathFederation(tb testing.TB) (*Client, []string, func()) {
 	for i := range sqls {
 		sqls[i] = st.Next().SQL
 	}
-	return client, sqls, func() {
+	return client, proxy, sqls, func() {
 		client.Close()
 		proxy.Close()
 		for _, n := range nodes {
@@ -133,7 +137,7 @@ func TestHitPathBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is deliberately leaky under the race detector")
 	}
-	client, sqls, done := hitPathFederation(t)
+	client, _, sqls, done := hitPathFederation(t)
 	defer done()
 	pass := func() {
 		for _, sql := range sqls {
@@ -160,21 +164,120 @@ func TestHitPathBytes(t *testing.T) {
 // hitPathByteBound is about 25% above what TestHitPathBytes reads.
 const hitPathByteBound = 9200
 
+// frameConn is one end of an in-memory connection that keeps the
+// writer's boundaries, as a socket whose peer is a closed loop does: a
+// Write queues its bytes as one piece, and a Read hands out the piece at
+// the head, or as much of it as it was given room for. It counts both.
+type frameConn struct {
+	net.Conn // nil: no deadlines, no addresses
+	in       <-chan []byte
+	out      chan<- []byte
+	head     []byte
+	reads    atomic.Int64 // Read calls that returned bytes
+	frames   atomic.Int64 // pieces the peer wrote that those Reads took
+	closing  sync.Once
+}
+
+func framePipe() (*frameConn, *frameConn) {
+	ab, ba := make(chan []byte, 4), make(chan []byte, 4)
+	return &frameConn{in: ba, out: ab}, &frameConn{in: ab, out: ba}
+}
+
+func (c *frameConn) Read(p []byte) (int, error) {
+	if len(c.head) == 0 {
+		piece, ok := <-c.in
+		if !ok {
+			return 0, io.EOF
+		}
+		c.head = piece
+		c.frames.Add(1)
+	}
+	n := copy(p, c.head)
+	c.head = c.head[n:]
+	c.reads.Add(1)
+	return n, nil
+}
+
+func (c *frameConn) Write(p []byte) (int, error) {
+	c.out <- append([]byte(nil), p...)
+	return len(p), nil
+}
+
+func (c *frameConn) Close() error {
+	c.closing.Do(func() { close(c.out) })
+	return nil
+}
+
+// TestHitPathReadsPerFrame is the count gate beside the byte gate. A
+// frame is written with one Write (TestWriteFrameAllocs' harness counts
+// them), and once a connection's buffer has grown to its widest frame it
+// is read with one Read, at the client and at the proxy: where each
+// frame arrives whole, as it does from a peer that waits for its reply,
+// Reads per frame are exactly 1. Header-then-body was exactly 2.
+func TestHitPathReadsPerFrame(t *testing.T) {
+	_, proxy, sqls, done := hitPathFederation(t)
+	defer done()
+	near, far := framePipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		proxy.serveConn(far)
+	}()
+	client := NewClient(near)
+	pass := func() {
+		for _, sql := range sqls {
+			if _, err := client.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+	pass() // the buffers grow
+	for _, c := range []*frameConn{near, far} {
+		c.reads.Store(0)
+		c.frames.Store(0)
+	}
+	pass()
+	for name, c := range map[string]*frameConn{"client": near, "proxy": far} {
+		reads, frames := c.reads.Load(), c.frames.Load()
+		t.Logf("%s: %d Reads for %d frames", name, reads, frames)
+		if frames != int64(len(sqls)) || reads != frames {
+			t.Errorf("%s: %d Reads for %d frames of %d statements, want one Read per frame", name, reads, frames, len(sqls))
+		}
+	}
+	client.Close()
+	<-served
+}
+
+// countedConn counts the Reads a Client issues on a real socket.
+type countedConn struct {
+	net.Conn
+	reads int
+}
+
+func (c *countedConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Conn.Read(p)
+}
+
 // BenchmarkProxyHitEDR is TestHitPathBytes's harness as a benchmark:
 // one op is one statement, sent by one Client and answered by the
 // proxy, after a pass that warms the cache. Its B/op is the bytes a hit
-// costs the whole path. Released tuples are not poisoned here: the
-// daemons' own release is what is timed.
+// costs the whole path, and its reads/op the Reads the client's end of
+// the loopback socket took per reply (1 when every frame arrived whole).
+// Released tuples are not poisoned here: the daemons' own release is what
+// is timed.
 func BenchmarkProxyHitEDR(b *testing.B) {
 	defer func(old func(*engine.Result)) { releaseResult = old }(releaseResult)
 	releaseResult = (*engine.Result).Release
-	client, sqls, done := hitPathFederation(b)
+	client, _, sqls, done := hitPathFederation(b)
 	defer done()
 	for _, sql := range sqls {
 		if _, err := client.Query(sql); err != nil {
 			b.Fatal(err)
 		}
 	}
+	conn := &countedConn{Conn: client.conn}
+	client.conn = conn
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -182,6 +285,7 @@ func BenchmarkProxyHitEDR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(conn.reads)/float64(b.N), "reads/op")
 }
 
 // TestResultIsValidUntilTheNextCall pins the contract Query states. The

@@ -489,11 +489,11 @@ func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
 
 func (p *Proxy) serveConn(conn net.Conn) {
 	var (
-		buf []byte    // this connection's frames; Decode copies out of it
-		res ResultMsg // this connection's replies: handleQuery refills it, lists and all
+		fr  = newFrameReader() // this connection's frames; Decode copies out of it
+		res ResultMsg          // this connection's replies: handleQuery refills it, lists and all
 	)
 	for {
-		t, body, rn, err := readFrameInto(conn, &buf)
+		t, body, rn, err := fr.next(conn)
 		if err != nil {
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
@@ -143,6 +144,45 @@ func TestProxyRejectsUnknownFrame(t *testing.T) {
 	// The connection still works afterwards.
 	if _, err := c.Query("select ra from photoobj where ra < 10"); err != nil {
 		t.Fatalf("connection broken: %v", err)
+	}
+}
+
+// TestProxyServesFramesSentTogether: a peer need not wait for a reply
+// before it sends again, and a serve loop that reads ahead must not lose
+// what arrived past the frame it returned. Two pings and a query in one
+// Write come back as two pongs and a result, in that order, and the
+// connection then serves as usual.
+func TestProxyServesFramesSentTogether(t *testing.T) {
+	_, c, done := newSimProxy(t, nil)
+	defer done()
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second)) // a lost frame would be a hang
+	const sql = "select ra from photoobj where ra < 100"
+	want, err := c.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := want.Rows
+	var burst []byte
+	for _, f := range [][]byte{
+		encodeFrame(t, MsgPing, PingMsg{}), encodeFrame(t, MsgPing, PingMsg{}), encodeFrame(t, MsgQuery, QueryMsg{SQL: sql}),
+	} {
+		burst = append(burst, f...)
+	}
+	if _, err := c.conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var pong PongMsg
+		if err := c.reply(MsgPong, &pong); err != nil || pong.Site != "byproxyd" {
+			t.Fatalf("reply %d = %+v, %v, want the proxy's pong", i, pong, err)
+		}
+	}
+	var res ResultMsg
+	if err := c.reply(MsgResult, &res); err != nil || res.Rows != rows {
+		t.Fatalf("reply 2 = %d rows, %v, want the %d of the same query alone", res.Rows, err, rows)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatalf("connection after the burst: %v", err)
 	}
 }
 
