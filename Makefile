@@ -66,16 +66,19 @@ fuzz-smoke:
 
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free), the executor with results kept
-# and released, the mediator's whole query path (bind, execute,
-# decompose, decide, flush: three passes over the 3 000 EDR statements of
-# the federation benchmark's traced pass), the same statements end to
-# end through Client, Proxy and Mediator on loopback (bytes per hit), the
-# frame encoder and result codec, and one end-to-end experiment. All but
-# the last are distilled into BENCH_obs.json (ns/op, B/op and allocs/op
-# per benchmark) so CI can archive hot-path numbers across commits.
+# and released, a Rate-Profile miss that compares victims, the mediator's
+# whole query path (bind, execute, decompose, decide, flush: three passes
+# over the 3 000 EDR statements of the federation benchmark's traced
+# pass), the same statements end to end through Client, Proxy and
+# Mediator on loopback (bytes per hit, and the client's Reads per reply),
+# the frame encoder and result codec, and one end-to-end experiment. All
+# but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
+# and any metric a benchmark reports per op) so CI can archive hot-path
+# numbers across commits.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench=BenchmarkRateProfileMiss -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkMediatorQueryEDR -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkProxyHitEDR -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
@@ -83,11 +86,16 @@ bench-smoke:
 	  /^Benchmark/ { \
 	    if (n++) printf ",\n"; \
 	    name = $$1; sub(/-[0-9]+$$/, "", name); \
+	    custom = ""; \
 	    for (i = 5; i <= NF; i++) { \
 	      if ($$i == "B/op") bytes = $$(i-1); \
-	      if ($$i == "allocs/op") allocs = $$(i-1); \
+	      else if ($$i == "allocs/op") allocs = $$(i-1); \
+	      else if ($$i ~ /^[a-z_]+\/op$$/ && $$i != "ns/op") { \
+	        unit = $$i; sub(/\/op$$/, "_per_op", unit); \
+	        custom = custom sprintf(", \"%s\": %s", unit, $$(i-1)); \
+	      } \
 	    } \
-	    printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $$3, bytes, allocs \
+	    printf "  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}", name, $$3, bytes, allocs, custom \
 	  } \
 	  END { print "\n}" }' bench_obs.txt > BENCH_obs.json
 	rm -f bench_obs.txt

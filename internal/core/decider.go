@@ -41,16 +41,17 @@ type Decider struct {
 
 	// The query in progress. recs is its ledger batch: the Decider's for
 	// its lifetime, emptied by Begin and copied out by End.
-	t     int64
-	trace string
-	q     Accounting
-	recs  []ledger.DecisionRecord
+	t       int64
+	trace   string
+	q       Accounting
+	recs    []ledger.DecisionRecord
+	start   time.Duration // Begin's clock reading, since clockBase
+	decided int           // accesses the policy has decided since
 }
 
-// clockBase anchors the readings Access times the policy with:
+// clockBase anchors the two readings that time a query's decide loop:
 // time.Since(clockBase) reads the monotonic clock alone, where time.Now
-// reads the wall clock too — at two readings per access, a cost the
-// size of the policy's own.
+// reads the wall clock too.
 var clockBase = time.Now()
 
 // NewDecider assembles a decision loop. Every argument may be nil: no
@@ -86,21 +87,21 @@ func (d *Decider) Begin(t int64, trace string, accesses int) {
 	if d.ledger != nil && cap(d.recs) < accesses {
 		d.recs = make([]ledger.DecisionRecord, 0, accesses)
 	}
+	d.decided = 0
+	if d.tel != nil {
+		d.start = time.Since(clockBase)
+	}
 }
 
 // Access presents one access of the open query to the policy and
-// charges the decision. core.decide_seconds gets one observation per
-// call: the policy's own time, not the bookkeeping's.
+// charges the decision. The loop is timed as a whole, Begin to End, and
+// core.decide_seconds gets an observation per call there: two clock
+// readings around each Policy.Access cost what a hit's Access does.
 func (d *Decider) Access(obj Object, yield int64) (Decision, error) {
 	dec := Bypass
-	switch {
-	case d.policy == nil:
-	case d.tel == nil:
+	if d.policy != nil {
 		dec = d.policy.Access(d.t, obj, yield)
-	default:
-		start := time.Since(clockBase)
-		dec = d.policy.Access(d.t, obj, yield)
-		d.tel.ObserveDecide(time.Since(clockBase) - start)
+		d.decided++
 	}
 	_, err := d.charge(obj, yield, dec)
 	return dec, err
@@ -166,6 +167,9 @@ func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.Decisio
 // records are copied into the ledger, and evictions the policy made
 // are counted.
 func (d *Decider) End() {
+	if d.tel != nil {
+		d.tel.ObserveDecide(time.Since(clockBase)-d.start, d.decided)
+	}
 	d.Acct.Add(d.q)
 	d.tel.Publish(d.counters, d.q)
 	d.shadows.Publish()

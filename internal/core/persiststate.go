@@ -311,7 +311,7 @@ func (r *RateProfile) RestoreState(data []byte) error {
 	if used > r.cfg.Capacity {
 		return fmt.Errorf("core: rate-profile snapshot uses %d bytes over capacity %d", used, r.cfg.Capacity)
 	}
-	r.entries = entries
+	r.setEntries(entries)
 	r.used = used
 	r.evictions = evictions
 	r.profiles.byID = byID

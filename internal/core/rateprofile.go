@@ -28,6 +28,7 @@ type RateProfile struct {
 	cfg       RateProfileConfig
 	used      int64
 	entries   map[ObjectID]*rpEntry
+	dense     []*rpEntry // the same entries, each at its idx: what selectVictims walks
 	profiles  *profileTable
 	evictions int64
 	last      Explain
@@ -41,6 +42,7 @@ type rpEntry struct {
 	obj      Object
 	loadTime int64
 	sumYield int64
+	idx      int // position in RateProfile.dense
 }
 
 // rp evaluates eq. 3 at time t. As with LARP, the first access after
@@ -86,8 +88,20 @@ func (r *RateProfile) Evictions() int64 { return r.evictions }
 func (r *RateProfile) Reset() {
 	r.used = 0
 	r.evictions = 0
-	r.entries = make(map[ObjectID]*rpEntry)
+	r.setEntries(make(map[ObjectID]*rpEntry))
 	r.profiles.reset()
+}
+
+// setEntries replaces the cache's contents (Reset, RestoreState) and
+// rebuilds dense from them.
+func (r *RateProfile) setEntries(entries map[ObjectID]*rpEntry) {
+	r.entries = entries
+	clear(r.dense)
+	r.dense = r.dense[:0]
+	for _, e := range entries {
+		e.idx = len(r.dense)
+		r.dense = append(r.dense, e)
+	}
 }
 
 // ProfileCount reports the number of out-of-cache profiles retained
@@ -174,12 +188,15 @@ func (c *victimCand) before(d *victimCand) bool {
 // order, whose combined size frees at least `needed` bytes, together
 // with the maximum RP in the victim set and the total bytes freed. A
 // miss evicts a few of the many cached objects, so the candidates are
-// heaped (linear) and only the victims popped, not all sorted. The
-// returned slice is valid until the next call.
+// heaped (linear) and only the victims popped, not all sorted. They
+// are taken from dense, a slice walk where iterating the map cost more
+// than the heap; the (rp, id) order makes the outcome independent of
+// the order they are taken in. The returned slice is valid until the
+// next call.
 func (r *RateProfile) selectVictims(t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
 	h := r.cands[:0]
-	for id, e := range r.entries {
-		h = append(h, victimCand{id, e.rp(t), e.obj.Size})
+	for _, e := range r.dense {
+		h = append(h, victimCand{e.obj.ID, e.rp(t), e.obj.Size})
 	}
 	r.cands = h
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -220,13 +237,20 @@ func siftDown(h []victimCand, i int) {
 
 func (r *RateProfile) load(t int64, obj Object, yield int64) {
 	r.profiles.onLoad(obj.ID)
-	r.entries[obj.ID] = &rpEntry{obj: obj, loadTime: t, sumYield: yield}
+	e := &rpEntry{obj: obj, loadTime: t, sumYield: yield, idx: len(r.dense)}
+	r.entries[obj.ID] = e
+	r.dense = append(r.dense, e)
 	r.used += obj.Size
 }
 
 func (r *RateProfile) evict(id ObjectID) {
 	e := r.entries[id]
 	delete(r.entries, id)
+	last := len(r.dense) - 1
+	r.dense[e.idx] = r.dense[last]
+	r.dense[e.idx].idx = e.idx
+	r.dense[last] = nil
+	r.dense = r.dense[:last]
 	r.used -= e.obj.Size
 	r.evictions++
 }

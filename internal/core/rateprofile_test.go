@@ -268,11 +268,11 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 			if r.Contains(id) {
 				continue
 			}
-			// Equal sizes, load times and yields recur, so equal RPs do.
-			r.entries[id] = &rpEntry{
-				obj:      Object{ID: id, Size: size, FetchCost: size},
-				loadTime: int64(rng.Intn(4)),
-				sumYield: int64(rng.Intn(4)) * size,
+			// Equal sizes, load times and yields recur, so equal RPs do. A
+			// first yield above the fetch cost loads into free space.
+			obj := Object{ID: id, Size: size, FetchCost: size}
+			if d := r.Access(int64(rng.Intn(4)), obj, int64(2+rng.Intn(3))*size); d != Load {
+				t.Fatalf("round %d: %s was not loaded into free space: %s (%s)", round, id, d, r.LastExplain().Reason)
 			}
 			cached += size
 		}
@@ -284,6 +284,116 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 				t.Fatalf("round %d, %d cached, needed %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
 					round, len(r.entries), needed, got, gotRP, gotFreed, want, wantRP, wantFreed)
 			}
+		}
+	}
+}
+
+// TestDenseEntriesFollowTheMap drives random sequences of what changes a
+// Rate-Profile cache's contents — accesses that load into free space,
+// accesses that evict to load, Reset, a snapshot restored in place and
+// into a fresh policy — and after every step holds the two containers
+// to each other (every map entry is in dense at its idx, and nothing
+// else is) and selectVictims, which walks dense, to referenceVictims,
+// which walks the map.
+func TestDenseEntriesFollowTheMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	cfg := RateProfileConfig{Capacity: 4000}
+	var loads, evictions, restores int64
+	for round := 0; round < 40; round++ {
+		r := NewRateProfile(cfg)
+		check := func(step int, what string, now int64) {
+			t.Helper()
+			if len(r.dense) != len(r.entries) {
+				t.Fatalf("round %d step %d (%s): %d in dense, %d in the map", round, step, what, len(r.dense), len(r.entries))
+			}
+			for id, e := range r.entries {
+				if e.idx >= len(r.dense) || r.dense[e.idx] != e || e.obj.ID != id {
+					t.Fatalf("round %d step %d (%s): %s has idx %d, which holds another entry", round, step, what, id, e.idx)
+				}
+			}
+			if spare := r.dense[len(r.dense):cap(r.dense)]; len(spare) > 0 && spare[0] != nil {
+				t.Fatalf("round %d step %d (%s): an evicted entry is still referenced past the end of dense", round, step, what)
+			}
+			for _, needed := range []int64{1, 500, r.used, r.used + 1} {
+				want, wantRP, wantFreed := referenceVictims(r, now, needed)
+				got, gotRP, gotFreed := r.selectVictims(now, needed)
+				if !reflect.DeepEqual(append([]ObjectID(nil), got...), want) || gotRP != wantRP || gotFreed != wantFreed {
+					t.Fatalf("round %d step %d (%s), needed %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
+						round, step, what, needed, got, gotRP, gotFreed, want, wantRP, wantFreed)
+				}
+			}
+		}
+		for step, now := 0, int64(0); step < 300; step++ {
+			now += int64(rng.Intn(3))
+			what := "access"
+			switch k := rng.Intn(100); {
+			case k < 2:
+				what = "reset"
+				r.Reset()
+			case k < 6:
+				what = "restore in place"
+				if err := r.RestoreState(r.SnapshotState()); err != nil {
+					t.Fatal(err)
+				}
+				restores++
+			case k < 10:
+				what = "restore into a fresh policy"
+				fresh := NewRateProfile(cfg)
+				if err := fresh.RestoreState(r.SnapshotState()); err != nil {
+					t.Fatal(err)
+				}
+				r = fresh
+				restores++
+			default:
+				size := int64(1+rng.Intn(8)) * 100
+				id := ObjectID(fmt.Sprintf("o%02d", rng.Intn(40)))
+				if e := r.entries[id]; e != nil {
+					size = e.obj.Size
+				}
+				before := r.Evictions()
+				if r.Access(now, Object{ID: id, Size: size, FetchCost: size}, int64(rng.Intn(6))*size) == Load {
+					loads++
+				}
+				evictions += r.Evictions() - before
+			}
+			check(step, what, now+1)
+		}
+	}
+	if loads < 500 || evictions < 200 || restores < 200 {
+		t.Fatalf("the sequences loaded %d times, evicted %d and restored %d: too few to mean anything", loads, evictions, restores)
+	}
+	t.Logf("%d loads, %d evictions, %d restores", loads, evictions, restores)
+}
+
+// BenchmarkRateProfileMiss is one miss that needs victims: an access to
+// an uncached object against a full cache of 76 objects — the columns
+// the federation benchmark's edr-cached workload holds after its 3 000
+// traced statements — which the policy bypasses because the victims
+// save more. The cache does not change, so every op walks and heaps the
+// same 76 candidates and pops the few that would make room.
+func BenchmarkRateProfileMiss(b *testing.B) {
+	const cached = 76
+	rng := rand.New(rand.NewSource(22))
+	objs := make([]Object, cached)
+	var capacity int64
+	for i := range objs {
+		size := int64(1+rng.Intn(64)) << 20
+		objs[i] = Object{ID: ObjectID(fmt.Sprintf("edr/photoobj.c%02d", i)), Size: size, FetchCost: size}
+		capacity += size
+	}
+	r := NewRateProfile(RateProfileConfig{Capacity: capacity})
+	for i, obj := range objs {
+		if d := r.Access(int64(i), obj, 4*obj.Size); d != Load {
+			b.Fatalf("%s was not loaded: %s", obj.ID, d)
+		}
+	}
+	// A fetch cost no run's yields repay: its LAR never overtakes the victims' RPs.
+	miss := Object{ID: "edr/specobj.z", Size: 8 << 20, FetchCost: 1 << 50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if d := r.Access(int64(cached+i), miss, 4096); d != Bypass || r.LastExplain().Reason != ReasonVictimsSaveMore {
+			b.Fatalf("op %d: %s (%s), want a bypass after comparing victims", i, d, r.LastExplain().Reason)
 		}
 	}
 }

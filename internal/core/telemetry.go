@@ -47,9 +47,15 @@ import (
 //	core.cache_bytes_rate     D_C bytes/s
 //	core.query_rate           mediated queries/s
 //
-// Decision latency (the cost of running the policy itself):
+// Decision latency (the cost of deciding one access):
 //
-//	core.decide_seconds       histogram; observations in NANOSECONDS
+//	core.decide_seconds       histogram; one observation per access the
+//	                          policy decided, each the mean step of its
+//	                          query's decide loop — policy, flows,
+//	                          shadows, ledger slot and, in the mediator,
+//	                          the journal append: the clock is read once
+//	                          per query at each end of the loop, not
+//	                          around every Policy.Access. NANOSECONDS,
 //	                          with explicit sub-microsecond buckets —
 //	                          the name keeps the Prometheus convention
 //	                          while the unit stays integer-friendly
@@ -290,13 +296,14 @@ func (t *Telemetry) RecordDegradedQuery() {
 	t.degradedQueries.Add(1)
 }
 
-// ObserveDecide records the wall time one Policy.Access call took in
-// the core.decide_seconds histogram (observed in nanoseconds).
-func (t *Telemetry) ObserveDecide(d time.Duration) {
-	if t == nil {
+// ObserveDecide records a query's decide loop — n accesses that took d
+// together — in the core.decide_seconds histogram as n observations of
+// the mean step, d / n (in nanoseconds).
+func (t *Telemetry) ObserveDecide(d time.Duration, n int) {
+	if t == nil || n == 0 {
 		return
 	}
-	t.decide.Observe(int64(d))
+	t.decide.ObserveN(int64(d)/int64(n), int64(n))
 }
 
 // ObserveDecideWait records how long one query waited for the

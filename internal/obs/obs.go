@@ -106,7 +106,11 @@ func newHistogram(bounds []int64) *Histogram {
 }
 
 // Observe records one observation. No-op on a nil histogram.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v — a batch that took n·v and is
+// reported as its mean — with one bucket search.
+func (h *Histogram) ObserveN(v, n int64) {
 	if h == nil {
 		return
 	}
@@ -114,9 +118,9 @@ func (h *Histogram) Observe(v int64) {
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	h.n.Add(1)
+	h.counts[i].Add(n)
+	h.sum.Add(v * n)
+	h.n.Add(n)
 }
 
 // Count returns the number of observations (0 on a nil histogram).
