@@ -194,18 +194,26 @@ func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 
 // Restore adopts the accounting of a restored snapshot and seeds the
 // registry's lifetime counters with it (see Telemetry.SeedRestored),
-// the restored policy's evictions included.
+// the restored policy's evictions included. Their count is the restored
+// policy's own, whatever a carries: snapshots written before the
+// Decider counted evictions carry 0.
 func (d *Decider) Restore(a Accounting) {
 	d.Acct = a
 	d.tel.SeedRestored(d.counters, a)
 	d.publishEvictions()
+	if d.policy != nil {
+		d.Acct.Evictions = d.policy.Evictions()
+	}
 }
 
+// publishEvictions counts the evictions the policy has made since it
+// was last asked, in Acct and in the registry alike.
 func (d *Decider) publishEvictions() {
 	if d.policy == nil {
 		return
 	}
 	if ev := d.policy.Evictions(); ev > d.evictions {
+		d.Acct.Evictions += ev - d.evictions
 		d.tel.RecordEvictions(d.name, ev-d.evictions)
 		d.evictions = ev
 	}

@@ -84,7 +84,6 @@ type Simulator struct {
 // repeatedly or call Policy.Reset between independent runs.
 func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
-	evBefore := s.Policy.Evictions()
 	d := NewDecider(s.Policy, s.Telemetry, s.Shadows, s.Ledger)
 	for i, req := range reqs {
 		d.Begin(req.Seq, "", len(req.Accesses))
@@ -108,7 +107,6 @@ func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	if s.CurveStride > 0 && (len(res.Curve) == 0 || res.Curve[len(res.Curve)-1] != res.Acct.WANBytes()) {
 		res.Curve = append(res.Curve, res.Acct.WANBytes())
 	}
-	res.Acct.Evictions = s.Policy.Evictions() - evBefore
 	return res, nil
 }
 

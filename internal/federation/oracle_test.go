@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"bypassyield/internal/core"
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
+	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/sqlparse"
 	"bypassyield/internal/workload"
@@ -94,18 +96,6 @@ func TestDecisionsDoNotDependOnGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestMediatorDecidesLikeSimulator is the differential test between the
-// live decision path and the reference one: the statements go through
-// Mediator.QueryStmt, and the accesses it decomposed them into go, as
-// core.Requests numbered by the plane clock, through core.Simulator
-// over a fresh policy of the same name, capacity and seed. Every access
-// must be decided alike and the accounting must be identical. The
-// mediator is configured the way the benchmark configures its own
-// (NewPolicy and Capacity, Shards left 0), which a host with more than
-// one core used to turn into several caches no simulator run matches.
-// (core.Accounting.Evictions is the simulator's to fill; the mediator
-// publishes evictions as telemetry, so that field is compared against
-// the mediator's policy instead.)
 // poisonAndRelease overwrites a result's tuples with NaN and gives their
 // memory back for the next execution to use.
 func poisonAndRelease(res *engine.Result) {
@@ -117,6 +107,15 @@ func poisonAndRelease(res *engine.Result) {
 	res.Release()
 }
 
+// TestMediatorDecidesLikeSimulator is the differential test between the
+// live decision path and the reference one: the statements go through
+// Mediator.QueryStmt, and the accesses it decomposed them into go, as
+// core.Requests numbered by the plane clock, through core.Simulator
+// over a fresh policy of the same name, capacity and seed. Every access
+// must be decided alike and the accounting must be identical. The
+// mediator is configured the way the benchmark configures its own
+// (NewPolicy and Capacity, Shards left 0), which a host with more than
+// one core used to turn into several caches no simulator run matches.
 func TestMediatorDecidesLikeSimulator(t *testing.T) {
 	sqls := edrStatements(t, 2000)
 	stmts := make([]*sqlparse.SelectStmt, len(sqls))
@@ -132,69 +131,164 @@ func TestMediatorDecidesLikeSimulator(t *testing.T) {
 		Yield  int64
 		Action string
 	}
+	type config struct {
+		gran    federation.Granularity
+		name    string
+		percent int64 // of the release: at 40 nothing is ever evicted, at 10 thousands are
+	}
+	var configs []config
 	for _, gran := range []federation.Granularity{federation.Tables, federation.Columns} {
 		for _, name := range []string{"rate-profile", "online-by", "space-eff-by"} {
-			t.Run(gran.String()+"/"+name, func(t *testing.T) {
-				s, db := openEDR(t)
-				capacity := s.TotalBytes() * 4 / 10
-				const seed = 7
-				m, err := federation.New(federation.Config{
-					Schema: s, Engine: db, Granularity: gran, Capacity: capacity,
-					NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName(name, c, seed) },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var reqs []core.Request
-				var live []decided
-				for i, sql := range sqls {
-					rep, err := m.QueryStmt(sql, stmts[i])
-					if err != nil {
-						t.Fatalf("%s: %v", sql, err)
-					}
-					req := core.Request{Seq: rep.Seq}
-					for _, d := range rep.Decisions {
-						req.Accesses = append(req.Accesses, core.Access{Object: d.Object, Yield: d.Yield})
-						live = append(live, decided{rep.Seq, string(d.Object), d.Yield, d.Decision.String()})
-					}
-					reqs = append(reqs, req)
-					// As the proxy does once the reply is written — with the
-					// tuples poisoned first, so a decision that read a result's
-					// memory, this one's or a recycled one, would show.
-					poisonAndRelease(rep.Result)
-				}
-
-				fresh, err := core.NewPolicyByName(name, capacity, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				led := ledger.New(len(live))
-				sim := core.Simulator{Policy: fresh, Objects: m.Objects(), Ledger: led}
-				res, err := sim.Run(reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs := led.Snapshot()
-				if len(recs) != len(live) {
-					t.Fatalf("simulator decided %d accesses, mediator %d", len(recs), len(live))
-				}
-				for i, r := range recs {
-					if ref := (decided{r.T, r.Object, r.Yield, r.Action}); ref != live[i] {
-						t.Fatalf("access %d: simulator %+v, mediator %+v", i, ref, live[i])
-					}
-				}
-				if ev := m.Policy().Evictions(); res.Acct.Evictions != ev {
-					t.Fatalf("simulator evicted %d, mediator's policy %d", res.Acct.Evictions, ev)
-				}
-				want := res.Acct
-				want.Evictions = 0
-				if got := m.Accounting(); got != want {
-					t.Fatalf("mediator accounting %+v, simulator %+v", got, want)
-				}
-				if want.Hits == 0 || want.Loads == 0 || want.Bypasses == 0 {
-					t.Fatalf("trace does not exercise every decision: %+v", want)
-				}
+			configs = append(configs, config{gran, name, 40})
+		}
+	}
+	configs = append(configs, config{federation.Columns, "rate-profile", 10}, config{federation.Columns, "online-by", 10})
+	for _, c := range configs {
+		gran, name := c.gran, c.name
+		title := gran.String() + "/" + name
+		if c.percent != 40 {
+			title += fmt.Sprintf("/%d%%", c.percent)
+		}
+		t.Run(title, func(t *testing.T) {
+			s, db := openEDR(t)
+			capacity := s.TotalBytes() * c.percent / 100
+			const seed = 7
+			m, err := federation.New(federation.Config{
+				Schema: s, Engine: db, Granularity: gran, Capacity: capacity,
+				NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName(name, c, seed) },
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reqs []core.Request
+			var live []decided
+			for i, sql := range sqls {
+				rep, err := m.QueryStmt(sql, stmts[i])
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				req := core.Request{Seq: rep.Seq}
+				for _, d := range rep.Decisions {
+					req.Accesses = append(req.Accesses, core.Access{Object: d.Object, Yield: d.Yield})
+					live = append(live, decided{rep.Seq, string(d.Object), d.Yield, d.Decision.String()})
+				}
+				reqs = append(reqs, req)
+				// As the proxy does once the reply is written — with the
+				// tuples poisoned first, so a decision that read a result's
+				// memory, this one's or a recycled one, would show.
+				poisonAndRelease(rep.Result)
+			}
+
+			fresh, err := core.NewPolicyByName(name, capacity, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			led := ledger.New(len(live))
+			sim := core.Simulator{Policy: fresh, Objects: m.Objects(), Ledger: led}
+			res, err := sim.Run(reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs := led.Snapshot()
+			if len(recs) != len(live) {
+				t.Fatalf("simulator decided %d accesses, mediator %d", len(recs), len(live))
+			}
+			for i, r := range recs {
+				if ref := (decided{r.T, r.Object, r.Yield, r.Action}); ref != live[i] {
+					t.Fatalf("access %d: simulator %+v, mediator %+v", i, ref, live[i])
+				}
+			}
+			if ev := m.Policy().Evictions(); res.Acct.Evictions != ev {
+				t.Fatalf("simulator evicted %d, mediator's policy %d", res.Acct.Evictions, ev)
+			}
+			want := res.Acct
+			if got := m.Accounting(); got != want {
+				t.Fatalf("mediator accounting %+v, simulator %+v", got, want)
+			}
+			if want.Hits == 0 || want.Loads == 0 || want.Bypasses == 0 || (c.percent < 40 && want.Evictions == 0) {
+				t.Fatalf("trace does not exercise every decision: %+v", want)
+			}
+		})
+	}
+}
+
+// journalKeeper is a Journal that keeps what it is given.
+type journalKeeper struct{ recs []federation.JournalRecord }
+
+func (k *journalKeeper) JournalAccess(rec federation.JournalRecord) { k.recs = append(k.recs, rec) }
+
+// TestEvictionsAreAccounted: Accounting.Evictions is the mediator's to
+// fill, like every other field — equal to the policy's own count and to
+// the core.evictions counter while it runs, and after a restart from a
+// snapshot plus journal. The snapshot is restored twice: as written, and
+// as a build from before the mediator counted evictions wrote it, with 0
+// in the accounting beside a policy blob that knows better.
+func TestEvictionsAreAccounted(t *testing.T) {
+	sqls := edrStatements(t, 2000)
+	build := func() (*federation.Mediator, *obs.Registry) {
+		s, db := openEDR(t)
+		reg := obs.NewRegistry()
+		m, err := federation.New(federation.Config{
+			Schema: s, Engine: db, Granularity: federation.Columns, Capacity: s.TotalBytes() / 10, Obs: reg,
+			NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName("rate-profile", c, 7) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, reg
+	}
+	check := func(what string, m *federation.Mediator, reg *obs.Registry, want int64) {
+		t.Helper()
+		acct, policy := m.Accounting().Evictions, m.Policy().Evictions()
+		counter := reg.Snapshot().CounterValue("core.evictions", "rate-profile")
+		if acct != policy || counter != policy || (want >= 0 && acct != want) {
+			t.Fatalf("%s: Accounting.Evictions %d, the policy's %d, core.evictions %d (want %d)", what, acct, policy, counter, want)
+		}
+	}
+	run := func(m *federation.Mediator, sqls []string) {
+		t.Helper()
+		for _, sql := range sqls {
+			if _, err := m.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+
+	live, liveReg := build()
+	run(live, sqls[:1000])
+	check("live, at the snapshot", live, liveReg, -1)
+	st, err := live.SnapshotState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atSnapshot := st.Acct.Evictions
+	var wal journalKeeper
+	live.SetJournal(&wal)
+	run(live, sqls[1000:])
+	check("live, at the end", live, liveReg, -1)
+	want := live.Accounting()
+	if atSnapshot == 0 || want.Evictions == atSnapshot {
+		t.Fatalf("evictions: %d at the snapshot, %d at the end; the trace must evict on both sides of it", atSnapshot, want.Evictions)
+	}
+
+	older := st
+	older.Acct.Evictions = 0
+	older.Sections = []federation.Section{st.Sections[0]}
+	older.Sections[0].Acct.Evictions = 0
+	for name, snap := range map[string]federation.State{"as written": st, "written before evictions were counted": older} {
+		m, reg := build()
+		if err := m.RestoreState(snap); err != nil {
+			t.Fatal(err)
+		}
+		check(name+", restored", m, reg, atSnapshot)
+		for _, rec := range wal.recs {
+			if applied, diverged, err := m.ReplayJournal(rec); err != nil || !applied || diverged {
+				t.Fatalf("%s: replaying %+v: applied %t, diverged %t, %v", name, rec, applied, diverged, err)
+			}
+		}
+		check(name+", replayed", m, reg, want.Evictions)
+		if got := m.Accounting(); got != want {
+			t.Fatalf("%s: recovered accounting %+v, live %+v", name, got, want)
 		}
 	}
 }
