@@ -94,9 +94,8 @@ func (d *Decider) Begin(t int64, trace string, accesses int) {
 }
 
 // Access presents one access of the open query to the policy and
-// charges the decision. The loop is timed as a whole, Begin to End, and
-// core.decide_seconds gets an observation per call there: two clock
-// readings around each Policy.Access cost what a hit's Access does.
+// charges the decision. core.decide_seconds gets its observation per
+// call at End, where the loop is timed as a whole, not around each call.
 func (d *Decider) Access(obj Object, yield int64) (Decision, error) {
 	dec := Bypass
 	if d.policy != nil {
@@ -194,9 +193,8 @@ func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 
 // Restore adopts the accounting of a restored snapshot and seeds the
 // registry's lifetime counters with it (see Telemetry.SeedRestored),
-// the restored policy's evictions included. Their count is the restored
-// policy's own, whatever a carries: snapshots written before the
-// Decider counted evictions carry 0.
+// the restored policy's evictions included: their count is the policy's
+// own, whatever a carries (0, when written before they were counted).
 func (d *Decider) Restore(a Accounting) {
 	d.Acct = a
 	d.tel.SeedRestored(d.counters, a)

@@ -96,8 +96,7 @@ func (r *RateProfile) Reset() {
 // rebuilds dense from them.
 func (r *RateProfile) setEntries(entries map[ObjectID]*rpEntry) {
 	r.entries = entries
-	clear(r.dense)
-	r.dense = r.dense[:0]
+	r.dense = nil
 	for _, e := range entries {
 		e.idx = len(r.dense)
 		r.dense = append(r.dense, e)
@@ -188,11 +187,10 @@ func (c *victimCand) before(d *victimCand) bool {
 // order, whose combined size frees at least `needed` bytes, together
 // with the maximum RP in the victim set and the total bytes freed. A
 // miss evicts a few of the many cached objects, so the candidates are
-// heaped (linear) and only the victims popped, not all sorted. They
-// are taken from dense, a slice walk where iterating the map cost more
-// than the heap; the (rp, id) order makes the outcome independent of
-// the order they are taken in. The returned slice is valid until the
-// next call.
+// heaped (linear) and only the victims popped, not all sorted: from
+// dense, since iterating the map cost more than the heap, and in any
+// order, since (rp, id) is total. The returned slice is valid until
+// the next call.
 func (r *RateProfile) selectVictims(t, needed int64) (victims []ObjectID, maxRP float64, freed int64) {
 	h := r.cands[:0]
 	for _, e := range r.dense {

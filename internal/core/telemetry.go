@@ -51,11 +51,9 @@ import (
 //
 //	core.decide_seconds       histogram; one observation per access the
 //	                          policy decided, each the mean step of its
-//	                          query's decide loop — policy, flows,
-//	                          shadows, ledger slot and, in the mediator,
-//	                          the journal append: the clock is read once
-//	                          per query at each end of the loop, not
-//	                          around every Policy.Access. NANOSECONDS,
+//	                          query's decide loop (policy, flows, shadows,
+//	                          ledger slot, journal append), which is timed
+//	                          once per query, end to end. NANOSECONDS,
 //	                          with explicit sub-microsecond buckets —
 //	                          the name keeps the Prometheus convention
 //	                          while the unit stays integer-friendly

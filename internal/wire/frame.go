@@ -234,21 +234,19 @@ func WriteFrame(w io.Writer, t MsgType, payload any) (int, error) {
 	return len(fb.b), nil
 }
 
-// readChunk bounds each growth of a read buffer: a corrupt length
-// prefix claiming megabytes that never arrive must not allocate
-// megabytes up front. A buffer grows chunk by chunk as bytes actually
-// appear.
+// readChunk bounds each growth of a read buffer, which grows as bytes
+// actually appear: a corrupt length prefix claiming megabytes that never
+// arrive must not allocate megabytes up front.
 const readChunk = 64 << 10
 
 // readAhead is the buffer a connection's reader starts with: a query,
 // a ping or an ack arrives whole in the connection's first Read.
 const readAhead = 4 << 10
 
-// parseHeader checks a frame header and returns the frame's type and
-// body length. Frames with an unassigned type byte or a length prefix
-// beyond MaxFrame are rejected before anything is read or allocated
-// for a body — a corrupt or adversarial header cannot make the reader
-// allocate or block for a payload that will never parse.
+// parseHeader returns a frame's type and body length. An unassigned
+// type byte or a length prefix beyond MaxFrame is rejected before
+// anything is read or allocated for a body: a corrupt or adversarial
+// header cannot make the reader wait for a payload that will never parse.
 func parseHeader(hdr []byte) (MsgType, int, error) {
 	n := binary.BigEndian.Uint32(hdr[:4])
 	if n > MaxFrame {

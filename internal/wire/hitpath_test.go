@@ -179,7 +179,7 @@ type frameConn struct {
 }
 
 func framePipe() (*frameConn, *frameConn) {
-	ab, ba := make(chan []byte, 4), make(chan []byte, 4)
+	ab, ba := make(chan []byte, 1), make(chan []byte, 1) // a closed loop has one piece in flight each way
 	return &frameConn{in: ba, out: ab}, &frameConn{in: ab, out: ba}
 }
 
