@@ -2,13 +2,11 @@ package wire
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"os"
 	"reflect"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -164,60 +162,32 @@ func TestHitPathBytes(t *testing.T) {
 // hitPathByteBound is about 25% above what TestHitPathBytes reads.
 const hitPathByteBound = 9200
 
-// frameConn is one end of an in-memory connection that keeps the
-// writer's boundaries, as a socket whose peer is a closed loop does: a
-// Write queues its bytes as one piece, and a Read hands out the piece at
-// the head, or as much of it as it was given room for. It counts both.
-type frameConn struct {
-	net.Conn // nil: no deadlines, no addresses
-	in       <-chan []byte
-	out      chan<- []byte
-	head     []byte
-	reads    atomic.Int64 // Read calls that returned bytes
-	frames   atomic.Int64 // pieces the peer wrote that those Reads took
-	closing  sync.Once
+// countedConn counts the Reads on a connection that returned bytes — on
+// return, so a Read that is waiting belongs to the frame it will carry.
+type countedConn struct {
+	net.Conn
+	reads atomic.Int64
 }
 
-func framePipe() (*frameConn, *frameConn) {
-	ab, ba := make(chan []byte, 1), make(chan []byte, 1) // a closed loop has one piece in flight each way
-	return &frameConn{in: ba, out: ab}, &frameConn{in: ab, out: ba}
-}
-
-func (c *frameConn) Read(p []byte) (int, error) {
-	if len(c.head) == 0 {
-		piece, ok := <-c.in
-		if !ok {
-			return 0, io.EOF
-		}
-		c.head = piece
-		c.frames.Add(1)
+func (c *countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
 	}
-	n := copy(p, c.head)
-	c.head = c.head[n:]
-	c.reads.Add(1)
-	return n, nil
-}
-
-func (c *frameConn) Write(p []byte) (int, error) {
-	c.out <- append([]byte(nil), p...)
-	return len(p), nil
-}
-
-func (c *frameConn) Close() error {
-	c.closing.Do(func() { close(c.out) })
-	return nil
+	return n, err
 }
 
 // TestHitPathReadsPerFrame is the count gate beside the byte gate. A
 // frame is written with one Write (TestWriteFrameAllocs' harness counts
 // them), and once a connection's buffer has grown to its widest frame it
-// is read with one Read, at the client and at the proxy: where each
-// frame arrives whole, as it does from a peer that waits for its reply,
-// Reads per frame are exactly 1. Header-then-body was exactly 2.
+// is read with one Read, at the client and at the proxy: over a net.Pipe,
+// where a Read is handed the peer's Write, or as much of it as it has
+// room for, Reads per frame are exactly 1. Header-then-body was exactly 2.
 func TestHitPathReadsPerFrame(t *testing.T) {
 	_, proxy, sqls, done := hitPathFederation(t)
 	defer done()
-	near, far := framePipe()
+	a, b := net.Pipe()
+	near, far := &countedConn{Conn: a}, &countedConn{Conn: b}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -232,31 +202,18 @@ func TestHitPathReadsPerFrame(t *testing.T) {
 		}
 	}
 	pass() // the buffers grow
-	for _, c := range []*frameConn{near, far} {
-		c.reads.Store(0)
-		c.frames.Store(0)
-	}
+	near.reads.Store(0)
+	far.reads.Store(0)
 	pass()
-	for name, c := range map[string]*frameConn{"client": near, "proxy": far} {
-		reads, frames := c.reads.Load(), c.frames.Load()
-		t.Logf("%s: %d Reads for %d frames", name, reads, frames)
-		if frames != int64(len(sqls)) || reads != frames {
-			t.Errorf("%s: %d Reads for %d frames of %d statements, want one Read per frame", name, reads, frames, len(sqls))
-		}
-	}
 	client.Close()
 	<-served
-}
-
-// countedConn counts the Reads a Client issues on a real socket.
-type countedConn struct {
-	net.Conn
-	reads int
-}
-
-func (c *countedConn) Read(p []byte) (int, error) {
-	c.reads++
-	return c.Conn.Read(p)
+	for name, c := range map[string]*countedConn{"client": near, "proxy": far} {
+		reads, frames := c.reads.Load(), int64(len(sqls))
+		t.Logf("%s: %d Reads for %d frames", name, reads, frames)
+		if reads != frames {
+			t.Errorf("%s: %d Reads for %d frames, want one Read per frame", name, reads, frames)
+		}
+	}
 }
 
 // BenchmarkProxyHitEDR is TestHitPathBytes's harness as a benchmark:
@@ -285,7 +242,7 @@ func BenchmarkProxyHitEDR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(conn.reads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(conn.reads.Load())/float64(b.N), "reads/op")
 }
 
 // TestResultIsValidUntilTheNextCall pins the contract Query states. The
