@@ -90,8 +90,8 @@ bench-smoke:
 	    for (i = 5; i <= NF; i++) { \
 	      if ($$i == "B/op") bytes = $$(i-1); \
 	      else if ($$i == "allocs/op") allocs = $$(i-1); \
-	      else if ($$i ~ /^[a-z_]+\/op$$/ && $$i != "ns/op") { \
-	        unit = $$i; sub(/\/op$$/, "_per_op", unit); \
+	      else if ($$i ~ /^[a-z_-]+\/op$$/ && $$i != "ns/op") { \
+	        unit = $$i; sub(/\/op$$/, "_per_op", unit); gsub(/-/, "_", unit); \
 	        custom = custom sprintf(", \"%s\": %s", unit, $$(i-1)); \
 	      } \
 	    } \
