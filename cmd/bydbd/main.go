@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bydbd -release edr -site photo.sdss.org -addr :7101 \
-//	  -http :7181 -trace-out node-spans.jsonl -exemplar-out node-tails.jsonl
+//	  -http :7181 -flight-sample 1 -exemplar-out node-queries.jsonl
 package main
 
 import (
@@ -31,7 +31,6 @@ type options struct {
 	addr      string
 	sample    int64
 	seed      int64
-	traceOut  string // JSONL span log path ("" disables)
 	httpAddr  string // telemetry plane listen address ("" disables)
 	chaos     string // faultnet plan applied to inbound conns ("" disables)
 	chaosSeed int64
@@ -44,26 +43,31 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.release, "release", "edr", "data release: edr or dr1")
-	flag.StringVar(&o.site, "site", catalog.SitePhoto, "site this node serves")
-	flag.StringVar(&o.addr, "addr", ":7101", "listen address")
-	flag.Int64Var(&o.sample, "sample", 1000, "materialize 1 of every N logical rows")
-	flag.Int64Var(&o.seed, "seed", 1, "data synthesis seed (must match the proxy's)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "append execute/fetch spans as JSONL to this file")
-	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz, /debug/pprof on this address")
-	flag.StringVar(&o.chaos, "chaos", "", "fault-injection plan for inbound connections, e.g. 'latency=50ms,reset=0.1' or 'blackhole after=5s for=10s' (see internal/faultnet)")
-	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos plan's randomness")
-	fdef := flightrec.DefaultConfig()
-	flag.DurationVar(&o.flightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every sub-query at least this slow")
-	flag.IntVar(&o.flightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
-	flag.IntVar(&o.flightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy sub-query as a 'normal' exemplar (0 disables)")
-	flag.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "bydbd:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags declares the daemon's whole flag surface on fs;
+// TestFlagSurface pins the names.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.release, "release", "edr", "data release: edr or dr1")
+	fs.StringVar(&o.site, "site", catalog.SitePhoto, "site this node serves")
+	fs.StringVar(&o.addr, "addr", ":7101", "listen address")
+	fs.Int64Var(&o.sample, "sample", 1000, "materialize 1 of every N logical rows")
+	fs.Int64Var(&o.seed, "seed", 1, "data synthesis seed (must match the proxy's)")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz, /debug/pprof on this address")
+	fs.StringVar(&o.chaos, "chaos", "", "fault-injection plan for inbound connections, e.g. 'latency=50ms,reset=0.1' or 'blackhole after=5s for=10s' (see internal/faultnet)")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos plan's randomness")
+	fdef := flightrec.DefaultConfig()
+	fs.DurationVar(&o.flightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every sub-query at least this slow")
+	fs.IntVar(&o.flightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
+	fs.IntVar(&o.flightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy sub-query as a 'normal' exemplar (0 disables)")
+	fs.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file (with -flight-sample 1: a record of every sub-query)")
 }
 
 func run(o options) error {
@@ -83,18 +87,17 @@ func run(o options) error {
 	return d.Close()
 }
 
-// daemon is a started node with its telemetry plane and span sink.
+// daemon is a started node with its telemetry plane and exemplar log.
 type daemon struct {
 	node      *wire.DBNode
 	http      *obs.HTTPServer  // nil when -http is unset
-	sink      *obs.JSONL       // nil when -trace-out is unset
 	exemplars *flightrec.JSONL // nil when -exemplar-out is unset
 	plan      *faultnet.Plan   // nil when -chaos is unset
 	bound     string
 }
 
 // Close shuts the listener, the HTTP plane, and — last, so in-flight
-// spans still land — flushes and closes the span log.
+// exemplars still land — flushes and closes the exemplar log.
 func (d *daemon) Close() error {
 	err := d.node.Close()
 	if d.plan != nil {
@@ -104,9 +107,6 @@ func (d *daemon) Close() error {
 		if herr := d.http.Close(); err == nil {
 			err = herr
 		}
-	}
-	if serr := d.sink.Close(); err == nil {
-		err = serr
 	}
 	if eerr := d.exemplars.Close(); err == nil {
 		err = eerr
@@ -155,19 +155,9 @@ func start(o options) (*daemon, error) {
 		node.SetConnWrapper(inj.Conn)
 		d.plan = plan
 	}
-	if o.traceOut != "" {
-		f, err := os.OpenFile(o.traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			d.exemplars.Close()
-			return nil, err
-		}
-		d.sink = obs.NewJSONL(f)
-		node.SetTracer(obs.NewTracer(d.sink))
-	}
 	if o.httpAddr != "" {
 		srv, err := obs.StartHTTP(o.httpAddr, obs.NewHTTPHandler(node.Obs().Snapshot))
 		if err != nil {
-			d.sink.Close()
 			d.exemplars.Close()
 			return nil, err
 		}
@@ -178,7 +168,6 @@ func start(o options) (*daemon, error) {
 		if d.http != nil {
 			d.http.Close()
 		}
-		d.sink.Close()
 		d.exemplars.Close()
 		return nil, err
 	}

@@ -1,15 +1,18 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/wire"
 )
 
@@ -22,7 +25,8 @@ func testOptions() options {
 
 func TestStartAndServe(t *testing.T) {
 	o := testOptions()
-	o.traceOut = filepath.Join(t.TempDir(), "spans.jsonl")
+	o.flightSample = 1
+	o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
 	o.httpAddr = "127.0.0.1:0"
 	d, err := start(o)
 	if err != nil {
@@ -39,9 +43,9 @@ func TestStartAndServe(t *testing.T) {
 	if res.Rows <= 0 {
 		t.Fatal("no rows from node")
 	}
-	// A traced query joins the caller's trace in the span log.
-	ctx := obs.TraceContext{TraceID: obs.NewID(), SpanID: obs.NewID()}
-	if _, err := c.QueryTraced("select z from specobj where z < 2", ctx); err != nil {
+	// A traced query's record carries the caller's trace id.
+	traceID := obs.NewID()
+	if _, err := c.QueryTraced("select z from specobj where z < 2", traceID); err != nil {
 		t.Fatal(err)
 	}
 	// The node holds only its site's tables.
@@ -60,24 +64,41 @@ func TestStartAndServe(t *testing.T) {
 		t.Fatalf("GET /metrics: %d\n%s", resp.StatusCode, body)
 	}
 
-	// Close flushes the span log: the traced execute span must be on
-	// disk afterwards, carrying the client's trace id. The client must
+	// Close flushes the exemplar log: with -flight-sample 1 every
+	// sub-query's record must be on disk afterwards, the traced one
+	// carrying the client's trace id and the others none. The client must
 	// disconnect first — Close waits for in-flight connections.
 	c.Close()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(o.traceOut)
+	f, err := os.Open(o.exemplarOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := string(b)
-	if !strings.Contains(log, "dbnode.execute") || !strings.Contains(log, ctx.TraceHex()) {
-		t.Fatalf("span log missing traced execute span:\n%s", log)
+	defer f.Close()
+	exs, err := flightrec.ReadJSONL(f)
+	if err != nil || len(exs) != 3 {
+		t.Fatalf("exemplar log: %d records, %v; want the 3 sub-queries", len(exs), err)
 	}
-	// The untraced queries produced no spans.
-	if got := strings.Count(log, "dbnode.execute"); got != 1 {
-		t.Fatalf("execute spans = %d, want 1 (untraced frames stay silent)", got)
+	if exs[0].Trace != "" || exs[1].Trace != obs.FormatID(traceID) || exs[2].Outcome != flightrec.OutcomeError {
+		t.Fatalf("exemplar log = %+v", exs)
+	}
+}
+
+// TestFlagSurface pins the daemon's options: adding, renaming or
+// removing a flag is a reviewed edit of this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "chaos", "chaos-seed", "exemplar-out", "flight-cap", "flight-sample",
+		"flight-threshold", "http", "release", "sample", "seed", "site",
+	}
+	fs := flag.NewFlagSet("bydbd", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in name order
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %q (%d)\nwant    %q (%d)", got, len(got), want, len(want))
 	}
 }
 

@@ -97,7 +97,16 @@ func renderFederation(w io.Writer, views []nodeView, top int) {
 	renderInvariant(w, views)
 	renderPersistence(w, views)
 	renderFederationCauses(w, views)
-	renderMergedTraces(w, views, top)
+	var exs []tracedExemplar
+	for _, v := range views {
+		if v.Exemplars == nil {
+			continue
+		}
+		for _, ex := range v.Exemplars.Exemplars {
+			exs = append(exs, tracedExemplar{source: v.Exemplars.Source, ex: ex})
+		}
+	}
+	renderMergedTraces(w, exs, top, false)
 }
 
 // renderPersistence reports each proxy's durability plane — warm vs
@@ -222,7 +231,8 @@ func renderFederationCauses(w io.Writer, views []nodeView) {
 	}
 }
 
-// tracedExemplar pairs an exemplar with the daemon that captured it.
+// tracedExemplar pairs an exemplar with the daemon (or the daemon's
+// exemplar log) it came from.
 type tracedExemplar struct {
 	source string
 	ex     flightrec.Exemplar
@@ -231,18 +241,14 @@ type tracedExemplar struct {
 // renderMergedTraces joins exemplars across daemons by trace id: a
 // slow proxy query and the node-side execution it triggered share the
 // propagated trace id, so the merged view shows both halves of the
-// same tail event.
-func renderMergedTraces(w io.Writer, views []nodeView, top int) {
+// same tail event. Exemplars without an id have nothing to join on and
+// are left out. With detail, each view is drawn in full
+// (renderExemplar) instead of summarised.
+func renderMergedTraces(w io.Writer, exs []tracedExemplar, top int, detail bool) {
 	byTrace := map[string][]tracedExemplar{}
-	for _, v := range views {
-		if v.Exemplars == nil {
-			continue
-		}
-		for _, ex := range v.Exemplars.Exemplars {
-			if ex.Trace == "" {
-				continue
-			}
-			byTrace[ex.Trace] = append(byTrace[ex.Trace], tracedExemplar{source: v.Exemplars.Source, ex: ex})
+	for _, te := range exs {
+		if te.ex.Trace != "" {
+			byTrace[te.ex.Trace] = append(byTrace[te.ex.Trace], te)
 		}
 	}
 	// Rank merged traces by the proxy-side (max) duration; cross-node
@@ -279,7 +285,9 @@ func renderMergedTraces(w io.Writer, views []nodeView, top int) {
 			e := tv.ex
 			fmt.Fprintf(w, "    %-16s %-8s %8.3fms  cause %-22s %8.3fms\n",
 				tv.source, e.Outcome, float64(e.DurUS)/1e3, e.Cause, float64(e.CauseUS)/1e3)
-			if e.SQL != "" {
+			if detail {
+				renderExemplar(w, e)
+			} else if e.SQL != "" {
 				fmt.Fprintf(w, "      sql: %s\n", oneLine(e.SQL, 84))
 			}
 		}

@@ -93,8 +93,7 @@ func TestFederationTailAttribution(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := obs.NewID()
 		traces = append(traces, obs.FormatID(id))
-		if _, err := c.QueryTraced("select z, zconf from specobj where z < 3",
-			obs.TraceContext{TraceID: id, SpanID: obs.NewID()}); err != nil {
+		if _, err := c.QueryTraced("select z, zconf from specobj where z < 3", id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,6 +160,20 @@ func TestFederationTailAttribution(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), wantCause) || !strings.Contains(sb.String(), "tail attribution") {
 		t.Fatalf("tail view missing attribution:\n%s", sb.String())
+	}
+
+	// -trace-id narrows it to one query: that exemplar alone, its
+	// phases, and its one sub-query leg drawn as a bar.
+	sb.Reset()
+	if err := runTail(&sb, addrs[0], wire.ExemplarsMsg{Trace: traces[1]}, 5, false); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	if strings.Count(out, "trace ") != 1 || !strings.Contains(out, "trace "+traces[1]) {
+		t.Fatalf("-trace-id view is not of %s alone:\n%s", traces[1], out)
+	}
+	if !strings.Contains(out, "phases: execute") || strings.Count(out, "|  subquery "+catalog.SiteSpec) != 1 || !strings.Contains(out, "|===") {
+		t.Fatalf("-trace-id view lacks the phases or the leg's bar:\n%s", out)
 	}
 }
 

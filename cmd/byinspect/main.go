@@ -1,15 +1,17 @@
 // Command byinspect analyzes a workload trace file — class mix, yield
 // distribution, sequence cost, schema locality (the paper's Figures
 // 5–6), and query containment (Figure 4) — or, with -addr, scrapes a
-// live byproxyd/bydbd metrics snapshot and renders it. With -spans it
-// merges daemon span logs into per-query trace waterfalls; with
-// -watch it re-scrapes live metrics and shows what moved; with
-// -decisions it shows the proxy's decision ledger, counterfactual
-// savings versus the shadow baselines, and top regret contributors;
-// with -tail it scrapes the flight recorder and ranks tail-latency
-// causes; with -federation it scrapes every listed daemon, verifies
-// the Σ yields = D_A invariant across proxies, and merges exemplars
-// by trace id into cross-node views.
+// live byproxyd/bydbd metrics snapshot and renders it. With -watch it
+// re-scrapes live metrics and shows what moved; with -decisions it
+// shows the proxy's decision ledger, counterfactual savings versus the
+// shadow baselines, and top regret contributors; with -tail it scrapes
+// the flight recorder, ranks tail-latency causes and draws each
+// exemplar's phases and WAN legs (-trace-id picks one query); with
+// -federation it scrapes every listed daemon, verifies the Σ yields =
+// D_A invariant across proxies, and merges exemplars by trace id into
+// cross-node views; with -exemplars it does that merge offline, over
+// the daemons' -exemplar-out files, with each view drawn as -tail
+// draws it.
 //
 // Usage:
 //
@@ -20,8 +22,9 @@
 //	byinspect -addr localhost:7100 -watch 2s
 //	byinspect -addr localhost:7100 -decisions -action load -top 5
 //	byinspect -addr localhost:7100 -tail -outcome slow
+//	byinspect -addr localhost:7100 -tail -trace-id 9f3c2a7e01b4d655
 //	byinspect -federation localhost:7100,localhost:7201,localhost:7202
-//	byinspect -spans proxy.jsonl,photo.jsonl,spec.jsonl
+//	byinspect -exemplars proxy.jsonl,photo.jsonl,spec.jsonl
 package main
 
 import (
@@ -30,65 +33,93 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"time"
 
 	"bypassyield/internal/trace"
 	"bypassyield/internal/wire"
 	"bypassyield/internal/workload"
 )
 
+// options bundles the tool's flags (one field per flag).
+type options struct {
+	path   string
+	top    int
+	prep   bool
+	addr   string
+	asJSON bool
+	watch  time.Duration
+	dialTO time.Duration
+
+	decisions bool
+	object    string
+	action    string
+	traceID   string
+	limit     int
+
+	tail       bool
+	outcome    string
+	minMS      int64
+	federation string
+	exemplars  string
+}
+
+// registerFlags declares the tool's whole flag surface on fs;
+// TestFlagSurface pins the names.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.path, "trace", "", "trace file (JSONL, optionally .gz)")
+	fs.IntVar(&o.top, "top", 10, "show the top-N items in each ranking")
+	fs.BoolVar(&o.prep, "preprocess", true, "drop log-self queries before analysis")
+	fs.StringVar(&o.addr, "addr", "", "scrape live metrics from a proxy or node at this address")
+	fs.BoolVar(&o.asJSON, "json", false, "with -addr, print the raw snapshot as JSON")
+	fs.DurationVar(&o.watch, "watch", 0, "with -addr, re-scrape at this interval and show deltas")
+	fs.DurationVar(&o.dialTO, "dial-timeout", wire.DefaultDialTimeout, "with -addr, connect timeout")
+
+	fs.BoolVar(&o.decisions, "decisions", false, "with -addr, show the proxy's decision ledger and counterfactual baselines")
+	fs.StringVar(&o.object, "object", "", "with -decisions, filter records by exact object id")
+	fs.StringVar(&o.action, "action", "", "with -decisions, filter records by action (hit, bypass, load)")
+	fs.StringVar(&o.traceID, "trace-id", "", "with -decisions, -tail or -federation, keep only the query with this 16-hex-digit trace id")
+	fs.IntVar(&o.limit, "limit", 0, "with -decisions or -tail, cap returned records (0 = server default)")
+
+	fs.BoolVar(&o.tail, "tail", false, "with -addr, show the flight recorder's tail-latency attribution and its slowest exemplars, phases and WAN legs drawn")
+	fs.StringVar(&o.outcome, "outcome", "", "with -tail or -federation, filter exemplars by outcome (slow, error, degraded, normal)")
+	fs.Int64Var(&o.minMS, "min-ms", 0, "with -tail or -federation, keep only exemplars at least this slow")
+	fs.StringVar(&o.federation, "federation", "", "comma-separated daemon addresses to scrape as one federation")
+	fs.StringVar(&o.exemplars, "exemplars", "", "comma-separated daemon exemplar logs (-exemplar-out files) to merge by trace id, offline")
+}
+
 func main() {
-	var (
-		path   = flag.String("trace", "", "trace file (JSONL, optionally .gz)")
-		top    = flag.Int("top", 10, "show the top-N items in each ranking")
-		prep   = flag.Bool("preprocess", true, "drop log-self queries before analysis")
-		addr   = flag.String("addr", "", "scrape live metrics from a proxy or node at this address")
-		asJSON = flag.Bool("json", false, "with -addr, print the raw snapshot as JSON")
-		watch  = flag.Duration("watch", 0, "with -addr, re-scrape at this interval and show deltas")
-		spans  = flag.String("spans", "", "comma-separated daemon span logs (-trace-out files) to merge into trace waterfalls")
-
-		dialTO = flag.Duration("dial-timeout", wire.DefaultDialTimeout, "with -addr, connect timeout")
-
-		decisions = flag.Bool("decisions", false, "with -addr, show the proxy's decision ledger and counterfactual baselines")
-		object    = flag.String("object", "", "with -decisions, filter records by exact object id")
-		action    = flag.String("action", "", "with -decisions, filter records by action (hit, bypass, load)")
-		traceID   = flag.String("trace-id", "", "with -decisions, filter records by 16-hex-digit trace id")
-		limit     = flag.Int("limit", 0, "with -decisions or -tail, cap returned records (0 = server default)")
-
-		tail       = flag.Bool("tail", false, "with -addr, show the flight recorder's tail-latency attribution and slowest exemplars")
-		outcome    = flag.String("outcome", "", "with -tail or -federation, filter exemplars by outcome (slow, error, degraded, normal)")
-		minMS      = flag.Int64("min-ms", 0, "with -tail or -federation, keep only exemplars at least this slow")
-		federation = flag.String("federation", "", "comma-separated daemon addresses to scrape as one federation")
-	)
+	var o options
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
-	dialTimeout = *dialTO
+	dialTimeout = o.dialTO
 
-	exq := wire.ExemplarsMsg{Outcome: *outcome, MinUS: *minMS * 1000, Limit: *limit}
+	exq := wire.ExemplarsMsg{Outcome: o.outcome, Trace: o.traceID, MinUS: o.minMS * 1000, Limit: o.limit}
 	var err error
 	switch {
-	case *spans != "":
-		err = runSpans(os.Stdout, strings.Split(*spans, ","))
-	case *federation != "":
-		err = runFederation(os.Stdout, strings.Split(*federation, ","), exq, *top, *asJSON)
-	case *tail:
-		if *addr == "" {
+	case o.exemplars != "":
+		err = runExemplars(os.Stdout, strings.Split(o.exemplars, ","), o.top)
+	case o.federation != "":
+		err = runFederation(os.Stdout, strings.Split(o.federation, ","), exq, o.top, o.asJSON)
+	case o.tail:
+		if o.addr == "" {
 			err = fmt.Errorf("-tail requires -addr")
 			break
 		}
-		err = runTail(os.Stdout, *addr, exq, *top, *asJSON)
-	case *decisions:
-		if *addr == "" {
+		err = runTail(os.Stdout, o.addr, exq, o.top, o.asJSON)
+	case o.decisions:
+		if o.addr == "" {
 			err = fmt.Errorf("-decisions requires -addr")
 			break
 		}
-		err = runDecisions(os.Stdout, *addr, wire.DecisionsMsg{
-			Object: *object, Action: *action, Trace: *traceID, Limit: *limit,
-		}, *top, *asJSON)
-	case *addr != "" && *watch > 0:
-		err = runWatch(os.Stdout, *addr, *watch, 0)
-	case *addr != "":
-		err = runLive(os.Stdout, *addr, *asJSON)
+		err = runDecisions(os.Stdout, o.addr, wire.DecisionsMsg{
+			Object: o.object, Action: o.action, Trace: o.traceID, Limit: o.limit,
+		}, o.top, o.asJSON)
+	case o.addr != "" && o.watch > 0:
+		err = runWatch(os.Stdout, o.addr, o.watch, 0)
+	case o.addr != "":
+		err = runLive(os.Stdout, o.addr, o.asJSON)
 	default:
-		err = run(*path, *top, *prep)
+		err = run(o.path, o.top, o.prep)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "byinspect:", err)

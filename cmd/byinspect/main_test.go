@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -201,5 +203,22 @@ func TestRenderLatencyDeltas(t *testing.T) {
 	renderDeltas(&buf, cur, cur, time.Second)
 	if strings.Contains(buf.String(), "latency:") {
 		t.Fatalf("idle histograms rendered:\n%s", buf.String())
+	}
+}
+
+// TestFlagSurface pins the tool's options: adding, renaming or removing
+// a flag is a reviewed edit of this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"action", "addr", "decisions", "dial-timeout", "exemplars", "federation", "json",
+		"limit", "min-ms", "object", "outcome", "preprocess", "tail", "top", "trace",
+		"trace-id", "watch",
+	}
+	fs := flag.NewFlagSet("byinspect", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in name order
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %q (%d)\nwant    %q (%d)", got, len(got), want, len(want))
 	}
 }

@@ -7,8 +7,8 @@
 //
 //	byproxyd -release edr -addr :7100 -policy rate-profile -cache-pct 0.4 \
 //	  -nodes "photo.sdss.org=localhost:7101,spec.sdss.org=localhost:7102" \
-//	  -http :7180 -trace-out proxy-spans.jsonl -ledger 4096 -ledger-out decisions.jsonl \
-//	  -state-dir ./state -wal-sync
+//	  -http :7180 -ledger 4096 -ledger-out decisions.jsonl \
+//	  -flight-sample 1 -exemplar-out queries.jsonl -state-dir ./state -wal-sync
 package main
 
 import (
@@ -44,18 +44,11 @@ type options struct {
 	sample   int64
 	seed     int64
 
-	rpcTimeout time.Duration // node RPC deadline (0 disables)
-	traceOut   string        // JSONL span log path ("" disables)
-	httpAddr   string        // telemetry plane listen address ("" disables)
-
-	dialTimeout    time.Duration // node connect timeout
-	breakThreshold int           // consecutive failures that open a site's breaker
-	breakBackoff   time.Duration // first open-state backoff
-	breakMax       time.Duration // backoff doubling cap
-	probeInterval  time.Duration // half-open probe cadence
-	rpcRetries     int           // extra node RPC attempts before giving up
-	chaos          string        // faultnet plan applied to node dials ("" disables)
-	chaosSeed      int64
+	rpcTimeout  time.Duration // node RPC deadline (0 disables)
+	dialTimeout time.Duration // node connect timeout
+	httpAddr    string        // telemetry plane listen address ("" disables)
+	chaos       string        // faultnet plan applied to node dials ("" disables)
+	chaosSeed   int64
 
 	ledgerCap int64  // decision-ledger ring capacity (0 disables)
 	ledgerOut string // JSONL decision log path ("" disables)
@@ -78,47 +71,46 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.release, "release", "edr", "data release: edr or dr1")
-	flag.StringVar(&o.addr, "addr", ":7100", "listen address for clients")
-	flag.StringVar(&o.policy, "policy", "rate-profile", "cache policy: "+strings.Join(core.PolicyNames(), ", "))
-	flag.Float64Var(&o.cachePct, "cache-pct", 0.4, "cache size as a fraction of the database")
-	flag.StringVar(&o.gran, "granularity", "columns", "object granularity: tables, columns or views")
-	flag.StringVar(&o.nodes, "nodes", "", "comma-separated site=addr pairs of database nodes (empty = simulate locally)")
-	flag.Int64Var(&o.sample, "sample", 1000, "materialize 1 of every N logical rows")
-	flag.Int64Var(&o.seed, "seed", 1, "data synthesis seed (must match the nodes')")
-	flag.DurationVar(&o.rpcTimeout, "rpc-timeout", wire.DefaultRPCTimeout, "deadline for node RPCs (0 disables)")
-	bdef := wire.DefaultBreakerConfig()
-	flag.DurationVar(&o.dialTimeout, "dial-timeout", wire.DefaultDialTimeout, "connect timeout for node dials")
-	flag.IntVar(&o.breakThreshold, "breaker-threshold", bdef.FailureThreshold, "consecutive RPC failures that open a site's circuit breaker")
-	flag.DurationVar(&o.breakBackoff, "breaker-backoff", bdef.BaseBackoff, "initial open-state backoff before the first half-open probe")
-	flag.DurationVar(&o.breakMax, "breaker-max-backoff", bdef.MaxBackoff, "cap on the breaker's doubling backoff")
-	flag.DurationVar(&o.probeInterval, "probe-interval", bdef.ProbeInterval, "how often the prober checks open breakers for due probes")
-	flag.IntVar(&o.rpcRetries, "rpc-retries", bdef.RetryBudget, "extra attempts per node RPC before the failure counts")
-	flag.StringVar(&o.chaos, "chaos", "", "fault-injection plan for node connections, e.g. 'spec.sdss.org:blackhole after=5s for=10s' (see internal/faultnet)")
-	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos plan's randomness")
-	flag.StringVar(&o.traceOut, "trace-out", "", "append per-query spans as JSONL to this file")
-	flag.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz, /debug/pprof on this address")
-	flag.Int64Var(&o.ledgerCap, "ledger", 4096, "decision-ledger ring capacity in records (0 disables)")
-	flag.StringVar(&o.ledgerOut, "ledger-out", "", "append every decision record as JSONL to this file")
-	flag.BoolVar(&o.shadow, "shadow", true, "run counterfactual baselines (always-bypass, LRU-K) online")
-	fdef := flightrec.DefaultConfig()
-	flag.DurationVar(&o.flightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every query at least this slow")
-	flag.IntVar(&o.flightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
-	flag.IntVar(&o.flightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy query as a 'normal' exemplar (0 disables)")
-	flag.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file")
-	flag.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
-	flag.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, at least 1)")
-	flag.StringVar(&o.stateDir, "state-dir", "", "persist cache/policy/accounting state here and warm-restart from it (empty disables)")
-	flag.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
-	flag.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
-	flag.StringVar(&o.recoveryLog, "recovery-log", "", "append the startup recovery report to this file")
-	flag.StringVar(&o.persistFaults, "persist-faults", "", "arm deterministic crash points in the persistence writers, e.g. 'wal.append.mid-record:after=40' (crash tests only)")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "byproxyd:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags declares the daemon's whole flag surface on fs;
+// TestFlagSurface pins the names.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.release, "release", "edr", "data release: edr or dr1")
+	fs.StringVar(&o.addr, "addr", ":7100", "listen address for clients")
+	fs.StringVar(&o.policy, "policy", "rate-profile", "cache policy: "+strings.Join(core.PolicyNames(), ", "))
+	fs.Float64Var(&o.cachePct, "cache-pct", 0.4, "cache size as a fraction of the database")
+	fs.StringVar(&o.gran, "granularity", "columns", "object granularity: tables, columns or views")
+	fs.StringVar(&o.nodes, "nodes", "", "comma-separated site=addr pairs of database nodes (empty = simulate locally)")
+	fs.Int64Var(&o.sample, "sample", 1000, "materialize 1 of every N logical rows")
+	fs.Int64Var(&o.seed, "seed", 1, "data synthesis seed (must match the nodes')")
+	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", wire.DefaultRPCTimeout, "deadline for node RPCs (0 disables)")
+	fs.DurationVar(&o.dialTimeout, "dial-timeout", wire.DefaultDialTimeout, "connect timeout for node dials")
+	fs.StringVar(&o.chaos, "chaos", "", "fault-injection plan for node connections, e.g. 'spec.sdss.org:blackhole after=5s for=10s' (see internal/faultnet)")
+	fs.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos plan's randomness")
+	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz, /debug/pprof on this address")
+	fs.Int64Var(&o.ledgerCap, "ledger", 4096, "decision-ledger ring capacity in records (0 disables)")
+	fs.StringVar(&o.ledgerOut, "ledger-out", "", "append every decision record as JSONL to this file")
+	fs.BoolVar(&o.shadow, "shadow", true, "run counterfactual baselines (always-bypass, LRU-K) online")
+	fdef := flightrec.DefaultConfig()
+	fs.DurationVar(&o.flightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every query at least this slow")
+	fs.IntVar(&o.flightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
+	fs.IntVar(&o.flightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy query as a 'normal' exemplar (0 disables)")
+	fs.StringVar(&o.exemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file (with -flight-sample 1: a record of every query)")
+	fs.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
+	fs.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, at least 1)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "persist cache/policy/accounting state here and warm-restart from it (empty disables)")
+	fs.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
+	fs.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
+	fs.StringVar(&o.recoveryLog, "recovery-log", "", "append the startup recovery report to this file")
+	fs.StringVar(&o.persistFaults, "persist-faults", "", "arm deterministic crash points in the persistence writers, e.g. 'wal.append.mid-record:after=40' (crash tests only)")
 }
 
 func run(o options) error {
@@ -137,13 +129,12 @@ func run(o options) error {
 	return d.Close()
 }
 
-// daemon is a started proxy with its telemetry plane, span sink, and
-// decision-ledger sink.
+// daemon is a started proxy with its telemetry plane and its decision
+// and exemplar logs.
 type daemon struct {
 	proxy     *wire.Proxy
 	persist   *persist.Manager // nil when -state-dir is unset
 	http      *obs.HTTPServer  // nil when -http is unset
-	sink      *obs.JSONL       // nil when -trace-out is unset
 	ledger    *ledger.JSONL    // nil when -ledger-out is unset
 	exemplars *flightrec.JSONL // nil when -exemplar-out is unset
 	plan      *faultnet.Plan   // nil when -chaos is unset
@@ -153,7 +144,7 @@ type daemon struct {
 
 // Close shuts the listener (draining in-flight queries), flushes the
 // final state snapshot, closes the HTTP plane, and — last, so
-// in-flight spans and decision records still land — flushes and
+// in-flight decision records and exemplars still land — flushes and
 // closes the JSONL logs.
 func (d *daemon) Close() error {
 	err := d.proxy.Close()
@@ -169,9 +160,6 @@ func (d *daemon) Close() error {
 		if herr := d.http.Close(); err == nil {
 			err = herr
 		}
-	}
-	if serr := d.sink.Close(); err == nil {
-		err = serr
 	}
 	if lerr := d.ledger.Close(); err == nil {
 		err = lerr
@@ -254,12 +242,7 @@ func start(o options) (*daemon, error) {
 	proxy := wire.NewProxy(med, g, nodeAddrs)
 	proxy.SetRPCTimeout(o.rpcTimeout)
 	proxy.SetDialTimeout(o.dialTimeout)
-	bcfg := wire.DefaultBreakerConfig()
-	bcfg.FailureThreshold = o.breakThreshold
-	bcfg.BaseBackoff = o.breakBackoff
-	bcfg.MaxBackoff = o.breakMax
-	bcfg.ProbeInterval = o.probeInterval
-	bcfg.RetryBudget = o.rpcRetries
+	bcfg := wire.DefaultBreakerConfig() // thresholds, backoffs and retry budget are constants
 	bcfg.Seed = o.seed
 	proxy.SetBreakerConfig(bcfg)
 	proxy.SetConcurrency(o.maxInflight, 0)
@@ -293,20 +276,9 @@ func start(o options) (*daemon, error) {
 		})
 		d.plan = plan
 	}
-	if o.traceOut != "" {
-		f, err := os.OpenFile(o.traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			d.ledger.Close()
-			d.exemplars.Close()
-			return nil, err
-		}
-		d.sink = obs.NewJSONL(f)
-		proxy.SetTracer(obs.NewTracer(d.sink))
-	}
 	if o.httpAddr != "" {
 		srv, err := obs.StartHTTP(o.httpAddr, obs.NewHTTPHandler(reg.Snapshot))
 		if err != nil {
-			d.sink.Close()
 			d.ledger.Close()
 			d.exemplars.Close()
 			return nil, err
@@ -340,7 +312,6 @@ func start(o options) (*daemon, error) {
 			if d.http != nil {
 				d.http.Close()
 			}
-			d.sink.Close()
 			d.ledger.Close()
 			d.exemplars.Close()
 			return nil, err
@@ -356,7 +327,6 @@ func start(o options) (*daemon, error) {
 		if d.http != nil {
 			d.http.Close()
 		}
-		d.sink.Close()
 		d.ledger.Close()
 		d.exemplars.Close()
 		return nil, err

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +24,8 @@ func testOptions() options {
 
 func TestStartAndQuery(t *testing.T) {
 	o := testOptions()
-	o.traceOut = filepath.Join(t.TempDir(), "spans.jsonl")
+	o.flightSample = 1
+	o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
 	o.httpAddr = "127.0.0.1:0"
 	d, err := start(o)
 	if err != nil {
@@ -92,17 +95,37 @@ func TestStartAndQuery(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// -trace-out wrote a span for the query.
+	// -flight-sample 1 -exemplar-out wrote the query's record (the
+	// capture closes after the reply is sent, so wait for it).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		b, _ := os.ReadFile(o.traceOut)
-		if strings.Contains(string(b), "proxy.query") {
+		b, _ := os.ReadFile(o.exemplarOut)
+		if strings.Contains(string(b), `"sql":"select ra, dec from photoobj where ra \u003c 90"`) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("span log missing proxy.query: %q", b)
+			t.Fatalf("exemplar log missing the query: %q", b)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFlagSurface pins the daemon's options: adding, renaming or
+// removing a flag is a reviewed edit of this list.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "cache-pct", "chaos", "chaos-seed", "dial-timeout", "exemplar-out",
+		"flight-cap", "flight-sample", "flight-threshold", "granularity", "http",
+		"ledger", "ledger-out", "max-inflight", "nodes", "persist-faults", "policy",
+		"pool-size", "recovery-log", "release", "rpc-timeout", "sample", "seed",
+		"shadow", "snapshot-interval", "state-dir", "wal-sync",
+	}
+	fs := flag.NewFlagSet("byproxyd", flag.ContinueOnError)
+	registerFlags(fs, new(options))
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in name order
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags = %q (%d)\nwant    %q (%d)", got, len(got), want, len(want))
 	}
 }
 

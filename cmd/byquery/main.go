@@ -1,7 +1,9 @@
 // Command byquery is a SQL client for the bypass-yield proxy: it
 // sends one statement (or a stdin stream of statements), prints the
-// bounded result sample, the per-object cache decisions, and —
-// with -stats — the proxy's flow accounting.
+// bounded result sample, the per-object cache decisions and the trace
+// id it sent the statement under (byinspect -tail -trace-id and
+// -decisions -trace-id look the query's records up by it), and — with
+// -stats — the proxy's flow accounting.
 //
 // Usage:
 //
@@ -18,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"bypassyield/internal/obs"
 	"bypassyield/internal/wire"
 )
 
@@ -65,11 +68,12 @@ func run(addr string, dialTimeout time.Duration, stats, printRows bool, args []s
 }
 
 func query(client *wire.Client, sql string, printRows bool) error {
-	res, err := client.Query(sql)
+	traceID := obs.NewID()
+	res, err := client.QueryTraced(sql, traceID)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d rows, %.3f MB yield\n", res.Rows, float64(res.Bytes)/1e6)
+	fmt.Printf("%d rows, %.3f MB yield, trace %s\n", res.Rows, float64(res.Bytes)/1e6, obs.FormatID(traceID))
 	if printRows && len(res.Tuples) > 0 {
 		fmt.Println(strings.Join(res.Columns, "\t"))
 		for _, tu := range res.Tuples {

@@ -269,8 +269,7 @@ func TestChaosSynth(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		// Minted correlation ids double as the traced-exemplar fixture.
-		tctx := obs.TraceContext{TraceID: obs.NewID(), SpanID: obs.NewID()}
-		cl.QueryTraced("select z, zconf from specobj where z < 3", tctx) // errors are the point
+		cl.QueryTraced("select z, zconf from specobj where z < 3", obs.NewID()) // errors are the point
 	}
 	cl.Close()
 	inj.Set(faultnet.Faults{})

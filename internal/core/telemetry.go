@@ -57,13 +57,10 @@ import (
 //	                          with explicit sub-microsecond buckets —
 //	                          the name keeps the Prometheus convention
 //	                          while the unit stays integer-friendly
-//	core.lock_wait_us         histogram: time queries spend blocked on
+//	core.decide_wait_us       histogram: time queries spend blocked on
 //	                          the mediation decision lock (µs) — the
 //	                          decision plane's queueing delay, which
 //	                          tail attribution separates from WAN time
-//
-//	core.decide_wait_us       histogram: the same wait under the name
-//	                          newer dashboards read
 //
 // Pipeline concurrency (the proxy's decide-then-execute split —
 // decisions stay sequential under the mediation lock, WAN legs and
@@ -111,7 +108,6 @@ type Telemetry struct {
 	queryRate  *obs.Rate
 
 	decide     *obs.Histogram
-	lockWait   *obs.Histogram
 	decideWait *obs.Histogram
 
 	queryConcurrency *obs.Gauge
@@ -174,7 +170,6 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		queryRate:       r.Rate("core.query_rate"),
 
 		decide:     r.Histogram("core.decide_seconds", DecideBuckets()),
-		lockWait:   r.Histogram("core.lock_wait_us", obs.DefaultLatencyBuckets()),
 		decideWait: r.Histogram("core.decide_wait_us", obs.DefaultLatencyBuckets()),
 
 		queryConcurrency: r.Gauge("core.query_concurrency"),
@@ -305,15 +300,12 @@ func (t *Telemetry) ObserveDecide(d time.Duration, n int) {
 }
 
 // ObserveDecideWait records how long one query waited for the
-// decision lock, in microseconds, in core.decide_wait_us and in
-// core.lock_wait_us, the name older dashboards read.
+// decision lock, in microseconds, in core.decide_wait_us.
 func (t *Telemetry) ObserveDecideWait(d time.Duration) {
 	if t == nil {
 		return
 	}
-	us := d.Microseconds()
-	t.decideWait.Observe(us)
-	t.lockWait.Observe(us)
+	t.decideWait.Observe(d.Microseconds())
 }
 
 // QueryInflight moves the core.query_concurrency gauge by delta; the

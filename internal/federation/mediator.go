@@ -368,7 +368,7 @@ func (m *Mediator) QueryStmt(sql string, stmt *sqlparse.SelectStmt) (*QueryRepor
 
 // QueryStmtTraced is QueryStmt carrying the distributed trace id of
 // the enclosing query; ledger records emitted for its accesses carry
-// the id, linking span waterfalls to the decisions inside them.
+// the id, the join key to the query's flight-recorder exemplars.
 func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
 	start := time.Now()
 	// Execution phase — lock-free. Bind and engine evaluation read only

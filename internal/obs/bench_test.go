@@ -24,11 +24,6 @@ func TestHotPathAllocFree(t *testing.T) {
 	rt := r.Rate("rate")
 	rt.Add(1) // materialize the first slot once
 
-	// Tracing disabled (nil tracer / nil sink): span start/end must
-	// stay free — daemons run untraced by default.
-	var off *Tracer
-	parent := TraceContext{TraceID: 1, SpanID: 2}
-
 	cases := []struct {
 		name string
 		fn   func()
@@ -40,8 +35,6 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"HistogramFamily.Observe", func() { hf.Observe("site", 77) }},
 		{"Rate.Add", func() { rt.Add(64) }},
 		{"Rate.PerSecond", func() { rt.PerSecond() }},
-		{"disabled Root+End", func() { off.Root("q").End() }},
-		{"disabled Child+End", func() { off.Child(parent, "leg").End() }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
@@ -126,25 +119,6 @@ func BenchmarkRateAddParallel(b *testing.B) {
 			r.Add(1)
 		}
 	})
-}
-
-func BenchmarkDisabledSpan(b *testing.B) {
-	var tr *Tracer
-	parent := TraceContext{TraceID: 1, SpanID: 2}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Child(parent, "leg").End()
-	}
-}
-
-func BenchmarkTracedSpanRing(b *testing.B) {
-	tr := NewTracer(NewRing(1024))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		root := tr.Root("q")
-		tr.Child(root.Context(), "leg").End()
-		root.End()
-	}
 }
 
 func BenchmarkLedgerRecord(b *testing.B) {

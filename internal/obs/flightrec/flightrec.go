@@ -28,7 +28,10 @@
 package flightrec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"runtime"
 	"runtime/debug"
@@ -112,8 +115,8 @@ type CausePoint struct {
 	US    int64  `json:"us"`
 }
 
-// Exemplar is one recorded query: identity, phase timings, the span
-// tree (legs), the decision record, and the computed attribution.
+// Exemplar is one recorded query: identity, phase timings, the WAN
+// legs, the decision record, and the computed attribution.
 type Exemplar struct {
 	// Seq is the recorder sequence number (1-based).
 	Seq uint64 `json:"seq"`
@@ -552,12 +555,36 @@ func (j *JSONL) Close() error {
 	return nil
 }
 
-// Filter trims exemplars to those matching outcome (""=all) and
-// DurUS ≥ minUS, keeping the most recent limit (≤ 0 = all).
-func Filter(exs []Exemplar, outcome string, minUS int64, limit int) []Exemplar {
+// ReadJSONL decodes what the JSONL sink wrote, one exemplar per line.
+// Blank lines are skipped; a malformed line is an error naming its
+// position.
+func ReadJSONL(r io.Reader) ([]Exemplar, error) {
+	var out []Exemplar
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
+	for line := 1; sc.Scan(); line++ {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
+			continue
+		}
+		var e Exemplar
+		if err := json.Unmarshal(text, &e); err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		out = append(out, e)
+	}
+	return out, sc.Err()
+}
+
+// Filter trims exemplars to those matching outcome and trace id
+// (""=all) and DurUS ≥ minUS, keeping the most recent limit (≤ 0 = all).
+func Filter(exs []Exemplar, outcome, trace string, minUS int64, limit int) []Exemplar {
 	out := make([]Exemplar, 0, len(exs))
 	for _, e := range exs {
 		if outcome != "" && e.Outcome != outcome {
+			continue
+		}
+		if trace != "" && e.Trace != trace {
 			continue
 		}
 		if e.DurUS < minUS {

@@ -188,6 +188,15 @@ func TestJSONLSink(t *testing.T) {
 	if e.SQL != "select ra from photoobj" || e.Trace != "000000000000dead" {
 		t.Fatalf("sink exemplar %+v", e)
 	}
+	// ReadJSONL takes back what the sink wrote, skips blank lines, and
+	// names the line it cannot decode.
+	back, err := ReadJSONL(strings.NewReader("\n" + buf.String()))
+	if err != nil || len(back) != 1 || back[0].Trace != e.Trace || back[0].Seq != e.Seq {
+		t.Fatalf("ReadJSONL = %+v, %v", back, err)
+	}
+	if _, err := ReadJSONL(strings.NewReader(buf.String() + "{not json\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("malformed second line: err = %v, want one naming line 2", err)
+	}
 }
 
 func TestCaptureReuseDoesNotLeak(t *testing.T) {
@@ -215,17 +224,20 @@ func TestCaptureReuseDoesNotLeak(t *testing.T) {
 func TestFilter(t *testing.T) {
 	exs := []Exemplar{
 		{Seq: 1, Outcome: OutcomeSlow, DurUS: 100},
-		{Seq: 2, Outcome: OutcomeError, DurUS: 50},
+		{Seq: 2, Outcome: OutcomeError, DurUS: 50, Trace: "00000000000000ab"},
 		{Seq: 3, Outcome: OutcomeSlow, DurUS: 300},
 		{Seq: 4, Outcome: OutcomeNormal, DurUS: 10},
 	}
-	if got := Filter(exs, OutcomeSlow, 0, 0); len(got) != 2 {
+	if got := Filter(exs, OutcomeSlow, "", 0, 0); len(got) != 2 {
 		t.Fatalf("outcome filter kept %d, want 2", len(got))
 	}
-	if got := Filter(exs, "", 60, 0); len(got) != 2 {
+	if got := Filter(exs, "", "", 60, 0); len(got) != 2 {
 		t.Fatalf("minUS filter kept %d, want 2", len(got))
 	}
-	got := Filter(exs, "", 0, 2)
+	if got := Filter(exs, "", "00000000000000ab", 0, 0); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("trace filter kept %+v, want seq 2", got)
+	}
+	got := Filter(exs, "", "", 0, 2)
 	if len(got) != 2 || got[0].Seq != 3 || got[1].Seq != 4 {
 		t.Fatalf("limit filter kept %+v, want seqs 3,4", got)
 	}

@@ -43,7 +43,7 @@ type DecisionRecord struct {
 	// Policy names the deciding policy ("rate-profile", ...).
 	Policy string `json:"policy,omitempty"`
 	// Trace is the distributed trace id of the enclosing query (16 hex
-	// digits, "" when untraced) — the join key to span waterfalls.
+	// digits, "" when untraced) — the join key to its exemplars.
 	Trace string `json:"trace,omitempty"`
 	// Object is the decided object's id.
 	Object string `json:"object"`

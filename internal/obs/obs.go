@@ -1,6 +1,8 @@
 // Package obs is the federation's observability substrate: a
-// dependency-free, concurrency-safe metrics registry plus a
-// lightweight span/event tracer with pluggable sinks.
+// dependency-free, concurrency-safe metrics registry, and the 64-bit
+// trace ids that join one query's ledger records and flight-recorder
+// exemplars across daemons (the per-query record itself is
+// obs/flightrec's).
 //
 // The paper's whole argument is quantitative — every policy decision
 // is justified by the byte flows D_S, D_L, D_C, D_A — so the running

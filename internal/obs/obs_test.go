@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -148,12 +146,6 @@ func TestNilSafety(t *testing.T) {
 	if n := len(r.Snapshot().Counters); n != 0 {
 		t.Fatalf("nil registry snapshot has %d counters", n)
 	}
-	var tr *Tracer
-	tr.Event("e")
-	tr.Start("s").End()
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 }
 
 func TestConcurrentUse(t *testing.T) {
@@ -196,57 +188,6 @@ func TestExpBuckets(t *testing.T) {
 	// Degenerate parameters are clamped sane.
 	if b := ExpBuckets(0, 0, 2); b[0] != 1 || b[1] != 2 {
 		t.Fatalf("clamped buckets = %v", b)
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	ring := NewRing(3)
-	tr := NewTracer(ring)
-	if !tr.Enabled() {
-		t.Fatal("tracer should be enabled")
-	}
-	tr.Event("a", A("k", "v"))
-	sp := tr.Start("span", A("site", "x"))
-	time.Sleep(time.Millisecond)
-	sp.End(A("ok", "true"))
-	evs := ring.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2", len(evs))
-	}
-	if evs[0].Name != "a" || evs[0].Attrs[0] != (Attr{"k", "v"}) {
-		t.Fatalf("event 0 = %+v", evs[0])
-	}
-	if evs[1].Duration <= 0 {
-		t.Fatalf("span duration = %v", evs[1].Duration)
-	}
-	if len(evs[1].Attrs) != 2 || evs[1].Attrs[1] != (Attr{"ok", "true"}) {
-		t.Fatalf("span attrs = %+v", evs[1].Attrs)
-	}
-	// Overflow keeps only the newest 3, oldest first.
-	for _, n := range []string{"b", "c", "d"} {
-		tr.Event(n)
-	}
-	evs = ring.Events()
-	if len(evs) != 3 || evs[0].Name != "b" || evs[2].Name != "d" {
-		t.Fatalf("ring overflow = %+v", evs)
-	}
-}
-
-func TestTracerJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(NewJSONL(&buf))
-	tr.Event("hello", A("x", "1"))
-	tr.Event("world")
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d, want 2", len(lines))
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Name != "hello" || len(ev.Attrs) != 1 {
-		t.Fatalf("decoded = %+v", ev)
 	}
 }
 

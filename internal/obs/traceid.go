@@ -8,29 +8,6 @@ import (
 	"time"
 )
 
-// TraceContext is the compact cross-process trace identity carried on
-// wire frames: the 64-bit trace a request belongs to and the span that
-// is its parent on the far side. The zero TraceContext means
-// "untraced" — frames carrying it are byte-identical to pre-tracing
-// frames, so old and new daemons interoperate.
-type TraceContext struct {
-	// TraceID identifies the whole causal tree (one client query).
-	TraceID uint64
-	// SpanID identifies the span that spawned this context; a span
-	// opened under this context uses it as its parent.
-	SpanID uint64
-}
-
-// Valid reports whether the context identifies a trace.
-func (c TraceContext) Valid() bool { return c.TraceID != 0 }
-
-// TraceHex returns the trace id as 16 hex digits ("" when untraced),
-// the wire and JSONL encoding.
-func (c TraceContext) TraceHex() string { return FormatID(c.TraceID) }
-
-// SpanHex returns the span id as 16 hex digits ("" when untraced).
-func (c TraceContext) SpanHex() string { return FormatID(c.SpanID) }
-
 // idState walks a full-period Weyl sequence (odd increment) from a
 // per-process random base, so ids are unique within a process and
 // collide across processes only with ~2^-64 probability per pair.

@@ -474,9 +474,8 @@ func (st *runState) exec(op *Op) {
 	// node legs and stamps it on flight-recorder exemplars, so a tail
 	// event in this run can be joined across daemons afterwards
 	// (byinspect -federation merges by trace id).
-	tctx := obs.TraceContext{TraceID: obs.NewID(), SpanID: obs.NewID()}
 	t0 := time.Now()
-	res, err := cl.QueryTraced(op.SQL, tctx)
+	res, err := cl.QueryTraced(op.SQL, obs.NewID())
 	latUS := time.Since(t0).Microseconds()
 	if err != nil {
 		st.errors.Add(1)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"testing"
 
-	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/sqlparse"
 )
@@ -44,11 +43,11 @@ func TestWriteFrameAllocs(t *testing.T) {
 }
 
 // TestUntracedHitBuildsOnlyTheResult pins what the proxy adds to a hit
-// on top of parsing and mediating it, by difference: with no tracer
-// attached, handleQuery refills the connection's ResultMsg and
-// allocates nothing — no message, no decision list, no span attributes,
-// no formatted numbers. With a ring tracer the same query pays for its
-// spans, which shows the bound measures what it claims to.
+// on top of parsing and mediating it, by difference: handleQuery refills
+// the connection's ResultMsg and allocates nothing — no message, no
+// decision list, no formatted numbers. Under a trace id the same query
+// pays for the id's sixteen hex digits, which shows the bound measures
+// what it claims to.
 func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -58,7 +57,7 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	const sql = "select ra, dec from photoobj where ra between 0 and 350"
 	var res ResultMsg // the connection's, as serveConn keeps one
 	for i := 0; ; i++ {
-		if _, err := p.handleQuery(sql, obs.TraceContext{}, nil, &res); err != nil {
+		if _, err := p.handleQuery(sql, 0, nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Decisions[0].Decision == "hit" {
@@ -77,22 +76,21 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	handle := func() float64 {
+	handle := func(traceID uint64) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := p.handleQuery(sql, obs.TraceContext{}, nil, &res); err != nil {
+			if _, err := p.handleQuery(sql, traceID, nil, &res); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	untraced := handle() - mediate
-	p.SetTracer(obs.NewTracer(obs.NewRing(64)))
-	traced := handle() - mediate
+	untraced := handle(0) - mediate
+	traced := handle(0xab) - mediate
 	t.Logf("mediation %.0f allocs; the proxy adds %.0f untraced, %.0f traced", mediate, untraced, traced)
 	if untraced > 0 {
 		t.Errorf("an untraced hit allocates %.0f times beyond mediation, want none (the connection's result is refilled)", untraced)
 	}
-	if traced < untraced+4 {
-		t.Errorf("a traced hit allocates %.0f times beyond mediation, an untraced one %.0f: the spans cost nothing?", traced, untraced)
+	if traced < untraced+1 {
+		t.Errorf("a traced hit allocates %.0f times beyond mediation, an untraced one %.0f: the id's string costs nothing?", traced, untraced)
 	}
 }
 
@@ -122,11 +120,11 @@ func (c *frameReplay) Write(p []byte) (int, error) { c.sent++; return len(p), ni
 func (c *frameReplay) Close() error                { return nil }
 
 // TestUntracedSubqueryBuildsOnlyTheResult is the same pin for the node:
-// serving an untraced sub-query allocates what decoding the query and
-// executing it allocate, and nothing else — no reply message, no span
-// attributes, no formatted numbers, and (the result being released once
-// written) no tuples. A traced sub-query with a tracer attached pays for
-// its span.
+// serving a sub-query allocates what decoding the query and executing it
+// allocate, and nothing else — no reply message, no formatted numbers,
+// and (the result being released once written) no tuples. A trace id
+// rides in the string the query's fields are cut from and is parsed, not
+// copied, so a traced sub-query costs what an untraced one does.
 func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -154,18 +152,16 @@ func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
 		}
 		releaseResult(res)
 	})
-	untraced := serve(QueryMsg{SQL: sql}) - execute
-	n.SetTracer(obs.NewTracer(obs.NewRing(64)))
-	traced := serve(QueryMsg{SQL: sql, TraceID: "00000000000000ab", ParentSpan: "00000000000000cd"}) - execute
-	t.Logf("execute %.0f allocs; serving adds %.3f untraced, %.3f traced", execute, untraced, traced)
 	// The decoded QueryMsg (it escapes through Decode's any) and the one
 	// string its fields are cut from; the connection's read buffer, once
 	// per connection, is the hundredths.
-	if untraced > 2.1 {
-		t.Errorf("an untraced sub-query allocates %.3f times beyond executing it, want 2 (the decoded query)", untraced)
-	}
-	if traced < untraced+4 {
-		t.Errorf("a traced sub-query allocates %.1f times beyond executing it, an untraced one %.1f: the span costs nothing?", traced, untraced)
+	for name, q := range map[string]QueryMsg{
+		"an untraced": {SQL: sql},
+		"a traced":    {SQL: sql, TraceID: "00000000000000ab"},
+	} {
+		if beyond := serve(q) - execute; beyond > 2.1 {
+			t.Errorf("%s sub-query allocates %.3f times beyond the %.0f of executing it, want 2 (the decoded query)", name, beyond, execute)
+		}
 	}
 }
 

@@ -69,20 +69,16 @@ func (c *Client) Close() error { return c.conn.Close() }
 // next reply into the same memory. A caller that keeps a result across
 // calls copies what it keeps.
 func (c *Client) Query(sql string) (*ResultMsg, error) {
-	return c.QueryTraced(sql, obs.TraceContext{})
+	return c.QueryTraced(sql, 0)
 }
 
-// QueryTraced is Query with a client-side trace context: the proxy
-// continues the caller's trace instead of minting a fresh root, so a
-// driver program's own spans and the federation's spans merge into
-// one tree. A zero ctx is equivalent to Query, and the result is valid
-// as long as Query's is.
-func (c *Client) QueryTraced(sql string, ctx obs.TraceContext) (*ResultMsg, error) {
-	c.query = QueryMsg{
-		SQL:        sql,
-		TraceID:    obs.FormatID(ctx.TraceID),
-		ParentSpan: obs.FormatID(ctx.SpanID),
-	}
+// QueryTraced is Query under a trace id the caller minted (obs.NewID):
+// the query's ledger records and the exemplars the proxy and the nodes
+// keep of it carry that id, so a driver can look its own statement up.
+// A zero id is equivalent to Query, and the result is valid as long as
+// Query's is.
+func (c *Client) QueryTraced(sql string, traceID uint64) (*ResultMsg, error) {
+	c.query = QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}
 	if err := c.roundTrip(MsgQuery, &c.query, MsgResult, &c.res); err != nil {
 		return nil, err
 	}
@@ -156,7 +152,7 @@ func (c *Client) Ping() (*PongMsg, error) {
 
 // Exemplars fetches a daemon's flight-recorder exemplars (proxies
 // and database nodes both answer), filtered by the query's
-// outcome/min-duration fields.
+// outcome/trace/min-duration fields.
 func (c *Client) Exemplars(q ExemplarsMsg) (*ExemplarsResultMsg, error) {
 	var res ExemplarsResultMsg
 	if err := c.roundTrip(MsgExemplars, q, MsgExemplarsResult, &res); err != nil {

@@ -195,7 +195,7 @@ func TestQueryRoundTrip(t *testing.T) {
 	for _, q := range []QueryMsg{
 		{},
 		{SQL: "select ra, dec from photoobj where ra between 0 and 350"},
-		{SQL: "select 1", TraceID: "00000000000000ab", ParentSpan: "ffffffffffffffff"},
+		{SQL: "select 1", TraceID: "00000000000000ab"},
 		{SQL: strings.Repeat("x", 70000), TraceID: "not-hex"},
 	} {
 		for _, payload := range []any{q, &q} {
@@ -308,7 +308,7 @@ func refusedByVersion(t *testing.T, addr, goodSQL string) {
 	if err := json.Unmarshal(body, &e); err != nil {
 		t.Fatalf("the refusal is not JSON: %v", err)
 	}
-	for _, want := range []string{"protocol version", "protocol 1", "protocol 2"} {
+	for _, want := range []string{"protocol version", "protocol 1", "protocol 3"} {
 		if !strings.Contains(e.Message, want) {
 			t.Errorf("refusal %q does not name %q", e.Message, want)
 		}
@@ -353,6 +353,16 @@ func listenNode(t *testing.T, site string, s *catalog.Schema, cfg engine.Config)
 func TestDBNodeRefusesProtocol1Query(t *testing.T) {
 	_, addr := listenNode(t, catalog.SiteSpec, catalog.EDR(), engine.Config{Seed: 1, SampleEvery: 100000})
 	refusedByVersion(t, addr, "select z from specobj where z < 1")
+}
+
+// A protocol-2 peer's query — the same strings, and one more after
+// them — is refused by version, not mis-decoded.
+func TestProtocol2QueryRefusedByName(t *testing.T) {
+	old := appendStr(appendStr(appendStr([]byte{2}, "select 1"), ""), "")
+	err := Decode(old, &QueryMsg{})
+	if !errors.Is(err, ErrProtocolVersion) || !strings.Contains(err.Error(), "payload format 2") {
+		t.Fatalf("err = %v, want ErrProtocolVersion naming payload format 2", err)
+	}
 }
 
 func TestClientRefusesProtocol1Result(t *testing.T) {

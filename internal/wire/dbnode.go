@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -36,7 +35,6 @@ type DBNode struct {
 	db       *engine.DB
 	ln       net.Listener
 	logf     func(format string, args ...any)
-	tracer   *obs.Tracer
 	wrapConn func(net.Conn) net.Conn
 	wg       sync.WaitGroup
 	mu       sync.Mutex
@@ -86,11 +84,6 @@ func (n *DBNode) Obs() *obs.Registry { return n.reg }
 
 // SetLogf replaces the node's logger (tests silence it).
 func (n *DBNode) SetLogf(f func(string, ...any)) { n.logf = f }
-
-// SetTracer attaches a span tracer. Frames carrying a trace context
-// get dbnode.execute / dbnode.fetch spans joined to the remote trace;
-// untraced frames emit nothing. Nil detaches.
-func (n *DBNode) SetTracer(t *obs.Tracer) { n.tracer = t }
 
 // SetConnWrapper interposes w on every accepted connection — the
 // chaos hook (bydbd -chaos wraps conns in a faultnet injector). Call
@@ -166,26 +159,17 @@ func (n *DBNode) serveConn(conn net.Conn) {
 				n.sendErr(conn, err)
 				continue
 			}
-			span := n.continueSpan(q.TraceContext(), "dbnode.execute")
 			fc := n.flight.Begin()
-			fc.SetQuery(q.SQL, q.TraceContext().TraceID)
+			fc.SetQuery(q.SQL, obs.ParseID(q.TraceID))
 			execStart := fc.Now()
 			res, err := n.execute(q.SQL)
 			fc.SetMediation(fc.Now()-execStart, 0, 0)
 			if err != nil {
-				span.End(obs.A("error", err.Error()))
 				n.sendErr(conn, err)
 				n.flight.Finish(fc, err)
 				continue
 			}
 			n.queries.Add(1)
-			// End before replying: once the proxy sees the result, the
-			// node's span log line is already flushed. An untraced
-			// sub-query builds no attributes and formats no numbers.
-			if span.Context().Valid() { // a recording span: continueSpan returns the zero Span otherwise
-				span.End(obs.A("bytes", strconv.FormatInt(res.Bytes, 10)),
-					obs.A("rows", strconv.FormatInt(res.Rows, 10)))
-			}
 			msg = ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}
 			encStart := fc.Now()
 			n.send(conn, MsgResult, &msg)
@@ -200,16 +184,12 @@ func (n *DBNode) serveConn(conn net.Conn) {
 				n.sendErr(conn, err)
 				continue
 			}
-			span := n.continueSpan(f.TraceContext(), "dbnode.fetch",
-				obs.A("object", f.Object))
 			size, err := n.objectSize(f.Object)
 			if err != nil {
-				span.End(obs.A("error", err.Error()))
 				n.sendErr(conn, err)
 				continue
 			}
 			n.fetches.Add(1)
-			span.End(obs.A("size", strconv.FormatInt(size, 10)))
 			n.send(conn, MsgFetchAck, FetchAckMsg{Object: f.Object, Size: size})
 		case MsgMetrics:
 			n.send(conn, MsgMetricsResult, MetricsResultMsg{
@@ -229,17 +209,6 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			n.sendErr(conn, fmt.Errorf("dbnode: unexpected message type %s", t))
 		}
 	}
-}
-
-// continueSpan joins an incoming frame's trace, tagging the span with
-// this node's site. Untraced frames yield a no-op span — the node
-// does not start local root traces of its own.
-func (n *DBNode) continueSpan(ctx obs.TraceContext, name string, attrs ...obs.Attr) obs.Span {
-	if n.tracer == nil || !ctx.Valid() {
-		return obs.Span{}
-	}
-	attrs = append(attrs, obs.A("site", n.Site))
-	return n.tracer.Child(ctx, name, attrs...)
 }
 
 // send writes one frame, counting transport bytes. The peer is a

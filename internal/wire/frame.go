@@ -9,7 +9,7 @@
 // gigabyte-scale flows are accounted logically (see the Proxy type).
 //
 // The two payloads on the query path, MsgQuery and MsgResult, are
-// binary (protocol 2). Every other message — errors, fetches, pings
+// binary (protocol 3). Every other message — errors, fetches, pings
 // and the scrape messages — is a JSON object, as all payloads were in
 // protocol 1. Integers are encoding/binary varints (uvarint for
 // counts and lengths, zig-zag varint for Rows, Bytes, Yield and
@@ -18,13 +18,12 @@
 // ±Inf, −0 and subnormals survive bit for bit.
 //
 //	MsgQuery
-//	  byte     format = 2
+//	  byte     format = 3
 //	  str      SQL
-//	  str      TraceID     (empty when untraced)
-//	  str      ParentSpan  (empty when untraced)
+//	  str      TraceID  (empty when untraced)
 //
 //	MsgResult
-//	  byte     format = 2
+//	  byte     format = 3
 //	  byte     flags: 1 = Partial, 2 = ragged tuples
 //	  varint   Rows
 //	  varint   Bytes
@@ -44,7 +43,8 @@
 // bytes that remain before anything is allocated for it. The format
 // byte is never '{', so a protocol-1 peer's JSON query or result is
 // recognised and refused with ErrProtocolVersion — answered as a JSON
-// MsgError, which that peer can read. There is no negotiation:
+// MsgError, which that peer can read — and so is a protocol-2 peer,
+// whose queries carried a third string. There is no negotiation:
 // clients (byquery, bysynth, byreplay, byinspect) are rebuilt with the
 // daemons.
 package wire
@@ -153,12 +153,12 @@ const frameHeader = 5
 
 // formatBinary opens every MsgQuery and MsgResult payload: the
 // protocol version whose layout the package comment gives.
-const formatBinary = 2
+const formatBinary = 3
 
 // ErrProtocolVersion reports a query or result payload that is not in
-// this build's binary layout — in practice a peer built before
-// protocol 2, whose payloads were JSON. The daemons answer it with a
-// MsgError (JSON, so that peer can read it) and keep serving.
+// this build's binary layout: a peer built before protocol 2, whose
+// payloads were JSON, or a protocol-2 peer. The daemons answer it with
+// a MsgError (JSON, so either peer can read it) and keep serving.
 var ErrProtocolVersion = errors.New("wire: protocol version mismatch")
 
 // errEncode marks a WriteFrame failure that put nothing on the wire:

@@ -249,7 +249,7 @@ func checkDecode(t *testing.T, data []byte) {
 	body := func(typ MsgType, payload any) []byte { return encodeFrame(t, typ, payload)[frameHeader:] }
 	var q QueryMsg
 	if err := Decode(data, &q); err == nil {
-		if held := len(q.SQL) + len(q.TraceID) + len(q.ParentSpan); held > len(data) {
+		if held := len(q.SQL) + len(q.TraceID); held > len(data) {
 			t.Fatalf("query holds %d bytes of a %d-byte body", held, len(data))
 		}
 		var again QueryMsg

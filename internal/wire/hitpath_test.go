@@ -61,8 +61,7 @@ const hitPathStatements = 3000
 // hitPathFederation is the federation benchmark's edr-cached
 // configuration (bench/fed.go) on loopback: EDR at one row in 1 000, a
 // node per site, a rate-profile cache of 40% at column granularity,
-// ledger 4096, shadows and both flight recorders on, no tracer — and one
-// Client. At that capacity some 96% of the bytes are hits. It returns
+// ledger 4096, shadows and both flight recorders on — and one Client. At that capacity some 96% of the bytes are hits. It returns
 // the client, the proxy it dialed, the first hitPathStatements of the EDR
 // stream, and what to call when done.
 func hitPathFederation(tb testing.TB) (*Client, *Proxy, []string, func()) {

@@ -198,8 +198,8 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		}
 	}
 	// One traced query: its ledger records must carry the trace id.
-	ctx := obs.TraceContext{TraceID: obs.NewID(), SpanID: obs.NewID()}
-	if _, err := client.QueryTraced("select ra from photoobj where ra between 0 and 350", ctx); err != nil {
+	traceID := obs.NewID()
+	if _, err := client.QueryTraced("select ra from photoobj where ra between 0 and 350", traceID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,7 +223,7 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		t.Fatalf("object filter returned %d records, want 6", len(byObj.Records))
 	}
 
-	traced, err := client.Decisions(DecisionsMsg{Trace: obs.FormatID(ctx.TraceID)})
+	traced, err := client.Decisions(DecisionsMsg{Trace: obs.FormatID(traceID)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,26 +12,19 @@ import (
 	"bypassyield/internal/obs/ledger"
 )
 
-// QueryMsg carries a SQL statement. TraceID/ParentSpan propagate the
-// distributed trace context (16-hex-digit obs ids); both empty means
-// untraced. Binary on the wire (see the package comment).
+// QueryMsg carries a SQL statement. TraceID is the query's trace id
+// (16 hex digits, obs.FormatID), the key that joins its ledger records
+// and the proxy's and nodes' exemplars; empty means untraced. Binary on
+// the wire (see the package comment).
 type QueryMsg struct {
-	SQL        string
-	TraceID    string
-	ParentSpan string
-}
-
-// TraceContext decodes the frame's trace fields (zero when untraced
-// or malformed).
-func (q QueryMsg) TraceContext() obs.TraceContext {
-	return obs.TraceContext{TraceID: obs.ParseID(q.TraceID), SpanID: obs.ParseID(q.ParentSpan)}
+	SQL     string
+	TraceID string
 }
 
 func (q QueryMsg) appendBinary(b []byte) ([]byte, error) {
 	b = append(b, formatBinary)
 	b = appendStr(b, q.SQL)
-	b = appendStr(b, q.TraceID)
-	return appendStr(b, q.ParentSpan), nil
+	return appendStr(b, q.TraceID), nil
 }
 
 func (q *QueryMsg) decodeBinary(body []byte) error {
@@ -39,7 +32,7 @@ func (q *QueryMsg) decodeBinary(body []byte) error {
 		return err
 	}
 	c := cursor{b: body, s: string(body), off: 1}
-	v := QueryMsg{SQL: c.str(), TraceID: c.str(), ParentSpan: c.str()}
+	v := QueryMsg{SQL: c.str(), TraceID: c.str()}
 	if err := c.done(); err != nil {
 		return err
 	}
@@ -297,18 +290,11 @@ type ErrorMsg struct {
 	Message string `json:"message"`
 }
 
-// FetchMsg asks a node for a whole object. The trace fields follow
-// QueryMsg's convention (empty = untraced).
+// FetchMsg asks a node for a whole object. TraceID follows QueryMsg's
+// convention (empty = untraced).
 type FetchMsg struct {
-	Object     string `json:"object"`
-	TraceID    string `json:"trace_id,omitempty"`
-	ParentSpan string `json:"parent_span,omitempty"`
-}
-
-// TraceContext decodes the frame's trace fields (zero when untraced
-// or malformed).
-func (f FetchMsg) TraceContext() obs.TraceContext {
-	return obs.TraceContext{TraceID: obs.ParseID(f.TraceID), SpanID: obs.ParseID(f.ParentSpan)}
+	Object  string `json:"object"`
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 // FetchAckMsg acknowledges a fetch with the object's logical size —
@@ -380,6 +366,8 @@ type DecisionsResultMsg struct {
 type ExemplarsMsg struct {
 	// Outcome filters by "slow", "error", "degraded", or "normal".
 	Outcome string `json:"outcome,omitempty"`
+	// Trace filters by the 16-hex-digit trace id.
+	Trace string `json:"trace,omitempty"`
 	// MinUS keeps only exemplars at least this slow (microseconds).
 	MinUS int64 `json:"min_us,omitempty"`
 	// Limit caps the returned exemplars (most recent kept).

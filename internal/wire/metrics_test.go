@@ -10,7 +10,6 @@ import (
 	"bypassyield/internal/core"
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
-	"bypassyield/internal/obs"
 )
 
 // TestEndToEndMetricsReconcile is the acceptance test of the obs
@@ -244,10 +243,10 @@ func TestProxyReconnectRetry(t *testing.T) {
 	// fake node then kills conn 1 on its next request, so RPC 2 fails
 	// the read on a cached connection, retries over a fresh dial, and
 	// succeeds.
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, obs.TraceContext{}, nil); err != nil {
+	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
 		t.Fatalf("first ship failed: %v", err)
 	}
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, obs.TraceContext{}, nil); err != nil {
+	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
 	snap := p.Obs().Snapshot()
@@ -258,84 +257,10 @@ func TestProxyReconnectRetry(t *testing.T) {
 		t.Fatalf("dials = %d, want 2", snap.CounterValue("wire.node_dials", catalog.SitePhoto))
 	}
 	// The recovered connection stays cached: another RPC, no new dial.
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, obs.TraceContext{}, nil); err != nil {
+	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Obs().Snapshot().CounterValue("wire.node_dials", catalog.SitePhoto); got != 2 {
 		t.Fatalf("dials after steady RPC = %d, want 2", got)
-	}
-}
-
-// TestProxyQuerySpans checks the proxy emits per-query spans when a
-// tracer is attached.
-func TestProxyQuerySpans(t *testing.T) {
-	ring := obs.NewRing(16)
-	s := catalog.EDR()
-	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db, Granularity: federation.Tables,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewProxy(med, federation.Tables, nil)
-	p.SetLogf(func(string, ...any) {})
-	p.SetTracer(obs.NewTracer(ring))
-	addr, err := p.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Query("select ra from photoobj where ra < 100"); err != nil {
-		t.Fatal(err)
-	}
-	c.Query("not sql") //nolint:errcheck // error path should emit a span too
-
-	trees := obs.BuildTraces(ring.Events())
-	if len(trees) != 2 {
-		t.Fatalf("traces = %d, want 2 (one per client query)", len(trees))
-	}
-	for _, tree := range trees {
-		if tree.Orphans != 0 || len(tree.Roots) != 1 {
-			t.Fatalf("tree %s: orphans=%d roots=%d", tree.ID, tree.Orphans, len(tree.Roots))
-		}
-		if root := tree.Roots[0]; root.Name != "proxy.query" || root.Duration <= 0 {
-			t.Fatalf("root span = %+v", root.Event)
-		}
-	}
-	// The successful query's trace carries the mediation legs as
-	// children of the root; the parse failure's trace is a bare root
-	// with an error attr.
-	legs := map[string]int{}
-	var bare *obs.SpanNode
-	for _, tree := range trees {
-		if len(tree.Roots[0].Children) == 0 {
-			bare = tree.Roots[0]
-			continue
-		}
-		for _, ch := range tree.Roots[0].Children {
-			legs[ch.Name]++
-			if ch.Parent != tree.Roots[0].Span {
-				t.Fatalf("leg %s has parent %q, want root %q", ch.Name, ch.Parent, tree.Roots[0].Span)
-			}
-		}
-	}
-	if bare == nil || bare.AttrValue("error") == "" {
-		t.Fatalf("parse failure should leave a bare root with an error attr, got %+v", bare)
-	}
-	// Tables granularity over one table: mediate once, decide once
-	// (bypass), and one subquery leg for the bypassed table.
-	for leg, want := range map[string]int{"proxy.mediate": 1, "proxy.decide": 1, "proxy.subquery": 1} {
-		if legs[leg] != want {
-			t.Fatalf("legs = %v, want %d %s", legs, want, leg)
-		}
 	}
 }

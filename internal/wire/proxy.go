@@ -7,7 +7,6 @@ import (
 	"net"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -113,7 +112,6 @@ type Proxy struct {
 
 	ln     net.Listener
 	logf   func(format string, args ...any)
-	tracer *obs.Tracer
 	wg     sync.WaitGroup
 	closed bool
 
@@ -259,8 +257,6 @@ func (p *Proxy) buildBreakers() {
 				sp.DropIdle()
 			}
 		}
-		p.tracer.Event("proxy.breaker_transition",
-			obs.A("site", site), obs.A("from", from.String()), obs.A("to", to.String()))
 		p.logf("proxy: breaker %s: %s -> %s", site, from, to)
 	}
 	for site := range p.nodeAddrs {
@@ -271,10 +267,6 @@ func (p *Proxy) buildBreakers() {
 
 // SetLogf replaces the proxy's logger.
 func (p *Proxy) SetLogf(f func(string, ...any)) { p.logf = f }
-
-// SetTracer attaches a span/event tracer (per-query spans, node RPC
-// failures). Nil detaches.
-func (p *Proxy) SetTracer(t *obs.Tracer) { p.tracer = t }
 
 // SetRPCTimeout replaces the per-RPC deadline applied to node
 // exchanges; d ≤ 0 disables deadlines. Call before Listen.
@@ -507,30 +499,14 @@ func (p *Proxy) serveConn(conn net.Conn) {
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 				continue
 			}
-			// Root span per client query — or a continuation when the
-			// client shipped its own trace context (Child degrades to
-			// Root on a zero parent).
-			span := p.tracer.Child(q.TraceContext(), "proxy.query")
-			ctx := span.Context()
-			if ctx.TraceID == 0 {
-				// Tracing disabled: still propagate the client's trace
-				// id so ledger records stay correlated.
-				ctx.TraceID = q.TraceContext().TraceID
-			}
+			traceID := obs.ParseID(q.TraceID)
 			fc := p.flight.Begin()
-			fc.SetQuery(q.SQL, ctx.TraceID)
-			rep, err := p.handleQuery(q.SQL, ctx, fc, &res)
+			fc.SetQuery(q.SQL, traceID)
+			rep, err := p.handleQuery(q.SQL, traceID, fc, &res)
 			if err != nil {
-				span.End(obs.A("error", err.Error()))
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 				p.flight.Finish(fc, err)
 				continue
-			}
-			// End before sending so span logs are complete once the
-			// client observes the result.
-			if p.tracer.Enabled() {
-				span.End(obs.A("decisions", strconv.Itoa(len(res.Decisions))),
-					obs.A("yield", strconv.FormatInt(res.Bytes, 10)))
 			}
 			encStart := fc.Now()
 			p.send(conn, MsgResult, &res)
@@ -582,11 +558,11 @@ type leg struct {
 	sql    string // sub-query legs; "" for fetches
 }
 
-// handleQuery mediates one client statement. ctx is the enclosing
-// proxy.query span's trace context (zero when tracing is off); every
-// leg — mediation, per-object decisions, fetches, sub-queries — is
-// emitted as a child span, and node RPC frames carry the leg's
-// context so the remote node's spans join the same tree.
+// handleQuery mediates one client statement. traceID is the client's
+// (zero when it sent none): the ledger records carry it, and so does
+// every node RPC frame, so the nodes' exemplars of the query's legs join
+// the proxy's under it. The query's own record — phases, decisions, one
+// entry per WAN leg — is fc's.
 //
 // The pipeline is decide-then-execute: mediation (whose decision
 // phase the mediator serializes internally) produces the per-object
@@ -596,11 +572,9 @@ type leg struct {
 //
 // The reply is written into res, the caller's, whose lists are emptied
 // and refilled in place; its tuples are the report's Result's, so the
-// caller releases that Result once res is sent. Span attributes — and
-// the number formatting they need — are built only when a tracer is
-// attached; an untraced hit on a connection that has served one before
-// allocates nothing beyond mediation.
-func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capture, res *ResultMsg) (*federation.QueryReport, error) {
+// caller releases that Result once res is sent. A hit on a connection
+// that has served one before allocates nothing beyond mediation.
+func (p *Proxy) handleQuery(sql string, traceID uint64, fc *flightrec.Capture, res *ResultMsg) (*federation.QueryReport, error) {
 	p.querySem <- struct{}{}
 	defer func() { <-p.querySem }()
 	tel := p.med.Telemetry()
@@ -611,18 +585,11 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	if err != nil {
 		return nil, err
 	}
-	mspan := p.tracer.Child(ctx, "proxy.mediate")
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
-	rep, err := p.med.QueryStmtTraced(sql, stmt, obs.FormatID(ctx.TraceID))
+	rep, err := p.med.QueryStmtTraced(sql, stmt, obs.FormatID(traceID))
 	if err != nil {
-		mspan.End(obs.A("error", err.Error()))
 		return nil, err
-	}
-	traced := p.tracer.Enabled()
-	if traced {
-		mspan.End(obs.A("yield", strconv.FormatInt(rep.Result.Bytes, 10)),
-			obs.A("rows", strconv.FormatInt(rep.Result.Rows, 10)))
 	}
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
 	fc.SetDegraded(rep.Degraded)
@@ -665,21 +632,6 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 			Reason:   d.Reason,
 		})
 		fc.Decision(string(d.Object), d.Site, verdict, d.Reason, d.Yield)
-		if traced {
-			// One proxy.decide span per object access: summing the yield
-			// attrs over a trace reproduces the query's D_A contribution
-			// (uniform net costs).
-			attrs := []obs.Attr{
-				obs.A("object", string(d.Object)),
-				obs.A("site", d.Site),
-				obs.A("yield", strconv.FormatInt(d.Yield, 10)),
-				obs.A("decision", verdict),
-			}
-			if d.Forced || d.Failed {
-				attrs = append(attrs, obs.A("degraded", d.Reason))
-			}
-			p.tracer.Child(ctx, "proxy.decide", attrs...).End()
-		}
 		if d.Forced || d.Failed {
 			continue
 		}
@@ -696,7 +648,7 @@ func (p *Proxy) handleQuery(sql string, ctx obs.TraceContext, fc *flightrec.Capt
 	if bypassed != nil {
 		legs = append(legs, subqueryLegs(rep, bypassed)...)
 	}
-	p.runLegs(legs, ctx, res, fc)
+	p.runLegs(legs, traceID, res, fc)
 	return rep, nil
 }
 
@@ -721,7 +673,7 @@ func subqueryLegs(rep *federation.QueryReport, bypassed []bool) []leg {
 // not fail the query — the mediator already accounted the decisions
 // over logical sizes — but they are logged and annotated on the result
 // as transport errors.
-func (p *Proxy) runLegs(legs []leg, ctx obs.TraceContext, res *ResultMsg, fc *flightrec.Capture) {
+func (p *Proxy) runLegs(legs []leg, traceID uint64, res *ResultMsg, fc *flightrec.Capture) {
 	if len(legs) == 0 {
 		return
 	}
@@ -743,12 +695,12 @@ func (p *Proxy) runLegs(legs []leg, ctx obs.TraceContext, res *ResultMsg, fc *fl
 		legStart := time.Now()
 		if l.object != "" {
 			kind = "fetch"
-			err = p.fetchObject(l.object, l.site, ctx, &lt)
+			err = p.fetchObject(l.object, l.site, traceID, &lt)
 			if err != nil {
 				p.logf("proxy: fetch %s: %v", l.object, err)
 			}
 		} else {
-			err = p.shipSubquery(l.sql, l.site, ctx, &lt)
+			err = p.shipSubquery(l.sql, l.site, traceID, &lt)
 			if err != nil {
 				p.logf("proxy: subquery to %s: %v", l.site, err)
 			}
@@ -783,7 +735,6 @@ func (p *Proxy) failConn(sp *pool, conn net.Conn, site string, err error) {
 		p.rpcTimeouts.Add(site, 1)
 	}
 	p.rpcErrors.Add(site, 1)
-	p.tracer.Event("proxy.node_rpc_error", obs.A("site", site), obs.A("error", err.Error()))
 }
 
 // isTimeout reports whether err is a network timeout.
@@ -904,23 +855,10 @@ type legTiming struct {
 
 // shipSubquery sends a sub-query to the owning node and drains the
 // response (the proxy answers from its own engine, so the reply's
-// bytes are discarded unread), under a proxy.subquery span whose
-// context rides in the frame so the node's dbnode.execute span nests
-// beneath it.
-func (p *Proxy) shipSubquery(sql, site string, ctx obs.TraceContext, lt *legTiming) (err error) {
-	span := p.tracer.Child(ctx, "proxy.subquery", obs.A("site", site))
-	defer func() { endSpan(span, err) }()
-	sctx := span.Context()
-	if sctx.TraceID == 0 {
-		// Tracing disabled: still forward the client's trace id so the
-		// node's flight-recorder exemplars merge with the proxy's.
-		sctx = ctx
-	}
-	t, body, err := p.nodeRPC(site, MsgQuery, QueryMsg{
-		SQL:        sql,
-		TraceID:    obs.FormatID(sctx.TraceID),
-		ParentSpan: obs.FormatID(sctx.SpanID),
-	}, lt)
+// bytes are discarded unread). The frame carries the client's trace id,
+// so the node's exemplar of the execution merges with the proxy's.
+func (p *Proxy) shipSubquery(sql, site string, traceID uint64, lt *legTiming) error {
+	t, body, err := p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt)
 	if err != nil {
 		return err
 	}
@@ -940,21 +878,13 @@ func nodeError(site string, t MsgType, body []byte) error {
 	return fmt.Errorf("node %s: %s", site, e.Message)
 }
 
-// fetchObject performs an object-fetch RPC for a load decision, under
-// a proxy.fetch span propagated to the node. Concurrent fetches of the
-// same object are single-flighted: one RPC serves every waiter
-// (counted in wire.fetch_coalesced), since a load's WAN transfer is
-// object-identical no matter which query triggered it.
-func (p *Proxy) fetchObject(object, site string, ctx obs.TraceContext, lt *legTiming) (err error) {
-	span := p.tracer.Child(ctx, "proxy.fetch",
-		obs.A("object", object), obs.A("site", site))
-	defer func() { endSpan(span, err) }()
-	sctx := span.Context()
-	if sctx.TraceID == 0 {
-		sctx = ctx // forward the client's trace id even untraced
-	}
+// fetchObject performs an object-fetch RPC for a load decision.
+// Concurrent fetches of the same object are single-flighted: one RPC
+// serves every waiter (counted in wire.fetch_coalesced), since a load's
+// WAN transfer is object-identical no matter which query triggered it.
+func (p *Proxy) fetchObject(object, site string, traceID uint64, lt *legTiming) error {
 	err, shared := p.fetchFlight.Do(object, func() error {
-		return p.fetchObjectRPC(object, site, sctx, lt)
+		return p.fetchObjectRPC(object, site, traceID, lt)
 	})
 	if shared {
 		p.coalesced.Add(site, 1)
@@ -964,25 +894,12 @@ func (p *Proxy) fetchObject(object, site string, ctx obs.TraceContext, lt *legTi
 
 // fetchObjectRPC is the wire leg of fetchObject, run once per
 // single-flight group.
-func (p *Proxy) fetchObjectRPC(object, site string, sctx obs.TraceContext, lt *legTiming) error {
-	t, body, err := p.nodeRPC(site, MsgFetch, FetchMsg{
-		Object:     object,
-		TraceID:    obs.FormatID(sctx.TraceID),
-		ParentSpan: obs.FormatID(sctx.SpanID),
-	}, lt)
+func (p *Proxy) fetchObjectRPC(object, site string, traceID uint64, lt *legTiming) error {
+	t, body, err := p.nodeRPC(site, MsgFetch, FetchMsg{Object: object, TraceID: obs.FormatID(traceID)}, lt)
 	if err != nil {
 		return err
 	}
 	return nodeError(site, t, body)
-}
-
-// endSpan ends a leg span, tagging the error when the leg failed.
-func endSpan(span obs.Span, err error) {
-	if err != nil {
-		span.End(obs.A("error", err.Error()))
-		return
-	}
-	span.End()
 }
 
 // Decision-ledger serving bounds: a filterless scrape returns the
@@ -1017,7 +934,7 @@ func serveExemplars(source string, rec *flightrec.Recorder, q ExemplarsMsg) Exem
 		Observed:    rec.Observed(),
 		Published:   rec.Published(),
 		ThresholdUS: rec.ThresholdUS(),
-		Exemplars:   flightrec.Filter(rec.Snapshot(), q.Outcome, q.MinUS, limit),
+		Exemplars:   flightrec.Filter(rec.Snapshot(), q.Outcome, q.Trace, q.MinUS, limit),
 	}
 }
 

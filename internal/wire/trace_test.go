@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
-	"sync"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -15,31 +14,13 @@ import (
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
 )
 
-// syncBuffer is a mutex-guarded bytes.Buffer: the daemons' JSONL
-// sinks write from serving goroutines while the test reads after the
-// fact.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) Reader() io.Reader {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return bytes.NewReader(append([]byte(nil), s.b.Bytes()...))
-}
-
-// tracedFederation is testFederation with a JSONL span sink per
-// daemon, as byproxyd/bydbd -trace-out produce.
-func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granularity) (*Client, *Proxy, map[string]*syncBuffer, func()) {
+// tracedFederation is testFederation with every daemon's flight
+// recorder keeping an exemplar of every query (byproxyd and bydbd
+// -flight-sample 1); it also returns the proxy and the nodes by site.
+func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granularity) (*Client, *Proxy, map[string]*DBNode, func()) {
 	t.Helper()
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 50000})
@@ -47,25 +28,19 @@ func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granular
 		t.Fatal(err)
 	}
 	quiet := func(string, ...any) {}
+	every := flightrec.Config{SampleEvery: 1}
 
-	sites := map[string]bool{}
-	for i := range s.Tables {
-		sites[s.Tables[i].Site] = true
-	}
-	logs := map[string]*syncBuffer{"proxy": {}}
-	var nodes []*DBNode
+	nodes := map[string]*DBNode{}
 	addrs := map[string]string{}
-	for site := range sites {
+	for _, site := range catalog.Sites(s) {
 		n := NewDBNode(site, db)
 		n.SetLogf(quiet)
-		buf := &syncBuffer{}
-		logs[site] = buf
-		n.SetTracer(obs.NewTracer(obs.NewJSONL(buf)))
+		n.SetFlightConfig(every)
 		addr, err := n.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes = append(nodes, n)
+		nodes[site] = n
 		addrs[site] = addr
 	}
 
@@ -78,7 +53,7 @@ func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granular
 	}
 	proxy := NewProxy(med, gran, addrs)
 	proxy.SetLogf(quiet)
-	proxy.SetTracer(obs.NewTracer(obs.NewJSONL(logs["proxy"])))
+	proxy.SetFlightConfig(every)
 	paddr, err := proxy.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +62,7 @@ func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granular
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, proxy, logs, func() {
+	return client, proxy, nodes, func() {
 		client.Close()
 		proxy.Close()
 		for _, n := range nodes {
@@ -96,104 +71,85 @@ func tracedFederation(t *testing.T, policy core.Policy, gran federation.Granular
 	}
 }
 
-// TestEndToEndTraceTree is the tracing acceptance test: a traced
-// workload against a proxy and two database nodes must leave span
-// logs that, merged across all three daemons, reconstruct into one
-// connected tree per client query — rooted at proxy.query, no
-// orphans, with the nodes' execute/fetch spans attached under the
-// proxy's RPC legs — and the per-trace decide yields must sum to the
-// proxy's delivered-byte accounting (D_A = D_S + D_C, uniform net).
-func TestEndToEndTraceTree(t *testing.T) {
+// TestEndToEndQueryRecords is the acceptance test of the per-query
+// record: after a workload against a proxy and its database nodes under
+// client-minted trace ids, the proxy holds one exemplar per client
+// query; the exemplars' decision yields sum to the proxy's
+// delivered-byte accounting (D_A = D_S + D_C, uniform net); every WAN
+// leg in them names its site and is timed consistently; and every
+// exemplar a node kept joins, by trace id, a proxy exemplar with a leg
+// to that node's site — no node-side record is an orphan.
+func TestEndToEndQueryRecords(t *testing.T) {
 	cap := catalog.EDR().TotalBytes()
-	client, _, logs, shutdown := tracedFederation(t,
+	client, proxy, nodes, shutdown := tracedFederation(t,
 		core.NewRateProfile(core.RateProfileConfig{Capacity: cap}), federation.Columns)
 	defer shutdown()
 
 	// A fat repeated query drives bypass → load → hit (exercising the
 	// fetch leg), plus a cross-site join touching both nodes.
-	queries := 0
+	statements := []string{6: `select p.objid, s.z from specobj s, photoobj p
+		where p.objid = s.objid and s.z < 3`}
 	for i := 0; i < 6; i++ {
-		if _, err := client.Query("select ra, dec from photoobj where ra between 0 and 350"); err != nil {
+		statements[i] = "select ra, dec from photoobj where ra between 0 and 350"
+	}
+	minted := map[string]bool{}
+	for _, sql := range statements {
+		id := obs.NewID()
+		minted[obs.FormatID(id)] = true
+		if _, err := client.QueryTraced(sql, id); err != nil {
 			t.Fatal(err)
 		}
-		queries++
 	}
-	if _, err := client.Query(`select p.objid, s.z from specobj s, photoobj p
-		where p.objid = s.objid and s.z < 3`); err != nil {
-		t.Fatal(err)
-	}
-	queries++
 	st, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A node closes its capture after it has replied: wait the daemons
+	// out before reading their recorders.
+	shutdown()
 
-	// Merge the three daemons' span logs, tagging provenance.
-	var merged []obs.Event
-	nodeSpans := map[string]map[string]int{} // source buffer → span name → count
-	for source, buf := range logs {
-		evs, err := obs.ReadEvents(buf.Reader())
-		if err != nil {
-			t.Fatalf("reading %s span log: %v", source, err)
-		}
-		counts := map[string]int{}
-		for _, e := range evs {
-			counts[e.Name]++
-		}
-		nodeSpans[source] = counts
-		merged = append(merged, evs...)
-	}
-	for _, site := range []string{catalog.SitePhoto, catalog.SiteSpec} {
-		if nodeSpans[site]["dbnode.execute"] == 0 {
-			t.Fatalf("node %s logged no dbnode.execute spans: %v", site, nodeSpans[site])
-		}
-	}
-	if nodeSpans[catalog.SitePhoto]["dbnode.fetch"] == 0 {
-		t.Fatalf("load decisions should produce dbnode.fetch spans: %v", nodeSpans[catalog.SitePhoto])
-	}
-
-	trees := obs.BuildTraces(merged)
-	if len(trees) != queries {
-		t.Fatalf("traces = %d, want %d (one per client query)", len(trees), queries)
-	}
+	legSites := map[string]map[string]bool{} // trace id → sites its legs reached
 	var yieldSum int64
-	remoteLegs := 0
-	for _, tree := range trees {
-		if len(tree.Roots) != 1 || tree.Orphans != 0 {
-			t.Fatalf("trace %s is not a single connected tree: roots=%d orphans=%d",
-				tree.ID, len(tree.Roots), tree.Orphans)
+	kinds := map[string]int{}
+	for _, e := range proxy.Flight().Snapshot() {
+		if !minted[e.Trace] || legSites[e.Trace] != nil {
+			t.Fatalf("proxy exemplar #%d has trace %q: not a client id, or its second exemplar", e.Seq, e.Trace)
 		}
-		root := tree.Roots[0]
-		if root.Name != "proxy.query" {
-			t.Fatalf("trace %s rooted at %q, want proxy.query", tree.ID, root.Name)
+		legSites[e.Trace] = map[string]bool{}
+		for _, d := range e.Decisions {
+			yieldSum += d.Yield
 		}
-		tree.Walk(func(n *obs.SpanNode, depth int) {
-			switch n.Name {
-			case "proxy.decide":
-				y, err := strconv.ParseInt(n.AttrValue("yield"), 10, 64)
-				if err != nil {
-					t.Fatalf("decide span without parseable yield: %+v", n.Event)
-				}
-				yieldSum += y
-			case "dbnode.execute", "dbnode.fetch":
-				// Remote spans must be children of the proxy's RPC legs,
-				// i.e. nested at depth ≥ 2 under the root.
-				if depth < 2 {
-					t.Fatalf("remote span %s at depth %d", n.Name, depth)
-				}
-				remoteLegs++
+		for _, l := range e.Legs {
+			if (l.Kind != "fetch" && l.Kind != "subquery") || l.Site == "" || l.StartUS < 0 || l.WallUS < l.RPCUS || l.Err != "" {
+				t.Fatalf("trace %s: leg %+v", e.Trace, l)
 			}
-		})
+			kinds[l.Kind]++
+			legSites[e.Trace][l.Site] = true
+		}
 	}
-	if remoteLegs == 0 {
-		t.Fatal("no remote spans joined the proxy's traces")
+	if len(legSites) != len(statements) {
+		t.Fatalf("proxy exemplars = %d, want %d (one per client query)", len(legSites), len(statements))
 	}
-	// Per-leg yields reconcile with the flow accounting: under uniform
-	// network costs every access's yield is delivered either by bypass
-	// (D_S) or from the cache (D_C), so the trace-derived sum equals
-	// D_A exactly.
+	if kinds["fetch"] == 0 || kinds["subquery"] == 0 {
+		t.Fatalf("legs by kind = %v, want loads and bypasses both", kinds)
+	}
+	// Under uniform network costs every access's yield is delivered
+	// either by bypass (D_S) or from the cache (D_C), so the sum over the
+	// records equals D_A exactly.
 	if da := st.Acct.DeliveredBytes(); yieldSum != da {
-		t.Fatalf("sum of decide yields = %d, accounting D_A = %d", yieldSum, da)
+		t.Fatalf("sum of exemplar decision yields = %d, accounting D_A = %d", yieldSum, da)
+	}
+
+	for _, site := range []string{catalog.SitePhoto, catalog.SiteSpec} {
+		exs := nodes[site].Flight().Snapshot()
+		if len(exs) == 0 {
+			t.Fatalf("node %s kept no exemplar of its sub-queries", site)
+		}
+		for _, e := range exs {
+			if !legSites[e.Trace][site] {
+				t.Fatalf("node %s exemplar #%d (trace %q) joins no proxy exemplar with a leg to %s", site, e.Seq, e.Trace, site)
+			}
+		}
 	}
 }
 
