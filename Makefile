@@ -56,12 +56,16 @@ crash:
 # walker, and the snapshot frame + policy-blob decoders must never panic
 # or over-allocate; a client's statement, parsed, bound and executed,
 # must never panic, fail only with a parse, bind or execution error, and
-# return what the reference evaluator returns.
+# return what the reference evaluator returns — and parse, fail and
+# answer the same in a serving connection's reused, scrambled memory as
+# in memory of its own (FuzzParse, FuzzExecute), as a reply must decode
+# the same into a Client's store as into nothing (FuzzDecodeResult).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=30s ./internal/persist/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/persist/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
 	$(GO) test -run='^$$' -fuzz=FuzzExecute -fuzztime=30s ./internal/engine/
 
 # A fast allocation/throughput smoke over the hot paths: the obs
@@ -69,8 +73,10 @@ fuzz-smoke:
 # and released, a Rate-Profile miss that compares victims, the mediator's
 # whole query path (bind, execute, decompose, decide, flush: three passes
 # over the 3 000 EDR statements of the federation benchmark's traced
-# pass), the same statements end to end through Client, Proxy and
-# Mediator on loopback (bytes per hit, and the client's Reads per reply),
+# pass, for callers that keep their reports and, as /scratch, for a
+# serving connection's one reused Scratch), the same statements end to end
+# through Client, Proxy and Mediator on loopback (bytes and allocations
+# per hit, and the client's Reads per reply),
 # the frame encoder and result codec, and one end-to-end experiment. All
 # but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
 # and any metric a benchmark reports per op) so CI can archive hot-path

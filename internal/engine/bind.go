@@ -12,6 +12,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/sqlparse"
@@ -43,7 +44,9 @@ type BoundCond struct {
 }
 
 // Bound is a statement resolved against a schema: every table and
-// column reference checked and linked to catalog metadata.
+// column reference checked and linked to catalog metadata. The zero
+// value is ready for Rebind, which resolves one statement after another
+// into the same memory.
 type Bound struct {
 	// Stmt is the original statement.
 	Stmt *sqlparse.SelectStmt
@@ -75,6 +78,8 @@ type Bound struct {
 	// tables at most) are cut from these, not allocated.
 	tablesBuf   [2]*catalog.Table
 	tablePosBuf [2]int
+	// GroupBy and OrderBy point here.
+	groupBy, orderBy BoundCol
 }
 
 // BindError reports a name-resolution failure.
@@ -88,26 +93,45 @@ func (e *BindError) Error() string {
 }
 
 // Bind resolves a statement against a schema. Every FROM table must
-// exist; every column reference must resolve to exactly one table.
+// exist; every column reference must resolve to exactly one table. The
+// Bound is the caller's to keep.
 func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
+	b := new(Bound)
+	if err := b.Rebind(s, stmt); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// empty returns buf emptied, with room for n elements: in its own memory
+// when that is enough, and otherwise in fresh memory of exactly that
+// size, which is what a zero Bound is given.
+func empty[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// Rebind is Bind into b, over what b held: the lists keep their memory
+// from one statement to the next, and whoever calls it has finished with
+// the last binding and with every slice and pointer taken from it. After
+// an error b means nothing until it is bound again.
+func (b *Bound) Rebind(s *catalog.Schema, stmt *sqlparse.SelectStmt) error {
 	if len(stmt.From) == 0 {
-		return nil, &BindError{Msg: "no tables", Ref: stmt.String()}
+		return &BindError{Msg: "no tables", Ref: stmt.String()}
 	}
-	// Every slice is sized from the statement, once.
-	b := &Bound{
-		Stmt:     stmt,
-		Schema:   s,
-		Projs:    make([]BoundCol, 0, len(stmt.Items)),
-		ProjAggs: make([]sqlparse.AggFunc, 0, len(stmt.Items)),
-	}
+	b.Stmt, b.Schema = stmt, s
+	b.Star, b.GroupBy, b.OrderBy, b.OrderDesc = false, nil, nil, false
+	// Every list is sized from the statement, once.
+	b.Projs = empty(b.Projs, len(stmt.Items))
+	b.ProjAggs = empty(b.ProjAggs, len(stmt.Items))
+	b.Conds = empty(b.Conds, len(stmt.Where))
 	b.Tables, b.TablePos = b.tablesBuf[:0], b.tablePosBuf[:0]
-	if len(stmt.Where) > 0 {
-		b.Conds = make([]BoundCond, 0, len(stmt.Where))
-	}
 	for _, tr := range stmt.From {
 		ti := s.TableIndex(tr.Name)
 		if ti < 0 {
-			return nil, &BindError{Msg: "unknown table", Ref: tr.Name}
+			return &BindError{Msg: "unknown table", Ref: tr.Name}
 		}
 		b.Tables = append(b.Tables, &s.Tables[ti])
 		b.TablePos = append(b.TablePos, ti)
@@ -159,14 +183,14 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 			case sqlparse.AggCount:
 			default:
 				// sum, avg, min and max need a column to read.
-				return nil, &BindError{Msg: "aggregate over * other than count", Ref: item.String()}
+				return &BindError{Msg: "aggregate over * other than count", Ref: item.String()}
 			}
 			b.Projs = append(b.Projs, BoundCol{TableIdx: -1})
 			continue
 		}
 		bc, err := resolve(item.Col)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		b.Projs = append(b.Projs, bc)
 	}
@@ -174,13 +198,13 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 	for _, cond := range stmt.Where {
 		left, err := resolve(cond.Left)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		bcond := BoundCond{Cond: cond, Left: left}
 		if cond.RightCol != nil {
 			right, err := resolve(*cond.RightCol)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			bcond.Right = right
 		}
@@ -190,11 +214,12 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 	if stmt.GroupBy != nil {
 		g, err := resolve(*stmt.GroupBy)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		b.GroupBy = &g
+		b.groupBy = g
+		b.GroupBy = &b.groupBy
 		if b.Star {
-			return nil, &BindError{Msg: "star projection with GROUP BY", Ref: stmt.String()}
+			return &BindError{Msg: "star projection with GROUP BY", Ref: stmt.String()}
 		}
 		// Every plain projection must be the grouping column.
 		for i, p := range b.Projs {
@@ -202,20 +227,20 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 				continue
 			}
 			if p.Col == nil || p.Col.Name != g.Col.Name || p.TableIdx != g.TableIdx {
-				return nil, &BindError{Msg: "non-aggregate projection must be the GROUP BY column", Ref: stmt.Items[i].String()}
+				return &BindError{Msg: "non-aggregate projection must be the GROUP BY column", Ref: stmt.Items[i].String()}
 			}
 		}
 	}
 	if stmt.OrderBy != nil {
 		if b.GroupBy != nil {
-			return nil, &BindError{Msg: "ORDER BY with GROUP BY is not supported", Ref: stmt.String()}
+			return &BindError{Msg: "ORDER BY with GROUP BY is not supported", Ref: stmt.String()}
 		}
 		if stmt.HasAggregate() {
-			return nil, &BindError{Msg: "ORDER BY over aggregates is not supported", Ref: stmt.String()}
+			return &BindError{Msg: "ORDER BY over aggregates is not supported", Ref: stmt.String()}
 		}
 		o, err := resolve(stmt.OrderBy.Col)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !b.Star {
 			found := false
@@ -227,14 +252,62 @@ func Bind(s *catalog.Schema, stmt *sqlparse.SelectStmt) (*Bound, error) {
 				}
 			}
 			if !found {
-				return nil, &BindError{Msg: "ORDER BY column must be projected", Ref: stmt.OrderBy.Col.String()}
+				return &BindError{Msg: "ORDER BY column must be projected", Ref: stmt.OrderBy.Col.String()}
 			}
 		}
-		b.OrderBy = &o
+		b.orderBy = o
+		b.OrderBy = &b.orderBy
 		b.OrderDesc = stmt.OrderBy.Desc
 	}
 	b.collectRefs()
-	return b, nil
+	return nil
+}
+
+// What a scrambled Bound names: a table and a column no catalog has, at
+// positions no slice has.
+const (
+	scrambled    = "\x00scrambled"
+	scrambledPos = math.MinInt32
+)
+
+var (
+	scrambledTable = &catalog.Table{Name: scrambled, Site: scrambled}
+	scrambledCol   = BoundCol{
+		TableIdx: scrambledPos, Pos: scrambledPos,
+		Table: scrambledTable, Col: &catalog.Column{Name: scrambled},
+	}
+)
+
+// Scramble overwrites the binding — every list to its capacity, the
+// columns GroupBy and OrderBy point to — with tables and columns no
+// catalog has at positions no slice has: what the next Rebind would do
+// to it, only unmistakably. It is for the tests of a Bound's owners,
+// which call it between statements so that whatever still points into
+// the last binding fails instead of reading plausible values; the Bound
+// is as ready for Rebind afterwards as before.
+func (b *Bound) Scramble() {
+	nan := math.NaN()
+	fill(b.Tables, scrambledTable)
+	fill(b.TablePos, scrambledPos)
+	fill(b.tablesBuf[:], scrambledTable) // Tables, unless it outgrew them
+	fill(b.tablePosBuf[:], scrambledPos)
+	fill(b.Projs, scrambledCol)
+	fill(b.ProjAggs, scrambled)
+	fill(b.Conds, BoundCond{
+		Cond: sqlparse.Condition{Op: scrambled, Value: nan, Lo: nan, Hi: nan},
+		Left: scrambledCol, Right: scrambledCol,
+	})
+	fill(b.refs, scrambledCol)
+	b.groupBy, b.orderBy = scrambledCol, scrambledCol
+	b.Stmt, b.Schema = nil, nil
+}
+
+// fill overwrites s to its capacity with v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // ProjectedWidth returns the byte width of one result row: the sum of
@@ -301,7 +374,7 @@ func (b *Bound) collectRefs() {
 	if b.Star {
 		n += bits
 	}
-	b.refs = make([]BoundCol, 0, n)
+	b.refs = empty(b.refs, n)
 	add := func(bc BoundCol) {
 		if bc.Col == nil {
 			return

@@ -49,7 +49,17 @@ func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 	return db.ExecuteBound(b)
 }
 
-// ExecuteBound runs a statement bound against the database's own
+// ExecuteBound is ExecuteInto a Result of its own, which is the caller's
+// to keep.
+func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
+	res := new(Result)
+	if err := db.ExecuteInto(res, b); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// ExecuteInto runs a statement bound against the database's own
 // schema (any other Bound is refused: its column positions mean
 // nothing here). The execution subset matches the workload: one- and
 // two-table statements, conjunctive predicates, equi-joins, aggregates,
@@ -67,9 +77,15 @@ func (db *DB) Execute(stmt *sqlparse.SelectStmt) (*Result, error) {
 // tuples outlive it: they are cut from pooled memory when there is
 // some, from exactly sized fresh memory when there is not, and
 // Result.Release is how a caller puts them back.
-func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
+//
+// The result is written over res, whatever it held: Columns keeps its
+// memory from one statement to the next, so whoever executes into a
+// Result again has finished with the last one (released or not: tuples
+// never released are ordinary garbage). After an error res means
+// nothing.
+func (db *DB) ExecuteInto(res *Result, b *Bound) error {
 	if b.Schema != db.schema {
-		return nil, &ExecError{Msg: "statement was bound against another schema"}
+		return &ExecError{Msg: "statement was bound against another schema"}
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
@@ -80,21 +96,20 @@ func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
 	case 2:
 		var err error
 		if rows, err = db.join(sc, b); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		return nil, &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
+		return &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
 	}
-	res, err := db.finish(sc, b, rows)
-	if err != nil {
-		return nil, err
+	if err := db.finish(sc, b, rows, res); err != nil {
+		return err
 	}
 	db.queries.Add(1)
 	db.yieldBytes.Add(res.Bytes)
-	return res, nil
+	return nil
 }
 
-// scratch is the working memory of one ExecuteBound call. The slices
+// scratch is the working memory of one ExecuteInto call. The slices
 // keep their capacity from one call to the next; their contents mean
 // nothing between calls.
 type scratch struct {
@@ -473,14 +488,14 @@ func (s *rowSort) Swap(i, j int) {
 
 // finish scales cardinality, applies ORDER BY and TOP, computes
 // aggregates, and materializes the bounded tuple sample.
-func (db *DB) finish(sc *scratch, b *Bound, rows []int32) (*Result, error) {
+func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result) error {
 	stride := len(b.Tables)
 	matches := len(rows) / stride
-	res := &Result{SampleMatches: int64(matches), Columns: db.outputColumns(b)}
+	*res = Result{SampleMatches: int64(matches), Columns: db.outputColumns(b, res.Columns)}
 
 	if b.GroupBy != nil {
 		db.finishGrouped(sc, b, rows, res)
-		return res, nil
+		return nil
 	}
 	if b.OrderBy != nil {
 		sc.sortRows(rowSort{rows: rows, stride: stride, desc: b.OrderDesc}, db.vals(b, b.OrderBy), b.OrderBy.TableIdx)
@@ -490,7 +505,7 @@ func (db *DB) finish(sc *scratch, b *Bound, rows []int32) (*Result, error) {
 	if b.Stmt.HasAggregate() {
 		for _, agg := range b.ProjAggs {
 			if agg == sqlparse.AggNone {
-				return nil, &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
+				return &ExecError{Msg: "mixing aggregates and plain columns requires GROUP BY, which is not supported"}
 			}
 		}
 		res.Rows = 1
@@ -499,7 +514,7 @@ func (db *DB) finish(sc *scratch, b *Bound, rows []int32) (*Result, error) {
 		for i := range b.Projs {
 			res.Tuples[0][i] = db.aggregate(b, i, rows)
 		}
-		return res, nil
+		return nil
 	}
 	if b.Stmt.Top > 0 && logical > b.Stmt.Top {
 		logical = b.Stmt.Top
@@ -514,7 +529,7 @@ func (db *DB) finish(sc *scratch, b *Bound, rows []int32) (*Result, error) {
 			t[j] = c.vals[rows[r*stride+c.table]]
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // limit bounds the number of materialized tuples: no more than there
@@ -530,7 +545,7 @@ func (db *DB) limit(have int, logical int64) int {
 }
 
 // tupleBuf is tuple memory between the Release that gave it back and
-// the ExecuteBound that takes it: one array and the row headers cut
+// the ExecuteInto that takes it: one array and the row headers cut
 // from it.
 type tupleBuf struct {
 	flat []float64
@@ -572,7 +587,7 @@ func (res *Result) newTuples(n, width int) {
 	}
 }
 
-// Release gives the memory of Tuples back, for a later ExecuteBound to
+// Release gives the memory of Tuples back, for a later ExecuteInto to
 // cut its tuples from. It is optional — a result never released is
 // ordinary garbage, and costs what it always has — and it is final: the
 // caller has finished with Tuples and with every slice taken from it,
@@ -598,6 +613,17 @@ func (res *Result) Release() {
 	}
 	tb.flat, tb.rows = flat, rows
 	tuplePool.Put(tb)
+}
+
+// Scramble overwrites what the result holds — the tuples with poison,
+// the column names, the counts — and leaves it as releasable as it was.
+// It is for the tests of a Result's owners (see Bound.Scramble).
+func (res *Result) Scramble() {
+	for i := range res.flat {
+		res.flat[i] = poison
+	}
+	fill(res.Columns, scrambled)
+	res.Rows, res.Bytes, res.SampleMatches = math.MinInt64, math.MinInt64, math.MinInt64
 }
 
 // finishGrouped evaluates a GROUP BY statement: one output row per
@@ -730,16 +756,17 @@ func (db *DB) starWidth(b *Bound) int {
 	return n
 }
 
-// outputColumns names the result columns.
-func (db *DB) outputColumns(b *Bound) []string {
+// outputColumns names the result columns, in buf's memory when it is
+// enough.
+func (db *DB) outputColumns(b *Bound, buf []string) []string {
 	if b.Star {
-		out := make([]string, 0, db.starWidth(b))
+		out := empty(buf, db.starWidth(b))
 		for _, pos := range b.TablePos {
 			out = append(out, db.tables[pos].names...)
 		}
 		return out
 	}
-	out := make([]string, len(b.Stmt.Items))
+	out := empty(buf, len(b.Stmt.Items))[:len(b.Stmt.Items)]
 	for i := range out {
 		switch item := &b.Stmt.Items[i]; {
 		case item.Alias != "":

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -32,24 +34,28 @@ var executeSeeds = []string{
 }
 
 // checkExecute is the property: parse → bind → execute never panics,
-// fails only with a parse, bind or execution error, and on success
-// returns what the reference evaluator returns. It reports whether the
-// statement got as far as the executor.
+// fails only with a parse, bind or execution error, on success returns
+// what the reference evaluator returns, and does all of that alike in
+// memory of its own and in memory another statement has been through
+// (executeReused). It reports whether the statement got as far as the
+// executor.
 func checkExecute(t *testing.T, db *engine.DB, sql string) bool {
 	t.Helper()
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		var se *sqlparse.SyntaxError
+	stmt, res, err := executeFresh(db, sql)
+	if again, rerr := executeReused(db, sql); !sameOutcome(res, err, again, rerr) {
+		t.Fatalf("%q: in memory of its own %+v, %v; in reused memory %+v, %v", sql, res, err, again, rerr)
+	}
+	var (
+		se *sqlparse.SyntaxError
+		be *engine.BindError
+		ee *engine.ExecError
+	)
+	if stmt == nil {
 		if !errors.As(err, &se) {
 			t.Fatalf("Parse(%q) failed with a %T: %v", sql, err, err)
 		}
 		return false
 	}
-	_, err = db.Execute(stmt)
-	var (
-		be *engine.BindError
-		ee *engine.ExecError
-	)
 	if errors.As(err, &be) {
 		return false
 	}
@@ -58,6 +64,73 @@ func checkExecute(t *testing.T, db *engine.DB, sql string) bool {
 	}
 	if err := againstReference(db, stmt); err != nil {
 		t.Fatalf("%q: %v", sql, err)
+	}
+	return true
+}
+
+// executeFresh is the allocating path: Parse, then Execute. stmt is nil
+// when sql does not parse.
+func executeFresh(db *engine.DB, sql string) (stmt *sqlparse.SelectStmt, res *engine.Result, err error) {
+	if stmt, err = sqlparse.Parse(sql); err != nil {
+		return nil, nil, err
+	}
+	res, err = db.Execute(stmt)
+	return stmt, res, err
+}
+
+// executeReused is the path of a serving connection: one Parser, one
+// Bound and one Result, which have first been through another statement
+// — a seed picked by sql's length, so that an input fails alone — and
+// been scrambled. The result is a copy: the memory is released.
+func executeReused(db *engine.DB, sql string) (*engine.Result, error) {
+	var (
+		parser sqlparse.Parser
+		bound  engine.Bound
+		result engine.Result
+	)
+	run := func(sql string) error {
+		stmt, err := parser.Parse(sql)
+		if err != nil {
+			return err
+		}
+		if err := bound.Rebind(db.Schema(), stmt); err != nil {
+			return err
+		}
+		return db.ExecuteInto(&result, &bound)
+	}
+	if err := run(executeSeeds[len(sql)%len(executeSeeds)]); err == nil {
+		result.Release()
+	}
+	parser.Scramble()
+	bound.Scramble()
+	result.Scramble()
+	if err := run(sql); err != nil {
+		return nil, err
+	}
+	defer result.Release()
+	kept := &engine.Result{Columns: append([]string(nil), result.Columns...), Rows: result.Rows, Bytes: result.Bytes, SampleMatches: result.SampleMatches}
+	for _, tuple := range result.Tuples {
+		kept.Tuples = append(kept.Tuples, append([]float64(nil), tuple...))
+	}
+	return kept, nil
+}
+
+// sameOutcome compares two executions of one statement: the same error,
+// or the same result bit for bit.
+func sameOutcome(a *engine.Result, aerr error, b *engine.Result, berr error) bool {
+	if aerr != nil || berr != nil {
+		return aerr != nil && berr != nil && aerr.Error() == berr.Error()
+	}
+	if !slices.Equal(a.Columns, b.Columns) || a.Rows != b.Rows || a.Bytes != b.Bytes ||
+		a.SampleMatches != b.SampleMatches || len(a.Tuples) != len(b.Tuples) {
+		return false
+	}
+	for r := range a.Tuples {
+		if !slices.EqualFunc(a.Tuples[r], b.Tuples[r], func(x, y float64) bool {
+			return math.Float64bits(x) == math.Float64bits(y)
+		}) {
+			return false
+		}
 	}
 	return true
 }

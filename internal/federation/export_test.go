@@ -7,3 +7,11 @@ var ReferenceDecompose = referenceDecompose
 
 // LockSpin is how long a query waits for the decision lock awake.
 const LockSpin = lockSpin
+
+// NewScratch swaps where Query and QueryStmtTraced get their Scratch, and
+// returns what puts the old source back.
+func NewScratch(f func() *Scratch) (restore func()) {
+	old := newScratch
+	newScratch = f
+	return func() { newScratch = old }
+}

@@ -249,14 +249,24 @@ func runCallers(tb testing.TB, m *federation.Mediator, sqls []string, stmts []*s
 	return time.Duration((wait[0].Value.Float64() - before) * float64(time.Second))
 }
 
+// zeroScratch puts the zero Scratch back under Query and QueryStmt (see
+// TestMain) until the test or benchmark ends: what they allocate is what
+// is measured.
+func zeroScratch(tb testing.TB) {
+	tb.Cleanup(federation.NewScratch(func() *federation.Scratch { return new(federation.Scratch) }))
+}
+
 // BenchmarkMediatorQueryEDR is Mediator.QueryStmt — bind, execute,
 // decompose, decide, flush — over the statements of the benchmark's
 // traced pass, pre-parsed; one op is one statement. Four callers on one
 // P and on two say whether the decision plane gains from a second CPU
 // (lock-wait-us/op is runCallers' figure per statement); GOMAXPROCS is
 // part of the name because -cpu would give both runs one key in
-// BENCH_obs.json.
+// BENCH_obs.json. scratch is what a serving connection does instead: one
+// caller's QueryScratch — the parse too — in one Scratch, released after
+// every statement.
 func BenchmarkMediatorQueryEDR(b *testing.B) {
+	zeroScratch(b)
 	for _, bc := range []struct {
 		name           string
 		callers, procs int
@@ -276,30 +286,94 @@ func BenchmarkMediatorQueryEDR(b *testing.B) {
 			b.ReportMetric(float64(wait.Microseconds())/float64(b.N), "lock-wait-us/op")
 		})
 	}
+	b.Run("scratch", func(b *testing.B) {
+		m, sqls, _ := benchFederation(b)
+		var sc federation.Scratch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.QueryScratch(&sc, sqls[i%len(sqls)], ""); err != nil {
+				b.Fatal(err)
+			}
+			sc.Release()
+		}
+	})
 }
 
-// TestQueryStmtAllocs gates the mean allocation count of QueryStmt over
-// the same statements, after one pass has warmed the cache. What is
-// left: the bound statement and the result (engine, 9; the result is
-// never released here, so its tuples are two of them), the access list,
-// the report and its decisions — nothing per access, and nothing for the
-// ledger, whose batch the decision loop refills.
+// perStatement runs pass twice — once to warm the cache and whatever
+// memory is reused — and returns what the second cost per statement.
+func perStatement(pass func(), statements int) (allocs, bytes float64) {
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	n := float64(statements)
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
+}
+
+// TestQueryStmtAllocs gates what QueryStmt — the path of a caller that
+// keeps its reports, the federation benchmark's tables-replay among them
+// — allocates per statement over the same statements, after one pass has
+// warmed the cache, in count and in bytes. What is left: the Scratch the
+// report, the bound statement and the result header are cut from, the
+// binding's lists, the column names, the result's tuples (never released
+// here, so two allocations and most of the bytes), the shares, the access
+// list and the decisions — nothing per access, and nothing for the
+// ledger, whose batch the decision loop refills. The byte bound is what
+// the path cost before a Scratch existed (12 668) and a tenth: a zero
+// Scratch must not cost more to clear than its pieces cost to allocate.
 func TestQueryStmtAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	zeroScratch(t)
 	m, sqls, stmts := benchFederation(t)
-	pass := func() {
+	allocs, bytes := perStatement(func() {
 		for i, stmt := range stmts {
 			if _, err := m.QueryStmt(sqls[i], stmt); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}, len(stmts))
+	t.Logf("%.1f allocs and %.0f bytes per statement", allocs, bytes)
+	if allocs > 16 {
+		t.Errorf("QueryStmt allocates %.1f times per statement on average, want <= 16", allocs)
 	}
-	pass()
-	mean := testing.AllocsPerRun(1, pass) / float64(len(stmts))
-	t.Logf("%.1f allocs per statement", mean)
-	if mean > 16 {
-		t.Fatalf("QueryStmt allocates %.1f times per statement on average, want <= 16", mean)
+	if bytes > 13900 {
+		t.Errorf("QueryStmt allocates %.0f bytes per statement on average, want <= 13900", bytes)
 	}
 }
+
+// TestQueryScratchAllocs gates the other path, a serving connection's:
+// the same statements as text through QueryScratch in one Scratch,
+// released after each. Once the Scratch has seen the widest statement
+// nothing of a statement outlives it but what is built for it: the name
+// of an aggregate's output column (one statement in seven has some).
+func TestQueryScratchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	m, sqls, _ := benchFederation(t)
+	var sc federation.Scratch
+	allocs, bytes := perStatement(func() {
+		for _, sql := range sqls {
+			if _, err := m.QueryScratch(&sc, sql, ""); err != nil {
+				t.Fatal(err)
+			}
+			sc.Release()
+		}
+	}, len(sqls))
+	t.Logf("%.2f allocs and %.0f bytes per statement", allocs, bytes)
+	if allocs > 2 {
+		t.Errorf("QueryScratch allocates %.2f times per statement on average, want <= 2", allocs)
+	}
+	if bytes > scratchByteBound {
+		t.Errorf("QueryScratch allocates %.0f bytes per statement on average, want <= %d", bytes, scratchByteBound)
+	}
+}
+
+// scratchByteBound is some 40% above what TestQueryScratchAllocs reads
+// after the package's other tests (46 to 56 bytes; 18 run alone): the
+// count is the process's, aggregate names and all.
+const scratchByteBound = 80

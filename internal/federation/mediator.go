@@ -2,6 +2,7 @@ package federation
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -352,13 +353,108 @@ func (m *Mediator) Clock() int64 {
 	return m.t
 }
 
-// Query parses, executes, and accounts one statement.
-func (m *Mediator) Query(sql string) (*QueryReport, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
+// Scratch is the memory one statement is mediated in: its parse, its
+// binding with the referenced columns, the shares and accesses its yield
+// decomposes into, the header of its result with the column names, and
+// the report with its decisions and site errors. The zero value is ready,
+// and nothing in it is sized before a statement asks for it.
+//
+// QueryScratch refills it in place, so the report it returns — and the
+// Bound and the Result the report points to, and every slice of the
+// three — is good until the Scratch is handed to QueryScratch again: a
+// serving connection keeps one and mediates its next statement once the
+// reply to the last is written. Strings in the report are not the
+// Scratch's (they are the statement text's, the catalog's, the object
+// index's, or freshly built) and may be kept; so may anything copied by
+// value, which is all the ledger, the journal, the flight recorder and
+// the policy take. Nothing else may point into a Scratch.
+//
+// A Scratch is for one goroutine at a time.
+type Scratch struct {
+	// parser is nil until a statement arrives as text: QueryStmt's
+	// callers parse for themselves and do not pay for one.
+	parser    *sqlparse.Parser
+	bound     engine.Bound
+	result    engine.Result
+	shares    []share
+	accs      []access
+	decisions []AccessDecision
+	siteErrs  []SiteError
+	rep       QueryReport
+}
+
+// Release gives the result's tuples back to the engine (see
+// engine.Result.Release): the caller has sent or copied them. The rest
+// of the report stays readable until the next QueryScratch.
+func (sc *Scratch) Release() { sc.result.Release() }
+
+// Scramble overwrites everything the Scratch holds — the parsed
+// statement, the binding, the result with its tuples, shares, accesses,
+// decisions, site errors and the report — with values no statement has:
+// what the next QueryScratch would do to it, only all at once and
+// unmistakably. It is for the tests of a Scratch's owners, which call it
+// once a statement's reply is written so that whatever still points into
+// the Scratch — a ledger record, an exemplar, a journal entry, a reply
+// another connection is building — fails or shows garbage instead of the
+// last statement's plausible values. The Scratch is as ready afterwards,
+// and as releasable, as before.
+func (sc *Scratch) Scramble() {
+	const (
+		scrambled = "\x00scrambled"
+		never     = math.MinInt64
+	)
+	if sc.parser != nil {
+		sc.parser.Scramble()
 	}
-	return m.QueryStmt(sql, stmt)
+	sc.bound.Scramble()
+	sc.result.Scramble()
+	fill(sc.shares, share{weight: never, rem: never, yield: never, table: -1, rank: -1, pos: -1})
+	fill(sc.accs, access{table: math.MinInt32, yield: never})
+	fill(sc.decisions, AccessDecision{
+		Object: scrambled, Table: math.MinInt32, Site: scrambled, Yield: never,
+		Decision: core.Decision(255), Forced: true, Failed: true, Reason: scrambled,
+	})
+	fill(sc.siteErrs, SiteError{Site: scrambled, Reason: scrambled, LostBytes: never})
+	sc.rep = QueryReport{
+		SQL: scrambled, Seq: never, Bound: &sc.bound, Result: &sc.result,
+		Decisions: sc.decisions[:cap(sc.decisions)], SiteErrors: sc.siteErrs[:cap(sc.siteErrs)],
+		Degraded: true, ExecUS: never, LockWaitUS: never, DecideUS: never,
+	}
+}
+
+// fill overwrites s to its capacity with v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// take returns n elements of *buf, replaced by an exactly sized fresh
+// slice when it is too short, and nil for none. The elements are
+// whatever the last statement left there: the caller writes every one.
+func take[T any](buf *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// newScratch is where Query and QueryStmtTraced get the Scratch their
+// statement is mediated in and their caller keeps: a zero one. The
+// federation tests replace it (TestMain) to hand out one that has
+// mediated another statement and been scrambled, so that every test of
+// the package is also a test that refilling a Scratch leaves nothing of
+// the statement before.
+var newScratch = func() *Scratch { return new(Scratch) }
+
+// Query parses, executes, and accounts one statement. The report is the
+// caller's to keep.
+func (m *Mediator) Query(sql string) (*QueryReport, error) {
+	return m.QueryScratch(newScratch(), sql, "")
 }
 
 // QueryStmt is Query over a pre-parsed statement.
@@ -370,21 +466,43 @@ func (m *Mediator) QueryStmt(sql string, stmt *sqlparse.SelectStmt) (*QueryRepor
 // the enclosing query; ledger records emitted for its accesses carry
 // the id, the join key to the query's flight-recorder exemplars.
 func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
+	return m.mediate(newScratch(), sql, stmt, traceID)
+}
+
+// QueryScratch is Query under a trace id ("" for none) with everything
+// the statement needs — parse, binding, result header, accesses, report
+// — cut from sc, over the statement sc held before: the report is valid
+// until sc's next QueryScratch (see Scratch). Query and QueryStmtTraced
+// are this over a Scratch of their own. A statement that fails leaves sc
+// as ready as one that succeeds.
+func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string) (*QueryReport, error) {
+	if sc.parser == nil {
+		sc.parser = new(sqlparse.Parser)
+	}
+	stmt, err := sc.parser.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return m.mediate(sc, sql, stmt, traceID)
+}
+
+// mediate binds, executes, decomposes and decides one parsed statement
+// in sc.
+func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
 	start := time.Now()
 	// Execution phase — lock-free. Bind and engine evaluation read only
 	// immutable schema/column data; concurrent queries overlap here.
-	b, err := engine.Bind(m.cfg.Schema, stmt)
-	if err != nil {
+	b, res := &sc.bound, &sc.result
+	if err := b.Rebind(m.cfg.Schema, stmt); err != nil {
 		return nil, err
 	}
-	res, err := m.cfg.Engine.ExecuteBound(b)
-	if err != nil {
+	if err := m.cfg.Engine.ExecuteInto(res, b); err != nil {
 		return nil, err
 	}
-	accs := m.index.decompose(b, res.Bytes)
+	accs := m.index.decompose(sc, b, res.Bytes)
 	execUS := time.Since(start).Microseconds()
 
-	rep, err := m.decide(sql, traceID, res, accs)
+	rep, err := m.decide(sc, sql, traceID, res, accs)
 	if err != nil {
 		return nil, err
 	}
@@ -398,18 +516,20 @@ func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceI
 // decision lock the query takes the next tick of the plane clock and
 // its accesses are decided, charged, audited and journaled in access
 // order, so Σ decision yields = D_A is exact at every unlock.
-func (m *Mediator) decide(sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
+func (m *Mediator) decide(sc *Scratch, sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
 	m.queriesMet.Add(1)
 	m.tel.RecordQuery()
-	rep := &QueryReport{SQL: sql, Result: res}
-	if len(accs) > 0 {
-		rep.Decisions = make([]AccessDecision, len(accs))
-	}
+	rep := &sc.rep
+	*rep = QueryReport{SQL: sql, Result: res, Decisions: take(&sc.decisions, len(accs)), SiteErrors: sc.siteErrs[:0]}
 	waitStart := time.Now()
 	m.lockDecision(waitStart)
 	decideStart := time.Now()
 	err := m.decideLocked(rep, accs, traceID)
 	m.mu.Unlock()
+	// A healthy query's SiteErrors is nil, not an empty list.
+	if sc.siteErrs = rep.SiteErrors[:0]; len(rep.SiteErrors) == 0 {
+		rep.SiteErrors = nil
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -382,14 +382,19 @@ type access struct {
 }
 
 // decompose is Decompose for the mediator: the same accesses in the
-// same order, each with its resolved object.
-func (ix *objectIndex) decompose(b *engine.Bound, yield int64) []access {
-	var buf shareBuf
-	sh := ix.shares(b, yield, buf[:0])
-	if len(sh) == 0 {
-		return nil
+// same order, each with its resolved object, in sc's memory. There is a
+// share per referenced column or per FROM table, so the list is sized
+// once.
+func (ix *objectIndex) decompose(sc *Scratch, b *engine.Bound, yield int64) []access {
+	n := len(b.TablePos)
+	if ix.gran == Columns {
+		n = len(b.ReferencedColumns())
 	}
-	out := make([]access, len(sh))
+	if cap(sc.shares) < n {
+		sc.shares = make([]share, 0, n)
+	}
+	sh := ix.shares(b, yield, sc.shares[:0])
+	out := take(&sc.accs, len(sh))
 	for i := range sh {
 		out[sh[i].pos] = access{obj: sh[i].obj, table: int(sh[i].table), yield: sh[i].yield}
 	}

@@ -5,10 +5,13 @@ import (
 	"testing"
 )
 
-// FuzzParse checks two properties on arbitrary input: the parser
-// never panics, and any statement it accepts round-trips — String()
-// re-parses to an equal AST. `go test` exercises the seed corpus;
-// `go test -fuzz=FuzzParse` explores further.
+// FuzzParse checks three properties on arbitrary input: the parser
+// never panics, any statement it accepts round-trips — String()
+// re-parses to an equal AST — and a Parser that has parsed another
+// statement (a seed picked by the input's length, so that an input fails
+// alone) and been scrambled accepts, refuses and parses it exactly as a
+// new one does. `go test` exercises the seed corpus; `make fuzz-smoke`
+// explores further.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"select ra, dec from photoobj where ra between 10 and 20",
@@ -30,8 +33,18 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmt, err := Parse(sql)
+		var reused Parser
+		reused.Parse(seeds[len(sql)%len(seeds)])
+		reused.Scramble()
+		inReused, rerr := reused.Parse(sql)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("%q: a new parser says %v, a reused one %v", sql, err, rerr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if !reflect.DeepEqual(stmt, inReused) || stmt.String() != inReused.String() {
+			t.Fatalf("%q: a new parser reads %q, a reused one %q", sql, stmt, inReused)
 		}
 		rendered := stmt.String()
 		again, err := Parse(rendered)

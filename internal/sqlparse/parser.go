@@ -1,18 +1,62 @@
 package sqlparse
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
-// parser is a recursive-descent parser over the lexer's token stream
-// with one token of lookahead.
-type parser struct {
-	lex *lexer
+// Parser is a recursive-descent parser over the lexer's token stream
+// with one token of lookahead, which parses every statement into the
+// same memory. The zero value is ready.
+//
+// The statement Parse returns is the Parser's: its lists and the
+// columns its GroupBy, OrderBy and RightCol fields point to are
+// overwritten by the next Parse, so a caller that parses again has
+// finished with the last statement. Its strings are not the Parser's —
+// each is cut from the text that was parsed, or is a lower-cased copy of
+// its own — and stay good.
+type Parser struct {
+	lex lexer
 	tok token
 	err error
+
+	stmt    SelectStmt
+	items   []SelectItem
+	from    []TableRef
+	where   []Condition
+	right   []ColRef // what the conditions' RightCol point to
+	groupBy ColRef
+	orderBy OrderSpec
 }
 
-// Parse parses one SELECT statement.
+// Parse parses one SELECT statement into memory of its own: the
+// statement is the caller's to keep. It is a new Parser's, copied out
+// with the columns it points to, so that a caller holding statements by
+// the thousand (a trace, the benchmark's population) holds a SelectStmt
+// and its lists for each and not a Parser.
 func Parse(sql string) (*SelectStmt, error) {
-	p := &parser{lex: &lexer{src: sql}}
+	var p Parser
+	parsed, err := p.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	stmt := *parsed
+	if stmt.GroupBy != nil {
+		col := *stmt.GroupBy
+		stmt.GroupBy = &col
+	}
+	if stmt.OrderBy != nil {
+		spec := *stmt.OrderBy
+		stmt.OrderBy = &spec
+	}
+	return &stmt, nil
+}
+
+// Parse parses one SELECT statement into the Parser's memory, over the
+// statement it returned last. A statement that does not parse leaves the
+// Parser as ready as one that does.
+func (p *Parser) Parse(sql string) (*SelectStmt, error) {
+	p.lex, p.tok, p.err = lexer{src: sql}, token{}, nil
 	p.advance()
 	stmt, err := p.parseSelect()
 	if err != nil {
@@ -24,14 +68,14 @@ func Parse(sql string) (*SelectStmt, error) {
 	return stmt, nil
 }
 
-func (p *parser) advance() {
+func (p *Parser) advance() {
 	if p.err != nil {
 		return
 	}
 	p.tok, p.err = p.lex.next()
 }
 
-func (p *parser) errorf(format string, args ...any) error {
+func (p *Parser) errorf(format string, args ...any) error {
 	if p.err != nil {
 		return p.err
 	}
@@ -39,7 +83,7 @@ func (p *parser) errorf(format string, args ...any) error {
 }
 
 // expectKeyword consumes the given keyword identifier.
-func (p *parser) expectKeyword(kw string) error {
+func (p *Parser) expectKeyword(kw string) error {
 	if p.tok.kind != tokIdent || p.tok.text != kw {
 		return p.errorf("expected %q, got %q", kw, p.tok.text)
 	}
@@ -48,7 +92,7 @@ func (p *parser) expectKeyword(kw string) error {
 }
 
 // isKeyword reports whether the current token is the given keyword.
-func (p *parser) isKeyword(kw string) bool {
+func (p *Parser) isKeyword(kw string) bool {
 	return p.tok.kind == tokIdent && p.tok.text == kw
 }
 
@@ -59,11 +103,12 @@ var reserved = map[string]bool{
 	"group": true, "order": true, "by": true, "asc": true, "desc": true,
 }
 
-func (p *parser) parseSelect() (*SelectStmt, error) {
+func (p *Parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKeyword("select"); err != nil {
 		return nil, err
 	}
-	stmt := &SelectStmt{}
+	stmt := &p.stmt
+	*stmt = SelectStmt{}
 	if p.isKeyword("top") {
 		p.advance()
 		if p.tok.kind != tokNumber {
@@ -76,44 +121,51 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		stmt.Top = n
 		p.advance()
 	}
+	items := p.items[:0]
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
 			return nil, err
 		}
-		stmt.Items = append(stmt.Items, item)
+		items = append(items, item)
 		if p.tok.kind != tokComma {
 			break
 		}
 		p.advance()
 	}
+	p.items, stmt.Items = items, items
 	if err := p.expectKeyword("from"); err != nil {
 		return nil, err
 	}
+	from := p.from[:0]
 	for {
 		tr, err := p.parseTableRef()
 		if err != nil {
 			return nil, err
 		}
-		stmt.From = append(stmt.From, tr)
+		from = append(from, tr)
 		if p.tok.kind != tokComma {
 			break
 		}
 		p.advance()
 	}
+	p.from, stmt.From = from, from
 	if p.isKeyword("where") {
 		p.advance()
+		where := p.where[:0]
+		p.right = p.right[:0]
 		for {
 			cond, err := p.parseCondition()
 			if err != nil {
 				return nil, err
 			}
-			stmt.Where = append(stmt.Where, cond)
+			where = append(where, cond)
 			if !p.isKeyword("and") {
 				break
 			}
 			p.advance()
 		}
+		p.where, stmt.Where = where, where
 	}
 	if p.isKeyword("group") {
 		p.advance()
@@ -124,7 +176,8 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.GroupBy = &col
+		p.groupBy = col
+		stmt.GroupBy = &p.groupBy
 	}
 	if p.isKeyword("order") {
 		p.advance()
@@ -135,7 +188,8 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		spec := &OrderSpec{Col: col}
+		spec := &p.orderBy
+		*spec = OrderSpec{Col: col}
 		if p.isKeyword("desc") {
 			spec.Desc = true
 			p.advance()
@@ -151,7 +205,7 @@ var aggFuncs = map[string]AggFunc{
 	"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
+func (p *Parser) parseSelectItem() (SelectItem, error) {
 	var item SelectItem
 	if p.tok.kind == tokStar {
 		p.advance()
@@ -163,7 +217,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	}
 	if agg, ok := aggFuncs[p.tok.text]; ok {
 		// Lookahead: aggregate call only if followed by '('.
-		save := *p.lex
+		save := p.lex
 		saveTok := p.tok
 		p.advance()
 		if p.tok.kind == tokLParen {
@@ -186,7 +240,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return p.parseAlias(item)
 		}
 		// Not a call: restore and treat as a column name.
-		*p.lex = save
+		p.lex = save
 		p.tok = saveTok
 	}
 	col, err := p.parseColRef()
@@ -198,7 +252,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 // parseAlias consumes an optional [AS] alias after a projection.
-func (p *parser) parseAlias(item SelectItem) (SelectItem, error) {
+func (p *Parser) parseAlias(item SelectItem) (SelectItem, error) {
 	if p.isKeyword("as") {
 		p.advance()
 		if p.tok.kind != tokIdent {
@@ -215,7 +269,7 @@ func (p *parser) parseAlias(item SelectItem) (SelectItem, error) {
 	return item, p.err
 }
 
-func (p *parser) parseColRef() (ColRef, error) {
+func (p *Parser) parseColRef() (ColRef, error) {
 	var c ColRef
 	if p.tok.kind != tokIdent || reserved[p.tok.text] {
 		return c, p.errorf("expected column reference, got %q", p.tok.text)
@@ -236,7 +290,7 @@ func (p *parser) parseColRef() (ColRef, error) {
 	return c, p.err
 }
 
-func (p *parser) parseTableRef() (TableRef, error) {
+func (p *Parser) parseTableRef() (TableRef, error) {
 	var tr TableRef
 	if p.tok.kind != tokIdent || reserved[p.tok.text] {
 		return tr, p.errorf("expected table name, got %q", p.tok.text)
@@ -259,7 +313,7 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return tr, p.err
 }
 
-func (p *parser) parseCondition() (Condition, error) {
+func (p *Parser) parseCondition() (Condition, error) {
 	var c Condition
 	left, err := p.parseColRef()
 	if err != nil {
@@ -300,14 +354,17 @@ func (p *parser) parseCondition() (Condition, error) {
 		if err != nil {
 			return c, err
 		}
-		c.RightCol = &right
+		// A grown list leaves the earlier conditions pointing into the
+		// one it outgrew, which nothing writes again before the next Parse.
+		p.right = append(p.right, right)
+		c.RightCol = &p.right[len(p.right)-1]
 	default:
 		return c, p.errorf("expected value or column, got %q", p.tok.text)
 	}
 	return c, p.err
 }
 
-func (p *parser) parseNumber() (float64, error) {
+func (p *Parser) parseNumber() (float64, error) {
 	if p.tok.kind != tokNumber {
 		return 0, p.errorf("expected number, got %q", p.tok.text)
 	}
@@ -317,4 +374,38 @@ func (p *parser) parseNumber() (float64, error) {
 	}
 	p.advance()
 	return v, p.err
+}
+
+// scrambled is a name no catalog has and no lexer produces.
+const scrambled = "\x00scrambled"
+
+// Scramble overwrites the statement the Parser returned last — every
+// list to its capacity, every column a pointer in it names — with names
+// no catalog has and numbers no comparison satisfies: what the next
+// Parse would do to it, only unmistakably. It is for the tests of a
+// Parser's owners, which call it between statements so that whatever
+// still points into the last one reads garbage instead of plausible
+// values; the Parser is as ready afterwards as before.
+func (p *Parser) Scramble() {
+	col := ColRef{Table: scrambled, Column: scrambled}
+	nan := math.NaN()
+	for i := range p.where {
+		if c := p.where[i].RightCol; c != nil {
+			*c = col // also where the list has since outgrown what c points into
+		}
+	}
+	fill(p.items, SelectItem{Agg: scrambled, Star: true, Col: col, Alias: scrambled})
+	fill(p.from, TableRef{Name: scrambled, Alias: scrambled})
+	fill(p.where, Condition{Left: col, Op: scrambled, Value: nan, Lo: nan, Hi: nan})
+	fill(p.right, col)
+	p.groupBy, p.orderBy = col, OrderSpec{Col: col, Desc: true}
+	p.stmt.Top = math.MinInt64
+}
+
+// fill overwrites s to its capacity with v.
+func fill[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"net"
 	"testing"
 
+	"bypassyield/internal/federation"
 	"bypassyield/internal/obs/flightrec"
-	"bypassyield/internal/sqlparse"
 )
 
 // TestWriteFrameAllocs pins the frame encoder's allocation budget
@@ -55,9 +55,12 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	p, _, done := newSimProxy(t, nil)
 	defer done()
 	const sql = "select ra, dec from photoobj where ra between 0 and 350"
-	var res ResultMsg // the connection's, as serveConn keeps one
+	var ( // the connection's, as serveConn keeps them
+		sc  federation.Scratch
+		res ResultMsg
+	)
 	for i := 0; ; i++ {
-		if _, err := p.handleQuery(sql, 0, nil, &res); err != nil {
+		if err := p.handleQuery(&sc, sql, 0, nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Decisions[0].Decision == "hit" {
@@ -68,17 +71,13 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 		}
 	}
 	mediate := testing.AllocsPerRun(200, func() {
-		stmt, err := sqlparse.Parse(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.med.QueryStmtTraced(sql, stmt, ""); err != nil {
+		if _, err := p.med.QueryScratch(&sc, sql, ""); err != nil {
 			t.Fatal(err)
 		}
 	})
 	handle := func(traceID uint64) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, err := p.handleQuery(sql, traceID, nil, &res); err != nil {
+			if err := p.handleQuery(&sc, sql, traceID, nil, &res); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -145,12 +144,12 @@ func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
 		})
 		return perRun / rounds
 	}
+	var st statement
 	execute := testing.AllocsPerRun(rounds, func() {
-		res, err := n.execute(sql)
-		if err != nil {
+		if _, err := n.execute(&st, sql); err != nil {
 			t.Fatal(err)
 		}
-		releaseResult(res)
+		releaseStatement(&st)
 	})
 	// The decoded QueryMsg (it escapes through Decode's any) and the one
 	// string its fields are cut from; the connection's read buffer, once

@@ -21,8 +21,9 @@ type Client struct {
 	fr   frameReader // reply frames are read here; decoding copies out of it
 
 	// The query in flight and its reply: Query returns &res, whose
-	// tuples, columns, decisions and error lists are cut from store, so a
-	// reply costs no allocation beyond its strings.
+	// tuples, columns, decisions and error lists are cut from store and
+	// whose strings are store's names, so a reply like the ones before it
+	// costs no allocation.
 	query QueryMsg
 	res   ResultMsg
 	store resultStore
@@ -47,7 +48,7 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 // fault-injected conn in tests) in a Client. The Client owns the conn
 // and closes it.
 func NewClient(conn net.Conn) *Client {
-	return &Client{conn: conn, fr: newFrameReader()}
+	return &Client{conn: conn, fr: newFrameReader(), store: resultStore{names: names{}}}
 }
 
 // DialContext connects to a proxy at addr under ctx's deadline and
@@ -106,7 +107,7 @@ func (c *Client) reply(want MsgType, dst any) error {
 		if len(body) > frameBufMaxCap {
 			// As for fr: an occasional giant reply must not pin its
 			// megabytes for as long as the connection lives.
-			c.store = resultStore{}
+			c.store = resultStore{names: c.store.names}
 		}
 		return err
 	case MsgError:

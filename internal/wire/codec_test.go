@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -275,6 +276,52 @@ func TestDecodeBoundsCounts(t *testing.T) {
 	}
 }
 
+// TestClientStoreInternsNames pins what a Client's store adds to Decode:
+// a reply like one it has decoded before — same shape, same names — is
+// decoded without an allocation, its strings being the ones the first
+// reply left in the store's names; and the names are bounded, in number
+// and in length, whatever a peer sends.
+func TestClientStoreInternsNames(t *testing.T) {
+	st := resultStore{names: names{}}
+	body := encode(t, MsgResult, bulkResult(64, 24, true))
+	var first, again ResultMsg
+	if err := decodeInto(body, &first, &st); err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string(nil), first.Columns...)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := decodeInto(body, &again, &st); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("decoding a reply like the last allocates %.1f times, want 0", allocs)
+	}
+	if !sameResult(&again, bulkResult(64, 24, true)) || !reflect.DeepEqual(again.Columns, want) {
+		t.Fatalf("decoded %+v", again)
+	}
+
+	// A peer that never repeats a name, and one that sends long ones.
+	long := strings.Repeat("x", maxNameLen+1)
+	for i := 0; i < maxNames+500; i++ {
+		msg := &ResultMsg{Columns: []string{fmt.Sprintf("col%d", i), long + fmt.Sprint(i)}}
+		var m ResultMsg
+		if err := decodeInto(encode(t, MsgResult, msg), &m, &st); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.Columns, msg.Columns) {
+			t.Fatalf("decoded columns %q, want %q", m.Columns, msg.Columns)
+		}
+	}
+	if len(st.names) > maxNames {
+		t.Errorf("the store keeps %d names, want <= %d", len(st.names), maxNames)
+	}
+	for name := range st.names {
+		if len(name) > maxNameLen {
+			t.Fatalf("the store keeps a name of %d bytes, want <= %d", len(name), maxNameLen)
+		}
+	}
+}
+
 // jsonFrame hand-frames a protocol-1 payload, as a peer built before
 // the binary layout would send it.
 func jsonFrame(t *testing.T, typ MsgType, payload any) []byte {
@@ -409,7 +456,7 @@ func TestNaNResultReachesClient(t *testing.T) {
 	c.conn.SetDeadline(time.Now().Add(10 * time.Second)) // the old failure was a hang
 
 	stmt := "select flux, err from t"
-	res, err := n.execute(stmt)
+	res, err := n.execute(new(statement), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

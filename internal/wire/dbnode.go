@@ -141,9 +141,28 @@ func (n *DBNode) acceptLoop() {
 	}
 }
 
+// statement is the memory a connection's sub-queries are parsed, bound
+// and answered in, one after another: what a federation.Scratch holds of
+// a statement, without the mediation.
+type statement struct {
+	parser sqlparse.Parser
+	bound  engine.Bound
+	result engine.Result
+}
+
+// release gives the result's tuples back (engine.Result.Release).
+func (st *statement) release() { st.result.Release() }
+
+// releaseStatement gives a sub-query's tuples back once the frame that
+// carried them is written. The wire tests replace it to scramble the
+// statement first, as they do the proxy's releaseScratch.
+var releaseStatement = (*statement).release
+
 func (n *DBNode) serveConn(conn net.Conn) {
 	var (
 		fr  = newFrameReader() // this connection's frames; Decode copies out of it
+		q   QueryMsg           // this connection's sub-queries, one at a time
+		st  statement          // what each is parsed, bound and executed in
 		msg ResultMsg          // this connection's replies
 	)
 	for {
@@ -154,7 +173,6 @@ func (n *DBNode) serveConn(conn net.Conn) {
 		n.rxBytes.Add(int64(rn))
 		switch t {
 		case MsgQuery:
-			var q QueryMsg
 			if err := Decode(body, &q); err != nil {
 				n.sendErr(conn, err)
 				continue
@@ -162,22 +180,26 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			fc := n.flight.Begin()
 			fc.SetQuery(q.SQL, obs.ParseID(q.TraceID))
 			execStart := fc.Now()
-			res, err := n.execute(q.SQL)
+			res, err := n.execute(&st, q.SQL)
 			fc.SetMediation(fc.Now()-execStart, 0, 0)
 			if err != nil {
 				n.sendErr(conn, err)
-				n.flight.Finish(fc, err)
-				continue
+			} else {
+				n.queries.Add(1)
+				msg = ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}
+				encStart := fc.Now()
+				n.send(conn, MsgResult, &msg)
+				fc.SetEncodeUS(fc.Now() - encStart)
 			}
-			n.queries.Add(1)
-			msg = ResultMsg{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, Tuples: res.Tuples}
-			encStart := fc.Now()
-			n.send(conn, MsgResult, &msg)
-			fc.SetEncodeUS(fc.Now() - encStart)
-			n.flight.Finish(fc, nil)
+			n.flight.Finish(fc, err)
 			// Written, and the capture closed: the next execution may
-			// have the tuples' memory.
-			releaseResult(res)
+			// have the tuples' memory, and the next sub-query the rest
+			// (see maxKeptStatement).
+			releaseStatement(&st)
+			if len(q.SQL) > maxKeptStatement {
+				st = statement{}
+			}
+			q = QueryMsg{}
 		case MsgFetch:
 			var f FetchMsg
 			if err := Decode(body, &f); err != nil {
@@ -235,24 +257,27 @@ func (n *DBNode) sendErr(conn net.Conn, err error) {
 	n.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 }
 
-// execute binds a sub-query, checks that every referenced table belongs
-// to this node's site, and runs what it bound. The result is the
-// caller's to release.
-func (n *DBNode) execute(sql string) (*engine.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+// execute parses and binds a sub-query in st, checks that every
+// referenced table belongs to this node's site, and runs what it bound.
+// The result is st's: good until st's next sub-query, and the caller's
+// to release.
+func (n *DBNode) execute(st *statement, sql string) (*engine.Result, error) {
+	stmt, err := st.parser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	b, err := engine.Bind(n.db.Schema(), stmt)
-	if err != nil {
+	if err := st.bound.Rebind(n.db.Schema(), stmt); err != nil {
 		return nil, err
 	}
-	for _, t := range b.Tables {
+	for _, t := range st.bound.Tables {
 		if t.Site != n.Site {
 			return nil, fmt.Errorf("dbnode %s: table %s is owned by %s", n.Site, t.Name, t.Site)
 		}
 	}
-	return n.db.ExecuteBound(b)
+	if err := n.db.ExecuteInto(&st.result, &st.bound); err != nil {
+		return nil, err
+	}
+	return &st.result, nil
 }
 
 // objectSize resolves an object id ("release/table[.column]") owned

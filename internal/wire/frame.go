@@ -423,10 +423,14 @@ func appendStr(b []byte, s string) []byte {
 // decoder runs straight through and checks done once. Nothing is
 // allocated on a count's say-so: count bounds it by the bytes left.
 type cursor struct {
-	b   []byte
-	s   string // string(b) where strings are read: each is cut from it, one allocation for all
-	off int
-	err error
+	b []byte
+	// Where strings are read, either names, which each is looked up in,
+	// or s, which is string(b) and each is cut from: one allocation for
+	// all.
+	names names
+	s     string
+	off   int
+	err   error
 }
 
 func (c *cursor) fail() {
@@ -489,9 +493,12 @@ func (c *cursor) count(each int) int {
 
 func (c *cursor) str() string {
 	n := c.count(1)
-	v := c.s[c.off : c.off+n]
+	off := c.off
 	c.off += n
-	return v
+	if c.names != nil {
+		return c.names.get(c.b[off:c.off])
+	}
+	return c.s[off:c.off]
 }
 
 // floats fills dst, whose length the caller took from count(8·…).

@@ -223,7 +223,10 @@ func footprint(m *ResultMsg) int {
 // decoders. They must never panic; what they accept must hold memory
 // within a constant factor of the body (a count is never taken on
 // trust), and must encode back to a body that decodes to the same
-// message.
+// message. A Client's way of decoding — slices from a store it keeps,
+// strings from the store's names — must accept, refuse and read a body
+// as Decode does, the first time and from the names the first time left,
+// and hold nothing of the buffer the body arrived in.
 func FuzzDecodeResult(f *testing.F) {
 	body := func(t MsgType, payload any) []byte { return encodeFrame(f, t, payload)[frameHeader:] }
 	f.Add([]byte{})
@@ -261,7 +264,22 @@ func checkDecode(t *testing.T, data []byte) {
 	}
 
 	var res ResultMsg
-	if err := Decode(data, &res); err != nil {
+	err := Decode(data, &res)
+	st := resultStore{names: names{}}
+	for pass := 0; pass < 2; pass++ {
+		var kept ResultMsg
+		buf := append([]byte(nil), data...)
+		if kerr := decodeInto(buf, &kept, &st); (kerr == nil) != (err == nil) {
+			t.Fatalf("pass %d: Decode says %v, a Client's store %v", pass, err, kerr)
+		}
+		for i := range buf {
+			buf[i] = 0xff // the next Read overwrites the frame buffer
+		}
+		if !sameResult(&kept, &res) {
+			t.Fatalf("pass %d: Decode reads %+v, a Client's store %+v", pass, res, kept)
+		}
+	}
+	if err != nil {
 		if !reflect.DeepEqual(res, ResultMsg{}) {
 			t.Fatalf("a refused body left %+v behind", res)
 		}

@@ -19,29 +19,39 @@ import (
 	"bypassyield/internal/workload"
 )
 
-// poison is what poisonThenRelease leaves in a released tuple: a NaN no
-// arithmetic and no synthesized column produces.
+// poison is what a scrambled statement leaves in a released tuple
+// (engine.Result.Scramble): a NaN no arithmetic and no synthesized column
+// produces.
 var poison = math.Float64frombits(0x7ff8dead_deaddead)
 
-// poisonThenRelease overwrites a result's tuples before giving their
-// memory back, so that whatever still reads them once the daemons have
-// released them — a frame not yet written, a flight-recorder capture, a
-// reply another connection is building out of the same memory — sends
-// or records poison instead of plausible numbers.
-func poisonThenRelease(res *engine.Result) {
-	for _, tuple := range res.Tuples {
-		for i := range tuple {
-			tuple[i] = poison
-		}
-	}
-	res.Release()
+// scrambleThenRelease overwrites everything a proxy connection's scratch
+// holds of the statement it has just answered — the parsed statement, the
+// binding, the accesses, the report with its decisions, the column names
+// and the tuples — before the tuples' memory goes back, so that whatever
+// still reads any of it once the connection has moved on — a frame not
+// yet written, a flight-recorder capture, a ledger or journal record, a
+// reply another connection is building out of the same tuple memory —
+// sends, records or trips over garbage instead of plausible values.
+func scrambleThenRelease(sc *federation.Scratch) {
+	sc.Scramble()
+	sc.Release()
+}
+
+// scrambleStatementThenRelease is the same for a node's connection.
+func scrambleStatementThenRelease(st *statement) {
+	st.parser.Scramble()
+	st.bound.Scramble()
+	st.result.Scramble()
+	st.release()
 }
 
 // TestMain runs every test of the package — the round trips through
-// proxies and nodes above all — with released tuples poisoned. It is set
-// once, before any daemon starts.
+// proxies and nodes above all, the ledger, exemplar, chaos and breaker
+// tests among them — with every answered statement scrambled. The hooks
+// are set once, before any daemon starts.
 func TestMain(m *testing.M) {
-	releaseResult = poisonThenRelease
+	releaseScratch = scrambleThenRelease
+	releaseStatement = scrambleStatementThenRelease
 	os.Exit(m.Run())
 }
 
@@ -124,12 +134,19 @@ func hitPathFederation(tb testing.TB) (*Client, *Proxy, []string, func()) {
 // TestHitPathBytes is the byte gate beside the count gates: what one
 // statement costs the whole path — client, proxy, mediator, and a node
 // for the few that bypass — in bytes allocated, which is what sets how
-// often the collector runs. A 64 x 24 result is 12 KB however few
-// allocations carry it, and before a reply's memory was reused it was
-// allocated three times per hit (the executor's tuples and selection
-// vector, the client's decode): 37.6 KB per statement here. Now the
-// executor's tuples go back when the frame is written and the client
-// decodes into its own storage. One pass warms the cache and the pools.
+// often the collector runs. Before a reply's memory was reused a 64 x 24
+// result was allocated three times per hit (the executor's tuples and
+// selection vector, the client's decode): 37.6 KB per statement here.
+// Reused — the executor's tuples go back when the frame is written, the
+// client decodes into its own storage — it left what every layer built
+// for the statement and threw away: 7.3 KB in 22 pieces (the parse, the
+// binding, shares and accesses, the report, the result header, the
+// client's copy of the reply's strings). Now a connection mediates in one
+// federation.Scratch and the client interns the names, and what is left
+// is the statement's text, copied out of the frame (one string), the name
+// of an aggregate's output column, and the sub-queries of the few
+// statements that bypass. One pass warms the cache, the pools, the
+// scratch and the names.
 func TestHitPathBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is deliberately leaky under the race detector")
@@ -156,10 +173,18 @@ func TestHitPathBytes(t *testing.T) {
 	if bytes > hitPathByteBound {
 		t.Errorf("a statement costs %.0f bytes end to end, want <= %d", bytes, hitPathByteBound)
 	}
+	if allocs > hitPathAllocBound {
+		t.Errorf("a statement costs %.1f allocations end to end, want <= %d", allocs, hitPathAllocBound)
+	}
 }
 
-// hitPathByteBound is about 25% above what TestHitPathBytes reads.
-const hitPathByteBound = 9200
+// hitPathByteBound is about 25% above what TestHitPathBytes reads (189),
+// and hitPathAllocBound the next whole number but one above its count
+// (2.3).
+const (
+	hitPathByteBound  = 240
+	hitPathAllocBound = 4
+)
 
 // countedConn counts the Reads on a connection that returned bytes — on
 // return, so a Read that is waiting belongs to the frame it will carry.
@@ -220,11 +245,13 @@ func TestHitPathReadsPerFrame(t *testing.T) {
 // proxy, after a pass that warms the cache. Its B/op is the bytes a hit
 // costs the whole path, and its reads/op the Reads the client's end of
 // the loopback socket took per reply (1 when every frame arrived whole).
-// Released tuples are not poisoned here: the daemons' own release is what
-// is timed.
+// Answered statements are not scrambled here: the daemons' own release is
+// what is timed.
 func BenchmarkProxyHitEDR(b *testing.B) {
-	defer func(old func(*engine.Result)) { releaseResult = old }(releaseResult)
-	releaseResult = (*engine.Result).Release
+	defer func(sc func(*federation.Scratch), st func(*statement)) {
+		releaseScratch, releaseStatement = sc, st
+	}(releaseScratch, releaseStatement)
+	releaseScratch, releaseStatement = (*federation.Scratch).Release, (*statement).release
 	client, _, sqls, done := hitPathFederation(b)
 	defer done()
 	for _, sql := range sqls {

@@ -186,7 +186,8 @@ func appendSiteErrors(b []byte, errs []SiteErrorMsg) []byte {
 // resultStore is the memory a decoded ResultMsg's slices are cut from.
 // Decode starts from an empty one, so everything it returns is fresh; a
 // Client keeps one across replies, and after the first few a reply of
-// any shape costs it no allocation beyond the strings.
+// any shape costs it no allocation — its strings included, which are the
+// same few names reply after reply (names).
 type resultStore struct {
 	flat          []float64
 	rows          [][]float64
@@ -194,6 +195,42 @@ type resultStore struct {
 	decisions     []DecisionMsg
 	siteErrs      []SiteErrorMsg
 	transportErrs []SiteErrorMsg
+	// names, when not nil, is where a reply's strings come from; from a
+	// store without it they are cut from one copy of the frame's tail,
+	// which is the cheaper way to decode one reply and no more.
+	names names
+}
+
+// names interns the strings of the replies decoded into one store:
+// column names, object ids and sites recur in every reply, so each is
+// allocated when first seen and found — by its bytes in the frame
+// buffer, without a copy — ever after. A string handed out is an
+// ordinary immutable Go string that never aliases the frame buffer.
+// What is long (an error text, a breaker's reason) or arrives once the
+// table is full is copied and not kept, so no peer can grow the table
+// past maxNames strings of maxNameLen bytes.
+type names map[string]string
+
+const (
+	maxNames   = 4096
+	maxNameLen = 64
+)
+
+func (n names) get(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if len(b) > maxNameLen {
+		return string(b)
+	}
+	if s, ok := n[string(b)]; ok { // the compiler looks b up without converting it
+		return s
+	}
+	s := string(b)
+	if len(n) < maxNames {
+		n[s] = s
+	}
+	return s
 }
 
 // take returns n elements of *buf, replaced by an exactly sized fresh
@@ -214,7 +251,8 @@ func take[T any](buf *[]T, n int) []T {
 // empty store it allocates, for a result of any size, the tuple rows and
 // their one backing array (one array per tuple when ragged), one string
 // that every decoded string is cut from, and one slice each for the
-// columns, decisions and two error lists that are present. m is
+// columns, decisions and two error lists that are present; out of a
+// Client's, once it has seen the reply's shape and names, nothing. m is
 // unchanged when body does not decode.
 func (m *ResultMsg) decodeBinary(body []byte, st *resultStore) error {
 	if err := checkFormat(body); err != nil {
@@ -250,7 +288,10 @@ func (m *ResultMsg) decodeBinary(body []byte, st *resultStore) error {
 	}
 
 	// Everything after the tuples is small and mostly strings.
-	c = cursor{b: body[c.off:], s: string(body[c.off:])}
+	c = cursor{b: body[c.off:], names: st.names}
+	if c.names == nil {
+		c.s = string(c.b)
+	}
 	v.Columns = take(&st.columns, c.count(1))
 	for i := range v.Columns {
 		v.Columns[i] = c.str()

@@ -11,12 +11,10 @@ import (
 	"time"
 
 	"bypassyield/internal/core"
-	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/obs/ledger"
-	"bypassyield/internal/sqlparse"
 )
 
 // DefaultRPCTimeout bounds each node RPC exchange (write + read). A
@@ -482,6 +480,8 @@ func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
 func (p *Proxy) serveConn(conn net.Conn) {
 	var (
 		fr  = newFrameReader() // this connection's frames; Decode copies out of it
+		q   QueryMsg           // this connection's queries, one at a time
+		sc  federation.Scratch // what a statement is parsed, bound, decomposed and reported in
 		res ResultMsg          // this connection's replies: handleQuery refills it, lists and all
 	)
 	for {
@@ -494,7 +494,6 @@ func (p *Proxy) serveConn(conn net.Conn) {
 		p.bytesRx.Add(label, int64(rn))
 		switch t {
 		case MsgQuery:
-			var q QueryMsg
 			if err := Decode(body, &q); err != nil {
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 				continue
@@ -502,19 +501,24 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			traceID := obs.ParseID(q.TraceID)
 			fc := p.flight.Begin()
 			fc.SetQuery(q.SQL, traceID)
-			rep, err := p.handleQuery(q.SQL, traceID, fc, &res)
+			err := p.handleQuery(&sc, q.SQL, traceID, fc, &res)
 			if err != nil {
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
-				p.flight.Finish(fc, err)
-				continue
+			} else {
+				encStart := fc.Now()
+				p.send(conn, MsgResult, &res)
+				fc.SetEncodeUS(fc.Now() - encStart)
 			}
-			encStart := fc.Now()
-			p.send(conn, MsgResult, &res)
-			fc.SetEncodeUS(fc.Now() - encStart)
-			p.flight.Finish(fc, nil)
+			p.flight.Finish(fc, err)
 			// The reply is written and the capture closed: nothing reads
-			// the tuples again, and the next execution may have their memory.
-			releaseResult(rep.Result)
+			// the tuples again, and the next execution may have their
+			// memory, as the next statement has the rest of sc — unless
+			// this one was long enough to have stretched it.
+			releaseScratch(&sc)
+			if len(q.SQL) > maxKeptStatement {
+				sc = federation.Scratch{}
+			}
+			q = QueryMsg{}
 		case MsgStats:
 			p.send(conn, MsgStatsResult, p.stats())
 		case MsgDecisions:
@@ -544,11 +548,20 @@ func (p *Proxy) serveConn(conn net.Conn) {
 	}
 }
 
-// releaseResult gives an execution result's tuples back once the frame
-// that carried them is written (engine.Result.Release). The wire tests
-// replace it to overwrite the tuples first, so that anything still
-// reading them afterwards is caught.
-var releaseResult = (*engine.Result).Release
+// maxKeptStatement bounds what a connection keeps of a statement between
+// queries, as frameBufMaxCap bounds what it keeps of a frame: the lists a
+// statement is parsed, bound and decided in grow with its text (a
+// conjunct of ten bytes is some four hundred in them), so a connection
+// that has once served a megabyte of conjuncts starts over from a zero
+// scratch instead of holding their memory for as long as it lives. The
+// workload's statements are a few hundred bytes.
+const maxKeptStatement = 4 << 10
+
+// releaseScratch gives a statement's tuples back once the frame that
+// carried them is written (federation.Scratch.Release). The wire tests
+// replace it to scramble the scratch first, tuples and all, so that
+// anything still reading the statement afterwards is caught.
+var releaseScratch = (*federation.Scratch).Release
 
 // leg is one unit of deferred WAN work decided during mediation: an
 // object fetch (load) or a bypass sub-query.
@@ -570,26 +583,24 @@ type leg struct {
 // The result frame is sent only after all legs settle, so a client's
 // response still reflects its query's complete protocol exchange.
 //
-// The reply is written into res, the caller's, whose lists are emptied
-// and refilled in place; its tuples are the report's Result's, so the
-// caller releases that Result once res is sent. A hit on a connection
-// that has served one before allocates nothing beyond mediation.
-func (p *Proxy) handleQuery(sql string, traceID uint64, fc *flightrec.Capture, res *ResultMsg) (*federation.QueryReport, error) {
+// The statement is mediated in sc and the reply written into res, both
+// the caller's: res's lists are emptied and refilled in place, and its
+// columns and tuples are sc's, so the caller releases sc once res is
+// sent and mediates nothing else in it before. A hit on a connection
+// that has served a few allocates nothing here and nothing in mediation
+// that outlives the statement.
+func (p *Proxy) handleQuery(sc *federation.Scratch, sql string, traceID uint64, fc *flightrec.Capture, res *ResultMsg) error {
 	p.querySem <- struct{}{}
 	defer func() { <-p.querySem }()
 	tel := p.med.Telemetry()
 	tel.QueryInflight(1)
 	defer tel.QueryInflight(-1)
 
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
-	rep, err := p.med.QueryStmtTraced(sql, stmt, obs.FormatID(traceID))
+	rep, err := p.med.QueryScratch(sc, sql, obs.FormatID(traceID))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	fc.SetMediation(rep.ExecUS, rep.LockWaitUS, rep.DecideUS)
 	fc.SetDegraded(rep.Degraded)
@@ -649,7 +660,7 @@ func (p *Proxy) handleQuery(sql string, traceID uint64, fc *flightrec.Capture, r
 		legs = append(legs, subqueryLegs(rep, bypassed)...)
 	}
 	p.runLegs(legs, traceID, res, fc)
-	return rep, nil
+	return nil
 }
 
 // subqueryLegs builds one sub-query leg per FROM table with a bypassed

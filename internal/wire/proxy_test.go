@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,5 +347,40 @@ func TestProxyConcurrentClients(t *testing.T) {
 	snap := p.Obs().Snapshot()
 	if got := snap.CounterValue("federation.queries", ""); got != clients*queriesPerClient {
 		t.Fatalf("federation.queries = %d, want %d", got, clients*queriesPerClient)
+	}
+}
+
+// TestLongStatementIsNotKept: a connection's scratch grows with the
+// statements it serves and is kept between them, so a statement of half
+// a megabyte — fifty thousand conjuncts, some twenty megabytes of parsed
+// and bound lists — would be held for as long as its connection lives.
+// The proxy starts such a connection over from a zero scratch
+// (maxKeptStatement): with the connection still open, the heap is back
+// within what the frame buffers keep.
+func TestLongStatementIsNotKept(t *testing.T) {
+	_, c, done := newSimProxy(t, nil)
+	defer done()
+	query := func(sql string) {
+		t.Helper()
+		if _, err := c.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC() // and what the first one's sync.Pool victims held
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	const short = "select ra from photoobj where ra < 1"
+	query(short)
+	before := heap()
+	query(short + strings.Repeat(" and ra < 1", 50000))
+	query(short) // the client, too, lets go of the long one
+	after := heap()
+	t.Logf("heap %d KB before the long statement, %d KB after", before>>10, after>>10)
+	if after > before+6<<20 {
+		t.Errorf("the heap grew by %d KB across a long statement on a connection that is still open, want < 6 MB", (after-before)>>10)
 	}
 }
