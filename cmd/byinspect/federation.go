@@ -149,15 +149,16 @@ func renderPersistence(w io.Writer, views []nodeView) {
 }
 
 // renderInvariant checks the paper's accounting identity on every
-// proxy and across the federation: the mediator's raw yield counter
-// (core.yield_bytes), the flow ledger's YieldBytes, and delivered
-// bytes D_A = D_S + D_C must agree — bytes the policy accounted for
-// are exactly the bytes clients received, with nothing double-counted
-// and nothing lost, on every node and in the federation-wide sum.
+// proxy and across the federation: the raw yield accounted for must be
+// the bytes delivered, D_A = D_S + D_C — nothing double-counted and
+// nothing lost. Each proxy is checked in each of its two reads on its
+// own: the metrics snapshot (core.yield_bytes against core.bypass_bytes
+// + core.cache_bytes) and the flow accounting (Stats.Acct). The two are
+// taken in different round trips, so under load they describe
+// different moments and are not compared with each other.
 func renderInvariant(w io.Writer, views []nodeView) {
-	var sumCounter, sumLedger, sumDelivered int64
+	var sumCounter, sumDeliveredCounter, sumLedger, sumDelivered int64
 	proxies := 0
-	ok := true
 	fmt.Fprintln(w, "\nΣ yields = D_A invariant (per proxy):")
 	for _, v := range views {
 		if v.Stats == nil {
@@ -165,25 +166,26 @@ func renderInvariant(w io.Writer, views []nodeView) {
 		}
 		proxies++
 		counter := v.Snapshot.CounterValue("core.yield_bytes", "")
+		deliveredCounter := v.Snapshot.CounterValue("core.bypass_bytes", "") + v.Snapshot.CounterValue("core.cache_bytes", "")
 		ledgerYield := v.Stats.Acct.YieldBytes
 		delivered := v.Stats.Acct.DeliveredBytes()
 		sumCounter += counter
+		sumDeliveredCounter += deliveredCounter
 		sumLedger += ledgerYield
 		sumDelivered += delivered
 		verdict := "ok"
-		if counter != ledgerYield || ledgerYield != delivered {
+		if counter != deliveredCounter || ledgerYield != delivered {
 			verdict = "MISMATCH"
-			ok = false
 		}
-		fmt.Fprintf(w, "  %-24s yield counter %12d  ledger %12d  D_A %12d  %s\n",
-			v.Addr, counter, ledgerYield, delivered, verdict)
+		fmt.Fprintf(w, "  %-24s metrics yield %12d  D_A %12d   stats yield %12d  D_A %12d  %s\n",
+			v.Addr, counter, deliveredCounter, ledgerYield, delivered, verdict)
 	}
 	if proxies == 0 {
 		fmt.Fprintln(w, "  no proxy in the scrape set (stats unavailable)")
 		return
 	}
 	status := "SATISFIED"
-	if !ok || sumCounter != sumLedger || sumLedger != sumDelivered {
+	if sumCounter != sumDeliveredCounter || sumLedger != sumDelivered {
 		status = "VIOLATED"
 	}
 	fmt.Fprintf(w, "  federation Σ yields %d = D_A %d: %s\n", sumLedger, sumDelivered, status)

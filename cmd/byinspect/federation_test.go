@@ -3,6 +3,7 @@ package main
 import (
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -174,6 +175,66 @@ func TestFederationTailAttribution(t *testing.T) {
 	}
 	if !strings.Contains(out, "phases: execute") || strings.Count(out, "|  subquery "+catalog.SiteSpec) != 1 || !strings.Contains(out, "|===") {
 		t.Fatalf("-trace-id view lacks the phases or the leg's bar:\n%s", out)
+	}
+}
+
+// TestFederationInvariantUnderLoad: a healthy proxy answering queries
+// while it is scraped satisfies the identity in every scrape. Its
+// metrics and its stats come back in different round trips, between
+// which queries land; each is checked on its own.
+func TestFederationInvariantUnderLoad(t *testing.T) {
+	addrs := startFederation(t, "", faultnet.Faults{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, sql := range []string{"select ra from photoobj where ra < 10", "select z from specobj where z < 3"} {
+		c, err := wire.Dial(addrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Query(sql); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(stop)
+
+	before, err := wire.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
+	first, err := before.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var sb strings.Builder
+		if err := runFederation(&sb, addrs[:1], wire.ExemplarsMsg{}, 1, false); err != nil {
+			t.Fatal(err)
+		}
+		if out := sb.String(); !strings.Contains(out, "SATISFIED") || strings.Contains(out, "MISMATCH") {
+			t.Fatalf("scrape %d of a healthy proxy under load:\n%s", i, out)
+		}
+	}
+	last, err := before.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last.Queries == first.Queries {
+		t.Fatal("no query ran while the proxy was scraped")
 	}
 }
 

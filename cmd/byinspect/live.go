@@ -36,8 +36,8 @@ func runLive(w io.Writer, addr string, asJSON bool) error {
 }
 
 func renderSnapshot(w io.Writer, source string, s obs.Snapshot) {
-	fmt.Fprintf(w, "metrics from %s: %d counters, %d gauges, %d histograms, %d rates\n",
-		source, len(s.Counters), len(s.Gauges), len(s.Histograms), len(s.Rates))
+	fmt.Fprintf(w, "metrics from %s: %d counters, %d gauges, %d histograms\n",
+		source, len(s.Counters), len(s.Gauges), len(s.Histograms))
 
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(w, "\ncounters:")
@@ -54,13 +54,6 @@ func renderSnapshot(w io.Writer, source string, s obs.Snapshot) {
 				prev = c.Name
 			}
 			fmt.Fprintf(w, "    %-32s %12d\n", c.Label, c.Value)
-		}
-	}
-
-	if len(s.Rates) > 0 {
-		fmt.Fprintln(w, "\nwindowed rates:")
-		for _, r := range s.Rates {
-			fmt.Fprintf(w, "  %-34s %12.1f/s  (over %.0fs)\n", r.Name, r.PerSecond, r.WindowSeconds)
 		}
 	}
 

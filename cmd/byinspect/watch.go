@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // runWatch scrapes a daemon's metrics every interval and renders what
-// moved: counter deltas with their implied per-second rate, plus the
-// daemon's own sliding-window rates. rounds bounds the number of
+// moved: counter deltas with their implied per-second rate, latency
+// quantiles over the interval, and what the interval's flows say about
+// the cache (flowFigures). rounds bounds the number of
 // samples (≤ 0 means run until the connection drops or stdin closes
 // the process; main passes 0, tests pass a small count).
 func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) error {
@@ -43,8 +45,8 @@ func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) erro
 	return nil
 }
 
-// renderDeltas prints the counters that moved between two snapshots
-// and the current windowed rates.
+// renderDeltas prints the counters that moved between two snapshots,
+// the latencies observed between them, and the interval's flow figures.
 func renderDeltas(w io.Writer, prev, cur obs.Snapshot, interval time.Duration) {
 	base := map[string]int64{}
 	for _, c := range prev.Counters {
@@ -68,13 +70,40 @@ func renderDeltas(w io.Writer, prev, cur obs.Snapshot, interval time.Duration) {
 		fmt.Fprintln(w, "  (idle: no counter movement)")
 	}
 	renderLatencies(w, prev, cur)
-	if len(cur.Rates) > 0 {
-		fmt.Fprintln(w, "  windowed rates:")
-		for _, r := range cur.Rates {
-			fmt.Fprintf(w, "    %-38s %12.1f/s  (over %.0fs)\n",
-				r.Name, r.PerSecond, r.WindowSeconds)
-		}
+	if hit, wan, comp := flowFigures(prev, cur); !math.IsNaN(hit) {
+		fmt.Fprintf(w, "  flows:   byte hit ratio %s   WAN reduction %s   competitive ratio %s\n",
+			fmtRatio(hit), fmtRatio(wan), fmtRatio(comp))
 	}
+}
+
+// flowFigures is what the cache did over an interval, from the deltas
+// of a proxy's flow counters between two scrapes: the byte hit ratio
+// ΔD_C/ΔD_A, the WAN reduction (ΔD_A − ΔD_S − ΔD_L)/ΔD_A against
+// shipping every byte, and the competitive ratio Δ(D_S + D_L)/Δbound
+// against the ski-rental lower bound (core.optbound_bytes). D_A is the
+// yield delivered (core.yield_bytes). A figure whose denominator did
+// not move is NaN: no query, or no shadows for the bound.
+func flowFigures(prev, cur obs.Snapshot) (byteHitRatio, wanReduction, competitiveRatio float64) {
+	delta := func(name string) float64 {
+		return float64(cur.CounterValue(name, "") - prev.CounterValue(name, ""))
+	}
+	ratio := func(a, b float64) float64 {
+		if b == 0 {
+			return math.NaN()
+		}
+		return a / b
+	}
+	da, dc := delta("core.yield_bytes"), delta("core.cache_bytes")
+	wan := delta("core.bypass_bytes") + delta("core.fetch_bytes")
+	return ratio(dc, da), ratio(da-wan, da), ratio(wan, delta("core.optbound_bytes"))
+}
+
+// fmtRatio renders a flow figure, "-" when it is undefined.
+func fmtRatio(v float64) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	return fmt.Sprintf("%.3f", v)
 }
 
 // renderLatencies prints compact quantile columns for every histogram

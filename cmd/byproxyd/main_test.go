@@ -84,7 +84,7 @@ func TestStartAndQuery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: %d", resp.StatusCode)
 	}
-	for _, want := range []string{"federation_queries 1", "core_query_rate"} {
+	for _, want := range []string{"federation_queries 1", "core_yield_bytes"} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}

@@ -7,10 +7,11 @@ import (
 )
 
 // Decider is the decision loop of a bypass-yield cache: one policy,
-// one flow accounting, and the observers of both (telemetry, the
-// shadow baselines, the decision ledger). The reference Simulator and
-// the live mediator both run their queries through it, so the two
-// cannot drift.
+// one flow accounting, and the observers of both (the shadow
+// baselines, the decision ledger, and telemetry for what is not
+// accounting: latency, degraded-mode events, episode churn). The
+// reference Simulator and the live mediator both run their queries
+// through it, so the two cannot drift.
 //
 // The work splits by what must be per access and what need not be.
 // Per access — Access, or Forced and Failed when a site is down — the
@@ -18,12 +19,12 @@ import (
 // the access and one ledger record is filled from the policy's
 // explanation (it is overwritten by the next decision): state, and
 // nothing shared. Per query — End — the query's accounting is added to
-// Acct and published to the registry in one go, the shadows' gauges
-// move once, and the query's records are copied into the ledger out of
-// the one batch the Decider refills for every query. Between Begin and
-// End the registry and ledger are one query behind the policy; a caller
-// that serves scrapes concurrently holds its lock across the pair, as
-// the mediator does.
+// Acct and the query's records are copied into the ledger out of the
+// one batch the Decider refills for every query. Between Begin and End
+// Acct and the ledger are one query behind the policy; a caller that
+// serves scrapes concurrently holds its lock across the pair, as the
+// mediator does, and reads Acct and the shadows under it: the registry
+// mirrors them at scrape time (Telemetry.Mirror), not here.
 //
 // A Decider is sequential state, like the policy it drives.
 type Decider struct {
@@ -34,10 +35,9 @@ type Decider struct {
 	name      string // the policy's, "" without one
 	explainer SelfExplainer
 	tel       *Telemetry
-	counters  PolicyCounters
 	shadows   *ShadowSet
 	ledger    *ledger.Ledger
-	evictions int64 // the policy's evictions already published
+	evictions int64 // the policy's evictions already counted in Acct
 
 	// The query in progress. recs is its ledger batch: the Decider's for
 	// its lifetime, emptied by Begin and copied out by End.
@@ -55,24 +55,18 @@ type Decider struct {
 var clockBase = time.Now()
 
 // NewDecider assembles a decision loop. Every argument may be nil: no
-// policy bypasses every access (published as policy "none"), and an
-// absent observer costs nothing. The telemetry is attached to the
-// policy (when it publishes churn of its own) and to the shadows.
+// policy bypasses every access, and an absent observer costs nothing.
+// The telemetry is attached to the policy when it publishes churn of
+// its own.
 func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger) *Decider {
 	d := &Decider{policy: p, tel: tel, shadows: shadows, ledger: led}
-	label := "none"
 	if p != nil {
 		d.name = p.Name()
-		label = d.name
 		d.explainer, _ = p.(SelfExplainer)
 		d.evictions = p.Evictions()
 		if ts, ok := p.(TelemetrySetter); ok && tel != nil {
 			ts.SetTelemetry(tel)
 		}
-	}
-	d.counters = tel.PolicyCounters(label)
-	if tel != nil {
-		shadows.SetTelemetry(tel)
 	}
 	return d
 }
@@ -162,57 +156,50 @@ func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.Decisio
 }
 
 // End closes the open query with the one bookkeeping flush: its flows
-// join Acct and the registry together, the shadows publish, the
-// records are copied into the ledger, and evictions the policy made
-// are counted.
+// join Acct, the records are copied into the ledger, and evictions the
+// policy made are counted.
 func (d *Decider) End() {
 	if d.tel != nil {
 		d.tel.ObserveDecide(time.Since(clockBase)-d.start, d.decided)
 	}
 	d.Acct.Add(d.q)
-	d.tel.Publish(d.counters, d.q)
-	d.shadows.Publish()
 	d.ledger.Append(d.recs)
-	d.publishEvictions()
+	d.countEvictions()
 }
 
 // Replay charges one access decided before a restart, outside any
-// query: the recorded decision's flows reach Acct and the registry.
-// The shadows and the ledger restart empty and see nothing of it; the
-// caller has already let the policy re-decide the access.
+// query: the recorded decision's flows reach Acct. The shadows and the
+// ledger restart empty and see nothing of it; the caller has already
+// let the policy re-decide the access.
 func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 	var q Accounting
 	if err := Account(&q, obj, yield, recorded); err != nil {
 		return err
 	}
 	d.Acct.Add(q)
-	d.tel.Publish(d.counters, q)
-	d.publishEvictions()
+	d.countEvictions()
 	return nil
 }
 
-// Restore adopts the accounting of a restored snapshot and seeds the
-// registry's lifetime counters with it (see Telemetry.SeedRestored),
-// the restored policy's evictions included: their count is the policy's
-// own, whatever a carries (0, when written before they were counted).
+// Restore adopts the accounting of a restored snapshot, the restored
+// policy's evictions included: their count is the policy's own,
+// whatever a carries (0, when written before they were counted).
 func (d *Decider) Restore(a Accounting) {
 	d.Acct = a
-	d.tel.SeedRestored(d.counters, a)
-	d.publishEvictions()
 	if d.policy != nil {
-		d.Acct.Evictions = d.policy.Evictions()
+		d.evictions = d.policy.Evictions()
+		d.Acct.Evictions = d.evictions
 	}
 }
 
-// publishEvictions counts the evictions the policy has made since it
-// was last asked, in Acct and in the registry alike.
-func (d *Decider) publishEvictions() {
+// countEvictions adds to Acct the evictions the policy has made since
+// it was last asked.
+func (d *Decider) countEvictions() {
 	if d.policy == nil {
 		return
 	}
 	if ev := d.policy.Evictions(); ev > d.evictions {
 		d.Acct.Evictions += ev - d.evictions
-		d.tel.RecordEvictions(d.name, ev-d.evictions)
 		d.evictions = ev
 	}
 }

@@ -66,17 +66,9 @@ type Simulator struct {
 	// CurveStride is the cumulative-cost sampling interval in
 	// requests; 0 disables curve collection.
 	CurveStride int64
-	// Telemetry, when non-nil, publishes per-decision counts, byte
-	// flows, and eviction/episode churn into an obs registry as the
-	// simulation runs (see NewTelemetry).
-	Telemetry *Telemetry
 	// Ledger, when non-nil, receives one DecisionRecord per access
 	// explaining the decision (see DecisionRecordFor).
 	Ledger *ledger.Ledger
-	// Shadows, when non-nil, replays every access through the
-	// counterfactual baselines (see NewShadowSet); telemetry savings
-	// gauges are published when Telemetry is also set.
-	Shadows *ShadowSet
 }
 
 // Run simulates the trace and returns the result. The policy is NOT
@@ -84,7 +76,7 @@ type Simulator struct {
 // repeatedly or call Policy.Reset between independent runs.
 func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
-	d := NewDecider(s.Policy, s.Telemetry, s.Shadows, s.Ledger)
+	d := NewDecider(s.Policy, nil, nil, s.Ledger)
 	for i, req := range reqs {
 		d.Begin(req.Seq, "", len(req.Accesses))
 		for _, acc := range req.Accesses {

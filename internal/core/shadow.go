@@ -24,8 +24,9 @@ package core
 // mediators, not just experiments: an access costs two map-backed
 // policy updates and one accumulator update and allocates nothing once
 // its object has been seen — about a fifth of a microsecond
-// (BenchmarkShadowAccess) — and the telemetry it feeds is published
-// once per query (Publish), not per access.
+// (BenchmarkShadowAccess). It publishes nothing: a registry collector
+// reads its Stats under the lock that serializes its accesses
+// (Telemetry.Mirror).
 
 // ShadowResult reports one baseline's counterfactual accounting.
 type ShadowResult struct {
@@ -42,7 +43,6 @@ type shadowEntry struct {
 	name   string
 	policy Policy
 	acct   Accounting
-	pubWAN int64 // acct.WANBytes() at the last Publish
 }
 
 // ShadowSet runs the counterfactual baselines and the ski-rental
@@ -55,15 +55,6 @@ type ShadowSet struct {
 	shadows  []*shadowEntry
 	optAcc   map[ObjectID]*int64 // per-object accumulated bypass cost
 	optBound int64               // Σ_i min(optAcc[i], f_i)
-	tel      *Telemetry
-
-	// Last-published values: the counters, savings gauges and
-	// competitive totals are fed as deltas, so the gauges read the sum
-	// over the shadow sets sharing one telemetry.
-	pubVsBypass int64
-	pubVsLRUK   int64
-	pubWAN      int64
-	pubBound    int64
 }
 
 // NewShadowSet builds the baseline set for a live cache of the given
@@ -79,20 +70,9 @@ func NewShadowSet(capacity int64) *ShadowSet {
 	}
 }
 
-// SetTelemetry attaches a telemetry sink; Publish then feeds it shadow
-// traffic, the bound, the savings gauges, and the competitive ratios.
-// Nil-safe on both sides.
-func (s *ShadowSet) SetTelemetry(tel *Telemetry) {
-	if s == nil {
-		return
-	}
-	s.tel = tel
-}
-
 // Access feeds one decided access: d is the LIVE policy's decision
 // (already made); the shadows replay the same (t, obj, yield) through
-// their own state. Call after the live decision, once per access;
-// nothing reaches telemetry before Publish.
+// their own state. Call after the live decision, once per access.
 func (s *ShadowSet) Access(t int64, obj Object, yield int64, d Decision) {
 	if s == nil {
 		return
@@ -114,31 +94,6 @@ func (s *ShadowSet) Access(t int64, obj Object, yield int64, d Decision) {
 	prev := *acc
 	*acc = prev + c
 	s.optBound += minInt64(prev+c, obj.FetchCost) - minInt64(prev, obj.FetchCost)
-}
-
-// Publish moves the attached telemetry to the set's current state:
-// each baseline's WAN traffic and the bound since the last Publish,
-// the savings gauges, and the competitive ratios. The mediator and the
-// simulator call it once per query; the counters and gauges then read
-// what publishing after every access would have left. No-op without
-// telemetry.
-func (s *ShadowSet) Publish() {
-	if s == nil || s.tel == nil {
-		return
-	}
-	for _, e := range s.shadows {
-		wan := e.acct.WANBytes()
-		s.tel.RecordShadow(e.name, wan-e.pubWAN)
-		e.pubWAN = wan
-	}
-	dBound := s.optBound - s.pubBound
-	s.tel.RecordOptBound(dBound)
-	realizedWAN := s.realized.WANBytes()
-	vsBypass := s.shadows[0].acct.WANBytes() - realizedWAN
-	vsLRUK := s.shadows[1].acct.WANBytes() - realizedWAN
-	s.tel.PublishSavings(vsBypass-s.pubVsBypass, vsLRUK-s.pubVsLRUK)
-	s.tel.PublishCompetitive(realizedWAN-s.pubWAN, dBound)
-	s.pubVsBypass, s.pubVsLRUK, s.pubWAN, s.pubBound = vsBypass, vsLRUK, realizedWAN, s.optBound
 }
 
 // Realized returns the accounting of the live decisions as the shadow
@@ -188,6 +143,27 @@ func (s *ShadowSet) OptBound() int64 {
 	return s.optBound
 }
 
+// ShadowStats is a shadow set's state at one instant: each baseline's
+// counterfactual accounting and savings, the ski-rental bound, and the
+// competitive ratio in thousandths (0 until the bound is positive).
+type ShadowStats struct {
+	Baselines             []ShadowResult
+	OptBoundBytes         int64
+	CompetitiveRatioMilli int64
+}
+
+// Stats reads the set's state (zero on a nil set).
+func (s *ShadowSet) Stats() ShadowStats {
+	if s == nil {
+		return ShadowStats{}
+	}
+	st := ShadowStats{Baselines: s.Baselines(), OptBoundBytes: s.optBound}
+	if s.optBound > 0 {
+		st.CompetitiveRatioMilli = s.realized.WANBytes() * 1000 / s.optBound
+	}
+	return st
+}
+
 // CompetitiveRatio returns realized WAN / bound, the online upper
 // estimate of the live policy's competitive ratio (0 until the bound
 // is positive; always ≥ 1 afterwards, since the bound also
@@ -199,23 +175,15 @@ func (s *ShadowSet) CompetitiveRatio() float64 {
 	return float64(s.realized.WANBytes()) / float64(s.optBound)
 }
 
-// Reset clears all shadow state for a fresh run, retracting this
-// set's contribution from the shared savings gauges and competitive
-// totals.
+// Reset clears all shadow state for a fresh run.
 func (s *ShadowSet) Reset() {
 	if s == nil {
 		return
 	}
-	if s.tel != nil {
-		s.tel.PublishSavings(-s.pubVsBypass, -s.pubVsLRUK)
-		s.tel.PublishCompetitive(-s.pubWAN, -s.pubBound)
-	}
-	s.pubVsBypass, s.pubVsLRUK, s.pubWAN, s.pubBound = 0, 0, 0, 0
 	s.realized = Accounting{}
 	for _, e := range s.shadows {
 		e.policy.Reset()
 		e.acct = Accounting{}
-		e.pubWAN = 0
 	}
 	s.optAcc = make(map[ObjectID]*int64)
 	s.optBound = 0

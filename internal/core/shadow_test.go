@@ -11,10 +11,8 @@ import (
 func TestShadowNilIsNoOp(t *testing.T) {
 	var s *ShadowSet
 	s.Access(1, testObj("o1", 100), 10, Bypass) // must not panic
-	s.Publish()
-	s.SetTelemetry(nil)
 	s.Reset()
-	if s.OptBound() != 0 || s.CompetitiveRatio() != 0 || s.SavedVs("lruk") != 0 {
+	if s.OptBound() != 0 || s.CompetitiveRatio() != 0 || s.SavedVs("lruk") != 0 || s.Stats().OptBoundBytes != 0 {
 		t.Fatal("nil shadow set must read zero")
 	}
 	if s.Baselines() != nil {
@@ -89,19 +87,20 @@ func TestShadowRatioAtLeastOneUnderRandomStream(t *testing.T) {
 	}
 }
 
+// TestShadowTelemetryGauges: the shadow metrics a registry carries are
+// a reading of the set (Stats) mirrored, and move only when read again.
 func TestShadowTelemetryGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
 	s := NewShadowSet(1000)
-	s.SetTelemetry(tel)
 	o := testObj("o1", 1000)
 	s.Access(1, o, 400, Bypass)
 	s.Access(2, o, 600, Load)
 	if got := reg.Snapshot().GaugeValue("core.bytes_saved_vs_bypass"); got != 0 {
-		t.Fatalf("gauge moved before Publish: %d", got)
+		t.Fatalf("gauge moved before Mirror: %d", got)
 	}
-	s.Publish()
-	s.Publish() // nothing new: nothing moves
+	tel.Mirror("p", Accounting{}, s.Stats())
+	tel.Mirror("p", Accounting{}, s.Stats()) // nothing new: nothing moves
 	snap := reg.Snapshot()
 	wantSaved := s.SavedVs("always-bypass")
 	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
@@ -147,11 +146,9 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 		reqs = append(reqs, Request{Seq: int64(i), Accesses: []Access{{Object: o.ID, Yield: r.Int63n(o.Size)}}})
 	}
 	sim := &Simulator{
-		Policy:    NewRateProfile(RateProfileConfig{Capacity: 2000}),
-		Objects:   objMap(objs...),
-		Telemetry: NewTelemetry(reg),
-		Ledger:    led,
-		Shadows:   NewShadowSet(2000),
+		Policy:  NewRateProfile(RateProfileConfig{Capacity: 2000}),
+		Objects: objMap(objs...),
+		Ledger:  led,
 	}
 	res, err := sim.Run(reqs)
 	if err != nil {
@@ -176,9 +173,28 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 	if sumWAN != res.Acct.WANBytes() {
 		t.Fatalf("Σ ledger WAN costs = %d, want %d", sumWAN, res.Acct.WANBytes())
 	}
+	// The shadows and the decision-latency histogram hang off the
+	// Decider the simulator runs: the same loop over the same stream,
+	// with them attached, must account alike.
+	shadows := NewShadowSet(2000)
+	tel := NewTelemetry(reg)
+	d := NewDecider(NewRateProfile(RateProfileConfig{Capacity: 2000}), tel, shadows, nil)
+	for _, req := range reqs {
+		d.Begin(req.Seq, "", len(req.Accesses))
+		for _, acc := range req.Accesses {
+			if _, err := d.Access(sim.Objects[acc.Object], acc.Yield); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.End()
+	}
+	if d.Acct != res.Acct {
+		t.Fatalf("decision loop accounting %+v, simulator %+v", d.Acct, res.Acct)
+	}
 	// Shadow identity: always-bypass WAN − realized WAN == exported gauge.
+	tel.Mirror(sim.Policy.Name(), d.Acct, shadows.Stats())
 	snap := reg.Snapshot()
-	wantSaved := sim.Shadows.SavedVs("always-bypass")
+	wantSaved := shadows.SavedVs("always-bypass")
 	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
 		t.Fatalf("gauge = %d, want %d", got, wantSaved)
 	}
@@ -187,8 +203,8 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 	wantAcct := res.Acct
 	wantAcct.Queries = 0
 	wantAcct.Evictions = 0
-	if sim.Shadows.Realized() != wantAcct {
-		t.Fatalf("shadow realized accounting diverged:\n %+v\nvs %+v", sim.Shadows.Realized(), wantAcct)
+	if shadows.Realized() != wantAcct {
+		t.Fatalf("shadow realized accounting diverged:\n %+v\nvs %+v", shadows.Realized(), wantAcct)
 	}
 	// Decision latency histogram observed once per access.
 	h, ok := snap.HistogramSnap("core.decide_seconds", "")
@@ -289,18 +305,16 @@ func TestDecisionRecordForNilPolicy(t *testing.T) {
 }
 
 // BenchmarkShadowAccess is the cost the counterfactual baselines add to
-// one access (both shadow policies and the ski-rental bound) plus, once
-// every seventeen accesses — an EDR statement's worth — the publish.
-// The LRU-K shadow holds every object, so this is the steady state of
-// a cache that mostly hits; a shadow load or eviction costs two
-// allocations (the heap item and its boxed object).
+// one access (both shadow policies and the ski-rental bound). The LRU-K
+// shadow holds every object, so this is the steady state of a cache
+// that mostly hits; a shadow load or eviction costs two allocations
+// (the heap item and its boxed object).
 func BenchmarkShadowAccess(b *testing.B) {
 	objs := make([]Object, 200)
 	for i := range objs {
 		objs[i] = testObj(string(rune('a'+i%26))+string(rune('a'+i/26)), int64(100+i))
 	}
 	s := NewShadowSet(1 << 20)
-	s.SetTelemetry(NewTelemetry(obs.NewRegistry()))
 	for i, o := range objs {
 		s.Access(0, o, 50, Decision(i%3))
 	}
@@ -308,8 +322,5 @@ func BenchmarkShadowAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Access(int64(i/17), objs[i%len(objs)], 50, Decision(i%3))
-		if i%17 == 16 {
-			s.Publish()
-		}
 	}
 }

@@ -1,28 +1,47 @@
 package core
 
 import (
-	"sync/atomic"
 	"time"
 
 	"bypassyield/internal/obs"
 )
 
-// Telemetry publishes the cache core's activity into an obs.Registry:
-// decisions per policy per verdict, the Figure-1 byte flows, eviction
-// and episode churn. The byte counters apply exactly the charging
-// rules of Account, so a registry snapshot reconciles with the
-// mediator's Accounting (D_A = D_S + D_C) — the end-to-end metrics
-// test asserts this.
+// Telemetry is the cache core's view of an obs.Registry. Two kinds of
+// metric hang off it.
 //
-// Metric names:
+// Events are pushed as they happen: degraded-mode serves and dropped
+// legs, decision latency, pipeline concurrency, episode churn.
+//
+// The Figure-1 flows are not: they live in the decision plane's
+// Accounting and its shadow set, and Mirror copies one reading of both —
+// taken under the plane's lock by the registry collector that calls it
+// at every scrape — into the metrics below. A snapshot therefore
+// reconciles with the accounting it was read from exactly, D_A =
+// D_S + D_C included.
+//
+// Mirrored (Mirror):
 //
 //	core.decisions            counter family, label "<policy>/<verdict>"
-//	core.evictions            counter family, label "<policy>"
+//	core.evictions            counter family, label "<policy>" (from the
+//	                          first eviction)
 //	core.accesses             counter
 //	core.bypass_bytes         counter (D_S, cost-scaled)
 //	core.fetch_bytes          counter (D_L)
 //	core.cache_bytes          counter (D_C)
 //	core.yield_bytes          counter (raw yield)
+//	core.shadow_wan_bytes     counter family, label = baseline (from its
+//	                          first WAN byte); see shadow.go
+//	core.optbound_bytes       counter: ski-rental lower bound
+//	core.bytes_saved_vs_bypass  gauge: shadow always-bypass WAN − realized WAN
+//	core.bytes_saved_vs_lruk    gauge: shadow LRU-K WAN − realized WAN
+//	core.competitive_ratio_milli gauge: 1000 · realized WAN / bound
+//
+// A reader that wants them per interval — a byte hit ratio, the WAN
+// reduction (D_A − D_S − D_L)/D_A — takes the deltas between two
+// scrapes (byinspect -watch).
+//
+// Pushed:
+//
 //	core.episodes_opened      counter
 //	core.episodes_closed      counter
 //
@@ -38,14 +57,6 @@ import (
 //	                          failed access
 //	core.stale_served_bytes   counter: yield served from cache with no
 //	                          freshness guarantee
-//
-// Sliding-window rates (the operational analogue of the paper's rate
-// profiles, eq. 3 — recent flow intensity rather than lifetime sums):
-//
-//	core.bypass_bytes_rate    D_S bytes/s over the recent window
-//	core.fetch_bytes_rate     D_L bytes/s
-//	core.cache_bytes_rate     D_C bytes/s
-//	core.query_rate           mediated queries/s
 //
 // Decision latency (the cost of deciding one access):
 //
@@ -71,19 +82,8 @@ import (
 //	core.legs_inflight        gauge: WAN legs (object fetches and
 //	                          bypass sub-queries) currently executing
 //
-// Counterfactual accounting (fed by ShadowSet, see shadow.go):
-//
-//	core.shadow_wan_bytes             counter family, label = baseline
-//	core.optbound_bytes               counter: ski-rental lower bound
-//	core.bytes_saved_vs_bypass        gauge: shadow always-bypass WAN − realized WAN
-//	core.bytes_saved_vs_lruk          gauge: shadow LRU-K WAN − realized WAN
-//	core.competitive_ratio_milli      gauge: 1000 · realized WAN / bound (lifetime)
-//	core.competitive_ratio_window_milli  gauge: same ratio over the recent rate window
-//	core.wan_bytes_rate               realized WAN bytes/s (D_S + D_L)
-//	core.optbound_bytes_rate          bound bytes/s, the window ratio's denominator
-//
 // A Telemetry built over a nil registry — or a nil *Telemetry — is a
-// no-op, so policies and simulators thread it unconditionally.
+// no-op, so policies and the decision loop thread it unconditionally.
 type Telemetry struct {
 	decisions *obs.CounterFamily
 	evictions *obs.CounterFamily
@@ -102,30 +102,17 @@ type Telemetry struct {
 	degradedQueries *obs.Counter
 	staleBytes      *obs.Counter
 
-	bypassRate *obs.Rate
-	fetchRate  *obs.Rate
-	cacheRate  *obs.Rate
-	queryRate  *obs.Rate
-
 	decide     *obs.Histogram
 	decideWait *obs.Histogram
 
 	queryConcurrency *obs.Gauge
 	legsInflight     *obs.Gauge
 
-	shadowWAN       *obs.CounterFamily
-	optBoundBytes   *obs.Counter
-	savedVsBypass   *obs.Gauge
-	savedVsLRUK     *obs.Gauge
-	compRatio       *obs.Gauge
-	compRatioWindow *obs.Gauge
-	wanRate         *obs.Rate
-	optRate         *obs.Rate
-
-	// Accumulators behind the competitive-ratio gauge: shadow sets
-	// contribute deltas, the gauge reads the sum.
-	compWAN   atomic.Int64
-	compBound atomic.Int64
+	shadowWAN     *obs.CounterFamily
+	optBoundBytes *obs.Counter
+	savedVsBypass *obs.Gauge
+	savedVsLRUK   *obs.Gauge
+	compRatio     *obs.Gauge
 }
 
 // DecideBuckets are the explicit core.decide_seconds bucket bounds in
@@ -137,8 +124,8 @@ func DecideBuckets() []int64 {
 }
 
 // TelemetrySetter is implemented by policies that publish internal
-// churn (episode open/close, ...) through a Telemetry. The mediator
-// and simulator attach their telemetry to any policy implementing it.
+// churn (episode open/close, ...) through a Telemetry. The decision
+// loop attaches its telemetry to any policy implementing it.
 type TelemetrySetter interface {
 	SetTelemetry(*Telemetry)
 }
@@ -164,10 +151,6 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		failedLegs:      r.CounterFamily("core.failed_legs"),
 		degradedQueries: r.Counter("core.degraded_queries"),
 		staleBytes:      r.Counter("core.stale_served_bytes"),
-		bypassRate:      r.Rate("core.bypass_bytes_rate"),
-		fetchRate:       r.Rate("core.fetch_bytes_rate"),
-		cacheRate:       r.Rate("core.cache_bytes_rate"),
-		queryRate:       r.Rate("core.query_rate"),
 
 		decide:     r.Histogram("core.decide_seconds", DecideBuckets()),
 		decideWait: r.Histogram("core.decide_wait_us", obs.DefaultLatencyBuckets()),
@@ -175,94 +158,55 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		queryConcurrency: r.Gauge("core.query_concurrency"),
 		legsInflight:     r.Gauge("core.legs_inflight"),
 
-		shadowWAN:       r.CounterFamily("core.shadow_wan_bytes"),
-		optBoundBytes:   r.Counter("core.optbound_bytes"),
-		savedVsBypass:   r.Gauge("core.bytes_saved_vs_bypass"),
-		savedVsLRUK:     r.Gauge("core.bytes_saved_vs_lruk"),
-		compRatio:       r.Gauge("core.competitive_ratio_milli"),
-		compRatioWindow: r.Gauge("core.competitive_ratio_window_milli"),
-		wanRate:         r.Rate("core.wan_bytes_rate"),
-		optRate:         r.Rate("core.optbound_bytes_rate"),
+		shadowWAN:     r.CounterFamily("core.shadow_wan_bytes"),
+		optBoundBytes: r.Counter("core.optbound_bytes"),
+		savedVsBypass: r.Gauge("core.bytes_saved_vs_bypass"),
+		savedVsLRUK:   r.Gauge("core.bytes_saved_vs_lruk"),
+		compRatio:     r.Gauge("core.competitive_ratio_milli"),
 	}
 }
 
-// PolicyCounters are one policy's core.decisions counters, one per
-// verdict, resolved once so that publishing a query's decisions builds
-// no label and looks nothing up. The zero value (a nil Telemetry's)
-// counts nothing.
-type PolicyCounters struct {
-	hit, bypass, load *obs.Counter
-}
-
-// PolicyCounters resolves the verdict counters of the named policy.
-func (t *Telemetry) PolicyCounters(policy string) PolicyCounters {
-	if t == nil {
-		return PolicyCounters{}
-	}
-	return PolicyCounters{
-		hit:    t.decisions.Get(policy + "/" + Hit.String()),
-		bypass: t.decisions.Get(policy + "/" + Bypass.String()),
-		load:   t.decisions.Get(policy + "/" + Load.String()),
-	}
-}
-
-// addFlows adds an accounting's decision counts and byte flows to the
-// lifetime counters that mirror it.
-func (t *Telemetry) addFlows(pc PolicyCounters, a Accounting) {
-	pc.hit.Add(a.Hits)
-	pc.bypass.Add(a.Bypasses)
-	pc.load.Add(a.Loads)
-	t.accesses.Add(a.Accesses)
-	t.yieldBytes.Add(a.YieldBytes)
-	t.cacheBytes.Add(a.CacheBytes)
-	t.bypassBytes.Add(a.BypassBytes)
-	t.fetchBytes.Add(a.FetchBytes)
-}
-
-// Publish charges the accesses of one query, given as the accounting
-// they produced (Account's flow rules, so the registry reconciles with
-// the accounting the delta is added to). Each sliding-window rate a
-// decision of the query feeds is fed once, with the query's sum.
-func (t *Telemetry) Publish(pc PolicyCounters, q Accounting) {
-	if t == nil || q.Accesses == 0 {
-		return
-	}
-	t.addFlows(pc, q)
-	if q.Hits+q.Loads > 0 {
-		t.cacheRate.Add(q.CacheBytes)
-	}
-	if q.Bypasses > 0 {
-		t.bypassRate.Add(q.BypassBytes)
-	}
-	if q.Loads > 0 {
-		t.fetchRate.Add(q.FetchBytes)
-	}
-	if q.Bypasses+q.Loads > 0 {
-		t.wanRate.Add(q.WANBytes())
-	}
-}
-
-// SeedRestored re-publishes the cumulative counters that mirror a
-// restored Accounting, so a registry snapshot keeps reconciling with
-// the mediator's flow ledger (core.yield_bytes = Acct.YieldBytes =
-// D_A, the invariant byinspect -federation checks) across a warm
-// restart. Only the lifetime counters Publish drives are seeded:
-// sliding-window rates, latency histograms, and the degraded-mode
-// site families describe live traffic and restart empty (Accounting
-// cannot apportion historical hits between free and forced serves
-// anyway — both charge the Hit flow rules).
-func (t *Telemetry) SeedRestored(pc PolicyCounters, a Accounting) {
+// Mirror stores one reading of a decision plane in the metrics that
+// mirror it: a, the accounting of the plane whose policy is named
+// policy ("none" without one), and sh, its shadow set's state (zero
+// without shadows). The caller reads both under the plane's lock, so
+// the metrics agree with each other as the plane did.
+func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
 	if t == nil {
 		return
 	}
-	t.addFlows(pc, a)
+	t.decisions.Get(policy + "/" + Hit.String()).Store(a.Hits)
+	t.decisions.Get(policy + "/" + Bypass.String()).Store(a.Bypasses)
+	t.decisions.Get(policy + "/" + Load.String()).Store(a.Loads)
+	if a.Evictions > 0 {
+		t.evictions.Get(policy).Store(a.Evictions)
+	}
+	t.accesses.Store(a.Accesses)
+	t.yieldBytes.Store(a.YieldBytes)
+	t.cacheBytes.Store(a.CacheBytes)
+	t.bypassBytes.Store(a.BypassBytes)
+	t.fetchBytes.Store(a.FetchBytes)
+
+	var saved [2]int64 // vs always-bypass, vs LRU-K: NewShadowSet's order
+	for i, b := range sh.Baselines {
+		if wan := b.Acct.WANBytes(); wan > 0 {
+			t.shadowWAN.Get(b.Name).Store(wan)
+		}
+		saved[i] = b.SavedBytes
+	}
+	t.optBoundBytes.Store(sh.OptBoundBytes)
+	t.savedVsBypass.Set(saved[0])
+	t.savedVsLRUK.Set(saved[1])
+	if sh.OptBoundBytes > 0 {
+		t.compRatio.Set(sh.CompetitiveRatioMilli)
+	}
 }
 
 // RecordForced counts one forced serve-from-cache: the owning site
 // was unavailable, so the cached (possibly stale) copy was served.
 // The byte flows follow the Hit rules — the bytes really came from
-// the cache — and reach the registry with the rest of the query's
-// (Publish); these are the degraded-mode counters on top.
+// the cache — and are the accounting's; these are the degraded-mode
+// counters on top.
 func (t *Telemetry) RecordForced(site string, yield int64) {
 	if t == nil {
 		return
@@ -325,75 +269,6 @@ func (t *Telemetry) LegInflight(delta int64) {
 		return
 	}
 	t.legsInflight.Add(delta)
-}
-
-// RecordShadow charges WAN traffic a shadow baseline would have
-// incurred since it last published.
-func (t *Telemetry) RecordShadow(baseline string, wan int64) {
-	if t == nil || wan == 0 {
-		return
-	}
-	t.shadowWAN.Add(baseline, wan)
-}
-
-// RecordOptBound advances the ski-rental lower bound by delta bytes
-// (the increment of Σ_i min(accumulated bypass cost_i, f_i)).
-func (t *Telemetry) RecordOptBound(delta int64) {
-	if t == nil || delta <= 0 {
-		return
-	}
-	t.optBoundBytes.Add(delta)
-	t.optRate.Add(delta)
-}
-
-// PublishSavings moves the bytes-saved-vs-baseline gauges by deltas.
-// A shadow set publishes the change in its own counterfactual-minus-
-// realized WAN, so the gauges read the sum over the sets sharing this
-// telemetry — with one set, that set's current value.
-func (t *Telemetry) PublishSavings(dBypass, dLRUK int64) {
-	if t == nil {
-		return
-	}
-	t.savedVsBypass.Add(dBypass)
-	t.savedVsLRUK.Add(dLRUK)
-}
-
-// PublishCompetitive accumulates realized-WAN and ski-rental-bound
-// deltas into the telemetry's global totals and republishes the
-// competitive-ratio gauges, in thousandths (gauges are integers): the
-// lifetime ratio from the accumulated totals, and the windowed ratio
-// from the recent WAN and bound rates. A zero denominator leaves the
-// gauge at 0.
-func (t *Telemetry) PublishCompetitive(dWAN, dBound int64) {
-	if t == nil {
-		return
-	}
-	wan := t.compWAN.Add(dWAN)
-	bound := t.compBound.Add(dBound)
-	if bound > 0 {
-		t.compRatio.Set(wan * 1000 / bound)
-	}
-	if br := t.optRate.PerSecond(); br > 0 {
-		t.compRatioWindow.Set(int64(t.wanRate.PerSecond() / br * 1000))
-	}
-}
-
-// RecordQuery feeds the windowed query rate; the mediator calls it
-// once per mediated statement.
-func (t *Telemetry) RecordQuery() {
-	if t == nil {
-		return
-	}
-	t.queryRate.Add(1)
-}
-
-// RecordEvictions adds an eviction count for a policy (callers feed
-// deltas of Policy.Evictions).
-func (t *Telemetry) RecordEvictions(policy string, n int64) {
-	if t == nil || n <= 0 {
-		return
-	}
-	t.evictions.Add(policy, n)
 }
 
 // EpisodeOpened counts one episode opening in a rate profile.

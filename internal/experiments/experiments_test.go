@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"bypassyield/internal/obs"
+	"bypassyield/internal/federation"
 	"bypassyield/internal/obs/ledger"
 )
 
@@ -42,51 +42,28 @@ func cellFloat(t *testing.T, tab *Table, row int, col string) float64 {
 	return 0
 }
 
-func TestSuiteObsAttach(t *testing.T) {
+// TestSuiteLedgerAttach: a suite with a ledger gets one decision
+// record per simulated access, across every simulation it runs — fig7
+// runs four policies over the same EDR table trace.
+func TestSuiteLedgerAttach(t *testing.T) {
 	s := NewSuite(30)
-	s.Obs = obs.NewRegistry()
-	if _, err := s.Run("fig7"); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Obs.Snapshot()
-	if snap.CounterTotal("core.decisions") == 0 {
-		t.Fatal("suite with Obs attached recorded no decisions")
-	}
-	// Conservation across everything the suite simulated: delivered
-	// bytes arrive either by bypass or out of the cache.
-	ds := snap.CounterValue("core.bypass_bytes", "")
-	dc := snap.CounterValue("core.cache_bytes", "")
-	dy := snap.CounterValue("core.yield_bytes", "")
-	if ds+dc != dy {
-		t.Fatalf("D_A violated across suite: %d + %d != %d", ds, dc, dy)
-	}
-}
-
-func TestSuiteLedgerAndShadowAttach(t *testing.T) {
-	s := NewSuite(30)
-	s.Obs = obs.NewRegistry()
 	s.Ledger = ledger.New(1 << 16)
-	s.Shadow = true
 	if _, err := s.Run("fig7"); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.Obs.Snapshot()
-	decisions := snap.CounterTotal("core.decisions")
-	if decisions == 0 {
-		t.Fatal("suite recorded no decisions")
+	reqs, err := s.requests("edr", federation.Tables)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := s.Ledger.Count(); got != uint64(decisions) {
-		t.Fatalf("ledger count = %d, want one record per decision (%d)", got, decisions)
+	var accesses int
+	for _, r := range reqs {
+		accesses += len(r.Accesses)
 	}
-	// Shadow accounting published through the registry: the
-	// always-bypass counterfactual's WAN is every simulation's yield
-	// total, so its counter must match core.yield_bytes.
-	shadowWAN := snap.CounterValue("core.shadow_wan_bytes", "always-bypass")
-	if dy := snap.CounterValue("core.yield_bytes", ""); shadowWAN != dy {
-		t.Fatalf("always-bypass shadow WAN = %d, want Σ yields = %d", shadowWAN, dy)
+	if accesses == 0 {
+		t.Fatal("the trace has no accesses")
 	}
-	if snap.CounterValue("core.optbound_bytes", "") <= 0 {
-		t.Fatal("ski-rental bound not published")
+	if got, want := s.Ledger.Count(), uint64(4*accesses); got != want {
+		t.Fatalf("ledger count = %d, want one record per access of four simulations (%d)", got, want)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"bypassyield/internal/core"
 	"bypassyield/internal/federation"
-	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/trace"
 	"bypassyield/internal/workload"
@@ -27,20 +26,11 @@ type Suite struct {
 	// cache-size sweep establishes (Figures 9–10 regenerate that
 	// sweep).
 	CachePct float64
-	// Obs, when set, collects per-policy decision and byte-flow
-	// counters from every simulation the suite runs. Nil (the
-	// default) keeps simulation unobserved and allocation-free.
-	Obs *obs.Registry
 	// Ledger, when set, receives one DecisionRecord per simulated
 	// access, across every simulation the suite runs. Simulations
 	// share the ring; attach a ledger.Sink to separate or persist
 	// them.
 	Ledger *ledger.Ledger
-	// Shadow, when true, runs the online counterfactual baselines
-	// (always-bypass, LRU-K) alongside every simulation. Shadow
-	// savings and competitive-ratio gauges publish through Obs when
-	// both are set.
-	Shadow bool
 
 	traces map[string][]core.Request
 	raw    map[string][]trace.Record
@@ -197,15 +187,8 @@ func comparatorPolicies() []policySet {
 }
 
 // simulate runs one policy over a trace, recording into the suite's
-// registry when one is attached.
+// ledger when one is attached.
 func (s *Suite) simulate(p core.Policy, reqs []core.Request, objs map[core.ObjectID]core.Object, stride int64) (*core.Result, error) {
-	sim := &core.Simulator{
-		Policy: p, Objects: objs, CurveStride: stride,
-		Telemetry: core.NewTelemetry(s.Obs),
-		Ledger:    s.Ledger,
-	}
-	if s.Shadow {
-		sim.Shadows = core.NewShadowSet(p.Capacity())
-	}
+	sim := &core.Simulator{Policy: p, Objects: objs, CurveStride: stride, Ledger: s.Ledger}
 	return sim.Run(reqs)
 }

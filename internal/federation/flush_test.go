@@ -34,8 +34,8 @@ func (s *recordSink) Record(r ledger.DecisionRecord) { s.recs = append(s.recs, r
 //     access by access by a reference policy run in lockstep — every
 //     field — with contiguous Seq, through the sink and in the ring;
 //   - the savings and competitive-ratio gauges and the shadow counters
-//     equal those of a reference ShadowSet that publishes after every
-//     access.
+//     equal what a reference ShadowSet fed the same accesses one by
+//     one reads.
 func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 	n := 2000
 	if raceEnabled || testing.Short() {
@@ -75,9 +75,7 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refReg := obs.NewRegistry()
 			refShadows := core.NewShadowSet(capacity)
-			refShadows.SetTelemetry(core.NewTelemetry(refReg))
 
 			var seen [3]bool
 			for qi, sql := range sqls {
@@ -120,7 +118,6 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 						t.Fatalf("query %d access %d: ledger record\n %+v\nper-access reference\n %+v", qi, i, got[i], rec)
 					}
 					refShadows.Access(rep.Seq, obj, d.Yield, refD)
-					refShadows.Publish()
 				}
 				if led.Count() != uint64(len(sink.recs)) {
 					t.Fatalf("query %d: ledger counts %d records, sink saw %d", qi, led.Count(), len(sink.recs))
@@ -153,19 +150,26 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 					t.Fatalf("query %d: accounting %+v", qi, acct)
 				}
 
-				// Shadows against the per-access-publishing reference.
-				refSnap := refReg.Snapshot()
-				for _, g := range []string{"core.bytes_saved_vs_bypass", "core.bytes_saved_vs_lruk", "core.competitive_ratio_milli"} {
-					if v, w := snap.GaugeValue(g), refSnap.GaugeValue(g); v != w {
-						t.Fatalf("query %d: %s = %d, publishing per access leaves %d", qi, g, v, w)
+				// Shadows against the reference fed access by access.
+				var refRatio int64
+				if b := refShadows.OptBound(); b > 0 {
+					refRatio = refShadows.Realized().WANBytes() * 1000 / b
+				}
+				for g, w := range map[string]int64{
+					"core.bytes_saved_vs_bypass":   refShadows.SavedVs("always-bypass"),
+					"core.bytes_saved_vs_lruk":     refShadows.SavedVs("lruk"),
+					"core.competitive_ratio_milli": refRatio,
+				} {
+					if v := snap.GaugeValue(g); v != w {
+						t.Fatalf("query %d: %s = %d, the per-access reference reads %d", qi, g, v, w)
 					}
 				}
-				for _, label := range []string{"always-bypass", "lruk"} {
-					if v, w := snap.CounterValue("core.shadow_wan_bytes", label), refSnap.CounterValue("core.shadow_wan_bytes", label); v != w {
-						t.Fatalf("query %d: core.shadow_wan_bytes{%s} = %d, per access %d", qi, label, v, w)
+				for _, b := range refShadows.Baselines() {
+					if v, w := snap.CounterValue("core.shadow_wan_bytes", b.Name), b.Acct.WANBytes(); v != w {
+						t.Fatalf("query %d: core.shadow_wan_bytes{%s} = %d, per access %d", qi, b.Name, v, w)
 					}
 				}
-				if v, w := snap.CounterValue("core.optbound_bytes", ""), refSnap.CounterValue("core.optbound_bytes", ""); v != w {
+				if v, w := snap.CounterValue("core.optbound_bytes", ""), refShadows.OptBound(); v != w {
 					t.Fatalf("query %d: core.optbound_bytes = %d, per access %d", qi, v, w)
 				}
 			}

@@ -41,9 +41,11 @@ type Config struct {
 	Net *netcost.Model
 	// Obs, when non-nil, receives the mediator's telemetry: per-query
 	// mediation latency (federation.query_latency_us), objects touched
-	// (federation.objects_touched), and the core decision/byte-flow
-	// families (see core.NewTelemetry). The registry is shared — the
-	// proxy serves it over MsgMetrics.
+	// (federation.objects_touched), and the core families (see
+	// core.Telemetry), of which the decision counts, byte flows and
+	// shadow figures are read from the decision plane at every
+	// Snapshot. The registry is shared — the proxy serves it over
+	// MsgMetrics.
 	Obs *obs.Registry
 	// Ledger, when non-nil, receives one explained DecisionRecord per
 	// object access, a query's worth at a time (served over
@@ -51,8 +53,7 @@ type Config struct {
 	Ledger *ledger.Ledger
 	// Shadows enables online counterfactual accounting: every access is
 	// replayed through always-bypass and LRU-K shadow baselines plus
-	// the ski-rental bound, feeding the core.bytes_saved_vs_* gauges
-	// once per query.
+	// the ski-rental bound, which the core.bytes_saved_vs_* gauges read.
 	Shadows bool
 	// Shards must be 0 or 1: the decision plane is one cache of one
 	// capacity; New rejects anything larger.
@@ -246,7 +247,20 @@ func New(cfg Config) (*Mediator, error) {
 		m.shadows = core.NewShadowSet(m.capacity)
 	}
 	m.dec = core.NewDecider(m.policy, m.tel, m.shadows, m.ledger)
+	cfg.Obs.RegisterCollector(m.collect)
 	return m, nil
+}
+
+// collect is the registry's collector of the decision plane: it reads
+// the accounting and the shadows under mu — one instant of both, never
+// mid-query — and stores the metrics that mirror them, so a snapshot
+// agrees with Accounting() at some unlock and with itself (D_A = D_S +
+// D_C, Σ core.decisions = core.accesses).
+func (m *Mediator) collect() {
+	m.mu.Lock()
+	acct, sh := m.dec.Acct, m.shadows.Stats()
+	m.mu.Unlock()
+	m.tel.Mirror(m.policyName, acct, sh)
 }
 
 // Obs returns the registry the mediator publishes into (nil when
@@ -324,25 +338,12 @@ func (m *Mediator) PolicyStats() (ps PolicyStats, ok bool) {
 	return ps, true
 }
 
-// ShadowStats is a consistent snapshot of the counterfactual
-// baselines.
-type ShadowStats struct {
-	Baselines             []core.ShadowResult
-	OptBoundBytes         int64
-	CompetitiveRatioMilli int64
-}
-
 // ShadowStats snapshots the shadow baselines under the decision lock;
-// zero-valued when shadows are disabled. The competitive ratio is
-// realized WAN over the ski-rental bound.
-func (m *Mediator) ShadowStats() ShadowStats {
+// zero-valued when shadows are disabled.
+func (m *Mediator) ShadowStats() core.ShadowStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := ShadowStats{Baselines: m.shadows.Baselines(), OptBoundBytes: m.shadows.OptBound()}
-	if out.OptBoundBytes > 0 {
-		out.CompetitiveRatioMilli = m.shadows.Realized().WANBytes() * 1000 / out.OptBoundBytes
-	}
-	return out
+	return m.shadows.Stats()
 }
 
 // Clock returns the number of queries mediated so far (the plane
@@ -518,7 +519,6 @@ func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, t
 // order, so Σ decision yields = D_A is exact at every unlock.
 func (m *Mediator) decide(sc *Scratch, sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
 	m.queriesMet.Add(1)
-	m.tel.RecordQuery()
 	rep := &sc.rep
 	*rep = QueryReport{SQL: sql, Result: res, Decisions: take(&sc.decisions, len(accs)), SiteErrors: sc.siteErrs[:0]}
 	waitStart := time.Now()
@@ -568,10 +568,10 @@ func (m *Mediator) lockDecision(start time.Time) {
 // decideLocked is decide's critical section; callers hold mu. Per
 // access it runs the decision loop's step (policy, accounting, shadow
 // state, one ledger slot — core.Decider), journals the decision and
-// fills the report; everything an observer reads — registry counters
-// and rates, shadow gauges, the ledger — is flushed once, by End,
-// before the lock is released, so a scrape never finds the registry
-// behind Accounting().
+// fills the report; the query's accounting and ledger records are
+// flushed once, by End, before the lock is released. The registry's
+// flow metrics are not written here: they read the plane under mu
+// when scraped (collect).
 func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string) (err error) {
 	m.t++
 	rep.Seq = m.t

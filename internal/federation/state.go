@@ -148,9 +148,9 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 // guards first (schema, granularity, policy name, capacity, and
 // exactly one section — any mismatch is an error and the mediator is
 // left untouched), then the section's policy blob, clock and
-// accounting. Telemetry counters are seeded so a registry snapshot
-// still reconciles with the restored accounting (core.yield_bytes =
-// Acct.YieldBytes = D_A). Call before serving traffic; the decision
+// accounting, which the registry's flow counters read from then on
+// (core.yield_bytes = Acct.YieldBytes = D_A). Call before serving
+// traffic; the decision
 // ledger ring and shadow baselines are not part of State and restart
 // empty (they are windowed audit views, not accounting).
 func (m *Mediator) RestoreState(st State) error {

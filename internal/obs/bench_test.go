@@ -21,9 +21,6 @@ func TestHotPathAllocFree(t *testing.T) {
 	cf.Add("site", 1) // materialize the labels once
 	hf.Observe("site", 1)
 
-	rt := r.Rate("rate")
-	rt.Add(1) // materialize the first slot once
-
 	cases := []struct {
 		name string
 		fn   func()
@@ -33,8 +30,6 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"Histogram.Observe", func() { h.Observe(12345) }},
 		{"CounterFamily.Add", func() { cf.Add("site", 1) }},
 		{"HistogramFamily.Observe", func() { hf.Observe("site", 77) }},
-		{"Rate.Add", func() { rt.Add(64) }},
-		{"Rate.PerSecond", func() { rt.PerSecond() }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
@@ -101,24 +96,6 @@ func BenchmarkHistogramFamilyObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.Observe("photo.sdss.org", int64(i))
 	}
-}
-
-func BenchmarkRateAdd(b *testing.B) {
-	r := NewRate(DefaultRateInterval, DefaultRateSlots)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Add(1)
-	}
-}
-
-func BenchmarkRateAddParallel(b *testing.B) {
-	r := NewRate(DefaultRateInterval, DefaultRateSlots)
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			r.Add(1)
-		}
-	})
 }
 
 func BenchmarkLedgerRecord(b *testing.B) {

@@ -21,8 +21,8 @@
 //   - Publication is the slow path and may allocate freely (copying
 //     the capture, formatting ids) — but it runs for one healthy query in
 //     SampleEvery, so it must not stop the world: the runtime snapshot is
-//     read from runtime/metrics and debug.ReadGCStats, never from
-//     runtime.ReadMemStats.
+//     read by obs.RuntimeReader (runtime/metrics and debug.ReadGCStats),
+//     never from runtime.ReadMemStats.
 //   - A nil *Recorder and nil *Capture are valid no-ops, so call
 //     sites thread them unconditionally.
 package flightrec
@@ -33,9 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
-	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,7 +195,9 @@ type Recorder struct {
 	pool     sync.Pool
 	sink     Sink            // set before recording starts
 	annotate func(*Exemplar) // set before recording starts
-	runtime  runtimeReader
+
+	runtimeMu sync.Mutex
+	runtime   obs.RuntimeReader
 
 	// Registry handles (nil-safe when no registry was attached).
 	exemplars   *obs.CounterFamily // obs.exemplars{outcome}
@@ -340,7 +339,7 @@ func (r *Recorder) publish(c *Capture, err error, dur time.Duration, outcome str
 		e.Decisions = make([]DecisionRec, len(c.decisions))
 		copy(e.Decisions, c.decisions)
 	}
-	e.Runtime = r.runtime.read()
+	e.Runtime = r.readRuntime()
 	attribute(e)
 	if r.annotate != nil {
 		r.annotate(e)
@@ -388,35 +387,17 @@ func (r *Recorder) Snapshot() []Exemplar {
 	return out
 }
 
-// heapObjectsMetric is runtime.MemStats.HeapAlloc by its runtime/metrics
-// name.
-const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
-
-// runtimeReader reads the runtime state an exemplar carries without
-// stopping the world, which runtime.ReadMemStats does: live heap bytes
-// from runtime/metrics, and the collector's cycle count, last end and
-// last pause from debug.ReadGCStats (which takes the heap lock for a
-// copy of the pause history, into buffers kept here). Publishers may be
-// concurrent; mu serializes them.
-type runtimeReader struct {
-	mu   sync.Mutex
-	heap [1]metrics.Sample
-	gc   debug.GCStats
-}
-
-func (r *runtimeReader) read() RuntimeSnap {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.heap[0].Name = heapObjectsMetric
-	metrics.Read(r.heap[:])
-	debug.ReadGCStats(&r.gc)
-	s := RuntimeSnap{Goroutines: runtime.NumGoroutine(), GCCycles: r.gc.NumGC}
-	if r.heap[0].Value.Kind() == metrics.KindUint64 {
-		s.HeapAllocBytes = int64(r.heap[0].Value.Uint64())
-	}
-	if r.gc.NumGC > 0 {
-		s.LastGCUnixNano = r.gc.LastGC.UnixNano()
-		s.LastGCPauseUS = r.gc.Pause[0].Microseconds() // most recent first
+// readRuntime reads the runtime state an exemplar carries, without
+// stopping the world (obs.RuntimeReader). Publishers may be concurrent;
+// runtimeMu serializes them.
+func (r *Recorder) readRuntime() RuntimeSnap {
+	r.runtimeMu.Lock()
+	defer r.runtimeMu.Unlock()
+	rt := r.runtime.Read()
+	s := RuntimeSnap{Goroutines: rt.Goroutines, HeapAllocBytes: rt.HeapAllocBytes, GCCycles: rt.GCCycles}
+	if len(rt.Pauses) > 0 {
+		s.LastGCUnixNano = rt.LastGC.UnixNano()
+		s.LastGCPauseUS = rt.Pauses[0].Microseconds() // most recent first
 	}
 	return s
 }

@@ -10,7 +10,7 @@ import (
 func TestHTTPTelemetryPlane(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.accesses").Add(3)
-	r.Rate("core.query_rate").Add(2)
+	r.Gauge("core.bytes_saved_vs_bypass").Set(2)
 	r.Histogram("federation.query_latency_us", []int64{10, 100}).Observe(7)
 
 	srv, err := StartHTTP("127.0.0.1:0", NewHTTPHandler(r.Snapshot))
@@ -40,7 +40,7 @@ func TestHTTPTelemetryPlane(t *testing.T) {
 	if !strings.Contains(ctype, "version=0.0.4") {
 		t.Fatalf("/metrics content type = %q", ctype)
 	}
-	for _, want := range []string{"core_accesses 3", "core_query_rate", "federation_query_latency_us_bucket"} {
+	for _, want := range []string{"core_accesses 3", "core_bytes_saved_vs_bypass 2", "federation_query_latency_us_bucket"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}

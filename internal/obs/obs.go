@@ -31,7 +31,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -49,6 +48,15 @@ func (c *Counter) Add(n int64) {
 
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
+
+// Store sets the count to n: a collector's copy of a count kept
+// elsewhere, which only grows. No-op on a nil counter.
+func (c *Counter) Store(n int64) {
+	if c == nil {
+		return
+	}
+	c.v.Store(n)
+}
 
 // Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() int64 {
@@ -312,15 +320,17 @@ type Registry struct {
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
-	rates     map[string]*Rate
 	cfamilies map[string]*CounterFamily
 	gfamilies map[string]*GaugeFamily
 	hfamilies map[string]*HistogramFamily
 
-	// collectors run (unlocked) at the start of every Snapshot, so
-	// pull-style sources (runtime stats, pool occupancy) can refresh
-	// their gauges lazily instead of on a timer.
+	// collectors run (without mu) at the start of every Snapshot, so
+	// pull-style sources (runtime stats, the decision plane's flows) can
+	// refresh their metrics lazily instead of on a timer or per event.
 	collectors []func()
+	// snap serializes Snapshots: what one snapshot's collectors stored
+	// is what it reads, not another snapshot's newer values.
+	snap sync.Mutex
 	// runtimeEnabled guards EnableRuntimeStats idempotency.
 	runtimeEnabled bool
 }
@@ -331,7 +341,6 @@ func NewRegistry() *Registry {
 		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]*Gauge),
 		hists:     make(map[string]*Histogram),
-		rates:     make(map[string]*Rate),
 		cfamilies: make(map[string]*CounterFamily),
 		gfamilies: make(map[string]*GaugeFamily),
 		hfamilies: make(map[string]*HistogramFamily),
@@ -340,9 +349,9 @@ func NewRegistry() *Registry {
 
 // RegisterCollector adds a function that Snapshot invokes (without
 // holding the registry lock) before capturing metric values.
-// Collectors may freely touch the registry; they must be safe for
-// concurrent use since overlapping Snapshots run them in parallel.
-// No-op on a nil registry.
+// Collectors may freely touch the registry but must not take a
+// Snapshot; Snapshots are serialized, so one collector never runs
+// beside another. No-op on a nil registry.
 func (r *Registry) RegisterCollector(fn func()) {
 	if r == nil || fn == nil {
 		return
@@ -400,29 +409,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Rate returns the named sliding-window rate tracker, creating it
-// with the default window (DefaultRateSlots × DefaultRateInterval) on
-// first use.
-func (r *Registry) Rate(name string) *Rate {
-	return r.RateWindowed(name, DefaultRateInterval, DefaultRateSlots)
-}
-
-// RateWindowed returns the named rate tracker, creating it with the
-// given slot layout on first use. The first creation fixes the window.
-func (r *Registry) RateWindowed(name string, interval time.Duration, slots int) *Rate {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rt := r.rates[name]
-	if rt == nil {
-		rt = NewRate(interval, slots)
-		r.rates[name] = rt
-	}
-	return rt
 }
 
 // CounterFamily returns the named counter family, creating it on

@@ -10,8 +10,8 @@ import (
 // exposition format (version 0.0.4), deterministically: metric names
 // are sanitized to the Prometheus charset, entries keep the snapshot's
 // (name, label) order, family labels are emitted under the "label"
-// key, histograms expand to cumulative `_bucket` series plus `_sum`
-// and `_count`, and rates render as gauges. Every snapshot of the same
+// key, and histograms expand to cumulative `_bucket` series plus `_sum`
+// and `_count`. Every snapshot of the same
 // registry therefore serializes byte-identically modulo values — the
 // golden-file test pins the format.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
@@ -34,11 +34,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 			prev = name
 		}
 		pw.sample(name, g.Label, "", fmt.Sprintf("%d", g.Value))
-	}
-	for _, r := range s.Rates {
-		name := PromName(r.Name)
-		pw.printf("# TYPE %s gauge\n", name)
-		pw.sample(name, "", "", formatFloat(r.PerSecond))
 	}
 	prev = ""
 	for _, h := range s.Histograms {
@@ -129,10 +124,4 @@ func promEscape(v string) string {
 	}
 	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	return r.Replace(v)
-}
-
-// formatFloat renders a float sample value without exponent noise for
-// the common magnitudes telemetry produces.
-func formatFloat(v float64) string {
-	return strings.TrimRight(strings.TrimRight(fmt.Sprintf("%.6f", v), "0"), ".")
 }

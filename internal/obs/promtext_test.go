@@ -14,8 +14,7 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
 // goldenSnapshot is a hand-built snapshot covering every rendering
-// rule: plain and labeled counters, dotted names, gauges, rates,
-// histograms with cumulative buckets, and label values needing
+// rule: plain and labeled counters, dotted names, gauges, histograms with cumulative buckets, and label values needing
 // escaping.
 func goldenSnapshot() Snapshot {
 	return Snapshot{
@@ -43,10 +42,6 @@ func goldenSnapshot() Snapshot {
 			// TYPE line and carry the family label.
 			{Name: "wire.breaker_state", Label: "photo.sdss.org", Value: 0},
 			{Name: "wire.breaker_state", Label: "spec.sdss.org", Value: 1},
-		},
-		Rates: []RateSnap{
-			{Name: "core.bypass_bytes_rate", PerSecond: 1234.5, WindowSeconds: 15},
-			{Name: "core.query_rate", PerSecond: 0, WindowSeconds: 15},
 		},
 		Histograms: []HistogramSnap{
 			{
@@ -147,7 +142,6 @@ func TestRegistryEndToEndExposition(t *testing.T) {
 	r.Counter("core.accesses").Add(5)
 	r.CounterFamily("core.decisions").Add("rate-profile/hit", 2)
 	r.Gauge("cache.used").Set(10)
-	r.Rate("core.query_rate").Add(4)
 	r.Histogram("federation.query_latency_us", []int64{10, 100}).Observe(50)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
@@ -158,7 +152,7 @@ func TestRegistryEndToEndExposition(t *testing.T) {
 		"# TYPE core_accesses counter",
 		"core_accesses 5",
 		`core_decisions{label="rate-profile/hit"} 2`,
-		"# TYPE core_query_rate gauge",
+		"# TYPE cache_used gauge",
 		`federation_query_latency_us_bucket{le="+Inf"} 1`,
 		"federation_query_latency_us_count 1",
 	} {

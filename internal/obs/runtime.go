@@ -3,8 +3,9 @@ package obs
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	rtmetrics "runtime/metrics"
-	"sync"
+	"time"
 )
 
 // Runtime self-observation metric names. Every daemon enables these so
@@ -25,14 +26,77 @@ const (
 // pauses in microseconds.
 func GCPauseBuckets() []int64 { return ExpBuckets(10, 2, 16) }
 
+// The runtime/metrics a RuntimeReader reads, in its samples' order: the
+// four heap classes whose sum is runtime.MemStats.HeapSys (the first
+// alone is HeapAlloc), and HeapObjects.
+var heapMetrics = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/memory/classes/heap/unused:bytes",
+	"/memory/classes/heap/free:bytes",
+	"/memory/classes/heap/released:bytes",
+	"/gc/heap/objects:objects",
+}
+
+// RuntimeStats is the Go runtime's state at one RuntimeReader.Read.
+type RuntimeStats struct {
+	Goroutines     int
+	HeapAllocBytes int64 // runtime.MemStats.HeapAlloc
+	HeapSysBytes   int64 // runtime.MemStats.HeapSys
+	HeapObjects    int64
+	GCCycles       int64
+	// LastGC is when the last collection ended (zero before the first).
+	LastGC time.Time
+	// Pauses are the most recent stop-the-world pauses, newest first
+	// (debug.GCStats.Pause, at most 256): the reader's memory, valid
+	// until its next Read.
+	Pauses []time.Duration
+}
+
+// RuntimeReader reads the runtime's state without stopping the world,
+// which runtime.ReadMemStats does: the heap from runtime/metrics, and
+// the collector's cycles and pauses from debug.ReadGCStats (which takes
+// the heap lock for a copy of the pause history, into buffers kept
+// here). The zero value is ready; a reader is for one goroutine at a
+// time.
+type RuntimeReader struct {
+	heap [len(heapMetrics)]rtmetrics.Sample
+	gc   debug.GCStats
+}
+
+// Read reads the runtime's state.
+func (r *RuntimeReader) Read() RuntimeStats {
+	if r.heap[0].Name == "" {
+		for i, name := range heapMetrics {
+			r.heap[i].Name = name
+		}
+	}
+	rtmetrics.Read(r.heap[:])
+	debug.ReadGCStats(&r.gc)
+	var v [len(heapMetrics)]int64
+	for i := range r.heap {
+		if r.heap[i].Value.Kind() == rtmetrics.KindUint64 {
+			v[i] = int64(r.heap[i].Value.Uint64())
+		}
+	}
+	return RuntimeStats{
+		Goroutines:     runtime.NumGoroutine(),
+		HeapAllocBytes: v[0],
+		HeapSysBytes:   v[0] + v[1] + v[2] + v[3],
+		HeapObjects:    v[4],
+		GCCycles:       r.gc.NumGC,
+		LastGC:         r.gc.LastGC,
+		Pauses:         r.gc.Pause,
+	}
+}
+
 const schedLatencyMetric = "/sched/latencies:seconds"
 
 // EnableRuntimeStats registers a Snapshot-time collector that refreshes
 // Go runtime gauges (goroutines, heap, GC cycles), feeds new GC pauses
 // into a runtime.gc_pause_us histogram, and exposes scheduler-latency
 // p50/p99 gauges from runtime/metrics. Idempotent per registry; no-op
-// on a nil registry. Collection costs one ReadMemStats per Snapshot —
-// acceptable on the scrape path, never on the query path.
+// on a nil registry. Collection reads the runtime as a RuntimeReader
+// does, without stopping the world.
 func EnableRuntimeStats(r *Registry) {
 	if r == nil {
 		return
@@ -54,13 +118,14 @@ func EnableRuntimeStats(r *Registry) {
 		gcPause:     r.Histogram(MetricGCPauseUS, GCPauseBuckets()),
 		schedP50:    r.Gauge(MetricSchedP50US),
 		schedP99:    r.Gauge(MetricSchedP99US),
-		samples:     []rtmetrics.Sample{{Name: schedLatencyMetric}},
+		sched:       []rtmetrics.Sample{{Name: schedLatencyMetric}},
 	}
 	r.RegisterCollector(c.collect)
 }
 
+// runtimeCollector is EnableRuntimeStats' collector; Snapshots are
+// serialized, so it runs on one goroutine at a time.
 type runtimeCollector struct {
-	mu          sync.Mutex
 	goroutines  *Gauge
 	heapAlloc   *Gauge
 	heapSys     *Gauge
@@ -69,40 +134,31 @@ type runtimeCollector struct {
 	gcPause     *Histogram
 	schedP50    *Gauge
 	schedP99    *Gauge
-	lastNumGC   uint32
-	samples     []rtmetrics.Sample
+	lastNumGC   int64
+	rt          RuntimeReader
+	sched       []rtmetrics.Sample
 }
 
 func (c *runtimeCollector) collect() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	s := c.rt.Read()
+	c.goroutines.Set(int64(s.Goroutines))
+	c.heapAlloc.Set(s.HeapAllocBytes)
+	c.heapSys.Set(s.HeapSysBytes)
+	c.heapObjects.Set(s.HeapObjects)
+	c.gcCycles.Set(s.GCCycles)
 
-	c.goroutines.Set(int64(runtime.NumGoroutine()))
-
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	c.heapAlloc.Set(int64(ms.HeapAlloc))
-	c.heapSys.Set(int64(ms.HeapSys))
-	c.heapObjects.Set(int64(ms.HeapObjects))
-	c.gcCycles.Set(int64(ms.NumGC))
-
-	// PauseNs is a circular buffer of the last 256 pauses; cycle i's
-	// pause lives at index (i+255)%256. Feed only cycles newer than the
-	// previous collection (capped at the buffer depth).
-	if n := ms.NumGC; n > c.lastNumGC {
-		lo := c.lastNumGC
-		if n-lo > 256 {
-			lo = n - 256
+	// Feed only the cycles newer than the previous collection, as far
+	// back as the pause history goes.
+	if n := s.GCCycles - c.lastNumGC; n > 0 {
+		for _, p := range s.Pauses[:min(n, int64(len(s.Pauses)))] {
+			c.gcPause.Observe(p.Microseconds())
 		}
-		for i := lo + 1; i <= n; i++ {
-			c.gcPause.Observe(int64(ms.PauseNs[(i+255)%256] / 1000))
-		}
-		c.lastNumGC = n
+		c.lastNumGC = s.GCCycles
 	}
 
-	rtmetrics.Read(c.samples)
-	if c.samples[0].Value.Kind() == rtmetrics.KindFloat64Histogram {
-		h := c.samples[0].Value.Float64Histogram()
+	rtmetrics.Read(c.sched)
+	if c.sched[0].Value.Kind() == rtmetrics.KindFloat64Histogram {
+		h := c.sched[0].Value.Float64Histogram()
 		c.schedP50.Set(int64(floatHistQuantile(h, 0.50) * 1e6))
 		c.schedP99.Set(int64(floatHistQuantile(h, 0.99) * 1e6))
 	}

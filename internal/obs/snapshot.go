@@ -12,7 +12,6 @@ type Snapshot struct {
 	Counters   []CounterSnap   `json:"counters,omitempty"`
 	Gauges     []GaugeSnap     `json:"gauges,omitempty"`
 	Histograms []HistogramSnap `json:"histograms,omitempty"`
-	Rates      []RateSnap      `json:"rates,omitempty"`
 }
 
 // CounterSnap is one counter's value. Family members carry their
@@ -28,15 +27,6 @@ type GaugeSnap struct {
 	Name  string `json:"name"`
 	Label string `json:"label,omitempty"`
 	Value int64  `json:"value"`
-}
-
-// RateSnap is one sliding-window rate at snapshot time.
-type RateSnap struct {
-	Name string `json:"name"`
-	// PerSecond is the windowed rate (units per second).
-	PerSecond float64 `json:"per_second"`
-	// WindowSeconds is the full window the tracker covers.
-	WindowSeconds float64 `json:"window_seconds"`
 }
 
 // HistogramSnap is one histogram's buckets. Counts has one entry per
@@ -122,13 +112,17 @@ func (h HistogramSnap) Sub(prev HistogramSnap) HistogramSnap {
 	return d
 }
 
-// Snapshot captures every metric in the registry. A nil registry
-// yields an empty snapshot.
+// Snapshot runs the registry's collectors and captures every metric.
+// Snapshots are serialized: a metric a collector stores reads, in this
+// snapshot, as the collector stored it. A nil registry yields an empty
+// snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
+	r.snap.Lock()
+	defer r.snap.Unlock()
 	r.mu.Lock()
 	collectors := make([]func(), len(r.collectors))
 	copy(collectors, r.collectors)
@@ -163,10 +157,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hfamilies {
 		hfams[k] = v
 	}
-	rates := make(map[string]*Rate, len(r.rates))
-	for k, v := range r.rates {
-		rates[k] = v
-	}
 	r.mu.Unlock()
 
 	for name, c := range counters {
@@ -199,13 +189,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		f.mu.RUnlock()
 	}
-	for name, rt := range rates {
-		s.Rates = append(s.Rates, RateSnap{
-			Name:          name,
-			PerSecond:     rt.PerSecond(),
-			WindowSeconds: rt.WindowSeconds(),
-		})
-	}
 
 	sort.Slice(s.Counters, func(i, j int) bool {
 		if s.Counters[i].Name != s.Counters[j].Name {
@@ -225,28 +208,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		return s.Histograms[i].Label < s.Histograms[j].Label
 	})
-	sort.Slice(s.Rates, func(i, j int) bool { return s.Rates[i].Name < s.Rates[j].Name })
 	return s
-}
-
-// RateValue looks up a rate by name; missing entries return 0.
-func (s Snapshot) RateValue(name string) float64 {
-	for _, r := range s.Rates {
-		if r.Name == name {
-			return r.PerSecond
-		}
-	}
-	return 0
-}
-
-// HasRate reports whether the snapshot carries the named rate.
-func (s Snapshot) HasRate(name string) bool {
-	for _, r := range s.Rates {
-		if r.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // CounterValue looks up a counter (or family member) by name and

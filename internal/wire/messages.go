@@ -331,11 +331,9 @@ type ErrorMsg struct {
 	Message string `json:"message"`
 }
 
-// FetchMsg asks a node for a whole object. TraceID follows QueryMsg's
-// convention (empty = untraced).
+// FetchMsg asks a node for a whole object.
 type FetchMsg struct {
-	Object  string `json:"object"`
-	TraceID string `json:"trace_id,omitempty"`
+	Object string `json:"object"`
 }
 
 // FetchAckMsg acknowledges a fetch with the object's logical size —

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +12,9 @@ import (
 	"bypassyield/internal/core"
 	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
+	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
+	"bypassyield/internal/obs/ledger"
 )
 
 // TestEndToEndMetricsReconcile is the acceptance test of the obs
@@ -263,4 +268,192 @@ func TestProxyReconnectRetry(t *testing.T) {
 	if got := p.Obs().Snapshot().CounterValue("wire.node_dials", catalog.SitePhoto); got != 2 {
 		t.Fatalf("dials after steady RPC = %d, want 2", got)
 	}
+}
+
+// TestMetricSurface pins the metrics a proxy's and a node's scrape
+// carry after a few queries — bypasses, a load, hits, a fetch — as
+// TestFlagSurface pins each daemon's flags: adding, renaming or
+// removing a metric, or changing its kind, is a reviewed edit of these
+// lists.
+func TestMetricSurface(t *testing.T) {
+	s := catalog.EDR()
+	open := func() *engine.DB {
+		db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 100000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	quiet := func(string, ...any) {}
+	flight := flightrec.Config{Threshold: time.Hour, SampleEvery: 1}
+	node := NewDBNode(catalog.SitePhoto, open())
+	node.SetLogf(quiet)
+	node.SetFlightConfig(flight)
+	naddr, err := node.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	db := open()
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	med, err := federation.New(federation.Config{
+		Schema: s, Engine: db, Granularity: federation.Columns, Obs: reg,
+		Policy: core.NewRateProfile(core.RateProfileConfig{Capacity: s.TotalBytes()}),
+		Ledger: ledger.New(64), Shadows: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := NewProxy(med, federation.Columns, map[string]string{catalog.SitePhoto: naddr})
+	proxy.SetLogf(quiet)
+	proxy.SetFlightConfig(flight)
+	paddr, err := proxy.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	client, err := Dial(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	seen := [3]int64{}
+	for i := 0; i < 8; i++ {
+		res, err := client.Query("select ra, dec from photoobj where ra between 0 and 350")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range res.Decisions {
+			for k, v := range []string{"hit", "bypass", "load"} {
+				if d.Decision == v {
+					seen[k]++
+				}
+			}
+		}
+	}
+	if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 {
+		t.Fatalf("hits, bypasses, loads = %v: the queries do not exercise every decision", seen)
+	}
+
+	pm, err := client.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := Dial(naddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nm, err := nc.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		daemon string
+		snap   obs.Snapshot
+		want   []string
+	}{
+		{"proxy", pm.Snapshot, proxyMetrics},
+		{"node", nm.Snapshot, nodeMetrics},
+	} {
+		if got := metricNames(c.snap); strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+			t.Errorf("%s metrics:\n\t%s\nwant\n\t%s", c.daemon, strings.Join(got, "\n\t"), strings.Join(c.want, "\n\t"))
+		}
+	}
+}
+
+// metricNames lists a snapshot's metrics as "<kind> <name>", sorted,
+// each once whatever its labels.
+func metricNames(s obs.Snapshot) []string {
+	set := map[string]bool{}
+	for _, c := range s.Counters {
+		set["counter "+c.Name] = true
+	}
+	for _, g := range s.Gauges {
+		set["gauge "+g.Name] = true
+	}
+	for _, h := range s.Histograms {
+		set["histogram "+h.Name] = true
+	}
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// proxyMetrics is byproxyd's scrape in TestMetricSurface.
+var proxyMetrics = []string{
+	"counter core.accesses",
+	"counter core.bypass_bytes",
+	"counter core.cache_bytes",
+	"counter core.decisions",
+	"counter core.degraded_queries",
+	"counter core.episodes_closed",
+	"counter core.episodes_opened",
+	"counter core.fetch_bytes",
+	"counter core.optbound_bytes",
+	"counter core.shadow_wan_bytes",
+	"counter core.stale_served_bytes",
+	"counter core.yield_bytes",
+	"counter engine.queries",
+	"counter engine.rows_scanned",
+	"counter engine.yield_bytes",
+	"counter federation.objects_touched",
+	"counter federation.queries",
+	"counter obs.exemplars",
+	"counter wire.bytes_rx",
+	"counter wire.bytes_tx",
+	"counter wire.client_conns_closed",
+	"counter wire.client_conns_opened",
+	"counter wire.frames_rx",
+	"counter wire.frames_tx",
+	"counter wire.node_dials",
+	"counter wire.node_rx_bytes",
+	"counter wire.node_tx_bytes",
+	"gauge core.bytes_saved_vs_bypass",
+	"gauge core.bytes_saved_vs_lruk",
+	"gauge core.competitive_ratio_milli",
+	"gauge core.legs_inflight",
+	"gauge core.query_concurrency",
+	"gauge runtime.gc_cycles",
+	"gauge runtime.goroutines",
+	"gauge runtime.heap_alloc_bytes",
+	"gauge runtime.heap_objects",
+	"gauge runtime.heap_sys_bytes",
+	"gauge runtime.sched_latency_p50_us",
+	"gauge runtime.sched_latency_p99_us",
+	"gauge wire.breaker_state",
+	"gauge wire.pool_active",
+	"gauge wire.pool_idle",
+	"histogram core.decide_seconds",
+	"histogram core.decide_wait_us",
+	"histogram federation.query_latency_us",
+	"histogram runtime.gc_pause_us",
+	"histogram wire.retry_backoff_seconds",
+	"histogram wire.rpc_latency_us",
+}
+
+// nodeMetrics is bydbd's scrape in TestMetricSurface.
+var nodeMetrics = []string{
+	"counter dbnode.errors",
+	"counter dbnode.fetches",
+	"counter dbnode.queries",
+	"counter dbnode.rx_bytes",
+	"counter dbnode.tx_bytes",
+	"counter engine.queries",
+	"counter engine.rows_scanned",
+	"counter engine.yield_bytes",
+	"counter obs.exemplars",
+	"gauge runtime.gc_cycles",
+	"gauge runtime.goroutines",
+	"gauge runtime.heap_alloc_bytes",
+	"gauge runtime.heap_objects",
+	"gauge runtime.heap_sys_bytes",
+	"gauge runtime.sched_latency_p50_us",
+	"gauge runtime.sched_latency_p99_us",
+	"histogram runtime.gc_pause_us",
 }

@@ -706,7 +706,7 @@ func (p *Proxy) runLegs(legs []leg, traceID uint64, res *ResultMsg, fc *flightre
 		legStart := time.Now()
 		if l.object != "" {
 			kind = "fetch"
-			err = p.fetchObject(l.object, l.site, traceID, &lt)
+			err = p.fetchObject(l.object, l.site, &lt)
 			if err != nil {
 				p.logf("proxy: fetch %s: %v", l.object, err)
 			}
@@ -893,9 +893,9 @@ func nodeError(site string, t MsgType, body []byte) error {
 // Concurrent fetches of the same object are single-flighted: one RPC
 // serves every waiter (counted in wire.fetch_coalesced), since a load's
 // WAN transfer is object-identical no matter which query triggered it.
-func (p *Proxy) fetchObject(object, site string, traceID uint64, lt *legTiming) error {
+func (p *Proxy) fetchObject(object, site string, lt *legTiming) error {
 	err, shared := p.fetchFlight.Do(object, func() error {
-		return p.fetchObjectRPC(object, site, traceID, lt)
+		return p.fetchObjectRPC(object, site, lt)
 	})
 	if shared {
 		p.coalesced.Add(site, 1)
@@ -905,8 +905,8 @@ func (p *Proxy) fetchObject(object, site string, traceID uint64, lt *legTiming) 
 
 // fetchObjectRPC is the wire leg of fetchObject, run once per
 // single-flight group.
-func (p *Proxy) fetchObjectRPC(object, site string, traceID uint64, lt *legTiming) error {
-	t, body, err := p.nodeRPC(site, MsgFetch, FetchMsg{Object: object, TraceID: obs.FormatID(traceID)}, lt)
+func (p *Proxy) fetchObjectRPC(object, site string, lt *legTiming) error {
+	t, body, err := p.nodeRPC(site, MsgFetch, FetchMsg{Object: object}, lt)
 	if err != nil {
 		return err
 	}

@@ -155,7 +155,7 @@ func TestEndToEndQueryRecords(t *testing.T) {
 
 // TestTracedFederationMetricsEndpoint serves the proxy's registry over
 // the HTTP telemetry plane after a workload and checks the exposition
-// is well-formed Prometheus text carrying the windowed flow rates.
+// is well-formed Prometheus text carrying the Figure-1 flows.
 func TestTracedFederationMetricsEndpoint(t *testing.T) {
 	cap := catalog.EDR().TotalBytes()
 	client, proxy, _, shutdown := tracedFederation(t,
@@ -218,24 +218,20 @@ func TestTracedFederationMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The windowed D_S/D_L/D_C and query rates must be exported — the
-	// workload just ran, so the window is live (values may be 0 for
-	// flows the policy did not exercise, but the families must exist).
-	for _, rate := range []string{
-		"core_bypass_bytes_rate", "core_fetch_bytes_rate",
-		"core_cache_bytes_rate", "core_query_rate",
-	} {
-		if !typed[rate] {
-			t.Fatalf("/metrics missing windowed rate %s", rate)
+	// The Figure-1 flows are exported as counters, and one exposition
+	// reads them at one instant: D_A = D_S + D_C in the text itself.
+	flow := map[string]int64{}
+	for _, name := range []string{"core_yield_bytes", "core_bypass_bytes", "core_fetch_bytes", "core_cache_bytes", "federation_queries"} {
+		m := regexp.MustCompile(`(?m)^` + name + ` ([0-9]+)$`).FindStringSubmatch(out)
+		if m == nil || !typed[name] {
+			t.Fatalf("/metrics missing counter %s", name)
 		}
+		flow[name], _ = strconv.ParseInt(m[1], 10, 64)
 	}
-	// The query rate in particular is strictly positive right after a
-	// burst of queries.
-	qr := regexp.MustCompile(`(?m)^core_query_rate ([0-9.e+-]+)$`).FindStringSubmatch(out)
-	if qr == nil {
-		t.Fatal("core_query_rate sample missing")
+	if flow["federation_queries"] != 4 || flow["core_yield_bytes"] == 0 {
+		t.Fatalf("/metrics after 4 queries: %v", flow)
 	}
-	if v, _ := strconv.ParseFloat(qr[1], 64); v <= 0 {
-		t.Fatalf("core_query_rate = %s, want > 0", qr[1])
+	if flow["core_yield_bytes"] != flow["core_bypass_bytes"]+flow["core_cache_bytes"] {
+		t.Fatalf("/metrics breaks D_A = D_S + D_C: %v", flow)
 	}
 }
