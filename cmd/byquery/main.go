@@ -90,6 +90,9 @@ func query(client *wire.Client, sql string, printRows bool) error {
 	for _, d := range res.Decisions {
 		fmt.Printf("  %-8s %-32s %10.3f MB  @%s\n", d.Decision, d.Object, float64(d.Yield)/1e6, d.Site)
 	}
+	for _, e := range res.TransportErrors {
+		fmt.Printf("  transport error @%s: %s\n", e.Site, e.Error)
+	}
 	return nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"testing"
 
-	"bypassyield/internal/federation"
 	"bypassyield/internal/obs/flightrec"
 )
 
@@ -56,11 +55,11 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 	defer done()
 	const sql = "select ra, dec from photoobj where ra between 0 and 350"
 	var ( // the connection's, as serveConn keeps them
-		sc  federation.Scratch
+		cs  connScratch
 		res ResultMsg
 	)
 	for i := 0; ; i++ {
-		if err := p.handleQuery(&sc, sql, 0, nil, &res); err != nil {
+		if err := p.handleQuery(&cs, sql, 0, nil, &res); err != nil {
 			t.Fatal(err)
 		}
 		if res.Decisions[0].Decision == "hit" {
@@ -71,13 +70,13 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 		}
 	}
 	mediate := testing.AllocsPerRun(200, func() {
-		if _, err := p.med.QueryScratch(&sc, sql, ""); err != nil {
+		if _, err := p.med.QueryScratch(&cs.stmt, sql, ""); err != nil {
 			t.Fatal(err)
 		}
 	})
 	handle := func(traceID uint64) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if err := p.handleQuery(&sc, sql, traceID, nil, &res); err != nil {
+			if err := p.handleQuery(&cs, sql, traceID, nil, &res); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -576,33 +576,37 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestReadReplyDrains: replies the proxy does not act on are consumed
-// without a body; an error reply keeps it; the stream stays in frame.
-func TestReadReplyDrains(t *testing.T) {
+// TestNodeReplies: a pooled connection's replies come off its reader
+// one frame at a time, in order, when they arrive back to back; nodeError
+// takes the error reply for a failure and the others for success; a
+// truncated reply is an error, not a short body.
+func TestNodeReplies(t *testing.T) {
 	var stream bytes.Buffer
 	n1, _ := WriteFrame(&stream, MsgResult, bulkResult(64, 24, false))
 	n2, _ := WriteFrame(&stream, MsgError, ErrorMsg{Message: "table photoobj is owned by photo.sdss.org"})
 	n3, _ := WriteFrame(&stream, MsgFetchAck, FetchAckMsg{Object: "edr/photoobj", Size: 7})
+	fr := newFrameReader()
 	for i, want := range []struct {
-		t    MsgType
-		n    int
-		body bool
-	}{{MsgResult, n1, false}, {MsgError, n2, true}, {MsgFetchAck, n3, false}} {
-		typ, body, n, err := readReply(&stream)
-		if err != nil || typ != want.t || n != want.n || (body != nil) != want.body {
-			t.Fatalf("reply %d = (%v, %d-byte body, %d, %v), want (%v, body %v, %d)",
-				i, typ, len(body), n, err, want.t, want.body, want.n)
+		t      MsgType
+		n      int
+		failed string
+	}{{MsgResult, n1, ""}, {MsgError, n2, "owned by photo.sdss.org"}, {MsgFetchAck, n3, ""}} {
+		typ, body, n, err := fr.next(&stream)
+		if err != nil || typ != want.t || n != want.n {
+			t.Fatalf("reply %d = (%v, %d, %v), want (%v, %d)", i, typ, n, err, want.t, want.n)
 		}
-		if err := nodeError("photo.sdss.org", typ, body); (err != nil) != want.body {
-			t.Fatalf("reply %d: nodeError = %v", i, err)
+		err = nodeError("photo.sdss.org", typ, body)
+		if (err != nil) != (want.failed != "") || err != nil && !strings.Contains(err.Error(), want.failed) {
+			t.Fatalf("reply %d: nodeError = %v, want %q", i, err, want.failed)
 		}
 	}
 	if stream.Len() != 0 {
 		t.Fatalf("%d bytes left unread", stream.Len())
 	}
+	fr = newFrameReader()
 	trunc := bytes.NewReader(encodeFrame(t, MsgResult, bulkResult(4, 4, false))[:40])
-	if _, _, _, err := readReply(trunc); err == nil {
-		t.Fatal("a truncated reply drained without error")
+	if _, _, _, err := fr.next(trunc); err == nil {
+		t.Fatal("a truncated reply read without error")
 	}
 }
 

@@ -341,33 +341,6 @@ func (fr *frameReader) fill(r io.Reader, size int) error {
 	return nil
 }
 
-// readReply reads one frame for a caller that acts on a reply only
-// when it is an error: a MsgError body is returned, the body of any
-// other type is discarded as it arrives and never materialised.
-func readReply(r io.Reader) (MsgType, []byte, int, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, 0, err
-	}
-	t, n, err := parseHeader(hdr[:])
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	if t != MsgError {
-		_, err = io.CopyN(io.Discard, r, int64(n))
-		return t, nil, frameHeader + n, err
-	}
-	// ReadAll grows as bytes arrive, like a frameReader: not on n's say-so.
-	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
-	if err == nil && len(body) < n {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return t, body, frameHeader + n, nil
-}
-
 // Decode unmarshals a frame body into dst: the binary layout for a
 // *QueryMsg or *ResultMsg, JSON for every other message. Nothing in
 // dst aliases body afterwards, and everything in it is freshly

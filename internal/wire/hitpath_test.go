@@ -27,14 +27,30 @@ var poison = math.Float64frombits(0x7ff8dead_deaddead)
 // scrambleThenRelease overwrites everything a proxy connection's scratch
 // holds of the statement it has just answered — the parsed statement, the
 // binding, the accesses, the report with its decisions, the column names
-// and the tuples — before the tuples' memory goes back, so that whatever
-// still reads any of it once the connection has moved on — a frame not
-// yet written, a flight-recorder capture, a ledger or journal record, a
-// reply another connection is building out of the same tuple memory —
-// sends, records or trips over garbage instead of plausible values.
-func scrambleThenRelease(sc *federation.Scratch) {
-	sc.Scramble()
-	sc.Release()
+// and the tuples, its node's relayed reply too — before the tuples' memory
+// goes back, so that whatever still reads any of it once the connection
+// has moved on — a frame not yet written, a flight-recorder capture, a
+// ledger or journal record, a reply another connection is building out
+// of the same tuple memory — sends, records or trips over garbage instead
+// of plausible values.
+func scrambleThenRelease(cs *connScratch) {
+	cs.stmt.Scramble()
+	scrambleReply(&cs.reply)
+	cs.release()
+}
+
+// scrambleReply is Scratch.Scramble for a relayed reply: every tuple cell
+// the store holds is poison, every column name one no catalog has.
+func scrambleReply(r *relayed) {
+	st := &r.store
+	flat, columns := st.flat[:cap(st.flat)], st.columns[:cap(st.columns)]
+	for i := range flat {
+		flat[i] = poison
+	}
+	for i := range columns {
+		columns[i] = "\x00scrambled"
+	}
+	r.msg = ResultMsg{Rows: math.MinInt64, Bytes: math.MinInt64, Columns: columns, Tuples: st.rows[:cap(st.rows)]}
 }
 
 // scrambleStatementThenRelease is the same for a node's connection.
@@ -69,31 +85,53 @@ func openEDR(tb testing.TB, sampleEvery int64) *engine.DB {
 const hitPathStatements = 3000
 
 // hitPathFederation is the federation benchmark's edr-cached
-// configuration (bench/fed.go) on loopback: EDR at one row in 1 000, a
-// node per site, a rate-profile cache of 40% at column granularity,
-// ledger 4096, shadows and both flight recorders on — and one Client. At that capacity some 96% of the bytes are hits. It returns
-// the client, the proxy it dialed, the first hitPathStatements of the EDR
-// stream, and what to call when done.
+// configuration: edrFederation with the cache at 40% of the release,
+// where some 96% of the bytes are hits. It returns the client, the proxy
+// it dialed, the first hitPathStatements of the EDR stream, and what to
+// call when done.
 func hitPathFederation(tb testing.TB) (*Client, *Proxy, []string, func()) {
+	f := edrFederation(tb, 0.4, nil, nil)
+	return f.client, f.proxy, f.sqls, f.close
+}
+
+// edrFed is a federation on loopback and the statements to drive it with.
+type edrFed struct {
+	client *Client
+	proxy  *Proxy
+	db     *engine.DB         // the proxy's engine
+	nodes  map[string]*DBNode // by site
+	sqls   []string           // the first hitPathStatements of the EDR stream
+}
+
+// edrFederation is the federation benchmark's configuration (bench/fed.go)
+// on loopback: EDR at one row in 1 000, a node per site, a rate-profile
+// cache of cacheFrac of the release at column granularity, ledger 4096,
+// shadows and both flight recorders on — and one Client. The nodes serve
+// nodeDB, or the proxy's own engine when it is nil; setup, when not nil,
+// adjusts the proxy before it listens.
+func edrFederation(tb testing.TB, cacheFrac float64, nodeDB *engine.DB, setup func(*Proxy, map[string]*DBNode)) *edrFed {
 	tb.Helper()
 	db := openEDR(tb, 1000)
+	if nodeDB == nil {
+		nodeDB = db
+	}
 	s := db.Schema()
 	quiet := func(string, ...any) {}
-	var nodes []*DBNode
+	f := &edrFed{db: db, nodes: map[string]*DBNode{}}
 	addrs := map[string]string{}
 	for _, site := range catalog.Sites(s) {
-		n := NewDBNode(site, db)
+		n := NewDBNode(site, nodeDB)
 		n.SetLogf(quiet)
 		addr, err := n.Listen("127.0.0.1:0")
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nodes = append(nodes, n)
+		f.nodes[site] = n
 		addrs[site] = addr
 	}
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
-	policy, err := core.NewPolicyByName("rate-profile", int64(0.4*float64(s.TotalBytes())), 1)
+	policy, err := core.NewPolicyByName("rate-profile", int64(cacheFrac*float64(s.TotalBytes())), 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -104,30 +142,34 @@ func hitPathFederation(tb testing.TB) (*Client, *Proxy, []string, func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	proxy := NewProxy(med, federation.Columns, addrs)
-	proxy.SetLogf(quiet)
-	paddr, err := proxy.Listen("127.0.0.1:0")
+	f.proxy = NewProxy(med, federation.Columns, addrs)
+	f.proxy.SetLogf(quiet)
+	if setup != nil {
+		setup(f.proxy, f.nodes)
+	}
+	paddr, err := f.proxy.Listen("127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	client, err := Dial(paddr)
-	if err != nil {
+	if f.client, err = Dial(paddr); err != nil {
 		tb.Fatal(err)
 	}
 	st, err := workload.NewStream(workload.EDRProfile())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sqls := make([]string, hitPathStatements)
-	for i := range sqls {
-		sqls[i] = st.Next().SQL
+	f.sqls = make([]string, hitPathStatements)
+	for i := range f.sqls {
+		f.sqls[i] = st.Next().SQL
 	}
-	return client, proxy, sqls, func() {
-		client.Close()
-		proxy.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
+	return f
+}
+
+func (f *edrFed) close() {
+	f.client.Close()
+	f.proxy.Close()
+	for _, n := range f.nodes {
+		n.Close()
 	}
 }
 
@@ -248,10 +290,10 @@ func TestHitPathReadsPerFrame(t *testing.T) {
 // Answered statements are not scrambled here: the daemons' own release is
 // what is timed.
 func BenchmarkProxyHitEDR(b *testing.B) {
-	defer func(sc func(*federation.Scratch), st func(*statement)) {
+	defer func(sc func(*connScratch), st func(*statement)) {
 		releaseScratch, releaseStatement = sc, st
 	}(releaseScratch, releaseStatement)
-	releaseScratch, releaseStatement = (*federation.Scratch).Release, (*statement).release
+	releaseScratch, releaseStatement = (*connScratch).release, (*statement).release
 	client, _, sqls, done := hitPathFederation(b)
 	defer done()
 	for _, sql := range sqls {

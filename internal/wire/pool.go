@@ -45,6 +45,16 @@ type poolMetrics struct {
 	drops   *obs.CounterFamily   // wire.node_conn_drops
 }
 
+// nodeConn is a pooled connection to a node and the reader its replies
+// are taken off (frameReader): once the buffer has grown to the widest
+// reply, each is read with one Read. A reply's body is the reader's until
+// the connection's next exchange, so whoever has the connection checked
+// out reads the reply before putting it back.
+type nodeConn struct {
+	net.Conn
+	fr frameReader
+}
+
 // pool is a bounded per-site connection pool. Reuse is MRU — the most
 // recently returned connection is handed out first, keeping the
 // working set small and idle connections cold enough to notice
@@ -60,8 +70,8 @@ type pool struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	idle   []net.Conn // MRU stack: append on Put, pop from the end on Get
-	active int        // checked-out connections
+	idle   []*nodeConn // MRU stack: append on Put, pop from the end on Get
+	active int         // checked-out connections
 	closed bool
 }
 
@@ -76,7 +86,7 @@ func newPool(site, addr string, cfg PoolConfig, dial func(site, addr string) (ne
 // caller just saw a pooled connection fail, so its siblings are
 // presumed stale too and the attempt must dial. Blocks while MaxActive
 // connections are checked out.
-func (p *pool) Get(fresh bool) (conn net.Conn, reused bool, err error) {
+func (p *pool) Get(fresh bool) (conn *nodeConn, reused bool, err error) {
 	p.mu.Lock()
 	if p.active >= p.cfg.MaxActive && !p.closed {
 		start := time.Now()
@@ -105,13 +115,13 @@ func (p *pool) Get(fresh bool) (conn net.Conn, reused bool, err error) {
 	// overshoot MaxActive while the dial is in flight.
 	p.checkoutLocked()
 	p.mu.Unlock()
-	conn, err = p.dial(p.site, p.addr)
+	c, err := p.dial(p.site, p.addr)
 	if err != nil {
 		p.release()
 		return nil, false, err
 	}
 	p.m.dials.Add(p.site, 1)
-	return conn, false, nil
+	return &nodeConn{Conn: c, fr: newFrameReader()}, false, nil
 }
 
 // checkoutLocked claims one active slot. Caller holds mu.
@@ -131,7 +141,7 @@ func (p *pool) release() {
 
 // Put returns a healthy connection for reuse. Beyond MaxIdle (or
 // after Close) the connection is closed instead of parked.
-func (p *pool) Put(conn net.Conn) {
+func (p *pool) Put(conn *nodeConn) {
 	p.mu.Lock()
 	if p.closed || len(p.idle) >= p.cfg.MaxIdle {
 		p.active--
@@ -151,7 +161,7 @@ func (p *pool) Put(conn net.Conn) {
 
 // Discard closes a checked-out connection after a failure and frees
 // its slot.
-func (p *pool) Discard(conn net.Conn) {
+func (p *pool) Discard(conn *nodeConn) {
 	conn.Close()
 	p.m.drops.Add(p.site, 1)
 	p.release()

@@ -77,7 +77,7 @@ func TestPoolBlocksAtMaxActive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan net.Conn, 1)
+	got := make(chan *nodeConn, 1)
 	go func() {
 		c, _, err := p.Get(false)
 		if err != nil {

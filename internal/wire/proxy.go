@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -48,7 +49,9 @@ const DefaultMaxInflight = 64
 // Byte economics are logical (the mediator's Figure-1 accounting over
 // logical result sizes); the node RPCs carry bounded tuple samples,
 // and their physical frame bytes are tracked separately as transport
-// counters.
+// counters. A bypassed statement whose tables are all one site's is
+// shipped to that site as the client sent it, and the node's reply is
+// the client's answer (see relay).
 //
 // Observability: the proxy publishes into an obs.Registry — the
 // mediator's, when the mediator was built with one (so core and
@@ -429,7 +432,7 @@ func (p *Proxy) probeOnce(site string) bool {
 	if _, err := WriteFrame(conn, MsgPing, PingMsg{}); err != nil {
 		return false
 	}
-	t, _, _, err := readReply(conn)
+	t, _, _, err := ReadFrame(conn) // a fresh connection's one reply
 	return err == nil && t == MsgPong
 }
 
@@ -481,7 +484,7 @@ func (p *Proxy) serveConn(conn net.Conn) {
 	var (
 		fr  = newFrameReader() // this connection's frames; Decode copies out of it
 		q   QueryMsg           // this connection's queries, one at a time
-		sc  federation.Scratch // what a statement is parsed, bound, decomposed and reported in
+		cs  connScratch        // what a statement is mediated in, and its node's reply decoded into
 		res ResultMsg          // this connection's replies: handleQuery refills it, lists and all
 	)
 	for {
@@ -501,7 +504,7 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			traceID := obs.ParseID(q.TraceID)
 			fc := p.flight.Begin()
 			fc.SetQuery(q.SQL, traceID)
-			err := p.handleQuery(&sc, q.SQL, traceID, fc, &res)
+			err := p.handleQuery(&cs, q.SQL, traceID, fc, &res)
 			if err != nil {
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 			} else {
@@ -512,11 +515,11 @@ func (p *Proxy) serveConn(conn net.Conn) {
 			p.flight.Finish(fc, err)
 			// The reply is written and the capture closed: nothing reads
 			// the tuples again, and the next execution may have their
-			// memory, as the next statement has the rest of sc — unless
+			// memory, as the next statement has the rest of cs — unless
 			// this one was long enough to have stretched it.
-			releaseScratch(&sc)
+			releaseScratch(&cs)
 			if len(q.SQL) > maxKeptStatement {
-				sc = federation.Scratch{}
+				cs.stmt = federation.Scratch{}
 			}
 			q = QueryMsg{}
 		case MsgStats:
@@ -557,18 +560,43 @@ func (p *Proxy) serveConn(conn net.Conn) {
 // workload's statements are a few hundred bytes.
 const maxKeptStatement = 4 << 10
 
-// releaseScratch gives a statement's tuples back once the frame that
-// carried them is written (federation.Scratch.Release). The wire tests
-// replace it to scramble the scratch first, tuples and all, so that
-// anything still reading the statement afterwards is caught.
-var releaseScratch = (*federation.Scratch).Release
+// connScratch is what a serving connection answers its statements in,
+// one after another: the Scratch each is mediated in, and where a relayed
+// statement's reply from its node is decoded. The reply to the client
+// borrows its columns and tuples from one or the other, so both are the
+// next statement's only once that reply is written.
+type connScratch struct {
+	stmt  federation.Scratch
+	reply relayed
+}
+
+// relayed is a relayed statement's reply from its node (relay), decoded
+// into memory kept from one statement to the next: after the first few
+// replies of a shape, decoding one allocates nothing.
+type relayed struct {
+	msg   ResultMsg
+	store resultStore
+}
+
+// release gives a statement's tuples back once the frame that carried
+// them is written (federation.Scratch.Release). A relayed reply's need no
+// giving back: they are the connection's, and the next reply overwrites
+// them.
+func (cs *connScratch) release() { cs.stmt.Release() }
+
+// releaseScratch is where serveConn releases a statement. The wire tests
+// replace it to scramble the connection's scratch first — the mediation
+// and the relayed reply, tuples and all — so that anything still reading
+// the statement afterwards is caught.
+var releaseScratch = (*connScratch).release
 
 // leg is one unit of deferred WAN work decided during mediation: an
-// object fetch (load) or a bypass sub-query.
+// object fetch (load), a bypass sub-query, or a relayed statement.
 type leg struct {
 	site   string
-	object string // fetch legs; "" for sub-queries
-	sql    string // sub-query legs; "" for fetches
+	object string   // fetch legs; "" for the others
+	sql    string   // sub-query and relay legs; "" for fetches
+	reply  *relayed // relay legs: where the node's reply is decoded
 }
 
 // handleQuery mediates one client statement. traceID is the client's
@@ -583,13 +611,13 @@ type leg struct {
 // The result frame is sent only after all legs settle, so a client's
 // response still reflects its query's complete protocol exchange.
 //
-// The statement is mediated in sc and the reply written into res, both
+// The statement is mediated in cs and the reply written into res, both
 // the caller's: res's lists are emptied and refilled in place, and its
-// columns and tuples are sc's, so the caller releases sc once res is
+// columns and tuples are cs's, so the caller releases cs once res is
 // sent and mediates nothing else in it before. A hit on a connection
 // that has served a few allocates nothing here and nothing in mediation
 // that outlives the statement.
-func (p *Proxy) handleQuery(sc *federation.Scratch, sql string, traceID uint64, fc *flightrec.Capture, res *ResultMsg) error {
+func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *flightrec.Capture, res *ResultMsg) error {
 	p.querySem <- struct{}{}
 	defer func() { <-p.querySem }()
 	tel := p.med.Telemetry()
@@ -598,7 +626,7 @@ func (p *Proxy) handleQuery(sc *federation.Scratch, sql string, traceID uint64, 
 
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
-	rep, err := p.med.QueryScratch(sc, sql, obs.FormatID(traceID))
+	rep, err := p.med.QueryScratch(&cs.stmt, sql, obs.FormatID(traceID))
 	if err != nil {
 		return err
 	}
@@ -621,12 +649,12 @@ func (p *Proxy) handleQuery(sc *federation.Scratch, sql string, traceID uint64, 
 			LostBytes: se.LostBytes,
 		})
 	}
-	// Per-site protocol traffic: ship sub-queries for tables with any
-	// bypassed object, and object fetches for every load. Forced and
-	// failed legs never reach the network — their sites are known
-	// unavailable.
+	// Per-site protocol traffic: the statement, or sub-queries, for
+	// bypassed objects (appendBypassLegs), and object fetches for every
+	// load. Forced and failed legs never reach the network — their sites
+	// are known unavailable.
 	var legs []leg
-	var bypassed []bool // by table position in the schema; nil until a bypass
+	bypass := false
 	res.Decisions = slices.Grow(res.Decisions, len(rep.Decisions))
 	for _, d := range rep.Decisions {
 		verdict := d.Decision.String()
@@ -648,35 +676,57 @@ func (p *Proxy) handleQuery(sc *federation.Scratch, sql string, traceID uint64, 
 		}
 		switch d.Decision {
 		case core.Bypass:
-			if bypassed == nil {
-				bypassed = make([]bool, len(rep.Bound.Schema.Tables))
-			}
-			bypassed[d.Table] = true
+			bypass = true
 		case core.Load:
 			legs = append(legs, leg{site: d.Site, object: string(d.Object)})
 		}
 	}
-	if bypassed != nil {
-		legs = append(legs, subqueryLegs(rep, bypassed)...)
+	if bypass {
+		legs = appendBypassLegs(legs, rep, &cs.reply)
 	}
 	p.runLegs(legs, traceID, res, fc)
 	return nil
 }
 
-// subqueryLegs builds one sub-query leg per FROM table with a bypassed
-// object — the table's own, one of its columns, or a view over it;
-// bypassed is indexed by table position in the schema — from the
-// statement as the mediator bound and executed it (rep.Bound): the
-// proxy does not bind.
-func subqueryLegs(rep *federation.QueryReport, bypassed []bool) []leg {
-	var legs []leg
-	for i, sub := range federation.Subqueries(rep.Bound) {
-		if !bypassed[rep.Bound.TablePos[i]] {
-			continue
+// appendBypassLegs appends what a statement with a bypassed object
+// ships. A healthy statement whose tables are all one site's goes to
+// that site whole, as the client sent it (rep.SQL), and the node's reply
+// is decoded into reply to answer the client: the paper's bypass, the
+// query shipped to the server that owns its data. Any other — tables on
+// two sites, or a degraded statement — ships one sub-query per FROM table
+// with a bypassed object (the table's own, one of its columns, or a view
+// over it), built from the statement as the mediator bound it
+// (rep.Bound): the proxy does not bind. Their replies are read and
+// dropped.
+func appendBypassLegs(legs []leg, rep *federation.QueryReport, reply *relayed) []leg {
+	b := rep.Bound
+	if site, ok := oneSite(b); ok && !rep.Degraded {
+		return append(legs, leg{site: site, sql: rep.SQL, reply: reply})
+	}
+	bypassed := make([]bool, len(b.Schema.Tables)) // by table position in the schema
+	for _, d := range rep.Decisions {
+		if d.Decision == core.Bypass && !d.Forced && !d.Failed {
+			bypassed[d.Table] = true
 		}
-		legs = append(legs, leg{site: rep.Bound.Tables[i].Site, sql: sub.String()})
+	}
+	for i, sub := range federation.Subqueries(b) {
+		if bypassed[b.TablePos[i]] {
+			legs = append(legs, leg{site: b.Tables[i].Site, sql: sub.String()})
+		}
 	}
 	return legs
+}
+
+// oneSite is the site that owns every table a statement reads, if one
+// does.
+func oneSite(b *engine.Bound) (string, bool) {
+	site := b.Tables[0].Site
+	for _, t := range b.Tables[1:] {
+		if t.Site != site {
+			return "", false
+		}
+	}
+	return site, true
 }
 
 // runLegs executes a query's WAN legs concurrently, one goroutine per
@@ -704,13 +754,21 @@ func (p *Proxy) runLegs(legs []leg, traceID uint64, res *ResultMsg, fc *flightre
 		)
 		startUS := fc.Now()
 		legStart := time.Now()
-		if l.object != "" {
+		switch {
+		case l.object != "":
 			kind = "fetch"
 			err = p.fetchObject(l.object, l.site, &lt)
 			if err != nil {
 				p.logf("proxy: fetch %s: %v", l.object, err)
 			}
-		} else {
+		case l.reply != nil:
+			// Still kind "subquery": a relayed statement is a bypass's
+			// sub-query that happens to be the whole statement.
+			err = p.relay(l, traceID, &lt, res)
+			if err != nil {
+				p.logf("proxy: relay to %s: %v", l.site, err)
+			}
+		default:
 			err = p.shipSubquery(l.sql, l.site, traceID, &lt)
 			if err != nil {
 				p.logf("proxy: subquery to %s: %v", l.site, err)
@@ -740,7 +798,7 @@ func (p *Proxy) runLegs(legs []leg, traceID uint64, res *ResultMsg, fc *flightre
 // failConn records an RPC failure: the checked-out connection is
 // discarded back to its pool and deadline expiries are counted
 // separately.
-func (p *Proxy) failConn(sp *pool, conn net.Conn, site string, err error) {
+func (p *Proxy) failConn(sp *pool, conn *nodeConn, site string, err error) {
 	sp.Discard(conn)
 	if isTimeout(err) {
 		p.rpcTimeouts.Add(site, 1)
@@ -754,12 +812,20 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// replyReader acts on a node's reply to an RPC: the site, the reply's
+// type, and its body, which is the pooled connection's and valid only
+// for the call. Its error is what the node answered, not a transport
+// failure (nodeError is the reader of a reply only an error matters in).
+type replyReader func(site string, t MsgType, body []byte) error
+
 // nodeRPC performs one request/response exchange with a site's node,
 // gated by the site's circuit breaker and retried under a bounded
-// budget with exponential backoff. The reply's body is returned only
-// for a MsgError (see readReply). Returns (0, nil, nil) when the site
-// has no node (simulation mode), and a *SiteUnavailableError — without
-// touching the network — when the breaker is not closed.
+// budget with exponential backoff, and hands the reply to read before
+// its connection goes back to the pool. read's error is returned as is:
+// the exchange succeeded, so it neither retries nor charges the breaker.
+// Returns nil without calling read when the site has no node (simulation
+// mode), and a *SiteUnavailableError — without touching the network —
+// when the breaker is not closed.
 //
 // Retry rules: a pooled (possibly stale) connection failing with a
 // non-timeout error is retried immediately over a fresh dial without
@@ -768,36 +834,36 @@ func isTimeout(err error) bool {
 // jittered exponential pause, up to RetryBudget extra attempts.
 // Timeouts never retry: the node is hung, and another attempt would
 // hold the leg's pool slot through another full deadline.
-func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming) (MsgType, []byte, error) {
+func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read replyReader) error {
 	if _, hasNode := p.nodeAddrs[site]; !hasNode {
-		return 0, nil, nil
+		return nil
 	}
 	br := p.breakers[site]
 	if !br.Allow() {
 		state, retryIn := br.Snapshot()
-		return 0, nil, &SiteUnavailableError{Site: site, State: state, RetryIn: retryIn}
+		return &SiteUnavailableError{Site: site, State: state, RetryIn: retryIn}
 	}
 	delay := p.bcfg.RetryDelay
 	for attempt := 0; ; attempt++ {
-		rt, body, reused, err := p.tryNodeRPC(site, t, payload, false, lt)
+		answer, reused, err := p.tryNodeRPC(site, t, payload, false, lt, read)
 		if err == nil {
 			br.RecordSuccess()
-			return rt, body, nil
+			return answer
 		}
 		if reused && !isTimeout(err) {
 			// Stale pooled connection; not a site failure. Retry over a
 			// fresh dial (draining sibling idle conns, presumed equally
 			// stale).
 			p.rpcRetries.Add(site, 1)
-			rt, body, _, err = p.tryNodeRPC(site, t, payload, true, lt)
+			answer, _, err = p.tryNodeRPC(site, t, payload, true, lt, read)
 			if err == nil {
 				br.RecordSuccess()
-				return rt, body, nil
+				return answer
 			}
 		}
 		br.RecordFailure()
 		if isTimeout(err) || attempt >= p.bcfg.RetryBudget || !br.Allow() {
-			return 0, nil, err
+			return err
 		}
 		p.rpcRetries.Add(site, 1)
 		pause := delay + time.Duration(int64(float64(delay)*0.5*float64(attempt+1)))
@@ -807,16 +873,16 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming) (Msg
 	}
 }
 
-// tryNodeRPC is one attempt of nodeRPC over a pooled connection;
-// reused reports whether the attempt ran over a pooled (rather than
-// freshly dialed) connection. fresh forces a fresh dial, discarding
-// pooled idle connections.
-func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *legTiming) (MsgType, []byte, bool, error) {
+// tryNodeRPC is one attempt of nodeRPC over a pooled connection: answer
+// is read's error, err the transport's. reused reports whether the
+// attempt ran over a pooled (rather than freshly dialed) connection.
+// fresh forces a fresh dial, discarding pooled idle connections.
+func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *legTiming, read replyReader) (answer error, reused bool, err error) {
 	sp := p.pools[site]
 	acquireStart := time.Now()
 	conn, reused, err := sp.Get(fresh)
 	if err != nil {
-		return 0, nil, false, err
+		return nil, false, err
 	}
 	start := time.Now()
 	if lt != nil {
@@ -827,26 +893,19 @@ func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *
 	if p.rpcTimeout > 0 {
 		if err := conn.SetDeadline(start.Add(p.rpcTimeout)); err != nil {
 			p.failConn(sp, conn, site, err)
-			return 0, nil, reused, err
+			return nil, reused, err
 		}
 	}
-	n, err := WriteFrame(conn, t, payload)
+	n, err := WriteFrame(conn.Conn, t, payload)
 	if err != nil {
 		p.failConn(sp, conn, site, err)
-		return 0, nil, reused, err
+		return nil, reused, err
 	}
 	p.nodeTx.Add(int64(n))
-	rt, body, rn, err := readReply(conn)
+	rt, body, rn, err := conn.fr.next(conn.Conn)
 	if err != nil {
 		p.failConn(sp, conn, site, err)
-		return 0, nil, reused, err
-	}
-	if p.rpcTimeout > 0 && conn.SetDeadline(time.Time{}) != nil {
-		// The exchange succeeded but the connection is broken for
-		// reuse; discard it so the next checkout dials fresh.
-		sp.Discard(conn)
-	} else {
-		sp.Put(conn)
+		return nil, reused, err
 	}
 	p.nodeRx.Add(int64(rn))
 	rpcUS := time.Since(start).Microseconds()
@@ -854,7 +913,15 @@ func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *
 	if lt != nil {
 		lt.rpcUS = rpcUS // the successful attempt's round trip
 	}
-	return rt, body, reused, nil
+	answer = read(site, rt, body) // before the connection's next exchange overwrites body
+	if p.rpcTimeout > 0 && conn.SetDeadline(time.Time{}) != nil {
+		// The exchange succeeded but the connection is broken for
+		// reuse; discard it so the next checkout dials fresh.
+		sp.Discard(conn)
+	} else {
+		sp.Put(conn)
+	}
+	return answer, reused, nil
 }
 
 // legTiming carries one WAN leg's pool-acquire and round-trip
@@ -864,20 +931,58 @@ type legTiming struct {
 	rpcUS      int64 // successful attempt's write+read round trip
 }
 
-// shipSubquery sends a sub-query to the owning node and drains the
-// response (the proxy answers from its own engine, so the reply's
-// bytes are discarded unread). The frame carries the client's trace id,
-// so the node's exemplar of the execution merges with the proxy's.
+// shipSubquery sends one of a cross-site statement's sub-queries to the
+// owning node and drops the reply: the proxy answers such a statement
+// from its own engine. The frame carries the client's trace id, so the
+// node's exemplar of the execution merges with the proxy's.
 func (p *Proxy) shipSubquery(sql, site string, traceID uint64, lt *legTiming) error {
-	t, body, err := p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt)
-	if err != nil {
+	return p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt, nodeError)
+}
+
+// relay ships a statement whose tables are all one site's to that site
+// as the client sent it, decodes the node's reply into l.reply, and
+// makes the reply's columns and tuples the client's answer (res) when it
+// is the result the mediator decided on: the same Rows and Bytes. A node
+// error, a reply of another size or no reply leaves the local answer,
+// with the leg's error saying why; a site without a node (simulation
+// mode) leaves it without one.
+func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) error {
+	replied := false
+	err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, lt,
+		func(site string, t MsgType, body []byte) error {
+			switch t {
+			case MsgResult:
+				replied = true
+				return l.reply.decode(body)
+			case MsgError:
+				return nodeError(site, t, body)
+			default:
+				return fmt.Errorf("node %s: %s reply to a statement", site, t)
+			}
+		})
+	if err != nil || !replied {
 		return err
 	}
-	return nodeError(site, t, body)
+	got := &l.reply.msg
+	if got.Rows != res.Rows || got.Bytes != res.Bytes {
+		return fmt.Errorf("node %s: mismatch: reply of %d rows and %d bytes, the mediator's result %d and %d; answered locally",
+			l.site, got.Rows, got.Bytes, res.Rows, res.Bytes)
+	}
+	res.Columns, res.Tuples = got.Columns, got.Tuples
+	return nil
+}
+
+// decode refills r from a reply body; its strings are interned in the
+// store (names), so a reply with the names of one before costs none.
+func (r *relayed) decode(body []byte) error {
+	if r.store.names == nil {
+		r.store.names = names{}
+	}
+	return decodeInto(body, &r.msg, &r.store)
 }
 
 // nodeError is the failure a node reported in its reply; any other
-// reply — or none, for a site without a node — is success.
+// reply is success.
 func nodeError(site string, t MsgType, body []byte) error {
 	if t != MsgError {
 		return nil
@@ -906,11 +1011,7 @@ func (p *Proxy) fetchObject(object, site string, lt *legTiming) error {
 // fetchObjectRPC is the wire leg of fetchObject, run once per
 // single-flight group.
 func (p *Proxy) fetchObjectRPC(object, site string, lt *legTiming) error {
-	t, body, err := p.nodeRPC(site, MsgFetch, FetchMsg{Object: object}, lt)
-	if err != nil {
-		return err
-	}
-	return nodeError(site, t, body)
+	return p.nodeRPC(site, MsgFetch, FetchMsg{Object: object}, lt, nodeError)
 }
 
 // Decision-ledger serving bounds: a filterless scrape returns the

@@ -49,38 +49,64 @@ func newSimProxy(t *testing.T, nodeAddrs map[string]string) (*Proxy, *Client, fu
 	return p, c, func() { c.Close(); p.Close() }
 }
 
-// TestSubqueryLegsUseTheReportsBound: the proxy builds sub-queries
-// from QueryReport.Bound — the statement as the mediator bound and
-// executed it — and from nothing else: handed a report whose SQL says
-// one thing and whose Bound another, the legs follow the Bound.
+// TestSubqueryLegsUseTheReportsBound: what a bypass ships follows the
+// report's Bound — the statement as the mediator bound and executed it.
+// A photoobj ⋈ neighbors join is one site's: one leg to that site,
+// carrying the client's statement (the report's SQL), whose reply is to
+// answer the client. A photoobj ⋈ specobj join spans two sites: one
+// sub-query per table with a bypassed object, built from the Bound and
+// from nothing else — handed a report whose SQL says one thing and whose
+// Bound another, the legs follow the Bound. A degraded statement ships
+// sub-queries even when it is one site's.
 func TestSubqueryLegsUseTheReportsBound(t *testing.T) {
 	s := catalog.EDR()
-	stmt, err := sqlparse.Parse("select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := engine.Bind(s, stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := &federation.QueryReport{SQL: "select run from field", Bound: b}
-	bypassed := func(tables ...string) []bool {
-		at := make([]bool, len(s.Tables))
-		for _, name := range tables {
-			at[s.TableIndex(name)] = true
+	bind := func(sql string) *engine.Bound {
+		t.Helper()
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return at
+		b, err := engine.Bind(s, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	legs := subqueryLegs(rep, bypassed("photoobj", "specobj", "field"))
+	bypassed := func(tables ...string) []federation.AccessDecision {
+		var ds []federation.AccessDecision
+		for _, name := range tables {
+			ds = append(ds, federation.AccessDecision{Table: s.TableIndex(name), Decision: core.Bypass})
+		}
+		return ds
+	}
+	var reply relayed
+
+	const local = "select p.ra, n.distance from photoobj p, neighbors n where p.objid = n.objid and p.ra < 10"
+	rep := &federation.QueryReport{SQL: local, Bound: bind(local), Decisions: bypassed("photoobj", "neighbors")}
+	legs := appendBypassLegs(nil, rep, &reply)
+	if want := []leg{{site: catalog.SitePhoto, sql: local, reply: &reply}}; !reflect.DeepEqual(legs, want) {
+		t.Fatalf("one site's join: legs = %+v, want %+v", legs, want)
+	}
+	rep.Degraded = true
+	rep.Decisions = bypassed("neighbors")
+	legs = appendBypassLegs(nil, rep, &reply)
+	if want := []leg{{site: catalog.SitePhoto, sql: federation.Subqueries(rep.Bound)[1].String()}}; !reflect.DeepEqual(legs, want) {
+		t.Fatalf("degraded: legs = %+v, want %+v", legs, want)
+	}
+
+	b := bind("select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1")
+	rep = &federation.QueryReport{SQL: "select run from field", Bound: b, Decisions: bypassed("photoobj", "specobj", "field")}
+	legs = appendBypassLegs(nil, rep, &reply)
 	subs := federation.Subqueries(b)
 	want := []leg{
 		{site: catalog.SitePhoto, sql: subs[0].String()},
 		{site: catalog.SiteSpec, sql: subs[1].String()},
 	}
 	if !reflect.DeepEqual(legs, want) {
-		t.Fatalf("legs = %+v, want %+v", legs, want)
+		t.Fatalf("two sites' join: legs = %+v, want %+v", legs, want)
 	}
-	if legs := subqueryLegs(rep, bypassed("specobj")); len(legs) != 1 || legs[0] != want[1] {
+	rep.Decisions = bypassed("specobj")
+	if legs := appendBypassLegs(nil, rep, &reply); len(legs) != 1 || legs[0] != want[1] {
 		t.Fatalf("legs for specobj alone = %+v", legs)
 	}
 }
