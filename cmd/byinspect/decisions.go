@@ -12,7 +12,7 @@ import (
 // runDecisions scrapes the proxy's decision ledger and shadow
 // counterfactual accounting and renders them: recent decisions
 // (filterable by object, action, or trace id), a per-action summary,
-// savings versus each baseline, and the top regret contributors.
+// savings versus always-bypass, and the top regret contributors.
 func runDecisions(w io.Writer, addr string, q wire.DecisionsMsg, top int, asJSON bool) error {
 	c, err := wire.DialTimeout(addr, dialTimeout)
 	if err != nil {
@@ -92,17 +92,11 @@ func renderDecisions(w io.Writer, res *wire.DecisionsResultMsg, top int) {
 		}
 	}
 
-	if len(res.Baselines) > 0 {
-		fmt.Fprintln(w, "\ncounterfactual baselines (full run, not just matching records):")
-		for _, b := range res.Baselines {
-			wan := b.Acct.WANBytes()
-			pct := 0.0
-			if wan > 0 {
-				pct = 100 * float64(b.SavedBytes) / float64(wan)
-			}
-			fmt.Fprintf(w, "  vs %-16s WAN %12.3f MB   saved %12.3f MB (%5.1f%%)\n",
-				b.Name, float64(wan)/1e6, float64(b.SavedBytes)/1e6, pct)
-		}
+	if wan := res.BypassWANBytes; wan > 0 {
+		fmt.Fprintln(w, "\ncounterfactual baseline (since the proxy started, not just matching records):")
+		fmt.Fprintf(w, "  vs %-16s WAN %12.3f MB   saved %12.3f MB (%5.1f%%)\n",
+			"always-bypass", float64(wan)/1e6, float64(res.SavedVsBypassBytes)/1e6,
+			100*float64(res.SavedVsBypassBytes)/float64(wan))
 	}
 	if res.OptBoundBytes > 0 {
 		fmt.Fprintf(w, "\nski-rental lower bound: %.3f MB, competitive ratio %.3f\n",

@@ -3,8 +3,8 @@
 // 5–6), and query containment (Figure 4) — or, with -addr, scrapes a
 // live byproxyd/bydbd metrics snapshot and renders it. With -watch it
 // re-scrapes live metrics and shows what moved; with -decisions it
-// shows the proxy's decision ledger, counterfactual savings versus the
-// shadow baselines, and top regret contributors; with -tail it scrapes
+// shows the proxy's decision ledger, counterfactual savings versus
+// always-bypass, and top regret contributors; with -tail it scrapes
 // the flight recorder, ranks tail-latency causes and draws each
 // exemplar's phases and WAN legs (-trace-id picks one query); with
 // -federation it scrapes every listed daemon, verifies the Σ yields =
@@ -74,7 +74,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&o.watch, "watch", 0, "with -addr, re-scrape at this interval and show deltas")
 	fs.DurationVar(&o.dialTO, "dial-timeout", wire.DefaultDialTimeout, "with -addr, connect timeout")
 
-	fs.BoolVar(&o.decisions, "decisions", false, "with -addr, show the proxy's decision ledger and counterfactual baselines")
+	fs.BoolVar(&o.decisions, "decisions", false, "with -addr, show the proxy's decision ledger and counterfactual savings")
 	fs.StringVar(&o.object, "object", "", "with -decisions, filter records by exact object id")
 	fs.StringVar(&o.action, "action", "", "with -decisions, filter records by action (hit, bypass, load)")
 	fs.StringVar(&o.traceID, "trace-id", "", "with -decisions, -tail or -federation, keep only the query with this 16-hex-digit trace id")

@@ -133,12 +133,14 @@ func TestRunDecisionsTable(t *testing.T) {
 		"recent decisions",
 		"edr/photoobj.ra",
 		"vs always-bypass",
-		"vs lruk",
 		"ski-rental lower bound",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+	if n := strings.Count(out, "\n  vs "); n != 1 {
+		t.Fatalf("%d counterfactual lines, want the one against always-bypass:\n%s", n, out)
 	}
 
 	// Action filter narrows the record list to loads only.
@@ -162,7 +164,7 @@ func TestRunDecisionsJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
-	if res.Total == 0 || len(res.Records) == 0 || len(res.Baselines) == 0 {
+	if res.Total == 0 || len(res.Records) == 0 || res.BypassWANBytes == 0 {
 		t.Fatalf("decoded = %+v", res)
 	}
 }

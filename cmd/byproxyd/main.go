@@ -52,7 +52,6 @@ type options struct {
 
 	ledgerCap int64  // decision-ledger ring capacity (0 disables)
 	ledgerOut string // JSONL decision log path ("" disables)
-	shadow    bool   // run counterfactual shadow baselines
 
 	flightThreshold time.Duration // flight-recorder slow-capture threshold
 	flightCap       int           // flight-recorder exemplar ring capacity
@@ -98,7 +97,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.httpAddr, "http", "", "serve /metrics, /healthz, /debug/pprof on this address")
 	fs.Int64Var(&o.ledgerCap, "ledger", 4096, "decision-ledger ring capacity in records (0 disables)")
 	fs.StringVar(&o.ledgerOut, "ledger-out", "", "append every decision record as JSONL to this file")
-	fs.BoolVar(&o.shadow, "shadow", true, "run counterfactual baselines (always-bypass, LRU-K) online")
 	fdef := flightrec.DefaultConfig()
 	fs.DurationVar(&o.flightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every query at least this slow")
 	fs.IntVar(&o.flightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
@@ -221,7 +219,7 @@ func start(o options) (*daemon, error) {
 	}
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg,
-		Ledger: led, Shadows: o.shadow,
+		Ledger: led, Shadows: true,
 	})
 	if err != nil {
 		ledSink.Close()

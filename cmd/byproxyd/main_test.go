@@ -118,7 +118,7 @@ func TestFlagSurface(t *testing.T) {
 		"flight-cap", "flight-sample", "flight-threshold", "granularity", "http",
 		"ledger", "ledger-out", "max-inflight", "nodes", "persist-faults", "policy",
 		"pool-size", "recovery-log", "release", "rpc-timeout", "sample", "seed",
-		"shadow", "snapshot-interval", "state-dir", "wal-sync",
+		"snapshot-interval", "state-dir", "wal-sync",
 	}
 	fs := flag.NewFlagSet("byproxyd", flag.ContinueOnError)
 	registerFlags(fs, new(options))
@@ -133,7 +133,6 @@ func TestStartLedgerFlags(t *testing.T) {
 	o := testOptions()
 	o.ledgerCap = 64
 	o.ledgerOut = filepath.Join(t.TempDir(), "decisions.jsonl")
-	o.shadow = true
 	d, err := start(o)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +152,8 @@ func TestStartLedgerFlags(t *testing.T) {
 	if dec.Total == 0 || len(dec.Records) == 0 {
 		t.Fatalf("decisions = %+v, want records for the query", dec)
 	}
-	if len(dec.Baselines) == 0 {
-		t.Fatal("shadow baselines missing with -shadow")
+	if dec.BypassWANBytes == 0 || dec.OptBoundBytes == 0 {
+		t.Fatalf("decisions = %+v, want the shadows' figures: the daemon always runs them", dec)
 	}
 	c.Close()
 	if err := d.Close(); err != nil {

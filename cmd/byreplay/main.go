@@ -3,8 +3,7 @@
 // methodology over the live prototype — and reports the proxy's flow
 // accounting when done. With -audit it also scrapes the decision
 // ledger and diffs realized traffic against the proxy's online
-// counterfactual baselines (always-bypass, LRU-K) and the ski-rental
-// lower bound.
+// always-bypass counterfactual and the ski-rental lower bound.
 //
 // Usage:
 //
@@ -19,7 +18,6 @@ import (
 	"os"
 	"time"
 
-	"bypassyield/internal/core"
 	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/trace"
 	"bypassyield/internal/wire"
@@ -91,37 +89,34 @@ func run(addr string, dialTimeout time.Duration, path string, limit, progress in
 		float64(a.WANBytes())/1e9, float64(a.BypassBytes)/1e9, float64(a.FetchBytes)/1e9,
 		float64(a.DeliveredBytes())/1e9, a.ByteHitRate()*100)
 	if audit {
-		return runAudit(os.Stdout, client, a, top)
+		return runAudit(os.Stdout, client, top)
 	}
 	return nil
 }
 
 // runAudit scrapes the proxy's decision ledger and diffs realized
-// traffic against the shadow counterfactuals: savings per baseline,
-// the ski-rental lower bound with the live competitive ratio, and the
-// objects contributing the most regret.
-func runAudit(w io.Writer, client *wire.Client, a core.Accounting, top int) error {
+// traffic against the shadow counterfactual: savings against
+// always-bypass, the ski-rental lower bound with the live competitive
+// ratio, and the objects contributing the most regret. Every figure
+// covers the accesses since the proxy started, the realized WAN
+// included: after a warm restart it is not the lifetime accounting's.
+func runAudit(w io.Writer, client *wire.Client, top int) error {
 	dec, err := client.Decisions(wire.DecisionsMsg{Limit: 4096})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\naudit: %d decisions recorded (%d in ring)\n", dec.Total, len(dec.Records))
-	if len(dec.Baselines) == 0 {
-		fmt.Fprintln(w, "audit: proxy has no shadow baselines (byproxyd -shadow=false?)")
+	wan := dec.BypassWANBytes
+	if wan == 0 {
+		fmt.Fprintln(w, "audit: proxy reports no always-bypass WAN (no access since it started, or a mediator without Shadows)")
 		return nil
 	}
 
-	realized := a.WANBytes()
-	fmt.Fprintf(w, "realized WAN %14.3f MB\n", float64(realized)/1e6)
-	for _, b := range dec.Baselines {
-		wan := b.Acct.WANBytes()
-		pct := 0.0
-		if wan > 0 {
-			pct = 100 * float64(b.SavedBytes) / float64(wan)
-		}
-		fmt.Fprintf(w, "  %-16s %14.3f MB  saved %14.3f MB (%5.1f%%)\n",
-			b.Name, float64(wan)/1e6, float64(b.SavedBytes)/1e6, pct)
-	}
+	realized := wan - dec.SavedVsBypassBytes
+	fmt.Fprintf(w, "realized WAN %14.3f MB (since the proxy started)\n", float64(realized)/1e6)
+	fmt.Fprintf(w, "  %-16s %14.3f MB  saved %14.3f MB (%5.1f%%)\n",
+		"always-bypass", float64(wan)/1e6, float64(dec.SavedVsBypassBytes)/1e6,
+		100*float64(dec.SavedVsBypassBytes)/float64(wan))
 	if dec.OptBoundBytes > 0 {
 		fmt.Fprintf(w, "ski-rental bound %11.3f MB  → competitive ratio %.3f\n",
 			float64(dec.OptBoundBytes)/1e6, float64(dec.CompetitiveRatioMilli)/1000)

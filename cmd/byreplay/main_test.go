@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,31 +22,58 @@ import (
 )
 
 // startProxy spins an in-process proxy in simulation mode, with the
-// decision ledger and shadow baselines on so -audit has data.
-func startProxy(t *testing.T) (string, func()) {
+// decision ledger and shadow sums on so -audit has data. With warm it
+// starts as a warm restart does: from the snapshot of a mediator that
+// served 200 EDR statements, whose WAN (returned) is in the proxy's
+// accounting but was never seen by its shadows.
+func startProxy(t *testing.T, warm bool) (addr string, restoredWAN int64, stop func()) {
 	t.Helper()
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db,
-		Policy:      core.NewRateProfile(core.RateProfileConfig{Capacity: s.TotalBytes() * 4 / 10}),
-		Granularity: federation.Columns,
-		Ledger:      ledger.New(4096),
-		Shadows:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	newMediator := func() *federation.Mediator {
+		med, err := federation.New(federation.Config{
+			Schema: s, Engine: db,
+			Policy:      core.NewRateProfile(core.RateProfileConfig{Capacity: s.TotalBytes() * 4 / 10}),
+			Granularity: federation.Columns,
+			Ledger:      ledger.New(4096),
+			Shadows:     true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return med
+	}
+	med := newMediator()
+	if warm {
+		prev := newMediator()
+		stream, err := workload.NewStream(workload.EDRProfile())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := prev.Query(stream.Next().SQL); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := prev.SnapshotState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := med.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		restoredWAN = st.Acct.WANBytes()
 	}
 	proxy := wire.NewProxy(med, federation.Columns, nil)
 	proxy.SetLogf(func(string, ...any) {})
-	addr, err := proxy.Listen("127.0.0.1:0")
+	addr, err = proxy.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return addr, func() { proxy.Close() }
+	return addr, restoredWAN, func() { proxy.Close() }
 }
 
 func TestRunReplaysTrace(t *testing.T) {
@@ -55,13 +86,17 @@ func TestRunReplaysTrace(t *testing.T) {
 	if err := trace.WriteFile(path, recs); err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startProxy(t)
+	addr, _, stop := startProxy(t, false)
 	defer stop()
 	if err := run(addr, time.Second, path, 25, 0, false, 5); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunAudit: the audit prints the always-bypass diff and the bound,
+// and its lines add up — realized WAN = always-bypass WAN − saved — on a
+// proxy that starts cold and on one that starts warm, where the realized
+// figure is the WAN since the start, not the restored accounting's.
 func TestRunAudit(t *testing.T) {
 	p := workload.ScaledProfile(workload.EDRProfile(), 500)
 	recs, err := workload.Generate(p, federation.Columns)
@@ -72,31 +107,60 @@ func TestRunAudit(t *testing.T) {
 	if err := trace.WriteFile(path, recs); err != nil {
 		t.Fatal(err)
 	}
-	addr, stop := startProxy(t)
-	defer stop()
-	if err := run(addr, time.Second, path, 25, 0, true, 5); err != nil {
-		t.Fatal(err)
-	}
-
-	// runAudit's output carries the baseline diff and the bound.
-	c, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := runAudit(&buf, c, st.Acct, 5); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"realized WAN", "always-bypass", "lruk", "ski-rental bound"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("audit output missing %q:\n%s", want, out)
+	mb := func(out, pattern string) float64 {
+		t.Helper()
+		m := regexp.MustCompile(pattern).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("audit output has no line matching %q:\n%s", pattern, out)
 		}
+		v, err := strconv.ParseFloat(m[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, start := range []string{"cold", "warm"} {
+		warm := start == "warm"
+		t.Run(start, func(t *testing.T) {
+			addr, restoredWAN, stop := startProxy(t, warm)
+			defer stop()
+			if warm && restoredWAN == 0 {
+				t.Fatal("the restored snapshot carries no WAN: the warm case tests nothing")
+			}
+			if err := run(addr, time.Second, path, 25, 0, true, 5); err != nil {
+				t.Fatal(err)
+			}
+
+			c, err := wire.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := runAudit(&buf, c, 5); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			for _, want := range []string{"realized WAN", "always-bypass", "ski-rental bound"} {
+				if !strings.Contains(out, want) {
+					t.Fatalf("audit output missing %q:\n%s", want, out)
+				}
+			}
+			realized := mb(out, `realized WAN\s+(-?[0-9.]+) MB`)
+			bypass := mb(out, `always-bypass\s+(-?[0-9.]+) MB`)
+			saved := mb(out, `saved\s+(-?[0-9.]+) MB`)
+			if math.Abs(bypass-saved-realized) > 0.0015 {
+				t.Fatalf("always-bypass %.3f MB − saved %.3f MB != realized %.3f MB:\n%s", bypass, saved, realized, out)
+			}
+			if want := fmt.Sprintf("%.3f", float64(st.Acct.WANBytes()-restoredWAN)/1e6); fmt.Sprintf("%.3f", realized) != want {
+				t.Fatalf("realized WAN %.3f MB, the WAN since the start is %s MB (lifetime %d B, restored %d B):\n%s",
+					realized, want, st.Acct.WANBytes(), restoredWAN, out)
+			}
+		})
 	}
 }
 

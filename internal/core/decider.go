@@ -7,23 +7,24 @@ import (
 )
 
 // Decider is the decision loop of a bypass-yield cache: one policy,
-// one flow accounting, and the observers of both (the shadow
-// baselines, the decision ledger, and telemetry for what is not
+// one flow accounting, and the observers of both (the shadow sums,
+// the decision ledger, and telemetry for what is not
 // accounting: latency, degraded-mode events, episode churn). The
 // reference Simulator and the live mediator both run their queries
 // through it, so the two cannot drift.
 //
 // The work splits by what must be per access and what need not be.
 // Per access — Access, or Forced and Failed when a site is down — the
-// policy decides, the Figure-1 flows are charged, the shadows replay
+// policy decides, the Figure-1 flows are charged, the shadows add
 // the access and one ledger record is filled from the policy's
 // explanation (it is overwritten by the next decision): state, and
 // nothing shared. Per query — End — the query's accounting is added to
 // Acct and the query's records are copied into the ledger out of the
 // one batch the Decider refills for every query. Between Begin and End
-// Acct and the ledger are one query behind the policy; a caller that
-// serves scrapes concurrently holds its lock across the pair, as the
-// mediator does, and reads Acct and the shadows under it: the registry
+// Acct and the ledger are one query behind the policy and the shadows;
+// a caller that serves scrapes concurrently holds its lock across the
+// pair, as the mediator does, and reads Acct and the shadows under it
+// (ShadowSet.Stats reads them against each other): the registry
 // mirrors them at scrape time (Telemetry.Mirror), not here.
 //
 // A Decider is sequential state, like the policy it drives.
@@ -145,7 +146,7 @@ func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.Decisio
 	if err := Account(&d.q, obj, yield, dec); err != nil {
 		return nil, &BadDecisionError{Policy: d.name, Decision: dec}
 	}
-	d.shadows.Access(d.t, obj, yield, dec)
+	d.shadows.Access(obj, yield)
 	if d.ledger == nil {
 		return nil, nil
 	}
@@ -169,22 +170,26 @@ func (d *Decider) End() {
 
 // Replay charges one access decided before a restart, outside any
 // query: the recorded decision's flows reach Acct. The shadows and the
-// ledger restart empty and see nothing of it; the caller has already
-// let the policy re-decide the access.
+// ledger restart empty and see nothing of it (the shadows are told its
+// WAN, to leave out of what they realize); the caller has already let
+// the policy re-decide the access.
 func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 	var q Accounting
 	if err := Account(&q, obj, yield, recorded); err != nil {
 		return err
 	}
 	d.Acct.Add(q)
+	d.shadows.adopt(q.WANBytes())
 	d.countEvictions()
 	return nil
 }
 
 // Restore adopts the accounting of a restored snapshot, the restored
 // policy's evictions included: their count is the policy's own,
-// whatever a carries (0, when written before they were counted).
+// whatever a carries (0, when written before they were counted). The
+// shadows saw none of its accesses and are told the WAN it adds.
 func (d *Decider) Restore(a Accounting) {
+	d.shadows.adopt(a.WANBytes() - d.Acct.WANBytes())
 	d.Acct = a
 	if d.policy != nil {
 		d.evictions = d.policy.Evictions()

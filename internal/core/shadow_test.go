@@ -10,128 +10,129 @@ import (
 
 func TestShadowNilIsNoOp(t *testing.T) {
 	var s *ShadowSet
-	s.Access(1, testObj("o1", 100), 10, Bypass) // must not panic
-	s.Reset()
-	if s.OptBound() != 0 || s.CompetitiveRatio() != 0 || s.SavedVs("lruk") != 0 || s.Stats().OptBoundBytes != 0 {
-		t.Fatal("nil shadow set must read zero")
-	}
-	if s.Baselines() != nil {
-		t.Fatal("nil shadow set Baselines must be nil")
+	s.Access(testObj("o1", 100), 10) // must not panic
+	s.adopt(10)
+	if st := s.Stats(Accounting{BypassBytes: 10}); st != (ShadowStats{}) {
+		t.Fatalf("nil shadow set reads %+v, want zero", st)
 	}
 }
 
+// shadowRun feeds s and an accounting the same (object, yield, live
+// decision) accesses, as the Decider does, and returns the accounting.
+func shadowRun(t *testing.T, s *ShadowSet, obj Object, accesses ...[2]int64) Accounting {
+	t.Helper()
+	var a Accounting
+	for _, acc := range accesses {
+		if err := Account(&a, obj, acc[0], Decision(acc[1])); err != nil {
+			t.Fatal(err)
+		}
+		s.Access(obj, acc[0])
+	}
+	return a
+}
+
 func TestShadowAlwaysBypassAccounting(t *testing.T) {
-	// The always-bypass shadow's WAN must equal the sequence cost
-	// (Σ cost-scaled yields) regardless of the live decisions.
-	s := NewShadowSet(1000)
-	o := testObj("o1", 1000)
-	s.Access(1, o, 400, Bypass)
-	s.Access(2, o, 600, Load)
-	s.Access(3, o, 300, Hit)
+	// The always-bypass WAN must equal the sequence cost (Σ cost-scaled
+	// yields) regardless of the live decisions.
+	s := NewShadowSet()
+	acct := shadowRun(t, s, testObj("o1", 1000),
+		[2]int64{400, int64(Bypass)}, [2]int64{600, int64(Load)}, [2]int64{300, int64(Hit)})
 	var seq int64 = 400 + 600 + 300
-	b := s.Baselines()
-	if b[0].Name != "always-bypass" {
-		t.Fatalf("baseline[0] = %q, want always-bypass", b[0].Name)
+	st := s.Stats(acct)
+	if st.BypassWANBytes != seq {
+		t.Fatalf("always-bypass WAN = %d, want sequence cost %d", st.BypassWANBytes, seq)
 	}
-	if got := b[0].Acct.WANBytes(); got != seq {
-		t.Fatalf("always-bypass WAN = %d, want sequence cost %d", got, seq)
-	}
-	// Savings identity: shadow WAN − realized WAN.
-	realized := s.Realized().WANBytes() // 400 bypass + 1000 fetch
+	// Savings identity: always-bypass WAN − realized WAN, signed (this
+	// live stream loaded at a loss).
+	realized := acct.WANBytes() // 400 bypass + 1000 fetch
 	if realized != 1400 {
 		t.Fatalf("realized WAN = %d, want 1400", realized)
 	}
-	if got := s.SavedVs("always-bypass"); got != seq-realized {
-		t.Fatalf("SavedVs(always-bypass) = %d, want %d", got, seq-realized)
+	if st.SavedVsBypassBytes != seq-realized {
+		t.Fatalf("saved vs always-bypass = %d, want %d", st.SavedVsBypassBytes, seq-realized)
+	}
+	// A cost-scaled object ships its yield at its per-byte cost.
+	s = NewShadowSet()
+	acct = shadowRun(t, s, testObjCost("c", 1000, 3000), [2]int64{400, int64(Bypass)})
+	if st := s.Stats(acct); st.BypassWANBytes != 1200 || st.SavedVsBypassBytes != 0 {
+		t.Fatalf("cost-scaled always-bypass = %+v, want WAN 1200 and nothing saved", st)
 	}
 }
 
 func TestShadowOptBoundAndRatio(t *testing.T) {
-	s := NewShadowSet(10_000)
-	o1 := testObj("o1", 1000)
-	o2 := testObj("o2", 2000)
+	s := NewShadowSet()
 	// o1: bypass demand 700 < fetch → bound contribution 700.
-	s.Access(1, o1, 700, Bypass)
+	acct := shadowRun(t, s, testObj("o1", 1000), [2]int64{700, int64(Bypass)})
 	// o2: demand 1500+1500 = 3000 > fetch 2000 → contribution capped at 2000.
-	s.Access(2, o2, 1500, Bypass)
-	s.Access(3, o2, 1500, Bypass)
-	if got := s.OptBound(); got != 700+2000 {
-		t.Fatalf("OptBound = %d, want 2700", got)
+	acct.Add(shadowRun(t, s, testObj("o2", 2000), [2]int64{1500, int64(Bypass)}, [2]int64{1500, int64(Bypass)}))
+	st := s.Stats(acct)
+	if st.OptBoundBytes != 700+2000 {
+		t.Fatalf("bound = %d, want 2700", st.OptBoundBytes)
 	}
 	// The bound never exceeds realized WAN, so the ratio is ≥ 1 for
 	// any live decision stream (here all-bypass: realized 3700).
-	if s.Realized().WANBytes() < s.OptBound() {
-		t.Fatalf("bound %d exceeds realized %d", s.OptBound(), s.Realized().WANBytes())
+	if acct.WANBytes() < st.OptBoundBytes {
+		t.Fatalf("bound %d exceeds realized %d", st.OptBoundBytes, acct.WANBytes())
 	}
-	if r := s.CompetitiveRatio(); r < 1 {
-		t.Fatalf("competitive ratio = %f, want ≥ 1", r)
+	if want := acct.WANBytes() * 1000 / st.OptBoundBytes; st.CompetitiveRatioMilli != want || want < 1000 {
+		t.Fatalf("competitive ratio = %d milli, want %d (≥ 1000)", st.CompetitiveRatioMilli, want)
 	}
 }
 
 func TestShadowRatioAtLeastOneUnderRandomStream(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	objs := []Object{testObj("a", 500), testObj("b", 2000), testObjCost("c", 1000, 3000)}
-	live := NewRateProfile(RateProfileConfig{Capacity: 2500})
-	s := NewShadowSet(2500)
+	s := NewShadowSet()
+	d := NewDecider(NewRateProfile(RateProfileConfig{Capacity: 2500}), nil, s, nil)
 	for i := 1; i <= 2000; i++ {
 		o := objs[r.Intn(len(objs))]
-		y := r.Int63n(o.Size + 1)
-		d := live.Access(int64(i), o, y)
-		s.Access(int64(i), o, y, d)
+		d.Begin(int64(i), "", 1)
+		if _, err := d.Access(o, r.Int63n(o.Size+1)); err != nil {
+			t.Fatal(err)
+		}
+		d.End()
 	}
-	if s.OptBound() <= 0 {
+	st := s.Stats(d.Acct)
+	if st.OptBoundBytes <= 0 {
 		t.Fatal("bound never grew")
 	}
-	if got := s.CompetitiveRatio(); got < 1 {
-		t.Fatalf("competitive ratio = %f, want ≥ 1", got)
+	if st.CompetitiveRatioMilli < 1000 {
+		t.Fatalf("competitive ratio = %d milli, want ≥ 1000", st.CompetitiveRatioMilli)
 	}
 }
 
 // TestShadowTelemetryGauges: the shadow metrics a registry carries are
 // a reading of the set (Stats) mirrored, and move only when read again.
+// always-bypass is the one baseline.
 func TestShadowTelemetryGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(reg)
-	s := NewShadowSet(1000)
-	o := testObj("o1", 1000)
-	s.Access(1, o, 400, Bypass)
-	s.Access(2, o, 600, Load)
+	s := NewShadowSet()
+	acct := shadowRun(t, s, testObj("o1", 1000), [2]int64{400, int64(Bypass)}, [2]int64{600, int64(Load)})
 	if got := reg.Snapshot().GaugeValue("core.bytes_saved_vs_bypass"); got != 0 {
 		t.Fatalf("gauge moved before Mirror: %d", got)
 	}
-	tel.Mirror("p", Accounting{}, s.Stats())
-	tel.Mirror("p", Accounting{}, s.Stats()) // nothing new: nothing moves
+	st := s.Stats(acct)
+	tel.Mirror("p", acct, st)
+	tel.Mirror("p", acct, s.Stats(acct)) // nothing new: nothing moves
 	snap := reg.Snapshot()
-	wantSaved := s.SavedVs("always-bypass")
-	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
-		t.Fatalf("gauge core.bytes_saved_vs_bypass = %d, want %d", got, wantSaved)
+	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != st.SavedVsBypassBytes || got != 1000-1400 {
+		t.Fatalf("gauge core.bytes_saved_vs_bypass = %d, want %d", got, st.SavedVsBypassBytes)
 	}
-	if got := snap.GaugeValue("core.bytes_saved_vs_lruk"); got != s.SavedVs("lruk") {
-		t.Fatalf("gauge core.bytes_saved_vs_lruk = %d, want %d", got, s.SavedVs("lruk"))
-	}
-	if got := snap.CounterValue("core.optbound_bytes", ""); got != s.OptBound() {
-		t.Fatalf("counter core.optbound_bytes = %d, want %d", got, s.OptBound())
+	if got := snap.CounterValue("core.optbound_bytes", ""); got != st.OptBoundBytes {
+		t.Fatalf("counter core.optbound_bytes = %d, want %d", got, st.OptBoundBytes)
 	}
 	if got := snap.CounterValue("core.shadow_wan_bytes", "always-bypass"); got != 1000 {
 		t.Fatalf("shadow_wan_bytes{always-bypass} = %d, want 1000", got)
 	}
-	wantRatio := int64(s.CompetitiveRatio() * 1000)
+	for _, c := range snap.Counters {
+		if c.Name == "core.shadow_wan_bytes" && c.Label != "always-bypass" {
+			t.Fatalf("core.shadow_wan_bytes carries a second baseline: %+v", c)
+		}
+	}
+	wantRatio := acct.WANBytes() * 1000 / st.OptBoundBytes
 	if got := snap.GaugeValue("core.competitive_ratio_milli"); got != wantRatio {
 		t.Fatalf("competitive_ratio_milli = %d, want %d", got, wantRatio)
-	}
-}
-
-func TestShadowReset(t *testing.T) {
-	s := NewShadowSet(1000)
-	s.Access(1, testObj("o1", 1000), 500, Bypass)
-	s.Reset()
-	if s.OptBound() != 0 || s.Realized().WANBytes() != 0 {
-		t.Fatal("Reset did not clear shadow state")
-	}
-	for _, b := range s.Baselines() {
-		if b.Acct.WANBytes() != 0 || b.SavedBytes != 0 {
-			t.Fatalf("baseline %s not cleared: %+v", b.Name, b)
-		}
 	}
 }
 
@@ -176,7 +177,7 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 	// The shadows and the decision-latency histogram hang off the
 	// Decider the simulator runs: the same loop over the same stream,
 	// with them attached, must account alike.
-	shadows := NewShadowSet(2000)
+	shadows := NewShadowSet()
 	tel := NewTelemetry(reg)
 	d := NewDecider(NewRateProfile(RateProfileConfig{Capacity: 2000}), tel, shadows, nil)
 	for _, req := range reqs {
@@ -191,20 +192,18 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 	if d.Acct != res.Acct {
 		t.Fatalf("decision loop accounting %+v, simulator %+v", d.Acct, res.Acct)
 	}
-	// Shadow identity: always-bypass WAN − realized WAN == exported gauge.
-	tel.Mirror(sim.Policy.Name(), d.Acct, shadows.Stats())
-	snap := reg.Snapshot()
-	wantSaved := shadows.SavedVs("always-bypass")
-	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
-		t.Fatalf("gauge = %d, want %d", got, wantSaved)
+	// Shadow identity: always-bypass WAN − realized WAN == exported
+	// gauge. On a uniform network always-bypass ships the raw yield, and
+	// the realized WAN is the simulator's.
+	st := shadows.Stats(d.Acct)
+	if st.BypassWANBytes != res.Acct.YieldBytes || st.SavedVsBypassBytes != res.Acct.YieldBytes-res.Acct.WANBytes() {
+		t.Fatalf("shadow stats %+v, want always-bypass WAN %d and savings %d",
+			st, res.Acct.YieldBytes, res.Acct.YieldBytes-res.Acct.WANBytes())
 	}
-	// The shadow set sees accesses, not queries or evictions; the flow
-	// fields must agree exactly with the simulator's accounting.
-	wantAcct := res.Acct
-	wantAcct.Queries = 0
-	wantAcct.Evictions = 0
-	if shadows.Realized() != wantAcct {
-		t.Fatalf("shadow realized accounting diverged:\n %+v\nvs %+v", shadows.Realized(), wantAcct)
+	tel.Mirror(sim.Policy.Name(), d.Acct, st)
+	snap := reg.Snapshot()
+	if got := snap.GaugeValue("core.bytes_saved_vs_bypass"); got != st.SavedVsBypassBytes {
+		t.Fatalf("gauge = %d, want %d", got, st.SavedVsBypassBytes)
 	}
 	// Decision latency histogram observed once per access.
 	h, ok := snap.HistogramSnap("core.decide_seconds", "")
@@ -304,23 +303,22 @@ func TestDecisionRecordForNilPolicy(t *testing.T) {
 	}
 }
 
-// BenchmarkShadowAccess is the cost the counterfactual baselines add to
-// one access (both shadow policies and the ski-rental bound). The LRU-K
-// shadow holds every object, so this is the steady state of a cache
-// that mostly hits; a shadow load or eviction costs two allocations
-// (the heap item and its boxed object).
+// BenchmarkShadowAccess is the cost the counterfactual figures add to
+// one access: one add for always-bypass and one map update for the
+// ski-rental bound. There is no shadow policy to load or evict, so
+// every access after its object's first is this steady state.
 func BenchmarkShadowAccess(b *testing.B) {
 	objs := make([]Object, 200)
 	for i := range objs {
 		objs[i] = testObj(string(rune('a'+i%26))+string(rune('a'+i/26)), int64(100+i))
 	}
-	s := NewShadowSet(1 << 20)
-	for i, o := range objs {
-		s.Access(0, o, 50, Decision(i%3))
+	s := NewShadowSet()
+	for _, o := range objs {
+		s.Access(o, 50)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Access(int64(i/17), objs[i%len(objs)], 50, Decision(i%3))
+		s.Access(objs[i%len(objs)], 50)
 	}
 }

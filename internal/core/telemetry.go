@@ -13,7 +13,7 @@ import (
 // legs, decision latency, pipeline concurrency, episode churn.
 //
 // The Figure-1 flows are not: they live in the decision plane's
-// Accounting and its shadow set, and Mirror copies one reading of both —
+// Accounting and its shadow sums, and Mirror copies one reading of both —
 // taken under the plane's lock by the registry collector that calls it
 // at every scrape — into the metrics below. A snapshot therefore
 // reconciles with the accounting it was read from exactly, D_A =
@@ -29,11 +29,10 @@ import (
 //	core.fetch_bytes          counter (D_L)
 //	core.cache_bytes          counter (D_C)
 //	core.yield_bytes          counter (raw yield)
-//	core.shadow_wan_bytes     counter family, label = baseline (from its
-//	                          first WAN byte); see shadow.go
+//	core.shadow_wan_bytes     counter family, label "always-bypass" (from
+//	                          its first WAN byte); see shadow.go
 //	core.optbound_bytes       counter: ski-rental lower bound
-//	core.bytes_saved_vs_bypass  gauge: shadow always-bypass WAN − realized WAN
-//	core.bytes_saved_vs_lruk    gauge: shadow LRU-K WAN − realized WAN
+//	core.bytes_saved_vs_bypass  gauge: always-bypass WAN − realized WAN
 //	core.competitive_ratio_milli gauge: 1000 · realized WAN / bound
 //
 // A reader that wants them per interval — a byte hit ratio, the WAN
@@ -111,7 +110,6 @@ type Telemetry struct {
 	shadowWAN     *obs.CounterFamily
 	optBoundBytes *obs.Counter
 	savedVsBypass *obs.Gauge
-	savedVsLRUK   *obs.Gauge
 	compRatio     *obs.Gauge
 }
 
@@ -161,16 +159,15 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		shadowWAN:     r.CounterFamily("core.shadow_wan_bytes"),
 		optBoundBytes: r.Counter("core.optbound_bytes"),
 		savedVsBypass: r.Gauge("core.bytes_saved_vs_bypass"),
-		savedVsLRUK:   r.Gauge("core.bytes_saved_vs_lruk"),
 		compRatio:     r.Gauge("core.competitive_ratio_milli"),
 	}
 }
 
 // Mirror stores one reading of a decision plane in the metrics that
 // mirror it: a, the accounting of the plane whose policy is named
-// policy ("none" without one), and sh, its shadow set's state (zero
-// without shadows). The caller reads both under the plane's lock, so
-// the metrics agree with each other as the plane did.
+// policy ("none" without one), and sh, its shadow set's state read
+// against a (zero without shadows). The caller reads both under the
+// plane's lock, so the metrics agree with each other as the plane did.
 func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
 	if t == nil {
 		return
@@ -187,16 +184,11 @@ func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
 	t.bypassBytes.Store(a.BypassBytes)
 	t.fetchBytes.Store(a.FetchBytes)
 
-	var saved [2]int64 // vs always-bypass, vs LRU-K: NewShadowSet's order
-	for i, b := range sh.Baselines {
-		if wan := b.Acct.WANBytes(); wan > 0 {
-			t.shadowWAN.Get(b.Name).Store(wan)
-		}
-		saved[i] = b.SavedBytes
+	if sh.BypassWANBytes > 0 {
+		t.shadowWAN.Get("always-bypass").Store(sh.BypassWANBytes)
 	}
 	t.optBoundBytes.Store(sh.OptBoundBytes)
-	t.savedVsBypass.Set(saved[0])
-	t.savedVsLRUK.Set(saved[1])
+	t.savedVsBypass.Set(sh.SavedVsBypassBytes)
 	if sh.OptBoundBytes > 0 {
 		t.compRatio.Set(sh.CompetitiveRatioMilli)
 	}

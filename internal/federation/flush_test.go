@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/metrics"
@@ -35,7 +36,7 @@ func (s *recordSink) Record(r ledger.DecisionRecord) { s.recs = append(s.recs, r
 //     field — with contiguous Seq, through the sink and in the ring;
 //   - the savings and competitive-ratio gauges and the shadow counters
 //     equal what a reference ShadowSet fed the same accesses one by
-//     one reads.
+//     one reads against the accounting.
 func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 	n := 2000
 	if raceEnabled || testing.Short() {
@@ -75,7 +76,8 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refShadows := core.NewShadowSet(capacity)
+			refShadows := core.NewShadowSet()
+			var refAcct core.Accounting // the reference decisions' flows
 
 			var seen [3]bool
 			for qi, sql := range sqls {
@@ -117,7 +119,10 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 					if got[i] != rec {
 						t.Fatalf("query %d access %d: ledger record\n %+v\nper-access reference\n %+v", qi, i, got[i], rec)
 					}
-					refShadows.Access(rep.Seq, obj, d.Yield, refD)
+					refShadows.Access(obj, d.Yield)
+					if err := core.Account(&refAcct, obj, d.Yield, refD); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if led.Count() != uint64(len(sink.recs)) {
 					t.Fatalf("query %d: ledger counts %d records, sink saw %d", qi, led.Count(), len(sink.recs))
@@ -151,27 +156,7 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 				}
 
 				// Shadows against the reference fed access by access.
-				var refRatio int64
-				if b := refShadows.OptBound(); b > 0 {
-					refRatio = refShadows.Realized().WANBytes() * 1000 / b
-				}
-				for g, w := range map[string]int64{
-					"core.bytes_saved_vs_bypass":   refShadows.SavedVs("always-bypass"),
-					"core.bytes_saved_vs_lruk":     refShadows.SavedVs("lruk"),
-					"core.competitive_ratio_milli": refRatio,
-				} {
-					if v := snap.GaugeValue(g); v != w {
-						t.Fatalf("query %d: %s = %d, the per-access reference reads %d", qi, g, v, w)
-					}
-				}
-				for _, b := range refShadows.Baselines() {
-					if v, w := snap.CounterValue("core.shadow_wan_bytes", b.Name), b.Acct.WANBytes(); v != w {
-						t.Fatalf("query %d: core.shadow_wan_bytes{%s} = %d, per access %d", qi, b.Name, v, w)
-					}
-				}
-				if v, w := snap.CounterValue("core.optbound_bytes", ""), refShadows.OptBound(); v != w {
-					t.Fatalf("query %d: core.optbound_bytes = %d, per access %d", qi, v, w)
-				}
+				checkShadows(t, snap, refShadows.Stats(refAcct), fmt.Sprintf("query %d", qi))
 			}
 			if !seen[core.Hit] || !seen[core.Bypass] || !seen[core.Load] {
 				t.Fatalf("the statements do not exercise every decision: %v", seen)
@@ -185,6 +170,117 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 				t.Fatalf("core.decide_seconds has %d observations for %d policy accesses", h.Count, m.Accounting().Accesses)
 			}
 		})
+	}
+}
+
+// checkShadows requires the shadow figures of a registry snapshot to
+// read what want, a reference set's Stats, reads.
+func checkShadows(t *testing.T, snap obs.Snapshot, want core.ShadowStats, where string) {
+	t.Helper()
+	for _, c := range []struct {
+		name string
+		got  int64
+		want int64
+	}{
+		{"core.bytes_saved_vs_bypass", snap.GaugeValue("core.bytes_saved_vs_bypass"), want.SavedVsBypassBytes},
+		{"core.competitive_ratio_milli", snap.GaugeValue("core.competitive_ratio_milli"), want.CompetitiveRatioMilli},
+		{"core.shadow_wan_bytes{always-bypass}", snap.CounterValue("core.shadow_wan_bytes", "always-bypass"), want.BypassWANBytes},
+		{"core.optbound_bytes", snap.CounterValue("core.optbound_bytes", ""), want.OptBoundBytes},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s: %s = %d, the reference reads %d", where, c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestShadowsCoverTheAccessesSinceStart is the restart contract of the
+// shadow figures (DESIGN.md §13: they are not persisted and restart
+// empty). A live mediator snapshots at statement 500 and journals
+// 501–1 000. A fresh one with Shadows restores the snapshot and replays
+// the journal, so it stands where the live one stopped at statement
+// 1 000, then serves 1 001–2 000. After each of those statements its
+// shadow figures must be what a reference set fed only statements
+// 1 001–2 000 reads against the WAN moved since the restart, and the
+// savings identity of TestScrapeIsNeverTorn must hold in its restart
+// form: the restored and replayed WAN are in core.bypass_bytes and
+// core.fetch_bytes, not in what the shadows realized.
+func TestShadowsCoverTheAccessesSinceStart(t *testing.T) {
+	sqls := edrStatements(t, 2000)
+	s, db := openEDR(t)
+	build := func(reg *obs.Registry) *federation.Mediator {
+		pol, err := core.NewPolicyByName("rate-profile", s.TotalBytes()*4/10, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := federation.New(federation.Config{
+			Schema: s, Engine: db, Granularity: federation.Columns, Policy: pol, Obs: reg, Shadows: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	run := func(m *federation.Mediator, sqls []string) {
+		t.Helper()
+		for _, sql := range sqls {
+			if _, err := m.Query(sql); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+	}
+
+	live := build(nil)
+	run(live, sqls[:500])
+	st, err := live.SnapshotState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal journalKeeper
+	live.SetJournal(&wal)
+	run(live, sqls[500:1000])
+
+	reg := obs.NewRegistry()
+	m := build(reg)
+	if err := m.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range wal.recs {
+		if applied, diverged, err := m.ReplayJournal(rec); err != nil || !applied || diverged {
+			t.Fatalf("replaying %+v: applied %t, diverged %t, %v", rec, applied, diverged, err)
+		}
+	}
+	atRestart := m.Accounting()
+	if atRestart != live.Accounting() {
+		t.Fatalf("restored and replayed accounting %+v, live %+v", atRestart, live.Accounting())
+	}
+	if st.Acct.WANBytes() == 0 || atRestart.WANBytes() == st.Acct.WANBytes() {
+		t.Fatalf("WAN %d in the snapshot, %d after the journal: both must move some", st.Acct.WANBytes(), atRestart.WANBytes())
+	}
+
+	ref := core.NewShadowSet()
+	objects := m.Objects()
+	for i, sql := range sqls[1000:] {
+		rep, err := m.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for _, d := range rep.Decisions {
+			ref.Access(objects[d.Object], d.Yield)
+		}
+		acct, snap := m.Accounting(), reg.Snapshot()
+		since := core.Accounting{
+			BypassBytes: acct.BypassBytes - atRestart.BypassBytes,
+			FetchBytes:  acct.FetchBytes - atRestart.FetchBytes,
+		}
+		where := fmt.Sprintf("statement %d", 1001+i)
+		checkShadows(t, snap, ref.Stats(since), where)
+
+		saved, shadow := snap.GaugeValue("core.bytes_saved_vs_bypass"), snap.CounterValue("core.shadow_wan_bytes", "always-bypass")
+		bypass, fetch := snap.CounterValue("core.bypass_bytes", ""), snap.CounterValue("core.fetch_bytes", "")
+		if saved != shadow-(bypass-atRestart.BypassBytes)-(fetch-atRestart.FetchBytes) {
+			t.Fatalf("%s: core.bytes_saved_vs_bypass %d != shadow WAN %d − (D_S %d − %d) − (D_L %d − %d)",
+				where, saved, shadow, bypass, atRestart.BypassBytes, fetch, atRestart.FetchBytes)
+		}
 	}
 }
 

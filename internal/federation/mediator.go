@@ -51,9 +51,10 @@ type Config struct {
 	// object access, a query's worth at a time (served over
 	// MsgDecisions by the proxy).
 	Ledger *ledger.Ledger
-	// Shadows enables online counterfactual accounting: every access is
-	// replayed through always-bypass and LRU-K shadow baselines plus
-	// the ski-rental bound, which the core.bytes_saved_vs_* gauges read.
+	// Shadows enables online counterfactual accounting: every access
+	// adds to the always-bypass WAN and the ski-rental bound, which the
+	// core.bytes_saved_vs_bypass and core.competitive_ratio_milli gauges
+	// read against the accounting.
 	Shadows bool
 	// Shards must be 0 or 1: the decision plane is one cache of one
 	// capacity; New rejects anything larger.
@@ -83,7 +84,7 @@ type SiteHealth interface {
 // engine evaluation, yield decomposition) runs lock-free — the engine
 // is an immutable column store with atomic counters — while the
 // decision phase runs under one lock, mu: the plane clock, the policy,
-// the accounting and the shadow baselines are one sequential state, as
+// the accounting and the shadow sums are one sequential state, as
 // in the paper, so Σ decision yields = D_A holds exactly at every
 // unlock. A query waits for mu awake (lockDecision): it is held for
 // microseconds, and a sleeper's wake-up takes tens to hundreds. Callers
@@ -244,7 +245,7 @@ func New(cfg Config) (*Mediator, error) {
 		m.capacity = m.policy.Capacity()
 	}
 	if cfg.Shadows {
-		m.shadows = core.NewShadowSet(m.capacity)
+		m.shadows = core.NewShadowSet()
 	}
 	m.dec = core.NewDecider(m.policy, m.tel, m.shadows, m.ledger)
 	cfg.Obs.RegisterCollector(m.collect)
@@ -258,7 +259,8 @@ func New(cfg Config) (*Mediator, error) {
 // D_C, Σ core.decisions = core.accesses).
 func (m *Mediator) collect() {
 	m.mu.Lock()
-	acct, sh := m.dec.Acct, m.shadows.Stats()
+	acct := m.dec.Acct
+	sh := m.shadows.Stats(acct)
 	m.mu.Unlock()
 	m.tel.Mirror(m.policyName, acct, sh)
 }
@@ -338,12 +340,12 @@ func (m *Mediator) PolicyStats() (ps PolicyStats, ok bool) {
 	return ps, true
 }
 
-// ShadowStats snapshots the shadow baselines under the decision lock;
-// zero-valued when shadows are disabled.
+// ShadowStats reads the shadow sums against the accounting under the
+// decision lock; zero-valued when shadows are disabled.
 func (m *Mediator) ShadowStats() core.ShadowStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.shadows.Stats()
+	return m.shadows.Stats(m.dec.Acct)
 }
 
 // Clock returns the number of queries mediated so far (the plane

@@ -150,9 +150,10 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 // left untouched), then the section's policy blob, clock and
 // accounting, which the registry's flow counters read from then on
 // (core.yield_bytes = Acct.YieldBytes = D_A). Call before serving
-// traffic; the decision
-// ledger ring and shadow baselines are not part of State and restart
-// empty (they are windowed audit views, not accounting).
+// traffic; the decision ledger ring and shadow sums are not part of
+// State and restart empty (they are windowed audit views, not
+// accounting): the shadow figures cover the accesses since the process
+// started, the restored and replayed WAN left out.
 func (m *Mediator) RestoreState(st State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -30,10 +30,10 @@ func goldenSnapshot() Snapshot {
 		},
 		Gauges: []GaugeSnap{
 			{Name: "cache.used_bytes", Value: 9000},
-			{Name: "core.bytes_saved_vs_bypass", Value: 524288},
-			// Negative: a shadow baseline can beat the live policy, so
-			// signed gauge rendering is load-bearing.
-			{Name: "core.bytes_saved_vs_lruk", Value: -2048},
+			// Negative: a live policy that loads at a loss ships more
+			// than always-bypass, so signed gauge rendering is
+			// load-bearing.
+			{Name: "core.bytes_saved_vs_bypass", Value: -2048},
 			// Runtime self-observation (obs.EnableRuntimeStats).
 			{Name: "runtime.goroutines", Value: 42},
 			{Name: "runtime.heap_alloc_bytes", Value: 7340032},

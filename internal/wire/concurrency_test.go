@@ -169,19 +169,13 @@ func TestConcurrentQueriesReconcileExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bypassShadow *core.ShadowResult
-	for i := range dec.Baselines {
-		if dec.Baselines[i].Name == "always-bypass" {
-			bypassShadow = &dec.Baselines[i]
-		}
+	if dec.BypassWANBytes != acct.YieldBytes {
+		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", dec.BypassWANBytes, acct.YieldBytes)
 	}
-	if bypassShadow == nil {
-		t.Fatalf("no always-bypass baseline in %+v", dec.Baselines)
+	wantSaved := dec.BypassWANBytes - acct.WANBytes()
+	if dec.SavedVsBypassBytes != wantSaved {
+		t.Fatalf("SavedVsBypassBytes = %d, want %d", dec.SavedVsBypassBytes, wantSaved)
 	}
-	if got := bypassShadow.Acct.WANBytes(); got != acct.YieldBytes {
-		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", got, acct.YieldBytes)
-	}
-	wantSaved := bypassShadow.Acct.WANBytes() - acct.WANBytes()
 	if got := m.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
 		t.Fatalf("core.bytes_saved_vs_bypass = %d, want %d", got, wantSaved)
 	}

@@ -383,16 +383,22 @@ type DecisionsMsg struct {
 }
 
 // DecisionsResultMsg returns matching ledger records plus shadow
-// counterfactual accounting for audits.
+// counterfactual accounting for audits. The shadow figures cover the
+// accesses since the proxy started (a warm restart's restored traffic
+// is not in them); the realized WAN they are computed from is
+// BypassWANBytes − SavedVsBypassBytes.
 type DecisionsResultMsg struct {
 	// Total is the number of decisions ever recorded (records older
 	// than the ring capacity have been overwritten).
 	Total uint64 `json:"total"`
 	// Records are the matching records, oldest first.
 	Records []ledger.DecisionRecord `json:"records"`
-	// Baselines carries the online counterfactual results (empty when
-	// shadow accounting is disabled).
-	Baselines []core.ShadowResult `json:"baselines,omitempty"`
+	// BypassWANBytes is the WAN traffic always-bypass would have cost
+	// (0 when shadow accounting is disabled).
+	BypassWANBytes int64 `json:"bypass_wan_bytes,omitempty"`
+	// SavedVsBypassBytes is BypassWANBytes minus the realized WAN
+	// traffic: negative when the live policy loses to always-bypass.
+	SavedVsBypassBytes int64 `json:"saved_vs_bypass_bytes,omitempty"`
 	// OptBoundBytes is the running ski-rental lower bound on WAN
 	// traffic (0 when shadow accounting is disabled).
 	OptBoundBytes int64 `json:"optbound_bytes,omitempty"`

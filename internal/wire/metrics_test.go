@@ -415,7 +415,6 @@ var proxyMetrics = []string{
 	"counter wire.node_rx_bytes",
 	"counter wire.node_tx_bytes",
 	"gauge core.bytes_saved_vs_bypass",
-	"gauge core.bytes_saved_vs_lruk",
 	"gauge core.competitive_ratio_milli",
 	"gauge core.legs_inflight",
 	"gauge core.query_concurrency",

@@ -1059,7 +1059,8 @@ func (p *Proxy) decisions(q DecisionsMsg) DecisionsResultMsg {
 	ss := p.med.ShadowStats() // snapshot under the mediator's decision lock
 	msg := DecisionsResultMsg{
 		Total:                 led.Count(),
-		Baselines:             ss.Baselines,
+		BypassWANBytes:        ss.BypassWANBytes,
+		SavedVsBypassBytes:    ss.SavedVsBypassBytes,
 		OptBoundBytes:         ss.OptBoundBytes,
 		CompetitiveRatioMilli: ss.CompetitiveRatioMilli,
 	}
