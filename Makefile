@@ -77,7 +77,8 @@ fuzz-smoke:
 # pass, for callers that keep their reports and, as /scratch, for a
 # serving connection's one reused Scratch), the same statements end to end
 # through Client, Proxy and Mediator on loopback (bytes and allocations
-# per hit, and the client's Reads per reply),
+# per hit, and the client's Reads per reply) and again at the edr-bypass
+# cache, where most are shipped to their node before the decision,
 # the frame encoder and result codec, and one end-to-end experiment. All
 # but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
 # and any metric a benchmark reports per op) so CI can archive hot-path
@@ -87,7 +88,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkRateProfileMiss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkMediatorQueryEDR -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
-	$(GO) test -run='^$$' -bench=BenchmarkProxyHitEDR -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
 	awk 'BEGIN { print "{"; n = 0 } \
 	  /^Benchmark/ { \

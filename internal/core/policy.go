@@ -11,6 +11,14 @@ import (
 // returns the decision and mutates its internal cache state
 // accordingly. Implementations are single-goroutine: the simulator
 // never calls a policy concurrently.
+//
+// An object larger than the whole cache (Size > Capacity()) is never
+// cached: Access returns Bypass for it whatever the yield, and Contains
+// never reports it. Every policy NewPolicyByName builds keeps this
+// (TestOversizeIsAlwaysBypassed), and the mediator relies on it: a
+// statement all of whose objects are that large is decided with the
+// yield its site answers with, without being executed first
+// (federation.Ship).
 type Policy interface {
 	// Name identifies the policy in reports ("rate-profile",
 	// "online-by", ...).

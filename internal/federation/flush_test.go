@@ -392,7 +392,7 @@ func BenchmarkMediatorQueryEDR(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.QueryScratch(&sc, sqls[i%len(sqls)], ""); err != nil {
+			if _, err := m.QueryScratch(&sc, sqls[i%len(sqls)], "", nil); err != nil {
 				b.Fatal(err)
 			}
 			sc.Release()
@@ -458,7 +458,7 @@ func TestQueryScratchAllocs(t *testing.T) {
 	var sc federation.Scratch
 	allocs, bytes := perStatement(func() {
 		for _, sql := range sqls {
-			if _, err := m.QueryScratch(&sc, sql, ""); err != nil {
+			if _, err := m.QueryScratch(&sc, sql, "", nil); err != nil {
 				t.Fatal(err)
 			}
 			sc.Release()

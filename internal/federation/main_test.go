@@ -31,7 +31,7 @@ func usedScratch() (func() *federation.Scratch, error) {
 			"select p.ra, p.dec, s.z from photoobj p, specobj s where p.objid = s.objid and s.z between 0.1 and 0.2 order by s.z desc",
 			"select type, count(*) as n, avg(petrorad_r) from photoobj where ra between 100 and 140 and type = 3 group by type",
 		} {
-			if _, err := m.QueryScratch(sc, sql, ""); err != nil {
+			if _, err := m.QueryScratch(sc, sql, "", nil); err != nil {
 				panic(fmt.Sprintf("usedScratch: %s: %v", sql, err))
 			}
 			sc.Scramble()

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bypassyield/internal/catalog"
@@ -68,7 +69,7 @@ type Config struct {
 // traffic. The proxy implements it over its per-site circuit
 // breakers; the mediator consults it before every decision so an
 // unreachable site degrades to serve-from-cache or a failed leg
-// instead of a doomed RPC.
+// instead of a doomed RPC, and before shipping a statement.
 type SiteHealth interface {
 	// SiteAvailable reports whether the site admits traffic; when it
 	// does not, reason explains why ("breaker open site=X ...").
@@ -89,7 +90,9 @@ type SiteHealth interface {
 // unlock. A query waits for mu awake (lockDecision): it is held for
 // microseconds, and a sleeper's wake-up takes tens to hundreds. Callers
 // execute the decided WAN legs after QueryStmtTraced returns, outside
-// the lock — the decide-then-execute handoff.
+// the lock — the decide-then-execute handoff — except for a statement
+// whose decision its yield cannot change, which QueryScratch's caller
+// ships first (see Ship).
 type Mediator struct {
 	cfg Config
 	// index is the object universe by position, which decomposition
@@ -118,8 +121,11 @@ type Mediator struct {
 	dec     *core.Decider
 	policy  core.Policy
 	shadows *core.ShadowSet
-	health  SiteHealth
 	journal Journal
+
+	// health is the SiteHealth (nil: every site is available). A query
+	// reads it once, before its statement is executed or shipped.
+	health atomic.Pointer[SiteHealth]
 
 	// Telemetry (no-ops when cfg.Obs is nil).
 	tel          *core.Telemetry
@@ -187,6 +193,10 @@ type QueryReport struct {
 	// — it is what the client actually receives, so it still equals
 	// the accounting's delivered-bytes increment (D_A).
 	Result *engine.Result
+	// Shipped reports a statement its site answered before the decision
+	// (see Ship): Result holds the answer's Rows and Bytes and no columns
+	// or tuples, which are the shipper's.
+	Shipped bool
 	// Decisions lists per-object cache decisions, in access order.
 	Decisions []AccessDecision
 	// Degraded reports that at least one access was forced or failed.
@@ -270,11 +280,22 @@ func (m *Mediator) collect() {
 func (m *Mediator) Obs() *obs.Registry { return m.cfg.Obs }
 
 // SetHealth attaches a site-health source (the proxy's breakers).
-// Nil detaches; every site is then considered available.
+// Nil detaches; every site is then considered available. A query
+// already past its bind keeps the source it read.
 func (m *Mediator) SetHealth(h SiteHealth) {
-	m.mu.Lock()
-	m.health = h
-	m.mu.Unlock()
+	if h == nil {
+		m.health.Store(nil)
+		return
+	}
+	m.health.Store(&h)
+}
+
+// siteHealth is the attached SiteHealth, nil when there is none.
+func (m *Mediator) siteHealth() SiteHealth {
+	if h := m.health.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
 // Objects returns the cacheable-object universe.
@@ -421,7 +442,7 @@ func (sc *Scratch) Scramble() {
 	sc.rep = QueryReport{
 		SQL: scrambled, Seq: never, Bound: &sc.bound, Result: &sc.result,
 		Decisions: sc.decisions[:cap(sc.decisions)], SiteErrors: sc.siteErrs[:cap(sc.siteErrs)],
-		Degraded: true, ExecUS: never, LockWaitUS: never, DecideUS: never,
+		Shipped: true, Degraded: true, ExecUS: never, LockWaitUS: never, DecideUS: never,
 	}
 }
 
@@ -457,7 +478,7 @@ var newScratch = func() *Scratch { return new(Scratch) }
 // Query parses, executes, and accounts one statement. The report is the
 // caller's to keep.
 func (m *Mediator) Query(sql string) (*QueryReport, error) {
-	return m.QueryScratch(newScratch(), sql, "")
+	return m.QueryScratch(newScratch(), sql, "", nil)
 }
 
 // QueryStmt is Query over a pre-parsed statement.
@@ -469,16 +490,30 @@ func (m *Mediator) QueryStmt(sql string, stmt *sqlparse.SelectStmt) (*QueryRepor
 // the enclosing query; ledger records emitted for its accesses carry
 // the id, the join key to the query's flight-recorder exemplars.
 func (m *Mediator) QueryStmtTraced(sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
-	return m.mediate(newScratch(), sql, stmt, traceID)
+	return m.mediate(newScratch(), sql, stmt, traceID, nil)
 }
+
+// Ship is the step with which QueryScratch's caller has a statement
+// answered by the one site that owns its tables, before the decision,
+// as the paper's bypass ships a query to the server that owns its data
+// (§3). The mediator calls it only for a statement whose decision the
+// yield cannot change (yieldBlind): every object it reads is larger than
+// the whole cache, so every one is bypassed whatever the yield, and the
+// answer's Bytes are the yield it decides with. The statement is then
+// not executed here. Ship returns the answer's Rows and Bytes — it keeps
+// the answer itself — or ok = false when the site did not answer (it
+// has no node, or the exchange failed), and the statement is executed
+// here and decided as any other.
+type Ship func(site string) (rows, bytes int64, ok bool)
 
 // QueryScratch is Query under a trace id ("" for none) with everything
 // the statement needs — parse, binding, result header, accesses, report
 // — cut from sc, over the statement sc held before: the report is valid
-// until sc's next QueryScratch (see Scratch). Query and QueryStmtTraced
-// are this over a Scratch of their own. A statement that fails leaves sc
-// as ready as one that succeeds.
-func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string) (*QueryReport, error) {
+// until sc's next QueryScratch (see Scratch). A yield-blind statement
+// goes to ship first (nil: none does). Query and QueryStmtTraced are
+// this over a Scratch of their own and no ship. A statement that fails
+// leaves sc as ready as one that succeeds.
+func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string, ship Ship) (*QueryReport, error) {
 	if sc.parser == nil {
 		sc.parser = new(sqlparse.Parser)
 	}
@@ -486,47 +521,96 @@ func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string) (*QueryReport,
 	if err != nil {
 		return nil, err
 	}
-	return m.mediate(sc, sql, stmt, traceID)
+	return m.mediate(sc, sql, stmt, traceID, ship)
 }
 
 // mediate binds, executes, decomposes and decides one parsed statement
-// in sc.
-func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
+// in sc. A yield-blind one that ship has answered is not executed: its
+// result is the answer's size, and its site, which has just answered, is
+// not asked for its health again.
+func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string, ship Ship) (*QueryReport, error) {
 	start := time.Now()
-	// Execution phase — lock-free. Bind and engine evaluation read only
-	// immutable schema/column data; concurrent queries overlap here.
+	// Execution phase — lock-free. Bind, weighing and engine evaluation
+	// read only immutable schema/column data; concurrent queries overlap
+	// here.
 	b, res := &sc.bound, &sc.result
 	if err := b.Rebind(m.cfg.Schema, stmt); err != nil {
 		return nil, err
 	}
-	if err := m.cfg.Engine.ExecuteInto(res, b); err != nil {
-		return nil, err
+	health := m.siteHealth()
+	sh := m.index.weighIn(sc, b)
+	shipped := false
+	var shipping time.Duration // the ship's round trip is a WAN leg, not execution
+	if ship != nil {
+		if site, ok := m.yieldBlind(b, sh, health); ok {
+			shipStart := time.Now()
+			var rows, bytes int64
+			rows, bytes, shipped = ship(site)
+			shipping = time.Since(shipStart)
+			if shipped {
+				res.Release()
+				*res = engine.Result{Columns: res.Columns[:0], Rows: rows, Bytes: bytes}
+				health = nil
+			}
+		}
 	}
-	accs := m.index.decompose(sc, b, res.Bytes)
-	execUS := time.Since(start).Microseconds()
+	if !shipped {
+		if err := m.cfg.Engine.ExecuteInto(res, b); err != nil {
+			return nil, err
+		}
+	}
+	accs := sc.accesses(sh, res.Bytes)
+	execUS := (time.Since(start) - shipping).Microseconds()
 
-	rep, err := m.decide(sc, sql, traceID, res, accs)
+	rep, err := m.decide(sc, sql, traceID, res, accs, health)
 	if err != nil {
 		return nil, err
 	}
 	rep.Bound = b
+	rep.Shipped = shipped
 	rep.ExecUS = execUS
 	m.queryLatency.Observe(time.Since(start).Microseconds())
 	return rep, nil
 }
 
+// yieldBlind returns the site of a statement whose decision its yield
+// cannot change: its tables are all one site's, the site is available,
+// and every object it reads (sh, as weighed) is larger than the cache —
+// which no policy holds (core.Policy), so each is bypassed whatever its
+// share. It reads the Bound's weighing alone and sorts nothing.
+func (m *Mediator) yieldBlind(b *engine.Bound, sh []share, health SiteHealth) (string, bool) {
+	site, ok := OneSite(b)
+	if !ok || len(sh) == 0 {
+		return "", false
+	}
+	if m.policy != nil {
+		for i := range sh {
+			if sh[i].obj.Size <= m.capacity {
+				return "", false
+			}
+		}
+	}
+	if health != nil {
+		if up, _ := health.SiteAvailable(site); !up {
+			return "", false
+		}
+	}
+	return site, true
+}
+
 // decide runs the decision phase over decomposed accesses: under the
 // decision lock the query takes the next tick of the plane clock and
 // its accesses are decided, charged, audited and journaled in access
-// order, so Σ decision yields = D_A is exact at every unlock.
-func (m *Mediator) decide(sc *Scratch, sql, traceID string, res *engine.Result, accs []access) (*QueryReport, error) {
+// order, so Σ decision yields = D_A is exact at every unlock. health is
+// asked about the sites of the accesses (nil: all are available).
+func (m *Mediator) decide(sc *Scratch, sql, traceID string, res *engine.Result, accs []access, health SiteHealth) (*QueryReport, error) {
 	m.queriesMet.Add(1)
 	rep := &sc.rep
 	*rep = QueryReport{SQL: sql, Result: res, Decisions: take(&sc.decisions, len(accs)), SiteErrors: sc.siteErrs[:0]}
 	waitStart := time.Now()
 	m.lockDecision(waitStart)
 	decideStart := time.Now()
-	err := m.decideLocked(rep, accs, traceID)
+	err := m.decideLocked(rep, accs, traceID, health)
 	m.mu.Unlock()
 	// A healthy query's SiteErrors is nil, not an empty list.
 	if sc.siteErrs = rep.SiteErrors[:0]; len(rep.SiteErrors) == 0 {
@@ -574,7 +658,7 @@ func (m *Mediator) lockDecision(start time.Time) {
 // flushed once, by End, before the lock is released. The registry's
 // flow metrics are not written here: they read the plane under mu
 // when scraped (collect).
-func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string) (err error) {
+func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string, health SiteHealth) (err error) {
 	m.t++
 	rep.Seq = m.t
 	m.dec.Begin(m.t, traceID, len(accs))
@@ -595,13 +679,13 @@ func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string)
 		// impossible, so the policy is not consulted (outage traffic
 		// must not distort its learned rate profiles). The access is
 		// forced to serve-from-cache or dropped as a failed leg.
-		if m.health != nil {
+		if health != nil {
 			k := 0
 			for k < len(sites) && sites[k].site != obj.Site {
 				k++
 			}
 			if k == len(sites) {
-				ok, reason := m.health.SiteAvailable(obj.Site)
+				ok, reason := health.SiteAvailable(obj.Site)
 				sites = append(sites, siteAnswer{obj.Site, ok, reason})
 			}
 			if !sites[k].ok {
@@ -698,6 +782,18 @@ func noteSiteError(rep *QueryReport, site, reason string, lost int64) {
 		}
 	}
 	rep.SiteErrors = append(rep.SiteErrors, SiteError{Site: site, Reason: reason, LostBytes: lost})
+}
+
+// OneSite is the site that owns every table a statement reads, if one
+// does.
+func OneSite(b *engine.Bound) (string, bool) {
+	site := b.Tables[0].Site
+	for _, t := range b.Tables[1:] {
+		if t.Site != site {
+			return "", false
+		}
+	}
+	return site, true
 }
 
 // Subqueries splits a bound multi-table statement into one

@@ -300,8 +300,15 @@ type shareBuf [32]share
 // sum exactly to the yield (byte conservation is tested). Accesses are
 // ordered by object id (share.pos); the returned slice is not.
 func (ix *objectIndex) shares(b *engine.Bound, yield int64, sh []share) []share {
+	return split(ix.weigh(b, sh), yield)
+}
+
+// weigh is the first half of shares, which needs the Bound alone: the
+// objects the statement reads, each with its weight, appended to sh in
+// no particular order.
+func (ix *objectIndex) weigh(b *engine.Bound, sh []share) []share {
 	refs := b.ReferencedColumns()
-	if len(refs) == 0 || yield < 0 {
+	if len(refs) == 0 {
 		return nil
 	}
 	if ix.gran == Columns {
@@ -337,6 +344,15 @@ func (ix *objectIndex) shares(b *engine.Bound, yield int64, sh []share) []share 
 			}
 		}
 		sh = slices.DeleteFunc(sh, func(s share) bool { return s.weight == 0 })
+	}
+	return sh
+}
+
+// split is the second half of shares: it orders weighed shares by
+// object id and gives each its part of the yield.
+func split(sh []share, yield int64) []share {
+	if yield < 0 {
+		return nil
 	}
 	slices.SortFunc(sh, func(a, b share) int { return cmp.Compare(a.rank, b.rank) })
 
@@ -381,11 +397,9 @@ type access struct {
 	yield int64
 }
 
-// decompose is Decompose for the mediator: the same accesses in the
-// same order, each with its resolved object, in sc's memory. There is a
-// share per referenced column or per FROM table, so the list is sized
-// once.
-func (ix *objectIndex) decompose(sc *Scratch, b *engine.Bound, yield int64) []access {
+// weighIn is weigh in sc's memory. There is a share per referenced
+// column or per FROM table, so the list is sized once.
+func (ix *objectIndex) weighIn(sc *Scratch, b *engine.Bound) []share {
 	n := len(b.TablePos)
 	if ix.gran == Columns {
 		n = len(b.ReferencedColumns())
@@ -393,7 +407,13 @@ func (ix *objectIndex) decompose(sc *Scratch, b *engine.Bound, yield int64) []ac
 	if cap(sc.shares) < n {
 		sc.shares = make([]share, 0, n)
 	}
-	sh := ix.shares(b, yield, sc.shares[:0])
+	return ix.weigh(b, sc.shares[:0])
+}
+
+// accesses finishes what weighIn began: Decompose's accesses in the same
+// order, each with its resolved object, in sc's memory.
+func (sc *Scratch) accesses(sh []share, yield int64) []access {
+	sh = split(sh, yield)
 	out := take(&sc.accs, len(sh))
 	for i := range sh {
 		out[sh[i].pos] = access{obj: sh[i].obj, table: int(sh[i].table), yield: sh[i].yield}

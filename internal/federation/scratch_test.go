@@ -151,7 +151,7 @@ func TestScratchReportsWhatQueryStmtReports(t *testing.T) {
 			for i, sql := range sqls {
 				if i%500 == 250 {
 					for _, bad := range failing {
-						_, gotErr := scratch.m.QueryScratch(&sc, bad, "")
+						_, gotErr := scratch.m.QueryScratch(&sc, bad, "", nil)
 						_, wantErr := twin.m.Query(bad)
 						if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 							t.Fatalf("%s: in a scratch %v, fresh %v", bad, gotErr, wantErr)
@@ -171,7 +171,7 @@ func TestScratchReportsWhatQueryStmtReports(t *testing.T) {
 				if i%7 == 0 {
 					trace = obs.FormatID(uint64(i + 1))
 				}
-				got, err := scratch.m.QueryScratch(&sc, sql, trace)
+				got, err := scratch.m.QueryScratch(&sc, sql, trace, nil)
 				if err != nil {
 					t.Fatalf("statement %d: %s: %v", i, sql, err)
 				}

@@ -70,7 +70,7 @@ func TestUntracedHitBuildsOnlyTheResult(t *testing.T) {
 		}
 	}
 	mediate := testing.AllocsPerRun(200, func() {
-		if _, err := p.med.QueryScratch(&cs.stmt, sql, ""); err != nil {
+		if _, err := p.med.QueryScratch(&cs.stmt, sql, "", nil); err != nil {
 			t.Fatal(err)
 		}
 	})

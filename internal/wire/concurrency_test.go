@@ -73,18 +73,42 @@ func concurrentFederation(t *testing.T, policy core.Policy) (addr string, proxy 
 // still hold exactly — one ledger record per access, Σ ledger yields =
 // D_A, Σ WAN charges = D_S + D_L, Σ client-observed result bytes =
 // D_A, the shadow-savings gauge equals the baseline identity, and the
-// inflight gauges have drained to zero.
+// inflight gauges have drained to zero. It runs with the cache at the
+// whole release, where every statement is executed at the proxy, and at
+// the edr-bypass cache, where the photoobj statements are yield-blind
+// and shipped to their node before the decision.
 func TestConcurrentQueriesReconcileExactly(t *testing.T) {
-	addr, proxy, _, shutdown := concurrentFederation(t,
-		core.NewRateProfile(core.RateProfileConfig{Capacity: catalog.EDR().TotalBytes()}))
-	defer shutdown()
-
 	queries := []string{
 		"select ra, dec from photoobj where ra between 0 and 350",
 		"select z from specobj where z < 3",
 		"select ra from photoobj",
 		"select z, zconf from specobj",
 	}
+	for _, c := range []struct {
+		name  string
+		cache float64
+	}{{"whole release", 1}, {"edr-bypass cache", 0.001}} {
+		t.Run(c.name, func(t *testing.T) {
+			capacity := int64(c.cache * float64(catalog.EDR().TotalBytes()))
+			addr, proxy, _, shutdown := concurrentFederation(t, core.NewRateProfile(core.RateProfileConfig{Capacity: capacity}))
+			defer shutdown()
+			blind := 0
+			for _, sql := range queries {
+				if _, ok := yieldBlind(proxy.med, bind(t, proxy.med.Schema(), sql)); ok {
+					blind++
+				}
+			}
+			if shipping := c.cache < 1; shipping != (blind > 0) {
+				t.Fatalf("%d of the statements are yield-blind", blind)
+			}
+			reconcileConcurrently(t, addr, proxy, queries)
+		})
+	}
+}
+
+// reconcileConcurrently is TestConcurrentQueriesReconcileExactly at one
+// cache size.
+func reconcileConcurrently(t *testing.T, addr string, proxy *Proxy, queries []string) {
 	const clients = 8
 	const perClient = 10
 	var delivered atomic.Int64 // Σ result bytes observed by clients

@@ -289,13 +289,26 @@ func TestHitPathReadsPerFrame(t *testing.T) {
 // the loopback socket took per reply (1 when every frame arrived whole).
 // Answered statements are not scrambled here: the daemons' own release is
 // what is timed.
-func BenchmarkProxyHitEDR(b *testing.B) {
+func BenchmarkProxyHitEDR(b *testing.B) { benchProxyEDR(b, 0.4) }
+
+// BenchmarkProxyBypassEDR is BenchmarkProxyHitEDR on the federation
+// benchmark's edr-bypass configuration, the cache at 0.1% of the
+// release: nine statements in ten are yield-blind, shipped to their node
+// before the decision and answered by it, and the rest are executed at
+// the proxy, decided, then relayed or split into sub-queries. Its B/op
+// and allocs/op are what a bypass costs the whole path, nodes included.
+func BenchmarkProxyBypassEDR(b *testing.B) { benchProxyEDR(b, 0.001) }
+
+// benchProxyEDR times the EDR statements through a federation whose
+// cache is cacheFrac of the release, after a warming pass.
+func benchProxyEDR(b *testing.B, cacheFrac float64) {
 	defer func(sc func(*connScratch), st func(*statement)) {
 		releaseScratch, releaseStatement = sc, st
 	}(releaseScratch, releaseStatement)
 	releaseScratch, releaseStatement = (*connScratch).release, (*statement).release
-	client, _, sqls, done := hitPathFederation(b)
-	defer done()
+	f := edrFederation(b, cacheFrac, nil, nil)
+	defer f.close()
+	client, sqls := f.client, f.sqls
 	for _, sql := range sqls {
 		if _, err := client.Query(sql); err != nil {
 			b.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"bypassyield/internal/core"
-	"bypassyield/internal/engine"
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -51,7 +50,9 @@ const DefaultMaxInflight = 64
 // and their physical frame bytes are tracked separately as transport
 // counters. A bypassed statement whose tables are all one site's is
 // shipped to that site as the client sent it, and the node's reply is
-// the client's answer (see relay).
+// the client's answer (see relay); one whose decision its yield cannot
+// change is shipped before the decision, which then takes the reply's
+// bytes as its yield (see ship).
 //
 // Observability: the proxy publishes into an obs.Registry — the
 // mediator's, when the mediator was built with one (so core and
@@ -609,7 +610,10 @@ type leg struct {
 // phase the mediator serializes internally) produces the per-object
 // verdicts, then every WAN leg fans out concurrently across sites.
 // The result frame is sent only after all legs settle, so a client's
-// response still reflects its query's complete protocol exchange.
+// response still reflects its query's complete protocol exchange. A
+// statement whose decision its yield cannot change is the exception:
+// the mediator has it shipped to its site first (ship), and the node's
+// reply is both the yield it decides with and the client's answer.
 //
 // The statement is mediated in cs and the reply written into res, both
 // the caller's: res's lists are emptied and refilled in place, and its
@@ -624,9 +628,23 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 	tel.QueryInflight(1)
 	defer tel.QueryInflight(-1)
 
+	// A shipped statement is not relayed again, whether or not its node
+	// answered: the ship was its one relay attempt.
+	var shipped struct {
+		site string // "" when the statement was not shipped
+		err  error  // why it was answered locally after all
+	}
+	ship := func(site string) (rows, bytes int64, ok bool) {
+		if _, hasNode := p.nodeAddrs[site]; !hasNode {
+			return 0, 0, false
+		}
+		shipped.site = site
+		shipped.err = p.ship(site, sql, traceID, &cs.reply, fc)
+		return cs.reply.msg.Rows, cs.reply.msg.Bytes, shipped.err == nil
+	}
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
-	rep, err := p.med.QueryScratch(&cs.stmt, sql, obs.FormatID(traceID))
+	rep, err := p.med.QueryScratch(&cs.stmt, sql, obs.FormatID(traceID), ship)
 	if err != nil {
 		return err
 	}
@@ -641,6 +659,12 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 		Decisions:       res.Decisions[:0],
 		SiteErrors:      res.SiteErrors[:0],
 		TransportErrors: res.TransportErrors[:0],
+	}
+	if rep.Shipped {
+		res.Columns, res.Tuples = cs.reply.msg.Columns, cs.reply.msg.Tuples
+	}
+	if shipped.err != nil {
+		res.TransportErrors = append(res.TransportErrors, SiteErrorMsg{Site: shipped.site, Error: shipped.err.Error()})
 	}
 	for _, se := range rep.SiteErrors {
 		res.SiteErrors = append(res.SiteErrors, SiteErrorMsg{
@@ -681,7 +705,7 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 			legs = append(legs, leg{site: d.Site, object: string(d.Object)})
 		}
 	}
-	if bypass {
+	if bypass && shipped.site == "" {
 		legs = appendBypassLegs(legs, rep, &cs.reply)
 	}
 	p.runLegs(legs, traceID, res, fc)
@@ -689,18 +713,18 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 }
 
 // appendBypassLegs appends what a statement with a bypassed object
-// ships. A healthy statement whose tables are all one site's goes to
-// that site whole, as the client sent it (rep.SQL), and the node's reply
-// is decoded into reply to answer the client: the paper's bypass, the
-// query shipped to the server that owns its data. Any other — tables on
-// two sites, or a degraded statement — ships one sub-query per FROM table
-// with a bypassed object (the table's own, one of its columns, or a view
-// over it), built from the statement as the mediator bound it
-// (rep.Bound): the proxy does not bind. Their replies are read and
-// dropped.
+// ships after its decision. A healthy statement whose tables are all one
+// site's goes to that site whole, as the client sent it (rep.SQL), and
+// the node's reply is decoded into reply to answer the client: the
+// paper's bypass, the query shipped to the server that owns its data.
+// Any other — tables on two sites, or a degraded statement — ships one
+// sub-query per FROM table with a bypassed object (the table's own, one
+// of its columns, or a view over it), built from the statement as the
+// mediator bound it (rep.Bound): the proxy does not bind. Their replies
+// are read and dropped.
 func appendBypassLegs(legs []leg, rep *federation.QueryReport, reply *relayed) []leg {
 	b := rep.Bound
-	if site, ok := oneSite(b); ok && !rep.Degraded {
+	if site, ok := federation.OneSite(b); ok && !rep.Degraded {
 		return append(legs, leg{site: site, sql: rep.SQL, reply: reply})
 	}
 	bypassed := make([]bool, len(b.Schema.Tables)) // by table position in the schema
@@ -715,18 +739,6 @@ func appendBypassLegs(legs []leg, rep *federation.QueryReport, reply *relayed) [
 		}
 	}
 	return legs
-}
-
-// oneSite is the site that owns every table a statement reads, if one
-// does.
-func oneSite(b *engine.Bound) (string, bool) {
-	site := b.Tables[0].Site
-	for _, t := range b.Tables[1:] {
-		if t.Site != site {
-			return "", false
-		}
-	}
-	return site, true
 }
 
 // runLegs executes a query's WAN legs concurrently, one goroutine per
@@ -940,26 +952,14 @@ func (p *Proxy) shipSubquery(sql, site string, traceID uint64, lt *legTiming) er
 }
 
 // relay ships a statement whose tables are all one site's to that site
-// as the client sent it, decodes the node's reply into l.reply, and
-// makes the reply's columns and tuples the client's answer (res) when it
-// is the result the mediator decided on: the same Rows and Bytes. A node
-// error, a reply of another size or no reply leaves the local answer,
-// with the leg's error saying why; a site without a node (simulation
-// mode) leaves it without one.
+// as the client sent it, after its decision, decodes the node's reply
+// into l.reply, and makes the reply's columns and tuples the client's
+// answer (res) when it is the result the mediator decided on: the same
+// Rows and Bytes. A node error, a reply of another size or no reply
+// leaves the local answer, with the leg's error saying why; a site
+// without a node (simulation mode) leaves it without one.
 func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) error {
-	replied := false
-	err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, lt,
-		func(site string, t MsgType, body []byte) error {
-			switch t {
-			case MsgResult:
-				replied = true
-				return l.reply.decode(body)
-			case MsgError:
-				return nodeError(site, t, body)
-			default:
-				return fmt.Errorf("node %s: %s reply to a statement", site, t)
-			}
-		})
+	replied, err := p.ask(l.site, l.sql, traceID, lt, l.reply)
 	if err != nil || !replied {
 		return err
 	}
@@ -970,6 +970,51 @@ func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) erro
 	}
 	res.Columns, res.Tuples = got.Columns, got.Tuples
 	return nil
+}
+
+// ship is the proxy's federation.Ship for a site with a node: it sends
+// a statement whose decision its yield cannot change to that site, as
+// the client sent it and before the decision, and decodes the node's
+// reply into reply, whose Rows and Bytes the mediator then decides with.
+// A transport failure, a node error, a reply of another type or a reply
+// with negative Rows or Bytes (they come from outside the process) is
+// the error returned, and the statement is then executed and answered
+// locally. The exchange is recorded as one of the query's legs.
+func (p *Proxy) ship(site, sql string, traceID uint64, reply *relayed, fc *flightrec.Capture) error {
+	tel := p.med.Telemetry()
+	tel.LegInflight(1)
+	defer tel.LegInflight(-1)
+	var lt legTiming
+	startUS := fc.Now()
+	legStart := time.Now()
+	_, err := p.ask(site, sql, traceID, &lt, reply)
+	if got := &reply.msg; err == nil && (got.Rows < 0 || got.Bytes < 0) {
+		err = fmt.Errorf("node %s: refused a reply of %d rows and %d bytes; answered locally", site, got.Rows, got.Bytes)
+	}
+	fc.Leg(site, "subquery", "", startUS, lt.poolWaitUS, lt.rpcUS, time.Since(legStart).Microseconds(), err)
+	if err != nil {
+		p.logf("proxy: ship to %s: %v", site, err)
+	}
+	return err
+}
+
+// ask sends a statement to a site's node and decodes the MsgResult it
+// answers with into reply; replied is false when the site has no node.
+// A node's MsgError, or a reply of any other type, is the error.
+func (p *Proxy) ask(site, sql string, traceID uint64, lt *legTiming, reply *relayed) (replied bool, err error) {
+	err = p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt,
+		func(site string, t MsgType, body []byte) error {
+			switch t {
+			case MsgResult:
+				replied = true
+				return reply.decode(body)
+			case MsgError:
+				return nodeError(site, t, body)
+			default:
+				return fmt.Errorf("node %s: %s reply to a statement", site, t)
+			}
+		})
+	return replied, err
 }
 
 // decode refills r from a reply body; its strings are interned in the
