@@ -18,12 +18,13 @@ race:
 
 # The fault-tolerance suite under the race detector: deterministic
 # fault injection (internal/faultnet), the per-site circuit breaker,
-# the mediator's degraded-mode accounting, and the 3-site black-hole
-# end-to-end cycle. The synth chaos run streams the flight recorder's
-# fault exemplars to chaos_exemplars.jsonl (archived by CI).
+# the mediator's degraded-mode accounting, the 3-site black-hole
+# end-to-end cycle, and one fetch per load over a slow WAN. The synth
+# chaos run streams the flight recorder's fault exemplars to
+# chaos_exemplars.jsonl (archived by CI).
 chaos:
 	$(GO) test -race -v ./internal/faultnet/
-	$(GO) test -race -v -run 'TestChaos|TestBreaker|TestSiteUnavailable|TestDegraded|TestHealthDetached' \
+	$(GO) test -race -v -run 'TestChaos|TestBreaker|TestSiteUnavailable|TestDegraded|TestHealthDetached|TestEveryLoadIsOneFetch' \
 		./internal/wire/ ./internal/federation/
 	CHAOS_EXEMPLARS_OUT=$(CURDIR)/chaos_exemplars.jsonl \
 		$(GO) test -race -v -run 'TestChaosSynth' ./cmd/bysynth/

@@ -19,6 +19,13 @@ import (
 // statement all of whose objects are that large is decided with the
 // yield its site answers with, without being executed first
 // (federation.Ship).
+//
+// A cached object is served from the cache: Access returns Hit for an
+// object Contains reports, never Load or Bypass. A Load caches the
+// object, and it stays cached until the policy evicts it. So no policy
+// decides Load for an object it holds, and each Load is one fetch of
+// the object: the proxy carries exactly the loads it is charged for
+// (TestLoadsOnlyWhatItDoesNotHold).
 type Policy interface {
 	// Name identifies the policy in reports ("rate-profile",
 	// "online-by", ...).

@@ -5,6 +5,49 @@ import (
 	"testing"
 )
 
+// TestLoadsOnlyWhatItDoesNotHold holds every policy NewPolicyByName builds
+// to the contract on Policy for a cached object: over seeded sequences of
+// accesses to a dozen objects of mixed size, with yields up to three
+// times the size, an object Contains reports before its access is a Hit,
+// and a Load leaves the object cached.
+func TestLoadsOnlyWhatItDoesNotHold(t *testing.T) {
+	const capacity = 1000
+	objs := []Object{
+		testObj("a", 10), testObj("b", 40), testObjCost("c", 90, 30), testObj("d", 150),
+		testObj("e", 220), testObjCost("f", 300, 900), testObj("g", 410), testObj("h", 500),
+		testObjCost("i", 640, 200), testObj("j", 800), testObj("k", capacity), testObj("l", 1300),
+	}
+	for _, name := range PolicyNames() {
+		t.Run(name, func(t *testing.T) {
+			loads := 0
+			for seed := int64(1); seed <= 20; seed++ {
+				p, err := NewPolicyByName(name, capacity, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rand.New(rand.NewSource(seed))
+				for step := int64(1); step <= 4000; step++ {
+					o := objs[r.Intn(len(objs))]
+					yield := r.Int63n(3*o.Size + 1)
+					held := p.Contains(o.ID)
+					d := p.Access(step, o, yield)
+					switch {
+					case held && d != Hit:
+						t.Fatalf("seed %d step %d: %s is cached, and its access with yield %d is %s, want hit", seed, step, o.ID, yield, d)
+					case d == Load && !p.Contains(o.ID):
+						t.Fatalf("seed %d step %d: %s was loaded and is not cached", seed, step, o.ID)
+					case d == Load:
+						loads++
+					}
+				}
+			}
+			if loads == 0 && name != "none" {
+				t.Errorf("%s loaded nothing in 20 × 4 000 accesses", name)
+			}
+		})
+	}
+}
+
 // TestOversizeIsAlwaysBypassed holds every policy NewPolicyByName builds
 // to the contract on Policy for an object larger than the cache: over
 // seeded interleavings of accesses to objects that fit and to objects

@@ -36,7 +36,7 @@ func attribute(e *Exemplar) {
 		add(CausePoolWait, crit.PoolWaitUS)
 		wan := crit.RPCUS
 		if slack := crit.WallUS - crit.PoolWaitUS - crit.RPCUS; slack > 0 {
-			// Retries and coalesced-fetch waits land in wall time but not
+			// Failed attempts and retry backoff land in wall time but not
 			// in the final RPC; they are still time spent on that site.
 			wan += slack
 		}

@@ -63,9 +63,10 @@ const (
 type LegRec struct {
 	// Site is the remote federation member.
 	Site string `json:"site"`
-	// Kind is "fetch" (object load) or "subquery" (bypass ship).
+	// Kind is "fetch" (object load) or "subquery" (bypass ship: a
+	// sub-query, or the whole statement).
 	Kind string `json:"kind"`
-	// Object is the object id (fetches) or target table (subqueries).
+	// Object is the object id of a fetch; "" for a subquery.
 	Object string `json:"object,omitempty"`
 	// StartUS is the leg's start offset from query start, microseconds.
 	StartUS int64 `json:"start_us"`
@@ -74,7 +75,7 @@ type LegRec struct {
 	// RPCUS is the wire round-trip (write request, read response).
 	RPCUS int64 `json:"rpc_us"`
 	// WallUS is the leg's total wall time (≥ PoolWaitUS + RPCUS;
-	// includes retries and coalesced-fetch waits).
+	// includes failed attempts and retry backoff).
 	WallUS int64 `json:"wall_us"`
 	// Err is the transport error, if the leg failed.
 	Err string `json:"err,omitempty"`

@@ -61,7 +61,7 @@ func TestBreakerRestartCycle(t *testing.T) {
 	// First life: drive the spec site's breaker open, then deep into
 	// doubled backoff via repeated failed probes.
 	_, p1 := newMediatorProxy()
-	br := p1.breakers[catalog.SiteSpec]
+	br := p1.sites[catalog.SiteSpec].br
 	clock := newFakeClock()
 	attach(br, clock)
 	for i := 0; i < br.cfg.FailureThreshold; i++ {
@@ -93,7 +93,7 @@ func TestBreakerRestartCycle(t *testing.T) {
 		if got := p2.BreakerState(site); got != BreakerClosed {
 			t.Fatalf("site %s restarted %v, want closed", site, got)
 		}
-		b2 := p2.breakers[site]
+		b2 := p2.sites[site].br
 		b2.mu.Lock()
 		fails, backoff, until := b2.fails, b2.backoff, b2.until
 		b2.mu.Unlock()

@@ -248,10 +248,11 @@ func TestProxyReconnectRetry(t *testing.T) {
 	// fake node then kills conn 1 on its next request, so RPC 2 fails
 	// the read on a cached connection, retries over a fresh dial, and
 	// succeeds.
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
+	sub := leg{site: catalog.SitePhoto, sql: "select ra from photoobj"}
+	if err := p.runLeg(sub, 0, nil, nil); err != nil {
 		t.Fatalf("first ship failed: %v", err)
 	}
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
+	if err := p.runLeg(sub, 0, nil, nil); err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
 	snap := p.Obs().Snapshot()
@@ -262,7 +263,7 @@ func TestProxyReconnectRetry(t *testing.T) {
 		t.Fatalf("dials = %d, want 2", snap.CounterValue("wire.node_dials", catalog.SitePhoto))
 	}
 	// The recovered connection stays cached: another RPC, no new dial.
-	if err := p.shipSubquery("select ra from photoobj", catalog.SitePhoto, 0, nil); err != nil {
+	if err := p.runLeg(sub, 0, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.Obs().Snapshot().CounterValue("wire.node_dials", catalog.SitePhoto); got != 2 {

@@ -10,26 +10,21 @@ import (
 )
 
 // DefaultPoolSize is the per-site bound on concurrently checked-out
-// node connections (and on idle connections kept for reuse).
+// node connections (and so on idle connections kept for reuse).
 const DefaultPoolSize = 8
 
 // PoolConfig tunes one site's connection pool.
 type PoolConfig struct {
 	// MaxActive bounds connections checked out at once; a Get beyond
 	// the bound blocks until a connection is returned. ≤ 0 means
-	// DefaultPoolSize.
+	// DefaultPoolSize. Every idle connection was once checked out, and
+	// Get claims its slot before it dials, so idle + active ≤ MaxActive.
 	MaxActive int
-	// MaxIdle bounds connections parked for reuse; returns beyond the
-	// bound close the connection. ≤ 0 means MaxActive.
-	MaxIdle int
 }
 
 func (c PoolConfig) sanitize() PoolConfig {
 	if c.MaxActive <= 0 {
 		c.MaxActive = DefaultPoolSize
-	}
-	if c.MaxIdle <= 0 {
-		c.MaxIdle = c.MaxActive
 	}
 	return c
 }
@@ -139,24 +134,22 @@ func (p *pool) release() {
 	p.mu.Unlock()
 }
 
-// Put returns a healthy connection for reuse. Beyond MaxIdle (or
-// after Close) the connection is closed instead of parked.
+// Put returns a healthy connection for reuse. After Close the
+// connection is closed instead of parked.
 func (p *pool) Put(conn *nodeConn) {
 	p.mu.Lock()
-	if p.closed || len(p.idle) >= p.cfg.MaxIdle {
-		p.active--
-		p.m.active.Set(p.site, int64(p.active))
-		p.cond.Signal()
-		p.mu.Unlock()
-		conn.Close()
-		return
+	closed := p.closed
+	if !closed {
+		p.idle = append(p.idle, conn)
+		p.m.idle.Set(p.site, int64(len(p.idle)))
 	}
-	p.idle = append(p.idle, conn)
-	p.m.idle.Set(p.site, int64(len(p.idle)))
 	p.active--
 	p.m.active.Set(p.site, int64(p.active))
 	p.cond.Signal()
 	p.mu.Unlock()
+	if closed {
+		conn.Close()
+	}
 }
 
 // Discard closes a checked-out connection after a failure and frees

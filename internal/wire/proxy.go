@@ -41,18 +41,18 @@ const DefaultMaxInflight = 64
 // query ordering and exact Σ-yield = D_A accounting), while each
 // query's WAN legs — object fetches and bypass sub-queries — fan out
 // in parallel across sites over bounded per-site connection pools, and
-// whole queries overlap end-to-end up to the inflight bound.
-// Concurrent Load decisions for the same object are single-flighted:
-// one WAN fetch serves every waiter.
+// whole queries overlap end-to-end up to the inflight bound. The legs
+// carry exactly what the mediator decided: each load is one fetch RPC,
+// each bypass one statement or sub-query RPC (see runLeg).
 //
 // Byte economics are logical (the mediator's Figure-1 accounting over
 // logical result sizes); the node RPCs carry bounded tuple samples,
 // and their physical frame bytes are tracked separately as transport
 // counters. A bypassed statement whose tables are all one site's is
 // shipped to that site as the client sent it, and the node's reply is
-// the client's answer (see relay); one whose decision its yield cannot
-// change is shipped before the decision, which then takes the reply's
-// bytes as its yield (see ship).
+// the client's answer; one whose decision its yield cannot change is
+// shipped before the decision, which then takes the reply's bytes as its
+// yield. Both are statement legs (see relay).
 //
 // Observability: the proxy publishes into an obs.Registry — the
 // mediator's, when the mediator was built with one (so core and
@@ -79,8 +79,6 @@ const DefaultMaxInflight = 64
 //	wire.pool_waits                    per-site pool Gets that had to block
 //	wire.pool_wait_us                  per-site histogram of time blocked
 //	                                   waiting for a pool slot
-//	wire.fetch_coalesced               object fetches served by another
-//	                                   in-flight fetch (single-flight dedup)
 //
 // The proxy also runs an always-on flight recorder (see
 // internal/obs/flightrec): every query that errors, is served
@@ -95,21 +93,18 @@ type Proxy struct {
 	mu         sync.Mutex // guards closed
 	med        *federation.Mediator
 	gran       federation.Granularity
-	nodeAddrs  map[string]string // site → address
-	pools      map[string]*pool  // read-only after construction
+	sites      map[string]*site // sites with a node; read-only after Listen
 	pcfg       PoolConfig
+	bcfg       BreakerConfig
 	rpcTimeout time.Duration
 
 	// querySem bounds concurrently pipelined queries.
-	querySem    chan struct{}
-	fetchFlight flightGroup
+	querySem chan struct{}
 
 	// dialer opens node connections; tests and -chaos replace it to
 	// interpose fault injectors.
 	dialer      func(site, addr string) (net.Conn, error)
 	dialTimeout time.Duration
-	bcfg        BreakerConfig
-	breakers    map[string]*breaker // read-only after construction
 	proberStop  chan struct{}
 
 	ln     net.Listener
@@ -140,9 +135,16 @@ type Proxy struct {
 	poolIdle     *obs.GaugeFamily
 	poolWaits    *obs.CounterFamily
 	poolWaitDur  *obs.HistogramFamily
-	coalesced    *obs.CounterFamily
 
 	flight *flightrec.Recorder
+}
+
+// site is one federation member with a database node: the node's
+// address, the pool of connections to it and the breaker guarding it.
+type site struct {
+	addr string
+	pool *pool
+	br   *breaker
 }
 
 // NewProxy builds a proxy around a mediator. nodeAddrs maps each site
@@ -158,7 +160,7 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	p := &Proxy{
 		med:         med,
 		gran:        gran,
-		nodeAddrs:   nodeAddrs,
+		sites:       make(map[string]*site, len(nodeAddrs)),
 		rpcTimeout:  DefaultRPCTimeout,
 		dialTimeout: DefaultDialTimeout,
 		bcfg:        DefaultBreakerConfig(),
@@ -193,11 +195,12 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	p.poolIdle = reg.GaugeFamily("wire.pool_idle")
 	p.poolWaits = reg.CounterFamily("wire.pool_waits")
 	p.poolWaitDur = reg.HistogramFamily("wire.pool_wait_us", obs.DefaultLatencyBuckets())
-	p.coalesced = reg.CounterFamily("wire.fetch_coalesced")
 	obs.EnableRuntimeStats(reg)
 	p.buildFlight(flightrec.DefaultConfig())
-	p.buildBreakers()
-	p.buildPools()
+	for name, addr := range nodeAddrs {
+		p.sites[name] = &site{addr: addr}
+	}
+	p.buildSites()
 	med.SetHealth(p)
 	return p
 }
@@ -208,8 +211,8 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 func (p *Proxy) buildFlight(cfg flightrec.Config) {
 	p.flight = flightrec.New(cfg, p.reg)
 	p.flight.SetAnnotate(func(e *flightrec.Exemplar) {
-		for site, br := range p.breakers {
-			e.Breakers = append(e.Breakers, flightrec.BreakerRec{Site: site, State: br.State().String()})
+		for name, s := range p.sites {
+			e.Breakers = append(e.Breakers, flightrec.BreakerRec{Site: name, State: s.br.State().String()})
 		}
 		sort.Slice(e.Breakers, func(i, j int) bool { return e.Breakers[i].Site < e.Breakers[j].Site })
 	})
@@ -226,11 +229,11 @@ func (p *Proxy) SetExemplarSink(s flightrec.Sink) { p.flight.SetSink(s) }
 // Flight returns the proxy's flight recorder.
 func (p *Proxy) Flight() *flightrec.Recorder { return p.flight }
 
-// buildPools creates one bounded connection pool per configured node
-// site. The map is never mutated afterwards, so lock-free reads are
-// safe; each pool has its own lock.
-func (p *Proxy) buildPools() {
-	p.pools = make(map[string]*pool, len(p.nodeAddrs))
+// buildSites gives every site with a node a fresh connection pool and a
+// fresh, closed breaker under the current configuration. The records are
+// not touched once the proxy listens, so lock-free reads are safe; each
+// pool and breaker has its own lock.
+func (p *Proxy) buildSites() {
 	m := poolMetrics{
 		active:  p.poolActive,
 		idle:    p.poolIdle,
@@ -240,30 +243,20 @@ func (p *Proxy) buildPools() {
 		drops:   p.nodeDrops,
 	}
 	dial := func(site, addr string) (net.Conn, error) { return p.dialer(site, addr) }
-	for site, addr := range p.nodeAddrs {
-		p.pools[site] = newPool(site, addr, p.pcfg, dial, m)
-	}
-}
-
-// buildBreakers creates one breaker per configured node site. The map
-// is never mutated afterwards, so lock-free reads are safe.
-func (p *Proxy) buildBreakers() {
-	p.breakers = make(map[string]*breaker, len(p.nodeAddrs))
-	onTransition := func(site string, from, to BreakerState) {
-		p.breakerState.Set(site, int64(to))
-		p.breakerTrans.Add(site+"/"+to.String(), 1)
+	onTransition := func(name string, from, to BreakerState) {
+		p.breakerState.Set(name, int64(to))
+		p.breakerTrans.Add(name+"/"+to.String(), 1)
 		if to == BreakerOpen {
 			// Pooled idle connections to a tripped site are presumed
 			// dead; drop them so recovery starts from fresh dials.
-			if sp := p.pools[site]; sp != nil {
-				sp.DropIdle()
-			}
+			p.sites[name].pool.DropIdle()
 		}
-		p.logf("proxy: breaker %s: %s -> %s", site, from, to)
+		p.logf("proxy: breaker %s: %s -> %s", name, from, to)
 	}
-	for site := range p.nodeAddrs {
-		p.breakers[site] = newBreaker(site, p.bcfg, onTransition)
-		p.breakerState.Set(site, int64(BreakerClosed))
+	for name, s := range p.sites {
+		s.pool = newPool(name, s.addr, p.pcfg, dial, m)
+		s.br = newBreaker(name, p.bcfg, onTransition)
+		p.breakerState.Set(name, int64(BreakerClosed))
 	}
 }
 
@@ -287,17 +280,17 @@ func (p *Proxy) SetDialer(f func(site, addr string) (net.Conn, error)) {
 }
 
 // SetBreakerConfig replaces the circuit-breaker and retry tuning,
-// rebuilding the per-site breakers. Call before Listen.
+// rebuilding the per-site records. Call before Listen.
 func (p *Proxy) SetBreakerConfig(cfg BreakerConfig) {
 	p.bcfg = cfg.sanitize()
-	p.buildBreakers()
+	p.buildSites()
 }
 
 // SetPoolConfig replaces the per-site connection-pool bounds,
-// rebuilding the pools. Call before Listen.
+// rebuilding the per-site records. Call before Listen.
 func (p *Proxy) SetPoolConfig(cfg PoolConfig) {
 	p.pcfg = cfg.sanitize()
-	p.buildPools()
+	p.buildSites()
 }
 
 // SetConcurrency tunes the pipeline: maxInflight bounds concurrently
@@ -319,8 +312,11 @@ func (p *Proxy) SetConcurrency(maxInflight, _ int) {
 
 // BreakerState reports a site's breaker position (closed for sites
 // without a configured node).
-func (p *Proxy) BreakerState(site string) BreakerState {
-	return p.breakers[site].State()
+func (p *Proxy) BreakerState(name string) BreakerState {
+	if s := p.sites[name]; s != nil {
+		return s.br.State()
+	}
+	return BreakerClosed
 }
 
 // SiteAvailable implements federation.SiteHealth: the mediator asks
@@ -328,11 +324,11 @@ func (p *Proxy) BreakerState(site string) BreakerState {
 // all. Sites without a configured node are simulation-mode and always
 // available; otherwise only a closed breaker admits traffic.
 func (p *Proxy) SiteAvailable(site string) (bool, string) {
-	br, ok := p.breakers[site]
+	s, ok := p.sites[site]
 	if !ok {
 		return true, ""
 	}
-	state, retryIn := br.Snapshot()
+	state, retryIn := s.br.Snapshot()
 	if state == BreakerClosed {
 		return true, ""
 	}
@@ -356,7 +352,7 @@ func (p *Proxy) Listen(addr string) (string, error) {
 	p.ln = ln
 	p.wg.Add(1)
 	go p.acceptLoop()
-	if len(p.breakers) > 0 {
+	if len(p.sites) > 0 {
 		p.proberStop = make(chan struct{})
 		p.wg.Add(1)
 		go p.probeLoop()
@@ -379,8 +375,8 @@ func (p *Proxy) Close() error {
 		err = p.ln.Close()
 	}
 	p.wg.Wait()
-	for _, sp := range p.pools {
-		sp.Close()
+	for _, s := range p.sites {
+		s.pool.Close()
 	}
 	return err
 }
@@ -399,9 +395,9 @@ func (p *Proxy) probeLoop() {
 		case <-p.proberStop:
 			return
 		case <-tick.C:
-			for site, br := range p.breakers {
-				if br.TryProbe() {
-					p.probe(site, br)
+			for name, s := range p.sites {
+				if s.br.TryProbe() {
+					p.probe(name, s)
 				}
 			}
 		}
@@ -410,19 +406,18 @@ func (p *Proxy) probeLoop() {
 
 // probe round-trips one MsgPing to a site and feeds the outcome to
 // its breaker.
-func (p *Proxy) probe(site string, br *breaker) {
-	ok := p.probeOnce(site)
-	if ok {
-		p.probes.Add(site+"/ok", 1)
-		br.RecordSuccess()
+func (p *Proxy) probe(name string, s *site) {
+	if p.probeOnce(name, s.addr) {
+		p.probes.Add(name+"/ok", 1)
+		s.br.RecordSuccess()
 		return
 	}
-	p.probes.Add(site+"/fail", 1)
-	br.RecordFailure()
+	p.probes.Add(name+"/fail", 1)
+	s.br.RecordFailure()
 }
 
-func (p *Proxy) probeOnce(site string) bool {
-	conn, err := p.dialer(site, p.nodeAddrs[site])
+func (p *Proxy) probeOnce(name, addr string) bool {
+	conn, err := p.dialer(name, addr)
 	if err != nil {
 		return false
 	}
@@ -591,13 +586,15 @@ func (cs *connScratch) release() { cs.stmt.Release() }
 // the statement afterwards is caught.
 var releaseScratch = (*connScratch).release
 
-// leg is one unit of deferred WAN work decided during mediation: an
-// object fetch (load), a bypass sub-query, or a relayed statement.
+// leg is one node RPC a statement's mediation calls for, of one of three
+// kinds: an object fetch (a load), a sub-query whose reply is dropped (a
+// bypass of a statement the proxy answers itself), or a statement sent
+// whole whose reply is decoded into reply (see relay).
 type leg struct {
 	site   string
 	object string   // fetch legs; "" for the others
-	sql    string   // sub-query and relay legs; "" for fetches
-	reply  *relayed // relay legs: where the node's reply is decoded
+	sql    string   // sub-query and statement legs; "" for fetches
+	reply  *relayed // statement legs: where the node's reply is decoded
 }
 
 // handleQuery mediates one client statement. traceID is the client's
@@ -612,8 +609,9 @@ type leg struct {
 // The result frame is sent only after all legs settle, so a client's
 // response still reflects its query's complete protocol exchange. A
 // statement whose decision its yield cannot change is the exception:
-// the mediator has it shipped to its site first (ship), and the node's
-// reply is both the yield it decides with and the client's answer.
+// the mediator has it shipped to its site first, as a statement leg run
+// before the decision, and the node's reply is both the yield it decides
+// with and the client's answer.
 //
 // The statement is mediated in cs and the reply written into res, both
 // the caller's: res's lists are emptied and refilled in place, and its
@@ -635,11 +633,11 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 		err  error  // why it was answered locally after all
 	}
 	ship := func(site string) (rows, bytes int64, ok bool) {
-		if _, hasNode := p.nodeAddrs[site]; !hasNode {
+		if p.sites[site] == nil {
 			return 0, 0, false
 		}
 		shipped.site = site
-		shipped.err = p.ship(site, sql, traceID, &cs.reply, fc)
+		shipped.err = p.runLeg(leg{site: site, sql: sql, reply: &cs.reply}, traceID, nil, fc)
 		return cs.reply.msg.Rows, cs.reply.msg.Bytes, shipped.err == nil
 	}
 	// The trace id rides into the mediator so decision-ledger records
@@ -741,70 +739,69 @@ func appendBypassLegs(legs []leg, rep *federation.QueryReport, reply *relayed) [
 	return legs
 }
 
-// runLegs executes a query's WAN legs concurrently, one goroutine per
-// leg (throttled per site by the connection pools). Leg failures do
-// not fail the query — the mediator already accounted the decisions
-// over logical sizes — but they are logged and annotated on the result
-// as transport errors.
+// runLegs executes a query's WAN legs after its decision, concurrently,
+// one goroutine per leg (throttled per site by the connection pools).
+// Leg failures do not fail the query — the mediator already accounted
+// the decisions over logical sizes — but they are annotated on the
+// result as transport errors.
 func (p *Proxy) runLegs(legs []leg, traceID uint64, res *ResultMsg, fc *flightrec.Capture) {
 	if len(legs) == 0 {
 		return
 	}
-	tel := p.med.Telemetry()
+	if len(legs) == 1 { // no goroutine churn for the common single-leg query
+		if err := p.runLeg(legs[0], traceID, res, fc); err != nil {
+			res.TransportErrors = append(res.TransportErrors, SiteErrorMsg{Site: legs[0].site, Error: err.Error()})
+		}
+		return
+	}
 	var (
 		wg  sync.WaitGroup
 		emu sync.Mutex // guards res.TransportErrors
 	)
-	run := func(l leg) {
-		defer wg.Done()
-		tel.LegInflight(1)
-		defer tel.LegInflight(-1)
-		var (
-			err  error
-			lt   legTiming
-			kind = "subquery"
-		)
-		startUS := fc.Now()
-		legStart := time.Now()
-		switch {
-		case l.object != "":
-			kind = "fetch"
-			err = p.fetchObject(l.object, l.site, &lt)
-			if err != nil {
-				p.logf("proxy: fetch %s: %v", l.object, err)
-			}
-		case l.reply != nil:
-			// Still kind "subquery": a relayed statement is a bypass's
-			// sub-query that happens to be the whole statement.
-			err = p.relay(l, traceID, &lt, res)
-			if err != nil {
-				p.logf("proxy: relay to %s: %v", l.site, err)
-			}
-		default:
-			err = p.shipSubquery(l.sql, l.site, traceID, &lt)
-			if err != nil {
-				p.logf("proxy: subquery to %s: %v", l.site, err)
-			}
-		}
-		// Coalesced fetches leave lt zero (another goroutine ran the
-		// wire exchange); wall time still bounds the leg's cost.
-		fc.Leg(l.site, kind, l.object, startUS, lt.poolWaitUS, lt.rpcUS,
-			time.Since(legStart).Microseconds(), err)
-		if err != nil {
-			emu.Lock()
-			res.TransportErrors = append(res.TransportErrors, SiteErrorMsg{Site: l.site, Error: err.Error()})
-			emu.Unlock()
-		}
-	}
 	wg.Add(len(legs))
-	if len(legs) == 1 {
-		run(legs[0]) // no goroutine churn for the common single-leg query
-		return
-	}
 	for _, l := range legs {
-		go run(l)
+		go func() {
+			defer wg.Done()
+			if err := p.runLeg(l, traceID, res, fc); err != nil {
+				emu.Lock()
+				res.TransportErrors = append(res.TransportErrors, SiteErrorMsg{Site: l.site, Error: err.Error()})
+				emu.Unlock()
+			}
+		}()
 	}
 	wg.Wait()
+}
+
+// runLeg performs one leg's node RPC — the one place a statement's WAN
+// traffic is sent — and returns its error, which it has logged and
+// recorded as one of fc's legs. res is the statement's answer once it is
+// decided, and nil for a statement leg run before the decision (see
+// relay).
+func (p *Proxy) runLeg(l leg, traceID uint64, res *ResultMsg, fc *flightrec.Capture) error {
+	tel := p.med.Telemetry()
+	tel.LegInflight(1)
+	defer tel.LegInflight(-1)
+	var (
+		err  error
+		lt   legTiming
+		kind = "subquery" // a statement leg too: the sub-query that is the whole statement
+	)
+	startUS := fc.Now()
+	legStart := time.Now()
+	switch {
+	case l.object != "":
+		kind = "fetch"
+		err = p.nodeRPC(l.site, MsgFetch, FetchMsg{Object: l.object}, &lt, nodeError)
+	case l.reply != nil:
+		err = p.relay(l, traceID, &lt, res)
+	default:
+		err = p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, &lt, nodeError)
+	}
+	fc.Leg(l.site, kind, l.object, startUS, lt.poolWaitUS, lt.rpcUS, time.Since(legStart).Microseconds(), err)
+	if err != nil {
+		p.logf("proxy: %s to %s: %v", kind, l.site, err)
+	}
+	return err
 }
 
 // failConn records an RPC failure: the checked-out connection is
@@ -847,17 +844,18 @@ type replyReader func(site string, t MsgType, body []byte) error
 // Timeouts never retry: the node is hung, and another attempt would
 // hold the leg's pool slot through another full deadline.
 func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read replyReader) error {
-	if _, hasNode := p.nodeAddrs[site]; !hasNode {
+	s := p.sites[site]
+	if s == nil {
 		return nil
 	}
-	br := p.breakers[site]
+	br := s.br
 	if !br.Allow() {
 		state, retryIn := br.Snapshot()
 		return &SiteUnavailableError{Site: site, State: state, RetryIn: retryIn}
 	}
 	delay := p.bcfg.RetryDelay
 	for attempt := 0; ; attempt++ {
-		answer, reused, err := p.tryNodeRPC(site, t, payload, false, lt, read)
+		answer, reused, err := p.tryNodeRPC(s.pool, t, payload, false, lt, read)
 		if err == nil {
 			br.RecordSuccess()
 			return answer
@@ -867,7 +865,7 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read
 			// fresh dial (draining sibling idle conns, presumed equally
 			// stale).
 			p.rpcRetries.Add(site, 1)
-			answer, _, err = p.tryNodeRPC(site, t, payload, true, lt, read)
+			answer, _, err = p.tryNodeRPC(s.pool, t, payload, true, lt, read)
 			if err == nil {
 				br.RecordSuccess()
 				return answer
@@ -885,12 +883,13 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read
 	}
 }
 
-// tryNodeRPC is one attempt of nodeRPC over a pooled connection: answer
-// is read's error, err the transport's. reused reports whether the
-// attempt ran over a pooled (rather than freshly dialed) connection.
-// fresh forces a fresh dial, discarding pooled idle connections.
-func (p *Proxy) tryNodeRPC(site string, t MsgType, payload any, fresh bool, lt *legTiming, read replyReader) (answer error, reused bool, err error) {
-	sp := p.pools[site]
+// tryNodeRPC is one attempt of nodeRPC over a connection from the site's
+// pool sp: answer is read's error, err the transport's. reused reports
+// whether the attempt ran over a pooled (rather than freshly dialed)
+// connection. fresh forces a fresh dial, discarding pooled idle
+// connections.
+func (p *Proxy) tryNodeRPC(sp *pool, t MsgType, payload any, fresh bool, lt *legTiming, read replyReader) (answer error, reused bool, err error) {
+	site := sp.site
 	acquireStart := time.Now()
 	conn, reused, err := sp.Get(fresh)
 	if err != nil {
@@ -943,78 +942,46 @@ type legTiming struct {
 	rpcUS      int64 // successful attempt's write+read round trip
 }
 
-// shipSubquery sends one of a cross-site statement's sub-queries to the
-// owning node and drops the reply: the proxy answers such a statement
-// from its own engine. The frame carries the client's trace id, so the
-// node's exemplar of the execution merges with the proxy's.
-func (p *Proxy) shipSubquery(sql, site string, traceID uint64, lt *legTiming) error {
-	return p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt, nodeError)
-}
-
-// relay ships a statement whose tables are all one site's to that site
-// as the client sent it, after its decision, decodes the node's reply
-// into l.reply, and makes the reply's columns and tuples the client's
-// answer (res) when it is the result the mediator decided on: the same
-// Rows and Bytes. A node error, a reply of another size or no reply
-// leaves the local answer, with the leg's error saying why; a site
-// without a node (simulation mode) leaves it without one.
+// relay sends a statement whose tables are all one site's to that site
+// as the client sent it and decodes the node's reply into l.reply. A
+// reply with negative Rows or Bytes is refused: they come from outside
+// the process. Before the decision (res nil) that is all: the mediator
+// decides with the reply's Rows and Bytes, and an error has the
+// statement executed and answered locally. After it, the reply's columns
+// and tuples become the client's answer (res) when it is the result the
+// mediator decided on: the same Rows and Bytes. A node error, a refused
+// reply, a reply of another size or no reply leaves the local answer,
+// with the leg's error saying why; a site without a node (simulation
+// mode) leaves it without one.
 func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) error {
-	replied, err := p.ask(l.site, l.sql, traceID, lt, l.reply)
-	if err != nil || !replied {
-		return err
-	}
-	got := &l.reply.msg
-	if got.Rows != res.Rows || got.Bytes != res.Bytes {
-		return fmt.Errorf("node %s: mismatch: reply of %d rows and %d bytes, the mediator's result %d and %d; answered locally",
-			l.site, got.Rows, got.Bytes, res.Rows, res.Bytes)
-	}
-	res.Columns, res.Tuples = got.Columns, got.Tuples
-	return nil
-}
-
-// ship is the proxy's federation.Ship for a site with a node: it sends
-// a statement whose decision its yield cannot change to that site, as
-// the client sent it and before the decision, and decodes the node's
-// reply into reply, whose Rows and Bytes the mediator then decides with.
-// A transport failure, a node error, a reply of another type or a reply
-// with negative Rows or Bytes (they come from outside the process) is
-// the error returned, and the statement is then executed and answered
-// locally. The exchange is recorded as one of the query's legs.
-func (p *Proxy) ship(site, sql string, traceID uint64, reply *relayed, fc *flightrec.Capture) error {
-	tel := p.med.Telemetry()
-	tel.LegInflight(1)
-	defer tel.LegInflight(-1)
-	var lt legTiming
-	startUS := fc.Now()
-	legStart := time.Now()
-	_, err := p.ask(site, sql, traceID, &lt, reply)
-	if got := &reply.msg; err == nil && (got.Rows < 0 || got.Bytes < 0) {
-		err = fmt.Errorf("node %s: refused a reply of %d rows and %d bytes; answered locally", site, got.Rows, got.Bytes)
-	}
-	fc.Leg(site, "subquery", "", startUS, lt.poolWaitUS, lt.rpcUS, time.Since(legStart).Microseconds(), err)
-	if err != nil {
-		p.logf("proxy: ship to %s: %v", site, err)
-	}
-	return err
-}
-
-// ask sends a statement to a site's node and decodes the MsgResult it
-// answers with into reply; replied is false when the site has no node.
-// A node's MsgError, or a reply of any other type, is the error.
-func (p *Proxy) ask(site, sql string, traceID uint64, lt *legTiming, reply *relayed) (replied bool, err error) {
-	err = p.nodeRPC(site, MsgQuery, QueryMsg{SQL: sql, TraceID: obs.FormatID(traceID)}, lt,
+	replied := false
+	err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, lt,
 		func(site string, t MsgType, body []byte) error {
 			switch t {
 			case MsgResult:
 				replied = true
-				return reply.decode(body)
+				return l.reply.decode(body)
 			case MsgError:
 				return nodeError(site, t, body)
 			default:
 				return fmt.Errorf("node %s: %s reply to a statement", site, t)
 			}
 		})
-	return replied, err
+	if err != nil || !replied {
+		return err
+	}
+	got := &l.reply.msg
+	switch {
+	case got.Rows < 0 || got.Bytes < 0:
+		return fmt.Errorf("node %s: refused a reply of %d rows and %d bytes; answered locally", l.site, got.Rows, got.Bytes)
+	case res == nil:
+		return nil
+	case got.Rows != res.Rows || got.Bytes != res.Bytes:
+		return fmt.Errorf("node %s: mismatch: reply of %d rows and %d bytes, the mediator's result %d and %d; answered locally",
+			l.site, got.Rows, got.Bytes, res.Rows, res.Bytes)
+	}
+	res.Columns, res.Tuples = got.Columns, got.Tuples
+	return nil
 }
 
 // decode refills r from a reply body; its strings are interned in the
@@ -1037,26 +1004,6 @@ func nodeError(site string, t MsgType, body []byte) error {
 		return err
 	}
 	return fmt.Errorf("node %s: %s", site, e.Message)
-}
-
-// fetchObject performs an object-fetch RPC for a load decision.
-// Concurrent fetches of the same object are single-flighted: one RPC
-// serves every waiter (counted in wire.fetch_coalesced), since a load's
-// WAN transfer is object-identical no matter which query triggered it.
-func (p *Proxy) fetchObject(object, site string, lt *legTiming) error {
-	err, shared := p.fetchFlight.Do(object, func() error {
-		return p.fetchObjectRPC(object, site, lt)
-	})
-	if shared {
-		p.coalesced.Add(site, 1)
-	}
-	return err
-}
-
-// fetchObjectRPC is the wire leg of fetchObject, run once per
-// single-flight group.
-func (p *Proxy) fetchObjectRPC(object, site string, lt *legTiming) error {
-	return p.nodeRPC(site, MsgFetch, FetchMsg{Object: object}, lt, nodeError)
 }
 
 // Decision-ledger serving bounds: a filterless scrape returns the

@@ -208,8 +208,9 @@ const (
 // engine, no nodes, every statement executed — mediates the same
 // statements in the same order in one Scratch. The two make the same
 // decisions statement for statement, write the same ledger records (T,
-// object, action, yield) and end with the same accounting, and the proxy
-// executed only the statements whose yield can change a decision.
+// object, action, yield) and end with the same accounting, the proxy
+// executed only the statements whose yield can change a decision, and
+// each load it was charged is one fetch a node served.
 func TestShippingDecidesAsTheMediator(t *testing.T) {
 	nodeDB := openEDR(t, 1000)
 	f := edrFederation(t, 0.001, nodeDB, nil)
@@ -298,6 +299,9 @@ func TestShippingDecidesAsTheMediator(t *testing.T) {
 	}
 	if n := nodeCalls(); n != edrBypassNodeCalls {
 		t.Errorf("the nodes executed %d statements and sub-queries, want %d", n, edrBypassNodeCalls)
+	}
+	if got, loads := fetches(f.nodes), f.proxy.med.Accounting().Loads; got != loads || loads == 0 {
+		t.Errorf("the nodes served %d fetches, want one per load (%d)", got, loads)
 	}
 }
 
