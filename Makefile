@@ -13,8 +13,16 @@ vet: build
 test:
 	$(GO) test ./...
 
+# Everything under the race detector, then again, three times over, the
+# two tests of what this detector is for in the decision plane: a policy
+# decides the same whether its per-object state is found by slot or by
+# id (restored, cloned and colliding universes included), and the
+# ledger's ring, held across each query's decide loop, is snapshotted
+# and filtered by scrapes while decisions are written into it.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'TestSlotsNeverChangeADecision|TestObjTable' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestLedgerUnderConcurrentDecisions' ./internal/federation/
 
 # The fault-tolerance suite under the race detector: deterministic
 # fault injection (internal/faultnet), the per-site circuit breaker,
@@ -76,7 +84,9 @@ fuzz-smoke:
 # whole query path (bind, execute, decompose, decide, flush: three passes
 # over the 3 000 EDR statements of the federation benchmark's traced
 # pass, for callers that keep their reports and, as /scratch, for a
-# serving connection's one reused Scratch), the same statements end to end
+# serving connection's one reused Scratch, with the decision hold its
+# reports give), the decision loop alone over those statements' accesses
+# at the 40% and the 0.1% cache, the same statements end to end
 # through Client, Proxy and Mediator on loopback (bytes and allocations
 # per hit, and the client's Reads per reply) and again at the edr-bypass
 # cache, where most are shipped to their node before the decision,
@@ -90,7 +100,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkRateProfileMiss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
-	$(GO) test -run='^$$' -bench=BenchmarkMediatorQueryEDR -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkStreamNext -benchmem -benchtime=12000x ./internal/workload/ | tee -a bench_obs.txt

@@ -1,77 +1,52 @@
-// Package bheap provides a mutable binary min-heap keyed by a float64
-// utility with O(1) membership lookup by string key.
+// Package bheap provides a mutable binary min-heap of items ordered by a
+// float64 utility.
 //
-// It is the cache data structure described in Section 6 of the paper:
-// a binary heap of database objects ordered by utility value, with an
-// additional hash table so that hits and misses resolve in O(1) time.
-// Insertions are O(log n), eviction of the minimum-utility item is
-// O(log n), and utility updates are O(log n).
+// It is the ordering half of the cache data structure described in
+// Section 6 of the paper: a binary heap of database objects ordered by
+// utility value. The paper's "additional hash table" that resolves hits
+// and misses is the caller's: Push returns the item, which the caller
+// keeps with the object's other state and hands back to Update and
+// Remove. Insertions are O(log n), eviction of the minimum-utility item
+// is O(log n), and utility updates are O(log n).
 package bheap
 
-import "fmt"
-
-// Item is an element stored in the heap. The zero Item is not valid;
-// items are created by Push and owned by the heap until removed.
-type Item struct {
-	// Key uniquely identifies the item within the heap.
-	Key string
+// Item is an element stored in the heap. Items are created by Push and
+// owned by the heap until removed.
+type Item[T any] struct {
 	// Utility is the heap ordering key; the minimum-utility item is
 	// at the root.
 	Utility float64
-	// Value is an arbitrary payload carried with the item.
-	Value any
+	// Value is the payload carried with the item.
+	Value T
 
 	index int // position in the heap slice; -1 once removed
 }
 
-// Heap is a binary min-heap over Items with O(1) lookup by key.
-// The zero value is an empty heap ready for use.
-type Heap struct {
-	items []*Item
-	byKey map[string]*Item
+// Heap is a binary min-heap over Items. The zero value is an empty heap
+// ready for use.
+type Heap[T any] struct {
+	items []*Item[T]
 }
 
 // New returns an empty heap with capacity hint n.
-func New(n int) *Heap {
-	return &Heap{
-		items: make([]*Item, 0, n),
-		byKey: make(map[string]*Item, n),
-	}
+func New[T any](n int) *Heap[T] {
+	return &Heap[T]{items: make([]*Item[T], 0, n)}
 }
 
 // Len reports the number of items in the heap.
-func (h *Heap) Len() int { return len(h.items) }
+func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Contains reports whether an item with the given key is present.
-func (h *Heap) Contains(key string) bool {
-	_, ok := h.byKey[key]
-	return ok
-}
-
-// Get returns the item with the given key, or nil if absent.
-func (h *Heap) Get(key string) *Item {
-	return h.byKey[key]
-}
-
-// Push inserts a new item and returns it. It returns an error if an
-// item with the same key is already present.
-func (h *Heap) Push(key string, utility float64, value any) (*Item, error) {
-	if h.byKey == nil {
-		h.byKey = make(map[string]*Item)
-	}
-	if _, ok := h.byKey[key]; ok {
-		return nil, fmt.Errorf("bheap: duplicate key %q", key)
-	}
-	it := &Item{Key: key, Utility: utility, Value: value, index: len(h.items)}
+// Push inserts a new item and returns it.
+func (h *Heap[T]) Push(utility float64, value T) *Item[T] {
+	it := &Item[T]{Utility: utility, Value: value, index: len(h.items)}
 	h.items = append(h.items, it)
-	h.byKey[key] = it
 	h.up(it.index)
-	return it, nil
+	return it
 }
 
 // PeekMin returns the minimum-utility item without removing it, or nil
 // if the heap is empty.
-func (h *Heap) PeekMin() *Item {
+func (h *Heap[T]) PeekMin() *Item[T] {
 	if len(h.items) == 0 {
 		return nil
 	}
@@ -80,28 +55,28 @@ func (h *Heap) PeekMin() *Item {
 
 // PopMin removes and returns the minimum-utility item, or nil if the
 // heap is empty.
-func (h *Heap) PopMin() *Item {
+func (h *Heap[T]) PopMin() *Item[T] {
 	if len(h.items) == 0 {
 		return nil
 	}
 	return h.remove(0)
 }
 
-// Remove removes the item with the given key and returns it, or nil if
-// the key is absent.
-func (h *Heap) Remove(key string) *Item {
-	it, ok := h.byKey[key]
-	if !ok {
-		return nil
+// Remove removes an item of this heap. It reports false for an item
+// already removed.
+func (h *Heap[T]) Remove(it *Item[T]) bool {
+	if !h.holds(it) {
+		return false
 	}
-	return h.remove(it.index)
+	h.remove(it.index)
+	return true
 }
 
-// Update changes the utility of the item with the given key and
-// restores heap order. It reports whether the key was present.
-func (h *Heap) Update(key string, utility float64) bool {
-	it, ok := h.byKey[key]
-	if !ok {
+// Update changes the utility of an item of this heap and restores heap
+// order. It reports false, and changes nothing, for an item already
+// removed.
+func (h *Heap[T]) Update(it *Item[T], utility float64) bool {
+	if !h.holds(it) {
 		return false
 	}
 	old := it.Utility
@@ -115,11 +90,17 @@ func (h *Heap) Update(key string, utility float64) bool {
 	return true
 }
 
+// holds reports whether it is in the heap.
+func (h *Heap[T]) holds(it *Item[T]) bool {
+	return it.index >= 0 && it.index < len(h.items) && h.items[it.index] == it
+}
+
 // Items returns a snapshot of all items in heap (not sorted) order.
 // Mutating the returned slice does not affect the heap, but the Items
-// themselves are shared.
-func (h *Heap) Items() []*Item {
-	out := make([]*Item, len(h.items))
+// themselves are shared. Pushing them in this order into an empty heap
+// rebuilds this one exactly.
+func (h *Heap[T]) Items() []*Item[T] {
+	out := make([]*Item[T], len(h.items))
 	copy(out, h.items)
 	return out
 }
@@ -128,19 +109,12 @@ func (h *Heap) Items() []*Item {
 // each until fn returns false. It operates on a temporary copy and does
 // not modify the heap. Cost is O(n log n) in the worst case; callers
 // typically stop early after a few items.
-func (h *Heap) AscendMin(fn func(*Item) bool) {
-	// Copy the heap structure (item pointers and order) and pop from
-	// the copy. Indexes on shared items must not be disturbed, so the
-	// copy tracks positions independently.
-	type node struct {
-		it *Item
-	}
-	nodes := make([]node, len(h.items))
-	for i, it := range h.items {
-		nodes[i] = node{it}
-	}
-	less := func(i, j int) bool { return nodes[i].it.Utility < nodes[j].it.Utility }
-	swap := func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] }
+func (h *Heap[T]) AscendMin(fn func(*Item[T]) bool) {
+	// Pop from a copy of the item order; the items' own indexes are the
+	// heap's and must not be disturbed.
+	nodes := make([]*Item[T], len(h.items))
+	copy(nodes, h.items)
+	less := func(i, j int) bool { return nodes[i].Utility < nodes[j].Utility }
 	down := func(i, n int) {
 		for {
 			l, r := 2*i+1, 2*i+2
@@ -154,27 +128,26 @@ func (h *Heap) AscendMin(fn func(*Item) bool) {
 			if s == i {
 				return
 			}
-			swap(i, s)
+			nodes[i], nodes[s] = nodes[s], nodes[i]
 			i = s
 		}
 	}
-	n := len(nodes)
-	for n > 0 {
-		if !fn(nodes[0].it) {
+	for n := len(nodes); n > 0; {
+		if !fn(nodes[0]) {
 			return
 		}
 		n--
-		swap(0, n)
+		nodes[0], nodes[n] = nodes[n], nodes[0]
 		down(0, n)
 	}
 }
 
-func (h *Heap) remove(i int) *Item {
+func (h *Heap[T]) remove(i int) *Item[T] {
 	it := h.items[i]
 	last := len(h.items) - 1
 	h.swap(i, last)
+	h.items[last] = nil
 	h.items = h.items[:last]
-	delete(h.byKey, it.Key)
 	if i < last {
 		h.down(i)
 		h.up(i)
@@ -183,17 +156,17 @@ func (h *Heap) remove(i int) *Item {
 	return it
 }
 
-func (h *Heap) less(i, j int) bool {
+func (h *Heap[T]) less(i, j int) bool {
 	return h.items[i].Utility < h.items[j].Utility
 }
 
-func (h *Heap) swap(i, j int) {
+func (h *Heap[T]) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
 	h.items[i].index = i
 	h.items[j].index = j
 }
 
-func (h *Heap) up(i int) {
+func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
@@ -204,7 +177,7 @@ func (h *Heap) up(i int) {
 	}
 }
 
-func (h *Heap) down(i int) {
+func (h *Heap[T]) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEmptyHeap(t *testing.T) {
-	var h Heap
+	var h Heap[string]
 	if h.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", h.Len())
 	}
@@ -18,24 +18,20 @@ func TestEmptyHeap(t *testing.T) {
 	if h.PopMin() != nil {
 		t.Fatal("PopMin on empty heap should be nil")
 	}
-	if h.Remove("x") != nil {
-		t.Fatal("Remove on empty heap should be nil")
+	gone := New[string](1).Push(1, "x")
+	if h.Remove(gone) {
+		t.Fatal("Remove of another heap's item should report false")
 	}
-	if h.Contains("x") {
-		t.Fatal("Contains on empty heap should be false")
-	}
-	if h.Update("x", 1) {
-		t.Fatal("Update on empty heap should report false")
+	if h.Update(gone, 2) {
+		t.Fatal("Update of another heap's item should report false")
 	}
 }
 
 func TestPushPopOrder(t *testing.T) {
-	h := New(8)
+	h := New[string](8)
 	utils := []float64{5, 1, 3, 2, 4, 0, 6}
 	for i, u := range utils {
-		if _, err := h.Push(string(rune('a'+i)), u, nil); err != nil {
-			t.Fatalf("Push: %v", err)
-		}
+		h.Push(u, string(rune('a'+i)))
 	}
 	want := append([]float64(nil), utils...)
 	sort.Float64s(want)
@@ -53,59 +49,54 @@ func TestPushPopOrder(t *testing.T) {
 	}
 }
 
-func TestDuplicateKey(t *testing.T) {
-	h := New(2)
-	if _, err := h.Push("a", 1, nil); err != nil {
-		t.Fatalf("first Push: %v", err)
+// TestPushReturnsItem: the item Push returns carries its utility and
+// value, and is the one the heap later hands out.
+func TestPushReturnsItem(t *testing.T) {
+	h := New[int](2)
+	it := h.Push(1, 42)
+	if it.Utility != 1 || it.Value != 42 {
+		t.Fatalf("Push returned %+v, want utility 1, value 42", it)
 	}
-	if _, err := h.Push("a", 2, nil); err == nil {
-		t.Fatal("second Push with duplicate key should fail")
+	h.Push(2, 7)
+	if got := h.PopMin(); got != it {
+		t.Fatalf("PopMin = %+v, want the item Push returned", got)
 	}
-}
-
-func TestGetAndValue(t *testing.T) {
-	h := New(2)
-	h.Push("a", 1, 42)
-	it := h.Get("a")
-	if it == nil {
-		t.Fatal("Get returned nil for present key")
-	}
-	if v, ok := it.Value.(int); !ok || v != 42 {
-		t.Fatalf("Value = %v, want 42", it.Value)
-	}
-	if h.Get("b") != nil {
-		t.Fatal("Get for absent key should be nil")
+	if h.Update(it, 0) || h.Remove(it) {
+		t.Fatal("a popped item is no longer the heap's")
 	}
 }
 
 func TestUpdateMovesItem(t *testing.T) {
-	h := New(4)
-	h.Push("a", 1, nil)
-	h.Push("b", 2, nil)
-	h.Push("c", 3, nil)
-	if !h.Update("a", 10) {
-		t.Fatal("Update should report true for present key")
+	h := New[string](4)
+	a := h.Push(1, "a")
+	h.Push(2, "b")
+	c := h.Push(3, "c")
+	if !h.Update(a, 10) {
+		t.Fatal("Update should report true for an item in the heap")
 	}
-	if got := h.PeekMin().Key; got != "b" {
+	if got := h.PeekMin().Value; got != "b" {
 		t.Fatalf("PeekMin after update = %q, want b", got)
 	}
-	h.Update("c", 0)
-	if got := h.PeekMin().Key; got != "c" {
+	h.Update(c, 0)
+	if got := h.PeekMin().Value; got != "c" {
 		t.Fatalf("PeekMin after second update = %q, want c", got)
 	}
 }
 
 func TestRemoveMiddle(t *testing.T) {
-	h := New(8)
+	h := New[string](8)
+	var first *Item[string]
 	for i, u := range []float64{4, 2, 6, 1, 3, 5} {
-		h.Push(string(rune('a'+i)), u, nil)
+		it := h.Push(u, string(rune('a'+i)))
+		if i == 0 {
+			first = it
+		}
 	}
-	removed := h.Remove("a") // utility 4
-	if removed == nil || removed.Utility != 4 {
-		t.Fatalf("Remove returned %+v, want utility 4", removed)
+	if !h.Remove(first) || first.Utility != 4 {
+		t.Fatalf("Remove of %+v failed, want utility 4 removed", first)
 	}
-	if h.Contains("a") {
-		t.Fatal("heap still contains removed key")
+	if h.Remove(first) {
+		t.Fatal("a removed item was removed again")
 	}
 	want := []float64{1, 2, 3, 5, 6}
 	for i, w := range want {
@@ -116,11 +107,10 @@ func TestRemoveMiddle(t *testing.T) {
 }
 
 func TestRemoveLast(t *testing.T) {
-	h := New(2)
-	h.Push("a", 1, nil)
-	it := h.Remove("a")
-	if it == nil || it.Key != "a" {
-		t.Fatalf("Remove = %+v, want key a", it)
+	h := New[string](2)
+	it := h.Push(1, "a")
+	if !h.Remove(it) || it.Value != "a" {
+		t.Fatalf("Remove of %+v failed", it)
 	}
 	if h.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", h.Len())
@@ -128,18 +118,18 @@ func TestRemoveLast(t *testing.T) {
 }
 
 func TestAscendMinOrderAndEarlyStop(t *testing.T) {
-	h := New(16)
+	h := New[int](16)
 	r := rand.New(rand.NewSource(7))
 	var want []float64
 	for i := 0; i < 50; i++ {
 		u := r.Float64()
 		want = append(want, u)
-		h.Push(string(rune(i+'0')), u, nil)
+		h.Push(u, i)
 	}
 	sort.Float64s(want)
 
 	var got []float64
-	h.AscendMin(func(it *Item) bool {
+	h.AscendMin(func(it *Item[int]) bool {
 		got = append(got, it.Utility)
 		return true
 	})
@@ -152,8 +142,8 @@ func TestAscendMinOrderAndEarlyStop(t *testing.T) {
 		}
 	}
 	// Heap must be unchanged by AscendMin.
-	if h.Len() != 50 {
-		t.Fatalf("heap length changed by AscendMin: %d", h.Len())
+	if h.Len() != 50 || !heapInvariant(h) {
+		t.Fatalf("heap changed by AscendMin: %d items", h.Len())
 	}
 	if h.PeekMin().Utility != want[0] {
 		t.Fatal("heap min changed by AscendMin")
@@ -161,7 +151,7 @@ func TestAscendMinOrderAndEarlyStop(t *testing.T) {
 
 	// Early stop after three items.
 	n := 0
-	h.AscendMin(func(*Item) bool {
+	h.AscendMin(func(*Item[int]) bool {
 		n++
 		return n < 3
 	})
@@ -171,22 +161,40 @@ func TestAscendMinOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestZeroValueUsable(t *testing.T) {
-	var h Heap
-	if _, err := h.Push("a", 1, nil); err != nil {
-		t.Fatalf("Push on zero-value heap: %v", err)
-	}
-	if h.PopMin().Key != "a" {
+	var h Heap[string]
+	h.Push(1, "a")
+	if h.PopMin().Value != "a" {
 		t.Fatal("PopMin should return pushed item")
 	}
 }
 
+// TestItemsRebuildTheHeap: pushing Items' order into an empty heap
+// gives the same order, equal utilities included, which is how a
+// restored cache evicts as the snapshotted one would have.
+func TestItemsRebuildTheHeap(t *testing.T) {
+	h := New[int](8)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		it := h.Push(float64(r.Intn(5)), i)
+		if i%3 == 0 {
+			h.Update(it, float64(r.Intn(5)))
+		}
+	}
+	twin := New[int](8)
+	for _, it := range h.Items() {
+		twin.Push(it.Utility, it.Value)
+	}
+	for h.Len() > 0 {
+		if a, b := h.PopMin(), twin.PopMin(); a.Value != b.Value {
+			t.Fatalf("the rebuilt heap pops %d where the original pops %d", b.Value, a.Value)
+		}
+	}
+}
+
 // heapInvariant checks the min-heap property and index consistency.
-func heapInvariant(h *Heap) bool {
+func heapInvariant[T any](h *Heap[T]) bool {
 	for i, it := range h.items {
 		if it.index != i {
-			return false
-		}
-		if got := h.byKey[it.Key]; got != it {
 			return false
 		}
 		l, r := 2*i+1, 2*i+2
@@ -197,7 +205,7 @@ func heapInvariant(h *Heap) bool {
 			return false
 		}
 	}
-	return len(h.items) == len(h.byKey)
+	return true
 }
 
 func TestQuickRandomOps(t *testing.T) {
@@ -206,35 +214,35 @@ func TestQuickRandomOps(t *testing.T) {
 	// order.
 	f := func(seed int64, opsRaw []byte) bool {
 		r := rand.New(rand.NewSource(seed))
-		h := New(4)
-		live := map[string]bool{}
-		keyN := 0
-		for _, op := range opsRaw {
+		h := New[int](4)
+		var live []*Item[int]
+		for i, op := range opsRaw {
 			switch op % 4 {
 			case 0: // push
-				k := string(rune('A' + keyN%64))
-				keyN++
-				if !live[k] {
-					h.Push(k, r.Float64(), nil)
-					live[k] = true
-				}
+				live = append(live, h.Push(r.Float64(), i))
 			case 1: // pop
 				if it := h.PopMin(); it != nil {
-					delete(live, it.Key)
+					for k := range live {
+						if live[k] == it {
+							live = append(live[:k], live[k+1:]...)
+							break
+						}
+					}
 				}
-			case 2: // update random live key
-				for k := range live {
-					h.Update(k, r.Float64())
-					break
+			case 2: // update a random live item
+				if len(live) > 0 && !h.Update(live[r.Intn(len(live))], r.Float64()) {
+					return false
 				}
-			case 3: // remove random live key
-				for k := range live {
-					h.Remove(k)
-					delete(live, k)
-					break
+			case 3: // remove a random live item
+				if len(live) > 0 {
+					k := r.Intn(len(live))
+					if !h.Remove(live[k]) {
+						return false
+					}
+					live = append(live[:k], live[k+1:]...)
 				}
 			}
-			if !heapInvariant(h) {
+			if !heapInvariant(h) || h.Len() != len(live) {
 				return false
 			}
 		}
@@ -255,15 +263,10 @@ func TestQuickRandomOps(t *testing.T) {
 
 func BenchmarkPushPop(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = string(rune(i))
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := New(len(keys))
-		for _, k := range keys {
-			h.Push(k, r.Float64(), nil)
+		h := New[int](1024)
+		for k := 0; k < 1024; k++ {
+			h.Push(r.Float64(), k)
 		}
 		for h.Len() > 0 {
 			h.PopMin()
@@ -272,15 +275,14 @@ func BenchmarkPushPop(b *testing.B) {
 }
 
 func BenchmarkUpdate(b *testing.B) {
-	h := New(1024)
+	h := New[int](1024)
 	r := rand.New(rand.NewSource(1))
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = string(rune(i))
-		h.Push(keys[i], r.Float64(), nil)
+	items := make([]*Item[int], 1024)
+	for i := range items {
+		items[i] = h.Push(r.Float64(), i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Update(keys[i%len(keys)], r.Float64())
+		h.Update(items[i%len(items)], r.Float64())
 	}
 }

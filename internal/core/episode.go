@@ -154,7 +154,7 @@ func (p *profile) lar(gamma float64) float64 {
 type profileTable struct {
 	cfg         EpisodeConfig
 	maxProfiles int
-	byID        map[ObjectID]*profile
+	byObj       objTable[*profile]
 	tel         *Telemetry // optional; counts episode open/close churn
 }
 
@@ -163,16 +163,26 @@ func newProfileTable(cfg EpisodeConfig, maxProfiles int) *profileTable {
 	if maxProfiles <= 0 {
 		maxProfiles = 1 << 16
 	}
-	return &profileTable{cfg: cfg, maxProfiles: maxProfiles, byID: make(map[ObjectID]*profile)}
+	return &profileTable{cfg: cfg, maxProfiles: maxProfiles}
+}
+
+// get returns obj's profile, nil for an untracked object.
+func (pt *profileTable) get(obj Object) *profile {
+	if p := pt.byObj.find(obj); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // observe records a bypassed access at time t and returns the object's
-// updated LAR. It applies both episode-termination heuristics.
-func (pt *profileTable) observe(t int64, obj Object, yield int64) float64 {
-	p := pt.byID[obj.ID]
+// updated LAR with its episode state: the count of completed episodes,
+// and the phase, which an observation always leaves open. It applies
+// both episode-termination heuristics.
+func (pt *profileTable) observe(t int64, obj Object, yield int64) Explain {
+	p := pt.get(obj)
 	if p == nil {
 		p = &profile{lastAccess: t}
-		pt.byID[obj.ID] = p
+		*pt.byObj.put(obj) = p
 		pt.prune(t)
 	}
 	// Heuristic (2): idle too long → the burst ended; close it out.
@@ -212,14 +222,14 @@ func (pt *profileTable) observe(t int64, obj Object, yield int64) float64 {
 		p.maxLARP = p.larp(t, obj)
 		pt.tel.EpisodeOpened()
 	}
-	return p.lar(pt.cfg.Gamma)
+	return Explain{LAR: p.lar(pt.cfg.Gamma), Episodes: int64(len(p.past)), EpisodePhase: "open"}
 }
 
 // onLoad closes the open episode when the object enters the cache; its
 // subsequent in-cache performance is tracked by the rate profile, not
 // the episode history.
-func (pt *profileTable) onLoad(id ObjectID) {
-	if p := pt.byID[id]; p != nil {
+func (pt *profileTable) onLoad(obj Object) {
+	if p := pt.get(obj); p != nil {
 		if p.open {
 			pt.tel.EpisodeClosed()
 		}
@@ -228,47 +238,29 @@ func (pt *profileTable) onLoad(id ObjectID) {
 }
 
 // prune enforces the metadata bound: drop profiles idle beyond the
-// horizon; if still over budget, drop the least recently accessed.
+// horizon; if still over budget, drop the least recently accessed (the
+// smallest id among equals, wherever the table keeps them).
 func (pt *profileTable) prune(t int64) {
-	if len(pt.byID) <= pt.maxProfiles {
+	if pt.byObj.len() <= pt.maxProfiles {
 		return
 	}
 	horizon := 4 * pt.cfg.K
-	for id, p := range pt.byID {
-		if t-p.lastAccess > horizon {
-			delete(pt.byID, id)
-		}
-	}
-	for len(pt.byID) > pt.maxProfiles {
+	pt.byObj.keep(func(_ ObjectID, p **profile) bool { return t-(*p).lastAccess <= horizon })
+	for pt.byObj.len() > pt.maxProfiles {
 		var oldest ObjectID
 		oldestT := int64(1<<63 - 1)
-		for id, p := range pt.byID {
-			if p.lastAccess < oldestT {
-				oldestT = p.lastAccess
-				oldest = id
+		pt.byObj.each(func(id ObjectID, p **profile) {
+			if last := (*p).lastAccess; last < oldestT || last == oldestT && id < oldest {
+				oldestT, oldest = last, id
 			}
-		}
-		delete(pt.byID, oldest)
+		})
+		pt.byObj.delID(oldest)
 	}
-}
-
-// info reports an object's episode state for explanations: the count
-// of completed episodes and whether one is currently open ("open" vs
-// "closed"; "" for an untracked object).
-func (pt *profileTable) info(id ObjectID) (episodes int64, phase string) {
-	p := pt.byID[id]
-	if p == nil {
-		return 0, ""
-	}
-	if p.open {
-		return int64(len(p.past)), "open"
-	}
-	return int64(len(p.past)), "closed"
 }
 
 // size reports the number of tracked profiles (for tests of the
 // metadata bound).
-func (pt *profileTable) size() int { return len(pt.byID) }
+func (pt *profileTable) size() int { return pt.byObj.len() }
 
 // reset clears all profiles.
-func (pt *profileTable) reset() { pt.byID = make(map[ObjectID]*profile) }
+func (pt *profileTable) reset() { pt.byObj.reset() }

@@ -14,7 +14,7 @@ func TestLARPFirstAccess(t *testing.T) {
 	// LARP = y/(1·s) − f/s = (y − f)/s.
 	pt := newTestTable(DefaultEpisodeConfig(), 0)
 	obj := testObj("a", 100)
-	lar := pt.observe(10, obj, 60)
+	lar := pt.observe(10, obj, 60).LAR
 	want := (60.0 - 100.0) / 100.0 // -0.4
 	if !almostEqual(lar, want) {
 		t.Fatalf("LAR after first access = %v, want %v", lar, want)
@@ -27,7 +27,7 @@ func TestLARPGrowsWithinEpisode(t *testing.T) {
 	pt := newTestTable(DefaultEpisodeConfig(), 0)
 	obj := testObj("a", 100)
 	pt.observe(10, obj, 100)
-	lar := pt.observe(11, obj, 100)
+	lar := pt.observe(11, obj, 100).LAR
 	if !almostEqual(lar, 1.0) {
 		t.Fatalf("LAR = %v, want 1.0", lar)
 	}
@@ -42,7 +42,7 @@ func TestEpisodeIdleSplit(t *testing.T) {
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 100)
 	pt.observe(2, obj, 100) // episode 1 max LARP = 1.0
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if len(p.past) != 0 {
 		t.Fatalf("history before idle split: %v", p.past)
 	}
@@ -67,7 +67,7 @@ func TestEpisodeRateDecaySplit(t *testing.T) {
 	pt := newTestTable(cfg, 0)
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 200) // LARP = 200/100 − 1 = 1.0; max = 1.0
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if !almostEqual(p.maxLARP, 1.0) {
 		t.Fatalf("maxLARP = %v, want 1.0", p.maxLARP)
 	}
@@ -93,7 +93,7 @@ func TestRateDecayBoundaryExactlyCDoesNotSplit(t *testing.T) {
 	pt := newTestTable(cfg, 0)
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 300) // LARP = (300−100)/(1·100) = 2.0; max = 2.0
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if !almostEqual(p.maxLARP, 2.0) {
 		t.Fatalf("maxLARP = %v, want 2.0", p.maxLARP)
 	}
@@ -126,7 +126,7 @@ func TestRateDecayBoundaryZeroMaxDoesNotSplit(t *testing.T) {
 	pt := newTestTable(cfg, 0)
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 100) // LARP = (100−100)/100 = 0 exactly
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if p.maxLARP != 0 {
 		t.Fatalf("maxLARP = %v, want exactly 0", p.maxLARP)
 	}
@@ -148,7 +148,7 @@ func TestRateDecaySplitRespectsConfiguredC(t *testing.T) {
 	pt := newTestTable(cfg, 0)
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 300) // max = 2.0
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	pt.observe(4, obj, 0) // LARP = 200/300 ≈ 0.667 ≥ 0.25·2.0
 	if len(p.past) != 0 {
 		t.Fatalf("episode split above the C=0.25 boundary: past = %v", p.past)
@@ -164,16 +164,18 @@ func TestEpisodeInfo(t *testing.T) {
 	cfg.K = 10
 	pt := newTestTable(cfg, 0)
 	obj := testObj("a", 100)
-	if n, phase := pt.info(obj.ID); n != 0 || phase != "" {
-		t.Fatalf("untracked info = %d/%q, want 0/\"\"", n, phase)
+	if pt.get(obj) != nil {
+		t.Fatal("an object never observed has a profile")
 	}
-	pt.observe(1, obj, 100)
-	if n, phase := pt.info(obj.ID); n != 0 || phase != "open" {
-		t.Fatalf("open-episode info = %d/%q, want 0/open", n, phase)
+	if ex := pt.observe(1, obj, 100); ex.Episodes != 0 || ex.EpisodePhase != "open" {
+		t.Fatalf("open-episode info = %d/%q, want 0/open", ex.Episodes, ex.EpisodePhase)
 	}
-	pt.onLoad(obj.ID)
-	if n, phase := pt.info(obj.ID); n != 1 || phase != "closed" {
-		t.Fatalf("post-load info = %d/%q, want 1/closed", n, phase)
+	pt.onLoad(obj)
+	if p := pt.get(obj); p.open || len(p.past) != 1 {
+		t.Fatalf("post-load profile open %t with %d episodes, want closed with 1", p.open, len(p.past))
+	}
+	if ex := pt.observe(30, obj, 100); ex.Episodes != 1 || ex.EpisodePhase != "open" {
+		t.Fatalf("reopened info = %d/%q, want 1/open", ex.Episodes, ex.EpisodePhase)
 	}
 }
 
@@ -188,7 +190,7 @@ func TestNegativeMaxDoesNotSplit(t *testing.T) {
 	pt.observe(1, obj, 10) // LARP = (10−1000)/1000 < 0
 	pt.observe(5, obj, 10)
 	pt.observe(9, obj, 10)
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if len(p.past) != 0 {
 		t.Fatalf("negative-rate episode was split: past = %v", p.past)
 	}
@@ -207,7 +209,7 @@ func TestNegativeEpisodeRecordsZero(t *testing.T) {
 	for i := int64(0); i < 4; i++ {
 		pt.observe(1+i*100, obj, 5)
 	}
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	for i, v := range p.past {
 		if v != 0 {
 			t.Fatalf("probe episode %d recorded LAR %v, want 0", i, v)
@@ -216,7 +218,7 @@ func TestNegativeEpisodeRecordsZero(t *testing.T) {
 	// A burst can now push the LAR positive despite the history.
 	lar := 0.0
 	for i := int64(0); i < 30; i++ {
-		lar = pt.observe(1000+i*2, obj, 100)
+		lar = pt.observe(1000+i*2, obj, 100).LAR
 	}
 	if lar <= 0 {
 		t.Fatalf("burst LAR = %v, want positive despite probe history", lar)
@@ -259,7 +261,7 @@ func TestEpisodeHistoryBounded(t *testing.T) {
 		pt.observe(1+i*1000, obj, 100)
 		pt.observe(2+i*1000, obj, 100)
 	}
-	p := pt.byID[obj.ID]
+	p := pt.get(obj)
 	if len(p.past) > cfg.MaxEpisodes {
 		t.Fatalf("episode history %d exceeds bound %d", len(p.past), cfg.MaxEpisodes)
 	}
@@ -285,10 +287,10 @@ func TestProfilePruningKeepsRecent(t *testing.T) {
 		pt.observe(int64(i+1), testObj(id, 100), 10)
 	}
 	// "a" (oldest) must have been pruned; "e" (newest) must remain.
-	if pt.byID[ObjectID("a")] != nil {
+	if pt.get(testObj("a", 100)) != nil {
 		t.Fatal("oldest profile should have been pruned")
 	}
-	if pt.byID[ObjectID("e")] == nil {
+	if pt.get(testObj("e", 100)) == nil {
 		t.Fatal("newest profile should have been kept")
 	}
 }
@@ -298,8 +300,8 @@ func TestOnLoadClosesEpisode(t *testing.T) {
 	obj := testObj("a", 100)
 	pt.observe(1, obj, 100)
 	pt.observe(2, obj, 100)
-	pt.onLoad(obj.ID)
-	p := pt.byID[obj.ID]
+	pt.onLoad(obj)
+	p := pt.get(obj)
 	if p.open {
 		t.Fatal("episode still open after load")
 	}
@@ -310,7 +312,7 @@ func TestOnLoadClosesEpisode(t *testing.T) {
 
 func TestOnLoadUnknownObjectIsNoop(t *testing.T) {
 	pt := newTestTable(DefaultEpisodeConfig(), 0)
-	pt.onLoad("ghost") // must not panic
+	pt.onLoad(testObj("ghost", 100)) // must not panic
 }
 
 func TestEpisodeConfigFillDefaults(t *testing.T) {
@@ -326,7 +328,7 @@ func TestLARPNeverNaN(t *testing.T) {
 	pt := newTestTable(DefaultEpisodeConfig(), 0)
 	obj := testObj("a", 100)
 	for i := int64(1); i < 100; i += 7 {
-		lar := pt.observe(i, obj, 0) // zero-yield accesses
+		lar := pt.observe(i, obj, 0).LAR // zero-yield accesses
 		if math.IsNaN(lar) || math.IsInf(lar, 0) {
 			t.Fatalf("LAR is not finite at t=%d: %v", i, lar)
 		}

@@ -17,13 +17,14 @@ type inlineCache struct {
 	name      string
 	cap       int64
 	used      int64
-	heap      *bheap.Heap
+	heap      *bheap.Heap[Object]
+	items     objTable[*bheap.Item[Object]] // each cached object's place in heap
 	evictions int64
-	onEvict   func(it *bheap.Item)
+	onEvict   func(it *bheap.Item[Object])
 }
 
 func newInlineCache(name string, capacity int64) inlineCache {
-	return inlineCache{name: name, cap: capacity, heap: bheap.New(64)}
+	return inlineCache{name: name, cap: capacity, heap: bheap.New[Object](64)}
 }
 
 // Name implements Policy.
@@ -36,26 +37,31 @@ func (c *inlineCache) Used() int64 { return c.used }
 func (c *inlineCache) Capacity() int64 { return c.cap }
 
 // Contains implements Policy.
-func (c *inlineCache) Contains(id ObjectID) bool { return c.heap.Contains(string(id)) }
+func (c *inlineCache) Contains(id ObjectID) bool { return c.items.findID(id) != nil }
 
 // Evictions implements Policy.
 func (c *inlineCache) Evictions() int64 { return c.evictions }
 
 // Contents implements ContentLister.
-func (c *inlineCache) Contents() []ObjectID {
-	items := c.heap.Items()
-	ids := make([]ObjectID, len(items))
-	for i, it := range items {
-		ids[i] = ObjectID(it.Key)
-	}
-	return ids
-}
+func (c *inlineCache) Contents() []ObjectID { return heapContents(c.heap) }
 
 // Reset implements Policy (concrete policies with extra state wrap it).
 func (c *inlineCache) Reset() {
 	c.used = 0
 	c.evictions = 0
-	c.heap = bheap.New(64)
+	c.heap = bheap.New[Object](64)
+	c.items.reset()
+}
+
+// reprioritize sets a cached object's priority: it reports false, and
+// changes nothing, for an object not cached.
+func (c *inlineCache) reprioritize(obj Object, utility float64) bool {
+	p := c.items.find(obj)
+	if p == nil {
+		return false
+	}
+	c.heap.Update(*p, utility)
+	return true
 }
 
 // admit loads obj with the given utility after evicting to fit. It
@@ -67,14 +73,14 @@ func (c *inlineCache) admit(obj Object, utility float64) bool {
 	}
 	for c.used+obj.Size > c.cap {
 		it := c.heap.PopMin()
-		victim := it.Value.(Object)
-		c.used -= victim.Size
+		c.items.del(it.Value)
+		c.used -= it.Value.Size
 		c.evictions++
 		if c.onEvict != nil {
 			c.onEvict(it)
 		}
 	}
-	c.heap.Push(string(obj.ID), utility, obj)
+	*c.items.put(obj) = c.heap.Push(utility, obj)
 	c.used += obj.Size
 	return true
 }
@@ -92,7 +98,7 @@ type GDS struct {
 // NewGDS returns a Greedy-Dual-Size policy with the given capacity.
 func NewGDS(capacity int64) *GDS {
 	g := &GDS{inlineCache: newInlineCache("gds", capacity)}
-	g.onEvict = func(it *bheap.Item) { g.l = it.Utility }
+	g.onEvict = func(it *bheap.Item[Object]) { g.l = it.Utility }
 	return g
 }
 
@@ -108,9 +114,7 @@ func (g *GDS) priority(obj Object) float64 {
 
 // Access implements Policy.
 func (g *GDS) Access(t int64, obj Object, yield int64) Decision {
-	key := string(obj.ID)
-	if g.heap.Contains(key) {
-		g.heap.Update(key, g.priority(obj))
+	if g.reprioritize(obj, g.priority(obj)) {
 		return Hit
 	}
 	if !g.admit(obj, g.priority(obj)) {
@@ -125,16 +129,13 @@ func (g *GDS) Access(t int64, obj Object, yield int64) Decision {
 type GDSP struct {
 	inlineCache
 	l    float64
-	freq map[ObjectID]int64
+	freq objTable[int64]
 }
 
 // NewGDSP returns a GDSP policy with the given capacity.
 func NewGDSP(capacity int64) *GDSP {
-	g := &GDSP{
-		inlineCache: newInlineCache("gdsp", capacity),
-		freq:        make(map[ObjectID]int64),
-	}
-	g.onEvict = func(it *bheap.Item) { g.l = it.Utility }
+	g := &GDSP{inlineCache: newInlineCache("gdsp", capacity)}
+	g.onEvict = func(it *bheap.Item[Object]) { g.l = it.Utility }
 	return g
 }
 
@@ -142,22 +143,21 @@ func NewGDSP(capacity int64) *GDSP {
 func (g *GDSP) Reset() {
 	g.inlineCache.Reset()
 	g.l = 0
-	g.freq = make(map[ObjectID]int64)
+	g.freq.reset()
 }
 
-func (g *GDSP) priority(obj Object) float64 {
-	return g.l + float64(g.freq[obj.ID])*float64(obj.FetchCost)/float64(obj.Size)
+func (g *GDSP) priority(obj Object, freq int64) float64 {
+	return g.l + float64(freq)*float64(obj.FetchCost)/float64(obj.Size)
 }
 
 // Access implements Policy.
 func (g *GDSP) Access(t int64, obj Object, yield int64) Decision {
-	g.freq[obj.ID]++
-	key := string(obj.ID)
-	if g.heap.Contains(key) {
-		g.heap.Update(key, g.priority(obj))
+	freq := g.freq.put(obj)
+	*freq++
+	if g.reprioritize(obj, g.priority(obj, *freq)) {
 		return Hit
 	}
-	if !g.admit(obj, g.priority(obj)) {
+	if !g.admit(obj, g.priority(obj, *freq)) {
 		return Bypass
 	}
 	return Load
@@ -176,9 +176,7 @@ func NewLRU(capacity int64) *LRU {
 
 // Access implements Policy.
 func (l *LRU) Access(t int64, obj Object, yield int64) Decision {
-	key := string(obj.ID)
-	if l.heap.Contains(key) {
-		l.heap.Update(key, float64(t))
+	if l.reprioritize(obj, float64(t)) {
 		return Hit
 	}
 	if !l.admit(obj, float64(t)) {
@@ -191,32 +189,29 @@ func (l *LRU) Access(t int64, obj Object, yield int64) Decision {
 // cache-lifetime reference count.
 type LFU struct {
 	inlineCache
-	count map[ObjectID]int64
+	count objTable[int64]
 }
 
 // NewLFU returns an LFU policy with the given capacity.
 func NewLFU(capacity int64) *LFU {
-	return &LFU{
-		inlineCache: newInlineCache("lfu", capacity),
-		count:       make(map[ObjectID]int64),
-	}
+	return &LFU{inlineCache: newInlineCache("lfu", capacity)}
 }
 
 // Reset implements Policy.
 func (l *LFU) Reset() {
 	l.inlineCache.Reset()
-	l.count = make(map[ObjectID]int64)
+	l.count.reset()
 }
 
 // Access implements Policy.
 func (l *LFU) Access(t int64, obj Object, yield int64) Decision {
-	key := string(obj.ID)
-	if l.heap.Contains(key) {
-		l.count[obj.ID]++
-		l.heap.Update(key, float64(l.count[obj.ID]))
+	count := l.count.put(obj)
+	if p := l.items.find(obj); p != nil {
+		*count++
+		l.heap.Update(*p, float64(*count))
 		return Hit
 	}
-	l.count[obj.ID] = 1
+	*count = 1
 	if !l.admit(obj, 1) {
 		return Bypass
 	}

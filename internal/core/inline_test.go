@@ -92,7 +92,7 @@ func TestGDSPRemembersEvictedFrequency(t *testing.T) {
 	g.Access(2, a, 1) // freq 2
 	g.Access(3, b, 1) // evicts a
 	g.Access(4, a, 1) // re-load; freq resumes at 3
-	if got := g.freq[a.ID]; got != 3 {
+	if got := valueOf(&g.freq, a.ID); got != 3 {
 		t.Fatalf("frequency = %d, want 3 (retained across eviction)", got)
 	}
 }
@@ -131,13 +131,13 @@ func TestInlineResetClearsExtraState(t *testing.T) {
 	g := NewGDSP(100)
 	g.Access(1, testObj("a", 50), 1)
 	g.Reset()
-	if len(g.freq) != 0 || g.l != 0 || g.Used() != 0 {
+	if g.freq.len() != 0 || g.l != 0 || g.Used() != 0 {
 		t.Fatal("GDSP Reset incomplete")
 	}
 	lfu := NewLFU(100)
 	lfu.Access(1, testObj("a", 50), 1)
 	lfu.Reset()
-	if len(lfu.count) != 0 || lfu.Used() != 0 {
+	if lfu.count.len() != 0 || lfu.Used() != 0 {
 		t.Fatal("LFU Reset incomplete")
 	}
 	gds := NewGDS(100)

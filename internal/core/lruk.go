@@ -14,7 +14,7 @@ type LRUK struct {
 	// hist is each object's reference history, most recent first, at
 	// most k entries. Every slice has capacity k, so a reference shifts
 	// the history in place.
-	hist map[ObjectID][]int64
+	hist objTable[[]int64]
 }
 
 // NewLRUK returns an LRU-K policy. k < 2 degrades to classic LRU
@@ -23,17 +23,13 @@ func NewLRUK(capacity int64, k int) *LRUK {
 	if k < 1 {
 		k = 1
 	}
-	return &LRUK{
-		inlineCache: newInlineCache("lru-k", capacity),
-		k:           k,
-		hist:        make(map[ObjectID][]int64),
-	}
+	return &LRUK{inlineCache: newInlineCache("lru-k", capacity), k: k}
 }
 
 // Reset implements Policy.
 func (l *LRUK) Reset() {
 	l.inlineCache.Reset()
-	l.hist = make(map[ObjectID][]int64)
+	l.hist.reset()
 }
 
 // priority orders eviction by reference history h: objects with a full
@@ -52,19 +48,19 @@ func (l *LRUK) priority(h []int64) float64 {
 
 // Access implements Policy.
 func (l *LRUK) Access(t int64, obj Object, yield int64) Decision {
-	h := l.hist[obj.ID]
-	if len(h) < l.k {
-		if h == nil {
-			h = make([]int64, 0, l.k)
+	hp := l.hist.put(obj)
+	if len(*hp) < l.k {
+		if *hp == nil {
+			*hp = make([]int64, 0, l.k)
 		}
-		h = h[:len(h)+1]
-		l.hist[obj.ID] = h
+		*hp = (*hp)[:len(*hp)+1]
 	}
+	h := *hp
 	copy(h[1:], h)
 	h[0] = t
 
 	prio := l.priority(h)
-	if l.heap.Update(string(obj.ID), prio) {
+	if l.reprioritize(obj, prio) {
 		return Hit
 	}
 	if !l.admit(obj, prio) {

@@ -32,8 +32,8 @@ func TestLRUKHistoryRetainedAcrossEviction(t *testing.T) {
 	if l.Contains(a.ID) {
 		t.Fatal("a should be evicted")
 	}
-	if len(l.hist[a.ID]) != 2 {
-		t.Fatalf("history lost on eviction: %v", l.hist[a.ID])
+	if len(valueOf(&l.hist, a.ID)) != 2 {
+		t.Fatalf("history lost on eviction: %v", valueOf(&l.hist, a.ID))
 	}
 }
 
@@ -60,7 +60,7 @@ func TestLRUKReset(t *testing.T) {
 	l := NewLRUK(100, 2)
 	l.Access(1, testObj("a", 50), 1)
 	l.Reset()
-	if l.Used() != 0 || len(l.hist) != 0 {
+	if l.Used() != 0 || l.hist.len() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }
@@ -94,7 +94,7 @@ func TestLRUKHistoryInPlace(t *testing.T) {
 		want[o.ID] = h
 	}
 	for id, h := range want {
-		if got := l.hist[id]; len(got) != len(h) || got[0] != h[0] || got[len(got)-1] != h[len(h)-1] {
+		if got := valueOf(&l.hist, id); len(got) != len(h) || got[0] != h[0] || got[len(got)-1] != h[len(h)-1] {
 			t.Fatalf("history of %s = %v, want %v", id, got, h)
 		}
 	}
@@ -113,8 +113,9 @@ func TestLRUKHistoryInPlace(t *testing.T) {
 		}
 	}
 	// The two saw the same references: same histories, same cache.
-	for id, h := range l.hist {
-		if got := restored.hist[id]; len(got) != len(h) || got[0] != h[0] || got[k-1] != h[k-1] {
+	for _, e := range l.hist.sorted() {
+		id, h := e.id, e.v
+		if got := valueOf(&restored.hist, id); len(got) != len(h) || got[0] != h[0] || got[k-1] != h[k-1] {
 			t.Fatalf("after restore, history of %s = %v, uninterrupted %v", id, got, h)
 		}
 	}

@@ -37,6 +37,14 @@ type Object struct {
 	FetchCost int64
 	// Site names the federation site that owns the object.
 	Site string
+	// Slot is the object's 1-based place in the universe that built it
+	// (federation's object index numbers its objects), 0 for none. A
+	// policy finds the object's state at that place instead of hashing
+	// ID, but only after checking that the state there is ID's: a slot
+	// is a hint, and two universes may number different objects alike.
+	// Slots are not persisted: state restored from a snapshot is found
+	// by id until the object is first seen with its slot.
+	Slot int32
 }
 
 // Validate reports whether the object is well formed.

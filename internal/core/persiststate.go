@@ -9,6 +9,11 @@ package core
 // error and leaves the receiver unchanged, never panics (the persist
 // fuzz targets drive arbitrary bytes through RestoreState).
 //
+// Per-object sections are written in id order, so a policy's snapshot
+// is the same bytes wherever its state was kept (see objTable) and
+// however it was reached. Restored objects carry no slot; the restored
+// state is found by id until the objects are next seen.
+//
 // A snapshot captures the policy's full decision state, so a restored
 // policy replays the same deterministic decisions as the original
 // (SpaceEffBY excepted: its random stream is not captured — see its
@@ -238,15 +243,18 @@ func (r *RateProfile) SnapshotState() []byte {
 	e.u8(rpStateVersion)
 	e.i64(r.cfg.Capacity)
 	e.i64(r.evictions)
-	e.u64(uint64(len(r.entries)))
-	for _, ent := range r.entries {
-		e.object(ent.obj)
-		e.i64(ent.loadTime)
-		e.i64(ent.sumYield)
+	entries := r.entries.sorted()
+	e.u64(uint64(len(entries)))
+	for _, ent := range entries {
+		e.object(ent.v.obj)
+		e.i64(ent.v.loadTime)
+		e.i64(ent.v.sumYield)
 	}
-	e.u64(uint64(len(r.profiles.byID)))
-	for id, p := range r.profiles.byID {
-		e.str(string(id))
+	profiles := r.profiles.byObj.sorted()
+	e.u64(uint64(len(profiles)))
+	for _, ent := range profiles {
+		p := ent.v
+		e.str(string(ent.id))
 		e.boolean(p.open)
 		e.boolean(p.started)
 		e.i64(p.start)
@@ -271,7 +279,7 @@ func (r *RateProfile) RestoreState(data []byte) error {
 		return fmt.Errorf("core: rate-profile snapshot capacity %d, configured %d", capacity, r.cfg.Capacity)
 	}
 	evictions := d.i64()
-	entries := make(map[ObjectID]*rpEntry)
+	var entries objTable[*rpEntry]
 	var used int64
 	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 		obj := d.validObject()
@@ -279,13 +287,13 @@ func (r *RateProfile) RestoreState(data []byte) error {
 		if d.err != nil {
 			break
 		}
-		if _, dup := entries[obj.ID]; dup {
+		if entries.find(obj) != nil {
 			return fmt.Errorf("core: duplicate cached object %s in rate-profile state", obj.ID)
 		}
-		entries[obj.ID] = ent
+		*entries.put(obj) = ent
 		used += obj.Size
 	}
-	byID := make(map[ObjectID]*profile)
+	var profiles objTable[*profile]
 	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 		id := ObjectID(d.str())
 		p := &profile{
@@ -303,7 +311,7 @@ func (r *RateProfile) RestoreState(data []byte) error {
 		if d.err != nil {
 			break
 		}
-		byID[id] = p
+		*profiles.put(Object{ID: id}) = p
 	}
 	if err := d.done(); err != nil {
 		return err
@@ -314,7 +322,7 @@ func (r *RateProfile) RestoreState(data []byte) error {
 	r.setEntries(entries)
 	r.used = used
 	r.evictions = evictions
-	r.profiles.byID = byID
+	r.profiles.byObj = profiles
 	r.last = Explain{}
 	return nil
 }
@@ -330,12 +338,7 @@ func (l *Landlord) SnapshotState() []byte {
 	e.i64(l.cap)
 	e.f64(l.offset)
 	e.i64(l.evictions)
-	items := l.heap.Items()
-	e.u64(uint64(len(items)))
-	for _, it := range items {
-		e.object(it.Value.(Object))
-		e.f64(it.Utility)
-	}
+	encodeHeap(&e, l.heap)
 	return e.b
 }
 
@@ -352,21 +355,9 @@ func (l *Landlord) RestoreState(data []byte) error {
 		return fmt.Errorf("core: landlord snapshot has NaN offset")
 	}
 	evictions := d.i64()
-	heap := bheap.New(64)
-	var used int64
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		obj := d.validObject()
-		u := d.f64()
-		if d.err != nil {
-			break
-		}
-		if math.IsNaN(u) {
-			return fmt.Errorf("core: landlord snapshot has NaN credit for %s", obj.ID)
-		}
-		if _, err := heap.Push(string(obj.ID), u, obj); err != nil {
-			return fmt.Errorf("core: landlord snapshot: %v", err)
-		}
-		used += obj.Size
+	heap, items, used, err := decodeHeap(&d, "landlord", "credit")
+	if err != nil {
+		return err
 	}
 	if err := d.done(); err != nil {
 		return err
@@ -374,7 +365,7 @@ func (l *Landlord) RestoreState(data []byte) error {
 	if used > l.cap {
 		return fmt.Errorf("core: landlord snapshot uses %d bytes over capacity %d", used, l.cap)
 	}
-	l.heap = heap
+	l.heap, l.items = heap, items
 	l.used = used
 	l.offset = offset
 	l.evictions = evictions
@@ -392,10 +383,11 @@ func (m *SizeClassMarking) SnapshotState() []byte {
 	e.i64(m.cap)
 	e.i64(m.phaseBypass)
 	e.i64(m.evictions)
-	e.u64(uint64(len(m.entries)))
-	for _, ent := range m.entries {
-		e.object(ent.obj)
-		e.boolean(ent.marked)
+	entries := m.entries.sorted()
+	e.u64(uint64(len(entries)))
+	for _, ent := range entries {
+		e.object(ent.v.obj)
+		e.boolean(ent.v.marked)
 	}
 	return e.b
 }
@@ -410,7 +402,7 @@ func (m *SizeClassMarking) RestoreState(data []byte) error {
 	}
 	phaseBypass := d.i64()
 	evictions := d.i64()
-	entries := make(map[ObjectID]*scmEntry)
+	var entries objTable[*scmEntry]
 	var used int64
 	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 		obj := d.validObject()
@@ -418,10 +410,10 @@ func (m *SizeClassMarking) RestoreState(data []byte) error {
 		if d.err != nil {
 			break
 		}
-		if _, dup := entries[obj.ID]; dup {
+		if entries.find(obj) != nil {
 			return fmt.Errorf("core: duplicate cached object %s in size-class-marking state", obj.ID)
 		}
-		entries[obj.ID] = &scmEntry{obj: obj, marked: marked, class: sizeClass(obj.Size)}
+		*entries.put(obj) = &scmEntry{obj: obj, marked: marked, class: sizeClass(obj.Size)}
 		used += obj.Size
 	}
 	if err := d.done(); err != nil {
@@ -455,11 +447,7 @@ func (o *OnlineBY) SnapshotState() []byte {
 	e.u8(onlineStateVersion)
 	e.str(o.aobj.Name())
 	e.bytes(sub)
-	e.u64(uint64(len(o.acc)))
-	for id, v := range o.acc {
-		e.str(string(id))
-		e.i64(v)
-	}
+	encodeCounts(&e, &o.acc)
 	return e.b
 }
 
@@ -477,11 +465,7 @@ func (o *OnlineBY) RestoreState(data []byte) error {
 		return fmt.Errorf("core: online-by snapshot over subroutine %q, configured %q", name, o.aobj.Name())
 	}
 	sub := d.bytes()
-	acc := make(map[ObjectID]int64)
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
-		acc[id] = d.i64()
-	}
+	acc := decodeCounts(&d)
 	if err := d.done(); err != nil {
 		return err
 	}
@@ -543,12 +527,63 @@ func (s *SpaceEffBY) RestoreState(data []byte) error {
 func (c *inlineCache) encodeState(e *stateEnc) {
 	e.i64(c.cap)
 	e.i64(c.evictions)
-	items := c.heap.Items()
+	encodeHeap(e, c.heap)
+}
+
+// encodeHeap appends a cache's heap — its objects with their
+// utilities, in heap order, which decodeHeap rebuilds exactly.
+func encodeHeap(e *stateEnc, h *bheap.Heap[Object]) {
+	items := h.Items()
 	e.u64(uint64(len(items)))
 	for _, it := range items {
-		e.object(it.Value.(Object))
+		e.object(it.Value)
 		e.f64(it.Utility)
 	}
+}
+
+// decodeHeap reads what encodeHeap wrote: the heap, each object's item
+// and the bytes the objects occupy. what names the cache and utility its
+// utility, for errors.
+func decodeHeap(d *stateDec, what, utility string) (*bheap.Heap[Object], objTable[*bheap.Item[Object]], int64, error) {
+	heap := bheap.New[Object](64)
+	var items objTable[*bheap.Item[Object]]
+	var used int64
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		obj := d.validObject()
+		u := d.f64()
+		if d.err != nil {
+			break
+		}
+		if math.IsNaN(u) {
+			return nil, items, 0, fmt.Errorf("core: %s snapshot has NaN %s for %s", what, utility, obj.ID)
+		}
+		if items.find(obj) != nil {
+			return nil, items, 0, fmt.Errorf("core: %s snapshot: duplicate object %s", what, obj.ID)
+		}
+		*items.put(obj) = heap.Push(u, obj)
+		used += obj.Size
+	}
+	return heap, items, used, d.err
+}
+
+// encodeCounts appends a per-object count, in id order.
+func encodeCounts(e *stateEnc, t *objTable[int64]) {
+	ents := t.sorted()
+	e.u64(uint64(len(ents)))
+	for _, ent := range ents {
+		e.str(string(ent.id))
+		e.i64(ent.v)
+	}
+}
+
+// decodeCounts reads what encodeCounts wrote.
+func decodeCounts(d *stateDec) objTable[int64] {
+	var t objTable[int64]
+	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
+		id := ObjectID(d.str())
+		*t.put(Object{ID: id}) = d.i64()
+	}
+	return t
 }
 
 // decodeState replaces the shared in-line cache state from d (onEvict
@@ -559,29 +594,14 @@ func (c *inlineCache) decodeState(d *stateDec) error {
 		return fmt.Errorf("core: %s snapshot capacity %d, configured %d", c.name, capacity, c.cap)
 	}
 	evictions := d.i64()
-	heap := bheap.New(64)
-	var used int64
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		obj := d.validObject()
-		u := d.f64()
-		if d.err != nil {
-			break
-		}
-		if math.IsNaN(u) {
-			return fmt.Errorf("core: %s snapshot has NaN priority for %s", c.name, obj.ID)
-		}
-		if _, err := heap.Push(string(obj.ID), u, obj); err != nil {
-			return fmt.Errorf("core: %s snapshot: %v", c.name, err)
-		}
-		used += obj.Size
-	}
-	if d.err != nil {
-		return d.err
+	heap, items, used, err := decodeHeap(d, c.name, "priority")
+	if err != nil {
+		return err
 	}
 	if used > c.cap {
 		return fmt.Errorf("core: %s snapshot uses %d bytes over capacity %d", c.name, used, c.cap)
 	}
-	c.heap = heap
+	c.heap, c.items = heap, items
 	c.used = used
 	c.evictions = evictions
 	return nil
@@ -610,11 +630,7 @@ func (l *LFU) SnapshotState() []byte {
 	var e stateEnc
 	e.u8(lfuStateVersion)
 	l.encodeState(&e)
-	e.u64(uint64(len(l.count)))
-	for id, v := range l.count {
-		e.str(string(id))
-		e.i64(v)
-	}
+	encodeCounts(&e, &l.count)
 	return e.b
 }
 
@@ -628,11 +644,7 @@ func (l *LFU) RestoreState(data []byte) error {
 	if err := scratch.decodeState(&d); err != nil {
 		return err
 	}
-	count := make(map[ObjectID]int64)
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
-		count[id] = d.i64()
-	}
+	count := decodeCounts(&d)
 	if err := d.done(); err != nil {
 		return err
 	}
@@ -676,11 +688,7 @@ func (g *GDSP) SnapshotState() []byte {
 	e.u8(gdspStateVersion)
 	g.encodeState(&e)
 	e.f64(g.l)
-	e.u64(uint64(len(g.freq)))
-	for id, v := range g.freq {
-		e.str(string(id))
-		e.i64(v)
-	}
+	encodeCounts(&e, &g.freq)
 	return e.b
 }
 
@@ -696,11 +704,7 @@ func (g *GDSP) RestoreState(data []byte) error {
 	if d.err == nil && math.IsNaN(inflation) {
 		return fmt.Errorf("core: gdsp snapshot has NaN inflation value")
 	}
-	freq := make(map[ObjectID]int64)
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
-		freq[id] = d.i64()
-	}
+	freq := decodeCounts(&d)
 	if err := d.done(); err != nil {
 		return err
 	}
@@ -718,11 +722,12 @@ func (l *LRUK) SnapshotState() []byte {
 	e.u8(lrukStateVersion)
 	e.i64(int64(l.k))
 	l.encodeState(&e)
-	e.u64(uint64(len(l.hist)))
-	for id, h := range l.hist {
-		e.str(string(id))
-		e.u64(uint64(len(h)))
-		for _, t := range h {
+	hist := l.hist.sorted()
+	e.u64(uint64(len(hist)))
+	for _, ent := range hist {
+		e.str(string(ent.id))
+		e.u64(uint64(len(ent.v)))
+		for _, t := range ent.v {
 			e.i64(t)
 		}
 	}
@@ -742,7 +747,7 @@ func (l *LRUK) RestoreState(data []byte) error {
 	if err := scratch.decodeState(&d); err != nil {
 		return err
 	}
-	hist := make(map[ObjectID][]int64)
+	var hist objTable[[]int64]
 	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
 		id := ObjectID(d.str())
 		m := d.count()
@@ -756,7 +761,7 @@ func (l *LRUK) RestoreState(data []byte) error {
 		if d.err != nil {
 			break
 		}
-		hist[id] = h
+		*hist.put(Object{ID: id}) = h
 	}
 	if err := d.done(); err != nil {
 		return err

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -181,8 +182,9 @@ func TestRateProfileEpisodeStateSurvives(t *testing.T) {
 	if restored.ProfileCount() != orig.ProfileCount() {
 		t.Fatalf("restored ProfileCount = %d, want %d", restored.ProfileCount(), orig.ProfileCount())
 	}
-	for id, p := range orig.profiles.byID {
-		q := restored.profiles.byID[id]
+	for _, e := range orig.profiles.byObj.sorted() {
+		id, p := e.id, e.v
+		q := restored.profiles.get(Object{ID: id})
 		if q == nil {
 			t.Fatalf("profile %s missing after restore", id)
 		}
@@ -242,5 +244,77 @@ func TestRestoreStateRejectsCorrupt(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreRefusesDuplicateObjects: a blob that caches one object twice
+// is refused by every decoder of cached objects, which finds the first
+// copy in the table it is filling; the same blob with one copy restores.
+func TestRestoreRefusesDuplicateObjects(t *testing.T) {
+	a := testObj("a", 100)
+	for _, c := range []struct {
+		name   string
+		policy StateSnapshotter
+		blob   func(copies int) []byte
+	}{
+		{"landlord", NewLandlord(1000), func(copies int) []byte {
+			e := stateEnc{}
+			e.u8(llStateVersion)
+			e.i64(1000)
+			e.f64(0)
+			e.i64(0)
+			e.u64(uint64(copies))
+			for i := 0; i < copies; i++ {
+				e.object(a)
+				e.f64(1)
+			}
+			return e.b
+		}},
+		{"lru", NewLRU(1000), func(copies int) []byte {
+			e := stateEnc{}
+			e.u8(lruStateVersion)
+			e.i64(1000)
+			e.i64(0)
+			e.u64(uint64(copies))
+			for i := 0; i < copies; i++ {
+				e.object(a)
+				e.f64(1)
+			}
+			return e.b
+		}},
+		{"rate-profile", NewRateProfile(RateProfileConfig{Capacity: 1000}), func(copies int) []byte {
+			e := stateEnc{}
+			e.u8(rpStateVersion)
+			e.i64(1000)
+			e.i64(0)
+			e.u64(uint64(copies))
+			for i := 0; i < copies; i++ {
+				e.object(a)
+				e.i64(1)
+				e.i64(100)
+			}
+			e.u64(0)
+			return e.b
+		}},
+		{"size-class-marking", NewSizeClassMarking(1000), func(copies int) []byte {
+			e := stateEnc{}
+			e.u8(scmStateVersion)
+			e.i64(1000)
+			e.i64(0)
+			e.i64(0)
+			e.u64(uint64(copies))
+			for i := 0; i < copies; i++ {
+				e.object(a)
+				e.boolean(true)
+			}
+			return e.b
+		}},
+	} {
+		if err := c.policy.RestoreState(c.blob(2)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("%s: a blob caching %s twice restored (%v)", c.name, a.ID, err)
+		}
+		if err := c.policy.RestoreState(c.blob(1)); err != nil {
+			t.Errorf("%s: a blob caching %s once: %v", c.name, a.ID, err)
+		}
 	}
 }

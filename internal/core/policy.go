@@ -93,7 +93,7 @@ func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
 	d := NewDecider(s.Policy, nil, nil, s.Ledger)
 	for i, req := range reqs {
-		d.Begin(req.Seq, "", len(req.Accesses))
+		d.Begin(req.Seq, "")
 		for _, acc := range req.Accesses {
 			obj, ok := s.Objects[acc.Object]
 			if !ok {

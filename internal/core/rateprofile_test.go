@@ -56,7 +56,7 @@ func TestRateProfileHitUpdatesRP(t *testing.T) {
 	rp.Access(1, a, 100)
 	rp.Access(2, a, 100) // load
 	rp.Access(3, a, 70)  // hit
-	e := rp.entries[a.ID]
+	e := valueOf(&rp.entries, a.ID)
 	if e.sumYield != 170 {
 		t.Fatalf("sumYield = %d, want 170 (load access 100 + hit 70)", e.sumYield)
 	}
@@ -228,10 +228,10 @@ func referenceVictims(r *RateProfile, t, needed int64) (victims []ObjectID, maxR
 		rp   float64
 		size int64
 	}
-	cands := make([]cand, 0, len(r.entries))
-	for id, e := range r.entries {
-		cands = append(cands, cand{id, e.rp(t), e.obj.Size})
-	}
+	cands := make([]cand, 0, r.entries.len())
+	r.entries.each(func(id ObjectID, e **rpEntry) {
+		cands = append(cands, cand{id, (*e).rp(t), (*e).obj.Size})
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].rp != cands[j].rp {
 			return cands[i].rp < cands[j].rp
@@ -249,6 +249,15 @@ func referenceVictims(r *RateProfile, t, needed int64) (victims []ObjectID, maxR
 		}
 	}
 	return victims, maxRP, freed
+}
+
+// victimIDs lists selectVictims' entries by id.
+func victimIDs(victims []*rpEntry) []ObjectID {
+	var ids []ObjectID
+	for _, e := range victims {
+		ids = append(ids, e.obj.ID)
+	}
+	return ids
 }
 
 // TestSelectVictimsMatchesSort holds the partial selection to the full
@@ -280,9 +289,9 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 		for _, needed := range []int64{1, 100, cached / 3, cached, cached + 1, 2*cached + 500} {
 			want, wantRP, wantFreed := referenceVictims(r, now, needed)
 			got, gotRP, gotFreed := r.selectVictims(now, needed)
-			if !reflect.DeepEqual(append([]ObjectID(nil), got...), want) || gotRP != wantRP || gotFreed != wantFreed {
+			if !reflect.DeepEqual(victimIDs(got), want) || gotRP != wantRP || gotFreed != wantFreed {
 				t.Fatalf("round %d, %d cached, needed %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
-					round, len(r.entries), needed, got, gotRP, gotFreed, want, wantRP, wantFreed)
+					round, r.entries.len(), needed, victimIDs(got), gotRP, gotFreed, want, wantRP, wantFreed)
 			}
 		}
 	}
@@ -292,9 +301,11 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 // Rate-Profile cache's contents — accesses that load into free space,
 // accesses that evict to load, Reset, a snapshot restored in place and
 // into a fresh policy — and after every step holds the two containers
-// to each other (every map entry is in dense at its idx, and nothing
+// to each other (every table entry is in dense at its idx, and nothing
 // else is) and selectVictims, which walks dense, to referenceVictims,
-// which walks the map.
+// which walks the table. The objects carry slots, so restored entries
+// move from the table's map into their slots and are evicted from
+// there.
 func TestDenseEntriesFollowTheMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cfg := RateProfileConfig{Capacity: 4000}
@@ -303,23 +314,23 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 		r := NewRateProfile(cfg)
 		check := func(step int, what string, now int64) {
 			t.Helper()
-			if len(r.dense) != len(r.entries) {
-				t.Fatalf("round %d step %d (%s): %d in dense, %d in the map", round, step, what, len(r.dense), len(r.entries))
+			if len(r.dense) != r.entries.len() {
+				t.Fatalf("round %d step %d (%s): %d in dense, %d in the table", round, step, what, len(r.dense), r.entries.len())
 			}
-			for id, e := range r.entries {
-				if e.idx >= len(r.dense) || r.dense[e.idx] != e || e.obj.ID != id {
+			r.entries.each(func(id ObjectID, p **rpEntry) {
+				if e := *p; e.idx >= len(r.dense) || r.dense[e.idx] != e || e.obj.ID != id {
 					t.Fatalf("round %d step %d (%s): %s has idx %d, which holds another entry", round, step, what, id, e.idx)
 				}
-			}
+			})
 			if spare := r.dense[len(r.dense):cap(r.dense)]; len(spare) > 0 && spare[0] != nil {
 				t.Fatalf("round %d step %d (%s): an evicted entry is still referenced past the end of dense", round, step, what)
 			}
 			for _, needed := range []int64{1, 500, r.used, r.used + 1} {
 				want, wantRP, wantFreed := referenceVictims(r, now, needed)
 				got, gotRP, gotFreed := r.selectVictims(now, needed)
-				if !reflect.DeepEqual(append([]ObjectID(nil), got...), want) || gotRP != wantRP || gotFreed != wantFreed {
+				if !reflect.DeepEqual(victimIDs(got), want) || gotRP != wantRP || gotFreed != wantFreed {
 					t.Fatalf("round %d step %d (%s), needed %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
-						round, step, what, needed, got, gotRP, gotFreed, want, wantRP, wantFreed)
+						round, step, what, needed, victimIDs(got), gotRP, gotFreed, want, wantRP, wantFreed)
 				}
 			}
 		}
@@ -346,12 +357,13 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 				restores++
 			default:
 				size := int64(1+rng.Intn(8)) * 100
-				id := ObjectID(fmt.Sprintf("o%02d", rng.Intn(40)))
-				if e := r.entries[id]; e != nil {
+				k := rng.Intn(40)
+				id := ObjectID(fmt.Sprintf("o%02d", k))
+				if e := valueOf(&r.entries, id); e != nil {
 					size = e.obj.Size
 				}
 				before := r.Evictions()
-				if r.Access(now, Object{ID: id, Size: size, FetchCost: size}, int64(rng.Intn(6))*size) == Load {
+				if r.Access(now, Object{ID: id, Size: size, FetchCost: size, Slot: int32(k + 1)}, int64(rng.Intn(6))*size) == Load {
 					loads++
 				}
 				evictions += r.Evictions() - before
@@ -378,7 +390,7 @@ func BenchmarkRateProfileMiss(b *testing.B) {
 	var capacity int64
 	for i := range objs {
 		size := int64(1+rng.Intn(64)) << 20
-		objs[i] = Object{ID: ObjectID(fmt.Sprintf("edr/photoobj.c%02d", i)), Size: size, FetchCost: size}
+		objs[i] = Object{ID: ObjectID(fmt.Sprintf("edr/photoobj.c%02d", i)), Size: size, FetchCost: size, Slot: int32(i + 1)}
 		capacity += size
 	}
 	r := NewRateProfile(RateProfileConfig{Capacity: capacity})
@@ -388,7 +400,7 @@ func BenchmarkRateProfileMiss(b *testing.B) {
 		}
 	}
 	// A fetch cost no run's yields repay: its LAR never overtakes the victims' RPs.
-	miss := Object{ID: "edr/specobj.z", Size: 8 << 20, FetchCost: 1 << 50}
+	miss := Object{ID: "edr/specobj.z", Size: 8 << 20, FetchCost: 1 << 50, Slot: cached + 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

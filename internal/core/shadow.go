@@ -21,8 +21,9 @@ package core
 // snapshot, a replayed journal), so every figure covers the same
 // accesses — those the set has seen.
 //
-// An access costs one add and one map update, and allocates nothing
-// once its object has been seen (BenchmarkShadowAccess). The set
+// An access costs one add and one update of its object's accumulator,
+// found by the object's slot, and allocates nothing once its object has
+// been seen (BenchmarkShadowAccess). The set
 // publishes nothing: a registry collector reads its Stats under the
 // lock that serializes its accesses (Telemetry.Mirror).
 
@@ -32,16 +33,14 @@ package core
 // *ShadowSet is a valid no-op so call sites thread it
 // unconditionally.
 type ShadowSet struct {
-	bypassWAN int64               // Σ BypassCost(yield): always-bypass WAN
-	optAcc    map[ObjectID]*int64 // per-object accumulated bypass cost
-	optBound  int64               // Σ_i min(optAcc[i], f_i)
-	adopted   int64               // WAN in the Decider's Acct the set never saw
+	bypassWAN int64           // Σ BypassCost(yield): always-bypass WAN
+	optAcc    objTable[int64] // per-object accumulated bypass cost
+	optBound  int64           // Σ_i min(optAcc[i], f_i)
+	adopted   int64           // WAN in the Decider's Acct the set never saw
 }
 
 // NewShadowSet returns an empty set.
-func NewShadowSet() *ShadowSet {
-	return &ShadowSet{optAcc: make(map[ObjectID]*int64)}
-}
+func NewShadowSet() *ShadowSet { return &ShadowSet{} }
 
 // Access feeds one decided access, whatever the live policy decided.
 func (s *ShadowSet) Access(obj Object, yield int64) {
@@ -52,11 +51,7 @@ func (s *ShadowSet) Access(obj Object, yield int64) {
 	s.bypassWAN += c
 
 	// Ski-rental bound increment: min(acc+c, f) − min(acc, f).
-	acc := s.optAcc[obj.ID]
-	if acc == nil {
-		acc = new(int64)
-		s.optAcc[obj.ID] = acc
-	}
+	acc := s.optAcc.put(obj)
 	prev := *acc
 	*acc = prev + c
 	s.optBound += min(prev+c, obj.FetchCost) - min(prev, obj.FetchCost)

@@ -86,7 +86,7 @@ func TestShadowRatioAtLeastOneUnderRandomStream(t *testing.T) {
 	d := NewDecider(NewRateProfile(RateProfileConfig{Capacity: 2500}), nil, s, nil)
 	for i := 1; i <= 2000; i++ {
 		o := objs[r.Intn(len(objs))]
-		d.Begin(int64(i), "", 1)
+		d.Begin(int64(i), "")
 		if _, err := d.Access(o, r.Int63n(o.Size+1)); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestSimulatorLedgerAndShadows(t *testing.T) {
 	tel := NewTelemetry(reg)
 	d := NewDecider(NewRateProfile(RateProfileConfig{Capacity: 2000}), tel, shadows, nil)
 	for _, req := range reqs {
-		d.Begin(req.Seq, "", len(req.Accesses))
+		d.Begin(req.Seq, "")
 		for _, acc := range req.Accesses {
 			if _, err := d.Access(sim.Objects[acc.Object], acc.Yield); err != nil {
 				t.Fatal(err)
@@ -304,13 +304,15 @@ func TestDecisionRecordForNilPolicy(t *testing.T) {
 }
 
 // BenchmarkShadowAccess is the cost the counterfactual figures add to
-// one access: one add for always-bypass and one map update for the
-// ski-rental bound. There is no shadow policy to load or evict, so
-// every access after its object's first is this steady state.
+// one access: one add for always-bypass and one update of the object's
+// ski-rental accumulator, found by its slot as the mediator's objects
+// are. There is no shadow policy to load or evict, so every access
+// after its object's first is this steady state.
 func BenchmarkShadowAccess(b *testing.B) {
 	objs := make([]Object, 200)
 	for i := range objs {
 		objs[i] = testObj(string(rune('a'+i%26))+string(rune('a'+i/26)), int64(100+i))
+		objs[i].Slot = int32(i + 1)
 	}
 	s := NewShadowSet()
 	for _, o := range objs {
