@@ -62,8 +62,9 @@ import (
 //	core.decide_seconds       histogram; one observation per access the
 //	                          policy decided, each the mean step of its
 //	                          query's decide loop (policy, flows, shadows,
-//	                          ledger slot, journal append), which is timed
-//	                          once per query, end to end. NANOSECONDS,
+//	                          ledger slot; not the journal, written after
+//	                          the loop), which is timed once per query,
+//	                          end to end. NANOSECONDS,
 //	                          with explicit sub-microsecond buckets —
 //	                          the name keeps the Prometheus convention
 //	                          while the unit stays integer-friendly

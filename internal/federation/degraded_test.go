@@ -3,6 +3,7 @@ package federation
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
@@ -284,5 +285,88 @@ func TestSiteHealthAskedOncePerSitePerQuery(t *testing.T) {
 	}
 	if failed != 2 || len(rep.SiteErrors) != 1 {
 		t.Fatalf("%d failed legs, site errors %+v; want specobj.objid and specobj.z lost to one site", failed, rep.SiteErrors)
+	}
+}
+
+// ringProbe is a Journal that keeps what it is given and checks, at each
+// record, that the ledger's ring is free: a snapshot from another
+// goroutine must finish while the record is journaled, since a journal's
+// append may fsync.
+type ringProbe struct {
+	t    *testing.T
+	led  *ledger.Ledger
+	recs []JournalRecord
+	held bool
+}
+
+func (j *ringProbe) JournalAccess(r JournalRecord) {
+	j.recs = append(j.recs, r)
+	if j.held {
+		return
+	}
+	done := make(chan struct{})
+	go func() { j.led.Snapshot(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		j.held = true
+		j.t.Errorf("journaling %+v: the ledger's ring is held", r)
+	}
+}
+
+// TestJournalIsWrittenOutsideTheLedgerRing: a query's decisions are
+// journaled after the ledger's ring is closed, in access order, each as
+// what was decided — a policy's decision, a forced hit or a failed leg.
+func TestJournalIsWrittenOutsideTheLedgerRing(t *testing.T) {
+	s := catalog.EDR()
+	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	led := ledger.New(64)
+	m, err := New(Config{Schema: s, Engine: db, Policy: &loadAll{}, Granularity: Columns, Ledger: led})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &ringProbe{t: t, led: led}
+	m.SetJournal(j)
+	var reps []QueryReport
+	for _, sql := range []string{
+		"select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid",
+		"select p.ra, p.dec, s.z, s.zconf from photoobj p, specobj s where p.objid = s.objid",
+	} {
+		rep, err := m.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, *rep)
+		m.SetHealth(&fakeHealth{down: map[string]string{catalog.SiteSpec: "breaker open site=" + catalog.SiteSpec}})
+	}
+	kinds := map[JournalKind]int{}
+	k := 0
+	for _, rep := range reps {
+		for _, d := range rep.Decisions {
+			if k == len(j.recs) {
+				t.Fatalf("the journal ends before Seq %d's decision %+v", rep.Seq, d)
+			}
+			want := JournalRecord{Kind: JournalAccess, T: rep.Seq, ShardT: rep.Seq, Object: d.Object, Yield: d.Yield, Decision: d.Decision}
+			switch {
+			case d.Failed:
+				want.Kind = JournalFailed
+			case d.Forced:
+				want.Kind, want.Decision = JournalForced, core.Hit
+			}
+			if j.recs[k] != want {
+				t.Fatalf("journal record %d is %+v, want %+v", k, j.recs[k], want)
+			}
+			kinds[want.Kind]++
+			k++
+		}
+	}
+	if k != len(j.recs) {
+		t.Fatalf("%d journal records for %d decisions", len(j.recs), k)
+	}
+	if kinds[JournalAccess] == 0 || kinds[JournalForced] == 0 || kinds[JournalFailed] == 0 {
+		t.Fatalf("journaled %v: want decided, forced and failed accesses", kinds)
 	}
 }

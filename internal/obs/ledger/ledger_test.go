@@ -19,9 +19,22 @@ func rec(obj, action string, yield, wan int64) DecisionRecord {
 	}
 }
 
+// write appends recs to l as one batch, each filled into the slot Next
+// hands out, as core.Decider fills them.
+func write(l *Ledger, recs ...DecisionRecord) {
+	l.Open()
+	for _, r := range recs {
+		if slot := l.Next(); slot != nil {
+			r.Seq = slot.Seq
+			*slot = r
+		}
+	}
+	l.Close()
+}
+
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
-	l.Record(rec("o1", "hit", 10, 0)) // must not panic
+	write(l, rec("o1", "hit", 10, 0)) // must not panic
 	l.SetSink(NewJSONL(&bytes.Buffer{}))
 	if got := l.Snapshot(); got != nil {
 		t.Fatalf("nil ledger Snapshot = %v, want nil", got)
@@ -34,7 +47,7 @@ func TestNilLedgerIsNoOp(t *testing.T) {
 func TestLedgerSequenceAndSnapshot(t *testing.T) {
 	l := New(8)
 	for i := 0; i < 5; i++ {
-		l.Record(rec("o1", "bypass", int64(i), int64(i)))
+		write(l, rec("o1", "bypass", int64(i), int64(i)))
 	}
 	if l.Count() != 5 {
 		t.Fatalf("Count = %d, want 5", l.Count())
@@ -56,7 +69,7 @@ func TestLedgerSequenceAndSnapshot(t *testing.T) {
 func TestLedgerRingWrap(t *testing.T) {
 	l := New(4)
 	for i := 1; i <= 10; i++ {
-		l.Record(rec("o1", "hit", int64(i), 0))
+		write(l, rec("o1", "hit", int64(i), 0))
 	}
 	recs := l.Snapshot()
 	if len(recs) != 4 {
@@ -76,8 +89,8 @@ func TestLedgerCapClamp(t *testing.T) {
 	if l.Cap() != 1 {
 		t.Fatalf("Cap = %d, want clamp to 1", l.Cap())
 	}
-	l.Record(rec("a", "hit", 1, 0))
-	l.Record(rec("b", "hit", 2, 0))
+	write(l, rec("a", "hit", 1, 0))
+	write(l, rec("b", "hit", 2, 0))
 	recs := l.Snapshot()
 	if len(recs) != 1 || recs[0].Object != "b" {
 		t.Fatalf("Snapshot = %+v, want only the latest record", recs)
@@ -86,10 +99,10 @@ func TestLedgerCapClamp(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	l := New(16)
-	l.Record(DecisionRecord{Object: "o1", Action: "bypass", Trace: "aa"})
-	l.Record(DecisionRecord{Object: "o2", Action: "load", Trace: "aa"})
-	l.Record(DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
-	l.Record(DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
+	write(l, DecisionRecord{Object: "o1", Action: "bypass", Trace: "aa"})
+	write(l, DecisionRecord{Object: "o2", Action: "load", Trace: "aa"})
+	write(l, DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
+	write(l, DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
 	recs := l.Snapshot()
 
 	if got := Filter(recs, Query{Object: "o1"}); len(got) != 3 {
@@ -163,7 +176,7 @@ func TestJSONLSink(t *testing.T) {
 	l.SetSink(NewJSONL(&buf))
 	// More records than the ring holds: the sink sees all of them.
 	for i := 1; i <= 6; i++ {
-		l.Record(DecisionRecord{T: int64(i), Object: "o1", Action: "bypass", Yield: int64(i * 10)})
+		write(l, DecisionRecord{T: int64(i), Object: "o1", Action: "bypass", Yield: int64(i * 10)})
 	}
 	sc := bufio.NewScanner(&buf)
 	var n int
@@ -215,7 +228,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				l.Record(DecisionRecord{T: int64(i), Yield: int64(i) * 10, Object: "o", Action: "hit"})
+				write(l, DecisionRecord{T: int64(i), Yield: int64(i) * 10, Object: "o", Action: "hit"})
 			}
 		}()
 	}
@@ -235,25 +248,25 @@ type sliceSink struct{ recs []DecisionRecord }
 
 func (s *sliceSink) Record(r DecisionRecord) { s.recs = append(s.recs, r) }
 
-// TestAppendIsRecordInBatches: appending batches — empty, short, and
-// longer than the ring — leaves the ring, the count and the sink
-// exactly as recording the same records one by one does, and costs no
-// allocation, however often the same batch slice is appended.
+// TestAppendIsRecordInBatches: appending batches through Open, Next and
+// Close — empty, short, and longer than the ring — leaves the ring, the
+// count and the sink exactly as batches of one record each do, and costs
+// no allocation, however often a batch is written.
 func TestAppendIsRecordInBatches(t *testing.T) {
 	one, batched := New(8), New(8)
 	oneSink, batchedSink := &sliceSink{}, &sliceSink{}
 	one.SetSink(oneSink)
 	batched.SetSink(batchedSink)
-	(*Ledger)(nil).Append([]DecisionRecord{rec("o", "hit", 1, 0)}) // must not panic
+	write(nil, rec("o", "hit", 1, 0)) // must not panic
 	next := int64(0)
 	for _, n := range []int{0, 1, 3, 0, 5, 20, 2} {
 		batch := make([]DecisionRecord, n)
 		for i := range batch {
 			next++
 			batch[i] = rec("o", "bypass", next, next)
-			one.Record(batch[i])
+			write(one, batch[i])
 		}
-		batched.Append(batch)
+		write(batched, batch...)
 		if one.Count() != batched.Count() {
 			t.Fatalf("after a batch of %d: Count %d, recorded one by one %d", n, batched.Count(), one.Count())
 		}
@@ -277,33 +290,36 @@ func TestAppendIsRecordInBatches(t *testing.T) {
 	}
 	quiet := New(64)
 	batch := make([]DecisionRecord, 17) // the caller's, before and after: appended again and again
-	if allocs := testing.AllocsPerRun(100, func() { quiet.Append(batch) }); allocs != 0 {
-		t.Fatalf("Append allocates %.1f times per batch, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { write(quiet, batch...) }); allocs != 0 {
+		t.Fatalf("a batch of 17 allocates %.1f times, want 0", allocs)
 	}
 }
 
-// TestAppendCopiesIn: the ring holds records by value. A caller that
-// refills its batch for the next query — as core.Decider does — changes
-// nothing the ledger retains, and a snapshot is a copy the ledger's
-// later appends do not reach.
+// TestAppendCopiesIn: the ring holds records by value. Next hands out a
+// slot zeroed but for its Seq, whatever it held before; what a writer
+// fills a slot from is not retained; and a snapshot is a copy the
+// ledger's later batches do not reach.
 func TestAppendCopiesIn(t *testing.T) {
-	l := New(8)
+	l := New(2)
 	batch := []DecisionRecord{rec("a", "hit", 1, 0), rec("b", "load", 2, 1000)}
-	l.Append(batch)
-	if batch[0].Seq != 1 || batch[1].Seq != 2 {
-		t.Fatalf("Append left Seq %d, %d on the batch, want 1, 2", batch[0].Seq, batch[1].Seq)
-	}
+	write(l, batch...)
 	first := l.Snapshot()
-	batch = append(batch[:0], rec("c", "bypass", 3, 3))
+	batch[0].Object = "changed"
 	if got := l.Snapshot(); len(got) != 2 || got[0].Object != "a" || got[1].Object != "b" {
-		t.Fatalf("refilling the caller's batch changed the ring: %+v", got)
+		t.Fatalf("changing what the ring was filled from changed the ring: %+v", got)
 	}
-	l.Append(batch)
+	l.Open()
+	slot := l.Next() // the oldest record's slot, a's
+	if *slot != (DecisionRecord{Seq: 3}) {
+		t.Fatalf("Next handed out %+v, want a slot zeroed but for Seq 3", *slot)
+	}
+	slot.Object = "c"
+	l.Close()
 	if len(first) != 2 || first[0].Object != "a" || first[1].Object != "b" {
-		t.Fatalf("an append changed an earlier snapshot: %+v", first)
+		t.Fatalf("a later batch changed an earlier snapshot: %+v", first)
 	}
-	if got := l.Snapshot(); len(got) != 3 || got[2].Object != "c" || got[2].Seq != 3 {
-		t.Fatalf("ring after the second append: %+v", got)
+	if got := l.Snapshot(); len(got) != 2 || got[0].Object != "b" || got[1].Object != "c" || got[1].Seq != 3 {
+		t.Fatalf("ring after the second batch: %+v", got)
 	}
 }
 
@@ -319,7 +335,7 @@ func TestAppendWrapsTheRing(t *testing.T) {
 			next++
 			batch[i] = DecisionRecord{T: next, Yield: next * 10, Object: "o", Action: "hit"}
 		}
-		l.Append(batch)
+		write(l, batch...)
 		got := l.Snapshot()
 		want := int(min(next, 5))
 		if len(got) != want || l.Count() != uint64(next) {
@@ -335,8 +351,8 @@ func TestAppendWrapsTheRing(t *testing.T) {
 }
 
 // TestAppendWithConcurrentSnapshots is the daemons' shape under the
-// race detector: one appender (the decision lock admits one) refilling
-// one batch, scrapes snapshotting meanwhile. Every snapshot is a run of
+// race detector: one writer (the decision lock admits one) appending
+// batch after batch, scrapes snapshotting meanwhile. Every snapshot is a run of
 // consecutive, whole records ending at a batch boundary.
 func TestAppendWithConcurrentSnapshots(t *testing.T) {
 	const ringCap, width, batches = 64, 7, 2000
@@ -377,7 +393,7 @@ func TestAppendWithConcurrentSnapshots(t *testing.T) {
 			seq := int64(b*width + i + 1)
 			batch[i] = DecisionRecord{T: seq, Yield: seq * 10, Object: "o", Action: "hit"}
 		}
-		l.Append(batch)
+		write(l, batch...)
 	}
 	close(done)
 	readers.Wait()
