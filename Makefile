@@ -7,8 +7,12 @@ all: vet test
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would change, so that formatting is
+# checked by CI rather than by hand.
 vet: build
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -90,9 +94,11 @@ fuzz-smoke:
 # through Client, Proxy and Mediator on loopback (bytes and allocations
 # per hit, and the client's Reads per reply) and again at the edr-bypass
 # cache, where most are shipped to their node before the decision,
-# the frame encoder and result codec, the workload generator (one
-# Stream.Next per op, for the EDR and point mixes, and a whole 1/100 EDR
-# trace with its calibration), and one end-to-end experiment. All
+# the frame encoder and result codec, the statement reader (Parse and a
+# reused Parser's Parse over both mixes' 12 000 statements, one op a
+# statement), the workload generator (one Stream.Next per op, for the
+# EDR and point mixes, and a whole 1/100 EDR trace with its
+# calibration), and one end-to-end experiment. All
 # but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
 # and any metric a benchmark reports per op) so CI can archive hot-path
 # numbers across commits.
@@ -103,6 +109,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench=BenchmarkParse -benchmem -benchtime=12000x ./internal/sqlparse/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkStreamNext -benchmem -benchtime=12000x ./internal/workload/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkWorkloadGenerate$$' -benchmem -benchtime=20x . | tee -a bench_obs.txt
 	awk 'BEGIN { print "{"; n = 0 } \

@@ -13,6 +13,19 @@
 // and costs one allocation, its string. Generated statements, the
 // proxy's cross-site sub-queries and the engine's aggregate column
 // names all print through it.
+//
+// The reader is table-driven: one 256-entry table classifies every byte
+// for the lexer's whitespace, identifier and digit scans, keywords and
+// aggregate names are switch statements, and a plain decimal is read
+// without strconv. An identifier is lower-cased, at the cost of its
+// string, only when it holds an upper-case letter; otherwise it is cut
+// from the text, so the generated (lower-case) statements cost no string
+// at all. Every statement the proxy mediates and a node serves is read by
+// the connection's own Parser, which allocates nothing once its lists
+// have grown; Parse, for callers that keep what they read, reads in a
+// pooled Parser and copies the statement out at its exact size, four
+// allocations at most (TestParseAllocs gates both). FuzzParse holds the
+// reader to the map-keyed one it replaced, error offsets included.
 package sqlparse
 
 import "strconv"

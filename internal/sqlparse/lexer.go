@@ -49,112 +49,141 @@ func (l *lexer) errorf(pos int, format string, args ...any) error {
 	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// Byte classes. An identifier starts with a letter or '_' and goes on
+// with those and digits; one that holds an upper-case letter is
+// lower-cased, any other is cut from the text as it is.
+const (
+	classSpace uint8 = 1 << iota
+	classDigit
+	classLower  // a–z and '_'
+	classUpper  // A–Z
+	classLetter = classLower | classUpper
+	classIdent  = classLetter | classDigit
+)
+
+// byteClass classifies every byte. Its space set is exactly
+// unicode.IsSpace of the byte read as a rune: tab, LF, VT, FF, CR,
+// space, and also 0x85 and 0xA0 (NEL and NBSP in Latin-1), which a
+// statement may hold outside UTF-8.
+var byteClass = func() (t [256]uint8) {
+	for b := range t {
+		switch {
+		case unicode.IsSpace(rune(b)):
+			t[b] = classSpace
+		case '0' <= b && b <= '9':
+			t[b] = classDigit
+		case 'a' <= b && b <= 'z' || b == '_':
+			t[b] = classLower
+		case 'A' <= b && b <= 'Z':
+			t[b] = classUpper
+		}
+	}
+	return t
+}()
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+	src, pos := l.src, l.pos
+	for pos < len(src) && byteClass[src[pos]] == classSpace {
+		pos++
 	}
-	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+	if pos >= len(src) {
+		l.pos = pos
+		return token{kind: tokEOF, pos: pos}, nil
 	}
-	start := l.pos
-	ch := l.src[l.pos]
-	switch {
-	case ch == ',':
-		l.pos++
+	start := pos
+	ch := src[pos]
+	if seen := byteClass[ch]; seen&classLetter != 0 {
+		for pos++; pos < len(src); pos++ {
+			c := byteClass[src[pos]]
+			if c&classIdent == 0 {
+				break
+			}
+			seen |= c
+		}
+		l.pos = pos
+		text := src[start:pos]
+		if seen&classUpper != 0 {
+			text = strings.ToLower(text)
+		}
+		return token{tokIdent, text, start}, nil
+	}
+	l.pos = pos + 1
+	switch ch {
+	case ',':
 		return token{tokComma, ",", start}, nil
-	case ch == '.':
-		l.pos++
+	case '.':
 		return token{tokDot, ".", start}, nil
-	case ch == '(':
-		l.pos++
+	case '(':
 		return token{tokLParen, "(", start}, nil
-	case ch == ')':
-		l.pos++
+	case ')':
 		return token{tokRParen, ")", start}, nil
-	case ch == '*':
-		l.pos++
+	case '*':
 		return token{tokStar, "*", start}, nil
-	case ch == '=':
-		l.pos++
+	case '=':
 		return token{tokOp, "=", start}, nil
-	case ch == '<':
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
+	case '<':
+		if l.pos < len(src) && (src[l.pos] == '=' || src[l.pos] == '>') {
 			l.pos++
-			return token{tokOp, l.src[start:l.pos], start}, nil
+			return token{tokOp, src[start:l.pos], start}, nil
 		}
 		return token{tokOp, "<", start}, nil
-	case ch == '>':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
+	case '>':
+		if l.pos < len(src) && src[l.pos] == '=' {
 			l.pos++
 			return token{tokOp, ">=", start}, nil
 		}
 		return token{tokOp, ">", start}, nil
-	case ch == '!':
-		l.pos++
-		if l.pos < len(l.src) && l.src[l.pos] == '=' {
+	case '!':
+		if l.pos < len(src) && src[l.pos] == '=' {
 			l.pos++
 			return token{tokOp, "<>", start}, nil // normalize != to <>
 		}
 		return token{}, l.errorf(start, "unexpected character %q", ch)
-	case ch == '-' || ch == '+' || isDigit(ch):
+	case '-', '+', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
+		l.pos = start
 		return l.lexNumber()
-	case isIdentStart(ch):
-		for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-			l.pos++
-		}
-		return token{tokIdent, strings.ToLower(l.src[start:l.pos]), start}, nil
-	default:
-		return token{}, l.errorf(start, "unexpected character %q", ch)
 	}
+	return token{}, l.errorf(start, "unexpected character %q", ch)
 }
 
 // lexNumber scans an optionally signed decimal with optional fraction
 // and exponent.
 func (l *lexer) lexNumber() (token, error) {
-	start := l.pos
-	if l.src[l.pos] == '-' || l.src[l.pos] == '+' {
-		l.pos++
+	src, start := l.src, l.pos
+	pos := start
+	if src[pos] == '-' || src[pos] == '+' {
+		pos++
 	}
-	digits := 0
-	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-		l.pos++
-		digits++
-	}
-	if l.pos < len(l.src) && l.src[l.pos] == '.' {
-		l.pos++
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-			digits++
-		}
+	mark := pos
+	pos = skipDigits(src, pos)
+	digits := pos - mark
+	if pos < len(src) && src[pos] == '.' {
+		mark = pos + 1
+		pos = skipDigits(src, mark)
+		digits += pos - mark
 	}
 	if digits == 0 {
 		return token{}, l.errorf(start, "malformed number")
 	}
-	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-		save := l.pos
-		l.pos++
-		if l.pos < len(l.src) && (l.src[l.pos] == '-' || l.src[l.pos] == '+') {
-			l.pos++
+	if pos < len(src) && (src[pos] == 'e' || src[pos] == 'E') {
+		exp := pos + 1
+		if exp < len(src) && (src[exp] == '-' || src[exp] == '+') {
+			exp++
 		}
-		expDigits := 0
-		for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-			l.pos++
-			expDigits++
-		}
-		if expDigits == 0 {
-			l.pos = save // "e" belonged to something else; unlikely in this grammar
-		}
+		if end := skipDigits(src, exp); end > exp {
+			pos = end
+		} // else the "e" belongs to something else; unlikely in this grammar
 	}
-	return token{tokNumber, l.src[start:l.pos], start}, nil
+	l.pos = pos
+	return token{tokNumber, src[start:pos], start}, nil
 }
 
-func isDigit(ch byte) bool { return ch >= '0' && ch <= '9' }
-
-func isIdentStart(ch byte) bool {
-	return ch == '_' || (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z')
+// skipDigits returns the offset of the first byte at or after pos that
+// is not a decimal digit.
+func skipDigits(src string, pos int) int {
+	for pos < len(src) && byteClass[src[pos]] == classDigit {
+		pos++
+	}
+	return pos
 }
-
-func isIdentPart(ch byte) bool { return isIdentStart(ch) || isDigit(ch) }

@@ -2,7 +2,9 @@ package sqlparse
 
 import (
 	"math"
+	"slices"
 	"strconv"
+	"sync"
 )
 
 // Parser is a recursive-descent parser over the lexer's token stream
@@ -14,7 +16,8 @@ import (
 // overwritten by the next Parse, so a caller that parses again has
 // finished with the last statement. Its strings are not the Parser's —
 // each is cut from the text that was parsed, or is a lower-cased copy of
-// its own — and stay good.
+// its own — and stay good. Once its lists have grown to a statement's
+// size, a Parser reads lower-case text of that size without allocating.
 type Parser struct {
 	lex lexer
 	tok token
@@ -29,27 +32,92 @@ type Parser struct {
 	orderBy OrderSpec
 }
 
+// parsers are the Parsers Parse reads in; each has only ever read
+// statements of at most maxKeptStatement bytes.
+var parsers = sync.Pool{New: func() any { return new(Parser) }}
+
+// maxKeptStatement bounds the statements a pooled Parser has read, as
+// the same bound in package wire bounds what a serving connection keeps:
+// a Parser's lists grow with the text, so one that has read a longer
+// statement is left to the collector rather than pooled.
+const maxKeptStatement = 4 << 10
+
 // Parse parses one SELECT statement into memory of its own: the
-// statement is the caller's to keep. It is a new Parser's, copied out
-// with the columns it points to, so that a caller holding statements by
-// the thousand (a trace, the benchmark's population) holds a SelectStmt
-// and its lists for each and not a Parser.
+// statement is the caller's to keep. It is read by a pooled Parser and
+// copied out at its exact size, so that a caller holding statements by
+// the thousand (a trace, the benchmark's population) holds for each a
+// SelectStmt and its lists, not a Parser nor lists grown by doubling:
+// the statement with the GROUP BY and ORDER BY clauses it has, the
+// projections, the tables, and the conditions with the columns their
+// right-hand sides point to. That is four allocations at most; the
+// strings cost none unless an identifier had to be lower-cased, for each
+// is cut from sql.
 func Parse(sql string) (*SelectStmt, error) {
-	var p Parser
+	p := parsers.Get().(*Parser)
+	var stmt *SelectStmt
 	parsed, err := p.Parse(sql)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		stmt = parsed.clone()
 	}
-	stmt := *parsed
-	if stmt.GroupBy != nil {
-		col := *stmt.GroupBy
-		stmt.GroupBy = &col
+	if len(sql) <= maxKeptStatement {
+		parsers.Put(p)
 	}
-	if stmt.OrderBy != nil {
-		spec := *stmt.OrderBy
-		stmt.OrderBy = &spec
+	return stmt, err
+}
+
+// clone copies a statement the Parser returned into exact-size memory.
+func (s *SelectStmt) clone() *SelectStmt {
+	// The statement and the clauses it points to are one block, sized
+	// for the clauses it has.
+	var out *SelectStmt
+	switch {
+	case s.GroupBy != nil && s.OrderBy != nil:
+		b := &struct {
+			stmt    SelectStmt
+			groupBy ColRef
+			orderBy OrderSpec
+		}{*s, *s.GroupBy, *s.OrderBy}
+		out, b.stmt.GroupBy, b.stmt.OrderBy = &b.stmt, &b.groupBy, &b.orderBy
+	case s.GroupBy != nil:
+		b := &struct {
+			stmt    SelectStmt
+			groupBy ColRef
+		}{*s, *s.GroupBy}
+		out, b.stmt.GroupBy = &b.stmt, &b.groupBy
+	case s.OrderBy != nil:
+		b := &struct {
+			stmt    SelectStmt
+			orderBy OrderSpec
+		}{*s, *s.OrderBy}
+		out, b.stmt.OrderBy = &b.stmt, &b.orderBy
+	default:
+		stmt := *s
+		out = &stmt
 	}
-	return &stmt, nil
+	out.Items = slices.Clone(s.Items)
+	out.From = slices.Clone(s.From)
+	if n := len(s.Where); n > 0 {
+		// The right-hand columns go in the Left of conditions past the
+		// list's end: one allocation for the clause.
+		rightCols := 0
+		for i := range s.Where {
+			if s.Where[i].RightCol != nil {
+				rightCols++
+			}
+		}
+		conds := make([]Condition, n+rightCols)
+		copy(conds, s.Where)
+		right := conds[n:]
+		for i := range conds[:n] {
+			if c := conds[i].RightCol; c != nil {
+				right[0].Left = *c
+				conds[i].RightCol = &right[0].Left
+				right = right[1:]
+			}
+		}
+		out.Where = conds[:n:n]
+	}
+	return out
 }
 
 // Parse parses one SELECT statement into the Parser's memory, over the
@@ -96,11 +164,15 @@ func (p *Parser) isKeyword(kw string) bool {
 	return p.tok.kind == tokIdent && p.tok.text == kw
 }
 
-// reserved words that terminate identifier positions.
-var reserved = map[string]bool{
-	"select": true, "from": true, "where": true, "and": true,
-	"between": true, "as": true, "top": true,
-	"group": true, "order": true, "by": true, "asc": true, "desc": true,
+// reserved reports whether an identifier is a word that terminates
+// identifier positions.
+func reserved(ident string) bool {
+	switch ident {
+	case "select", "from", "where", "and", "between", "as", "top",
+		"group", "order", "by", "asc", "desc":
+		return true
+	}
+	return false
 }
 
 func (p *Parser) parseSelect() (*SelectStmt, error) {
@@ -201,8 +273,22 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 	return stmt, p.err
 }
 
-var aggFuncs = map[string]AggFunc{
-	"count": AggCount, "sum": AggSum, "avg": AggAvg, "min": AggMin, "max": AggMax,
+// aggFunc returns the aggregate function an identifier names, or
+// AggNone.
+func aggFunc(ident string) AggFunc {
+	switch ident {
+	case "count":
+		return AggCount
+	case "sum":
+		return AggSum
+	case "avg":
+		return AggAvg
+	case "min":
+		return AggMin
+	case "max":
+		return AggMax
+	}
+	return AggNone
 }
 
 func (p *Parser) parseSelectItem() (SelectItem, error) {
@@ -215,7 +301,7 @@ func (p *Parser) parseSelectItem() (SelectItem, error) {
 	if p.tok.kind != tokIdent {
 		return item, p.errorf("expected projection, got %q", p.tok.text)
 	}
-	if agg, ok := aggFuncs[p.tok.text]; ok {
+	if agg := aggFunc(p.tok.text); agg != AggNone {
 		// Lookahead: aggregate call only if followed by '('.
 		save := p.lex
 		saveTok := p.tok
@@ -262,7 +348,7 @@ func (p *Parser) parseAlias(item SelectItem) (SelectItem, error) {
 		p.advance()
 		return item, p.err
 	}
-	if p.tok.kind == tokIdent && !reserved[p.tok.text] {
+	if p.tok.kind == tokIdent && !reserved(p.tok.text) {
 		item.Alias = p.tok.text
 		p.advance()
 	}
@@ -271,7 +357,7 @@ func (p *Parser) parseAlias(item SelectItem) (SelectItem, error) {
 
 func (p *Parser) parseColRef() (ColRef, error) {
 	var c ColRef
-	if p.tok.kind != tokIdent || reserved[p.tok.text] {
+	if p.tok.kind != tokIdent || reserved(p.tok.text) {
 		return c, p.errorf("expected column reference, got %q", p.tok.text)
 	}
 	first := p.tok.text
@@ -292,7 +378,7 @@ func (p *Parser) parseColRef() (ColRef, error) {
 
 func (p *Parser) parseTableRef() (TableRef, error) {
 	var tr TableRef
-	if p.tok.kind != tokIdent || reserved[p.tok.text] {
+	if p.tok.kind != tokIdent || reserved(p.tok.text) {
 		return tr, p.errorf("expected table name, got %q", p.tok.text)
 	}
 	tr.Name = p.tok.text
@@ -306,7 +392,7 @@ func (p *Parser) parseTableRef() (TableRef, error) {
 		p.advance()
 		return tr, p.err
 	}
-	if p.tok.kind == tokIdent && !reserved[p.tok.text] {
+	if p.tok.kind == tokIdent && !reserved(p.tok.text) {
 		tr.Alias = p.tok.text
 		p.advance()
 	}
@@ -368,12 +454,52 @@ func (p *Parser) parseNumber() (float64, error) {
 	if p.tok.kind != tokNumber {
 		return 0, p.errorf("expected number, got %q", p.tok.text)
 	}
-	v, err := strconv.ParseFloat(p.tok.text, 64)
-	if err != nil {
-		return 0, p.errorf("invalid number %q", p.tok.text)
+	v, ok := exactDecimal(p.tok.text)
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(p.tok.text, 64); err != nil {
+			return 0, p.errorf("invalid number %q", p.tok.text)
+		}
 	}
 	p.advance()
 	return v, p.err
+}
+
+// pow10 are the powers of ten a float64 holds exactly, as far as
+// exactDecimal needs them.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// exactDecimal reads a number token without an exponent and with at most
+// 15 digits, as the generated statements' are. The digits are an integer
+// a float64 holds exactly, and so is the power of ten it is divided by,
+// so one division rounds the quotient once, correctly: to the float
+// strconv.ParseFloat returns, −0 included. ok is false for any other
+// token, which ParseFloat reads.
+func exactDecimal(num string) (v float64, ok bool) {
+	var mant uint64
+	digits, point := 0, -1
+	for i := 0; i < len(num); i++ {
+		switch c := num[i]; {
+		case '0' <= c && c <= '9':
+			mant = mant*10 + uint64(c-'0')
+			digits++
+		case c == '.':
+			point = digits
+		case c == 'e' || c == 'E':
+			return 0, false
+		} // else the leading sign
+	}
+	if digits > len(pow10)-1 {
+		return 0, false
+	}
+	v = float64(mant)
+	if num[0] == '-' {
+		v = -v
+	}
+	if point >= 0 {
+		v /= pow10[digits-point]
+	}
+	return v, true
 }
 
 // scrambled is a name no catalog has and no lexer produces.
