@@ -83,7 +83,8 @@ fuzz-smoke:
 
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free), the executor with results kept
-# and released, a Rate-Profile miss that compares victims, one access of
+# and released, a Rate-Profile miss that compares victims and a
+# 73-access statement whose 46 such misses share one tick, one access of
 # the shadow sums (always-bypass and the ski-rental bound), the mediator's
 # whole query path (bind, execute, decompose, decide, flush: three passes
 # over the 3 000 EDR statements of the federation benchmark's traced
@@ -105,7 +106,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
-	$(GO) test -run='^$$' -bench='BenchmarkRateProfileMiss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt

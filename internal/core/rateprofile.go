@@ -28,10 +28,22 @@ type RateProfile struct {
 	cfg       RateProfileConfig
 	used      int64
 	entries   objTable[*rpEntry]
-	dense     []*rpEntry // the same entries, each at its idx: what selectVictims walks
 	profiles  *profileTable
 	evictions int64
 	last      Explain
+
+	// heap holds the same entries as the table, each at its idx: what
+	// selectVictims walks and Contents lists. While heaped it is a
+	// min-heap in eviction order (victimCand.before) of their RPs at tick
+	// heapT, built by the first miss of a tick that needs victims and kept
+	// in order by that tick's hits, loads and evictions, so every such
+	// miss of one query takes its victims from it without computing an RP.
+	// An access at another tick, Reset and RestoreState drop the order;
+	// the next miss that needs victims builds it again.
+	heap   []victimCand
+	heapT  int64
+	heaped bool
+	builds int // heaps built, for tests
 
 	// Buffers selectVictims reuses from miss to miss.
 	cands   []victimCand
@@ -42,7 +54,7 @@ type rpEntry struct {
 	obj      Object
 	loadTime int64
 	sumYield int64
-	idx      int // position in RateProfile.dense
+	idx      int // position in RateProfile.heap
 }
 
 // rp evaluates eq. 3 at time t. As with LARP, the first access after
@@ -89,13 +101,13 @@ func (r *RateProfile) Reset() {
 }
 
 // setEntries replaces the cache's contents (Reset, RestoreState) and
-// rebuilds dense from them.
+// rebuilds the heap from them, unordered.
 func (r *RateProfile) setEntries(entries objTable[*rpEntry]) {
 	r.entries = entries
-	r.dense = nil
+	r.heap, r.heaped = nil, false
 	entries.each(func(_ ObjectID, e **rpEntry) {
-		(*e).idx = len(r.dense)
-		r.dense = append(r.dense, *e)
+		(*e).idx = len(r.heap)
+		r.heap = append(r.heap, victimCand{e: *e})
 	})
 }
 
@@ -109,9 +121,9 @@ func (r *RateProfile) SetTelemetry(tel *Telemetry) { r.profiles.tel = tel }
 
 // Contents implements ContentLister.
 func (r *RateProfile) Contents() []ObjectID {
-	ids := make([]ObjectID, 0, len(r.dense))
-	for _, e := range r.dense {
-		ids = append(ids, e.obj.ID)
+	ids := make([]ObjectID, 0, len(r.heap))
+	for _, c := range r.heap {
+		ids = append(ids, c.e.obj.ID)
 	}
 	return ids
 }
@@ -123,10 +135,18 @@ func (r *RateProfile) LastExplain() *Explain { return &r.last }
 
 // Access implements Policy.
 func (r *RateProfile) Access(t int64, obj Object, yield int64) Decision {
+	if t != r.heapT {
+		r.heaped = false
+	}
 	if p := r.entries.find(obj); p != nil {
 		e := *p
 		e.sumYield += yield
-		r.last = Explain{RP: e.rp(t), Reason: ReasonInCache}
+		rp := e.rp(t)
+		r.last = Explain{RP: rp, Reason: ReasonInCache}
+		if r.heaped {
+			r.heap[e.idx].rp = rp
+			r.fix(e.idx)
+		}
 		return Hit
 	}
 	r.last = r.profiles.observe(t, obj, yield)
@@ -182,19 +202,19 @@ func (c *victimCand) before(d *victimCand) bool {
 // order, whose combined size frees at least `needed` bytes, together
 // with the maximum RP in the victim set and the total bytes freed. A
 // miss evicts a few of the many cached objects, so the candidates are
-// heaped (linear) and only the victims popped, not all sorted: from
-// dense, since iterating the map cost more than the heap, and in any
-// order, since (rp, id) is total. The returned slice is valid until
-// the next call.
+// heaped (linear) and only the victims popped, not all sorted. The
+// accesses of one query share its tick, so the heap is built by the
+// tick's first such miss and kept in order after it (see heap); the
+// victims after the first are popped from a copy, so the heap stays
+// whole for the query's next miss. Since every cached object's size is
+// positive, every RP is finite and (RP, id) is a total order: the
+// victims do not depend on where an entry sits in the heap. The
+// returned slice is valid until the next call.
 func (r *RateProfile) selectVictims(t, needed int64) (victims []*rpEntry, maxRP float64, freed int64) {
-	h := r.cands[:0]
-	for _, e := range r.dense {
-		h = append(h, victimCand{e, e.rp(t)})
+	if !r.heaped || t != r.heapT {
+		r.build(t)
 	}
-	r.cands = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
+	h := r.heap
 	victims = r.victims[:0]
 	for freed < needed && len(h) > 0 {
 		c := h[0]
@@ -203,16 +223,46 @@ func (r *RateProfile) selectVictims(t, needed int64) (victims []*rpEntry, maxRP 
 		if c.rp > maxRP {
 			maxRP = c.rp
 		}
+		if freed >= needed {
+			break
+		}
+		if len(victims) == 1 {
+			h = append(r.cands[:0], h...)
+			r.cands = h
+		}
 		h[0] = h[len(h)-1]
 		h = h[:len(h)-1]
-		siftDown(h, 0)
+		siftDown(h, 0, false)
 	}
 	r.victims = victims
 	return victims, maxRP, freed
 }
 
-// siftDown restores the min-heap order of h below position i.
-func siftDown(h []victimCand, i int) {
+// build computes every cached entry's RP at t and heaps them (linear).
+func (r *RateProfile) build(t int64) {
+	h := r.heap
+	for i := range h {
+		h[i].rp = h[i].e.rp(t)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, true)
+	}
+	r.heapT, r.heaped = t, true
+	r.builds++
+}
+
+// fix restores the heap's order around position i, whose RP changed or
+// which another entry moved into.
+func (r *RateProfile) fix(i int) {
+	if !siftUp(r.heap, i) {
+		siftDown(r.heap, i, true)
+	}
+}
+
+// siftDown restores the min-heap order of h below position i. With
+// place, every entry it moves learns its new idx (the policy's heap);
+// without, h is a copy whose positions mean nothing to the entries.
+func siftDown(h []victimCand, i int, place bool) {
 	for {
 		least := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
@@ -224,25 +274,51 @@ func siftDown(h []victimCand, i int) {
 			return
 		}
 		h[i], h[least] = h[least], h[i]
+		if place {
+			h[i].e.idx, h[least].e.idx = i, least
+		}
 		i = least
 	}
 }
 
+// siftUp moves the entry at position i of the policy's heap towards the
+// root while it goes before its parent, and reports whether it moved.
+func siftUp(h []victimCand, i int) bool {
+	start := i
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		h[i].e.idx, h[parent].e.idx = i, parent
+		i = parent
+	}
+	return i != start
+}
+
 func (r *RateProfile) load(t int64, obj Object, yield int64) {
 	r.profiles.onLoad(obj)
-	e := &rpEntry{obj: obj, loadTime: t, sumYield: yield, idx: len(r.dense)}
+	e := &rpEntry{obj: obj, loadTime: t, sumYield: yield, idx: len(r.heap)}
 	*r.entries.put(obj) = e
-	r.dense = append(r.dense, e)
+	r.heap = append(r.heap, victimCand{e: e})
+	if r.heaped {
+		r.heap[e.idx].rp = e.rp(t)
+		siftUp(r.heap, e.idx)
+	}
 	r.used += obj.Size
 }
 
 func (r *RateProfile) evict(e *rpEntry) {
 	r.entries.del(e.obj)
-	last := len(r.dense) - 1
-	r.dense[e.idx] = r.dense[last]
-	r.dense[e.idx].idx = e.idx
-	r.dense[last] = nil
-	r.dense = r.dense[:last]
+	last := len(r.heap) - 1
+	r.heap[e.idx] = r.heap[last]
+	r.heap[e.idx].e.idx = e.idx
+	r.heap[last] = victimCand{}
+	r.heap = r.heap[:last]
+	if r.heaped && e.idx < last {
+		r.fix(e.idx)
+	}
 	r.used -= e.obj.Size
 	r.evictions++
 }

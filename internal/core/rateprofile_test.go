@@ -297,15 +297,52 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 	}
 }
 
+// checkHeap holds a Rate-Profile cache's heap to its table: every table
+// entry is in the heap at its idx and nothing else is, no entry is
+// referenced past the heap's end, and while the heap is ordered, every
+// candidate carries its entry's RP at heapT and none goes before its
+// parent.
+func checkHeap(r *RateProfile) error {
+	if len(r.heap) != r.entries.len() {
+		return fmt.Errorf("%d in the heap, %d in the table", len(r.heap), r.entries.len())
+	}
+	var err error
+	r.entries.each(func(id ObjectID, p **rpEntry) {
+		if e := *p; err == nil && (e.idx >= len(r.heap) || r.heap[e.idx].e != e || e.obj.ID != id) {
+			err = fmt.Errorf("%s has idx %d, which holds another entry", id, e.idx)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for i, c := range r.heap[len(r.heap):cap(r.heap)] {
+		if c.e != nil {
+			return fmt.Errorf("%s, evicted, is still referenced %d past the end of the heap", c.e.obj.ID, i)
+		}
+	}
+	if !r.heaped {
+		return nil
+	}
+	for i := range r.heap {
+		c := &r.heap[i]
+		if want := c.e.rp(r.heapT); c.rp != want {
+			return fmt.Errorf("%s at %d carries RP %g, its RP at tick %d is %g", c.e.obj.ID, i, c.rp, r.heapT, want)
+		}
+		if i > 0 && c.before(&r.heap[(i-1)/2]) {
+			return fmt.Errorf("%s at %d goes before its parent %s", c.e.obj.ID, i, r.heap[(i-1)/2].e.obj.ID)
+		}
+	}
+	return nil
+}
+
 // TestDenseEntriesFollowTheMap drives random sequences of what changes a
 // Rate-Profile cache's contents — accesses that load into free space,
 // accesses that evict to load, Reset, a snapshot restored in place and
-// into a fresh policy — and after every step holds the two containers
-// to each other (every table entry is in dense at its idx, and nothing
-// else is) and selectVictims, which walks dense, to referenceVictims,
-// which walks the table. The objects carry slots, so restored entries
-// move from the table's map into their slots and are evicted from
-// there.
+// into a fresh policy — and after every step holds the heap, the dense
+// slice of entries that selectVictims walks, to the table (checkHeap)
+// and selectVictims to referenceVictims, which walks the table. The
+// objects carry slots, so restored entries move from the table's map
+// into their slots and are evicted from there.
 func TestDenseEntriesFollowTheMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cfg := RateProfileConfig{Capacity: 4000}
@@ -314,16 +351,8 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 		r := NewRateProfile(cfg)
 		check := func(step int, what string, now int64) {
 			t.Helper()
-			if len(r.dense) != r.entries.len() {
-				t.Fatalf("round %d step %d (%s): %d in dense, %d in the table", round, step, what, len(r.dense), r.entries.len())
-			}
-			r.entries.each(func(id ObjectID, p **rpEntry) {
-				if e := *p; e.idx >= len(r.dense) || r.dense[e.idx] != e || e.obj.ID != id {
-					t.Fatalf("round %d step %d (%s): %s has idx %d, which holds another entry", round, step, what, id, e.idx)
-				}
-			})
-			if spare := r.dense[len(r.dense):cap(r.dense)]; len(spare) > 0 && spare[0] != nil {
-				t.Fatalf("round %d step %d (%s): an evicted entry is still referenced past the end of dense", round, step, what)
+			if err := checkHeap(r); err != nil {
+				t.Fatalf("round %d step %d (%s): %v", round, step, what, err)
 			}
 			for _, needed := range []int64{1, 500, r.used, r.used + 1} {
 				want, wantRP, wantFreed := referenceVictims(r, now, needed)
@@ -377,13 +406,120 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 	t.Logf("%d loads, %d evictions, %d restores", loads, evictions, restores)
 }
 
-// BenchmarkRateProfileMiss is one miss that needs victims: an access to
-// an uncached object against a full cache of 76 objects — the columns
-// the federation benchmark's edr-cached workload holds after its 3 000
-// traced statements — which the policy bypasses because the victims
-// save more. The cache does not change, so every op walks and heaps the
-// same 76 candidates and pops the few that would make room.
-func BenchmarkRateProfileMiss(b *testing.B) {
+// TestVictimHeapAcrossATick holds the heap a tick's misses share to the
+// full sort. Each run feeds one Rate-Profile cache 50–80 accesses at one
+// tick — hits, misses bypassed because the victims save more, misses
+// that evict to load, zero yields, sizes and yields drawn from a few
+// values so that equal RPs, broken by id, are common — then moves the
+// tick on by zero (the tick repeats), one or many (it jumps). Now and then a run is interrupted by Reset or by a
+// snapshot restored in place or into a fresh policy, and carries on at
+// the same tick. Before every miss that needs victims, selectVictims
+// at the access's tick must return referenceVictims' victims, maximum
+// RP and bytes freed; the access itself must then explain that maximum
+// and evict those victims if it loads; and after every step the heap
+// must pass checkHeap.
+func TestVictimHeapAcrossATick(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	cfg := RateProfileConfig{Capacity: 3000}
+	var misses, heapedHits, evictions, restores int
+	reasons := map[string]int{}
+	for round := 0; round < 30; round++ {
+		r := NewRateProfile(cfg)
+		now := int64(0)
+		for run := 0; run < 30; run++ {
+			switch rng.Intn(3) {
+			case 1:
+				now++
+			case 2:
+				now += int64(2 + rng.Intn(50))
+			}
+			accesses := 50 + rng.Intn(31)
+			for step := 0; step < accesses; step++ {
+				what := "access"
+				switch k := rng.Intn(100); {
+				case k < 1:
+					what = "reset"
+					r.Reset()
+				case k < 3:
+					what = "restore in place"
+					if err := r.RestoreState(r.SnapshotState()); err != nil {
+						t.Fatal(err)
+					}
+					restores++
+				case k < 5:
+					what = "restore into a fresh policy"
+					fresh := NewRateProfile(cfg)
+					if err := fresh.RestoreState(r.SnapshotState()); err != nil {
+						t.Fatal(err)
+					}
+					r = fresh
+					restores++
+				default:
+					k := rng.Intn(30)
+					size := int64(1+rng.Intn(4)) * 100
+					obj := Object{ID: ObjectID(fmt.Sprintf("o%02d", k)), Size: size, FetchCost: size, Slot: int32(k + 1)}
+					e := valueOf(&r.entries, obj.ID)
+					if e != nil {
+						obj = e.obj
+						if r.heaped && r.heapT == now {
+							heapedHits++
+						}
+					}
+					yield := int64(rng.Intn(4)) * obj.Size / 2
+					needed := obj.Size - (cfg.Capacity - r.used)
+					miss := e == nil && needed > 0
+					var want []ObjectID
+					var wantRP float64
+					if miss {
+						misses++
+						var wantFreed int64
+						want, wantRP, wantFreed = referenceVictims(r, now, needed)
+						got, gotRP, gotFreed := r.selectVictims(now, needed)
+						if !reflect.DeepEqual(victimIDs(got), want) || gotRP != wantRP || gotFreed != wantFreed {
+							t.Fatalf("round %d run %d step %d, tick %d, %s needs %d:\n got  %v maxRP %g freed %d\n want %v maxRP %g freed %d",
+								round, run, step, now, obj.ID, needed, victimIDs(got), gotRP, gotFreed, want, wantRP, wantFreed)
+						}
+					}
+					before := r.Evictions()
+					d := r.Access(now, obj, yield)
+					evicted := int(r.Evictions() - before)
+					evictions += evicted
+					if miss {
+						what = fmt.Sprintf("miss of %s (%s)", obj.ID, r.LastExplain().Reason)
+						reasons[r.LastExplain().Reason]++
+						if r.LastExplain().VictimRP != wantRP {
+							t.Fatalf("round %d run %d step %d: %s explains victim RP %g, want %g", round, run, step, what, r.LastExplain().VictimRP, wantRP)
+						}
+						if d == Load {
+							for _, id := range want {
+								if r.Contains(id) {
+									t.Fatalf("round %d run %d step %d: %s kept victim %s", round, run, step, what, id)
+								}
+							}
+							if evicted != len(want) {
+								t.Fatalf("round %d run %d step %d: %s evicted %d, want %d", round, run, step, what, evicted, len(want))
+							}
+						}
+					}
+				}
+				if err := checkHeap(r); err != nil {
+					t.Fatalf("round %d run %d step %d, tick %d (%s): %v", round, run, step, now, what, err)
+				}
+			}
+		}
+	}
+	if misses < 10000 || heapedHits < 5000 || evictions < 1000 || restores < 500 ||
+		reasons[ReasonVictimsSaveMore] < 1000 || reasons[ReasonLARBeatsVictims] < 1000 {
+		t.Fatalf("%d misses compared victims (%v), %d hits met an ordered heap, %d evictions, %d restores: too few to mean anything",
+			misses, reasons, heapedHits, evictions, restores)
+	}
+	t.Logf("%d misses compared victims (%v), %d hits met an ordered heap, %d evictions, %d restores", misses, reasons, heapedHits, evictions, restores)
+}
+
+// fullCache is a Rate-Profile cache holding 76 objects — the columns the
+// federation benchmark's edr-cached workload holds after its 3 000
+// traced statements — with no byte free, loaded at ticks 0–75.
+func fullCache(tb testing.TB) (*RateProfile, []Object) {
 	const cached = 76
 	rng := rand.New(rand.NewSource(22))
 	objs := make([]Object, cached)
@@ -396,16 +532,92 @@ func BenchmarkRateProfileMiss(b *testing.B) {
 	r := NewRateProfile(RateProfileConfig{Capacity: capacity})
 	for i, obj := range objs {
 		if d := r.Access(int64(i), obj, 4*obj.Size); d != Load {
-			b.Fatalf("%s was not loaded: %s", obj.ID, d)
+			tb.Fatalf("%s was not loaded: %s", obj.ID, d)
 		}
 	}
+	return r, objs
+}
+
+// stmtAccess is one access of a statement and the decision it must get.
+type stmtAccess struct {
+	obj Object
+	hit bool
+}
+
+// wideStatement is `select * from frame` against fullCache as the
+// edr-cached workload sees it: 73 accesses, 27 of them hits on cached
+// objects spread among 46 misses of objects whose fetch cost no yield
+// repays, so each miss compares victims and is bypassed.
+func wideStatement(cached []Object) []stmtAccess {
+	const accesses, hits = 73, 27
+	stmt := make([]stmtAccess, accesses)
+	for i := range stmt {
+		if i*hits%accesses < hits {
+			stmt[i] = stmtAccess{cached[i], true}
+			continue
+		}
+		stmt[i].obj = Object{ID: ObjectID(fmt.Sprintf("edr/frame.c%02d", i)), Size: 8 << 20, FetchCost: 1 << 50, Slot: int32(len(cached) + 1 + i)}
+	}
+	return stmt
+}
+
+// accessStatement feeds stmt to r at tick t and fails on a hit that was
+// not, or a miss that was not bypassed after comparing victims.
+func accessStatement(tb testing.TB, r *RateProfile, t int64, stmt []stmtAccess) {
+	for _, a := range stmt {
+		d := r.Access(t, a.obj, 4096)
+		if a.hit && d != Hit || !a.hit && (d != Bypass || r.LastExplain().Reason != ReasonVictimsSaveMore) {
+			tb.Fatalf("tick %d: %s (cached %v): %s (%s)", t, a.obj.ID, a.hit, d, r.LastExplain().Reason)
+		}
+	}
+}
+
+// TestWideMissBuildsOneHeap is the count behind the wide-miss hold: the
+// 46 misses of one 73-access statement, all at one tick, share one heap
+// of the 76 cached objects, which the statement's 27 hits keep in order,
+// and the next statement, at the next tick, builds one more.
+func TestWideMissBuildsOneHeap(t *testing.T) {
+	r, objs := fullCache(t)
+	stmt := wideStatement(objs)
+	for tick := int64(len(objs)); tick < int64(len(objs))+3; tick++ {
+		before := r.builds
+		accessStatement(t, r, tick, stmt)
+		if built := r.builds - before; built != 1 {
+			t.Fatalf("tick %d: the statement built the heap %d times, want once", tick, built)
+		}
+		if err := checkHeap(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRateProfileMiss is one miss that needs victims: an access to
+// an uncached object against fullCache, which the policy bypasses
+// because the victims save more. Each op is at a tick of its own, so it
+// computes the RPs of the 76 candidates and heaps them — the rebuild a
+// query's first such miss pays — and pops the few that would make room.
+func BenchmarkRateProfileMiss(b *testing.B) {
+	r, objs := fullCache(b)
 	// A fetch cost no run's yields repay: its LAR never overtakes the victims' RPs.
-	miss := Object{ID: "edr/specobj.z", Size: 8 << 20, FetchCost: 1 << 50, Slot: cached + 1}
+	miss := Object{ID: "edr/specobj.z", Size: 8 << 20, FetchCost: 1 << 50, Slot: int32(len(objs) + 1)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if d := r.Access(int64(cached+i), miss, 4096); d != Bypass || r.LastExplain().Reason != ReasonVictimsSaveMore {
+		if d := r.Access(int64(len(objs)+i), miss, 4096); d != Bypass || r.LastExplain().Reason != ReasonVictimsSaveMore {
 			b.Fatalf("op %d: %s (%s), want a bypass after comparing victims", i, d, r.LastExplain().Reason)
 		}
+	}
+}
+
+// BenchmarkRateProfileWideMiss is one wideStatement against fullCache,
+// at a tick of its own: one heap built, 46 misses taking their victims
+// from it, 27 hits keeping it in order.
+func BenchmarkRateProfileWideMiss(b *testing.B) {
+	r, objs := fullCache(b)
+	stmt := wideStatement(objs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		accessStatement(b, r, int64(len(objs)+i), stmt)
 	}
 }

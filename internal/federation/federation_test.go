@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -461,5 +462,50 @@ func TestDecomposeViewsJoin(t *testing.T) {
 	}
 	if !got[TableObjectID("edr", "photoobj")] {
 		t.Fatalf("accesses = %v, want photoobj fallback", accs)
+	}
+}
+
+// TestNewRefusesInvalidObjects pins the precondition Rate-Profile's
+// victim order rests on: New checks core.Object.Validate for every
+// object its index numbers, so every size the policy divides by is
+// positive and (RP, id) is a total order. Every object of EDR and DR1
+// passes at table, column and view granularity; a table emptied after
+// its engine was opened gives objects of size zero, and New refuses
+// the first of them by name.
+func TestNewRefusesInvalidObjects(t *testing.T) {
+	grans := []Granularity{Tables, Columns, Views}
+	for _, s := range []*catalog.Schema{catalog.EDR(), catalog.DR1()} {
+		db, err := engine.Open(s, engine.Config{SampleEvery: 100000, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range grans {
+			m, err := New(Config{Schema: s, Engine: db, Granularity: g})
+			if err != nil {
+				t.Fatalf("%s at %s granularity: %v", s.Name, g, err)
+			}
+			for _, o := range m.Objects() {
+				if err := o.Validate(); err != nil {
+					t.Fatalf("%s at %s granularity: New accepted %v", s.Name, g, err)
+				}
+			}
+		}
+	}
+	s := catalog.EDR()
+	db, err := engine.Open(s, engine.Config{SampleEvery: 100000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emptied := s.Table("specobj")
+	emptied.Rows = 0
+	for _, g := range grans {
+		want := TableObjectID(s.Name, emptied.Name)
+		if g == Columns {
+			want = ColumnObjectID(s.Name, emptied.Name, emptied.Columns[0].Name)
+		}
+		_, err := New(Config{Schema: s, Engine: db, Granularity: g})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("object %s has non-positive size 0", want)) {
+			t.Fatalf("%s granularity, %s emptied: New returned %v, want %s refused for its size", g, emptied.Name, err, want)
+		}
 	}
 }

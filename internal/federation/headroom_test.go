@@ -2,6 +2,7 @@ package federation_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"bypassyield/internal/core"
@@ -104,5 +105,94 @@ func TestShipFirstHeadroom(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMixedSingleSiteRelay measures, and asserts nothing about, what a
+// whole-statement relay carries beyond what the mediator charges. A
+// bypassed statement whose tables are all one site's is relayed to that
+// site whole, and the node's reply is the answer, so when some of its
+// accesses were hits or loads the reply carries their columns too:
+// bytes that cross the WAN but are not in D_S. Over the federation
+// benchmark's EDR stream (2 000 statements warm, 10 000 counted), at the
+// edr-cached (40%) and edr-bypass (0.1%) caches, Rate-Profile on column
+// objects, it logs the statements that are single-site, not degraded,
+// and have both a bypassed access and a cached one (hit or load); the
+// logical bytes a whole-statement relay carries for them (their
+// results' bytes); and the bypass bytes the mediator charges for them.
+// ROADMAP item 2 records the figures.
+func TestMixedSingleSiteRelay(t *testing.T) {
+	warm, counted := 2000, 10000
+	if raceEnabled || testing.Short() {
+		warm, counted = 300, 1500
+	}
+	st, err := workload.NewStream(workload.EDRProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := make([]string, warm+counted)
+	for i := range sqls {
+		sqls[i] = st.Next().SQL
+	}
+	s := st.Schema()
+	db, err := engine.Open(s, engine.Config{SampleEvery: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pct := range []float64{0.4, 0.001} {
+		t.Run(fmt.Sprintf("edr/%g%%", pct*100), func(t *testing.T) {
+			capacity := int64(pct * float64(s.TotalBytes()))
+			pol, err := core.NewPolicyByName("rate-profile", capacity, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := federation.New(federation.Config{Schema: s, Engine: db, Granularity: federation.Columns, Policy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sc federation.Scratch
+			var relayed, mixed, frames int
+			var relayedBytes, mixedBytes, mixedCharged, frameBytes, frameCharged int64
+			for i, sql := range sqls {
+				rep, err := m.QueryScratch(&sc, sql, "", nil)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				if _, oneSite := federation.OneSite(rep.Bound); i >= warm && oneSite && !rep.Degraded {
+					var bypassed, cached bool
+					var charged int64
+					for _, d := range rep.Decisions {
+						if d.Decision == core.Bypass {
+							bypassed = true
+							charged += d.Yield
+						} else {
+							cached = true
+						}
+					}
+					if bypassed {
+						relayed++
+						relayedBytes += rep.Result.Bytes
+					}
+					if bypassed && cached {
+						mixed++
+						mixedBytes += rep.Result.Bytes
+						mixedCharged += charged
+						if strings.HasPrefix(sql, "select * from frame") {
+							frames++
+							frameBytes += rep.Result.Bytes
+							frameCharged += charged
+						}
+					}
+				}
+				sc.Release()
+			}
+			t.Logf("%d of %d statements (%.2f%%) are single-site with a bypass (relayed, or shipped first when yield-blind); %d (%.2f%%) of them mixed, %d of those `select * from frame`",
+				relayed, counted, 100*float64(relayed)/float64(counted), mixed, 100*float64(mixed)/float64(counted), frames)
+			t.Logf("mixed relays carry %d logical bytes (%.1f KB each), the mediator charges %d of them as bypass bytes (%.1f%%): %d carried and not charged",
+				mixedBytes, float64(mixedBytes)/1e3/float64(max(mixed, 1)), mixedCharged,
+				100*float64(mixedCharged)/float64(max(mixedBytes, 1)), mixedBytes-mixedCharged)
+			t.Logf("the mixed `select * from frame` carry %d logical bytes, %d charged (%.1f%%); all single-site statements with a bypass carry %d",
+				frameBytes, frameCharged, 100*float64(frameCharged)/float64(max(frameBytes, 1)), relayedBytes)
+		})
 	}
 }

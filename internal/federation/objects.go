@@ -209,21 +209,37 @@ func newObjectIndex(s *catalog.Schema, release string, g Granularity, nm *netcos
 	return ix
 }
 
-// objects lists the index as the id-keyed universe.
-func (ix *objectIndex) objects() map[core.ObjectID]core.Object {
-	out := make(map[core.ObjectID]core.Object)
+// each calls f with every object of the index, table by table, and
+// returns f's first error.
+func (ix *objectIndex) each(f func(core.Object) error) error {
 	for ti := range ix.tables {
 		e := &ix.tables[ti]
 		if ix.gran != Columns {
-			out[e.obj.ID] = e.obj
+			if err := f(e.obj); err != nil {
+				return err
+			}
 		}
 		for ci := range e.cols {
-			out[e.cols[ci].obj.ID] = e.cols[ci].obj
+			if err := f(e.cols[ci].obj); err != nil {
+				return err
+			}
 		}
 		for vi := range e.views {
-			out[e.views[vi].obj.ID] = e.views[vi].obj
+			if err := f(e.views[vi].obj); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// objects lists the index as the id-keyed universe.
+func (ix *objectIndex) objects() map[core.ObjectID]core.Object {
+	out := make(map[core.ObjectID]core.Object)
+	ix.each(func(o core.Object) error {
+		out[o.ID] = o
+		return nil
+	})
 	return out
 }
 

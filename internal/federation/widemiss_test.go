@@ -20,12 +20,14 @@ import (
 // and over the last 10 000 logs for those statements, for `select * from
 // photoobj` beside them and for all statements: count, accesses and
 // misses per statement, the mean and median DecideUS (the hold as the
-// proxy reports it), and their share of all decision time and of all
-// mediation time. Each of Rate-Profile's misses recomputes the rate
-// profile of every cached entry and heaps them again to pick its
-// victims (RateProfile.selectVictims), so a statement's hold grows with
-// its misses times the cached entries. ROADMAP item 14 records the
-// figures.
+// proxy reports it), their share of all decision time and of all
+// mediation time, and the mean mediation time and ExecUS (the lock-free
+// bind and execute). Rate-Profile computes the rate profile of every
+// cached entry and heaps them once per tick, at the first miss that
+// needs victims; the statement's other misses take their victims from
+// that heap (RateProfile.selectVictims), so a wide statement's hold
+// grows with its misses times the victims each pops, not times the
+// cached entries. ROADMAP item 14 records the figures.
 func TestWideMissDecisionHold(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("a timing log")
@@ -39,7 +41,7 @@ func TestWideMissDecisionHold(t *testing.T) {
 	type class struct {
 		name                string
 		n, accesses, misses int
-		decideUS            int64
+		decideUS, execUS    int64
 		mediate             time.Duration
 		holds               []int64
 	}
@@ -66,6 +68,7 @@ func TestWideMissDecisionHold(t *testing.T) {
 					}
 				}
 				c.decideUS += rep.DecideUS
+				c.execUS += rep.ExecUS
 				c.mediate += took
 				c.holds = append(c.holds, rep.DecideUS)
 			}
@@ -80,9 +83,10 @@ func TestWideMissDecisionHold(t *testing.T) {
 		}
 		slices.Sort(c.holds)
 		n := float64(c.n)
-		t.Logf("%s: %d statements (%.2f%%), %.1f accesses and %.1f misses each; DecideUS mean %.1f, median %d; %.1f%% of decision time, %.1f%% of mediation time",
+		t.Logf("%s: %d statements (%.2f%%), %.1f accesses and %.1f misses each; DecideUS mean %.1f, median %d; %.1f%% of decision time, %.1f%% of mediation time; mediation mean %.1f µs, ExecUS mean %.1f",
 			c.name, c.n, 100*n/counted, float64(c.accesses)/n, float64(c.misses)/n,
 			float64(c.decideUS)/n, c.holds[len(c.holds)/2],
-			100*float64(c.decideUS)/float64(max(all.decideUS, 1)), 100*float64(c.mediate)/float64(max(all.mediate, 1)))
+			100*float64(c.decideUS)/float64(max(all.decideUS, 1)), 100*float64(c.mediate)/float64(max(all.mediate, 1)),
+			float64(c.mediate.Microseconds())/n, float64(c.execUS)/n)
 	}
 }
