@@ -18,15 +18,23 @@ test:
 	$(GO) test ./...
 
 # Everything under the race detector, then again, three times over, the
-# two tests of what this detector is for in the decision plane: a policy
+# tests of what this detector is for in the decision plane: a policy
 # decides the same whether its per-object state is found by slot or by
 # id (restored, cloned and colliding universes included), and the
 # ledger's ring, held across each query's decide loop, is snapshotted
-# and filtered by scrapes while decisions are written into it.
+# and selected from by scrapes while decisions are written into it — in
+# the mediator, and through the proxy's MsgScrape while clients query.
+RACE_CORE_RUN = TestSlotsNeverChangeADecision|TestObjTable
+RACE_FEDERATION_RUN = TestLedgerUnderConcurrentDecisions
+RACE_WIRE_RUN = TestProxyConcurrentClients
 race:
+	$(CHECK_RUN) '$(RACE_CORE_RUN)' ./internal/core/
+	$(CHECK_RUN) '$(RACE_FEDERATION_RUN)' ./internal/federation/
+	$(CHECK_RUN) '$(RACE_WIRE_RUN)' ./internal/wire/
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestSlotsNeverChangeADecision|TestObjTable' ./internal/core/
-	$(GO) test -race -count=3 -run 'TestLedgerUnderConcurrentDecisions' ./internal/federation/
+	$(GO) test -race -count=3 -run '$(RACE_CORE_RUN)' ./internal/core/
+	$(GO) test -race -count=3 -run '$(RACE_FEDERATION_RUN)' ./internal/federation/
+	$(GO) test -race -count=3 -run '$(RACE_WIRE_RUN)' ./internal/wire/
 
 # check-run PATTERN PKG... fails when an alternative of a -run pattern
 # matches no test in the packages, as `go test -list` names them: a

@@ -13,13 +13,13 @@ import (
 // counterfactual accounting and renders them: recent decisions
 // (filterable by object, action, or trace id), a per-action summary,
 // savings versus always-bypass, and the top regret contributors.
-func runDecisions(w io.Writer, addr string, q wire.DecisionsMsg, top int, asJSON bool) error {
+func runDecisions(w io.Writer, addr string, q wire.ScrapeMsg, top int, asJSON bool) error {
 	c, err := wire.DialTimeout(addr, dialTimeout)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	res, err := c.Decisions(q)
+	res, err := c.Scrape(q)
 	if err != nil {
 		return err
 	}
@@ -32,8 +32,8 @@ func runDecisions(w io.Writer, addr string, q wire.DecisionsMsg, top int, asJSON
 	return nil
 }
 
-func renderDecisions(w io.Writer, res *wire.DecisionsResultMsg, top int) {
-	fmt.Fprintf(w, "decision ledger: %d recorded, %d matching\n", res.Total, len(res.Records))
+func renderDecisions(w io.Writer, res *wire.ScrapeResultMsg, top int) {
+	fmt.Fprintf(w, "decision ledger: %d recorded, %d matching\n", res.Recorded, len(res.Records))
 
 	if len(res.Records) > 0 {
 		// Per-action summary over the matching records.

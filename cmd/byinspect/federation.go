@@ -6,28 +6,26 @@ import (
 	"io"
 	"sort"
 
-	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/wire"
 )
 
-// nodeView is everything one federation member answered during a
-// scrape. Unreachable or partially-answering daemons keep what they
-// did return; Err records the first failure.
+// nodeView is one federation member's scrape, or the failure that
+// kept it from answering.
 type nodeView struct {
-	Addr      string                   `json:"addr"`
-	Source    string                   `json:"source,omitempty"`
-	Snapshot  obs.Snapshot             `json:"snapshot,omitempty"`
-	Exemplars *wire.ExemplarsResultMsg `json:"exemplars,omitempty"`
-	Stats     *wire.StatsResultMsg     `json:"stats,omitempty"`
-	Err       string                   `json:"err,omitempty"`
+	Addr string `json:"addr"`
+	*wire.ScrapeResultMsg
+	Err string `json:"err,omitempty"`
 }
 
-// scrapeNode collects one daemon's metrics, exemplars, and — for
-// proxies — flow-accounting stats. Database nodes reject MsgStats;
-// that rejection is how the scrape tells the two roles apart, so a
-// stats failure after a successful metrics scrape is not an error.
-func scrapeNode(addr string, q wire.ExemplarsMsg) nodeView {
+// proxy reports whether the member answered as a proxy: its Source
+// names the role.
+func (v nodeView) proxy() bool {
+	return v.ScrapeResultMsg != nil && v.Source == "byproxyd"
+}
+
+// scrapeNode scrapes one daemon in one round trip.
+func scrapeNode(addr string, q wire.ScrapeMsg) nodeView {
 	v := nodeView{Addr: addr}
 	c, err := wire.DialTimeout(addr, dialTimeout)
 	if err != nil {
@@ -35,21 +33,8 @@ func scrapeNode(addr string, q wire.ExemplarsMsg) nodeView {
 		return v
 	}
 	defer c.Close()
-	m, err := c.Metrics()
-	if err != nil {
+	if v.ScrapeResultMsg, err = c.Scrape(q); err != nil {
 		v.Err = err.Error()
-		return v
-	}
-	v.Source = m.Source
-	v.Snapshot = m.Snapshot
-	if ex, err := c.Exemplars(q); err == nil {
-		v.Exemplars = ex
-	} else {
-		v.Err = err.Error()
-		return v
-	}
-	if st, err := c.Stats(); err == nil {
-		v.Stats = st
 	}
 	return v
 }
@@ -58,7 +43,7 @@ func scrapeNode(addr string, q wire.ExemplarsMsg) nodeView {
 // nodes), verifies the paper's delivered-bytes invariant across the
 // federation, aggregates tail-cause attribution, and merges exemplars
 // that share a trace id into cross-node views of the same query.
-func runFederation(w io.Writer, addrs []string, q wire.ExemplarsMsg, top int, asJSON bool) error {
+func runFederation(w io.Writer, addrs []string, q wire.ScrapeMsg, top int, asJSON bool) error {
 	views := make([]nodeView, len(addrs))
 	for i, addr := range addrs {
 		views[i] = scrapeNode(addr, q)
@@ -81,13 +66,8 @@ func renderFederation(w io.Writer, views []nodeView, top int) {
 			continue
 		}
 		reachable++
-		role := v.Source
-		extra := ""
-		if v.Exemplars != nil {
-			extra = fmt.Sprintf("  %d exemplars (%d published)",
-				len(v.Exemplars.Exemplars), v.Exemplars.Published)
-		}
-		fmt.Fprintf(w, "  %-24s %-16s %s\n", v.Addr, role, extra)
+		fmt.Fprintf(w, "  %-24s %-16s   %d exemplars (%d published)\n",
+			v.Addr, v.Source, len(v.Exemplars), v.Published)
 	}
 	if reachable == 0 {
 		fmt.Fprintln(w, "no daemon reachable")
@@ -99,11 +79,11 @@ func renderFederation(w io.Writer, views []nodeView, top int) {
 	renderFederationCauses(w, views)
 	var exs []tracedExemplar
 	for _, v := range views {
-		if v.Exemplars == nil {
+		if v.Err != "" {
 			continue
 		}
-		for _, ex := range v.Exemplars.Exemplars {
-			exs = append(exs, tracedExemplar{source: v.Exemplars.Source, ex: ex})
+		for _, ex := range v.Exemplars {
+			exs = append(exs, tracedExemplar{source: v.Source, ex: ex})
 		}
 	}
 	renderMergedTraces(w, exs, top, false)
@@ -115,7 +95,7 @@ func renderFederation(w io.Writer, views []nodeView, top int) {
 func renderPersistence(w io.Writer, views []nodeView) {
 	printed := false
 	for _, v := range views {
-		if v.Stats == nil {
+		if !v.proxy() {
 			continue
 		}
 		present := false
@@ -153,22 +133,22 @@ func renderPersistence(w io.Writer, views []nodeView) {
 // the bytes delivered, D_A = D_S + D_C — nothing double-counted and
 // nothing lost. Each proxy is checked in each of its two reads on its
 // own: the metrics snapshot (core.yield_bytes against core.bypass_bytes
-// + core.cache_bytes) and the flow accounting (Stats.Acct). The two are
-// taken in different round trips, so under load they describe
-// different moments and are not compared with each other.
+// + core.cache_bytes) and the flow accounting (Acct). The scrape reads
+// the two under two holds of the decision lock, so under load they
+// describe different moments and are not compared with each other.
 func renderInvariant(w io.Writer, views []nodeView) {
 	var sumCounter, sumDeliveredCounter, sumLedger, sumDelivered int64
 	proxies := 0
 	fmt.Fprintln(w, "\nΣ yields = D_A invariant (per proxy):")
 	for _, v := range views {
-		if v.Stats == nil {
+		if !v.proxy() {
 			continue
 		}
 		proxies++
 		counter := v.Snapshot.CounterValue("core.yield_bytes", "")
 		deliveredCounter := v.Snapshot.CounterValue("core.bypass_bytes", "") + v.Snapshot.CounterValue("core.cache_bytes", "")
-		ledgerYield := v.Stats.Acct.YieldBytes
-		delivered := v.Stats.Acct.DeliveredBytes()
+		ledgerYield := v.Acct.YieldBytes
+		delivered := v.Acct.DeliveredBytes()
 		sumCounter += counter
 		sumDeliveredCounter += deliveredCounter
 		sumLedger += ledgerYield
@@ -177,11 +157,11 @@ func renderInvariant(w io.Writer, views []nodeView) {
 		if counter != deliveredCounter || ledgerYield != delivered {
 			verdict = "MISMATCH"
 		}
-		fmt.Fprintf(w, "  %-24s metrics yield %12d  D_A %12d   stats yield %12d  D_A %12d  %s\n",
+		fmt.Fprintf(w, "  %-24s metrics yield %12d  D_A %12d   acct yield %12d  D_A %12d  %s\n",
 			v.Addr, counter, deliveredCounter, ledgerYield, delivered, verdict)
 	}
 	if proxies == 0 {
-		fmt.Fprintln(w, "  no proxy in the scrape set (stats unavailable)")
+		fmt.Fprintln(w, "  no proxy in the scrape set")
 		return
 	}
 	status := "SATISFIED"
@@ -196,6 +176,9 @@ func renderInvariant(w io.Writer, views []nodeView) {
 func renderFederationCauses(w io.Writer, views []nodeView) {
 	agg := map[string]*tailCauseRow{}
 	for _, v := range views {
+		if v.Err != "" {
+			continue
+		}
 		for _, r := range tailCauses(v.Snapshot) {
 			a := agg[r.cause]
 			if a == nil {

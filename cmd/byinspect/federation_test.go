@@ -105,7 +105,7 @@ func TestFederationTailAttribution(t *testing.T) {
 
 	// The proxy's own recorder: every slow-site query breached the 5ms
 	// threshold and the WAN leg to the slow site dominates.
-	ex, err := c.Exemplars(wire.ExemplarsMsg{Outcome: flightrec.OutcomeSlow})
+	ex, err := c.Scrape(wire.ScrapeMsg{Outcome: flightrec.OutcomeSlow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFederationTailAttribution(t *testing.T) {
 	// Federation-wide scrape: invariant satisfied, attribution table
 	// ranks the slow site first, traces merge across daemons.
 	var sb strings.Builder
-	if err := runFederation(&sb, addrs, wire.ExemplarsMsg{}, 10, false); err != nil {
+	if err := runFederation(&sb, addrs, wire.ScrapeMsg{}, 10, false); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -156,7 +156,7 @@ func TestFederationTailAttribution(t *testing.T) {
 
 	// The single-daemon tail view renders the same story.
 	sb.Reset()
-	if err := runTail(&sb, addrs[0], wire.ExemplarsMsg{}, 5, false); err != nil {
+	if err := runTail(&sb, addrs[0], wire.ScrapeMsg{}, 5, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), wantCause) || !strings.Contains(sb.String(), "tail attribution") {
@@ -166,7 +166,7 @@ func TestFederationTailAttribution(t *testing.T) {
 	// -trace-id narrows it to one query: that exemplar alone, its
 	// phases, and its one sub-query leg drawn as a bar.
 	sb.Reset()
-	if err := runTail(&sb, addrs[0], wire.ExemplarsMsg{Trace: traces[1]}, 5, false); err != nil {
+	if err := runTail(&sb, addrs[0], wire.ScrapeMsg{Trace: traces[1]}, 5, false); err != nil {
 		t.Fatal(err)
 	}
 	out = sb.String()
@@ -180,8 +180,8 @@ func TestFederationTailAttribution(t *testing.T) {
 
 // TestFederationInvariantUnderLoad: a healthy proxy answering queries
 // while it is scraped satisfies the identity in every scrape. Its
-// metrics and its stats come back in different round trips, between
-// which queries land; each is checked on its own.
+// metrics and its accounting are read under two holds of the decision
+// lock, between which queries land; each is checked on its own.
 func TestFederationInvariantUnderLoad(t *testing.T) {
 	addrs := startFederation(t, "", faultnet.Faults{})
 	stop := make(chan struct{})
@@ -216,24 +216,24 @@ func TestFederationInvariantUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer before.Close()
-	first, err := before.Stats()
+	first, err := before.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		var sb strings.Builder
-		if err := runFederation(&sb, addrs[:1], wire.ExemplarsMsg{}, 1, false); err != nil {
+		if err := runFederation(&sb, addrs[:1], wire.ScrapeMsg{}, 1, false); err != nil {
 			t.Fatal(err)
 		}
 		if out := sb.String(); !strings.Contains(out, "SATISFIED") || strings.Contains(out, "MISMATCH") {
 			t.Fatalf("scrape %d of a healthy proxy under load:\n%s", i, out)
 		}
 	}
-	last, err := before.Stats()
+	last, err := before.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last.Queries == first.Queries {
+	if last.Acct.Queries == first.Acct.Queries {
 		t.Fatal("no query ran while the proxy was scraped")
 	}
 }
@@ -253,7 +253,7 @@ func TestFederationUnreachable(t *testing.T) {
 
 	var sb strings.Builder
 	dead := "127.0.0.1:1" // reserved port; connect refuses immediately
-	if err := runFederation(&sb, append(addrs, dead), wire.ExemplarsMsg{}, 5, false); err != nil {
+	if err := runFederation(&sb, append(addrs, dead), wire.ScrapeMsg{}, 5, false); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -262,5 +262,80 @@ func TestFederationUnreachable(t *testing.T) {
 	}
 	if !strings.Contains(out, "Σ yields") || !strings.Contains(out, "SATISFIED") {
 		t.Fatalf("reachable proxies not verified:\n%s", out)
+	}
+}
+
+// framesRx reads what a daemon's wire.frames_rx family has counted, in
+// all and of scrape frames, by a scrape of its own, which it counts.
+func framesRx(t *testing.T, addr string) (all, scrapes int64) {
+	t.Helper()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, err := c.Scrape(wire.ScrapeMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ctr := range res.Snapshot.Counters {
+		if ctr.Name == "wire.frames_rx" {
+			all += ctr.Value
+			if ctr.Label == "scrape" {
+				scrapes += ctr.Value
+			}
+		}
+	}
+	return all, scrapes
+}
+
+// TestOneScrapePerDaemonPerRender: every live view reads each daemon it
+// draws in one round trip, a MsgScrape and no other frame — -watch once
+// per sample. A proxy and a node count the frames they read in
+// wire.frames_rx; between two reads of it, one render adds its scrapes
+// and the second read one more.
+func TestOneScrapePerDaemonPerRender(t *testing.T) {
+	addrs := startFederation(t, "", faultnet.Faults{})
+	c, err := wire.Dial(addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"select ra from photoobj where ra < 10", "select z from specobj where z < 3"} {
+		if _, err := c.QueryTraced(sql, obs.NewID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+
+	proxy, node := addrs[0], addrs[1]
+	for _, v := range []struct {
+		name    string
+		daemons []string
+		render  func(w *strings.Builder) error
+		scrapes int64 // per daemon
+	}{
+		{"-federation", addrs, func(w *strings.Builder) error { return runFederation(w, addrs, wire.ScrapeMsg{}, 5, false) }, 1},
+		{"-federation -json", addrs, func(w *strings.Builder) error { return runFederation(w, addrs, wire.ScrapeMsg{}, 5, true) }, 1},
+		{"-tail", []string{proxy}, func(w *strings.Builder) error { return runTail(w, proxy, wire.ScrapeMsg{}, 5, false) }, 1},
+		{"-tail of a node", []string{node}, func(w *strings.Builder) error { return runTail(w, node, wire.ScrapeMsg{}, 5, false) }, 1},
+		{"-decisions", []string{proxy}, func(w *strings.Builder) error { return runDecisions(w, proxy, wire.ScrapeMsg{}, 5, false) }, 1},
+		{"-addr", []string{node}, func(w *strings.Builder) error { return runLive(w, node, false) }, 1},
+		{"-watch", []string{proxy}, func(w *strings.Builder) error { return runWatch(w, proxy, time.Millisecond, 3) }, 4},
+	} {
+		before := make([][2]int64, len(v.daemons))
+		for i, addr := range v.daemons {
+			before[i][0], before[i][1] = framesRx(t, addr)
+		}
+		var sb strings.Builder
+		if err := v.render(&sb); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		for i, addr := range v.daemons {
+			all, scrapes := framesRx(t, addr)
+			if want := v.scrapes + 1; all-before[i][0] != want || scrapes-before[i][1] != want {
+				t.Errorf("%s: %s read %d frames, %d of them scrapes, want %d scrapes and nothing else",
+					v.name, addr, all-before[i][0], scrapes-before[i][1], want)
+			}
+		}
 	}
 }

@@ -13,16 +13,16 @@ import (
 // -dial-timeout.
 var dialTimeout = wire.DefaultDialTimeout
 
-// runLive scrapes a MsgMetrics snapshot from a running byproxyd or
-// bydbd and renders it — raw JSON with -json, otherwise a table
-// grouped by metric family with quantile summaries for histograms.
+// runLive scrapes a running byproxyd or bydbd and renders its metrics
+// snapshot as a table grouped by metric family, with quantile summaries
+// for histograms; with -json it prints the whole scrape.
 func runLive(w io.Writer, addr string, asJSON bool) error {
 	c, err := wire.DialTimeout(addr, dialTimeout)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	m, err := c.Metrics()
+	m, err := c.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		return err
 	}

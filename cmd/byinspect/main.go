@@ -93,27 +93,26 @@ func main() {
 	flag.Parse()
 	dialTimeout = o.dialTO
 
-	exq := wire.ExemplarsMsg{Outcome: o.outcome, Trace: o.traceID, MinUS: o.minMS * 1000, Limit: o.limit}
+	q := wire.ScrapeMsg{Object: o.object, Action: o.action, Trace: o.traceID,
+		Outcome: o.outcome, MinUS: o.minMS * 1000, Limit: o.limit}
 	var err error
 	switch {
 	case o.exemplars != "":
 		err = runExemplars(os.Stdout, strings.Split(o.exemplars, ","), o.top)
 	case o.federation != "":
-		err = runFederation(os.Stdout, strings.Split(o.federation, ","), exq, o.top, o.asJSON)
+		err = runFederation(os.Stdout, strings.Split(o.federation, ","), q, o.top, o.asJSON)
 	case o.tail:
 		if o.addr == "" {
 			err = fmt.Errorf("-tail requires -addr")
 			break
 		}
-		err = runTail(os.Stdout, o.addr, exq, o.top, o.asJSON)
+		err = runTail(os.Stdout, o.addr, q, o.top, o.asJSON)
 	case o.decisions:
 		if o.addr == "" {
 			err = fmt.Errorf("-decisions requires -addr")
 			break
 		}
-		err = runDecisions(os.Stdout, o.addr, wire.DecisionsMsg{
-			Object: o.object, Action: o.action, Trace: o.traceID, Limit: o.limit,
-		}, o.top, o.asJSON)
+		err = runDecisions(os.Stdout, o.addr, q, o.top, o.asJSON)
 	case o.addr != "" && o.watch > 0:
 		err = runWatch(os.Stdout, o.addr, o.watch, 0)
 	case o.addr != "":

@@ -111,7 +111,7 @@ func TestRunLiveJSON(t *testing.T) {
 	if err := runLive(&buf, addr, true); err != nil {
 		t.Fatal(err)
 	}
-	var m wire.MetricsResultMsg
+	var m wire.ScrapeResultMsg
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestRunLiveJSON(t *testing.T) {
 func TestRunDecisionsTable(t *testing.T) {
 	addr := liveProxy(t)
 	var buf bytes.Buffer
-	if err := runDecisions(&buf, addr, wire.DecisionsMsg{}, 5, false); err != nil {
+	if err := runDecisions(&buf, addr, wire.ScrapeMsg{}, 5, false); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -145,7 +145,7 @@ func TestRunDecisionsTable(t *testing.T) {
 
 	// Action filter narrows the record list to loads only.
 	buf.Reset()
-	if err := runDecisions(&buf, addr, wire.DecisionsMsg{Action: "load"}, 5, false); err != nil {
+	if err := runDecisions(&buf, addr, wire.ScrapeMsg{Action: "load"}, 5, false); err != nil {
 		t.Fatal(err)
 	}
 	out = buf.String()
@@ -157,14 +157,14 @@ func TestRunDecisionsTable(t *testing.T) {
 func TestRunDecisionsJSON(t *testing.T) {
 	addr := liveProxy(t)
 	var buf bytes.Buffer
-	if err := runDecisions(&buf, addr, wire.DecisionsMsg{}, 5, true); err != nil {
+	if err := runDecisions(&buf, addr, wire.ScrapeMsg{}, 5, true); err != nil {
 		t.Fatal(err)
 	}
-	var res wire.DecisionsResultMsg
+	var res wire.ScrapeResultMsg
 	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
-	if res.Total == 0 || len(res.Records) == 0 || res.BypassWANBytes == 0 {
+	if res.Recorded == 0 || len(res.Records) == 0 || res.BypassWANBytes == 0 {
 		t.Fatalf("decoded = %+v", res)
 	}
 }

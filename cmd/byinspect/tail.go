@@ -17,17 +17,13 @@ import (
 // attribution table (which phase or WAN leg dominated the exceedances)
 // followed by the slowest captured exemplars with their per-leg
 // breakdowns. With q.Trace set it is the view of one query.
-func runTail(w io.Writer, addr string, q wire.ExemplarsMsg, top int, asJSON bool) error {
+func runTail(w io.Writer, addr string, q wire.ScrapeMsg, top int, asJSON bool) error {
 	c, err := wire.DialTimeout(addr, dialTimeout)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	m, err := c.Metrics()
-	if err != nil {
-		return err
-	}
-	res, err := c.Exemplars(q)
+	res, err := c.Scrape(q)
 	if err != nil {
 		return err
 	}
@@ -36,7 +32,7 @@ func runTail(w io.Writer, addr string, q wire.ExemplarsMsg, top int, asJSON bool
 		enc.SetIndent("", "  ")
 		return enc.Encode(res)
 	}
-	renderTail(w, res, m.Snapshot, top)
+	renderTail(w, res, top)
 	return nil
 }
 
@@ -80,12 +76,12 @@ func tailCauses(s obs.Snapshot) []tailCauseRow {
 	return out
 }
 
-func renderTail(w io.Writer, res *wire.ExemplarsResultMsg, s obs.Snapshot, top int) {
+func renderTail(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 	fmt.Fprintf(w, "flight recorder at %s: %d queries observed, %d exemplars published, threshold %.1fms\n",
 		res.Source, res.Observed, res.Published, float64(res.ThresholdUS)/1e3)
 
 	byOutcome := map[string]int64{}
-	for _, c := range s.Counters {
+	for _, c := range res.Snapshot.Counters {
 		if c.Name == "obs.exemplars" {
 			byOutcome[c.Label] = c.Value
 		}
@@ -95,7 +91,7 @@ func renderTail(w io.Writer, res *wire.ExemplarsResultMsg, s obs.Snapshot, top i
 			byOutcome["slow"], byOutcome["error"], byOutcome["degraded"], byOutcome["normal"])
 	}
 
-	causes := tailCauses(s)
+	causes := tailCauses(res.Snapshot)
 	if len(causes) > 0 {
 		var totalUS int64
 		for _, r := range causes {

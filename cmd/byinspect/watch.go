@@ -26,7 +26,7 @@ func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) erro
 		return err
 	}
 	defer c.Close()
-	prev, err := c.Metrics()
+	prev, err := c.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		return err
 	}
@@ -34,7 +34,7 @@ func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) erro
 		prev.Source, addr, interval)
 	for i := 1; rounds <= 0 || i <= rounds; i++ {
 		time.Sleep(interval)
-		cur, err := c.Metrics()
+		cur, err := c.Scrape(wire.ScrapeMsg{})
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ import (
 func TestRunWatch(t *testing.T) {
 	addr := liveProxy(t)
 	var buf bytes.Buffer
-	// Two 20ms rounds: the Metrics scrapes themselves move the proxy's
-	// wire counters, so each sample shows deltas.
+	// Two 20ms rounds: the scrapes themselves move the proxy's wire
+	// counters, so each sample shows deltas: one scrape frame each.
 	if err := runWatch(&buf, addr, 20*time.Millisecond, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +24,14 @@ func TestRunWatch(t *testing.T) {
 		"watching byproxyd",
 		"[sample 1 +20ms]",
 		"[sample 2 +40ms]",
-		"wire.frames_rx{metrics}",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("watch output missing %q:\n%s", want, out)
 		}
+	}
+	if moved := regexp.MustCompile(`wire\.frames_rx\{(\w+)\} +\+(\d+) `).FindAllStringSubmatch(out, -1); len(moved) != 2 ||
+		moved[0][1] != "scrape" || moved[0][2] != "1" || moved[1][1] != "scrape" || moved[1][2] != "1" {
+		t.Fatalf("frames read per sample = %q, want one scrape frame in each of two samples:\n%s", moved, out)
 	}
 }
 

@@ -176,7 +176,7 @@ func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults str
 // last acknowledged stats — with -wal-sync, everything acknowledged is
 // durable. Stops early (without failing) once the proxy dies, for
 // fault-injected runs.
-func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *wire.StatsResultMsg, died bool) {
+func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *wire.ScrapeResultMsg, died bool) {
 	t.Helper()
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -198,7 +198,7 @@ func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *
 			}
 			t.Fatalf("query %d: %v", i, err)
 		}
-		st, err := c.Stats()
+		st, err := c.Scrape(wire.ScrapeMsg{})
 		if err != nil {
 			if tolerateDeath {
 				return last, true
@@ -211,7 +211,7 @@ func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *
 }
 
 // delivered computes D_A from the flow accounting.
-func delivered(st *wire.StatsResultMsg) int64 {
+func delivered(st *wire.ScrapeResultMsg) int64 {
 	return st.Acct.BypassBytes + st.Acct.CacheBytes
 }
 
@@ -220,7 +220,7 @@ func delivered(st *wire.StatsResultMsg) int64 {
 // recovered state is at or past everything acknowledged pre-kill, the
 // warm-start metrics are exported, and a query over a persisted cached
 // object is a cache hit with zero WAN refetches.
-func assertRecovered(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.StatsResultMsg) {
+func assertRecovered(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.ScrapeResultMsg) {
 	t.Helper()
 	const object, query = "edr/photoobj", "select ra, dec from photoobj where ra < 120"
 	c, err := wire.Dial(proc.addr)
@@ -228,7 +228,7 @@ func assertRecovered(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Stats()
+	st, err := c.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +240,13 @@ func assertRecovered(t *testing.T, proc *proxyProc, cn *crashNodes, acked *wire.
 			t.Fatalf("recovered %+v behind acknowledged %+v", st.Acct, acked.Acct)
 		}
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Snapshot.GaugeValue("persist.warm_start") != 1 {
+	if st.Snapshot.GaugeValue("persist.warm_start") != 1 {
 		t.Fatal("persist.warm_start != 1 after restart with state")
 	}
-	if m.Snapshot.GaugeValue("persist.recovery_ms") < 0 {
+	if st.Snapshot.GaugeValue("persist.recovery_ms") < 0 {
 		t.Fatal("persist.recovery_ms not exported")
 	}
-	if got := m.Snapshot.CounterValue("core.yield_bytes", ""); got != st.Acct.YieldBytes {
+	if got := st.Snapshot.CounterValue("core.yield_bytes", ""); got != st.Acct.YieldBytes {
 		t.Fatalf("core.yield_bytes %d != restored accounting %d", got, st.Acct.YieldBytes)
 	}
 	// The recovered cache serves hits immediately: a query over the
@@ -382,7 +378,7 @@ func TestParentStateAcrossUpgrade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := c.Stats()
+		st, err := c.Scrape(wire.ScrapeMsg{})
 		c.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +410,7 @@ func TestParentStateAcrossUpgrade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := c.Decisions(wire.DecisionsMsg{Limit: wire.MaxDecisionLimit})
+		dec, err := c.Scrape(wire.ScrapeMsg{Limit: wire.MaxDecisionLimit})
 		c.Close()
 		if err != nil {
 			t.Fatal(err)

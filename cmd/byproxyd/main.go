@@ -198,7 +198,7 @@ func start(o options) (*daemon, error) {
 	}
 	// One registry spans the whole daemon: the mediator/policy record
 	// into it, the local engine shares it, and the proxy adopts it, so
-	// a single MsgMetrics snapshot (and the /metrics exposition) covers
+	// a single MsgScrape snapshot (and the /metrics exposition) covers
 	// every layer.
 	reg := obs.NewRegistry()
 	db.SetObs(reg)

@@ -48,20 +48,16 @@ func TestStartAndQuery(t *testing.T) {
 	if res.Rows <= 0 || len(res.Decisions) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	st, err := c.Stats()
+	m, err := c.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries != 1 {
-		t.Fatalf("queries = %d", st.Queries)
+	if m.Acct.Queries != 1 {
+		t.Fatalf("queries = %d", m.Acct.Queries)
 	}
 
 	// The daemon serves a unified metrics snapshot spanning the
 	// federation, core, and engine layers.
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if m.Source != "byproxyd" {
 		t.Fatalf("source = %q", m.Source)
 	}
@@ -146,11 +142,11 @@ func TestStartLedgerFlags(t *testing.T) {
 	if _, err := c.Query("select ra from photoobj where ra < 90"); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decisions(wire.DecisionsMsg{})
+	dec, err := c.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Total == 0 || len(dec.Records) == 0 {
+	if dec.Recorded == 0 || len(dec.Records) == 0 {
 		t.Fatalf("decisions = %+v, want records for the query", dec)
 	}
 	if dec.BypassWANBytes == 0 || dec.OptBoundBytes == 0 {
@@ -166,8 +162,8 @@ func TestStartLedgerFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Count(strings.TrimSpace(string(b)), "\n") + 1
-	if uint64(lines) != dec.Total {
-		t.Fatalf("ledger log has %d lines, want %d:\n%s", lines, dec.Total, b)
+	if uint64(lines) != dec.Recorded {
+		t.Fatalf("ledger log has %d lines, want %d:\n%s", lines, dec.Recorded, b)
 	}
 	if !strings.Contains(string(b), `"action"`) {
 		t.Fatalf("ledger log missing action field:\n%s", b)

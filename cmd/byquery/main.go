@@ -97,14 +97,14 @@ func query(client *wire.Client, sql string, printRows bool) error {
 }
 
 func printStats(client *wire.Client) error {
-	st, err := client.Stats()
+	st, err := client.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		return err
 	}
 	a := st.Acct
 	fmt.Printf("policy:        %s (%s granularity)\n", st.Policy, st.Granularity)
 	fmt.Printf("cache:         %d / %d MB used\n", st.CacheUsed>>20, st.CacheCapacity>>20)
-	fmt.Printf("queries:       %d (%d accesses)\n", st.Queries, a.Accesses)
+	fmt.Printf("queries:       %d (%d accesses)\n", a.Queries, a.Accesses)
 	fmt.Printf("decisions:     %d hits, %d bypasses, %d loads, %d evictions\n",
 		a.Hits, a.Bypasses, a.Loads, a.Evictions)
 	fmt.Printf("WAN traffic:   %.3f MB (bypass %.3f + fetch %.3f)\n",

@@ -77,7 +77,12 @@ func run(addr string, dialTimeout time.Duration, path string, limit, progress in
 		}
 	}
 
-	st, err := client.Stats()
+	// One scrape carries the accounting and, for -audit, the ledger.
+	q := wire.ScrapeMsg{}
+	if audit {
+		q.Limit = wire.MaxDecisionLimit
+	}
+	st, err := client.Scrape(q)
 	if err != nil {
 		return err
 	}
@@ -89,27 +94,23 @@ func run(addr string, dialTimeout time.Duration, path string, limit, progress in
 		float64(a.WANBytes())/1e9, float64(a.BypassBytes)/1e9, float64(a.FetchBytes)/1e9,
 		float64(a.DeliveredBytes())/1e9, a.ByteHitRate()*100)
 	if audit {
-		return runAudit(os.Stdout, client, top)
+		runAudit(os.Stdout, st, top)
 	}
 	return nil
 }
 
-// runAudit scrapes the proxy's decision ledger and diffs realized
-// traffic against the shadow counterfactual: savings against
+// runAudit diffs the realized traffic in a scrape of the proxy's
+// decision ledger against the shadow counterfactual: savings against
 // always-bypass, the ski-rental lower bound with the live competitive
 // ratio, and the objects contributing the most regret. Every figure
 // covers the accesses since the proxy started, the realized WAN
 // included: after a warm restart it is not the lifetime accounting's.
-func runAudit(w io.Writer, client *wire.Client, top int) error {
-	dec, err := client.Decisions(wire.DecisionsMsg{Limit: 4096})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "\naudit: %d decisions recorded (%d in ring)\n", dec.Total, len(dec.Records))
+func runAudit(w io.Writer, dec *wire.ScrapeResultMsg, top int) {
+	fmt.Fprintf(w, "\naudit: %d decisions recorded (%d in ring)\n", dec.Recorded, len(dec.Records))
 	wan := dec.BypassWANBytes
 	if wan == 0 {
 		fmt.Fprintln(w, "audit: proxy reports no always-bypass WAN (no access since it started, or a mediator without Shadows)")
-		return nil
+		return
 	}
 
 	realized := wan - dec.SavedVsBypassBytes
@@ -136,5 +137,4 @@ func runAudit(w io.Writer, client *wire.Client, top int) error {
 				or.Object, or.Accesses, float64(or.Regret)/1e6)
 		}
 	}
-	return nil
 }

@@ -136,14 +136,12 @@ func TestRunAudit(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			st, err := c.Stats()
+			st, err := c.Scrape(wire.ScrapeMsg{Limit: wire.MaxDecisionLimit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := runAudit(&buf, c, 5); err != nil {
-				t.Fatal(err)
-			}
+			runAudit(&buf, st, 5)
 			out := buf.String()
 			for _, want := range []string{"realized WAN", "always-bypass", "ski-rental bound"} {
 				if !strings.Contains(out, want) {
@@ -171,5 +169,40 @@ func TestRunErrors(t *testing.T) {
 	addrless := filepath.Join(t.TempDir(), "absent.jsonl")
 	if err := run("127.0.0.1:1", time.Second, addrless, 0, 0, false, 5); err == nil {
 		t.Fatal("absent trace should error")
+	}
+}
+
+// TestAuditScrapesOnce: a replay with -audit reads the accounting and
+// the ledger in one round trip, one scrape frame at the proxy (the
+// check's own scrape is the second).
+func TestAuditScrapesOnce(t *testing.T) {
+	p := workload.ScaledProfile(workload.EDRProfile(), 500)
+	recs, err := workload.Generate(p, federation.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.jsonl.gz")
+	if err := trace.WriteFile(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	addr, _, stop := startProxy(t, false)
+	defer stop()
+	if err := run(addr, time.Second, path, 25, 0, true, 5); err != nil {
+		t.Fatal(err)
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Scrape(wire.ScrapeMsg{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Snapshot.CounterValue("wire.frames_rx", "scrape"); got != 2 {
+		t.Fatalf("the proxy read %d scrape frames, want the replay's one and this one", got)
+	}
+	if got, want := st.Snapshot.CounterTotal("wire.frames_rx"), 2+st.Acct.Queries; got != want {
+		t.Fatalf("the proxy read %d frames, want %d: one per statement and two scrapes", got, want)
 	}
 }

@@ -152,7 +152,7 @@ func loadScenario(o options) (*synth.Scenario, error) {
 
 // waitReady retries the first contact until the proxy answers or the
 // -wait budget runs out, absorbing daemon-startup races in scripts and
-// CI. Contact is a metrics ping; a -no-scrape target may speak only
+// CI. Contact is a scrape; a -no-scrape target may speak only
 // MsgQuery, so there a successful dial is ready.
 func waitReady(ctx context.Context, o options) error {
 	deadline := time.Now().Add(o.wait)
@@ -160,7 +160,7 @@ func waitReady(ctx context.Context, o options) error {
 		c, err := wire.DialTimeout(o.addr, o.dialTimeout)
 		if err == nil {
 			if !o.noScrape {
-				_, err = c.Metrics()
+				_, err = c.Scrape(wire.ScrapeMsg{})
 			}
 			c.Close()
 			if err == nil {

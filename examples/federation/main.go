@@ -111,7 +111,7 @@ func run() error {
 		}
 	}
 
-	st, err := client.Stats()
+	st, err := client.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		return err
 	}

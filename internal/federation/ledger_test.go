@@ -48,13 +48,13 @@ func (s *lockedSink) Record(r ledger.DecisionRecord) {
 
 // TestLedgerUnderConcurrentDecisions: the Decider holds the ledger's ring
 // from the first access of a query to its last, writing each record in
-// place, while scrapes snapshot and filter the ring. Under the race
-// detector, with three callers deciding and two scrapers reading a ring
-// smaller than a few queries' worth:
+// place, while scrapes snapshot the ring and select from it. Under the
+// race detector, with three callers deciding and two scrapers reading a
+// ring smaller than a few queries' worth:
 //
 //   - every snapshot is whole: consecutive Seq, no record torn, the
-//     query clock never going back, and filtering it by action keeps
-//     exactly the records of that action;
+//     query clock never going back; and a selection by action is only
+//     whole records of that action, in Seq order;
 //   - the sink gets every record once, in Seq order, and their yields add
 //     up to D_A;
 //   - a query that fails in its decide loop keeps the records of the
@@ -126,15 +126,16 @@ func TestLedgerUnderConcurrentDecisions(t *testing.T) {
 						return
 					}
 				}
-				hits := 0
-				for _, rec := range snap {
-					if rec.Action == "hit" {
-						hits++
+				hits := led.Select(ledger.Query{Action: "hit", Limit: 64})
+				for i, rec := range hits {
+					if rec.Action != "hit" || rec.Object == "" || rec.Policy != "rate-profile" {
+						t.Errorf("Select(hits) returned %+v", rec)
+						return
 					}
-				}
-				if got := ledger.Filter(snap, ledger.Query{Action: "hit"}); len(got) != hits {
-					t.Errorf("Filter kept %d hits of a snapshot with %d", len(got), hits)
-					return
+					if i > 0 && rec.Seq <= hits[i-1].Seq {
+						t.Errorf("Select goes from seq %d to seq %d", hits[i-1].Seq, rec.Seq)
+						return
+					}
 				}
 				scrapes.Add(1)
 			}

@@ -38,19 +38,17 @@ type Config struct {
 	Capacity int64
 	// Granularity selects table or column objects.
 	Granularity Granularity
-	// Net is the WAN cost model; nil means uniform.
-	Net *netcost.Model
 	// Obs, when non-nil, receives the mediator's telemetry: per-query
 	// mediation latency (federation.query_latency_us), objects touched
 	// (federation.objects_touched), and the core families (see
 	// core.Telemetry), of which the decision counts, byte flows and
 	// shadow figures are read from the decision plane at every
-	// Snapshot. The registry is shared — the proxy serves it over
-	// MsgMetrics.
+	// Snapshot. The registry is shared — the proxy serves it in its
+	// scrape reply (wire.MsgScrape).
 	Obs *obs.Registry
 	// Ledger, when non-nil, receives one explained DecisionRecord per
-	// object access, a query's worth at a time (served over
-	// MsgDecisions by the proxy).
+	// object access, a query's worth at a time (served in the proxy's
+	// scrape reply).
 	Ledger *ledger.Ledger
 	// Shadows enables online counterfactual accounting: every access
 	// adds to the always-bypass WAN and the ski-rental bound, which the
@@ -227,10 +225,7 @@ func New(cfg Config) (*Mediator, error) {
 	if cfg.Shards > 1 {
 		return nil, fmt.Errorf("federation: Shards = %d, but the decision plane is one cache of one capacity (0 or 1)", cfg.Shards)
 	}
-	if cfg.Net == nil {
-		cfg.Net = netcost.Uniform()
-	}
-	index := newObjectIndex(cfg.Schema, cfg.Schema.Name, cfg.Granularity, cfg.Net)
+	index := newObjectIndex(cfg.Schema, cfg.Schema.Name, cfg.Granularity, netcost.Uniform())
 	// A policy may rely on every object being valid: Rate-Profile's victim
 	// order is total only while every size is positive.
 	if err := index.each(core.Object.Validate); err != nil {

@@ -29,6 +29,7 @@ package ledger
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -227,7 +228,7 @@ func (l *Ledger) Snapshot() []DecisionRecord {
 	return out
 }
 
-// Query filters a record set. Zero fields match everything.
+// Query selects records. Zero fields match everything.
 type Query struct {
 	// Object matches the record's object id exactly.
 	Object string
@@ -240,32 +241,31 @@ type Query struct {
 }
 
 // Match reports whether one record satisfies the query's filters
-// (Limit is applied by Filter, not here).
-func (q Query) Match(r DecisionRecord) bool {
-	if q.Object != "" && r.Object != q.Object {
-		return false
-	}
-	if q.Action != "" && r.Action != q.Action {
-		return false
-	}
-	if q.Trace != "" && r.Trace != q.Trace {
-		return false
-	}
-	return true
+// (Limit is applied by Select, not here).
+func (q Query) Match(r *DecisionRecord) bool {
+	return (q.Object == "" || r.Object == q.Object) &&
+		(q.Action == "" || r.Action == q.Action) &&
+		(q.Trace == "" || r.Trace == q.Trace)
 }
 
-// Filter applies a query to records (assumed oldest-first), returning
-// matches oldest-first, trimmed to the most recent Limit.
-func Filter(recs []DecisionRecord, q Query) []DecisionRecord {
-	out := make([]DecisionRecord, 0, len(recs))
-	for _, r := range recs {
-		if q.Match(r) {
-			out = append(out, r)
+// Select returns the retained records that match q, oldest first,
+// trimmed to the most recent q.Limit. It walks the ring from the newest
+// record and copies only what it returns, so a limited scrape holds the
+// lock the deciders write under for its matches, not for the ring.
+func (l *Ledger) Select(q Query) []DecisionRecord {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := uint64(len(l.ring))
+	var out []DecisionRecord
+	for s := l.seq; s > 0 && s+n > l.seq && (q.Limit <= 0 || len(out) < q.Limit); s-- {
+		if r := &l.ring[(s-1)%n]; q.Match(r) {
+			out = append(out, *r)
 		}
 	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[len(out)-q.Limit:]
-	}
+	slices.Reverse(out)
 	return out
 }
 

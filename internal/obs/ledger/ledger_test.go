@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -97,29 +99,56 @@ func TestLedgerCapClamp(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+func TestSelect(t *testing.T) {
 	l := New(16)
+	if got := l.Select(Query{}); got != nil {
+		t.Fatalf("empty ledger selected %+v", got)
+	}
 	write(l, DecisionRecord{Object: "o1", Action: "bypass", Trace: "aa"})
 	write(l, DecisionRecord{Object: "o2", Action: "load", Trace: "aa"})
 	write(l, DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
 	write(l, DecisionRecord{Object: "o1", Action: "hit", Trace: "bb"})
-	recs := l.Snapshot()
 
-	if got := Filter(recs, Query{Object: "o1"}); len(got) != 3 {
+	if got := l.Select(Query{Object: "o1"}); len(got) != 3 {
 		t.Fatalf("object filter: %d matches, want 3", len(got))
 	}
-	if got := Filter(recs, Query{Action: "hit"}); len(got) != 2 {
+	if got := l.Select(Query{Action: "hit"}); len(got) != 2 {
 		t.Fatalf("action filter: %d matches, want 2", len(got))
 	}
-	if got := Filter(recs, Query{Trace: "aa"}); len(got) != 2 {
+	if got := l.Select(Query{Trace: "aa"}); len(got) != 2 {
 		t.Fatalf("trace filter: %d matches, want 2", len(got))
 	}
-	if got := Filter(recs, Query{Object: "o1", Action: "hit", Trace: "bb"}); len(got) != 2 {
+	if got := l.Select(Query{Object: "o1", Action: "hit", Trace: "bb"}); len(got) != 2 {
 		t.Fatalf("combined filter: %d matches, want 2", len(got))
 	}
-	got := Filter(recs, Query{Object: "o1", Limit: 2})
+	got := l.Select(Query{Object: "o1", Limit: 2})
 	if len(got) != 2 || got[0].Action != "hit" || got[1].Action != "hit" {
 		t.Fatalf("limit filter: %+v, want the 2 most recent o1 records", got)
+	}
+
+	// Past the ring's capacity Select sees what Snapshot retains, in the
+	// same order, and a limit keeps the newest matches.
+	var nilLedger *Ledger
+	if got := nilLedger.Select(Query{}); got != nil {
+		t.Fatalf("nil ledger selected %+v", got)
+	}
+	for i := 0; i < 37; i++ {
+		write(l, DecisionRecord{Object: fmt.Sprintf("o%d", i%3), Action: "hit"})
+	}
+	snap := l.Snapshot()
+	for _, q := range []Query{{}, {Object: "o1"}, {Object: "o2", Limit: 3}, {Limit: 100}, {Action: "load"}} {
+		var want []DecisionRecord
+		for i := range snap {
+			if q.Match(&snap[i]) {
+				want = append(want, snap[i])
+			}
+		}
+		if q.Limit > 0 && len(want) > q.Limit {
+			want = want[len(want)-q.Limit:]
+		}
+		if got := l.Select(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Select(%+v) = %d records, the snapshot's matches %d", q, len(got), len(want))
+		}
 	}
 }
 

@@ -9,8 +9,8 @@
 // system carries the same discipline into operations: every layer
 // (wire, core, engine, federation) registers counters, gauges, and
 // fixed-bucket histograms here, and the proxy serves the registry's
-// Snapshot over the wire protocol (MsgMetrics) for byinspect to
-// render.
+// Snapshot over the wire protocol (in every daemon's MsgScrape reply)
+// for byinspect to render.
 //
 // Design constraints:
 //

@@ -527,7 +527,7 @@ func scrape(cfg RunConfig) (obs.Snapshot, error) {
 	}
 	cl := wire.NewClient(conn)
 	defer cl.Close()
-	m, err := cl.Metrics()
+	m, err := cl.Scrape(wire.ScrapeMsg{})
 	if err != nil {
 		return obs.Snapshot{}, err
 	}

@@ -216,23 +216,19 @@ func TestChaosBreakerCycle(t *testing.T) {
 
 	// Conservation holds through the outage: Σ ledger yields = D_A
 	// (failed legs record zero yield; nothing was charged for them).
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := client.Decisions(DecisionsMsg{})
+	sc, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum int64
-	for _, r := range dec.Records {
+	for _, r := range sc.Records {
 		sum += r.Yield
 	}
-	if sum != st.Acct.DeliveredBytes() {
-		t.Fatalf("Σ ledger yields = %d, D_A = %d", sum, st.Acct.DeliveredBytes())
+	if sum != sc.Acct.DeliveredBytes() {
+		t.Fatalf("Σ ledger yields = %d, D_A = %d", sum, sc.Acct.DeliveredBytes())
 	}
 	var sawForced, sawFailed bool
-	for _, r := range dec.Records {
+	for _, r := range sc.Records {
 		if r.Stale && strings.HasPrefix(r.Reason, core.ReasonForcedCache) {
 			sawForced = true
 		}
@@ -263,7 +259,7 @@ func TestChaosBreakerCycle(t *testing.T) {
 	}
 
 	// The metrics plane saw the whole cycle.
-	m, err := client.Metrics()
+	m, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

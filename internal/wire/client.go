@@ -121,52 +121,35 @@ func (c *Client) reply(want MsgType, dst any) error {
 	}
 }
 
-// Stats fetches the proxy's accounting snapshot.
-func (c *Client) Stats() (*StatsResultMsg, error) {
-	var res StatsResultMsg
-	if err := c.roundTrip(MsgStats, StatsMsg{}, MsgStatsResult, &res); err != nil {
+// Scrape fetches everything a daemon observes in one round trip:
+// its metrics, its flight recorder's exemplars and, from a proxy, the
+// flow accounting and the decision ledger, filtered by q (see
+// ScrapeMsg). Proxies and database nodes both answer.
+func (c *Client) Scrape(q ScrapeMsg) (*ScrapeResultMsg, error) {
+	var res ScrapeResultMsg
+	if err := c.roundTrip(MsgScrape, q, MsgScrapeResult, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// Decisions fetches recent decision-ledger records from the proxy,
-// filtered by the query's object/action/trace fields, plus the shadow
-// counterfactual accounting.
-func (c *Client) Decisions(q DecisionsMsg) (*DecisionsResultMsg, error) {
-	var res DecisionsResultMsg
-	if err := c.roundTrip(MsgDecisions, q, MsgDecisionsResult, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
+// Stats is Scrape with no filter.
+//
+// Deprecated: the frozen bench/ module reads the transport counters
+// through it; call Scrape.
+func (c *Client) Stats() (*ScrapeResultMsg, error) { return c.Scrape(ScrapeMsg{}) }
+
+// Metrics is Scrape with no filter.
+//
+// Deprecated: the frozen bench/ module reads the registry through it;
+// call Scrape.
+func (c *Client) Metrics() (*ScrapeResultMsg, error) { return c.Scrape(ScrapeMsg{}) }
 
 // Ping round-trips a health probe (proxies and database nodes both
 // answer).
 func (c *Client) Ping() (*PongMsg, error) {
 	var res PongMsg
 	if err := c.roundTrip(MsgPing, PingMsg{}, MsgPong, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Exemplars fetches a daemon's flight-recorder exemplars (proxies
-// and database nodes both answer), filtered by the query's
-// outcome/trace/min-duration fields.
-func (c *Client) Exemplars(q ExemplarsMsg) (*ExemplarsResultMsg, error) {
-	var res ExemplarsResultMsg
-	if err := c.roundTrip(MsgExemplars, q, MsgExemplarsResult, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// Metrics fetches a daemon's observability snapshot (proxies and
-// database nodes both answer).
-func (c *Client) Metrics() (*MetricsResultMsg, error) {
-	var res MetricsResultMsg
-	if err := c.roundTrip(MsgMetrics, MetricsMsg{}, MsgMetricsResult, &res); err != nil {
 		return nil, err
 	}
 	return &res, nil

@@ -150,29 +150,25 @@ func reconcileConcurrently(t *testing.T, addr string, proxy *Proxy, nodes map[st
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	st, err := cl.Stats()
+	sc, err := cl.Scrape(ScrapeMsg{Limit: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := cl.Decisions(DecisionsMsg{Limit: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct := st.Acct
+	acct := sc.Acct
 
-	if st.Queries != clients*perClient {
-		t.Fatalf("mediated %d queries, want %d", st.Queries, clients*perClient)
+	if sc.Acct.Queries != clients*perClient {
+		t.Fatalf("mediated %d queries, want %d", sc.Acct.Queries, clients*perClient)
 	}
 	// Clients collectively received exactly what the mediator charged.
 	if got := delivered.Load(); got != acct.DeliveredBytes() {
 		t.Fatalf("Σ client result bytes = %d, want D_A = %d", got, acct.DeliveredBytes())
 	}
-	if dec.Total != uint64(acct.Accesses) {
-		t.Fatalf("ledger total = %d, want one record per access (%d)", dec.Total, acct.Accesses)
+	if sc.Recorded != uint64(acct.Accesses) {
+		t.Fatalf("ledger total = %d, want one record per access (%d)", sc.Recorded, acct.Accesses)
 	}
 	var sumYield, sumWAN int64
 	actions := map[string]int64{}
-	for _, r := range dec.Records {
+	for _, r := range sc.Records {
 		sumYield += r.Yield
 		sumWAN += r.WANCost
 		actions[r.Action]++
@@ -195,18 +191,14 @@ func reconcileConcurrently(t *testing.T, addr string, proxy *Proxy, nodes map[st
 
 	// Shadow identity survives interleaving: always-bypass WAN is the
 	// raw yield total, and the exported savings gauge matches it.
-	m, err := cl.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	if sc.BypassWANBytes != acct.YieldBytes {
+		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", sc.BypassWANBytes, acct.YieldBytes)
 	}
-	if dec.BypassWANBytes != acct.YieldBytes {
-		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", dec.BypassWANBytes, acct.YieldBytes)
+	wantSaved := sc.BypassWANBytes - acct.WANBytes()
+	if sc.SavedVsBypassBytes != wantSaved {
+		t.Fatalf("SavedVsBypassBytes = %d, want %d", sc.SavedVsBypassBytes, wantSaved)
 	}
-	wantSaved := dec.BypassWANBytes - acct.WANBytes()
-	if dec.SavedVsBypassBytes != wantSaved {
-		t.Fatalf("SavedVsBypassBytes = %d, want %d", dec.SavedVsBypassBytes, wantSaved)
-	}
-	if got := m.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
+	if got := sc.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
 		t.Fatalf("core.bytes_saved_vs_bypass = %d, want %d", got, wantSaved)
 	}
 
@@ -299,7 +291,7 @@ func TestEveryLoadIsOneFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	st, err := cl.Stats()
+	st, err := cl.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,15 +18,17 @@ import (
 // DBNode is a federation member database: it owns the tables of one
 // site and answers sub-queries and object fetches over TCP.
 //
-// Each node carries its own obs registry (served over MsgMetrics):
-// dbnode.queries / dbnode.fetches / dbnode.errors counters,
-// dbnode.tx_bytes / dbnode.rx_bytes transport totals, runtime.*
-// self-observation gauges, and — because the registry is shared with
-// the node's engine — the engine.rows_scanned / engine.yield_bytes
-// counters. A node-side flight recorder (served over MsgExemplars)
-// captures slow and failing sub-query executions; its exemplars carry
-// the trace id the proxy forwarded, so a federation-wide scrape can
-// merge proxy and node views of the same query.
+// Each node carries its own obs registry: dbnode.queries /
+// dbnode.fetches / dbnode.errors counters, dbnode.tx_bytes /
+// dbnode.rx_bytes transport totals, wire.frames_rx per message type,
+// runtime.* self-observation gauges, and — because the registry is
+// shared with the node's engine — the engine.rows_scanned /
+// engine.yield_bytes counters. A node-side flight recorder captures
+// slow and failing sub-query executions; its exemplars carry the trace
+// id the proxy forwarded, so a federation-wide scrape can merge proxy
+// and node views of the same query. A MsgScrape is answered with the
+// registry snapshot and the recorder's counts and exemplars, Source
+// "bydbd:<site>".
 type DBNode struct {
 	// Site names the site this node serves; queries for tables owned
 	// by other sites are rejected.
@@ -46,7 +48,10 @@ type DBNode struct {
 	errs    *obs.Counter
 	txBytes *obs.Counter
 	rxBytes *obs.Counter
-	flight  *flightrec.Recorder
+	// framesRx counts the frames read per message type, as the proxy's
+	// wire.frames_rx does.
+	framesRx *obs.CounterFamily
+	flight   *flightrec.Recorder
 }
 
 // NewDBNode builds a node serving the given site of a release. The
@@ -57,16 +62,17 @@ func NewDBNode(site string, db *engine.DB) *DBNode {
 	db.SetObs(reg)
 	obs.EnableRuntimeStats(reg)
 	return &DBNode{
-		Site:    site,
-		db:      db,
-		logf:    log.Printf,
-		reg:     reg,
-		queries: reg.Counter("dbnode.queries"),
-		fetches: reg.Counter("dbnode.fetches"),
-		errs:    reg.Counter("dbnode.errors"),
-		txBytes: reg.Counter("dbnode.tx_bytes"),
-		rxBytes: reg.Counter("dbnode.rx_bytes"),
-		flight:  flightrec.New(flightrec.DefaultConfig(), reg),
+		Site:     site,
+		db:       db,
+		logf:     log.Printf,
+		reg:      reg,
+		queries:  reg.Counter("dbnode.queries"),
+		fetches:  reg.Counter("dbnode.fetches"),
+		errs:     reg.Counter("dbnode.errors"),
+		txBytes:  reg.Counter("dbnode.tx_bytes"),
+		rxBytes:  reg.Counter("dbnode.rx_bytes"),
+		framesRx: reg.CounterFamily("wire.frames_rx"),
+		flight:   flightrec.New(flightrec.DefaultConfig(), reg),
 	}
 }
 
@@ -171,6 +177,7 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			return // peer closed, protocol failure or a failed send; drop the conn
 		}
 		n.rxBytes.Add(int64(rn))
+		n.framesRx.Add(t.String(), 1)
 		switch t {
 		case MsgQuery:
 			if err := Decode(body, &q); err != nil {
@@ -213,18 +220,13 @@ func (n *DBNode) serveConn(conn net.Conn) {
 			}
 			n.fetches.Add(1)
 			n.send(conn, MsgFetchAck, FetchAckMsg{Object: f.Object, Size: size})
-		case MsgMetrics:
-			n.send(conn, MsgMetricsResult, MetricsResultMsg{
-				Source:   "bydbd:" + n.Site,
-				Snapshot: n.reg.Snapshot(),
-			})
-		case MsgExemplars:
-			var q ExemplarsMsg
+		case MsgScrape:
+			var q ScrapeMsg
 			if err := Decode(body, &q); err != nil {
 				n.sendErr(conn, err)
 				continue
 			}
-			n.send(conn, MsgExemplarsResult, serveExemplars("bydbd:"+n.Site, n.flight, q))
+			n.send(conn, MsgScrapeResult, scrape("bydbd:"+n.Site, n.reg, n.flight, q))
 		case MsgPing:
 			n.send(conn, MsgPong, PongMsg{Site: n.Site})
 		default:

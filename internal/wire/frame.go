@@ -76,34 +76,24 @@ const (
 	MsgFetch MsgType = 4
 	// MsgFetchAck acknowledges an object fetch with its logical size.
 	MsgFetchAck MsgType = 5
-	// MsgStats asks the proxy for its accounting.
-	MsgStats MsgType = 6
-	// MsgStatsResult returns the proxy accounting.
-	MsgStatsResult MsgType = 7
-	// MsgMetrics asks a daemon (proxy or database node) for its full
-	// observability snapshot.
-	MsgMetrics MsgType = 8
-	// MsgMetricsResult returns the snapshot.
-	MsgMetricsResult MsgType = 9
-	// MsgDecisions asks the proxy for recent decision-ledger records,
-	// optionally filtered by object, action, or trace id.
-	MsgDecisions MsgType = 10
-	// MsgDecisionsResult returns the matching ledger records.
-	MsgDecisionsResult MsgType = 11
 	// MsgPing is a health probe (proxy → node); the prober pings a
 	// down site, and the first pong readmits it.
 	MsgPing MsgType = 12
 	// MsgPong answers a ping.
 	MsgPong MsgType = 13
-	// MsgExemplars asks a daemon for its flight-recorder exemplars,
-	// optionally filtered by outcome or minimum duration.
-	MsgExemplars MsgType = 14
-	// MsgExemplarsResult returns the matching exemplars.
-	MsgExemplarsResult MsgType = 15
+	// MsgScrape asks a daemon (proxy or database node) for everything
+	// it observes, under one filter (ScrapeMsg).
+	MsgScrape MsgType = 16
+	// MsgScrapeResult returns it (ScrapeResultMsg).
+	MsgScrapeResult MsgType = 17
+
+	// Types 6–11, 14 and 15 were four scrape requests and their
+	// replies, which MsgScrape replaced. They are not reused: a frame of
+	// one reads, and a daemon answers it with a MsgError and serves on.
 
 	// maxMsgType is the highest assigned message type; ReadFrame
 	// rejects anything beyond it.
-	maxMsgType = MsgExemplarsResult
+	maxMsgType = MsgScrapeResult
 )
 
 // String names a message type for metric labels and diagnostics.
@@ -119,26 +109,14 @@ func (t MsgType) String() string {
 		return "fetch"
 	case MsgFetchAck:
 		return "fetch_ack"
-	case MsgStats:
-		return "stats"
-	case MsgStatsResult:
-		return "stats_result"
-	case MsgMetrics:
-		return "metrics"
-	case MsgMetricsResult:
-		return "metrics_result"
-	case MsgDecisions:
-		return "decisions"
-	case MsgDecisionsResult:
-		return "decisions_result"
 	case MsgPing:
 		return "ping"
 	case MsgPong:
 		return "pong"
-	case MsgExemplars:
-		return "exemplars"
-	case MsgExemplarsResult:
-		return "exemplars_result"
+	case MsgScrape:
+		return "scrape"
+	case MsgScrapeResult:
+		return "scrape_result"
 	default:
 		return "unknown"
 	}

@@ -27,7 +27,8 @@ func TestReadFrameRejectsUnknownType(t *testing.T) {
 			t.Fatalf("type %d: err = %v, want unknown-type rejection", typ, err)
 		}
 	}
-	// Every assigned type still reads.
+	// Every type up to the highest assigned one reads, the retired
+	// scrape types too: a daemon answers those rather than hanging up.
 	for typ := MsgQuery; typ <= maxMsgType; typ++ {
 		got, body, n, err := ReadFrame(bytes.NewReader(rawFrame(byte(typ), []byte("{}"))))
 		if err != nil || got != typ || string(body) != "{}" || n != 7 {
@@ -163,6 +164,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add(rawFrame(byte(MsgQuery), []byte(`{"sql":"select 1"}`)))
 	f.Add(rawFrame(byte(MsgPong), []byte(`{}`)))
+	f.Add(rawFrame(byte(MsgScrape), []byte(`{"object":"edr/photoobj.ra","trace":"9f3c2a7e01b4d655","min_us":250,"limit":5}`)))
 	f.Add(append(rawFrame(byte(MsgPing), nil), rawFrame(byte(MsgPing), []byte(`{}`))...))
 	f.Add(rawFrame(0, []byte(`{}`)))
 	f.Add(rawFrame(255, []byte(`{}`)))

@@ -91,27 +91,23 @@ func TestEndToEndLedgerReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := client.Stats()
+	sc, err := client.Scrape(ScrapeMsg{Limit: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := client.Decisions(DecisionsMsg{Limit: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acct := st.Acct
+	acct := sc.Acct
 
-	if dec.Total != uint64(acct.Accesses) {
-		t.Fatalf("ledger total = %d, want one record per access (%d)", dec.Total, acct.Accesses)
+	if sc.Recorded != uint64(acct.Accesses) {
+		t.Fatalf("ledger total = %d, want one record per access (%d)", sc.Recorded, acct.Accesses)
 	}
-	if len(dec.Records) != int(acct.Accesses) {
-		t.Fatalf("ledger returned %d records, want %d", len(dec.Records), acct.Accesses)
+	if len(sc.Records) != int(acct.Accesses) {
+		t.Fatalf("ledger returned %d records, want %d", len(sc.Records), acct.Accesses)
 	}
 
 	// (1) Ledger reconciliation: Σ yields = D_A, Σ WAN costs = D_S+D_L.
 	var sumYield, sumWAN int64
 	actions := map[string]int64{}
-	for _, r := range dec.Records {
+	for _, r := range sc.Records {
 		sumYield += r.Yield
 		sumWAN += r.WANCost
 		actions[r.Action]++
@@ -137,18 +133,14 @@ func TestEndToEndLedgerReconcile(t *testing.T) {
 	// exported core.bytes_saved_vs_bypass. The always-bypass shadow's
 	// WAN is the raw yield total (uniform network), so the identity is
 	// checkable from first principles too.
-	m, err := client.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	if sc.BypassWANBytes != acct.YieldBytes {
+		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", sc.BypassWANBytes, acct.YieldBytes)
 	}
-	if dec.BypassWANBytes != acct.YieldBytes {
-		t.Fatalf("always-bypass shadow WAN = %d, want sequence cost %d", dec.BypassWANBytes, acct.YieldBytes)
+	wantSaved := sc.BypassWANBytes - acct.WANBytes()
+	if sc.SavedVsBypassBytes != wantSaved {
+		t.Fatalf("SavedVsBypassBytes = %d, want %d", sc.SavedVsBypassBytes, wantSaved)
 	}
-	wantSaved := dec.BypassWANBytes - acct.WANBytes()
-	if dec.SavedVsBypassBytes != wantSaved {
-		t.Fatalf("SavedVsBypassBytes = %d, want %d", dec.SavedVsBypassBytes, wantSaved)
-	}
-	if got := m.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
+	if got := sc.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); got != wantSaved {
 		t.Fatalf("core.bytes_saved_vs_bypass = %d, want %d", got, wantSaved)
 	}
 	// The workload re-reads the same columns, so caching must have won.
@@ -157,24 +149,24 @@ func TestEndToEndLedgerReconcile(t *testing.T) {
 	}
 
 	// Ski-rental bound sanity: 0 < bound ≤ realized WAN, ratio ≥ 1.
-	if dec.OptBoundBytes <= 0 || dec.OptBoundBytes > acct.WANBytes() {
-		t.Fatalf("optbound = %d, want in (0, %d]", dec.OptBoundBytes, acct.WANBytes())
+	if sc.OptBoundBytes <= 0 || sc.OptBoundBytes > acct.WANBytes() {
+		t.Fatalf("optbound = %d, want in (0, %d]", sc.OptBoundBytes, acct.WANBytes())
 	}
-	if dec.CompetitiveRatioMilli < 1000 {
-		t.Fatalf("competitive ratio = %d milli, want ≥ 1000", dec.CompetitiveRatioMilli)
+	if sc.CompetitiveRatioMilli < 1000 {
+		t.Fatalf("competitive ratio = %d milli, want ≥ 1000", sc.CompetitiveRatioMilli)
 	}
-	if got := m.Snapshot.CounterValue("core.optbound_bytes", ""); got != dec.OptBoundBytes {
-		t.Fatalf("core.optbound_bytes = %d, want %d", got, dec.OptBoundBytes)
+	if got := sc.Snapshot.CounterValue("core.optbound_bytes", ""); got != sc.OptBoundBytes {
+		t.Fatalf("core.optbound_bytes = %d, want %d", got, sc.OptBoundBytes)
 	}
 
 	// Decision latency histogram: one observation per access.
-	h, ok := m.Snapshot.HistogramSnap("core.decide_seconds", "")
+	h, ok := sc.Snapshot.HistogramSnap("core.decide_seconds", "")
 	if !ok || h.Count != acct.Accesses {
 		t.Fatalf("core.decide_seconds count = %d (ok=%v), want %d", h.Count, ok, acct.Accesses)
 	}
 }
 
-// TestLedgerFilterAndTraceCorrelation exercises the MsgDecisions
+// TestLedgerFilterAndTraceCorrelation exercises the MsgScrape
 // filters: action filters must agree with the accounting, and records
 // for a traced query must carry its trace id.
 func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
@@ -194,11 +186,11 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := client.Stats()
+	st, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads, err := client.Decisions(DecisionsMsg{Action: "load"})
+	loads, err := client.Scrape(ScrapeMsg{Action: "load"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +198,7 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		t.Fatalf("action=load filter returned %d records, want %d", len(loads.Records), st.Acct.Loads)
 	}
 
-	byObj, err := client.Decisions(DecisionsMsg{Object: "edr/photoobj.ra"})
+	byObj, err := client.Scrape(ScrapeMsg{Object: "edr/photoobj.ra"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +206,7 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		t.Fatalf("object filter returned %d records, want 6", len(byObj.Records))
 	}
 
-	traced, err := client.Decisions(DecisionsMsg{Trace: obs.FormatID(traceID)})
+	traced, err := client.Scrape(ScrapeMsg{Trace: obs.FormatID(traceID)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +217,7 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 		t.Fatalf("traced record = %+v", traced.Records[0])
 	}
 	// Untraced queries' records carry no trace id.
-	all, err := client.Decisions(DecisionsMsg{})
+	all, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,9 +343,6 @@ type FetchAckMsg struct {
 	Size   int64  `json:"size"`
 }
 
-// StatsMsg requests proxy statistics (empty payload).
-type StatsMsg struct{}
-
 // PingMsg is a health probe (empty payload).
 type PingMsg struct{}
 
@@ -355,107 +352,81 @@ type PongMsg struct {
 	Site string `json:"site,omitempty"`
 }
 
-// MetricsMsg requests a daemon's observability snapshot (empty
-// payload).
-type MetricsMsg struct{}
-
-// MetricsResultMsg returns a daemon's metrics: every counter, gauge,
-// and histogram its registry holds, deterministically ordered.
-type MetricsResultMsg struct {
-	// Source identifies the answering daemon ("byproxyd" or
-	// "bydbd:<site>").
-	Source string `json:"source"`
-	// Snapshot is the registry contents.
-	Snapshot obs.Snapshot `json:"snapshot"`
-}
-
-// DecisionsMsg requests recent decision-ledger records. Empty filter
-// fields match everything; Limit ≤ 0 selects the server default.
-type DecisionsMsg struct {
-	// Object filters by exact object id.
+// ScrapeMsg asks a daemon for everything it observes, in one reply
+// (ScrapeResultMsg), under one filter. Empty fields match everything.
+// Object and Action select ledger records, Outcome and MinUS
+// exemplars, and Trace both. Limit caps each list, keeping the most
+// recent; ≤ 0 keeps each list's default (DefaultDecisionLimit,
+// DefaultExemplarLimit), and each list has its own cap
+// (MaxDecisionLimit, MaxExemplarLimit).
+type ScrapeMsg struct {
+	// Object is an exact object id.
 	Object string `json:"object,omitempty"`
-	// Action filters by decision ("hit", "bypass", "load").
+	// Action is a decision: "hit", "bypass" or "load".
 	Action string `json:"action,omitempty"`
-	// Trace filters by the 16-hex-digit trace id.
+	// Trace is a 16-hex-digit trace id.
 	Trace string `json:"trace,omitempty"`
-	// Limit caps the returned records (most recent kept).
-	Limit int `json:"limit,omitempty"`
-}
-
-// DecisionsResultMsg returns matching ledger records plus shadow
-// counterfactual accounting for audits. The shadow figures cover the
-// accesses since the proxy started (a warm restart's restored traffic
-// is not in them); the realized WAN they are computed from is
-// BypassWANBytes − SavedVsBypassBytes.
-type DecisionsResultMsg struct {
-	// Total is the number of decisions ever recorded (records older
-	// than the ring capacity have been overwritten).
-	Total uint64 `json:"total"`
-	// Records are the matching records, oldest first.
-	Records []ledger.DecisionRecord `json:"records"`
-	// BypassWANBytes is the WAN traffic always-bypass would have cost
-	// (0 when shadow accounting is disabled).
-	BypassWANBytes int64 `json:"bypass_wan_bytes,omitempty"`
-	// SavedVsBypassBytes is BypassWANBytes minus the realized WAN
-	// traffic: negative when the live policy loses to always-bypass.
-	SavedVsBypassBytes int64 `json:"saved_vs_bypass_bytes,omitempty"`
-	// OptBoundBytes is the running ski-rental lower bound on WAN
-	// traffic (0 when shadow accounting is disabled).
-	OptBoundBytes int64 `json:"optbound_bytes,omitempty"`
-	// CompetitiveRatioMilli is 1000 · realized WAN / bound.
-	CompetitiveRatioMilli int64 `json:"competitive_ratio_milli,omitempty"`
-}
-
-// ExemplarsMsg requests flight-recorder exemplars. Empty filter
-// fields match everything; Limit ≤ 0 selects the server default.
-type ExemplarsMsg struct {
-	// Outcome filters by "slow", "error", "degraded", or "normal".
+	// Outcome is "slow", "error", "degraded" or "normal".
 	Outcome string `json:"outcome,omitempty"`
-	// Trace filters by the 16-hex-digit trace id.
-	Trace string `json:"trace,omitempty"`
-	// MinUS keeps only exemplars at least this slow (microseconds).
+	// MinUS keeps exemplars at least this slow (microseconds).
 	MinUS int64 `json:"min_us,omitempty"`
-	// Limit caps the returned exemplars (most recent kept).
-	Limit int `json:"limit,omitempty"`
+	Limit int   `json:"limit,omitempty"`
 }
 
-// ExemplarsResultMsg returns matching exemplars plus the recorder's
-// capture statistics.
-type ExemplarsResultMsg struct {
-	// Source identifies the answering daemon ("byproxyd" or
-	// "bydbd:<site>").
+// ScrapeResultMsg is what a daemon observes, read at one scrape: its
+// registry, and its flight recorder's counts and matching exemplars.
+// A proxy also fills its flow accounting, its decision ledger and the
+// shadow figures; a node leaves them zero. Source names the daemon and
+// so its role: "byproxyd" or "bydbd:<site>".
+//
+// Each part is read on its own, so a proxy that decides while it is
+// scraped can have moved between them: every part satisfies
+// D_A = D_S + D_C, but two parts need not agree.
+type ScrapeResultMsg struct {
 	Source string `json:"source"`
-	// Observed counts every finished query the recorder saw.
-	Observed uint64 `json:"observed"`
-	// Published counts exemplars ever published (records older than
-	// the ring capacity have been overwritten).
-	Published uint64 `json:"published"`
-	// ThresholdUS is the recorder's slow-capture threshold.
-	ThresholdUS int64 `json:"threshold_us"`
-	// Exemplars are the matching records, oldest first.
-	Exemplars []flightrec.Exemplar `json:"exemplars"`
-}
+	// Snapshot is the registry: every counter, gauge and histogram,
+	// deterministically ordered.
+	Snapshot obs.Snapshot `json:"snapshot"`
 
-// StatsResultMsg returns the proxy's state: the paper's flow
-// accounting plus physical transport counters for the prototype's own
-// frames.
-type StatsResultMsg struct {
-	// Policy names the active cache policy.
-	Policy string `json:"policy"`
-	// Granularity is "tables" or "columns".
-	Granularity string `json:"granularity"`
+	// Policy names the proxy's cache policy ("none" without one), and
+	// Granularity is "tables", "columns" or "views".
+	Policy      string `json:"policy,omitempty"`
+	Granularity string `json:"granularity,omitempty"`
 	// Acct is the logical flow accounting (Figure 1).
 	Acct core.Accounting `json:"acct"`
 	// CacheUsed and CacheCapacity describe the cache in bytes.
-	CacheUsed     int64 `json:"cache_used"`
-	CacheCapacity int64 `json:"cache_capacity"`
+	CacheUsed     int64 `json:"cache_used,omitempty"`
+	CacheCapacity int64 `json:"cache_capacity,omitempty"`
+	// CachedObjects lists cached object ids, sorted and at most
+	// MaxStatsCachedObjects of them (only when the policy lists its
+	// contents).
+	CachedObjects []string `json:"cached_objects,omitempty"`
 	// TransportTx/Rx count physical frame bytes the proxy exchanged
 	// with database nodes.
-	TransportTx int64 `json:"transport_tx"`
-	TransportRx int64 `json:"transport_rx"`
-	// Queries is the number of client queries served.
-	Queries int64 `json:"queries"`
-	// CachedObjects lists currently cached object ids (bounded; only
-	// populated when the policy exposes its contents).
-	CachedObjects []string `json:"cached_objects,omitempty"`
+	TransportTx int64 `json:"transport_tx,omitempty"`
+	TransportRx int64 `json:"transport_rx,omitempty"`
+
+	// Recorded is the number of decisions the ledger ever recorded
+	// (records older than its ring have been overwritten), and Records
+	// the matching ones, oldest first.
+	Recorded uint64                  `json:"recorded,omitempty"`
+	Records  []ledger.DecisionRecord `json:"records,omitempty"`
+	// The shadow figures cover the accesses since the proxy started (a
+	// warm restart's restored traffic is not in them): the WAN
+	// always-bypass would have cost, that minus the realized WAN
+	// (negative when the policy loses to always-bypass), the running
+	// ski-rental lower bound, and 1000 · realized / bound.
+	BypassWANBytes        int64 `json:"bypass_wan_bytes,omitempty"`
+	SavedVsBypassBytes    int64 `json:"saved_vs_bypass_bytes,omitempty"`
+	OptBoundBytes         int64 `json:"optbound_bytes,omitempty"`
+	CompetitiveRatioMilli int64 `json:"competitive_ratio_milli,omitempty"`
+
+	// Observed counts every finished query the flight recorder saw,
+	// Published the exemplars it ever published, and ThresholdUS is its
+	// slow-capture threshold. Exemplars are the matching ones, oldest
+	// first.
+	Observed    uint64               `json:"observed"`
+	Published   uint64               `json:"published"`
+	ThresholdUS int64                `json:"threshold_us"`
+	Exemplars   []flightrec.Exemplar `json:"exemplars,omitempty"`
 }

@@ -19,7 +19,7 @@ import (
 
 // TestEndToEndMetricsReconcile is the acceptance test of the obs
 // subsystem: after a mixed workload against a live federation, the
-// MsgMetrics snapshot must carry per-site RPC latency histograms and
+// scrape's snapshot must carry per-site RPC latency histograms and
 // per-policy decision counts, and the core byte counters must
 // reconcile with the mediator's Figure-1 accounting — in particular
 // the conservation law D_A = D_S + D_C.
@@ -39,18 +39,14 @@ func TestEndToEndMetricsReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := client.Stats()
+	sc, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := client.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	if sc.Source != "byproxyd" {
+		t.Fatalf("source = %q", sc.Source)
 	}
-	if m.Source != "byproxyd" {
-		t.Fatalf("source = %q", m.Source)
-	}
-	snap := m.Snapshot
+	snap := sc.Snapshot
 
 	// Per-site node RPC latency histograms.
 	for _, site := range []string{catalog.SitePhoto, catalog.SiteSpec} {
@@ -61,7 +57,7 @@ func TestEndToEndMetricsReconcile(t *testing.T) {
 	}
 
 	// Per-policy decision counts must equal the accounting's.
-	acct := st.Acct
+	acct := sc.Acct
 	for verdict, want := range map[string]int64{
 		"hit": acct.Hits, "bypass": acct.Bypasses, "load": acct.Loads,
 	} {
@@ -86,11 +82,11 @@ func TestEndToEndMetricsReconcile(t *testing.T) {
 	}
 
 	// Federation layer: query counts and mediation latency.
-	if got := snap.CounterValue("federation.queries", ""); got != st.Queries {
-		t.Fatalf("federation.queries = %d, want %d", got, st.Queries)
+	if got := snap.CounterValue("federation.queries", ""); got != sc.Acct.Queries {
+		t.Fatalf("federation.queries = %d, want %d", got, sc.Acct.Queries)
 	}
-	if h, ok := snap.HistogramSnap("federation.query_latency_us", ""); !ok || h.Count != st.Queries {
-		t.Fatalf("query latency count = %+v, want %d observations", h, st.Queries)
+	if h, ok := snap.HistogramSnap("federation.query_latency_us", ""); !ok || h.Count != sc.Acct.Queries {
+		t.Fatalf("query latency count = %+v, want %d observations", h, sc.Acct.Queries)
 	}
 	if got := snap.CounterValue("federation.objects_touched", ""); got != acct.Accesses {
 		t.Fatalf("objects_touched = %d, want %d accesses", got, acct.Accesses)
@@ -98,18 +94,18 @@ func TestEndToEndMetricsReconcile(t *testing.T) {
 
 	// Wire layer: the transport counters in stats come from the same
 	// registry, and client frames were counted per message type.
-	if snap.CounterValue("wire.node_tx_bytes", "") != st.TransportTx {
+	if snap.CounterValue("wire.node_tx_bytes", "") != sc.TransportTx {
 		t.Fatal("stats TransportTx diverges from registry")
 	}
-	if got := snap.CounterValue("wire.frames_rx", "query"); got != st.Queries {
-		t.Fatalf("frames_rx[query] = %d, want %d", got, st.Queries)
+	if got := snap.CounterValue("wire.frames_rx", "query"); got != sc.Acct.Queries {
+		t.Fatalf("frames_rx[query] = %d, want %d", got, sc.Acct.Queries)
 	}
 	if snap.CounterValue("wire.client_conns_opened", "") == 0 {
 		t.Fatal("client connection churn not counted")
 	}
 }
 
-// TestDBNodeMetrics asserts a database node answers MsgMetrics with
+// TestDBNodeMetrics asserts a database node answers MsgScrape with
 // its own registry, including the engine's scan counters.
 func TestDBNodeMetrics(t *testing.T) {
 	s := catalog.EDR()
@@ -135,7 +131,7 @@ func TestDBNodeMetrics(t *testing.T) {
 	if _, err := c.Query("select ra from photoobj where ra < 10"); err == nil {
 		t.Fatal("foreign table should error")
 	}
-	m, err := c.Metrics()
+	m, err := c.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +334,7 @@ func TestMetricSurface(t *testing.T) {
 		t.Fatalf("hits, bypasses, loads = %v: the queries do not exercise every decision", seen)
 	}
 
-	pm, err := client.Metrics()
+	pm, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +343,7 @@ func TestMetricSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	nm, err := nc.Metrics()
+	nm, err := nc.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,6 +443,7 @@ var nodeMetrics = []string{
 	"counter engine.rows_scanned",
 	"counter engine.yield_bytes",
 	"counter obs.exemplars",
+	"counter wire.frames_rx",
 	"gauge runtime.gc_cycles",
 	"gauge runtime.goroutines",
 	"gauge runtime.heap_alloc_bytes",

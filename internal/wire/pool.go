@@ -76,12 +76,12 @@ func newPool(site, addr string, cfg PoolConfig, dial func(site, addr string) (ne
 	return p
 }
 
-// Get checks out a connection, reporting whether it was reused from
-// the idle stack. fresh skips — and discards — idle connections: the
+// Get checks out a connection, the most recently parked one when any
+// is idle. fresh skips — and discards — idle connections: the
 // caller just saw a pooled connection fail, so its siblings are
 // presumed stale too and the attempt must dial. Blocks while MaxActive
 // connections are checked out.
-func (p *pool) Get(fresh bool) (conn *nodeConn, reused bool, err error) {
+func (p *pool) Get(fresh bool) (*nodeConn, error) {
 	p.mu.Lock()
 	if p.active >= p.cfg.MaxActive && !p.closed {
 		start := time.Now()
@@ -93,18 +93,18 @@ func (p *pool) Get(fresh bool) (conn *nodeConn, reused bool, err error) {
 	}
 	if p.closed {
 		p.mu.Unlock()
-		return nil, false, fmt.Errorf("wire: pool %s closed", p.site)
+		return nil, fmt.Errorf("wire: pool %s closed", p.site)
 	}
 	if fresh {
 		p.dropIdleLocked()
 	}
 	if n := len(p.idle); n > 0 {
-		conn = p.idle[n-1]
+		conn := p.idle[n-1]
 		p.idle = p.idle[:n-1]
 		p.m.idle.Set(p.site, int64(len(p.idle)))
 		p.checkoutLocked()
 		p.mu.Unlock()
-		return conn, true, nil
+		return conn, nil
 	}
 	// Reserve the slot before dialing so concurrent Gets cannot
 	// overshoot MaxActive while the dial is in flight.
@@ -113,10 +113,10 @@ func (p *pool) Get(fresh bool) (conn *nodeConn, reused bool, err error) {
 	c, err := p.dial(p.site, p.addr)
 	if err != nil {
 		p.release()
-		return nil, false, err
+		return nil, err
 	}
 	p.m.dials.Add(p.site, 1)
-	return &nodeConn{Conn: c, fr: newFrameReader()}, false, nil
+	return &nodeConn{Conn: c, fr: newFrameReader()}, nil
 }
 
 // checkoutLocked claims one active slot. Caller holds mu.

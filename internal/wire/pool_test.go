@@ -48,14 +48,14 @@ func TestPoolReusesMRU(t *testing.T) {
 	p := newPool("photo", "x", PoolConfig{MaxActive: 4}, dial, testPoolMetrics())
 	defer p.Close()
 
-	c1, reused, err := p.Get(false)
-	if err != nil || reused {
-		t.Fatalf("first Get: reused=%v err=%v", reused, err)
+	c1, err := p.Get(false)
+	if err != nil {
+		t.Fatalf("first Get: %v", err)
 	}
 	p.Put(c1)
-	c2, reused, err := p.Get(false)
-	if err != nil || !reused {
-		t.Fatalf("second Get: reused=%v err=%v", reused, err)
+	c2, err := p.Get(false)
+	if err != nil {
+		t.Fatalf("second Get: %v", err)
 	}
 	if c2 != c1 {
 		t.Fatal("expected the parked connection back")
@@ -77,7 +77,7 @@ func TestPoolReusesMRU(t *testing.T) {
 	for step := 0; step < 500; step++ {
 		switch k := r.Intn(4); {
 		case k < 2 && len(out) < 4:
-			c, _, err := p.Get(k == 1)
+			c, err := p.Get(k == 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,13 +106,13 @@ func TestPoolBlocksAtMaxActive(t *testing.T) {
 	p := newPool("photo", "x", PoolConfig{MaxActive: 1}, dial, testPoolMetrics())
 	defer p.Close()
 
-	c1, _, err := p.Get(false)
+	c1, err := p.Get(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan *nodeConn, 1)
 	go func() {
-		c, _, err := p.Get(false)
+		c, err := p.Get(false)
 		if err != nil {
 			t.Error(err)
 		}
@@ -137,11 +137,11 @@ func TestPoolFreshDrainsIdle(t *testing.T) {
 	p := newPool("photo", "x", PoolConfig{MaxActive: 4}, dial, testPoolMetrics())
 	defer p.Close()
 
-	c1, _, _ := p.Get(false)
+	c1, _ := p.Get(false)
 	p.Put(c1)
-	c2, reused, err := p.Get(true) // fresh: presume the parked conn stale
-	if err != nil || reused {
-		t.Fatalf("fresh Get: reused=%v err=%v", reused, err)
+	c2, err := p.Get(true) // fresh: presume the parked conn stale
+	if err != nil {
+		t.Fatalf("fresh Get: %v", err)
 	}
 	if c2 == c1 {
 		t.Fatal("fresh Get returned the stale parked connection")
@@ -160,13 +160,13 @@ func TestPoolFreshDrainsIdle(t *testing.T) {
 func TestPoolCloseFailsGets(t *testing.T) {
 	dial, _ := pipeDialer()
 	p := newPool("photo", "x", PoolConfig{MaxActive: 1}, dial, testPoolMetrics())
-	c1, _, err := p.Get(false)
+	c1, err := p.Get(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := p.Get(false) // blocked on MaxActive
+		_, err := p.Get(false) // blocked on MaxActive
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -179,7 +179,7 @@ func TestPoolCloseFailsGets(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocked Get never woke on Close")
 	}
-	if _, _, err := p.Get(false); err == nil {
+	if _, err := p.Get(false); err == nil {
 		t.Fatal("Get after Close should fail")
 	}
 	p.Discard(c1)

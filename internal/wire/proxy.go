@@ -14,17 +14,12 @@ import (
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
-	"bypassyield/internal/obs/ledger"
 )
 
 // DefaultRPCTimeout bounds each node RPC exchange (write + read). A
 // hung node must not hold a query, its inflight slot and its pooled
 // connection forever; see SetRPCTimeout.
 const DefaultRPCTimeout = 10 * time.Second
-
-// MaxStatsCachedObjects bounds the cached-object ids listed in a
-// stats response; larger caches report a prefix (sorted by id).
-const MaxStatsCachedObjects = 64
 
 // DefaultMaxInflight bounds concurrently pipelined client queries;
 // see Proxy.SetConcurrency and byproxyd -max-inflight.
@@ -57,7 +52,7 @@ const DefaultMaxInflight = 64
 // Observability: the proxy publishes into an obs.Registry — the
 // mediator's, when the mediator was built with one (so core and
 // federation families appear in the same snapshot), otherwise its
-// own. The registry is served over MsgMetrics. Metric families:
+// own. Metric families:
 //
 //	wire.frames_rx / wire.frames_tx    client frames per message type
 //	wire.bytes_rx / wire.bytes_tx      client frame bytes per message type
@@ -84,10 +79,16 @@ const DefaultMaxInflight = 64
 // degraded, or breaches the recorder's latency threshold publishes a
 // full exemplar — mediation phase timings, per-leg wire timings,
 // decision record, breaker states, runtime snapshot, and a computed
-// critical-path attribution — served over MsgExemplars and exported
-// as obs.exemplars / obs.tail_cause / obs.tail_cause_us counters.
-// The registry additionally carries runtime.* self-observation gauges
-// refreshed at every Snapshot.
+// critical-path attribution — exported as obs.exemplars /
+// obs.tail_cause / obs.tail_cause_us counters. The registry
+// additionally carries runtime.* self-observation gauges refreshed at
+// every Snapshot.
+//
+// One message serves all of it: a MsgScrape is answered with the
+// registry snapshot, the flight recorder's counts and exemplars, the
+// flow accounting, the cache, the transport counters, the decision
+// ledger's records and the shadow figures, under the request's one
+// filter (see scrape).
 type Proxy struct {
 	mu         sync.Mutex // guards closed
 	med        *federation.Mediator
@@ -151,7 +152,7 @@ type site struct {
 // NewProxy builds a proxy around a mediator. nodeAddrs maps each site
 // to its database node's TCP address; sites absent from the map are
 // served without node RPCs (pure simulation mode). The proxy adopts
-// the mediator's obs registry when it has one, so one MsgMetrics
+// the mediator's obs registry when it has one, so one scrape's
 // snapshot covers every layer.
 func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs map[string]string) *Proxy {
 	reg := med.Obs()
@@ -517,27 +518,13 @@ func (p *Proxy) serveConn(conn net.Conn) {
 				cs.stmt = federation.Scratch{}
 			}
 			q = QueryMsg{}
-		case MsgStats:
-			p.send(conn, MsgStatsResult, p.stats())
-		case MsgDecisions:
-			var q DecisionsMsg
+		case MsgScrape:
+			var q ScrapeMsg
 			if err := Decode(body, &q); err != nil {
 				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
 				continue
 			}
-			p.send(conn, MsgDecisionsResult, p.decisions(q))
-		case MsgMetrics:
-			p.send(conn, MsgMetricsResult, MetricsResultMsg{
-				Source:   "byproxyd",
-				Snapshot: p.reg.Snapshot(),
-			})
-		case MsgExemplars:
-			var q ExemplarsMsg
-			if err := Decode(body, &q); err != nil {
-				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
-				continue
-			}
-			p.send(conn, MsgExemplarsResult, serveExemplars("byproxyd", p.flight, q))
+			p.send(conn, MsgScrapeResult, p.scrape(q))
 		case MsgPing:
 			p.send(conn, MsgPong, PongMsg{Site: "byproxyd"})
 		default:
@@ -868,7 +855,7 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read
 func (p *Proxy) tryNodeRPC(sp *pool, t MsgType, payload any, fresh bool, lt *legTiming, read replyReader) (answer, err error) {
 	site := sp.site
 	acquireStart := time.Now()
-	conn, _, err := sp.Get(fresh)
+	conn, err := sp.Get(fresh)
 	if err != nil {
 		return nil, err
 	}
@@ -981,101 +968,4 @@ func nodeError(site string, t MsgType, body []byte) error {
 		return err
 	}
 	return fmt.Errorf("node %s: %s", site, e.Message)
-}
-
-// Decision-ledger serving bounds: a filterless scrape returns the
-// most recent DefaultDecisionLimit records; explicit limits are capped
-// at MaxDecisionLimit to keep response frames under MaxFrame.
-const (
-	DefaultDecisionLimit = 256
-	MaxDecisionLimit     = 4096
-)
-
-// Exemplar serving bounds: a filterless scrape returns the most
-// recent DefaultExemplarLimit exemplars; explicit limits are capped
-// at MaxExemplarLimit (exemplars are much larger than ledger records).
-const (
-	DefaultExemplarLimit = 64
-	MaxExemplarLimit     = 512
-)
-
-// serveExemplars answers one MsgExemplars scrape from a daemon's
-// flight recorder (shared by proxy and node). A nil recorder yields
-// an empty result, not an error.
-func serveExemplars(source string, rec *flightrec.Recorder, q ExemplarsMsg) ExemplarsResultMsg {
-	limit := q.Limit
-	if limit <= 0 {
-		limit = DefaultExemplarLimit
-	}
-	if limit > MaxExemplarLimit {
-		limit = MaxExemplarLimit
-	}
-	return ExemplarsResultMsg{
-		Source:      source,
-		Observed:    rec.Observed(),
-		Published:   rec.Published(),
-		ThresholdUS: rec.ThresholdUS(),
-		Exemplars:   flightrec.Filter(rec.Snapshot(), q.Outcome, q.Trace, q.MinUS, limit),
-	}
-}
-
-// decisions serves a ledger scrape: snapshot the ring (a copy taken
-// under the ledger's own mutex), apply the filter, and attach the shadow
-// counterfactuals. An unconfigured ledger yields an empty result, not
-// an error, so byinspect degrades gracefully.
-func (p *Proxy) decisions(q DecisionsMsg) DecisionsResultMsg {
-	led := p.med.Ledger()
-	ss := p.med.ShadowStats() // snapshot under the mediator's decision lock
-	msg := DecisionsResultMsg{
-		Total:                 led.Count(),
-		BypassWANBytes:        ss.BypassWANBytes,
-		SavedVsBypassBytes:    ss.SavedVsBypassBytes,
-		OptBoundBytes:         ss.OptBoundBytes,
-		CompetitiveRatioMilli: ss.CompetitiveRatioMilli,
-	}
-
-	limit := q.Limit
-	if limit <= 0 {
-		limit = DefaultDecisionLimit
-	}
-	if limit > MaxDecisionLimit {
-		limit = MaxDecisionLimit
-	}
-	msg.Records = ledger.Filter(led.Snapshot(), ledger.Query{
-		Object: q.Object,
-		Action: q.Action,
-		Trace:  q.Trace,
-		Limit:  limit,
-	})
-	return msg
-}
-
-// stats snapshots the proxy state. Mediator state is read through
-// decision-lock snapshots, so a stats scrape never observes the cache
-// mid-decision.
-func (p *Proxy) stats() StatsResultMsg {
-	acct := p.med.Accounting()
-	msg := StatsResultMsg{
-		Granularity: p.gran.String(),
-		Acct:        acct,
-		TransportTx: p.nodeTx.Value(),
-		TransportRx: p.nodeRx.Value(),
-		Queries:     acct.Queries,
-	}
-	if ps, ok := p.med.PolicyStats(); ok {
-		msg.Policy = ps.Name
-		msg.CacheUsed = ps.Used
-		msg.CacheCapacity = ps.Capacity
-		ids := ps.Contents
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if len(ids) > MaxStatsCachedObjects {
-			ids = ids[:MaxStatsCachedObjects]
-		}
-		for _, id := range ids {
-			msg.CachedObjects = append(msg.CachedObjects, string(id))
-		}
-	} else {
-		msg.Policy = "none"
-	}
-	return msg
 }

@@ -121,7 +121,7 @@ func TestProxySimulationMode(t *testing.T) {
 	if res.Rows <= 0 {
 		t.Fatal("no rows")
 	}
-	st, err := c.Stats()
+	st, err := c.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,27 +151,65 @@ func TestProxySurvivesDeadNode(t *testing.T) {
 	}
 }
 
-func TestProxyRejectsUnknownFrame(t *testing.T) {
-	_, c, done := newSimProxy(t, nil)
-	defer done()
-	// Send a fetch frame to the proxy (only nodes accept those).
-	if _, err := WriteFrame(c.conn, MsgFetch, FetchMsg{Object: "edr/photoobj"}); err != nil {
+// retiredTypes are the message numbers of the four scrape requests and
+// their replies that MsgScrape replaced: a frame of one still reads, and
+// a daemon must answer it with a MsgError and serve on.
+var retiredTypes = []MsgType{6, 7, 8, 9, 10, 11, 14, 15}
+
+// rejectsFrame sends one frame of type typ on conn and fails unless the
+// reply is a MsgError.
+func rejectsFrame(t *testing.T, conn net.Conn, typ MsgType, payload any) {
+	t.Helper()
+	if _, err := WriteFrame(conn, typ, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, body, _, err := ReadFrame(c.conn)
+	got, body, _, err := ReadFrame(conn)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("type %d: %v", typ, err)
 	}
-	if typ != MsgError {
-		t.Fatalf("type = %d, want error", typ)
+	if got != MsgError {
+		t.Fatalf("type %d answered with %s, want error", typ, got)
 	}
 	var e ErrorMsg
 	if err := Decode(body, &e); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestProxyRejectsUnknownFrame(t *testing.T) {
+	_, c, done := newSimProxy(t, nil)
+	defer done()
+	// A fetch frame (only nodes accept those), and every retired type.
+	rejectsFrame(t, c.conn, MsgFetch, FetchMsg{Object: "edr/photoobj"})
+	for _, typ := range retiredTypes {
+		if typ.String() != "unknown" {
+			t.Fatalf("retired type %d is named %q", typ, typ)
+		}
+		rejectsFrame(t, c.conn, typ, struct{}{})
+	}
 	// The connection still works afterwards.
 	if _, err := c.Query("select ra from photoobj where ra < 10"); err != nil {
 		t.Fatalf("connection broken: %v", err)
+	}
+}
+
+// TestDBNodeRejectsUnknownFrame is TestProxyRejectsUnknownFrame's twin:
+// a node answers every retired type with a MsgError and serves on.
+func TestDBNodeRejectsUnknownFrame(t *testing.T) {
+	_, addr := listenNode(t, catalog.SitePhoto, catalog.EDR(), engine.Config{Seed: 1, SampleEvery: 100000})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, typ := range retiredTypes {
+		rejectsFrame(t, c.conn, typ, struct{}{})
+	}
+	if _, err := c.Query("select ra from photoobj where ra < 10"); err != nil {
+		t.Fatalf("connection broken: %v", err)
+	}
+	if res, err := c.Scrape(ScrapeMsg{}); err != nil || res.Source != "bydbd:"+catalog.SitePhoto {
+		t.Fatalf("scrape after the retired types: %+v, %v", res, err)
 	}
 }
 
@@ -218,7 +256,7 @@ func TestClientConcurrentConnections(t *testing.T) {
 	_, c1, done := newSimProxy(t, nil)
 	defer done()
 	// Second client on the same proxy.
-	st, err := c1.Stats()
+	st, err := c1.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +268,12 @@ func TestClientConcurrentConnections(t *testing.T) {
 	if _, err := c2.Query("select z from specobj where z < 1"); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c1.Stats()
+	st2, err := c1.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Queries != st.Queries+1 {
-		t.Fatalf("queries = %d, want %d", st2.Queries, st.Queries+1)
+	if st2.Acct.Queries != st.Acct.Queries+1 {
+		t.Fatalf("queries = %d, want %d", st2.Acct.Queries, st.Acct.Queries+1)
 	}
 }
 
@@ -260,7 +298,7 @@ func TestStatsCachedObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats()
+	st, err := c.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +318,10 @@ func TestStatsCachedObjects(t *testing.T) {
 }
 
 // TestProxyConcurrentClients hammers the proxy from many client
-// goroutines while others poll stats and metrics. Run under -race
-// this exercises the mediation lock, the obs registry's atomics, and
-// per-connection serving paths all at once.
+// goroutines while others scrape it. Run under -race this exercises the
+// mediation lock, the obs registry's atomics, the ledger's ring read
+// while queries write into it, and per-connection serving paths all at
+// once.
 func TestProxyConcurrentClients(t *testing.T) {
 	p, c0, done := newSimProxy(t, nil)
 	defer done()
@@ -342,11 +381,7 @@ func TestProxyConcurrentClients(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.Stats(); err != nil {
-					errc <- err
-					return
-				}
-				if _, err := c.Metrics(); err != nil {
+				if _, err := c.Scrape(ScrapeMsg{}); err != nil {
 					errc <- err
 					return
 				}
@@ -363,12 +398,12 @@ func TestProxyConcurrentClients(t *testing.T) {
 	default:
 	}
 
-	st, err := c0.Stats()
+	st, err := c0.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries != clients*queriesPerClient {
-		t.Fatalf("queries = %d, want %d", st.Queries, clients*queriesPerClient)
+	if st.Acct.Queries != clients*queriesPerClient {
+		t.Fatalf("queries = %d, want %d", st.Acct.Queries, clients*queriesPerClient)
 	}
 	snap := p.Obs().Snapshot()
 	if got := snap.CounterValue("federation.queries", ""); got != clients*queriesPerClient {

@@ -182,7 +182,7 @@ func relayDifferential(t *testing.T, nodeDB *engine.DB) relayCounts {
 		}
 		delivered += got.Bytes
 	}
-	st, err := f.client.Stats()
+	st, err := f.client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestEndToEndQueryRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.Stats()
+	st, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}

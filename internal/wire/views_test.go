@@ -96,7 +96,7 @@ func TestViewDecisionsReachTheOwningNode(t *testing.T) {
 			}
 		}
 	}
-	if st, err := client.Stats(); err != nil || st.TransportTx == 0 || st.TransportRx == 0 {
+	if st, err := client.Scrape(ScrapeMsg{}); err != nil || st.TransportTx == 0 || st.TransportRx == 0 {
 		t.Fatalf("proxy transport counters %+v (err %v): the legs moved no bytes", st, err)
 	}
 }

@@ -138,7 +138,7 @@ func TestEndToEndQuery(t *testing.T) {
 	// ResultMsg.Bytes = Σ decision yields = D_A. (The result is the
 	// client's until its next call: what is compared is copied first.)
 	bytes := res.Bytes
-	st, err := client.Stats()
+	st, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestEndToEndStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := client.Stats()
+	st, err := client.Scrape(ScrapeMsg{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Queries != 3 {
-		t.Fatalf("queries = %d, want 3", st.Queries)
+	if st.Acct.Queries != 3 {
+		t.Fatalf("queries = %d, want 3", st.Acct.Queries)
 	}
 	if st.Policy != "rate-profile" || st.Granularity != "tables" {
 		t.Fatalf("stats = %+v", st)
