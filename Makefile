@@ -70,10 +70,12 @@ chaos:
 # Snapshot format compatibility rides along: version-1 snapshots and
 # one-section version-2 snapshots restore, and a state directory whose
 # snapshots carry several sections (a cache the previous build split
-# into slices) is refused by name and restarts cold. Every startup's
-# recovery report is appended to crash_recovery.log (archived by CI).
+# into slices) is refused by name and restarts cold, and the bytes a
+# snapshot and a WAL are written in are pinned to committed files.
+# Every startup's recovery report is appended to crash_recovery.log
+# (archived by CI).
 CRASH_PROXY_RUN = TestKillRecoveryEndToEnd|TestFaultInjectedTornWALRecovery|TestCorruptTailFallsBackAcrossRestart|TestParentStateAcrossUpgrade
-CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts
+CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned
 crash:
 	$(CHECK_RUN) '$(CRASH_PROXY_RUN)' ./cmd/byproxyd/
 	$(CHECK_RUN) 'TestBreakerRestartCycle' ./internal/wire/

@@ -145,7 +145,10 @@ type daemon struct {
 // in-flight decision records and exemplars still land — flushes and
 // closes the JSONL logs.
 func (d *daemon) Close() error {
-	err := d.proxy.Close()
+	var err error
+	if d.proxy != nil {
+		err = d.proxy.Close()
+	}
 	if d.persist != nil {
 		if perr := d.persist.Close(); err == nil {
 			err = perr
@@ -169,10 +172,24 @@ func (d *daemon) Close() error {
 }
 
 // start builds and listens the proxy; split from run so tests can
-// exercise everything but the signal wait.
-func start(o options) (*daemon, error) {
+// exercise everything but the signal wait. A failed start closes what
+// it opened: listeners, logs, the chaos plan and the state directory.
+func start(o options) (_ *daemon, err error) {
 	if o.poolSize < 1 {
 		return nil, fmt.Errorf("-pool-size %d: the bound is fixed and must be at least 1 (adaptive sizing, which 0 used to select, is gone)", o.poolSize)
+	}
+	if o.ledgerOut != "" && o.ledgerCap <= 0 {
+		return nil, fmt.Errorf("-ledger-out requires -ledger > 0")
+	}
+	if o.stateDir == "" {
+		switch {
+		case o.walSync:
+			return nil, fmt.Errorf("-wal-sync requires -state-dir")
+		case o.recoveryLog != "":
+			return nil, fmt.Errorf("-recovery-log requires -state-dir")
+		case o.persistFaults != "":
+			return nil, fmt.Errorf("-persist-faults requires -state-dir")
+		}
 	}
 	var s *catalog.Schema
 	switch o.release {
@@ -196,6 +213,13 @@ func start(o options) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	d := &daemon{}
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
 	// One registry spans the whole daemon: the mediator/policy record
 	// into it, the local engine shares it, and the proxy adopts it, so
 	// a single MsgScrape snapshot (and the /metrics exposition) covers
@@ -203,7 +227,6 @@ func start(o options) (*daemon, error) {
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
 	var led *ledger.Ledger
-	var ledSink *ledger.JSONL
 	if o.ledgerCap > 0 {
 		led = ledger.New(int(o.ledgerCap))
 		if o.ledgerOut != "" {
@@ -211,18 +234,15 @@ func start(o options) (*daemon, error) {
 			if err != nil {
 				return nil, err
 			}
-			ledSink = ledger.NewJSONL(f)
-			led.SetSink(ledSink)
+			d.ledger = ledger.NewJSONL(f)
+			led.SetSink(d.ledger)
 		}
-	} else if o.ledgerOut != "" {
-		return nil, fmt.Errorf("-ledger-out requires -ledger > 0")
 	}
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg,
 		Ledger: led, Shadows: true,
 	})
 	if err != nil {
-		ledSink.Close()
 		return nil, err
 	}
 
@@ -245,11 +265,10 @@ func start(o options) (*daemon, error) {
 	proxy.SetFlightConfig(flightrec.Config{
 		Capacity: o.flightCap, Threshold: o.flightThreshold, SampleEvery: o.flightSample,
 	})
-	d := &daemon{proxy: proxy, ledger: ledSink}
+	d.proxy = proxy
 	if o.exemplarOut != "" {
 		f, err := os.OpenFile(o.exemplarOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			ledSink.Close()
 			return nil, err
 		}
 		d.exemplars = flightrec.NewJSONL(f)
@@ -258,10 +277,10 @@ func start(o options) (*daemon, error) {
 	if o.chaos != "" {
 		plan, err := faultnet.ParsePlan(o.chaos, o.chaosSeed)
 		if err != nil {
-			ledSink.Close()
 			return nil, err
 		}
 		plan.Start()
+		d.plan = plan
 		proxy.SetDialer(func(site, addr string) (net.Conn, error) {
 			c, err := net.DialTimeout("tcp", addr, o.dialTimeout)
 			if err != nil {
@@ -269,64 +288,42 @@ func start(o options) (*daemon, error) {
 			}
 			return plan.Injector(site).Conn(c), nil
 		})
-		d.plan = plan
 	}
 	if o.httpAddr != "" {
-		srv, err := obs.StartHTTP(o.httpAddr, obs.NewHTTPHandler(reg.Snapshot))
-		if err != nil {
-			d.ledger.Close()
-			d.exemplars.Close()
+		if d.http, err = obs.StartHTTP(o.httpAddr, obs.NewHTTPHandler(reg.Snapshot)); err != nil {
 			return nil, err
 		}
-		d.http = srv
 	}
 	// Recover and attach persistent state before the listener opens:
 	// the first client query must already see the warm cache and the
 	// journal must capture every access.
 	if o.stateDir != "" {
 		faults, err := persist.ParseFaults(o.persistFaults)
-		if err == nil {
-			d.persist, err = persist.Open(persist.Config{
-				Dir:              o.stateDir,
-				SnapshotInterval: o.snapInterval,
-				SyncEveryRecord:  o.walSync,
-				Obs:              reg,
-				Faults:           faults,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, "byproxyd: "+format+"\n", args...)
-				},
-			}, med)
-		}
-		if err == nil && o.recoveryLog != "" {
-			err = appendRecoveryLog(o.recoveryLog, d.persist.Recovery())
-		}
 		if err != nil {
-			if d.persist != nil {
-				d.persist.Close()
-			}
-			if d.http != nil {
-				d.http.Close()
-			}
-			d.ledger.Close()
-			d.exemplars.Close()
 			return nil, err
 		}
-	} else if o.persistFaults != "" {
-		return nil, fmt.Errorf("-persist-faults requires -state-dir")
+		d.persist, err = persist.Open(persist.Config{
+			Dir:              o.stateDir,
+			SnapshotInterval: o.snapInterval,
+			SyncEveryRecord:  o.walSync,
+			Obs:              reg,
+			Faults:           faults,
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, "byproxyd: "+format+"\n", args...)
+			},
+		}, med)
+		if err != nil {
+			return nil, err
+		}
+		if o.recoveryLog != "" {
+			if err := appendRecoveryLog(o.recoveryLog, d.persist.Recovery()); err != nil {
+				return nil, err
+			}
+		}
 	}
-	bound, err := proxy.Listen(o.addr)
-	if err != nil {
-		if d.persist != nil {
-			d.persist.Close()
-		}
-		if d.http != nil {
-			d.http.Close()
-		}
-		d.ledger.Close()
-		d.exemplars.Close()
+	if d.bound, err = proxy.Listen(o.addr); err != nil {
 		return nil, err
 	}
-	d.bound = bound
 	d.desc = fmt.Sprintf("release %s, policy %s, cache %.0f%% (%d MB), granularity %s, %d nodes",
 		s.Name, o.policy, o.cachePct*100, capacity>>20, g, len(nodeAddrs))
 	return d, nil

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -195,24 +196,56 @@ func TestStartRefusesPoolSizeBelowOne(t *testing.T) {
 
 func TestStartErrors(t *testing.T) {
 	cases := []struct {
-		name    string
-		release string
-		policy  string
-		gran    string
-		nodes   string
+		name string
+		set  func(o *options)
 	}{
-		{"bad release", "dr9", "gds", "tables", ""},
-		{"bad policy", "edr", "magic", "tables", ""},
-		{"bad granularity", "edr", "gds", "rows", ""},
-		{"bad nodes", "edr", "gds", "tables", "no-equals-sign"},
+		{"bad release", func(o *options) { o.release = "dr9" }},
+		{"bad policy", func(o *options) { o.policy = "magic" }},
+		{"bad granularity", func(o *options) { o.gran = "rows" }},
+		{"bad nodes", func(o *options) { o.nodes = "no-equals-sign" }},
+		{"wal-sync without state-dir", func(o *options) { o.walSync = true }},
+		{"recovery-log without state-dir", func(o *options) { o.recoveryLog = filepath.Join(t.TempDir(), "recovery.log") }},
+		{"persist-faults without state-dir", func(o *options) { o.persistFaults = "wal.append.mid-record:after=40" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := testOptions()
-			o.release, o.policy, o.gran, o.nodes = tc.release, tc.policy, tc.gran, tc.nodes
+			tc.set(&o)
 			if _, err := start(o); err == nil {
 				t.Fatal("expected error")
 			}
+		})
+	}
+}
+
+// TestFailedStartFreesTheHTTPPort: a start that fails, before or after
+// the -http listener is bound, leaves that port free to listen on
+// again.
+func TestFailedStartFreesTheHTTPPort(t *testing.T) {
+	for name, set := range map[string]func(o *options){
+		"persist-faults without state-dir": func(o *options) { o.persistFaults = "wal.append.mid-record:after=40" },
+		"unbindable -addr":                 func(o *options) { o.addr = "256.0.0.1:bogus" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr := ln.Addr().String()
+			ln.Close()
+			o := testOptions()
+			o.httpAddr = addr
+			o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
+			o.chaos = "spec.sdss.org:blackhole,after=5s,for=10s"
+			set(&o)
+			if _, err := start(o); err == nil {
+				t.Fatal("expected error")
+			}
+			ln, err = net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("the failed start left -http %s bound: %v", addr, err)
+			}
+			ln.Close()
 		})
 	}
 }

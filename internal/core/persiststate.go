@@ -2,8 +2,9 @@ package core
 
 // Crash-safe state serialization for the cache policies (see
 // internal/persist). Every factory-constructible policy implements
-// StateSnapshotter with a compact versioned binary encoding: varint
-// integers, fixed 8-byte floats, length-prefixed strings. The blobs
+// StateSnapshotter with a versioned blob written in the primitives of
+// internal/statecodec, the codec persist frames its snapshot and
+// journal payloads with. The blobs
 // are self-delimiting and strictly validated on decode — truncated,
 // over-long, duplicated, or capacity-inconsistent input returns an
 // error and leaves the receiver unchanged, never panics (the persist
@@ -24,11 +25,11 @@ package core
 // violates its own bounds.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"bypassyield/internal/bheap"
+	"bypassyield/internal/statecodec"
 )
 
 // StateSnapshotter is implemented by policies (and bypass-object
@@ -59,175 +60,27 @@ const (
 	noneStateVersion   = 1
 )
 
-// stateEnc builds a state blob.
-type stateEnc struct{ b []byte }
-
-func (e *stateEnc) u8(v uint8)    { e.b = append(e.b, v) }
-func (e *stateEnc) i64(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *stateEnc) u64(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *stateEnc) f64(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *stateEnc) str(s string)  { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *stateEnc) bytes(p []byte) {
-	e.u64(uint64(len(p)))
-	e.b = append(e.b, p...)
-}
-func (e *stateEnc) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *stateEnc) object(o Object) {
-	e.str(string(o.ID))
-	e.i64(o.Size)
-	e.i64(o.FetchCost)
-	e.str(o.Site)
+// putObject writes an object's id, size, fetch cost and site.
+func putObject(e *statecodec.Encoder, o Object) {
+	e.Str(string(o.ID))
+	e.I64(o.Size)
+	e.I64(o.FetchCost)
+	e.Str(o.Site)
 }
 
-// stateDec consumes a state blob with error latching: after the first
-// failure every accessor returns the zero value and the error
-// surfaces once through done().
-type stateDec struct {
-	b   []byte
-	err error
-}
-
-func (d *stateDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+// validObject reads what putObject wrote and rejects malformed objects
+// in hostile blobs; on failure the decoder is poisoned and the caller's
+// Done surfaces the error.
+func validObject(d *statecodec.Decoder) Object {
+	obj := Object{
+		ID:        ObjectID(d.Str()),
+		Size:      d.I64(),
+		FetchCost: d.I64(),
+		Site:      d.Str(),
 	}
-}
-
-func (d *stateDec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.fail("core: truncated state blob (u8)")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *stateDec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("core: truncated state blob (varint)")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("core: truncated state blob (uvarint)")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *stateDec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 8 {
-		d.fail("core: truncated state blob (f64)")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v
-}
-
-func (d *stateDec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("core: state string length %d exceeds remaining %d bytes", n, len(d.b))
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *stateDec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("core: state blob length %d exceeds remaining %d bytes", n, len(d.b))
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *stateDec) boolean() bool { return d.u8() != 0 }
-
-func (d *stateDec) object() Object {
-	return Object{
-		ID:        ObjectID(d.str()),
-		Size:      d.i64(),
-		FetchCost: d.i64(),
-		Site:      d.str(),
-	}
-}
-
-// count reads a collection length, bounding it by the remaining bytes
-// (every element costs at least one byte) so hostile lengths are
-// rejected before allocation.
-func (d *stateDec) count() int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("core: state collection length %d exceeds remaining %d bytes", n, len(d.b))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *stateDec) version(want uint8, what string) {
-	if v := d.u8(); d.err == nil && v != want {
-		d.fail("core: %s state version %d, want %d", what, v, want)
-	}
-}
-
-func (d *stateDec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("core: %d trailing bytes in state blob", len(d.b))
-	}
-	return nil
-}
-
-// validObject rejects malformed objects in hostile blobs; on failure
-// the decoder is poisoned and the caller's done() surfaces the error.
-func (d *stateDec) validObject() Object {
-	obj := d.object()
-	if d.err == nil {
+	if d.Err() == nil {
 		if err := obj.Validate(); err != nil {
-			d.fail("core: invalid object in state blob: %v", err)
+			d.Fail("core: invalid object in state blob: %v", err)
 		}
 	}
 	return obj
@@ -239,52 +92,52 @@ func (d *stateDec) validObject() Object {
 // their rate-profile accumulators, plus the full out-of-cache episode
 // table (open-episode state and completed-episode LAR history).
 func (r *RateProfile) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(rpStateVersion)
-	e.i64(r.cfg.Capacity)
-	e.i64(r.evictions)
+	var e statecodec.Encoder
+	e.U8(rpStateVersion)
+	e.I64(r.cfg.Capacity)
+	e.I64(r.evictions)
 	entries := r.entries.sorted()
-	e.u64(uint64(len(entries)))
+	e.U64(uint64(len(entries)))
 	for _, ent := range entries {
-		e.object(ent.v.obj)
-		e.i64(ent.v.loadTime)
-		e.i64(ent.v.sumYield)
+		putObject(&e, ent.v.obj)
+		e.I64(ent.v.loadTime)
+		e.I64(ent.v.sumYield)
 	}
 	profiles := r.profiles.byObj.sorted()
-	e.u64(uint64(len(profiles)))
+	e.U64(uint64(len(profiles)))
 	for _, ent := range profiles {
 		p := ent.v
-		e.str(string(ent.id))
-		e.boolean(p.open)
-		e.boolean(p.started)
-		e.i64(p.start)
-		e.i64(p.sumYield)
-		e.f64(p.maxLARP)
-		e.i64(p.lastAccess)
-		e.u64(uint64(len(p.past)))
+		e.Str(string(ent.id))
+		e.Bool(p.open)
+		e.Bool(p.started)
+		e.I64(p.start)
+		e.I64(p.sumYield)
+		e.F64(p.maxLARP)
+		e.I64(p.lastAccess)
+		e.U64(uint64(len(p.past)))
 		for _, v := range p.past {
-			e.f64(v)
+			e.F64(v)
 		}
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter. The receiver must be
 // configured with the snapshot's capacity.
 func (r *RateProfile) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(rpStateVersion, "rate-profile")
-	capacity := d.i64()
-	if d.err == nil && capacity != r.cfg.Capacity {
+	d := statecodec.NewDecoder(data)
+	d.Version(rpStateVersion, "rate-profile")
+	capacity := d.I64()
+	if d.Err() == nil && capacity != r.cfg.Capacity {
 		return fmt.Errorf("core: rate-profile snapshot capacity %d, configured %d", capacity, r.cfg.Capacity)
 	}
-	evictions := d.i64()
+	evictions := d.I64()
 	var entries objTable[*rpEntry]
 	var used int64
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		obj := d.validObject()
-		ent := &rpEntry{obj: obj, loadTime: d.i64(), sumYield: d.i64()}
-		if d.err != nil {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		obj := validObject(&d)
+		ent := &rpEntry{obj: obj, loadTime: d.I64(), sumYield: d.I64()}
+		if d.Err() != nil {
 			break
 		}
 		if entries.find(obj) != nil {
@@ -294,26 +147,26 @@ func (r *RateProfile) RestoreState(data []byte) error {
 		used += obj.Size
 	}
 	var profiles objTable[*profile]
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		id := ObjectID(d.Str())
 		p := &profile{
-			open:       d.boolean(),
-			started:    d.boolean(),
-			start:      d.i64(),
-			sumYield:   d.i64(),
-			maxLARP:    d.f64(),
-			lastAccess: d.i64(),
+			open:       d.Bool(),
+			started:    d.Bool(),
+			start:      d.I64(),
+			sumYield:   d.I64(),
+			maxLARP:    d.F64(),
+			lastAccess: d.I64(),
 		}
-		m := d.count()
-		for j := 0; j < m && d.err == nil; j++ {
-			p.past = append(p.past, d.f64())
+		m := d.Count()
+		for j := 0; j < m && d.Err() == nil; j++ {
+			p.past = append(p.past, d.F64())
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			break
 		}
 		*profiles.put(Object{ID: id}) = p
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if used > r.cfg.Capacity {
@@ -333,33 +186,33 @@ func (r *RateProfile) RestoreState(data []byte) error {
 // offset-absolute utilities) and the global offset, preserving every
 // cached object's effective credit exactly.
 func (l *Landlord) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(llStateVersion)
-	e.i64(l.cap)
-	e.f64(l.offset)
-	e.i64(l.evictions)
+	var e statecodec.Encoder
+	e.U8(llStateVersion)
+	e.I64(l.cap)
+	e.F64(l.offset)
+	e.I64(l.evictions)
 	encodeHeap(&e, l.heap)
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (l *Landlord) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(llStateVersion, "landlord")
-	capacity := d.i64()
-	if d.err == nil && capacity != l.cap {
+	d := statecodec.NewDecoder(data)
+	d.Version(llStateVersion, "landlord")
+	capacity := d.I64()
+	if d.Err() == nil && capacity != l.cap {
 		return fmt.Errorf("core: landlord snapshot capacity %d, configured %d", capacity, l.cap)
 	}
-	offset := d.f64()
-	if d.err == nil && math.IsNaN(offset) {
+	offset := d.F64()
+	if d.Err() == nil && math.IsNaN(offset) {
 		return fmt.Errorf("core: landlord snapshot has NaN offset")
 	}
-	evictions := d.i64()
+	evictions := d.I64()
 	heap, items, used, err := decodeHeap(&d, "landlord", "credit")
 	if err != nil {
 		return err
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if used > l.cap {
@@ -378,36 +231,36 @@ func (l *Landlord) RestoreState(data []byte) error {
 // their marks plus the phase's refused-fetch accumulator (size classes
 // are recomputed from object sizes).
 func (m *SizeClassMarking) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(scmStateVersion)
-	e.i64(m.cap)
-	e.i64(m.phaseBypass)
-	e.i64(m.evictions)
+	var e statecodec.Encoder
+	e.U8(scmStateVersion)
+	e.I64(m.cap)
+	e.I64(m.phaseBypass)
+	e.I64(m.evictions)
 	entries := m.entries.sorted()
-	e.u64(uint64(len(entries)))
+	e.U64(uint64(len(entries)))
 	for _, ent := range entries {
-		e.object(ent.v.obj)
-		e.boolean(ent.v.marked)
+		putObject(&e, ent.v.obj)
+		e.Bool(ent.v.marked)
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (m *SizeClassMarking) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(scmStateVersion, "size-class-marking")
-	capacity := d.i64()
-	if d.err == nil && capacity != m.cap {
+	d := statecodec.NewDecoder(data)
+	d.Version(scmStateVersion, "size-class-marking")
+	capacity := d.I64()
+	if d.Err() == nil && capacity != m.cap {
 		return fmt.Errorf("core: size-class-marking snapshot capacity %d, configured %d", capacity, m.cap)
 	}
-	phaseBypass := d.i64()
-	evictions := d.i64()
+	phaseBypass := d.I64()
+	evictions := d.I64()
 	var entries objTable[*scmEntry]
 	var used int64
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		obj := d.validObject()
-		marked := d.boolean()
-		if d.err != nil {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		obj := validObject(&d)
+		marked := d.Bool()
+		if d.Err() != nil {
 			break
 		}
 		if entries.find(obj) != nil {
@@ -416,7 +269,7 @@ func (m *SizeClassMarking) RestoreState(data []byte) error {
 		*entries.put(obj) = &scmEntry{obj: obj, marked: marked, class: sizeClass(obj.Size)}
 		used += obj.Size
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if used > m.cap {
@@ -443,12 +296,12 @@ func (o *OnlineBY) SnapshotState() []byte {
 	if sub == nil {
 		return nil
 	}
-	var e stateEnc
-	e.u8(onlineStateVersion)
-	e.str(o.aobj.Name())
-	e.bytes(sub)
+	var e statecodec.Encoder
+	e.U8(onlineStateVersion)
+	e.Str(o.aobj.Name())
+	e.Blob(sub)
 	encodeCounts(&e, &o.acc)
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter. The receiver must run the
@@ -458,15 +311,15 @@ func (o *OnlineBY) RestoreState(data []byte) error {
 	if !ok {
 		return fmt.Errorf("core: online-by subroutine %s cannot restore state", o.aobj.Name())
 	}
-	d := stateDec{b: data}
-	d.version(onlineStateVersion, "online-by")
-	name := d.str()
-	if d.err == nil && name != o.aobj.Name() {
+	d := statecodec.NewDecoder(data)
+	d.Version(onlineStateVersion, "online-by")
+	name := d.Str()
+	if d.Err() == nil && name != o.aobj.Name() {
 		return fmt.Errorf("core: online-by snapshot over subroutine %q, configured %q", name, o.aobj.Name())
 	}
-	sub := d.bytes()
+	sub := d.Blob()
 	acc := decodeCounts(&d)
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if err := ss.RestoreState(sub); err != nil {
@@ -494,11 +347,11 @@ func (s *SpaceEffBY) SnapshotState() []byte {
 	if sub == nil {
 		return nil
 	}
-	var e stateEnc
-	e.u8(spaceStateVersion)
-	e.str(s.aobj.Name())
-	e.bytes(sub)
-	return e.b
+	var e statecodec.Encoder
+	e.U8(spaceStateVersion)
+	e.Str(s.aobj.Name())
+	e.Blob(sub)
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
@@ -507,14 +360,14 @@ func (s *SpaceEffBY) RestoreState(data []byte) error {
 	if !ok {
 		return fmt.Errorf("core: space-eff-by subroutine %s cannot restore state", s.aobj.Name())
 	}
-	d := stateDec{b: data}
-	d.version(spaceStateVersion, "space-eff-by")
-	name := d.str()
-	if d.err == nil && name != s.aobj.Name() {
+	d := statecodec.NewDecoder(data)
+	d.Version(spaceStateVersion, "space-eff-by")
+	name := d.Str()
+	if d.Err() == nil && name != s.aobj.Name() {
 		return fmt.Errorf("core: space-eff-by snapshot over subroutine %q, configured %q", name, s.aobj.Name())
 	}
-	sub := d.bytes()
-	if err := d.done(); err != nil {
+	sub := d.Blob()
+	if err := d.Done(); err != nil {
 		return err
 	}
 	return ss.RestoreState(sub)
@@ -524,34 +377,34 @@ func (s *SpaceEffBY) RestoreState(data []byte) error {
 
 // encodeState appends the shared in-line cache state (heap items with
 // their priorities) to e.
-func (c *inlineCache) encodeState(e *stateEnc) {
-	e.i64(c.cap)
-	e.i64(c.evictions)
+func (c *inlineCache) encodeState(e *statecodec.Encoder) {
+	e.I64(c.cap)
+	e.I64(c.evictions)
 	encodeHeap(e, c.heap)
 }
 
 // encodeHeap appends a cache's heap — its objects with their
 // utilities, in heap order, which decodeHeap rebuilds exactly.
-func encodeHeap(e *stateEnc, h *bheap.Heap[Object]) {
+func encodeHeap(e *statecodec.Encoder, h *bheap.Heap[Object]) {
 	items := h.Items()
-	e.u64(uint64(len(items)))
+	e.U64(uint64(len(items)))
 	for _, it := range items {
-		e.object(it.Value)
-		e.f64(it.Utility)
+		putObject(e, it.Value)
+		e.F64(it.Utility)
 	}
 }
 
 // decodeHeap reads what encodeHeap wrote: the heap, each object's item
 // and the bytes the objects occupy. what names the cache and utility its
 // utility, for errors.
-func decodeHeap(d *stateDec, what, utility string) (*bheap.Heap[Object], objTable[*bheap.Item[Object]], int64, error) {
+func decodeHeap(d *statecodec.Decoder, what, utility string) (*bheap.Heap[Object], objTable[*bheap.Item[Object]], int64, error) {
 	heap := bheap.New[Object](64)
 	var items objTable[*bheap.Item[Object]]
 	var used int64
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		obj := d.validObject()
-		u := d.f64()
-		if d.err != nil {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		obj := validObject(d)
+		u := d.F64()
+		if d.Err() != nil {
 			break
 		}
 		if math.IsNaN(u) {
@@ -563,37 +416,37 @@ func decodeHeap(d *stateDec, what, utility string) (*bheap.Heap[Object], objTabl
 		*items.put(obj) = heap.Push(u, obj)
 		used += obj.Size
 	}
-	return heap, items, used, d.err
+	return heap, items, used, d.Err()
 }
 
 // encodeCounts appends a per-object count, in id order.
-func encodeCounts(e *stateEnc, t *objTable[int64]) {
+func encodeCounts(e *statecodec.Encoder, t *objTable[int64]) {
 	ents := t.sorted()
-	e.u64(uint64(len(ents)))
+	e.U64(uint64(len(ents)))
 	for _, ent := range ents {
-		e.str(string(ent.id))
-		e.i64(ent.v)
+		e.Str(string(ent.id))
+		e.I64(ent.v)
 	}
 }
 
 // decodeCounts reads what encodeCounts wrote.
-func decodeCounts(d *stateDec) objTable[int64] {
+func decodeCounts(d *statecodec.Decoder) objTable[int64] {
 	var t objTable[int64]
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
-		*t.put(Object{ID: id}) = d.i64()
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		id := ObjectID(d.Str())
+		*t.put(Object{ID: id}) = d.I64()
 	}
 	return t
 }
 
 // decodeState replaces the shared in-line cache state from d (onEvict
-// hooks are preserved). The caller finishes with d.done().
-func (c *inlineCache) decodeState(d *stateDec) error {
-	capacity := d.i64()
-	if d.err == nil && capacity != c.cap {
+// hooks are preserved). The caller finishes with d.Done().
+func (c *inlineCache) decodeState(d *statecodec.Decoder) error {
+	capacity := d.I64()
+	if d.Err() == nil && capacity != c.cap {
 		return fmt.Errorf("core: %s snapshot capacity %d, configured %d", c.name, capacity, c.cap)
 	}
-	evictions := d.i64()
+	evictions := d.I64()
 	heap, items, used, err := decodeHeap(d, c.name, "priority")
 	if err != nil {
 		return err
@@ -609,35 +462,35 @@ func (c *inlineCache) decodeState(d *stateDec) error {
 
 // SnapshotState implements StateSnapshotter.
 func (l *LRU) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(lruStateVersion)
+	var e statecodec.Encoder
+	e.U8(lruStateVersion)
 	l.encodeState(&e)
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (l *LRU) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(lruStateVersion, "lru")
+	d := statecodec.NewDecoder(data)
+	d.Version(lruStateVersion, "lru")
 	if err := l.decodeState(&d); err != nil {
 		return err
 	}
-	return d.done()
+	return d.Done()
 }
 
 // SnapshotState implements StateSnapshotter.
 func (l *LFU) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(lfuStateVersion)
+	var e statecodec.Encoder
+	e.U8(lfuStateVersion)
 	l.encodeState(&e)
 	encodeCounts(&e, &l.count)
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (l *LFU) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(lfuStateVersion, "lfu")
+	d := statecodec.NewDecoder(data)
+	d.Version(lfuStateVersion, "lfu")
 	// Decode the heap into a scratch copy first so a failure later in
 	// the blob leaves the receiver untouched.
 	scratch := l.inlineCache
@@ -645,7 +498,7 @@ func (l *LFU) RestoreState(data []byte) error {
 		return err
 	}
 	count := decodeCounts(&d)
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	l.inlineCache = scratch
@@ -655,23 +508,23 @@ func (l *LFU) RestoreState(data []byte) error {
 
 // SnapshotState implements StateSnapshotter.
 func (g *GDS) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(gdsStateVersion)
+	var e statecodec.Encoder
+	e.U8(gdsStateVersion)
 	g.encodeState(&e)
-	e.f64(g.l)
-	return e.b
+	e.F64(g.l)
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (g *GDS) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(gdsStateVersion, "gds")
+	d := statecodec.NewDecoder(data)
+	d.Version(gdsStateVersion, "gds")
 	scratch := g.inlineCache
 	if err := scratch.decodeState(&d); err != nil {
 		return err
 	}
-	inflation := d.f64()
-	if err := d.done(); err != nil {
+	inflation := d.F64()
+	if err := d.Done(); err != nil {
 		return err
 	}
 	if math.IsNaN(inflation) {
@@ -684,28 +537,28 @@ func (g *GDS) RestoreState(data []byte) error {
 
 // SnapshotState implements StateSnapshotter.
 func (g *GDSP) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(gdspStateVersion)
+	var e statecodec.Encoder
+	e.U8(gdspStateVersion)
 	g.encodeState(&e)
-	e.f64(g.l)
+	e.F64(g.l)
 	encodeCounts(&e, &g.freq)
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (g *GDSP) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(gdspStateVersion, "gdsp")
+	d := statecodec.NewDecoder(data)
+	d.Version(gdspStateVersion, "gdsp")
 	scratch := g.inlineCache
 	if err := scratch.decodeState(&d); err != nil {
 		return err
 	}
-	inflation := d.f64()
-	if d.err == nil && math.IsNaN(inflation) {
+	inflation := d.F64()
+	if d.Err() == nil && math.IsNaN(inflation) {
 		return fmt.Errorf("core: gdsp snapshot has NaN inflation value")
 	}
 	freq := decodeCounts(&d)
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	g.inlineCache = scratch
@@ -718,29 +571,29 @@ func (g *GDSP) RestoreState(data []byte) error {
 // per-object reference history (retained for uncached objects too, as
 // LRU-K specifies).
 func (l *LRUK) SnapshotState() []byte {
-	var e stateEnc
-	e.u8(lrukStateVersion)
-	e.i64(int64(l.k))
+	var e statecodec.Encoder
+	e.U8(lrukStateVersion)
+	e.I64(int64(l.k))
 	l.encodeState(&e)
 	hist := l.hist.sorted()
-	e.u64(uint64(len(hist)))
+	e.U64(uint64(len(hist)))
 	for _, ent := range hist {
-		e.str(string(ent.id))
-		e.u64(uint64(len(ent.v)))
+		e.Str(string(ent.id))
+		e.U64(uint64(len(ent.v)))
 		for _, t := range ent.v {
-			e.i64(t)
+			e.I64(t)
 		}
 	}
-	return e.b
+	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter. The receiver must be
 // configured with the snapshot's K.
 func (l *LRUK) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(lrukStateVersion, "lru-k")
-	k := d.i64()
-	if d.err == nil && int(k) != l.k {
+	d := statecodec.NewDecoder(data)
+	d.Version(lrukStateVersion, "lru-k")
+	k := d.I64()
+	if d.Err() == nil && int(k) != l.k {
 		return fmt.Errorf("core: lru-k snapshot K=%d, configured K=%d", k, l.k)
 	}
 	scratch := l.inlineCache
@@ -748,22 +601,22 @@ func (l *LRUK) RestoreState(data []byte) error {
 		return err
 	}
 	var hist objTable[[]int64]
-	for i, n := 0, d.count(); i < n && d.err == nil; i++ {
-		id := ObjectID(d.str())
-		m := d.count()
-		if d.err == nil && m > l.k {
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		id := ObjectID(d.Str())
+		m := d.Count()
+		if d.Err() == nil && m > l.k {
 			return fmt.Errorf("core: lru-k snapshot history for %s has %d entries, K=%d", id, m, l.k)
 		}
 		h := make([]int64, 0, l.k) // Access shifts within capacity k
-		for j := 0; j < m && d.err == nil; j++ {
-			h = append(h, d.i64())
+		for j := 0; j < m && d.Err() == nil; j++ {
+			h = append(h, d.I64())
 		}
-		if d.err != nil {
+		if d.Err() != nil {
 			break
 		}
 		*hist.put(Object{ID: id}) = h
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 	l.inlineCache = scratch
@@ -780,7 +633,7 @@ func (NoCache) SnapshotState() []byte { return []byte{noneStateVersion} }
 
 // RestoreState implements StateSnapshotter.
 func (NoCache) RestoreState(data []byte) error {
-	d := stateDec{b: data}
-	d.version(noneStateVersion, "no-cache")
-	return d.done()
+	d := statecodec.NewDecoder(data)
+	d.Version(noneStateVersion, "no-cache")
+	return d.Done()
 }

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"bypassyield/internal/statecodec"
 )
 
 // statefulPolicies lists the factory names whose decisions are fully
@@ -258,56 +260,56 @@ func TestRestoreRefusesDuplicateObjects(t *testing.T) {
 		blob   func(copies int) []byte
 	}{
 		{"landlord", NewLandlord(1000), func(copies int) []byte {
-			e := stateEnc{}
-			e.u8(llStateVersion)
-			e.i64(1000)
-			e.f64(0)
-			e.i64(0)
-			e.u64(uint64(copies))
+			e := &statecodec.Encoder{}
+			e.U8(llStateVersion)
+			e.I64(1000)
+			e.F64(0)
+			e.I64(0)
+			e.U64(uint64(copies))
 			for i := 0; i < copies; i++ {
-				e.object(a)
-				e.f64(1)
+				putObject(e, a)
+				e.F64(1)
 			}
-			return e.b
+			return e.Bytes()
 		}},
 		{"lru", NewLRU(1000), func(copies int) []byte {
-			e := stateEnc{}
-			e.u8(lruStateVersion)
-			e.i64(1000)
-			e.i64(0)
-			e.u64(uint64(copies))
+			e := &statecodec.Encoder{}
+			e.U8(lruStateVersion)
+			e.I64(1000)
+			e.I64(0)
+			e.U64(uint64(copies))
 			for i := 0; i < copies; i++ {
-				e.object(a)
-				e.f64(1)
+				putObject(e, a)
+				e.F64(1)
 			}
-			return e.b
+			return e.Bytes()
 		}},
 		{"rate-profile", NewRateProfile(RateProfileConfig{Capacity: 1000}), func(copies int) []byte {
-			e := stateEnc{}
-			e.u8(rpStateVersion)
-			e.i64(1000)
-			e.i64(0)
-			e.u64(uint64(copies))
+			e := &statecodec.Encoder{}
+			e.U8(rpStateVersion)
+			e.I64(1000)
+			e.I64(0)
+			e.U64(uint64(copies))
 			for i := 0; i < copies; i++ {
-				e.object(a)
-				e.i64(1)
-				e.i64(100)
+				putObject(e, a)
+				e.I64(1)
+				e.I64(100)
 			}
-			e.u64(0)
-			return e.b
+			e.U64(0)
+			return e.Bytes()
 		}},
 		{"size-class-marking", NewSizeClassMarking(1000), func(copies int) []byte {
-			e := stateEnc{}
-			e.u8(scmStateVersion)
-			e.i64(1000)
-			e.i64(0)
-			e.i64(0)
-			e.u64(uint64(copies))
+			e := &statecodec.Encoder{}
+			e.U8(scmStateVersion)
+			e.I64(1000)
+			e.I64(0)
+			e.I64(0)
+			e.U64(uint64(copies))
 			for i := 0; i < copies; i++ {
-				e.object(a)
-				e.boolean(true)
+				putObject(e, a)
+				e.Bool(true)
 			}
-			return e.b
+			return e.Bytes()
 		}},
 	} {
 		if err := c.policy.RestoreState(c.blob(2)); err == nil || !strings.Contains(err.Error(), "duplicate") {

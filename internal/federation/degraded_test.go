@@ -349,7 +349,7 @@ func TestJournalIsWrittenOutsideTheLedgerRing(t *testing.T) {
 			if k == len(j.recs) {
 				t.Fatalf("the journal ends before Seq %d's decision %+v", rep.Seq, d)
 			}
-			want := JournalRecord{Kind: JournalAccess, T: rep.Seq, ShardT: rep.Seq, Object: d.Object, Yield: d.Yield, Decision: d.Decision}
+			want := JournalRecord{Kind: JournalAccess, T: rep.Seq, Object: d.Object, Yield: d.Yield, Decision: d.Decision}
 			switch {
 			case d.Failed:
 				want.Kind = JournalFailed

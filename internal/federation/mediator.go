@@ -718,7 +718,7 @@ func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string,
 
 // journalRecord is the journal's record of one access decided at t.
 func journalRecord(t int64, d AccessDecision) JournalRecord {
-	r := JournalRecord{Kind: JournalAccess, T: t, ShardT: t, Object: d.Object, Yield: d.Yield, Decision: d.Decision}
+	r := JournalRecord{Kind: JournalAccess, T: t, Object: d.Object, Yield: d.Yield, Decision: d.Decision}
 	switch {
 	case d.Failed:
 		r.Kind = JournalFailed

@@ -273,8 +273,6 @@ func TestEvictionsAreAccounted(t *testing.T) {
 
 	older := st
 	older.Acct.Evictions = 0
-	older.Sections = []federation.Section{st.Sections[0]}
-	older.Sections[0].Acct.Evictions = 0
 	for name, snap := range map[string]federation.State{"as written": st, "written before evictions were counted": older} {
 		m, reg := build()
 		if err := m.RestoreState(snap); err != nil {

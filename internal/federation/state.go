@@ -44,14 +44,9 @@ const (
 type JournalRecord struct {
 	// Kind classifies the record.
 	Kind JournalKind
-	// T is the query's sequence number.
+	// T is the plane clock at the access; replay skips and advances by
+	// it.
 	T int64
-	// ShardT is the plane clock at the access; replay skips and
-	// advances by it. This build writes ShardT = T. Builds that
-	// partitioned the plane claimed T outside the lock, so in their
-	// records only ShardT is in decision order. The name is the
-	// on-disk field's.
-	ShardT int64
 	// Object is the accessed object's id.
 	Object core.ObjectID
 	// Yield is the access's yield share in bytes.
@@ -68,23 +63,11 @@ type Journal interface {
 	JournalAccess(rec JournalRecord)
 }
 
-// Section is one decision-plane section of a State, as the snapshot
-// file frames it.
-type Section struct {
-	// Clock is the plane clock at the boundary.
-	Clock int64
-	// Acct is the flow accounting at the boundary.
-	Acct core.Accounting
-	// PolicyBlob is the policy's serialized decision state (see
-	// core.StateSnapshotter); nil when the policy cannot snapshot.
-	PolicyBlob []byte
-}
-
 // State is the mediator's full decision-plane state at one
-// consistency boundary. Schema, Granularity, PolicyName, Capacity and
-// the section count guard a restore against a reconfigured daemon:
-// any mismatch rejects the snapshot (cold start) rather than adopting
-// state the running configuration cannot honor.
+// consistency boundary. Schema, Granularity, PolicyName and Capacity
+// guard a restore against a reconfigured daemon: any mismatch rejects
+// the snapshot (cold start) rather than adopting state the running
+// configuration cannot honor.
 type State struct {
 	// Clock is the plane clock at the boundary; it names the snapshot
 	// and WAL files.
@@ -100,10 +83,9 @@ type State struct {
 	Capacity int64
 	// Acct is the flow accounting at the boundary.
 	Acct core.Accounting
-	// Sections is what a snapshot frames after its header. This build
-	// writes exactly one and restores exactly one; builds that
-	// partitioned the decision plane wrote one per partition.
-	Sections []Section
+	// PolicyBlob is the policy's serialized decision state (see
+	// core.StateSnapshotter); nil when the policy cannot snapshot.
+	PolicyBlob []byte
 }
 
 // SetJournal attaches (or, with nil, detaches) the mutation journal.
@@ -123,10 +105,6 @@ func (m *Mediator) SetJournal(j Journal) {
 func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sec := Section{Clock: m.t, Acct: m.dec.Acct}
-	if ss, ok := m.policy.(core.StateSnapshotter); ok {
-		sec.PolicyBlob = ss.SnapshotState()
-	}
 	st := State{
 		Clock:       m.t,
 		Schema:      m.cfg.Schema.Name,
@@ -134,7 +112,9 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 		PolicyName:  m.policyName,
 		Capacity:    m.capacity,
 		Acct:        m.dec.Acct,
-		Sections:    []Section{sec},
+	}
+	if ss, ok := m.policy.(core.StateSnapshotter); ok {
+		st.PolicyBlob = ss.SnapshotState()
 	}
 	if barrier != nil {
 		if err := barrier(st); err != nil {
@@ -145,15 +125,15 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 }
 
 // RestoreState adopts a previously captured State: configuration
-// guards first (schema, granularity, policy name, capacity, and
-// exactly one section — any mismatch is an error and the mediator is
-// left untouched), then the section's policy blob, clock and
-// accounting, which the registry's flow counters read from then on
-// (core.yield_bytes = Acct.YieldBytes = D_A). Call before serving
-// traffic; the decision ledger ring and shadow sums are not part of
-// State and restart empty (they are windowed audit views, not
-// accounting): the shadow figures cover the accesses since the process
-// started, the restored and replayed WAN left out.
+// guards first (schema, granularity, policy name, capacity — any
+// mismatch is an error and the mediator is left untouched), then the
+// policy blob, clock and accounting, which the registry's flow
+// counters read from then on (core.yield_bytes = Acct.YieldBytes =
+// D_A). Call before serving traffic; the decision ledger ring and
+// shadow sums are not part of State and restart empty (they are
+// windowed audit views, not accounting): the shadow figures cover the
+// accesses since the process started, the restored and replayed WAN
+// left out.
 func (m *Mediator) RestoreState(st State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,23 +149,19 @@ func (m *Mediator) RestoreState(st State) error {
 	if st.Capacity != m.capacity {
 		return fmt.Errorf("federation: snapshot at capacity %d, mediator configured for %d", st.Capacity, m.capacity)
 	}
-	if len(st.Sections) != 1 {
-		return fmt.Errorf("federation: snapshot carries %d decision-plane sections (a cache split into independent slices), mediator runs one cache", len(st.Sections))
-	}
-	sec := st.Sections[0]
-	if len(sec.PolicyBlob) > 0 && m.policy != nil {
+	if len(st.PolicyBlob) > 0 && m.policy != nil {
 		ss, ok := m.policy.(core.StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("federation: policy %q cannot restore persisted state", m.policyName)
 		}
-		if err := ss.RestoreState(sec.PolicyBlob); err != nil {
+		if err := ss.RestoreState(st.PolicyBlob); err != nil {
 			return fmt.Errorf("federation: restoring policy state: %w", err)
 		}
 	}
-	m.t = sec.Clock
-	m.replayBase = sec.Clock
-	m.dec.Restore(sec.Acct)
-	m.queriesMet.Add(sec.Clock)
+	m.t = st.Clock
+	m.replayBase = st.Clock
+	m.dec.Restore(st.Acct)
+	m.queriesMet.Add(st.Clock)
 	return nil
 }
 
@@ -209,14 +185,14 @@ func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if rec.ShardT <= m.replayBase {
+	if rec.T <= m.replayBase {
 		return false, false, nil
 	}
 	// Each distinct clock value was one mediated query.
-	if rec.ShardT > m.t {
-		m.queriesMet.Add(rec.ShardT - m.t)
-		m.dec.Acct.Queries += rec.ShardT - m.t
-		m.t = rec.ShardT
+	if rec.T > m.t {
+		m.queriesMet.Add(rec.T - m.t)
+		m.dec.Acct.Queries += rec.T - m.t
+		m.t = rec.T
 	}
 	switch rec.Kind {
 	case JournalAccess:

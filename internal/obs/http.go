@@ -57,12 +57,17 @@ func StartHTTP(addr string, h http.Handler) (*HTTPServer, error) {
 	return s, nil
 }
 
-// Close stops the listener and in-flight handlers. Safe to call more
-// than once.
+// Close stops the listener and in-flight handlers; the address is
+// free when it returns. Safe to call more than once.
 func (s *HTTPServer) Close() error {
 	if s == nil {
 		return nil
 	}
-	s.once.Do(func() { s.err = s.srv.Close() })
+	s.once.Do(func() {
+		s.err = s.srv.Close()
+		// Before Serve has taken ln, srv.Close does not close it, and
+		// Serve would only on its goroutine.
+		s.ln.Close()
+	})
 	return s.err
 }

@@ -13,14 +13,15 @@ package persist
 //
 //	[u32 LE payload len][u32 LE CRC-32C][payload]
 //
-// after the file's 8-byte magic "BYWAL1\n\x00". Payloads use the same
-// compact primitives as the core policy blobs: varint integers and
-// length-prefixed strings, with a leading version byte so future
-// encodings are detected rather than misread. All decoders are
-// strict: truncated, oversized, or checksum-failing input is reported
-// as invalid (snapshots) or a torn tail (WAL records) — never a panic
-// and never a partial application (the fuzz targets drive arbitrary
-// bytes through both).
+// after the file's 8-byte magic "BYWAL1\n\x00"; appendFrame writes
+// that frame and cutFrame reads it, for both. Payloads are written in
+// internal/statecodec, the codec of the core policy blobs as well:
+// varint integers and length-prefixed strings, with a leading version
+// byte so future encodings are detected rather than misread. All
+// decoders are strict: truncated, oversized, or checksum-failing input
+// is reported as invalid (snapshots) or a torn tail (WAL records) —
+// never a panic and never a partial application (the fuzz targets
+// drive arbitrary bytes through both).
 
 import (
 	"encoding/binary"
@@ -30,6 +31,7 @@ import (
 
 	"bypassyield/internal/core"
 	"bypassyield/internal/federation"
+	"bypassyield/internal/statecodec"
 )
 
 const (
@@ -37,15 +39,18 @@ const (
 	walMagic  = "BYWAL1\n\x00"
 
 	// snapVersion 2 frames a counted list of sections (clock,
-	// accounting, policy blob) after the header; this build writes and
-	// restores exactly one, and builds that sharded the decision plane
-	// wrote one per shard. Version-1 snapshots decode into one
-	// section. recVersion 2 added the plane clock (ShardT)
-	// beside the query sequence T; version-1 records decode with
-	// ShardT = T.
+	// accounting, policy blob) after the header. This build writes a
+	// count of 1 and restores only that; builds that partitioned the
+	// decision plane wrote one section per partition. A version-1
+	// snapshot has no list: the policy blob follows the header.
+	// recVersion 2 carries two clocks, the query sequence and the plane
+	// clock (the partitioned builds' ShardT); this build writes its one
+	// clock twice and reads the second. A version-1 record carries one.
 	snapVersion = 2
 	recVersion  = 2
 
+	// frameHeader is a frame's length and checksum words.
+	frameHeader = 8
 	// maxWALRecord bounds one journal record's payload; anything
 	// larger is corruption, not data.
 	maxWALRecord = 1 << 20
@@ -57,283 +62,186 @@ const (
 // castagnoli is the CRC-32C table used for every frame checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// crcSum checksums one frame payload.
-func crcSum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-// enc builds a payload.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *enc) i64(v int64)  { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) str(s string) { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *enc) bytes(p []byte) {
-	e.u64(uint64(len(p)))
-	e.b = append(e.b, p...)
+// appendFrame appends payload to b as one frame: [u32 LE len][u32 LE
+// CRC-32C][payload].
+func appendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, castagnoli))
+	return append(b, payload...)
 }
 
-// dec consumes a payload with error latching.
-type dec struct {
-	b   []byte
-	err error
+// cutFrame splits the frame at the front of b into its payload, at
+// most limit bytes and checksum-verified, and the bytes after it. The
+// error says how the frame is torn or corrupt.
+func cutFrame(b []byte, limit uint32) (payload, rest []byte, err error) {
+	if len(b) < frameHeader {
+		return nil, nil, fmt.Errorf("torn frame header (%d trailing bytes)", len(b))
+	}
+	n := binary.LittleEndian.Uint32(b)
+	if n > limit {
+		return nil, nil, fmt.Errorf("frame length %d exceeds bound", n)
+	}
+	if uint64(len(b)-frameHeader) < uint64(n) {
+		return nil, nil, fmt.Errorf("torn frame payload (%d of %d bytes)", len(b)-frameHeader, n)
+	}
+	payload = b[frameHeader : frameHeader+n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, nil, fmt.Errorf("frame checksum mismatch")
+	}
+	return payload, b[frameHeader+n:], nil
 }
 
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
-	}
+// putAcct writes one accounting block.
+func putAcct(e *statecodec.Encoder, a core.Accounting) {
+	e.I64(a.Queries)
+	e.I64(a.Accesses)
+	e.I64(a.Hits)
+	e.I64(a.Bypasses)
+	e.I64(a.Loads)
+	e.I64(a.Evictions)
+	e.I64(a.BypassBytes)
+	e.I64(a.FetchBytes)
+	e.I64(a.CacheBytes)
+	e.I64(a.YieldBytes)
 }
 
-func (d *dec) u8() uint8 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.b) < 1 {
-		d.fail("persist: truncated payload (u8)")
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *dec) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("persist: truncated payload (varint)")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("persist: truncated payload (uvarint)")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("persist: string length %d exceeds remaining %d bytes", n, len(d.b))
-		return ""
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
-}
-
-func (d *dec) bytes() []byte {
-	n := d.u64()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail("persist: blob length %d exceeds remaining %d bytes", n, len(d.b))
-		return nil
-	}
-	p := d.b[:n]
-	d.b = d.b[n:]
-	return p
-}
-
-func (d *dec) done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("persist: %d trailing bytes in payload", len(d.b))
-	}
-	return nil
-}
-
-// maxSnapshotShards bounds the section count of a snapshot from
-// outside; anything larger is corruption, not data.
-const maxSnapshotShards = 1 << 16
-
-// encodeAcct serializes one accounting block.
-func (e *enc) acct(a core.Accounting) {
-	e.i64(a.Queries)
-	e.i64(a.Accesses)
-	e.i64(a.Hits)
-	e.i64(a.Bypasses)
-	e.i64(a.Loads)
-	e.i64(a.Evictions)
-	e.i64(a.BypassBytes)
-	e.i64(a.FetchBytes)
-	e.i64(a.CacheBytes)
-	e.i64(a.YieldBytes)
-}
-
-// decodeAcct parses one accounting block.
-func (d *dec) acct() core.Accounting {
+// acct reads what putAcct wrote.
+func acct(d *statecodec.Decoder) core.Accounting {
 	return core.Accounting{
-		Queries:     d.i64(),
-		Accesses:    d.i64(),
-		Hits:        d.i64(),
-		Bypasses:    d.i64(),
-		Loads:       d.i64(),
-		Evictions:   d.i64(),
-		BypassBytes: d.i64(),
-		FetchBytes:  d.i64(),
-		CacheBytes:  d.i64(),
-		YieldBytes:  d.i64(),
+		Queries:     d.I64(),
+		Accesses:    d.I64(),
+		Hits:        d.I64(),
+		Bypasses:    d.I64(),
+		Loads:       d.I64(),
+		Evictions:   d.I64(),
+		BypassBytes: d.I64(),
+		FetchBytes:  d.I64(),
+		CacheBytes:  d.I64(),
+		YieldBytes:  d.I64(),
 	}
 }
 
 // encodeSnapshot serializes a mediator State (plus the wall-clock
-// creation time) into a snapshot payload: the header followed by the
-// State's sections.
+// creation time) into a version-2 snapshot payload: the header and a
+// list of one section, which repeats the clock and accounting beside
+// the policy blob.
 func encodeSnapshot(st federation.State, createdUnix int64) []byte {
-	var e enc
-	e.u8(snapVersion)
-	e.i64(createdUnix)
-	e.i64(st.Clock)
-	e.str(st.Schema)
-	e.u8(uint8(st.Granularity))
-	e.str(st.PolicyName)
-	e.i64(st.Capacity)
-	e.acct(st.Acct)
-	e.u64(uint64(len(st.Sections)))
-	for _, sec := range st.Sections {
-		e.i64(sec.Clock)
-		e.acct(sec.Acct)
-		e.bytes(sec.PolicyBlob)
-	}
-	return e.b
+	var e statecodec.Encoder
+	e.U8(snapVersion)
+	e.I64(createdUnix)
+	e.I64(st.Clock)
+	e.Str(st.Schema)
+	e.U8(uint8(st.Granularity))
+	e.Str(st.PolicyName)
+	e.I64(st.Capacity)
+	putAcct(&e, st.Acct)
+	e.U64(1)
+	e.I64(st.Clock)
+	putAcct(&e, st.Acct)
+	e.Blob(st.PolicyBlob)
+	return e.Bytes()
 }
 
-// decodeSnapshot parses a snapshot payload, either version: a
-// version-1 payload, which has no section list, decodes into one
-// section holding the header's clock and accounting and the trailing
-// policy blob. It validates structure only; semantic guards (schema,
-// policy, capacity, section count) belong to Mediator.RestoreState.
+// decodeSnapshot parses a snapshot payload, either version. A
+// version-2 payload's one section supplies the clock and accounting:
+// the header's can be ahead of it in a snapshot from a build that
+// claimed the query clock outside the decision lock. A version-2
+// payload with any other section count is refused. It validates
+// structure only; the configuration guards belong to
+// Mediator.RestoreState.
 func decodeSnapshot(payload []byte) (federation.State, int64, error) {
-	d := dec{b: payload}
-	v := d.u8()
-	if d.err == nil && v != 1 && v != snapVersion {
-		return federation.State{}, 0, fmt.Errorf("persist: snapshot version %d, want 1 or %d", v, snapVersion)
+	d := statecodec.NewDecoder(payload)
+	v := d.U8()
+	if d.Err() == nil && v != 1 && v != snapVersion {
+		return federation.State{}, 0, fmt.Errorf("snapshot version %d, want 1 or %d", v, snapVersion)
 	}
-	created := d.i64()
-	var st federation.State
-	st.Clock = d.i64()
-	st.Schema = d.str()
-	st.Granularity = federation.Granularity(d.u8())
-	st.PolicyName = d.str()
-	st.Capacity = d.i64()
-	st.Acct = d.acct()
-	n := uint64(1)
-	if v != 1 {
-		n = d.u64()
-		if d.err == nil && n > maxSnapshotShards {
-			return federation.State{}, 0, fmt.Errorf("persist: snapshot carries %d sections", n)
-		}
+	created := d.I64()
+	st := federation.State{
+		Clock:       d.I64(),
+		Schema:      d.Str(),
+		Granularity: federation.Granularity(d.U8()),
+		PolicyName:  d.Str(),
+		Capacity:    d.I64(),
+		Acct:        acct(&d),
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		sec := federation.Section{Clock: st.Clock, Acct: st.Acct}
-		if v != 1 {
-			sec.Clock, sec.Acct = d.i64(), d.acct()
+	if v == snapVersion {
+		if n := d.U64(); d.Err() == nil && n != 1 {
+			return federation.State{}, 0, fmt.Errorf("snapshot carries %d decision-plane sections (a cache split into independent slices), mediator runs one cache", n)
 		}
-		if blob := d.bytes(); len(blob) > 0 {
-			sec.PolicyBlob = append([]byte(nil), blob...)
-		}
-		st.Sections = append(st.Sections, sec)
+		st.Clock, st.Acct = d.I64(), acct(&d)
 	}
-	if err := d.done(); err != nil {
+	if blob := d.Blob(); len(blob) > 0 {
+		st.PolicyBlob = append([]byte(nil), blob...)
+	}
+	if err := d.Done(); err != nil {
 		return federation.State{}, 0, err
 	}
 	return st, created, nil
 }
 
-// decodeSnapshotFrame parses a whole snapshot file: magic, length,
-// checksum, payload.
+// decodeSnapshotFrame parses a whole snapshot file: magic, then one
+// frame that ends the file.
 func decodeSnapshotFrame(data []byte) (federation.State, int64, error) {
-	if len(data) < len(snapMagic)+8 {
-		return federation.State{}, 0, fmt.Errorf("persist: snapshot file too short (%d bytes)", len(data))
+	if len(data) < len(snapMagic) || string(data[:len(snapMagic)]) != snapMagic {
+		return federation.State{}, 0, fmt.Errorf("bad snapshot magic")
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return federation.State{}, 0, fmt.Errorf("persist: bad snapshot magic")
+	payload, rest, err := cutFrame(data[len(snapMagic):], maxSnapshotPayload)
+	if err != nil {
+		return federation.State{}, 0, fmt.Errorf("snapshot: %v", err)
 	}
-	rest := data[len(snapMagic):]
-	n := binary.LittleEndian.Uint32(rest[0:4])
-	sum := binary.LittleEndian.Uint32(rest[4:8])
-	if n > maxSnapshotPayload || uint64(n) != uint64(len(rest)-8) {
-		return federation.State{}, 0, fmt.Errorf("persist: snapshot payload length %d, file carries %d", n, len(rest)-8)
-	}
-	payload := rest[8:]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return federation.State{}, 0, fmt.Errorf("persist: snapshot checksum mismatch")
+	if len(rest) != 0 {
+		return federation.State{}, 0, fmt.Errorf("snapshot: %d bytes after the frame", len(rest))
 	}
 	return decodeSnapshot(payload)
 }
 
 // encodeSnapshotFrame builds the full snapshot file contents.
 func encodeSnapshotFrame(st federation.State, createdUnix int64) []byte {
-	payload := encodeSnapshot(st, createdUnix)
-	out := make([]byte, 0, len(snapMagic)+8+len(payload))
-	out = append(out, snapMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return append(out, payload...)
+	return appendFrame([]byte(snapMagic), encodeSnapshot(st, createdUnix))
 }
 
-// encodeRecord serializes one journal record payload.
+// encodeRecord serializes one journal record payload, version 2 with
+// the record's clock in both clock fields.
 func encodeRecord(rec federation.JournalRecord) []byte {
-	var e enc
-	e.u8(recVersion)
-	e.u8(uint8(rec.Kind))
-	e.i64(rec.T)
-	e.i64(rec.ShardT)
-	e.u8(uint8(rec.Decision))
-	e.str(string(rec.Object))
-	e.i64(rec.Yield)
-	return e.b
+	var e statecodec.Encoder
+	e.U8(recVersion)
+	e.U8(uint8(rec.Kind))
+	e.I64(rec.T)
+	e.I64(rec.T)
+	e.U8(uint8(rec.Decision))
+	e.Str(string(rec.Object))
+	e.I64(rec.Yield)
+	return e.Bytes()
 }
 
-// decodeRecord parses one journal record payload, either version. A
-// version-1 record decodes with ShardT = T, which was its plane clock.
+// decodeRecord parses one journal record payload, either version: a
+// version-1 record's one clock, a version-2 record's second.
 func decodeRecord(payload []byte) (federation.JournalRecord, error) {
-	d := dec{b: payload}
-	v := d.u8()
-	if d.err == nil && v != 1 && v != recVersion {
-		return federation.JournalRecord{}, fmt.Errorf("persist: wal record version %d, want 1 or %d", v, recVersion)
+	d := statecodec.NewDecoder(payload)
+	v := d.U8()
+	if d.Err() == nil && v != 1 && v != recVersion {
+		return federation.JournalRecord{}, fmt.Errorf("wal record version %d, want 1 or %d", v, recVersion)
 	}
 	rec := federation.JournalRecord{
-		Kind: federation.JournalKind(d.u8()),
-		T:    d.i64(),
+		Kind: federation.JournalKind(d.U8()),
+		T:    d.I64(),
 	}
-	if v == 1 {
-		rec.ShardT = rec.T
-	} else {
-		rec.ShardT = d.i64()
+	if v == recVersion {
+		rec.T = d.I64()
 	}
-	rec.Decision = core.Decision(d.u8())
-	rec.Object = core.ObjectID(d.str())
-	rec.Yield = d.i64()
-	if err := d.done(); err != nil {
+	rec.Decision = core.Decision(d.U8())
+	rec.Object = core.ObjectID(d.Str())
+	rec.Yield = d.I64()
+	if err := d.Done(); err != nil {
 		return federation.JournalRecord{}, err
 	}
 	switch rec.Kind {
 	case federation.JournalAccess, federation.JournalForced, federation.JournalFailed:
 	default:
-		return federation.JournalRecord{}, fmt.Errorf("persist: unknown wal record kind %d", rec.Kind)
+		return federation.JournalRecord{}, fmt.Errorf("unknown wal record kind %d", rec.Kind)
 	}
-	if rec.T < 0 || rec.ShardT < 0 || rec.Yield < 0 || rec.Yield > math.MaxInt64/2 {
-		return federation.JournalRecord{}, fmt.Errorf("persist: wal record out of range (t=%d shardT=%d yield=%d)", rec.T, rec.ShardT, rec.Yield)
+	if rec.T < 0 || rec.Yield < 0 || rec.Yield > math.MaxInt64/2 {
+		return federation.JournalRecord{}, fmt.Errorf("wal record out of range (t=%d yield=%d)", rec.T, rec.Yield)
 	}
 	return rec, nil
 }
@@ -344,38 +252,25 @@ func decodeRecord(payload []byte) (federation.JournalRecord, error) {
 // and reports how the tail ended. A missing or short magic means the
 // file died during creation: zero records, torn. fn errors abort the
 // walk and surface as err.
-func walkWAL(data []byte, fn func(rec federation.JournalRecord) error) (n int, torn bool, tornDetail string, err error) {
+func walkWAL(data []byte, fn func(rec federation.JournalRecord) error) (torn bool, tornDetail string, err error) {
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return 0, true, "missing wal magic (torn creation)", nil
+		return true, "missing wal magic (torn creation)", nil
 	}
-	b := data[len(walMagic):]
-	for len(b) > 0 {
-		if len(b) < 8 {
-			return n, true, fmt.Sprintf("torn record header (%d trailing bytes)", len(b)), nil
-		}
-		plen := binary.LittleEndian.Uint32(b[0:4])
-		sum := binary.LittleEndian.Uint32(b[4:8])
-		if plen > maxWALRecord {
-			return n, true, fmt.Sprintf("record length %d exceeds bound", plen), nil
-		}
-		if uint64(len(b)-8) < uint64(plen) {
-			return n, true, fmt.Sprintf("torn record payload (%d of %d bytes)", len(b)-8, plen), nil
-		}
-		payload := b[8 : 8+plen]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return n, true, "record checksum mismatch", nil
+	for b := data[len(walMagic):]; len(b) > 0; {
+		payload, rest, ferr := cutFrame(b, maxWALRecord)
+		if ferr != nil {
+			return true, ferr.Error(), nil
 		}
 		rec, derr := decodeRecord(payload)
 		if derr != nil {
-			return n, true, derr.Error(), nil
+			return true, derr.Error(), nil
 		}
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return n, false, "", err
+				return false, "", err
 			}
 		}
-		n++
-		b = b[8+plen:]
+		b = rest
 	}
-	return n, false, "", nil
+	return false, "", nil
 }

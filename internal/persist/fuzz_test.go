@@ -18,18 +18,11 @@ var fuzzPolicies = []string{
 // validWALImage builds a well-formed WAL file image carrying the given
 // records — the fuzzer's structured seed.
 func validWALImage(recs ...federation.JournalRecord) []byte {
-	b := []byte(walMagic)
+	var payloads [][]byte
 	for _, rec := range recs {
-		payload := encodeRecord(rec)
-		b = appendU32(b, uint32(len(payload)))
-		b = appendU32(b, crcSum(payload))
-		b = append(b, payload...)
+		payloads = append(payloads, encodeRecord(rec))
 	}
-	return b
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	return walImage(payloads...)
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the WAL walker: it must never
@@ -50,18 +43,19 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(append(torn, 0xFF, 0x00, 0x00))
 	// Header promising more payload than follows.
 	f.Add(append(append([]byte(walMagic), 64, 0, 0, 0, 1, 2, 3, 4), []byte("short")...))
+	// The legacy records: a version-1 record's one clock, and a
+	// version-2 record whose clocks differ (only the second is read).
+	legacy := federation.JournalRecord{Kind: federation.JournalAccess, T: 7, Object: "photo/photoobj", Yield: 4096, Decision: core.Load}
+	f.Add(walImage(encodeV1Record(legacy), encodeV2Record(legacy, 9)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var recs []federation.JournalRecord
-		n, tornTail, detail, err := walkWAL(data, func(rec federation.JournalRecord) error {
+		tornTail, detail, err := walkWAL(data, func(rec federation.JournalRecord) error {
 			recs = append(recs, rec)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("callback returned nil errors only, walkWAL err = %v", err)
-		}
-		if n != len(recs) {
-			t.Fatalf("reported %d records, delivered %d", n, len(recs))
 		}
 		if tornTail && detail == "" {
 			t.Fatal("torn tail without detail")
@@ -108,11 +102,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	st := federation.State{
 		Clock: 4, Schema: "edr", Granularity: federation.Tables,
 		PolicyName: "rate-profile", Capacity: 1 << 20,
-		Acct: core.Accounting{Queries: 4, Accesses: 4, Loads: 4, FetchBytes: 10000, CacheBytes: 0, YieldBytes: 5000},
+		Acct:       core.Accounting{Queries: 4, Accesses: 4, Loads: 4, FetchBytes: 10000, CacheBytes: 0, YieldBytes: 5000},
+		PolicyBlob: blob,
 	}
-	st.Sections = []federation.Section{{Clock: st.Clock, Acct: st.Acct, PolicyBlob: blob}}
-	frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
+	created := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix()
+	frame := encodeSnapshotFrame(st, created)
 	f.Add(frame)
+	// The legacy shapes: a version-1 frame, and a version-2 frame with
+	// two sections, which decode refuses.
+	f.Add(encodeV1Snapshot(st, created))
+	f.Add(encodeV2Snapshot(st, created, section{st.Clock, st.Acct, blob}, section{}))
 	// The same frame with a flipped payload byte (checksum must catch).
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-3] ^= 0x40
@@ -138,9 +137,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if !ok {
 				t.Fatalf("policy %s lost its StateSnapshotter", name)
 			}
-			for _, sec := range st.Sections {
-				_ = ss.RestoreState(sec.PolicyBlob)
-			}
+			_ = ss.RestoreState(st.PolicyBlob)
 			o := core.Object{ID: "probe", Size: 100, FetchCost: 300, Site: "s"}
 			if d := p.Access(1, o, 50); d < core.Hit || d > core.Load {
 				t.Fatalf("policy %s returned invalid decision %d after restore attempt", name, d)

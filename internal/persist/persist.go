@@ -16,7 +16,10 @@
 // corrupt, and to a cold start when none decode), replays the WAL
 // chain over it, truncating at the first torn or corrupt frame, and
 // then writes a fresh post-recovery snapshot — the proxy never
-// appends to a WAL that may itself have a torn tail.
+// appends to a WAL that may itself have a torn tail. Both file kinds
+// frame their payloads alike (codec.go), and the payloads, like the
+// policy blobs inside a snapshot, are written in one codec,
+// internal/statecodec.
 //
 // Metrics (in the shared obs registry, surfaced by byinspect):
 //
@@ -424,10 +427,14 @@ func (m *Manager) recover() {
 			m.mFallbacks.Add(1)
 			continue
 		}
+		// The file's name carries the header's clock, which WAL files
+		// are named by; a one-section snapshot from a build that
+		// claimed its clock outside the decision lock restores an
+		// older clock from its section.
 		rep.Warm = true
-		rep.SnapshotClock = st.Clock
+		rep.SnapshotClock = clock
 		rep.SnapshotPath = path
-		m.replayChain(st.Clock, rep)
+		m.replayChain(clock, rep)
 		rep.Acct = m.med.Accounting()
 		return
 	}
@@ -449,7 +456,7 @@ func (m *Manager) replayChain(snapClock int64, rep *RecoveryReport) {
 			return
 		}
 		rep.WALFiles++
-		n, torn, detail, err := walkWAL(data, func(rec federation.JournalRecord) error {
+		torn, detail, err := walkWAL(data, func(rec federation.JournalRecord) error {
 			// The mediator owns the skip rule (the record's clock
 			// against the restored snapshot boundary): applied is false
 			// for records already inside the snapshot.
@@ -466,7 +473,6 @@ func (m *Manager) replayChain(snapClock int64, rep *RecoveryReport) {
 			rep.Replayed++
 			return nil
 		})
-		_ = n
 		if err != nil {
 			m.cfg.Logf("persist: replay of %s stopped: %v", filepath.Base(path), err)
 			rep.ReplayError = err.Error()
@@ -562,8 +568,9 @@ func syncDir(dir string) {
 
 // walWriter appends CRC-framed records to one WAL file.
 type walWriter struct {
-	f  *os.File
-	bw *bufio.Writer
+	f   *os.File
+	bw  *bufio.Writer
+	buf []byte // the last frame, reused for the next
 }
 
 // newWALWriter creates (or truncates) a WAL file and writes its
@@ -589,27 +596,19 @@ func newWALWriter(path string) (*walWriter, error) {
 // append writes one framed record, threading the crash fault points;
 // with sync the record is fsynced before returning.
 func (w *walWriter) append(rec federation.JournalRecord, sync bool, faults *FaultPoints) (n int, synced bool, err error) {
-	payload := encodeRecord(rec)
-	var hdr [8]byte
-	putU32 := func(b []byte, v uint32) {
-		b[0] = byte(v)
-		b[1] = byte(v >> 8)
-		b[2] = byte(v >> 16)
-		b[3] = byte(v >> 24)
-	}
-	putU32(hdr[0:4], uint32(len(payload)))
-	putU32(hdr[4:8], crcSum(payload))
+	frame := appendFrame(w.buf[:0], encodeRecord(rec))
+	w.buf = frame
 	flush := func() { w.bw.Flush() }
-	if _, err := w.bw.Write(hdr[:]); err != nil {
+	if _, err := w.bw.Write(frame[:frameHeader]); err != nil {
 		return 0, false, err
 	}
 	faults.Hit(FaultWALAfterHeader, flush)
-	half := len(payload) / 2
-	if _, err := w.bw.Write(payload[:half]); err != nil {
+	half := frameHeader + (len(frame)-frameHeader)/2
+	if _, err := w.bw.Write(frame[frameHeader:half]); err != nil {
 		return 0, false, err
 	}
 	faults.Hit(FaultWALMidRecord, flush)
-	if _, err := w.bw.Write(payload[half:]); err != nil {
+	if _, err := w.bw.Write(frame[half:]); err != nil {
 		return 0, false, err
 	}
 	faults.Hit(FaultWALPreSync, flush)
@@ -621,7 +620,7 @@ func (w *walWriter) append(rec federation.JournalRecord, sync bool, faults *Faul
 			return 0, false, err
 		}
 	}
-	return 8 + len(payload), sync, nil
+	return len(frame), sync, nil
 }
 
 // close flushes, fsyncs, and closes the WAL file.
