@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bypassyield/internal/catalog"
+	"bypassyield/internal/daemon"
 	"bypassyield/internal/faultnet"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -19,16 +20,16 @@ import (
 
 func testOptions() options {
 	return options{
-		release: "edr", site: catalog.SiteSpec, addr: "127.0.0.1:0",
-		sample: 100000, seed: 1,
+		Flags: daemon.Flags{Release: "edr", Sample: 100000, Seed: 1},
+		site:  catalog.SiteSpec, addr: "127.0.0.1:0",
 	}
 }
 
 func TestStartAndServe(t *testing.T) {
 	o := testOptions()
-	o.flightSample = 1
-	o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
-	o.httpAddr = "127.0.0.1:0"
+	o.FlightSample = 1
+	o.ExemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
+	o.HTTPAddr = "127.0.0.1:0"
 	d, err := start(o)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestStartAndServe(t *testing.T) {
 	}
 
 	// HTTP telemetry plane serves the node's registry.
-	resp, err := http.Get("http://" + d.http.Addr + "/metrics")
+	resp, err := http.Get("http://" + d.HTTP.Addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestStartAndServe(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(o.exemplarOut)
+	f, err := os.Open(o.ExemplarOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,24 +89,57 @@ func TestStartAndServe(t *testing.T) {
 }
 
 // TestFlagSurface pins the daemon's options: adding, renaming or
-// removing a flag is a reviewed edit of this list.
+// removing a flag, or changing its default, is a reviewed edit of these
+// lists.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "chaos", "chaos-seed", "exemplar-out", "flight-cap", "flight-sample",
 		"flight-threshold", "http", "release", "sample", "seed", "site",
 	}
+	defaults := map[string]string{
+		"addr": ":7101", "chaos": "", "chaos-seed": "1", "exemplar-out": "",
+		"flight-cap": "256", "flight-sample": "256", "flight-threshold": "250ms",
+		"http": "", "release": "edr", "sample": "1000", "seed": "1", "site": "photo.sdss.org",
+	}
 	fs := flag.NewFlagSet("bydbd", flag.ContinueOnError)
 	registerFlags(fs, new(options))
 	var got []string
-	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in name order
+	fs.VisitAll(func(f *flag.Flag) { // in name order
+		got = append(got, f.Name)
+		if def, ok := defaults[f.Name]; !ok || f.DefValue != def {
+			t.Errorf("-%s defaults to %q, want %q", f.Name, f.DefValue, def)
+		}
+	})
 	if !slices.Equal(got, want) {
 		t.Fatalf("flags = %q (%d)\nwant    %q (%d)", got, len(got), want, len(want))
 	}
 }
 
+// TestFailedStartClosesEverything: a start that fails after opening the
+// exemplar log leaves no file open.
+func TestFailedStartClosesEverything(t *testing.T) {
+	fds := func() int {
+		es, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count open files in:", err)
+		}
+		return len(es)
+	}
+	o := testOptions()
+	o.ExemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
+	o.Chaos = "latency=soon"
+	before := fds()
+	if _, err := start(o); err == nil {
+		t.Fatal("a malformed -chaos should fail startup")
+	}
+	if after := fds(); after != before {
+		t.Fatalf("open files %d before a failed start, %d after", before, after)
+	}
+}
+
 func TestStartErrors(t *testing.T) {
 	o := testOptions()
-	o.release = "dr9"
+	o.Release = "dr9"
 	if _, err := start(o); err == nil {
 		t.Fatal("unknown release should error")
 	}
@@ -115,7 +149,7 @@ func TestStartErrors(t *testing.T) {
 		t.Fatal("siteless node should error")
 	}
 	o = testOptions()
-	o.httpAddr = "256.0.0.1:bogus"
+	o.HTTPAddr = "256.0.0.1:bogus"
 	if _, err := start(o); err == nil {
 		t.Fatal("unbindable -http address should fail startup")
 	}

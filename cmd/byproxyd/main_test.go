@@ -12,23 +12,25 @@ import (
 	"testing"
 	"time"
 
+	"bypassyield/internal/daemon"
 	"bypassyield/internal/faultnet"
 	"bypassyield/internal/wire"
 )
 
 func testOptions() options {
 	return options{
-		release: "edr", addr: "127.0.0.1:0", policy: "rate-profile",
-		cachePct: 0.4, gran: "columns", sample: 100000, seed: 1,
+		Flags: daemon.Flags{Release: "edr", Sample: 100000, Seed: 1},
+		addr:  "127.0.0.1:0", policy: "rate-profile",
+		cachePct: 0.4, gran: "columns",
 		rpcTimeout: wire.DefaultRPCTimeout, poolSize: wire.DefaultPoolSize,
 	}
 }
 
 func TestStartAndQuery(t *testing.T) {
 	o := testOptions()
-	o.flightSample = 1
-	o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
-	o.httpAddr = "127.0.0.1:0"
+	o.FlightSample = 1
+	o.ExemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
+	o.HTTPAddr = "127.0.0.1:0"
 	d, err := start(o)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestStartAndQuery(t *testing.T) {
 	}
 
 	// The same registry backs the HTTP telemetry plane.
-	resp, err := http.Get("http://" + d.http.Addr + "/metrics")
+	resp, err := http.Get("http://" + d.HTTP.Addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestStartAndQuery(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}
 	}
-	if resp, err := http.Get("http://" + d.http.Addr + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
+	if resp, err := http.Get("http://" + d.HTTP.Addr + "/healthz"); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /healthz: %v %v", resp, err)
 	} else {
 		resp.Body.Close()
@@ -97,7 +99,7 @@ func TestStartAndQuery(t *testing.T) {
 	// capture closes after the reply is sent, so wait for it).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		b, _ := os.ReadFile(o.exemplarOut)
+		b, _ := os.ReadFile(o.ExemplarOut)
 		if strings.Contains(string(b), `"sql":"select ra, dec from photoobj where ra \u003c 90"`) {
 			break
 		}
@@ -109,7 +111,8 @@ func TestStartAndQuery(t *testing.T) {
 }
 
 // TestFlagSurface pins the daemon's options: adding, renaming or
-// removing a flag is a reviewed edit of this list.
+// removing a flag, or changing its default, is a reviewed edit of these
+// lists.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "cache-pct", "chaos", "chaos-seed", "dial-timeout", "exemplar-out",
@@ -118,10 +121,24 @@ func TestFlagSurface(t *testing.T) {
 		"pool-size", "recovery-log", "release", "rpc-timeout", "sample", "seed",
 		"snapshot-interval", "state-dir", "wal-sync",
 	}
+	defaults := map[string]string{
+		"addr": ":7100", "cache-pct": "0.4", "chaos": "", "chaos-seed": "1",
+		"dial-timeout": "5s", "exemplar-out": "", "flight-cap": "256",
+		"flight-sample": "256", "flight-threshold": "250ms", "granularity": "columns",
+		"http": "", "ledger": "4096", "ledger-out": "", "max-inflight": "64",
+		"nodes": "", "persist-faults": "", "policy": "rate-profile", "pool-size": "8",
+		"recovery-log": "", "release": "edr", "rpc-timeout": "10s", "sample": "1000",
+		"seed": "1", "snapshot-interval": "30s", "state-dir": "", "wal-sync": "false",
+	}
 	fs := flag.NewFlagSet("byproxyd", flag.ContinueOnError)
 	registerFlags(fs, new(options))
 	var got []string
-	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) }) // in name order
+	fs.VisitAll(func(f *flag.Flag) { // in name order
+		got = append(got, f.Name)
+		if def, ok := defaults[f.Name]; !ok || f.DefValue != def {
+			t.Errorf("-%s defaults to %q, want %q", f.Name, f.DefValue, def)
+		}
+	})
 	if !slices.Equal(got, want) {
 		t.Fatalf("flags = %q (%d)\nwant    %q (%d)", got, len(got), want, len(want))
 	}
@@ -199,7 +216,7 @@ func TestStartErrors(t *testing.T) {
 		name string
 		set  func(o *options)
 	}{
-		{"bad release", func(o *options) { o.release = "dr9" }},
+		{"bad release", func(o *options) { o.Release = "dr9" }},
 		{"bad policy", func(o *options) { o.policy = "magic" }},
 		{"bad granularity", func(o *options) { o.gran = "rows" }},
 		{"bad nodes", func(o *options) { o.nodes = "no-equals-sign" }},
@@ -234,9 +251,9 @@ func TestFailedStartFreesTheHTTPPort(t *testing.T) {
 			addr := ln.Addr().String()
 			ln.Close()
 			o := testOptions()
-			o.httpAddr = addr
-			o.exemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
-			o.chaos = "spec.sdss.org:blackhole,after=5s,for=10s"
+			o.HTTPAddr = addr
+			o.ExemplarOut = filepath.Join(t.TempDir(), "queries.jsonl")
+			o.Chaos = "spec.sdss.org:blackhole,after=5s,for=10s"
 			set(&o)
 			if _, err := start(o); err == nil {
 				t.Fatal("expected error")
@@ -252,7 +269,7 @@ func TestFailedStartFreesTheHTTPPort(t *testing.T) {
 
 func TestStartBadHTTPAddr(t *testing.T) {
 	o := testOptions()
-	o.httpAddr = "256.0.0.1:bogus"
+	o.HTTPAddr = "256.0.0.1:bogus"
 	if _, err := start(o); err == nil {
 		t.Fatal("unbindable -http address should fail startup")
 	}

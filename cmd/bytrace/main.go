@@ -35,14 +35,9 @@ func main() {
 }
 
 func run(release, gran string, scale int, seed int64, out string, prep bool) error {
-	var p workload.Profile
-	switch release {
-	case "edr":
-		p = workload.EDRProfile()
-	case "dr1":
-		p = workload.DR1Profile()
-	default:
-		return fmt.Errorf("unknown release %q (have edr, dr1)", release)
+	p, err := workload.ReleaseProfile(release)
+	if err != nil {
+		return err
 	}
 	p = workload.ScaledProfile(p, scale)
 	if seed != 0 {

@@ -1,5 +1,7 @@
 package catalog
 
+import "fmt"
+
 // SDSS-like data releases. The paper's evaluation uses traces from two
 // releases of the largest SkyQuery federating node: EDR (Early Data
 // Release) and DR1 (Data Release 1). The real archives are not
@@ -270,3 +272,14 @@ func EDR() *Schema { return buildRelease("edr", 880_000) }
 
 // DR1 returns the Data Release 1 schema (~1.6 GB logical).
 func DR1() *Schema { return buildRelease("dr1", 2_000_000) }
+
+// Release returns the schema of the release named "edr" or "dr1".
+func Release(name string) (*Schema, error) {
+	switch name {
+	case "edr":
+		return EDR(), nil
+	case "dr1":
+		return DR1(), nil
+	}
+	return nil, fmt.Errorf("unknown release %q (have edr, dr1)", name)
+}

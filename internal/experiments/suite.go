@@ -88,14 +88,9 @@ func (s *Suite) Run(id string) (*Table, error) {
 
 // profile returns the scaled workload profile for a release.
 func (s *Suite) profile(release string) (workload.Profile, error) {
-	var p workload.Profile
-	switch release {
-	case "edr":
-		p = workload.EDRProfile()
-	case "dr1":
-		p = workload.DR1Profile()
-	default:
-		return p, fmt.Errorf("experiments: unknown release %q", release)
+	p, err := workload.ReleaseProfile(release)
+	if err != nil {
+		return p, fmt.Errorf("experiments: %w", err)
 	}
 	return workload.ScaledProfile(p, s.Scale), nil
 }

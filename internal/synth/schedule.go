@@ -116,9 +116,13 @@ type Op struct {
 // consume them in schedule order.
 func Ops(sc *Scenario, arrivals []Arrival) ([]Op, error) {
 	sc.fill()
-	schema, err := schemaFor(sc.Release)
+	release := sc.Release
+	if release == "" {
+		release = "edr"
+	}
+	schema, err := catalog.Release(release)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("synth: %w", err)
 	}
 	streams := make([]*workload.Stream, len(sc.Tenants))
 	for i, t := range sc.Tenants {
@@ -156,15 +160,4 @@ func Ops(sc *Scenario, arrivals []Arrival) ([]Op, error) {
 		}
 	}
 	return ops, nil
-}
-
-func schemaFor(release string) (*catalog.Schema, error) {
-	switch release {
-	case "", "edr":
-		return catalog.EDR(), nil
-	case "dr1":
-		return catalog.DR1(), nil
-	default:
-		return nil, fmt.Errorf("synth: unknown release %q (have edr, dr1)", release)
-	}
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"time"
@@ -49,17 +48,6 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 // and closes it.
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, fr: newFrameReader(), store: resultStore{names: names{}}}
-}
-
-// DialContext connects to a proxy at addr under ctx's deadline and
-// cancellation.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClient(conn), nil
 }
 
 // Close closes the connection.

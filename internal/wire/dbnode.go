@@ -3,13 +3,11 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
-	"strings"
-	"sync"
 
-	"bypassyield/internal/catalog"
+	"bypassyield/internal/core"
 	"bypassyield/internal/engine"
+	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/sqlparse"
@@ -34,13 +32,12 @@ type DBNode struct {
 	// by other sites are rejected.
 	Site string
 
+	*server
 	db       *engine.DB
-	ln       net.Listener
-	logf     func(format string, args ...any)
 	wrapConn func(net.Conn) net.Conn
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	closed   bool
+	// sizes holds every object of this site as the mediator names it
+	// (federation.Objects at Columns and at Views granularity).
+	sizes map[core.ObjectID]int64
 
 	reg     *obs.Registry
 	queries *obs.Counter
@@ -61,10 +58,10 @@ func NewDBNode(site string, db *engine.DB) *DBNode {
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
 	obs.EnableRuntimeStats(reg)
-	return &DBNode{
+	n := &DBNode{
 		Site:     site,
 		db:       db,
-		logf:     log.Printf,
+		sizes:    make(map[core.ObjectID]int64),
 		reg:      reg,
 		queries:  reg.Counter("dbnode.queries"),
 		fetches:  reg.Counter("dbnode.fetches"),
@@ -74,6 +71,15 @@ func NewDBNode(site string, db *engine.DB) *DBNode {
 		framesRx: reg.CounterFamily("wire.frames_rx"),
 		flight:   flightrec.New(flightrec.DefaultConfig(), reg),
 	}
+	n.server = newServer("dbnode "+site, n.serveProxy)
+	for _, g := range []federation.Granularity{federation.Columns, federation.Views} {
+		for id, o := range federation.Objects(db.Schema(), g, nil) {
+			if o.Site == site {
+				n.sizes[id] = o.Size
+			}
+		}
+	}
+	return n
 }
 
 // SetFlightConfig replaces the node's flight-recorder tuning. Call
@@ -88,63 +94,18 @@ func (n *DBNode) Flight() *flightrec.Recorder { return n.flight }
 // Obs returns the node's registry.
 func (n *DBNode) Obs() *obs.Registry { return n.reg }
 
-// SetLogf replaces the node's logger (tests silence it).
-func (n *DBNode) SetLogf(f func(string, ...any)) { n.logf = f }
-
 // SetConnWrapper interposes w on every accepted connection — the
 // chaos hook (bydbd -chaos wraps conns in a faultnet injector). Call
 // before Listen; nil disables.
 func (n *DBNode) SetConnWrapper(w func(net.Conn) net.Conn) { n.wrapConn = w }
 
-// Listen starts accepting on addr ("host:port"; ":0" picks a free
-// port) and returns the bound address.
-func (n *DBNode) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
+// serveProxy applies the conn wrapper and serves one connection.
+func (n *DBNode) serveProxy(conn net.Conn) {
+	if n.wrapConn != nil {
+		conn = n.wrapConn(conn)
 	}
-	n.ln = ln
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return ln.Addr().String(), nil
-}
-
-// Close stops the listener and waits for in-flight connections.
-func (n *DBNode) Close() error {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
-	var err error
-	if n.ln != nil {
-		err = n.ln.Close()
-	}
-	n.wg.Wait()
-	return err
-}
-
-func (n *DBNode) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			n.mu.Lock()
-			closed := n.closed
-			n.mu.Unlock()
-			if !closed && !errors.Is(err, net.ErrClosed) {
-				n.logf("dbnode %s: accept: %v", n.Site, err)
-			}
-			return
-		}
-		if n.wrapConn != nil {
-			conn = n.wrapConn(conn)
-		}
-		n.wg.Add(1)
-		go func() {
-			defer n.wg.Done()
-			defer conn.Close()
-			n.serveConn(conn)
-		}()
-	}
+	defer conn.Close()
+	n.serveConn(conn)
 }
 
 // statement is the memory a connection's sub-queries are parsed, bound
@@ -282,60 +243,12 @@ func (n *DBNode) execute(st *statement, sql string) (*engine.Result, error) {
 	return &st.result, nil
 }
 
-// objectSize resolves an object id ("release/table[.column]") owned
-// by this site to its logical size.
+// objectSize resolves an object id, as the mediator names it, of an
+// object this site owns to its logical size.
 func (n *DBNode) objectSize(object string) (int64, error) {
-	s := n.db.Schema()
-	rest := object
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		if rest[:i] != s.Name {
-			return 0, fmt.Errorf("dbnode: object %s is not in release %s", object, s.Name)
-		}
-		rest = rest[i+1:]
+	size, ok := n.sizes[core.ObjectID(object)]
+	if !ok {
+		return 0, fmt.Errorf("dbnode %s: no object %s of release %s at this site", n.Site, object, n.db.Schema().Name)
 	}
-	if name, ok := strings.CutPrefix(rest, "view:"); ok {
-		for _, v := range catalog.StandardViews(s) {
-			if v.Name != name {
-				continue
-			}
-			t := s.Table(v.Table)
-			if t == nil {
-				break
-			}
-			if t.Site != n.Site {
-				return 0, fmt.Errorf("dbnode %s: object %s is owned by %s", n.Site, object, t.Site)
-			}
-			return v.Bytes(t), nil
-		}
-		return 0, fmt.Errorf("dbnode: unknown view in object %s", object)
-	}
-	tableName, colName := rest, ""
-	if i := strings.IndexByte(rest, '.'); i >= 0 {
-		tableName, colName = rest[:i], rest[i+1:]
-	}
-	t := s.Table(tableName)
-	if t == nil {
-		return 0, fmt.Errorf("dbnode: unknown table in object %s", object)
-	}
-	if t.Site != n.Site {
-		return 0, fmt.Errorf("dbnode %s: object %s is owned by %s", n.Site, object, t.Site)
-	}
-	if colName == "" {
-		return t.Bytes(), nil
-	}
-	c := t.Column(colName)
-	if c == nil {
-		return 0, fmt.Errorf("dbnode: unknown column in object %s", object)
-	}
-	return c.Width() * t.Rows, nil
-}
-
-// SiteOf returns the owning site of a schema table, for wiring
-// proxies to nodes.
-func SiteOf(s *catalog.Schema, table string) (string, error) {
-	t := s.Table(table)
-	if t == nil {
-		return "", fmt.Errorf("wire: unknown table %s", table)
-	}
-	return t.Site, nil
+	return size, nil
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"slices"
 	"sort"
@@ -90,7 +89,7 @@ const DefaultMaxInflight = 64
 // ledger's records and the shadow figures, under the request's one
 // filter (see scrape).
 type Proxy struct {
-	mu         sync.Mutex // guards closed
+	*server
 	med        *federation.Mediator
 	gran       federation.Granularity
 	sites      map[string]*site // sites with a node; read-only after Listen
@@ -108,12 +107,6 @@ type Proxy struct {
 	// interpose fault injectors.
 	dialer      func(site, addr string) (net.Conn, error)
 	dialTimeout time.Duration
-	proberStop  chan struct{}
-
-	ln     net.Listener
-	logf   func(format string, args ...any)
-	wg     sync.WaitGroup
-	closed bool
 
 	reg          *obs.Registry
 	framesRx     *obs.CounterFamily
@@ -169,9 +162,9 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 		probeTimeout:  ProbeTimeout,
 		pcfg:          PoolConfig{}.sanitize(),
 		querySem:      make(chan struct{}, DefaultMaxInflight),
-		logf:          log.Printf,
 		reg:           reg,
 	}
+	p.server = newServer("proxy", p.serveClient)
 	p.dialer = func(_, addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, p.dialTimeout)
 	}
@@ -261,9 +254,6 @@ func (p *Proxy) buildSites() {
 	}
 }
 
-// SetLogf replaces the proxy's logger.
-func (p *Proxy) SetLogf(f func(string, ...any)) { p.logf = f }
-
 // SetRPCTimeout replaces the per-RPC deadline applied to node
 // exchanges; d ≤ 0 disables deadlines. Call before Listen.
 func (p *Proxy) SetRPCTimeout(d time.Duration) { p.rpcTimeout = d }
@@ -337,39 +327,24 @@ func (p *Proxy) SiteAvailable(site string) (bool, string) {
 // Obs returns the registry the proxy publishes into.
 func (p *Proxy) Obs() *obs.Registry { return p.reg }
 
-// Listen starts accepting clients on addr and returns the bound
-// address.
+// Listen starts accepting clients on addr, and the prober when the
+// proxy has nodes, and returns the bound address.
 func (p *Proxy) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := p.server.Listen(addr)
 	if err != nil {
 		return "", err
 	}
-	p.ln = ln
-	p.wg.Add(1)
-	go p.acceptLoop()
 	if len(p.sites) > 0 {
-		p.proberStop = make(chan struct{})
 		p.wg.Add(1)
 		go p.probeLoop()
 	}
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
-// Close stops the listener and prober, drains the connection pools,
-// and waits for in-flight connections.
+// Close stops the prober and the listener, waits for in-flight
+// connections and probes, and drains the connection pools.
 func (p *Proxy) Close() error {
-	p.mu.Lock()
-	alreadyClosed := p.closed
-	p.closed = true
-	p.mu.Unlock()
-	if p.proberStop != nil && !alreadyClosed {
-		close(p.proberStop)
-	}
-	var err error
-	if p.ln != nil {
-		err = p.ln.Close()
-	}
-	p.wg.Wait()
+	err := p.server.Close()
 	for _, s := range p.sites {
 		s.pool.Close()
 	}
@@ -390,7 +365,7 @@ func (p *Proxy) probeLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-p.proberStop:
+		case <-p.done:
 			return
 		case <-tick.C:
 			for name, s := range p.sites {
@@ -432,28 +407,12 @@ func (p *Proxy) ping(name, addr string) bool {
 	return err == nil && t == MsgPong
 }
 
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if !closed && !errors.Is(err, net.ErrClosed) {
-				p.logf("proxy: accept: %v", err)
-			}
-			return
-		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer conn.Close()
-			p.connsOpened.Add(1)
-			defer p.connsClosed.Add(1)
-			p.serveConn(conn)
-		}()
-	}
+// serveClient serves one client connection, counting it.
+func (p *Proxy) serveClient(conn net.Conn) {
+	defer conn.Close()
+	p.connsOpened.Add(1)
+	defer p.connsClosed.Add(1)
+	p.serveConn(conn)
 }
 
 // send writes one frame to a client, counting it. The client is a

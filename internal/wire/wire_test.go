@@ -317,6 +317,12 @@ func TestDBNodeObjectSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := NewDBNode(catalog.SitePhoto, db)
+	var galaxyBytes int64
+	for _, v := range catalog.StandardViews(s) {
+		if v.Name == "galaxy" {
+			galaxyBytes = v.Bytes(s.Table("photoobj"))
+		}
+	}
 	cases := []struct {
 		object  string
 		want    int64
@@ -328,6 +334,9 @@ func TestDBNodeObjectSize(t *testing.T) {
 		{"dr1/photoobj", 0, true},   // wrong release
 		{"edr/ghost", 0, true},      // unknown table
 		{"edr/photoobj.x", 0, true}, // unknown column
+		{"edr/view:galaxy", galaxyBytes, false},
+		{"edr/view:lowzspec", 0, true}, // a view of a foreign-site table
+		{"photoobj", 0, true},          // no release: the mediator never sends one
 	}
 	for _, tc := range cases {
 		got, err := n.objectSize(tc.object)
@@ -337,16 +346,5 @@ func TestDBNodeObjectSize(t *testing.T) {
 		if err == nil && got != tc.want {
 			t.Fatalf("%s: size = %d, want %d", tc.object, got, tc.want)
 		}
-	}
-}
-
-func TestSiteOf(t *testing.T) {
-	s := catalog.EDR()
-	site, err := SiteOf(s, "photoobj")
-	if err != nil || site != catalog.SitePhoto {
-		t.Fatalf("SiteOf = %q, %v", site, err)
-	}
-	if _, err := SiteOf(s, "ghost"); err == nil {
-		t.Fatal("unknown table should error")
 	}
 }

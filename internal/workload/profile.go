@@ -254,6 +254,18 @@ func DR1Profile() Profile {
 	}
 }
 
+// ReleaseProfile returns the profile of the release named "edr" or
+// "dr1".
+func ReleaseProfile(name string) (Profile, error) {
+	switch name {
+	case "edr":
+		return EDRProfile(), nil
+	case "dr1":
+		return DR1Profile(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown release %q (have edr, dr1)", name)
+}
+
 // gb converts gigabytes to bytes (decimal GB, as the paper reports).
 func gb(v float64) int64 { return int64(v * 1e9) }
 
