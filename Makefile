@@ -21,12 +21,13 @@ test:
 # tests of what this detector is for in the decision plane: a policy
 # decides the same whether its per-object state is found by slot or by
 # id (restored, cloned and colliding universes included), and the
-# ledger's ring, held across each query's decide loop, is snapshotted
-# and selected from by scrapes while decisions are written into it — in
-# the mediator, and through the proxy's MsgScrape while clients query.
+# ledger's ring, which has no lock of its own, is written by each query's
+# decide loop while scrapes read it, with the accounting and the shadows,
+# in one hold of the decision lock through the mediator — in the
+# mediator, and through the proxy's MsgScrape while clients query.
 RACE_CORE_RUN = TestSlotsNeverChangeADecision|TestObjTable
 RACE_FEDERATION_RUN = TestLedgerUnderConcurrentDecisions
-RACE_WIRE_RUN = TestProxyConcurrentClients
+RACE_WIRE_RUN = TestProxyConcurrentClients|TestScrapeIsOneReading
 race:
 	$(CHECK_RUN) '$(RACE_CORE_RUN)' ./internal/core/
 	$(CHECK_RUN) '$(RACE_FEDERATION_RUN)' ./internal/federation/

@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/wire"
 )
@@ -134,8 +135,10 @@ func renderPersistence(w io.Writer, views []nodeView) {
 // nothing lost. Each proxy is checked in each of its two reads on its
 // own: the metrics snapshot (core.yield_bytes against core.bypass_bytes
 // + core.cache_bytes) and the flow accounting (Acct). The scrape reads
-// the two under two holds of the decision lock, so under load they
-// describe different moments and are not compared with each other.
+// the two under two holds of the decision lock — the registry's
+// collector, then the mediator's one reading that Acct is part of — so
+// under load they describe different moments and are not compared with
+// each other.
 func renderInvariant(w io.Writer, views []nodeView) {
 	var sumCounter, sumDeliveredCounter, sumLedger, sumDelivered int64
 	proxies := 0
@@ -171,49 +174,17 @@ func renderInvariant(w io.Writer, views []nodeView) {
 	fmt.Fprintf(w, "  federation Σ yields %d = D_A %d: %s\n", sumLedger, sumDelivered, status)
 }
 
-// renderFederationCauses aggregates the tail-cause counters of every
-// reachable daemon into one ranked table.
+// renderFederationCauses ranks the tail-cause counters of every
+// reachable daemon in one table.
 func renderFederationCauses(w io.Writer, views []nodeView) {
-	agg := map[string]*tailCauseRow{}
+	var all obs.Snapshot
 	for _, v := range views {
-		if v.Err != "" {
-			continue
-		}
-		for _, r := range tailCauses(v.Snapshot) {
-			a := agg[r.cause]
-			if a == nil {
-				a = &tailCauseRow{cause: r.cause}
-				agg[r.cause] = a
-			}
-			a.dominant += r.dominant
-			a.totalUS += r.totalUS
+		if v.Err == "" {
+			all.Counters = append(all.Counters, v.Snapshot.Counters...)
 		}
 	}
-	if len(agg) == 0 {
-		return
-	}
-	rows := make([]tailCauseRow, 0, len(agg))
-	var totalUS int64
-	for _, r := range agg {
-		rows = append(rows, *r)
-		totalUS += r.totalUS
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].totalUS != rows[j].totalUS {
-			return rows[i].totalUS > rows[j].totalUS
-		}
-		return rows[i].cause < rows[j].cause
-	})
-	fmt.Fprintln(w, "\nfederation tail attribution (all daemons, ranked by attributed time):")
-	fmt.Fprintln(w, "  cause                        dominant     total ms   share")
-	for _, r := range rows {
-		share := 0.0
-		if totalUS > 0 {
-			share = 100 * float64(r.totalUS) / float64(totalUS)
-		}
-		fmt.Fprintf(w, "  %-26s %10d %12.3f  %5.1f%%\n",
-			r.cause, r.dominant, float64(r.totalUS)/1e3, share)
-	}
+	writeCauses(w, "federation tail attribution (all daemons, ranked by attributed time)",
+		flightrec.TailCauses(all, obs.Snapshot{}))
 }
 
 // tracedExemplar pairs an exemplar with the daemon (or the daemon's

@@ -36,44 +36,26 @@ func runTail(w io.Writer, addr string, q wire.ScrapeMsg, top int, asJSON bool) e
 	return nil
 }
 
-// tailCauseRow is one row of the ranked attribution table.
-type tailCauseRow struct {
-	cause    string
-	dominant int64 // exceedances where this cause was the largest slice
-	totalUS  int64 // attributed microseconds across all exceedances
-}
-
-// tailCauses extracts the obs.tail_cause / obs.tail_cause_us counter
-// families from a snapshot, ranked by attributed time.
-func tailCauses(s obs.Snapshot) []tailCauseRow {
-	rows := map[string]*tailCauseRow{}
-	get := func(cause string) *tailCauseRow {
-		r := rows[cause]
-		if r == nil {
-			r = &tailCauseRow{cause: cause}
-			rows[cause] = r
-		}
-		return r
+// writeCauses renders ranked tail causes as a table under title, each
+// with its share of the attributed time; nothing when there are none.
+func writeCauses(w io.Writer, title string, causes []flightrec.TailCause) {
+	if len(causes) == 0 {
+		return
 	}
-	for _, c := range s.Counters {
-		switch c.Name {
-		case "obs.tail_cause":
-			get(c.Label).dominant += c.Value
-		case "obs.tail_cause_us":
-			get(c.Label).totalUS += c.Value
-		}
+	var totalUS int64
+	for _, r := range causes {
+		totalUS += r.TotalUS
 	}
-	out := make([]tailCauseRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].totalUS != out[j].totalUS {
-			return out[i].totalUS > out[j].totalUS
+	fmt.Fprintf(w, "\n%s:\n", title)
+	fmt.Fprintln(w, "  cause                        dominant     total ms   share")
+	for _, r := range causes {
+		share := 0.0
+		if totalUS > 0 {
+			share = 100 * float64(r.TotalUS) / float64(totalUS)
 		}
-		return out[i].cause < out[j].cause
-	})
-	return out
+		fmt.Fprintf(w, "  %-26s %10d %12.3f  %5.1f%%\n",
+			r.Cause, r.Dominant, float64(r.TotalUS)/1e3, share)
+	}
 }
 
 func renderTail(w io.Writer, res *wire.ScrapeResultMsg, top int) {
@@ -91,23 +73,8 @@ func renderTail(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 			byOutcome["slow"], byOutcome["error"], byOutcome["degraded"], byOutcome["normal"])
 	}
 
-	causes := tailCauses(res.Snapshot)
-	if len(causes) > 0 {
-		var totalUS int64
-		for _, r := range causes {
-			totalUS += r.totalUS
-		}
-		fmt.Fprintln(w, "\ntail attribution (exceedances, ranked by attributed time):")
-		fmt.Fprintln(w, "  cause                        dominant     total ms   share")
-		for _, r := range causes {
-			share := 0.0
-			if totalUS > 0 {
-				share = 100 * float64(r.totalUS) / float64(totalUS)
-			}
-			fmt.Fprintf(w, "  %-26s %10d %12.3f  %5.1f%%\n",
-				r.cause, r.dominant, float64(r.totalUS)/1e3, share)
-		}
-	}
+	writeCauses(w, "tail attribution (exceedances, ranked by attributed time)",
+		flightrec.TailCauses(res.Snapshot, obs.Snapshot{}))
 
 	if len(res.Exemplars) == 0 {
 		fmt.Fprintln(w, "\nno exemplars captured yet")

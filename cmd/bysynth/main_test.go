@@ -222,7 +222,7 @@ func TestChaosSynth(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { f.Close() })
-		proxy.SetExemplarSink(flightrec.NewJSONL(f))
+		proxy.Flight().SetSink(flightrec.NewJSONL(f))
 	}
 
 	clientChaos := faultnet.NewInjector(11)

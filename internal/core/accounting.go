@@ -63,10 +63,9 @@ func (a Accounting) ByteHitRate() float64 {
 // the Figure-1 flow rules: a hit serves the yield from cache (LAN), a
 // bypass ships the cost-scaled yield over the WAN, and a load pays the
 // fetch cost over the WAN and then serves the yield from cache. It
-// returns an error for an out-of-range decision.
+// returns an error for an out-of-range decision, and charges nothing
+// for it.
 func Account(a *Accounting, obj Object, yield int64, d Decision) error {
-	a.Accesses++
-	a.YieldBytes += yield
 	switch d {
 	case Hit:
 		a.Hits++
@@ -81,6 +80,8 @@ func Account(a *Accounting, obj Object, yield int64, d Decision) error {
 	default:
 		return &BadDecisionError{Decision: d}
 	}
+	a.Accesses++
+	a.YieldBytes += yield
 	return nil
 }
 

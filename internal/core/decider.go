@@ -18,14 +18,14 @@ import (
 // policy decides, the Figure-1 flows are charged, the shadows add
 // the access and one ledger record is filled from the policy's
 // explanation (it is overwritten by the next decision) straight into
-// its slot in the ledger's ring, which Begin opened for the query. Per
-// query — End — the query's accounting is added to Acct and the ring is
-// closed. Between Begin and End Acct is one query behind the policy and
-// the shadows, and the ledger's scrapes wait; a caller that serves
-// scrapes concurrently holds its lock across the pair, as the mediator
-// does, and reads Acct and the shadows under it (ShadowSet.Stats reads
-// them against each other): the registry mirrors them at scrape time
-// (Telemetry.Mirror), not here.
+// its slot in the ledger's ring. Per query — End — the query's
+// accounting is added to Acct and the ledger's sink is handed the
+// query's records. Between Begin and End Acct is one query behind the
+// policy, the shadows and the ledger; a caller that serves scrapes
+// concurrently holds its lock across the pair, as the mediator does, and
+// reads Acct, the shadows and the ledger under it (ShadowSet.Stats reads
+// the first two against each other): the registry mirrors them at scrape
+// time (Telemetry.Mirror), not here.
 //
 // A Decider is sequential state, like the policy it drives.
 type Decider struct {
@@ -40,8 +40,8 @@ type Decider struct {
 	ledger    *ledger.Ledger
 	evictions int64 // the policy's evictions already counted in Acct
 
-	// The query in progress, whose records the ledger, open from Begin to
-	// End, takes as they are decided.
+	// The query in progress, whose records the ledger takes as they are
+	// decided.
 	t       int64
 	trace   string
 	q       Accounting
@@ -74,12 +74,11 @@ func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger
 }
 
 // Begin opens the query at time t (the policy's clock) with the
-// distributed trace id its ledger records carry, and opens the ledger
-// for its records: every Begin is followed by End.
+// distributed trace id its ledger records carry: every Begin is followed
+// by End.
 func (d *Decider) Begin(t int64, trace string) {
 	d.t, d.trace = t, trace
 	d.q = Accounting{Queries: 1}
-	d.ledger.Open()
 	d.decided = 0
 	if d.tel != nil {
 		d.start = time.Since(clockBase)
@@ -151,14 +150,14 @@ func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.Decisio
 }
 
 // End closes the open query with the one bookkeeping flush: its flows
-// join Acct, the ledger is closed on its records, and evictions the
+// join Acct, the ledger's sink gets its records, and evictions the
 // policy made are counted.
 func (d *Decider) End() {
 	if d.tel != nil {
 		d.tel.ObserveDecide(time.Since(clockBase)-d.start, d.decided)
 	}
 	d.Acct.Add(d.q)
-	d.ledger.Close()
+	d.ledger.Flush()
 	d.countEvictions()
 }
 

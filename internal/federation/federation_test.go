@@ -259,8 +259,8 @@ func TestMediatorAccountingConservation(t *testing.T) {
 	if acct.Queries != 25 {
 		t.Fatalf("queries = %d, want 25", acct.Queries)
 	}
-	if m.Clock() != 25 {
-		t.Fatalf("clock = %d, want 25", m.Clock())
+	if clock := m.read(nil).Clock; clock != 25 {
+		t.Fatalf("clock = %d, want 25", clock)
 	}
 }
 

@@ -46,12 +46,27 @@ func (s *lockedSink) Record(r ledger.DecisionRecord) {
 	s.mu.Unlock()
 }
 
-// TestLedgerUnderConcurrentDecisions: the Decider holds the ledger's ring
-// from the first access of a query to its last, writing each record in
-// place, while scrapes snapshot the ring and select from it. Under the
-// race detector, with three callers deciding and two scrapers reading a
-// ring smaller than a few queries' worth:
+// checkReading fails t unless r is one moment of the decision plane: a
+// ledger record per access accounted, and the WAN saved against
+// always-bypass equal to always-bypass's WAN less the realized.
+func checkReading(t *testing.T, r federation.Reading) {
+	t.Helper()
+	if r.Recorded != uint64(r.Acct.Accesses) {
+		t.Errorf("reading at clock %d: %d ledger records, %d accesses accounted", r.Clock, r.Recorded, r.Acct.Accesses)
+	}
+	if want := r.Shadows.BypassWANBytes - r.Acct.WANBytes(); r.Shadows.SavedVsBypassBytes != want {
+		t.Errorf("reading at clock %d: saved vs bypass %d, always-bypass WAN less realized %d", r.Clock, r.Shadows.SavedVsBypassBytes, want)
+	}
+}
+
+// TestLedgerUnderConcurrentDecisions: the Decider writes each record of
+// a query into its slot in the ledger's ring, under the decision lock,
+// while scrapes read the decision plane through Mediator.Read under the
+// same lock. Under the race detector, with three callers deciding and
+// two scrapers reading a ring smaller than a few queries' worth:
 //
+//   - every reading is one moment: a ledger record per access accounted,
+//     and the shadows' saved bytes always-bypass's WAN less the realized;
 //   - every snapshot is whole: consecutive Seq, no record torn, the
 //     query clock never going back; and a selection by action is only
 //     whole records of that action, in Seq order;
@@ -115,7 +130,9 @@ func TestLedgerUnderConcurrentDecisions(t *testing.T) {
 					return
 				default:
 				}
-				snap := led.Snapshot()
+				all := m.Read(ledger.Query{})
+				checkReading(t, all)
+				snap := all.Records
 				for i, rec := range snap {
 					if rec.Object == "" || rec.Policy != "rate-profile" || rec.Size <= 0 {
 						t.Errorf("torn record: %+v", rec)
@@ -126,7 +143,9 @@ func TestLedgerUnderConcurrentDecisions(t *testing.T) {
 						return
 					}
 				}
-				hits := led.Select(ledger.Query{Action: "hit", Limit: 64})
+				r := m.Read(ledger.Query{Action: "hit", Limit: 64})
+				checkReading(t, r)
+				hits := r.Records
 				for i, rec := range hits {
 					if rec.Action != "hit" || rec.Object == "" || rec.Policy != "rate-profile" {
 						t.Errorf("Select(hits) returned %+v", rec)

@@ -83,9 +83,9 @@ type SiteHealth interface {
 // engine evaluation, yield decomposition) runs lock-free — the engine
 // is an immutable column store with atomic counters — while the
 // decision phase runs under one lock, mu: the plane clock, the policy,
-// the accounting and the shadow sums are one sequential state, as
-// in the paper, so Σ decision yields = D_A holds exactly at every
-// unlock. A query waits for mu awake (lockDecision): it is held for
+// the accounting, the shadow sums and the decision ledger are one
+// sequential state, as in the paper, so Σ decision yields = D_A holds
+// exactly at every unlock. A query waits for mu awake (lockDecision): it is held for
 // microseconds, and a sleeper's wake-up takes tens to hundreds. Callers
 // execute the decided WAN legs after QueryScratch returns, outside
 // the lock — the decide-then-execute handoff — except for a statement
@@ -119,6 +119,9 @@ type Mediator struct {
 	dec     *core.Decider
 	policy  core.Policy
 	shadows *core.ShadowSet
+	// ledger is the decision audit trail the Decider writes; its ring
+	// has no lock of its own (nil when not configured).
+	ledger  *ledger.Ledger
 	journal Journal
 
 	// health is the SiteHealth (nil: every site is available). A query
@@ -130,9 +133,6 @@ type Mediator struct {
 	queryLatency *obs.Histogram
 	objsTouched  *obs.Counter
 	queriesMet   *obs.Counter
-
-	// Decision audit trail (nil-safe no-op when not configured).
-	ledger *ledger.Ledger
 }
 
 // AccessDecision records the cache's handling of one object access
@@ -268,11 +268,8 @@ func New(cfg Config) (*Mediator, error) {
 // agrees with Accounting() at some unlock and with itself (D_A = D_S +
 // D_C, Σ core.decisions = core.accesses).
 func (m *Mediator) collect() {
-	m.mu.Lock()
-	acct := m.dec.Acct
-	sh := m.shadows.Stats(acct)
-	m.mu.Unlock()
-	m.tel.Mirror(m.policyName, acct, sh)
+	r := m.read(nil)
+	m.tel.Mirror(r.Policy, r.Acct, r.Shadows)
 }
 
 // Obs returns the registry the mediator publishes into (nil when
@@ -308,8 +305,8 @@ func (m *Mediator) Schema() *catalog.Schema { return m.cfg.Schema }
 func (m *Mediator) Granularity() Granularity { return m.cfg.Granularity }
 
 // Policy returns the cache policy (nil when caching is disabled). It
-// mutates under the decision lock; use PolicyStats to read it while
-// queries run.
+// mutates under the decision lock; use Read to read it while queries
+// run.
 func (m *Mediator) Policy() core.Policy { return m.policy }
 
 // ShardCount returns 1.
@@ -331,50 +328,51 @@ func (m *Mediator) Accounting() core.Accounting {
 // concurrency gauges through it.
 func (m *Mediator) Telemetry() *core.Telemetry { return m.tel }
 
-// Ledger returns the decision ledger (nil when not configured).
-func (m *Mediator) Ledger() *ledger.Ledger { return m.ledger }
-
-// PolicyStats is a consistent snapshot of the cache policy's
-// externally visible state.
-type PolicyStats struct {
-	Name     string
-	Used     int64
-	Capacity int64
-	// Contents lists cached object ids when the policy implements
-	// core.ContentLister (nil otherwise).
-	Contents []core.ObjectID
+// Reading is the decision plane read in one hold of the decision lock:
+// every part describes the same moment, between two queries' decisions.
+type Reading struct {
+	// Clock is the plane clock: the number of queries mediated so far.
+	Clock int64
+	// Acct is the flow accounting.
+	Acct core.Accounting
+	// Policy names the cache policy ("none" without one); Used and
+	// Capacity are its cache's bytes, and Contents lists the cached
+	// object ids when the policy implements core.ContentLister.
+	Policy         string
+	Used, Capacity int64
+	Contents       []core.ObjectID
+	// Shadows are the shadow figures against Acct (zero when shadows
+	// are disabled).
+	Shadows core.ShadowStats
+	// Recorded is the number of ledger records ever written, and Records
+	// the retained ones the query selected (none without a ledger).
+	Recorded uint64
+	Records  []ledger.DecisionRecord
 }
 
-// PolicyStats snapshots the policy under the decision lock so readers
-// never observe a cache mid-decision; ok is false when caching is
-// disabled.
-func (m *Mediator) PolicyStats() (ps PolicyStats, ok bool) {
-	if m.policy == nil {
-		return PolicyStats{}, false
+// Read reads the decision plane under the decision lock, once: the
+// clock, the accounting, the policy's cache, the shadow figures, and the
+// ledger's count and the records q selects.
+func (m *Mediator) Read(q ledger.Query) Reading { return m.read(&q) }
+
+// read is Read; a nil q leaves out what only a scrape asks for, the
+// cache's contents and the ledger.
+func (m *Mediator) read(q *ledger.Query) Reading {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r := Reading{Clock: m.t, Acct: m.dec.Acct, Policy: m.policyName, Shadows: m.shadows.Stats(m.dec.Acct)}
+	if m.policy != nil {
+		r.Used, r.Capacity = m.policy.Used(), m.capacity
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ps = PolicyStats{Name: m.policyName, Used: m.policy.Used(), Capacity: m.capacity}
-	if cl, isLister := m.policy.(core.ContentLister); isLister {
-		ps.Contents = cl.Contents()
+	if q == nil {
+		return r
 	}
-	return ps, true
-}
-
-// ShadowStats reads the shadow sums against the accounting under the
-// decision lock; zero-valued when shadows are disabled.
-func (m *Mediator) ShadowStats() core.ShadowStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shadows.Stats(m.dec.Acct)
-}
-
-// Clock returns the number of queries mediated so far (the plane
-// clock).
-func (m *Mediator) Clock() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.t
+	if cl, ok := m.policy.(core.ContentLister); ok {
+		r.Contents = cl.Contents()
+	}
+	r.Recorded = m.ledger.Count()
+	r.Records = m.ledger.Select(*q)
+	return r
 }
 
 // Scratch is the memory one statement is mediated in: its parse, its
@@ -648,9 +646,9 @@ func (m *Mediator) lockDecision(start time.Time) {
 
 // decideLocked is decide's critical section; callers hold mu. Per
 // access it runs the decision loop's step (policy, accounting, shadow
-// state, one ledger record written into the ring Begin opened —
-// core.Decider) and fills the report; the query's accounting is flushed
-// and the ring closed once, by End, and then the decisions are
+// state, one ledger record written into its slot in the ring —
+// core.Decider) and fills the report; the query's accounting and ledger
+// records are flushed once, by End, and then the decisions are
 // journaled, before the lock is released. The registry's
 // flow metrics are not written here: they read the plane under mu
 // when scraped (collect).
@@ -705,9 +703,8 @@ func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string,
 	}
 	m.dec.End()
 	if m.journal != nil {
-		// Journaled in access order once End has closed the ledger's
-		// ring: an append may fsync (persist's SyncEveryRecord), and the
-		// ledger's readers must not wait for that.
+		// Journaled in access order before the unlock, so the journal's
+		// order is the decisions'.
 		for _, d := range rep.Decisions[:i] {
 			m.journal.JournalAccess(journalRecord(m.t, d))
 		}

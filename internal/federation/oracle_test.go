@@ -81,9 +81,9 @@ func TestDecisionsDoNotDependOnGOMAXPROCS(t *testing.T) {
 				t.Fatalf("%s: %v", sql, err)
 			}
 		}
-		ps, _ := m.PolicyStats()
-		sort.Slice(ps.Contents, func(i, j int) bool { return ps.Contents[i] < ps.Contents[j] })
-		return outcome{m.Accounting(), ps.Contents}
+		r := m.Read(ledger.Query{})
+		sort.Slice(r.Contents, func(i, j int) bool { return r.Contents[i] < r.Contents[j] })
+		return outcome{r.Acct, r.Contents}
 	}
 	one, four := run(1), run(4)
 	if !reflect.DeepEqual(one, four) {

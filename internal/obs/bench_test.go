@@ -12,14 +12,13 @@ import (
 // it (`go test -bench . -benchmem ./internal/obs/`).
 
 // record writes rec into led as a batch of one, filled into the slot
-// Next hands out.
+// Next hands out, and flushes the sink.
 func record(led *ledger.Ledger, rec ledger.DecisionRecord) {
-	led.Open()
 	if slot := led.Next(); slot != nil {
 		rec.Seq = slot.Seq
 		*slot = rec
 	}
-	led.Close()
+	led.Flush()
 }
 
 func TestHotPathAllocFree(t *testing.T) {

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,8 +218,8 @@ func New(cfg Config, r *obs.Registry) *Recorder {
 		cfg:         cfg,
 		slots:       make([]slot, cfg.Capacity),
 		exemplars:   r.CounterFamily("obs.exemplars"),
-		tailCause:   r.CounterFamily("obs.tail_cause"),
-		tailCauseUS: r.CounterFamily("obs.tail_cause_us"),
+		tailCause:   r.CounterFamily(tailCauseName),
+		tailCauseUS: r.CounterFamily(tailCauseUSName),
 	}
 	rec.pool.New = func() any { return new(Capture) }
 	return rec
@@ -556,6 +557,62 @@ func ReadJSONL(r io.Reader) ([]Exemplar, error) {
 		out = append(out, e)
 	}
 	return out, sc.Err()
+}
+
+// The counter families a recorder attributes its exceedances in, by cause.
+const (
+	tailCauseName   = "obs.tail_cause"    // exceedances the cause dominated
+	tailCauseUSName = "obs.tail_cause_us" // microseconds attributed to it
+)
+
+// TailCause is one cause's share of the exceedances recorders
+// attributed: how often it dominated one, and its attributed time.
+type TailCause struct {
+	Cause string `json:"cause"`
+	// Dominant counts exceedances where this cause was the largest
+	// attributed slice.
+	Dominant int64 `json:"dominant"`
+	// TotalUS is the microseconds attributed to this cause across all
+	// exceedances.
+	TotalUS int64 `json:"total_us"`
+}
+
+// TailCauses reads the tail-cause counters: by cause, their sum in now
+// (which may hold several recorders' counters) less their sum in before,
+// ranked by attributed time, then by cause, all-zero causes left out.
+// A zero before reads now's totals.
+func TailCauses(now, before obs.Snapshot) []TailCause {
+	byCause := map[string]TailCause{}
+	add := func(s obs.Snapshot, sign int64) {
+		for _, c := range s.Counters {
+			tc := byCause[c.Label]
+			switch c.Name {
+			case tailCauseName:
+				tc.Dominant += sign * c.Value
+			case tailCauseUSName:
+				tc.TotalUS += sign * c.Value
+			default:
+				continue
+			}
+			tc.Cause = c.Label
+			byCause[c.Label] = tc
+		}
+	}
+	add(now, 1)
+	add(before, -1)
+	var out []TailCause
+	for _, tc := range byCause {
+		if tc.Dominant != 0 || tc.TotalUS != 0 {
+			out = append(out, tc)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TotalUS != out[j].TotalUS {
+			return out[i].TotalUS > out[j].TotalUS
+		}
+		return out[i].Cause < out[j].Cause
+	})
+	return out
 }
 
 // Filter trims exemplars to those matching outcome and trace id

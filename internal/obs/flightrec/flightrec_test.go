@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -280,5 +281,55 @@ func TestNilSafety(t *testing.T) {
 	r2.Finish(r2.Begin(), nil)
 	if r2.Published() != 1 {
 		t.Fatal("recorder without registry must still publish")
+	}
+}
+
+// TestTailCauses: the tail-cause counters of two daemons read as one
+// table, less a before reading — summed by cause, all-zero causes left
+// out, ranked by attributed time and then by cause — and other counters
+// are not read.
+func TestTailCauses(t *testing.T) {
+	c := func(name, label string, v int64) obs.CounterSnap {
+		return obs.CounterSnap{Name: name, Label: label, Value: v}
+	}
+	now := obs.Snapshot{Counters: []obs.CounterSnap{
+		// The proxy's.
+		c("obs.exemplars", "slow", 9),
+		c("obs.tail_cause", "wan:spec", 4),
+		c("obs.tail_cause_us", "wan:spec", 900),
+		c("obs.tail_cause_us", "decide", 0),
+		c("obs.tail_cause", "encode", 1),
+		c("obs.tail_cause_us", "encode", 300),
+		// A node's.
+		c("obs.tail_cause", "server-execute", 2),
+		c("obs.tail_cause_us", "server-execute", 200),
+		c("obs.tail_cause_us", "encode", 100),
+		c("obs.tail_cause_us", "queue", 50),
+	}}
+	want := []TailCause{
+		{Cause: "wan:spec", Dominant: 4, TotalUS: 900},
+		{Cause: "encode", Dominant: 1, TotalUS: 400},
+		{Cause: "server-execute", Dominant: 2, TotalUS: 200},
+		{Cause: "queue", TotalUS: 50},
+	}
+	if got := TailCauses(now, obs.Snapshot{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TailCauses(now) = %+v, want %+v", got, want)
+	}
+	before := obs.Snapshot{Counters: []obs.CounterSnap{
+		c("obs.tail_cause", "wan:spec", 4),
+		c("obs.tail_cause_us", "wan:spec", 900),
+		c("obs.tail_cause_us", "encode", 100),
+		c("obs.tail_cause_us", "server-execute", 100),
+	}}
+	want = []TailCause{
+		{Cause: "encode", Dominant: 1, TotalUS: 300},
+		{Cause: "server-execute", Dominant: 2, TotalUS: 100},
+		{Cause: "queue", TotalUS: 50},
+	}
+	if got := TailCauses(now, before); !reflect.DeepEqual(got, want) {
+		t.Fatalf("TailCauses(now, before) = %+v, want %+v", got, want)
+	}
+	if got := TailCauses(obs.Snapshot{}, obs.Snapshot{}); got != nil {
+		t.Fatalf("TailCauses of nothing = %+v, want nil", got)
 	}
 }

@@ -7,20 +7,15 @@
 // yield and WAN charge, correlated to the distributed trace the
 // access rode in on.
 //
-// The ring holds records by value under one mutex. A writer holds it
-// for a batch — the accesses of one query — from Open to Close, and
-// Next hands it each record's slot in the ring to fill in place, so a
-// record is written once and nothing is allocated. Snapshot copies the
-// retained records out under the same mutex, so a snapshot is exactly
-// the last Cap records of some moment between two batches. The one
-// writer in the daemons, core.Decider, holds the mutex across a query's
-// decide loop, under the mediator's decision lock; the mediator journals
-// the query only after the batch is closed, so a reader never waits for
-// a WAL fsync. A scrape holds the mutex for one copy: a Snapshot of 4 096
-// records beside a caller deciding edr-cached statements takes 0.13-0.37
-// ms at the median and 0.7-1.1 ms at p99 on a 2-core Xeon guest, with an
-// fsync per journal record or without. A nil
-// *Ledger is a valid no-op, so call sites thread it unconditionally.
+// The ring holds records by value and is not safe for concurrent use:
+// its owner serializes it. In the daemons that is the mediator, whose
+// decision lock covers every write (core.Decider, across a query's decide
+// loop) and every read (a scrape's one reading of the decision plane);
+// core.Simulator keeps its ledger on its one goroutine. Next hands the
+// writer each record's slot in the ring to fill in place, so a record is
+// written once and nothing is allocated, and Flush hands the sink what it
+// has not had. A nil *Ledger is a valid no-op, so call sites thread it
+// unconditionally.
 //
 // The package deliberately depends on nothing above the standard
 // library so every layer (core, wire, cmd) can import it freely.
@@ -97,23 +92,21 @@ type DecisionRecord struct {
 }
 
 // Sink consumes records as they are written (in addition to the
-// ring): each once, in Seq order, under the ring's mutex — which is what
-// keeps the order when writers overlap — so a Sink must not call back
-// into its Ledger.
+// ring): each once, in Seq order, after it is filled and before its slot
+// is reused, and at the latest at the Flush after it. It is called by the
+// ledger's writer, so a Sink must not call back into its Ledger.
 type Sink interface {
 	Record(DecisionRecord)
 }
 
 // Ledger is the bounded decision ring. Construct with New; nil is a
-// valid no-op ledger.
+// valid no-op ledger. It is not safe for concurrent use.
 type Ledger struct {
 	sink Sink // set before recording starts; nil = ring only
 
-	mu   sync.Mutex
 	ring []DecisionRecord // record seq lives at ring[(seq-1)%len(ring)]
 	seq  uint64           // records ever written
-	// The open batch: seq before it, and the last record the sink has.
-	opened, sunk uint64
+	sunk uint64           // the last record the sink has
 }
 
 // New returns a ledger retaining the most recent n records (n is
@@ -125,14 +118,14 @@ func New(n int) *Ledger {
 	return &Ledger{ring: make([]DecisionRecord, n)}
 }
 
-// SetSink attaches a sink that receives every record in addition to
-// the ring (e.g. a JSONL audit log). Call before recording starts;
-// the sink's cost lands on the recording path.
+// SetSink attaches a sink that receives every record written from now
+// on, in addition to the ring (e.g. a JSONL audit log). Call before
+// recording starts; the sink's cost lands on the recording path.
 func (l *Ledger) SetSink(s Sink) {
 	if l == nil {
 		return
 	}
-	l.sink = s
+	l.sink, l.sunk = s, l.seq
 }
 
 // Cap returns the ring capacity (0 on a nil ledger).
@@ -149,33 +142,19 @@ func (l *Ledger) Count() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.seq
 }
 
-// Open begins a batch: the ring is the caller's until Close, and
-// Snapshot waits for it. No-op on a nil ledger.
-func (l *Ledger) Open() {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.opened, l.sunk = l.seq, l.seq
-}
-
-// Next returns the next record of the open batch: its slot in the ring,
-// overwriting the oldest record when the ring is full, zeroed but for
-// its Seq. The caller fills it in place before the next Next or Close.
-// Nil on a nil ledger.
+// Next returns the next record: its slot in the ring, overwriting the
+// oldest record when the ring is full, zeroed but for its Seq. The caller
+// fills it in place before the next Next or Flush. Nil on a nil ledger.
 func (l *Ledger) Next() *DecisionRecord {
 	if l == nil {
 		return nil
 	}
 	n := uint64(len(l.ring))
-	if l.sink != nil && l.seq-l.opened >= n {
-		// A batch longer than the ring: the record this slot holds is
-		// the batch's own, and the sink has not had it yet.
+	if l.sink != nil && l.seq-l.sunk >= n {
+		// The slot holds a record the sink has not had yet.
 		l.sinkThrough(l.seq + 1 - n)
 	}
 	l.seq++
@@ -184,20 +163,16 @@ func (l *Ledger) Next() *DecisionRecord {
 	return rec
 }
 
-// Close ends the open batch: the sink gets its records in order, and
-// the ring is released. No-op on a nil ledger.
-func (l *Ledger) Close() {
-	if l == nil {
+// Flush hands the sink, in order, every record it has not had. No-op on
+// a nil ledger or without a sink.
+func (l *Ledger) Flush() {
+	if l == nil || l.sink == nil {
 		return
 	}
-	if l.sink != nil {
-		l.sinkThrough(l.seq)
-	}
-	l.mu.Unlock()
+	l.sinkThrough(l.seq)
 }
 
-// sinkThrough hands the sink the batch's records up to seq that it has
-// not had.
+// sinkThrough hands the sink the records up to seq that it has not had.
 func (l *Ledger) sinkThrough(seq uint64) {
 	n := uint64(len(l.ring))
 	for ; l.sunk < seq; l.sunk++ {
@@ -208,12 +183,7 @@ func (l *Ledger) sinkThrough(seq uint64) {
 // Snapshot returns a copy of the retained records, oldest first. Nil on
 // a nil or empty ledger.
 func (l *Ledger) Snapshot() []DecisionRecord {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seq == 0 {
+	if l == nil || l.seq == 0 {
 		return nil
 	}
 	n := uint64(len(l.ring))
@@ -250,14 +220,12 @@ func (q Query) Match(r *DecisionRecord) bool {
 
 // Select returns the retained records that match q, oldest first,
 // trimmed to the most recent q.Limit. It walks the ring from the newest
-// record and copies only what it returns, so a limited scrape holds the
-// lock the deciders write under for its matches, not for the ring.
+// record and copies only what it returns, so a limited scrape holds its
+// owner's lock for its matches, not for the ring.
 func (l *Ledger) Select(q Query) []DecisionRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := uint64(len(l.ring))
 	var out []DecisionRecord
 	for s := l.seq; s > 0 && s+n > l.seq && (q.Limit <= 0 || len(out) < q.Limit); s-- {
@@ -352,7 +320,8 @@ func bypassEquivalent(r DecisionRecord) int64 {
 }
 
 // JSONL is a sink appending one JSON object per record, for offline
-// audit of daemon runs (byproxyd -ledger-out).
+// audit of daemon runs (byproxyd -ledger-out). It is safe for concurrent
+// use: a sink may be shared.
 type JSONL struct {
 	mu  sync.Mutex
 	w   io.Writer

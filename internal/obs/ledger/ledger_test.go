@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -22,16 +21,16 @@ func rec(obj, action string, yield, wan int64) DecisionRecord {
 }
 
 // write appends recs to l as one batch, each filled into the slot Next
-// hands out, as core.Decider fills them.
+// hands out and the sink flushed after the last, as core.Decider writes
+// a query's records.
 func write(l *Ledger, recs ...DecisionRecord) {
-	l.Open()
 	for _, r := range recs {
 		if slot := l.Next(); slot != nil {
 			r.Seq = slot.Seq
 			*slot = r
 		}
 	}
-	l.Close()
+	l.Flush()
 }
 
 func TestNilLedgerIsNoOp(t *testing.T) {
@@ -227,58 +226,13 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-func TestLedgerConcurrent(t *testing.T) {
-	l := New(64)
-	const writers, perWriter = 8, 500
-	done := make(chan struct{})
-	// Concurrent snapshots must never observe torn records: every
-	// returned record must be internally consistent (Yield == T*10).
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			for _, r := range l.Snapshot() {
-				if r.Yield != r.T*10 {
-					t.Errorf("torn record: T=%d Yield=%d", r.T, r.Yield)
-					return
-				}
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				write(l, DecisionRecord{T: int64(i), Yield: int64(i) * 10, Object: "o", Action: "hit"})
-			}
-		}()
-	}
-	wg.Wait()
-	close(done)
-	readers.Wait()
-	if l.Count() != writers*perWriter {
-		t.Fatalf("Count = %d, want %d", l.Count(), writers*perWriter)
-	}
-	if got := len(l.Snapshot()); got > 64 {
-		t.Fatalf("Snapshot len = %d, want ≤ 64", got)
-	}
-}
-
 // sliceSink keeps what a ledger hands its sink, in order.
 type sliceSink struct{ recs []DecisionRecord }
 
 func (s *sliceSink) Record(r DecisionRecord) { s.recs = append(s.recs, r) }
 
-// TestAppendIsRecordInBatches: appending batches through Open, Next and
-// Close — empty, short, and longer than the ring — leaves the ring, the
+// TestAppendIsRecordInBatches: appending batches through Next and one
+// Flush — empty, short, and longer than the ring — leaves the ring, the
 // count and the sink exactly as batches of one record each do, and costs
 // no allocation, however often a batch is written.
 func TestAppendIsRecordInBatches(t *testing.T) {
@@ -337,13 +291,12 @@ func TestAppendCopiesIn(t *testing.T) {
 	if got := l.Snapshot(); len(got) != 2 || got[0].Object != "a" || got[1].Object != "b" {
 		t.Fatalf("changing what the ring was filled from changed the ring: %+v", got)
 	}
-	l.Open()
 	slot := l.Next() // the oldest record's slot, a's
 	if *slot != (DecisionRecord{Seq: 3}) {
 		t.Fatalf("Next handed out %+v, want a slot zeroed but for Seq 3", *slot)
 	}
 	slot.Object = "c"
-	l.Close()
+	l.Flush()
 	if len(first) != 2 || first[0].Object != "a" || first[1].Object != "b" {
 		t.Fatalf("a later batch changed an earlier snapshot: %+v", first)
 	}
@@ -376,58 +329,5 @@ func TestAppendWrapsTheRing(t *testing.T) {
 				t.Fatalf("after %d records: ring[%d] = %+v, want record %d", next, i, r, seq)
 			}
 		}
-	}
-}
-
-// TestAppendWithConcurrentSnapshots is the daemons' shape under the
-// race detector: one writer (the decision lock admits one) appending
-// batch after batch, scrapes snapshotting meanwhile. Every snapshot is a run of
-// consecutive, whole records ending at a batch boundary.
-func TestAppendWithConcurrentSnapshots(t *testing.T) {
-	const ringCap, width, batches = 64, 7, 2000
-	l := New(ringCap)
-	done := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				snap := l.Snapshot()
-				for i, r := range snap {
-					if r.T != int64(r.Seq) || r.Yield != r.T*10 {
-						t.Errorf("torn record: %+v", r)
-						return
-					}
-					if i > 0 && r.Seq != snap[i-1].Seq+1 {
-						t.Errorf("snapshot skips from seq %d to %d", snap[i-1].Seq, r.Seq)
-						return
-					}
-				}
-				if n := len(snap); n > 0 && snap[n-1].Seq%width != 0 {
-					t.Errorf("snapshot ends inside a batch, at seq %d", snap[n-1].Seq)
-					return
-				}
-			}
-		}()
-	}
-	batch := make([]DecisionRecord, width)
-	for b := 0; b < batches; b++ {
-		for i := range batch {
-			seq := int64(b*width + i + 1)
-			batch[i] = DecisionRecord{T: seq, Yield: seq * 10, Object: "o", Action: "hit"}
-		}
-		write(l, batch...)
-	}
-	close(done)
-	readers.Wait()
-	if got := l.Snapshot(); len(got) != ringCap || got[ringCap-1].Seq != batches*width {
-		t.Fatalf("final snapshot: %d records ending at seq %d, want %d ending at %d",
-			len(got), got[len(got)-1].Seq, ringCap, batches*width)
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
 	"bypassyield/internal/federation"
+	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/statecodec"
 )
 
@@ -122,11 +123,10 @@ func checkRestored(t *testing.T, m *Manager, med1 *federation.Mediator) {
 	if got, want := med.Accounting(), med1.Accounting(); got != want {
 		t.Fatalf("restored accounting %+v, want %+v", got, want)
 	}
-	if med.Clock() != med1.Clock() {
-		t.Fatalf("restored clock = %d, want %d", med.Clock(), med1.Clock())
+	gotStats, wantStats := med.Read(ledger.Query{}), med1.Read(ledger.Query{})
+	if gotStats.Clock != wantStats.Clock {
+		t.Fatalf("restored clock = %d, want %d", gotStats.Clock, wantStats.Clock)
 	}
-	gotStats, _ := med.PolicyStats()
-	wantStats, _ := med1.PolicyStats()
 	if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
 		t.Fatalf("restored cache %+v, want %+v", gotStats, wantStats)
 	}
@@ -303,7 +303,7 @@ func TestMultiSectionSnapshotColdStarts(t *testing.T) {
 	driveQueries(t, med2, 12)
 	checkInvariant(t, med2, reg2)
 	var ledgerYield int64
-	for _, r := range med2.Ledger().Snapshot() {
+	for _, r := range med2.Read(ledger.Query{}).Records {
 		ledgerYield += r.Yield
 	}
 	if acct := med2.Accounting(); acct.Queries != 12 || ledgerYield != acct.DeliveredBytes() {

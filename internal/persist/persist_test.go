@@ -99,7 +99,7 @@ func TestGracefulRestartRestoresEverything(t *testing.T) {
 	}
 	driveQueries(t, med1, 40)
 	want := med1.Accounting()
-	wantStats, _ := med1.PolicyStats()
+	wantStats := med1.Read(ledger.Query{})
 	if err := m1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +123,10 @@ func TestGracefulRestartRestoresEverything(t *testing.T) {
 	if got := med2.Accounting(); got != want {
 		t.Fatalf("restored accounting %+v, want %+v", got, want)
 	}
-	if med2.Clock() != 40 {
-		t.Fatalf("restored clock = %d, want 40", med2.Clock())
+	gotStats := med2.Read(ledger.Query{})
+	if gotStats.Clock != 40 {
+		t.Fatalf("restored clock = %d, want 40", gotStats.Clock)
 	}
-	gotStats, _ := med2.PolicyStats()
 	if gotStats.Used != wantStats.Used || len(gotStats.Contents) != len(wantStats.Contents) {
 		t.Fatalf("restored cache %+v, want %+v", gotStats, wantStats)
 	}
@@ -172,8 +172,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	checkInvariant(t, med2, reg2)
 	// The recovered cache serves the same objects without re-fetching:
 	// contents must match exactly.
-	s1, _ := med1.PolicyStats()
-	s2, _ := med2.PolicyStats()
+	s1, s2 := med1.Read(ledger.Query{}), med2.Read(ledger.Query{})
 	if s1.Used != s2.Used || len(s1.Contents) != len(s2.Contents) {
 		t.Fatalf("recovered cache %+v, want %+v", s2, s1)
 	}

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/wire"
 )
 
@@ -96,18 +96,6 @@ type SLOReport struct {
 	Attainment float64 `json:"attainment"`
 }
 
-// TailCause is one attributed tail cause over the run window, from
-// the proxy flight recorder's obs.tail_cause counters.
-type TailCause struct {
-	Cause string `json:"cause"`
-	// Dominant counts exceedances where this cause was the largest
-	// attributed slice.
-	Dominant int64 `json:"dominant"`
-	// TotalUS is the microseconds attributed to this cause across all
-	// exceedances.
-	TotalUS int64 `json:"total_us"`
-}
-
 // TailReport is the proxy flight recorder's view of the run window:
 // how many queries it captured by outcome and why the slow ones were
 // slow, scraped as before/after counter deltas.
@@ -117,7 +105,7 @@ type TailReport struct {
 	Degraded int64 `json:"degraded"`
 	Normal   int64 `json:"normal"`
 	// Causes is the critical-path attribution, largest TotalUS first.
-	Causes []TailCause `json:"causes,omitempty"`
+	Causes []flightrec.TailCause `json:"causes,omitempty"`
 }
 
 // ProxyDelta is the proxy-side byte flow over the run window, by
@@ -376,33 +364,7 @@ func tailDelta(before, after obs.Snapshot) *TailReport {
 		Degraded: after.CounterValue("obs.exemplars", "degraded") - before.CounterValue("obs.exemplars", "degraded"),
 		Normal:   after.CounterValue("obs.exemplars", "normal") - before.CounterValue("obs.exemplars", "normal"),
 	}
-	causes := map[string]*TailCause{}
-	for _, c := range after.Counters {
-		if c.Name != "obs.tail_cause" && c.Name != "obs.tail_cause_us" {
-			continue
-		}
-		tc := causes[c.Label]
-		if tc == nil {
-			tc = &TailCause{Cause: c.Label}
-			causes[c.Label] = tc
-		}
-		if c.Name == "obs.tail_cause" {
-			tc.Dominant = c.Value - before.CounterValue(c.Name, c.Label)
-		} else {
-			tc.TotalUS = c.Value - before.CounterValue(c.Name, c.Label)
-		}
-	}
-	for _, tc := range causes {
-		if tc.Dominant != 0 || tc.TotalUS != 0 {
-			t.Causes = append(t.Causes, *tc)
-		}
-	}
-	sort.Slice(t.Causes, func(i, j int) bool {
-		if t.Causes[i].TotalUS != t.Causes[j].TotalUS {
-			return t.Causes[i].TotalUS > t.Causes[j].TotalUS
-		}
-		return t.Causes[i].Cause < t.Causes[j].Cause
-	})
+	t.Causes = flightrec.TailCauses(after, before)
 	if t.Slow+t.Errors+t.Degraded+t.Normal == 0 && len(t.Causes) == 0 {
 		return nil
 	}

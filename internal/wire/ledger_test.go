@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -9,6 +11,7 @@ import (
 	"bypassyield/internal/federation"
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/ledger"
+	"bypassyield/internal/workload"
 )
 
 // testLedgerFederation is testFederation with a decision ledger and
@@ -230,4 +233,100 @@ func TestLedgerFilterAndTraceCorrelation(t *testing.T) {
 	if marked != 1 {
 		t.Fatalf("%d records carry a trace id, want exactly 1", marked)
 	}
+}
+
+// TestScrapeIsOneReading: a scrape's accounting, ledger count and shadow
+// figures are one reading of the decision plane. Two clients send the
+// first 3 000 EDR statements to a proxy with no nodes (Rate-Profile at
+// 40% of the release, column objects, a 4 096-record ledger, shadows),
+// while a third connection scrapes until they finish. Every reply must
+// hold a ledger record per access accounted, and the WAN saved against
+// always-bypass must be always-bypass's WAN less the accounting's.
+func TestScrapeIsOneReading(t *testing.T) {
+	db := openEDR(t, 1000)
+	s := db.Schema()
+	policy, err := core.NewPolicyByName("rate-profile", int64(0.4*float64(s.TotalBytes())), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	med, err := federation.New(federation.Config{
+		Schema: s, Engine: db, Policy: policy, Granularity: federation.Columns,
+		Obs: obs.NewRegistry(), Ledger: ledger.New(4096), Shadows: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProxy(med, federation.Columns, nil)
+	p.SetLogf(func(string, ...any) {})
+	addr, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	st, err := workload.NewStream(workload.EDRProfile())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := make([]string, hitPathStatements)
+	for i := range sqls {
+		sqls[i] = st.Next().SQL
+	}
+
+	var (
+		next    atomic.Int64
+		clients sync.WaitGroup
+		done    = make(chan struct{})
+	)
+	for range 2 {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := int(next.Add(1)) - 1; i < len(sqls); i = int(next.Add(1)) - 1 {
+				if _, err := c.Query(sqls[i]); err != nil {
+					t.Errorf("%s: %v", sqls[i], err)
+					return
+				}
+			}
+		}()
+	}
+	go func() { clients.Wait(); close(done) }()
+
+	sc, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	var scrapes, torn, unsaved int
+	for stop := false; !stop; {
+		select {
+		case <-done:
+			stop = true // one last scrape, after the last decision
+		default:
+		}
+		res, err := sc.Scrape(ScrapeMsg{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scrapes++
+		if res.Recorded != uint64(res.Acct.Accesses) {
+			torn++
+			t.Logf("scrape %d: %d ledger records, %d accesses accounted", scrapes, res.Recorded, res.Acct.Accesses)
+		}
+		if want := res.BypassWANBytes - res.Acct.WANBytes(); res.SavedVsBypassBytes != want {
+			unsaved++
+			t.Logf("scrape %d: saved vs bypass %d, always-bypass WAN less realized %d", scrapes, res.SavedVsBypassBytes, want)
+		}
+	}
+	if torn > 0 || unsaved > 0 {
+		t.Fatalf("of %d scrapes, %d count records other than the accesses and %d save other than always-bypass less realized", scrapes, torn, unsaved)
+	}
+	if acct := med.Accounting(); acct.Queries != int64(len(sqls)) {
+		t.Fatalf("%d queries accounted, want %d", acct.Queries, len(sqls))
+	}
+	t.Logf("%d scrapes, each one reading", scrapes)
 }

@@ -379,9 +379,12 @@ type ScrapeMsg struct {
 // shadow figures; a node leaves them zero. Source names the daemon and
 // so its role: "byproxyd" or "bydbd:<site>".
 //
-// Each part is read on its own, so a proxy that decides while it is
-// scraped can have moved between them: every part satisfies
-// D_A = D_S + D_C, but two parts need not agree.
+// The mediator's parts (Policy, Acct, the cache, Recorded, Records and
+// the shadow figures) are one reading of the decision plane, taken in
+// one hold of its lock, so they agree with each other. Snapshot and the
+// transport and flight-recorder counts are read on their own, so a proxy
+// that decides while it is scraped can have moved between them and the
+// mediator's reading: each satisfies D_A = D_S + D_C on its own.
 type ScrapeResultMsg struct {
 	Source string `json:"source"`
 	// Snapshot is the registry: every counter, gauge and histogram,

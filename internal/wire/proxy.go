@@ -216,10 +216,6 @@ func (p *Proxy) buildFlight(cfg flightrec.Config) {
 // (threshold, ring capacity, reservoir). Call before Listen.
 func (p *Proxy) SetFlightConfig(cfg flightrec.Config) { p.buildFlight(cfg) }
 
-// SetExemplarSink attaches a sink receiving every published exemplar
-// (byproxyd -exemplar-out). Call before Listen.
-func (p *Proxy) SetExemplarSink(s flightrec.Sink) { p.flight.SetSink(s) }
-
 // Flight returns the proxy's flight recorder.
 func (p *Proxy) Flight() *flightrec.Recorder { return p.flight }
 

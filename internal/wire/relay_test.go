@@ -244,9 +244,9 @@ func TestShippingDecidesAsTheMediator(t *testing.T) {
 		Action string
 		Yield  int64
 	}
-	since := func(l *ledger.Ledger, seq *uint64) []record {
+	since := func(m *federation.Mediator, seq *uint64) []record {
 		var out []record
-		for _, r := range l.Snapshot() {
+		for _, r := range m.Read(ledger.Query{}).Records {
 			if r.Seq > *seq {
 				out = append(out, record{r.T, r.Object, r.Action, r.Yield})
 				*seq = r.Seq
@@ -283,7 +283,7 @@ func TestShippingDecidesAsTheMediator(t *testing.T) {
 		}
 		sc.Release()
 		if i%100 == 99 || i == len(f.sqls)-1 {
-			if got, want := since(f.proxy.med.Ledger(), &proxySeq), since(bare.Ledger(), &bareSeq); !reflect.DeepEqual(got, want) {
+			if got, want := since(f.proxy.med, &proxySeq), since(bare, &bareSeq); !reflect.DeepEqual(got, want) {
 				t.Fatalf("after statement %d the ledgers differ: %d records, the mediator's %d", i, len(got), len(want))
 			}
 		}
@@ -433,10 +433,11 @@ func TestShippedStatementIsNotAskedAgain(t *testing.T) {
 	identity := func() {
 		t.Helper()
 		var sum int64
-		for _, r := range p.med.Ledger().Snapshot() {
-			sum += r.Yield
+		r := p.med.Read(ledger.Query{})
+		for _, rec := range r.Records {
+			sum += rec.Yield
 		}
-		if a := p.med.Accounting(); sum != a.YieldBytes || a.YieldBytes != a.DeliveredBytes() {
+		if a := r.Acct; sum != a.YieldBytes || a.YieldBytes != a.DeliveredBytes() {
 			t.Errorf("Σ ledger yields %d, D_A %d, D_S + D_C %d", sum, a.YieldBytes, a.DeliveredBytes())
 		}
 	}

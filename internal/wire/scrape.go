@@ -50,32 +50,27 @@ func listLimit(limit, def, ceil int) int {
 // scrape adds the proxy's own to what every daemon answers: the flow
 // accounting, the cache, the node transport counters, the matching
 // ledger records (none without a ledger) and the shadow figures. The
-// mediator's parts are read under its decision lock, so none is seen
-// mid-decision.
+// mediator's parts are one reading of the decision plane, taken in one
+// hold of its lock, so they agree with each other.
 func (p *Proxy) scrape(q ScrapeMsg) *ScrapeResultMsg {
 	msg := scrape("byproxyd", p.reg, p.flight, q)
-	msg.Policy = "none"
-	msg.Granularity = p.gran.String()
-	msg.Acct = p.med.Accounting()
-	msg.TransportTx, msg.TransportRx = p.nodeTx.Value(), p.nodeRx.Value()
-	if ps, ok := p.med.PolicyStats(); ok {
-		msg.Policy, msg.CacheUsed, msg.CacheCapacity = ps.Name, ps.Used, ps.Capacity
-		ids := ps.Contents
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids[:min(len(ids), MaxStatsCachedObjects)] {
-			msg.CachedObjects = append(msg.CachedObjects, string(id))
-		}
-	}
-	led := p.med.Ledger()
-	msg.Recorded = led.Count()
-	msg.Records = led.Select(ledger.Query{
+	r := p.med.Read(ledger.Query{
 		Object: q.Object,
 		Action: q.Action,
 		Trace:  q.Trace,
 		Limit:  listLimit(q.Limit, DefaultDecisionLimit, MaxDecisionLimit),
 	})
-	ss := p.med.ShadowStats()
-	msg.BypassWANBytes, msg.SavedVsBypassBytes = ss.BypassWANBytes, ss.SavedVsBypassBytes
-	msg.OptBoundBytes, msg.CompetitiveRatioMilli = ss.OptBoundBytes, ss.CompetitiveRatioMilli
+	msg.Granularity = p.gran.String()
+	msg.TransportTx, msg.TransportRx = p.nodeTx.Value(), p.nodeRx.Value()
+	msg.Acct = r.Acct
+	msg.Policy, msg.CacheUsed, msg.CacheCapacity = r.Policy, r.Used, r.Capacity
+	ids := r.Contents
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids[:min(len(ids), MaxStatsCachedObjects)] {
+		msg.CachedObjects = append(msg.CachedObjects, string(id))
+	}
+	msg.Recorded, msg.Records = r.Recorded, r.Records
+	msg.BypassWANBytes, msg.SavedVsBypassBytes = r.Shadows.BypassWANBytes, r.Shadows.SavedVsBypassBytes
+	msg.OptBoundBytes, msg.CompetitiveRatioMilli = r.Shadows.OptBoundBytes, r.Shadows.CompetitiveRatioMilli
 	return msg
 }
