@@ -54,26 +54,41 @@ var benchSink *engine.Result
 
 // BenchmarkExecuteEDR is Execute (bind + execute) over the statements
 // of the benchmark's traced pass; one op is one statement. "kept" never
-// releases a result, as Mediator.QueryStmt's direct callers do not;
-// "released" gives each back before the next, as the daemons do.
+// releases a result, as a caller that keeps its results does not;
+// "released" gives each back before the next, as the daemons do; "sizes"
+// binds and sizes each into a Result of its own (SizeInto), as
+// Mediator.QueryStmt does.
 func BenchmarkExecuteEDR(b *testing.B) {
 	db := edrDB(b, 1000)
 	stmts := edrStatements(b, workload.Mix{}, benchStatements)
-	for _, release := range []bool{false, true} {
-		name := "kept"
-		if release {
-			name = "released"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		op   func(*sqlparse.SelectStmt) error
+	}{
+		{"kept", func(stmt *sqlparse.SelectStmt) (err error) {
+			benchSink, err = db.Execute(stmt)
+			return err
+		}},
+		{"released", func(stmt *sqlparse.SelectStmt) (err error) {
+			if benchSink, err = db.Execute(stmt); err == nil {
+				benchSink.Release()
+			}
+			return err
+		}},
+		{"sizes", func(stmt *sqlparse.SelectStmt) error {
+			bound, err := engine.Bind(db.Schema(), stmt)
+			if err != nil {
+				return err
+			}
+			benchSink = new(engine.Result)
+			return db.SizeInto(benchSink, bound)
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := db.Execute(stmts[i%len(stmts)])
-				if err != nil {
+				if err := bc.op(stmts[i%len(stmts)]); err != nil {
 					b.Fatal(err)
-				}
-				benchSink = res
-				if release {
-					res.Release()
 				}
 			}
 		})

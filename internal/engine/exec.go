@@ -13,7 +13,8 @@ import (
 // Result is the outcome of executing a statement. Cardinality and
 // size are logical (scaled by the sampling factor); Tuples carries up
 // to Config.MaxResultRows materialized sample rows for display and
-// transport.
+// transport — from ExecuteInto, not from SizeInto, whose Result is the
+// statement's sizes and column names alone.
 type Result struct {
 	// Columns names the output columns (alias, aggregate rendering,
 	// or qualified column name).
@@ -23,7 +24,7 @@ type Result struct {
 	// Bytes is the logical result size — the query's yield.
 	Bytes int64
 	// Tuples holds materialized sample rows (bounded). They are cut
-	// from one array, which Release gives back.
+	// from one array, which Release gives back. SizeInto leaves it nil.
 	Tuples [][]float64
 	// SampleMatches is the unscaled number of matching sample rows
 	// (for tests of the scaling arithmetic).
@@ -83,7 +84,19 @@ func (db *DB) ExecuteBound(b *Bound) (*Result, error) {
 // Result again has finished with the last one (released or not: tuples
 // never released are ordinary garbage). After an error res means
 // nothing.
-func (db *DB) ExecuteInto(res *Result, b *Bound) error {
+func (db *DB) ExecuteInto(res *Result, b *Bound) error { return db.evaluate(res, b, true) }
+
+// SizeInto is ExecuteInto without the tuples: the same scan and join,
+// the same Columns, Rows, Bytes and SampleMatches, the same errors and
+// the same counters, and Tuples nil. What only the tuples need is
+// skipped — the ORDER BY sort, the aggregates' values, the projection
+// and the tuple memory — so a caller that decides on a statement's
+// yield and never reads its rows (Mediator.QueryStmt) does not pay for
+// them. A GROUP BY still sorts: the number of groups is its cardinality.
+func (db *DB) SizeInto(res *Result, b *Bound) error { return db.evaluate(res, b, false) }
+
+// evaluate is ExecuteInto, and SizeInto when tuples is false.
+func (db *DB) evaluate(res *Result, b *Bound, tuples bool) error {
 	if b.Schema != db.schema {
 		return &ExecError{Msg: "statement was bound against another schema"}
 	}
@@ -101,7 +114,7 @@ func (db *DB) ExecuteInto(res *Result, b *Bound) error {
 	default:
 		return &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
 	}
-	if err := db.finish(sc, b, rows, res); err != nil {
+	if err := db.finish(sc, b, rows, res, tuples); err != nil {
 		return err
 	}
 	db.queries.Add(1)
@@ -486,18 +499,19 @@ func (s *rowSort) Swap(i, j int) {
 	}
 }
 
-// finish scales cardinality, applies ORDER BY and TOP, computes
-// aggregates, and materializes the bounded tuple sample.
-func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result) error {
+// finish scales cardinality and applies TOP and, when tuples are
+// wanted, applies ORDER BY, computes aggregates and materializes the
+// bounded tuple sample.
+func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result, tuples bool) error {
 	stride := len(b.Tables)
 	matches := len(rows) / stride
 	*res = Result{SampleMatches: int64(matches), Columns: db.outputColumns(b, res.Columns)}
 
 	if b.GroupBy != nil {
-		db.finishGrouped(sc, b, rows, res)
+		db.finishGrouped(sc, b, rows, res, tuples)
 		return nil
 	}
-	if b.OrderBy != nil {
+	if tuples && b.OrderBy != nil {
 		sc.sortRows(rowSort{rows: rows, stride: stride, desc: b.OrderDesc}, db.vals(b, b.OrderBy), b.OrderBy.TableIdx)
 	}
 
@@ -510,6 +524,9 @@ func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result) error {
 		}
 		res.Rows = 1
 		res.Bytes = b.ProjectedWidth()
+		if !tuples {
+			return nil
+		}
 		res.newTuples(1, len(b.Projs))
 		for i := range b.Projs {
 			res.Tuples[0][i] = db.aggregate(b, i, rows)
@@ -521,6 +538,9 @@ func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result) error {
 	}
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
+	if !tuples {
+		return nil
+	}
 
 	proj := db.projection(sc, b)
 	res.newTuples(db.limit(matches, logical), len(proj))
@@ -631,8 +651,8 @@ func (res *Result) Scramble() {
 // computed per group. Group counts of effectively-unique columns (keys,
 // floats) scale by the sampling factor; low-cardinality integer
 // columns do not (their distinct values are all present in any
-// sample).
-func (db *DB) finishGrouped(sc *scratch, b *Bound, rows []int32, res *Result) {
+// sample). Without tuples it stops at the count.
+func (db *DB) finishGrouped(sc *scratch, b *Bound, rows []int32, res *Result, tuples bool) {
 	stride := len(b.Tables)
 	// Sorted by group value, each group is a run of equal keys with its
 	// rows still in match order. NaN equals nothing: every NaN row is a
@@ -655,6 +675,9 @@ func (db *DB) finishGrouped(sc *scratch, b *Bound, rows []int32, res *Result) {
 	}
 	res.Rows = logical
 	res.Bytes = logical * b.ProjectedWidth()
+	if !tuples {
+		return
+	}
 
 	res.newTuples(db.limit(len(starts), logical), len(b.Projs))
 	for g, tuple := range res.Tuples {

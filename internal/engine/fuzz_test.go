@@ -9,7 +9,9 @@ import (
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/engine"
+	"bypassyield/internal/obs"
 	"bypassyield/internal/sqlparse"
+	"bypassyield/internal/workload"
 )
 
 // executeSeeds are one or two statements of each class the workload
@@ -37,13 +39,21 @@ var executeSeeds = []string{
 // fails only with a parse, bind or execution error, on success returns
 // what the reference evaluator returns, and does all of that alike in
 // memory of its own and in memory another statement has been through
-// (executeReused). It reports whether the statement got as far as the
-// executor.
+// (executeReused); and SizeInto, in such memory, fails alike or gives
+// the same result without tuples. It reports whether the statement got
+// as far as the executor.
 func checkExecute(t *testing.T, db *engine.DB, sql string) bool {
 	t.Helper()
 	stmt, res, err := executeFresh(db, sql)
-	if again, rerr := executeReused(db, sql); !sameOutcome(res, err, again, rerr) {
+	if again, rerr := executeReused(db, sql, false); !sameOutcome(res, err, again, rerr) {
 		t.Fatalf("%q: in memory of its own %+v, %v; in reused memory %+v, %v", sql, res, err, again, rerr)
+	}
+	var sizes *engine.Result
+	if res != nil {
+		sizes = &engine.Result{Columns: res.Columns, Rows: res.Rows, Bytes: res.Bytes, SampleMatches: res.SampleMatches}
+	}
+	if sized, serr := executeReused(db, sql, true); !sameOutcome(sizes, err, sized, serr) {
+		t.Fatalf("%q: executed %+v, %v; sized in reused memory %+v, %v", sql, res, err, sized, serr)
 	}
 	var (
 		se *sqlparse.SyntaxError
@@ -81,14 +91,16 @@ func executeFresh(db *engine.DB, sql string) (stmt *sqlparse.SelectStmt, res *en
 // executeReused is the path of a serving connection: one Parser, one
 // Bound and one Result, which have first been through another statement
 // — a seed picked by sql's length, so that an input fails alone — and
-// been scrambled. The result is a copy: the memory is released.
-func executeReused(db *engine.DB, sql string) (*engine.Result, error) {
+// been scrambled. sized runs sql through SizeInto instead of ExecuteInto,
+// over a Result that still holds the seed's tuples. The result is a copy
+// (nil Tuples stay nil): the memory is released.
+func executeReused(db *engine.DB, sql string, sized bool) (*engine.Result, error) {
 	var (
 		parser sqlparse.Parser
 		bound  engine.Bound
 		result engine.Result
 	)
-	run := func(sql string) error {
+	run := func(sql string, into func(*engine.Result, *engine.Bound) error) error {
 		stmt, err := parser.Parse(sql)
 		if err != nil {
 			return err
@@ -96,19 +108,26 @@ func executeReused(db *engine.DB, sql string) (*engine.Result, error) {
 		if err := bound.Rebind(db.Schema(), stmt); err != nil {
 			return err
 		}
-		return db.ExecuteInto(&result, &bound)
+		return into(&result, &bound)
 	}
-	if err := run(executeSeeds[len(sql)%len(executeSeeds)]); err == nil {
+	if err := run(executeSeeds[len(sql)%len(executeSeeds)], db.ExecuteInto); err == nil && !sized {
 		result.Release()
 	}
 	parser.Scramble()
 	bound.Scramble()
 	result.Scramble()
-	if err := run(sql); err != nil {
+	into := db.ExecuteInto
+	if sized {
+		into = db.SizeInto
+	}
+	if err := run(sql, into); err != nil {
 		return nil, err
 	}
 	defer result.Release()
 	kept := &engine.Result{Columns: append([]string(nil), result.Columns...), Rows: result.Rows, Bytes: result.Bytes, SampleMatches: result.SampleMatches}
+	if result.Tuples != nil {
+		kept.Tuples = make([][]float64, 0, len(result.Tuples))
+	}
 	for _, tuple := range result.Tuples {
 		kept.Tuples = append(kept.Tuples, append([]float64(nil), tuple...))
 	}
@@ -116,13 +135,13 @@ func executeReused(db *engine.DB, sql string) (*engine.Result, error) {
 }
 
 // sameOutcome compares two executions of one statement: the same error,
-// or the same result bit for bit.
+// or the same result bit for bit, nil Tuples where the other's are nil.
 func sameOutcome(a *engine.Result, aerr error, b *engine.Result, berr error) bool {
 	if aerr != nil || berr != nil {
 		return aerr != nil && berr != nil && aerr.Error() == berr.Error()
 	}
 	if !slices.Equal(a.Columns, b.Columns) || a.Rows != b.Rows || a.Bytes != b.Bytes ||
-		a.SampleMatches != b.SampleMatches || len(a.Tuples) != len(b.Tuples) {
+		a.SampleMatches != b.SampleMatches || len(a.Tuples) != len(b.Tuples) || (a.Tuples == nil) != (b.Tuples == nil) {
 		return false
 	}
 	for r := range a.Tuples {
@@ -133,6 +152,61 @@ func sameOutcome(a *engine.Result, aerr error, b *engine.Result, berr error) boo
 		}
 	}
 	return true
+}
+
+// TestSizeIntoCountsAsExecuteInto: a statement sized moves the engine's
+// counters — engine.queries, engine.yield_bytes, engine.rows_scanned —
+// exactly as the same statement executed does, over 500 statements of
+// the EDR stream, the seeds that bind and statements that fail in the
+// executor (a refused mix of aggregates and plain columns has scanned
+// its table, and counts it).
+func TestSizeIntoCountsAsExecuteInto(t *testing.T) {
+	db := edrDB(t, 1000)
+	reg := obs.NewRegistry()
+	db.SetObs(reg)
+	counters := []*obs.Counter{reg.Counter("engine.queries"), reg.Counter("engine.yield_bytes"), reg.Counter("engine.rows_scanned")}
+	moved := func(into func(*engine.Result, *engine.Bound) error, b *engine.Bound) (d [3]int64, err error) {
+		for i, c := range counters {
+			d[i] = -c.Value()
+		}
+		err = into(new(engine.Result), b)
+		for i, c := range counters {
+			d[i] += c.Value()
+		}
+		return d, err
+	}
+	stmts := edrStatements(t, workload.Mix{}, 500)
+	for _, sql := range slices.Concat(executeSeeds, []string{
+		"select ra, count(*) from photoobj where ra < 10",
+		"select p.ra from photoobj p, specobj s where p.ra < s.z",
+		"select a.ra from photoobj a, photoobj b, photoobj c where a.objid = b.objid",
+	}) {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, stmt)
+	}
+	var sized, failed int
+	for _, stmt := range stmts {
+		b, err := engine.Bind(db.Schema(), stmt)
+		if err != nil {
+			continue
+		}
+		executed, eerr := moved(db.ExecuteInto, b)
+		got, serr := moved(db.SizeInto, b)
+		if got != executed || (eerr == nil) != (serr == nil) {
+			t.Fatalf("%s: sized, the counters moved %v (%v); executed, %v (%v)", stmt, got, serr, executed, eerr)
+		}
+		if serr != nil {
+			failed++
+		} else {
+			sized++
+		}
+	}
+	if failed < 3 || sized < 500 {
+		t.Errorf("%d statements sized and %d failed: the list lost its failing statements or its stream", sized, failed)
+	}
 }
 
 // FuzzExecute runs the property on arbitrary text. `go test` runs the

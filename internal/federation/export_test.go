@@ -18,8 +18,8 @@ func NewScratch(f func() *Scratch) (restore func()) {
 	return func() { newScratch = old }
 }
 
-// MediateTraced is QueryStmt under a trace id: the statement mediated in
-// a Scratch from newScratch, with no ship.
+// MediateTraced is QueryStmt under a trace id: the statement sized and
+// mediated in a Scratch from newScratch, with no ship.
 func (m *Mediator) MediateTraced(sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
-	return m.mediate(newScratch(), sql, stmt, traceID, nil)
+	return m.mediate(newScratch(), sql, stmt, traceID, nil, false)
 }

@@ -288,7 +288,8 @@ func TestMediatorCachingReducesWAN(t *testing.T) {
 }
 
 // TestQueryReportCarriesTheBoundStatement: the mediator binds a
-// statement once, executes that Bound, and hands it on in the report.
+// statement once, sizes that Bound, and hands it on in the report, whose
+// result is what executing the Bound gives without the tuples.
 func TestQueryReportCarriesTheBoundStatement(t *testing.T) {
 	m := newTestMediator(t, nil, Tables)
 	sql := "select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1"
@@ -307,8 +308,10 @@ func TestQueryReportCarriesTheBoundStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(again, rep.Result) {
-		t.Fatalf("executing the report's Bound gives %+v, the report says %+v", again, rep.Result)
+	got := rep.Result
+	if !reflect.DeepEqual(got.Columns, again.Columns) || got.Rows != again.Rows || got.Bytes != again.Bytes ||
+		got.SampleMatches != again.SampleMatches || got.Tuples != nil {
+		t.Fatalf("executing the report's Bound gives %+v, the report says %+v: want its sizes and columns and no tuples", again, got)
 	}
 	if _, err := m.Query("select sum(*) from photoobj"); err == nil {
 		t.Fatal("sum(*) must be refused at bind")

@@ -189,7 +189,9 @@ type QueryReport struct {
 	// Result is the execution result (logical cardinality and yield).
 	// In degraded mode Result.Bytes excludes the yield of failed legs
 	// — it is what the client actually receives, so it still equals
-	// the accounting's delivered-bytes increment (D_A).
+	// the accounting's delivered-bytes increment (D_A). From Query and
+	// QueryStmt it carries the column names and sizes, and Tuples is nil
+	// (engine.DB.SizeInto); QueryScratch's carries the tuples too.
 	Result *engine.Result
 	// Shipped reports a statement its site answered before the decision
 	// (see Ship): Result holds the answer's Rows and Bytes and no columns
@@ -393,8 +395,8 @@ func (m *Mediator) read(q *ledger.Query) Reading {
 //
 // A Scratch is for one goroutine at a time.
 type Scratch struct {
-	// parser is nil until a statement arrives as text: QueryStmt's
-	// callers parse for themselves and do not pay for one.
+	// parser is nil until a statement arrives as text through
+	// QueryScratch: Query and QueryStmt do not use one.
 	parser    *sqlparse.Parser
 	bound     engine.Bound
 	result    engine.Result
@@ -473,15 +475,23 @@ func take[T any](buf *[]T, n int) []T {
 // the statement before.
 var newScratch = func() *Scratch { return new(Scratch) }
 
-// Query parses, executes, and accounts one statement. The report is the
-// caller's to keep.
+// Query parses a statement and mediates it as QueryStmt does.
 func (m *Mediator) Query(sql string) (*QueryReport, error) {
-	return m.QueryScratch(newScratch(), sql, "", nil)
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return m.QueryStmt(sql, stmt)
 }
 
-// QueryStmt is Query over a pre-parsed statement.
+// QueryStmt sizes, decomposes and decides one parsed statement in a
+// Scratch of its own, which the report is cut from and which is the
+// caller's to keep. The decision needs the statement's yield, not its
+// rows, so none are built: the report's Result carries the column names,
+// Rows, Bytes and SampleMatches, and its Tuples is nil. A caller that
+// needs the rows mediates with QueryScratch.
 func (m *Mediator) QueryStmt(sql string, stmt *sqlparse.SelectStmt) (*QueryReport, error) {
-	return m.mediate(newScratch(), sql, stmt, "", nil)
+	return m.mediate(newScratch(), sql, stmt, "", nil, false)
 }
 
 // Ship is the step with which QueryScratch's caller has a statement
@@ -501,9 +511,10 @@ type Ship func(site string) (rows, bytes int64, ok bool)
 // the statement needs — parse, binding, result header, accesses, report
 // — cut from sc, over the statement sc held before: the report is valid
 // until sc's next QueryScratch (see Scratch). A yield-blind statement
-// goes to ship first (nil: none does). Query and QueryStmt are this
-// over a Scratch of their own, no trace id and no ship. A statement that fails
-// leaves sc as ready as one that succeeds.
+// goes to ship first (nil: none does). A statement executed here leaves
+// its tuples in the report's Result, for the caller to send and then
+// Release. A statement that fails leaves sc as ready as one that
+// succeeds.
 func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string, ship Ship) (*QueryReport, error) {
 	if sc.parser == nil {
 		sc.parser = new(sqlparse.Parser)
@@ -512,14 +523,15 @@ func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string, ship Ship) (*Q
 	if err != nil {
 		return nil, err
 	}
-	return m.mediate(sc, sql, stmt, traceID, ship)
+	return m.mediate(sc, sql, stmt, traceID, ship, true)
 }
 
 // mediate binds, executes, decomposes and decides one parsed statement
-// in sc. A yield-blind one that ship has answered is not executed: its
-// result is the answer's size, and its site, which has just answered, is
-// not asked for its health again.
-func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string, ship Ship) (*QueryReport, error) {
+// in sc; without tuples the statement is sized (engine.DB.SizeInto),
+// which gives the decision the same yield. A yield-blind one that ship
+// has answered is not executed: its result is the answer's size, and its
+// site, which has just answered, is not asked for its health again.
+func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string, ship Ship, tuples bool) (*QueryReport, error) {
 	start := time.Now()
 	// Execution phase — lock-free. Bind, weighing and engine evaluation
 	// read only immutable schema/column data; concurrent queries overlap
@@ -546,7 +558,13 @@ func (m *Mediator) mediate(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, t
 		}
 	}
 	if !shipped {
-		if err := m.cfg.Engine.ExecuteInto(res, b); err != nil {
+		var err error
+		if tuples {
+			err = m.cfg.Engine.ExecuteInto(res, b)
+		} else {
+			err = m.cfg.Engine.SizeInto(res, b)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

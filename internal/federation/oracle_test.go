@@ -2,7 +2,6 @@ package federation_test
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -96,17 +95,6 @@ func TestDecisionsDoNotDependOnGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// poisonAndRelease overwrites a result's tuples with NaN and gives their
-// memory back for the next execution to use.
-func poisonAndRelease(res *engine.Result) {
-	for _, tuple := range res.Tuples {
-		for i := range tuple {
-			tuple[i] = math.NaN()
-		}
-	}
-	res.Release()
-}
-
 // TestMediatorDecidesLikeSimulator is the differential test between the
 // live decision path and the reference one: the statements go through
 // Mediator.QueryStmt, and the accesses it decomposed them into go, as
@@ -173,10 +161,6 @@ func TestMediatorDecidesLikeSimulator(t *testing.T) {
 					live = append(live, decided{rep.Seq, string(d.Object), d.Yield, d.Decision.String()})
 				}
 				reqs = append(reqs, req)
-				// As the proxy does once the reply is written — with the
-				// tuples poisoned first, so a decision that read a result's
-				// memory, this one's or a recycled one, would show.
-				poisonAndRelease(rep.Result)
 			}
 
 			fresh, err := core.NewPolicyByName(name, capacity, seed)

@@ -56,12 +56,18 @@ func sameBound(a, b *engine.Bound) error {
 	return nil
 }
 
-// sameResult compares two results bit for bit (a tuple may hold a NaN).
-func sameResult(a, b *engine.Result) error {
+// sameSizes compares what a result says besides its tuples.
+func sameSizes(a, b *engine.Result) error {
 	if !reflect.DeepEqual(a.Columns, b.Columns) || a.Rows != b.Rows || a.Bytes != b.Bytes || a.SampleMatches != b.SampleMatches {
 		return fmt.Errorf("columns, rows, bytes, matches = %v, %d, %d, %d, want %v, %d, %d, %d",
 			a.Columns, a.Rows, a.Bytes, a.SampleMatches, b.Columns, b.Rows, b.Bytes, b.SampleMatches)
 	}
+	return nil
+}
+
+// sameTuples compares the tuples of two results bit for bit (a tuple may
+// hold a NaN).
+func sameTuples(a, b *engine.Result) error {
 	if len(a.Tuples) != len(b.Tuples) || (a.Tuples == nil) != (b.Tuples == nil) {
 		return fmt.Errorf("%d tuples (nil: %t), want %d (nil: %t)", len(a.Tuples), a.Tuples == nil, len(b.Tuples), b.Tuples == nil)
 	}
@@ -78,7 +84,8 @@ func sameResult(a, b *engine.Result) error {
 	return nil
 }
 
-// sameReport compares everything of two reports but the timings.
+// sameReport compares everything of two reports but the timings and the
+// tuples.
 func sameReport(got, want *federation.QueryReport) error {
 	if got.SQL != want.SQL || got.Seq != want.Seq || got.Degraded != want.Degraded {
 		return fmt.Errorf("sql, seq, degraded = %q, %d, %t, want %q, %d, %t", got.SQL, got.Seq, got.Degraded, want.SQL, want.Seq, want.Degraded)
@@ -89,7 +96,7 @@ func sameReport(got, want *federation.QueryReport) error {
 	if !reflect.DeepEqual(got.SiteErrors, want.SiteErrors) {
 		return fmt.Errorf("site errors %+v, want %+v", got.SiteErrors, want.SiteErrors)
 	}
-	if err := sameResult(got.Result, want.Result); err != nil {
+	if err := sameSizes(got.Result, want.Result); err != nil {
 		return err
 	}
 	return sameBound(got.Bound, want.Bound)
@@ -101,14 +108,16 @@ func sameReport(got, want *federation.QueryReport) error {
 // QueryScratch in one Scratch — scrambled and released after every
 // statement, as the wire tests scramble a serving connection's — and,
 // parsed by the caller, through MediateTraced on a twin mediator, which
-// mediates each in a zero Scratch and keeps the report. Statement for
+// sizes each in a zero Scratch and keeps the report. Statement for
 // statement the two reports must be equal field for field — result,
 // binding, decisions in order, Seq, the degraded annotations of a
-// stretch during which a site is down — including after statements that
-// fail to parse, to bind and to execute in the same Scratch, which must
-// fail alike. At the end the two mediators have the same accounting,
-// ledger and journal: nothing either kept pointed into the Scratch, or
-// the scrambling would show in it.
+// stretch during which a site is down — but for the tuples, which the
+// twin's report must not have and QueryScratch's must have exactly as
+// the engine executes the twin's binding; and this including after
+// statements that fail to parse, to bind and to execute in the same
+// Scratch, which must fail alike. At the end the two mediators have the
+// same accounting, ledger and journal: nothing either kept pointed into
+// the Scratch, or the scrambling would show in it.
 func TestScratchReportsWhatQueryStmtReports(t *testing.T) {
 	zeroScratch(t)
 	sqls := edrStatements(t, 3000)
@@ -184,6 +193,16 @@ func TestScratchReportsWhatQueryStmtReports(t *testing.T) {
 					t.Fatalf("statement %d: %s: %v", i, sql, err)
 				}
 				if err := sameReport(got, want); err != nil {
+					t.Fatalf("statement %d: %s: in a scratch: %v", i, sql, err)
+				}
+				if want.Result.Tuples != nil {
+					t.Fatalf("statement %d: %s: sized, the report has %d tuples", i, sql, len(want.Result.Tuples))
+				}
+				executed, err := db.ExecuteBound(want.Bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameTuples(got.Result, executed); err != nil {
 					t.Fatalf("statement %d: %s: in a scratch: %v", i, sql, err)
 				}
 				for _, d := range got.Decisions {

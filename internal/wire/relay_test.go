@@ -363,11 +363,12 @@ func newStubNode(t *testing.T, answer func(net.Conn) bool) *stubNode {
 const blindSQL = "select ra, dec from photoobj where ra between 0 and 350"
 
 // shipProxy is a proxy at the edr-bypass cache over an engine of its own
-// with one node, for the photo site, at addr, and what a bare mediator —
-// execute, then decide — reports for blindSQL in the same configuration.
-func shipProxy(t *testing.T, addr string) (*Proxy, *federation.QueryReport) {
+// with one node, for the photo site, at addr; what a bare mediator —
+// size, then decide — reports for blindSQL in the same configuration; and
+// what the bare mediator's engine executes for the statement it bound.
+func shipProxy(t *testing.T, addr string) (*Proxy, *federation.QueryReport, *engine.Result) {
 	t.Helper()
-	newMediator := func() *federation.Mediator {
+	newMediator := func() (*federation.Mediator, *engine.DB) {
 		db := openEDR(t, 1000)
 		s := db.Schema()
 		policy, err := core.NewPolicyByName("rate-profile", int64(0.001*float64(s.TotalBytes())), 1)
@@ -381,19 +382,24 @@ func shipProxy(t *testing.T, addr string) (*Proxy, *federation.QueryReport) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return med
+		return med, db
 	}
-	med := newMediator()
+	med, _ := newMediator()
 	p := NewProxy(med, federation.Columns, map[string]string{catalog.SitePhoto: addr})
 	p.SetLogf(func(string, ...any) {})
-	want, err := newMediator().Query(blindSQL)
+	bare, db := newMediator()
+	want, err := bare.Query(blindSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := yieldBlind(med, want.Bound); !ok {
 		t.Fatalf("%s is not yield-blind at the edr-bypass cache", blindSQL)
 	}
-	return p, want
+	rows, err := db.ExecuteBound(want.Bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, want, rows
 }
 
 // turnsDown is a SiteHealth that finds every site available the first
@@ -422,7 +428,7 @@ func TestShippedStatementIsNotAskedAgain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	p, want := shipProxy(t, addr)
+	p, _, want := shipProxy(t, addr)
 	defer p.Close()
 	health := &turnsDown{}
 	p.med.SetHealth(health)
@@ -455,7 +461,7 @@ func TestShippedStatementIsNotAskedAgain(t *testing.T) {
 			t.Errorf("decision %+v, want a bypass", d)
 		}
 	}
-	if err := sameAsEngine(&res, want.Result); err != nil {
+	if err := sameAsEngine(&res, want); err != nil {
 		t.Errorf("not the node's answer: %v", err)
 	}
 	identity()
@@ -575,7 +581,7 @@ func TestFailedShipIsAnsweredLocally(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			node := newStubNode(t, c.answer)
-			p, want := shipProxy(t, node.addr)
+			p, want, rows := shipProxy(t, node.addr)
 			defer p.Close()
 			var (
 				cs  connScratch
@@ -591,7 +597,7 @@ func TestFailedShipIsAnsweredLocally(t *testing.T) {
 				!strings.Contains(res.TransportErrors[0].Error, c.cause) {
 				t.Errorf("transport errors %+v, want one at %s naming %q", res.TransportErrors, catalog.SitePhoto, c.cause)
 			}
-			if err := sameAsEngine(&res, want.Result); err != nil {
+			if err := sameAsEngine(&res, rows); err != nil {
 				t.Errorf("not the local answer: %v", err)
 			}
 			if res.Partial || len(res.Decisions) != len(want.Decisions) {
