@@ -107,7 +107,9 @@ fuzz-smoke:
 
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free), the executor with results kept
-# and released, a Rate-Profile miss that compares victims and a
+# and released and the sizing of statements without their tuples
+# (SizeInto: every statement, then the single-table, join and GROUP BY
+# ones alone), a Rate-Profile miss that compares victims and a
 # 73-access statement whose 46 such misses share one tick, one access of
 # the shadow sums (always-bypass and the ski-rental bound), the mediator's
 # whole query path (bind, execute, decompose, decide, flush: three passes

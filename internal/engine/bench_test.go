@@ -57,37 +57,62 @@ var benchSink *engine.Result
 // releases a result, as a caller that keeps its results does not;
 // "released" gives each back before the next, as the daemons do; "sizes"
 // binds and sizes each into a Result of its own (SizeInto), as
-// Mediator.QueryStmt does.
+// Mediator.QueryStmt does. "sizes/scan", "sizes/join" and "sizes/group"
+// are "sizes" over one shape of those statements each: ungrouped
+// single-table, ungrouped two-table, and GROUP BY.
 func BenchmarkExecuteEDR(b *testing.B) {
 	db := edrDB(b, 1000)
 	stmts := edrStatements(b, workload.Mix{}, benchStatements)
+	shapes := map[string][]*sqlparse.SelectStmt{}
+	for _, stmt := range stmts {
+		bound, err := engine.Bind(db.Schema(), stmt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shape := "sizes/scan"
+		switch {
+		case bound.GroupBy != nil:
+			shape = "sizes/group"
+		case len(bound.Tables) == 2:
+			shape = "sizes/join"
+		}
+		shapes[shape] = append(shapes[shape], stmt)
+	}
+	size := func(stmt *sqlparse.SelectStmt) error {
+		bound, err := engine.Bind(db.Schema(), stmt)
+		if err != nil {
+			return err
+		}
+		benchSink = new(engine.Result)
+		return db.SizeInto(benchSink, bound)
+	}
 	for _, bc := range []struct {
-		name string
-		op   func(*sqlparse.SelectStmt) error
+		name  string
+		stmts []*sqlparse.SelectStmt
+		op    func(*sqlparse.SelectStmt) error
 	}{
-		{"kept", func(stmt *sqlparse.SelectStmt) (err error) {
+		{"kept", stmts, func(stmt *sqlparse.SelectStmt) (err error) {
 			benchSink, err = db.Execute(stmt)
 			return err
 		}},
-		{"released", func(stmt *sqlparse.SelectStmt) (err error) {
+		{"released", stmts, func(stmt *sqlparse.SelectStmt) (err error) {
 			if benchSink, err = db.Execute(stmt); err == nil {
 				benchSink.Release()
 			}
 			return err
 		}},
-		{"sizes", func(stmt *sqlparse.SelectStmt) error {
-			bound, err := engine.Bind(db.Schema(), stmt)
-			if err != nil {
-				return err
-			}
-			benchSink = new(engine.Result)
-			return db.SizeInto(benchSink, bound)
-		}},
+		{"sizes", stmts, size},
+		{"sizes/scan", shapes["sizes/scan"], size},
+		{"sizes/join", shapes["sizes/join"], size},
+		{"sizes/group", shapes["sizes/group"], size},
 	} {
+		if len(bc.stmts) == 0 {
+			b.Fatalf("%s: the stream has no such statement", bc.name)
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := bc.op(stmts[i%len(stmts)]); err != nil {
+				if err := bc.op(bc.stmts[i%len(bc.stmts)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -55,7 +55,6 @@ type tableData struct {
 	n     int
 	cols  [][]float64 // parallel to meta.Columns
 	names []string    // "table.column" output names, parallel to cols
-	all   []int32     // 0..n-1: the selection vector of an unfiltered scan
 }
 
 // Open synthesizes a database for the schema. Generation is
@@ -78,14 +77,10 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 			n:     n,
 			cols:  make([][]float64, len(t.Columns)),
 			names: make([]string, len(t.Columns)),
-			all:   make([]int32, n),
 		}
 		for j := range t.Columns {
 			td.cols[j] = synthesize(&t.Columns[j], t.Name, n, cfg)
 			td.names[j] = t.Name + "." + t.Columns[j].Name
-		}
-		for r := range td.all {
-			td.all[r] = int32(r)
 		}
 		db.tables[i] = td
 	}

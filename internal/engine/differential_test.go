@@ -47,6 +47,9 @@ func sameResults(got, want *engine.Result) error {
 // with the same error or return the same result. The result is released
 // once compared, so the next statement's tuples are cut from this one's
 // memory — NaN in every cell when the caller switched the poison on.
+// The statement is also sized (SizeInto) into a result that held
+// another's columns, counts and tuples: it must fail with the same
+// error, or hold the reference's columns and counts and no tuples.
 func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 	b, err := engine.Bind(db.Schema(), stmt)
 	if err != nil {
@@ -54,6 +57,14 @@ func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 	}
 	got, gerr := db.ExecuteBound(b)
 	want, werr := engine.ReferenceExecute(db, b)
+	sized := &engine.Result{
+		Columns: []string{"held", "before", "sizing", "this", "statement"},
+		Rows:    -1, Bytes: -1, SampleMatches: -1,
+		Tuples: [][]float64{{1, 2}},
+	}
+	if serr := db.SizeInto(sized, b); (serr == nil) != (werr == nil) || serr != nil && serr.Error() != werr.Error() {
+		return fmt.Errorf("sized: error = %v, reference's = %v", serr, werr)
+	}
 	if gerr != nil || werr != nil {
 		var ee *engine.ExecError
 		if gerr == nil || werr == nil || gerr.Error() != werr.Error() || !errors.As(gerr, &ee) {
@@ -62,7 +73,15 @@ func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 		return nil
 	}
 	defer got.Release()
-	return sameResults(got, want)
+	if err := sameResults(got, want); err != nil {
+		return err
+	}
+	sizes := *want
+	sizes.Tuples = nil
+	if err := sameResults(sized, &sizes); err != nil {
+		return fmt.Errorf("sized: %w", err)
+	}
+	return nil
 }
 
 // scaled shortens a statement count under the race detector, where the

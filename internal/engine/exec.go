@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -92,7 +93,9 @@ func (db *DB) ExecuteInto(res *Result, b *Bound) error { return db.evaluate(res,
 // skipped — the ORDER BY sort, the aggregates' values, the projection
 // and the tuple memory — so a caller that decides on a statement's
 // yield and never reads its rows (Mediator.QueryStmt) does not pay for
-// them. A GROUP BY still sorts: the number of groups is its cardinality.
+// them. What only a count needs is counted: an ungrouped join counts its
+// matches instead of collecting them, and a GROUP BY sorts its grouping
+// keys alone, not its rows, and counts the runs of equal keys.
 func (db *DB) SizeInto(res *Result, b *Bound) error { return db.evaluate(res, b, false) }
 
 // evaluate is ExecuteInto, and SizeInto when tuples is false.
@@ -102,19 +105,25 @@ func (db *DB) evaluate(res *Result, b *Bound, tuples bool) error {
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer sc.release()
-	var rows []int32
+	var (
+		rows    []int32
+		matches int
+	)
 	switch len(b.Tables) {
 	case 1:
 		rows = db.scan(sc, b, 0)
+		matches = len(rows)
 	case 2:
+		// Sized and ungrouped, a statement needs how many pairs match,
+		// not which.
 		var err error
-		if rows, err = db.join(sc, b); err != nil {
+		if rows, matches, err = db.join(sc, b, !tuples && b.GroupBy == nil); err != nil {
 			return err
 		}
 	default:
 		return &ExecError{Msg: fmt.Sprintf("%d-table statements not supported (max 2)", len(b.Tables))}
 	}
-	if err := db.finish(sc, b, rows, res, tuples); err != nil {
+	if err := db.finish(sc, b, rows, matches, res, tuples); err != nil {
 		return err
 	}
 	db.queries.Add(1)
@@ -128,7 +137,7 @@ func (db *DB) evaluate(res *Result, b *Bound, tuples bool) error {
 type scratch struct {
 	sel    [2][]int32 // selection vector per FROM table
 	heads  []int32    // join table, see join
-	next   []int32
+	chain  []joinEntry
 	pairs  []int32 // join matches
 	starts []int   // first match of each group
 	proj   []outCol
@@ -166,7 +175,7 @@ func (sc *scratch) release() {
 	drop(&sc.sel[0])
 	drop(&sc.sel[1])
 	drop(&sc.heads)
-	drop(&sc.next)
+	drop(&sc.chain)
 	drop(&sc.pairs)
 	drop(&sc.starts)
 	drop(&sc.sort.keys)
@@ -276,84 +285,153 @@ func b2i(b bool) int {
 	return 0
 }
 
-// filter writes the rows of src that satisfy p to the front of dst and
-// returns how many there are. dst may be src: a selection vector is
-// compacted in place. Every row is written and the count advanced by the
-// comparison's result (b2i is a move of its flag; the count never passes
-// the row being read): a branch on it mispredicts at the EDR mix's
-// selectivities, 7 ns a row against 2. A literal arrives as between, <,
-// > or != (pred); two columns as ==, !=, < or <= (mirror).
-func (p *pred) filter(dst, src []int32) int {
-	if p.right != nil && (p.op == opGt || p.op == opGe) {
-		p.mirror()
-	}
+// filter compacts the selection vector sel to the rows that satisfy p
+// and returns how many there are. Every row is written and the count
+// advanced by the comparison's result (b2i is a move of its flag; the
+// count never passes the row being read): a branch on it mispredicts at
+// the EDR mix's selectivities, 7 ns a row against 2. A literal arrives
+// as between, <, > or != (pred); two columns as ==, !=, < or <= (orient).
+func (p *pred) filter(sel []int32) int {
+	p.orient()
 	left, right, lo, hi, k := p.left, p.right, p.lo, p.hi, 0
 	switch {
 	case p.op == opBetween:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] >= lo) & b2i(left[i] <= hi)
 		}
 	case right == nil && p.op == opLt:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] < lo)
 		}
 	case right == nil && p.op == opGt:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] > lo)
 		}
 	case right == nil && p.op == opNotEq:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] != lo)
 		}
 	case p.op == opEq:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] == right[i])
 		}
 	case p.op == opNotEq:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] != right[i])
 		}
 	case p.op == opLt:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] < right[i])
 		}
 	case p.op == opLe:
-		for _, i := range src {
-			dst[k] = i
+		for _, i := range sel {
+			sel[k] = i
 			k += b2i(left[i] <= right[i])
 		}
 	}
 	return k
 }
 
+// filterTable is filter over every row of the table, the first
+// predicate of a scan: it reads the columns in row order, the row
+// number being the loop index, writes the rows that satisfy p to the
+// front of dst (one entry per row of the table) and returns how many
+// there are.
+func (p *pred) filterTable(dst []int32) int {
+	p.orient()
+	left, right, lo, hi, k := p.left[:len(dst)], p.right, p.lo, p.hi, 0
+	if right != nil {
+		right = right[:len(left)]
+	}
+	switch {
+	case p.op == opBetween:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v >= lo) & b2i(v <= hi)
+		}
+	case right == nil && p.op == opLt:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v < lo)
+		}
+	case right == nil && p.op == opGt:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v > lo)
+		}
+	case right == nil && p.op == opNotEq:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v != lo)
+		}
+	case p.op == opEq:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v == right[i])
+		}
+	case p.op == opNotEq:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v != right[i])
+		}
+	case p.op == opLt:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v < right[i])
+		}
+	case p.op == opLe:
+		for i, v := range left {
+			dst[k] = int32(i)
+			k += b2i(v <= right[i])
+		}
+	}
+	return k
+}
+
+// orient writes a comparison of two columns with > or >= the other way
+// round, so that the filters have four such operators to switch on, not
+// six.
+func (p *pred) orient() {
+	if p.right != nil && (p.op == opGt || p.op == opGe) {
+		p.mirror()
+	}
+}
+
 // scan returns the sample rows of FROM table ti, ascending, that
 // satisfy the statement's predicates on that table alone (literal and
 // same-table comparisons; cross-table ones belong to the join). One
-// predicate at a time: the first fills the selection vector from the
-// table's identity vector, the rest compact it.
+// predicate at a time: the first reads the whole table into the
+// selection vector, the rest compact it. Without a predicate every row
+// is selected.
 func (db *DB) scan(sc *scratch, b *Bound, ti int) []int32 {
 	td := &db.tables[b.TablePos[ti]]
 	db.rowsScanned.Add(int64(td.n))
 	sel := take(&sc.sel[ti], td.n)
-	src := td.all
+	n := -1 // rows selected, once a predicate has run
 	for i := range b.Conds {
 		c := &b.Conds[i]
 		if c.Left.TableIdx != ti || (c.Right.Col != nil && c.Right.TableIdx != ti) {
 			continue
 		}
 		p := db.pred(b, c)
-		sel = sel[:p.filter(sel, src)]
-		src = sel
+		if n < 0 {
+			n = p.filterTable(sel)
+		} else {
+			n = p.filter(sel[:n])
+		}
 	}
-	if len(sel) == td.n {
-		copy(sel, td.all) // no predicate, or none that dropped a row; callers reorder what they get
+	if n >= 0 {
+		return sel[:n]
+	}
+	for r := range sel {
+		sel[r] = int32(r)
 	}
 	return sel
 }
@@ -376,9 +454,11 @@ func hashKey(a, b float64) uint64 {
 // join evaluates a two-table statement with one or two cross-table
 // equalities (cross products are rejected — at sample scale alone they
 // can explode) and returns the matching (table 0 row, table 1 row)
-// pairs, flat. The smaller side is hashed, the other probes it in row
-// order, and a probe row's matches come out in build-row order.
-func (db *DB) join(sc *scratch, b *Bound) ([]int32, error) {
+// pairs, flat, and how many there are. The smaller side is hashed, the
+// other probes it in row order, and a probe row's matches come out in
+// build-row order. When count is set the pairs are counted and not
+// collected: the slice is nil.
+func (db *DB) join(sc *scratch, b *Bound, count bool) ([]int32, int, error) {
 	var (
 		keys  [2][2][]float64 // [condition][FROM table]
 		nkeys int
@@ -398,13 +478,13 @@ func (db *DB) join(sc *scratch, b *Bound) ([]int32, error) {
 			continue
 		}
 		if nkeys == len(keys) {
-			return nil, &ExecError{Msg: "at most two equi-join conditions supported"}
+			return nil, 0, &ExecError{Msg: "at most two equi-join conditions supported"}
 		}
 		keys[nkeys] = [2][]float64{p.left, p.right}
 		nkeys++
 	}
 	if nkeys == 0 {
-		return nil, &ExecError{Msg: "cross products are not supported; add a join condition"}
+		return nil, 0, &ExecError{Msg: "cross products are not supported; add a join condition"}
 	}
 	if nkeys == 1 {
 		keys[1] = keys[0] // one loop for both shapes: a single key is compared twice
@@ -416,46 +496,78 @@ func (db *DB) join(sc *scratch, b *Bound) ([]int32, error) {
 		build, probe, bt = probe, build, 1
 	}
 	if len(build) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	bk0, bk1 := keys[0][bt], keys[1][bt]
 	pk0, pk1 := keys[0][1-bt], keys[1][1-bt]
 
-	// A chained hash table in two slices: heads[h] and next[i] hold
-	// 1 + an index into build, 0 ending a chain. Inserting back to front
-	// leaves every chain in build order.
+	// A chained hash table in two slices: heads[h] and chain[i].next
+	// index chain, whose entry i+1 is build[i] with its keys, so that a
+	// step along a chain reads one entry. Inserting back to front leaves
+	// every chain in build order. Entry 0 ends every chain and is what an
+	// empty bucket holds: its keys are NaN, which equals nothing.
 	shift := 64 - bits.Len(uint(2*len(build)-1))
 	heads := take(&sc.heads, 1<<(64-shift))
 	clear(heads)
-	next := take(&sc.next, len(build)) // every entry is written below
-	for i := len(build) - 1; i >= 0; i-- {
-		h := hashKey(bk0[build[i]], bk1[build[i]]) >> shift
-		next[i] = heads[h]
-		heads[h] = int32(i + 1)
+	chain := take(&sc.chain, len(build)+1) // every entry is written below
+	chain[0] = joinEntry{k0: math.NaN(), k1: math.NaN()}
+	for i := len(build); i > 0; i-- {
+		br := build[i-1]
+		k0, k1 := bk0[br], bk1[br]
+		h := hashKey(k0, k1) >> shift
+		chain[i] = joinEntry{k0: k0, k1: k1, row: br, next: heads[h]}
+		heads[h] = int32(i)
 	}
 
-	pairs := take(&sc.pairs, 2*len(probe))[:0]
+	// A probe compares every entry of its bucket's chain, entry 0 for an
+	// empty bucket, and counts it by the comparison's result, as filter
+	// does: a branch on the match, or on the empty bucket, is a coin toss
+	// (55% of the probes of a photoobj ⋈ neighbors statement find an
+	// empty bucket). Collecting, every entry is written and the pairs
+	// advanced by the count.
+	var pairs []int32
+	if !count {
+		pairs = take(&sc.pairs, 2*len(probe))
+	}
+	n := 0
 	for _, pr := range probe {
 		k0, k1 := pk0[pr], pk1[pr]
-	chain:
-		for e := heads[hashKey(k0, k1)>>shift]; e != 0; e = next[e-1] {
-			br := build[e-1]
-			if bk0[br] != k0 || bk1[br] != k1 {
-				continue
-			}
-			var pair [2]int32
-			pair[bt], pair[1-bt] = br, pr
-			for i := range extra {
-				x := &extra[i]
-				if !compare(x.left[pair[0]], x.op, x.right[pair[1]]) {
-					continue chain
+		for e := heads[hashKey(k0, k1)>>shift]; ; {
+			be := &chain[e]
+			m := b2i(be.k0 == k0) & b2i(be.k1 == k1)
+			if len(extra) > 0 && m == 1 {
+				var pair [2]int32
+				pair[bt], pair[1-bt] = be.row, pr
+				for i := range extra {
+					x := &extra[i]
+					m &= b2i(compare(x.left[pair[0]], x.op, x.right[pair[1]]))
 				}
 			}
-			pairs = append(pairs, pair[0], pair[1])
+			if !count {
+				if 2*n+2 > len(pairs) { // a probe row may match many times
+					pairs = append(pairs, 0, 0)
+					pairs = pairs[:cap(pairs)]
+				}
+				pairs[2*n+bt], pairs[2*n+1-bt] = be.row, pr
+			}
+			n += m
+			if e = be.next; e == 0 {
+				break
+			}
 		}
 	}
-	sc.pairs = pairs // a probe row may match many times: keep what append grew
-	return pairs, nil
+	if count {
+		return nil, n, nil
+	}
+	sc.pairs = pairs // keep what append grew
+	return pairs[:2*n], n, nil
+}
+
+// joinEntry is one build row of a join's hash table: its keys, its row
+// and the next entry of its chain (see join).
+type joinEntry struct {
+	k0, k1    float64
+	row, next int32
 }
 
 // rowSort stably orders matches (stride entries of rows each) by a key
@@ -469,13 +581,20 @@ type rowSort struct {
 	nanFirst bool
 }
 
+// sortKeys returns the value of the column vals of FROM table ti at
+// each match of rows (stride entries each), in the scratch's sort keys.
+func (sc *scratch) sortKeys(rows []int32, stride int, vals []float64, ti int) []float64 {
+	keys := take(&sc.sort.keys, len(rows)/stride)
+	for i := range keys {
+		keys[i] = vals[rows[i*stride+ti]]
+	}
+	return keys
+}
+
 // sortRows orders rows as s says by the column vals of FROM table ti and
 // returns the sorted keys, which are the scratch's.
 func (sc *scratch) sortRows(s rowSort, vals []float64, ti int) []float64 {
-	s.keys = take(&sc.sort.keys, len(s.rows)/s.stride)
-	for i := range s.keys {
-		s.keys[i] = vals[s.rows[i*s.stride+ti]]
-	}
+	s.keys = sc.sortKeys(s.rows, s.stride, vals, ti)
 	sc.sort = s
 	sort.Stable(&sc.sort)
 	return s.keys
@@ -501,10 +620,10 @@ func (s *rowSort) Swap(i, j int) {
 
 // finish scales cardinality and applies TOP and, when tuples are
 // wanted, applies ORDER BY, computes aggregates and materializes the
-// bounded tuple sample.
-func (db *DB) finish(sc *scratch, b *Bound, rows []int32, res *Result, tuples bool) error {
+// bounded tuple sample. rows holds the matches, one entry per FROM
+// table each, or is nil when they were only counted.
+func (db *DB) finish(sc *scratch, b *Bound, rows []int32, matches int, res *Result, tuples bool) error {
 	stride := len(b.Tables)
-	matches := len(rows) / stride
 	*res = Result{SampleMatches: int64(matches), Columns: db.outputColumns(b, res.Columns)}
 
 	if b.GroupBy != nil {
@@ -651,13 +770,21 @@ func (res *Result) Scramble() {
 // computed per group. Group counts of effectively-unique columns (keys,
 // floats) scale by the sampling factor; low-cardinality integer
 // columns do not (their distinct values are all present in any
-// sample). Without tuples it stops at the count.
+// sample). Without tuples it stops at the count, and sorts the grouping
+// keys alone to reach it.
 func (db *DB) finishGrouped(sc *scratch, b *Bound, rows []int32, res *Result, tuples bool) {
-	stride := len(b.Tables)
-	// Sorted by group value, each group is a run of equal keys with its
-	// rows still in match order. NaN equals nothing: every NaN row is a
-	// run of its own.
-	keys := sc.sortRows(rowSort{rows: rows, stride: stride, nanFirst: true}, db.vals(b, b.GroupBy), b.GroupBy.TableIdx)
+	stride, vals, ti := len(b.Tables), db.vals(b, b.GroupBy), b.GroupBy.TableIdx
+	// Sorted by group value, each group is a run of equal keys, with its
+	// rows still in match order when they are sorted too. NaN equals
+	// nothing: every NaN row is a run of its own (both sorts put the NaNs
+	// first); -0 equals +0: both are one run.
+	var keys []float64
+	if tuples {
+		keys = sc.sortRows(rowSort{rows: rows, stride: stride, nanFirst: true}, vals, ti)
+	} else {
+		keys = sc.sortKeys(rows, stride, vals, ti)
+		slices.Sort(keys)
+	}
 	starts := sc.starts[:0] // first match of each group
 	for i, v := range keys {
 		if i == 0 || v != keys[i-1] {
