@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke
+.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke experiments
 
 all: vet test
 
@@ -20,13 +20,15 @@ test:
 # Everything under the race detector, then again, three times over, the
 # tests of what this detector is for in the decision plane: a policy
 # decides the same whether its per-object state is found by slot or by
-# id (restored, cloned and colliding universes included), and the
+# id (restored, cloned and colliding universes included), the
 # ledger's ring, which has no lock of its own, is written by each query's
 # decide loop while scrapes read it, with the accounting and the shadows,
 # in one hold of the decision lock through the mediator — in the
-# mediator, and through the proxy's MsgScrape while clients query.
+# mediator, and through the proxy's MsgScrape while clients query — and
+# the reports of concurrent QueryStmt callers own their memory, none
+# aliasing the pooled Scratch it was mediated in.
 RACE_CORE_RUN = TestSlotsNeverChangeADecision|TestObjTable
-RACE_FEDERATION_RUN = TestLedgerUnderConcurrentDecisions
+RACE_FEDERATION_RUN = TestLedgerUnderConcurrentDecisions|TestReportsOwnTheirMemory
 RACE_WIRE_RUN = TestProxyConcurrentClients|TestScrapeIsOneReading
 race:
 	$(CHECK_RUN) '$(RACE_CORE_RUN)' ./internal/core/
@@ -112,11 +114,13 @@ fuzz-smoke:
 # ones alone), a Rate-Profile miss that compares victims and a
 # 73-access statement whose 46 such misses share one tick, one access of
 # the shadow sums (always-bypass and the ski-rental bound), the mediator's
-# whole query path (bind, execute, decompose, decide, flush: three passes
-# over the 3 000 EDR statements of the federation benchmark's traced
-# pass, for callers that keep their reports and, as /scratch, for a
-# serving connection's one reused Scratch, with the decision hold its
-# reports give), the decision loop alone over those statements' accesses
+# whole query path (bind, size, decompose, decide, flush and copy the
+# report out: three passes over the 3 000 EDR statements of the
+# federation benchmark's traced pass, for callers that keep their
+# reports; as /tables, one caller at table granularity, the shape of the
+# benchmark's tables-replay; and, as /scratch, for a serving
+# connection's one reused Scratch, with the decision hold its reports
+# give), the decision loop alone over those statements' accesses
 # at the 40% and the 0.1% cache, the same statements end to end
 # through Client, Proxy and Mediator on loopback (bytes and allocations
 # per hit, and the client's Reads per reply) and again at the edr-bypass
@@ -158,6 +162,16 @@ bench-smoke:
 	rm -f bench_obs.txt
 	cat BENCH_obs.json
 	$(GO) test -run='^$$' -bench=BenchmarkFig7TableCurves -benchtime=1x .
+
+# The paper's evaluation at full scale, diffed against the committed
+# results/ (some 20 s for the two on a 2-core guest). A change
+# that moves a figure fails here until it regenerates both files
+# (bybench -exp all > results/fullscale.txt, bybench -exp extensions >
+# results/extensions.txt) and says so; the -scale 10 output is pinned
+# in tier-1 (cmd/bybench TestGoldenOutput, files under testdata/).
+experiments:
+	$(GO) run ./cmd/bybench -q -exp all | diff -u results/fullscale.txt -
+	$(GO) run ./cmd/bybench -q -exp extensions | diff -u results/extensions.txt -
 
 # The federation benchmark (BENCHMARK.json) is its own module under
 # bench/, which `go build ./...` and `go test ./...` do not enter: this

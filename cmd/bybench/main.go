@@ -28,7 +28,7 @@ func main() {
 				"), an extension ("+strings.Join(experiments.ExtensionIDs(), ", ")+
 				"), 'all' (the paper's evaluation), or 'extensions'")
 		scale    = flag.Int("scale", 1, "divide trace length and traffic targets by this factor (1 = paper scale)")
-		cachePct = flag.Float64("cache", 0.4, "cache size as a fraction of the database for figs 7-8 and tables 1-2")
+		cachePct = flag.Float64("cache", 0.4, "cache size as a fraction of the database, in (0, 1], for figs 7-8 and tables 1-2")
 		format   = flag.String("format", "text", "output format: text, csv, or md")
 		out      = flag.String("out", "", "output file (default stdout)")
 		quiet    = flag.Bool("q", false, "suppress progress messages")
@@ -42,6 +42,9 @@ func main() {
 }
 
 func run(exp string, scale int, cachePct float64, format, out string, quiet bool) error {
+	if !(cachePct > 0 && cachePct <= 1) {
+		return fmt.Errorf("-cache %g: the cache is a fraction of the database, in (0, 1]", cachePct)
+	}
 	var w io.Writer = os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -53,9 +56,7 @@ func run(exp string, scale int, cachePct float64, format, out string, quiet bool
 	}
 
 	suite := experiments.NewSuite(scale)
-	if cachePct > 0 && cachePct <= 1 {
-		suite.CachePct = cachePct
-	}
+	suite.CachePct = cachePct
 
 	var ids []string
 	switch exp {

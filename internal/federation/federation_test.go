@@ -288,8 +288,12 @@ func TestMediatorCachingReducesWAN(t *testing.T) {
 }
 
 // TestQueryReportCarriesTheBoundStatement: the mediator binds a
-// statement once, sizes that Bound, and hands it on in the report, whose
-// result is what executing the Bound gives without the tuples.
+// statement once. QueryScratch's report carries that binding — the
+// statement its Scratch parsed, bound against the mediator's schema —
+// and a result with the tuples executing it gives. QueryStmt's report
+// carries no binding, which stayed in the pooled Scratch, and a result
+// that is what executing a binding of the caller's own gives, without
+// the tuples.
 func TestQueryReportCarriesTheBoundStatement(t *testing.T) {
 	m := newTestMediator(t, nil, Tables)
 	sql := "select p.ra, s.z from photoobj p, specobj s where p.objid = s.objid and s.z < 1"
@@ -297,21 +301,40 @@ func TestQueryReportCarriesTheBoundStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m.QueryStmt(sql, stmt)
+	bound, err := engine.Bind(m.Schema(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Bound == nil || rep.Bound.Stmt != stmt || rep.Bound.Schema != m.Schema() {
-		t.Fatalf("Bound = %+v, want the statement handed in, bound against the mediator's schema", rep.Bound)
-	}
-	again, err := m.cfg.Engine.ExecuteBound(rep.Bound)
+	again, err := m.cfg.Engine.ExecuteBound(bound)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	var sc Scratch
+	rep, err := m.QueryScratch(&sc, sql, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bound != &sc.bound || rep.Bound.Stmt == nil || rep.Bound.Stmt.String() != stmt.String() || rep.Bound.Schema != m.Schema() {
+		t.Fatalf("QueryScratch: Bound = %+v, want the Scratch's binding of the statement against the mediator's schema", rep.Bound)
+	}
+	if got := rep.Result; !reflect.DeepEqual(got.Columns, again.Columns) || got.Rows != again.Rows || got.Bytes != again.Bytes ||
+		got.SampleMatches != again.SampleMatches || !reflect.DeepEqual(got.Tuples, again.Tuples) {
+		t.Fatalf("QueryScratch: executing the statement gives %+v, the report says %+v", again, got)
+	}
+	sc.Release()
+
+	rep, err = m.QueryStmt(sql, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bound != nil {
+		t.Fatalf("QueryStmt: Bound = %+v, want nil", rep.Bound)
 	}
 	got := rep.Result
 	if !reflect.DeepEqual(got.Columns, again.Columns) || got.Rows != again.Rows || got.Bytes != again.Bytes ||
 		got.SampleMatches != again.SampleMatches || got.Tuples != nil {
-		t.Fatalf("executing the report's Bound gives %+v, the report says %+v: want its sizes and columns and no tuples", again, got)
+		t.Fatalf("QueryStmt: executing the statement gives %+v, the report says %+v: want its sizes and columns and no tuples", again, got)
 	}
 	if _, err := m.Query("select sum(*) from photoobj"); err == nil {
 		t.Fatal("sum(*) must be refused at bind")

@@ -14,7 +14,7 @@ import (
 // zero: each has mediated a join with an ORDER BY and then a GROUP BY
 // with aggregates and aliases — against a federation of its own, at
 // another granularity than most tests use — and has been scrambled after
-// both. It is safe for concurrent use, as newScratch's callers are.
+// both. It is safe for concurrent use, as the pool's New is.
 func usedScratch() (func() *federation.Scratch, error) {
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{SampleEvery: 100000, Seed: 7})
@@ -43,16 +43,19 @@ func usedScratch() (func() *federation.Scratch, error) {
 
 // TestMain runs every test of the package — decomposition, degraded
 // mode, the flush, the oracle against the simulator, the journal — with
-// Query and QueryStmt mediating in a used, scrambled Scratch instead of a
-// zero one: the twin of the wire tests' hook, which scrambles a serving
-// connection's Scratch after every reply. The gates on what the fresh
-// path allocates put the zero Scratch back for their own duration.
+// Query and QueryStmt mediating in used, scrambled memory: the pool they
+// take their Scratch from hands out usedScratch's when it is empty, and
+// scrambles every Scratch as it goes back, so a report that still
+// pointed into one would read garbage. This is the twin of the wire
+// tests' hook, which scrambles a serving connection's Scratch after
+// every reply. The gates on what the path allocates, and the benchmarks,
+// put the zero Scratch and no scrambling back for their own duration.
 func TestMain(m *testing.M) {
 	used, err := usedScratch()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	federation.NewScratch(used)
+	federation.PoolScratch(used, true)
 	os.Exit(m.Run())
 }

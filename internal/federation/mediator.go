@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,16 +183,19 @@ type QueryReport struct {
 	SQL string
 	// Seq is the query's position in the mediator's stream.
 	Seq int64
-	// Bound is the statement as the mediator bound and executed it —
-	// once; callers that need the resolved statement (the proxy, to
-	// build sub-queries) read it here instead of binding again.
+	// Bound is the statement as QueryScratch bound and executed it —
+	// once; its caller, the proxy, builds sub-queries from it instead of
+	// binding again. It is nil in a report of Query or QueryStmt, whose
+	// binding stays in the pooled Scratch: a caller of theirs that needs
+	// one calls engine.Bind, or mediates with QueryScratch.
 	Bound *engine.Bound
 	// Result is the execution result (logical cardinality and yield).
 	// In degraded mode Result.Bytes excludes the yield of failed legs
 	// — it is what the client actually receives, so it still equals
 	// the accounting's delivered-bytes increment (D_A). From Query and
-	// QueryStmt it carries the column names and sizes, and Tuples is nil
-	// (engine.DB.SizeInto); QueryScratch's carries the tuples too.
+	// QueryStmt it is the report's own copy of the column names and
+	// sizes, and Tuples is nil (engine.DB.SizeInto); QueryScratch's is
+	// the Scratch's and carries the tuples too.
 	Result *engine.Result
 	// Shipped reports a statement its site answered before the decision
 	// (see Ship): Result holds the answer's Rows and Bytes and no columns
@@ -387,7 +391,9 @@ func (m *Mediator) read(q *ledger.Query) Reading {
 // Bound and the Result the report points to, and every slice of the
 // three — is good until the Scratch is handed to QueryScratch again: a
 // serving connection keeps one and mediates its next statement once the
-// reply to the last is written. Strings in the report are not the
+// reply to the last is written. Query and QueryStmt mediate in one taken
+// from a pool the package keeps and give it back before they return,
+// with the report copied out of it. Strings in a report are not the
 // Scratch's (they are the statement text's, the catalog's, the object
 // index's, or freshly built) and may be kept; so may anything copied by
 // value, which is all the ledger, the journal, the flight recorder and
@@ -395,8 +401,8 @@ func (m *Mediator) read(q *ledger.Query) Reading {
 //
 // A Scratch is for one goroutine at a time.
 type Scratch struct {
-	// parser is nil until a statement arrives as text through
-	// QueryScratch: Query and QueryStmt do not use one.
+	// parser is nil until a statement arrives as text, through
+	// QueryScratch or Query.
 	parser    *sqlparse.Parser
 	bound     engine.Bound
 	result    engine.Result
@@ -467,31 +473,99 @@ func take[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// newScratch is where Query and QueryStmt get the Scratch their
-// statement is mediated in and their caller keeps: a zero one. The
-// federation tests replace it (TestMain) to hand out one that has
-// mediated another statement and been scrambled, so that every test of
-// the package is also a test that refilling a Scratch leaves nothing of
-// the statement before.
-var newScratch = func() *Scratch { return new(Scratch) }
+// scratchPool holds the Scratches Query and QueryStmt mediate in.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Query parses a statement and mediates it as QueryStmt does.
+// maxPooledLen bounds the lists of a Scratch the pool keeps, as the
+// engine bounds its vectors: the Scratch of a statement thousands of
+// columns wide is dropped, not kept for the narrow ones after it.
+const maxPooledLen = 1 << 10
+
+// scramblePooled makes putScratch scramble every Scratch it pools. The
+// tests switch it on (export_test.go), so that a report still pointing
+// into a pooled Scratch reads garbage from the moment it is returned.
+var scramblePooled bool
+
+func getScratch() *Scratch { return scratchPool.Get().(*Scratch) }
+
+// putScratch gives sc back to the pool, unless one of its lists has
+// grown past maxPooledLen.
+func putScratch(sc *Scratch) {
+	if max(cap(sc.bound.Projs), cap(sc.bound.Conds), cap(sc.result.Columns), cap(sc.shares),
+		cap(sc.accs), cap(sc.decisions), cap(sc.siteErrs)) > maxPooledLen {
+		return
+	}
+	if scramblePooled {
+		sc.Scramble()
+	}
+	scratchPool.Put(sc)
+}
+
+// parse parses sql into sc's Parser.
+func (sc *Scratch) parse(sql string) (*sqlparse.SelectStmt, error) {
+	if sc.parser == nil {
+		sc.parser = new(sqlparse.Parser)
+	}
+	return sc.parser.Parse(sql)
+}
+
+// Query parses a statement and mediates it as QueryStmt does, the parse
+// in the pooled Scratch too.
 func (m *Mediator) Query(sql string) (*QueryReport, error) {
-	stmt, err := sqlparse.Parse(sql)
+	sc := getScratch()
+	stmt, err := sc.parse(sql)
 	if err != nil {
+		putScratch(sc)
 		return nil, err
 	}
-	return m.QueryStmt(sql, stmt)
+	return m.mediatePooled(sc, sql, stmt, "")
 }
 
 // QueryStmt sizes, decomposes and decides one parsed statement in a
-// Scratch of its own, which the report is cut from and which is the
-// caller's to keep. The decision needs the statement's yield, not its
-// rows, so none are built: the report's Result carries the column names,
-// Rows, Bytes and SampleMatches, and its Tuples is nil. A caller that
-// needs the rows mediates with QueryScratch.
+// pooled Scratch, and returns a report of the caller's own, copied out
+// of the Scratch before it goes back: the SQL, Seq, the decisions, the
+// degraded annotations, the timings, and a Result with the column names,
+// Rows, Bytes and SampleMatches. The decision needs the statement's
+// yield, not its rows, so none are built, and Tuples is nil; Bound is
+// nil too. A caller that needs the binding calls engine.Bind, and one
+// that needs the rows or the binding in place mediates with
+// QueryScratch.
 func (m *Mediator) QueryStmt(sql string, stmt *sqlparse.SelectStmt) (*QueryReport, error) {
-	return m.mediate(newScratch(), sql, stmt, "", nil, false)
+	return m.mediatePooled(getScratch(), sql, stmt, "")
+}
+
+// mediatePooled mediates stmt, sized, in sc, a Scratch from the pool,
+// which it puts back, and returns the report copied out of it.
+func (m *Mediator) mediatePooled(sc *Scratch, sql string, stmt *sqlparse.SelectStmt, traceID string) (*QueryReport, error) {
+	rep, err := m.mediate(sc, sql, stmt, traceID, nil, false)
+	if err == nil {
+		rep = rep.copyOut()
+	}
+	putScratch(sc)
+	return rep, err
+}
+
+// keptReport is a report of Query or QueryStmt with the Result it points
+// to, in one allocation.
+type keptReport struct {
+	rep QueryReport
+	res engine.Result
+}
+
+// copyOut copies a sized report out of its Scratch: the copy owns every
+// slice it holds and shares only strings, which are immutable. The
+// binding and the tuples stay behind.
+func (rep *QueryReport) copyOut() *QueryReport {
+	r := rep.Result
+	k := &keptReport{res: engine.Result{
+		Columns: slices.Clone(r.Columns), Rows: r.Rows, Bytes: r.Bytes, SampleMatches: r.SampleMatches,
+	}}
+	k.rep = QueryReport{
+		SQL: rep.SQL, Seq: rep.Seq, Result: &k.res,
+		Decisions: slices.Clone(rep.Decisions), Degraded: rep.Degraded, SiteErrors: slices.Clone(rep.SiteErrors),
+		ExecUS: rep.ExecUS, LockWaitUS: rep.LockWaitUS, DecideUS: rep.DecideUS,
+	}
+	return &k.rep
 }
 
 // Ship is the step with which QueryScratch's caller has a statement
@@ -516,10 +590,7 @@ type Ship func(site string) (rows, bytes int64, ok bool)
 // Release. A statement that fails leaves sc as ready as one that
 // succeeds.
 func (m *Mediator) QueryScratch(sc *Scratch, sql, traceID string, ship Ship) (*QueryReport, error) {
-	if sc.parser == nil {
-		sc.parser = new(sqlparse.Parser)
-	}
-	stmt, err := sc.parser.Parse(sql)
+	stmt, err := sc.parse(sql)
 	if err != nil {
 		return nil, err
 	}

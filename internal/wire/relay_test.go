@@ -365,7 +365,7 @@ const blindSQL = "select ra, dec from photoobj where ra between 0 and 350"
 // shipProxy is a proxy at the edr-bypass cache over an engine of its own
 // with one node, for the photo site, at addr; what a bare mediator —
 // size, then decide — reports for blindSQL in the same configuration; and
-// what the bare mediator's engine executes for the statement it bound.
+// what the bare mediator's engine executes for the statement.
 func shipProxy(t *testing.T, addr string) (*Proxy, *federation.QueryReport, *engine.Result) {
 	t.Helper()
 	newMediator := func() (*federation.Mediator, *engine.DB) {
@@ -392,12 +392,9 @@ func shipProxy(t *testing.T, addr string) (*Proxy, *federation.QueryReport, *eng
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := yieldBlind(med, want.Bound); !ok {
+	b, rows := execute(t, db, blindSQL)
+	if _, ok := yieldBlind(med, b); !ok {
 		t.Fatalf("%s is not yield-blind at the edr-bypass cache", blindSQL)
-	}
-	rows, err := db.ExecuteBound(want.Bound)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return p, want, rows
 }
