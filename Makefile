@@ -52,17 +52,18 @@ CHECK_RUN = sh -c 'pat=$$1; shift; names=$$($(GO) test -list . "$$@") || exit 1;
 # (down after 3 consecutive failed RPCs, back on the first ping that
 # succeeds), a failed WAN leg that keeps the answer, the mediator's
 # degraded-mode accounting, the 3-site black-hole end-to-end cycle, and
-# one fetch per load over a slow WAN. The synth chaos run streams the
+# one fetch per load over a slow WAN. The synth chaos run
+# (TestChaosSynth in cmd/by, the package of `by synth`) streams the
 # flight recorder's fault exemplars to chaos_exemplars.jsonl (archived
 # by CI).
 CHAOS_RUN = TestChaos|TestBreaker|TestSiteUnavailable|TestDownSiteReadmittedWithinOneProbe|TestLegFailuresKeepTheAnswer|TestDegraded|TestHealthDetached|TestEveryLoadIsOneFetch
 chaos:
 	$(CHECK_RUN) '$(CHAOS_RUN)' ./internal/wire/ ./internal/federation/
-	$(CHECK_RUN) 'TestChaosSynth' ./cmd/bysynth/
+	$(CHECK_RUN) 'TestChaosSynth' ./cmd/by/
 	$(GO) test -race -v ./internal/faultnet/
 	$(GO) test -race -v -run '$(CHAOS_RUN)' ./internal/wire/ ./internal/federation/
 	CHAOS_EXEMPLARS_OUT=$(CURDIR)/chaos_exemplars.jsonl \
-		$(GO) test -race -v -run 'TestChaosSynth' ./cmd/bysynth/
+		$(GO) test -race -v -run 'TestChaosSynth' ./cmd/by/
 
 # Kill-tolerant recovery suite under the race detector: a real
 # byproxyd subprocess is SIGKILLed mid-workload (and deterministically
@@ -166,12 +167,12 @@ bench-smoke:
 # The paper's evaluation at full scale, diffed against the committed
 # results/ (some 20 s for the two on a 2-core guest). A change
 # that moves a figure fails here until it regenerates both files
-# (bybench -exp all > results/fullscale.txt, bybench -exp extensions >
+# (by bench -exp all > results/fullscale.txt, by bench -exp extensions >
 # results/extensions.txt) and says so; the -scale 10 output is pinned
-# in tier-1 (cmd/bybench TestGoldenOutput, files under testdata/).
+# in tier-1 (cmd/by TestGoldenOutput, files under testdata/).
 experiments:
-	$(GO) run ./cmd/bybench -q -exp all | diff -u results/fullscale.txt -
-	$(GO) run ./cmd/bybench -q -exp extensions | diff -u results/extensions.txt -
+	$(GO) run ./cmd/by bench -q -exp all | diff -u results/fullscale.txt -
+	$(GO) run ./cmd/by bench -q -exp extensions | diff -u results/extensions.txt -
 
 # The federation benchmark (BENCHMARK.json) is its own module under
 # bench/, which `go build ./...` and `go test ./...` do not enter: this

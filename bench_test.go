@@ -7,7 +7,7 @@
 //
 //	go test -bench=. -benchmem
 //
-// Full-scale experiment output comes from `go run ./cmd/bybench`.
+// Full-scale experiment output comes from `go run ./cmd/by bench`.
 package bypassyield
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 // benchScale reduces the paper's workload 100× so each benchmark
-// iteration stays sub-second; cmd/bybench regenerates full scale.
+// iteration stays sub-second; `by bench` regenerates full scale.
 const benchScale = 100
 
 var (

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 func TestRunSingleExperiment(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "fig6.txt")
-	if err := run("fig6", 100, 0.4, "text", out, true); err != nil {
+	if _, err := by("bench", "-exp", "fig6", "-scale", "100", "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -28,7 +27,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "tab2.csv")
-	if err := run("tab2", 100, 0.4, "csv", out, true); err != nil {
+	if _, err := by("bench", "-exp", "tab2", "-scale", "100", "-format", "csv", "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -42,7 +41,7 @@ func TestRunCSV(t *testing.T) {
 
 func TestRunCommaList(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "both.txt")
-	if err := run("fig6,fig4", 100, 0.4, "text", out, true); err != nil {
+	if _, err := by("bench", "-exp", "fig6,fig4", "-scale", "100", "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(out)
@@ -51,28 +50,7 @@ func TestRunCommaList(t *testing.T) {
 	}
 }
 
-func TestRunErrors(t *testing.T) {
-	if err := run("nope", 100, 0.4, "text", "", true); err == nil {
-		t.Fatal("unknown experiment should error")
-	}
-	if err := run("fig6", 100, 0.4, "yaml", "", true); err == nil {
-		t.Fatal("unknown format should error")
-	}
-	// A cache outside (0, 1] is refused, not replaced by the default,
-	// and before the output file is made.
-	for _, pct := range []float64{40, 1.01, 0, -1, math.NaN()} {
-		out := filepath.Join(t.TempDir(), "fig7.txt")
-		err := run("fig7", 100, pct, "text", out, true)
-		if err == nil || !strings.Contains(err.Error(), "(0, 1]") {
-			t.Errorf("-cache %g: error %v, want one naming the range (0, 1]", pct, err)
-		}
-		if _, statErr := os.Stat(out); statErr == nil {
-			t.Errorf("-cache %g: the output file was made", pct)
-		}
-	}
-}
-
-// TestGoldenOutput pins the evaluation: bybench at -scale 10 prints the
+// TestGoldenOutput pins the evaluation: by bench at -scale 10 prints the
 // paper's experiments (-exp all) and the extensions (-exp extensions)
 // byte for byte as testdata/ holds them. A change that moves a figure
 // regenerates both (go test -run TestGoldenOutput -update), and the
@@ -85,7 +63,7 @@ func TestGoldenOutput(t *testing.T) {
 		t.Run(exp, func(t *testing.T) {
 			golden := filepath.Join("testdata", exp+"-scale10.txt")
 			out := filepath.Join(t.TempDir(), exp+".txt")
-			if err := run(exp, 10, 0.4, "text", out, true); err != nil {
+			if _, err := by("bench", "-exp", exp, "-scale", "10", "-out", out, "-q"); err != nil {
 				t.Fatal(err)
 			}
 			got, err := os.ReadFile(out)
@@ -116,7 +94,7 @@ func TestGoldenOutput(t *testing.T) {
 
 func TestRunMarkdown(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "fig6.md")
-	if err := run("fig6", 100, 0.4, "md", out, true); err != nil {
+	if _, err := by("bench", "-exp", "fig6", "-scale", "100", "-format", "md", "-out", out, "-q"); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(out)

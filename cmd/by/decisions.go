@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 
@@ -9,27 +9,21 @@ import (
 	"bypassyield/internal/wire"
 )
 
-// runDecisions scrapes the proxy's decision ledger and shadow
-// counterfactual accounting and renders them: recent decisions
-// (filterable by object, action, or trace id), a per-action summary,
-// savings versus always-bypass, and the top regret contributors.
-func runDecisions(w io.Writer, addr string, q wire.ScrapeMsg, top int, asJSON bool) error {
-	c, err := wire.DialTimeout(addr, dialTimeout)
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	res, err := c.Scrape(q)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	renderDecisions(w, res, top)
-	return nil
+// decisionsFlags is `by decisions`: a proxy's decision ledger and shadow
+// counterfactual accounting, as recent decisions (filtered by object,
+// action or trace id), a per-action summary, the top regret
+// contributors, realized WAN against always-bypass, and the ski-rental
+// bound.
+func decisionsFlags(fs *flag.FlagSet) func(env, []string) error {
+	var q wire.ScrapeMsg
+	fs.StringVar(&q.Object, "object", "", "keep only the records of this exact object id")
+	fs.StringVar(&q.Action, "action", "", "keep only the records of this action (hit, bypass, load)")
+	fs.StringVar(&q.Trace, "trace-id", "", "keep only the records of the query with this 16-hex-digit trace id")
+	fs.IntVar(&q.Limit, "limit", 0, "cap the records returned (0 = the proxy's default)")
+	var top int
+	topVar(fs, &top, 10, "show the top-`N` regret contributors")
+	return scrapeView(fs, "proxy address", func() wire.ScrapeMsg { return q },
+		func(w io.Writer, res *wire.ScrapeResultMsg) { renderDecisions(w, res, top) })
 }
 
 func renderDecisions(w io.Writer, res *wire.ScrapeResultMsg, top int) {
@@ -73,27 +67,31 @@ func renderDecisions(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 				r.Seq, r.Action, r.Object, float64(r.Yield)/1e6,
 				r.RP, r.BYU, r.Episodes, r.EpisodePhase, r.Reason, trace)
 		}
+	}
+	renderAudit(w, res, top)
+}
 
-		// Regret: realized WAN above the per-object ski-rental bound.
-		regrets := ledger.Regret(res.Records)
-		if top > len(regrets) {
-			top = len(regrets)
-		}
-		if top > 0 && regrets[0].Regret > 0 {
-			fmt.Fprintf(w, "\ntop %d regret contributors (WAN above per-object bound):\n", top)
-			for _, or := range regrets[:top] {
-				if or.Regret <= 0 {
-					break
-				}
-				fmt.Fprintf(w, "  %-36s %4d accesses  realized %9.3f MB  bound %9.3f MB  regret %9.3f MB\n",
-					or.Object, or.Accesses, float64(or.RealizedWAN)/1e6,
-					float64(or.Bound)/1e6, float64(or.Regret)/1e6)
+// renderAudit is the decisions view's audit of the ledger, and all that
+// `by replay -audit` prints of it: the top regret contributors among the
+// records, then realized WAN against always-bypass and the ski-rental
+// bound, over the accesses since the proxy started (not a warm start's).
+func renderAudit(w io.Writer, res *wire.ScrapeResultMsg, top int) {
+	regrets := head(ledger.Regret(res.Records), top)
+	if len(regrets) > 0 && regrets[0].Regret > 0 {
+		fmt.Fprintf(w, "\ntop %d regret contributors (WAN above per-object bound):\n", len(regrets))
+		for _, or := range regrets {
+			if or.Regret <= 0 {
+				break
 			}
+			fmt.Fprintf(w, "  %-36s %4d accesses  realized %9.3f MB  bound %9.3f MB  regret %9.3f MB\n",
+				or.Object, or.Accesses, float64(or.RealizedWAN)/1e6,
+				float64(or.Bound)/1e6, float64(or.Regret)/1e6)
 		}
 	}
 
 	if wan := res.BypassWANBytes; wan > 0 {
 		fmt.Fprintln(w, "\ncounterfactual baseline (since the proxy started, not just matching records):")
+		fmt.Fprintf(w, "  %-19s WAN %12.3f MB\n", "realized", float64(wan-res.SavedVsBypassBytes)/1e6)
 		fmt.Fprintf(w, "  vs %-16s WAN %12.3f MB   saved %12.3f MB (%5.1f%%)\n",
 			"always-bypass", float64(wan)/1e6, float64(res.SavedVsBypassBytes)/1e6,
 			100*float64(res.SavedVsBypassBytes)/float64(wan))

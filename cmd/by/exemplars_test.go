@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,8 +102,7 @@ func TestRunExemplars(t *testing.T) {
 		"an absent file":                       {paths: []string{filepath.Join(dir, "absent.jsonl")}, wantErr: []string{"absent.jsonl"}},
 		"a log without traced exemplars":       {paths: []string{empty}, wantErr: []string{"no exemplar with a trace id"}},
 	} {
-		var buf bytes.Buffer
-		err := runExemplars(&buf, c.paths, 10)
+		out, err := by("exemplars", "-logs", strings.Join(c.paths, ","), "-top", "10")
 		if c.wantErr != nil {
 			for _, want := range c.wantErr {
 				if err == nil || !strings.Contains(err.Error(), want) {
@@ -118,8 +116,8 @@ func TestRunExemplars(t *testing.T) {
 			continue
 		}
 		for sub, n := range c.count {
-			if got := strings.Count(buf.String(), sub); got != n {
-				t.Errorf("%s: %q occurs %d times, want %d:\n%s", name, sub, got, n, buf.String())
+			if got := strings.Count(out, sub); got != n {
+				t.Errorf("%s: %q occurs %d times, want %d:\n%s", name, sub, got, n, out)
 			}
 		}
 	}

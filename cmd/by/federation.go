@@ -1,10 +1,12 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -25,37 +27,38 @@ func (v nodeView) proxy() bool {
 	return v.ScrapeResultMsg != nil && v.Source == "byproxyd"
 }
 
-// scrapeNode scrapes one daemon in one round trip.
-func scrapeNode(addr string, q wire.ScrapeMsg) nodeView {
-	v := nodeView{Addr: addr}
-	c, err := wire.DialTimeout(addr, dialTimeout)
-	if err != nil {
-		v.Err = err.Error()
-		return v
+// federationFlags is `by federation`: it scrapes every listed daemon,
+// proxies and database nodes, checks the paper's delivered-bytes
+// invariant on each proxy and across the federation, ranks tail causes
+// over all of them, and merges the exemplars that share a trace id into
+// cross-node views of one query. An unreachable daemon is reported, not
+// fatal.
+func federationFlags(fs *flag.FlagSet) func(env, []string) error {
+	addrs := fs.String("addrs", "", "comma-separated daemon addresses to scrape as one federation")
+	timeout := fs.Duration("dial-timeout", wire.DefaultDialTimeout, "connect timeout, per daemon")
+	asJSON := fs.Bool("json", false, "print the scrapes as JSON")
+	q := exemplarFilter(fs)
+	var top int
+	topVar(fs, &top, 10, "show the top-`N` merged traces")
+	return func(e env, _ []string) error {
+		if *addrs == "" {
+			return errors.New("-addrs is required")
+		}
+		var views []nodeView
+		for _, addr := range strings.Split(*addrs, ",") {
+			v := nodeView{Addr: addr}
+			var err error
+			if v.ScrapeResultMsg, err = scrape(addr, *timeout, q()); err != nil {
+				v.Err = err.Error()
+			}
+			views = append(views, v)
+		}
+		if *asJSON {
+			return writeJSON(e.stdout, views)
+		}
+		renderFederation(e.stdout, views, top)
+		return nil
 	}
-	defer c.Close()
-	if v.ScrapeResultMsg, err = c.Scrape(q); err != nil {
-		v.Err = err.Error()
-	}
-	return v
-}
-
-// runFederation scrapes every listed daemon (proxies and database
-// nodes), verifies the paper's delivered-bytes invariant across the
-// federation, aggregates tail-cause attribution, and merges exemplars
-// that share a trace id into cross-node views of the same query.
-func runFederation(w io.Writer, addrs []string, q wire.ScrapeMsg, top int, asJSON bool) error {
-	views := make([]nodeView, len(addrs))
-	for i, addr := range addrs {
-		views[i] = scrapeNode(addr, q)
-	}
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(views)
-	}
-	renderFederation(w, views, top)
-	return nil
 }
 
 func renderFederation(w io.Writer, views []nodeView, top int) {
@@ -231,11 +234,9 @@ func renderMergedTraces(w io.Writer, exs []tracedExemplar, top int, detail bool)
 		}
 		return ms[i].trace < ms[j].trace
 	})
-	if top > len(ms) {
-		top = len(ms)
-	}
-	fmt.Fprintf(w, "\nmerged traces (%d total, showing %d):\n", len(ms), top)
-	for _, m := range ms[:top] {
+	shown := head(ms, top)
+	fmt.Fprintf(w, "\nmerged traces (%d total, showing %d):\n", len(ms), len(shown))
+	for _, m := range shown {
 		fmt.Fprintf(w, "  trace %s  (%d daemon views)\n", m.trace, len(m.views))
 		for _, tv := range m.views {
 			e := tv.ex

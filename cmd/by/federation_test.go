@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -125,11 +127,10 @@ func TestFederationTailAttribution(t *testing.T) {
 
 	// Federation-wide scrape: invariant satisfied, attribution table
 	// ranks the slow site first, traces merge across daemons.
-	var sb strings.Builder
-	if err := runFederation(&sb, addrs, wire.ScrapeMsg{}, 10, false); err != nil {
+	out, err := by("federation", "-addrs", strings.Join(addrs, ","), "-top", "10")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	if !strings.Contains(out, "Σ yields") || !strings.Contains(out, "SATISFIED") {
 		t.Fatalf("invariant not verified:\n%s", out)
 	}
@@ -155,21 +156,18 @@ func TestFederationTailAttribution(t *testing.T) {
 	}
 
 	// The single-daemon tail view renders the same story.
-	sb.Reset()
-	if err := runTail(&sb, addrs[0], wire.ScrapeMsg{}, 5, false); err != nil {
+	if out, err = by("tail", "-addr", addrs[0], "-top", "5"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), wantCause) || !strings.Contains(sb.String(), "tail attribution") {
-		t.Fatalf("tail view missing attribution:\n%s", sb.String())
+	if !strings.Contains(out, wantCause) || !strings.Contains(out, "tail attribution") {
+		t.Fatalf("tail view missing attribution:\n%s", out)
 	}
 
 	// -trace-id narrows it to one query: that exemplar alone, its
 	// phases, and its one sub-query leg drawn as a bar.
-	sb.Reset()
-	if err := runTail(&sb, addrs[0], wire.ScrapeMsg{Trace: traces[1]}, 5, false); err != nil {
+	if out, err = by("tail", "-addr", addrs[0], "-trace-id", traces[1], "-top", "5"); err != nil {
 		t.Fatal(err)
 	}
-	out = sb.String()
 	if strings.Count(out, "trace ") != 1 || !strings.Contains(out, "trace "+traces[1]) {
 		t.Fatalf("-trace-id view is not of %s alone:\n%s", traces[1], out)
 	}
@@ -221,11 +219,11 @@ func TestFederationInvariantUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		var sb strings.Builder
-		if err := runFederation(&sb, addrs[:1], wire.ScrapeMsg{}, 1, false); err != nil {
+		out, err := by("federation", "-addrs", addrs[0], "-top", "1")
+		if err != nil {
 			t.Fatal(err)
 		}
-		if out := sb.String(); !strings.Contains(out, "SATISFIED") || strings.Contains(out, "MISMATCH") {
+		if !strings.Contains(out, "SATISFIED") || strings.Contains(out, "MISMATCH") {
 			t.Fatalf("scrape %d of a healthy proxy under load:\n%s", i, out)
 		}
 	}
@@ -251,12 +249,11 @@ func TestFederationUnreachable(t *testing.T) {
 	}
 	c.Close()
 
-	var sb strings.Builder
 	dead := "127.0.0.1:1" // reserved port; connect refuses immediately
-	if err := runFederation(&sb, append(addrs, dead), wire.ScrapeMsg{}, 5, false); err != nil {
+	out, err := by("federation", "-addrs", strings.Join(append(addrs, dead), ","), "-top", "5")
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
 	if !strings.Contains(out, "UNREACHABLE") {
 		t.Fatalf("dead daemon not reported:\n%s", out)
 	}
@@ -290,7 +287,7 @@ func framesRx(t *testing.T, addr string) (all, scrapes int64) {
 }
 
 // TestOneScrapePerDaemonPerRender: every live view reads each daemon it
-// draws in one round trip, a MsgScrape and no other frame — -watch once
+// draws in one round trip, a MsgScrape and no other frame — watch once
 // per sample. A proxy and a node count the frames they read in
 // wire.frames_rx; between two reads of it, one render adds its scrapes
 // and the second read one more.
@@ -308,26 +305,32 @@ func TestOneScrapePerDaemonPerRender(t *testing.T) {
 	c.Close()
 
 	proxy, node := addrs[0], addrs[1]
+	cmd := func(argv ...string) func() error {
+		return func() error { _, err := by(argv...); return err }
+	}
+	all := strings.Join(addrs, ",")
 	for _, v := range []struct {
 		name    string
 		daemons []string
-		render  func(w *strings.Builder) error
+		render  func() error
 		scrapes int64 // per daemon
 	}{
-		{"-federation", addrs, func(w *strings.Builder) error { return runFederation(w, addrs, wire.ScrapeMsg{}, 5, false) }, 1},
-		{"-federation -json", addrs, func(w *strings.Builder) error { return runFederation(w, addrs, wire.ScrapeMsg{}, 5, true) }, 1},
-		{"-tail", []string{proxy}, func(w *strings.Builder) error { return runTail(w, proxy, wire.ScrapeMsg{}, 5, false) }, 1},
-		{"-tail of a node", []string{node}, func(w *strings.Builder) error { return runTail(w, node, wire.ScrapeMsg{}, 5, false) }, 1},
-		{"-decisions", []string{proxy}, func(w *strings.Builder) error { return runDecisions(w, proxy, wire.ScrapeMsg{}, 5, false) }, 1},
-		{"-addr", []string{node}, func(w *strings.Builder) error { return runLive(w, node, false) }, 1},
-		{"-watch", []string{proxy}, func(w *strings.Builder) error { return runWatch(w, proxy, time.Millisecond, 3) }, 4},
+		{"federation", addrs, cmd("federation", "-addrs", all, "-top", "5"), 1},
+		{"federation -json", addrs, cmd("federation", "-addrs", all, "-top", "5", "-json"), 1},
+		{"tail", []string{proxy}, cmd("tail", "-addr", proxy, "-top", "5"), 1},
+		{"tail of a node", []string{node}, cmd("tail", "-addr", node, "-top", "5"), 1},
+		{"decisions", []string{proxy}, cmd("decisions", "-addr", proxy, "-top", "5"), 1},
+		{"metrics", []string{node}, cmd("metrics", "-addr", node), 1},
+		{"stats", []string{proxy}, cmd("stats", "-addr", proxy), 1},
+		{"watch", []string{proxy}, func() error {
+			return watch(context.Background(), io.Discard, &endpoint{proxy, time.Second}, time.Millisecond, 3)
+		}, 4},
 	} {
 		before := make([][2]int64, len(v.daemons))
 		for i, addr := range v.daemons {
 			before[i][0], before[i][1] = framesRx(t, addr)
 		}
-		var sb strings.Builder
-		if err := v.render(&sb); err != nil {
+		if err := v.render(); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
 		for i, addr := range v.daemons {

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
@@ -88,15 +87,20 @@ func TestRunReplaysTrace(t *testing.T) {
 	}
 	addr, _, stop := startProxy(t, false)
 	defer stop()
-	if err := run(addr, time.Second, path, 25, 0, false, 5); err != nil {
+	out, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out, "replayed 25 queries (0 failed)") || strings.Contains(out, "counterfactual") {
+		t.Fatalf("replay without -audit:\n%s", out)
 	}
 }
 
 // TestRunAudit: the audit prints the always-bypass diff and the bound,
-// and its lines add up — realized WAN = always-bypass WAN − saved — on a
-// proxy that starts cold and on one that starts warm, where the realized
-// figure is the WAN since the start, not the restored accounting's.
+// as the decisions view does, and its lines add up — realized WAN =
+// always-bypass WAN − saved — on a proxy that starts cold and on one
+// that starts warm, where the realized figure is the WAN since the
+// start, not the restored accounting's.
 func TestRunAudit(t *testing.T) {
 	p := workload.ScaledProfile(workload.EDRProfile(), 500)
 	recs, err := workload.Generate(p, federation.Columns)
@@ -127,7 +131,8 @@ func TestRunAudit(t *testing.T) {
 			if warm && restoredWAN == 0 {
 				t.Fatal("the restored snapshot carries no WAN: the warm case tests nothing")
 			}
-			if err := run(addr, time.Second, path, 25, 0, true, 5); err != nil {
+			replayed, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0", "-audit", "-top", "5")
+			if err != nil {
 				t.Fatal(err)
 			}
 
@@ -141,15 +146,18 @@ func TestRunAudit(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			runAudit(&buf, st, 5)
+			renderAudit(&buf, st, 5)
 			out := buf.String()
-			for _, want := range []string{"realized WAN", "always-bypass", "ski-rental bound"} {
+			if !strings.HasSuffix(replayed, out) {
+				t.Fatalf("by replay -audit does not end in the audit of the ledger it leaves:\n%s\nwant the suffix\n%s", replayed, out)
+			}
+			for _, want := range []string{"realized", "always-bypass", "ski-rental lower bound"} {
 				if !strings.Contains(out, want) {
 					t.Fatalf("audit output missing %q:\n%s", want, out)
 				}
 			}
-			realized := mb(out, `realized WAN\s+(-?[0-9.]+) MB`)
-			bypass := mb(out, `always-bypass\s+(-?[0-9.]+) MB`)
+			realized := mb(out, `realized\s+WAN\s+(-?[0-9.]+) MB`)
+			bypass := mb(out, `always-bypass\s+WAN\s+(-?[0-9.]+) MB`)
 			saved := mb(out, `saved\s+(-?[0-9.]+) MB`)
 			if math.Abs(bypass-saved-realized) > 0.0015 {
 				t.Fatalf("always-bypass %.3f MB − saved %.3f MB != realized %.3f MB:\n%s", bypass, saved, realized, out)
@@ -159,16 +167,6 @@ func TestRunAudit(t *testing.T) {
 					realized, want, st.Acct.WANBytes(), restoredWAN, out)
 			}
 		})
-	}
-}
-
-func TestRunErrors(t *testing.T) {
-	if err := run("127.0.0.1:1", time.Second, "", 0, 0, false, 5); err == nil {
-		t.Fatal("missing trace should error")
-	}
-	addrless := filepath.Join(t.TempDir(), "absent.jsonl")
-	if err := run("127.0.0.1:1", time.Second, addrless, 0, 0, false, 5); err == nil {
-		t.Fatal("absent trace should error")
 	}
 }
 
@@ -187,7 +185,7 @@ func TestAuditScrapesOnce(t *testing.T) {
 	}
 	addr, _, stop := startProxy(t, false)
 	defer stop()
-	if err := run(addr, time.Second, path, 25, 0, true, 5); err != nil {
+	if _, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0", "-audit", "-top", "5"); err != nil {
 		t.Fatal(err)
 	}
 	c, err := wire.Dial(addr)

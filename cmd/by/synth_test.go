@@ -22,7 +22,7 @@ import (
 
 func TestLoadScenarioPrecedence(t *testing.T) {
 	// Canned by name, with overrides.
-	sc, err := loadScenario(options{scenario: "steady", seed: 99, release: "dr1", arrival: "uniform", timeScale: 2, rpsScale: 1})
+	sc, err := loadScenario(synthOptions{scenario: "steady", seed: 99, release: "dr1", arrival: "uniform", timeScale: 2, rpsScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestLoadScenarioPrecedence(t *testing.T) {
 	}
 
 	// The slot grammar builds an ad-hoc scenario.
-	sc, err = loadScenario(options{slots: "ramp:10..40x2s", scenario: "steady", timeScale: 1, rpsScale: 1})
+	sc, err = loadScenario(synthOptions{slots: "ramp:10..40x2s", scenario: "steady", timeScale: 1, rpsScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestLoadScenarioPrecedence(t *testing.T) {
 	if err := os.WriteFile(spec, []byte(`{"name":"from-file","seed":3,"slots":[{"shape":"constant","rps":5,"duration":"1s"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sc, err = loadScenario(options{specPath: spec, slots: "constant:1x1s", scenario: "steady", timeScale: 1, rpsScale: 1})
+	sc, err = loadScenario(synthOptions{specPath: spec, slots: "constant:1x1s", scenario: "steady", timeScale: 1, rpsScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +56,12 @@ func TestLoadScenarioPrecedence(t *testing.T) {
 	}
 
 	for _, name := range []string{"no-such", "saturation"} {
-		if _, err := loadScenario(options{scenario: name}); err == nil || !strings.Contains(err.Error(), "steady") {
+		if _, err := loadScenario(synthOptions{scenario: name}); err == nil || !strings.Contains(err.Error(), "steady") {
 			t.Fatalf("unknown canned name %q should list the choices, got %v", name, err)
 		}
 	}
 	// Overrides are validated: a bad arrival mode fails loudly.
-	if _, err := loadScenario(options{scenario: "steady", arrival: "bursty", timeScale: 1, rpsScale: 1}); err == nil {
+	if _, err := loadScenario(synthOptions{scenario: "steady", arrival: "bursty", timeScale: 1, rpsScale: 1}); err == nil {
 		t.Fatal("bad -arrival accepted")
 	}
 }
@@ -122,11 +122,8 @@ func testFederation(t *testing.T, inj *faultnet.Injector) (string, *wire.Proxy) 
 func TestRunAgainstProxy(t *testing.T) {
 	addr, _ := testFederation(t, nil)
 	out := filepath.Join(t.TempDir(), "report.json")
-	var sb strings.Builder
-	err := run(context.Background(), options{
-		addr: addr, scenario: "steady", timeScale: 10, rpsScale: 0.5,
-		maxInflight: 32, wait: 5 * time.Second, out: out, quiet: true,
-	}, &sb)
+	table, err := by("synth", "-addr", addr, "-scenario", "steady", "-time-scale", "10", "-rps-scale", "0.5",
+		"-max-inflight", "32", "-wait", "5s", "-out", out, "-quiet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +154,8 @@ func TestRunAgainstProxy(t *testing.T) {
 	if rep.Proxy.YieldBytes == 0 {
 		t.Fatalf("proxy saw no yield: %+v", rep.Proxy)
 	}
-	if !strings.Contains(sb.String(), "achieved") {
-		t.Fatalf("table output missing:\n%s", sb.String())
+	if !strings.Contains(table, "achieved") {
+		t.Fatalf("table output missing:\n%s", table)
 	}
 }
 
@@ -191,16 +188,13 @@ func TestWaitNoScrape(t *testing.T) {
 			}()
 		}
 	}()
-	var sb strings.Builder
-	err = run(context.Background(), options{
-		addr: ln.Addr().String(), slots: "constant:20x1s", arrival: "uniform", timeScale: 1, rpsScale: 1,
-		wait: time.Second, noScrape: true, quiet: true,
-	}, &sb)
+	out, err := by("synth", "-addr", ln.Addr().String(), "-slots", "constant:20x1s", "-arrival", "uniform",
+		"-wait", "1s", "-no-scrape", "-quiet")
 	if err != nil {
 		t.Fatalf("-wait -no-scrape against a MsgQuery-only target: %v", err)
 	}
-	if !strings.Contains(sb.String(), "20 completed") {
-		t.Fatalf("run did not complete its 20 ops:\n%s", sb.String())
+	if !strings.Contains(out, "20 completed") {
+		t.Fatalf("run did not complete its 20 ops:\n%s", out)
 	}
 }
 
@@ -327,28 +321,20 @@ func TestChaosSynth(t *testing.T) {
 // an easy one must pass.
 func TestSLOGate(t *testing.T) {
 	addr, _ := testFederation(t, nil)
-	base := options{
-		addr: addr, scenario: "steady", timeScale: 20, rpsScale: 0.25,
-		maxInflight: 32, wait: 5 * time.Second, quiet: true, slo: synth.DefaultSLO,
-	}
+	base := []string{"synth", "-addr", addr, "-scenario", "steady", "-time-scale", "20", "-rps-scale", "0.25",
+		"-max-inflight", "32", "-wait", "5s", "-quiet"}
 
-	var sb strings.Builder
-	ok := base
-	ok.sloFail = 0.01
-	if err := run(context.Background(), ok, &sb); err != nil {
+	if _, err := by(append(base, "-slo-fail", "0.01")...); err != nil {
 		t.Fatalf("easy slo gate failed: %v", err)
 	}
 
-	sb.Reset()
-	bad := base
-	bad.slo = time.Nanosecond // nothing completes in a nanosecond
-	bad.sloFail = 0.99
-	err := run(context.Background(), bad, &sb)
+	// Nothing completes in a nanosecond.
+	out, err := by(append(base, "-slo", "1ns", "-slo-fail", "0.99")...)
 	if err == nil || !strings.Contains(err.Error(), "slo gate") {
 		t.Fatalf("impossible slo gate passed: %v", err)
 	}
 	// The report must still have been rendered before the gate fired.
-	if !strings.Contains(sb.String(), "achieved") {
-		t.Fatalf("gate failure swallowed the report:\n%s", sb.String())
+	if !strings.Contains(out, "achieved") {
+		t.Fatalf("gate failure swallowed the report:\n%s", out)
 	}
 }

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"sort"
@@ -12,28 +12,31 @@ import (
 	"bypassyield/internal/wire"
 )
 
-// runTail scrapes a daemon's flight recorder and tail-cause counters
-// and renders a "why is p99 slow" report: the ranked critical-path
-// attribution table (which phase or WAN leg dominated the exceedances)
-// followed by the slowest captured exemplars with their per-leg
-// breakdowns. With q.Trace set it is the view of one query.
-func runTail(w io.Writer, addr string, q wire.ScrapeMsg, top int, asJSON bool) error {
-	c, err := wire.DialTimeout(addr, dialTimeout)
-	if err != nil {
-		return err
+// tailFlags is `by tail`: a daemon's flight recorder and tail-cause
+// counters as a "why is p99 slow" report, the ranked critical-path
+// attribution (which phase or WAN leg dominated the exceedances), then
+// the slowest captured exemplars with their phases and WAN legs drawn.
+// With -trace-id it is the view of one query.
+func tailFlags(fs *flag.FlagSet) func(env, []string) error {
+	var top int
+	topVar(fs, &top, 10, "show the top-`N` slowest exemplars")
+	return scrapeView(fs, anyDaemon, exemplarFilter(fs),
+		func(w io.Writer, res *wire.ScrapeResultMsg) { renderTail(w, res, top) })
+}
+
+// exemplarFilter declares the flags that pick a scrape's exemplars and
+// returns the scrape they make once parsed.
+func exemplarFilter(fs *flag.FlagSet) func() wire.ScrapeMsg {
+	var q wire.ScrapeMsg
+	var minMS int64
+	fs.StringVar(&q.Trace, "trace-id", "", "keep only the query with this 16-hex-digit trace id")
+	fs.StringVar(&q.Outcome, "outcome", "", "keep only the exemplars of this outcome (slow, error, degraded, normal)")
+	fs.Int64Var(&minMS, "min-ms", 0, "keep only the exemplars at least this slow")
+	fs.IntVar(&q.Limit, "limit", 0, "cap the exemplars returned by each daemon (0 = its default)")
+	return func() wire.ScrapeMsg {
+		q.MinUS = minMS * 1000
+		return q
 	}
-	defer c.Close()
-	res, err := c.Scrape(q)
-	if err != nil {
-		return err
-	}
-	if asJSON {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
-	}
-	renderTail(w, res, top)
-	return nil
 }
 
 // writeCauses renders ranked tail causes as a table under title, each
@@ -84,11 +87,9 @@ func renderTail(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 	// Slowest first for the detail listing.
 	exs := append([]flightrec.Exemplar(nil), res.Exemplars...)
 	sort.SliceStable(exs, func(i, j int) bool { return exs[i].DurUS > exs[j].DurUS })
-	if top > len(exs) {
-		top = len(exs)
-	}
-	fmt.Fprintf(w, "\nslowest %d exemplars:\n", top)
-	for _, e := range exs[:top] {
+	exs = head(exs, top)
+	fmt.Fprintf(w, "\nslowest %d exemplars:\n", len(exs))
+	for _, e := range exs {
 		trace := e.Trace
 		if trace == "" {
 			trace = "-"

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -11,17 +13,24 @@ import (
 	"bypassyield/internal/wire"
 )
 
-// runWatch scrapes a daemon's metrics every interval and renders what
-// moved: counter deltas with their implied per-second rate, latency
-// quantiles over the interval, and what the interval's flows say about
-// the cache (flowFigures). rounds bounds the number of
-// samples (≤ 0 means run until the connection drops or stdin closes
-// the process; main passes 0, tests pass a small count).
-func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) error {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	c, err := wire.DialTimeout(addr, dialTimeout)
+// watchFlags is `by watch`: it scrapes a daemon's metrics every interval
+// and prints what moved, until the connection drops or the process is
+// stopped.
+func watchFlags(fs *flag.FlagSet) func(env, []string) error {
+	ep := endpointFlags(fs, anyDaemon)
+	var every time.Duration
+	rangedVar(fs, &every, "every", time.Second, "> 0", func(d time.Duration) bool { return d > 0 },
+		"re-scrape at this `interval`")
+	return func(e env, _ []string) error { return watch(e.ctx, e.stdout, ep, every, 0) }
+}
+
+// watch renders, per interval, the counter deltas with their implied
+// per-second rate, the latency quantiles over the interval, and what the
+// interval's flows say about the cache (flowFigures), all read over one
+// connection, one scrape a sample. rounds bounds the number of samples
+// (≤ 0: until the connection drops or ctx ends).
+func watch(ctx context.Context, w io.Writer, ep *endpoint, interval time.Duration, rounds int) error {
+	c, err := ep.dial()
 	if err != nil {
 		return err
 	}
@@ -31,9 +40,13 @@ func runWatch(w io.Writer, addr string, interval time.Duration, rounds int) erro
 		return err
 	}
 	fmt.Fprintf(w, "watching %s at %s every %s (ctrl-c to stop)\n",
-		prev.Source, addr, interval)
+		prev.Source, ep.addr, interval)
 	for i := 1; rounds <= 0 || i <= rounds; i++ {
-		time.Sleep(interval)
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(interval):
+		}
 		cur, err := c.Scrape(wire.ScrapeMsg{})
 		if err != nil {
 			return err
@@ -60,11 +73,7 @@ func renderDeltas(w io.Writer, prev, cur obs.Snapshot, interval time.Duration) {
 			continue
 		}
 		moved++
-		name := c.Name
-		if c.Label != "" {
-			name += "{" + c.Label + "}"
-		}
-		fmt.Fprintf(w, "  %-40s %+12d  (%.1f/s)\n", name, d, float64(d)/secs)
+		fmt.Fprintf(w, "  %-40s %+12d  (%.1f/s)\n", labeled(c.Name, c.Label), d, float64(d)/secs)
 	}
 	if moved == 0 {
 		fmt.Fprintln(w, "  (idle: no counter movement)")
@@ -125,13 +134,9 @@ func renderLatencies(w io.Writer, prev, cur obs.Snapshot) {
 			printed = true
 			fmt.Fprintf(w, "  latency:      %10s %10s %10s %8s\n", "p50", "p99", "p999", "n")
 		}
-		name := h.Name
-		if h.Label != "" {
-			name += "{" + h.Label + "}"
-		}
 		q := d.Quantiles(0.50, 0.99, 0.999)
 		fmt.Fprintf(w, "    %-38s %8s %10s %10s %8d\n",
-			name, fmtObs(h.Name, q[0]), fmtObs(h.Name, q[1]), fmtObs(h.Name, q[2]), d.Count)
+			labeled(h.Name, h.Label), fmtObs(h.Name, q[0]), fmtObs(h.Name, q[1]), fmtObs(h.Name, q[2]), d.Count)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"regexp"
 	"strings"
@@ -16,7 +17,7 @@ func TestRunWatch(t *testing.T) {
 	var buf bytes.Buffer
 	// Two 20ms rounds: the scrapes themselves move the proxy's wire
 	// counters, so each sample shows deltas: one scrape frame each.
-	if err := runWatch(&buf, addr, 20*time.Millisecond, 2); err != nil {
+	if err := watch(context.Background(), &buf, &endpoint{addr, time.Second}, 20*time.Millisecond, 2); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -36,8 +37,41 @@ func TestRunWatch(t *testing.T) {
 }
 
 func TestRunWatchErrors(t *testing.T) {
-	if err := runWatch(&bytes.Buffer{}, "127.0.0.1:1", time.Millisecond, 1); err == nil {
+	if _, err := by("watch", "-addr", "127.0.0.1:1", "-every", "1ms"); err == nil {
 		t.Fatal("dial failure should error")
+	}
+}
+
+func TestRenderLatencyDeltas(t *testing.T) {
+	mk := func(counts []int64, sum, count int64) obs.HistogramSnap {
+		return obs.HistogramSnap{
+			Name:   "federation.query_latency_us",
+			Bounds: []int64{1000, 10000, 100000},
+			Counts: counts, Sum: sum, Count: count,
+		}
+	}
+	// Between samples the histogram gained 10 fast and 1 slow
+	// observation; the columns must reflect only the delta window.
+	prev := obs.Snapshot{Histograms: []obs.HistogramSnap{mk([]int64{100, 0, 0, 0}, 50_000, 100)}}
+	cur := obs.Snapshot{Histograms: []obs.HistogramSnap{mk([]int64{110, 0, 1, 0}, 100_000, 111)}}
+	var buf bytes.Buffer
+	renderDeltas(&buf, prev, cur, time.Second)
+	out := buf.String()
+	for _, want := range []string{
+		"latency:",
+		"federation.query_latency_us",
+		"1.00ms",   // p50 of the delta: the first bucket's bound, as ms
+		"100.00ms", // p999 reaches the slow observation's bucket
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("watch output missing %q:\n%s", want, out)
+		}
+	}
+	// An idle histogram (no delta) stays out of the table.
+	buf.Reset()
+	renderDeltas(&buf, cur, cur, time.Second)
+	if strings.Contains(buf.String(), "latency:") {
+		t.Fatalf("idle histograms rendered:\n%s", buf.String())
 	}
 }
 

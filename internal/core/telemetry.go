@@ -37,7 +37,7 @@ import (
 //
 // A reader that wants them per interval — a byte hit ratio, the WAN
 // reduction (D_A − D_S − D_L)/D_A — takes the deltas between two
-// scrapes (byinspect -watch).
+// scrapes (`by watch`).
 //
 // Pushed:
 //

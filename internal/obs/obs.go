@@ -10,7 +10,7 @@
 // (wire, core, engine, federation) registers counters, gauges, and
 // fixed-bucket histograms here, and the proxy serves the registry's
 // Snapshot over the wire protocol (in every daemon's MsgScrape reply)
-// for byinspect to render.
+// for `by metrics` to render.
 //
 // Design constraints:
 //

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 // TestHistogramQuantile pins the shared quantile implementation that
-// bysynth's run reports and byinspect -watch both lean on: the
+// `by synth`'s run reports and `by watch` both lean on: the
 // q-quantile is the upper bound of the bucket holding the ⌈q·N⌉-th
 // observation.
 func TestHistogramQuantile(t *testing.T) {

@@ -21,7 +21,7 @@
 // policy blobs inside a snapshot, are written in one codec,
 // internal/statecodec.
 //
-// Metrics (in the shared obs registry, surfaced by byinspect):
+// Metrics (in the shared obs registry, surfaced by `by metrics`):
 //
 //	persist.snapshots            counter: snapshots written
 //	persist.snapshot_errors      counter: failed snapshot attempts

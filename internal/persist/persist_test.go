@@ -61,7 +61,7 @@ func driveQueries(t *testing.T, med *federation.Mediator, n int) {
 	}
 }
 
-// checkInvariant asserts the byinspect reconciliation invariant on a
+// checkInvariant asserts the `by federation` reconciliation invariant on a
 // uniform network: core.yield_bytes = Acct.YieldBytes = D_A.
 func checkInvariant(t *testing.T, med *federation.Mediator, reg *obs.Registry) {
 	t.Helper()

@@ -435,7 +435,7 @@ func (st *runState) exec(op *Op) {
 	// Mint a correlation id per operation: the proxy propagates it to
 	// node legs and stamps it on flight-recorder exemplars, so a tail
 	// event in this run can be joined across daemons afterwards
-	// (byinspect -federation merges by trace id).
+	// (`by federation` merges by trace id).
 	t0 := time.Now()
 	res, err := cl.QueryTraced(op.SQL, obs.NewID())
 	latUS := time.Since(t0).Microseconds()

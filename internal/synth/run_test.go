@@ -158,7 +158,7 @@ func TestRunSteady(t *testing.T) {
 	if rep.AchievedRPS < 150 || rep.AchievedRPS > 250 {
 		t.Fatalf("achieved = %.1f rps, want ≈ 200", rep.AchievedRPS)
 	}
-	// The run also feeds the shared registry for byinspect/watch.
+	// The run also feeds the shared registry for `by watch`.
 	snap := reg.Snapshot()
 	if got := snap.CounterValue("synth.completed", ""); got != 200 {
 		t.Fatalf("synth.completed = %d", got)

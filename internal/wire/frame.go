@@ -45,8 +45,7 @@
 // recognised and refused with ErrProtocolVersion — answered as a JSON
 // MsgError, which that peer can read — and so is a protocol-2 peer,
 // whose queries carried a third string. There is no negotiation:
-// clients (byquery, bysynth, byreplay, byinspect) are rebuilt with the
-// daemons.
+// clients (the by binary) are rebuilt with the daemons.
 package wire
 
 import (

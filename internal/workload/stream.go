@@ -19,7 +19,7 @@ type Statement struct {
 // Stream is an unbounded, deterministic statement source over a
 // profile: the same science-query generator that Generate runs, but
 // demand-driven and without yield decomposition or calibration, so a
-// live load harness (bysynth) can draw statements at wire speed
+// live load harness (`by synth`) can draw statements at wire speed
 // instead of materializing a whole trace up front.
 //
 // Streams never emit log-self queries (they reference a pseudo-table

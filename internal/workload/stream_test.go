@@ -46,7 +46,7 @@ func TestStreamDeterministic(t *testing.T) {
 }
 
 // TestStreamStatementsBindable: every streamed statement parses and
-// binds against the release schema — the property that lets bysynth
+// binds against the release schema — the property that lets `by synth`
 // fire them at a live proxy without a dry run.
 func TestStreamStatementsBindable(t *testing.T) {
 	s, err := NewStream(testStreamProfile(3))
@@ -156,7 +156,7 @@ func TestZipfSkew(t *testing.T) {
 }
 
 // TestZipfPickMatchesDirectSum: the kept weights pick what summing
-// 1/(i+1)^s afresh for every pick does, for the exponents bysynth's
+// 1/(i+1)^s afresh for every pick does, for the exponents `by synth`'s
 // tenants use and for pool lengths that grow the table out of order.
 func TestZipfPickMatchesDirectSum(t *testing.T) {
 	direct := func(rng *rand.Rand, n int, s float64) int {
