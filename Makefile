@@ -112,7 +112,9 @@ fuzz-smoke:
 # registry (must stay allocation-free), the executor with results kept
 # and released and the sizing of statements without their tuples
 # (SizeInto: every statement, then the single-table, join and GROUP BY
-# ones alone), a Rate-Profile miss that compares victims and a
+# ones alone), the join ones executed and released as the daemons run
+# them (ExecuteInto: the proxy on a hit, a node on a shipped join), a
+# Rate-Profile miss that compares victims and a
 # 73-access statement whose 46 such misses share one tick, one access of
 # the shadow sums (always-bypass and the ski-rental bound), the mediator's
 # whole query path (bind, size, decompose, decide, flush and copy the

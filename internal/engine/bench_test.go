@@ -59,7 +59,10 @@ var benchSink *engine.Result
 // binds and sizes each into a Result of its own (SizeInto), as
 // Mediator.QueryStmt does. "sizes/scan", "sizes/join" and "sizes/group"
 // are "sizes" over one shape of those statements each: ungrouped
-// single-table, ungrouped two-table, and GROUP BY.
+// single-table, ungrouped two-table, and GROUP BY. "execute/join" binds
+// and executes the two-table ones into a Result of its own
+// (ExecuteInto) and releases it, as the daemons do on every statement
+// they answer.
 func BenchmarkExecuteEDR(b *testing.B) {
 	db := edrDB(b, 1000)
 	stmts := edrStatements(b, workload.Mix{}, benchStatements)
@@ -105,6 +108,17 @@ func BenchmarkExecuteEDR(b *testing.B) {
 		{"sizes/scan", shapes["sizes/scan"], size},
 		{"sizes/join", shapes["sizes/join"], size},
 		{"sizes/group", shapes["sizes/group"], size},
+		{"execute/join", shapes["sizes/join"], func(stmt *sqlparse.SelectStmt) error {
+			bound, err := engine.Bind(db.Schema(), stmt)
+			if err != nil {
+				return err
+			}
+			benchSink = new(engine.Result)
+			if err = db.ExecuteInto(benchSink, bound); err == nil {
+				benchSink.Release()
+			}
+			return err
+		}},
 	} {
 		if len(bc.stmts) == 0 {
 			b.Fatalf("%s: the stream has no such statement", bc.name)

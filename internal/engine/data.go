@@ -55,6 +55,10 @@ type tableData struct {
 	n     int
 	cols  [][]float64 // parallel to meta.Columns
 	names []string    // "table.column" output names, parallel to cols
+	// dense is the position of a column whose row i holds i·SampleEvery,
+	// as synthesis writes a key, or -1 for none: such a column is its own
+	// index, and a join on it finds its row by arithmetic (denseJoin).
+	dense int
 }
 
 // Open synthesizes a database for the schema. Generation is
@@ -82,6 +86,7 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 			td.cols[j] = synthesize(&t.Columns[j], t.Name, n, cfg)
 			td.names[j] = t.Name + "." + t.Columns[j].Name
 		}
+		td.dense = denseColumn(td.cols, cfg.SampleEvery)
 		db.tables[i] = td
 	}
 	return db, nil
@@ -125,6 +130,23 @@ func synthesize(col *catalog.Column, table string, n int, cfg Config) []float64 
 		}
 	}
 	return vals
+}
+
+// denseColumn returns the position of the first of cols whose row i
+// holds i·every for every row, or -1 if none does. It checks the values
+// and not catalog.Column.Key: the flag is what the join relies on, so it
+// is true of the data or it is not set.
+func denseColumn(cols [][]float64, every int64) int {
+	for j, vals := range cols {
+		i := 0
+		for i < len(vals) && vals[i] == float64(int64(i)*every) {
+			i++
+		}
+		if i == len(vals) {
+			return j
+		}
+	}
+	return -1
 }
 
 // colSeed derives a deterministic per-column seed.

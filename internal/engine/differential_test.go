@@ -290,3 +290,152 @@ func TestExecuteBoundEqualsReferenceByHand(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseJoinEqualsReference holds the join on a dense key (a column
+// whose row i holds i·SampleEvery, whose row a value is found at by
+// arithmetic) to the reference evaluator, executed and sized: with the
+// dense side built and probed, on one key and on two with the dense one
+// first and second, with extra comparisons, TOP, ORDER BY ties, GROUP BY
+// and truncated tuples, with both sides dense, and with foreign keys
+// poked to what the grid never holds: NaN, -0, values off the grid or
+// halfway between two rows, negative, at and past the table's end, and
+// infinite.
+func TestDenseJoinEqualsReference(t *testing.T) {
+	engine.PoisonReleased(t)
+	sqls := []string{
+		// t (1 000 rows) is larger than u (100): the dense side probes.
+		"select y, x, id, tid from t, u where tid = id",
+		"select * from u, t where id = tid",
+		"select top 5 id, y from t, u where tid = id",
+		"select top 10 k, y, tid from t, u where tid = id order by k",
+		"select top 10 k, y, uid from u, t where tid = id order by k desc",
+		"select k, count(*), sum(y), max(x) from t, u where tid = id group by k",
+		"select count(*), avg(y), min(tid) from u, t where tid = id",
+		// x < 5 leaves t smaller than u: the dense side is built.
+		"select y, x, tid from t, u where tid = id and x < 5",
+		"select * from u, t where x < 5 and id = tid",
+		"select top 3 k, y from t, u where tid = id and x < 10 order by k",
+		"select j, count(*) from u, t where tid = id and x < 10 group by j",
+		// Two keys, the dense one first and second.
+		"select x, y from t, u where tid = id and k = j",
+		"select x, y from t, u where k = j and tid = id",
+		"select x, y, j from u, t where j = k and id = tid and x < 20",
+		// Extra comparisons, written from either side.
+		"select x, y from t, u where tid = id and y < x",
+		"select x, y from u, t where id = tid and x > y and x < 30",
+		"select id, uid from t, u where tid = id and uid <> id",
+		"select count(*) from t, u where tid = id and y >= x",
+		// Both sides dense, and a dense key against a column off its grid.
+		"select x, y from t, u where uid = id",
+		"select a.x, b.x from t a, t b where a.id = b.id and a.x < 50",
+		"select top 9 a.id, a.k, b.x from t a, t b where b.id = a.id and b.x < 30 order by a.k",
+		"select x, j from t, u where id = j",
+		"select x, y from u, t where j = id and k < 4",
+	}
+	negZero := math.Copysign(0, -1)
+	sides := map[string]int{}
+	for _, cfg := range []engine.Config{
+		{Seed: 3},
+		{Seed: 4, SampleEvery: 4, MaxResultRows: 7},
+		{Seed: 5, SampleEvery: 7, MaxResultRows: 1000},
+	} {
+		db, err := engine.Open(pairSchema(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]string{engine.DenseColumn(db, "t"), engine.DenseColumn(db, "u")}; got != [2]string{"id", "uid"} {
+			t.Fatalf("at 1/%d the dense columns are %q, want id and uid", db.SampleEvery(), got)
+		}
+		every, end := float64(db.SampleEvery()), float64(db.SampleRows("t"))*float64(db.SampleEvery())
+		for row, v := range []float64{math.NaN(), negZero, 0, 2.5 * every, -every, end, end + 3*every,
+			end - every, end - every/2, every / 2, math.Inf(1), math.Inf(-1), 1e300} {
+			engine.Poke(db, "u", "tid", row, v)
+		}
+		for _, sql := range sqls {
+			stmt, err := sqlparse.Parse(sql)
+			if err != nil {
+				t.Fatalf("Parse(%q): %v", sql, err)
+			}
+			b, err := engine.Bind(db.Schema(), stmt)
+			if err != nil {
+				t.Fatalf("Bind(%q): %v", sql, err)
+			}
+			dense, build, err := engine.JoinSides(db, b)
+			switch {
+			case err != nil || dense < 0:
+				t.Errorf("%s: not joined on a dense key (side %d, %v)", sql, dense, err)
+			case dense == build:
+				sides["built"]++
+			default:
+				sides["probed"]++
+			}
+			if err := againstReference(db, stmt); err != nil {
+				t.Errorf("at 1/%d: %s: %v", db.SampleEvery(), sql, err)
+			}
+		}
+	}
+	if sides["built"] < 10 || sides["probed"] < 10 {
+		t.Errorf("the dense side was built in %d joins and probed in %d: the list lost an orientation", sides["built"], sides["probed"])
+	}
+}
+
+// TestPokedKeyIsNotJoinedByArithmetic: a dense key poked off its grid —
+// to another row's key, to NaN, to -0 — is no longer dense, so joins on
+// it go back to hashing and still find every match; the reference says
+// which. A stale flag would find one of two rows with the same key.
+// Poked to -0 at row 0, a key stays dense: -0 equals the 0 it replaced.
+func TestPokedKeyIsNotJoinedByArithmetic(t *testing.T) {
+	engine.PoisonReleased(t)
+	var joins []*sqlparse.SelectStmt
+	for _, sql := range []string{
+		"select p.objid, p.ra, n.distance from photoobj p, neighbors n where p.objid = n.objid",
+		"select n.distance, p.objid from neighbors n, photoobj p where n.objid = p.objid and p.ra < 200",
+		"select p.objid, s.z from specobj s, photoobj p where p.objid = s.objid",
+		"select s.z, p.objid from photoobj p, specobj s where s.objid = p.objid and p.ra < 20",
+		"select count(*) from photoobj p, neighbors n where p.objid = n.objid",
+		"select top 5 p.objid, n.objid from photoobj p, neighbors n where n.objid = p.objid order by p.objid desc",
+		"select p.type, count(*) from photoobj p, neighbors n where p.objid = n.objid group by p.type",
+	} {
+		stmt, err := sqlparse.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joins = append(joins, stmt)
+	}
+	for _, stmt := range edrStatements(t, workload.Mix{}, scaled(2000)) {
+		if len(stmt.From) == 2 {
+			joins = append(joins, stmt)
+		}
+	}
+	const row = 7 // the poked photoobj row
+	for _, tc := range []struct {
+		name string
+		key  func(every float64) float64 // the row's new objid, and what a neighbor and a spectrum point at
+	}{
+		{"duplicate", func(every float64) float64 { return 3 * every }},
+		{"NaN", func(float64) float64 { return math.NaN() }},
+		{"-0", func(float64) float64 { return math.Copysign(0, -1) }},
+	} {
+		for _, at := range []int{row, 0} {
+			db := edrDB(t, 5000)
+			if got := engine.DenseColumn(db, "photoobj"); got != "objid" {
+				t.Fatalf("photoobj's dense column is %q, want objid", got)
+			}
+			v := tc.key(float64(db.SampleEvery()))
+			engine.Poke(db, "photoobj", "objid", at, v)
+			engine.Poke(db, "neighbors", "objid", 0, v)
+			engine.Poke(db, "neighbors", "objid", 1, 0)
+			engine.Poke(db, "specobj", "objid", 0, v)
+			want := at == 0 && v == 0 // -0 in row 0 keeps the key on its grid
+
+			if got := engine.DenseColumn(db, "photoobj") == "objid"; got != want {
+				t.Errorf("%s at row %d: photoobj.objid dense = %t, want %t", tc.name, at, got, want)
+			}
+			for _, stmt := range joins {
+				if err := againstReference(db, stmt); err != nil {
+					t.Fatalf("%s at row %d: %s: %v", tc.name, at, stmt, err)
+				}
+			}
+		}
+	}
+}

@@ -136,8 +136,10 @@ func (db *DB) evaluate(res *Result, b *Bound, tuples bool) error {
 // nothing between calls.
 type scratch struct {
 	sel    [2][]int32 // selection vector per FROM table
-	heads  []int32    // join table, see join
+	heads  []int32    // hash join table (hashJoin), or bucket starts (denseJoin)
 	chain  []joinEntry
+	mark   []uint8 // the dense side's selected rows, see denseJoin
+	bucket []int32
 	pairs  []int32 // join matches
 	starts []int   // first match of each group
 	proj   []outCol
@@ -176,6 +178,8 @@ func (sc *scratch) release() {
 	drop(&sc.sel[1])
 	drop(&sc.heads)
 	drop(&sc.chain)
+	drop(&sc.mark)
+	drop(&sc.bucket)
 	drop(&sc.pairs)
 	drop(&sc.starts)
 	drop(&sc.sort.keys)
@@ -454,15 +458,53 @@ func hashKey(a, b float64) uint64 {
 // join evaluates a two-table statement with one or two cross-table
 // equalities (cross products are rejected — at sample scale alone they
 // can explode) and returns the matching (table 0 row, table 1 row)
-// pairs, flat, and how many there are. The smaller side is hashed, the
-// other probes it in row order, and a probe row's matches come out in
-// build-row order. When count is set the pairs are counted and not
-// collected: the slice is nil.
+// pairs, flat, and how many there are. The smaller side is the build
+// side, the other probes it in row order, and a probe row's matches come
+// out in build-row order. When count is set the pairs are counted and
+// not collected: the slice is nil.
+//
+// When a key column of either side is dense (tableData.dense) its row is
+// arithmetic on the other side's value and denseJoin finds it; otherwise
+// the build side is hashed (hashJoin). Both give the same pairs in the
+// same order.
 func (db *DB) join(sc *scratch, b *Bound, count bool) ([]int32, int, error) {
+	jp, err := db.planJoin(sc, b)
+	if err != nil || len(jp.sel[jp.bt]) == 0 {
+		return nil, 0, err
+	}
 	var (
-		keys  [2][2][]float64 // [condition][FROM table]
+		pairs []int32
+		n     int
+	)
+	if jp.kt >= 0 {
+		pairs, n = db.denseJoin(sc, &jp, count)
+	} else {
+		pairs, n = hashJoin(sc, &jp, count)
+	}
+	return pairs, n, nil
+}
+
+// joinPlan is how join evaluates a statement.
+type joinPlan struct {
+	keys  [2][2][]float64 // [condition][FROM table]; a single key twice
+	two   bool            // there are two keys
+	extra []pred          // other cross-table comparisons: left reads table 0, right table 1
+	sel   [2][]int32      // each FROM table's selected rows
+	bt    int             // the build side: the smaller selection, table 0 on a tie
+	kt    int             // the FROM table whose key d is dense, -1 for none (a hash join)
+	d     int             // the condition whose key is dense
+	nk    int             // table kt's rows
+}
+
+// planJoin resolves a two-table statement's keys and extra comparisons,
+// scans both tables and chooses the build side and, when a key column of
+// either side is dense, the dense side: the build side's if it has one,
+// because its pairs then need no reordering.
+func (db *DB) planJoin(sc *scratch, b *Bound) (joinPlan, error) {
+	var (
+		jp    = joinPlan{kt: -1}
+		cols  [2][2]int // the key columns' positions, as keys
 		nkeys int
-		extra []pred // other cross-table comparisons: left reads table 0, right table 1
 	)
 	for i := range b.Conds {
 		c := &b.Conds[i]
@@ -470,34 +512,142 @@ func (db *DB) join(sc *scratch, b *Bound, count bool) ([]int32, int, error) {
 			continue
 		}
 		p := db.pred(b, c)
+		pos := [2]int{c.Left.Pos, c.Right.Pos}
 		if c.Left.TableIdx == 1 {
 			p.mirror()
+			pos[0], pos[1] = pos[1], pos[0]
 		}
 		if p.op != opEq {
-			extra = append(extra, p)
+			jp.extra = append(jp.extra, p)
 			continue
 		}
-		if nkeys == len(keys) {
-			return nil, 0, &ExecError{Msg: "at most two equi-join conditions supported"}
+		if nkeys == len(jp.keys) {
+			return jp, &ExecError{Msg: "at most two equi-join conditions supported"}
 		}
-		keys[nkeys] = [2][]float64{p.left, p.right}
+		jp.keys[nkeys], cols[nkeys] = [2][]float64{p.left, p.right}, pos
 		nkeys++
 	}
 	if nkeys == 0 {
-		return nil, 0, &ExecError{Msg: "cross products are not supported; add a join condition"}
+		return jp, &ExecError{Msg: "cross products are not supported; add a join condition"}
 	}
-	if nkeys == 1 {
-		keys[1] = keys[0] // one loop for both shapes: a single key is compared twice
+	if jp.two = nkeys == 2; !jp.two {
+		jp.keys[1] = jp.keys[0] // one loop for both shapes: a single key is compared twice
 	}
 
-	build, probe := db.scan(sc, b, 0), db.scan(sc, b, 1)
-	bt := 0 // the FROM table that is hashed
-	if len(probe) < len(build) {
-		build, probe, bt = probe, build, 1
+	jp.sel = [2][]int32{db.scan(sc, b, 0), db.scan(sc, b, 1)}
+	if len(jp.sel[1]) < len(jp.sel[0]) {
+		jp.bt = 1
 	}
-	if len(build) == 0 {
-		return nil, 0, nil
+	for _, kt := range [2]int{jp.bt, 1 - jp.bt} {
+		for d := 0; d < nkeys; d++ {
+			if td := &db.tables[b.TablePos[kt]]; cols[d][kt] == td.dense {
+				jp.kt, jp.d, jp.nk = kt, d, td.n
+				return jp, nil
+			}
+		}
 	}
+	return jp, nil
+}
+
+// denseJoin is join when jp has a dense side: condition jp.d's key
+// column of FROM table jp.kt (K, of jp.nk rows) holds i·SampleEvery at
+// row i (tableData.dense is checked, not assumed), so the one row of
+// K that a value v of the other table (F) can equal is v/SampleEvery
+// rounded, clamped to the table, and comparing the keys there settles
+// it. The comparison is the hash join's, exact: a NaN, a value off the
+// grid or outside the table matches nothing, and -0 matches 0. K's keys
+// are distinct, so an F row matches once at most.
+//
+// K's selected rows are marked, F's selection is walked in row order
+// (denseMatch) and each F row's match, its K row or nk for none, written
+// to a bucket per row. A second key and the extra comparisons are then
+// checked on the matches alone, outside that loop.
+//
+// When K is the build side, F is the probe side and the matches are the
+// pairs in the hash join's order. When K is the probe side, that order
+// is K's rows, and each K row's F rows in F order: a stable counting
+// sort on the K row puts them there. A count needs neither.
+func (db *DB) denseJoin(sc *scratch, jp *joinPlan, count bool) ([]int32, int) {
+	keys, d, kt, nk := &jp.keys, jp.d, jp.kt, jp.nk
+	ft, fsel := 1-kt, jp.sel[1-kt]
+	kd, mark := keys[d][kt], take(&sc.mark, nk)
+	clear(mark)
+	for _, r := range jp.sel[kt] {
+		mark[r] = 1
+	}
+	bucket := take(&sc.bucket, len(fsel))
+	n := denseMatch(bucket, fsel, mark, kd, keys[d][ft], 1/float64(db.cfg.SampleEvery))
+	if jp.two || len(jp.extra) > 0 {
+		ko, fo := keys[1-d][kt], keys[1-d][ft]
+		n = 0
+		for j, b := range bucket {
+			if b == int32(nk) {
+				continue
+			}
+			var pair [2]int32
+			pair[kt], pair[ft] = b, fsel[j]
+			m := b2i(ko[b] == fo[pair[ft]])
+			for i := range jp.extra {
+				x := &jp.extra[i]
+				m &= b2i(compare(x.left[pair[0]], x.op, x.right[pair[1]]))
+			}
+			bucket[j] = int32(nk) - (int32(nk)-b)*int32(m)
+			n += m
+		}
+	}
+	if count {
+		return nil, n
+	}
+
+	pairs := take(&sc.pairs, 2*len(fsel))
+	if kt == jp.bt {
+		k := 0
+		for j, b := range bucket {
+			pairs[2*k+kt], pairs[2*k+ft] = b, fsel[j]
+			k += b2i(b != int32(nk))
+		}
+		return pairs[:2*n], n
+	}
+	starts := take(&sc.heads, nk+2) // starts[b+1] counts bucket b, then starts[b] is its first pair
+	clear(starts)
+	for _, b := range bucket {
+		starts[b+1]++
+	}
+	for b := 1; b < len(starts); b++ {
+		starts[b] += starts[b-1]
+	}
+	for j, b := range bucket {
+		at := 2 * starts[b]
+		starts[b]++
+		pairs[at+int32(kt)], pairs[at+int32(ft)] = b, fsel[j]
+	}
+	return pairs[:2*n], n
+}
+
+// denseMatch is denseJoin's loop over the F rows fsel, branch-free and
+// in a function of its own, so that what it reads stays in registers:
+// F row fsel[j]'s value v of the key fd can only equal row i = v·inv
+// rounded of K's key kd, and matches if it does and row i is marked.
+// bucket[j] is set to i for a match and to len(mark) for none, and the
+// matches are counted.
+func denseMatch(bucket, fsel []int32, mark []uint8, kd, fd []float64, inv float64) int {
+	nk := len(mark)
+	last, n := int64(nk-1), 0
+	for j, fr := range fsel {
+		v := fd[fr]
+		i := min(max(int64(v*inv+0.5), 0), last)
+		m := int(mark[i]) & b2i(kd[i] == v)
+		bucket[j] = int32(nk) - (int32(nk)-int32(i))*int32(m)
+		n += m
+	}
+	return n
+}
+
+// hashJoin is join when neither side's key is dense: the build side is
+// hashed and the other side probes it in row order.
+func hashJoin(sc *scratch, jp *joinPlan, count bool) ([]int32, int) {
+	keys, extra, bt := &jp.keys, jp.extra, jp.bt
+	build, probe := jp.sel[bt], jp.sel[1-bt]
 	bk0, bk1 := keys[0][bt], keys[1][bt]
 	pk0, pk1 := keys[0][1-bt], keys[1][1-bt]
 
@@ -557,10 +707,10 @@ func (db *DB) join(sc *scratch, b *Bound, count bool) ([]int32, int, error) {
 		}
 	}
 	if count {
-		return nil, n, nil
+		return nil, n
 	}
 	sc.pairs = pairs // keep what append grew
-	return pairs[:2*n], n, nil
+	return pairs[:2*n], n
 }
 
 // joinEntry is one build row of a join's hash table: its keys, its row

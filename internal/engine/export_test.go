@@ -25,3 +25,24 @@ func DrainTuplePool() {
 	for tuplePool.Get() != nil {
 	}
 }
+
+// DenseColumn names the column of a table that holds i·SampleEvery at
+// each row i, which a join on it finds rows in by arithmetic, or returns
+// "" for none.
+func DenseColumn(db *DB, table string) string {
+	td := &db.tables[db.schema.TableIndex(table)]
+	if td.dense < 0 {
+		return ""
+	}
+	return td.meta.Columns[td.dense].Name
+}
+
+// JoinSides reports how a two-table statement is joined: the FROM table
+// whose dense key it joins on by arithmetic (-1 for a hash join), and the
+// build side, the smaller selection.
+func JoinSides(db *DB, b *Bound) (dense, build int, err error) {
+	sc := scratchPool.Get().(*scratch)
+	defer sc.release()
+	jp, err := db.planJoin(sc, b)
+	return jp.kt, jp.bt, err
+}

@@ -33,6 +33,12 @@ var executeSeeds = []string{
 	"select avg(*), count(*) from specobj where z < 1",
 	"select specclass, min(*) from specobj group by specclass",
 	"select max(*) from photoobj p, specobj s where p.objid = s.objid",
+	// objid joins, photoobj's objid dense, with each table first in FROM
+	// and photoobj built and probed.
+	"select p.objid, p.ra, n.neighborobjid, n.distance from photoobj p, neighbors n where p.objid = n.objid and p.ra between 100 and 200",
+	"select n.distance, p.dec from neighbors n, photoobj p where n.objid = p.objid",
+	"select s.z, p.objid from photoobj p, specobj s where s.objid = p.objid and s.z < 3",
+	"select top 4 p.type, s.z from specobj s, photoobj p where p.objid = s.objid order by p.type",
 }
 
 // checkExecute is the property: parse → bind → execute never panics,

@@ -31,9 +31,12 @@ func ReferenceExecute(db *DB, b *Bound) (*Result, error) {
 
 // Poke overwrites one sample value, for the values synthesis never
 // mixes into a column: a NaN among numbers, -0 beside +0 (exported to
-// the engine_test package only).
+// the engine_test package only). The table's dense column is checked
+// again, so a key poked off its grid is no longer joined by arithmetic.
 func Poke(db *DB, table, col string, row int, v float64) {
 	db.columnValues(table, col)[row] = v
+	td := &db.tables[db.schema.TableIndex(table)]
+	td.dense = denseColumn(td.cols, db.cfg.SampleEvery)
 }
 
 // columnValues returns the sample values of a column by name (shared
