@@ -171,7 +171,9 @@ bench-smoke:
 # that moves a figure fails here until it regenerates both files
 # (by bench -exp all > results/fullscale.txt, by bench -exp extensions >
 # results/extensions.txt) and says so; the -scale 10 output is pinned
-# in tier-1 (cmd/by TestGoldenOutput, files under testdata/).
+# in tier-1 (cmd/by TestGoldenOutput, files under testdata/). Tier-1
+# pins only that scale, so CI's bench-smoke job runs this target too:
+# without it a stale results/ would pass CI.
 experiments:
 	$(GO) run ./cmd/by bench -q -exp all | diff -u results/fullscale.txt -
 	$(GO) run ./cmd/by bench -q -exp extensions | diff -u results/extensions.txt -

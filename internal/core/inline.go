@@ -20,7 +20,6 @@ type inlineCache struct {
 	heap      *bheap.Heap[Object]
 	items     objTable[*bheap.Item[Object]] // each cached object's place in heap
 	evictions int64
-	onEvict   func(it *bheap.Item[Object])
 }
 
 func newInlineCache(name string, capacity int64) inlineCache {
@@ -39,11 +38,20 @@ func (c *inlineCache) Capacity() int64 { return c.cap }
 // Contains implements Policy.
 func (c *inlineCache) Contains(id ObjectID) bool { return c.items.findID(id) != nil }
 
+func (c *inlineCache) holds(obj Object) bool { return c.items.find(obj) != nil }
+
 // Evictions implements Policy.
 func (c *inlineCache) Evictions() int64 { return c.evictions }
 
 // Contents implements ContentLister.
-func (c *inlineCache) Contents() []ObjectID { return heapContents(c.heap) }
+func (c *inlineCache) Contents() []ObjectID {
+	items := c.heap.Items()
+	ids := make([]ObjectID, len(items))
+	for i, it := range items {
+		ids[i] = it.Value.ID
+	}
+	return ids
+}
 
 // Reset implements Policy (concrete policies with extra state wrap it).
 func (c *inlineCache) Reset() {
@@ -68,21 +76,69 @@ func (c *inlineCache) reprioritize(obj Object, utility float64) bool {
 // reports false (forced bypass) when the object exceeds the whole
 // cache.
 func (c *inlineCache) admit(obj Object, utility float64) bool {
-	if obj.Size > c.cap {
+	if _, ok := c.makeRoom(obj); !ok {
 		return false
 	}
-	for c.used+obj.Size > c.cap {
-		it := c.heap.PopMin()
-		c.items.del(it.Value)
-		c.used -= it.Value.Size
-		c.evictions++
-		if c.onEvict != nil {
-			c.onEvict(it)
-		}
+	c.insert(obj, utility)
+	return true
+}
+
+// makeRoom evicts minimum-utility objects until obj fits and returns
+// the last one evicted (nil for none), whose utility is the greatest
+// evicted. It reports false, evicting nothing, when obj exceeds the
+// whole cache.
+func (c *inlineCache) makeRoom(obj Object) (last *bheap.Item[Object], ok bool) {
+	if obj.Size > c.cap {
+		return nil, false
 	}
+	for c.used+obj.Size > c.cap {
+		last = c.heap.PopMin()
+		c.items.del(last.Value)
+		c.used -= last.Value.Size
+		c.evictions++
+	}
+	return last, true
+}
+
+// insert caches obj, which makeRoom has made room for, at the given
+// utility.
+func (c *inlineCache) insert(obj Object, utility float64) {
 	*c.items.put(obj) = c.heap.Push(utility, obj)
 	c.used += obj.Size
-	return true
+}
+
+// greedyDual is GreedyDual-Size (Cao & Irani), the one implementation
+// behind GDS, GDSP and Landlord: an object's priority is L + w·cost/size
+// for the access's weight w, where the inflation value L rises to each
+// evicted priority, and a loaded object is inserted after the evictions
+// its load needs, at the raised L.
+type greedyDual struct {
+	inlineCache
+	l float64
+}
+
+// Reset implements Policy.
+func (g *greedyDual) Reset() {
+	g.inlineCache.Reset()
+	g.l = 0
+}
+
+// access refreshes a cached obj's priority (Hit) or loads obj after
+// evicting to fit (Load); an object larger than the cache is bypassed.
+func (g *greedyDual) access(obj Object, w int64) Decision {
+	value := float64(w) * float64(obj.FetchCost) / float64(obj.Size)
+	if g.reprioritize(obj, g.l+value) {
+		return Hit
+	}
+	last, ok := g.makeRoom(obj)
+	if !ok {
+		return Bypass
+	}
+	if last != nil {
+		g.l = last.Utility
+	}
+	g.insert(obj, g.l+value)
+	return Load
 }
 
 // GDS is Greedy-Dual-Size (Cao & Irani): on load or hit an object's
@@ -91,76 +147,43 @@ func (c *inlineCache) admit(obj Object, utility float64) bool {
 // Squid proxy ships a variant of this policy; the paper uses it as
 // the principal in-line comparator.
 type GDS struct {
-	inlineCache
-	l float64
+	greedyDual
 }
 
 // NewGDS returns a Greedy-Dual-Size policy with the given capacity.
 func NewGDS(capacity int64) *GDS {
-	g := &GDS{inlineCache: newInlineCache("gds", capacity)}
-	g.onEvict = func(it *bheap.Item[Object]) { g.l = it.Utility }
-	return g
-}
-
-// Reset implements Policy.
-func (g *GDS) Reset() {
-	g.inlineCache.Reset()
-	g.l = 0
-}
-
-func (g *GDS) priority(obj Object) float64 {
-	return g.l + float64(obj.FetchCost)/float64(obj.Size)
+	return &GDS{greedyDual{inlineCache: newInlineCache("gds", capacity)}}
 }
 
 // Access implements Policy.
 func (g *GDS) Access(t int64, obj Object, yield int64) Decision {
-	if g.reprioritize(obj, g.priority(obj)) {
-		return Hit
-	}
-	if !g.admit(obj, g.priority(obj)) {
-		return Bypass
-	}
-	return Load
+	return g.access(obj, 1)
 }
 
 // GDSP is popularity-aware Greedy-Dual-Size (Jin & Bestavros): the
 // priority becomes L + freq·cost/size with a reference count that is
 // retained for every object in the reference stream, cached or not.
 type GDSP struct {
-	inlineCache
-	l    float64
+	greedyDual
 	freq objTable[int64]
 }
 
 // NewGDSP returns a GDSP policy with the given capacity.
 func NewGDSP(capacity int64) *GDSP {
-	g := &GDSP{inlineCache: newInlineCache("gdsp", capacity)}
-	g.onEvict = func(it *bheap.Item[Object]) { g.l = it.Utility }
-	return g
+	return &GDSP{greedyDual: greedyDual{inlineCache: newInlineCache("gdsp", capacity)}}
 }
 
 // Reset implements Policy.
 func (g *GDSP) Reset() {
-	g.inlineCache.Reset()
-	g.l = 0
+	g.greedyDual.Reset()
 	g.freq.reset()
-}
-
-func (g *GDSP) priority(obj Object, freq int64) float64 {
-	return g.l + float64(freq)*float64(obj.FetchCost)/float64(obj.Size)
 }
 
 // Access implements Policy.
 func (g *GDSP) Access(t int64, obj Object, yield int64) Decision {
 	freq := g.freq.put(obj)
 	*freq++
-	if g.reprioritize(obj, g.priority(obj, *freq)) {
-		return Hit
-	}
-	if !g.admit(obj, g.priority(obj, *freq)) {
-		return Bypass
-	}
-	return Load
+	return g.access(obj, *freq)
 }
 
 // LRU is least-recently-used in-line caching over variable-size

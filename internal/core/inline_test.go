@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestGDSLoadsEveryMiss(t *testing.T) {
 	// The in-line comparator caches all requests — the behaviour the
@@ -23,8 +27,8 @@ func TestGDSLoadsEveryMiss(t *testing.T) {
 
 func TestGDSInflation(t *testing.T) {
 	// GDS priorities: H = L + cost/size. After evicting a (H=1),
-	// L rises to 1, so a freshly inserted object outranks the stale
-	// priorities of earlier eras.
+	// L rises to 1, and c is inserted at the raised L, so a freshly
+	// inserted object outranks the stale priorities of earlier eras.
 	g := NewGDS(120)
 	a := testObjCost("a", 60, 60)  // H = 0 + 1 = 1
 	b := testObjCost("b", 60, 120) // H = 0 + 2 = 2
@@ -38,20 +42,31 @@ func TestGDSInflation(t *testing.T) {
 	if !almostEqual(g.l, 1) {
 		t.Fatalf("inflation L = %v, want 1", g.l)
 	}
+	if h := priorityOf(&g.inlineCache, c.ID); !almostEqual(h, 2) {
+		t.Fatalf("c's priority H = %v, want L + cost/size = 2", h)
+	}
+}
+
+// priorityOf returns a cached object's priority.
+func priorityOf(c *inlineCache, id ObjectID) float64 {
+	return (*c.items.findID(id)).Utility
 }
 
 func TestGDSHitRefreshesPriority(t *testing.T) {
 	g := NewGDS(120)
-	a := testObj("a", 60)
-	b := testObj("b", 60)
-	g.Access(1, a, 1)
-	g.Access(2, b, 1)
-	g.Access(3, a, 1) // hit: refresh a's priority
-	// Evicting for c: with equal priorities the heap picks one; after
-	// a's refresh both are H=1 so this only checks no panic and space
-	// accounting.
-	c := testObj("c", 60)
-	g.Access(4, c, 1)
+	x := testObjCost("x", 60, 60) // H = 1
+	a := testObjCost("a", 60, 90) // H = 1.5
+	d := testObjCost("d", 60, 60)
+	g.Access(1, x, 1)
+	g.Access(2, a, 1)
+	g.Access(3, d, 1) // evicts x: L = 1, d's H = 2
+	g.Access(4, a, 1) // hit: a's H = L + 1.5 = 2.5, above d's
+	g.Access(5, testObj("e", 60), 1)
+	// Without the refresh a (1.5) would be the victim; with it, d (2).
+	if !g.Contains(a.ID) || g.Contains(d.ID) {
+		t.Fatalf("after a's refresh: a cached %t, d cached %t; want a kept, d evicted",
+			g.Contains(a.ID), g.Contains(d.ID))
+	}
 	if g.Used() != 120 {
 		t.Fatalf("used = %d, want 120", g.Used())
 	}
@@ -165,6 +180,112 @@ func TestInlineCacheNamesAndCapacity(t *testing.T) {
 		}
 		if tc.p.Capacity() != 10 {
 			t.Fatalf("%s Capacity = %d, want 10", tc.name, tc.p.Capacity())
+		}
+	}
+}
+
+// refGreedyDual is GreedyDual-Size as Cao & Irani state it, kept apart
+// from the heap: a map of cached objects to their priorities H, and a
+// linear scan for the minimum H to evict. L rises to each evicted H,
+// and a loaded object gets L + w·cost/size at the raised L.
+type refGreedyDual struct {
+	cap, used, evictions int64
+	l                    float64
+	h                    map[ObjectID]float64
+	size                 map[ObjectID]int64
+}
+
+func (r *refGreedyDual) access(obj Object, w int64) Decision {
+	value := float64(w) * float64(obj.FetchCost) / float64(obj.Size)
+	if _, ok := r.h[obj.ID]; ok {
+		r.h[obj.ID] = r.l + value
+		return Hit
+	}
+	if obj.Size > r.cap {
+		return Bypass
+	}
+	for r.used+obj.Size > r.cap {
+		victim, first := ObjectID(""), true
+		for id, h := range r.h {
+			if first || h < r.h[victim] {
+				victim, first = id, false
+			}
+		}
+		r.l = r.h[victim]
+		r.used -= r.size[victim]
+		r.evictions++
+		delete(r.h, victim)
+	}
+	r.h[obj.ID] = r.l + value
+	r.size[obj.ID] = obj.Size
+	r.used += obj.Size
+	return Load
+}
+
+// TestGreedyDualMatchesReference holds GDS, GDSP (weighted by its
+// retained reference count) and Landlord to refGreedyDual, access by
+// access: the same decision, the same objects cached and the same
+// evictions. Every object's cost/size ratio is distinct, so priorities
+// do not tie and the victim is the same wherever the minimum is found.
+func TestGreedyDualMatchesReference(t *testing.T) {
+	type subject struct {
+		name   string
+		decide func(obj Object) Decision
+		cache  interface {
+			Contains(id ObjectID) bool
+			Evictions() int64
+		}
+		weighted bool
+	}
+	const capacity = 2000
+	for seed := int64(1); seed <= 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var objs []Object
+		ratios := map[float64]bool{}
+		for len(objs) < 30 {
+			o := testObjCost(fmt.Sprintf("o%d", len(objs)), int64(1+r.Intn(700)), int64(1+r.Intn(2000)))
+			if ratio := float64(o.FetchCost) / float64(o.Size); !ratios[ratio] {
+				ratios[ratio] = true
+				objs = append(objs, o)
+			}
+		}
+		objs = append(objs, testObj("huge", capacity+1))
+		gds, gdsp, ll := NewGDS(capacity), NewGDSP(capacity), NewLandlord(capacity)
+		subjects := []subject{
+			{"gds", func(obj Object) Decision { return gds.Access(0, obj, 0) }, gds, false},
+			{"gdsp", func(obj Object) Decision { return gdsp.Access(0, obj, 0) }, gdsp, true},
+			{"landlord", func(obj Object) Decision {
+				return map[ObjAction]Decision{ObjHit: Hit, ObjLoad: Load, ObjBypass: Bypass}[ll.Request(obj)]
+			}, ll, false},
+		}
+		stream := make([]Object, 3000)
+		for i := range stream {
+			stream[i] = objs[r.Intn(len(objs))]
+		}
+		for _, s := range subjects {
+			t.Run(fmt.Sprintf("%s/seed=%d", s.name, seed), func(t *testing.T) {
+				ref := &refGreedyDual{cap: capacity, h: map[ObjectID]float64{}, size: map[ObjectID]int64{}}
+				refs := map[ObjectID]int64{}
+				for i, obj := range stream {
+					refs[obj.ID]++
+					w := int64(1)
+					if s.weighted {
+						w = refs[obj.ID]
+					}
+					want := ref.access(obj, w)
+					if got := s.decide(obj); got != want {
+						t.Fatalf("access %d to %s: %v, the reference %v", i, obj.ID, got, want)
+					}
+					for _, o := range objs {
+						if _, ok := ref.h[o.ID]; s.cache.Contains(o.ID) != ok {
+							t.Fatalf("after access %d: %s cached %t, in the reference %t", i, o.ID, !ok, ok)
+						}
+					}
+					if got := s.cache.Evictions(); got != ref.evictions {
+						t.Fatalf("after access %d: %d evictions, the reference %d", i, got, ref.evictions)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"bypassyield/internal/bheap"
-)
+import "sort"
 
 // ObjAction is the outcome of presenting a whole-object request to a
 // bypass-object cacher.
@@ -56,51 +52,17 @@ type ObjectCacher interface {
 // credit-per-byte, and evicts objects whose credit reaches zero. A hit
 // refreshes the object's credit to its fetch cost.
 //
-// The implementation uses the standard offset trick: credits are
-// stored as credit-per-byte ratios in a min-heap and a global offset L
-// rises on eviction, so the uniform decrement is O(1) and each
-// operation is O(log n).
+// With that full refresh Landlord is GreedyDual-Size, and it runs on
+// GDS's code: credits are stored as L + credit-per-byte in a min-heap
+// and the inflation L rises on eviction, so the uniform decrement is
+// O(1) and each operation is O(log n).
 type Landlord struct {
-	cap       int64
-	used      int64
-	offset    float64
-	heap      *bheap.Heap[Object]
-	items     objTable[*bheap.Item[Object]] // each cached object's place in heap
-	evictions int64
+	greedyDual
 }
 
 // NewLandlord returns a Landlord cacher with the given capacity.
 func NewLandlord(capacity int64) *Landlord {
-	return &Landlord{cap: capacity, heap: bheap.New[Object](64)}
-}
-
-// Name implements ObjectCacher.
-func (l *Landlord) Name() string { return "landlord" }
-
-// Capacity implements ObjectCacher.
-func (l *Landlord) Capacity() int64 { return l.cap }
-
-// Used implements ObjectCacher.
-func (l *Landlord) Used() int64 { return l.used }
-
-// Evictions implements ObjectCacher.
-func (l *Landlord) Evictions() int64 { return l.evictions }
-
-// Contains implements ObjectCacher.
-func (l *Landlord) Contains(id ObjectID) bool { return l.items.findID(id) != nil }
-
-func (l *Landlord) holds(obj Object) bool { return l.items.find(obj) != nil }
-
-// Contents implements core.ContentLister.
-func (l *Landlord) Contents() []ObjectID { return heapContents(l.heap) }
-
-// Reset implements ObjectCacher.
-func (l *Landlord) Reset() {
-	l.used = 0
-	l.offset = 0
-	l.evictions = 0
-	l.heap = bheap.New[Object](64)
-	l.items.reset()
+	return &Landlord{greedyDual{inlineCache: newInlineCache("landlord", capacity)}}
 }
 
 // Credit returns the effective remaining credit of a cached object
@@ -110,40 +72,18 @@ func (l *Landlord) Credit(id ObjectID) (credit float64, ok bool) {
 	if p == nil {
 		return 0, false
 	}
-	return ((*p).Utility - l.offset) * float64((*p).Value.Size), true
+	return ((*p).Utility - l.l) * float64((*p).Value.Size), true
 }
 
 // Request implements ObjectCacher.
 func (l *Landlord) Request(obj Object) ObjAction {
-	perByte := float64(obj.FetchCost) / float64(obj.Size)
-	if p := l.items.find(obj); p != nil {
-		// Refresh credit to the fetch cost.
-		l.heap.Update(*p, l.offset+perByte)
+	switch l.access(obj, 1) {
+	case Hit:
 		return ObjHit
+	case Load:
+		return ObjLoad
 	}
-	if obj.Size > l.cap {
-		return ObjBypass
-	}
-	for l.used+obj.Size > l.cap {
-		min := l.heap.PopMin()
-		l.offset = min.Utility // uniform credit decrement
-		l.items.del(min.Value)
-		l.used -= min.Value.Size
-		l.evictions++
-	}
-	*l.items.put(obj) = l.heap.Push(l.offset+perByte, obj)
-	l.used += obj.Size
-	return ObjLoad
-}
-
-// heapContents lists the objects of a cache's heap.
-func heapContents(h *bheap.Heap[Object]) []ObjectID {
-	items := h.Items()
-	ids := make([]ObjectID, len(items))
-	for i, it := range items {
-		ids[i] = it.Value.ID
-	}
-	return ids
+	return ObjBypass
 }
 
 // SizeClassMarking is an adaptation of Irani's O(lg²k)-competitive

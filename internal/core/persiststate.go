@@ -183,13 +183,14 @@ func (r *RateProfile) RestoreState(data []byte) error {
 // ---- Landlord ----
 
 // SnapshotState implements StateSnapshotter: the credit heap (as
-// offset-absolute utilities) and the global offset, preserving every
-// cached object's effective credit exactly.
+// offset-absolute utilities) and the global offset L, preserving every
+// cached object's effective credit exactly. Landlord writes L before
+// the heap, where GDS writes it after.
 func (l *Landlord) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(llStateVersion)
 	e.I64(l.cap)
-	e.F64(l.offset)
+	e.F64(l.l)
 	e.I64(l.evictions)
 	encodeHeap(&e, l.heap)
 	return e.Bytes()
@@ -199,29 +200,20 @@ func (l *Landlord) SnapshotState() []byte {
 func (l *Landlord) RestoreState(data []byte) error {
 	d := statecodec.NewDecoder(data)
 	d.Version(llStateVersion, "landlord")
-	capacity := d.I64()
-	if d.Err() == nil && capacity != l.cap {
-		return fmt.Errorf("core: landlord snapshot capacity %d, configured %d", capacity, l.cap)
+	scratch := l.greedyDual
+	if err := scratch.decodeCapacity(&d); err != nil {
+		return err
 	}
-	offset := d.F64()
-	if d.Err() == nil && math.IsNaN(offset) {
-		return fmt.Errorf("core: landlord snapshot has NaN offset")
+	if err := scratch.decodeInflation(&d); err != nil {
+		return err
 	}
-	evictions := d.I64()
-	heap, items, used, err := decodeHeap(&d, "landlord", "credit")
-	if err != nil {
+	if err := scratch.decodeContents(&d); err != nil {
 		return err
 	}
 	if err := d.Done(); err != nil {
 		return err
 	}
-	if used > l.cap {
-		return fmt.Errorf("core: landlord snapshot uses %d bytes over capacity %d", used, l.cap)
-	}
-	l.heap, l.items = heap, items
-	l.used = used
-	l.offset = offset
-	l.evictions = evictions
+	l.greedyDual = scratch
 	return nil
 }
 
@@ -439,13 +431,26 @@ func decodeCounts(d *statecodec.Decoder) objTable[int64] {
 	return t
 }
 
-// decodeState replaces the shared in-line cache state from d (onEvict
-// hooks are preserved). The caller finishes with d.Done().
+// decodeState replaces the shared in-line cache state from d. The
+// caller finishes with d.Done().
 func (c *inlineCache) decodeState(d *statecodec.Decoder) error {
+	if err := c.decodeCapacity(d); err != nil {
+		return err
+	}
+	return c.decodeContents(d)
+}
+
+// decodeCapacity reads a snapshot's capacity, which must be c's.
+func (c *inlineCache) decodeCapacity(d *statecodec.Decoder) error {
 	capacity := d.I64()
 	if d.Err() == nil && capacity != c.cap {
 		return fmt.Errorf("core: %s snapshot capacity %d, configured %d", c.name, capacity, c.cap)
 	}
+	return nil
+}
+
+// decodeContents replaces c's evictions and heap from d.
+func (c *inlineCache) decodeContents(d *statecodec.Decoder) error {
 	evictions := d.I64()
 	heap, items, used, err := decodeHeap(d, c.name, "priority")
 	if err != nil {
@@ -457,6 +462,31 @@ func (c *inlineCache) decodeState(d *statecodec.Decoder) error {
 	c.heap, c.items = heap, items
 	c.used = used
 	c.evictions = evictions
+	return nil
+}
+
+// encodeState appends GreedyDual-Size's state: the in-line cache's,
+// then the inflation value L. GDS and GDSP write it; Landlord, whose
+// blob predates the shared code, writes L before the heap.
+func (g *greedyDual) encodeState(e *statecodec.Encoder) {
+	g.inlineCache.encodeState(e)
+	e.F64(g.l)
+}
+
+// decodeState replaces g's state from what encodeState wrote.
+func (g *greedyDual) decodeState(d *statecodec.Decoder) error {
+	if err := g.inlineCache.decodeState(d); err != nil {
+		return err
+	}
+	return g.decodeInflation(d)
+}
+
+// decodeInflation replaces g's inflation value L from d.
+func (g *greedyDual) decodeInflation(d *statecodec.Decoder) error {
+	g.l = d.F64()
+	if d.Err() == nil && math.IsNaN(g.l) {
+		return fmt.Errorf("core: %s snapshot has NaN inflation value", g.name)
+	}
 	return nil
 }
 
@@ -511,7 +541,6 @@ func (g *GDS) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(gdsStateVersion)
 	g.encodeState(&e)
-	e.F64(g.l)
 	return e.Bytes()
 }
 
@@ -519,19 +548,14 @@ func (g *GDS) SnapshotState() []byte {
 func (g *GDS) RestoreState(data []byte) error {
 	d := statecodec.NewDecoder(data)
 	d.Version(gdsStateVersion, "gds")
-	scratch := g.inlineCache
+	scratch := g.greedyDual
 	if err := scratch.decodeState(&d); err != nil {
 		return err
 	}
-	inflation := d.F64()
 	if err := d.Done(); err != nil {
 		return err
 	}
-	if math.IsNaN(inflation) {
-		return fmt.Errorf("core: gds snapshot has NaN inflation value")
-	}
-	g.inlineCache = scratch
-	g.l = inflation
+	g.greedyDual = scratch
 	return nil
 }
 
@@ -540,7 +564,6 @@ func (g *GDSP) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(gdspStateVersion)
 	g.encodeState(&e)
-	e.F64(g.l)
 	encodeCounts(&e, &g.freq)
 	return e.Bytes()
 }
@@ -549,20 +572,15 @@ func (g *GDSP) SnapshotState() []byte {
 func (g *GDSP) RestoreState(data []byte) error {
 	d := statecodec.NewDecoder(data)
 	d.Version(gdspStateVersion, "gdsp")
-	scratch := g.inlineCache
+	scratch := g.greedyDual
 	if err := scratch.decodeState(&d); err != nil {
 		return err
-	}
-	inflation := d.F64()
-	if d.Err() == nil && math.IsNaN(inflation) {
-		return fmt.Errorf("core: gdsp snapshot has NaN inflation value")
 	}
 	freq := decodeCounts(&d)
 	if err := d.Done(); err != nil {
 		return err
 	}
-	g.inlineCache = scratch
-	g.l = inflation
+	g.greedyDual = scratch
 	g.freq = freq
 	return nil
 }
