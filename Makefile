@@ -67,7 +67,8 @@ chaos:
 
 # Kill-tolerant recovery suite under the race detector: a real
 # byproxyd subprocess is SIGKILLed mid-workload (and deterministically
-# crashed mid-WAL-write via -persist-faults), then restarted on the
+# crashed mid-WAL-write at a persistence crash point the test arms
+# through the helper's environment, not a flag), then restarted on the
 # same -state-dir; it must come back warm with Σ ledger yields = D_A
 # and zero WAN refetches for the persisted cache, and corrupted
 # snapshot/WAL tails must fall back to the previous generation.
@@ -127,8 +128,10 @@ fuzz-smoke:
 # at the 40% and the 0.1% cache, the same statements end to end
 # through Client, Proxy and Mediator on loopback (bytes and allocations
 # per hit, and the client's Reads per reply) and again at the edr-bypass
-# cache, where most are shipped to their node before the decision,
-# the frame encoder and result codec, the statement reader (Parse and a
+# cache, where most are shipped to their node before the decision, the
+# node's side of the same serving loop (BenchmarkNodeSubqueryEDR: one
+# sub-query frame replayed to a node, read, executed and answered), so
+# both daemons are covered, the frame encoder and result codec, the statement reader (Parse and a
 # reused Parser's Parse over both mixes' 12 000 statements, one op a
 # statement), the workload generator (one Stream.Next per op, for the
 # EDR and point mixes, and a whole 1/100 EDR trace with its
@@ -141,7 +144,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
-	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR|BenchmarkNodeSubqueryEDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkParse -benchmem -benchtime=12000x ./internal/sqlparse/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkStreamNext -benchmem -benchtime=12000x ./internal/workload/ | tee -a bench_obs.txt

@@ -2,8 +2,8 @@ package main
 
 // Kill-tolerant recovery tests: a real byproxyd process (this test
 // binary re-exec'd into helper mode) is killed — with SIGKILL, or
-// deterministically mid-WAL-write via -persist-faults — and restarted
-// on the same -state-dir. The parent keeps the database nodes alive
+// deterministically mid-WAL-write at a crash point armed through
+// BYPROXYD_FAULTS — and restarted on the same -state-dir. The parent keeps the database nodes alive
 // across the kill, so WAN refetches after restart are observable as
 // dbnode.fetches deltas.
 
@@ -27,7 +27,7 @@ import (
 
 // TestCrashHelperProcess is the re-exec entry point: under
 // BYPROXYD_CRASH_HELPER=1 it runs a real proxy daemon until SIGTERM
-// (or until a -persist-faults crash point kills it). It is a no-op
+// (or until a BYPROXYD_FAULTS crash point kills it). It is a no-op
 // under a normal `go test` run.
 func TestCrashHelperProcess(t *testing.T) {
 	if os.Getenv("BYPROXYD_CRASH_HELPER") != "1" {
@@ -135,7 +135,8 @@ type proxyProc struct {
 }
 
 // launchProxy re-execs the test binary as a proxy daemon and waits for
-// its bound address. faults arms -persist-faults.
+// its bound address. faults arms the persistence writers' crash points
+// (persist.ParseFaults).
 func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults string) *proxyProc {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")

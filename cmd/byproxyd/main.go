@@ -52,7 +52,7 @@ type options struct {
 	snapInterval  time.Duration // periodic snapshot cadence
 	walSync       bool          // fsync the WAL after every record
 	recoveryLog   string        // append the startup recovery report here ("" disables)
-	persistFaults string        // deterministic crash points in the writers (tests only)
+	persistFaults string        // deterministic crash points in the writers (the crash tests set it; no flag)
 }
 
 func main() {
@@ -85,7 +85,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
 	fs.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
 	fs.StringVar(&o.recoveryLog, "recovery-log", "", "append the startup recovery report to this file")
-	fs.StringVar(&o.persistFaults, "persist-faults", "", "arm deterministic crash points in the persistence writers, e.g. 'wal.append.mid-record:after=40' (crash tests only)")
 }
 
 func run(o options) error {
@@ -125,7 +124,7 @@ func start(o options) (*running, error) {
 		case o.recoveryLog != "":
 			return nil, fmt.Errorf("-recovery-log requires -state-dir")
 		case o.persistFaults != "":
-			return nil, fmt.Errorf("-persist-faults requires -state-dir")
+			return nil, fmt.Errorf("persistence faults require -state-dir")
 		}
 	}
 	s, err := catalog.Release(o.Release)

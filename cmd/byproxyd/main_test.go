@@ -117,8 +117,8 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "cache-pct", "chaos", "chaos-seed", "dial-timeout", "exemplar-out",
 		"flight-cap", "flight-sample", "flight-threshold", "granularity", "http",
-		"ledger", "ledger-out", "max-inflight", "nodes", "persist-faults", "policy",
-		"pool-size", "recovery-log", "release", "rpc-timeout", "sample", "seed",
+		"ledger", "ledger-out", "max-inflight", "nodes", "policy", "pool-size",
+		"recovery-log", "release", "rpc-timeout", "sample", "seed",
 		"snapshot-interval", "state-dir", "wal-sync",
 	}
 	defaults := map[string]string{
@@ -126,7 +126,7 @@ func TestFlagSurface(t *testing.T) {
 		"dial-timeout": "5s", "exemplar-out": "", "flight-cap": "256",
 		"flight-sample": "256", "flight-threshold": "250ms", "granularity": "columns",
 		"http": "", "ledger": "4096", "ledger-out": "", "max-inflight": "64",
-		"nodes": "", "persist-faults": "", "policy": "rate-profile", "pool-size": "8",
+		"nodes": "", "policy": "rate-profile", "pool-size": "8",
 		"recovery-log": "", "release": "edr", "rpc-timeout": "10s", "sample": "1000",
 		"seed": "1", "snapshot-interval": "30s", "state-dir": "", "wal-sync": "false",
 	}

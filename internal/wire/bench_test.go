@@ -143,12 +143,12 @@ func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
 		})
 		return perRun / rounds
 	}
-	var st statement
+	st := &statement{n: n}
 	execute := testing.AllocsPerRun(rounds, func() {
-		if _, err := n.execute(&st, sql); err != nil {
+		if _, err := n.execute(st, sql); err != nil {
 			t.Fatal(err)
 		}
-		releaseStatement(&st)
+		releaseSession(st)
 	})
 	// The decoded QueryMsg (it escapes through Decode's any) and the one
 	// string its fields are cut from; the connection's read buffer, once
@@ -160,6 +160,27 @@ func TestUntracedSubqueryBuildsOnlyTheResult(t *testing.T) {
 		if beyond := serve(q) - execute; beyond > 2.1 {
 			t.Errorf("%s sub-query allocates %.3f times beyond the %.0f of executing it, want 2 (the decoded query)", name, beyond, execute)
 		}
+	}
+}
+
+// BenchmarkNodeSubqueryEDR is the node's side of the serving loop, as
+// BenchmarkProxyHitEDR is the proxy's: one op is one sub-query frame,
+// replayed to the node's loop as TestUntracedSubqueryBuildsOnlyTheResult
+// replays it, read, decoded, executed over EDR at one row in 1 000 and
+// answered, with the node's default flight recorder, on one connection
+// (what it allocates once is spread over b.N). Answered statements are
+// not scrambled here: the node's own release is what is timed.
+func BenchmarkNodeSubqueryEDR(b *testing.B) {
+	defer func(release func(session)) { releaseSession = release }(releaseSession)
+	releaseSession = session.release
+	n := NewDBNode("photo.sdss.org", openEDR(b, 1000))
+	n.SetLogf(func(string, ...any) {})
+	conn := &frameReplay{frame: encodeFrame(b, MsgQuery, QueryMsg{SQL: "select ra, dec from photoobj where ra between 0 and 350"}), n: b.N}
+	b.ReportAllocs()
+	b.ResetTimer()
+	n.serveConn(conn)
+	if conn.sent != b.N {
+		b.Fatalf("%d replies to %d sub-queries", conn.sent, b.N)
 	}
 }
 

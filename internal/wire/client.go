@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"fmt"
 	"net"
 	"time"
 
@@ -89,24 +88,13 @@ func (c *Client) reply(want MsgType, dst any) error {
 	if err != nil {
 		return err
 	}
-	switch t {
-	case want:
-		err := decodeInto(body, dst, &c.store)
-		if len(body) > frameBufMaxCap {
-			// As for fr: an occasional giant reply must not pin its
-			// megabytes for as long as the connection lives.
-			c.store = resultStore{names: c.store.names}
-		}
-		return err
-	case MsgError:
-		var e ErrorMsg
-		if err := Decode(body, &e); err != nil {
-			return err
-		}
-		return fmt.Errorf("wire: server: %s", e.Message)
-	default:
-		return fmt.Errorf("wire: unexpected response type %s", t)
+	err = checkReply("wire: server", t, body, want, dst, &c.store)
+	if len(body) > frameBufMaxCap {
+		// As for fr: an occasional giant reply must not pin its
+		// megabytes for as long as the connection lives.
+		c.store = resultStore{names: c.store.names}
 	}
+	return err
 }
 
 // Scrape fetches everything a daemon observes in one round trip:

@@ -475,33 +475,62 @@ func TestNaNResultReachesClient(t *testing.T) {
 
 // TestSendAnswersEncodeFailure: a reply that cannot be encoded (here a
 // decision the layout has no byte for) becomes a MsgError on the same
-// connection, for the proxy and the node alike.
+// connection, and so does a frame of a type the daemon does not serve —
+// a fetch at the proxy, a scrape's reply at either — naming the daemon;
+// each is one reply, and the connection answers on, at the proxy and the
+// node alike.
 func TestSendAnswersEncodeFailure(t *testing.T) {
 	p, _, done := newSimProxy(t, nil)
 	defer done()
 	n := NewDBNode("s", tinyDB(t))
 	bad := &ResultMsg{Decisions: []DecisionMsg{{Object: "edr/photoobj", Decision: "evict"}}}
-	for name, send := range map[string]func(net.Conn, MsgType, any){"proxy": p.send, "node": n.send} {
+	for _, c := range []struct {
+		daemon   *server
+		unserved map[MsgType]any
+	}{
+		{p.server, map[MsgType]any{MsgFetch: FetchMsg{Object: "edr/photoobj"}, MsgScrapeResult: ScrapeResultMsg{}}},
+		{n.server, map[MsgType]any{MsgScrapeResult: ScrapeResultMsg{}}},
+	} {
+		name := c.daemon.name
 		server, client := net.Pipe()
 		go func() {
-			send(server, MsgResult, bad)
-			send(server, MsgPong, PongMsg{Site: "still here"})
+			c.daemon.send(server, MsgResult, bad)
+			c.daemon.send(server, MsgPong, PongMsg{Site: "still here"})
 		}()
-		c := NewClient(client)
+		cl := NewClient(client)
 		var res ResultMsg
-		err := c.reply(MsgResult, &res)
+		err := cl.reply(MsgResult, &res)
 		if err == nil || !strings.Contains(err.Error(), `decision "evict"`) {
 			t.Fatalf("%s: err = %v, want the encode failure as a server error", name, err)
 		}
 		var pong PongMsg
-		if err := c.reply(MsgPong, &pong); err != nil || pong.Site != "still here" {
+		if err := cl.reply(MsgPong, &pong); err != nil || pong.Site != "still here" {
 			t.Fatalf("%s: connection after the failure: %+v, %v", name, pong, err)
 		}
-		c.Close()
-		server.Close()
-	}
-	if got := n.errs.Value(); got != 1 {
-		t.Errorf("dbnode.errors = %d, want 1", got)
+
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			c.daemon.serveConn(server)
+		}()
+		for typ, payload := range c.unserved {
+			if _, err := WriteFrame(client, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("wire: server: %s: unexpected message type %s", name, typ)
+			if err := cl.reply(MsgPong, &pong); err == nil || err.Error() != want {
+				t.Fatalf("%s answered a %s frame with %v, want %q", name, typ, err, want)
+			}
+		}
+		// The next reply is the ping's: the refusals were one frame each.
+		if got, err := cl.Ping(); err != nil || got.Site != name {
+			t.Fatalf("%s: connection after the refusals: %+v, %v", name, got, err)
+		}
+		cl.Close()
+		<-served
+		if got, want := c.daemon.framesTx.Get("error").Value(), int64(1+len(c.unserved)); got != want {
+			t.Errorf("%s: wire.frames_tx{error} = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -577,27 +606,34 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 }
 
 // TestNodeReplies: a pooled connection's replies come off its reader
-// one frame at a time, in order, when they arrive back to back; nodeError
-// takes the error reply for a failure and the others for success; a
-// truncated reply is an error, not a short body.
+// one frame at a time, in order, when they arrive back to back;
+// checkReply takes a reply of the type the leg wants for success, the
+// error reply for the node's failure and a reply of any other type for a
+// failure naming it; a truncated reply is an error, not a short body.
 func TestNodeReplies(t *testing.T) {
 	var stream bytes.Buffer
 	n1, _ := WriteFrame(&stream, MsgResult, bulkResult(64, 24, false))
 	n2, _ := WriteFrame(&stream, MsgError, ErrorMsg{Message: "table photoobj is owned by photo.sdss.org"})
 	n3, _ := WriteFrame(&stream, MsgFetchAck, FetchAckMsg{Object: "edr/photoobj", Size: 7})
+	n4, _ := WriteFrame(&stream, MsgResult, bulkResult(1, 1, false))
 	fr := newFrameReader()
 	for i, want := range []struct {
-		t      MsgType
-		n      int
-		failed string
-	}{{MsgResult, n1, ""}, {MsgError, n2, "owned by photo.sdss.org"}, {MsgFetchAck, n3, ""}} {
+		t, want MsgType // the reply's type, the leg's
+		n       int
+		failed  string
+	}{
+		{MsgResult, MsgResult, n1, ""},
+		{MsgError, MsgResult, n2, "node photo.sdss.org: table photoobj is owned by photo.sdss.org"},
+		{MsgFetchAck, MsgFetchAck, n3, ""},
+		{MsgResult, MsgFetchAck, n4, "node photo.sdss.org: result reply, want fetch_ack"},
+	} {
 		typ, body, n, err := fr.next(&stream)
 		if err != nil || typ != want.t || n != want.n {
 			t.Fatalf("reply %d = (%v, %d, %v), want (%v, %d)", i, typ, n, err, want.t, want.n)
 		}
-		err = nodeError("photo.sdss.org", typ, body)
-		if (err != nil) != (want.failed != "") || err != nil && !strings.Contains(err.Error(), want.failed) {
-			t.Fatalf("reply %d: nodeError = %v, want %q", i, err, want.failed)
+		err = checkReply("node photo.sdss.org", typ, body, want.want, nil, nil)
+		if (err != nil) != (want.failed != "") || err != nil && err.Error() != want.failed {
+			t.Fatalf("reply %d: checkReply = %v, want %q", i, err, want.failed)
 		}
 	}
 	if stream.Len() != 0 {

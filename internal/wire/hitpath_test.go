@@ -24,19 +24,29 @@ import (
 // produces.
 var poison = math.Float64frombits(0x7ff8dead_deaddead)
 
-// scrambleThenRelease overwrites everything a proxy connection's scratch
-// holds of the statement it has just answered — the parsed statement, the
-// binding, the accesses, the report with its decisions, the column names
-// and the tuples, its node's relayed reply too — before the tuples' memory
-// goes back, so that whatever still reads any of it once the connection
-// has moved on — a frame not yet written, a flight-recorder capture, a
-// ledger or journal record, a reply another connection is building out
-// of the same tuple memory — sends, records or trips over garbage instead
-// of plausible values.
-func scrambleThenRelease(cs *connScratch) {
-	cs.stmt.Scramble()
-	scrambleReply(&cs.reply)
-	cs.release()
+// scrambleThenRelease overwrites everything a connection's session holds
+// of the statement it has just answered — at a proxy the parsed
+// statement, the binding, the accesses, the report with its decisions, the
+// column names and the tuples, its node's relayed reply too; at a node the
+// parse, the binding and the tuples — before the tuples' memory goes
+// back, so that whatever still reads any of it once the connection has
+// moved on — a frame not yet written, a flight-recorder capture, a ledger
+// or journal record, a reply another connection is building out of the
+// same tuple memory — sends, records or trips over garbage instead of
+// plausible values.
+func scrambleThenRelease(s session) {
+	switch s := s.(type) {
+	case *connScratch:
+		s.stmt.Scramble()
+		scrambleReply(&s.reply)
+	case *statement:
+		s.parser.Scramble()
+		s.bound.Scramble()
+		s.result.Scramble()
+	default:
+		panic(fmt.Sprintf("no scramble for a %T session", s))
+	}
+	s.release()
 }
 
 // scrambleReply is Scratch.Scramble for a relayed reply: every tuple cell
@@ -53,21 +63,12 @@ func scrambleReply(r *relayed) {
 	r.msg = ResultMsg{Rows: math.MinInt64, Bytes: math.MinInt64, Columns: columns, Tuples: st.rows[:cap(st.rows)]}
 }
 
-// scrambleStatementThenRelease is the same for a node's connection.
-func scrambleStatementThenRelease(st *statement) {
-	st.parser.Scramble()
-	st.bound.Scramble()
-	st.result.Scramble()
-	st.release()
-}
-
 // TestMain runs every test of the package — the round trips through
 // proxies and nodes above all, the ledger, exemplar, chaos and breaker
-// tests among them — with every answered statement scrambled. The hooks
-// are set once, before any daemon starts.
+// tests among them — with every answered statement scrambled. The hook
+// is set once, before any daemon starts.
 func TestMain(m *testing.M) {
-	releaseScratch = scrambleThenRelease
-	releaseStatement = scrambleStatementThenRelease
+	releaseSession = scrambleThenRelease
 	os.Exit(m.Run())
 }
 
@@ -302,10 +303,8 @@ func BenchmarkProxyBypassEDR(b *testing.B) { benchProxyEDR(b, 0.001) }
 // benchProxyEDR times the EDR statements through a federation whose
 // cache is cacheFrac of the release, after a warming pass.
 func benchProxyEDR(b *testing.B, cacheFrac float64) {
-	defer func(sc func(*connScratch), st func(*statement)) {
-		releaseScratch, releaseStatement = sc, st
-	}(releaseScratch, releaseStatement)
-	releaseScratch, releaseStatement = (*connScratch).release, (*statement).release
+	defer func(release func(session)) { releaseSession = release }(releaseSession)
+	releaseSession = session.release
 	f := edrFederation(b, cacheFrac, nil, nil)
 	defer f.close()
 	client, sqls := f.client, f.sqls

@@ -348,7 +348,8 @@ type PingMsg struct{}
 
 // PongMsg answers a probe with the responder's identity.
 type PongMsg struct {
-	// Site names the answering node.
+	// Site names the answering daemon as its scrapes' Source does:
+	// "byproxyd", or "bydbd:<site>" for a node.
 	Site string `json:"site,omitempty"`
 }
 

@@ -25,7 +25,7 @@ import (
 // the conservation law D_A = D_S + D_C.
 func TestEndToEndMetricsReconcile(t *testing.T) {
 	cap := catalog.EDR().TotalBytes()
-	client, shutdown := testFederation(t,
+	client, nodes, shutdown := federationWithNodes(t,
 		core.NewRateProfile(core.RateProfileConfig{Capacity: cap}), federation.Columns)
 	defer shutdown()
 
@@ -103,6 +103,26 @@ func TestEndToEndMetricsReconcile(t *testing.T) {
 	if snap.CounterValue("wire.client_conns_opened", "") == 0 {
 		t.Fatal("client connection churn not counted")
 	}
+
+	// Both ends of a node connection count the same bytes: what the proxy
+	// sent its nodes is what they read as queries and fetches, and what it
+	// read back is what they sent as results, fetch acks and errors. A
+	// node counts a reply once it is written, so the nodes are read once
+	// shutdown has closed their connections and waited for their loops.
+	shutdown()
+	var rx, tx int64
+	for _, n := range nodes {
+		ns := n.Obs().Snapshot()
+		rx += ns.CounterValue("wire.bytes_rx", "query") + ns.CounterValue("wire.bytes_rx", "fetch")
+		tx += ns.CounterValue("wire.bytes_tx", "result") + ns.CounterValue("wire.bytes_tx", "fetch_ack") +
+			ns.CounterValue("wire.bytes_tx", "error")
+	}
+	if sent := snap.CounterValue("wire.node_tx_bytes", ""); rx != sent || rx == 0 {
+		t.Errorf("the nodes read %d bytes of queries and fetches, the proxy sent them %d", rx, sent)
+	}
+	if read := snap.CounterValue("wire.node_rx_bytes", ""); tx != read || tx == 0 {
+		t.Errorf("the nodes sent %d bytes of replies, the proxy read %d", tx, read)
+	}
 }
 
 // TestDBNodeMetrics asserts a database node answers MsgScrape with
@@ -142,13 +162,13 @@ func TestDBNodeMetrics(t *testing.T) {
 	if snap.CounterValue("dbnode.queries", "") != 1 {
 		t.Fatalf("dbnode.queries = %d, want 1", snap.CounterValue("dbnode.queries", ""))
 	}
-	if snap.CounterValue("dbnode.errors", "") != 1 {
-		t.Fatalf("dbnode.errors = %d, want 1", snap.CounterValue("dbnode.errors", ""))
+	if got := snap.CounterValue("wire.frames_tx", "error"); got != 1 {
+		t.Fatalf("wire.frames_tx{error} = %d, want 1", got)
 	}
 	if snap.CounterValue("engine.rows_scanned", "") == 0 {
 		t.Fatal("engine scan counters not shared with the node registry")
 	}
-	if snap.CounterValue("dbnode.tx_bytes", "") == 0 || snap.CounterValue("dbnode.rx_bytes", "") == 0 {
+	if snap.CounterValue("wire.bytes_tx", "result") == 0 || snap.CounterValue("wire.bytes_rx", "query") == 0 {
 		t.Fatal("transport byte counters empty")
 	}
 }
@@ -434,16 +454,18 @@ var proxyMetrics = []string{
 
 // nodeMetrics is bydbd's scrape in TestMetricSurface.
 var nodeMetrics = []string{
-	"counter dbnode.errors",
 	"counter dbnode.fetches",
 	"counter dbnode.queries",
-	"counter dbnode.rx_bytes",
-	"counter dbnode.tx_bytes",
 	"counter engine.queries",
 	"counter engine.rows_scanned",
 	"counter engine.yield_bytes",
 	"counter obs.exemplars",
+	"counter wire.bytes_rx",
+	"counter wire.bytes_tx",
+	"counter wire.client_conns_closed",
+	"counter wire.client_conns_opened",
 	"counter wire.frames_rx",
+	"counter wire.frames_tx",
 	"gauge runtime.gc_cycles",
 	"gauge runtime.goroutines",
 	"gauge runtime.heap_alloc_bytes",

@@ -55,6 +55,7 @@ const DefaultMaxInflight = 64
 //
 //	wire.frames_rx / wire.frames_tx    client frames per message type
 //	wire.bytes_rx / wire.bytes_tx      client frame bytes per message type
+//	                                   (a node counts its own the same way)
 //	wire.node_tx_bytes / node_rx_bytes node RPC transport byte totals
 //	wire.rpc_latency_us                node RPC latency histogram per site
 //	wire.rpc_errors                    failed node RPCs per site
@@ -108,11 +109,6 @@ type Proxy struct {
 	dialer      func(site, addr string) (net.Conn, error)
 	dialTimeout time.Duration
 
-	reg          *obs.Registry
-	framesRx     *obs.CounterFamily
-	framesTx     *obs.CounterFamily
-	bytesRx      *obs.CounterFamily
-	bytesTx      *obs.CounterFamily
 	nodeTx       *obs.Counter
 	nodeRx       *obs.Counter
 	rpcLatency   *obs.HistogramFamily
@@ -121,8 +117,6 @@ type Proxy struct {
 	rpcRetries   *obs.CounterFamily
 	nodeDials    *obs.CounterFamily
 	nodeDrops    *obs.CounterFamily
-	connsOpened  *obs.Counter
-	connsClosed  *obs.Counter
 	breakerState *obs.GaugeFamily
 	breakerTrans *obs.CounterFamily
 	probes       *obs.CounterFamily
@@ -130,14 +124,13 @@ type Proxy struct {
 	poolIdle     *obs.GaugeFamily
 	poolWaits    *obs.CounterFamily
 	poolWaitDur  *obs.HistogramFamily
-
-	flight *flightrec.Recorder
 }
 
 // site is one federation member with a database node: the node's
 // address, the pool of connections to it and the breaker guarding it.
 type site struct {
 	addr string
+	peer string // "node <site>": names the site in its replies' errors
 	pool *pool
 	br   *breaker
 }
@@ -162,16 +155,13 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 		probeTimeout:  ProbeTimeout,
 		pcfg:          PoolConfig{}.sanitize(),
 		querySem:      make(chan struct{}, DefaultMaxInflight),
-		reg:           reg,
+		server:        newServer("byproxyd", reg),
 	}
-	p.server = newServer("proxy", p.serveClient)
+	p.newSession = func() session { return &connScratch{p: p} }
+	p.scrape = p.scrapeProxy
 	p.dialer = func(_, addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, p.dialTimeout)
 	}
-	p.framesRx = reg.CounterFamily("wire.frames_rx")
-	p.framesTx = reg.CounterFamily("wire.frames_tx")
-	p.bytesRx = reg.CounterFamily("wire.bytes_rx")
-	p.bytesTx = reg.CounterFamily("wire.bytes_tx")
 	p.nodeTx = reg.Counter("wire.node_tx_bytes")
 	p.nodeRx = reg.Counter("wire.node_rx_bytes")
 	p.rpcLatency = reg.HistogramFamily("wire.rpc_latency_us", obs.DefaultLatencyBuckets())
@@ -180,8 +170,6 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	p.rpcRetries = reg.CounterFamily("wire.rpc_retries")
 	p.nodeDials = reg.CounterFamily("wire.node_dials")
 	p.nodeDrops = reg.CounterFamily("wire.node_conn_drops")
-	p.connsOpened = reg.Counter("wire.client_conns_opened")
-	p.connsClosed = reg.Counter("wire.client_conns_closed")
 	p.breakerState = reg.GaugeFamily("wire.breaker_state")
 	p.breakerTrans = reg.CounterFamily("wire.breaker_transitions")
 	p.probes = reg.CounterFamily("wire.probes")
@@ -192,7 +180,7 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	obs.EnableRuntimeStats(reg)
 	p.buildFlight(flightrec.DefaultConfig())
 	for name, addr := range nodeAddrs {
-		p.sites[name] = &site{addr: addr}
+		p.sites[name] = &site{addr: addr, peer: "node " + name}
 	}
 	p.buildSites()
 	med.SetHealth(p)
@@ -215,9 +203,6 @@ func (p *Proxy) buildFlight(cfg flightrec.Config) {
 // SetFlightConfig replaces the flight recorder's capture tuning
 // (threshold, ring capacity, reservoir). Call before Listen.
 func (p *Proxy) SetFlightConfig(cfg flightrec.Config) { p.buildFlight(cfg) }
-
-// Flight returns the proxy's flight recorder.
-func (p *Proxy) Flight() *flightrec.Recorder { return p.flight }
 
 // buildSites gives every site with a node a fresh connection pool and a
 // fresh, closed breaker under the current configuration. The records are
@@ -320,9 +305,6 @@ func (p *Proxy) SiteAvailable(site string) (bool, string) {
 	return true, ""
 }
 
-// Obs returns the registry the proxy publishes into.
-func (p *Proxy) Obs() *obs.Registry { return p.reg }
-
 // Listen starts accepting clients on addr, and the prober when the
 // proxy has nodes, and returns the bound address.
 func (p *Proxy) Listen(addr string) (string, error) {
@@ -399,112 +381,30 @@ func (p *Proxy) ping(name, addr string) bool {
 	if _, err := WriteFrame(conn, MsgPing, PingMsg{}); err != nil {
 		return false
 	}
-	t, _, _, err := ReadFrame(conn) // a fresh connection's one reply
-	return err == nil && t == MsgPong
+	t, body, _, err := ReadFrame(conn) // a fresh connection's one reply
+	return err == nil && checkReply("node "+name, t, body, MsgPong, nil, nil) == nil
 }
 
-// serveClient serves one client connection, counting it.
-func (p *Proxy) serveClient(conn net.Conn) {
-	defer conn.Close()
-	p.connsOpened.Add(1)
-	defer p.connsClosed.Add(1)
-	p.serveConn(conn)
-}
-
-// send writes one frame to a client, counting it. The client is a
-// closed loop waiting for exactly one reply, so no failure may be
-// silent: a payload that does not encode is answered with a MsgError,
-// and a failed write closes the connection, which ends serveConn at
-// its next read.
-func (p *Proxy) send(conn net.Conn, t MsgType, payload any) {
-	n, err := WriteFrame(conn, t, payload)
-	if errors.Is(err, errEncode) {
-		t = MsgError
-		n, err = WriteFrame(conn, t, ErrorMsg{Message: err.Error()})
-	}
-	if err != nil {
-		conn.Close()
-		return
-	}
-	label := t.String()
-	p.framesTx.Add(label, 1)
-	p.bytesTx.Add(label, int64(n))
-}
-
-func (p *Proxy) serveConn(conn net.Conn) {
-	var (
-		fr  = newFrameReader() // this connection's frames; Decode copies out of it
-		q   QueryMsg           // this connection's queries, one at a time
-		cs  connScratch        // what a statement is mediated in, and its node's reply decoded into
-		res ResultMsg          // this connection's replies: handleQuery refills it, lists and all
-	)
-	for {
-		t, body, rn, err := fr.next(conn)
-		if err != nil {
-			return
-		}
-		label := t.String()
-		p.framesRx.Add(label, 1)
-		p.bytesRx.Add(label, int64(rn))
-		switch t {
-		case MsgQuery:
-			if err := Decode(body, &q); err != nil {
-				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
-				continue
-			}
-			traceID := obs.ParseID(q.TraceID)
-			fc := p.flight.Begin()
-			fc.SetQuery(q.SQL, traceID)
-			err := p.handleQuery(&cs, q.SQL, traceID, fc, &res)
-			if err != nil {
-				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
-			} else {
-				encStart := fc.Now()
-				p.send(conn, MsgResult, &res)
-				fc.SetEncodeUS(fc.Now() - encStart)
-			}
-			p.flight.Finish(fc, err)
-			// The reply is written and the capture closed: nothing reads
-			// the tuples again, and the next execution may have their
-			// memory, as the next statement has the rest of cs — unless
-			// this one was long enough to have stretched it.
-			releaseScratch(&cs)
-			if len(q.SQL) > maxKeptStatement {
-				cs.stmt = federation.Scratch{}
-			}
-			q = QueryMsg{}
-		case MsgScrape:
-			var q ScrapeMsg
-			if err := Decode(body, &q); err != nil {
-				p.send(conn, MsgError, ErrorMsg{Message: err.Error()})
-				continue
-			}
-			p.send(conn, MsgScrapeResult, p.scrape(q))
-		case MsgPing:
-			p.send(conn, MsgPong, PongMsg{Site: "byproxyd"})
-		default:
-			p.send(conn, MsgError, ErrorMsg{Message: fmt.Sprintf("proxy: unexpected message type %s", t)})
-		}
-	}
-}
-
-// maxKeptStatement bounds what a connection keeps of a statement between
-// queries, as frameBufMaxCap bounds what it keeps of a frame: the lists a
-// statement is parsed, bound and decided in grow with its text (a
-// conjunct of ten bytes is some four hundred in them), so a connection
-// that has once served a megabyte of conjuncts starts over from a zero
-// scratch instead of holding their memory for as long as it lives. The
-// workload's statements are a few hundred bytes.
-const maxKeptStatement = 4 << 10
-
-// connScratch is what a serving connection answers its statements in,
-// one after another: the Scratch each is mediated in, and where a relayed
-// statement's reply from its node is decoded. The reply to the client
-// borrows its columns and tuples from one or the other, so both are the
-// next statement's only once that reply is written.
+// connScratch is a client connection's session: what the proxy answers
+// its statements in, one after another — the Scratch each is mediated in,
+// where a relayed statement's reply from its node is decoded, and the
+// reply to the client, which borrows its columns and tuples from one or
+// the other, so both are the next statement's only once that reply is
+// written.
 type connScratch struct {
+	p     *Proxy
 	stmt  federation.Scratch
 	reply relayed
+	res   ResultMsg
+}
+
+// answer mediates one client statement (handleQuery) and answers with
+// its result.
+func (cs *connScratch) answer(sql string, traceID uint64, fc *flightrec.Capture) (*ResultMsg, error) {
+	if err := cs.p.handleQuery(cs, sql, traceID, fc, &cs.res); err != nil {
+		return nil, err
+	}
+	return &cs.res, nil
 }
 
 // relayed is a relayed statement's reply from its node (relay), decoded
@@ -520,12 +420,6 @@ type relayed struct {
 // giving back: they are the connection's, and the next reply overwrites
 // them.
 func (cs *connScratch) release() { cs.stmt.Release() }
-
-// releaseScratch is where serveConn releases a statement. The wire tests
-// replace it to scramble the connection's scratch first — the mediation
-// and the relayed reply, tuples and all — so that anything still reading
-// the statement afterwards is caught.
-var releaseScratch = (*connScratch).release
 
 // leg is one node RPC a statement's mediation calls for, of one of three
 // kinds: an object fetch (a load), a sub-query whose reply is dropped (a
@@ -732,11 +626,11 @@ func (p *Proxy) runLeg(l leg, traceID uint64, res *ResultMsg, fc *flightrec.Capt
 	switch {
 	case l.object != "":
 		kind = "fetch"
-		err = p.nodeRPC(l.site, MsgFetch, FetchMsg{Object: l.object}, &lt, nodeError)
+		err = p.nodeRPC(l.site, MsgFetch, FetchMsg{Object: l.object}, MsgFetchAck, nil, &lt)
 	case l.reply != nil:
 		err = p.relay(l, traceID, &lt, res)
 	default:
-		err = p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, &lt, nodeError)
+		err = p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, MsgResult, nil, &lt)
 	}
 	fc.Leg(l.site, kind, l.object, startUS, lt.poolWaitUS, lt.rpcUS, time.Since(legStart).Microseconds(), err)
 	if err != nil {
@@ -762,19 +656,15 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// replyReader acts on a node's reply to an RPC: the site, the reply's
-// type, and its body, which is the pooled connection's and valid only
-// for the call. Its error is what the node answered, not a transport
-// failure (nodeError is the reader of a reply only an error matters in).
-type replyReader func(site string, t MsgType, body []byte) error
-
 // nodeRPC performs one request/response exchange with a site's node,
-// gated by the site's circuit breaker, and hands the reply to read before
-// its connection goes back to the pool. read's error is returned as is:
-// the exchange succeeded, so it neither retries nor charges the breaker.
-// Returns nil without calling read when the site has no node (simulation
-// mode), and a *SiteUnavailableError — without touching the network —
-// when the breaker is open.
+// gated by the site's circuit breaker, and checks the reply (checkReply)
+// before its connection goes back to the pool: a reply of type want is
+// success, decoded into reply when it is not nil. What the check finds —
+// the node's error, or a reply of another type — is returned as is: the
+// exchange succeeded, so it neither retries nor charges the breaker.
+// Returns nil when the site has no node (simulation mode), and a
+// *SiteUnavailableError — without touching the network — when the
+// breaker is open.
 //
 // A failure that is not a timeout — most often a pooled connection the
 // node has closed — is retried once, straight away, on a fresh dial that
@@ -783,7 +673,7 @@ type replyReader func(site string, t MsgType, body []byte) error
 // pool slot through another full deadline. Only a failed retry or a
 // timeout counts against the site. Retrying is safe because a failed leg
 // never changes the client's answer (see relay).
-func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read replyReader) error {
+func (p *Proxy) nodeRPC(site string, t MsgType, payload any, want MsgType, reply *relayed, lt *legTiming) error {
 	s := p.sites[site]
 	if s == nil {
 		return nil
@@ -791,10 +681,10 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read
 	if state := s.br.State(); state != BreakerClosed {
 		return &SiteUnavailableError{Site: site, State: state}
 	}
-	answer, err := p.tryNodeRPC(s.pool, t, payload, false, lt, read)
+	answer, err := p.tryNodeRPC(s, t, payload, want, reply, false, lt)
 	if err != nil && !isTimeout(err) {
 		p.rpcRetries.Add(site, 1)
-		answer, err = p.tryNodeRPC(s.pool, t, payload, true, lt, read)
+		answer, err = p.tryNodeRPC(s, t, payload, want, reply, true, lt)
 	}
 	if err != nil {
 		s.br.RecordFailure()
@@ -805,9 +695,10 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, lt *legTiming, read
 }
 
 // tryNodeRPC is one attempt of nodeRPC over a connection from the site's
-// pool sp: answer is read's error, err the transport's. fresh forces a
-// fresh dial, discarding pooled idle connections.
-func (p *Proxy) tryNodeRPC(sp *pool, t MsgType, payload any, fresh bool, lt *legTiming, read replyReader) (answer, err error) {
+// pool: answer is the reply check's error, err the transport's. fresh
+// forces a fresh dial, discarding pooled idle connections.
+func (p *Proxy) tryNodeRPC(s *site, t MsgType, payload any, want MsgType, reply *relayed, fresh bool, lt *legTiming) (answer, err error) {
+	sp := s.pool
 	site := sp.site
 	acquireStart := time.Now()
 	conn, err := sp.Get(fresh)
@@ -843,7 +734,17 @@ func (p *Proxy) tryNodeRPC(sp *pool, t MsgType, payload any, fresh bool, lt *leg
 	if lt != nil {
 		lt.rpcUS = rpcUS // the successful attempt's round trip
 	}
-	answer = read(site, rt, body) // before the connection's next exchange overwrites body
+	var (
+		dst any // nil: the reply's type is all that is wanted
+		st  *resultStore
+	)
+	if reply != nil {
+		if reply.store.names == nil {
+			reply.store.names = names{}
+		}
+		dst, st = &reply.msg, &reply.store
+	}
+	answer = checkReply(s.peer, rt, body, want, dst, st) // before the connection's next exchange overwrites body
 	if p.rpcTimeout > 0 && conn.SetDeadline(time.Time{}) != nil {
 		// The exchange succeeded but the connection is broken for
 		// reuse; discard it so the next checkout dials fresh.
@@ -862,9 +763,10 @@ type legTiming struct {
 }
 
 // relay sends a statement whose tables are all one site's to that site
-// as the client sent it and decodes the node's reply into l.reply. A
-// reply with negative Rows or Bytes is refused: they come from outside
-// the process. Before the decision (res nil) that is all: the mediator
+// as the client sent it and decodes the node's reply into l.reply, its
+// strings interned in the reply's store (a reply with the names of one
+// before costs none). A reply with negative Rows or Bytes is refused:
+// they come from outside the process. Before the decision (res nil) that is all: the mediator
 // decides with the reply's Rows and Bytes, and an error has the
 // statement executed and answered locally. After it, the reply's columns
 // and tuples become the client's answer (res) when it is the result the
@@ -873,20 +775,10 @@ type legTiming struct {
 // with the leg's error saying why; a site without a node (simulation
 // mode) leaves it without one.
 func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) error {
-	replied := false
-	err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, lt,
-		func(site string, t MsgType, body []byte) error {
-			switch t {
-			case MsgResult:
-				replied = true
-				return l.reply.decode(body)
-			case MsgError:
-				return nodeError(site, t, body)
-			default:
-				return fmt.Errorf("node %s: %s reply to a statement", site, t)
-			}
-		})
-	if err != nil || !replied {
+	if p.sites[l.site] == nil {
+		return nil
+	}
+	if err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, MsgResult, l.reply, lt); err != nil {
 		return err
 	}
 	got := &l.reply.msg
@@ -901,26 +793,4 @@ func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) erro
 	}
 	res.Columns, res.Tuples = got.Columns, got.Tuples
 	return nil
-}
-
-// decode refills r from a reply body; its strings are interned in the
-// store (names), so a reply with the names of one before costs none.
-func (r *relayed) decode(body []byte) error {
-	if r.store.names == nil {
-		r.store.names = names{}
-	}
-	return decodeInto(body, &r.msg, &r.store)
-}
-
-// nodeError is the failure a node reported in its reply; any other
-// reply is success.
-func nodeError(site string, t MsgType, body []byte) error {
-	if t != MsgError {
-		return nil
-	}
-	var e ErrorMsg
-	if err := Decode(body, &e); err != nil {
-		return err
-	}
-	return fmt.Errorf("node %s: %s", site, e.Message)
 }

@@ -305,15 +305,16 @@ func TestShippingDecidesAsTheMediator(t *testing.T) {
 	}
 }
 
-// stubNode is a photo-site node that answers every statement it is sent
-// with answer, which reports whether to keep the connection open, and
-// counts the statements; it answers a ping as a node does.
+// stubNode is a photo-site node that answers every statement and fetch
+// it is sent with answer, which is told the request's type and reports
+// whether to keep the connection open, and counts them; it answers a
+// ping as a node does.
 type stubNode struct {
-	addr    string
-	queries atomic.Int64
+	addr     string
+	requests atomic.Int64
 }
 
-func newStubNode(t *testing.T, answer func(net.Conn) bool) *stubNode {
+func newStubNode(t *testing.T, answer func(net.Conn, MsgType) bool) *stubNode {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +346,9 @@ func newStubNode(t *testing.T, answer func(net.Conn) bool) *stubNode {
 						if _, err := WriteFrame(conn, MsgPong, PongMsg{Site: catalog.SitePhoto}); err != nil {
 							return
 						}
-					case typ == MsgQuery:
-						n.queries.Add(1)
-						if !answer(conn) {
+					case typ == MsgQuery || typ == MsgFetch:
+						n.requests.Add(1)
+						if !answer(conn, typ) {
 							return
 						}
 					}
@@ -562,16 +563,16 @@ const parentRelayAllocs = 6
 func TestFailedShipIsAnsweredLocally(t *testing.T) {
 	for _, c := range []struct {
 		name   string
-		answer func(net.Conn) bool
+		answer func(net.Conn, MsgType) bool
 		cause  string // what the transport error names
 		sends  int64  // how often the node is sent the statement
 	}{
-		{"node error", func(conn net.Conn) bool {
+		{"node error", func(conn net.Conn, _ MsgType) bool {
 			_, err := WriteFrame(conn, MsgError, ErrorMsg{Message: "stub refuses"})
 			return err == nil
 		}, "stub refuses", 1},
-		{"connection closed", func(net.Conn) bool { return false }, "EOF", 2},
-		{"negative bytes", func(conn net.Conn) bool {
+		{"connection closed", func(net.Conn, MsgType) bool { return false }, "EOF", 2},
+		{"negative bytes", func(conn net.Conn, _ MsgType) bool {
 			_, err := WriteFrame(conn, MsgResult, &ResultMsg{Rows: 3, Bytes: -24})
 			return err == nil
 		}, "refused", 1},
@@ -587,7 +588,7 @@ func TestFailedShipIsAnsweredLocally(t *testing.T) {
 			if err := p.handleQuery(&cs, blindSQL, 0, nil, &res); err != nil {
 				t.Fatal(err)
 			}
-			if n := node.queries.Load(); n != c.sends {
+			if n := node.requests.Load(); n != c.sends {
 				t.Errorf("the node was sent the statement %d times, want %d", n, c.sends)
 			}
 			if len(res.TransportErrors) != 1 || res.TransportErrors[0].Site != catalog.SitePhoto ||
@@ -606,6 +607,56 @@ func TestFailedShipIsAnsweredLocally(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWrongReplyTypeIsATransportError: a node that answers a leg with a
+// reply of another type than the leg's — a fetch with a result, a
+// sub-query or a statement with a fetch ack — has not served it. Each
+// such reply is one transport error on the statement's result, naming the
+// site and the type, and, the exchange having succeeded, it is neither
+// retried nor charged to the breaker: the site stays available however
+// often it happens.
+func TestWrongReplyTypeIsATransportError(t *testing.T) {
+	node := newStubNode(t, func(conn net.Conn, asked MsgType) bool {
+		var err error
+		if asked == MsgFetch {
+			_, err = WriteFrame(conn, MsgResult, &ResultMsg{Rows: 1, Bytes: 8})
+		} else {
+			_, err = WriteFrame(conn, MsgFetchAck, FetchAckMsg{Object: "edr/photoobj.ra", Size: 8})
+		}
+		return err == nil
+	})
+	p, _, _ := shipProxy(t, node.addr)
+	defer p.Close()
+	for _, c := range []struct {
+		kind string
+		leg  leg
+		want string
+	}{
+		{"fetch", leg{site: catalog.SitePhoto, object: "edr/photoobj.ra"}, "result reply, want fetch_ack"},
+		{"subquery", leg{site: catalog.SitePhoto, sql: "select ra from photoobj"}, "fetch_ack reply, want result"},
+		{"statement", leg{site: catalog.SitePhoto, sql: blindSQL, reply: &relayed{}}, "fetch_ack reply, want result"},
+	} {
+		for i := 0; i < FailureThreshold; i++ {
+			sent := node.requests.Load()
+			var res ResultMsg
+			p.runLegs([]leg{c.leg}, 0, &res, nil)
+			want := "node " + catalog.SitePhoto + ": " + c.want
+			if len(res.TransportErrors) != 1 || res.TransportErrors[0].Site != catalog.SitePhoto || res.TransportErrors[0].Error != want {
+				t.Fatalf("%s leg: transport errors %+v, want one at %s: %q", c.kind, res.TransportErrors, catalog.SitePhoto, want)
+			}
+			if n := node.requests.Load() - sent; n != 1 {
+				t.Errorf("%s leg: the node was asked %d times, want once", c.kind, n)
+			}
+		}
+		if state := p.BreakerState(catalog.SitePhoto); state != BreakerClosed {
+			t.Fatalf("after %d wrong %s replies the breaker is %s", FailureThreshold, c.kind, state)
+		}
+	}
+	snap := p.Obs().Snapshot()
+	if n := snap.CounterValue("wire.rpc_retries", catalog.SitePhoto) + snap.CounterValue("wire.rpc_errors", catalog.SitePhoto); n != 0 {
+		t.Errorf("%d retries and RPC errors, want none: every exchange succeeded", n)
 	}
 }
 
@@ -685,7 +736,7 @@ func TestNodeReadsPerReply(t *testing.T) {
 	defer f.close()
 	replies := func() (n int64) {
 		for _, node := range f.nodes {
-			n += node.queries.Value() + node.fetches.Value() + node.errs.Value()
+			n += node.queries.Value() + node.fetches.Value() + node.framesTx.Get("error").Value()
 		}
 		return n
 	}

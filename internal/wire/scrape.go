@@ -3,7 +3,6 @@ package wire
 import (
 	"sort"
 
-	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 	"bypassyield/internal/obs/ledger"
 )
@@ -24,12 +23,14 @@ const (
 // larger caches report a prefix (sorted by id).
 const MaxStatsCachedObjects = 64
 
-// scrape answers one MsgScrape with what every daemon keeps: its
-// registry and its flight recorder (a nil recorder reads as empty).
-func scrape(source string, reg *obs.Registry, rec *flightrec.Recorder, q ScrapeMsg) *ScrapeResultMsg {
+// observed answers one MsgScrape with what every daemon keeps: its
+// registry and its flight recorder (a nil recorder reads as empty). It is
+// a node's whole answer.
+func (s *server) observed(q ScrapeMsg) *ScrapeResultMsg {
+	rec := s.flight
 	return &ScrapeResultMsg{
-		Source:      source,
-		Snapshot:    reg.Snapshot(),
+		Source:      s.name,
+		Snapshot:    s.reg.Snapshot(),
 		Observed:    rec.Observed(),
 		Published:   rec.Published(),
 		ThresholdUS: rec.ThresholdUS(),
@@ -47,13 +48,13 @@ func listLimit(limit, def, ceil int) int {
 	return min(limit, ceil)
 }
 
-// scrape adds the proxy's own to what every daemon answers: the flow
+// scrapeProxy adds the proxy's own to what every daemon answers: the flow
 // accounting, the cache, the node transport counters, the matching
 // ledger records (none without a ledger) and the shadow figures. The
 // mediator's parts are one reading of the decision plane, taken in one
 // hold of its lock, so they agree with each other.
-func (p *Proxy) scrape(q ScrapeMsg) *ScrapeResultMsg {
-	msg := scrape("byproxyd", p.reg, p.flight, q)
+func (p *Proxy) scrapeProxy(q ScrapeMsg) *ScrapeResultMsg {
+	msg := p.observed(q)
 	r := p.med.Read(ledger.Query{
 		Object: q.Object,
 		Action: q.Action,

@@ -2,34 +2,72 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"log"
 	"net"
 	"sync"
+
+	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/flightrec"
 )
 
-// server is the listener lifecycle a Proxy and a DBNode share: one
-// listener, an accept loop that hands every connection to the role's
-// handler on a goroutine of its own, and Close, which stops accepting
-// and waits for every goroutine the server counted.
+// server is what a Proxy and a DBNode share: one listener, an accept
+// loop that serves every connection on a goroutine of its own through
+// the one frame loop (serveConn), and Close, which stops accepting and
+// waits for every goroutine the server counted. The daemon supplies
+// only what differs: its name, a connection's session (its answer to a
+// query), its answer to a fetch, if it serves them, and to a scrape.
 type server struct {
-	name   string         // names the role in log lines: "proxy", "dbnode <site>"
-	handle func(net.Conn) // the role's: serves one connection, then closes it
-	ln     net.Listener
+	// name is the daemon's: the Source of its scrapes, the Site of its
+	// pongs, and what its refusals and log lines are prefixed with.
+	name   string
+	reg    *obs.Registry
+	flight *flightrec.Recorder
 	logf   func(format string, args ...any)
+	// wrapConn, when set, is interposed on every accepted connection (the
+	// node's chaos hook, SetConnWrapper).
+	wrapConn func(net.Conn) net.Conn
 
-	// wg counts the accept loop, every connection's handler and whatever
-	// else the role starts for the server's lifetime (the proxy's prober).
+	newSession func() session
+	fetch      func(FetchMsg) (FetchAckMsg, error) // nil: the daemon serves no fetch
+	scrape     func(ScrapeMsg) *ScrapeResultMsg
+
+	// Transport counters, per message type: the frames and bytes the
+	// daemon's peers sent it and it sent back.
+	framesRx, framesTx, bytesRx, bytesTx *obs.CounterFamily
+	connsOpened, connsClosed             *obs.Counter
+
+	ln net.Listener
+	// wg counts the accept loop, every connection's loop and whatever
+	// else the daemon starts for the server's lifetime (the proxy's prober).
 	wg      sync.WaitGroup
 	closing sync.Once
 	done    chan struct{} // closed by the first Close
 }
 
-func newServer(name string, handle func(net.Conn)) *server {
-	return &server{name: name, handle: handle, logf: log.Printf, done: make(chan struct{})}
+func newServer(name string, reg *obs.Registry) *server {
+	return &server{
+		name:        name,
+		reg:         reg,
+		logf:        log.Printf,
+		framesRx:    reg.CounterFamily("wire.frames_rx"),
+		framesTx:    reg.CounterFamily("wire.frames_tx"),
+		bytesRx:     reg.CounterFamily("wire.bytes_rx"),
+		bytesTx:     reg.CounterFamily("wire.bytes_tx"),
+		connsOpened: reg.Counter("wire.client_conns_opened"),
+		connsClosed: reg.Counter("wire.client_conns_closed"),
+		done:        make(chan struct{}),
+	}
 }
 
 // SetLogf replaces the logger (tests silence it).
 func (s *server) SetLogf(f func(string, ...any)) { s.logf = f }
+
+// Obs returns the registry the daemon publishes into.
+func (s *server) Obs() *obs.Registry { return s.reg }
+
+// Flight returns the daemon's flight recorder.
+func (s *server) Flight() *flightrec.Recorder { return s.flight }
 
 // Listen starts accepting on addr ("host:port"; ":0" picks a free
 // port) and returns the bound address.
@@ -38,15 +76,10 @@ func (s *server) Listen(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.serve(ln)
-	return ln.Addr().String(), nil
-}
-
-// serve accepts on ln until Close.
-func (s *server) serve(ln net.Listener) {
 	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
+	return ln.Addr().String(), nil
 }
 
 // Close stops the listener and waits for in-flight connections.
@@ -77,7 +110,161 @@ func (s *server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(conn)
+			s.serveConn(conn)
 		}()
+	}
+}
+
+// session is one connection's statement memory: the daemon answers the
+// connection's queries in it, one after another.
+type session interface {
+	// answer answers one query under the trace id the peer sent (zero
+	// for none), recording it in fc. The reply is the session's, valid
+	// until release.
+	answer(sql string, traceID uint64, fc *flightrec.Capture) (*ResultMsg, error)
+	// release gives the statement's tuples back once its reply is
+	// written.
+	release()
+}
+
+// releaseSession is where serveConn releases a statement. The wire tests
+// replace it to scramble the session first — the statement, its binding
+// and its tuples, a relayed reply too — so that anything still reading
+// the statement afterwards is caught.
+var releaseSession = session.release
+
+// maxKeptStatement bounds what a connection keeps of a statement between
+// queries, as frameBufMaxCap bounds what it keeps of a frame: the lists a
+// statement is parsed, bound and decided in grow with its text (a
+// conjunct of ten bytes is some four hundred in them), so a connection
+// that has once served a megabyte of conjuncts starts over from a fresh
+// session instead of holding their memory for as long as it lives. The
+// workload's statements are a few hundred bytes.
+const maxKeptStatement = 4 << 10
+
+// serveConn is the daemons' one frame loop: it serves one connection
+// until the peer hangs up, a frame does not read or a reply does not
+// write, then closes it. Every frame is counted, every query answered in
+// the connection's session and bracketed by a flight-recorder capture,
+// and every frame type the daemon does not serve refused with one
+// MsgError; the connection serves on after a refusal or a failed query.
+func (s *server) serveConn(conn net.Conn) {
+	if s.wrapConn != nil {
+		conn = s.wrapConn(conn)
+	}
+	defer conn.Close()
+	s.connsOpened.Add(1)
+	defer s.connsClosed.Add(1)
+	var (
+		fr = newFrameReader() // this connection's frames; Decode copies out of it
+		q  QueryMsg           // this connection's queries, one at a time
+		ss = s.newSession()   // what each is answered in
+	)
+	for {
+		t, body, n, err := fr.next(conn)
+		if err != nil {
+			return // peer closed, protocol failure or a failed send; drop the conn
+		}
+		label := t.String()
+		s.framesRx.Add(label, 1)
+		s.bytesRx.Add(label, int64(n))
+		switch {
+		case t == MsgQuery:
+			if err := Decode(body, &q); err != nil {
+				s.sendErr(conn, err)
+				continue
+			}
+			traceID := obs.ParseID(q.TraceID)
+			fc := s.flight.Begin()
+			fc.SetQuery(q.SQL, traceID)
+			res, err := ss.answer(q.SQL, traceID, fc)
+			if err != nil {
+				s.sendErr(conn, err)
+			} else {
+				encStart := fc.Now()
+				s.send(conn, MsgResult, res)
+				fc.SetEncodeUS(fc.Now() - encStart)
+			}
+			s.flight.Finish(fc, err)
+			// The reply is written and the capture closed: nothing reads
+			// the tuples again, and the next execution may have their
+			// memory, as the next query has the rest of the session —
+			// unless this one was long enough to have stretched it.
+			releaseSession(ss)
+			if len(q.SQL) > maxKeptStatement {
+				ss = s.newSession()
+			}
+			q = QueryMsg{}
+		case t == MsgFetch && s.fetch != nil:
+			var f FetchMsg
+			if err := Decode(body, &f); err != nil {
+				s.sendErr(conn, err)
+				continue
+			}
+			ack, err := s.fetch(f)
+			if err != nil {
+				s.sendErr(conn, err)
+				continue
+			}
+			s.send(conn, MsgFetchAck, ack)
+		case t == MsgScrape:
+			var sq ScrapeMsg
+			if err := Decode(body, &sq); err != nil {
+				s.sendErr(conn, err)
+				continue
+			}
+			s.send(conn, MsgScrapeResult, s.scrape(sq))
+		case t == MsgPing:
+			s.send(conn, MsgPong, PongMsg{Site: s.name})
+		default:
+			s.sendErr(conn, fmt.Errorf("%s: unexpected message type %s", s.name, t))
+		}
+	}
+}
+
+// send writes one reply, counting it. The peer is a closed loop waiting
+// for exactly one reply, so no failure may be silent: a payload that
+// does not encode is answered with a MsgError, and a failed write closes
+// the connection, which ends serveConn at its next read.
+func (s *server) send(conn net.Conn, t MsgType, payload any) {
+	n, err := WriteFrame(conn, t, payload)
+	if errors.Is(err, errEncode) {
+		t = MsgError
+		n, err = WriteFrame(conn, t, ErrorMsg{Message: err.Error()})
+	}
+	if err != nil {
+		conn.Close()
+		return
+	}
+	label := t.String()
+	s.framesTx.Add(label, 1)
+	s.bytesTx.Add(label, int64(n))
+}
+
+// sendErr answers with err as a MsgError.
+func (s *server) sendErr(conn net.Conn, err error) {
+	s.send(conn, MsgError, ErrorMsg{Message: err.Error()})
+}
+
+// checkReply is the one check of a reply a peer sent: a frame of the
+// type wanted is decoded into dst, its slices cut from st (a nil dst
+// wants the type alone), a MsgError is the peer's error, and any other
+// type is an error naming it. Both errors are prefixed with peer, which
+// names who replied.
+func checkReply(peer string, t MsgType, body []byte, want MsgType, dst any, st *resultStore) error {
+	switch t {
+	case want:
+		if dst == nil {
+			return nil
+		}
+		return decodeInto(body, dst, st)
+	case MsgError:
+		var e ErrorMsg
+		if err := Decode(body, &e); err != nil {
+			return err
+		}
+		return fmt.Errorf("%s: %s", peer, e.Message)
+	default:
+		return fmt.Errorf("%s: %s reply, want %s", peer, t, want)
 	}
 }

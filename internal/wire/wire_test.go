@@ -58,6 +58,13 @@ func TestFrameShortRead(t *testing.T) {
 // the given policy, returning a connected client and a shutdown func.
 func testFederation(t *testing.T, policy core.Policy, gran federation.Granularity) (*Client, func()) {
 	t.Helper()
+	client, _, shutdown := federationWithNodes(t, policy, gran)
+	return client, shutdown
+}
+
+// federationWithNodes is testFederation that also returns the nodes.
+func federationWithNodes(t *testing.T, policy core.Policy, gran federation.Granularity) (*Client, []*DBNode, func()) {
+	t.Helper()
 	s := catalog.EDR()
 	db, err := engine.Open(s, engine.Config{Seed: 1, SampleEvery: 50000})
 	if err != nil {
@@ -99,7 +106,7 @@ func testFederation(t *testing.T, policy core.Policy, gran federation.Granularit
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, func() {
+	return client, nodes, func() {
 		client.Close()
 		proxy.Close()
 		for _, n := range nodes {
@@ -339,12 +346,12 @@ func TestDBNodeObjectSize(t *testing.T) {
 		{"photoobj", 0, true},          // no release: the mediator never sends one
 	}
 	for _, tc := range cases {
-		got, err := n.objectSize(tc.object)
+		ack, err := n.fetchObject(FetchMsg{Object: tc.object})
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v, wantErr = %v", tc.object, err, tc.wantErr)
 		}
-		if err == nil && got != tc.want {
-			t.Fatalf("%s: size = %d, want %d", tc.object, got, tc.want)
+		if err == nil && (ack.Size != tc.want || ack.Object != tc.object) {
+			t.Fatalf("%s: ack = %+v, want size %d", tc.object, ack, tc.want)
 		}
 	}
 }
