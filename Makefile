@@ -24,20 +24,25 @@ test:
 # ledger's ring, which has no lock of its own, is written by each query's
 # decide loop while scrapes read it, with the accounting and the shadows,
 # in one hold of the decision lock through the mediator — in the
-# mediator, and through the proxy's MsgScrape while clients query — and
+# mediator, and through the proxy's MsgScrape while clients query —
 # the reports of concurrent QueryStmt callers own their memory, none
-# aliasing the pooled Scratch it was mediated in.
+# aliasing the pooled Scratch it was mediated in — and the registry's
+# one generic metric family, which now carries counters, gauges and
+# histograms alike, is created, read and snapshotted concurrently.
 RACE_CORE_RUN = TestSlotsNeverChangeADecision|TestObjTable
 RACE_FEDERATION_RUN = TestLedgerUnderConcurrentDecisions|TestReportsOwnTheirMemory
 RACE_WIRE_RUN = TestProxyConcurrentClients|TestScrapeIsOneReading
+RACE_OBS_RUN = TestConcurrentUse
 race:
 	$(CHECK_RUN) '$(RACE_CORE_RUN)' ./internal/core/
 	$(CHECK_RUN) '$(RACE_FEDERATION_RUN)' ./internal/federation/
 	$(CHECK_RUN) '$(RACE_WIRE_RUN)' ./internal/wire/
+	$(CHECK_RUN) '$(RACE_OBS_RUN)' ./internal/obs/
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run '$(RACE_CORE_RUN)' ./internal/core/
 	$(GO) test -race -count=3 -run '$(RACE_FEDERATION_RUN)' ./internal/federation/
 	$(GO) test -race -count=3 -run '$(RACE_WIRE_RUN)' ./internal/wire/
+	$(GO) test -race -count=3 -run '$(RACE_OBS_RUN)' ./internal/obs/
 
 # check-run PATTERN PKG... fails when an alternative of a -run pattern
 # matches no test in the packages, as `go test -list` names them: a

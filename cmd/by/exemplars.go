@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 
+	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 )
 
@@ -32,7 +33,7 @@ func exemplarsFlags(fs *flag.FlagSet) func(env, []string) error {
 			if err != nil {
 				return err
 			}
-			read, err := flightrec.ReadJSONL(f)
+			read, err := obs.ReadJSONL[flightrec.Exemplar](f)
 			f.Close()
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
 )
 
@@ -22,9 +23,9 @@ func writeExemplarLogs(t *testing.T) (proxyLog, nodeLog string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink := flightrec.NewJSONL(f)
+		sink := obs.NewJSONL[flightrec.Exemplar](f)
 		for _, e := range exs {
-			sink.Exemplar(e)
+			sink.Append(e)
 		}
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)

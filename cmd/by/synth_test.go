@@ -216,7 +216,7 @@ func TestChaosSynth(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { f.Close() })
-		proxy.Flight().SetSink(flightrec.NewJSONL(f))
+		proxy.Flight().SetSink(obs.NewJSONL[flightrec.Exemplar](f).Append)
 	}
 
 	clientChaos := faultnet.NewInjector(11)

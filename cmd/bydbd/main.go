@@ -83,7 +83,7 @@ func start(o options) (*running, error) {
 	node.SetFlightConfig(o.FlightConfig())
 	r := &running{}
 	r.Daemon, err = daemon.Start(&o.Flags, func(d *daemon.Daemon) error {
-		if err := d.OpenExemplars(node.Flight()); err != nil {
+		if err := daemon.OpenLog(d, o.ExemplarOut, node.Flight().SetSink); err != nil {
 			return err
 		}
 		if err := d.StartHTTP(node.Obs()); err != nil {

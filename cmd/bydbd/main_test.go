@@ -79,7 +79,7 @@ func TestStartAndServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	exs, err := flightrec.ReadJSONL(f)
+	exs, err := obs.ReadJSONL[flightrec.Exemplar](f)
 	if err != nil || len(exs) != 3 {
 		t.Fatalf("exemplar log: %d records, %v; want the 3 sub-queries", len(exs), err)
 	}
@@ -93,12 +93,12 @@ func TestStartAndServe(t *testing.T) {
 // lists.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "chaos", "chaos-seed", "exemplar-out", "flight-cap", "flight-sample",
+		"addr", "chaos", "chaos-seed", "exemplar-out", "flight-sample",
 		"flight-threshold", "http", "release", "sample", "seed", "site",
 	}
 	defaults := map[string]string{
 		"addr": ":7101", "chaos": "", "chaos-seed": "1", "exemplar-out": "",
-		"flight-cap": "256", "flight-sample": "256", "flight-threshold": "250ms",
+		"flight-sample": "256", "flight-threshold": "250ms",
 		"http": "", "release": "edr", "sample": "1000", "seed": "1", "site": "photo.sdss.org",
 	}
 	fs := flag.NewFlagSet("bydbd", flag.ContinueOnError)

@@ -39,8 +39,7 @@ type options struct {
 	gran     string
 	nodes    string
 
-	rpcTimeout  time.Duration // node RPC deadline (0 disables)
-	dialTimeout time.Duration // node connect timeout
+	rpcTimeout time.Duration // node RPC deadline (0 disables)
 
 	ledgerCap int64  // decision-ledger ring capacity (0 disables)
 	ledgerOut string // JSONL decision log path ("" disables)
@@ -76,7 +75,6 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.gran, "granularity", "columns", "object granularity: tables, columns or views")
 	fs.StringVar(&o.nodes, "nodes", "", "comma-separated site=addr pairs of database nodes (empty = simulate locally)")
 	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", wire.DefaultRPCTimeout, "deadline for node RPCs (0 disables)")
-	fs.DurationVar(&o.dialTimeout, "dial-timeout", wire.DefaultDialTimeout, "connect timeout for node dials")
 	fs.Int64Var(&o.ledgerCap, "ledger", 4096, "decision-ledger ring capacity in records (0 disables)")
 	fs.StringVar(&o.ledgerOut, "ledger-out", "", "append every decision record as JSONL to this file")
 	fs.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
@@ -176,24 +174,17 @@ func start(o options) (*running, error) {
 
 	proxy := wire.NewProxy(med, g, nodeAddrs)
 	proxy.SetRPCTimeout(o.rpcTimeout)
-	proxy.SetDialTimeout(o.dialTimeout)
 	proxy.SetConcurrency(o.maxInflight, 0)
 	proxy.SetPoolConfig(wire.PoolConfig{MaxActive: o.poolSize})
 	proxy.SetFlightConfig(o.FlightConfig())
 	r := &running{desc: fmt.Sprintf("release %s, policy %s, cache %.0f%% (%d MB), granularity %s, %d nodes",
 		s.Name, o.policy, o.cachePct*100, capacity>>20, g, len(nodeAddrs))}
 	r.Daemon, err = daemon.Start(&o.Flags, func(d *daemon.Daemon) error {
-		if err := d.OpenExemplars(proxy.Flight()); err != nil {
+		if err := daemon.OpenLog(d, o.ExemplarOut, proxy.Flight().SetSink); err != nil {
 			return err
 		}
-		if o.ledgerOut != "" {
-			f, err := os.OpenFile(o.ledgerOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			j := ledger.NewJSONL(f)
-			led.SetSink(j)
-			d.Push(j.Close)
+		if err := daemon.OpenLog(d, o.ledgerOut, led.SetSink); err != nil {
+			return err
 		}
 		if err := d.StartHTTP(reg); err != nil {
 			return err
@@ -204,7 +195,7 @@ func start(o options) (*running, error) {
 		}
 		if plan != nil {
 			proxy.SetDialer(func(site, addr string) (net.Conn, error) {
-				c, err := net.DialTimeout("tcp", addr, o.dialTimeout)
+				c, err := net.DialTimeout("tcp", addr, wire.DefaultDialTimeout)
 				if err != nil {
 					return nil, err
 				}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -14,6 +15,8 @@ import (
 
 	"bypassyield/internal/daemon"
 	"bypassyield/internal/faultnet"
+	"bypassyield/internal/obs"
+	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/wire"
 )
 
@@ -115,15 +118,15 @@ func TestStartAndQuery(t *testing.T) {
 // lists.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "cache-pct", "chaos", "chaos-seed", "dial-timeout", "exemplar-out",
-		"flight-cap", "flight-sample", "flight-threshold", "granularity", "http",
+		"addr", "cache-pct", "chaos", "chaos-seed", "exemplar-out",
+		"flight-sample", "flight-threshold", "granularity", "http",
 		"ledger", "ledger-out", "max-inflight", "nodes", "policy", "pool-size",
 		"recovery-log", "release", "rpc-timeout", "sample", "seed",
 		"snapshot-interval", "state-dir", "wal-sync",
 	}
 	defaults := map[string]string{
 		"addr": ":7100", "cache-pct": "0.4", "chaos": "", "chaos-seed": "1",
-		"dial-timeout": "5s", "exemplar-out": "", "flight-cap": "256",
+		"exemplar-out":  "",
 		"flight-sample": "256", "flight-threshold": "250ms", "granularity": "columns",
 		"http": "", "ledger": "4096", "ledger-out": "", "max-inflight": "64",
 		"nodes": "", "policy": "rate-profile", "pool-size": "8",
@@ -174,17 +177,19 @@ func TestStartLedgerFlags(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// -ledger-out persisted every record as JSONL.
-	b, err := os.ReadFile(o.ledgerOut)
+	// -ledger-out persisted every record as JSONL: the log reads back
+	// as what the scrape reports was decided.
+	f, err := os.Open(o.ledgerOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Count(strings.TrimSpace(string(b)), "\n") + 1
-	if uint64(lines) != dec.Recorded {
-		t.Fatalf("ledger log has %d lines, want %d:\n%s", lines, dec.Recorded, b)
+	defer f.Close()
+	logged, err := obs.ReadJSONL[ledger.DecisionRecord](f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"action"`) {
-		t.Fatalf("ledger log missing action field:\n%s", b)
+	if uint64(len(logged)) != dec.Recorded || !reflect.DeepEqual(logged, dec.Records) {
+		t.Fatalf("ledger log = %+v (%d records)\nwant the scrape's %+v (%d recorded)", logged, len(logged), dec.Records, dec.Recorded)
 	}
 }
 

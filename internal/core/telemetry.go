@@ -204,7 +204,7 @@ func (t *Telemetry) RecordForced(site string, yield int64) {
 	if t == nil {
 		return
 	}
-	t.forcedDecisions.Add(site, 1)
+	t.forcedDecisions.Get(site).Add(1)
 	t.staleBytes.Add(yield)
 }
 
@@ -214,7 +214,7 @@ func (t *Telemetry) RecordFailedLeg(site string) {
 	if t == nil {
 		return
 	}
-	t.failedLegs.Add(site, 1)
+	t.failedLegs.Get(site).Add(1)
 }
 
 // RecordDegradedQuery counts one query that had at least one forced

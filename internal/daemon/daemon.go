@@ -1,5 +1,5 @@
 // Package daemon is what byproxyd and bydbd share: the flags both take,
-// the exemplar log, the chaos plan and the HTTP plane a start opens for
+// the JSONL logs, the chaos plan and the HTTP plane a start opens for
 // them, the signal wait, and one stack of closers that a failed start,
 // or Close, runs in reverse, once.
 package daemon
@@ -28,7 +28,6 @@ type Flags struct {
 	ChaosSeed int64
 
 	FlightThreshold time.Duration // flight-recorder slow-capture threshold
-	FlightCap       int           // flight-recorder exemplar ring capacity
 	FlightSample    int           // publish every Nth healthy one (0 disables)
 	ExemplarOut     string        // JSONL exemplar log path ("" disables)
 }
@@ -45,14 +44,14 @@ func (f *Flags) Register(fs *flag.FlagSet, unit, chaos string) {
 	fs.Int64Var(&f.ChaosSeed, "chaos-seed", 1, "seed for the chaos plan's randomness")
 	fdef := flightrec.DefaultConfig()
 	fs.DurationVar(&f.FlightThreshold, "flight-threshold", fdef.Threshold, "capture a full exemplar for every "+unit+" at least this slow")
-	fs.IntVar(&f.FlightCap, "flight-cap", fdef.Capacity, "flight-recorder exemplar ring capacity")
 	fs.IntVar(&f.FlightSample, "flight-sample", fdef.SampleEvery, "also capture every Nth healthy "+unit+" as a 'normal' exemplar (0 disables)")
 	fs.StringVar(&f.ExemplarOut, "exemplar-out", "", "append every published exemplar as JSONL to this file (with -flight-sample 1: a record of every "+unit+")")
 }
 
-// FlightConfig is the flight-recorder tuning the flags set.
+// FlightConfig is the flight-recorder tuning the flags set, at the
+// default ring capacity.
 func (f *Flags) FlightConfig() flightrec.Config {
-	return flightrec.Config{Capacity: f.FlightCap, Threshold: f.FlightThreshold, SampleEvery: f.FlightSample}
+	return flightrec.Config{Threshold: f.FlightThreshold, SampleEvery: f.FlightSample}
 }
 
 // Daemon is a started daemon: the closers of everything its start
@@ -94,17 +93,19 @@ func (d *Daemon) Close() error {
 	return d.err
 }
 
-// OpenExemplars opens -exemplar-out, when set, as the recorder's sink.
-func (d *Daemon) OpenExemplars(rec *flightrec.Recorder) error {
-	if d.flags.ExemplarOut == "" {
+// OpenLog opens path, when set, as a JSONL log appended to, hands its
+// Append to setSink (a recorder's or a ledger's SetSink), and pushes its
+// Close: -exemplar-out and byproxyd's -ledger-out.
+func OpenLog[T any](d *Daemon, path string, setSink func(func(T))) error {
+	if path == "" {
 		return nil
 	}
-	f, err := os.OpenFile(d.flags.ExemplarOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	j := flightrec.NewJSONL(f)
-	rec.SetSink(j)
+	j := obs.NewJSONL[T](f)
+	setSink(j.Append)
 	d.Push(j.Close)
 	return nil
 }

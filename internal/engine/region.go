@@ -7,7 +7,7 @@ import (
 
 // Region analysis: the per-column intervals a statement's literal
 // predicates imply. Both the semantic cache and the materialized-view
-// matcher decide containment questions over these regions; for this
+// matcher decide containment questions over these intervals; for this
 // SQL subset (conjunctions of per-column comparisons and BETWEEN)
 // interval containment is exact.
 
@@ -40,33 +40,11 @@ func ConditionInterval(cond sqlparse.Condition, col *catalog.Column) Interval {
 	}
 }
 
-// Region returns the per-column intervals the statement's literal
-// predicates imply for one FROM table; columns absent from the map
-// are unconstrained. Multiple predicates on one column intersect.
-func (b *Bound) Region(tableIdx int) map[string]Interval {
-	region := make(map[string]Interval)
-	for _, c := range b.Conds {
-		if c.Right.Col != nil || c.Left.TableIdx != tableIdx {
-			continue
-		}
-		iv := ConditionInterval(c.Cond, c.Left.Col)
-		if prev, ok := region[c.Left.Col.Name]; ok {
-			if prev.Lo > iv.Lo {
-				iv.Lo = prev.Lo
-			}
-			if prev.Hi < iv.Hi {
-				iv.Hi = prev.Hi
-			}
-		}
-		region[c.Left.Col.Name] = iv
-	}
-	return region
-}
-
 // RegionContains reports whether the outer region (a view's or cached
-// result's predicate box) contains the inner region (a query's): for
-// every column the outer constrains, the inner must constrain at
-// least as tightly.
+// result's predicate box, column name → interval, absent columns
+// unconstrained) contains the inner region (a query's): for every
+// column the outer constrains, the inner must constrain at least as
+// tightly.
 func RegionContains(outer, inner map[string]Interval) bool {
 	for col, o := range outer {
 		in, ok := inner[col]
@@ -80,9 +58,10 @@ func RegionContains(outer, inner map[string]Interval) bool {
 	return true
 }
 
-// ColumnInterval is Region for one column, named by its position in
-// the table: the intersection of the literal predicates on it, and
-// whether there is any.
+// ColumnInterval is the interval the statement's literal predicates
+// imply for one column of one FROM table, named by its position in the
+// table: the intersection of the literal predicates on it, and whether
+// there is any.
 func (b *Bound) ColumnInterval(tableIdx, pos int) (iv Interval, constrained bool) {
 	for _, c := range b.Conds {
 		if c.Right.Col != nil || c.Left.TableIdx != tableIdx || c.Left.Pos != pos {

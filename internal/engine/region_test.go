@@ -49,45 +49,6 @@ func TestConditionInterval(t *testing.T) {
 	}
 }
 
-func TestBoundRegion(t *testing.T) {
-	s := smallSchema()
-	b, err := Bind(s, mustParse(t, "select x from t where x between 10 and 50 and x < 40 and k = 3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := b.Region(0)
-	// Two predicates on x intersect: [10,50] ∩ [0,40] = [10,40].
-	if got := region["x"]; got != (Interval{10, 40}) {
-		t.Fatalf("x interval = %v, want [10,40]", got)
-	}
-	if got := region["k"]; got != (Interval{3, 3}) {
-		t.Fatalf("k interval = %v, want [3,3]", got)
-	}
-}
-
-func TestBoundRegionPerTable(t *testing.T) {
-	s := smallSchema()
-	b, err := Bind(s, mustParse(t, "select y from t, u where tid = id and x < 50 and y > 0.5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := b.Region(0)
-	ru := b.Region(1)
-	if _, ok := rt["x"]; !ok {
-		t.Fatal("table t region missing x")
-	}
-	if _, ok := rt["y"]; ok {
-		t.Fatal("table t region leaked u's predicate")
-	}
-	if _, ok := ru["y"]; !ok {
-		t.Fatal("table u region missing y")
-	}
-	// Join conditions are not region constraints.
-	if _, ok := ru["tid"]; ok {
-		t.Fatal("join condition leaked into region")
-	}
-}
-
 func TestRegionContains(t *testing.T) {
 	outer := map[string]Interval{"x": {0, 50}}
 	if !RegionContains(outer, map[string]Interval{"x": {10, 20}, "y": {0, 1}}) {

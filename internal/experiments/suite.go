@@ -28,7 +28,7 @@ type Suite struct {
 	CachePct float64
 	// Ledger, when set, receives one DecisionRecord per simulated
 	// access, across every simulation the suite runs. Simulations
-	// share the ring; attach a ledger.Sink to separate or persist
+	// share the ring; attach a sink (Ledger.SetSink) to separate or persist
 	// them.
 	Ledger *ledger.Ledger
 

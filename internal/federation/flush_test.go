@@ -62,7 +62,7 @@ func TestFlushPerQueryLeavesWhatPerAccessDid(t *testing.T) {
 			reg := obs.NewRegistry()
 			led := ledger.New(4096)
 			sink := &recordSink{}
-			led.SetSink(sink)
+			led.SetSink(sink.Record)
 			m, err := federation.New(federation.Config{
 				Schema: s, Engine: db, Granularity: c.gran, Policy: pol,
 				Obs: reg, Ledger: led, Shadows: true,

@@ -94,7 +94,7 @@ func TestLedgerUnderConcurrentDecisions(t *testing.T) {
 	}
 	led := ledger.New(50)
 	sink := &lockedSink{}
-	led.SetSink(sink)
+	led.SetSink(sink.Record)
 	m, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Granularity: federation.Columns, Policy: pol, Ledger: led, Shadows: true,
 	})

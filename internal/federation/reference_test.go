@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"math"
 	"sort"
 
 	"bypassyield/internal/catalog"
@@ -54,11 +55,29 @@ func referenceColumns(b *engine.Bound) []engine.BoundCol {
 	return out
 }
 
+// referenceRegion returns the per-column intervals the statement's
+// literal predicates imply for one FROM table, keyed by column name;
+// multiple predicates on one column intersect.
+func referenceRegion(b *engine.Bound, tableIdx int) map[string]engine.Interval {
+	region := make(map[string]engine.Interval)
+	for _, c := range b.Conds {
+		if c.Right.Col != nil || c.Left.TableIdx != tableIdx {
+			continue
+		}
+		iv := engine.ConditionInterval(c.Cond, c.Left.Col)
+		if prev, ok := region[c.Left.Col.Name]; ok {
+			iv = engine.Interval{Lo: math.Max(iv.Lo, prev.Lo), Hi: math.Min(iv.Hi, prev.Hi)}
+		}
+		region[c.Left.Col.Name] = iv
+	}
+	return region
+}
+
 // referenceViewFor returns the smallest standard view able to answer
 // the query's demands on table i, or nil when only the base table can.
 func referenceViewFor(s *catalog.Schema, b *engine.Bound, tableIdx int) *catalog.View {
 	t := b.Tables[tableIdx]
-	region := b.Region(tableIdx)
+	region := referenceRegion(b, tableIdx)
 	var best *catalog.View
 	var bestBytes int64
 	views := catalog.StandardViews(s)

@@ -28,8 +28,8 @@ func TestHotPathAllocFree(t *testing.T) {
 	h := r.Histogram("h", DefaultLatencyBuckets())
 	cf := r.CounterFamily("cf")
 	hf := r.HistogramFamily("hf", DefaultSizeBuckets())
-	cf.Add("site", 1) // materialize the labels once
-	hf.Observe("site", 1)
+	cf.Get("site").Add(1) // materialize the labels once
+	hf.Get("site").Observe(1)
 
 	cases := []struct {
 		name string
@@ -38,8 +38,8 @@ func TestHotPathAllocFree(t *testing.T) {
 		{"Counter.Add", func() { c.Add(1) }},
 		{"Gauge.Set", func() { g.Set(42) }},
 		{"Histogram.Observe", func() { h.Observe(12345) }},
-		{"CounterFamily.Add", func() { cf.Add("site", 1) }},
-		{"HistogramFamily.Observe", func() { hf.Observe("site", 77) }},
+		{"CounterFamily.Get.Add", func() { cf.Get("site").Add(1) }},
+		{"HistogramFamily.Get.Observe", func() { hf.Get("site").Observe(77) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
@@ -92,19 +92,19 @@ func BenchmarkHistogramObserve(b *testing.B) {
 
 func BenchmarkCounterFamilyGet(b *testing.B) {
 	f := NewRegistry().CounterFamily("f")
-	f.Add("photo.sdss.org", 1)
+	f.Get("photo.sdss.org").Add(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Add("photo.sdss.org", 1)
+		f.Get("photo.sdss.org").Add(1)
 	}
 }
 
 func BenchmarkHistogramFamilyObserve(b *testing.B) {
 	f := NewRegistry().HistogramFamily("f", DefaultLatencyBuckets())
-	f.Observe("photo.sdss.org", 1)
+	f.Get("photo.sdss.org").Observe(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.Observe("photo.sdss.org", int64(i))
+		f.Get("photo.sdss.org").Observe(int64(i))
 	}
 }
 
@@ -135,7 +135,7 @@ func BenchmarkSnapshot(b *testing.B) {
 	for _, n := range []string{"a", "b", "c", "d"} {
 		r.Counter(n).Inc()
 		r.Histogram(n+".h", DefaultLatencyBuckets()).Observe(1)
-		r.CounterFamily(n+".f").Add("l1", 1)
+		r.CounterFamily(n + ".f").Get("l1").Add(1)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

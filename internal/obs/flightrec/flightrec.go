@@ -28,11 +28,6 @@
 package flightrec
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -181,12 +176,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Sink consumes published exemplars (in addition to the ring).
-// Implementations must tolerate concurrent calls.
-type Sink interface {
-	Exemplar(Exemplar)
-}
-
 // Recorder is the bounded exemplar ring. Construct with New; nil is a
 // valid no-op recorder.
 type Recorder struct {
@@ -195,7 +184,7 @@ type Recorder struct {
 	seq      atomic.Uint64 // published exemplars
 	observed atomic.Uint64 // all finished captures
 	pool     sync.Pool
-	sink     Sink            // set before recording starts
+	sink     func(Exemplar)  // set before recording starts
 	annotate func(*Exemplar) // set before recording starts
 
 	runtimeMu sync.Mutex
@@ -225,9 +214,10 @@ func New(cfg Config, r *obs.Registry) *Recorder {
 	return rec
 }
 
-// SetSink attaches a sink receiving every published exemplar (e.g. a
-// JSONL file). Call before recording starts. Nil-safe.
-func (r *Recorder) SetSink(s Sink) {
+// SetSink attaches a sink receiving every published exemplar, in
+// addition to the ring (e.g. an obs.JSONL's Append). It must tolerate
+// concurrent calls. Call before recording starts. Nil-safe.
+func (r *Recorder) SetSink(s func(Exemplar)) {
 	if r == nil {
 		return
 	}
@@ -350,15 +340,15 @@ func (r *Recorder) publish(c *Capture, err error, dur time.Duration, outcome str
 	e.Seq = seq
 	r.slots[(seq-1)%uint64(len(r.slots))].ex.Store(e)
 
-	r.exemplars.Add(outcome, 1)
+	r.exemplars.Get(outcome).Add(1)
 	if outcome != OutcomeNormal {
-		r.tailCause.Add(e.Cause, 1)
+		r.tailCause.Get(e.Cause).Add(1)
 		for _, p := range e.Attribution {
-			r.tailCauseUS.Add(p.Cause, p.US)
+			r.tailCauseUS.Get(p.Cause).Add(p.US)
 		}
 	}
 	if r.sink != nil {
-		r.sink.Exemplar(*e)
+		r.sink(*e)
 	}
 }
 
@@ -502,61 +492,6 @@ func (c *Capture) Leg(site, kind, object string, startUS, poolWaitUS, rpcUS, wal
 	}
 	c.legs = append(c.legs, rec)
 	c.mu.Unlock()
-}
-
-// JSONL is a sink appending one JSON object per exemplar, for offline
-// tail forensics (byproxyd -exemplar-out).
-type JSONL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	enc *json.Encoder
-}
-
-// NewJSONL wraps a writer.
-func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: w, enc: json.NewEncoder(w)}
-}
-
-// Exemplar implements Sink. Encoding errors are dropped: the recorder
-// must never fail the query it describes.
-func (j *JSONL) Exemplar(e Exemplar) {
-	j.mu.Lock()
-	j.enc.Encode(e) //nolint:errcheck
-	j.mu.Unlock()
-}
-
-// Close closes the underlying writer when it is an io.Closer. Nil-safe.
-func (j *JSONL) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if c, ok := j.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
-}
-
-// ReadJSONL decodes what the JSONL sink wrote, one exemplar per line.
-// Blank lines are skipped; a malformed line is an error naming its
-// position.
-func ReadJSONL(r io.Reader) ([]Exemplar, error) {
-	var out []Exemplar
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for line := 1; sc.Scan(); line++ {
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 {
-			continue
-		}
-		var e Exemplar
-		if err := json.Unmarshal(text, &e); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
 }
 
 // The counter families a recorder attributes its exceedances in, by cause.

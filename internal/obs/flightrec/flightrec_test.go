@@ -185,8 +185,8 @@ func TestAnnotate(t *testing.T) {
 func TestJSONLSink(t *testing.T) {
 	rec, _ := testRecorder(t, Config{Capacity: 4, Threshold: time.Nanosecond})
 	var buf bytes.Buffer
-	sink := NewJSONL(&buf)
-	rec.SetSink(sink)
+	sink := obs.NewJSONL[Exemplar](&buf)
+	rec.SetSink(sink.Append)
 	c := rec.Begin()
 	c.SetQuery("select ra from photoobj", 0xdead)
 	rec.Finish(c, nil)
@@ -201,14 +201,10 @@ func TestJSONLSink(t *testing.T) {
 	if e.SQL != "select ra from photoobj" || e.Trace != "000000000000dead" {
 		t.Fatalf("sink exemplar %+v", e)
 	}
-	// ReadJSONL takes back what the sink wrote, skips blank lines, and
-	// names the line it cannot decode.
-	back, err := ReadJSONL(strings.NewReader("\n" + buf.String()))
+	// obs.ReadJSONL takes back what the sink wrote.
+	back, err := obs.ReadJSONL[Exemplar](&buf)
 	if err != nil || len(back) != 1 || back[0].Trace != e.Trace || back[0].Seq != e.Seq {
 		t.Fatalf("ReadJSONL = %+v, %v", back, err)
-	}
-	if _, err := ReadJSONL(strings.NewReader(buf.String() + "{not json\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("malformed second line: err = %v, want one naming line 2", err)
 	}
 }
 
@@ -271,10 +267,6 @@ func TestNilSafety(t *testing.T) {
 	rec.SetAnnotate(nil)
 	if rec.Snapshot() != nil || rec.Observed() != 0 || rec.Published() != 0 || rec.Cap() != 0 || rec.ThresholdUS() != 0 {
 		t.Fatal("nil recorder must be inert")
-	}
-	var j *JSONL
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
 	}
 	// New with a nil registry must still record.
 	r2 := New(Config{Capacity: 2, Threshold: time.Nanosecond}, nil)

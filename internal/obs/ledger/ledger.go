@@ -1,7 +1,9 @@
 // Package ledger is the decision ledger of the bypass-yield cache:
 // a bounded ring of structured DecisionRecords — one per policy
-// decision — with an optional JSONL sink for durable audit logs. Where the obs registry answers "how much" (aggregate byte
-// counters, rates, histograms), the ledger answers "why": every
+// decision — with an optional sink for durable audit logs (byproxyd
+// -ledger-out appends to an obs.JSONL). Where the obs registry answers
+// "how much" (aggregate byte counters, rates, histograms), the ledger
+// answers "why": every
 // record carries the inputs that drove the serve/load/bypass choice
 // (RP, LAR, BYU, episode state, fetch cost, size) plus the realized
 // yield and WAN charge, correlated to the distributed trace the
@@ -22,11 +24,8 @@
 package ledger
 
 import (
-	"encoding/json"
-	"io"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // DecisionRecord explains one policy decision. Numeric fields are the
@@ -91,18 +90,10 @@ type DecisionRecord struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Sink consumes records as they are written (in addition to the
-// ring): each once, in Seq order, after it is filled and before its slot
-// is reused, and at the latest at the Flush after it. It is called by the
-// ledger's writer, so a Sink must not call back into its Ledger.
-type Sink interface {
-	Record(DecisionRecord)
-}
-
 // Ledger is the bounded decision ring. Construct with New; nil is a
 // valid no-op ledger. It is not safe for concurrent use.
 type Ledger struct {
-	sink Sink // set before recording starts; nil = ring only
+	sink func(DecisionRecord) // set before recording starts; nil = ring only
 
 	ring []DecisionRecord // record seq lives at ring[(seq-1)%len(ring)]
 	seq  uint64           // records ever written
@@ -119,9 +110,12 @@ func New(n int) *Ledger {
 }
 
 // SetSink attaches a sink that receives every record written from now
-// on, in addition to the ring (e.g. a JSONL audit log). Call before
-// recording starts; the sink's cost lands on the recording path.
-func (l *Ledger) SetSink(s Sink) {
+// on, in addition to the ring (e.g. an obs.JSONL's Append): each once,
+// in Seq order, after it is filled and before its slot is reused, and at
+// the latest at the Flush after it. It is called by the ledger's writer,
+// so it must not call back into its Ledger. Call before recording
+// starts; the sink's cost lands on the recording path.
+func (l *Ledger) SetSink(s func(DecisionRecord)) {
 	if l == nil {
 		return
 	}
@@ -176,7 +170,7 @@ func (l *Ledger) Flush() {
 func (l *Ledger) sinkThrough(seq uint64) {
 	n := uint64(len(l.ring))
 	for ; l.sunk < seq; l.sunk++ {
-		l.sink.Record(l.ring[l.sunk%n])
+		l.sink(l.ring[l.sunk%n])
 	}
 }
 
@@ -317,39 +311,4 @@ func bypassEquivalent(r DecisionRecord) int64 {
 		return int64(float64(r.Yield) * float64(r.FetchCost) / float64(r.Size))
 	}
 	return r.Yield
-}
-
-// JSONL is a sink appending one JSON object per record, for offline
-// audit of daemon runs (byproxyd -ledger-out). It is safe for concurrent
-// use: a sink may be shared.
-type JSONL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	enc *json.Encoder
-}
-
-// NewJSONL wraps a writer.
-func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: w, enc: json.NewEncoder(w)}
-}
-
-// Record implements Sink. Encoding errors are dropped: the ledger
-// must never fail the decision it describes.
-func (j *JSONL) Record(r DecisionRecord) {
-	j.mu.Lock()
-	j.enc.Encode(r) //nolint:errcheck
-	j.mu.Unlock()
-}
-
-// Close closes the underlying writer when it is an io.Closer. Nil-safe.
-func (j *JSONL) Close() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if c, ok := j.w.(io.Closer); ok {
-		return c.Close()
-	}
-	return nil
 }

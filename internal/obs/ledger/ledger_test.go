@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"bypassyield/internal/obs"
 )
 
 func rec(obj, action string, yield, wan int64) DecisionRecord {
@@ -36,7 +38,7 @@ func write(l *Ledger, recs ...DecisionRecord) {
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
 	write(l, rec("o1", "hit", 10, 0)) // must not panic
-	l.SetSink(NewJSONL(&bytes.Buffer{}))
+	l.SetSink(obs.NewJSONL[DecisionRecord](&bytes.Buffer{}).Append)
 	if got := l.Snapshot(); got != nil {
 		t.Fatalf("nil ledger Snapshot = %v, want nil", got)
 	}
@@ -201,7 +203,7 @@ func TestRegretNonuniformCost(t *testing.T) {
 func TestJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	l := New(4)
-	l.SetSink(NewJSONL(&buf))
+	l.SetSink(obs.NewJSONL[DecisionRecord](&buf).Append)
 	// More records than the ring holds: the sink sees all of them.
 	for i := 1; i <= 6; i++ {
 		write(l, DecisionRecord{T: int64(i), Object: "o1", Action: "bypass", Yield: int64(i * 10)})
@@ -238,8 +240,8 @@ func (s *sliceSink) Record(r DecisionRecord) { s.recs = append(s.recs, r) }
 func TestAppendIsRecordInBatches(t *testing.T) {
 	one, batched := New(8), New(8)
 	oneSink, batchedSink := &sliceSink{}, &sliceSink{}
-	one.SetSink(oneSink)
-	batched.SetSink(batchedSink)
+	one.SetSink(oneSink.Record)
+	batched.SetSink(batchedSink.Record)
 	write(nil, rec("o", "hit", 1, 0)) // must not panic
 	next := int64(0)
 	for _, n := range []int{0, 1, 3, 0, 5, 20, 2} {

@@ -1,8 +1,9 @@
 // Package obs is the federation's observability substrate: a
-// dependency-free, concurrency-safe metrics registry, and the 64-bit
+// dependency-free, concurrency-safe metrics registry, the 64-bit
 // trace ids that join one query's ledger records and flight-recorder
 // exemplars across daemons (the per-query record itself is
-// obs/flightrec's).
+// obs/flightrec's), and JSONL, the one append-only log both records
+// are written to (-ledger-out, -exemplar-out) and ReadJSONL reads.
 //
 // The paper's whole argument is quantitative — every policy decision
 // is justified by the byte flows D_S, D_L, D_C, D_A — so the running
@@ -10,7 +11,9 @@
 // (wire, core, engine, federation) registers counters, gauges, and
 // fixed-bucket histograms here, and the proxy serves the registry's
 // Snapshot over the wire protocol (in every daemon's MsgScrape reply)
-// for `by metrics` to render.
+// for `by metrics` to render. Every metric is a member of one generic
+// Family, keyed by label; a plain metric is its family's unlabeled
+// member.
 //
 // Design constraints:
 //
@@ -28,6 +31,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -214,115 +218,56 @@ func DefaultLatencyBuckets() []int64 { return ExpBuckets(50, 2, 20) }
 // sizes, object sizes in bytes.
 func DefaultSizeBuckets() []int64 { return ExpBuckets(1024, 4, 16) }
 
-// CounterFamily is a set of counters sharing one name, keyed by a
-// label value ("per-site", "per-decision", ...).
-type CounterFamily struct {
-	mu    sync.RWMutex
-	items map[string]*Counter
+// Family is a set of metrics of one kind sharing one name, keyed by a
+// label value ("per-site", "per-decision", ...). A plain metric is its
+// family's unlabeled member, Get("").
+type Family[M any] struct {
+	mu      sync.RWMutex
+	items   map[string]*M
+	bounds  []int64 // a histogram family's bucket layout; nil otherwise
+	newItem func(bounds []int64) *M
 }
 
-// Get returns the counter for a label, creating it on first use.
+// CounterFamily, GaugeFamily and HistogramFamily are the families of
+// each kind; every member of a HistogramFamily has its bucket layout.
+type (
+	CounterFamily   = Family[Counter]
+	GaugeFamily     = Family[Gauge]
+	HistogramFamily = Family[Histogram]
+)
+
+// Get returns the member for a label, creating it on first use.
 // Lookups of existing labels take only a read lock and do not
 // allocate. Returns nil on a nil family.
-func (f *CounterFamily) Get(label string) *Counter {
+func (f *Family[M]) Get(label string) *M {
 	if f == nil {
 		return nil
 	}
 	f.mu.RLock()
-	c := f.items[label]
+	m := f.items[label]
 	f.mu.RUnlock()
-	if c != nil {
-		return c
+	if m != nil {
+		return m
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if c = f.items[label]; c == nil {
-		c = &Counter{}
-		f.items[label] = c
+	if m = f.items[label]; m == nil {
+		m = f.newItem(f.bounds)
+		f.items[label] = m
 	}
-	return c
+	return m
 }
 
-// Add increments the labeled counter by n.
-func (f *CounterFamily) Add(label string, n int64) { f.Get(label).Add(n) }
-
-// GaugeFamily is a set of gauges sharing one name, keyed by a label
-// value (per-site breaker states, per-site pool sizes, ...).
-type GaugeFamily struct {
-	mu    sync.RWMutex
-	items map[string]*Gauge
-}
-
-// Get returns the gauge for a label, creating it on first use.
-// Lookups of existing labels take only a read lock and do not
-// allocate. Returns nil on a nil family.
-func (f *GaugeFamily) Get(label string) *Gauge {
-	if f == nil {
-		return nil
-	}
-	f.mu.RLock()
-	g := f.items[label]
-	f.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if g = f.items[label]; g == nil {
-		g = &Gauge{}
-		f.items[label] = g
-	}
-	return g
-}
-
-// Set stores v under the label.
-func (f *GaugeFamily) Set(label string, v int64) { f.Get(label).Set(v) }
-
-// HistogramFamily is a set of histograms sharing one name and bucket
-// layout, keyed by a label value.
-type HistogramFamily struct {
-	mu     sync.RWMutex
-	bounds []int64
-	items  map[string]*Histogram
-}
-
-// Get returns the histogram for a label, creating it on first use.
-// Returns nil on a nil family.
-func (f *HistogramFamily) Get(label string) *Histogram {
-	if f == nil {
-		return nil
-	}
-	f.mu.RLock()
-	h := f.items[label]
-	f.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if h = f.items[label]; h == nil {
-		h = newHistogram(f.bounds)
-		f.items[label] = h
-	}
-	return h
-}
-
-// Observe records an observation under a label.
-func (f *HistogramFamily) Observe(label string, v int64) { f.Get(label).Observe(v) }
-
-// Registry holds named metrics. All accessors are get-or-create and
-// safe for concurrent use; handles are stable, so callers cache them
-// once and hit only the atomic on the hot path. A nil *Registry is a
-// valid no-op registry: every accessor returns a nil handle, whose
-// methods are in turn no-ops.
+// Registry holds named metric families, one map per kind. All
+// accessors are get-or-create and safe for concurrent use; handles are
+// stable, so callers cache them once and hit only the atomic on the hot
+// path. A nil *Registry is a valid no-op registry: every accessor
+// returns a nil handle, whose methods are in turn no-ops.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	cfamilies map[string]*CounterFamily
-	gfamilies map[string]*GaugeFamily
-	hfamilies map[string]*HistogramFamily
+	mu       sync.Mutex
+	counters map[string]*CounterFamily
+	gauges   map[string]*GaugeFamily
+	hists    map[string]*HistogramFamily
 
 	// collectors run (without mu) at the start of every Snapshot, so
 	// pull-style sources (runtime stats, the decision plane's flows) can
@@ -338,12 +283,9 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		cfamilies: make(map[string]*CounterFamily),
-		gfamilies: make(map[string]*GaugeFamily),
-		hfamilies: make(map[string]*HistogramFamily),
+		counters: make(map[string]*CounterFamily),
+		gauges:   make(map[string]*GaugeFamily),
+		hists:    make(map[string]*HistogramFamily),
 	}
 }
 
@@ -362,53 +304,16 @@ func (r *Registry) RegisterCollector(fn func()) {
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return r.CounterFamily(name).Get("") }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeFamily(name).Get("") }
 
 // Histogram returns the named histogram, creating it with the given
 // bounds on first use (nil bounds select DefaultLatencyBuckets). The
-// first creation fixes the bucket layout.
+// first creation of the name, plain or family, fixes the bucket layout.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets()
-		}
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
+	return r.HistogramFamily(name, bounds).Get("")
 }
 
 // CounterFamily returns the named counter family, creating it on
@@ -417,14 +322,7 @@ func (r *Registry) CounterFamily(name string) *CounterFamily {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.cfamilies[name]
-	if f == nil {
-		f = &CounterFamily{items: make(map[string]*Counter)}
-		r.cfamilies[name] = f
-	}
-	return f
+	return family(r, r.counters, name, nil, func([]int64) *Counter { return new(Counter) })
 }
 
 // GaugeFamily returns the named gauge family, creating it on first
@@ -433,14 +331,7 @@ func (r *Registry) GaugeFamily(name string) *GaugeFamily {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.gfamilies[name]
-	if f == nil {
-		f = &GaugeFamily{items: make(map[string]*Gauge)}
-		r.gfamilies[name] = f
-	}
-	return f
+	return family(r, r.gauges, name, nil, func([]int64) *Gauge { return new(Gauge) })
 }
 
 // HistogramFamily returns the named histogram family, creating it
@@ -450,17 +341,21 @@ func (r *Registry) HistogramFamily(name string, bounds []int64) *HistogramFamily
 	if r == nil {
 		return nil
 	}
+	if bounds == nil {
+		bounds = DefaultLatencyBuckets()
+	}
+	return family(r, r.hists, name, bounds, newHistogram)
+}
+
+// family returns fams' named family, creating it on first use with a
+// copy of bounds and newItem as its members' constructor.
+func family[M any](r *Registry, fams map[string]*Family[M], name string, bounds []int64, newItem func([]int64) *M) *Family[M] {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.hfamilies[name]
+	f := fams[name]
 	if f == nil {
-		if bounds == nil {
-			bounds = DefaultLatencyBuckets()
-		}
-		b := make([]int64, len(bounds))
-		copy(b, bounds)
-		f = &HistogramFamily{bounds: b, items: make(map[string]*Histogram)}
-		r.hfamilies[name] = f
+		f = &Family[M]{items: make(map[string]*M), bounds: slices.Clone(bounds), newItem: newItem}
+		fams[name] = f
 	}
 	return f
 }

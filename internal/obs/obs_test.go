@@ -2,6 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -62,10 +65,10 @@ func TestHistogramBucketsAndStats(t *testing.T) {
 func TestFamilies(t *testing.T) {
 	r := NewRegistry()
 	f := r.CounterFamily("rpc_errors")
-	f.Add("siteA", 2)
+	f.Get("siteA").Add(2)
 	f.Get("siteB").Inc()
 	hf := r.HistogramFamily("rpc_latency", []int64{10, 100})
-	hf.Observe("siteA", 50)
+	hf.Get("siteA").Observe(50)
 
 	s := r.Snapshot()
 	if got := s.CounterValue("rpc_errors", "siteA"); got != 2 {
@@ -79,9 +82,9 @@ func TestFamilies(t *testing.T) {
 	}
 
 	gf := r.GaugeFamily("breaker_state")
-	gf.Set("siteA", 2)
+	gf.Get("siteA").Set(2)
 	gf.Get("siteB").Set(-1)
-	gf.Set("siteA", 1) // overwrite, not accumulate
+	gf.Get("siteA").Set(1) // overwrite, not accumulate
 	s = r.Snapshot()
 	if got := s.GaugeLabeled("breaker_state", "siteA"); got != 1 {
 		t.Fatalf("siteA gauge = %d, want 1", got)
@@ -90,9 +93,51 @@ func TestFamilies(t *testing.T) {
 		t.Fatalf("siteB gauge = %d, want -1", got)
 	}
 	var nilGF *GaugeFamily
-	nilGF.Set("x", 1) // nil family must be a no-op
+	nilGF.Get("x").Set(1) // nil family must be a no-op
 	if nilGF.Get("x") != nil {
 		t.Fatal("nil gauge family should hand out nil gauges")
+	}
+}
+
+// TestPlainIsUnlabeledMember: a plain metric is its family's unlabeled
+// member, one handle and one snapshot entry, and a histogram's bounds are
+// fixed by whichever of the two calls comes first.
+func TestPlainIsUnlabeledMember(t *testing.T) {
+	r := NewRegistry()
+	if r.Counter("c") != r.CounterFamily("c").Get("") {
+		t.Error("Counter and CounterFamily.Get(\"\") are different handles")
+	}
+	if r.GaugeFamily("g").Get("") != r.Gauge("g") {
+		t.Error("Gauge and GaugeFamily.Get(\"\") are different handles")
+	}
+	if r.Histogram("h", []int64{1}) != r.HistogramFamily("h", []int64{2}).Get("") {
+		t.Error("Histogram and HistogramFamily.Get(\"\") are different handles")
+	}
+	r.HistogramFamily("hf", []int64{3}).Get("").Observe(1)
+	r.Histogram("hf", []int64{4}).Observe(1)
+	r.Counter("c").Inc()
+	r.CounterFamily("c").Get("").Inc()
+	r.Gauge("g").Set(5)
+
+	s := r.Snapshot()
+	if len(s.Counters) != 1 || s.Counters[0] != (CounterSnap{Name: "c", Value: 2}) {
+		t.Errorf("counters = %+v, want one c = 2", s.Counters)
+	}
+	if len(s.Gauges) != 1 || s.Gauges[0] != (GaugeSnap{Name: "g", Value: 5}) {
+		t.Errorf("gauges = %+v, want one g = 5", s.Gauges)
+	}
+	if len(s.Histograms) != 2 {
+		t.Fatalf("histograms = %+v, want h and hf", s.Histograms)
+	}
+	for i, want := range []struct {
+		name  string
+		bound int64
+		count int64
+	}{{"h", 1, 0}, {"hf", 3, 2}} {
+		h := s.Histograms[i]
+		if h.Name != want.name || h.Label != "" || len(h.Bounds) != 1 || h.Bounds[0] != want.bound || h.Count != want.count {
+			t.Errorf("histogram %d = %+v, want %s with bounds [%d] and %d observations", i, h, want.name, want.bound, want.count)
+		}
 	}
 }
 
@@ -101,8 +146,8 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	r.Counter("b").Inc()
 	r.Counter("a").Inc()
 	f := r.CounterFamily("a")
-	f.Add("z", 1)
-	f.Add("m", 1)
+	f.Get("z").Add(1)
+	f.Get("m").Add(1)
 	s := r.Snapshot()
 	var keys []string
 	for _, c := range s.Counters {
@@ -114,20 +159,43 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONRoundTrip pins the scrape's snapshot bytes, from a
+// registry holding a plain and a labeled member of each kind, against
+// testdata/snapshot.json (rewritten by -update-golden), and decodes them
+// back.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)
-	r.Histogram("h", []int64{1, 2}).Observe(1)
+	r.CounterFamily("c").Get("siteA").Add(2)
+	r.CounterFamily("a.f").Get("siteB").Add(1)
+	r.Gauge("g").Set(-7)
+	r.GaugeFamily("g").Get("siteA").Set(4)
+	r.Histogram("h", []int64{2, 1}).Observe(1)
+	r.HistogramFamily("h", []int64{2, 1}).Get("siteA").Observe(5)
+	r.HistogramFamily("b.hf", nil).Get("siteB").Observe(60)
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "snapshot.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	if string(b) != string(want) {
+		t.Fatalf("snapshot JSON drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", b, want)
 	}
 	var got Snapshot
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.CounterValue("c", "") != 3 {
-		t.Fatalf("round trip lost counter: %+v", got)
+	if got.CounterValue("c", "") != 3 || got.CounterValue("c", "siteA") != 2 {
+		t.Fatalf("round trip lost counters: %+v", got)
 	}
 }
 
@@ -139,9 +207,9 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("g").Set(3)
 	r.Histogram("h", nil).Observe(5)
-	r.CounterFamily("f").Add("l", 1)
+	r.CounterFamily("f").Get("l").Add(1)
 	r.CounterFamily("f").Get("l").Inc()
-	r.HistogramFamily("hf", nil).Observe("l", 1)
+	r.HistogramFamily("hf", nil).Get("l").Observe(1)
 	r.HistogramFamily("hf", nil).Get("l").Observe(1)
 	if n := len(r.Snapshot().Counters); n != 0 {
 		t.Fatalf("nil registry snapshot has %d counters", n)
@@ -157,9 +225,12 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
-				r.CounterFamily("f").Add("l", 1)
+				r.CounterFamily("f").Get("l").Add(1)
 				r.Histogram("h", nil).Observe(int64(j))
-				r.HistogramFamily("hf", nil).Observe("l", int64(j))
+				r.HistogramFamily("hf", nil).Get("l").Observe(int64(j))
+				r.Gauge("g").Add(1)
+				// New labels, created while other goroutines read.
+				r.GaugeFamily("gf").Get(strconv.Itoa(j % 10)).Set(int64(j))
 				if j%100 == 0 {
 					r.Snapshot()
 				}
@@ -174,6 +245,9 @@ func TestConcurrentUse(t *testing.T) {
 	h, _ := s.HistogramSnap("h", "")
 	if h.Count != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", h.Count)
+	}
+	if s.GaugeValue("g") != 8000 || len(s.Gauges) != 11 {
+		t.Fatalf("gauges = %+v, want g = 8000 and ten members of gf", s.Gauges)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestPromName(t *testing.T) {
 func TestRegistryEndToEndExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("core.accesses").Add(5)
-	r.CounterFamily("core.decisions").Add("rate-profile/hit", 2)
+	r.CounterFamily("core.decisions").Get("rate-profile/hit").Add(2)
 	r.Gauge("cache.used").Set(10)
 	r.Histogram("federation.query_latency_us", []int64{10, 100}).Observe(50)
 	var buf bytes.Buffer

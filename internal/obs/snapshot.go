@@ -132,83 +132,44 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, fn := range collectors {
 		fn()
 	}
+	s.Counters = members(r, r.counters, func(c *Counter, name, label string) CounterSnap {
+		return CounterSnap{Name: name, Label: label, Value: c.Value()}
+	})
+	s.Gauges = members(r, r.gauges, func(g *Gauge, name, label string) GaugeSnap {
+		return GaugeSnap{Name: name, Label: label, Value: g.Value()}
+	})
+	s.Histograms = members(r, r.hists, (*Histogram).snap)
+	return s
+}
+
+// members snaps every member of fams, in (name, label) order.
+func members[M, S any](r *Registry, fams map[string]*Family[M], snap func(m *M, name, label string) S) []S {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	cfams := make(map[string]*CounterFamily, len(r.cfamilies))
-	for k, v := range r.cfamilies {
-		cfams[k] = v
-	}
-	gfams := make(map[string]*GaugeFamily, len(r.gfamilies))
-	for k, v := range r.gfamilies {
-		gfams[k] = v
-	}
-	hfams := make(map[string]*HistogramFamily, len(r.hfamilies))
-	for k, v := range r.hfamilies {
-		hfams[k] = v
+	sort.Strings(names)
+	list := make([]*Family[M], len(names))
+	for i, name := range names {
+		list[i] = fams[name]
 	}
 	r.mu.Unlock()
-
-	for name, c := range counters {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: c.Value()})
-	}
-	for name, f := range cfams {
+	var out []S
+	var labels []string
+	for i, f := range list {
 		f.mu.RLock()
-		for label, c := range f.items {
-			s.Counters = append(s.Counters, CounterSnap{Name: name, Label: label, Value: c.Value()})
+		labels = labels[:0]
+		for label := range f.items {
+			labels = append(labels, label)
+		}
+		sort.Strings(labels)
+		for _, label := range labels {
+			out = append(out, snap(f.items[label], names[i], label))
 		}
 		f.mu.RUnlock()
 	}
-	for name, g := range gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.Value()})
-	}
-	for name, f := range gfams {
-		f.mu.RLock()
-		for label, g := range f.items {
-			s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Label: label, Value: g.Value()})
-		}
-		f.mu.RUnlock()
-	}
-	for name, h := range hists {
-		s.Histograms = append(s.Histograms, h.snap(name, ""))
-	}
-	for name, f := range hfams {
-		f.mu.RLock()
-		for label, h := range f.items {
-			s.Histograms = append(s.Histograms, h.snap(name, label))
-		}
-		f.mu.RUnlock()
-	}
-
-	sort.Slice(s.Counters, func(i, j int) bool {
-		if s.Counters[i].Name != s.Counters[j].Name {
-			return s.Counters[i].Name < s.Counters[j].Name
-		}
-		return s.Counters[i].Label < s.Counters[j].Label
-	})
-	sort.Slice(s.Gauges, func(i, j int) bool {
-		if s.Gauges[i].Name != s.Gauges[j].Name {
-			return s.Gauges[i].Name < s.Gauges[j].Name
-		}
-		return s.Gauges[i].Label < s.Gauges[j].Label
-	})
-	sort.Slice(s.Histograms, func(i, j int) bool {
-		if s.Histograms[i].Name != s.Histograms[j].Name {
-			return s.Histograms[i].Name < s.Histograms[j].Name
-		}
-		return s.Histograms[i].Label < s.Histograms[j].Label
-	})
-	return s
+	return out
 }
 
 // CounterValue looks up a counter (or family member) by name and

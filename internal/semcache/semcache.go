@@ -27,6 +27,7 @@ import (
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/core"
+	"bypassyield/internal/engine"
 	"bypassyield/internal/sqlparse"
 )
 
@@ -35,9 +36,9 @@ type entry struct {
 	table string
 	// cols are the columns materialized in the cached result.
 	cols map[string]bool
-	// region maps column name → [lo, hi] interval; absent columns are
+	// region maps column name → interval; absent columns are
 	// unconstrained.
-	region map[string][2]float64
+	region map[string]engine.Interval
 	bytes  int64
 	last   int64
 }
@@ -109,7 +110,7 @@ func (c *Cache) describe(stmt *sqlparse.SelectStmt) (*entry, bool) {
 	e := &entry{
 		table:  tab.Name,
 		cols:   make(map[string]bool),
-		region: make(map[string][2]float64),
+		region: make(map[string]engine.Interval),
 	}
 	for _, item := range stmt.Items {
 		if item.Star {
@@ -131,35 +132,16 @@ func (c *Cache) describe(stmt *sqlparse.SelectStmt) (*entry, bool) {
 		if col == nil {
 			return nil, false
 		}
-		lo, hi := conditionInterval(cond, col)
+		iv := engine.ConditionInterval(cond, col)
 		if prev, ok := e.region[col.Name]; ok {
-			lo, hi = math.Max(lo, prev[0]), math.Min(hi, prev[1])
+			iv = engine.Interval{Lo: math.Max(iv.Lo, prev.Lo), Hi: math.Min(iv.Hi, prev.Hi)}
 		}
-		e.region[col.Name] = [2]float64{lo, hi}
+		e.region[col.Name] = iv
 		// The cached result must carry filter columns so contained
 		// queries can be answered by re-filtering.
 		e.cols[col.Name] = true
 	}
 	return e, true
-}
-
-// conditionInterval converts a literal condition into an interval.
-// Non-range operators (<>) widen to the full column span — they never
-// help containment.
-func conditionInterval(cond sqlparse.Condition, col *catalog.Column) (lo, hi float64) {
-	if cond.Between {
-		return cond.Lo, cond.Hi
-	}
-	switch cond.Op {
-	case sqlparse.OpEq:
-		return cond.Value, cond.Value
-	case sqlparse.OpLt, sqlparse.OpLe:
-		return col.Min, cond.Value
-	case sqlparse.OpGt, sqlparse.OpGe:
-		return cond.Value, col.Max
-	default:
-		return col.Min, col.Max
-	}
 }
 
 // answers reports whether the entry can serve the query: same table,
@@ -177,16 +159,7 @@ func (e *entry) answers(q *entry) bool {
 	// Every constraint the entry applied must be at least as loose as
 	// the query's constraint on that column; otherwise the entry's
 	// result is missing rows the query needs.
-	for col, er := range e.region {
-		qr, ok := q.region[col]
-		if !ok {
-			return false // query unconstrained where the entry filtered
-		}
-		if qr[0] < er[0] || qr[1] > er[1] {
-			return false
-		}
-	}
-	return true
+	return engine.RegionContains(e.region, q.region)
 }
 
 // admit stores a query's result, evicting least-recently-used entries

@@ -448,7 +448,7 @@ func (st *runState) exec(op *Op) {
 	st.completed.Add(1)
 	st.doneCtr.Inc()
 	st.latency.Observe(latUS)
-	st.byClass.Observe(op.Class, latUS)
+	st.byClass.Get(op.Class).Observe(latUS)
 	if latUS <= st.sloUS {
 		st.sloMet.Add(1)
 	}

@@ -86,10 +86,10 @@ func (p *pool) Get(fresh bool) (*nodeConn, error) {
 	if p.active >= p.cfg.MaxActive && !p.closed {
 		start := time.Now()
 		for p.active >= p.cfg.MaxActive && !p.closed {
-			p.m.waits.Add(p.site, 1)
+			p.m.waits.Get(p.site).Add(1)
 			p.cond.Wait()
 		}
-		p.m.waitDur.Observe(p.site, time.Since(start).Microseconds())
+		p.m.waitDur.Get(p.site).Observe(time.Since(start).Microseconds())
 	}
 	if p.closed {
 		p.mu.Unlock()
@@ -101,7 +101,7 @@ func (p *pool) Get(fresh bool) (*nodeConn, error) {
 	if n := len(p.idle); n > 0 {
 		conn := p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		p.m.idle.Set(p.site, int64(len(p.idle)))
+		p.m.idle.Get(p.site).Set(int64(len(p.idle)))
 		p.checkoutLocked()
 		p.mu.Unlock()
 		return conn, nil
@@ -115,21 +115,21 @@ func (p *pool) Get(fresh bool) (*nodeConn, error) {
 		p.release()
 		return nil, err
 	}
-	p.m.dials.Add(p.site, 1)
+	p.m.dials.Get(p.site).Add(1)
 	return &nodeConn{Conn: c, fr: newFrameReader()}, nil
 }
 
 // checkoutLocked claims one active slot. Caller holds mu.
 func (p *pool) checkoutLocked() {
 	p.active++
-	p.m.active.Set(p.site, int64(p.active))
+	p.m.active.Get(p.site).Set(int64(p.active))
 }
 
 // release frees one active slot and wakes a waiter.
 func (p *pool) release() {
 	p.mu.Lock()
 	p.active--
-	p.m.active.Set(p.site, int64(p.active))
+	p.m.active.Get(p.site).Set(int64(p.active))
 	p.cond.Signal()
 	p.mu.Unlock()
 }
@@ -141,10 +141,10 @@ func (p *pool) Put(conn *nodeConn) {
 	closed := p.closed
 	if !closed {
 		p.idle = append(p.idle, conn)
-		p.m.idle.Set(p.site, int64(len(p.idle)))
+		p.m.idle.Get(p.site).Set(int64(len(p.idle)))
 	}
 	p.active--
-	p.m.active.Set(p.site, int64(p.active))
+	p.m.active.Get(p.site).Set(int64(p.active))
 	p.cond.Signal()
 	p.mu.Unlock()
 	if closed {
@@ -156,7 +156,7 @@ func (p *pool) Put(conn *nodeConn) {
 // its slot.
 func (p *pool) Discard(conn *nodeConn) {
 	conn.Close()
-	p.m.drops.Add(p.site, 1)
+	p.m.drops.Get(p.site).Add(1)
 	p.release()
 }
 
@@ -164,10 +164,10 @@ func (p *pool) Discard(conn *nodeConn) {
 func (p *pool) dropIdleLocked() {
 	for _, c := range p.idle {
 		c.Close()
-		p.m.drops.Add(p.site, 1)
+		p.m.drops.Get(p.site).Add(1)
 	}
 	p.idle = p.idle[:0]
-	p.m.idle.Set(p.site, 0)
+	p.m.idle.Get(p.site).Set(0)
 }
 
 // DropIdle closes every parked connection — the breaker calls it when
@@ -188,7 +188,7 @@ func (p *pool) Close() {
 		c.Close()
 	}
 	p.idle = nil
-	p.m.idle.Set(p.site, 0)
+	p.m.idle.Get(p.site).Set(0)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }

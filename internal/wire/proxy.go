@@ -106,8 +106,7 @@ type Proxy struct {
 
 	// dialer opens node connections; tests and -chaos replace it to
 	// interpose fault injectors.
-	dialer      func(site, addr string) (net.Conn, error)
-	dialTimeout time.Duration
+	dialer func(site, addr string) (net.Conn, error)
 
 	nodeTx       *obs.Counter
 	nodeRx       *obs.Counter
@@ -150,7 +149,6 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 		gran:          gran,
 		sites:         make(map[string]*site, len(nodeAddrs)),
 		rpcTimeout:    DefaultRPCTimeout,
-		dialTimeout:   DefaultDialTimeout,
 		probeInterval: ProbeInterval,
 		probeTimeout:  ProbeTimeout,
 		pcfg:          PoolConfig{}.sanitize(),
@@ -160,7 +158,7 @@ func NewProxy(med *federation.Mediator, gran federation.Granularity, nodeAddrs m
 	p.newSession = func() session { return &connScratch{p: p} }
 	p.scrape = p.scrapeProxy
 	p.dialer = func(_, addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, p.dialTimeout)
+		return net.DialTimeout("tcp", addr, DefaultDialTimeout)
 	}
 	p.nodeTx = reg.Counter("wire.node_tx_bytes")
 	p.nodeRx = reg.Counter("wire.node_rx_bytes")
@@ -219,8 +217,8 @@ func (p *Proxy) buildSites() {
 	}
 	dial := func(site, addr string) (net.Conn, error) { return p.dialer(site, addr) }
 	onTransition := func(name string, from, to BreakerState) {
-		p.breakerState.Set(name, int64(to))
-		p.breakerTrans.Add(name+"/"+to.String(), 1)
+		p.breakerState.Get(name).Set(int64(to))
+		p.breakerTrans.Get(name + "/" + to.String()).Add(1)
 		if to == BreakerOpen {
 			// Pooled idle connections to a tripped site are presumed
 			// dead; drop them so recovery starts from fresh dials.
@@ -231,17 +229,13 @@ func (p *Proxy) buildSites() {
 	for name, s := range p.sites {
 		s.pool = newPool(name, s.addr, p.pcfg, dial, m)
 		s.br = newBreaker(name, onTransition)
-		p.breakerState.Set(name, int64(BreakerClosed))
+		p.breakerState.Get(name).Set(int64(BreakerClosed))
 	}
 }
 
 // SetRPCTimeout replaces the per-RPC deadline applied to node
 // exchanges; d ≤ 0 disables deadlines. Call before Listen.
 func (p *Proxy) SetRPCTimeout(d time.Duration) { p.rpcTimeout = d }
-
-// SetDialTimeout bounds node connection establishment (default
-// DefaultDialTimeout). Call before Listen.
-func (p *Proxy) SetDialTimeout(d time.Duration) { p.dialTimeout = d }
 
 // SetDialer replaces how node connections are opened — tests and the
 // -chaos flag interpose fault injectors here. Call before Listen.
@@ -360,10 +354,10 @@ func (p *Proxy) probeLoop() {
 func (p *Proxy) probe(name string, s *site) {
 	defer p.wg.Done()
 	if !p.ping(name, s.addr) {
-		p.probes.Add(name+"/fail", 1)
+		p.probes.Get(name + "/fail").Add(1)
 		return
 	}
-	p.probes.Add(name+"/ok", 1)
+	p.probes.Get(name + "/ok").Add(1)
 	s.br.RecordSuccess()
 }
 
@@ -645,9 +639,9 @@ func (p *Proxy) runLeg(l leg, traceID uint64, res *ResultMsg, fc *flightrec.Capt
 func (p *Proxy) failConn(sp *pool, conn *nodeConn, site string, err error) {
 	sp.Discard(conn)
 	if isTimeout(err) {
-		p.rpcTimeouts.Add(site, 1)
+		p.rpcTimeouts.Get(site).Add(1)
 	}
-	p.rpcErrors.Add(site, 1)
+	p.rpcErrors.Get(site).Add(1)
 }
 
 // isTimeout reports whether err is a network timeout.
@@ -683,7 +677,7 @@ func (p *Proxy) nodeRPC(site string, t MsgType, payload any, want MsgType, reply
 	}
 	answer, err := p.tryNodeRPC(s, t, payload, want, reply, false, lt)
 	if err != nil && !isTimeout(err) {
-		p.rpcRetries.Add(site, 1)
+		p.rpcRetries.Get(site).Add(1)
 		answer, err = p.tryNodeRPC(s, t, payload, want, reply, true, lt)
 	}
 	if err != nil {
@@ -730,7 +724,7 @@ func (p *Proxy) tryNodeRPC(s *site, t MsgType, payload any, want MsgType, reply 
 	}
 	p.nodeRx.Add(int64(rn))
 	rpcUS := time.Since(start).Microseconds()
-	p.rpcLatency.Observe(site, rpcUS)
+	p.rpcLatency.Get(site).Observe(rpcUS)
 	if lt != nil {
 		lt.rpcUS = rpcUS // the successful attempt's round trip
 	}

@@ -166,8 +166,8 @@ func (s *server) serveConn(conn net.Conn) {
 			return // peer closed, protocol failure or a failed send; drop the conn
 		}
 		label := t.String()
-		s.framesRx.Add(label, 1)
-		s.bytesRx.Add(label, int64(n))
+		s.framesRx.Get(label).Add(1)
+		s.bytesRx.Get(label).Add(int64(n))
 		switch {
 		case t == MsgQuery:
 			if err := Decode(body, &q); err != nil {
@@ -237,8 +237,8 @@ func (s *server) send(conn net.Conn, t MsgType, payload any) {
 		return
 	}
 	label := t.String()
-	s.framesTx.Add(label, 1)
-	s.bytesTx.Add(label, int64(n))
+	s.framesTx.Get(label).Add(1)
+	s.bytesTx.Get(label).Add(int64(n))
 }
 
 // sendErr answers with err as a MsgError.
