@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke experiments
+.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke experiments examples
 
 all: vet test
 
@@ -185,6 +185,15 @@ bench-smoke:
 experiments:
 	$(GO) run ./cmd/by bench -q -exp all | diff -u results/fullscale.txt -
 	$(GO) run ./cmd/by bench -q -exp extensions | diff -u results/extensions.txt -
+
+# Every program under examples/ built and run to completion: `go build
+# ./...` compiles them, and this is what fails when one stops working.
+# Each prints its own report; only its exit status is checked.
+examples:
+	@for dir in examples/*/; do \
+		echo "go run ./$$dir"; \
+		$(GO) run "./$$dir" > /dev/null || exit 1; \
+	done
 
 # The federation benchmark (BENCHMARK.json) is its own module under
 # bench/, which `go build ./...` and `go test ./...` do not enter: this

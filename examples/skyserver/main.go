@@ -48,9 +48,7 @@ func run() error {
 		policies := []core.Policy{
 			core.NewNoCache(),
 			core.NewLRU(capacity),
-			core.NewLFU(capacity),
 			core.NewGDS(capacity),
-			core.NewGDSP(capacity),
 			core.NewSpaceEffBY(core.NewLandlord(capacity), rand.NewSource(7)),
 			core.NewOnlineBY(core.NewLandlord(capacity)),
 			core.NewRateProfile(core.RateProfileConfig{Capacity: capacity}),

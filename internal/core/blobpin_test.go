@@ -43,11 +43,11 @@ func TestLandlordBlobsArePinned(t *testing.T) {
 	}
 }
 
-// TestGreedyDualBlobsArePinned holds the gds and gdsp blobs to the
-// format a build with a copy of GreedyDual-Size in each policy wrote:
-// each decodes and encodes back to the same bytes.
+// TestGreedyDualBlobsArePinned holds the gds blob to the format a
+// build with a copy of GreedyDual-Size in each policy wrote: it decodes
+// and encodes back to the same bytes.
 func TestGreedyDualBlobsArePinned(t *testing.T) {
-	for _, name := range []string{"gds", "gdsp"} {
+	for _, name := range []string{"gds"} {
 		want := readPinnedBlob(t, name)
 		pol, err := NewPolicyByName(name, 600, 5)
 		if err != nil {

@@ -218,10 +218,7 @@ func allPolicies(capacity int64) []Policy {
 		NewOnlineBY(NewSizeClassMarking(capacity)),
 		NewSpaceEffBY(NewLandlord(capacity), rand.NewSource(42)),
 		NewGDS(capacity),
-		NewGDSP(capacity),
 		NewLRU(capacity),
-		NewLRUK(capacity, 2),
-		NewLFU(capacity),
 		NewNoCache(),
 	}
 }
@@ -333,7 +330,6 @@ func TestDeterministicReruns(t *testing.T) {
 		func() Policy { return NewOnlineBY(NewLandlord(400)) },
 		func() Policy { return NewSpaceEffBY(NewLandlord(400), rand.NewSource(7)) },
 		func() Policy { return NewGDS(400) },
-		func() Policy { return NewGDSP(400) },
 	} {
 		p1, p2 := mk(), mk()
 		a1, a2 := run(p1), run(p2)

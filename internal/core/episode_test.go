@@ -58,6 +58,31 @@ func TestEpisodeIdleSplit(t *testing.T) {
 	}
 }
 
+// TestEpisodeIdleGapOfExactlyK: heuristic (2) closes an episode when
+// the object "has not been accessed during the last k queries", so an
+// idle gap of exactly K keeps it open and K+1 closes it. The yields
+// never repay the fetch cost, so the running max stays negative and
+// heuristic (1) cannot fire.
+func TestEpisodeIdleGapOfExactlyK(t *testing.T) {
+	cfg := DefaultEpisodeConfig()
+	cfg.K = 100
+	pt := newTestTable(cfg, 0)
+	obj := testObj("a", 100)
+	pt.observe(1, obj, 1)
+	pt.observe(1+cfg.K, obj, 1)
+	p := pt.get(obj)
+	if len(p.past) != 0 || p.start != 1 {
+		t.Fatalf("after an idle gap of exactly K: %d closed episodes, open one started at %d; want 0 and 1",
+			len(p.past), p.start)
+	}
+	next := 1 + cfg.K + cfg.K + 1
+	pt.observe(next, obj, 1)
+	if len(p.past) != 1 || p.start != next {
+		t.Fatalf("after an idle gap of K+1: %d closed episodes, open one started at %d; want 1 and %d",
+			len(p.past), p.start, next)
+	}
+}
+
 func TestEpisodeRateDecaySplit(t *testing.T) {
 	// Heuristic (1): once the running max is positive, a LARP below
 	// C·max closes the episode and a new one begins at that access.

@@ -12,7 +12,7 @@ import (
 func PolicyNames() []string {
 	names := []string{
 		"rate-profile", "online-by", "online-by-marking", "space-eff-by",
-		"gds", "gdsp", "lru", "lru-k", "lfu", "none",
+		"gds", "lru", "none",
 	}
 	sort.Strings(names)
 	return names
@@ -34,14 +34,8 @@ func NewPolicyByName(name string, capacity int64, seed int64) (Policy, error) {
 		return NewSpaceEffBY(NewLandlord(capacity), rand.NewSource(seed)), nil
 	case "gds":
 		return NewGDS(capacity), nil
-	case "gdsp":
-		return NewGDSP(capacity), nil
 	case "lru":
 		return NewLRU(capacity), nil
-	case "lru-k", "lruk", "lru2":
-		return NewLRUK(capacity, 2), nil
-	case "lfu":
-		return NewLFU(capacity), nil
 	case "none", "no-cache", "nocache":
 		return NewNoCache(), nil
 	default:

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestNewPolicyByName(t *testing.T) {
 	for _, name := range PolicyNames() {
@@ -34,8 +37,18 @@ func TestNewPolicyByNameAliases(t *testing.T) {
 	}
 }
 
+// TestNewPolicyByNameUnknown: an unknown name, and each name of a
+// policy that is no longer built (GDSP, LFU, LRU-K and its aliases), is
+// refused with an error that lists exactly the names there are.
 func TestNewPolicyByNameUnknown(t *testing.T) {
-	if _, err := NewPolicyByName("magic", 1000, 1); err == nil {
-		t.Fatal("unknown policy should error")
+	have := "(have " + strings.Join(PolicyNames(), ", ") + ")"
+	for _, name := range []string{"magic", "gdsp", "lfu", "lru-k", "lruk", "lru2"} {
+		_, err := NewPolicyByName(name, 1000, 1)
+		if err == nil {
+			t.Fatalf("%s: unknown policy should error", name)
+		}
+		if !strings.HasSuffix(err.Error(), have) {
+			t.Fatalf("%s: error %q does not end by listing %s", name, err, have)
+		}
 	}
 }

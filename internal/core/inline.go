@@ -72,17 +72,6 @@ func (c *inlineCache) reprioritize(obj Object, utility float64) bool {
 	return true
 }
 
-// admit loads obj with the given utility after evicting to fit. It
-// reports false (forced bypass) when the object exceeds the whole
-// cache.
-func (c *inlineCache) admit(obj Object, utility float64) bool {
-	if _, ok := c.makeRoom(obj); !ok {
-		return false
-	}
-	c.insert(obj, utility)
-	return true
-}
-
 // makeRoom evicts minimum-utility objects until obj fits and returns
 // the last one evicted (nil for none), whose utility is the greatest
 // evicted. It reports false, evicting nothing, when obj exceeds the
@@ -108,10 +97,10 @@ func (c *inlineCache) insert(obj Object, utility float64) {
 }
 
 // greedyDual is GreedyDual-Size (Cao & Irani), the one implementation
-// behind GDS, GDSP and Landlord: an object's priority is L + w·cost/size
-// for the access's weight w, where the inflation value L rises to each
-// evicted priority, and a loaded object is inserted after the evictions
-// its load needs, at the raised L.
+// behind GDS and Landlord: an object's priority is L + cost/size, where
+// the inflation value L rises to each evicted priority, and a loaded
+// object is inserted after the evictions its load needs, at the
+// raised L.
 type greedyDual struct {
 	inlineCache
 	l float64
@@ -125,8 +114,8 @@ func (g *greedyDual) Reset() {
 
 // access refreshes a cached obj's priority (Hit) or loads obj after
 // evicting to fit (Load); an object larger than the cache is bypassed.
-func (g *greedyDual) access(obj Object, w int64) Decision {
-	value := float64(w) * float64(obj.FetchCost) / float64(obj.Size)
+func (g *greedyDual) access(obj Object) Decision {
+	value := float64(obj.FetchCost) / float64(obj.Size)
 	if g.reprioritize(obj, g.l+value) {
 		return Hit
 	}
@@ -157,33 +146,7 @@ func NewGDS(capacity int64) *GDS {
 
 // Access implements Policy.
 func (g *GDS) Access(t int64, obj Object, yield int64) Decision {
-	return g.access(obj, 1)
-}
-
-// GDSP is popularity-aware Greedy-Dual-Size (Jin & Bestavros): the
-// priority becomes L + freq·cost/size with a reference count that is
-// retained for every object in the reference stream, cached or not.
-type GDSP struct {
-	greedyDual
-	freq objTable[int64]
-}
-
-// NewGDSP returns a GDSP policy with the given capacity.
-func NewGDSP(capacity int64) *GDSP {
-	return &GDSP{greedyDual: greedyDual{inlineCache: newInlineCache("gdsp", capacity)}}
-}
-
-// Reset implements Policy.
-func (g *GDSP) Reset() {
-	g.greedyDual.Reset()
-	g.freq.reset()
-}
-
-// Access implements Policy.
-func (g *GDSP) Access(t int64, obj Object, yield int64) Decision {
-	freq := g.freq.put(obj)
-	*freq++
-	return g.access(obj, *freq)
+	return g.access(obj)
 }
 
 // LRU is least-recently-used in-line caching over variable-size
@@ -202,41 +165,9 @@ func (l *LRU) Access(t int64, obj Object, yield int64) Decision {
 	if l.reprioritize(obj, float64(t)) {
 		return Hit
 	}
-	if !l.admit(obj, float64(t)) {
+	if _, ok := l.makeRoom(obj); !ok {
 		return Bypass
 	}
-	return Load
-}
-
-// LFU is least-frequently-used in-line caching: priority is the
-// cache-lifetime reference count.
-type LFU struct {
-	inlineCache
-	count objTable[int64]
-}
-
-// NewLFU returns an LFU policy with the given capacity.
-func NewLFU(capacity int64) *LFU {
-	return &LFU{inlineCache: newInlineCache("lfu", capacity)}
-}
-
-// Reset implements Policy.
-func (l *LFU) Reset() {
-	l.inlineCache.Reset()
-	l.count.reset()
-}
-
-// Access implements Policy.
-func (l *LFU) Access(t int64, obj Object, yield int64) Decision {
-	count := l.count.put(obj)
-	if p := l.items.find(obj); p != nil {
-		*count++
-		l.heap.Update(*p, float64(*count))
-		return Hit
-	}
-	*count = 1
-	if !l.admit(obj, 1) {
-		return Bypass
-	}
+	l.insert(obj, float64(t))
 	return Load
 }

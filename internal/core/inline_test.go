@@ -80,38 +80,6 @@ func TestGDSOversizedBypasses(t *testing.T) {
 	}
 }
 
-func TestGDSPFrequencyPreference(t *testing.T) {
-	// GDSP weighs priority by reference count: a frequently accessed
-	// object outranks an equally sized infrequent one.
-	g := NewGDSP(120)
-	hot, cold := testObj("hot", 60), testObj("cold", 60)
-	g.Access(1, hot, 1)
-	g.Access(2, hot, 1)
-	g.Access(3, hot, 1)  // freq 3, priority 3
-	g.Access(4, cold, 1) // freq 1, priority 1
-	g.Access(5, testObj("new", 60), 1)
-	if !g.Contains(hot.ID) {
-		t.Fatal("hot object evicted despite high frequency")
-	}
-	if g.Contains(cold.ID) {
-		t.Fatal("cold object should have been the victim")
-	}
-}
-
-func TestGDSPRemembersEvictedFrequency(t *testing.T) {
-	// GDSP retains frequency for all objects in the reference stream,
-	// so a re-loaded object resumes its count.
-	g := NewGDSP(60)
-	a, b := testObj("a", 60), testObj("b", 60)
-	g.Access(1, a, 1)
-	g.Access(2, a, 1) // freq 2
-	g.Access(3, b, 1) // evicts a
-	g.Access(4, a, 1) // re-load; freq resumes at 3
-	if got := valueOf(&g.freq, a.ID); got != 3 {
-		t.Fatalf("frequency = %d, want 3 (retained across eviction)", got)
-	}
-}
-
 func TestLRUEvictsOldest(t *testing.T) {
 	l := NewLRU(120)
 	a, b, c := testObj("a", 60), testObj("b", 60), testObj("c", 60)
@@ -127,34 +95,7 @@ func TestLRUEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestLFUEvictsLeastFrequent(t *testing.T) {
-	l := NewLFU(120)
-	a, b, c := testObj("a", 60), testObj("b", 60), testObj("c", 60)
-	l.Access(1, a, 1)
-	l.Access(2, a, 1)
-	l.Access(3, b, 1)
-	l.Access(4, c, 1) // b has count 1, a has 2 → evict b
-	if l.Contains(b.ID) {
-		t.Fatal("b should be the LFU victim")
-	}
-	if !l.Contains(a.ID) {
-		t.Fatal("a should survive")
-	}
-}
-
 func TestInlineResetClearsExtraState(t *testing.T) {
-	g := NewGDSP(100)
-	g.Access(1, testObj("a", 50), 1)
-	g.Reset()
-	if g.freq.len() != 0 || g.l != 0 || g.Used() != 0 {
-		t.Fatal("GDSP Reset incomplete")
-	}
-	lfu := NewLFU(100)
-	lfu.Access(1, testObj("a", 50), 1)
-	lfu.Reset()
-	if lfu.count.len() != 0 || lfu.Used() != 0 {
-		t.Fatal("LFU Reset incomplete")
-	}
 	gds := NewGDS(100)
 	gds.Access(1, testObj("a", 50), 1)
 	gds.Access(2, testObj("b", 80), 1) // force eviction: raises L
@@ -170,9 +111,7 @@ func TestInlineCacheNamesAndCapacity(t *testing.T) {
 		name string
 	}{
 		{NewGDS(10), "gds"},
-		{NewGDSP(10), "gdsp"},
 		{NewLRU(10), "lru"},
-		{NewLFU(10), "lfu"},
 	}
 	for _, tc := range cases {
 		if tc.p.Name() != tc.name {
@@ -187,7 +126,7 @@ func TestInlineCacheNamesAndCapacity(t *testing.T) {
 // refGreedyDual is GreedyDual-Size as Cao & Irani state it, kept apart
 // from the heap: a map of cached objects to their priorities H, and a
 // linear scan for the minimum H to evict. L rises to each evicted H,
-// and a loaded object gets L + w·cost/size at the raised L.
+// and a loaded object gets L + cost/size at the raised L.
 type refGreedyDual struct {
 	cap, used, evictions int64
 	l                    float64
@@ -195,8 +134,8 @@ type refGreedyDual struct {
 	size                 map[ObjectID]int64
 }
 
-func (r *refGreedyDual) access(obj Object, w int64) Decision {
-	value := float64(w) * float64(obj.FetchCost) / float64(obj.Size)
+func (r *refGreedyDual) access(obj Object) Decision {
+	value := float64(obj.FetchCost) / float64(obj.Size)
 	if _, ok := r.h[obj.ID]; ok {
 		r.h[obj.ID] = r.l + value
 		return Hit
@@ -222,9 +161,8 @@ func (r *refGreedyDual) access(obj Object, w int64) Decision {
 	return Load
 }
 
-// TestGreedyDualMatchesReference holds GDS, GDSP (weighted by its
-// retained reference count) and Landlord to refGreedyDual, access by
-// access: the same decision, the same objects cached and the same
+// TestGreedyDualMatchesReference holds GDS and Landlord to
+// refGreedyDual, access by access: the same decision, the same objects cached and the same
 // evictions. Every object's cost/size ratio is distinct, so priorities
 // do not tie and the victim is the same wherever the minimum is found.
 func TestGreedyDualMatchesReference(t *testing.T) {
@@ -235,7 +173,6 @@ func TestGreedyDualMatchesReference(t *testing.T) {
 			Contains(id ObjectID) bool
 			Evictions() int64
 		}
-		weighted bool
 	}
 	const capacity = 2000
 	for seed := int64(1); seed <= 5; seed++ {
@@ -250,13 +187,12 @@ func TestGreedyDualMatchesReference(t *testing.T) {
 			}
 		}
 		objs = append(objs, testObj("huge", capacity+1))
-		gds, gdsp, ll := NewGDS(capacity), NewGDSP(capacity), NewLandlord(capacity)
+		gds, ll := NewGDS(capacity), NewLandlord(capacity)
 		subjects := []subject{
-			{"gds", func(obj Object) Decision { return gds.Access(0, obj, 0) }, gds, false},
-			{"gdsp", func(obj Object) Decision { return gdsp.Access(0, obj, 0) }, gdsp, true},
+			{"gds", func(obj Object) Decision { return gds.Access(0, obj, 0) }, gds},
 			{"landlord", func(obj Object) Decision {
 				return map[ObjAction]Decision{ObjHit: Hit, ObjLoad: Load, ObjBypass: Bypass}[ll.Request(obj)]
-			}, ll, false},
+			}, ll},
 		}
 		stream := make([]Object, 3000)
 		for i := range stream {
@@ -265,14 +201,8 @@ func TestGreedyDualMatchesReference(t *testing.T) {
 		for _, s := range subjects {
 			t.Run(fmt.Sprintf("%s/seed=%d", s.name, seed), func(t *testing.T) {
 				ref := &refGreedyDual{cap: capacity, h: map[ObjectID]float64{}, size: map[ObjectID]int64{}}
-				refs := map[ObjectID]int64{}
 				for i, obj := range stream {
-					refs[obj.ID]++
-					w := int64(1)
-					if s.weighted {
-						w = refs[obj.ID]
-					}
-					want := ref.access(obj, w)
+					want := ref.access(obj)
 					if got := s.decide(obj); got != want {
 						t.Fatalf("access %d to %s: %v, the reference %v", i, obj.ID, got, want)
 					}

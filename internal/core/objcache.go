@@ -77,7 +77,7 @@ func (l *Landlord) Credit(id ObjectID) (credit float64, ok bool) {
 
 // Request implements ObjectCacher.
 func (l *Landlord) Request(obj Object) ObjAction {
-	switch l.access(obj, 1) {
+	switch l.access(obj) {
 	case Hit:
 		return ObjHit
 	case Load:

@@ -3,7 +3,7 @@
 // BYU), the workload-driven Rate-Profile algorithm, the competitive
 // OnlineBY algorithm, the randomized space-efficient SpaceEffBY
 // algorithm, and the baseline policies the paper compares against
-// (GDS, GDSP, LRU, LFU, static-optimal caching, and no caching).
+// (GDS, LRU, static-optimal caching, and no caching).
 //
 // The model: a proxy cache is collocated with a federation mediator.
 // Every query is decomposed into per-object accesses, each carrying a

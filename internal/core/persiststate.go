@@ -19,7 +19,7 @@ package core
 // policy replays the same deterministic decisions as the original
 // (SpaceEffBY excepted: its random stream is not captured — see its
 // method comments). Restore requires a receiver constructed with the
-// same configuration (capacity, subroutine, K) as the snapshotted
+// same configuration (capacity, subroutine) as the snapshotted
 // policy; mismatches are rejected rather than silently adopted so a
 // changed CLI flag falls back to a cold start instead of a cache that
 // violates its own bounds.
@@ -53,10 +53,7 @@ const (
 	onlineStateVersion = 1
 	spaceStateVersion  = 1
 	lruStateVersion    = 1
-	lfuStateVersion    = 1
 	gdsStateVersion    = 1
-	gdspStateVersion   = 1
-	lrukStateVersion   = 1
 	noneStateVersion   = 1
 )
 
@@ -466,8 +463,8 @@ func (c *inlineCache) decodeContents(d *statecodec.Decoder) error {
 }
 
 // encodeState appends GreedyDual-Size's state: the in-line cache's,
-// then the inflation value L. GDS and GDSP write it; Landlord, whose
-// blob predates the shared code, writes L before the heap.
+// then the inflation value L. GDS writes it; Landlord, whose blob
+// predates the shared code, writes L before the heap.
 func (g *greedyDual) encodeState(e *statecodec.Encoder) {
 	g.inlineCache.encodeState(e)
 	e.F64(g.l)
@@ -509,34 +506,6 @@ func (l *LRU) RestoreState(data []byte) error {
 }
 
 // SnapshotState implements StateSnapshotter.
-func (l *LFU) SnapshotState() []byte {
-	var e statecodec.Encoder
-	e.U8(lfuStateVersion)
-	l.encodeState(&e)
-	encodeCounts(&e, &l.count)
-	return e.Bytes()
-}
-
-// RestoreState implements StateSnapshotter.
-func (l *LFU) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(lfuStateVersion, "lfu")
-	// Decode the heap into a scratch copy first so a failure later in
-	// the blob leaves the receiver untouched.
-	scratch := l.inlineCache
-	if err := scratch.decodeState(&d); err != nil {
-		return err
-	}
-	count := decodeCounts(&d)
-	if err := d.Done(); err != nil {
-		return err
-	}
-	l.inlineCache = scratch
-	l.count = count
-	return nil
-}
-
-// SnapshotState implements StateSnapshotter.
 func (g *GDS) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(gdsStateVersion)
@@ -556,89 +525,6 @@ func (g *GDS) RestoreState(data []byte) error {
 		return err
 	}
 	g.greedyDual = scratch
-	return nil
-}
-
-// SnapshotState implements StateSnapshotter.
-func (g *GDSP) SnapshotState() []byte {
-	var e statecodec.Encoder
-	e.U8(gdspStateVersion)
-	g.encodeState(&e)
-	encodeCounts(&e, &g.freq)
-	return e.Bytes()
-}
-
-// RestoreState implements StateSnapshotter.
-func (g *GDSP) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(gdspStateVersion, "gdsp")
-	scratch := g.greedyDual
-	if err := scratch.decodeState(&d); err != nil {
-		return err
-	}
-	freq := decodeCounts(&d)
-	if err := d.Done(); err != nil {
-		return err
-	}
-	g.greedyDual = scratch
-	g.freq = freq
-	return nil
-}
-
-// SnapshotState implements StateSnapshotter: the heap plus the full
-// per-object reference history (retained for uncached objects too, as
-// LRU-K specifies).
-func (l *LRUK) SnapshotState() []byte {
-	var e statecodec.Encoder
-	e.U8(lrukStateVersion)
-	e.I64(int64(l.k))
-	l.encodeState(&e)
-	hist := l.hist.sorted()
-	e.U64(uint64(len(hist)))
-	for _, ent := range hist {
-		e.Str(string(ent.id))
-		e.U64(uint64(len(ent.v)))
-		for _, t := range ent.v {
-			e.I64(t)
-		}
-	}
-	return e.Bytes()
-}
-
-// RestoreState implements StateSnapshotter. The receiver must be
-// configured with the snapshot's K.
-func (l *LRUK) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(lrukStateVersion, "lru-k")
-	k := d.I64()
-	if d.Err() == nil && int(k) != l.k {
-		return fmt.Errorf("core: lru-k snapshot K=%d, configured K=%d", k, l.k)
-	}
-	scratch := l.inlineCache
-	if err := scratch.decodeState(&d); err != nil {
-		return err
-	}
-	var hist objTable[[]int64]
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		id := ObjectID(d.Str())
-		m := d.Count()
-		if d.Err() == nil && m > l.k {
-			return fmt.Errorf("core: lru-k snapshot history for %s has %d entries, K=%d", id, m, l.k)
-		}
-		h := make([]int64, 0, l.k) // Access shifts within capacity k
-		for j := 0; j < m && d.Err() == nil; j++ {
-			h = append(h, d.I64())
-		}
-		if d.Err() != nil {
-			break
-		}
-		*hist.put(Object{ID: id}) = h
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	l.inlineCache = scratch
-	l.hist = hist
 	return nil
 }
 

@@ -10,12 +10,17 @@ import (
 )
 
 // statefulPolicies lists the factory names whose decisions are fully
-// deterministic after a restore (space-eff-by's random stream is not
-// captured, so it is tested separately).
-var statefulPolicies = []string{
-	"rate-profile", "online-by", "online-by-marking",
-	"gds", "gdsp", "lru", "lru-k", "lfu", "none",
-}
+// deterministic after a restore: every name but space-eff-by, whose
+// random stream is not captured, so it is tested separately.
+var statefulPolicies = func() []string {
+	var names []string
+	for _, name := range PolicyNames() {
+		if name != "space-eff-by" {
+			names = append(names, name)
+		}
+	}
+	return names
+}()
 
 // driveTrace feeds a trace segment through a policy, returning the
 // decisions taken.

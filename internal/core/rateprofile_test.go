@@ -621,3 +621,34 @@ func BenchmarkRateProfileWideMiss(b *testing.B) {
 		accessStatement(b, r, int64(len(objs)+i), stmt)
 	}
 }
+
+// TestLARTyingVictimsIsBypassed: the paper loads a candidate only when
+// every victim's RP is below its LAR, so a LAR equal to the victims'
+// maximum RP is bypassed because the victims save more, and one just
+// above it loads. The victim v is loaded at t=1 with yield 100, so its
+// RP at t=3 is 100/(2·100) = 0.5; the candidate's first access at t=3
+// has LAR (y − 50)/100, exactly 0.5 for y = 100.
+func TestLARTyingVictimsIsBypassed(t *testing.T) {
+	for _, tc := range []struct {
+		yield  int64
+		want   Decision
+		reason string
+	}{
+		{100, Bypass, ReasonVictimsSaveMore},
+		{101, Load, ReasonLARBeatsVictims},
+	} {
+		r := NewRateProfile(RateProfileConfig{Capacity: 100})
+		if d := r.Access(1, testObjCost("v", 100, 50), 100); d != Load {
+			t.Fatalf("victim: %s, want load", d)
+		}
+		d := r.Access(3, testObjCost("c", 100, 50), tc.yield)
+		ex := r.LastExplain()
+		if d != tc.want || ex.Reason != tc.reason {
+			t.Fatalf("yield %d: %s (%s), want %s (%s); LAR %v, victims' RP %v",
+				tc.yield, d, ex.Reason, tc.want, tc.reason, ex.LAR, ex.VictimRP)
+		}
+		if tc.want == Bypass && ex.LAR != ex.VictimRP {
+			t.Fatalf("yield %d: LAR %v and victims' RP %v do not tie", tc.yield, ex.LAR, ex.VictimRP)
+		}
+	}
+}

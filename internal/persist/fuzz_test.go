@@ -8,12 +8,9 @@ import (
 	"bypassyield/internal/federation"
 )
 
-// fuzzPolicies are the stateful policies whose RestoreState decoders
-// the snapshot fuzzer drives; every factory name with a blob codec.
-var fuzzPolicies = []string{
-	"rate-profile", "online-by", "online-by-marking", "space-eff-by",
-	"lru", "lfu", "gds", "gdsp", "lru-k", "none",
-}
+// fuzzPolicies are the policies whose RestoreState decoders the
+// snapshot fuzzer drives: every factory name, each with a blob codec.
+var fuzzPolicies = core.PolicyNames()
 
 // validWALImage builds a well-formed WAL file image carrying the given
 // records — the fuzzer's structured seed.

@@ -323,31 +323,71 @@ func TestAllSnapshotsCorruptFallsBackCold(t *testing.T) {
 	checkInvariant(t, med2, reg2)
 }
 
+// TestPolicyChangeColdStarts: a state directory written under another
+// policy is refused by the policy-name guard, and the recovery report
+// says why, naming both policies. One directory is written by a
+// rate-profile mediator; the other holds one snapshot of a policy no
+// longer built (gdsp, its blob pinned under testdata), which must not
+// reach a decoder.
 func TestPolicyChangeColdStarts(t *testing.T) {
-	dir := t.TempDir()
 	capacity := catalog.EDR().TotalBytes() / 2
-
-	med1, reg1 := newTestMediator(t, "rate-profile", capacity)
-	m1, err := Open(testConfig(dir, reg1), med1)
+	gdspBlob, err := os.ReadFile(filepath.Join("testdata", "gdsp.blob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveQueries(t, med1, 10)
-	if err := m1.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		from, to string
+		write    func(t *testing.T, dir string)
+	}{
+		{"rate-profile", "lru", func(t *testing.T, dir string) {
+			med1, reg1 := newTestMediator(t, "rate-profile", capacity)
+			m1, err := Open(testConfig(dir, reg1), med1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveQueries(t, med1, 10)
+			if err := m1.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"gdsp", "gds", func(t *testing.T, dir string) {
+			st := federation.State{
+				Clock: 10, Schema: "edr", Granularity: federation.Tables,
+				PolicyName: "gdsp", Capacity: capacity, PolicyBlob: gdspBlob,
+			}
+			frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
+			if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.from, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir)
 
-	med2, reg2 := newTestMediator(t, "lru", capacity)
-	m2, err := Open(testConfig(dir, reg2), med2)
-	if err != nil {
-		t.Fatal(err)
+			med2, reg2 := newTestMediator(t, tc.to, capacity)
+			m2, err := Open(testConfig(dir, reg2), med2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m2.Close()
+			rec := m2.Recovery()
+			if rec.Warm {
+				t.Fatal("policy change must reject the snapshot and cold start")
+			}
+			why := fmt.Sprintf("snapshot for policy %q, mediator runs %q", tc.from, tc.to)
+			if len(rec.Skipped) == 0 {
+				t.Fatalf("no snapshot skipped; want each to say %s", why)
+			}
+			for _, s := range rec.Skipped {
+				if !strings.Contains(s, why) {
+					t.Fatalf("skipped %q; want it to say %s", s, why)
+				}
+			}
+			driveQueries(t, med2, 3)
+			checkInvariant(t, med2, reg2)
+		})
 	}
-	defer m2.Close()
-	if m2.Recovery().Warm {
-		t.Fatal("policy change must reject the snapshot and cold start")
-	}
-	driveQueries(t, med2, 3)
-	checkInvariant(t, med2, reg2)
 }
 
 func TestGCKeepsTwoGenerations(t *testing.T) {
