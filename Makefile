@@ -85,7 +85,7 @@ chaos:
 # Every startup's recovery report is appended to crash_recovery.log
 # (archived by CI).
 CRASH_PROXY_RUN = TestKillRecoveryEndToEnd|TestFaultInjectedTornWALRecovery|TestCorruptTailFallsBackAcrossRestart|TestParentStateAcrossUpgrade
-CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned
+CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned|TestRefusedPolicyBlobStartsCold
 crash:
 	$(CHECK_RUN) '$(CRASH_PROXY_RUN)' ./cmd/byproxyd/
 	$(CHECK_RUN) 'TestBreakerRestartCycle' ./internal/wire/

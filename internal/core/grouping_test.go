@@ -133,3 +133,21 @@ func TestGroupingInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGroupSequenceNoZeroYieldQuery: a query whose yield ends a group
+// exactly leaves nothing for the next group, so no group holds a query
+// of zero yield.
+func TestGroupSequenceNoZeroYieldQuery(t *testing.T) {
+	a := testObj("a", 100)
+	g := GroupSequence(singleAccessTrace(Access{a.ID, 100}, Access{a.ID, 50}, Access{a.ID, 50}), objMap(a))
+	if len(g.Groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(g.Groups))
+	}
+	for _, grp := range g.Groups {
+		for _, q := range grp.Queries {
+			if q.Yield == 0 {
+				t.Fatalf("group ending at seq %d holds a zero-yield query: %+v", grp.EndSeq, grp.Queries)
+			}
+		}
+	}
+}

@@ -250,3 +250,11 @@ func TestLandlordLRUEquivalenceOnUniformObjects(t *testing.T) {
 		t.Fatalf("evictions = %d, want 0", ll.Evictions())
 	}
 }
+
+// TestSizeClassMarkingLoadsAnObjectOfItsCapacity: an object exactly as
+// large as the cache fits, so an empty cache loads it.
+func TestSizeClassMarkingLoadsAnObjectOfItsCapacity(t *testing.T) {
+	if got := NewSizeClassMarking(100).Request(testObj("a", 100)); got != ObjLoad {
+		t.Fatalf("request of a 100-byte object into a 100-byte cache = %v, want load", got)
+	}
+}

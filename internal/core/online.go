@@ -50,9 +50,6 @@ func (o *OnlineBY) Reset() {
 	o.acc.reset()
 }
 
-// Subroutine returns the underlying A_obj (for reports and tests).
-func (o *OnlineBY) Subroutine() ObjectCacher { return o.aobj }
-
 // Contents implements ContentLister when the subroutine does.
 func (o *OnlineBY) Contents() []ObjectID {
 	if cl, ok := o.aobj.(ContentLister); ok {

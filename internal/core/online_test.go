@@ -110,6 +110,20 @@ func TestOnlineBYWithFullYieldLoadsImmediatelyOnSecond(t *testing.T) {
 	}
 }
 
+// TestOnlineBYCrossingDeclined: a yield that brings the accumulator to
+// exactly the object's size crosses it, so when A_obj cannot hold the
+// object the bypass says A_obj declined it, not that it is still
+// accumulating.
+func TestOnlineBYCrossingDeclined(t *testing.T) {
+	ob := NewOnlineBY(NewLandlord(50))
+	if d := ob.Access(1, testObj("a", 100), 100); d != Bypass {
+		t.Fatalf("access = %v, want bypass", d)
+	}
+	if r := ob.LastExplain().Reason; r != ReasonAObjDeclined {
+		t.Fatalf("reason %s, want %s", r, ReasonAObjDeclined)
+	}
+}
+
 func TestOnlineBYZeroYield(t *testing.T) {
 	a := testObj("a", 100)
 	ob := NewOnlineBY(NewLandlord(100))

@@ -25,7 +25,6 @@ package core
 // violates its own bounds.
 
 import (
-	"fmt"
 	"math"
 
 	"bypassyield/internal/bheap"
@@ -57,6 +56,40 @@ const (
 	noneStateVersion   = 1
 )
 
+// restore is the one restore path of every RestoreState: it checks
+// data's version byte (what names the state for errors), lets decode
+// read the rest into values of its own, failing d on a malformed blob,
+// and calls the commit decode returns only once d.Done succeeds. So a
+// refused blob leaves the receiver as it was: no commit runs before the
+// whole blob is read and checked.
+func restore(data []byte, version uint8, what string, decode func(d *statecodec.Decoder) (commit func())) error {
+	commit, err := decodeBlob(data, version, what, decode)
+	if err == nil {
+		commit()
+	}
+	return err
+}
+
+// decodeBlob is restore without the commit, which it returns: the
+// wrapping policies read their subroutine's blob with it.
+func decodeBlob(data []byte, version uint8, what string, decode func(d *statecodec.Decoder) (commit func())) (func(), error) {
+	d := statecodec.NewDecoder(data)
+	d.Version(version, what)
+	commit := decode(&d)
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	return commit, nil
+}
+
+// decodeCapacity reads a snapshot's capacity, which must be the
+// receiver's; what names the policy.
+func decodeCapacity(d *statecodec.Decoder, what string, capacity int64) {
+	if c := d.I64(); d.Err() == nil && c != capacity {
+		d.Fail("core: %s snapshot capacity %d, configured %d", what, c, capacity)
+	}
+}
+
 // putObject writes an object's id, size, fetch cost and site.
 func putObject(e *statecodec.Encoder, o Object) {
 	e.Str(string(o.ID))
@@ -65,22 +98,41 @@ func putObject(e *statecodec.Encoder, o Object) {
 	e.Str(o.Site)
 }
 
-// validObject reads what putObject wrote and rejects malformed objects
-// in hostile blobs; on failure the decoder is poisoned and the caller's
-// Done surfaces the error.
-func validObject(d *statecodec.Decoder) Object {
-	obj := Object{
-		ID:        ObjectID(d.Str()),
-		Size:      d.I64(),
-		FetchCost: d.I64(),
-		Site:      d.Str(),
+// encodeCached writes a list of cached objects: the count, then per
+// object its id, size, fetch cost and site, then the policy's fields,
+// which fields writes.
+func encodeCached[T any](e *statecodec.Encoder, items []T, obj func(T) Object, fields func(T)) {
+	e.U64(uint64(len(items)))
+	for _, it := range items {
+		putObject(e, obj(it))
+		fields(it)
 	}
-	if d.Err() == nil {
-		if err := obj.Validate(); err != nil {
+}
+
+// decodeCached reads what encodeCached wrote into a table of the values
+// fields reads after each object, and returns it with the bytes the
+// objects occupy. It refuses an invalid object, an object listed twice
+// and a list that does not fit in capacity; what names the policy.
+func decodeCached[V any](d *statecodec.Decoder, what string, capacity int64, fields func(Object) V) (objTable[V], int64) {
+	var t objTable[V]
+	var used int64
+	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+		obj := Object{ID: ObjectID(d.Str()), Size: d.I64(), FetchCost: d.I64(), Site: d.Str()}
+		v := fields(obj)
+		switch err := obj.Validate(); {
+		case d.Err() != nil:
+		case err != nil:
 			d.Fail("core: invalid object in state blob: %v", err)
+		case t.find(obj) != nil:
+			d.Fail("core: %s snapshot: duplicate object %s", what, obj.ID)
+		case obj.Size > capacity-used:
+			d.Fail("core: %s snapshot over capacity %d at object %s", what, capacity, obj.ID)
+		default:
+			*t.put(obj) = v
+			used += obj.Size
 		}
 	}
-	return obj
+	return t, used
 }
 
 // ---- Rate-Profile ----
@@ -93,13 +145,11 @@ func (r *RateProfile) SnapshotState() []byte {
 	e.U8(rpStateVersion)
 	e.I64(r.cfg.Capacity)
 	e.I64(r.evictions)
-	entries := r.entries.sorted()
-	e.U64(uint64(len(entries)))
-	for _, ent := range entries {
-		putObject(&e, ent.v.obj)
-		e.I64(ent.v.loadTime)
-		e.I64(ent.v.sumYield)
-	}
+	encodeCached(&e, r.entries.sorted(), func(ent slotEntry[*rpEntry]) Object { return ent.v.obj },
+		func(ent slotEntry[*rpEntry]) {
+			e.I64(ent.v.loadTime)
+			e.I64(ent.v.sumYield)
+		})
 	profiles := r.profiles.byObj.sorted()
 	e.U64(uint64(len(profiles)))
 	for _, ent := range profiles {
@@ -122,59 +172,36 @@ func (r *RateProfile) SnapshotState() []byte {
 // RestoreState implements StateSnapshotter. The receiver must be
 // configured with the snapshot's capacity.
 func (r *RateProfile) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(rpStateVersion, "rate-profile")
-	capacity := d.I64()
-	if d.Err() == nil && capacity != r.cfg.Capacity {
-		return fmt.Errorf("core: rate-profile snapshot capacity %d, configured %d", capacity, r.cfg.Capacity)
-	}
-	evictions := d.I64()
-	var entries objTable[*rpEntry]
-	var used int64
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		obj := validObject(&d)
-		ent := &rpEntry{obj: obj, loadTime: d.I64(), sumYield: d.I64()}
-		if d.Err() != nil {
-			break
+	return restore(data, rpStateVersion, "rate-profile", func(d *statecodec.Decoder) func() {
+		decodeCapacity(d, "rate-profile", r.cfg.Capacity)
+		evictions := d.I64()
+		entries, used := decodeCached(d, "rate-profile", r.cfg.Capacity, func(obj Object) *rpEntry {
+			return &rpEntry{obj: obj, loadTime: d.I64(), sumYield: d.I64()}
+		})
+		var profiles objTable[*profile]
+		for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
+			id := ObjectID(d.Str())
+			p := &profile{
+				open:       d.Bool(),
+				started:    d.Bool(),
+				start:      d.I64(),
+				sumYield:   d.I64(),
+				maxLARP:    d.F64(),
+				lastAccess: d.I64(),
+			}
+			for j, m := 0, d.Count(); j < m && d.Err() == nil; j++ {
+				p.past = append(p.past, d.F64())
+			}
+			*profiles.put(Object{ID: id}) = p
 		}
-		if entries.find(obj) != nil {
-			return fmt.Errorf("core: duplicate cached object %s in rate-profile state", obj.ID)
+		return func() {
+			r.setEntries(entries)
+			r.used = used
+			r.evictions = evictions
+			r.profiles.byObj = profiles
+			r.last = Explain{}
 		}
-		*entries.put(obj) = ent
-		used += obj.Size
-	}
-	var profiles objTable[*profile]
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		id := ObjectID(d.Str())
-		p := &profile{
-			open:       d.Bool(),
-			started:    d.Bool(),
-			start:      d.I64(),
-			sumYield:   d.I64(),
-			maxLARP:    d.F64(),
-			lastAccess: d.I64(),
-		}
-		m := d.Count()
-		for j := 0; j < m && d.Err() == nil; j++ {
-			p.past = append(p.past, d.F64())
-		}
-		if d.Err() != nil {
-			break
-		}
-		*profiles.put(Object{ID: id}) = p
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if used > r.cfg.Capacity {
-		return fmt.Errorf("core: rate-profile snapshot uses %d bytes over capacity %d", used, r.cfg.Capacity)
-	}
-	r.setEntries(entries)
-	r.used = used
-	r.evictions = evictions
-	r.profiles.byObj = profiles
-	r.last = Explain{}
-	return nil
+	})
 }
 
 // ---- Landlord ----
@@ -195,23 +222,23 @@ func (l *Landlord) SnapshotState() []byte {
 
 // RestoreState implements StateSnapshotter.
 func (l *Landlord) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(llStateVersion, "landlord")
-	scratch := l.greedyDual
-	if err := scratch.decodeCapacity(&d); err != nil {
-		return err
+	return restore(data, llStateVersion, "landlord", l.decode)
+}
+
+// decodeState implements subroutineState.
+func (l *Landlord) decodeState(data []byte) (func(), error) {
+	return decodeBlob(data, llStateVersion, "landlord", l.decode)
+}
+
+// decode reads a Landlord blob after its version byte.
+func (l *Landlord) decode(d *statecodec.Decoder) func() {
+	decodeCapacity(d, l.name, l.cap)
+	inflation := decodeInflation(d, l.name)
+	contents := l.decodeContents(d)
+	return func() {
+		contents()
+		l.l = inflation
 	}
-	if err := scratch.decodeInflation(&d); err != nil {
-		return err
-	}
-	if err := scratch.decodeContents(&d); err != nil {
-		return err
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	l.greedyDual = scratch
-	return nil
 }
 
 // ---- SizeClassMarking ----
@@ -225,70 +252,93 @@ func (m *SizeClassMarking) SnapshotState() []byte {
 	e.I64(m.cap)
 	e.I64(m.phaseBypass)
 	e.I64(m.evictions)
-	entries := m.entries.sorted()
-	e.U64(uint64(len(entries)))
-	for _, ent := range entries {
-		putObject(&e, ent.v.obj)
-		e.Bool(ent.v.marked)
-	}
+	encodeCached(&e, m.entries.sorted(), func(ent slotEntry[*scmEntry]) Object { return ent.v.obj },
+		func(ent slotEntry[*scmEntry]) { e.Bool(ent.v.marked) })
 	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (m *SizeClassMarking) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(scmStateVersion, "size-class-marking")
-	capacity := d.I64()
-	if d.Err() == nil && capacity != m.cap {
-		return fmt.Errorf("core: size-class-marking snapshot capacity %d, configured %d", capacity, m.cap)
-	}
-	phaseBypass := d.I64()
-	evictions := d.I64()
-	var entries objTable[*scmEntry]
-	var used int64
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		obj := validObject(&d)
-		marked := d.Bool()
-		if d.Err() != nil {
-			break
-		}
-		if entries.find(obj) != nil {
-			return fmt.Errorf("core: duplicate cached object %s in size-class-marking state", obj.ID)
-		}
-		*entries.put(obj) = &scmEntry{obj: obj, marked: marked, class: sizeClass(obj.Size)}
-		used += obj.Size
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if used > m.cap {
-		return fmt.Errorf("core: size-class-marking snapshot uses %d bytes over capacity %d", used, m.cap)
-	}
-	m.entries = entries
-	m.used = used
-	m.phaseBypass = phaseBypass
-	m.evictions = evictions
-	return nil
+	return restore(data, scmStateVersion, "size-class-marking", m.decode)
 }
 
-// ---- OnlineBY ----
+// decodeState implements subroutineState.
+func (m *SizeClassMarking) decodeState(data []byte) (func(), error) {
+	return decodeBlob(data, scmStateVersion, "size-class-marking", m.decode)
+}
+
+// decode reads a size-class marking blob after its version byte.
+func (m *SizeClassMarking) decode(d *statecodec.Decoder) func() {
+	decodeCapacity(d, "size-class-marking", m.cap)
+	phaseBypass := d.I64()
+	evictions := d.I64()
+	entries, used := decodeCached(d, "size-class-marking", m.cap, func(obj Object) *scmEntry {
+		return &scmEntry{obj: obj, marked: d.Bool(), class: sizeClass(obj.Size)}
+	})
+	return func() {
+		m.entries = entries
+		m.used = used
+		m.phaseBypass = phaseBypass
+		m.evictions = evictions
+	}
+}
+
+// ---- OnlineBY and SpaceEffBY ----
+
+// subroutineState is an A_obj whose blob a wrapping policy reads with
+// its own, so that both commit together or neither does: decodeState is
+// its RestoreState without the commit, which it returns.
+type subroutineState interface {
+	decodeState(data []byte) (commit func(), err error)
+}
+
+// encodeSubroutine appends aobj's name and blob, reporting false when
+// aobj cannot be snapshotted.
+func encodeSubroutine(e *statecodec.Encoder, aobj ObjectCacher) bool {
+	ss, ok := aobj.(StateSnapshotter)
+	if !ok {
+		return false
+	}
+	sub := ss.SnapshotState()
+	if sub == nil {
+		return false
+	}
+	e.Str(aobj.Name())
+	e.Blob(sub)
+	return true
+}
+
+// decodeSubroutine reads what encodeSubroutine wrote, which must be
+// aobj's, and returns the commit of aobj's blob; what names the
+// wrapping policy.
+func decodeSubroutine(d *statecodec.Decoder, what string, aobj ObjectCacher) func() {
+	name, sub := d.Str(), d.Blob()
+	s, ok := aobj.(subroutineState)
+	switch {
+	case !ok:
+		d.Fail("core: %s subroutine %s cannot restore state", what, aobj.Name())
+	case d.Err() != nil:
+	case name != aobj.Name():
+		d.Fail("core: %s snapshot over subroutine %q, configured %q", what, name, aobj.Name())
+	default:
+		commit, err := s.decodeState(sub)
+		if err != nil {
+			d.Fail("%w", err)
+		}
+		return commit
+	}
+	return nil
+}
 
 // SnapshotState implements StateSnapshotter: the per-object BYU
 // accumulators plus the subroutine's own state blob. Returns nil when
 // the subroutine does not implement StateSnapshotter.
 func (o *OnlineBY) SnapshotState() []byte {
-	ss, ok := o.aobj.(StateSnapshotter)
-	if !ok {
-		return nil
-	}
-	sub := ss.SnapshotState()
-	if sub == nil {
-		return nil
-	}
 	var e statecodec.Encoder
 	e.U8(onlineStateVersion)
-	e.Str(o.aobj.Name())
-	e.Blob(sub)
+	if !encodeSubroutine(&e, o.aobj) {
+		return nil
+	}
 	encodeCounts(&e, &o.acc)
 	return e.Bytes()
 }
@@ -296,116 +346,15 @@ func (o *OnlineBY) SnapshotState() []byte {
 // RestoreState implements StateSnapshotter. The receiver must run the
 // same subroutine the snapshot was taken over.
 func (o *OnlineBY) RestoreState(data []byte) error {
-	ss, ok := o.aobj.(StateSnapshotter)
-	if !ok {
-		return fmt.Errorf("core: online-by subroutine %s cannot restore state", o.aobj.Name())
-	}
-	d := statecodec.NewDecoder(data)
-	d.Version(onlineStateVersion, "online-by")
-	name := d.Str()
-	if d.Err() == nil && name != o.aobj.Name() {
-		return fmt.Errorf("core: online-by snapshot over subroutine %q, configured %q", name, o.aobj.Name())
-	}
-	sub := d.Blob()
-	acc := decodeCounts(&d)
-	if err := d.Done(); err != nil {
-		return err
-	}
-	if err := ss.RestoreState(sub); err != nil {
-		return err
-	}
-	o.acc = acc
-	o.last = Explain{}
-	return nil
-}
-
-// ---- SpaceEffBY ----
-
-// SnapshotState implements StateSnapshotter for the randomized
-// algorithm's deterministic part: the subroutine's cache state. The
-// random stream is NOT captured — after a restore the policy draws
-// from its current generator, so decisions are statistically
-// equivalent but not bitwise identical to the uninterrupted run
-// (persist counts any divergence during WAL replay).
-func (s *SpaceEffBY) SnapshotState() []byte {
-	ss, ok := s.aobj.(StateSnapshotter)
-	if !ok {
-		return nil
-	}
-	sub := ss.SnapshotState()
-	if sub == nil {
-		return nil
-	}
-	var e statecodec.Encoder
-	e.U8(spaceStateVersion)
-	e.Str(s.aobj.Name())
-	e.Blob(sub)
-	return e.Bytes()
-}
-
-// RestoreState implements StateSnapshotter.
-func (s *SpaceEffBY) RestoreState(data []byte) error {
-	ss, ok := s.aobj.(StateSnapshotter)
-	if !ok {
-		return fmt.Errorf("core: space-eff-by subroutine %s cannot restore state", s.aobj.Name())
-	}
-	d := statecodec.NewDecoder(data)
-	d.Version(spaceStateVersion, "space-eff-by")
-	name := d.Str()
-	if d.Err() == nil && name != s.aobj.Name() {
-		return fmt.Errorf("core: space-eff-by snapshot over subroutine %q, configured %q", name, s.aobj.Name())
-	}
-	sub := d.Blob()
-	if err := d.Done(); err != nil {
-		return err
-	}
-	return ss.RestoreState(sub)
-}
-
-// ---- in-line policies (shared heap machinery) ----
-
-// encodeState appends the shared in-line cache state (heap items with
-// their priorities) to e.
-func (c *inlineCache) encodeState(e *statecodec.Encoder) {
-	e.I64(c.cap)
-	e.I64(c.evictions)
-	encodeHeap(e, c.heap)
-}
-
-// encodeHeap appends a cache's heap — its objects with their
-// utilities, in heap order, which decodeHeap rebuilds exactly.
-func encodeHeap(e *statecodec.Encoder, h *bheap.Heap[Object]) {
-	items := h.Items()
-	e.U64(uint64(len(items)))
-	for _, it := range items {
-		putObject(e, it.Value)
-		e.F64(it.Utility)
-	}
-}
-
-// decodeHeap reads what encodeHeap wrote: the heap, each object's item
-// and the bytes the objects occupy. what names the cache and utility its
-// utility, for errors.
-func decodeHeap(d *statecodec.Decoder, what, utility string) (*bheap.Heap[Object], objTable[*bheap.Item[Object]], int64, error) {
-	heap := bheap.New[Object](64)
-	var items objTable[*bheap.Item[Object]]
-	var used int64
-	for i, n := 0, d.Count(); i < n && d.Err() == nil; i++ {
-		obj := validObject(d)
-		u := d.F64()
-		if d.Err() != nil {
-			break
+	return restore(data, onlineStateVersion, "online-by", func(d *statecodec.Decoder) func() {
+		sub := decodeSubroutine(d, "online-by", o.aobj)
+		acc := decodeCounts(d)
+		return func() {
+			sub()
+			o.acc = acc
+			o.last = Explain{}
 		}
-		if math.IsNaN(u) {
-			return nil, items, 0, fmt.Errorf("core: %s snapshot has NaN %s for %s", what, utility, obj.ID)
-		}
-		if items.find(obj) != nil {
-			return nil, items, 0, fmt.Errorf("core: %s snapshot: duplicate object %s", what, obj.ID)
-		}
-		*items.put(obj) = heap.Push(u, obj)
-		used += obj.Size
-	}
-	return heap, items, used, d.Err()
+	})
 }
 
 // encodeCounts appends a per-object count, in id order.
@@ -428,104 +377,107 @@ func decodeCounts(d *statecodec.Decoder) objTable[int64] {
 	return t
 }
 
-// decodeState replaces the shared in-line cache state from d. The
-// caller finishes with d.Done().
-func (c *inlineCache) decodeState(d *statecodec.Decoder) error {
-	if err := c.decodeCapacity(d); err != nil {
-		return err
+// SnapshotState implements StateSnapshotter for the randomized
+// algorithm's deterministic part: the subroutine's cache state. The
+// random stream is NOT captured — after a restore the policy draws
+// from its current generator, so decisions are statistically
+// equivalent but not bitwise identical to the uninterrupted run
+// (persist counts any divergence during WAL replay).
+func (s *SpaceEffBY) SnapshotState() []byte {
+	var e statecodec.Encoder
+	e.U8(spaceStateVersion)
+	if !encodeSubroutine(&e, s.aobj) {
+		return nil
 	}
-	return c.decodeContents(d)
+	return e.Bytes()
 }
 
-// decodeCapacity reads a snapshot's capacity, which must be c's.
-func (c *inlineCache) decodeCapacity(d *statecodec.Decoder) error {
-	capacity := d.I64()
-	if d.Err() == nil && capacity != c.cap {
-		return fmt.Errorf("core: %s snapshot capacity %d, configured %d", c.name, capacity, c.cap)
-	}
-	return nil
+// RestoreState implements StateSnapshotter.
+func (s *SpaceEffBY) RestoreState(data []byte) error {
+	return restore(data, spaceStateVersion, "space-eff-by", func(d *statecodec.Decoder) func() {
+		return decodeSubroutine(d, "space-eff-by", s.aobj)
+	})
 }
 
-// decodeContents replaces c's evictions and heap from d.
-func (c *inlineCache) decodeContents(d *statecodec.Decoder) error {
+// ---- in-line policies (shared heap machinery) ----
+
+// encodeHeap appends a cache's heap — its objects with their
+// utilities, in heap order, which decodeContents rebuilds exactly.
+func encodeHeap(e *statecodec.Encoder, h *bheap.Heap[Object]) {
+	encodeCached(e, h.Items(), func(it *bheap.Item[Object]) Object { return it.Value },
+		func(it *bheap.Item[Object]) { e.F64(it.Utility) })
+}
+
+// decodeContents reads an in-line cache's evictions and heap, and
+// returns the commit that installs them in c.
+func (c *inlineCache) decodeContents(d *statecodec.Decoder) func() {
 	evictions := d.I64()
-	heap, items, used, err := decodeHeap(d, c.name, "priority")
-	if err != nil {
-		return err
+	heap := bheap.New[Object](64)
+	items, used := decodeCached(d, c.name, c.cap, func(obj Object) *bheap.Item[Object] {
+		u := d.F64()
+		if d.Err() == nil && math.IsNaN(u) {
+			d.Fail("core: %s snapshot has NaN priority for %s", c.name, obj.ID)
+		}
+		return heap.Push(u, obj)
+	})
+	return func() {
+		c.heap, c.items = heap, items
+		c.used = used
+		c.evictions = evictions
 	}
-	if used > c.cap {
-		return fmt.Errorf("core: %s snapshot uses %d bytes over capacity %d", c.name, used, c.cap)
-	}
-	c.heap, c.items = heap, items
-	c.used = used
-	c.evictions = evictions
-	return nil
 }
 
-// encodeState appends GreedyDual-Size's state: the in-line cache's,
-// then the inflation value L. GDS writes it; Landlord, whose blob
-// predates the shared code, writes L before the heap.
-func (g *greedyDual) encodeState(e *statecodec.Encoder) {
-	g.inlineCache.encodeState(e)
-	e.F64(g.l)
-}
-
-// decodeState replaces g's state from what encodeState wrote.
-func (g *greedyDual) decodeState(d *statecodec.Decoder) error {
-	if err := g.inlineCache.decodeState(d); err != nil {
-		return err
+// decodeInflation reads a GreedyDual-Size inflation value L.
+func decodeInflation(d *statecodec.Decoder, what string) float64 {
+	l := d.F64()
+	if d.Err() == nil && math.IsNaN(l) {
+		d.Fail("core: %s snapshot has NaN inflation value", what)
 	}
-	return g.decodeInflation(d)
-}
-
-// decodeInflation replaces g's inflation value L from d.
-func (g *greedyDual) decodeInflation(d *statecodec.Decoder) error {
-	g.l = d.F64()
-	if d.Err() == nil && math.IsNaN(g.l) {
-		return fmt.Errorf("core: %s snapshot has NaN inflation value", g.name)
-	}
-	return nil
+	return l
 }
 
 // SnapshotState implements StateSnapshotter.
 func (l *LRU) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(lruStateVersion)
-	l.encodeState(&e)
+	e.I64(l.cap)
+	e.I64(l.evictions)
+	encodeHeap(&e, l.heap)
 	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (l *LRU) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(lruStateVersion, "lru")
-	if err := l.decodeState(&d); err != nil {
-		return err
-	}
-	return d.Done()
+	return restore(data, lruStateVersion, "lru", func(d *statecodec.Decoder) func() {
+		decodeCapacity(d, l.name, l.cap)
+		return l.decodeContents(d)
+	})
 }
 
-// SnapshotState implements StateSnapshotter.
+// SnapshotState implements StateSnapshotter: the in-line cache's state,
+// then L, which Landlord, whose blob predates the shared code, writes
+// before the heap.
 func (g *GDS) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(gdsStateVersion)
-	g.encodeState(&e)
+	e.I64(g.cap)
+	e.I64(g.evictions)
+	encodeHeap(&e, g.heap)
+	e.F64(g.l)
 	return e.Bytes()
 }
 
 // RestoreState implements StateSnapshotter.
 func (g *GDS) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(gdsStateVersion, "gds")
-	scratch := g.greedyDual
-	if err := scratch.decodeState(&d); err != nil {
-		return err
-	}
-	if err := d.Done(); err != nil {
-		return err
-	}
-	g.greedyDual = scratch
-	return nil
+	return restore(data, gdsStateVersion, "gds", func(d *statecodec.Decoder) func() {
+		decodeCapacity(d, g.name, g.cap)
+		contents := g.decodeContents(d)
+		inflation := decodeInflation(d, g.name)
+		return func() {
+			contents()
+			g.l = inflation
+		}
+	})
 }
 
 // ---- NoCache ----
@@ -537,7 +489,5 @@ func (NoCache) SnapshotState() []byte { return []byte{noneStateVersion} }
 
 // RestoreState implements StateSnapshotter.
 func (NoCache) RestoreState(data []byte) error {
-	d := statecodec.NewDecoder(data)
-	d.Version(noneStateVersion, "no-cache")
-	return d.Done()
+	return restore(data, noneStateVersion, "no-cache", func(*statecodec.Decoder) func() { return func() {} })
 }

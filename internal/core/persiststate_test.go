@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -212,8 +214,8 @@ func TestRateProfileEpisodeStateSurvives(t *testing.T) {
 
 // TestRestoreStateRejectsCorrupt drives malformed blobs through every
 // policy decoder: truncations, trailing garbage, bit flips, and
-// configuration mismatches must return an error (never panic) and
-// leave the receiver usable.
+// configuration mismatches must return an error (never panic), leave
+// the receiver's state byte for byte as it was, and leave it usable.
 func TestRestoreStateRejectsCorrupt(t *testing.T) {
 	objs := persistTestUniverse()
 	byID := objMap(objs...)
@@ -228,12 +230,18 @@ func TestRestoreStateRejectsCorrupt(t *testing.T) {
 
 			check := func(label string, data []byte) {
 				t.Helper()
-				fresh, _ := NewPolicyByName(name, capacity, 1)
-				if err := fresh.(StateSnapshotter).RestoreState(data); err == nil {
+				// A receiver with state of its own, from another trace.
+				recv, _ := NewPolicyByName(name, capacity, 1)
+				driveTrace(t, recv, byID, randomTrace(rand.New(rand.NewSource(3)), objs, 100, 1.0))
+				before := recv.(StateSnapshotter).SnapshotState()
+				if err := recv.(StateSnapshotter).RestoreState(data); err == nil {
 					t.Fatalf("%s: corrupt blob accepted", label)
 				}
+				if after := recv.(StateSnapshotter).SnapshotState(); !bytes.Equal(after, before) {
+					t.Fatalf("%s (%d bytes): a refused blob changed the receiver's state", label, len(data))
+				}
 				// The receiver must stay usable after a rejected restore.
-				fresh.Access(1, objs[0], 10)
+				recv.Access(1, objs[0], 10)
 			}
 
 			for cut := 1; cut < len(blob); cut += 7 {
@@ -323,5 +331,24 @@ func TestRestoreRefusesDuplicateObjects(t *testing.T) {
 		if err := c.policy.RestoreState(c.blob(1)); err != nil {
 			t.Errorf("%s: a blob caching %s once: %v", c.name, a.ID, err)
 		}
+	}
+}
+
+// TestRestoreRefusesSizesPastCapacity: a blob whose objects' sizes sum
+// past the largest int64 is refused, not wrapped below the capacity and
+// adopted with a negative Used.
+func TestRestoreRefusesSizesPastCapacity(t *testing.T) {
+	e := &statecodec.Encoder{}
+	e.U8(lruStateVersion)
+	e.I64(1000)
+	e.I64(0)
+	e.U64(2)
+	for _, id := range []string{"a", "b"} {
+		putObject(e, testObj(id, math.MaxInt64/2+1))
+		e.F64(1)
+	}
+	l := NewLRU(1000)
+	if err := l.RestoreState(e.Bytes()); err == nil || !strings.Contains(err.Error(), "over capacity") {
+		t.Fatalf("a blob of %d bytes in a 1000-byte cache restored (%v); Used = %d", uint64(math.MaxInt64)+1, err, l.Used())
 	}
 }

@@ -652,3 +652,21 @@ func TestLARTyingVictimsIsBypassed(t *testing.T) {
 		}
 	}
 }
+
+// TestExactFitLoadsIntoFreeSpace: an object exactly as large as an empty
+// cache needs no victims, so once its LAR is positive it loads because
+// it fits in free space, not because it beats victims.
+func TestExactFitLoadsIntoFreeSpace(t *testing.T) {
+	r := NewRateProfile(RateProfileConfig{Capacity: 100})
+	a := testObj("a", 100)
+	for i := int64(1); i <= 50; i++ {
+		if r.Access(i, a, 90) != Load {
+			continue
+		}
+		if ex := r.LastExplain(); ex.Reason != ReasonFitsFree {
+			t.Fatalf("access %d loads with reason %s, want %s", i, ex.Reason, ReasonFitsFree)
+		}
+		return
+	}
+	t.Fatal("the object never loaded in 50 accesses")
+}

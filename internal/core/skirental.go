@@ -17,9 +17,6 @@ type SkiRental struct {
 // Bought reports whether the purchase has been made.
 func (s *SkiRental) Bought() bool { return s.bought }
 
-// Paid reports the total rental cost paid so far.
-func (s *SkiRental) Paid() float64 { return s.paid }
-
 // Trip presents the next trip with the given rental cost and returns
 // the action taken: true means buy (the trip and all future trips are
 // free), false means rent at the given cost. Once bought, all

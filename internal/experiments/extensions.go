@@ -70,7 +70,6 @@ func (s *Suite) XScale() (*Table, error) {
 		return nil, err
 	}
 	capacity := int64(s.CachePct * float64(dbBytes)) // sized for ONE archive
-	episodes := core.EpisodeConfig{K: 60}
 
 	t := &Table{
 		ID:    "xscale",
@@ -91,7 +90,7 @@ func (s *Suite) XScale() (*Table, error) {
 			name string
 			p    core.Policy
 		}{
-			{"rp", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: episodes})},
+			{"rp", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: figureEpisodes})},
 			{"ob", core.NewOnlineBY(core.NewLandlord(capacity))},
 			{"gds", core.NewGDS(capacity)},
 		} {
@@ -161,7 +160,6 @@ func (s *Suite) XView() (*Table, error) {
 		Columns: []string{"cache%", "granularity", "WAN(GB)", "loads", "evictions",
 			"byte-hit-rate"},
 	}
-	episodes := core.EpisodeConfig{K: 60}
 	for _, pct := range []int{5, 10, 20, 40} {
 		for _, g := range []federation.Granularity{federation.Tables, federation.Columns, federation.Views} {
 			reqs, err := s.requests("edr", g)
@@ -173,7 +171,7 @@ func (s *Suite) XView() (*Table, error) {
 				return nil, err
 			}
 			capacity := dbBytes * int64(pct) / 100
-			p := core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: episodes})
+			p := core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: figureEpisodes})
 			res, err := s.simulate(p, reqs, objs, 0)
 			if err != nil {
 				return nil, err
@@ -259,7 +257,7 @@ func (s *Suite) XSem() (*Table, error) {
 			}
 		}
 		res, err := s.simulate(core.NewRateProfile(core.RateProfileConfig{
-			Capacity: capacity, Episodes: core.EpisodeConfig{K: 60},
+			Capacity: capacity, Episodes: figureEpisodes,
 		}), reqs, objs, 0)
 		if err != nil {
 			return nil, err
@@ -302,9 +300,8 @@ func (s *Suite) XHier() (*Table, error) {
 		return nil, err
 	}
 	medCap := int64(s.CachePct * float64(dbBytes))
-	episodes := core.EpisodeConfig{K: 60}
 	mkRP := func(c int64) core.Policy {
-		return core.NewRateProfile(core.RateProfileConfig{Capacity: c, Episodes: episodes})
+		return core.NewRateProfile(core.RateProfileConfig{Capacity: c, Episodes: figureEpisodes})
 	}
 
 	t := &Table{
@@ -391,13 +388,12 @@ func (s *Suite) XNet() (*Table, error) {
 		Title:   "Non-uniform network (spec 3x, meta 2x): BYHR vs cost-blind BYU",
 		Columns: []string{"policy", "WAN-cost(GB)", "bypass(GB)", "fetch(GB)"},
 	}
-	episodes := core.EpisodeConfig{K: 60}
 	mk := []struct {
 		name string
 		p    core.Policy
 	}{
-		{"rate-profile (BYHR)", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: episodes})},
-		{"rate-profile (cost-blind)", costBlind{core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: episodes})}},
+		{"rate-profile (BYHR)", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: figureEpisodes})},
+		{"rate-profile (cost-blind)", costBlind{core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: figureEpisodes})}},
 		{"online-by (BYHR)", core.NewOnlineBY(core.NewLandlord(capacity))},
 		{"online-by (cost-blind)", costBlind{core.NewOnlineBY(core.NewLandlord(capacity))}},
 		{"gds", core.NewGDS(capacity)},

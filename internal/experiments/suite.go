@@ -146,19 +146,21 @@ type policySet struct {
 	mk   func(capacity int64, reqs []core.Request, objs map[core.ObjectID]core.Object) core.Policy
 }
 
+// figureEpisodes is the episode configuration of every figure's
+// Rate-Profile: idle horizon k = 60 rather than the paper's 1000. k must
+// sit below the workload's burst cadence to separate episodes (the paper
+// notes its parameters "have not been tuned carefully" and that results
+// are robust to parameterization; its k = 1000 reflects its own trace's
+// gaps). examples/policylab ablates k. core.NewPolicyByName leaves k at
+// the paper's 1000, so byproxyd and the bench/ workloads run another
+// Rate-Profile than the figures report (ROADMAP item 23).
+var figureEpisodes = core.EpisodeConfig{K: 60}
+
 // bypassYieldPolicies are the paper's three algorithms.
-//
-// Rate-Profile runs with episode idle horizon k = 60 rather than the
-// paper's 1000: k must sit below the workload's burst cadence to
-// separate episodes (the paper notes its parameters "have not been
-// tuned carefully" and that results are robust to parameterization;
-// its k = 1000 reflects its own trace's gaps). examples/policylab
-// ablates k.
 func bypassYieldPolicies() []policySet {
-	episodes := core.EpisodeConfig{K: 60}
 	return []policySet{
 		{"Rate-Profile", func(c int64, _ []core.Request, _ map[core.ObjectID]core.Object) core.Policy {
-			return core.NewRateProfile(core.RateProfileConfig{Capacity: c, Episodes: episodes})
+			return core.NewRateProfile(core.RateProfileConfig{Capacity: c, Episodes: figureEpisodes})
 		}},
 		{"OnlineBY", func(c int64, _ []core.Request, _ map[core.ObjectID]core.Object) core.Policy {
 			return core.NewOnlineBY(core.NewLandlord(c))

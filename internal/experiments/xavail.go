@@ -25,7 +25,6 @@ func (s *Suite) XAvail() (*Table, error) {
 		return nil, err
 	}
 	capacity := int64(s.CachePct * float64(dbBytes))
-	episodes := core.EpisodeConfig{K: 60}
 	const downSite = catalog.SiteSpec
 	const windows = 4
 
@@ -51,7 +50,7 @@ func (s *Suite) XAvail() (*Table, error) {
 			name string
 			p    core.Policy
 		}{
-			{"rate-profile", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: episodes})},
+			{"rate-profile", core.NewRateProfile(core.RateProfileConfig{Capacity: capacity, Episodes: figureEpisodes})},
 			{"no-cache", core.NewNoCache()},
 		} {
 			var acct core.Accounting

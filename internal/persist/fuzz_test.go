@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -113,6 +114,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-3] ^= 0x40
 	f.Add(flipped)
+	// A genuine LRU blob with one byte appended, which every decoder
+	// must refuse without a change.
+	lru, err := core.NewPolicyByName("lru", 1<<20, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, id := range []core.ObjectID{"a", "b", "c", "d"} {
+		lru.Access(int64(i+1), objs[id], objs[id].Size)
+	}
+	trailing := st
+	trailing.PolicyName = "lru"
+	trailing.PolicyBlob = append(lru.(core.StateSnapshotter).SnapshotState(), 0xFF)
+	f.Add(encodeSnapshotFrame(trailing, created))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, _, err := decodeSnapshotFrame(data)
@@ -123,8 +137,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		// relies on must still be checkable without overflow panics.
 		_ = st.Acct.DeliveredBytes()
 		// Any blob that decoded is fed to every policy decoder; each
-		// must either accept it or reject it cleanly — and stay usable
-		// either way.
+		// must either accept it or reject it cleanly — a refused blob
+		// changing nothing — and stay usable either way.
 		for _, name := range fuzzPolicies {
 			p, err := core.NewPolicyByName(name, 1<<20, 2)
 			if err != nil {
@@ -134,7 +148,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 			if !ok {
 				t.Fatalf("policy %s lost its StateSnapshotter", name)
 			}
-			_ = ss.RestoreState(st.PolicyBlob)
+			fresh := ss.SnapshotState()
+			if err := ss.RestoreState(st.PolicyBlob); err != nil && !bytes.Equal(ss.SnapshotState(), fresh) {
+				t.Fatalf("policy %s refused the blob (%v) but its state changed", name, err)
+			}
 			o := core.Object{ID: "probe", Size: 100, FetchCost: 300, Site: "s"}
 			if d := p.Access(1, o, 50); d < core.Hit || d > core.Load {
 				t.Fatalf("policy %s returned invalid decision %d after restore attempt", name, d)

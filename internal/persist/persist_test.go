@@ -390,6 +390,50 @@ func TestPolicyChangeColdStarts(t *testing.T) {
 	}
 }
 
+// TestRefusedPolicyBlobStartsCold: a snapshot whose policy blob the
+// policy refuses (here a real LRU blob with one byte appended) is
+// skipped, and the start is cold in full: the cache holds nothing of
+// the refused snapshot, so what the mediator reports is what it serves
+// from.
+func TestRefusedPolicyBlobStartsCold(t *testing.T) {
+	dir := t.TempDir()
+	capacity := catalog.EDR().TotalBytes() / 2
+
+	med1, _ := newTestMediator(t, "lru", capacity)
+	driveQueries(t, med1, 20)
+	st, err := med1.SnapshotState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if med1.Policy().Used() == 0 {
+		t.Fatal("the driven LRU caches nothing; test is vacuous")
+	}
+	st.PolicyBlob = append(append([]byte(nil), st.PolicyBlob...), 0xFF)
+	frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
+	if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	med2, reg2 := newTestMediator(t, "lru", capacity)
+	m2, err := Open(testConfig(dir, reg2), med2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	rec := m2.Recovery()
+	if rec.Warm {
+		t.Fatal("a refused policy blob must cold start")
+	}
+	if len(rec.Skipped) != 1 || !strings.Contains(rec.Skipped[0], "trailing bytes") {
+		t.Fatalf("skipped %q; want the one snapshot, refused for its trailing bytes", rec.Skipped)
+	}
+	if used := med2.Policy().Used(); used != 0 {
+		t.Fatalf("cold start holds %d bytes of the refused snapshot", used)
+	}
+	driveQueries(t, med2, 3)
+	checkInvariant(t, med2, reg2)
+}
+
 func TestGCKeepsTwoGenerations(t *testing.T) {
 	dir := t.TempDir()
 	capacity := catalog.EDR().TotalBytes() / 2

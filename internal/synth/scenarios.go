@@ -8,8 +8,9 @@ import (
 )
 
 // Canned returns a named built-in scenario, or an error naming the
-// choices. The canned set is the standard suite the ROADMAP asks
-// every perf PR to measure against:
+// choices. The canned set is the load shapes `by synth -scenario`
+// drives against a live proxy; a performance change is measured by the
+// federation benchmark's workloads under bench/, not by these:
 //
 //   - steady: one constant-rate slot; the baseline latency histogram.
 //   - rampx4: a warm plateau, then a linear ramp to 4× — where the

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"bypassyield/internal/core"
+	"bypassyield/internal/obs"
 )
 
 // Access is a per-object share of a query's yield.
@@ -53,25 +54,11 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Read parses JSON-line records until EOF.
+// Read parses JSON-line records until EOF (obs.ReadJSONL: blank lines
+// are skipped, a malformed line is an error naming its position).
 func Read(r io.Reader) ([]Record, error) {
-	var recs []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
+	recs, err := obs.ReadJSONL[Record](r)
+	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return recs, nil
