@@ -105,7 +105,9 @@ crash:
 # return what the reference evaluator returns — and parse, fail and
 # answer the same in a serving connection's reused, scrambled memory as
 # in memory of its own (FuzzParse, FuzzExecute), as a reply must decode
-# the same into a Client's store as into nothing (FuzzDecodeResult).
+# the same into a Client's store as into nothing, and a proxy's check of
+# a reply it relays undecoded must accept exactly what decodes and
+# forward it as the decoded reply would be encoded (FuzzDecodeResult).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/wire/

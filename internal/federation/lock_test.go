@@ -1,6 +1,7 @@
 package federation_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -48,34 +49,67 @@ func TestQueriesWaitForTheLockAwake(t *testing.T) {
 
 // sleepyJournal holds the decision lock a millisecond per access, far
 // past any budget a waiter spends awake, and keeps what it was handed in
-// the order it was handed it.
-type sleepyJournal struct{ recs []federation.JournalRecord }
-
-func (j *sleepyJournal) JournalAccess(r federation.JournalRecord) {
-	time.Sleep(time.Millisecond)
-	j.recs = append(j.recs, r)
+// the order it was handed it, and when each hold ended: holdEnd[Seq] is
+// read once the query's last access has been journaled, under the lock.
+// Before the first access of all it holds the lock until waiters queries
+// are waiting for it, and notes when they all were (allAsked): each of
+// them asked for the lock before then.
+type sleepyJournal struct {
+	waiters  int
+	recs     []federation.JournalRecord
+	holdEnd  map[int64]time.Time
+	allAsked time.Time // zero when the waiters never all asked
 }
 
-// TestLongHoldsAreSleptThrough: a hold a waiter cannot outwait. Eight
-// callers start together against a journal that sleeps under the lock;
+func (j *sleepyJournal) JournalAccess(r federation.JournalRecord) {
+	if len(j.recs) == 0 {
+		for give := time.Now().Add(10 * time.Second); time.Now().Before(give); time.Sleep(50 * time.Microsecond) {
+			if waitingForLock() == j.waiters {
+				j.allAsked = time.Now()
+				break
+			}
+		}
+	}
+	time.Sleep(time.Millisecond)
+	j.recs = append(j.recs, r)
+	j.holdEnd[r.T] = time.Now()
+}
+
+// waitingForLock counts the goroutines waiting for a mediator's decision
+// lock, awake or asleep: those inside lockDecision, which a query enters
+// once it has taken the time its wait is counted from.
+func waitingForLock() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("federation.(*Mediator).lockDecision("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestLongHoldsAreSleptThrough: a hold a waiter cannot outwait. Sixteen
+// callers start together against a journal that sleeps under the lock,
+// and whose first hold lasts until the other fifteen are waiting for it;
 // on one P and on two they all finish, having parked (a wait longer
 // than the budget ends in Lock), the journal saw the decisions in Seq
 // order, Σ decision yields = D_A, and each report's LockWaitUS covers
-// the whole wait, awake and asleep.
+// the whole wait, awake and asleep: from its request to the end of the
+// hold before its own.
 func TestLongHoldsAreSleptThrough(t *testing.T) {
-	const callers, each = 8, 2
+	const callers = 16
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			m, sqls, stmts := benchFederation(t)
-			j := &sleepyJournal{}
+			// Fresh Scratches from the pool, not used ones: making one of
+			// those mediates on a federation of its own, in its lockDecision.
+			zeroScratch(t)
+			j := &sleepyJournal{waiters: callers - 1, holdEnd: map[int64]time.Time{}}
 			m.SetJournal(j)
 
-			type timed struct {
-				rep     *federation.QueryReport
-				elapsed time.Duration
-			}
-			done := make([][]timed, callers)
+			all := make([]*federation.QueryReport, callers)
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for c := 0; c < callers; c++ {
@@ -83,15 +117,12 @@ func TestLongHoldsAreSleptThrough(t *testing.T) {
 				go func(c int) {
 					defer wg.Done()
 					<-start
-					for i := c * each; i < (c+1)*each; i++ {
-						t0 := time.Now()
-						rep, err := m.QueryStmt(sqls[i], stmts[i])
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						done[c] = append(done[c], timed{rep, time.Since(t0)})
+					rep, err := m.QueryStmt(sqls[c], stmts[c])
+					if err != nil {
+						t.Error(err)
+						return
 					}
+					all[c] = rep
 				}(c)
 			}
 			close(start)
@@ -99,16 +130,14 @@ func TestLongHoldsAreSleptThrough(t *testing.T) {
 			if t.Failed() {
 				t.FailNow()
 			}
-
-			var all []timed
-			for _, d := range done {
-				all = append(all, d...)
+			if j.allAsked.IsZero() {
+				t.Fatalf("the first hold never found the other %d queries waiting for the lock", j.waiters)
 			}
-			sort.Slice(all, func(a, b int) bool { return all[a].rep.Seq < all[b].rep.Seq })
+
+			sort.Slice(all, func(a, b int) bool { return all[a].Seq < all[b].Seq })
 			var yields int64
 			parked, k := 0, 0
-			for i, q := range all {
-				rep := q.rep
+			for i, rep := range all {
 				if rep.Seq != int64(i+1) {
 					t.Fatalf("report %d has Seq %d", i, rep.Seq)
 				}
@@ -126,13 +155,18 @@ func TestLongHoldsAreSleptThrough(t *testing.T) {
 				if rep.LockWaitUS >= federation.LockSpin.Microseconds() {
 					parked++
 				}
-				// What the caller saw beyond the phases the report times is
-				// microseconds of bookkeeping; a wait timed only until the
-				// waiter gave up and slept would leave a hold or more.
-				untimed := q.elapsed - time.Duration(rep.ExecUS+rep.LockWaitUS+rep.DecideUS)*time.Microsecond
-				if untimed > 5*time.Millisecond {
-					t.Errorf("Seq %d took %v, of which exec %d + wait %d + decide %d µs leave %v unaccounted",
-						rep.Seq, q.elapsed, rep.ExecUS, rep.LockWaitUS, rep.DecideUS, untimed)
+				// Every query but the first holder's asked for the lock by
+				// allAsked and could not have it before the hold before its
+				// own ended: its wait must reach that end. A wait timed only
+				// until the waiter gave up and slept falls a hold or more
+				// short. LockWaitUS is cut to a whole microsecond, which is
+				// all the slack given.
+				if i > 0 {
+					held := j.holdEnd[rep.Seq-1].Sub(j.allAsked)
+					if timed := time.Duration(rep.LockWaitUS+1) * time.Microsecond; timed < held {
+						t.Errorf("Seq %d was waiting for the lock %v before the hold before its own ended, and its wait reads %d µs",
+							rep.Seq, held, rep.LockWaitUS)
+					}
 				}
 			}
 			if k != len(j.recs) {
@@ -141,7 +175,7 @@ func TestLongHoldsAreSleptThrough(t *testing.T) {
 			if acct := m.Accounting(); yields != acct.YieldBytes {
 				t.Fatalf("Σ decision yields = %d, D_A = %d", yields, acct.YieldBytes)
 			}
-			// The first holder sleeps at least a millisecond with seven
+			// The first holder sleeps at least a millisecond with fifteen
 			// callers behind it: each of them outlasts the budget.
 			if parked < callers-1 {
 				t.Fatalf("%d of %d queries waited past the %v budget, want at least %d", parked, len(all), federation.LockSpin, callers-1)

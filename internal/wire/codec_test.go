@@ -29,6 +29,42 @@ var hardFloats = []float64{
 	math.MaxFloat64, 1.000123,
 }
 
+// TestFloatLoopMatchesCopy: the float helpers' loop, which a host whose
+// float64 is not laid out as the wire's takes, writes and reads the bytes
+// the copy does on this host, hard floats and random bit patterns alike,
+// in runs from none to one past the 2 816 floats of a `select *` reply
+// from photoobj.
+func TestFloatLoopMatchesCopy(t *testing.T) {
+	if !floatsAreWire {
+		t.Skip("this host has the loop alone")
+	}
+	r := rand.New(rand.NewSource(56))
+	fs := append([]float64(nil), hardFloats...)
+	for len(fs) < 2817 {
+		fs = append(fs, math.Float64frombits(r.Uint64()))
+	}
+	for _, n := range []int{0, 1, 2, 7, len(hardFloats), 24, 2816, 2817} {
+		run := fs[:n]
+		copied := appendFloats([]byte{0xab}, run)
+		copiedBack := make([]float64, n)
+		getFloats(copiedBack, copied[1:])
+		floatsAreWire = false
+		looped := appendFloats([]byte{0xab}, run)
+		loopedBack := make([]float64, n)
+		getFloats(loopedBack, looped[1:])
+		floatsAreWire = true
+		if !bytes.Equal(copied, looped) {
+			t.Fatalf("%d floats: the copy writes\n%x\nthe loop\n%x", n, copied, looped)
+		}
+		for i, v := range run {
+			if b := math.Float64bits(v); math.Float64bits(copiedBack[i]) != b || math.Float64bits(loopedBack[i]) != b {
+				t.Fatalf("%d floats: float %d, %016x, reads back %016x by the copy and %016x by the loop",
+					n, i, b, math.Float64bits(copiedBack[i]), math.Float64bits(loopedBack[i]))
+			}
+		}
+	}
+}
+
 // bulkResult is the 64×24 result of the benchmark's codec loop
 // (bench/trace.go syntheticResult), with or without its decisions.
 func bulkResult(tuples, cols int, decisions bool) *ResultMsg {

@@ -7,6 +7,9 @@
 // 1-byte message type, then the payload. Result tuples are bounded
 // (engine.Config.MaxResultRows), so frames stay small; the paper's
 // gigabyte-scale flows are accounted logically (see the Proxy type).
+// A node's reply that the proxy relays to its client is checked as it
+// would be decoded, and its tuples and columns are forwarded as the node
+// encoded them, never decoded at the proxy (see Proxy.relay).
 //
 // The two payloads on the query path, MsgQuery and MsgResult, are
 // binary (protocol 3). Every other message — errors, fetches, pings
@@ -56,6 +59,7 @@ import (
 	"io"
 	"math"
 	"sync"
+	"unsafe"
 )
 
 // MsgType identifies a frame's payload.
@@ -328,7 +332,9 @@ func Decode(body []byte, dst any) error {
 }
 
 // decodeInto is Decode with a *ResultMsg's slices cut from st, which
-// the caller keeps: dst is then valid until st is decoded into again.
+// the caller keeps: dst is then valid until st is decoded into again. A
+// *relayed keeps the body's tuples and columns undecoded (relayed.keep),
+// and needs no st.
 func decodeInto(body []byte, dst any, st *resultStore) error {
 	var err error
 	switch m := dst.(type) {
@@ -336,6 +342,8 @@ func decodeInto(body []byte, dst any, st *resultStore) error {
 		err = m.decodeBinary(body)
 	case *ResultMsg:
 		err = m.decodeBinary(body, st)
+	case *relayed:
+		err = m.keep(body)
 	default:
 		err = json.Unmarshal(body, dst)
 	}
@@ -376,9 +384,10 @@ type cursor struct {
 	b []byte
 	// Where strings are read, either names, which each is looked up in,
 	// or s, which is string(b) and each is cut from: one allocation for
-	// all.
+	// all; or, when skip is set, nowhere: a check reads past them.
 	names names
 	s     string
+	skip  bool
 	off   int
 	err   error
 }
@@ -445,16 +454,47 @@ func (c *cursor) str() string {
 	n := c.count(1)
 	off := c.off
 	c.off += n
-	if c.names != nil {
+	switch {
+	case c.skip:
+		return ""
+	case c.names != nil:
 		return c.names.get(c.b[off:c.off])
 	}
 	return c.s[off:c.off]
 }
 
-// floats fills dst, whose length the caller took from count(8·…).
-func (c *cursor) floats(dst []float64) {
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off+8*i:]))
-	}
-	c.off += 8 * len(dst)
+// floats returns the next n float64s as they lie on the wire; the caller
+// took n from count(8·…).
+func (c *cursor) floats(n int) []byte {
+	off := c.off
+	c.off += 8 * n
+	return c.b[off:c.off]
 }
+
+// appendFloats appends fs in their wire layout, and getFloats fills dst
+// from b, which holds len(dst) floats in it. On a little-endian host the
+// wire layout is a float64's own, so each moves one run of bytes; other
+// hosts convert float by float.
+func appendFloats(b []byte, fs []float64) []byte {
+	if floatsAreWire {
+		return append(b, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(fs))), 8*len(fs))...)
+	}
+	for _, v := range fs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+func getFloats(dst []float64, b []byte) {
+	if floatsAreWire {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), b)
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+}
+
+// floatsAreWire is whether this host lays a float64 out as the wire does:
+// its IEEE-754 bits, little-endian.
+var floatsAreWire = binary.NativeEndian.Uint16([]byte{1, 0}) == 1

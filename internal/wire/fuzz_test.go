@@ -228,7 +228,10 @@ func footprint(m *ResultMsg) int {
 // message. A Client's way of decoding — slices from a store it keeps,
 // strings from the store's names — must accept, refuse and read a body
 // as Decode does, the first time and from the names the first time left,
-// and hold nothing of the buffer the body arrived in.
+// and hold nothing of the buffer the body arrived in; so must a relay's
+// check, which decodes nothing and keeps the tuples and columns as they
+// arrived, and what it forwards must be what the decoded result encodes
+// to (checkForwarded).
 func FuzzDecodeResult(f *testing.F) {
 	body := func(t MsgType, payload any) []byte { return encodeFrame(f, t, payload)[frameHeader:] }
 	f.Add([]byte{})
@@ -281,12 +284,26 @@ func checkDecode(t *testing.T, data []byte) {
 			t.Fatalf("pass %d: Decode reads %+v, a Client's store %+v", pass, res, kept)
 		}
 	}
+	// A relay's check is the same walk keeping nothing but the tuples and
+	// columns, undecoded: it accepts exactly what Decode accepts.
+	var relay relayed
+	buf := append([]byte(nil), data...)
+	if rerr := relay.keep(buf); (rerr == nil) != (err == nil) {
+		t.Fatalf("Decode says %v, a relay's check %v", err, rerr)
+	}
+	for i := range buf {
+		buf[i] = 0xff // the next Read overwrites the frame buffer
+	}
 	if err != nil {
 		if !reflect.DeepEqual(res, ResultMsg{}) {
 			t.Fatalf("a refused body left %+v behind", res)
 		}
+		if !reflect.DeepEqual(relay, relayed{}) {
+			t.Fatalf("a refused body left %+v kept", relay)
+		}
 		return
 	}
+	checkForwarded(t, data, &res, &relay)
 	// Row headers are the widest thing a byte can buy: 24 bytes for
 	// a ragged tuple of width 0, one byte on the wire.
 	if held := footprint(&res); held > 24*len(data) {
@@ -295,6 +312,32 @@ func checkDecode(t *testing.T, data []byte) {
 	var again ResultMsg
 	if err := Decode(body(MsgResult, res), &again); err != nil || !sameResult(&res, &again) {
 		t.Fatalf("result %+v re-encoded to %+v, %v", res, again, err)
+	}
+}
+
+// checkForwarded is FuzzDecodeResult's property for a body the relay's
+// check accepted into relay, and res, the body decoded: relay holds the
+// body's size and, in bytes of its own, its tuples and columns, and these
+// forwarded with res's lists and Partial make the frame res makes — byte
+// for byte when the body is written as this package writes one, and
+// otherwise one that a client reads as res.
+func checkForwarded(t *testing.T, data []byte, res *ResultMsg, relay *relayed) {
+	body := func(payload any) []byte { return encodeFrame(t, MsgResult, payload)[frameHeader:] }
+	if relay.rows != res.Rows || relay.bytes != res.Bytes || len(relay.fwd.b) > len(data) {
+		t.Fatalf("kept %d rows, %d bytes and %d bytes of tuples and columns of a %d-byte body that decodes to %d rows and %d bytes",
+			relay.rows, relay.bytes, len(relay.fwd.b), len(data), res.Rows, res.Bytes)
+	}
+	fwd := ResultMsg{
+		Rows: relay.rows, Bytes: relay.bytes, fwd: relay.fwd, Partial: res.Partial,
+		Decisions: res.Decisions, SiteErrors: res.SiteErrors, TransportErrors: res.TransportErrors,
+	}
+	fromKept, fromDecoded := body(fwd), body(res)
+	if bytes.Equal(fromDecoded, data) && !bytes.Equal(fromKept, fromDecoded) {
+		t.Fatalf("forwarded, a body is written\n%x\ndecoded and encoded again\n%x", fromKept, fromDecoded)
+	}
+	var read ResultMsg
+	if err := Decode(fromKept, &read); err != nil || !sameResult(&read, res) {
+		t.Fatalf("forwarded, a body reads %+v, %v; decoded, %+v", read, err, res)
 	}
 }
 

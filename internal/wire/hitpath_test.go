@@ -49,18 +49,17 @@ func scrambleThenRelease(s session) {
 	s.release()
 }
 
-// scrambleReply is Scratch.Scramble for a relayed reply: every tuple cell
-// the store holds is poison, every column name one no catalog has.
+// scrambleReply is Scratch.Scramble for a relayed reply: every byte kept
+// of its tuples and columns is 0xff, so that a frame written from them
+// after this point does not decode (its tuple count overflows), and its
+// size is negative.
 func scrambleReply(r *relayed) {
-	st := &r.store
-	flat, columns := st.flat[:cap(st.flat)], st.columns[:cap(st.columns)]
-	for i := range flat {
-		flat[i] = poison
+	kept := r.fwd.b[:cap(r.fwd.b)]
+	for i := range kept {
+		kept[i] = 0xff
 	}
-	for i := range columns {
-		columns[i] = "\x00scrambled"
-	}
-	r.msg = ResultMsg{Rows: math.MinInt64, Bytes: math.MinInt64, Columns: columns, Tuples: st.rows[:cap(st.rows)]}
+	r.rows, r.bytes = math.MinInt64, math.MinInt64
+	r.fwd.ragged = !r.fwd.ragged
 }
 
 // TestMain runs every test of the package — the round trips through

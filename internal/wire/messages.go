@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"bypassyield/internal/core"
@@ -65,6 +64,19 @@ type ResultMsg struct {
 	// accounted them. The logical result is unaffected — accounting is
 	// over logical sizes — but clients can see which sites misbehaved.
 	TransportErrors []SiteErrorMsg
+
+	// fwd, when it holds bytes, is a relayed reply's tuples and columns as
+	// its node encoded them (Proxy.relay), written in place of Tuples and
+	// Columns, which are then empty.
+	fwd forwarded
+}
+
+// forwarded is a result's tuples and columns in their wire layout, from
+// the tuple count through the last column name, and whether the tuples
+// are ragged: what a proxy forwards of a node's reply without decoding it.
+type forwarded struct {
+	b      []byte
+	ragged bool
 }
 
 // SiteErrorMsg annotates one unavailable site's contribution to a
@@ -120,34 +132,37 @@ func (m ResultMsg) appendBinary(b []byte) ([]byte, error) {
 	if m.Partial {
 		flags |= resultPartial
 	}
-	width := 0
-	if len(m.Tuples) > 0 {
+	width, ragged := 0, m.fwd.ragged
+	if m.fwd.b == nil && len(m.Tuples) > 0 {
 		width = len(m.Tuples[0])
 		// A zero width would not bound the tuple count by the bytes
 		// that follow, so such tuples go the ragged way too.
-		if width == 0 || slices.ContainsFunc(m.Tuples, func(row []float64) bool { return len(row) != width }) {
-			flags |= resultRagged
-		}
+		ragged = width == 0 || slices.ContainsFunc(m.Tuples, func(row []float64) bool { return len(row) != width })
+	}
+	if ragged {
+		flags |= resultRagged
 	}
 	b = append(b, formatBinary, flags)
 	b = binary.AppendVarint(b, m.Rows)
 	b = binary.AppendVarint(b, m.Bytes)
-	b = binary.AppendUvarint(b, uint64(len(m.Tuples)))
-	if flags&resultRagged == 0 && len(m.Tuples) > 0 {
-		b = binary.AppendUvarint(b, uint64(width))
-		b = slices.Grow(b, 8*width*len(m.Tuples))
-	}
-	for _, row := range m.Tuples {
-		if flags&resultRagged != 0 {
-			b = binary.AppendUvarint(b, uint64(len(row)))
+	if m.fwd.b != nil {
+		b = append(b, m.fwd.b...)
+	} else {
+		b = binary.AppendUvarint(b, uint64(len(m.Tuples)))
+		if !ragged && len(m.Tuples) > 0 {
+			b = binary.AppendUvarint(b, uint64(width))
+			b = slices.Grow(b, 8*width*len(m.Tuples))
 		}
-		for _, v := range row {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		for _, row := range m.Tuples {
+			if ragged {
+				b = binary.AppendUvarint(b, uint64(len(row)))
+			}
+			b = appendFloats(b, row)
 		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(m.Columns)))
-	for _, name := range m.Columns {
-		b = appendStr(b, name)
+		b = binary.AppendUvarint(b, uint64(len(m.Columns)))
+		for _, name := range m.Columns {
+			b = appendStr(b, name)
+		}
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.Decisions)))
 	for i := range m.Decisions {
@@ -247,59 +262,103 @@ func take[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// decodeBinary fills m from body with slices cut from st. Out of an
-// empty store it allocates, for a result of any size, the tuple rows and
-// their one backing array (one array per tuple when ragged), one string
-// that every decoded string is cut from, and one slice each for the
-// columns, decisions and two error lists that are present; out of a
-// Client's, once it has seen the reply's shape and names, nothing. m is
-// unchanged when body does not decode.
+// decodeBinary fills m from body with slices cut from st (readResult).
+// m is unchanged when body does not decode.
 func (m *ResultMsg) decodeBinary(body []byte, st *resultStore) error {
-	if err := checkFormat(body); err != nil {
+	v, err := readResult(body, st)
+	if err != nil {
 		return err
 	}
+	*m = v
+	return nil
+}
+
+// readResult is the one reading of a MsgResult body, which decodes it
+// and checks it alike: the format, the flags, every count against the
+// bytes that remain, each decision's verdict and flags, and that the body
+// is consumed exactly.
+//
+// With a store it decodes: the result's slices are cut from st, and its
+// strings come from st's names or, without them, from one copy of the
+// body's tail. Out of an empty store it allocates, for a result of any
+// size, the tuple rows and their one backing array (one array per tuple
+// when ragged), that one string, and one slice each for the columns,
+// decisions and two error lists that are present; out of a Client's, once
+// it has seen the reply's shape and names, nothing.
+//
+// With a nil st it only checks, and materializes nothing: the result
+// holds Rows, Bytes and Partial, and fwd the tuples and columns as they
+// lie in body (relayed.keep).
+func readResult(body []byte, st *resultStore) (ResultMsg, error) {
+	if err := checkFormat(body); err != nil {
+		return ResultMsg{}, err
+	}
+	keep := st != nil
 	c := cursor{b: body, off: 1}
 	flags := c.byte()
 	if flags&^(resultPartial|resultRagged) != 0 {
 		c.fail()
 	}
 	v := ResultMsg{Partial: flags&resultPartial != 0, Rows: c.varint(), Bytes: c.varint()}
+	tuplesAt := c.off
 	if flags&resultRagged != 0 {
-		v.Tuples = take(&st.rows, c.count(1))
-		for i := range v.Tuples {
-			v.Tuples[i] = make([]float64, c.count(8))
-			c.floats(v.Tuples[i])
+		n := c.count(1)
+		if keep {
+			v.Tuples = take(&st.rows, n)
+		}
+		for i := 0; i < n; i++ {
+			row := c.floats(c.count(8))
+			if keep {
+				v.Tuples[i] = make([]float64, len(row)/8)
+				getFloats(v.Tuples[i], row)
+			}
 		}
 	} else if n := c.count(8); n > 0 {
 		width := c.count(8 * n)
 		if width == 0 {
 			c.fail() // or n rows would cost no bytes
-		} else {
+		}
+		run := c.floats(n * width)
+		if keep && width > 0 {
 			v.Tuples = take(&st.rows, n)
 			backing := take(&st.flat, n*width)
-			c.floats(backing)
+			getFloats(backing, run)
 			for i := range v.Tuples {
 				v.Tuples[i] = backing[i*width : (i+1)*width : (i+1)*width]
 			}
 		}
 	}
 	if c.err != nil {
-		return c.err
+		return ResultMsg{}, c.err
 	}
 
 	// Everything after the tuples is small and mostly strings.
-	c = cursor{b: body[c.off:], names: st.names}
-	if c.names == nil {
-		c.s = string(c.b)
+	tail := c.off
+	c = cursor{b: body[tail:], skip: !keep}
+	if keep {
+		c.names = st.names
+		if c.names == nil {
+			c.s = string(c.b)
+		}
 	}
-	v.Columns = take(&st.columns, c.count(1))
-	for i := range v.Columns {
-		v.Columns[i] = c.str()
+	n := c.count(1)
+	if keep {
+		v.Columns = take(&st.columns, n)
 	}
-	v.Decisions = take(&st.decisions, c.count(6))
-	for i := range v.Decisions {
-		d := &v.Decisions[i]
-		d.Object, d.Site, d.Yield = c.str(), c.str(), c.varint()
+	for i := 0; i < n; i++ {
+		if name := c.str(); keep {
+			v.Columns[i] = name
+		}
+	}
+	if !keep {
+		v.fwd = forwarded{b: body[tuplesAt : tail+c.off], ragged: flags&resultRagged != 0}
+	}
+	n = c.count(6)
+	if keep {
+		v.Decisions = take(&st.decisions, n)
+	}
+	for i := 0; i < n; i++ {
+		d := DecisionMsg{Object: c.str(), Site: c.str(), Yield: c.varint()}
 		verdict, dflags := c.byte(), c.byte()
 		if int(verdict) >= len(decisionNames) || dflags&^(decisionForced|decisionFailed) != 0 {
 			c.fail()
@@ -308,20 +367,36 @@ func (m *ResultMsg) decodeBinary(body []byte, st *resultStore) error {
 		d.Decision = decisionNames[verdict]
 		d.Forced, d.Failed = dflags&decisionForced != 0, dflags&decisionFailed != 0
 		d.Reason = c.str()
+		if keep {
+			v.Decisions[i] = d
+		}
 	}
-	v.SiteErrors = c.siteErrors(&st.siteErrs)
-	v.TransportErrors = c.siteErrors(&st.transportErrs)
+	if keep {
+		v.SiteErrors = c.siteErrors(&st.siteErrs)
+		v.TransportErrors = c.siteErrors(&st.transportErrs)
+	} else {
+		c.siteErrors(nil)
+		c.siteErrors(nil)
+	}
 	if err := c.done(); err != nil {
-		return err
+		return ResultMsg{}, err
 	}
-	*m = v
-	return nil
+	return v, nil
 }
 
+// siteErrors reads a list of site errors into *buf, or past it when buf
+// is nil (a check).
 func (c *cursor) siteErrors(buf *[]SiteErrorMsg) []SiteErrorMsg {
-	errs := take(buf, c.count(3))
-	for i := range errs {
-		errs[i] = SiteErrorMsg{Site: c.str(), Error: c.str(), LostBytes: c.varint()}
+	n := c.count(3)
+	var errs []SiteErrorMsg
+	if buf != nil {
+		errs = take(buf, n)
+	}
+	for i := 0; i < n; i++ {
+		e := SiteErrorMsg{Site: c.str(), Error: c.str(), LostBytes: c.varint()}
+		if buf != nil {
+			errs[i] = e
+		}
 	}
 	return errs
 }

@@ -62,6 +62,9 @@ type pool struct {
 	dial func(site, addr string) (net.Conn, error)
 	cfg  PoolConfig
 	m    poolMetrics
+	// activeGauge and idleGauge are m's members for site, which every Get
+	// and Put sets, resolved once.
+	activeGauge, idleGauge *obs.Gauge
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -71,7 +74,8 @@ type pool struct {
 }
 
 func newPool(site, addr string, cfg PoolConfig, dial func(site, addr string) (net.Conn, error), m poolMetrics) *pool {
-	p := &pool{site: site, addr: addr, dial: dial, cfg: cfg.sanitize(), m: m}
+	p := &pool{site: site, addr: addr, dial: dial, cfg: cfg.sanitize(), m: m,
+		activeGauge: m.active.Get(site), idleGauge: m.idle.Get(site)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -101,7 +105,7 @@ func (p *pool) Get(fresh bool) (*nodeConn, error) {
 	if n := len(p.idle); n > 0 {
 		conn := p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		p.m.idle.Get(p.site).Set(int64(len(p.idle)))
+		p.idleGauge.Set(int64(len(p.idle)))
 		p.checkoutLocked()
 		p.mu.Unlock()
 		return conn, nil
@@ -122,14 +126,14 @@ func (p *pool) Get(fresh bool) (*nodeConn, error) {
 // checkoutLocked claims one active slot. Caller holds mu.
 func (p *pool) checkoutLocked() {
 	p.active++
-	p.m.active.Get(p.site).Set(int64(p.active))
+	p.activeGauge.Set(int64(p.active))
 }
 
 // release frees one active slot and wakes a waiter.
 func (p *pool) release() {
 	p.mu.Lock()
 	p.active--
-	p.m.active.Get(p.site).Set(int64(p.active))
+	p.activeGauge.Set(int64(p.active))
 	p.cond.Signal()
 	p.mu.Unlock()
 }
@@ -141,10 +145,10 @@ func (p *pool) Put(conn *nodeConn) {
 	closed := p.closed
 	if !closed {
 		p.idle = append(p.idle, conn)
-		p.m.idle.Get(p.site).Set(int64(len(p.idle)))
+		p.idleGauge.Set(int64(len(p.idle)))
 	}
 	p.active--
-	p.m.active.Get(p.site).Set(int64(p.active))
+	p.activeGauge.Set(int64(p.active))
 	p.cond.Signal()
 	p.mu.Unlock()
 	if closed {
@@ -167,7 +171,7 @@ func (p *pool) dropIdleLocked() {
 		p.m.drops.Get(p.site).Add(1)
 	}
 	p.idle = p.idle[:0]
-	p.m.idle.Get(p.site).Set(0)
+	p.idleGauge.Set(0)
 }
 
 // DropIdle closes every parked connection — the breaker calls it when
@@ -188,7 +192,7 @@ func (p *pool) Close() {
 		c.Close()
 	}
 	p.idle = nil
-	p.m.idle.Get(p.site).Set(0)
+	p.idleGauge.Set(0)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }

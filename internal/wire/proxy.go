@@ -46,7 +46,9 @@ const DefaultMaxInflight = 64
 // shipped to that site as the client sent it, and the node's reply is
 // the client's answer; one whose decision its yield cannot change is
 // shipped before the decision, which then takes the reply's bytes as its
-// yield. Both are statement legs (see relay).
+// yield. Both are statement legs (see relay), and neither reply is
+// decoded here: it is checked, and its tuples and columns are forwarded
+// to the client as the node encoded them.
 //
 // Observability: the proxy publishes into an obs.Registry — the
 // mediator's, when the mediator was built with one (so core and
@@ -128,10 +130,11 @@ type Proxy struct {
 // site is one federation member with a database node: the node's
 // address, the pool of connections to it and the breaker guarding it.
 type site struct {
-	addr string
-	peer string // "node <site>": names the site in its replies' errors
-	pool *pool
-	br   *breaker
+	addr    string
+	peer    string // "node <site>": names the site in its replies' errors
+	pool    *pool
+	br      *breaker
+	latency *obs.Histogram // the site's wire.rpc_latency_us
 }
 
 // NewProxy builds a proxy around a mediator. nodeAddrs maps each site
@@ -229,6 +232,7 @@ func (p *Proxy) buildSites() {
 	for name, s := range p.sites {
 		s.pool = newPool(name, s.addr, p.pcfg, dial, m)
 		s.br = newBreaker(name, onTransition)
+		s.latency = p.rpcLatency.Get(name)
 		p.breakerState.Get(name).Set(int64(BreakerClosed))
 	}
 }
@@ -381,9 +385,9 @@ func (p *Proxy) ping(name, addr string) bool {
 
 // connScratch is a client connection's session: what the proxy answers
 // its statements in, one after another — the Scratch each is mediated in,
-// where a relayed statement's reply from its node is decoded, and the
-// reply to the client, which borrows its columns and tuples from one or
-// the other, so both are the next statement's only once that reply is
+// where a relayed statement's reply from its node is kept, and the reply
+// to the client, which borrows its columns and tuples from one or the
+// other, so both are the next statement's only once that reply is
 // written.
 type connScratch struct {
 	p     *Proxy
@@ -401,29 +405,49 @@ func (cs *connScratch) answer(sql string, traceID uint64, fc *flightrec.Capture)
 	return &cs.res, nil
 }
 
-// relayed is a relayed statement's reply from its node (relay), decoded
-// into memory kept from one statement to the next: after the first few
-// replies of a shape, decoding one allocates nothing.
+// relayed is a relayed statement's reply from its node (relay): its size,
+// and its tuples and columns as the node encoded them, copied into a
+// buffer kept from one statement to the next, so that after the widest
+// reply keeping one allocates nothing.
 type relayed struct {
-	msg   ResultMsg
-	store resultStore
+	rows, bytes int64
+	fwd         forwarded
+}
+
+// keep checks a node's MsgResult body as it would be decoded (readResult)
+// and keeps its size and a copy of its tuples and columns, decoding none
+// of them. r is unchanged when body does not decode.
+func (r *relayed) keep(body []byte) error {
+	v, err := readResult(body, nil)
+	if err != nil {
+		return err
+	}
+	r.rows, r.bytes = v.Rows, v.Bytes
+	r.fwd = forwarded{b: append(r.fwd.b[:0], v.fwd.b...), ragged: v.fwd.ragged}
+	return nil
 }
 
 // release gives a statement's tuples back once the frame that carried
-// them is written (federation.Scratch.Release). A relayed reply's need no
-// giving back: they are the connection's, and the next reply overwrites
-// them.
-func (cs *connScratch) release() { cs.stmt.Release() }
+// them is written (federation.Scratch.Release). A relayed reply's bytes
+// need no giving back: they are the connection's, and the next reply
+// overwrites them — unless this one was large enough to have stretched
+// them, as frameBufMaxCap bounds a connection's other buffers.
+func (cs *connScratch) release() {
+	cs.stmt.Release()
+	if cap(cs.reply.fwd.b) > frameBufMaxCap {
+		cs.reply.fwd = forwarded{}
+	}
+}
 
 // leg is one node RPC a statement's mediation calls for, of one of three
 // kinds: an object fetch (a load), a sub-query whose reply is dropped (a
 // bypass of a statement the proxy answers itself), or a statement sent
-// whole whose reply is decoded into reply (see relay).
+// whole whose reply is kept in reply (see relay).
 type leg struct {
 	site   string
 	object string   // fetch legs; "" for the others
 	sql    string   // sub-query and statement legs; "" for fetches
-	reply  *relayed // statement legs: where the node's reply is decoded
+	reply  *relayed // statement legs: where the node's reply is kept
 }
 
 // handleQuery mediates one client statement. traceID is the client's
@@ -467,7 +491,7 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 		}
 		shipped.site = site
 		shipped.err = p.runLeg(leg{site: site, sql: sql, reply: &cs.reply}, traceID, nil, fc)
-		return cs.reply.msg.Rows, cs.reply.msg.Bytes, shipped.err == nil
+		return cs.reply.rows, cs.reply.bytes, shipped.err == nil
 	}
 	// The trace id rides into the mediator so decision-ledger records
 	// carry it; FormatID(0) is "" so untraced queries stay unmarked.
@@ -488,7 +512,7 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 		TransportErrors: res.TransportErrors[:0],
 	}
 	if rep.Shipped {
-		res.Columns, res.Tuples = cs.reply.msg.Columns, cs.reply.msg.Tuples
+		res.Columns, res.Tuples, res.fwd = nil, nil, cs.reply.fwd
 	}
 	if shipped.err != nil {
 		res.TransportErrors = append(res.TransportErrors, SiteErrorMsg{Site: shipped.site, Error: shipped.err.Error()})
@@ -542,7 +566,7 @@ func (p *Proxy) handleQuery(cs *connScratch, sql string, traceID uint64, fc *fli
 // appendBypassLegs appends what a statement with a bypassed object
 // ships after its decision. A healthy statement whose tables are all one
 // site's goes to that site whole, as the client sent it (rep.SQL), and
-// the node's reply is decoded into reply to answer the client: the
+// the node's reply is kept in reply to answer the client: the
 // paper's bypass, the query shipped to the server that owns its data.
 // Any other — tables on two sites, or a degraded statement — ships one
 // sub-query per FROM table with a bypassed object (the table's own, one
@@ -724,21 +748,15 @@ func (p *Proxy) tryNodeRPC(s *site, t MsgType, payload any, want MsgType, reply 
 	}
 	p.nodeRx.Add(int64(rn))
 	rpcUS := time.Since(start).Microseconds()
-	p.rpcLatency.Get(site).Observe(rpcUS)
+	s.latency.Observe(rpcUS)
 	if lt != nil {
 		lt.rpcUS = rpcUS // the successful attempt's round trip
 	}
-	var (
-		dst any // nil: the reply's type is all that is wanted
-		st  *resultStore
-	)
+	var dst any // nil: the reply's type is all that is wanted
 	if reply != nil {
-		if reply.store.names == nil {
-			reply.store.names = names{}
-		}
-		dst, st = &reply.msg, &reply.store
+		dst = reply
 	}
-	answer = checkReply(s.peer, rt, body, want, dst, st) // before the connection's next exchange overwrites body
+	answer = checkReply(s.peer, rt, body, want, dst, nil) // before the connection's next exchange overwrites body
 	if p.rpcTimeout > 0 && conn.SetDeadline(time.Time{}) != nil {
 		// The exchange succeeded but the connection is broken for
 		// reuse; discard it so the next checkout dials fresh.
@@ -757,17 +775,17 @@ type legTiming struct {
 }
 
 // relay sends a statement whose tables are all one site's to that site
-// as the client sent it and decodes the node's reply into l.reply, its
-// strings interned in the reply's store (a reply with the names of one
-// before costs none). A reply with negative Rows or Bytes is refused:
-// they come from outside the process. Before the decision (res nil) that is all: the mediator
-// decides with the reply's Rows and Bytes, and an error has the
-// statement executed and answered locally. After it, the reply's columns
-// and tuples become the client's answer (res) when it is the result the
-// mediator decided on: the same Rows and Bytes. A node error, a refused
-// reply, a reply of another size or no reply leaves the local answer,
-// with the leg's error saying why; a site without a node (simulation
-// mode) leaves it without one.
+// as the client sent it and keeps the node's reply in l.reply: checked as
+// it would be decoded, its tuples and columns kept as the node encoded
+// them, not decoded. A reply with negative Rows or Bytes is refused: they
+// come from outside the process. Before the decision (res nil) that is
+// all: the mediator decides with the reply's Rows and Bytes, and an error
+// has the statement executed and answered locally. After it, the reply's
+// tuples and columns become the client's answer (res), forwarded as they
+// are, when it is the result the mediator decided on: the same Rows and
+// Bytes. A node error, a refused reply, a reply of another size or no
+// reply leaves the local answer, with the leg's error saying why; a site
+// without a node (simulation mode) leaves it without one.
 func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) error {
 	if p.sites[l.site] == nil {
 		return nil
@@ -775,16 +793,16 @@ func (p *Proxy) relay(l leg, traceID uint64, lt *legTiming, res *ResultMsg) erro
 	if err := p.nodeRPC(l.site, MsgQuery, QueryMsg{SQL: l.sql, TraceID: obs.FormatID(traceID)}, MsgResult, l.reply, lt); err != nil {
 		return err
 	}
-	got := &l.reply.msg
+	got := l.reply
 	switch {
-	case got.Rows < 0 || got.Bytes < 0:
-		return fmt.Errorf("node %s: refused a reply of %d rows and %d bytes; answered locally", l.site, got.Rows, got.Bytes)
+	case got.rows < 0 || got.bytes < 0:
+		return fmt.Errorf("node %s: refused a reply of %d rows and %d bytes; answered locally", l.site, got.rows, got.bytes)
 	case res == nil:
 		return nil
-	case got.Rows != res.Rows || got.Bytes != res.Bytes:
+	case got.rows != res.Rows || got.bytes != res.Bytes:
 		return fmt.Errorf("node %s: mismatch: reply of %d rows and %d bytes, the mediator's result %d and %d; answered locally",
-			l.site, got.Rows, got.Bytes, res.Rows, res.Bytes)
+			l.site, got.rows, got.bytes, res.Rows, res.Bytes)
 	}
-	res.Columns, res.Tuples = got.Columns, got.Tuples
+	res.Columns, res.Tuples, res.fwd = nil, nil, got.fwd
 	return nil
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net"
@@ -459,7 +460,7 @@ func TestShippedStatementIsNotAskedAgain(t *testing.T) {
 			t.Errorf("decision %+v, want a bypass", d)
 		}
 	}
-	if err := sameAsEngine(&res, want); err != nil {
+	if err := sameAsEngine(asSent(t, &res), want); err != nil {
 		t.Errorf("not the node's answer: %v", err)
 	}
 	identity()
@@ -476,10 +477,11 @@ func TestShippedStatementIsNotAskedAgain(t *testing.T) {
 
 // TestShippedBypassAllocs is TestRelayedBypassAllocs for a yield-blind
 // statement: beyond parsing and binding it, a statement shipped before
-// its decision — the ship, decoding the node's reply into the
-// connection's store, weighing, splitting and deciding with the reply's
-// bytes — may allocate no more than relaying a bypass added to mediating
-// it when every statement was executed here first (6).
+// its decision — the ship, checking the node's reply and keeping its
+// tuples and columns in the connection's buffer, weighing, splitting and
+// deciding with the reply's bytes — may allocate no more than relaying a
+// bypass added to mediating it when every statement was executed here
+// first (6).
 func TestShippedBypassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -525,7 +527,7 @@ func TestShippedBypassAllocs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		before := executed.Value()
 		ship()
-		if n := executed.Value() - before; n != 1 || len(res.TransportErrors) != 0 || len(res.Tuples) == 0 {
+		if n := executed.Value() - before; n != 1 || len(res.TransportErrors) != 0 || len(asSent(t, &res).Tuples) == 0 {
 			t.Fatalf("not a shipped bypass: executed %d times, %+v", n, res)
 		}
 	}
@@ -685,6 +687,17 @@ func execute(t *testing.T, db *engine.DB, sql string) (*engine.Bound, *engine.Re
 	return b, res
 }
 
+// asSent is res as its client reads it: written into a frame and decoded.
+// A relayed reply's tuples and columns are in the frame alone.
+func asSent(t *testing.T, res *ResultMsg) *ResultMsg {
+	t.Helper()
+	var got ResultMsg
+	if err := Decode(encode(t, MsgResult, res), &got); err != nil {
+		t.Fatal(err)
+	}
+	return &got
+}
+
 // sameAsEngine compares a reply with an engine result: rows, bytes, column
 // names, and tuples bit for bit.
 func sameAsEngine(got *ResultMsg, want *engine.Result) error {
@@ -769,13 +782,93 @@ func TestNodeReadsPerReply(t *testing.T) {
 	}
 }
 
+// TestRelayedFramesAreUnchanged: over the EDR stream at the edr-bypass
+// cache, every statement whose node's reply the proxy relays — shipped
+// before the decision or relayed after it — is answered with the frame,
+// byte for byte, that the proxy wrote when it decoded that reply and
+// encoded its tuples and columns again. Each node's replies are taken as
+// it writes them, one frame a Write.
+func TestRelayedFramesAreUnchanged(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		replies []byte // the result frames the nodes wrote for a statement
+	)
+	f := edrFederation(t, 0.001, nil, func(p *Proxy, nodes map[string]*DBNode) {
+		p.SetDialer(func(site, _ string) (net.Conn, error) {
+			near, far := net.Pipe()
+			go nodes[site].serveConn(writeTee{far, func(frame []byte) {
+				if MsgType(frame[4]) == MsgResult {
+					mu.Lock()
+					replies = append(replies, frame...)
+					mu.Unlock()
+				}
+			}})
+			return near, nil
+		})
+	})
+	defer f.close()
+	var (
+		cs              connScratch
+		res             ResultMsg
+		relayed, ragged int
+	)
+	for _, sql := range f.sqls {
+		mu.Lock()
+		replies = replies[:0]
+		mu.Unlock()
+		if err := f.proxy.handleQuery(&cs, sql, 0, nil, &res); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if res.fwd.b == nil {
+			cs.release()
+			continue
+		}
+		relayed++
+		if res.fwd.ragged {
+			ragged++
+		}
+		typ, body, n, err := ReadFrame(bytes.NewReader(replies))
+		if err != nil || typ != MsgResult || n != len(replies) {
+			t.Fatalf("%s: the nodes wrote %d bytes of result frames, want one frame: %v", sql, len(replies), err)
+		}
+		var node ResultMsg
+		if err := Decode(body, &node); err != nil {
+			t.Fatal(err)
+		}
+		parent := res
+		parent.fwd = forwarded{}
+		parent.Columns, parent.Tuples = node.Columns, node.Tuples
+		if got, want := encodeFrame(t, MsgResult, &res), encodeFrame(t, MsgResult, &parent); !bytes.Equal(got, want) {
+			t.Fatalf("%s: relayed, the client's frame is\n%x\ndecoded and encoded again\n%x", sql, got, want)
+		}
+		cs.release()
+	}
+	t.Logf("%d of %d statements relayed (%d with ragged tuples)", relayed, len(f.sqls), ragged)
+	if relayed < len(f.sqls)/2 {
+		t.Errorf("%d of %d statements relayed, want most at this cache", relayed, len(f.sqls))
+	}
+}
+
+// writeTee hands every Write to tee before passing it on: a daemon writes
+// each frame with one.
+type writeTee struct {
+	net.Conn
+	tee func([]byte)
+}
+
+func (w writeTee) Write(p []byte) (int, error) {
+	w.tee(p)
+	return w.Conn.Write(p)
+}
+
 // TestRelayedBypassAllocs is TestUntracedHitBuildsOnlyTheResult for a
 // bypass: what the proxy adds to mediating a statement it relays — the
-// leg, the RPC, decoding the node's reply into the connection's store —
-// by difference, on a warmed connection to a real node, against what
-// the parent added for the same bypass: the statement's sub-query built
-// from the Bound and printed, then shipped and its reply dropped (which
-// a degraded statement still does). The relay must allocate no more.
+// leg, the RPC, checking the node's reply and keeping it in the
+// connection's buffer — by difference, on a warmed connection to a real
+// node, against what the parent added for the same bypass: the
+// statement's sub-query built from the Bound and printed, then shipped
+// and its reply dropped (which a degraded statement still does). The
+// relay must allocate no more.
 func TestRelayedBypassAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -810,7 +903,7 @@ func TestRelayedBypassAllocs(t *testing.T) {
 		if err := p.handleQuery(&cs, sql, 0, nil, &res); err != nil {
 			t.Fatal(err)
 		}
-		if res.Decisions[0].Decision != "bypass" || len(res.TransportErrors) != 0 || len(res.Tuples) == 0 {
+		if res.Decisions[0].Decision != "bypass" || len(res.TransportErrors) != 0 || res.fwd.b == nil {
 			t.Fatalf("not a relayed bypass: %+v", res)
 		}
 		cs.release()

@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/flightrec"
@@ -33,8 +34,11 @@ type server struct {
 	scrape     func(ScrapeMsg) *ScrapeResultMsg
 
 	// Transport counters, per message type: the frames and bytes the
-	// daemon's peers sent it and it sent back.
+	// daemon's peers sent it and it sent back. rxByType and txByType are
+	// their members by type, resolved at each type's first frame (countFrame),
+	// so that a type never sent or received is not in a scrape.
 	framesRx, framesTx, bytesRx, bytesTx *obs.CounterFamily
+	rxByType, txByType                   [maxMsgType + 1]atomic.Pointer[frameCounters]
 	connsOpened, connsClosed             *obs.Counter
 
 	ln net.Listener
@@ -58,6 +62,23 @@ func newServer(name string, reg *obs.Registry) *server {
 		connsClosed: reg.Counter("wire.client_conns_closed"),
 		done:        make(chan struct{}),
 	}
+}
+
+// frameCounters are one message type's counters in one direction: its
+// frames and their bytes.
+type frameCounters struct{ frames, bytes *obs.Counter }
+
+// countFrame counts one frame of type t, n bytes on the wire, in byType, whose
+// members come from the families frames and bytes at t's first frame.
+func countFrame(byType *[maxMsgType + 1]atomic.Pointer[frameCounters], frames, bytes *obs.CounterFamily, t MsgType, n int) {
+	c := byType[t].Load()
+	if c == nil {
+		label := t.String()
+		c = &frameCounters{frames: frames.Get(label), bytes: bytes.Get(label)}
+		byType[t].Store(c) // a racing first frame stores the same members
+	}
+	c.frames.Add(1)
+	c.bytes.Add(int64(n))
 }
 
 // SetLogf replaces the logger (tests silence it).
@@ -165,9 +186,7 @@ func (s *server) serveConn(conn net.Conn) {
 		if err != nil {
 			return // peer closed, protocol failure or a failed send; drop the conn
 		}
-		label := t.String()
-		s.framesRx.Get(label).Add(1)
-		s.bytesRx.Get(label).Add(int64(n))
+		countFrame(&s.rxByType, s.framesRx, s.bytesRx, t, n)
 		switch {
 		case t == MsgQuery:
 			if err := Decode(body, &q); err != nil {
@@ -236,9 +255,7 @@ func (s *server) send(conn net.Conn, t MsgType, payload any) {
 		conn.Close()
 		return
 	}
-	label := t.String()
-	s.framesTx.Get(label).Add(1)
-	s.bytesTx.Get(label).Add(int64(n))
+	countFrame(&s.txByType, s.framesTx, s.bytesTx, t, n)
 }
 
 // sendErr answers with err as a MsgError.
