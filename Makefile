@@ -76,16 +76,21 @@ chaos:
 # through the helper's environment, not a flag), then restarted on the
 # same -state-dir; it must come back warm with Σ ledger yields = D_A
 # and zero WAN refetches for the persisted cache, and corrupted
-# snapshot/WAL tails must fall back to the previous generation.
+# snapshot/WAL tails must fall back to the previous generation. The
+# upgrade test restores state directories an older build wrote under
+# -policy gds (cmd/byproxyd/testdata/regen-parent-fixtures.sh writes
+# them from a commit).
 # Snapshot format compatibility rides along: version-1 snapshots and
 # one-section version-2 snapshots restore, and a state directory whose
 # snapshots carry several sections (a cache the previous build split
-# into slices) is refused by name and restarts cold, and the bytes a
-# snapshot and a WAL are written in are pinned to committed files.
+# into slices) is refused by name and restarts cold, a state directory
+# written under another policy (one no longer built included) restarts
+# cold, and the bytes a snapshot and a WAL are written in are pinned to
+# committed files.
 # Every startup's recovery report is appended to crash_recovery.log
 # (archived by CI).
 CRASH_PROXY_RUN = TestKillRecoveryEndToEnd|TestFaultInjectedTornWALRecovery|TestCorruptTailFallsBackAcrossRestart|TestParentStateAcrossUpgrade
-CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned|TestRefusedPolicyBlobStartsCold
+CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned|TestRefusedPolicyBlobStartsCold|TestPolicyChangeColdStarts
 crash:
 	$(CHECK_RUN) '$(CRASH_PROXY_RUN)' ./cmd/byproxyd/
 	$(CHECK_RUN) 'TestBreakerRestartCycle' ./internal/wire/

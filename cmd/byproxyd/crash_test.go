@@ -34,10 +34,10 @@ func TestCrashHelperProcess(t *testing.T) {
 		t.Skip("helper process for the crash-recovery harness")
 	}
 	o := testOptions()
-	// LRU loads on first miss, so the cache is deterministically
-	// populated early — the warm-restart zero-refetch assertion then
-	// has something concrete to protect.
-	o.policy = "lru"
+	// GDS loads on every miss that fits, so the cache is
+	// deterministically populated early — the warm-restart zero-refetch
+	// assertion then has something concrete to protect.
+	o.policy = "gds"
 	o.gran = "tables"
 	o.cachePct = 0.8
 	o.nodes = os.Getenv("BYPROXYD_NODES")
@@ -345,9 +345,10 @@ func copyFixture(t *testing.T, name string) string {
 }
 
 // TestParentStateAcrossUpgrade starts the daemon on state directories
-// the build before this one wrote, under the crash helper's options and
-// this file's workload (testdata/): that build hashed the cache into N
-// independent slices and wrote one snapshot section per slice.
+// an older build wrote, under the crash helper's options and this
+// file's workload (testdata/; testdata/regen-parent-fixtures.sh d2c30fe
+// writes them again): that build hashed the cache into N independent
+// slices and wrote one snapshot section per slice.
 //
 //   - parent-1-section: N = 1, twelve queries, SIGTERM, twelve more,
 //     SIGKILL; acct.json is the last acknowledged accounting. The

@@ -3,7 +3,7 @@
 // object granularities and print the network-cost scoreboard.
 //
 // This is the "what should my federation deploy?" view: sequence cost
-// (no caching) at the top, the in-line comparators, and the three
+// (no caching) at the top, the in-line comparator (GDS), and the three
 // bypass-yield algorithms, with the static-optimal oracle as the
 // floor.
 //
@@ -47,7 +47,6 @@ func run() error {
 
 		policies := []core.Policy{
 			core.NewNoCache(),
-			core.NewLRU(capacity),
 			core.NewGDS(capacity),
 			core.NewSpaceEffBY(core.NewLandlord(capacity), rand.NewSource(7)),
 			core.NewOnlineBY(core.NewLandlord(capacity)),

@@ -218,7 +218,6 @@ func allPolicies(capacity int64) []Policy {
 		NewOnlineBY(NewSizeClassMarking(capacity)),
 		NewSpaceEffBY(NewLandlord(capacity), rand.NewSource(42)),
 		NewGDS(capacity),
-		NewLRU(capacity),
 		NewNoCache(),
 	}
 }

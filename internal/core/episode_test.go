@@ -320,6 +320,90 @@ func TestProfilePruningKeepsRecent(t *testing.T) {
 	}
 }
 
+// slotted builds an object at slot slot, so a profile table visits it
+// in slot order: the tests below place ties where a wrong comparison
+// would pick another profile.
+func slotted(id string, slot int32) Object {
+	o := testObj(id, 100)
+	o.Slot = slot
+	return o
+}
+
+// tracked reports which of ids have a profile in pt.
+func tracked(pt *profileTable, ids ...string) map[string]bool {
+	out := map[string]bool{}
+	for _, id := range ids {
+		out[id] = pt.byObj.findID(ObjectID(id)) != nil
+	}
+	return out
+}
+
+// TestProfilePruningBoundaries pins prune at its exact boundaries, with
+// an idle horizon of 4K = 40 and a bound of two profiles (three for the
+// tie-break).
+func TestProfilePruningBoundaries(t *testing.T) {
+	cfg := DefaultEpisodeConfig()
+	cfg.K = 10
+	t.Run("no prune at the bound", func(t *testing.T) {
+		// Two profiles are the bound, not past it: a, idle past the
+		// horizon, is not pruned.
+		pt := newTestTable(cfg, 2)
+		pt.observe(1, slotted("a", 1), 10)
+		pt.observe(42, slotted("b", 2), 10)
+		if got := tracked(pt, "a", "b"); !got["a"] || !got["b"] {
+			t.Fatalf("tracked %v; a table at its bound pruned", got)
+		}
+	})
+	t.Run("idle exactly 4K survives", func(t *testing.T) {
+		// a and b are idle exactly 4K when c arrives: the horizon keeps
+		// both, and only the bound drops one (a, the smaller id).
+		pt := newTestTable(cfg, 2)
+		pt.observe(1, slotted("a", 1), 10)
+		pt.observe(1, slotted("b", 2), 10)
+		pt.observe(41, slotted("c", 3), 10)
+		if got := tracked(pt, "a", "b", "c"); got["a"] || !got["b"] || !got["c"] {
+			t.Fatalf("tracked %v; want b and c", got)
+		}
+	})
+	t.Run("pruning stops at the bound", func(t *testing.T) {
+		pt := newTestTable(cfg, 2)
+		for i, id := range []string{"a", "b", "c"} {
+			pt.observe(int64(i+1), slotted(id, int32(i+1)), 10)
+		}
+		if pt.size() != 2 {
+			t.Fatalf("%d profiles after pruning, want the bound 2", pt.size())
+		}
+	})
+	t.Run("ties go by smallest id", func(t *testing.T) {
+		// b, a and c were last accessed at once and are visited in that
+		// order: a, neither first nor last, is the one dropped.
+		pt := newTestTable(cfg, 3)
+		pt.observe(1, slotted("b", 1), 10)
+		pt.observe(1, slotted("a", 2), 10)
+		pt.observe(1, slotted("c", 3), 10)
+		pt.observe(2, slotted("d", 4), 10)
+		if got := tracked(pt, "a", "b", "c", "d"); got["a"] || !got["b"] || !got["c"] || !got["d"] {
+			t.Fatalf("tracked %v; want a dropped", got)
+		}
+	})
+}
+
+// TestNoDecaySplitAtZeroMax: heuristic (1) ends an episode only once
+// its running maximum LARP is positive. A live stream of non-negative
+// yields cannot fall below a maximum of exactly 0 (Σy only grows), but a
+// restored profile can hold one with Σy below the fetch cost: its next
+// negative LARP must not split the episode.
+func TestNoDecaySplitAtZeroMax(t *testing.T) {
+	pt := newTestTable(DefaultEpisodeConfig(), 0)
+	obj := testObj("a", 100)
+	*pt.byObj.put(obj) = &profile{open: true, started: true, start: 1, lastAccess: 1}
+	ex := pt.observe(2, obj, 10) // LARP = (10 − 100)/(1·100) < 0
+	if p := pt.get(obj); ex.Episodes != 0 || p.start != 1 || p.maxLARP != 0 {
+		t.Fatalf("episodes %d, start %d, max LARP %v; want the episode from t=1 still open at max 0",
+			ex.Episodes, p.start, p.maxLARP)
+	}
+}
+
 func TestOnLoadClosesEpisode(t *testing.T) {
 	pt := newTestTable(DefaultEpisodeConfig(), 0)
 	obj := testObj("a", 100)

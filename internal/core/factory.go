@@ -12,7 +12,7 @@ import (
 func PolicyNames() []string {
 	names := []string{
 		"rate-profile", "online-by", "online-by-marking", "space-eff-by",
-		"gds", "lru", "none",
+		"gds", "none",
 	}
 	sort.Strings(names)
 	return names
@@ -34,8 +34,6 @@ func NewPolicyByName(name string, capacity int64, seed int64) (Policy, error) {
 		return NewSpaceEffBY(NewLandlord(capacity), rand.NewSource(seed)), nil
 	case "gds":
 		return NewGDS(capacity), nil
-	case "lru":
-		return NewLRU(capacity), nil
 	case "none", "no-cache", "nocache":
 		return NewNoCache(), nil
 	default:

@@ -38,11 +38,11 @@ func TestNewPolicyByNameAliases(t *testing.T) {
 }
 
 // TestNewPolicyByNameUnknown: an unknown name, and each name of a
-// policy that is no longer built (GDSP, LFU, LRU-K and its aliases), is
+// policy that is no longer built (GDSP, LFU, LRU, LRU-K and its aliases), is
 // refused with an error that lists exactly the names there are.
 func TestNewPolicyByNameUnknown(t *testing.T) {
 	have := "(have " + strings.Join(PolicyNames(), ", ") + ")"
-	for _, name := range []string{"magic", "gdsp", "lfu", "lru-k", "lruk", "lru2"} {
+	for _, name := range []string{"magic", "gdsp", "lfu", "lru", "lru-k", "lruk", "lru2"} {
 		_, err := NewPolicyByName(name, 1000, 1)
 		if err == nil {
 			t.Fatalf("%s: unknown policy should error", name)

@@ -42,14 +42,14 @@ func TestGDSInflation(t *testing.T) {
 	if !almostEqual(g.l, 1) {
 		t.Fatalf("inflation L = %v, want 1", g.l)
 	}
-	if h := priorityOf(&g.inlineCache, c.ID); !almostEqual(h, 2) {
+	if h := priorityOf(&g.greedyDual, c.ID); !almostEqual(h, 2) {
 		t.Fatalf("c's priority H = %v, want L + cost/size = 2", h)
 	}
 }
 
 // priorityOf returns a cached object's priority.
-func priorityOf(c *inlineCache, id ObjectID) float64 {
-	return (*c.items.findID(id)).Utility
+func priorityOf(g *greedyDual, id ObjectID) float64 {
+	return (*g.items.findID(id)).Utility
 }
 
 func TestGDSHitRefreshesPriority(t *testing.T) {
@@ -80,21 +80,6 @@ func TestGDSOversizedBypasses(t *testing.T) {
 	}
 }
 
-func TestLRUEvictsOldest(t *testing.T) {
-	l := NewLRU(120)
-	a, b, c := testObj("a", 60), testObj("b", 60), testObj("c", 60)
-	l.Access(1, a, 1)
-	l.Access(2, b, 1)
-	l.Access(3, a, 1) // refresh a
-	l.Access(4, c, 1) // must evict b (oldest)
-	if l.Contains(b.ID) {
-		t.Fatal("b should be the LRU victim")
-	}
-	if !l.Contains(a.ID) || !l.Contains(c.ID) {
-		t.Fatal("a and c should be cached")
-	}
-}
-
 func TestInlineResetClearsExtraState(t *testing.T) {
 	gds := NewGDS(100)
 	gds.Access(1, testObj("a", 50), 1)
@@ -111,7 +96,6 @@ func TestInlineCacheNamesAndCapacity(t *testing.T) {
 		name string
 	}{
 		{NewGDS(10), "gds"},
-		{NewLRU(10), "lru"},
 	}
 	for _, tc := range cases {
 		if tc.p.Name() != tc.name {

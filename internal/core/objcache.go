@@ -62,7 +62,7 @@ type Landlord struct {
 
 // NewLandlord returns a Landlord cacher with the given capacity.
 func NewLandlord(capacity int64) *Landlord {
-	return &Landlord{greedyDual{inlineCache: newInlineCache("landlord", capacity)}}
+	return &Landlord{newGreedyDual("landlord", capacity)}
 }
 
 // Credit returns the effective remaining credit of a cached object

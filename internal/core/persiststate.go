@@ -51,7 +51,6 @@ const (
 	scmStateVersion    = 1
 	onlineStateVersion = 1
 	spaceStateVersion  = 1
-	lruStateVersion    = 1
 	gdsStateVersion    = 1
 	noneStateVersion   = 1
 )
@@ -399,31 +398,31 @@ func (s *SpaceEffBY) RestoreState(data []byte) error {
 	})
 }
 
-// ---- in-line policies (shared heap machinery) ----
+// ---- GDS (and the heap it shares with Landlord) ----
 
-// encodeHeap appends a cache's heap — its objects with their
+// encodeHeap appends a GreedyDual-Size heap — its objects with their
 // utilities, in heap order, which decodeContents rebuilds exactly.
 func encodeHeap(e *statecodec.Encoder, h *bheap.Heap[Object]) {
 	encodeCached(e, h.Items(), func(it *bheap.Item[Object]) Object { return it.Value },
 		func(it *bheap.Item[Object]) { e.F64(it.Utility) })
 }
 
-// decodeContents reads an in-line cache's evictions and heap, and
-// returns the commit that installs them in c.
-func (c *inlineCache) decodeContents(d *statecodec.Decoder) func() {
+// decodeContents reads a GreedyDual-Size cache's evictions and heap,
+// and returns the commit that installs them in g.
+func (g *greedyDual) decodeContents(d *statecodec.Decoder) func() {
 	evictions := d.I64()
 	heap := bheap.New[Object](64)
-	items, used := decodeCached(d, c.name, c.cap, func(obj Object) *bheap.Item[Object] {
+	items, used := decodeCached(d, g.name, g.cap, func(obj Object) *bheap.Item[Object] {
 		u := d.F64()
 		if d.Err() == nil && math.IsNaN(u) {
-			d.Fail("core: %s snapshot has NaN priority for %s", c.name, obj.ID)
+			d.Fail("core: %s snapshot has NaN priority for %s", g.name, obj.ID)
 		}
 		return heap.Push(u, obj)
 	})
 	return func() {
-		c.heap, c.items = heap, items
-		c.used = used
-		c.evictions = evictions
+		g.heap, g.items = heap, items
+		g.used = used
+		g.evictions = evictions
 	}
 }
 
@@ -436,27 +435,9 @@ func decodeInflation(d *statecodec.Decoder, what string) float64 {
 	return l
 }
 
-// SnapshotState implements StateSnapshotter.
-func (l *LRU) SnapshotState() []byte {
-	var e statecodec.Encoder
-	e.U8(lruStateVersion)
-	e.I64(l.cap)
-	e.I64(l.evictions)
-	encodeHeap(&e, l.heap)
-	return e.Bytes()
-}
-
-// RestoreState implements StateSnapshotter.
-func (l *LRU) RestoreState(data []byte) error {
-	return restore(data, lruStateVersion, "lru", func(d *statecodec.Decoder) func() {
-		decodeCapacity(d, l.name, l.cap)
-		return l.decodeContents(d)
-	})
-}
-
-// SnapshotState implements StateSnapshotter: the in-line cache's state,
-// then L, which Landlord, whose blob predates the shared code, writes
-// before the heap.
+// SnapshotState implements StateSnapshotter: the evictions and the
+// heap, then L, which Landlord, whose blob predates the shared code,
+// writes before the heap.
 func (g *GDS) SnapshotState() []byte {
 	var e statecodec.Encoder
 	e.U8(gdsStateVersion)

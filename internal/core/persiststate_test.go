@@ -285,9 +285,9 @@ func TestRestoreRefusesDuplicateObjects(t *testing.T) {
 			}
 			return e.Bytes()
 		}},
-		{"lru", NewLRU(1000), func(copies int) []byte {
+		{"gds", NewGDS(1000), func(copies int) []byte {
 			e := &statecodec.Encoder{}
-			e.U8(lruStateVersion)
+			e.U8(gdsStateVersion)
 			e.I64(1000)
 			e.I64(0)
 			e.U64(uint64(copies))
@@ -295,6 +295,7 @@ func TestRestoreRefusesDuplicateObjects(t *testing.T) {
 				putObject(e, a)
 				e.F64(1)
 			}
+			e.F64(0)
 			return e.Bytes()
 		}},
 		{"rate-profile", NewRateProfile(RateProfileConfig{Capacity: 1000}), func(copies int) []byte {
@@ -339,7 +340,7 @@ func TestRestoreRefusesDuplicateObjects(t *testing.T) {
 // adopted with a negative Used.
 func TestRestoreRefusesSizesPastCapacity(t *testing.T) {
 	e := &statecodec.Encoder{}
-	e.U8(lruStateVersion)
+	e.U8(gdsStateVersion)
 	e.I64(1000)
 	e.I64(0)
 	e.U64(2)
@@ -347,8 +348,9 @@ func TestRestoreRefusesSizesPastCapacity(t *testing.T) {
 		putObject(e, testObj(id, math.MaxInt64/2+1))
 		e.F64(1)
 	}
-	l := NewLRU(1000)
-	if err := l.RestoreState(e.Bytes()); err == nil || !strings.Contains(err.Error(), "over capacity") {
-		t.Fatalf("a blob of %d bytes in a 1000-byte cache restored (%v); Used = %d", uint64(math.MaxInt64)+1, err, l.Used())
+	e.F64(0)
+	g := NewGDS(1000)
+	if err := g.RestoreState(e.Bytes()); err == nil || !strings.Contains(err.Error(), "over capacity") {
+		t.Fatalf("a blob of %d bytes in a 1000-byte cache restored (%v); Used = %d", uint64(math.MaxInt64)+1, err, g.Used())
 	}
 }

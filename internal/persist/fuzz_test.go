@@ -114,18 +114,18 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), frame...)
 	flipped[len(flipped)-3] ^= 0x40
 	f.Add(flipped)
-	// A genuine LRU blob with one byte appended, which every decoder
+	// A genuine GDS blob with one byte appended, which every decoder
 	// must refuse without a change.
-	lru, err := core.NewPolicyByName("lru", 1<<20, 1)
+	gds, err := core.NewPolicyByName("gds", 1<<20, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i, id := range []core.ObjectID{"a", "b", "c", "d"} {
-		lru.Access(int64(i+1), objs[id], objs[id].Size)
+		gds.Access(int64(i+1), objs[id], objs[id].Size)
 	}
 	trailing := st
-	trailing.PolicyName = "lru"
-	trailing.PolicyBlob = append(lru.(core.StateSnapshotter).SnapshotState(), 0xFF)
+	trailing.PolicyName = "gds"
+	trailing.PolicyBlob = append(gds.(core.StateSnapshotter).SnapshotState(), 0xFF)
 	f.Add(encodeSnapshotFrame(trailing, created))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

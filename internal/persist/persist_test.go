@@ -326,20 +326,34 @@ func TestAllSnapshotsCorruptFallsBackCold(t *testing.T) {
 // TestPolicyChangeColdStarts: a state directory written under another
 // policy is refused by the policy-name guard, and the recovery report
 // says why, naming both policies. One directory is written by a
-// rate-profile mediator; the other holds one snapshot of a policy no
-// longer built (gdsp, its blob pinned under testdata), which must not
-// reach a decoder.
+// rate-profile mediator; each other holds one snapshot of a policy no
+// longer built (gdsp and lru, their blobs pinned under testdata), which
+// must not reach a decoder.
 func TestPolicyChangeColdStarts(t *testing.T) {
 	capacity := catalog.EDR().TotalBytes() / 2
-	gdspBlob, err := os.ReadFile(filepath.Join("testdata", "gdsp.blob"))
-	if err != nil {
-		t.Fatal(err)
+	// retired writes one snapshot carrying testdata/<name>.blob under
+	// policy name.
+	retired := func(name string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			blob, err := os.ReadFile(filepath.Join("testdata", name+".blob"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := federation.State{
+				Clock: 10, Schema: "edr", Granularity: federation.Tables,
+				PolicyName: name, Capacity: capacity, PolicyBlob: blob,
+			}
+			frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
+			if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	for _, tc := range []struct {
 		from, to string
 		write    func(t *testing.T, dir string)
 	}{
-		{"rate-profile", "lru", func(t *testing.T, dir string) {
+		{"rate-profile", "gds", func(t *testing.T, dir string) {
 			med1, reg1 := newTestMediator(t, "rate-profile", capacity)
 			m1, err := Open(testConfig(dir, reg1), med1)
 			if err != nil {
@@ -350,16 +364,8 @@ func TestPolicyChangeColdStarts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"gdsp", "gds", func(t *testing.T, dir string) {
-			st := federation.State{
-				Clock: 10, Schema: "edr", Granularity: federation.Tables,
-				PolicyName: "gdsp", Capacity: capacity, PolicyBlob: gdspBlob,
-			}
-			frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
-			if err := os.WriteFile(filepath.Join(dir, snapName(st.Clock)), frame, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{"gdsp", "gds", retired("gdsp")},
+		{"lru", "gds", retired("lru")},
 	} {
 		t.Run(tc.from, func(t *testing.T) {
 			dir := t.TempDir()
@@ -391,7 +397,7 @@ func TestPolicyChangeColdStarts(t *testing.T) {
 }
 
 // TestRefusedPolicyBlobStartsCold: a snapshot whose policy blob the
-// policy refuses (here a real LRU blob with one byte appended) is
+// policy refuses (here a real GDS blob with one byte appended) is
 // skipped, and the start is cold in full: the cache holds nothing of
 // the refused snapshot, so what the mediator reports is what it serves
 // from.
@@ -399,14 +405,14 @@ func TestRefusedPolicyBlobStartsCold(t *testing.T) {
 	dir := t.TempDir()
 	capacity := catalog.EDR().TotalBytes() / 2
 
-	med1, _ := newTestMediator(t, "lru", capacity)
+	med1, _ := newTestMediator(t, "gds", capacity)
 	driveQueries(t, med1, 20)
 	st, err := med1.SnapshotState(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if med1.Policy().Used() == 0 {
-		t.Fatal("the driven LRU caches nothing; test is vacuous")
+		t.Fatal("the driven GDS caches nothing; test is vacuous")
 	}
 	st.PolicyBlob = append(append([]byte(nil), st.PolicyBlob...), 0xFF)
 	frame := encodeSnapshotFrame(st, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).Unix())
@@ -414,7 +420,7 @@ func TestRefusedPolicyBlobStartsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	med2, reg2 := newTestMediator(t, "lru", capacity)
+	med2, reg2 := newTestMediator(t, "gds", capacity)
 	m2, err := Open(testConfig(dir, reg2), med2)
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +443,7 @@ func TestRefusedPolicyBlobStartsCold(t *testing.T) {
 func TestGCKeepsTwoGenerations(t *testing.T) {
 	dir := t.TempDir()
 	capacity := catalog.EDR().TotalBytes() / 2
-	med, reg := newTestMediator(t, "lru", capacity)
+	med, reg := newTestMediator(t, "gds", capacity)
 	m, err := Open(testConfig(dir, reg), med)
 	if err != nil {
 		t.Fatal(err)

@@ -66,8 +66,8 @@ func TestDecoderRefuses(t *testing.T) {
 	}
 
 	d = NewDecoder([]byte{2})
-	d.Version(1, "lru")
-	if err := d.Done(); err == nil || err.Error() != "lru state version 2, want 1" {
+	d.Version(1, "gds")
+	if err := d.Done(); err == nil || err.Error() != "gds state version 2, want 1" {
 		t.Fatalf("version: %v", err)
 	}
 

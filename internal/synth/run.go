@@ -69,15 +69,21 @@ type RunConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// LatencySummary condenses one latency histogram.
+// LatencySummary condenses one latency histogram. A latency runs from
+// an operation's intended time (dispatch start + At) to its completion,
+// so it includes how late the harness started it and any fresh dial;
+// LagP99US and LagMaxUS are that start's lateness alone (the dispatch
+// lag), which shows a harness that fell behind as such.
 type LatencySummary struct {
-	Count  int64   `json:"count"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  int64   `json:"p50_us"`
-	P90US  int64   `json:"p90_us"`
-	P99US  int64   `json:"p99_us"`
-	P999US int64   `json:"p999_us"`
-	MaxUS  int64   `json:"max_us"`
+	Count    int64   `json:"count"`
+	MeanUS   float64 `json:"mean_us"`
+	P50US    int64   `json:"p50_us"`
+	P90US    int64   `json:"p90_us"`
+	P99US    int64   `json:"p99_us"`
+	P999US   int64   `json:"p999_us"`
+	MaxUS    int64   `json:"max_us"`
+	LagP99US int64   `json:"dispatch_lag_p99_us"`
+	LagMaxUS int64   `json:"dispatch_lag_max_us"`
 }
 
 // ClassSummary is per-query-class latency.
@@ -232,6 +238,7 @@ func Run(ctx context.Context, sc *Scenario, cfg RunConfig) (*Report, error) {
 		sloUS:    cfg.SLO.Microseconds(),
 		idle:     make(chan *wire.Client, cfg.MaxInflight),
 		latency:  reg.Histogram("synth.latency_us", LatencyBuckets()),
+		lag:      reg.Histogram("synth.dispatch_lag_us", LatencyBuckets()),
 		byClass:  reg.HistogramFamily("synth.class_latency_us", LatencyBuckets()),
 		shedCtr:  reg.Counter("synth.shed"),
 		errCtr:   reg.Counter("synth.errors"),
@@ -256,7 +263,8 @@ func Run(ctx context.Context, sc *Scenario, cfg RunConfig) (*Report, error) {
 dispatch:
 	for i := range ops {
 		op := &ops[i]
-		if wait := time.Until(start.Add(op.At)); wait > 0 {
+		intended := start.Add(op.At)
+		if wait := time.Until(intended); wait > 0 {
 			timer.Reset(wait)
 			select {
 			case <-ctx.Done():
@@ -281,7 +289,7 @@ dispatch:
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st.exec(op)
+			st.exec(op, intended)
 		}()
 	}
 	dispatchEnd := time.Now()
@@ -314,13 +322,15 @@ dispatch:
 
 	lat := st.latency.Snap()
 	rep.Latency = LatencySummary{
-		Count:  lat.Count,
-		MeanUS: lat.Mean(),
-		P50US:  lat.Quantile(0.50),
-		P90US:  lat.Quantile(0.90),
-		P99US:  lat.Quantile(0.99),
-		P999US: lat.Quantile(0.999),
-		MaxUS:  st.maxUS.Load(),
+		Count:    lat.Count,
+		MeanUS:   lat.Mean(),
+		P50US:    lat.Quantile(0.50),
+		P90US:    lat.Quantile(0.90),
+		P99US:    lat.Quantile(0.99),
+		P999US:   lat.Quantile(0.999),
+		MaxUS:    st.maxUS.Load(),
+		LagP99US: st.lag.Snap().Quantile(0.99),
+		LagMaxUS: st.lagMaxUS.Load(),
 	}
 	rep.SLO = SLOReport{ThresholdUS: st.sloUS, Met: st.sloMet.Load(), Attainment: 1}
 	if rep.Completed > 0 {
@@ -385,10 +395,12 @@ type runState struct {
 	bytes      atomic.Int64
 	sloMet     atomic.Int64
 	maxUS      atomic.Int64
+	lagMaxUS   atomic.Int64
 
 	idle chan *wire.Client
 
 	latency  *obs.Histogram
+	lag      *obs.Histogram
 	byClass  *obs.HistogramFamily
 	shedCtr  *obs.Counter
 	errCtr   *obs.Counter
@@ -415,11 +427,14 @@ func (st *runState) release() {
 	st.inflight.Set(st.cur.Add(-1))
 }
 
-// exec runs one operation on a pooled connection. Connection failures
-// and query errors count as Errors; the conn is discarded (its stream
-// state is unknown) and a successor dials fresh.
-func (st *runState) exec(op *Op) {
+// exec runs one operation, due at intended, on a pooled connection.
+// Connection failures and query errors count as Errors; the conn is
+// discarded (its stream state is unknown) and a successor dials fresh.
+func (st *runState) exec(op *Op, intended time.Time) {
 	defer st.release()
+	lagUS := time.Since(intended).Microseconds()
+	st.lag.Observe(lagUS)
+	storeMax(&st.lagMaxUS, lagUS)
 	var cl *wire.Client
 	select {
 	case cl = <-st.idle:
@@ -436,9 +451,8 @@ func (st *runState) exec(op *Op) {
 	// node legs and stamps it on flight-recorder exemplars, so a tail
 	// event in this run can be joined across daemons afterwards
 	// (`by federation` merges by trace id).
-	t0 := time.Now()
 	res, err := cl.QueryTraced(op.SQL, obs.NewID())
-	latUS := time.Since(t0).Microseconds()
+	latUS := time.Since(intended).Microseconds()
 	if err != nil {
 		st.errors.Add(1)
 		st.errCtr.Inc()
@@ -452,12 +466,7 @@ func (st *runState) exec(op *Op) {
 	if latUS <= st.sloUS {
 		st.sloMet.Add(1)
 	}
-	for {
-		old := st.maxUS.Load()
-		if latUS <= old || st.maxUS.CompareAndSwap(old, latUS) {
-			break
-		}
-	}
+	storeMax(&st.maxUS, latUS)
 	if res.Partial || len(res.TransportErrors) > 0 {
 		st.degraded.Add(1)
 		st.degCtr.Inc()
@@ -467,6 +476,16 @@ func (st *runState) exec(op *Op) {
 	case st.idle <- cl:
 	default:
 		cl.Close()
+	}
+}
+
+// storeMax raises m to v.
+func storeMax(m *atomic.Int64, v int64) {
+	for {
+		old := m.Load()
+		if v <= old || m.CompareAndSwap(old, v) {
+			return
+		}
 	}
 }
 
@@ -517,6 +536,8 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "  latency     p50 %.2fms  p90 %.2fms  p99 %.2fms  p999 %.2fms  max %.2fms\n",
 		ms(r.Latency.P50US), ms(r.Latency.P90US), ms(r.Latency.P99US),
 		ms(r.Latency.P999US), ms(r.Latency.MaxUS))
+	fmt.Fprintf(w, "  dispatch    lag p99 %.2fms  max %.2fms\n",
+		ms(r.Latency.LagP99US), ms(r.Latency.LagMaxUS))
 	fmt.Fprintf(w, "  slo         %.0fms: %.2f%% attained (%d/%d)\n",
 		ms(r.SLO.ThresholdUS), r.SLO.Attainment*100, r.SLO.Met, r.Completed)
 	if len(r.Classes) > 0 {

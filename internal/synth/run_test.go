@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -171,6 +172,47 @@ func TestRunSteady(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("text report missing %q:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestLatencyFromIntendedTime: every dial stalls until one instant,
+// 200ms after the first begins, so the ten arrivals due at 0, 10, …,
+// 90ms each wait through the rest of the stall on a fresh dial. A
+// latency runs from the arrival's intended time, so each includes its
+// share of the stall: the first's is all of it, the last's 110ms. The
+// dispatcher itself was on time, so its lag stays below the stall.
+func TestLatencyFromIntendedTime(t *testing.T) {
+	const stall = 200 * time.Millisecond
+	addr := stubServer(t, 0, wire.ResultMsg{Rows: 1, Bytes: 1})
+	var once sync.Once
+	var until time.Time
+	sc := &Scenario{
+		Name:    "stalled-dial",
+		Seed:    1,
+		Arrival: ArrivalUniform,
+		Slots:   []Slot{{Shape: ShapeConstant, RPS: 100, Duration: seconds(0.1)}},
+	}
+	rep, err := Run(context.Background(), sc, RunConfig{
+		Addr:       addr,
+		SkipScrape: true,
+		Dialer: func(addr string) (net.Conn, error) {
+			once.Do(func() { until = time.Now().Add(stall) })
+			time.Sleep(time.Until(until))
+			return net.Dial("tcp", addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 10 {
+		t.Fatalf("stalled run: %+v", rep)
+	}
+	if min := (stall - 90*time.Millisecond).Microseconds(); rep.Latency.P50US < min || rep.Latency.MaxUS < stall.Microseconds() {
+		t.Fatalf("latency %+v leaves out the stall: want every arrival at ≥ %dµs, the first at ≥ %dµs",
+			rep.Latency, min, stall.Microseconds())
+	}
+	if rep.Latency.LagMaxUS >= stall.Microseconds() {
+		t.Fatalf("dispatch lag max %dµs: the stall was in the dial, not the dispatcher", rep.Latency.LagMaxUS)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestBreakerRestartCycle(t *testing.T) {
 		addrs[site] = addr
 	}
 	newMediatorProxy := func() (*federation.Mediator, *Proxy) {
-		pol, err := core.NewPolicyByName("lru", s.TotalBytes()/2, 1)
+		pol, err := core.NewPolicyByName("gds", s.TotalBytes()/2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
