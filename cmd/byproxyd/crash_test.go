@@ -46,7 +46,6 @@ func TestCrashHelperProcess(t *testing.T) {
 	o.snapInterval = time.Hour // only boundary snapshots: Open and Close
 	o.recoveryLog = os.Getenv("BYPROXYD_RECOVERY_LOG")
 	o.persistFaults = os.Getenv("BYPROXYD_FAULTS")
-	o.ledgerCap = 4096
 	d, err := start(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "helper:", err)

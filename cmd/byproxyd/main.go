@@ -7,7 +7,7 @@
 //
 //	byproxyd -release edr -addr :7100 -policy rate-profile -cache-pct 0.4 \
 //	  -nodes "photo.sdss.org=localhost:7101,spec.sdss.org=localhost:7102" \
-//	  -http :7180 -ledger 4096 -ledger-out decisions.jsonl \
+//	  -http :7180 -ledger-out decisions.jsonl \
 //	  -flight-sample 1 -exemplar-out queries.jsonl -state-dir ./state -wal-sync
 package main
 
@@ -30,6 +30,10 @@ import (
 	"bypassyield/internal/wire"
 )
 
+// ledgerCap is the decision ledger's ring capacity in records: the
+// ledger is always on, at the size the benchmark runs.
+const ledgerCap = 4096
+
 // options bundles the proxy's tunables (one per flag).
 type options struct {
 	daemon.Flags
@@ -41,11 +45,9 @@ type options struct {
 
 	rpcTimeout time.Duration // node RPC deadline (0 disables)
 
-	ledgerCap int64  // decision-ledger ring capacity (0 disables)
 	ledgerOut string // JSONL decision log path ("" disables)
 
 	maxInflight int // concurrently pipelined client queries
-	poolSize    int // per-site connection-pool bound
 
 	stateDir      string        // crash-safe state directory ("" disables persistence)
 	snapInterval  time.Duration // periodic snapshot cadence
@@ -75,10 +77,8 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.gran, "granularity", "columns", "object granularity: tables, columns or views")
 	fs.StringVar(&o.nodes, "nodes", "", "comma-separated site=addr pairs of database nodes (empty = simulate locally)")
 	fs.DurationVar(&o.rpcTimeout, "rpc-timeout", wire.DefaultRPCTimeout, "deadline for node RPCs (0 disables)")
-	fs.Int64Var(&o.ledgerCap, "ledger", 4096, "decision-ledger ring capacity in records (0 disables)")
 	fs.StringVar(&o.ledgerOut, "ledger-out", "", "append every decision record as JSONL to this file")
 	fs.IntVar(&o.maxInflight, "max-inflight", wire.DefaultMaxInflight, "concurrently pipelined client queries (1 serializes the pipeline)")
-	fs.IntVar(&o.poolSize, "pool-size", wire.DefaultPoolSize, "per-site node connection pool bound (max checked-out conns, at least 1)")
 	fs.StringVar(&o.stateDir, "state-dir", "", "persist cache/policy/accounting state here and warm-restart from it (empty disables)")
 	fs.DurationVar(&o.snapInterval, "snapshot-interval", persist.DefaultSnapshotInterval, "periodic state snapshot cadence")
 	fs.BoolVar(&o.walSync, "wal-sync", false, "fsync the write-ahead log after every access record (durable before the result frame, one fsync per access)")
@@ -109,12 +109,6 @@ type running struct {
 // in-flight decision records and exemplars still land — the JSONL
 // logs.
 func start(o options) (*running, error) {
-	if o.poolSize < 1 {
-		return nil, fmt.Errorf("-pool-size %d: the bound is fixed and must be at least 1 (adaptive sizing, which 0 used to select, is gone)", o.poolSize)
-	}
-	if o.ledgerOut != "" && o.ledgerCap <= 0 {
-		return nil, fmt.Errorf("-ledger-out requires -ledger > 0")
-	}
 	if o.stateDir == "" {
 		switch {
 		case o.walSync:
@@ -149,10 +143,7 @@ func start(o options) (*running, error) {
 	// every layer.
 	reg := obs.NewRegistry()
 	db.SetObs(reg)
-	var led *ledger.Ledger
-	if o.ledgerCap > 0 {
-		led = ledger.New(int(o.ledgerCap))
-	}
+	led := ledger.New(ledgerCap)
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg,
 		Ledger: led, Shadows: true,
@@ -175,7 +166,6 @@ func start(o options) (*running, error) {
 	proxy := wire.NewProxy(med, g, nodeAddrs)
 	proxy.SetRPCTimeout(o.rpcTimeout)
 	proxy.SetConcurrency(o.maxInflight, 0)
-	proxy.SetPoolConfig(wire.PoolConfig{MaxActive: o.poolSize})
 	proxy.SetFlightConfig(o.FlightConfig())
 	r := &running{desc: fmt.Sprintf("release %s, policy %s, cache %.0f%% (%d MB), granularity %s, %d nodes",
 		s.Name, o.policy, o.cachePct*100, capacity>>20, g, len(nodeAddrs))}

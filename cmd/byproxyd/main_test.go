@@ -25,7 +25,7 @@ func testOptions() options {
 		Flags: daemon.Flags{Release: "edr", Sample: 100000, Seed: 1},
 		addr:  "127.0.0.1:0", policy: "rate-profile",
 		cachePct: 0.4, gran: "columns",
-		rpcTimeout: wire.DefaultRPCTimeout, poolSize: wire.DefaultPoolSize,
+		rpcTimeout: wire.DefaultRPCTimeout,
 	}
 }
 
@@ -120,7 +120,7 @@ func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "cache-pct", "chaos", "chaos-seed", "exemplar-out",
 		"flight-sample", "flight-threshold", "granularity", "http",
-		"ledger", "ledger-out", "max-inflight", "nodes", "policy", "pool-size",
+		"ledger-out", "max-inflight", "nodes", "policy",
 		"recovery-log", "release", "rpc-timeout", "sample", "seed",
 		"snapshot-interval", "state-dir", "wal-sync",
 	}
@@ -128,8 +128,8 @@ func TestFlagSurface(t *testing.T) {
 		"addr": ":7100", "cache-pct": "0.4", "chaos": "", "chaos-seed": "1",
 		"exemplar-out":  "",
 		"flight-sample": "256", "flight-threshold": "250ms", "granularity": "columns",
-		"http": "", "ledger": "4096", "ledger-out": "", "max-inflight": "64",
-		"nodes": "", "policy": "rate-profile", "pool-size": "8",
+		"http": "", "ledger-out": "", "max-inflight": "64",
+		"nodes": "", "policy": "rate-profile",
 		"recovery-log": "", "release": "edr", "rpc-timeout": "10s", "sample": "1000",
 		"seed": "1", "snapshot-interval": "30s", "state-dir": "", "wal-sync": "false",
 	}
@@ -149,7 +149,6 @@ func TestFlagSurface(t *testing.T) {
 
 func TestStartLedgerFlags(t *testing.T) {
 	o := testOptions()
-	o.ledgerCap = 64
 	o.ledgerOut = filepath.Join(t.TempDir(), "decisions.jsonl")
 	d, err := start(o)
 	if err != nil {
@@ -190,29 +189,6 @@ func TestStartLedgerFlags(t *testing.T) {
 	}
 	if uint64(len(logged)) != dec.Recorded || !reflect.DeepEqual(logged, dec.Records) {
 		t.Fatalf("ledger log = %+v (%d records)\nwant the scrape's %+v (%d recorded)", logged, len(logged), dec.Records, dec.Recorded)
-	}
-}
-
-func TestStartLedgerOutRequiresLedger(t *testing.T) {
-	o := testOptions()
-	o.ledgerCap = 0
-	o.ledgerOut = filepath.Join(t.TempDir(), "decisions.jsonl")
-	if _, err := start(o); err == nil {
-		t.Fatal("-ledger-out without -ledger should fail startup")
-	}
-}
-
-// TestStartRefusesPoolSizeBelowOne: 0 used to select adaptive sizing;
-// it must now fail start-up by name instead of silently meaning
-// something else.
-func TestStartRefusesPoolSizeBelowOne(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		o := testOptions()
-		o.poolSize = n
-		_, err := start(o)
-		if err == nil || !strings.Contains(err.Error(), "-pool-size") || !strings.Contains(err.Error(), "adaptive sizing") {
-			t.Fatalf("-pool-size %d: err = %v, want a refusal naming the flag and adaptive sizing", n, err)
-		}
 	}
 }
 

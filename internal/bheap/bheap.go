@@ -105,43 +105,6 @@ func (h *Heap[T]) Items() []*Item[T] {
 	return out
 }
 
-// AscendMin visits items in nondecreasing utility order, calling fn for
-// each until fn returns false. It operates on a temporary copy and does
-// not modify the heap. Cost is O(n log n) in the worst case; callers
-// typically stop early after a few items.
-func (h *Heap[T]) AscendMin(fn func(*Item[T]) bool) {
-	// Pop from a copy of the item order; the items' own indexes are the
-	// heap's and must not be disturbed.
-	nodes := make([]*Item[T], len(h.items))
-	copy(nodes, h.items)
-	less := func(i, j int) bool { return nodes[i].Utility < nodes[j].Utility }
-	down := func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			s := i
-			if l < n && less(l, s) {
-				s = l
-			}
-			if r < n && less(r, s) {
-				s = r
-			}
-			if s == i {
-				return
-			}
-			nodes[i], nodes[s] = nodes[s], nodes[i]
-			i = s
-		}
-	}
-	for n := len(nodes); n > 0; {
-		if !fn(nodes[0]) {
-			return
-		}
-		n--
-		nodes[0], nodes[n] = nodes[n], nodes[0]
-		down(0, n)
-	}
-}
-
 func (h *Heap[T]) remove(i int) *Item[T] {
 	it := h.items[i]
 	last := len(h.items) - 1

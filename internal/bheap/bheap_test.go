@@ -117,49 +117,6 @@ func TestRemoveLast(t *testing.T) {
 	}
 }
 
-func TestAscendMinOrderAndEarlyStop(t *testing.T) {
-	h := New[int](16)
-	r := rand.New(rand.NewSource(7))
-	var want []float64
-	for i := 0; i < 50; i++ {
-		u := r.Float64()
-		want = append(want, u)
-		h.Push(u, i)
-	}
-	sort.Float64s(want)
-
-	var got []float64
-	h.AscendMin(func(it *Item[int]) bool {
-		got = append(got, it.Utility)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("AscendMin visited %d items, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("AscendMin order mismatch at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-	// Heap must be unchanged by AscendMin.
-	if h.Len() != 50 || !heapInvariant(h) {
-		t.Fatalf("heap changed by AscendMin: %d items", h.Len())
-	}
-	if h.PeekMin().Utility != want[0] {
-		t.Fatal("heap min changed by AscendMin")
-	}
-
-	// Early stop after three items.
-	n := 0
-	h.AscendMin(func(*Item[int]) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("early stop visited %d, want 3", n)
-	}
-}
-
 func TestZeroValueUsable(t *testing.T) {
 	var h Heap[string]
 	h.Push(1, "a")

@@ -223,16 +223,6 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// KeyColumn returns the table's key column, or nil if it has none.
-func (t *Table) KeyColumn() *Column {
-	for i := range t.Columns {
-		if t.Columns[i].Key {
-			return &t.Columns[i]
-		}
-	}
-	return nil
-}
-
 // SiteSchema returns the subset of a release owned by one site, with
 // the same release name. Database nodes open engines over their site
 // schema so they only materialize their own tables; because data

@@ -99,16 +99,6 @@ func TestPhotoObjIsLargestHotTable(t *testing.T) {
 	}
 }
 
-func TestKeyColumns(t *testing.T) {
-	s := EDR()
-	if k := s.Table("photoobj").KeyColumn(); k == nil || k.Name != "objid" {
-		t.Fatalf("photoobj key = %v, want objid", k)
-	}
-	if k := s.Table("neighbors").KeyColumn(); k != nil {
-		t.Fatalf("neighbors should have no key, got %v", k)
-	}
-}
-
 func TestSpecObjReferencesPhotoObj(t *testing.T) {
 	s := EDR()
 	po := s.Table("photoobj")

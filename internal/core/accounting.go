@@ -42,14 +42,6 @@ func (a Accounting) WANBytes() int64 { return a.BypassBytes + a.FetchBytes }
 // BypassBytes is cost-scaled; use YieldBytes for the raw volume.)
 func (a Accounting) DeliveredBytes() int64 { return a.BypassBytes + a.CacheBytes }
 
-// HitRate returns the fraction of accesses served from cache.
-func (a Accounting) HitRate() float64 {
-	if a.Accesses == 0 {
-		return 0
-	}
-	return float64(a.Hits) / float64(a.Accesses)
-}
-
 // ByteHitRate returns the fraction of yield bytes served from cache —
 // the yield-model analogue of hit rate.
 func (a Accounting) ByteHitRate() float64 {

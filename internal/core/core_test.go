@@ -111,9 +111,6 @@ func TestAccountingDerived(t *testing.T) {
 	if got := a.DeliveredBytes(); got != 100 {
 		t.Fatalf("DeliveredBytes = %d, want 100", got)
 	}
-	if got := a.HitRate(); got != 0.4 {
-		t.Fatalf("HitRate = %v, want 0.4", got)
-	}
 	if got := a.ByteHitRate(); got != 0.4 {
 		t.Fatalf("ByteHitRate = %v, want 0.4", got)
 	}
@@ -121,7 +118,7 @@ func TestAccountingDerived(t *testing.T) {
 
 func TestAccountingZero(t *testing.T) {
 	var a Accounting
-	if a.HitRate() != 0 || a.ByteHitRate() != 0 {
+	if a.ByteHitRate() != 0 {
 		t.Fatal("zero accounting rates should be 0, not NaN")
 	}
 }

@@ -32,8 +32,8 @@ type Decider struct {
 	// Acct is the flow accounting of every query ended so far.
 	Acct Accounting
 
-	policy    Policy   // nil: every access bypasses
-	name      string   // the policy's, "" without one
+	policy    Policy
+	name      string   // the policy's
 	explained *Explain // where the policy keeps its explanation (SelfExplainer), nil for none
 	tel       *Telemetry
 	shadows   *ShadowSet
@@ -54,21 +54,17 @@ type Decider struct {
 // reads the wall clock too.
 var clockBase = time.Now()
 
-// NewDecider assembles a decision loop. Every argument may be nil: no
-// policy bypasses every access, and an absent observer costs nothing.
-// The telemetry is attached to the policy when it publishes churn of
-// its own.
+// NewDecider assembles a decision loop around policy p (NoCache
+// bypasses every access). Every observer may be nil: an absent one
+// costs nothing. The telemetry is attached to the policy when it
+// publishes churn of its own.
 func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger) *Decider {
-	d := &Decider{policy: p, tel: tel, shadows: shadows, ledger: led}
-	if p != nil {
-		d.name = p.Name()
-		if se, ok := p.(SelfExplainer); ok {
-			d.explained = se.LastExplain()
-		}
-		d.evictions = p.Evictions()
-		if ts, ok := p.(TelemetrySetter); ok && tel != nil {
-			ts.SetTelemetry(tel)
-		}
+	d := &Decider{policy: p, name: p.Name(), evictions: p.Evictions(), tel: tel, shadows: shadows, ledger: led}
+	if se, ok := p.(SelfExplainer); ok {
+		d.explained = se.LastExplain()
+	}
+	if ts, ok := p.(TelemetrySetter); ok && tel != nil {
+		ts.SetTelemetry(tel)
 	}
 	return d
 }
@@ -89,11 +85,8 @@ func (d *Decider) Begin(t int64, trace string) {
 // charges the decision. core.decide_seconds gets its observation per
 // call at End, where the loop is timed as a whole, not around each call.
 func (d *Decider) Access(obj Object, yield int64) (Decision, error) {
-	dec := Bypass
-	if d.policy != nil {
-		dec = d.policy.Access(d.t, obj, yield)
-		d.decided++
-	}
+	dec := d.policy.Access(d.t, obj, yield)
+	d.decided++
 	_, err := d.charge(obj, yield, dec)
 	return dec, err
 }
@@ -184,18 +177,13 @@ func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 func (d *Decider) Restore(a Accounting) {
 	d.shadows.adopt(a.WANBytes() - d.Acct.WANBytes())
 	d.Acct = a
-	if d.policy != nil {
-		d.evictions = d.policy.Evictions()
-		d.Acct.Evictions = d.evictions
-	}
+	d.evictions = d.policy.Evictions()
+	d.Acct.Evictions = d.evictions
 }
 
 // countEvictions adds to Acct the evictions the policy has made since
 // it was last asked.
 func (d *Decider) countEvictions() {
-	if d.policy == nil {
-		return
-	}
 	if ev := d.policy.Evictions(); ev > d.evictions {
 		d.Acct.Evictions += ev - d.evictions
 		d.evictions = ev

@@ -19,30 +19,36 @@ func TestNewPolicyByName(t *testing.T) {
 	}
 }
 
-func TestNewPolicyByNameAliases(t *testing.T) {
-	for alias, want := range map[string]string{
-		"rp":           "rate-profile",
-		"RATE-PROFILE": "rate-profile",
-		"online":       "online-by",
-		"spaceeff":     "space-eff-by",
-		"nocache":      "no-cache",
-	} {
-		p, err := NewPolicyByName(alias, 1000, 1)
+// TestPolicyNameIsItsName: the policy built from each name reports
+// exactly that name, so a record, a snapshot and a table row carry the
+// name it was asked for.
+func TestPolicyNameIsItsName(t *testing.T) {
+	want := "gds none online-by online-by-marking rate-profile space-eff-by"
+	if got := strings.Join(PolicyNames(), " "); got != want {
+		t.Fatalf("PolicyNames() = %s, want %s", got, want)
+	}
+	for _, name := range PolicyNames() {
+		p, err := NewPolicyByName(name, 1000, 1)
 		if err != nil {
-			t.Fatalf("%s: %v", alias, err)
+			t.Fatal(err)
 		}
-		if p.Name() != want {
-			t.Fatalf("%s → %s, want %s", alias, p.Name(), want)
+		if p.Name() != name {
+			t.Errorf("NewPolicyByName(%q).Name() = %q", name, p.Name())
 		}
 	}
 }
 
-// TestNewPolicyByNameUnknown: an unknown name, and each name of a
-// policy that is no longer built (GDSP, LFU, LRU, LRU-K and its aliases), is
-// refused with an error that lists exactly the names there are.
+// TestNewPolicyByNameUnknown: an unknown name, each name of a policy
+// that is no longer built (GDSP, LFU, LRU, LRU-K and its aliases), each
+// alias that was once accepted, and a name in another case are refused
+// with an error that lists exactly the names there are.
 func TestNewPolicyByNameUnknown(t *testing.T) {
 	have := "(have " + strings.Join(PolicyNames(), ", ") + ")"
-	for _, name := range []string{"magic", "gdsp", "lfu", "lru", "lru-k", "lruk", "lru2"} {
+	for _, name := range []string{
+		"magic", "gdsp", "lfu", "lru", "lru-k", "lruk", "lru2",
+		"rateprofile", "rp", "RATE-PROFILE", "onlineby", "online", "online-marking",
+		"spaceeffby", "spaceeff", "no-cache", "nocache", "GDS",
+	} {
 		_, err := NewPolicyByName(name, 1000, 1)
 		if err == nil {
 			t.Fatalf("%s: unknown policy should error", name)

@@ -29,8 +29,19 @@ func NewOnlineBY(aobj ObjectCacher) *OnlineBY {
 	return &OnlineBY{aobj: aobj}
 }
 
-// Name implements Policy.
-func (o *OnlineBY) Name() string { return "online-by" }
+// Name implements Policy: "online-by", with aobjSuffix appended.
+func (o *OnlineBY) Name() string { return "online-by" + aobjSuffix(o.aobj) }
+
+// aobjSuffix is what OnlineBY's and SpaceEffBY's names carry of their
+// A_obj, whose competitive ratio α their bound (4α+2) is taken from:
+// nothing for Landlord, the paper's default, "-marking" for size-class
+// marking, the one other A_obj.
+func aobjSuffix(aobj ObjectCacher) string {
+	if _, ok := aobj.(*SizeClassMarking); ok {
+		return "-marking"
+	}
+	return ""
+}
 
 // Used implements Policy.
 func (o *OnlineBY) Used() int64 { return o.aobj.Used() }

@@ -191,6 +191,9 @@ func (r *RateProfile) RestoreState(data []byte) error {
 			for j, m := 0, d.Count(); j < m && d.Err() == nil; j++ {
 				p.past = append(p.past, d.F64())
 			}
+			if why := profileFault(p, r.profiles.cfg.MaxEpisodes); why != "" && d.Err() == nil {
+				d.Fail("core: rate-profile snapshot: profile %s %s", id, why)
+			}
 			*profiles.put(Object{ID: id}) = p
 		}
 		return func() {
@@ -201,6 +204,38 @@ func (r *RateProfile) RestoreState(data []byte) error {
 			r.last = Explain{}
 		}
 	})
+}
+
+// profileFault names the first bound of observe and closeEpisode that
+// a restored profile breaks, "" when it keeps them all: a closed profile
+// has not started and holds no Σy and no maximum; an open one has
+// started, and its maximum LARP — (Σy − f)/(Δt·s) at an earlier access,
+// with f, s and Δt each at least 1 — lies below its Σy; Σy ≥ 0, the
+// episode starts no later than the last access, and the history holds
+// at most maxEpisodes finite LARs ≥ 0.
+func profileFault(p *profile, maxEpisodes int) string {
+	switch {
+	case !p.open && (p.started || p.sumYield != 0 || p.maxLARP != 0):
+		return "is closed with an episode's state"
+	case p.open && !p.started:
+		return "is open but not started"
+	case p.sumYield < 0:
+		return "has a negative Σy"
+	case p.start > p.lastAccess:
+		return "starts after its last access"
+	case math.IsNaN(p.maxLARP) || math.IsInf(p.maxLARP, 0):
+		return "has a maximum LARP that is not finite"
+	case p.open && p.maxLARP >= float64(p.sumYield):
+		return "has a maximum LARP not below its Σy"
+	case len(p.past) > maxEpisodes:
+		return "holds more episodes than MaxEpisodes"
+	}
+	for _, v := range p.past {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return "holds a LAR that is negative or not finite"
+		}
+	}
+	return ""
 }
 
 // ---- Landlord ----
@@ -470,5 +505,5 @@ func (NoCache) SnapshotState() []byte { return []byte{noneStateVersion} }
 
 // RestoreState implements StateSnapshotter.
 func (NoCache) RestoreState(data []byte) error {
-	return restore(data, noneStateVersion, "no-cache", func(*statecodec.Decoder) func() { return func() {} })
+	return restore(data, noneStateVersion, "none", func(*statecodec.Decoder) func() { return func() {} })
 }

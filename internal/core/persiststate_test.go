@@ -216,6 +216,92 @@ func TestRateProfileEpisodeStateSurvives(t *testing.T) {
 // policy decoder: truncations, trailing garbage, bit flips, and
 // configuration mismatches must return an error (never panic), leave
 // the receiver's state byte for byte as it was, and leave it usable.
+// rpBlob encodes a Rate-Profile snapshot of capacity 1000 holding no
+// cached object and profile p for object "a".
+func rpBlob(p profile) []byte {
+	e := &statecodec.Encoder{}
+	e.U8(rpStateVersion)
+	e.I64(1000)
+	e.I64(0)
+	e.U64(0)
+	e.U64(1)
+	e.Str("a")
+	e.Bool(p.open)
+	e.Bool(p.started)
+	e.I64(p.start)
+	e.I64(p.sumYield)
+	e.F64(p.maxLARP)
+	e.I64(p.lastAccess)
+	e.U64(uint64(len(p.past)))
+	for _, v := range p.past {
+		e.F64(v)
+	}
+	return e.Bytes()
+}
+
+// TestRateProfileRestoreRefusesUnreachableProfiles: a restored profile
+// must keep each bound observe and closeEpisode keep, or the restored
+// policy could take episode decisions the live one never would. Each
+// case breaks one bound of a profile that restores.
+func TestRateProfileRestoreRefusesUnreachableProfiles(t *testing.T) {
+	open := profile{open: true, started: true, start: 3, sumYield: 150, maxLARP: 0.5, lastAccess: 7, past: []float64{0, 0.25}}
+	closed := profile{start: 3, lastAccess: 7, past: []float64{0.5}}
+	for _, p := range []profile{open, closed} {
+		if err := NewRateProfile(RateProfileConfig{Capacity: 1000}).RestoreState(rpBlob(p)); err != nil {
+			t.Fatalf("%+v: %v", p, err)
+		}
+	}
+	tooMany := make([]float64, DefaultEpisodeConfig().MaxEpisodes+1)
+	for _, c := range []struct {
+		base profile
+		edit func(p *profile)
+		why  string // what the refusal says
+	}{
+		{closed, func(p *profile) { p.started = true }, "closed with an episode's state"},
+		{closed, func(p *profile) { p.sumYield = 10 }, "closed with an episode's state"},
+		{closed, func(p *profile) { p.maxLARP = 0.5 }, "closed with an episode's state"},
+		{open, func(p *profile) { p.started = false }, "open but not started"},
+		{open, func(p *profile) { p.sumYield, p.maxLARP = -1, -2 }, "negative Σy"},
+		{closed, func(p *profile) { p.start = 8 }, "starts after its last access"},
+		{open, func(p *profile) { p.maxLARP = math.NaN() }, "not finite"},
+		{open, func(p *profile) { p.maxLARP = math.Inf(-1) }, "not finite"},
+		{open, func(p *profile) { p.maxLARP = 150 }, "not below its Σy"},
+		// The probe's state: open and started at a maximum of 0, Σy 0.
+		{open, func(p *profile) { p.sumYield, p.maxLARP = 0, 0 }, "not below its Σy"},
+		{closed, func(p *profile) { p.past = tooMany }, "more episodes than MaxEpisodes"},
+		{closed, func(p *profile) { p.past = []float64{-0.5} }, "negative or not finite"},
+		{closed, func(p *profile) { p.past = []float64{math.NaN()} }, "negative or not finite"},
+		{closed, func(p *profile) { p.past = []float64{math.Inf(1)} }, "negative or not finite"},
+	} {
+		p := c.base
+		c.edit(&p)
+		err := NewRateProfile(RateProfileConfig{Capacity: 1000}).RestoreState(rpBlob(p))
+		if err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("%+v: restore error %v, want one saying %q", p, err, c.why)
+		}
+	}
+}
+
+// TestRateProfileLiveSnapshotsRestore: the bounds a restore checks hold
+// for every state a live stream reaches — a snapshot taken after each
+// access of TestStateRoundTrip's stream restores.
+func TestRateProfileLiveSnapshotsRestore(t *testing.T) {
+	objs := persistTestUniverse()
+	byID := objMap(objs...)
+	r := rand.New(rand.NewSource(7))
+	reqs := randomTrace(r, objs, 700, 1.2)
+	live := NewRateProfile(RateProfileConfig{Capacity: 600})
+	for _, req := range reqs {
+		driveTrace(t, live, byID, []Request{req})
+		if err := NewRateProfile(RateProfileConfig{Capacity: 600}).RestoreState(live.SnapshotState()); err != nil {
+			t.Fatalf("after query %d: %v", req.Seq, err)
+		}
+	}
+	if live.ProfileCount() == 0 {
+		t.Fatal("the stream left no profile; test is vacuous")
+	}
+}
+
 func TestRestoreStateRejectsCorrupt(t *testing.T) {
 	objs := persistTestUniverse()
 	byID := objMap(objs...)

@@ -25,8 +25,8 @@ func NewSpaceEffBY(aobj ObjectCacher, src rand.Source) *SpaceEffBY {
 	return &SpaceEffBY{aobj: aobj, rng: rand.New(src)}
 }
 
-// Name implements Policy.
-func (s *SpaceEffBY) Name() string { return "space-eff-by" }
+// Name implements Policy: "space-eff-by", with aobjSuffix appended.
+func (s *SpaceEffBY) Name() string { return "space-eff-by" + aobjSuffix(s.aobj) }
 
 // Used implements Policy.
 func (s *SpaceEffBY) Used() int64 { return s.aobj.Used() }

@@ -211,7 +211,7 @@ type NoCache struct{}
 func NewNoCache() *NoCache { return &NoCache{} }
 
 // Name implements Policy.
-func (NoCache) Name() string { return "no-cache" }
+func (NoCache) Name() string { return "none" }
 
 // Access implements Policy.
 func (NoCache) Access(t int64, obj Object, yield int64) Decision { return Bypass }

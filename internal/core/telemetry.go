@@ -166,9 +166,9 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 
 // Mirror stores one reading of a decision plane in the metrics that
 // mirror it: a, the accounting of the plane whose policy is named
-// policy ("none" without one), and sh, its shadow set's state read
-// against a (zero without shadows). The caller reads both under the
-// plane's lock, so the metrics agree with each other as the plane did.
+// policy, and sh, its shadow set's state read against a (zero without
+// shadows). The caller reads both under the plane's lock, so the
+// metrics agree with each other as the plane did.
 func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
 	if t == nil {
 		return

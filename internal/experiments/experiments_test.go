@@ -392,6 +392,32 @@ func TestXCompRatiosBounded(t *testing.T) {
 	}
 }
 
+// TestXCompOneRowPerPolicy: each trace family has one row for each
+// policy xcomp runs, so OnlineBY over Landlord and over size-class
+// marking, whose bounds (4α+2) differ with α, are never merged.
+func TestXCompOneRowPerPolicy(t *testing.T) {
+	tab, err := shared.Run("xcomp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	var families []string
+	for _, r := range tab.Rows {
+		if rows[r[0]] == nil {
+			families = append(families, r[0])
+		}
+		rows[r[0]] = append(rows[r[0]], r[1])
+	}
+	if len(families) != 3 {
+		t.Fatalf("families %q, want 3", families)
+	}
+	for _, f := range families {
+		if got, want := strings.Join(rows[f], " "), "online-by online-by-marking space-eff-by"; got != want {
+			t.Errorf("%s: rows %s, want %s", f, got, want)
+		}
+	}
+}
+
 func TestXHierShape(t *testing.T) {
 	tab, err := shared.Run("xhier")
 	if err != nil {

@@ -413,7 +413,8 @@ func (s *Suite) XNet() (*Table, error) {
 
 // XComp empirically probes OnlineBY's competitive behaviour: over
 // random traces with adversarially mixed object sizes, its cost is
-// compared against the static-optimal offline plan. The theory
+// compared against the static-optimal offline plan, one row per policy
+// name, so each A_obj (whose α the bound takes) has its own. The theory
 // (Theorem 5.1 with a k-competitive A_obj) bounds the ratio to the
 // true offline optimum; static-optimal is a (weaker) stand-in, so the
 // observed ratios are upper estimates.

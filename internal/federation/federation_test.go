@@ -42,17 +42,18 @@ func TestObjectIDs(t *testing.T) {
 	}
 }
 
+// TestGranularityParse: ParseGranularity takes exactly the names String
+// returns, and refuses any other spelling with an error listing them.
 func TestGranularityParse(t *testing.T) {
-	for _, s := range []string{"tables", "Table"} {
-		if g, err := ParseGranularity(s); err != nil || g != Tables {
-			t.Fatalf("ParseGranularity(%q) = %v, %v", s, g, err)
+	for _, g := range []Granularity{Tables, Columns, Views} {
+		if got, err := ParseGranularity(g.String()); err != nil || got != g {
+			t.Fatalf("ParseGranularity(%q) = %v, %v", g, got, err)
 		}
 	}
-	if g, err := ParseGranularity("columns"); err != nil || g != Columns {
-		t.Fatalf("ParseGranularity(columns) = %v, %v", g, err)
-	}
-	if _, err := ParseGranularity("rows"); err == nil {
-		t.Fatal("unknown granularity should error")
+	for _, s := range []string{"rows", "table", "Tables", "column", "COLUMNS", "view"} {
+		if _, err := ParseGranularity(s); err == nil || !strings.HasSuffix(err.Error(), "(have tables, columns, views)") {
+			t.Fatalf("ParseGranularity(%q): err = %v, want a refusal listing the names", s, err)
+		}
 	}
 }
 

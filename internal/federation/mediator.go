@@ -26,7 +26,7 @@ type Config struct {
 	// sampled; yields are logical either way).
 	Engine *engine.DB
 	// Policy is the bypass-yield cache instance. Nil with no NewPolicy
-	// means no caching (every access bypasses).
+	// is core.NewNoCache(): every access bypasses.
 	Policy core.Policy
 	// NewPolicy builds the policy: it is called once, as
 	// NewPolicy(0, Capacity). Mutually exclusive with Policy.
@@ -241,7 +241,6 @@ func New(cfg Config) (*Mediator, error) {
 		cfg:          cfg,
 		index:        index,
 		objects:      index.objects(),
-		policyName:   "none",
 		policy:       cfg.Policy,
 		tel:          core.NewTelemetry(cfg.Obs),
 		queryLatency: cfg.Obs.Histogram("federation.query_latency_us", obs.DefaultLatencyBuckets()),
@@ -256,10 +255,10 @@ func New(cfg Config) (*Mediator, error) {
 		}
 		m.policy = pol
 	}
-	if m.policy != nil {
-		m.policyName = m.policy.Name()
-		m.capacity = m.policy.Capacity()
+	if m.policy == nil {
+		m.policy = core.NewNoCache()
 	}
+	m.policyName, m.capacity = m.policy.Name(), m.policy.Capacity()
 	if cfg.Shadows {
 		m.shadows = core.NewShadowSet()
 	}
@@ -310,9 +309,9 @@ func (m *Mediator) Schema() *catalog.Schema { return m.cfg.Schema }
 // Granularity returns the configured object granularity.
 func (m *Mediator) Granularity() Granularity { return m.cfg.Granularity }
 
-// Policy returns the cache policy (nil when caching is disabled). It
-// mutates under the decision lock; use Read to read it while queries
-// run.
+// Policy returns the cache policy (core.NoCache when none was
+// configured). It mutates under the decision lock; use Read to read it
+// while queries run.
 func (m *Mediator) Policy() core.Policy { return m.policy }
 
 // ShardCount returns 1.
@@ -366,10 +365,8 @@ func (m *Mediator) Read(q ledger.Query) Reading { return m.read(&q) }
 func (m *Mediator) read(q *ledger.Query) Reading {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r := Reading{Clock: m.t, Acct: m.dec.Acct, Policy: m.policyName, Shadows: m.shadows.Stats(m.dec.Acct)}
-	if m.policy != nil {
-		r.Used, r.Capacity = m.policy.Used(), m.capacity
-	}
+	r := Reading{Clock: m.t, Acct: m.dec.Acct, Policy: m.policyName, Used: m.policy.Used(), Capacity: m.capacity,
+		Shadows: m.shadows.Stats(m.dec.Acct)}
 	if q == nil {
 		return r
 	}
@@ -663,11 +660,9 @@ func (m *Mediator) yieldBlind(b *engine.Bound, sh []share, health SiteHealth) (s
 	if !ok || len(sh) == 0 {
 		return "", false
 	}
-	if m.policy != nil {
-		for i := range sh {
-			if sh[i].obj.Size <= m.capacity {
-				return "", false
-			}
+	for i := range sh {
+		if sh[i].obj.Size <= m.capacity {
+			return "", false
 		}
 	}
 	if health != nil {
@@ -827,7 +822,7 @@ func journalRecord(t int64, d AccessDecision) JournalRecord {
 //     WAN cost, and the report carries a per-site error annotation.
 func (m *Mediator) degradedAccess(rep *QueryReport, idx int, a access, reason string) error {
 	obj, yield := a.obj, a.yield
-	if m.policy != nil && m.policy.Contains(obj.ID) {
+	if m.policy.Contains(obj.ID) {
 		full := core.ReasonForcedCache + ": " + reason
 		if err := m.dec.Forced(*obj, yield, full); err != nil {
 			return err

@@ -49,18 +49,15 @@ func (g Granularity) String() string {
 	}
 }
 
-// ParseGranularity parses "tables", "columns", or "views".
+// ParseGranularity parses exactly "tables", "columns" or "views", the
+// names String returns.
 func ParseGranularity(s string) (Granularity, error) {
-	switch strings.ToLower(s) {
-	case "tables", "table":
-		return Tables, nil
-	case "columns", "column":
-		return Columns, nil
-	case "views", "view":
-		return Views, nil
-	default:
-		return 0, fmt.Errorf("federation: unknown granularity %q", s)
+	for _, g := range []Granularity{Tables, Columns, Views} {
+		if s == g.String() {
+			return g, nil
+		}
 	}
+	return 0, fmt.Errorf("federation: unknown granularity %q (have tables, columns, views)", s)
 }
 
 // TableObjectID names a table object: "release/table".

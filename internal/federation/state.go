@@ -76,8 +76,8 @@ type State struct {
 	Schema string
 	// Granularity is the object granularity.
 	Granularity Granularity
-	// PolicyName names the cache policy ("none" when caching is
-	// disabled).
+	// PolicyName names the cache policy (core.NoCache's "none" when
+	// caching is disabled).
 	PolicyName string
 	// Capacity is the cache capacity in bytes (0 for "none").
 	Capacity int64
@@ -149,7 +149,7 @@ func (m *Mediator) RestoreState(st State) error {
 	if st.Capacity != m.capacity {
 		return fmt.Errorf("federation: snapshot at capacity %d, mediator configured for %d", st.Capacity, m.capacity)
 	}
-	if len(st.PolicyBlob) > 0 && m.policy != nil {
+	if len(st.PolicyBlob) > 0 {
 		ss, ok := m.policy.(core.StateSnapshotter)
 		if !ok {
 			return fmt.Errorf("federation: policy %q cannot restore persisted state", m.policyName)
@@ -196,11 +196,7 @@ func (m *Mediator) ReplayJournal(rec JournalRecord) (applied, diverged bool, err
 	}
 	switch rec.Kind {
 	case JournalAccess:
-		d := core.Bypass
-		if m.policy != nil {
-			d = m.policy.Access(m.t, obj, rec.Yield)
-		}
-		diverged = d != rec.Decision
+		diverged = m.policy.Access(m.t, obj, rec.Yield) != rec.Decision
 		if err := m.dec.Replay(obj, rec.Yield, rec.Decision); err != nil {
 			return true, diverged, err
 		}

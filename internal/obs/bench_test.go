@@ -27,7 +27,7 @@ func TestHotPathAllocFree(t *testing.T) {
 	g := r.Gauge("g")
 	h := r.Histogram("h", DefaultLatencyBuckets())
 	cf := r.CounterFamily("cf")
-	hf := r.HistogramFamily("hf", DefaultSizeBuckets())
+	hf := r.HistogramFamily("hf", ExpBuckets(1024, 4, 16))
 	cf.Get("site").Add(1) // materialize the labels once
 	hf.Get("site").Observe(1)
 

@@ -214,10 +214,6 @@ func ExpBuckets(first int64, factor float64, n int) []int64 {
 // query latencies in microseconds.
 func DefaultLatencyBuckets() []int64 { return ExpBuckets(50, 2, 20) }
 
-// DefaultSizeBuckets spans 1KiB to ~1TiB in ×4 steps — yields, frame
-// sizes, object sizes in bytes.
-func DefaultSizeBuckets() []int64 { return ExpBuckets(1024, 4, 16) }
-
 // Family is a set of metrics of one kind sharing one name, keyed by a
 // label value ("per-site", "per-decision", ...). A plain metric is its
 // family's unlabeled member, Get("").

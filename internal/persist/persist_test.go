@@ -326,16 +326,18 @@ func TestAllSnapshotsCorruptFallsBackCold(t *testing.T) {
 // TestPolicyChangeColdStarts: a state directory written under another
 // policy is refused by the policy-name guard, and the recovery report
 // says why, naming both policies. One directory is written by a
-// rate-profile mediator; each other holds one snapshot of a policy no
-// longer built (gdsp and lru, their blobs pinned under testdata), which
-// must not reach a decoder.
+// rate-profile mediator; each other holds one snapshot whose blob is
+// pinned under testdata, which must not reach a decoder: of a policy no
+// longer built (gdsp and lru), or of a policy a build before one name
+// per policy wrote under another name (-policy online-by-marking
+// reported online-by, -policy none no-cache).
 func TestPolicyChangeColdStarts(t *testing.T) {
 	capacity := catalog.EDR().TotalBytes() / 2
-	// retired writes one snapshot carrying testdata/<name>.blob under
+	// retired writes one snapshot carrying testdata/<file>.blob under
 	// policy name.
-	retired := func(name string) func(t *testing.T, dir string) {
+	retired := func(name, file string) func(t *testing.T, dir string) {
 		return func(t *testing.T, dir string) {
-			blob, err := os.ReadFile(filepath.Join("testdata", name+".blob"))
+			blob, err := os.ReadFile(filepath.Join("testdata", file+".blob"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -364,8 +366,10 @@ func TestPolicyChangeColdStarts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"gdsp", "gds", retired("gdsp")},
-		{"lru", "gds", retired("lru")},
+		{"gdsp", "gds", retired("gdsp", "gdsp")},
+		{"lru", "gds", retired("lru", "lru")},
+		{"online-by", "online-by-marking", retired("online-by", "online-by-marking")},
+		{"no-cache", "none", retired("no-cache", "none")},
 	} {
 		t.Run(tc.from, func(t *testing.T) {
 			dir := t.TempDir()

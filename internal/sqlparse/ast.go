@@ -154,12 +154,6 @@ type Condition struct {
 	Lo, Hi float64
 }
 
-// IsJoin reports whether the condition compares two columns of
-// different qualifiers with equality.
-func (c Condition) IsJoin() bool {
-	return c.RightCol != nil && c.Op == OpEq && c.Left.Table != c.RightCol.Table
-}
-
 // String renders the condition in SQL syntax.
 func (c Condition) String() string { return string(c.appendText(make([]byte, 0, 64))) }
 

@@ -33,7 +33,7 @@ func TestParsePaperExampleQuery(t *testing.T) {
 		t.Fatalf("where = %d conjuncts, want 5", len(stmt.Where))
 	}
 	join := stmt.Where[0]
-	if !join.IsJoin() {
+	if join.RightCol == nil || join.Op != OpEq {
 		t.Fatalf("first conjunct should be a join: %+v", join)
 	}
 	if join.Left != (ColRef{"p", "objid"}) || *join.RightCol != (ColRef{"s", "objid"}) {

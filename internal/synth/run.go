@@ -320,32 +320,10 @@ dispatch:
 		rep.AchievedRPS = float64(rep.Completed) / window
 	}
 
-	lat := st.latency.Snap()
-	rep.Latency = LatencySummary{
-		Count:    lat.Count,
-		MeanUS:   lat.Mean(),
-		P50US:    lat.Quantile(0.50),
-		P90US:    lat.Quantile(0.90),
-		P99US:    lat.Quantile(0.99),
-		P999US:   lat.Quantile(0.999),
-		MaxUS:    st.maxUS.Load(),
-		LagP99US: st.lag.Snap().Quantile(0.99),
-		LagMaxUS: st.lagMaxUS.Load(),
-	}
+	rep.Latency, rep.Classes = st.summary(reg)
 	rep.SLO = SLOReport{ThresholdUS: st.sloUS, Met: st.sloMet.Load(), Attainment: 1}
 	if rep.Completed > 0 {
 		rep.SLO.Attainment = float64(rep.SLO.Met) / float64(rep.Completed)
-	}
-	for _, h := range reg.Snapshot().Histograms {
-		if h.Name != "synth.class_latency_us" || h.Count == 0 {
-			continue
-		}
-		rep.Classes = append(rep.Classes, ClassSummary{
-			Class: h.Label,
-			Count: h.Count,
-			P50US: h.Quantile(0.50),
-			P99US: h.Quantile(0.99),
-		})
 	}
 
 	if scraped {
@@ -362,6 +340,40 @@ dispatch:
 		}
 	}
 	return rep, nil
+}
+
+// summary condenses the run's latency histograms, whose registry is
+// reg. A quantile is its bucket's upper bound, which may lie above
+// every observation, so each is capped at the exact maximum it is
+// reported beside: the latency quantiles and each class's at MaxUS, the
+// dispatch lag's at LagMaxUS.
+func (st *runState) summary(reg *obs.Registry) (LatencySummary, []ClassSummary) {
+	maxUS, lagMaxUS := st.maxUS.Load(), st.lagMaxUS.Load()
+	lat := st.latency.Snap()
+	sum := LatencySummary{
+		Count:    lat.Count,
+		MeanUS:   lat.Mean(),
+		P50US:    min(lat.Quantile(0.50), maxUS),
+		P90US:    min(lat.Quantile(0.90), maxUS),
+		P99US:    min(lat.Quantile(0.99), maxUS),
+		P999US:   min(lat.Quantile(0.999), maxUS),
+		MaxUS:    maxUS,
+		LagP99US: min(st.lag.Snap().Quantile(0.99), lagMaxUS),
+		LagMaxUS: lagMaxUS,
+	}
+	var classes []ClassSummary
+	for _, h := range reg.Snapshot().Histograms {
+		if h.Name != "synth.class_latency_us" || h.Count == 0 {
+			continue
+		}
+		classes = append(classes, ClassSummary{
+			Class: h.Label,
+			Count: h.Count,
+			P50US: min(h.Quantile(0.50), maxUS),
+			P99US: min(h.Quantile(0.99), maxUS),
+		})
+	}
+	return sum, classes
 }
 
 // tailDelta condenses the proxy flight recorder's counters over the

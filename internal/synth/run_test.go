@@ -284,3 +284,38 @@ func TestRunCancel(t *testing.T) {
 		t.Fatalf("identity broken after cancel: %d ≠ %d", got, rep.TargetOps)
 	}
 }
+
+// TestQuantilesNeverExceedMax: every observation falls in one bucket,
+// below its upper bound, so each uncapped quantile would read that
+// bound, above the exact maximum reported beside it. Each quantile
+// reads the maximum instead.
+func TestQuantilesNeverExceedMax(t *testing.T) {
+	reg := obs.NewRegistry()
+	st := &runState{
+		latency: reg.Histogram("synth.latency_us", LatencyBuckets()),
+		lag:     reg.Histogram("synth.dispatch_lag_us", LatencyBuckets()),
+		byClass: reg.HistogramFamily("synth.class_latency_us", LatencyBuckets()),
+	}
+	for _, us := range []int64{990, 993, 996} {
+		st.latency.Observe(us)
+		st.byClass.Get("cone").Observe(us)
+		storeMax(&st.maxUS, us)
+		st.lag.Observe(us)
+		storeMax(&st.lagMaxUS, us)
+	}
+	if q := st.latency.Quantile(0.99); q <= 996 {
+		t.Fatalf("the bucket of 990–996µs is bounded at %dµs; the test needs a bound above the maximum", q)
+	}
+	sum, classes := st.summary(reg)
+	for name, q := range map[string]int64{
+		"p50": sum.P50US, "p90": sum.P90US, "p99": sum.P99US, "p999": sum.P999US,
+		"dispatch lag p99": sum.LagP99US, "cone p50": classes[0].P50US, "cone p99": classes[0].P99US,
+	} {
+		if q != 996 {
+			t.Errorf("%s = %dµs, want the maximum 996µs", name, q)
+		}
+	}
+	if sum.MaxUS != 996 || sum.LagMaxUS != 996 || len(classes) != 1 {
+		t.Fatalf("summary %+v, classes %+v", sum, classes)
+	}
+}
