@@ -147,13 +147,16 @@ fuzz-smoke:
 # reused Parser's Parse over both mixes' 12 000 statements, one op a
 # statement), the workload generator (one Stream.Next per op, for the
 # EDR and point mixes, and a whole 1/100 EDR trace with its
-# calibration), and one end-to-end experiment. All
+# calibration), the release's synthesis (BenchmarkOpen: engine.Open of
+# EDR at one row in 1000, the benchmark federation's database, what
+# every daemon start pays), and one end-to-end experiment. All
 # but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
 # and any metric a benchmark reports per op) so CI can archive hot-path
 # numbers across commits.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='^BenchmarkOpen$$' -benchmem -benchtime=50x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR|BenchmarkNodeSubqueryEDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt

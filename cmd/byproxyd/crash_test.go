@@ -345,13 +345,15 @@ func copyFixture(t *testing.T, name string) string {
 
 // TestParentStateAcrossUpgrade starts the daemon on state directories
 // an older build wrote, under the crash helper's options and this
-// file's workload (testdata/; testdata/regen-parent-fixtures.sh d2c30fe
-// writes them again): that build hashed the cache into N independent
-// slices and wrote one snapshot section per slice.
+// file's workload with wide statements over three more tables, enough
+// to make GDS evict (testdata/; testdata/regen-parent-fixtures.sh
+// d2c30fe writes them again): that build hashed the cache into N
+// independent slices and wrote one snapshot section per slice.
 //
 //   - parent-1-section: N = 1, twelve queries, SIGTERM, twelve more,
-//     SIGKILL; acct.json is the last acknowledged accounting. The
-//     daemon restarts warm with exactly that accounting and serves
+//     SIGKILL; acct.json is the last acknowledged accounting, evictions
+//     included. The daemon restarts warm with exactly that accounting,
+//     having replayed evictions without a diverged decision, and serves
 //     the persisted cache without refetching.
 //   - parent-2-sections: N = 2, twenty-four queries, SIGTERM. The
 //     slices are not one cache, so both snapshots are refused, each
@@ -372,6 +374,9 @@ func TestParentStateAcrossUpgrade(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want.Evictions == 0 {
+			t.Fatalf("the fixture's workload never evicts (%+v): a replay without evictions cannot tell one eviction order from another", want)
 		}
 		recoveryLog := crashRecoveryLog(t)
 		proc := launchProxy(t, cn, copyFixture(t, "parent-1-section"), recoveryLog, "")

@@ -13,8 +13,17 @@
 # into this checkout's .git and nothing is downloaded. The daemons run
 # under the crash helper's options (TestCrashHelperProcess) against one
 # bydbd per EDR site, and a small client built from the same tree sends
-# crashWorkload's three statements in turn, reading the accounting after
-# each one:
+# nine statements in turn, reading the accounting after each one:
+# crashWorkload's three, wide ones over frame, mask and chunk, and
+# crashWorkload's three again. The six tables come to 573 MB, past the
+# 528 MB cache, so GDS evicts in both halves of parent-1-section's run
+# (2 evictions before the SIGTERM, 3 in the 12 queries the upgraded
+# daemon replays from the WAL). In this order this build's GDS decides
+# the replay as that build's did; a plain cycle of the six statements
+# does not (diverged=2), because that build inserted a loaded object at
+# the inflation value L before its evictions and this one inserts it at
+# the L they raise. That build's accounting did not count evictions, so
+# the client takes Evictions from its core.evictions counter.
 #
 #   parent-1-section:  -decision-shards 1, twelve queries, SIGTERM, a
 #                      restart, twelve more, SIGKILL; acct.json is the
@@ -70,6 +79,12 @@ func main() {
 		"select ra, dec from photoobj where ra < 120",
 		"select z, zConf from specobj where z < 0.4",
 		"select p.objID, s.z from SpecObj s, PhotoObj p where p.ObjID = s.ObjID and s.z < 0.2",
+		"select * from frame where ra < 180",
+		"select * from mask where dec > 0",
+		"select * from chunk where ramin < 180",
+		"select ra, dec from photoobj where ra < 120",
+		"select z, zConf from specobj where z < 0.4",
+		"select p.objID, s.z from SpecObj s, PhotoObj p where p.ObjID = s.ObjID and s.z < 0.2",
 	}
 	var acct core.Accounting
 	for i := 0; i < n; i++ {
@@ -80,7 +95,12 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		m, err := c.Metrics()
+		if err != nil {
+			fail(err)
+		}
 		acct = st.Acct
+		acct.Evictions = m.Snapshot.CounterValue("core.evictions", "gds")
 	}
 	b, err := json.MarshalIndent(acct, "", "  ")
 	if err != nil {

@@ -48,6 +48,19 @@ func edrDB(tb testing.TB, sampleEvery int64) *engine.DB {
 	return db
 }
 
+// BenchmarkOpen synthesizes the federation benchmark's database: EDR
+// at one row in 1000. One op is one Open, what every daemon start,
+// benchmark set-up and test that opens a release pays.
+func BenchmarkOpen(b *testing.B) {
+	s := catalog.EDR()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Open(s, engine.Config{SampleEvery: 1000, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 const benchStatements = 3000
 
 var benchSink *engine.Result

@@ -5,7 +5,10 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"bypassyield/internal/catalog"
 	"bypassyield/internal/obs"
@@ -62,14 +65,19 @@ type tableData struct {
 }
 
 // Open synthesizes a database for the schema. Generation is
-// column-parallel-free and deterministic: each column's stream is
-// seeded by the config seed and the qualified column name.
+// deterministic per column: each column's stream is seeded by the
+// config seed and the qualified column name alone, so the columns are
+// independent and Open synthesizes them in parallel, on GOMAXPROCS
+// workers, without changing a bit of any of them. Every worker has
+// returned when Open does.
 func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.fill()
 	db := &DB{schema: s, cfg: cfg, tables: make([]tableData, len(s.Tables))}
+	type column struct{ table, col int }
+	var cols []column
 	for i := range s.Tables {
 		t := &s.Tables[i]
 		n := int(t.Rows / cfg.SampleEvery)
@@ -83,16 +91,42 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 			names: make([]string, len(t.Columns)),
 		}
 		for j := range t.Columns {
-			td.cols[j] = synthesize(&t.Columns[j], t.Name, n, cfg)
+			td.cols[j] = make([]float64, n)
 			td.names[j] = t.Name + "." + t.Columns[j].Name
+			cols = append(cols, column{i, j})
 		}
-		td.dense = denseColumn(td.cols, cfg.SampleEvery)
 		db.tables[i] = td
+	}
+
+	// Each worker takes the next column until none is left, reseeding
+	// its one generator per column.
+	var next atomic.Int64
+	work := func() {
+		r := rand.New(rand.NewSource(0))
+		for k := int(next.Add(1) - 1); k < len(cols); k = int(next.Add(1) - 1) {
+			td := &db.tables[cols[k].table]
+			synthesize(td.cols[cols[k].col], &td.meta.Columns[cols[k].col], td.meta.Name, cfg, r)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(cols)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	for i := range db.tables {
+		db.tables[i].dense = denseColumn(db.tables[i].cols, cfg.SampleEvery)
 	}
 	return db, nil
 }
 
-// synthesize generates one column's sample values.
+// synthesize fills vals with one column's sample values, drawing from
+// r reseeded for the column.
 //
 // Key columns hold the logical identifiers of the sampled rows:
 // i·SampleEvery. Integer columns whose name ends in "id" are snapped
@@ -100,15 +134,14 @@ func Open(s *catalog.Schema, cfg Config) (*DB, error) {
 // that exist in the referenced table's sample — joins behave at
 // sample scale exactly as they would at full scale. Other integers
 // are uniform over [Min, Max]; floats are uniform over [Min, Max).
-func synthesize(col *catalog.Column, table string, n int, cfg Config) []float64 {
-	vals := make([]float64, n)
+func synthesize(vals []float64, col *catalog.Column, table string, cfg Config, r *rand.Rand) {
 	if col.Key {
 		for i := range vals {
 			vals[i] = float64(int64(i) * cfg.SampleEvery)
 		}
-		return vals
+		return
 	}
-	r := rand.New(rand.NewSource(colSeed(cfg.Seed, table, col.Name)))
+	r.Seed(colSeed(cfg.Seed, table, col.Name))
 	isInt := col.Type == catalog.Int64 || col.Type == catalog.Int32 || col.Type == catalog.Int16
 	gridID := isInt && strings.HasSuffix(col.Name, "id") && col.Max >= 1000
 	span := col.Max - col.Min
@@ -129,7 +162,6 @@ func synthesize(col *catalog.Column, table string, n int, cfg Config) []float64 
 			vals[i] = col.Min + r.Float64()*span
 		}
 	}
-	return vals
 }
 
 // denseColumn returns the position of the first of cols whose row i

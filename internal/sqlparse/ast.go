@@ -28,7 +28,10 @@
 // reader to the map-keyed one it replaced, error offsets included.
 package sqlparse
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // AggFunc names an aggregate function, or is empty for a plain column
 // projection.
@@ -283,7 +286,41 @@ func (s *SelectStmt) TableByQualifier(q string) *TableRef {
 }
 
 // appendNum appends a float the way the lexer accepts, without exponent
-// notation for typical magnitudes.
+// notation for typical magnitudes: strconv's shortest 'g' form.
+//
+// Every constant the workload generator prints is a whole number or
+// rounded to four decimals, so it is the double nearest k/10⁴ for an
+// integer k, and those with |v| < 10⁶ take a path of their own. For
+// them the shortest form is k's digits with a decimal point put in:
+// any other decimal of as few digits lies at least 10⁻⁴ from k/10⁴, far
+// beyond half an ulp (below 10⁻¹⁰ here), and 'g' writes an exponent
+// only from 10⁶ up or below 10⁻⁴. Everything else, −0 included, is
+// strconv's (TestAppendNumMatchesFormatFloat).
 func appendNum(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	k := math.Round(v * 1e4)
+	if k/1e4 != v || math.Abs(k) >= 1e10 || math.Float64bits(v) == 1<<63 {
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
+	}
+	n := int64(k)
+	if n < 0 {
+		b = append(b, '-')
+		n = -n
+	}
+	b = strconv.AppendInt(b, n/1e4, 10)
+	frac := n % 1e4
+	if frac == 0 {
+		return b
+	}
+	digits := 4
+	for frac%10 == 0 {
+		frac /= 10
+		digits--
+	}
+	var d [4]byte
+	for i := digits - 1; i >= 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	b = append(b, '.')
+	return append(b, d[:digits]...)
 }

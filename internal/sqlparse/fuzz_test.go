@@ -81,6 +81,12 @@ func FuzzParse(f *testing.F) {
 		"select a from t where a = 9007199254740993 and b = 999999999999999 and c = 0.000000000000001",
 		"select a from t where a between 967.1563043378493 and 88697725.135730662",
 		"select a from t where a = - 1 and b = +",
+		// The edges of the printer's path for k/10⁴ and what it leaves
+		// to strconv: ±0.0001, the last values below 10⁵ and 10⁶, the
+		// first above, 10⁻⁵, 0.1+0.2, −0, and an overflow to +Inf.
+		"select a from t where a between -0.0001 and 0.0001 and b = 99999.9999 and c = 100000 and d = -99999.9999",
+		"select a from t where a = 999999.9999 and b = 1000000 and c = 880000 and d = 0.00001 and e = 0.30000000000000004",
+		"select a from t where a = -0 and b between -0.0000 and 0.00005 and c > 1e309 and d < -1e309",
 		"select a from t where a = 1-2",
 		// TOP: non-integer, negative, signed, exponent, overflowing.
 		"select top 1.5 a from t",

@@ -81,6 +81,17 @@ type gen struct {
 	// the total of the first n, added in rank order; both grow on
 	// demand to the longest pool zipfPick has drawn from.
 	zipfW, zipfSum []float64
+
+	// stmt is the statement every builder writes, reset by newStmt:
+	// its lists keep their memory from one draw to the next, and
+	// groupBy, orderBy and rightCol are what its pointers point at. A
+	// caller renders or binds it before the next draw.
+	stmt     sqlparse.SelectStmt
+	groupBy  sqlparse.ColRef
+	orderBy  sqlparse.OrderSpec
+	rightCol sqlparse.ColRef
+	perm     []int             // randomProjection's permutation
+	cands    []*catalog.Column // groupColumn's candidates
 }
 
 // runStream produces the full query stream at the given selectivity
@@ -164,7 +175,7 @@ func (g *gen) initPools() {
 		if n > len(t.Columns) {
 			n = len(t.Columns)
 		}
-		perm := g.rng.Perm(len(t.Columns))
+		perm := g.permute(len(t.Columns))
 		pool := make([]string, 0, n)
 		// Always include the key and the spatial columns when present:
 		// real SDSS workloads hammer objid/ra/dec.
@@ -271,18 +282,18 @@ func (g *gen) tickCampaign(science int) {
 // caching the table pays off for the campaign's duration.
 func (g *gen) campaignQuery() *sqlparse.SelectStmt {
 	t := g.schema.Table(g.campTable)
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	if g.rng.Float64() < 0.25 {
-		stmt.Items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	} else {
-		stmt.Items = g.pickProjection(t.Name, 3+g.rng.Intn(3))
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 3+g.rng.Intn(3))
 	}
 	c := g.predColumn(t)
-	stmt.Where = []sqlparse.Condition{g.rangePred(c, 0.08+0.3*g.rng.Float64())}
+	stmt.Where = append(stmt.Where, g.rangePred(c, 0.08+0.3*g.rng.Float64()))
 	return stmt
 }
 
-// nextStatement draws a query class and builds a statement.
+// nextStatement draws a query class and builds a statement into g.stmt.
 func (g *gen) nextStatement() (*sqlparse.SelectStmt, string) {
 	if g.campTable != "" && g.rng.Float64() < 0.5 {
 		return g.campaignQuery(), ClassCampaign
@@ -311,16 +322,16 @@ func (g *gen) nextStatement() (*sqlparse.SelectStmt, string) {
 // totals while the selective classes keep realistic predicate widths.
 func (g *gen) bulkExtract() *sqlparse.SelectStmt {
 	t := g.schema.Table("photoobj")
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	if g.rng.Float64() < 0.8 {
-		stmt.Items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	} else {
-		stmt.Items = g.pickProjection(t.Name, 8+g.rng.Intn(5))
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 8+g.rng.Intn(5))
 	}
 	// A broad declination band; width responds to calibration.
 	c := t.Column("dec")
 	frac := 0.4 + 0.6*g.rng.Float64()
-	stmt.Where = []sqlparse.Condition{g.rangePred(c, frac)}
+	stmt.Where = append(stmt.Where, g.rangePred(c, frac))
 	// Galaxy-catalog extracts: a quarter of the dumps pull one
 	// morphological class — the classic published data product, and
 	// the traffic a Galaxy/Star materialized view can absorb.
@@ -336,16 +347,28 @@ func (g *gen) bulkExtract() *sqlparse.SelectStmt {
 	return stmt
 }
 
-// pickProjection selects k pool columns by popularity rank.
-func (g *gen) pickProjection(table string, k int) []sqlparse.SelectItem {
+// newStmt resets g.stmt to a statement over the tables, keeping the
+// memory of its lists, and returns it.
+func (g *gen) newStmt(from ...sqlparse.TableRef) *sqlparse.SelectStmt {
+	g.stmt = sqlparse.SelectStmt{
+		Items: g.stmt.Items[:0],
+		From:  append(g.stmt.From[:0], from...),
+		Where: g.stmt.Where[:0],
+	}
+	return &g.stmt
+}
+
+// pickProjection appends k distinct pool columns of the table, drawn
+// by popularity rank, to items.
+func (g *gen) pickProjection(items []sqlparse.SelectItem, table string, k int) []sqlparse.SelectItem {
 	pool := g.pools[table]
 	if k > len(pool) {
 		k = len(pool)
 	}
-	items := make([]sqlparse.SelectItem, 0, k)
-	for len(items) < k {
+	start := len(items)
+	for len(items)-start < k {
 		name := pool[g.zipfPick(len(pool))]
-		if !projects(items, name) {
+		if !projects(items[start:], name) {
 			items = append(items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: name}})
 		}
 	}
@@ -428,15 +451,15 @@ func (g *gen) rangeScan() *sqlparse.SelectStmt {
 		// them.
 		return g.coldProbe()
 	}
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	switch r := g.rng.Float64(); {
 	case r < 0.25:
-		stmt.Items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	case r < 0.70:
 		// Wide cross-match extracts: most of the pool at once.
-		stmt.Items = g.pickProjection(t.Name, 7+g.rng.Intn(6))
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 7+g.rng.Intn(6))
 	default:
-		stmt.Items = g.pickProjection(t.Name, 2+g.rng.Intn(5))
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 2+g.rng.Intn(5))
 	}
 	c := g.predColumn(t)
 	base := 0.05 + g.rng.ExpFloat64()*0.13
@@ -476,10 +499,10 @@ var campaignTables = []string{"neighbors", "frame", "specline"}
 // coldProbe builds a low-yield query against a cold table.
 func (g *gen) coldProbe() *sqlparse.SelectStmt {
 	t := g.schema.Table(coldTables[g.rng.Intn(len(coldTables))])
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
-	stmt.Items = g.pickProjection(t.Name, 2+g.rng.Intn(3))
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
+	stmt.Items = g.pickProjection(stmt.Items, t.Name, 2+g.rng.Intn(3))
 	c := g.predColumn(t)
-	stmt.Where = []sqlparse.Condition{g.rangePredRaw(c, 0.002+0.02*g.rng.Float64())}
+	stmt.Where = append(stmt.Where, g.rangePredRaw(c, 0.002+0.02*g.rng.Float64()))
 	return stmt
 }
 
@@ -513,20 +536,19 @@ func (g *gen) spatialSearch() *sqlparse.SelectStmt {
 	if decLo+decSide > 90 {
 		decLo = 90 - decSide
 	}
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	if g.rng.Float64() < 0.35 {
-		stmt.Items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	} else {
-		stmt.Items = append([]sqlparse.SelectItem{
-			{Col: sqlparse.ColRef{Column: "objid"}},
-			{Col: sqlparse.ColRef{Column: "ra"}},
-			{Col: sqlparse.ColRef{Column: "dec"}},
-		}, g.pickProjection(t.Name, 1+g.rng.Intn(2))...)
+		stmt.Items = append(stmt.Items,
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Column: "objid"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Column: "ra"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Column: "dec"}})
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 1+g.rng.Intn(2))
 	}
-	stmt.Where = []sqlparse.Condition{
-		{Left: sqlparse.ColRef{Column: "ra"}, Between: true, Lo: round4(raLo), Hi: round4(raLo + side)},
-		{Left: sqlparse.ColRef{Column: "dec"}, Between: true, Lo: round4(decLo), Hi: round4(decLo + decSide)},
-	}
+	stmt.Where = append(stmt.Where,
+		sqlparse.Condition{Left: sqlparse.ColRef{Column: "ra"}, Between: true, Lo: round4(raLo), Hi: round4(raLo + side)},
+		sqlparse.Condition{Left: sqlparse.ColRef{Column: "dec"}, Between: true, Lo: round4(decLo), Hi: round4(decLo + decSide)})
 	// Some region searches want the brightest objects first: a TOP-N
 	// ordered by magnitude (the ordering column must be projected).
 	if !stmt.Items[0].Star && g.rng.Float64() < 0.18 {
@@ -536,7 +558,8 @@ func (g *gen) spatialSearch() *sqlparse.SelectStmt {
 				stmt.Items = append(stmt.Items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: mag.Name}})
 			}
 			stmt.Top = int64(100 + g.rng.Intn(900))
-			stmt.OrderBy = &sqlparse.OrderSpec{Col: sqlparse.ColRef{Column: mag.Name}}
+			g.orderBy = sqlparse.OrderSpec{Col: sqlparse.ColRef{Column: mag.Name}}
+			stmt.OrderBy = &g.orderBy
 		}
 	}
 	return stmt
@@ -563,36 +586,47 @@ func (g *gen) identityLookup() *sqlparse.SelectStmt {
 	// megabytes each) to answer them: the paper's "bringing the large
 	// data into cache and computing a small result could waste an
 	// arbitrarily large amount of network bandwidth".
-	var items []sqlparse.SelectItem
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	switch r := g.rng.Float64(); {
 	case r < 0.05:
-		items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	case r < 0.40:
-		items = g.pickProjection(t.Name, 4+g.rng.Intn(4))
+		stmt.Items = g.pickProjection(stmt.Items, t.Name, 4+g.rng.Intn(4))
 	default:
-		items = g.randomProjection(t, 14+g.rng.Intn(12))
+		stmt.Items = g.randomProjection(stmt.Items, t, 14+g.rng.Intn(12))
 	}
-	return &sqlparse.SelectStmt{
-		Items: items,
-		From:  []sqlparse.TableRef{{Name: t.Name}},
-		Where: []sqlparse.Condition{{
-			Left: sqlparse.ColRef{Column: "objid"}, Op: sqlparse.OpEq, Value: float64(id),
-		}},
-	}
+	stmt.Where = append(stmt.Where, sqlparse.Condition{
+		Left: sqlparse.ColRef{Column: "objid"}, Op: sqlparse.OpEq, Value: float64(id),
+	})
+	return stmt
 }
 
-// randomProjection selects k columns uniformly from the whole table
-// (not just the hot pool).
-func (g *gen) randomProjection(t *catalog.Table, k int) []sqlparse.SelectItem {
+// randomProjection appends k columns drawn uniformly from the whole
+// table (not just the hot pool) to items.
+func (g *gen) randomProjection(items []sqlparse.SelectItem, t *catalog.Table, k int) []sqlparse.SelectItem {
 	if k > len(t.Columns) {
 		k = len(t.Columns)
 	}
-	perm := g.rng.Perm(len(t.Columns))
-	items := make([]sqlparse.SelectItem, 0, k)
-	for _, idx := range perm[:k] {
+	for _, idx := range g.permute(len(t.Columns))[:k] {
 		items = append(items, sqlparse.SelectItem{Col: sqlparse.ColRef{Column: t.Columns[idx].Name}})
 	}
 	return items
+}
+
+// permute is rand.Perm(n) on the generator's source, the same draws
+// giving the same permutation, written into a buffer the generator
+// keeps; it is valid until the next call.
+func (g *gen) permute(n int) []int {
+	if cap(g.perm) < n {
+		g.perm = make([]int, n)
+	}
+	m := g.perm[:n]
+	for i := range m {
+		j := g.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // keyJoin builds a federation join: mostly the paper's example
@@ -611,27 +645,24 @@ func (g *gen) keyJoin() *sqlparse.SelectStmt {
 // pairs with its ~2.5 neighbors, so selective photometric cuts still
 // produce bulky pair lists.
 func (g *gen) crossMatch() *sqlparse.SelectStmt {
-	stmt := &sqlparse.SelectStmt{
-		From: []sqlparse.TableRef{{Name: "photoobj", Alias: "p"}, {Name: "neighbors", Alias: "n"}},
-		Where: []sqlparse.Condition{
-			{Left: sqlparse.ColRef{Table: "p", Column: "objid"}, Op: sqlparse.OpEq,
-				RightCol: &sqlparse.ColRef{Table: "n", Column: "objid"}},
-		},
-	}
+	stmt := g.newStmt(sqlparse.TableRef{Name: "photoobj", Alias: "p"}, sqlparse.TableRef{Name: "neighbors", Alias: "n"})
+	g.rightCol = sqlparse.ColRef{Table: "n", Column: "objid"}
+	stmt.Where = append(stmt.Where, sqlparse.Condition{
+		Left: sqlparse.ColRef{Table: "p", Column: "objid"}, Op: sqlparse.OpEq, RightCol: &g.rightCol,
+	})
 	if g.rng.Float64() < 0.3 {
-		stmt.Items = []sqlparse.SelectItem{{Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Star: true})
 	} else {
-		stmt.Items = []sqlparse.SelectItem{
-			{Col: sqlparse.ColRef{Table: "p", Column: "objid"}},
-			{Col: sqlparse.ColRef{Table: "p", Column: "ra"}},
-			{Col: sqlparse.ColRef{Table: "p", Column: "dec"}},
-			{Col: sqlparse.ColRef{Table: "n", Column: "neighborobjid"}},
-			{Col: sqlparse.ColRef{Table: "n", Column: "distance"}},
-		}
-		for _, it := range g.pickProjection("photoobj", 1+g.rng.Intn(3)) {
-			stmt.Items = append(stmt.Items, sqlparse.SelectItem{
-				Col: sqlparse.ColRef{Table: "p", Column: it.Col.Column},
-			})
+		stmt.Items = append(stmt.Items,
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "objid"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "ra"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "dec"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "n", Column: "neighborobjid"}},
+			sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "n", Column: "distance"}})
+		picked := len(stmt.Items)
+		stmt.Items = g.pickProjection(stmt.Items, "photoobj", 1+g.rng.Intn(3))
+		for i := picked; i < len(stmt.Items); i++ {
+			stmt.Items[i].Col.Table = "p"
 		}
 	}
 	t := g.schema.Table("photoobj")
@@ -649,25 +680,22 @@ func (g *gen) specJoin() *sqlparse.SelectStmt {
 		mag = "modelmag_g"
 	}
 	zMax := round4((0.3 + 2.7*g.rng.Float64()) * math.Min(g.scale, 2))
-	stmt := &sqlparse.SelectStmt{
-		Items: []sqlparse.SelectItem{
-			{Col: sqlparse.ColRef{Table: "p", Column: "objid"}},
-			{Col: sqlparse.ColRef{Table: "p", Column: "ra"}},
-			{Col: sqlparse.ColRef{Table: "p", Column: "dec"}},
-			{Col: sqlparse.ColRef{Table: "p", Column: mag}},
-			{Col: sqlparse.ColRef{Table: "s", Column: "z"}, Alias: "redshift"},
-		},
-		From: []sqlparse.TableRef{{Name: "specobj", Alias: "s"}, {Name: "photoobj", Alias: "p"}},
-		Where: []sqlparse.Condition{
-			{Left: sqlparse.ColRef{Table: "p", Column: "objid"}, Op: sqlparse.OpEq,
-				RightCol: &sqlparse.ColRef{Table: "s", Column: "objid"}},
-			{Left: sqlparse.ColRef{Table: "s", Column: "specclass"}, Op: sqlparse.OpEq,
-				Value: float64(g.rng.Intn(7))},
-			{Left: sqlparse.ColRef{Table: "s", Column: "zconf"}, Op: sqlparse.OpGt,
-				Value: round4(0.35 + 0.6*g.rng.Float64())},
-			{Left: sqlparse.ColRef{Table: "s", Column: "z"}, Op: sqlparse.OpLt, Value: zMax},
-		},
-	}
+	stmt := g.newStmt(sqlparse.TableRef{Name: "specobj", Alias: "s"}, sqlparse.TableRef{Name: "photoobj", Alias: "p"})
+	stmt.Items = append(stmt.Items,
+		sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "objid"}},
+		sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "ra"}},
+		sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: "dec"}},
+		sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "p", Column: mag}},
+		sqlparse.SelectItem{Col: sqlparse.ColRef{Table: "s", Column: "z"}, Alias: "redshift"})
+	g.rightCol = sqlparse.ColRef{Table: "s", Column: "objid"}
+	stmt.Where = append(stmt.Where,
+		sqlparse.Condition{Left: sqlparse.ColRef{Table: "p", Column: "objid"}, Op: sqlparse.OpEq,
+			RightCol: &g.rightCol},
+		sqlparse.Condition{Left: sqlparse.ColRef{Table: "s", Column: "specclass"}, Op: sqlparse.OpEq,
+			Value: float64(g.rng.Intn(7))},
+		sqlparse.Condition{Left: sqlparse.ColRef{Table: "s", Column: "zconf"}, Op: sqlparse.OpGt,
+			Value: round4(0.35 + 0.6*g.rng.Float64())},
+		sqlparse.Condition{Left: sqlparse.ColRef{Table: "s", Column: "z"}, Op: sqlparse.OpLt, Value: zMax})
 	if mag != "objid" && mag != "ra" && mag != "dec" {
 		stmt.Where = append(stmt.Where, sqlparse.Condition{
 			Left: sqlparse.ColRef{Table: "p", Column: mag}, Op: sqlparse.OpGt,
@@ -686,36 +714,35 @@ func (g *gen) aggregate() *sqlparse.SelectStmt {
 		t = g.schema.Table("specobj")
 	}
 	c := g.predColumn(t)
-	stmt := &sqlparse.SelectStmt{From: []sqlparse.TableRef{{Name: t.Name}}}
+	stmt := g.newStmt(sqlparse.TableRef{Name: t.Name})
 	switch r := g.rng.Float64(); {
 	case r < 0.4:
 		if gc := g.groupColumn(t); gc != nil {
-			stmt.Items = []sqlparse.SelectItem{
-				{Col: sqlparse.ColRef{Column: gc.Name}},
-				{Agg: sqlparse.AggCount, Star: true},
-				{Agg: sqlparse.AggAvg, Col: sqlparse.ColRef{Column: g.predColumn(t).Name}},
-			}
-			stmt.GroupBy = &sqlparse.ColRef{Column: gc.Name}
+			stmt.Items = append(stmt.Items,
+				sqlparse.SelectItem{Col: sqlparse.ColRef{Column: gc.Name}},
+				sqlparse.SelectItem{Agg: sqlparse.AggCount, Star: true},
+				sqlparse.SelectItem{Agg: sqlparse.AggAvg, Col: sqlparse.ColRef{Column: g.predColumn(t).Name}})
+			g.groupBy = sqlparse.ColRef{Column: gc.Name}
+			stmt.GroupBy = &g.groupBy
 			break
 		}
 		fallthrough
 	case r < 0.7:
-		stmt.Items = []sqlparse.SelectItem{{Agg: sqlparse.AggCount, Star: true}}
+		stmt.Items = append(stmt.Items, sqlparse.SelectItem{Agg: sqlparse.AggCount, Star: true})
 	default:
 		ac := g.predColumn(t)
-		stmt.Items = []sqlparse.SelectItem{
-			{Agg: sqlparse.AggCount, Star: true},
-			{Agg: sqlparse.AggAvg, Col: sqlparse.ColRef{Column: ac.Name}},
-		}
+		stmt.Items = append(stmt.Items,
+			sqlparse.SelectItem{Agg: sqlparse.AggCount, Star: true},
+			sqlparse.SelectItem{Agg: sqlparse.AggAvg, Col: sqlparse.ColRef{Column: ac.Name}})
 	}
-	stmt.Where = []sqlparse.Condition{g.rangePred(c, 0.1+0.4*g.rng.Float64())}
+	stmt.Where = append(stmt.Where, g.rangePred(c, 0.1+0.4*g.rng.Float64()))
 	return stmt
 }
 
 // groupColumn picks a low-cardinality integer attribute suitable for
 // GROUP BY, or nil if the table has none.
 func (g *gen) groupColumn(t *catalog.Table) *catalog.Column {
-	var cands []*catalog.Column
+	cands := g.cands[:0]
 	for i := range t.Columns {
 		c := &t.Columns[i]
 		if c.Key {
@@ -726,6 +753,7 @@ func (g *gen) groupColumn(t *catalog.Table) *catalog.Column {
 			cands = append(cands, c)
 		}
 	}
+	g.cands = cands
 	if len(cands) == 0 {
 		return nil
 	}

@@ -61,7 +61,9 @@ func NewStream(p Profile) (*Stream, error) {
 // Schema returns the release the stream's statements run against.
 func (s *Stream) Schema() *catalog.Schema { return s.g.schema }
 
-// Next generates the next statement.
+// Next generates the next statement. It allocates one thing, the
+// statement's text: the generator builds every statement into the same
+// AST and renders it before the next draw.
 func (s *Stream) Next() Statement {
 	s.science++
 	if s.science%s.g.p.DriftEvery == 0 {
