@@ -8,9 +8,11 @@ build:
 	$(GO) build ./...
 
 # vet also fails on any file gofmt would change, so that formatting is
-# checked by CI rather than by hand.
+# checked by CI rather than by hand, and builds and vets for arm64 too,
+# so that the build without internal/engine's amd64 kernel cannot rot.
 vet: build
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./internal/engine/
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
@@ -112,7 +114,9 @@ crash:
 # in memory of its own (FuzzParse, FuzzExecute), as a reply must decode
 # the same into a Client's store as into nothing, and a proxy's check of
 # a reply it relays undecoded must accept exactly what decodes and
-# forward it as the decoded reply would be encoded (FuzzDecodeResult).
+# forward it as the decoded reply would be encoded (FuzzDecodeResult);
+# and the first predicate pass's AVX2 kernel must select what its Go
+# loop selects, writing nothing past the table (FuzzFilterTable).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeResult -fuzztime=30s ./internal/wire/
@@ -120,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=30s ./internal/persist/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/sqlparse/
 	$(GO) test -run='^$$' -fuzz=FuzzExecute -fuzztime=30s ./internal/engine/
+	$(GO) test -run='^$$' -fuzz=FuzzFilterTable -fuzztime=30s ./internal/engine/
 
 # A fast allocation/throughput smoke over the hot paths: the obs
 # registry (must stay allocation-free), the executor with results kept
@@ -149,7 +154,9 @@ fuzz-smoke:
 # EDR and point mixes, and a whole 1/100 EDR trace with its
 # calibration), the release's synthesis (BenchmarkOpen: engine.Open of
 # EDR at one row in 1000, the benchmark federation's database, what
-# every daemon start pays), and one end-to-end experiment. All
+# every daemon start pays), one predicate pass over photoobj at 1%, 50%
+# and 99% through each arm of the filter (BenchmarkFilterSelectivity),
+# and one end-to-end experiment. All
 # but the last are distilled into BENCH_obs.json (ns/op, B/op, allocs/op
 # and any metric a benchmark reports per op) so CI can archive hot-path
 # numbers across commits.
@@ -157,6 +164,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1000x ./internal/obs/ | tee bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkOpen$$' -benchmem -benchtime=50x ./internal/engine/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench=BenchmarkFilterSelectivity -benchmem -benchtime=20000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR|BenchmarkNodeSubqueryEDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt

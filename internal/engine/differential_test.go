@@ -49,14 +49,27 @@ func sameResults(got, want *engine.Result) error {
 // memory — NaN in every cell when the caller switched the poison on.
 // The statement is also sized (SizeInto) into a result that held
 // another's columns, counts and tuples: it must fail with the same
-// error, or hold the reference's columns and counts and no tuples.
+// error, or hold the reference's columns and counts and no tuples. Both
+// are run on each path of the first predicate pass (FilterPaths).
 func againstReference(db *engine.DB, stmt *sqlparse.SelectStmt) error {
 	b, err := engine.Bind(db.Schema(), stmt)
 	if err != nil {
 		return fmt.Errorf("bind: %w", err)
 	}
-	got, gerr := db.ExecuteBound(b)
 	want, werr := engine.ReferenceExecute(db, b)
+	engine.FilterPaths(func(path string) {
+		if err == nil {
+			if err = executedAsReference(db, b, want, werr); err != nil {
+				err = fmt.Errorf("%s: %w", path, err)
+			}
+		}
+	})
+	return err
+}
+
+// executedAsReference is againstReference's check of one path.
+func executedAsReference(db *engine.DB, b *engine.Bound, want *engine.Result, werr error) error {
+	got, gerr := db.ExecuteBound(b)
 	sized := &engine.Result{
 		Columns: []string{"held", "before", "sizing", "this", "statement"},
 		Rows:    -1, Bytes: -1, SampleMatches: -1,

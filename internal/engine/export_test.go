@@ -46,3 +46,21 @@ func JoinSides(db *DB, b *Bound) (dense, build int, err error) {
 	jp, err := db.planJoin(sc, b)
 	return jp.kt, jp.bt, err
 }
+
+// haveAVX2 is whether this CPU runs the between kernel, whatever a test
+// has set useAVX2 to since.
+var haveAVX2 = useAVX2
+
+// FilterPaths runs fn once on each path filterTable's between arm has:
+// the AVX2 kernel, where this CPU runs it, then the Go loop on every
+// row. path names the one running (exported to the engine_test package
+// only; tests that use it do not run in parallel).
+func FilterPaths(fn func(path string)) {
+	defer func() { useAVX2 = haveAVX2 }()
+	if haveAVX2 {
+		useAVX2 = true
+		fn("kernel")
+	}
+	useAVX2 = false
+	fn("loop")
+}

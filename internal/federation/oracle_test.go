@@ -274,3 +274,54 @@ func TestEvictionsAreAccounted(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayChargesTheRecordedDecision: a journal record is charged as
+// recorded, whatever the policy re-decides. A record whose decision is
+// not the one this build's policy takes (a journal written by a build
+// whose policy decided otherwise, as GDS did before its loads were
+// inserted at the raised inflation value) is applied and reported
+// diverged, not refused; the policy's own state follows its own
+// decision. GDS loads every object on its first access, so a first
+// access recorded as a bypass diverges and the next, recorded as a hit,
+// agrees; the cacheless policy bypasses everything, so a recorded load
+// diverges and a recorded bypass agrees.
+func TestReplayChargesTheRecordedDecision(t *testing.T) {
+	s, db := openEDR(t)
+	id := federation.TableObjectID("edr", "photoobj")
+	for _, tc := range []struct {
+		policy string
+		recs   []core.Decision
+		div    []bool
+	}{
+		{"gds", []core.Decision{core.Bypass, core.Hit}, []bool{true, false}},
+		{"none", []core.Decision{core.Load, core.Bypass}, []bool{true, false}},
+	} {
+		pol, err := core.NewPolicyByName(tc.policy, s.TotalBytes()*4/10, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := federation.New(federation.Config{Schema: s, Engine: db, Granularity: federation.Tables, Policy: pol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obj, ok := m.Objects()[id]
+		if !ok {
+			t.Fatalf("no object %s", id)
+		}
+		var want core.Accounting
+		for i, d := range tc.recs {
+			rec := federation.JournalRecord{Kind: federation.JournalAccess, T: int64(i + 1), Object: id, Yield: 1 << 20, Decision: d}
+			applied, diverged, err := m.ReplayJournal(rec)
+			if err != nil || !applied || diverged != tc.div[i] {
+				t.Fatalf("%s: replaying %+v: applied %t, diverged %t (want %t), %v", tc.policy, rec, applied, diverged, tc.div[i], err)
+			}
+			want.Queries++
+			if err := core.Account(&want, obj, rec.Yield, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.Accounting(); got != want {
+			t.Fatalf("%s: replayed accounting %+v, the recorded decisions' %+v", tc.policy, got, want)
+		}
+	}
+}

@@ -168,10 +168,16 @@ func (m *Mediator) RestoreState(st State) error {
 // ReplayJournal reapplies one journal record over the restored state.
 // The policy re-decides the access to evolve its internal state, but
 // the accounting charges the RECORDED decision — that is what the
-// client was actually served before the crash. For deterministic
-// policies the two always agree; diverged reports a disagreement (a
-// randomized policy's uncaptured random stream) so the persist manager
-// can surface it as a metric instead of silently rewriting history.
+// client was actually served before the crash. The two agree when this
+// build's policy decides as the writer's did from the same state;
+// diverged reports a disagreement, so the persist manager can surface
+// it (persist.replay_divergence, the recovery line's diverged=) instead
+// of silently rewriting history. A journal is not refused for it. Two
+// cases diverge: SpaceEffBY, whose snapshot does not carry its random
+// stream, and a journal written by a build whose policy decided
+// otherwise (an older GDS inserted a loaded object at the inflation
+// value it had before that load's evictions; this one, at the raised
+// value).
 // applied is false for records whose effects are already inside the
 // restored snapshot (the prefix/suffix partition is per-file; the
 // first file after a mid-stream snapshot can carry pre-boundary
