@@ -64,7 +64,7 @@ func TestSubcommandSurface(t *testing.T) {
 		"analyze":   {"preprocess": "true", "top": "10", "trace": ""},
 		"query":     {"addr": addr, "dial-timeout": dial, "rows": "true"},
 		"stats":     {"addr": addr, "dial-timeout": dial},
-		"replay":    {"addr": addr, "audit": "false", "dial-timeout": dial, "limit": "0", "progress": "500", "top": "5", "trace": ""},
+		"replay":    {"addr": addr, "audit": "false", "dial-timeout": dial, "limit": "0", "top": "5", "trace": ""},
 		"metrics":   {"addr": addr, "dial-timeout": dial, "json": "false"},
 		"watch":     {"addr": addr, "dial-timeout": dial, "every": "1s"},
 		"decisions": {"action": "", "addr": addr, "dial-timeout": dial, "json": "false", "limit": "0", "object": "", "top": "10", "trace-id": ""},
@@ -284,7 +284,7 @@ func TestMappingTable(t *testing.T) {
 		{"byinspect -trace", []string{"analyze", "-trace", tr}, "after preprocessing", 0},
 		{"byquery SQL", []string{"query", "-addr", proxy, "select ra from photoobj where ra < 10"}, "rows,", 0},
 		{"byquery -stats", []string{"stats", "-addr", proxy}, "byte hit rate:", 0},
-		{"byreplay -audit -top", []string{"replay", "-addr", proxy, "-trace", tr, "-limit", "25", "-progress", "0", "-audit", "-top", "3"}, "replayed 25 queries", 0},
+		{"byreplay -audit -top", []string{"replay", "-addr", proxy, "-trace", tr, "-limit", "25", "-audit", "-top", "3"}, "replayed 25 queries", 0},
 		{"byinspect -addr", []string{"metrics", "-addr", proxy}, "metrics from byproxyd", 0},
 		{"byinspect -addr -json", []string{"metrics", "-addr", proxy, "-json"}, `"source": "byproxyd"`, 0},
 		{"byinspect -watch", []string{"watch", "-addr", proxy, "-every", "10ms"}, "[sample 1 +10ms]", 200 * time.Millisecond},

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bypassyield/internal/catalog"
@@ -87,13 +92,84 @@ func TestRunReplaysTrace(t *testing.T) {
 	}
 	addr, _, stop := startProxy(t, false)
 	defer stop()
-	out, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0")
+	out, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "replayed 25 queries (0 failed)") || strings.Contains(out, "counterfactual") {
 		t.Fatalf("replay without -audit:\n%s", out)
 	}
+}
+
+// TestReplaySurvivesADroppedConnection: the connection carrying the
+// third of ten statements is dropped. That statement is the one failure,
+// on stderr; the fourth is sent on a fresh connection, and the scrape
+// after the replay is answered.
+func TestReplaySurvivesADroppedConnection(t *testing.T) {
+	p := workload.ScaledProfile(workload.EDRProfile(), 500)
+	recs, err := workload.Generate(p, federation.Columns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.jsonl.gz")
+	if err := trace.WriteFile(path, recs); err != nil {
+		t.Fatal(err)
+	}
+	addr, _, stop := startProxy(t, false)
+	defer stop()
+	var out, stderr bytes.Buffer
+	err = run(env{context.Background(), strings.NewReader(""), &out, &stderr},
+		[]string{"replay", "-addr", dropOnce(t, addr, 3), "-trace", path, "-limit", "10"})
+	if err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(out.String(), "replayed 9 queries (1 failed)") {
+		t.Fatalf("replay with one dropped connection:\n%s%s", out.String(), stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "failed: "); n != 1 {
+		t.Fatalf("%d failure lines on stderr, want 1:\n%s", n, stderr.String())
+	}
+}
+
+// dropOnce relays each connection to upstream frame by frame, and
+// closes the client's connection instead of forwarding the drop-th
+// query frame it reads (counted from 1 across connections).
+func dropOnce(t *testing.T, upstream string, drop int64) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	var queries atomic.Int64
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				u, err := net.Dial("tcp", upstream)
+				if err != nil {
+					return
+				}
+				defer u.Close()
+				go io.Copy(c, u)
+				for {
+					typ, body, _, err := wire.ReadFrame(c)
+					if err != nil || typ == wire.MsgQuery && queries.Add(1) == drop {
+						return
+					}
+					frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+					if _, err := u.Write(append(append(frame, byte(typ)), body...)); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestRunAudit: the audit prints the always-bypass diff and the bound,
@@ -131,7 +207,7 @@ func TestRunAudit(t *testing.T) {
 			if warm && restoredWAN == 0 {
 				t.Fatal("the restored snapshot carries no WAN: the warm case tests nothing")
 			}
-			replayed, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0", "-audit", "-top", "5")
+			replayed, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-audit", "-top", "5")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +261,7 @@ func TestAuditScrapesOnce(t *testing.T) {
 	}
 	addr, _, stop := startProxy(t, false)
 	defer stop()
-	if _, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-progress", "0", "-audit", "-top", "5"); err != nil {
+	if _, err := by("replay", "-addr", addr, "-trace", path, "-limit", "25", "-audit", "-top", "5"); err != nil {
 		t.Fatal(err)
 	}
 	c, err := wire.Dial(addr)

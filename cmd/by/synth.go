@@ -49,7 +49,7 @@ func synthFlags(fs *flag.FlagSet) func(env, []string) error {
 	return func(e env, _ []string) error {
 		ctx, stop := signal.NotifyContext(e.ctx, os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		logf := func(format string, args ...any) { fmt.Fprintf(e.stderr, format+"\n", args...) }
+		logf := func(format string, args ...any) { fmt.Fprintf(e.stderr, "by synth: "+format+"\n", args...) }
 		if o.quiet {
 			logf = nil
 		}

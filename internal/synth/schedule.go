@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bypassyield/internal/catalog"
+	"bypassyield/internal/trace"
 	"bypassyield/internal/workload"
 )
 
@@ -101,20 +102,12 @@ func (p *tenantPicker) pick(rng *rand.Rand) int {
 	return len(p.cum) - 1
 }
 
-// Op is a fully materialized operation: an arrival with its statement.
-type Op struct {
-	Arrival
-	SQL        string
-	Class      string
-	TenantName string
-}
-
-// Ops expands a schedule into concrete statements by drawing each
-// arrival's query from its tenant's workload stream, in arrival
-// order. Deterministic: tenant streams are seeded from the scenario
-// seed and tenant index (or the tenant's explicit Seed), and arrivals
-// consume them in schedule order.
-func Ops(sc *Scenario, arrivals []Arrival) ([]Op, error) {
+// Ops expands a schedule into the records a replay sends: record i is
+// arrival i's statement, drawn from its tenant's workload stream, with
+// Seq i+1 and the arrival's offset. Deterministic: tenant streams are
+// seeded from the scenario seed and tenant index (or the tenant's
+// explicit Seed), and arrivals consume them in schedule order.
+func Ops(sc *Scenario, arrivals []Arrival) ([]trace.Record, error) {
 	sc.fill()
 	release := sc.Release
 	if release == "" {
@@ -149,15 +142,10 @@ func Ops(sc *Scenario, arrivals []Arrival) ([]Op, error) {
 		}
 		streams[i] = s
 	}
-	ops := make([]Op, len(arrivals))
+	recs := make([]trace.Record, len(arrivals))
 	for i, a := range arrivals {
 		st := streams[a.Tenant].Next()
-		ops[i] = Op{
-			Arrival:    a,
-			SQL:        st.SQL,
-			Class:      st.Class,
-			TenantName: sc.Tenants[a.Tenant].Name,
-		}
+		recs[i] = trace.Record{Seq: int64(i + 1), At: a.At, Class: st.Class, SQL: st.SQL}
 	}
-	return ops, nil
+	return recs, nil
 }

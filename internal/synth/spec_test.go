@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"bypassyield/internal/trace"
 )
 
 // TestParseScenarioGolden parses the checked-in spec and pins every
@@ -179,7 +182,7 @@ func TestParseSlotsGrammar(t *testing.T) {
 // same seed ⇒ identical arrival schedule and statements; different
 // seed ⇒ different.
 func TestScheduleDeterminism(t *testing.T) {
-	mk := func(seed int64) ([]Arrival, []Op) {
+	mk := func(seed int64) ([]Arrival, []trace.Record) {
 		sc, err := Canned("multi-tenant-skew")
 		if err != nil {
 			t.Fatal(err)
@@ -205,7 +208,7 @@ func TestScheduleDeterminism(t *testing.T) {
 		if a1[i] != a2[i] {
 			t.Fatalf("arrival %d differs under one seed: %+v vs %+v", i, a1[i], a2[i])
 		}
-		if o1[i] != o2[i] {
+		if !reflect.DeepEqual(o1[i], o2[i]) {
 			t.Fatalf("op %d differs under one seed", i)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleRecords() []Record {
@@ -21,7 +22,7 @@ func sampleRecords() []Record {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	recs := sampleRecords()
+	recs := append(sampleRecords(), Record{Seq: 4, At: 1500 * time.Millisecond, SQL: "select 1", Class: "range"})
 	var buf bytes.Buffer
 	if err := Write(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -127,6 +128,9 @@ func TestValidateRejectsBad(t *testing.T) {
 		{"negative yield", []Record{{Seq: 1, Yield: -1}}},
 		{"negative access", []Record{{Seq: 1, Yield: 5, Accesses: []Access{{Object: "a", Yield: -5}}}}},
 		{"sum mismatch", []Record{{Seq: 1, Yield: 5, Accesses: []Access{{Object: "a", Yield: 4}}}}},
+		{"negative arrival", []Record{{Seq: 1, At: -time.Second}}},
+		{"arrival before the previous", []Record{{Seq: 1, At: 2 * time.Second}, {Seq: 2, At: time.Second}}},
+		{"zero arrival after a nonzero one", []Record{{Seq: 1, At: time.Second}, {Seq: 2}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,7 +142,7 @@ func TestValidateRejectsBad(t *testing.T) {
 }
 
 func TestGzipFileRoundTrip(t *testing.T) {
-	recs := sampleRecords()
+	recs := append(sampleRecords(), Record{Seq: 4, At: 1500 * time.Millisecond, SQL: "select 1", Class: "range"})
 	path := filepath.Join(t.TempDir(), "trace.jsonl.gz")
 	if err := WriteFile(path, recs); err != nil {
 		t.Fatal(err)
