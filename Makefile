@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-fed chaos crash fuzz-smoke experiments examples
+.PHONY: all build vet test race stress bench-smoke bench-fed chaos crash fuzz-smoke experiments examples
 
 all: vet test
 
@@ -45,6 +45,16 @@ race:
 	$(GO) test -race -count=3 -run '$(RACE_FEDERATION_RUN)' ./internal/federation/
 	$(GO) test -race -count=3 -run '$(RACE_WIRE_RUN)' ./internal/wire/
 	$(GO) test -race -count=3 -run '$(RACE_OBS_RUN)' ./internal/obs/
+
+# tier-1 on a loaded machine: every test three times over at GOMAXPROCS
+# 1, 2 and 4, beside three busy loops that take CPU from the scheduler,
+# which is where a test that races the wall clock fails. The loops are
+# started before the traps, so that none inherits one, and killed on
+# every way out, a failure or an interrupt included.
+stress:
+	@loops=; for i in 1 2 3; do (while :; do :; done) & loops="$$loops $$!"; done; \
+	trap 'kill $$loops' EXIT; trap 'exit 130' INT TERM; \
+	$(GO) test -count=3 -cpu 1,2,4 ./...
 
 # check-run PATTERN PKG... fails when an alternative of a -run pattern
 # matches no test in the packages, as `go test -list` names them: a

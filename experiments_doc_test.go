@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,6 +78,65 @@ func TestExperimentsFiguresInResults(t *testing.T) {
 	}
 	if checked < 90 {
 		t.Fatalf("checked %d figures in EXPERIMENTS.md: the scan has stopped finding them", checked)
+	}
+}
+
+// TestDeviationThreeCountsTheFlips holds EXPERIMENTS.md's deviation 3 to
+// results/fullscale.txt: the number of table/release combinations of
+// Tables 1 and 2 on which OnlineBY costs more than SpaceEffBY, against
+// the paper's order, is the number the deviation states.
+func TestDeviationThreeCountsTheFlips(t *testing.T) {
+	res, err := os.ReadFile(filepath.Join("results", "fullscale.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped, combos := 0, 0
+	for _, block := range []string{"== tab1:", "== tab2:"} {
+		_, rest, ok := strings.Cut(string(res), block)
+		if !ok {
+			t.Fatalf("results/fullscale.txt has no %q block", block)
+		}
+		rest, _, _ = strings.Cut(rest, "\n==")
+		total := map[string]map[string]float64{} // release → algorithm → total GB
+		for _, line := range strings.Split(rest, "\n") {
+			f := strings.Fields(line)
+			if len(f) != 9 || f[0] != "Set" {
+				continue
+			}
+			v, err := strconv.ParseFloat(f[8], 64)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", block, line, err)
+			}
+			if total[f[2]] == nil {
+				total[f[2]] = map[string]float64{}
+			}
+			total[f[2]][f[5]] = v
+		}
+		for release, algs := range total {
+			online, okO := algs["OnlineBY"]
+			spaceEff, okS := algs["SpaceEffBY"]
+			if !okO || !okS {
+				t.Fatalf("%s %s: no OnlineBY and SpaceEffBY rows in %v", block, release, algs)
+			}
+			combos++
+			if online > spaceEff {
+				flipped++
+			}
+		}
+	}
+	if combos != 4 {
+		t.Fatalf("Tables 1 and 2 hold %d table/release combinations, want 4", combos)
+	}
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`SpaceEffBY/OnlineBY ordering\*\*\s+flips on (\w+) of four`).FindSubmatch(doc)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md's deviation 3 no longer says on how many of four combinations the order flips")
+	}
+	if stated := slices.Index([]string{"none", "one", "two", "three", "four"}, string(m[1])); stated != flipped {
+		t.Fatalf("deviation 3 says the order flips on %s of four combinations; results/fullscale.txt flips %d", m[1], flipped)
 	}
 }
 
