@@ -59,5 +59,5 @@ func main() {
 	fmt.Printf("without cache:  %d MB\n", base.Acct.WANBytes()>>20)
 	fmt.Printf("savings:        %.1fx\n", float64(base.Acct.WANBytes())/float64(a.WANBytes()))
 	fmt.Printf("byte hit rate:  %.0f%%\n", a.ByteHitRate()*100)
-	fmt.Printf("cold cached:    %v (bypassed, as it should be)\n", cache.Contains(cold.ID))
+	fmt.Printf("cold cached:    %v (bypassed, as it should be)\n", cache.Contains(cold))
 }

@@ -280,30 +280,6 @@ func TestFlowConservation(t *testing.T) {
 	}
 }
 
-func TestPolicyResetRestoresInitialState(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	objs := []Object{testObj("t1", 300), testObj("t2", 200), testObj("t3", 90)}
-	trace := randomTrace(r, objs, 800, 1.0)
-	for _, p := range allPolicies(400) {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
-			sim := &Simulator{Policy: p, Objects: objMap(objs...)}
-			if _, err := sim.Run(trace); err != nil {
-				t.Fatal(err)
-			}
-			p.Reset()
-			if p.Used() != 0 && p.Name() != "static-optimal" {
-				t.Fatalf("Used after Reset = %d, want 0", p.Used())
-			}
-			for _, o := range objs {
-				if p.Contains(o.ID) {
-					t.Fatalf("cache still contains %s after Reset", o.ID)
-				}
-			}
-		})
-	}
-}
-
 func TestDeterministicReruns(t *testing.T) {
 	// Every deterministic policy must produce identical accounting on
 	// identical traces after Reset; SpaceEffBY must when rebuilt with

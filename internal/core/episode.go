@@ -261,6 +261,3 @@ func (pt *profileTable) prune(t int64) {
 // size reports the number of tracked profiles (for tests of the
 // metadata bound).
 func (pt *profileTable) size() int { return pt.byObj.len() }
-
-// reset clears all profiles.
-func (pt *profileTable) reset() { pt.byObj.reset() }

@@ -39,9 +39,7 @@ func (g *greedyDual) Used() int64 { return g.used }
 func (g *greedyDual) Capacity() int64 { return g.cap }
 
 // Contains implements Policy.
-func (g *greedyDual) Contains(id ObjectID) bool { return g.items.findID(id) != nil }
-
-func (g *greedyDual) holds(obj Object) bool { return g.items.find(obj) != nil }
+func (g *greedyDual) Contains(obj Object) bool { return g.items.find(obj) != nil }
 
 // Evictions implements Policy.
 func (g *greedyDual) Evictions() int64 { return g.evictions }
@@ -54,15 +52,6 @@ func (g *greedyDual) Contents() []ObjectID {
 		ids[i] = it.Value.ID
 	}
 	return ids
-}
-
-// Reset implements Policy.
-func (g *greedyDual) Reset() {
-	g.used = 0
-	g.l = 0
-	g.evictions = 0
-	g.heap = bheap.New[Object](64)
-	g.items.reset()
 }
 
 // access refreshes a cached obj's priority (Hit) or loads obj after

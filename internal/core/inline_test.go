@@ -17,7 +17,7 @@ func TestGDSLoadsEveryMiss(t *testing.T) {
 	if d := g.Access(2, b, 1); d != Load {
 		t.Fatalf("miss decision = %v, want load (after evicting a)", d)
 	}
-	if g.Contains(a.ID) {
+	if g.Contains(a) {
 		t.Fatal("a should have been evicted")
 	}
 	if g.Evictions() != 1 {
@@ -36,7 +36,7 @@ func TestGDSInflation(t *testing.T) {
 	g.Access(1, a, 1)
 	g.Access(2, b, 1)
 	g.Access(3, c, 1) // must evict a (min H = 1), set L = 1
-	if g.Contains(a.ID) || !g.Contains(b.ID) || !g.Contains(c.ID) {
+	if g.Contains(a) || !g.Contains(b) || !g.Contains(c) {
 		t.Fatal("GDS should evict the min-priority object a")
 	}
 	if !almostEqual(g.l, 1) {
@@ -63,9 +63,9 @@ func TestGDSHitRefreshesPriority(t *testing.T) {
 	g.Access(4, a, 1) // hit: a's H = L + 1.5 = 2.5, above d's
 	g.Access(5, testObj("e", 60), 1)
 	// Without the refresh a (1.5) would be the victim; with it, d (2).
-	if !g.Contains(a.ID) || g.Contains(d.ID) {
+	if !g.Contains(a) || g.Contains(d) {
 		t.Fatalf("after a's refresh: a cached %t, d cached %t; want a kept, d evicted",
-			g.Contains(a.ID), g.Contains(d.ID))
+			g.Contains(a), g.Contains(d))
 	}
 	if g.Used() != 120 {
 		t.Fatalf("used = %d, want 120", g.Used())
@@ -77,16 +77,6 @@ func TestGDSOversizedBypasses(t *testing.T) {
 	big := testObj("big", 200)
 	if d := g.Access(1, big, 10); d != Bypass {
 		t.Fatalf("oversized = %v, want bypass (forced)", d)
-	}
-}
-
-func TestInlineResetClearsExtraState(t *testing.T) {
-	gds := NewGDS(100)
-	gds.Access(1, testObj("a", 50), 1)
-	gds.Access(2, testObj("b", 80), 1) // force eviction: raises L
-	gds.Reset()
-	if gds.l != 0 || gds.Used() != 0 {
-		t.Fatal("GDS Reset incomplete")
 	}
 }
 
@@ -154,7 +144,7 @@ func TestGreedyDualMatchesReference(t *testing.T) {
 		name   string
 		decide func(obj Object) Decision
 		cache  interface {
-			Contains(id ObjectID) bool
+			Contains(obj Object) bool
 			Evictions() int64
 		}
 	}
@@ -191,7 +181,7 @@ func TestGreedyDualMatchesReference(t *testing.T) {
 						t.Fatalf("access %d to %s: %v, the reference %v", i, obj.ID, got, want)
 					}
 					for _, o := range objs {
-						if _, ok := ref.h[o.ID]; s.cache.Contains(o.ID) != ok {
+						if _, ok := ref.h[o.ID]; s.cache.Contains(o) != ok {
 							t.Fatalf("after access %d: %s cached %t, in the reference %t", i, o.ID, !ok, ok)
 						}
 					}

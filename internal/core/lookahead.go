@@ -73,24 +73,13 @@ func (l *Lookahead) Used() int64 { return l.used }
 func (l *Lookahead) Capacity() int64 { return l.capacity }
 
 // Contains implements Policy.
-func (l *Lookahead) Contains(id ObjectID) bool {
-	_, ok := l.entries[id]
+func (l *Lookahead) Contains(obj Object) bool {
+	_, ok := l.entries[obj.ID]
 	return ok
 }
 
 // Evictions implements Policy.
 func (l *Lookahead) Evictions() int64 { return l.evicted }
-
-// Reset implements Policy: cache state clears; the future knowledge
-// (and each object's progress cursor) rewinds.
-func (l *Lookahead) Reset() {
-	l.used = 0
-	l.evicted = 0
-	l.entries = make(map[ObjectID]*laEntry)
-	for _, f := range l.future {
-		f.next = 0
-	}
-}
 
 // gain sums an object's future yields within the horizon after time t.
 func (l *Lookahead) gain(id ObjectID, t int64) int64 {

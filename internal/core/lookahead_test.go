@@ -27,7 +27,7 @@ func TestLookaheadLoadsOnlyProfitableObjects(t *testing.T) {
 	if res.Acct.Loads != 1 {
 		t.Fatalf("loads = %d, want 1", res.Acct.Loads)
 	}
-	if !la.Contains(a.ID) || la.Contains(b.ID) {
+	if !la.Contains(a) || la.Contains(b) {
 		t.Fatal("lookahead cached the wrong object")
 	}
 	// WAN = fetch(100) + bypass b (10) = 110.
@@ -57,7 +57,7 @@ func TestLookaheadEvictsForBetterFuture(t *testing.T) {
 	if _, err := sim.Run(trace); err != nil {
 		t.Fatal(err)
 	}
-	if la.Contains(a.ID) || !la.Contains(b.ID) {
+	if la.Contains(a) || !la.Contains(b) {
 		t.Fatal("lookahead should have switched from a to b")
 	}
 	if la.Evictions() != 1 {
@@ -82,29 +82,6 @@ func TestLookaheadHorizonLimitsGreed(t *testing.T) {
 	la2 := NewLookahead(100, trace, 100)
 	if d := la2.Access(1, a, 60); d != Bypass {
 		t.Fatalf("bounded horizon: %v, want bypass", d)
-	}
-}
-
-func TestLookaheadReset(t *testing.T) {
-	a := testObj("a", 100)
-	trace := []Request{
-		{Seq: 1, Accesses: []Access{{a.ID, 80}}},
-		{Seq: 2, Accesses: []Access{{a.ID, 80}}},
-		{Seq: 3, Accesses: []Access{{a.ID, 80}}},
-	}
-	la := NewLookahead(100, trace, 0)
-	sim := &Simulator{Policy: la, Objects: objMap(a)}
-	r1, err := sim.Run(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	la.Reset()
-	r2, err := sim.Run(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Acct != r2.Acct {
-		t.Fatalf("reset run differs: %+v vs %+v", r1.Acct, r2.Acct)
 	}
 }
 

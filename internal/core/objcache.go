@@ -29,19 +29,25 @@ type ObjectCacher interface {
 	// Request presents a whole-object request and returns the action
 	// taken.
 	Request(obj Object) ObjAction
-	// Contains reports whether the object is cached.
-	Contains(id ObjectID) bool
-	// holds is Contains on the access path: the object's state is found
-	// by its slot, without hashing its id.
-	holds(obj Object) bool
+	// Contains reports whether the object is cached, finding its state
+	// by its slot.
+	Contains(obj Object) bool
 	// Used reports bytes currently cached.
 	Used() int64
 	// Capacity reports the cache size in bytes.
 	Capacity() int64
 	// Evictions reports cumulative evictions.
 	Evictions() int64
-	// Reset restores the initial empty state.
-	Reset()
+	// Contents lists the cache for the wrapping policy's Contents.
+	ContentLister
+	// SnapshotState and RestoreState persist the cache with the
+	// wrapping policy's state.
+	StateSnapshotter
+	// decodeState is RestoreState without the commit, which it returns,
+	// so that a wrapping policy's blob and its subroutine's commit
+	// together or not at all. Being unexported, it also keeps the
+	// subroutines to this package's two, Landlord and SizeClassMarking.
+	decodeState(data []byte) (commit func(), err error)
 }
 
 // Landlord is Young's k-competitive cost-aware caching algorithm,
@@ -134,16 +140,13 @@ func (m *SizeClassMarking) Used() int64 { return m.used }
 func (m *SizeClassMarking) Evictions() int64 { return m.evictions }
 
 // Contains implements ObjectCacher.
-func (m *SizeClassMarking) Contains(id ObjectID) bool { return m.entries.findID(id) != nil }
+func (m *SizeClassMarking) Contains(obj Object) bool { return m.entries.find(obj) != nil }
 
-func (m *SizeClassMarking) holds(obj Object) bool { return m.entries.find(obj) != nil }
-
-// Reset implements ObjectCacher.
-func (m *SizeClassMarking) Reset() {
-	m.used = 0
-	m.phaseBypass = 0
-	m.evictions = 0
-	m.entries.reset()
+// Contents implements ContentLister.
+func (m *SizeClassMarking) Contents() []ObjectID {
+	ids := make([]ObjectID, 0, m.entries.len())
+	m.entries.each(func(id ObjectID, _ **scmEntry) { ids = append(ids, id) })
+	return ids
 }
 
 func sizeClass(size int64) int {

@@ -42,10 +42,10 @@ func TestLandlordEvictsMinCreditPerByte(t *testing.T) {
 	if got := ll.Request(c); got != ObjLoad {
 		t.Fatalf("request c = %v, want load", got)
 	}
-	if ll.Contains(a.ID) {
+	if ll.Contains(a) {
 		t.Fatal("a (lowest credit per byte) should have been evicted")
 	}
-	if !ll.Contains(b.ID) || !ll.Contains(c.ID) {
+	if !ll.Contains(b) || !ll.Contains(c) {
 		t.Fatal("b and c should be cached")
 	}
 	if ll.Evictions() != 1 {
@@ -124,15 +124,6 @@ func TestLandlordCreditInvariant(t *testing.T) {
 	}
 }
 
-func TestLandlordReset(t *testing.T) {
-	ll := NewLandlord(10)
-	ll.Request(testObj("a", 4))
-	ll.Reset()
-	if ll.Used() != 0 || ll.Contains("a") || ll.Evictions() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestSizeClass(t *testing.T) {
 	cases := []struct {
 		size int64
@@ -168,7 +159,7 @@ func TestSizeClassMarkingBypassWhenAllMarked(t *testing.T) {
 	if got := m.Request(testObj("c", 4)); got != ObjBypass {
 		t.Fatalf("request with all marked = %v, want bypass", got)
 	}
-	if !m.Contains(a.ID) || !m.Contains(b.ID) {
+	if !m.Contains(a) || !m.Contains(b) {
 		t.Fatal("marked objects must not be evicted")
 	}
 }
@@ -201,10 +192,10 @@ func TestSizeClassMarkingEvictsSmallestClassFirst(t *testing.T) {
 	// Requesting a 2-byte object: the smallest-class unmarked victim
 	// (small) is evicted first.
 	m.Request(testObj("x", 4))
-	if m.Contains(small.ID) {
+	if m.Contains(small) {
 		t.Fatal("smallest-class unmarked object should be evicted first")
 	}
-	if !m.Contains(large.ID) {
+	if !m.Contains(large) {
 		t.Fatal("larger-class object should survive when space suffices")
 	}
 }

@@ -105,8 +105,8 @@ func (t *objTable[V]) del(obj Object) {
 	t.delID(obj.ID)
 }
 
-// findID is find by id alone (Contains and the like, and objects
-// without a slot): the map, then a scan of the slots.
+// findID is find by id alone (objects without a slot, and accessors
+// that take an id): the map, then a scan of the slots.
 func (t *objTable[V]) findID(id ObjectID) *V {
 	if p := t.spill[id]; p != nil {
 		return p
@@ -174,11 +174,4 @@ func (t *objTable[V]) sorted() []slotEntry[V] {
 	t.each(func(id ObjectID, v *V) { out = append(out, slotEntry[V]{id, *v}) })
 	slices.SortFunc(out, func(a, b slotEntry[V]) int { return cmp.Compare(a.id, b.id) })
 	return out
-}
-
-// reset empties the table, keeping its slots' memory.
-func (t *objTable[V]) reset() {
-	clear(t.slots)
-	t.spill = nil
-	t.n = 0
 }

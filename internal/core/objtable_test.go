@@ -71,10 +71,6 @@ func TestObjTablePlaces(t *testing.T) {
 	if tab.len() != 2 || tab.findID("v/a") != nil {
 		t.Fatalf("keep left %d entries, v/a %v", tab.len(), tab.findID("v/a"))
 	}
-	tab.reset()
-	if tab.len() != 0 || tab.findID("u/c") != nil || tab.findID("u/0") != nil {
-		t.Fatal("reset left entries")
-	}
 }
 
 // TestObjTableSlotPathAllocatesNothing: finding and updating a slotted

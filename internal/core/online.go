@@ -37,7 +37,7 @@ func (o *OnlineBY) Name() string { return "online-by" + aobjSuffix(o.aobj) }
 // nothing for Landlord, the paper's default, "-marking" for size-class
 // marking, the one other A_obj.
 func aobjSuffix(aobj ObjectCacher) string {
-	if _, ok := aobj.(*SizeClassMarking); ok {
+	if aobj.Name() == "size-class-marking" {
 		return "-marking"
 	}
 	return ""
@@ -50,24 +50,13 @@ func (o *OnlineBY) Used() int64 { return o.aobj.Used() }
 func (o *OnlineBY) Capacity() int64 { return o.aobj.Capacity() }
 
 // Contains implements Policy.
-func (o *OnlineBY) Contains(id ObjectID) bool { return o.aobj.Contains(id) }
+func (o *OnlineBY) Contains(obj Object) bool { return o.aobj.Contains(obj) }
 
 // Evictions implements Policy.
 func (o *OnlineBY) Evictions() int64 { return o.aobj.Evictions() }
 
-// Reset implements Policy.
-func (o *OnlineBY) Reset() {
-	o.aobj.Reset()
-	o.acc.reset()
-}
-
-// Contents implements ContentLister when the subroutine does.
-func (o *OnlineBY) Contents() []ObjectID {
-	if cl, ok := o.aobj.(ContentLister); ok {
-		return cl.Contents()
-	}
-	return nil
-}
+// Contents implements ContentLister: the subroutine's cache.
+func (o *OnlineBY) Contents() []ObjectID { return o.aobj.Contents() }
 
 // AccumulatedYield returns the ski-rental accumulator for an object in
 // bytes; the paper's BYU accumulator is this divided by the object
@@ -99,7 +88,7 @@ func (o *OnlineBY) Access(t int64, obj Object, yield int64) Decision {
 	// and which ski-rental branch fired: still renting, crossed and
 	// admitted, or crossed but declined by A_obj.
 	o.last = Explain{BYU: float64(*acc) / float64(obj.Size)}
-	if o.aobj.holds(obj) {
+	if o.aobj.Contains(obj) {
 		if loaded {
 			o.last.Reason = ReasonBYUCrossed
 			return Load

@@ -150,16 +150,6 @@ func TestOnlineBYOversizedObjectNeverCached(t *testing.T) {
 	}
 }
 
-func TestOnlineBYReset(t *testing.T) {
-	a := testObj("a", 100)
-	ob := NewOnlineBY(NewLandlord(100))
-	ob.Access(1, a, 100)
-	ob.Reset()
-	if ob.Used() != 0 || ob.Contains(a.ID) || ob.AccumulatedYield(a.ID) != 0 {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestOnlineBYCompetitiveOnAdversarialTrace(t *testing.T) {
 	// Empirical competitiveness check: on random traces OnlineBY's
 	// total WAN cost must stay within a moderate constant of the

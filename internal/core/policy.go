@@ -39,13 +39,11 @@ type Policy interface {
 	Used() int64
 	// Capacity reports the cache size in bytes.
 	Capacity() int64
-	// Contains reports whether the object is currently cached.
-	Contains(id ObjectID) bool
+	// Contains reports whether obj is currently cached, finding its
+	// state by its slot, as Access does.
+	Contains(obj Object) bool
 	// Evictions reports the cumulative number of evictions.
 	Evictions() int64
-	// Reset restores the policy to its initial empty state so the
-	// same instance can be reused across runs.
-	Reset()
 }
 
 // ContentLister is an optional interface policies implement to expose
@@ -86,9 +84,9 @@ type Simulator struct {
 	Ledger *ledger.Ledger
 }
 
-// Run simulates the trace and returns the result. The policy is NOT
-// reset first; callers compose multi-trace runs by calling Run
-// repeatedly or call Policy.Reset between independent runs.
+// Run simulates the trace and returns the result. The policy keeps its
+// state across runs: a multi-trace run calls Run repeatedly, and an
+// independent run builds a fresh policy.
 func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
 	d := NewDecider(s.Policy, nil, nil, s.Ledger)

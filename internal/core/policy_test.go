@@ -29,12 +29,12 @@ func TestLoadsOnlyWhatItDoesNotHold(t *testing.T) {
 				for step := int64(1); step <= 4000; step++ {
 					o := objs[r.Intn(len(objs))]
 					yield := r.Int63n(3*o.Size + 1)
-					held := p.Contains(o.ID)
+					held := p.Contains(o)
 					d := p.Access(step, o, yield)
 					switch {
 					case held && d != Hit:
 						t.Fatalf("seed %d step %d: %s is cached, and its access with yield %d is %s, want hit", seed, step, o.ID, yield, d)
-					case d == Load && !p.Contains(o.ID):
+					case d == Load && !p.Contains(o):
 						t.Fatalf("seed %d step %d: %s was loaded and is not cached", seed, step, o.ID)
 					case d == Load:
 						loads++
@@ -85,7 +85,7 @@ func TestOversizeIsAlwaysBypassed(t *testing.T) {
 						}
 					}
 					for _, o := range over {
-						if p.Contains(o.ID) {
+						if p.Contains(o) {
 							t.Fatalf("seed %d step %d: %s (size %d) is cached in a cache of %d", seed, step, o.ID, o.Size, p.Capacity())
 						}
 					}

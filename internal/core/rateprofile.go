@@ -87,21 +87,13 @@ func (r *RateProfile) Used() int64 { return r.used }
 func (r *RateProfile) Capacity() int64 { return r.cfg.Capacity }
 
 // Contains implements Policy.
-func (r *RateProfile) Contains(id ObjectID) bool { return r.entries.findID(id) != nil }
+func (r *RateProfile) Contains(obj Object) bool { return r.entries.find(obj) != nil }
 
 // Evictions implements Policy.
 func (r *RateProfile) Evictions() int64 { return r.evictions }
 
-// Reset implements Policy.
-func (r *RateProfile) Reset() {
-	r.used = 0
-	r.evictions = 0
-	r.setEntries(objTable[*rpEntry]{})
-	r.profiles.reset()
-}
-
-// setEntries replaces the cache's contents (Reset, RestoreState) and
-// rebuilds the heap from them, unordered.
+// setEntries replaces the cache's contents (RestoreState) and rebuilds
+// the heap from them, unordered.
 func (r *RateProfile) setEntries(entries objTable[*rpEntry]) {
 	r.entries = entries
 	r.heap, r.heaped = nil, false

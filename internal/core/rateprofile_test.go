@@ -25,8 +25,8 @@ func TestRateProfileScriptedScenario(t *testing.T) {
 	if d := rp.Access(2, a, 100); d != Load {
 		t.Fatalf("t=2 decision = %v, want load", d)
 	}
-	if !rp.Contains(a.ID) || rp.Used() != 100 {
-		t.Fatalf("cache state after load: contains=%v used=%d", rp.Contains(a.ID), rp.Used())
+	if !rp.Contains(a) || rp.Used() != 100 {
+		t.Fatalf("cache state after load: contains=%v used=%d", rp.Contains(a), rp.Used())
 	}
 	// t=3: a cached → hit.
 	if d := rp.Access(3, a, 50); d != Hit {
@@ -42,7 +42,7 @@ func TestRateProfileScriptedScenario(t *testing.T) {
 	if d := rp.Access(5, b, 100); d != Load {
 		t.Fatalf("t=5 decision = %v, want load", d)
 	}
-	if rp.Contains(a.ID) || !rp.Contains(b.ID) {
+	if rp.Contains(a) || !rp.Contains(b) {
 		t.Fatal("expected a evicted and b cached")
 	}
 	if rp.Evictions() != 1 {
@@ -93,7 +93,7 @@ func TestRateProfileTimeDecaysRP(t *testing.T) {
 	if d := rp.Access(1001, b, 100); d != Load {
 		t.Fatalf("hot candidate not loaded over idle victim: %v", d)
 	}
-	if rp.Contains(a.ID) {
+	if rp.Contains(a) {
 		t.Fatal("idle object should have been evicted")
 	}
 }
@@ -115,7 +115,7 @@ func TestRateProfileConservativeEviction(t *testing.T) {
 			}
 		}
 	}
-	if !rp.Contains(a.ID) {
+	if !rp.Contains(a) {
 		t.Fatal("hot object was evicted by a cold candidate")
 	}
 }
@@ -140,7 +140,7 @@ func TestRateProfileMultiVictim(t *testing.T) {
 	if d != Load {
 		t.Fatalf("decision = %v, want load after burst", d)
 	}
-	if rp.Contains(s1.ID) || rp.Contains(s2.ID) || !rp.Contains(big.ID) {
+	if rp.Contains(s1) || rp.Contains(s2) || !rp.Contains(big) {
 		t.Fatal("expected both small objects evicted for the big one")
 	}
 	if rp.Evictions() != 2 {
@@ -166,7 +166,7 @@ func TestRateProfileLoadCostIsSunk(t *testing.T) {
 	if d := rp.Access(5, b, 30); d != Bypass {
 		t.Fatalf("decision = %v, want bypass", d)
 	}
-	if !rp.Contains(a.ID) {
+	if !rp.Contains(a) {
 		t.Fatal("a should remain cached")
 	}
 }
@@ -274,12 +274,12 @@ func TestSelectVictimsMatchesSort(t *testing.T) {
 		for i := 0; i < n; i++ {
 			size := int64(1+rng.Intn(8)) * 100
 			id := ObjectID(fmt.Sprintf("o%03d", rng.Intn(1000)))
-			if r.Contains(id) {
+			obj := Object{ID: id, Size: size, FetchCost: size}
+			if r.Contains(obj) {
 				continue
 			}
 			// Equal sizes, load times and yields recur, so equal RPs do. A
 			// first yield above the fetch cost loads into free space.
-			obj := Object{ID: id, Size: size, FetchCost: size}
 			if d := r.Access(int64(rng.Intn(4)), obj, int64(2+rng.Intn(3))*size); d != Load {
 				t.Fatalf("round %d: %s was not loaded into free space: %s (%s)", round, id, d, r.LastExplain().Reason)
 			}
@@ -337,7 +337,8 @@ func checkHeap(r *RateProfile) error {
 
 // TestDenseEntriesFollowTheMap drives random sequences of what changes a
 // Rate-Profile cache's contents — accesses that load into free space,
-// accesses that evict to load, Reset, a snapshot restored in place and
+// accesses that evict to load, a fresh policy's snapshot restored in
+// place (the heap rebuilt from empty), a snapshot restored in place and
 // into a fresh policy — and after every step holds the heap, the dense
 // slice of entries that selectVictims walks, to the table (checkHeap)
 // and selectVictims to referenceVictims, which walks the table. The
@@ -368,8 +369,10 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 			what := "access"
 			switch k := rng.Intn(100); {
 			case k < 2:
-				what = "reset"
-				r.Reset()
+				what = "restore a fresh policy's snapshot"
+				if err := r.RestoreState(NewRateProfile(cfg).SnapshotState()); err != nil {
+					t.Fatal(err)
+				}
 			case k < 6:
 				what = "restore in place"
 				if err := r.RestoreState(r.SnapshotState()); err != nil {
@@ -411,7 +414,8 @@ func TestDenseEntriesFollowTheMap(t *testing.T) {
 // tick — hits, misses bypassed because the victims save more, misses
 // that evict to load, zero yields, sizes and yields drawn from a few
 // values so that equal RPs, broken by id, are common — then moves the
-// tick on by zero (the tick repeats), one or many (it jumps). Now and then a run is interrupted by Reset or by a
+// tick on by zero (the tick repeats), one or many (it jumps). Now and then a run is interrupted by a fresh
+// policy's snapshot restored in place, emptying the cache, or by a
 // snapshot restored in place or into a fresh policy, and carries on at
 // the same tick. Before every miss that needs victims, selectVictims
 // at the access's tick must return referenceVictims' victims, maximum
@@ -438,8 +442,10 @@ func TestVictimHeapAcrossATick(t *testing.T) {
 				what := "access"
 				switch k := rng.Intn(100); {
 				case k < 1:
-					what = "reset"
-					r.Reset()
+					what = "restore a fresh policy's snapshot"
+					if err := r.RestoreState(NewRateProfile(cfg).SnapshotState()); err != nil {
+						t.Fatal(err)
+					}
 				case k < 3:
 					what = "restore in place"
 					if err := r.RestoreState(r.SnapshotState()); err != nil {
@@ -492,7 +498,7 @@ func TestVictimHeapAcrossATick(t *testing.T) {
 						}
 						if d == Load {
 							for _, id := range want {
-								if r.Contains(id) {
+								if r.Contains(Object{ID: id}) {
 									t.Fatalf("round %d run %d step %d: %s kept victim %s", round, run, step, what, id)
 								}
 							}

@@ -171,14 +171,10 @@ func (s *StaticOptimal) Used() int64 { return s.used }
 func (s *StaticOptimal) Capacity() int64 { return s.cap }
 
 // Contains implements Policy.
-func (s *StaticOptimal) Contains(id ObjectID) bool { return s.chosen[id] }
+func (s *StaticOptimal) Contains(obj Object) bool { return s.chosen[obj.ID] }
 
 // Evictions implements Policy; a static cache never evicts.
 func (s *StaticOptimal) Evictions() int64 { return 0 }
-
-// Reset implements Policy: the chosen set is retained (it is the
-// plan), only the lazily-loaded marks clear.
-func (s *StaticOptimal) Reset() { s.loaded = make(map[ObjectID]bool) }
 
 // Chosen returns the planned static contents (for reports and tests).
 func (s *StaticOptimal) Chosen() []ObjectID {
@@ -223,10 +219,7 @@ func (NoCache) Used() int64 { return 0 }
 func (NoCache) Capacity() int64 { return 0 }
 
 // Contains implements Policy.
-func (NoCache) Contains(ObjectID) bool { return false }
+func (NoCache) Contains(Object) bool { return false }
 
 // Evictions implements Policy.
 func (NoCache) Evictions() int64 { return 0 }
-
-// Reset implements Policy.
-func (NoCache) Reset() {}

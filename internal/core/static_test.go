@@ -70,7 +70,7 @@ func TestStaticOptimalDecisions(t *testing.T) {
 		Access{a.ID, 6}, Access{a.ID, 6}, Access{a.ID, 6}, Access{b.ID, 3},
 	)
 	s := PlanStatic(10, trace, objMap(a, b))
-	if !s.Contains(a.ID) {
+	if !s.Contains(a) {
 		t.Fatalf("a should be chosen, got %v", s.Chosen())
 	}
 	// Replay: first access to a loads, later ones hit; b bypasses.
@@ -85,20 +85,6 @@ func TestStaticOptimalDecisions(t *testing.T) {
 	}
 	if s.Evictions() != 0 {
 		t.Fatal("static cache must never evict")
-	}
-}
-
-func TestStaticOptimalResetKeepsPlan(t *testing.T) {
-	a := testObj("a", 6)
-	trace := singleAccessTrace(Access{a.ID, 6}, Access{a.ID, 6}, Access{a.ID, 6})
-	s := PlanStatic(10, trace, objMap(a))
-	s.Access(1, a, 6)
-	s.Reset()
-	if !s.Contains(a.ID) {
-		t.Fatal("Reset must keep the plan")
-	}
-	if d := s.Access(1, a, 6); d != Load {
-		t.Fatal("after Reset the first access loads again")
 	}
 }
 

@@ -66,7 +66,7 @@ func (s *Suite) XAvail() (*Table, error) {
 					// Mirror the mediator's degraded path: the policy is not
 					// consulted while its site is dark.
 					if down(r.Seq) && obj.Site == downSite {
-						if ps.p.Contains(obj.ID) {
+						if ps.p.Contains(obj) {
 							if err := core.Account(&acct, obj, a.Yield, core.Hit); err != nil {
 								return nil, err
 							}

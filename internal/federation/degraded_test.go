@@ -41,11 +41,10 @@ func (p *loadAll) Access(t int64, obj core.Object, yield int64) core.Decision {
 	p.used += obj.Size
 	return core.Load
 }
-func (p *loadAll) Used() int64                    { return p.used }
-func (p *loadAll) Capacity() int64                { return 1 << 62 }
-func (p *loadAll) Contains(id core.ObjectID) bool { return p.objs[id] }
-func (p *loadAll) Evictions() int64               { return 0 }
-func (p *loadAll) Reset()                         { p.objs = nil; p.used = 0 }
+func (p *loadAll) Used() int64                   { return p.used }
+func (p *loadAll) Capacity() int64               { return 1 << 62 }
+func (p *loadAll) Contains(obj core.Object) bool { return p.objs[obj.ID] }
+func (p *loadAll) Evictions() int64              { return 0 }
 
 func newDegradedMediator(t *testing.T, p core.Policy) (*Mediator, *obs.Registry, *ledger.Ledger) {
 	t.Helper()
@@ -124,7 +123,7 @@ func TestDegradedForcedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	obj := TableObjectID(catalog.EDR().Name, "photoobj")
-	if !pol.Contains(obj) {
+	if !pol.Contains(m.Objects()[obj]) {
 		t.Fatalf("warm-up did not cache %s", obj)
 	}
 	before := m.Accounting()

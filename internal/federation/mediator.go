@@ -822,7 +822,7 @@ func journalRecord(t int64, d AccessDecision) JournalRecord {
 //     WAN cost, and the report carries a per-site error annotation.
 func (m *Mediator) degradedAccess(rep *QueryReport, idx int, a access, reason string) error {
 	obj, yield := a.obj, a.yield
-	if m.policy.Contains(obj.ID) {
+	if m.policy.Contains(*obj) {
 		full := core.ReasonForcedCache + ": " + reason
 		if err := m.dec.Forced(*obj, yield, full); err != nil {
 			return err

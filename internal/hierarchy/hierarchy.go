@@ -149,7 +149,7 @@ func (s *Sim) access(t int64, obj core.Object, yield int64, res *Result) error {
 			// outer tier holding the object, or the servers.
 			src := n // server by default
 			for j := i + 1; j < n; j++ {
-				if s.cfg.Policies[j].Contains(obj.ID) {
+				if s.cfg.Policies[j].Contains(obj) {
 					src = j
 					break
 				}

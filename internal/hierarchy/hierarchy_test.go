@@ -152,7 +152,7 @@ func TestFetchFromOuterTierNotServer(t *testing.T) {
 	}
 	// Pre-warm tier 1 directly.
 	tier1.Access(0, core.Object{ID: a.ID, Size: 10, FetchCost: 50}, 10)
-	if !tier1.Contains(a.ID) {
+	if !tier1.Contains(a) {
 		t.Fatal("tier 1 should hold a")
 	}
 	// Tier 0 load should now fetch from tier 1, crossing only link 0.

@@ -43,10 +43,9 @@ func (p *pinned) Used() int64 {
 	}
 	return 0
 }
-func (p *pinned) Capacity() int64                { return 1 << 62 }
-func (p *pinned) Contains(id core.ObjectID) bool { return p.cached && id == p.id }
-func (p *pinned) Evictions() int64               { return 0 }
-func (p *pinned) Reset()                         { p.cached = false; p.size = 0 }
+func (p *pinned) Capacity() int64               { return 1 << 62 }
+func (p *pinned) Contains(obj core.Object) bool { return p.cached && obj.ID == p.id }
+func (p *pinned) Evictions() int64              { return 0 }
 
 // chaosFed is a real 3-site EDR federation over TCP whose connections
 // to the spec site — pooled and probing alike — pass through one

@@ -237,9 +237,8 @@ func (alwaysLoad) Name() string                                   { return "alwa
 func (alwaysLoad) Access(int64, core.Object, int64) core.Decision { return core.Load }
 func (alwaysLoad) Used() int64                                    { return 0 }
 func (alwaysLoad) Capacity() int64                                { return 1 << 40 }
-func (alwaysLoad) Contains(core.ObjectID) bool                    { return false }
+func (alwaysLoad) Contains(core.Object) bool                      { return false }
 func (alwaysLoad) Evictions() int64                               { return 0 }
-func (alwaysLoad) Reset()                                         {}
 
 // TestEveryLoadIsOneFetch: M clients concurrently trigger Load decisions
 // for the same object over a slow WAN, so their fetches overlap, and the
