@@ -91,7 +91,10 @@ chaos:
 # snapshot/WAL tails must fall back to the previous generation. The
 # upgrade test restores state directories an older build wrote under
 # -policy gds (cmd/byproxyd/testdata/regen-parent-fixtures.sh writes
-# them from a commit).
+# them from a commit). Under -policy space-eff-by, a SIGTERM restart and
+# then a SIGKILL one must recover, without a diverged decision, the
+# accounting of one uninterrupted run: the randomized policy's snapshot
+# carries how far its random stream was drawn.
 # Snapshot format compatibility rides along: version-1 snapshots and
 # one-section version-2 snapshots restore, and a state directory whose
 # snapshots carry several sections (a cache the previous build split
@@ -101,7 +104,7 @@ chaos:
 # committed files.
 # Every startup's recovery report is appended to crash_recovery.log
 # (archived by CI).
-CRASH_PROXY_RUN = TestKillRecoveryEndToEnd|TestFaultInjectedTornWALRecovery|TestCorruptTailFallsBackAcrossRestart|TestParentStateAcrossUpgrade
+CRASH_PROXY_RUN = TestKillRecoveryEndToEnd|TestFaultInjectedTornWALRecovery|TestCorruptTailFallsBackAcrossRestart|TestParentStateAcrossUpgrade|TestSpaceEffBYRestartsWhereItStopped
 CRASH_PERSIST_RUN = TestV1SnapshotRestores|TestOneSectionV2Restores|TestMultiSectionSnapshotColdStarts|TestStateFormatIsPinned|TestRefusedPolicyBlobStartsCold|TestPolicyChangeColdStarts
 crash:
 	$(CHECK_RUN) '$(CRASH_PROXY_RUN)' ./cmd/byproxyd/

@@ -27,8 +27,9 @@ import (
 
 // TestCrashHelperProcess is the re-exec entry point: under
 // BYPROXYD_CRASH_HELPER=1 it runs a real proxy daemon until SIGTERM
-// (or until a BYPROXYD_FAULTS crash point kills it). It is a no-op
-// under a normal `go test` run.
+// (or until a BYPROXYD_FAULTS crash point kills it), under the policy
+// BYPROXYD_POLICY names, gds when it is empty. It is a no-op under a
+// normal `go test` run.
 func TestCrashHelperProcess(t *testing.T) {
 	if os.Getenv("BYPROXYD_CRASH_HELPER") != "1" {
 		t.Skip("helper process for the crash-recovery harness")
@@ -38,6 +39,9 @@ func TestCrashHelperProcess(t *testing.T) {
 	// deterministically populated early — the warm-restart zero-refetch
 	// assertion then has something concrete to protect.
 	o.policy = "gds"
+	if p := os.Getenv("BYPROXYD_POLICY"); p != "" {
+		o.policy = p
+	}
 	o.gran = "tables"
 	o.cachePct = 0.8
 	o.nodes = os.Getenv("BYPROXYD_NODES")
@@ -171,12 +175,20 @@ func launchProxy(t *testing.T, cn *crashNodes, stateDir, recoveryLog, faults str
 	}
 }
 
-// crashWorkload drives the helper proxy; every query repeats over the
-// same tables so the policy caches them early. Returns the
+// crashStatements are the crash workload's: every query repeats over
+// the same tables so the policy caches them early.
+var crashStatements = []string{
+	"select ra, dec from photoobj where ra < 120",
+	"select z, zConf from specobj where z < 0.4",
+	"select p.objID, s.z from SpecObj s, PhotoObj p where p.ObjID = s.ObjID and s.z < 0.2",
+}
+
+// crashWorkload drives the helper proxy with n queries, cycling over
+// stmts. Returns the
 // last acknowledged stats — with -wal-sync, everything acknowledged is
 // durable. Stops early (without failing) once the proxy dies, for
 // fault-injected runs.
-func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *wire.ScrapeResultMsg, died bool) {
+func crashWorkload(t *testing.T, addr string, stmts []string, n int, tolerateDeath bool) (last *wire.ScrapeResultMsg, died bool) {
 	t.Helper()
 	c, err := wire.Dial(addr)
 	if err != nil {
@@ -186,11 +198,6 @@ func crashWorkload(t *testing.T, addr string, n int, tolerateDeath bool) (last *
 		t.Fatal(err)
 	}
 	defer c.Close()
-	stmts := []string{
-		"select ra, dec from photoobj where ra < 120",
-		"select z, zConf from specobj where z < 0.4",
-		"select p.objID, s.z from SpecObj s, PhotoObj p where p.ObjID = s.ObjID and s.z < 0.2",
-	}
 	for i := 0; i < n; i++ {
 		if _, err := c.Query(stmts[i%len(stmts)]); err != nil {
 			if tolerateDeath {
@@ -284,7 +291,7 @@ func TestKillRecoveryEndToEnd(t *testing.T) {
 	recoveryLog := crashRecoveryLog(t)
 
 	proc := launchProxy(t, cn, stateDir, recoveryLog, "")
-	acked, _ := crashWorkload(t, proc.addr, 24, false)
+	acked, _ := crashWorkload(t, proc.addr, crashStatements, 24, false)
 	if acked == nil || acked.Acct.YieldBytes == 0 {
 		t.Fatalf("workload produced no accounting: %+v", acked)
 	}
@@ -307,6 +314,60 @@ func TestKillRecoveryEndToEnd(t *testing.T) {
 	if err := proc2.cmd.Wait(); err != nil {
 		t.Fatalf("graceful shutdown after recovery: %v", err)
 	}
+}
+
+// TestSpaceEffBYRestartsWhereItStopped: the randomized policy's warm
+// restarts go on as if the daemon had never stopped. Twenty-four
+// queries, SIGTERM, a warm restart, twenty-four more, SIGKILL and a
+// warm restart again: the last recovery replays the journal without a
+// diverged decision, and recovers exactly the accounting of a daemon
+// that served all forty-eight queries in one run, whose stream of
+// random draws was never cut. The queries read a sixth to a half of
+// photoobj, frame and mask, and SpaceEffBY loads an object with the
+// probability of an access's yield over its size, so the three are
+// loaded at draws some way into the stream.
+func TestSpaceEffBYRestartsWhereItStopped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns proxy subprocesses")
+	}
+	t.Setenv("BYPROXYD_POLICY", "space-eff-by")
+	cn := startCrashNodes(t)
+	stmts := []string{
+		"select * from photoobj where ra < 60",
+		"select * from frame where ra < 60",
+		"select * from mask where ra < 120",
+	}
+
+	once := launchProxy(t, cn, filepath.Join(t.TempDir(), "state"), crashRecoveryLog(t), "")
+	uninterrupted, _ := crashWorkload(t, once.addr, stmts, 48, false)
+	stopProxy(t, once)
+	if uninterrupted.Acct.Loads == 0 {
+		t.Fatalf("the workload loads nothing (%+v): it cannot tell one stream from another", uninterrupted.Acct)
+	}
+
+	stateDir := filepath.Join(t.TempDir(), "state")
+	recoveryLog := crashRecoveryLog(t)
+	proc := launchProxy(t, cn, stateDir, recoveryLog, "")
+	crashWorkload(t, proc.addr, stmts, 24, false)
+	stopProxy(t, proc)
+	proc = launchProxy(t, cn, stateDir, recoveryLog, "")
+	acked, _ := crashWorkload(t, proc.addr, stmts, 24, false)
+	if err := proc.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	proc.cmd.Wait()
+
+	proc = launchProxy(t, cn, stateDir, recoveryLog, "")
+	b, err := os.ReadFile(recoveryLog)
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if last := lines[len(lines)-1]; err != nil || !strings.Contains(last, "warm start") || !strings.Contains(last, "diverged=0") {
+		t.Fatalf("the last recovery is not an undiverged warm start (%v):\n%s", err, b)
+	}
+	if acked.Acct != uninterrupted.Acct {
+		t.Fatalf("acknowledged %+v across two restarts, %+v in one run", acked.Acct, uninterrupted.Acct)
+	}
+	assertRecovered(t, proc, cn, acked)
+	stopProxy(t, proc)
 }
 
 // stopProxy shuts a helper daemon down gracefully.
@@ -408,7 +469,7 @@ func TestParentStateAcrossUpgrade(t *testing.T) {
 			strings.Count(string(b), "carries 2 decision-plane sections") != 2 {
 			t.Fatalf("recovery log does not name the two refusals:\n%s", b)
 		}
-		acked, _ := crashWorkload(t, proc.addr, 12, false)
+		acked, _ := crashWorkload(t, proc.addr, crashStatements, 12, false)
 		if acked.Acct.Queries != 12 || acked.Acct.YieldBytes != delivered(acked) {
 			t.Fatalf("cold start did not count from zero: %+v", acked.Acct)
 		}
@@ -447,7 +508,7 @@ func TestFaultInjectedTornWALRecovery(t *testing.T) {
 	// The 30th WAL append dies mid-payload: a deterministic torn
 	// record, not a race the test hopes to win.
 	proc := launchProxy(t, cn, stateDir, recoveryLog, "wal.append.mid-record:after=30")
-	acked, died := crashWorkload(t, proc.addr, 200, true)
+	acked, died := crashWorkload(t, proc.addr, crashStatements, 200, true)
 	if !died {
 		t.Fatal("proxy survived an armed fault point")
 	}
@@ -475,7 +536,7 @@ func TestCorruptTailFallsBackAcrossRestart(t *testing.T) {
 	// Two graceful generations, so a fallback target exists.
 	for i := 0; i < 2; i++ {
 		proc := launchProxy(t, cn, stateDir, recoveryLog, "")
-		if _, died := crashWorkload(t, proc.addr, 12, false); died {
+		if _, died := crashWorkload(t, proc.addr, crashStatements, 12, false); died {
 			t.Fatal("proxy died during setup workload")
 		}
 		if err := proc.cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -45,6 +45,16 @@ func mustParse(t *testing.T, sql string) *sqlparse.SelectStmt {
 	return stmt
 }
 
+// estimate binds sql over s and estimates its rows and bytes.
+func estimate(t *testing.T, s *catalog.Schema, sql string) (rows, bytes int64, err error) {
+	t.Helper()
+	b, err := Bind(s, mustParse(t, sql))
+	if err != nil {
+		return 0, 0, err
+	}
+	return EstimateBound(b)
+}
+
 func mustOpen(t *testing.T, s *catalog.Schema, cfg Config) *DB {
 	t.Helper()
 	db, err := Open(s, cfg)
@@ -172,7 +182,7 @@ func TestReferencedColumnsStar(t *testing.T) {
 func TestEstimateRangePredicate(t *testing.T) {
 	s := smallSchema()
 	// x uniform [0,100]: x < 25 → sel 0.25 → 250 rows × 8 bytes.
-	rows, bytes, err := Estimate(s, mustParse(t, "select x from t where x < 25"))
+	rows, bytes, err := estimate(t, s, "select x from t where x < 25")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestEstimateRangePredicate(t *testing.T) {
 
 func TestEstimateBetween(t *testing.T) {
 	s := smallSchema()
-	rows, _, err := Estimate(s, mustParse(t, "select x from t where x between 10 and 30"))
+	rows, _, err := estimate(t, s, "select x from t where x between 10 and 30")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +205,7 @@ func TestEstimateBetween(t *testing.T) {
 func TestEstimateIntEquality(t *testing.T) {
 	s := smallSchema()
 	// k has 10 distinct values → sel 0.1 → 100 rows.
-	rows, _, err := Estimate(s, mustParse(t, "select x from t where k = 4"))
+	rows, _, err := estimate(t, s, "select x from t where k = 4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +216,7 @@ func TestEstimateIntEquality(t *testing.T) {
 
 func TestEstimateKeyEquality(t *testing.T) {
 	s := smallSchema()
-	rows, _, err := Estimate(s, mustParse(t, "select x from t where id = 42"))
+	rows, _, err := estimate(t, s, "select x from t where id = 42")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +228,7 @@ func TestEstimateKeyEquality(t *testing.T) {
 func TestEstimateFKJoin(t *testing.T) {
 	s := smallSchema()
 	// FK join: one match per u row → 100 rows.
-	rows, _, err := Estimate(s, mustParse(t, "select y from t, u where tid = id"))
+	rows, _, err := estimate(t, s, "select y from t, u where tid = id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func TestEstimateFKJoin(t *testing.T) {
 		t.Fatalf("rows = %d, want 100", rows)
 	}
 	// With a 50% filter on t: 50 rows.
-	rows, _, err = Estimate(s, mustParse(t, "select y from t, u where tid = id and x < 50"))
+	rows, _, err = estimate(t, s, "select y from t, u where tid = id and x < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +247,14 @@ func TestEstimateFKJoin(t *testing.T) {
 
 func TestEstimateTopAndAggregate(t *testing.T) {
 	s := smallSchema()
-	rows, bytes, err := Estimate(s, mustParse(t, "select top 10 x from t"))
+	rows, bytes, err := estimate(t, s, "select top 10 x from t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows != 10 || bytes != 80 {
 		t.Fatalf("top: %d rows %d bytes, want 10/80", rows, bytes)
 	}
-	rows, bytes, err = Estimate(s, mustParse(t, "select count(*) from t where x < 50"))
+	rows, bytes, err = estimate(t, s, "select count(*) from t where x < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,14 +265,14 @@ func TestEstimateTopAndAggregate(t *testing.T) {
 
 func TestEstimateOutOfRangePredicates(t *testing.T) {
 	s := smallSchema()
-	rows, _, err := Estimate(s, mustParse(t, "select x from t where x < -5"))
+	rows, _, err := estimate(t, s, "select x from t where x < -5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows != 0 {
 		t.Fatalf("below-range: rows = %d, want 0", rows)
 	}
-	rows, _, err = Estimate(s, mustParse(t, "select x from t where x < 200"))
+	rows, _, err = estimate(t, s, "select x from t where x < 200")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +318,7 @@ func TestExecuteEstimateAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, _, err := Estimate(db.Schema(), stmt)
+		est, _, err := estimate(t, db.Schema(), sql)
 		if err != nil {
 			t.Fatal(err)
 		}

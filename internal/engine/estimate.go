@@ -5,10 +5,10 @@ import (
 	"bypassyield/internal/sqlparse"
 )
 
-// Estimate computes the expected logical result cardinality and byte
-// size (yield) of a statement from catalog statistics alone, assuming
-// uniform value distributions and independent predicates — the same
-// assumptions the data synthesizer satisfies by construction, so
+// EstimateBound computes the expected logical result cardinality and
+// byte size (yield) of a bound statement from catalog statistics alone,
+// assuming uniform value distributions and independent predicates — the
+// same assumptions the data synthesizer satisfies by construction, so
 // estimates agree with execution up to sampling noise.
 //
 // Join estimation uses the standard containment rule: the join
@@ -16,15 +16,6 @@ import (
 // For a foreign key joining a key column this reduces to "one match
 // per foreign row", which models the photoobj ⋈ specobj joins in the
 // paper's workload exactly.
-func Estimate(s *catalog.Schema, stmt *sqlparse.SelectStmt) (rows, bytes int64, err error) {
-	b, err := Bind(s, stmt)
-	if err != nil {
-		return 0, 0, err
-	}
-	return EstimateBound(b)
-}
-
-// EstimateBound is Estimate over an already-bound statement.
 func EstimateBound(b *Bound) (rows, bytes int64, err error) {
 	// Per-table selectivity from non-join predicates; join conditions
 	// collected separately.

@@ -141,7 +141,7 @@ func TestExecuteGroupBySampledScaling(t *testing.T) {
 
 func TestEstimateGroupBy(t *testing.T) {
 	s := smallSchema()
-	rows, bytes, err := Estimate(s, mustParse(t, "select k, count(*) from t group by k"))
+	rows, bytes, err := estimate(t, s, "select k, count(*) from t group by k")
 	if err != nil {
 		t.Fatal(err)
 	}

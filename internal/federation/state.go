@@ -172,12 +172,12 @@ func (m *Mediator) RestoreState(st State) error {
 // build's policy decides as the writer's did from the same state;
 // diverged reports a disagreement, so the persist manager can surface
 // it (persist.replay_divergence, the recovery line's diverged=) instead
-// of silently rewriting history. A journal is not refused for it. Two
-// cases diverge: SpaceEffBY, whose snapshot does not carry its random
-// stream, and a journal written by a build whose policy decided
-// otherwise (an older GDS inserted a loaded object at the inflation
-// value it had before that load's evictions; this one, at the raised
-// value).
+// of silently rewriting history. A journal is not refused for it. A
+// journal diverges when the build that wrote it decided otherwise (an
+// older GDS inserted a loaded object at the inflation value it had
+// before that load's evictions; this one, at the raised value), or when
+// it follows a SpaceEffBY snapshot of version 1, which did not carry
+// the random stream's position.
 // applied is false for records whose effects are already inside the
 // restored snapshot (the prefix/suffix partition is per-file; the
 // first file after a mid-stream snapshot can carry pre-boundary
