@@ -24,8 +24,7 @@ test:
 # decides the same whether its per-object state is found by slot or by
 # id (restored, cloned and colliding universes included), the
 # ledger's ring, which has no lock of its own, is written by each query's
-# decide loop while scrapes read it, with the accounting and the shadows,
-# in one hold of the decision lock through the mediator — in the
+# decide loop while scrapes read it, with the accounting, in one hold of the decision lock through the mediator — in the
 # mediator, and through the proxy's MsgScrape while clients query —
 # the reports of concurrent QueryStmt callers own their memory, none
 # aliasing the pooled Scratch it was mediated in — and the registry's
@@ -146,8 +145,7 @@ fuzz-smoke:
 # ones alone), the join ones executed and released as the daemons run
 # them (ExecuteInto: the proxy on a hit, a node on a shipped join), a
 # Rate-Profile miss that compares victims and a
-# 73-access statement whose 46 such misses share one tick, one access of
-# the shadow sums (always-bypass and the ski-rental bound), the mediator's
+# 73-access statement whose 46 such misses share one tick, the mediator's
 # whole query path (bind, size, decompose, decide, flush and copy the
 # report out: three passes over the 3 000 EDR statements of the
 # federation benchmark's traced pass, for callers that keep their
@@ -178,7 +176,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkExecuteEDR -benchmem -benchtime=9000x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='^BenchmarkOpen$$' -benchmem -benchtime=50x ./internal/engine/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench=BenchmarkFilterSelectivity -benchmem -benchtime=20000x ./internal/engine/ | tee -a bench_obs.txt
-	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss|BenchmarkShadowAccess' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
+	$(GO) test -run='^$$' -bench='BenchmarkRateProfile(Wide)?Miss' -benchmem -benchtime=100000x ./internal/core/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMediatorQueryEDR|BenchmarkDecideLoop' -benchmem -benchtime=9000x ./internal/federation/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkProxy(Hit|Bypass)EDR|BenchmarkNodeSubqueryEDR' -benchmem -benchtime=9000x ./internal/wire/ | tee -a bench_obs.txt
 	$(GO) test -run='^$$' -bench='BenchmarkWriteFrame|BenchmarkResultCodec' -benchmem -benchtime=100000x ./internal/wire/ | tee -a bench_obs.txt

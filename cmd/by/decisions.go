@@ -9,11 +9,10 @@ import (
 	"bypassyield/internal/wire"
 )
 
-// decisionsFlags is `by decisions`: a proxy's decision ledger and shadow
-// counterfactual accounting, as recent decisions (filtered by object,
-// action or trace id), a per-action summary, the top regret
-// contributors, realized WAN against always-bypass, and the ski-rental
-// bound.
+// decisionsFlags is `by decisions`: a proxy's decision ledger and flow
+// accounting, as recent decisions (filtered by object, action or trace
+// id), a per-action summary, the top regret contributors, and realized
+// WAN against always-bypass.
 func decisionsFlags(fs *flag.FlagSet) func(env, []string) error {
 	var q wire.ScrapeMsg
 	fs.StringVar(&q.Object, "object", "", "keep only the records of this exact object id")
@@ -73,8 +72,8 @@ func renderDecisions(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 
 // renderAudit is the decisions view's audit of the ledger, and all that
 // `by replay -audit` prints of it: the top regret contributors among the
-// records, then realized WAN against always-bypass and the ski-rental
-// bound, over the accesses since the proxy started (not a warm start's).
+// records, then realized WAN against always-bypass over every access in
+// the reply's accounting (a warm start's restored ones included).
 func renderAudit(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 	regrets := head(ledger.Regret(res.Records), top)
 	if len(regrets) > 0 && regrets[0].Regret > 0 {
@@ -89,15 +88,13 @@ func renderAudit(w io.Writer, res *wire.ScrapeResultMsg, top int) {
 		}
 	}
 
-	if wan := res.BypassWANBytes; wan > 0 {
-		fmt.Fprintln(w, "\ncounterfactual baseline (since the proxy started, not just matching records):")
-		fmt.Fprintf(w, "  %-19s WAN %12.3f MB\n", "realized", float64(wan-res.SavedVsBypassBytes)/1e6)
+	// The proxy's network is uniform: always-bypass ships D_A.
+	if bypass := res.Acct.YieldBytes; bypass > 0 {
+		realized := res.Acct.WANBytes()
+		fmt.Fprintln(w, "\ncounterfactual baseline (the whole accounting, not just matching records):")
+		fmt.Fprintf(w, "  %-19s WAN %12.3f MB\n", "realized", float64(realized)/1e6)
 		fmt.Fprintf(w, "  vs %-16s WAN %12.3f MB   saved %12.3f MB (%5.1f%%)\n",
-			"always-bypass", float64(wan)/1e6, float64(res.SavedVsBypassBytes)/1e6,
-			100*float64(res.SavedVsBypassBytes)/float64(wan))
-	}
-	if res.OptBoundBytes > 0 {
-		fmt.Fprintf(w, "\nski-rental lower bound: %.3f MB, competitive ratio %.3f\n",
-			float64(res.OptBoundBytes)/1e6, float64(res.CompetitiveRatioMilli)/1000)
+			"always-bypass", float64(bypass)/1e6, float64(bypass-realized)/1e6,
+			100*float64(bypass-realized)/float64(bypass))
 	}
 }

@@ -29,7 +29,6 @@ func liveProxy(t *testing.T) string {
 		Granularity: federation.Columns,
 		Obs:         obs.NewRegistry(),
 		Ledger:      ledger.New(1024),
-		Shadows:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +99,6 @@ func TestRunDecisionsTable(t *testing.T) {
 		"recent decisions",
 		"edr/photoobj.ra",
 		"vs always-bypass",
-		"ski-rental lower bound",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -129,7 +127,7 @@ func TestRunDecisionsJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &res); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}
-	if res.Recorded == 0 || len(res.Records) == 0 || res.BypassWANBytes == 0 {
+	if res.Recorded == 0 || len(res.Records) == 0 || res.Acct.YieldBytes == 0 {
 		t.Fatalf("decoded = %+v", res)
 	}
 }

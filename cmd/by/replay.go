@@ -13,9 +13,9 @@ import (
 // replayFlags is `by replay`: it replays a workload trace (`by trace`'s
 // output) against a running proxy through synth.Replay, the paper's
 // trace-driven methodology over the live prototype, and prints the
-// proxy's flow accounting when done. With -audit it also prints what
-// the decision ledger says of the replay against the always-bypass
-// counterfactual and the ski-rental lower bound.
+// proxy's flow accounting when done. With -audit it also prints the
+// decision ledger's top regret contributors and the accounting against
+// the always-bypass counterfactual.
 func replayFlags(fs *flag.FlagSet) func(env, []string) error {
 	ep := endpointFlags(fs, "proxy address")
 	path := fs.String("trace", "", "trace file (JSONL, optionally .gz)")

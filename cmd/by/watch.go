@@ -79,40 +79,26 @@ func renderDeltas(w io.Writer, prev, cur obs.Snapshot, interval time.Duration) {
 		fmt.Fprintln(w, "  (idle: no counter movement)")
 	}
 	renderLatencies(w, prev, cur)
-	if hit, wan, comp := flowFigures(prev, cur); !math.IsNaN(hit) {
-		fmt.Fprintf(w, "  flows:   byte hit ratio %s   WAN reduction %s   competitive ratio %s\n",
-			fmtRatio(hit), fmtRatio(wan), fmtRatio(comp))
+	if hit, wan := flowFigures(prev, cur); !math.IsNaN(hit) {
+		fmt.Fprintf(w, "  flows:   byte hit ratio %.3f   WAN reduction %.3f\n", hit, wan)
 	}
 }
 
 // flowFigures is what the cache did over an interval, from the deltas
 // of a proxy's flow counters between two scrapes: the byte hit ratio
-// ΔD_C/ΔD_A, the WAN reduction (ΔD_A − ΔD_S − ΔD_L)/ΔD_A against
-// shipping every byte, and the competitive ratio Δ(D_S + D_L)/Δbound
-// against the ski-rental lower bound (core.optbound_bytes). D_A is the
-// yield delivered (core.yield_bytes). A figure whose denominator did
-// not move is NaN: no query, or no shadows for the bound.
-func flowFigures(prev, cur obs.Snapshot) (byteHitRatio, wanReduction, competitiveRatio float64) {
+// ΔD_C/ΔD_A and the WAN reduction (ΔD_A − ΔD_S − ΔD_L)/ΔD_A against
+// shipping every byte. D_A is the yield delivered (core.yield_bytes).
+// Both are NaN when D_A did not move: no query.
+func flowFigures(prev, cur obs.Snapshot) (byteHitRatio, wanReduction float64) {
 	delta := func(name string) float64 {
 		return float64(cur.CounterValue(name, "") - prev.CounterValue(name, ""))
 	}
-	ratio := func(a, b float64) float64 {
-		if b == 0 {
-			return math.NaN()
-		}
-		return a / b
+	da := delta("core.yield_bytes")
+	if da == 0 {
+		return math.NaN(), math.NaN()
 	}
-	da, dc := delta("core.yield_bytes"), delta("core.cache_bytes")
 	wan := delta("core.bypass_bytes") + delta("core.fetch_bytes")
-	return ratio(dc, da), ratio(da-wan, da), ratio(wan, delta("core.optbound_bytes"))
-}
-
-// fmtRatio renders a flow figure, "-" when it is undefined.
-func fmtRatio(v float64) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf("%.3f", v)
+	return delta("core.cache_bytes") / da, (da - wan) / da
 }
 
 // renderLatencies prints compact quantile columns for every histogram

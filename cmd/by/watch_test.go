@@ -77,12 +77,11 @@ func TestRenderLatencyDeltas(t *testing.T) {
 
 // flowSnapshot is a proxy's scrape reduced to the flow counters the
 // watch figures read.
-func flowSnapshot(yield, cache, bypass, fetch, bound int64) obs.Snapshot {
+func flowSnapshot(yield, cache, bypass, fetch int64) obs.Snapshot {
 	return obs.Snapshot{Counters: []obs.CounterSnap{
 		{Name: "core.bypass_bytes", Value: bypass},
 		{Name: "core.cache_bytes", Value: cache},
 		{Name: "core.fetch_bytes", Value: fetch},
-		{Name: "core.optbound_bytes", Value: bound},
 		{Name: "core.yield_bytes", Value: yield},
 	}}
 }
@@ -90,18 +89,17 @@ func flowSnapshot(yield, cache, bypass, fetch, bound int64) obs.Snapshot {
 // TestFlowFigures: the interval's figures are ratios of the counters'
 // deltas between two scrapes, not of their lifetime values.
 func TestFlowFigures(t *testing.T) {
-	prev := flowSnapshot(10_000, 6_000, 4_000, 5_000, 4_000)
+	prev := flowSnapshot(10_000, 6_000, 4_000, 5_000)
 	// Over the interval: 1 000 delivered, 960 of them from the cache,
-	// 40 bypassed, one 10-byte load; the bound grew by 40.
-	cur := flowSnapshot(11_000, 6_960, 4_040, 5_010, 4_040)
-	hit, wan, comp := flowFigures(prev, cur)
+	// 40 bypassed, one 10-byte load.
+	cur := flowSnapshot(11_000, 6_960, 4_040, 5_010)
+	hit, wan := flowFigures(prev, cur)
 	for _, c := range []struct {
 		name      string
 		got, want float64
 	}{
 		{"byte hit ratio", hit, 960.0 / 1000},
 		{"WAN reduction", wan, (1000.0 - 40 - 10) / 1000},
-		{"competitive ratio", comp, (40.0 + 10) / 40},
 	} {
 		if math.Abs(c.got-c.want) > 1e-12 {
 			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
@@ -109,15 +107,10 @@ func TestFlowFigures(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	renderDeltas(&buf, prev, cur, time.Second)
-	if want := "byte hit ratio 0.960   WAN reduction 0.950   competitive ratio 1.250"; !strings.Contains(buf.String(), want) {
+	if want := "byte hit ratio 0.960   WAN reduction 0.950\n"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("watch output lacks %q:\n%s", want, buf.String())
 	}
 
-	// No bound (shadows off): that figure alone is undefined.
-	noBound := flowSnapshot(11_000, 6_960, 4_040, 5_010, 4_000)
-	if _, _, comp := flowFigures(prev, noBound); !math.IsNaN(comp) {
-		t.Errorf("competitive ratio without a bound = %v, want NaN", comp)
-	}
 	// An idle interval prints no figures at all.
 	buf.Reset()
 	renderDeltas(&buf, prev, prev, time.Second)

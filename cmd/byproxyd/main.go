@@ -145,8 +145,7 @@ func start(o options) (*running, error) {
 	db.SetObs(reg)
 	led := ledger.New(ledgerCap)
 	med, err := federation.New(federation.Config{
-		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg,
-		Ledger: led, Shadows: true,
+		Schema: s, Engine: db, Policy: pol, Granularity: g, Obs: reg, Ledger: led,
 	})
 	if err != nil {
 		return nil, err

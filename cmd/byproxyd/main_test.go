@@ -169,8 +169,8 @@ func TestStartLedgerFlags(t *testing.T) {
 	if dec.Recorded == 0 || len(dec.Records) == 0 {
 		t.Fatalf("decisions = %+v, want records for the query", dec)
 	}
-	if dec.BypassWANBytes == 0 || dec.OptBoundBytes == 0 {
-		t.Fatalf("decisions = %+v, want the shadows' figures: the daemon always runs them", dec)
+	if saved := dec.Snapshot.GaugeValue("core.bytes_saved_vs_bypass"); dec.Acct.YieldBytes == 0 || saved != dec.Acct.YieldBytes-dec.Acct.WANBytes() {
+		t.Fatalf("core.bytes_saved_vs_bypass = %d, want D_A %d less the realized WAN %d", saved, dec.Acct.YieldBytes, dec.Acct.WANBytes())
 	}
 	c.Close()
 	if err := d.Close(); err != nil {

@@ -7,25 +7,22 @@ import (
 )
 
 // Decider is the decision loop of a bypass-yield cache: one policy,
-// one flow accounting, and the observers of both (the shadow sums,
-// the decision ledger, and telemetry for what is not
-// accounting: latency, degraded-mode events, episode churn). The
-// reference Simulator and the live mediator both run their queries
-// through it, so the two cannot drift.
+// one flow accounting, and the observers of both (the decision ledger,
+// and telemetry for what is not accounting: latency, degraded-mode
+// events, episode churn). The reference Simulator and the live mediator
+// both run their queries through it, so the two cannot drift.
 //
 // The work splits by what must be per access and what need not be.
 // Per access — Access, or Forced and Failed when a site is down — the
-// policy decides, the Figure-1 flows are charged, the shadows add
-// the access and one ledger record is filled from the policy's
-// explanation (it is overwritten by the next decision) straight into
-// its slot in the ledger's ring. Per query — End — the query's
+// policy decides, the Figure-1 flows are charged and one ledger record
+// is filled from the policy's explanation (it is overwritten by the
+// next decision) straight into its slot in the ledger's ring. Per query — End — the query's
 // accounting is added to Acct and the ledger's sink is handed the
 // query's records. Between Begin and End Acct is one query behind the
-// policy, the shadows and the ledger; a caller that serves scrapes
-// concurrently holds its lock across the pair, as the mediator does, and
-// reads Acct, the shadows and the ledger under it (ShadowSet.Stats reads
-// the first two against each other): the registry mirrors them at scrape
-// time (Telemetry.Mirror), not here.
+// policy and the ledger; a caller that serves scrapes concurrently holds
+// its lock across the pair, as the mediator does, and reads Acct and the
+// ledger under it: the registry mirrors Acct at scrape time
+// (Telemetry.Mirror), not here.
 //
 // A Decider is sequential state, like the policy it drives.
 type Decider struct {
@@ -36,7 +33,6 @@ type Decider struct {
 	name      string   // the policy's
 	explained *Explain // where the policy keeps its explanation (SelfExplainer), nil for none
 	tel       *Telemetry
-	shadows   *ShadowSet
 	ledger    *ledger.Ledger
 	evictions int64 // the policy's evictions already counted in Acct
 
@@ -58,8 +54,8 @@ var clockBase = time.Now()
 // bypasses every access). Every observer may be nil: an absent one
 // costs nothing. The telemetry is attached to the policy when it
 // publishes churn of its own.
-func NewDecider(p Policy, tel *Telemetry, shadows *ShadowSet, led *ledger.Ledger) *Decider {
-	d := &Decider{policy: p, name: p.Name(), evictions: p.Evictions(), tel: tel, shadows: shadows, ledger: led}
+func NewDecider(p Policy, tel *Telemetry, led *ledger.Ledger) *Decider {
+	d := &Decider{policy: p, name: p.Name(), evictions: p.Evictions(), tel: tel, ledger: led}
 	if se, ok := p.(SelfExplainer); ok {
 		d.explained = se.LastExplain()
 	}
@@ -127,14 +123,13 @@ func (d *Decider) Failed(obj Object, reason string) {
 	}
 }
 
-// charge applies a decision to the open query: flows, shadows, and the
-// ledger record (returned for the caller to annotate; nil without a
+// charge applies a decision to the open query: flows and the ledger
+// record (returned for the caller to annotate; nil without a
 // ledger).
 func (d *Decider) charge(obj Object, yield int64, dec Decision) (*ledger.DecisionRecord, error) {
 	if err := Account(&d.q, obj, yield, dec); err != nil {
 		return nil, &BadDecisionError{Policy: d.name, Decision: dec}
 	}
-	d.shadows.Access(obj, yield)
 	rec := d.ledger.Next()
 	if rec != nil {
 		fillRecord(rec, d.t, d.name, d.explained, d.trace, obj, yield, dec)
@@ -155,27 +150,23 @@ func (d *Decider) End() {
 }
 
 // Replay charges one access decided before a restart, outside any
-// query: the recorded decision's flows reach Acct. The shadows and the
-// ledger restart empty and see nothing of it (the shadows are told its
-// WAN, to leave out of what they realize); the caller has already let
-// the policy re-decide the access.
+// query: the recorded decision's flows reach Acct. The ledger restarts
+// empty and sees nothing of it; the caller has already let the policy
+// re-decide the access.
 func (d *Decider) Replay(obj Object, yield int64, recorded Decision) error {
 	var q Accounting
 	if err := Account(&q, obj, yield, recorded); err != nil {
 		return err
 	}
 	d.Acct.Add(q)
-	d.shadows.adopt(q.WANBytes())
 	d.countEvictions()
 	return nil
 }
 
 // Restore adopts the accounting of a restored snapshot, the restored
 // policy's evictions included: their count is the policy's own,
-// whatever a carries (0, when written before they were counted). The
-// shadows saw none of its accesses and are told the WAN it adds.
+// whatever a carries (0, when written before they were counted).
 func (d *Decider) Restore(a Accounting) {
-	d.shadows.adopt(a.WANBytes() - d.Acct.WANBytes())
 	d.Acct = a
 	d.evictions = d.policy.Evictions()
 	d.Acct.Evictions = d.evictions

@@ -89,7 +89,7 @@ type Simulator struct {
 // independent run builds a fresh policy.
 func (s *Simulator) Run(reqs []Request) (*Result, error) {
 	res := &Result{Policy: s.Policy.Name(), CurveStride: s.CurveStride}
-	d := NewDecider(s.Policy, nil, nil, s.Ledger)
+	d := NewDecider(s.Policy, nil, s.Ledger)
 	for i, req := range reqs {
 		d.Begin(req.Seq, "")
 		for _, acc := range req.Accesses {

@@ -170,8 +170,9 @@ func (s *StaticOptimal) Used() int64 { return s.used }
 // Capacity implements Policy.
 func (s *StaticOptimal) Capacity() int64 { return s.cap }
 
-// Contains implements Policy.
-func (s *StaticOptimal) Contains(obj Object) bool { return s.chosen[obj.ID] }
+// Contains implements Policy: a chosen object is in the cache from its
+// first access, which loads it, on.
+func (s *StaticOptimal) Contains(obj Object) bool { return s.loaded[obj.ID] }
 
 // Evictions implements Policy; a static cache never evicts.
 func (s *StaticOptimal) Evictions() int64 { return 0 }

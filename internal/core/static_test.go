@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -70,18 +71,26 @@ func TestStaticOptimalDecisions(t *testing.T) {
 		Access{a.ID, 6}, Access{a.ID, 6}, Access{a.ID, 6}, Access{b.ID, 3},
 	)
 	s := PlanStatic(10, trace, objMap(a, b))
-	if !s.Contains(a) {
-		t.Fatalf("a should be chosen, got %v", s.Chosen())
+	if !slices.Equal(s.Chosen(), []ObjectID{a.ID}) {
+		t.Fatalf("a alone should be chosen, got %v", s.Chosen())
+	}
+	// The cache is the plan's loaded part: a is not in it before its
+	// first access, which loads it, and is after.
+	if s.Contains(a) {
+		t.Fatal("a is reported cached before its first access")
 	}
 	// Replay: first access to a loads, later ones hit; b bypasses.
 	if d := s.Access(1, a, 6); d != Load {
 		t.Fatalf("first access = %v, want load (lazy population)", d)
 	}
+	if !s.Contains(a) {
+		t.Fatal("a is not reported cached after its load")
+	}
 	if d := s.Access(2, a, 6); d != Hit {
 		t.Fatalf("second access = %v, want hit", d)
 	}
-	if d := s.Access(4, b, 3); d != Bypass {
-		t.Fatalf("unchosen object = %v, want bypass", d)
+	if d := s.Access(4, b, 3); d != Bypass || s.Contains(b) {
+		t.Fatalf("unchosen object = %v (cached %t), want bypass, not cached", d, s.Contains(b))
 	}
 	if s.Evictions() != 0 {
 		t.Fatal("static cache must never evict")

@@ -13,7 +13,7 @@ import (
 // legs, decision latency, pipeline concurrency, episode churn.
 //
 // The Figure-1 flows are not: they live in the decision plane's
-// Accounting and its shadow sums, and Mirror copies one reading of both —
+// Accounting, and Mirror copies one reading of it —
 // taken under the plane's lock by the registry collector that calls it
 // at every scrape — into the metrics below. A snapshot therefore
 // reconciles with the accounting it was read from exactly, D_A =
@@ -29,11 +29,8 @@ import (
 //	core.fetch_bytes          counter (D_L)
 //	core.cache_bytes          counter (D_C)
 //	core.yield_bytes          counter (raw yield)
-//	core.shadow_wan_bytes     counter family, label "always-bypass" (from
-//	                          its first WAN byte); see shadow.go
-//	core.optbound_bytes       counter: ski-rental lower bound
-//	core.bytes_saved_vs_bypass  gauge: always-bypass WAN − realized WAN
-//	core.competitive_ratio_milli gauge: 1000 · realized WAN / bound
+//	core.bytes_saved_vs_bypass  gauge: always-bypass WAN − realized WAN,
+//	                          D_A − (D_S + D_L) on a uniform network
 //
 // A reader that wants them per interval — a byte hit ratio, the WAN
 // reduction (D_A − D_S − D_L)/D_A — takes the deltas between two
@@ -61,8 +58,8 @@ import (
 //
 //	core.decide_seconds       histogram; one observation per access the
 //	                          policy decided, each the mean step of its
-//	                          query's decide loop (policy, flows, shadows,
-//	                          ledger slot; not the journal, written after
+//	                          query's decide loop (policy, flows, ledger
+//	                          slot; not the journal, written after
 //	                          the loop), which is timed once per query,
 //	                          end to end. NANOSECONDS,
 //	                          with explicit sub-microsecond buckets —
@@ -108,10 +105,7 @@ type Telemetry struct {
 	queryConcurrency *obs.Gauge
 	legsInflight     *obs.Gauge
 
-	shadowWAN     *obs.CounterFamily
-	optBoundBytes *obs.Counter
 	savedVsBypass *obs.Gauge
-	compRatio     *obs.Gauge
 }
 
 // DecideBuckets are the explicit core.decide_seconds bucket bounds in
@@ -157,19 +151,15 @@ func NewTelemetry(r *obs.Registry) *Telemetry {
 		queryConcurrency: r.Gauge("core.query_concurrency"),
 		legsInflight:     r.Gauge("core.legs_inflight"),
 
-		shadowWAN:     r.CounterFamily("core.shadow_wan_bytes"),
-		optBoundBytes: r.Counter("core.optbound_bytes"),
 		savedVsBypass: r.Gauge("core.bytes_saved_vs_bypass"),
-		compRatio:     r.Gauge("core.competitive_ratio_milli"),
 	}
 }
 
 // Mirror stores one reading of a decision plane in the metrics that
 // mirror it: a, the accounting of the plane whose policy is named
-// policy, and sh, its shadow set's state read against a (zero without
-// shadows). The caller reads both under the plane's lock, so the
-// metrics agree with each other as the plane did.
-func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
+// policy, read under the plane's lock, so the metrics agree with each
+// other as the plane did.
+func (t *Telemetry) Mirror(policy string, a Accounting) {
 	if t == nil {
 		return
 	}
@@ -184,15 +174,11 @@ func (t *Telemetry) Mirror(policy string, a Accounting, sh ShadowStats) {
 	t.cacheBytes.Store(a.CacheBytes)
 	t.bypassBytes.Store(a.BypassBytes)
 	t.fetchBytes.Store(a.FetchBytes)
-
-	if sh.BypassWANBytes > 0 {
-		t.shadowWAN.Get("always-bypass").Store(sh.BypassWANBytes)
-	}
-	t.optBoundBytes.Store(sh.OptBoundBytes)
-	t.savedVsBypass.Set(sh.SavedVsBypassBytes)
-	if sh.OptBoundBytes > 0 {
-		t.compRatio.Set(sh.CompetitiveRatioMilli)
-	}
+	// Always-bypass ships every access's yield at its bypass cost, which
+	// is the yield itself on the mediator's uniform network: its WAN is
+	// D_A, and the savings are signed (a policy that loads at a loss
+	// ships more than always-bypass).
+	t.savedVsBypass.Set(a.YieldBytes - a.WANBytes())
 }
 
 // RecordForced counts one forced serve-from-cache: the owning site

@@ -416,8 +416,9 @@ func (s *Suite) XNet() (*Table, error) {
 // compared against the static-optimal offline plan, one row per policy
 // name, so each A_obj (whose α the bound takes) has its own. The theory
 // (Theorem 5.1 with a k-competitive A_obj) bounds the ratio to the
-// true offline optimum; static-optimal is a (weaker) stand-in, so the
-// observed ratios are upper estimates.
+// true offline optimum; the stand-in, min(static-optimal, lookahead),
+// costs at least that optimum, so the observed ratios are lower
+// estimates of the true ones.
 func (s *Suite) XComp() (*Table, error) {
 	t := &Table{
 		ID:      "xcomp",
@@ -513,6 +514,6 @@ func (s *Suite) XComp() (*Table, error) {
 		}
 	}
 	t.AddNote("%d random traces per family, 10 objects, 3000 queries, 200 KiB cache", trials)
-	t.AddNote("Theorem 5.1: (4α+2)-competitive for an α-competitive A_obj; ratios here are vs min(static-optimal, clairvoyant lookahead), an upper estimate of the true ratio")
+	t.AddNote("Theorem 5.1: (4α+2)-competitive for an α-competitive A_obj; ratios here are vs min(static-optimal, clairvoyant lookahead), which costs at least OPT: a lower estimate of the true ratio")
 	return t, nil
 }

@@ -47,15 +47,16 @@ func (s *lockedSink) Record(r ledger.DecisionRecord) {
 }
 
 // checkReading fails t unless r is one moment of the decision plane: a
-// ledger record per access accounted, and the WAN saved against
-// always-bypass equal to always-bypass's WAN less the realized.
+// ledger record per access accounted, and D_A = D_S + D_C, so that
+// always-bypass's WAN on the mediator's uniform network is the
+// reading's D_A and the savings read off it are the plane's.
 func checkReading(t *testing.T, r federation.Reading) {
 	t.Helper()
 	if r.Recorded != uint64(r.Acct.Accesses) {
 		t.Errorf("reading at clock %d: %d ledger records, %d accesses accounted", r.Clock, r.Recorded, r.Acct.Accesses)
 	}
-	if want := r.Shadows.BypassWANBytes - r.Acct.WANBytes(); r.Shadows.SavedVsBypassBytes != want {
-		t.Errorf("reading at clock %d: saved vs bypass %d, always-bypass WAN less realized %d", r.Clock, r.Shadows.SavedVsBypassBytes, want)
+	if r.Acct.YieldBytes != r.Acct.DeliveredBytes() {
+		t.Errorf("reading at clock %d: D_A %d, D_S + D_C %d", r.Clock, r.Acct.YieldBytes, r.Acct.DeliveredBytes())
 	}
 }
 
@@ -66,7 +67,7 @@ func checkReading(t *testing.T, r federation.Reading) {
 // two scrapers reading a ring smaller than a few queries' worth:
 //
 //   - every reading is one moment: a ledger record per access accounted,
-//     and the shadows' saved bytes always-bypass's WAN less the realized;
+//     and D_A = D_S + D_C;
 //   - every snapshot is whole: consecutive Seq, no record torn, the
 //     query clock never going back; and a selection by action is only
 //     whole records of that action, in Seq order;
@@ -96,7 +97,7 @@ func TestLedgerUnderConcurrentDecisions(t *testing.T) {
 	sink := &lockedSink{}
 	led.SetSink(sink.Record)
 	m, err := federation.New(federation.Config{
-		Schema: s, Engine: db, Granularity: federation.Columns, Policy: pol, Ledger: led, Shadows: true,
+		Schema: s, Engine: db, Granularity: federation.Columns, Policy: pol, Ledger: led,
 	})
 	if err != nil {
 		t.Fatal(err)

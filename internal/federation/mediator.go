@@ -43,18 +43,20 @@ type Config struct {
 	// mediation latency (federation.query_latency_us), objects touched
 	// (federation.objects_touched), and the core families (see
 	// core.Telemetry), of which the decision counts, byte flows and
-	// shadow figures are read from the decision plane at every
-	// Snapshot. The registry is shared — the proxy serves it in its
+	// savings against always-bypass are read from the decision plane at
+	// every Snapshot. The registry is shared — the proxy serves it in its
 	// scrape reply (wire.MsgScrape).
 	Obs *obs.Registry
 	// Ledger, when non-nil, receives one explained DecisionRecord per
 	// object access, a query's worth at a time (served in the proxy's
 	// scrape reply).
 	Ledger *ledger.Ledger
-	// Shadows enables online counterfactual accounting: every access
-	// adds to the always-bypass WAN and the ski-rental bound, which the
-	// core.bytes_saved_vs_bypass and core.competitive_ratio_milli gauges
-	// read against the accounting.
+	// Shadows is ignored: the savings against always-bypass are read off
+	// the accounting (core.bytes_saved_vs_bypass) whether it is set or
+	// not.
+	//
+	// Deprecated: the frozen bench/ module sets this field; it selects
+	// nothing.
 	Shadows bool
 	// Shards must be 0 or 1: the decision plane is one cache of one
 	// capacity; New rejects anything larger.
@@ -84,7 +86,7 @@ type SiteHealth interface {
 // engine evaluation, yield decomposition) runs lock-free — the engine
 // is an immutable column store with atomic counters — while the
 // decision phase runs under one lock, mu: the plane clock, the policy,
-// the accounting, the shadow sums and the decision ledger are one
+// the accounting and the decision ledger are one
 // sequential state, as in the paper, so Σ decision yields = D_A holds
 // exactly at every unlock. A query waits for mu awake (lockDecision): it is held for
 // microseconds, and a sleeper's wake-up takes tens to hundreds. Callers
@@ -115,11 +117,9 @@ type Mediator struct {
 	// the snapshot).
 	replayBase int64
 	// dec is the decision loop — the policy, the accounting and their
-	// observers (shadows, ledger, core telemetry) — shared with
-	// core.Simulator.
-	dec     *core.Decider
-	policy  core.Policy
-	shadows *core.ShadowSet
+	// observers (ledger, core telemetry) — shared with core.Simulator.
+	dec    *core.Decider
+	policy core.Policy
 	// ledger is the decision audit trail the Decider writes; its ring
 	// has no lock of its own (nil when not configured).
 	ledger  *ledger.Ledger
@@ -259,22 +259,20 @@ func New(cfg Config) (*Mediator, error) {
 		m.policy = core.NewNoCache()
 	}
 	m.policyName, m.capacity = m.policy.Name(), m.policy.Capacity()
-	if cfg.Shadows {
-		m.shadows = core.NewShadowSet()
-	}
-	m.dec = core.NewDecider(m.policy, m.tel, m.shadows, m.ledger)
+	m.dec = core.NewDecider(m.policy, m.tel, m.ledger)
 	cfg.Obs.RegisterCollector(m.collect)
 	return m, nil
 }
 
 // collect is the registry's collector of the decision plane: it reads
-// the accounting and the shadows under mu — one instant of both, never
-// mid-query — and stores the metrics that mirror them, so a snapshot
-// agrees with Accounting() at some unlock and with itself (D_A = D_S +
-// D_C, Σ core.decisions = core.accesses).
+// the accounting under mu — never mid-query — and stores the metrics
+// that mirror it, so a snapshot agrees with Accounting() at some unlock
+// and with itself (D_A = D_S + D_C, Σ core.decisions = core.accesses,
+// and core.bytes_saved_vs_bypass = D_A − D_S − D_L, always-bypass's WAN
+// less the realized on the uniform network New builds).
 func (m *Mediator) collect() {
 	r := m.read(nil)
-	m.tel.Mirror(r.Policy, r.Acct, r.Shadows)
+	m.tel.Mirror(r.Policy, r.Acct)
 }
 
 // Obs returns the registry the mediator publishes into (nil when
@@ -346,9 +344,6 @@ type Reading struct {
 	Policy         string
 	Used, Capacity int64
 	Contents       []core.ObjectID
-	// Shadows are the shadow figures against Acct (zero when shadows
-	// are disabled).
-	Shadows core.ShadowStats
 	// Recorded is the number of ledger records ever written, and Records
 	// the retained ones the query selected (none without a ledger).
 	Recorded uint64
@@ -356,8 +351,8 @@ type Reading struct {
 }
 
 // Read reads the decision plane under the decision lock, once: the
-// clock, the accounting, the policy's cache, the shadow figures, and the
-// ledger's count and the records q selects.
+// clock, the accounting, the policy's cache, and the ledger's count and
+// the records q selects.
 func (m *Mediator) Read(q ledger.Query) Reading { return m.read(&q) }
 
 // read is Read; a nil q leaves out what only a scrape asks for, the
@@ -365,8 +360,7 @@ func (m *Mediator) Read(q ledger.Query) Reading { return m.read(&q) }
 func (m *Mediator) read(q *ledger.Query) Reading {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	r := Reading{Clock: m.t, Acct: m.dec.Acct, Policy: m.policyName, Used: m.policy.Used(), Capacity: m.capacity,
-		Shadows: m.shadows.Stats(m.dec.Acct)}
+	r := Reading{Clock: m.t, Acct: m.dec.Acct, Policy: m.policyName, Used: m.policy.Used(), Capacity: m.capacity}
 	if q == nil {
 		return r
 	}
@@ -729,11 +723,11 @@ func (m *Mediator) lockDecision(start time.Time) {
 }
 
 // decideLocked is decide's critical section; callers hold mu. Per
-// access it runs the decision loop's step (policy, accounting, shadow
-// state, one ledger record written into its slot in the ring —
-// core.Decider) and fills the report; the query's accounting and ledger
-// records are flushed once, by End, and then the decisions are
-// journaled, before the lock is released. The registry's
+// access it runs the decision loop's step (policy, accounting, one
+// ledger record written into its slot in the ring — core.Decider) and
+// fills the report; the query's accounting and ledger records are
+// flushed once, by End, and then the decisions are journaled, before
+// the lock is released. The registry's
 // flow metrics are not written here: they read the plane under mu
 // when scraped (collect).
 func (m *Mediator) decideLocked(rep *QueryReport, accs []access, traceID string, health SiteHealth) (err error) {

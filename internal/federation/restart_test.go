@@ -9,6 +9,7 @@ import (
 
 	"bypassyield/internal/core"
 	"bypassyield/internal/federation"
+	"bypassyield/internal/obs"
 	"bypassyield/internal/obs/ledger"
 	"bypassyield/internal/sqlparse"
 )
@@ -35,7 +36,11 @@ func parsedEDR(t *testing.T, n int) ([]string, []*sqlparse.SelectStmt) {
 // No replayed record may diverge, the restored mediator's policy blob
 // and accounting must be the uninterrupted run's where the journal
 // ends, and the rest of the stream must cost it the same WAN bytes
-// (D_L + D_S) as it cost the uninterrupted run.
+// (D_L + D_S) as it cost the uninterrupted run. Its registry must read
+// the uninterrupted run's savings against always-bypass
+// (core.bytes_saved_vs_bypass) where the journal ends and again at the
+// end of the stream: the gauge is read off the accounting, which the
+// restore and the replay carry whole.
 func TestWarmRestartIsUninterrupted(t *testing.T) {
 	const n, span, seed = 1600, 100, 7
 	sqls, stmts := parsedEDR(t, n)
@@ -47,15 +52,17 @@ func TestWarmRestartIsUninterrupted(t *testing.T) {
 		st       federation.State
 		from, to int // the journal's records after the snapshot
 		resumed  federation.State
+		saved    int64 // the uninterrupted run's savings gauge at at+span
 	}
 	for _, name := range core.PolicyNames() {
 		for _, gran := range []federation.Granularity{federation.Tables, federation.Columns} {
 			for _, percent := range []int64{10, 40} {
 				t.Run(fmt.Sprintf("%s/%s/%d%%", name, gran, percent), func(t *testing.T) {
-					build := func() *federation.Mediator {
+					build := func(reg *obs.Registry) *federation.Mediator {
 						m, err := federation.New(federation.Config{
 							Schema: s, Engine: db, Granularity: gran, Capacity: s.TotalBytes() * percent / 100,
 							NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName(name, c, seed) },
+							Obs:       reg,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -77,7 +84,12 @@ func TestWarmRestartIsUninterrupted(t *testing.T) {
 						}
 					}
 
-					live := build()
+					saved := func(reg *obs.Registry) int64 {
+						return reg.Snapshot().GaugeValue("core.bytes_saved_vs_bypass")
+					}
+
+					liveReg := obs.NewRegistry()
+					live := build(liveReg)
 					var wal journalKeeper
 					live.SetJournal(&wal)
 					cuts := []*cut{{at: n / 8}, {at: n / 2}, {at: n - 2*span}}
@@ -88,17 +100,19 @@ func TestWarmRestartIsUninterrupted(t *testing.T) {
 							}
 							if i == c.at+span {
 								c.resumed, c.to = snapshot(live), len(wal.recs)
+								c.saved = saved(liveReg)
 							}
 						}
 						if i < n {
 							run(live, i, i+1)
 						}
 					}
-					end := live.Accounting()
+					end, endSaved := live.Accounting(), saved(liveReg)
 
 					var restore time.Duration
 					for _, c := range cuts {
-						m := build()
+						reg := obs.NewRegistry()
+						m := build(reg)
 						began := time.Now()
 						if err := m.RestoreState(c.st); err != nil {
 							t.Fatal(err)
@@ -116,9 +130,15 @@ func TestWarmRestartIsUninterrupted(t *testing.T) {
 						if got.Acct != c.resumed.Acct {
 							t.Fatalf("cut at %d: replayed accounting %+v, uninterrupted %+v", c.at, got.Acct, c.resumed.Acct)
 						}
+						if got := saved(reg); got != c.saved {
+							t.Fatalf("cut at %d: core.bytes_saved_vs_bypass reads %d after the replay, %d uninterrupted", c.at, got, c.saved)
+						}
 						run(m, c.at+span, n)
 						if got, want := m.Accounting().WANBytes()-c.resumed.Acct.WANBytes(), end.WANBytes()-c.resumed.Acct.WANBytes(); got != want {
 							t.Fatalf("cut at %d: the rest of the stream cost %d WAN bytes after the restart, %d uninterrupted", c.at, got, want)
+						}
+						if got := saved(reg); got != endSaved {
+							t.Fatalf("cut at %d: core.bytes_saved_vs_bypass reads %d at the end of the stream, %d uninterrupted", c.at, got, endSaved)
 						}
 					}
 					t.Logf("%d statements, %d accesses, %d evictions; the slowest of the three restores took %v", n, end.Accesses, end.Evictions, restore)

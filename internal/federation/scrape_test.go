@@ -19,8 +19,9 @@ import (
 //   - core.yield_bytes = core.cache_bytes + core.bypass_bytes (D_A =
 //     D_S + D_C);
 //   - Σ core.decisions = core.accesses;
-//   - core.bytes_saved_vs_bypass = core.shadow_wan_bytes{always-bypass}
-//     − core.bypass_bytes − core.fetch_bytes.
+//   - core.bytes_saved_vs_bypass = core.yield_bytes − core.bypass_bytes
+//     − core.fetch_bytes (always-bypass's WAN, D_A on the mediator's
+//     uniform network, less the realized).
 //
 // Then, the callers stopped, one scrape is issued while a persist
 // snapshot's barrier holds the plane: the collector takes the decision
@@ -62,9 +63,8 @@ func TestScrapeIsNeverTorn(t *testing.T) {
 		if d := s.CounterTotal("core.decisions"); d != accesses {
 			t.Fatalf("snapshot %d: Σ core.decisions %d != core.accesses %d", n, d, accesses)
 		}
-		saved, shadow := s.GaugeValue("core.bytes_saved_vs_bypass"), s.CounterValue("core.shadow_wan_bytes", "always-bypass")
-		if saved != shadow-bypass-fetch {
-			t.Fatalf("snapshot %d: core.bytes_saved_vs_bypass %d != shadow WAN %d − D_S %d − D_L %d", n, saved, shadow, bypass, fetch)
+		if saved := s.GaugeValue("core.bytes_saved_vs_bypass"); saved != yield-bypass-fetch {
+			t.Fatalf("snapshot %d: core.bytes_saved_vs_bypass %d != D_A %d − D_S %d − D_L %d", n, saved, yield, bypass, fetch)
 		}
 		if n == 0 {
 			first = accesses

@@ -151,7 +151,7 @@ func TestScratchReportsWhatQueryStmtReports(t *testing.T) {
 					Schema: s, Engine: db, Granularity: gran,
 					NewPolicy: func(_ int, c int64) (core.Policy, error) { return core.NewPolicyByName("rate-profile", c, 1) },
 					Capacity:  int64(0.4 * float64(s.TotalBytes())),
-					Obs:       obs.NewRegistry(), Ledger: sd.ledger, Shadows: true,
+					Obs:       obs.NewRegistry(), Ledger: sd.ledger,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -129,11 +129,9 @@ func (m *Mediator) SnapshotState(barrier func(State) error) (State, error) {
 // mismatch is an error and the mediator is left untouched), then the
 // policy blob, clock and accounting, which the registry's flow
 // counters read from then on (core.yield_bytes = Acct.YieldBytes =
-// D_A). Call before serving traffic; the decision ledger ring and
-// shadow sums are not part of State and restart empty (they are
-// windowed audit views, not accounting): the shadow figures cover the
-// accesses since the process started, the restored and replayed WAN
-// left out.
+// D_A) and so does the savings gauge, core.bytes_saved_vs_bypass. Call
+// before serving traffic; the decision ledger ring is not part of State
+// and restarts empty (it is a windowed audit view, not accounting).
 func (m *Mediator) RestoreState(st State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -14,8 +14,8 @@ import (
 // TestWideMissDecisionHold measures, and asserts nothing about, the
 // decision hold of the widest statement the federation benchmark sends:
 // `select * from frame`, 73 column accesses, most of them misses at the
-// edr-cached cache (rate-profile at 40% of EDR, column objects, registry,
-// ledger and shadows on). It runs the benchmark's 12 000 EDR statements
+// edr-cached cache (rate-profile at 40% of EDR, column objects, registry
+// and ledger on). It runs the benchmark's 12 000 EDR statements
 // in stream order through QueryScratch, as a serving connection does,
 // and over the last 10 000 logs for those statements, for `select * from
 // photoobj` beside them and for all statements: count, accesses and

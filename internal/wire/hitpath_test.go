@@ -105,8 +105,8 @@ type edrFed struct {
 
 // edrFederation is the federation benchmark's configuration (bench/fed.go)
 // on loopback: EDR at one row in 1 000, a node per site, a rate-profile
-// cache of cacheFrac of the release at column granularity, ledger 4096,
-// shadows and both flight recorders on — and one Client. The nodes serve
+// cache of cacheFrac of the release at column granularity, ledger 4096
+// and both flight recorders on — and one Client. The nodes serve
 // nodeDB, or the proxy's own engine when it is nil; setup, when not nil,
 // adjusts the proxy before it listens.
 func edrFederation(tb testing.TB, cacheFrac float64, nodeDB *engine.DB, setup func(*Proxy, map[string]*DBNode)) *edrFed {
@@ -137,7 +137,7 @@ func edrFederation(tb testing.TB, cacheFrac float64, nodeDB *engine.DB, setup fu
 	}
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Policy: policy, Granularity: federation.Columns,
-		Obs: reg, Ledger: ledger.New(4096), Shadows: true,
+		Obs: reg, Ledger: ledger.New(4096),
 	})
 	if err != nil {
 		tb.Fatal(err)

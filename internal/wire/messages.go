@@ -451,12 +451,12 @@ type ScrapeMsg struct {
 
 // ScrapeResultMsg is what a daemon observes, read at one scrape: its
 // registry, and its flight recorder's counts and matching exemplars.
-// A proxy also fills its flow accounting, its decision ledger and the
-// shadow figures; a node leaves them zero. Source names the daemon and
+// A proxy also fills its flow accounting and its decision ledger; a
+// node leaves them zero. Source names the daemon and
 // so its role: "byproxyd" or "bydbd:<site>".
 //
-// The mediator's parts (Policy, Acct, the cache, Recorded, Records and
-// the shadow figures) are one reading of the decision plane, taken in
+// The mediator's parts (Policy, Acct, the cache, Recorded and Records)
+// are one reading of the decision plane, taken in
 // one hold of its lock, so they agree with each other. Snapshot and the
 // transport and flight-recorder counts are read on their own, so a proxy
 // that decides while it is scraped can have moved between them and the
@@ -490,15 +490,6 @@ type ScrapeResultMsg struct {
 	// the matching ones, oldest first.
 	Recorded uint64                  `json:"recorded,omitempty"`
 	Records  []ledger.DecisionRecord `json:"records,omitempty"`
-	// The shadow figures cover the accesses since the proxy started (a
-	// warm restart's restored traffic is not in them): the WAN
-	// always-bypass would have cost, that minus the realized WAN
-	// (negative when the policy loses to always-bypass), the running
-	// ski-rental lower bound, and 1000 · realized / bound.
-	BypassWANBytes        int64 `json:"bypass_wan_bytes,omitempty"`
-	SavedVsBypassBytes    int64 `json:"saved_vs_bypass_bytes,omitempty"`
-	OptBoundBytes         int64 `json:"optbound_bytes,omitempty"`
-	CompetitiveRatioMilli int64 `json:"competitive_ratio_milli,omitempty"`
 
 	// Observed counts every finished query the flight recorder saw,
 	// Published the exemplars it ever published, and ThresholdUS is its

@@ -318,7 +318,7 @@ func TestMetricSurface(t *testing.T) {
 	med, err := federation.New(federation.Config{
 		Schema: s, Engine: db, Granularity: federation.Columns, Obs: reg,
 		Policy: core.NewRateProfile(core.RateProfileConfig{Capacity: s.TotalBytes()}),
-		Ledger: ledger.New(64), Shadows: true,
+		Ledger: ledger.New(64),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -412,8 +412,6 @@ var proxyMetrics = []string{
 	"counter core.episodes_closed",
 	"counter core.episodes_opened",
 	"counter core.fetch_bytes",
-	"counter core.optbound_bytes",
-	"counter core.shadow_wan_bytes",
 	"counter core.stale_served_bytes",
 	"counter core.yield_bytes",
 	"counter engine.queries",
@@ -432,7 +430,6 @@ var proxyMetrics = []string{
 	"counter wire.node_rx_bytes",
 	"counter wire.node_tx_bytes",
 	"gauge core.bytes_saved_vs_bypass",
-	"gauge core.competitive_ratio_milli",
 	"gauge core.legs_inflight",
 	"gauge core.query_concurrency",
 	"gauge runtime.gc_cycles",

@@ -88,9 +88,8 @@ const DefaultMaxInflight = 64
 //
 // One message serves all of it: a MsgScrape is answered with the
 // registry snapshot, the flight recorder's counts and exemplars, the
-// flow accounting, the cache, the transport counters, the decision
-// ledger's records and the shadow figures, under the request's one
-// filter (see scrape).
+// flow accounting, the cache, the transport counters and the decision
+// ledger's records, under the request's one filter (see scrape).
 type Proxy struct {
 	*server
 	med        *federation.Mediator

@@ -226,7 +226,7 @@ func TestShippingDecidesAsTheMediator(t *testing.T) {
 	}
 	bare, err := federation.New(federation.Config{
 		Schema: s, Engine: bareDB, Policy: policy, Granularity: federation.Columns,
-		Obs: bareReg, Ledger: ledger.New(4096), Shadows: true,
+		Obs: bareReg, Ledger: ledger.New(4096),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,10 +49,10 @@ func listLimit(limit, def, ceil int) int {
 }
 
 // scrapeProxy adds the proxy's own to what every daemon answers: the flow
-// accounting, the cache, the node transport counters, the matching
-// ledger records (none without a ledger) and the shadow figures. The
-// mediator's parts are one reading of the decision plane, taken in one
-// hold of its lock, so they agree with each other.
+// accounting, the cache, the node transport counters and the matching
+// ledger records (none without a ledger). The mediator's parts are one
+// reading of the decision plane, taken in one hold of its lock, so they
+// agree with each other.
 func (p *Proxy) scrapeProxy(q ScrapeMsg) *ScrapeResultMsg {
 	msg := p.observed(q)
 	r := p.med.Read(ledger.Query{
@@ -71,7 +71,5 @@ func (p *Proxy) scrapeProxy(q ScrapeMsg) *ScrapeResultMsg {
 		msg.CachedObjects = append(msg.CachedObjects, string(id))
 	}
 	msg.Recorded, msg.Records = r.Recorded, r.Records
-	msg.BypassWANBytes, msg.SavedVsBypassBytes = r.Shadows.BypassWANBytes, r.Shadows.SavedVsBypassBytes
-	msg.OptBoundBytes, msg.CompetitiveRatioMilli = r.Shadows.OptBoundBytes, r.Shadows.CompetitiveRatioMilli
 	return msg
 }
